@@ -135,7 +135,10 @@ pub fn fig8_rank_distribution(
     };
     let mut obs: Vec<Observation> = Vec::new();
     let proj = Projection::RANK.with(Projection::FLAGS).with(Projection::DOMAIN_ID);
-    store.for_day_projected(probe_day, proj, &mut |day_obs| obs.extend_from_slice(day_obs));
+    store.for_each_day_filtered(
+        ScanFilter::projected(proj).days(probe_day, probe_day),
+        &mut |_, day_obs| obs.extend_from_slice(day_obs),
+    );
     let max_rank = obs.iter().map(|o| o.rank).max().unwrap_or(1).max(1);
     let buckets = 10usize;
     let width = max_rank.div_ceil(buckets as u32).max(1);

@@ -5,9 +5,9 @@
 //! paper itself used ground truth such as Tranco ranks, the ecosystem
 //! model) into the statistic the corresponding table or figure reports.
 //!
-//! Naming follows DESIGN.md's experiment index (`fig2_adoption`,
-//! `tab2_ns_category`, …), and every result type implements `Display`
-//! so the bench harness can print paper-style tables.
+//! Each function is named after the figure or table it regenerates
+//! (`fig2_adoption`, `tab2_ns_category`, …), and every result type
+//! implements `Display` so reports can print paper-style tables.
 //!
 //! Every analysis takes `&dyn ObservationSource` and streams the
 //! campaign day-by-day, so it runs identically over an in-memory
@@ -41,24 +41,25 @@ pub use vantage_diff::{
     VantageDiffReport, VantageDisagreement, VantageSummary,
 };
 
-use scanner::{ObservationSource, Projection};
+use scanner::{ObservationSource, Projection, ScanFilter};
 use std::collections::HashSet;
 
 /// Domain ids present on the list (i.e. observed) on *every* sampled day
 /// in `days` — the paper's "overlapping domains" for a phase.
 pub fn overlapping_ids(source: &dyn ObservationSource, days: &[u32]) -> HashSet<u32> {
-    let proj = Projection::FLAGS.with(Projection::DOMAIN_ID);
-    let mut iter = days.iter();
-    let Some(first) = iter.next() else { return HashSet::new() };
-    let mut set: HashSet<u32> = HashSet::new();
-    source.for_day_projected(*first, proj, &mut |obs| {
-        set = obs.iter().filter(|o| !o.is_www()).map(|o| o.domain_id).collect();
-    });
-    for day in iter {
-        let mut today: HashSet<u32> = HashSet::new();
-        source.for_day_projected(*day, proj, &mut |obs| {
-            today = obs.iter().filter(|o| !o.is_www()).map(|o| o.domain_id).collect();
+    let filter = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
+    let apexes_on = |day: u32| {
+        let mut ids: HashSet<u32> = HashSet::new();
+        source.for_each_day_filtered(filter.days(day, day), &mut |_, obs| {
+            ids = obs.iter().filter(|o| !o.is_www()).map(|o| o.domain_id).collect();
         });
+        ids
+    };
+    let mut iter = days.iter();
+    let Some(&first) = iter.next() else { return HashSet::new() };
+    let mut set = apexes_on(first);
+    for &day in iter {
+        let today = apexes_on(day);
         set.retain(|id| today.contains(id));
     }
     set

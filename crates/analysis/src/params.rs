@@ -76,7 +76,7 @@ pub fn tab5_other_providers(store: &dyn ObservationSource) -> ProviderShapes {
         return ProviderShapes { shapes };
     };
     let proj = Projection::FLAGS.with(Projection::NS_CATEGORY).with(Projection::ORG);
-    store.for_day_projected(last, proj, &mut |obs| {
+    store.for_each_day_filtered(ScanFilter::projected(proj).days(last, last), &mut |_, obs| {
         for o in obs {
             if o.is_www() || !o.https() {
                 continue;

@@ -12,7 +12,7 @@
 //! observation that the record's visibility depends on where you look
 //! from.
 
-use scanner::{ObservationSource, Projection, ScanFilter, SnapshotStore, VantageRun};
+use scanner::{Observation, ObservationSource, Projection, ScanFilter, SnapshotStore, VantageRun};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Columns the diff actually reads: HTTPS/www/failure bits and the
@@ -127,13 +127,16 @@ impl std::fmt::Display for VantageDiffReport {
 /// filter in [`vantage_diff_sources`] then drops the name for that day).
 fn presence_of(source: &dyn ObservationSource, day: u32) -> HashMap<(u32, bool), bool> {
     let mut map = HashMap::new();
-    source.for_day_projected(day, DIFF_PROJECTION, &mut |obs| {
-        map.extend(
-            obs.iter()
-                .filter(|o| !o.has(scanner::flags::RESOLUTION_FAILED))
-                .map(|o| ((o.domain_id, o.is_www()), o.https())),
-        );
-    });
+    source.for_each_day_filtered(
+        ScanFilter::projected(DIFF_PROJECTION).days(day, day),
+        &mut |_, obs| {
+            map.extend(
+                obs.iter()
+                    .filter(|o| !o.has(scanner::flags::RESOLUTION_FAILED))
+                    .map(|o| ((o.domain_id, o.is_www()), o.https())),
+            );
+        },
+    );
     map
 }
 
@@ -155,16 +158,7 @@ pub fn vantage_diff(stores: &[SnapshotStore]) -> VantageDiffReport {
 /// never materializing more than one day per source.
 pub fn vantage_diff_sources(sources: &[&dyn ObservationSource]) -> VantageDiffReport {
     let vantages: Vec<String> = sources.iter().map(|s| s.vantage().to_string()).collect();
-
-    // Days common to all sources.
-    let mut days: Vec<u32> = match sources.first() {
-        Some(s) => s.days(),
-        None => Vec::new(),
-    };
-    for s in sources.iter().skip(1) {
-        let own: BTreeSet<u32> = s.days().into_iter().collect();
-        days.retain(|d| own.contains(d));
-    }
+    let days = common_days(sources);
 
     let mut diff = DayDiffs::default();
     for &day in &days {
@@ -182,20 +176,8 @@ pub fn vantage_diff_sources(sources: &[&dyn ObservationSource]) -> VantageDiffRe
         .map(|s| {
             let mut tally = SourceTally::default();
             s.for_each_day_filtered(common_filter(&days), &mut |day, obs| {
-                if !common.contains(&day) {
-                    return;
-                }
-                for o in obs {
-                    if !o.is_www() && o.https() {
-                        tally.positives += 1;
-                    }
-                    if o.has(scanner::flags::RESOLUTION_FAILED) {
-                        tally.resolution_failures += 1;
-                        if o.has(scanner::flags::RESOLUTION_TIMEOUT) {
-                            tally.timeouts += 1;
-                        }
-                    }
-                    tally.timelines.entry((o.domain_id, o.is_www())).or_default().push(o.https());
+                if common.contains(&day) {
+                    obs.iter().for_each(|o| tally.fold_row(o));
                 }
             });
             tally.into_summary(s.vantage(), days.len())
@@ -203,6 +185,19 @@ pub fn vantage_diff_sources(sources: &[&dyn ObservationSource]) -> VantageDiffRe
         .collect();
 
     VantageDiffReport { vantages, days, disagreements, per_day, disagreeing_domains, summaries }
+}
+
+/// Days present in every source, ascending — the only days compared.
+fn common_days(sources: &[&dyn ObservationSource]) -> Vec<u32> {
+    let mut days: Vec<u32> = match sources.first() {
+        Some(s) => s.days(),
+        None => Vec::new(),
+    };
+    for s in sources.iter().skip(1) {
+        let own: BTreeSet<u32> = s.days().into_iter().collect();
+        days.retain(|d| own.contains(d));
+    }
+    days
 }
 
 /// Day-range-pruned scan filter over the common days (every day when
@@ -270,6 +265,20 @@ struct SourceTally {
 }
 
 impl SourceTally {
+    /// Fold one row of a common day into the tallies.
+    fn fold_row(&mut self, o: &Observation) {
+        if !o.is_www() && o.https() {
+            self.positives += 1;
+        }
+        if o.has(scanner::flags::RESOLUTION_FAILED) {
+            self.resolution_failures += 1;
+            if o.has(scanner::flags::RESOLUTION_TIMEOUT) {
+                self.timeouts += 1;
+            }
+        }
+        self.timelines.entry((o.domain_id, o.is_www())).or_default().push(o.https());
+    }
+
     fn into_summary(self, vantage: &str, day_count: usize) -> VantageSummary {
         let mean_positive =
             if day_count == 0 { 0.0 } else { self.positives as f64 / day_count as f64 };
@@ -303,16 +312,7 @@ impl SourceTally {
 /// is byte-identical to [`vantage_diff_sources`].
 pub fn vantage_diff_parallel(sources: &[&dyn ObservationSource]) -> VantageDiffReport {
     let vantages: Vec<String> = sources.iter().map(|s| s.vantage().to_string()).collect();
-
-    // Days common to all sources.
-    let mut days: Vec<u32> = match sources.first() {
-        Some(s) => s.days(),
-        None => Vec::new(),
-    };
-    for s in sources.iter().skip(1) {
-        let own: BTreeSet<u32> = s.days().into_iter().collect();
-        days.retain(|d| own.contains(d));
-    }
+    let days = common_days(sources);
     let common: BTreeSet<u32> = days.iter().copied().collect();
 
     let mut diff = DayDiffs::default();
@@ -331,24 +331,10 @@ pub fn vantage_diff_parallel(sources: &[&dyn ObservationSource]) -> VantageDiffR
                     }
                     let mut presence = HashMap::with_capacity(obs.len());
                     for o in obs {
-                        let failed = o.has(scanner::flags::RESOLUTION_FAILED);
-                        if !failed {
+                        if !o.has(scanner::flags::RESOLUTION_FAILED) {
                             presence.insert((o.domain_id, o.is_www()), o.https());
                         }
-                        if !o.is_www() && o.https() {
-                            tally.positives += 1;
-                        }
-                        if failed {
-                            tally.resolution_failures += 1;
-                            if o.has(scanner::flags::RESOLUTION_TIMEOUT) {
-                                tally.timeouts += 1;
-                            }
-                        }
-                        tally
-                            .timelines
-                            .entry((o.domain_id, o.is_www()))
-                            .or_default()
-                            .push(o.https());
+                        tally.fold_row(o);
                     }
                     // A full channel blocks here, bounding how far this
                     // reader can run ahead of the coordinator. A closed

@@ -1,7 +1,6 @@
 //! Shape assertions: run a compressed campaign over a tiny world and
 //! check that every analysis reproduces the *direction* of the paper's
-//! findings (exact magnitudes are asserted in EXPERIMENTS.md's
-//! full-scale run).
+//! findings, not their exact magnitudes.
 
 use analysis::*;
 use ecosystem::{EcosystemConfig, World};

@@ -9,7 +9,10 @@
 use analysis::{adoption, dnssec_a, ech, providers, vantage_diff_parallel, vantage_diff_sources};
 use ecosystem::{EcosystemConfig, World};
 use resolver::VantagePoint;
-use scanner::{open_store, write_combined_csv, Campaign, ObservationSource, SnapshotStore};
+use scanner::{
+    open_store, write_combined_csv, Campaign, Observation, ObservationSource, OrgId, Projection,
+    ScanFilter, SnapshotStore,
+};
 use std::path::PathBuf;
 
 fn scratch() -> PathBuf {
@@ -72,6 +75,13 @@ fn full_report(source: &dyn ObservationSource) -> String {
     out
 }
 
+/// The `(day, rows)` sequence the one visit method hands out under `filter`.
+fn visits(source: &dyn ObservationSource, filter: ScanFilter) -> Vec<(u32, Vec<Observation>)> {
+    let mut seen = Vec::new();
+    source.for_each_day_filtered(filter, &mut |day, obs| seen.push((day, obs.to_vec())));
+    seen
+}
+
 #[test]
 fn every_analysis_is_byte_identical_from_disk_and_memory() {
     let config = EcosystemConfig { population: 350, list_size: 260, ..EcosystemConfig::tiny() };
@@ -98,6 +108,37 @@ fn every_analysis_is_byte_identical_from_disk_and_memory() {
             "analysis reports diverged between disk and memory for vantage {}",
             store.vantage()
         );
+    }
+
+    // Under every filter shape the analyses use, both backends visit
+    // the same days with the same rows (the campaign samples days
+    // 0, 2, 4, 6, so odd days are gaps).
+    for (reader, store) in disk.readers.iter().zip(&stores) {
+        for (shape, filter, days) in [
+            ("every day", ScanFilter::all(), vec![0, 2, 4, 6]),
+            ("a present day", ScanFilter::all().days(4, 4), vec![4]),
+            ("an absent day", ScanFilter::all().days(3, 3), vec![]),
+            ("a range straddling gaps", ScanFilter::all().days(1, 5), vec![2, 4]),
+        ] {
+            let on_disk = visits(reader, filter);
+            assert_eq!(on_disk, visits(store, filter), "{shape}, vantage {}", store.vantage());
+            let visited: Vec<u32> = on_disk.iter().map(|(day, _)| *day).collect();
+            assert_eq!(visited, days, "{shape}, vantage {}", store.vantage());
+        }
+        // A projected single day: the projected columns agree; the disk
+        // reader leaves the rest at their documented defaults (memory
+        // may hand back full rows).
+        let pruned =
+            ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID)).days(2, 2);
+        let (on_disk, in_memory) = (visits(reader, pruned), visits(store, pruned));
+        assert_eq!((on_disk.len(), in_memory.len()), (1, 1));
+        let ((disk_day, disk_rows), (memory_day, memory_rows)) = (&on_disk[0], &in_memory[0]);
+        assert_eq!((*disk_day, *memory_day), (2, 2));
+        assert_eq!(disk_rows.len(), memory_rows.len());
+        for (d, m) in disk_rows.iter().zip(memory_rows) {
+            assert_eq!((d.day, d.domain_id, d.flags), (2, m.domain_id, m.flags));
+            assert_eq!((d.rank, d.ns_category, d.org, d.min_priority), (0, 0, OrgId::NONE, 0));
+        }
     }
 
     // Cross-vantage: the diff report and the combined CSV view too.

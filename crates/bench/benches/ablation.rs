@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of four design choices:
 //!
 //! 1. resolver NS-selection strategy → HTTPS visibility for mixed-NS
 //!    domains (the §4.2.3 mechanism),

@@ -1,9 +1,10 @@
-//! Shared setup for the benchmark/regeneration harness.
+//! Shared setup for the regeneration harness.
 //!
-//! Every bench binary regenerates its paper tables/figures by printing
-//! them at startup (the `cargo bench` output therefore doubles as the
-//! experiment log recorded in EXPERIMENTS.md), then benchmarks the
-//! pipeline stages that produce them.
+//! Every bench binary regenerates its paper tables/figures or ablation
+//! by printing them at startup, so the `cargo bench` output is the
+//! experiment log; the criterion samples after them time the stage that
+//! produced each table. Speed is measured by `benchmark/` at the
+//! repository root, not here.
 
 use httpsrr::ecosystem::EcosystemConfig;
 use httpsrr::Study;

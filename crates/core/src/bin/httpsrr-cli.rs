@@ -6,19 +6,20 @@
 //!                    [--metrics PATH] [--csv PATH] [--store DIR]  # campaign (+ write-through)
 //! httpsrr-cli resume --store DIR [--threads T]     # continue an interrupted --store campaign
 //! httpsrr-cli compact --store DIR                  # rewrite a v1 store to v2 compressed blocks
-//! httpsrr-cli bench  [--population N] [--list N] [--threads T] [--shards S] [--out PATH]
 //! httpsrr-cli serve  [--population N] [--list N] [--rates R,R,..] [--capacity C] [--policy P]
 //! httpsrr-cli matrix
 //! httpsrr-cli rotation [--hours H]
 //! httpsrr-cli audit  [--day D]
 //! httpsrr-cli zone   <apex> <zonefile>    # lint a zone file's HTTPS records
 //! ```
+//!
+//! Speed is measured by `benchmark/` (see `BENCHMARK.json`), not here.
 
 use httpsrr::analysis;
 use httpsrr::ecosystem::{EcosystemConfig, World};
 use httpsrr::scanner::{
     combined_csv, compact_store, hourly_ech_scan, open_store, write_combined_csv, Campaign,
-    StoreFormat, StoreWriter, VantageRun,
+    StoreWriter, VantageRun,
 };
 use httpsrr::{client_side_report, server_side_report, Study};
 use std::process::ExitCode;
@@ -29,114 +30,141 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    match command.as_str() {
-        "study" => cmd_study(&args[1..]),
-        "run" => cmd_run(&args[1..]),
-        "resume" => cmd_resume(&args[1..]),
-        "compact" => cmd_compact(&args[1..]),
-        "bench" if args.iter().any(|a| a == "--store") => cmd_bench_persist(&args[1..]),
-        "bench" if args.iter().any(|a| a == "--serve") => cmd_bench_serve(&args[1..]),
-        "bench" if args.iter().any(|a| a == "--scale") => cmd_bench_scale(&args[1..]),
-        "bench" if args.iter().any(|a| a == "--wire") => cmd_bench_wire(&args[1..]),
-        "bench" if args.iter().any(|a| a == "--async") => cmd_bench_async(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "matrix" => {
+    let rest = &args[1..];
+    let outcome = match command.as_str() {
+        "study" => cmd_study(rest),
+        "run" => cmd_run(rest),
+        "resume" => cmd_resume(rest),
+        "compact" => cmd_compact(rest),
+        "serve" => cmd_serve(rest),
+        "matrix" => Flags::parse(rest, &[], &[]).map(|_| {
             println!("{}", client_side_report());
             ExitCode::SUCCESS
-        }
-        "rotation" => cmd_rotation(&args[1..]),
-        "audit" => cmd_audit(&args[1..]),
-        "zone" => cmd_zone(&args[1..]),
-        other => {
-            eprintln!("unknown command {other:?}\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+        }),
+        "rotation" => cmd_rotation(rest),
+        "audit" => cmd_audit(rest),
+        "zone" => Ok(cmd_zone(rest)),
+        other => Err(format!("unknown command {other:?}")),
+    };
+    outcome.unwrap_or_else(|usage_error| {
+        eprintln!("{usage_error}\n{USAGE}");
+        ExitCode::FAILURE
+    })
 }
 
 const USAGE: &str = "usage:
   httpsrr-cli study  [--population N] [--list N] [--stride D] [--seed S] [--csv PATH]
   httpsrr-cli run    [--population N] [--list N] [--days D] [--threads T] [--seed S] [--metrics PATH] [--csv PATH] [--store DIR]
-  httpsrr-cli resume --store DIR [--threads T]   # continue an interrupted --store campaign at the last day boundary
+  httpsrr-cli resume --store DIR [--threads T] [--csv PATH]   # continue an interrupted --store campaign at the last day boundary
   httpsrr-cli compact --store DIR                # rewrite a v1 store to v2 compressed column blocks, atomically
-  httpsrr-cli bench  [--population N] [--list N] [--threads T] [--mt-threads T] [--shards S] [--out PATH]
-  httpsrr-cli bench  --store [--population N] [--list N] [--days D] [--threads T] [--out PATH]  # v1/v2/parallel store snapshot
-  httpsrr-cli bench  --scale [--mt-threads T] [--threads T] [--out PATH]   # 6k vs 100k scale snapshot
-  httpsrr-cli bench  --wire [--zones Z] [--reps R] [--out PATH]            # owned vs precompiled wire path A/B
-  httpsrr-cli bench  --async [--population N] [--list N] [--reps R] [--out PATH]  # event-loop vs pooled at RTT 0/20/100 ms
-  httpsrr-cli bench  --serve [--population N] [--list N] [--clients C] [--phase-ms MS] [--rates R,R,..] [--capacities C,C,..] [--out PATH]  # load sweep + hit-rate-vs-capacity curve
   httpsrr-cli serve  [--population N] [--list N] [--clients C] [--workers K] [--seed S] [--rates R,R,..] [--phase-ms MS] [--capacity C] [--policy lru|s3fifo] [--metrics]
   httpsrr-cli matrix
   httpsrr-cli rotation [--hours H]
   httpsrr-cli audit  [--day D]
   httpsrr-cli zone   <apex> <zonefile>";
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+/// A command's result: the exit status it chose (having printed its own
+/// diagnostics), or a usage error that `main` prints above [`USAGE`].
+type Outcome = Result<ExitCode, String>;
+
+/// One command's arguments, checked against the flags it accepts. A flag
+/// the command does not take, a flag whose value is missing, and a value
+/// that does not parse are errors naming the flag — never the default.
+struct Flags<'a> {
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+impl<'a> Flags<'a> {
+    /// `valued` flags take the next argument; `switches` stand alone.
+    fn parse(args: &'a [String], valued: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut flags = Flags { values: Vec::new(), switches: Vec::new() };
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if switches.contains(&arg) {
+                flags.switches.push(arg);
+            } else if valued.contains(&arg) {
+                match rest.next().filter(|value| !value.starts_with("--")) {
+                    Some(value) => flags.values.push((arg, value)),
+                    None => return Err(format!("flag {arg} needs a value")),
+                }
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag {arg}"));
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+        }
+        Ok(flags)
+    }
 
-/// Parse a comma-separated flag value (`--rates 2,4,8`); falls back to
-/// `default` when the flag is absent or nothing parses.
-fn list_flag<T: std::str::FromStr + Copy>(args: &[String], name: &str, default: &[T]) -> Vec<T> {
-    let parsed: Vec<T> = flag(args, name)
-        .map(|s| s.split(',').filter_map(|tok| tok.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    if parsed.is_empty() {
-        default.to_vec()
-    } else {
-        parsed
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    /// The flag's value when given (the first, when repeated).
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.values.iter().find(|(flag, _)| *flag == name).map(|(_, value)| *value)
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(value) => value.parse().map_err(|_| format!("bad value {value:?} for {name}")),
+        }
+    }
+
+    /// A comma-separated value (`--rates 2,4,8`); every item must parse.
+    fn list<T: std::str::FromStr + Copy>(
+        &self,
+        name: &str,
+        default: &[T],
+    ) -> Result<Vec<T>, String> {
+        let Some(value) = self.get(name) else {
+            return Ok(default.to_vec());
+        };
+        value
+            .split(',')
+            .map(|item| item.trim().parse())
+            .collect::<Result<_, _>>()
+            .map_err(|_| format!("bad value {value:?} for {name}"))
     }
 }
 
-/// Physical CPU count visible to the process; every bench schema records
-/// it so a committed baseline names the host class it was measured on.
-fn physical_cpus() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// JSON array of the thread counts a bench actually measured, deduped and
-/// ascending — the `threads_axis` field shared by every bench schema.
-fn threads_axis_json(counts: &[usize]) -> String {
-    let mut axis = counts.to_vec();
-    axis.sort_unstable();
-    axis.dedup();
-    let items: Vec<String> = axis.iter().map(|t| t.to_string()).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn cmd_study(args: &[String]) -> ExitCode {
+/// The world shape `study` and `run` share: `--population`, `--list`, `--seed`.
+fn world_config(flags: &Flags) -> Result<EcosystemConfig, String> {
     let config = EcosystemConfig {
-        population: num_flag(args, "--population", 2_000),
-        list_size: num_flag(args, "--list", 1_400),
-        seed: num_flag(args, "--seed", EcosystemConfig::default().seed),
+        population: flags.num("--population", 2_000)?,
+        list_size: flags.num("--list", 1_400)?,
+        seed: flags.num("--seed", EcosystemConfig::default().seed)?,
         ..EcosystemConfig::default()
     };
     if config.list_size > config.population {
-        eprintln!("--list must not exceed --population");
-        return ExitCode::FAILURE;
+        return Err("--list must not exceed --population".to_string());
     }
-    let stride = num_flag(args, "--stride", 14u64);
+    Ok(config)
+}
+
+fn cmd_study(args: &[String]) -> Outcome {
+    let flags =
+        Flags::parse(args, &["--population", "--list", "--seed", "--stride", "--csv"], &[])?;
+    let config = world_config(&flags)?;
+    let stride = flags.num("--stride", 14u64)?;
     eprintln!(
         "running study: {} domains, {}-entry list, every {} days (seed {:#x}) …",
         config.population, config.list_size, stride, config.seed
     );
     let study = Study::run(config, stride);
     println!("{}", server_side_report(&study));
-    if let Some(path) = flag(args, "--csv") {
-        match std::fs::write(&path, study.store.to_csv()) {
+    if let Some(path) = flags.get("--csv") {
+        match std::fs::write(path, study.store.to_csv()) {
             Ok(()) => eprintln!("wrote {} observations to {path}", study.store.len()),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Run a multi-vantage campaign with telemetry attached and report the
@@ -150,19 +178,26 @@ fn cmd_study(args: &[String]) -> ExitCode {
 /// moment the day completes, the diff is then computed by *streaming
 /// the store back from disk* (one day resident per vantage), and a
 /// killed run can be continued with `resume --store DIR`.
-fn cmd_run(args: &[String]) -> ExitCode {
-    let config = EcosystemConfig {
-        population: num_flag(args, "--population", 2_000),
-        list_size: num_flag(args, "--list", 1_400),
-        seed: num_flag(args, "--seed", EcosystemConfig::default().seed),
-        ..EcosystemConfig::default()
-    };
-    if config.list_size > config.population {
-        eprintln!("--list must not exceed --population");
-        return ExitCode::FAILURE;
-    }
-    let days = num_flag(args, "--days", 3u64).max(1);
-    let threads = num_flag(args, "--threads", 4usize).max(1);
+fn cmd_run(args: &[String]) -> Outcome {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--population",
+            "--list",
+            "--seed",
+            "--days",
+            "--threads",
+            "--metrics",
+            "--csv",
+            "--store",
+        ],
+        &[],
+    )?;
+    let config = world_config(&flags)?;
+    let days = flags.num("--days", 3u64)?.max(1);
+    let threads = flags.num("--threads", 4usize)?.max(1);
+    let metrics_path = flags.get("--metrics");
+    let csv_path = flags.get("--csv");
     eprintln!(
         "running instrumented campaign: {} domains, {}-entry list, {} daily scans, 3 vantages …",
         config.population, config.list_size, days
@@ -174,13 +209,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         threads,
         vantages: httpsrr::resolver::VantagePoint::presets(),
     };
-    if let Some(dir) = flag(args, "--store") {
-        if flag(args, "--metrics").is_some() {
+    if let Some(dir) = flags.get("--store") {
+        if metrics_path.is_some() {
             eprintln!(
                 "--metrics is not available with --store (write-through runs are \
                        uninstrumented); rerun without --store for the telemetry report"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let dir = std::path::PathBuf::from(dir);
         let mut writer = match campaign.create_store(&world, &dir) {
@@ -192,16 +227,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     dir.display(),
                     dir.display()
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             Err(e) => {
                 eprintln!("cannot create store {}: {e}", dir.display());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         if let Err(e) = campaign.run_to_store(&mut world, &mut writer) {
             eprintln!("write-through campaign failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!(
             "wrote {} bytes to {} ({} days × {} vantages)",
@@ -211,28 +246,28 @@ fn cmd_run(args: &[String]) -> ExitCode {
             writer.meta().vantages.len()
         );
         drop(writer);
-        return report_from_store(&dir, args);
+        return Ok(report_from_store(&dir, csv_path));
     }
 
     let runs = campaign.run_vantages_instrumented(&mut world);
     println!("{}", analysis::vantage_diff_runs(&runs));
 
-    if let Some(path) = flag(args, "--metrics") {
-        if let Err(e) = std::fs::write(&path, metrics_report(&runs)) {
+    if let Some(path) = metrics_path {
+        if let Err(e) = std::fs::write(path, metrics_report(&runs)) {
             eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote telemetry report to {path}");
     }
-    if let Some(path) = flag(args, "--csv") {
+    if let Some(path) = csv_path {
         let stores: Vec<_> = runs.iter().map(|r| &r.store).collect();
-        if let Err(e) = std::fs::write(&path, combined_csv(stores)) {
+        if let Err(e) = std::fs::write(path, combined_csv(stores)) {
             eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote combined per-vantage CSV to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The full telemetry report for an instrumented campaign: one section
@@ -260,7 +295,7 @@ fn metrics_report(runs: &[VantageRun]) -> String {
 /// single-pass diff (byte-identical to the sequential scan); `--csv`
 /// streams the combined CSV straight to the file without materializing
 /// any store in memory.
-fn report_from_store(dir: &std::path::Path, args: &[String]) -> ExitCode {
+fn report_from_store(dir: &std::path::Path, csv_path: Option<&str>) -> ExitCode {
     let store = match open_store(dir) {
         Ok(s) => s,
         Err(e) => {
@@ -269,8 +304,8 @@ fn report_from_store(dir: &std::path::Path, args: &[String]) -> ExitCode {
         }
     };
     println!("{}", analysis::vantage_diff_parallel(&store.sources()));
-    if let Some(path) = flag(args, "--csv") {
-        let result = std::fs::File::create(&path)
+    if let Some(path) = csv_path {
+        let result = std::fs::File::create(path)
             .and_then(|mut f| write_combined_csv(&store.sources(), &mut f));
         if let Err(e) = result {
             eprintln!("failed to write {path}: {e}");
@@ -288,19 +323,18 @@ fn report_from_store(dir: &std::path::Path, args: &[String]) -> ExitCode {
 /// and verified chunk-for-chunk; scanning appends from the first
 /// missing day, making the final store byte-identical to an
 /// uninterrupted run.
-fn cmd_resume(args: &[String]) -> ExitCode {
+fn cmd_resume(args: &[String]) -> Outcome {
     use httpsrr::resolver::{SelectionStrategy, VantagePoint};
 
-    let Some(dir) = flag(args, "--store") else {
-        eprintln!("resume requires --store DIR\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
+    let flags = Flags::parse(args, &["--store", "--threads", "--csv"], &[])?;
+    let dir = flags.get("--store").ok_or("resume requires --store DIR")?;
+    let threads = flags.num("--threads", 4usize)?.max(1);
     let dir = std::path::PathBuf::from(dir);
     let mut writer = match StoreWriter::open_resume(&dir) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("cannot resume store {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let meta = writer.meta().clone();
@@ -321,7 +355,7 @@ fn cmd_resume(args: &[String]) -> ExitCode {
                 "store vantage {name:?} is not a known preset — this store was written \
                  through a custom profile and must be resumed via the library API"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     let config = EcosystemConfig {
@@ -330,7 +364,6 @@ fn cmd_resume(args: &[String]) -> ExitCode {
         seed: meta.world_seed,
         ..EcosystemConfig::default()
     };
-    let threads = num_flag(args, "--threads", 4usize).max(1);
     let campaign = Campaign {
         sample_days: meta.sample_days.clone(),
         scan_www: meta.scan_www,
@@ -354,11 +387,11 @@ fn cmd_resume(args: &[String]) -> ExitCode {
         ),
         Err(e) => {
             eprintln!("resume failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     drop(writer);
-    report_from_store(&dir, args)
+    Ok(report_from_store(&dir, flags.get("--csv")))
 }
 
 /// `compact --store DIR` — rewrite a store in place to the v2 chunk
@@ -366,11 +399,9 @@ fn cmd_resume(args: &[String]) -> ExitCode {
 /// shrink several-fold; already-v2 stores are re-encoded byte-stably.
 /// The rewrite builds the new files in a sibling temp directory and
 /// swaps them in with renames, so a crash leaves the original intact.
-fn cmd_compact(args: &[String]) -> ExitCode {
-    let Some(dir) = flag(args, "--store") else {
-        eprintln!("compact requires --store DIR\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
+fn cmd_compact(args: &[String]) -> Outcome {
+    let flags = Flags::parse(args, &["--store"], &[])?;
+    let dir = flags.get("--store").ok_or("compact requires --store DIR")?;
     let dir = std::path::PathBuf::from(dir);
     match compact_store(&dir) {
         Ok(report) => {
@@ -388,931 +419,46 @@ fn cmd_compact(args: &[String]) -> ExitCode {
                 report.bytes_before,
                 report.bytes_after
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("cannot compact store {}: {e}", dir.display());
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
-}
-
-/// `bench --store` — the persistence snapshot (schema 8): one campaign
-/// measured four ways on identical worlds — in-memory reference, raw v1
-/// write-through (the compression baseline), compressed v2 write-through
-/// (the default format), and the one-reader-thread-per-vantage parallel
-/// diff — plus a full-decode vs projection-pruned streaming-scan A/B
-/// over the v2 store. Every cross-vantage diff rendered along the way
-/// must be byte-identical (hard failure).
-fn cmd_bench_persist(args: &[String]) -> ExitCode {
-    use httpsrr::scanner::{Projection, ScanFilter};
-    use std::time::Instant;
-
-    let population = num_flag(args, "--population", 1_200usize);
-    let list_size = num_flag(args, "--list", 900usize);
-    let days = num_flag(args, "--days", 6u64).max(1);
-    let threads = num_flag(args, "--threads", 4usize).max(1);
-    let scan_reps = num_flag(args, "--scan-reps", 3u32).max(1);
-    let ms = |secs: f64| secs * 1e3;
-    let config = EcosystemConfig { population, list_size, ..EcosystemConfig::tiny() };
-    let campaign = Campaign {
-        sample_days: (0..days).collect(),
-        scan_www: true,
-        threads,
-        vantages: httpsrr::resolver::VantagePoint::presets(),
-    };
-    let base = std::env::temp_dir().join(format!("httpsrr-bench-store-{}", std::process::id()));
-    let v1_dir = base.join("v1");
-    let v2_dir = base.join("v2");
-    let _ = std::fs::remove_dir_all(&base);
-
-    // In-memory reference campaign.
-    eprintln!("persist: in-memory reference campaign ({days} days × 3 vantages) …");
-    let mut world = World::build(config.clone());
-    let t = Instant::now();
-    let stores = campaign.run_vantages(&mut world);
-    let memory_wall_ms = ms(t.elapsed().as_secs_f64());
-    let memory_report = analysis::vantage_diff(&stores).to_string();
-    let resident_rows_memory: usize = stores.iter().map(|s| s.len()).sum();
-    drop(stores);
-
-    // Raw v1 write-through on a fresh identical world: the compression
-    // baseline, and the cross-version read-compat leg (its bytes go
-    // back through the same reader as v2 below).
-    eprintln!("persist: raw v1 write-through campaign to {} …", v1_dir.display());
-    let mut world = World::build(config.clone());
-    let mut writer = match StoreWriter::create_with_format(
-        &v1_dir,
-        campaign.store_meta(&world),
-        StoreFormat::V1,
-    ) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("cannot create v1 store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = campaign.run_to_store(&mut world, &mut writer) {
-        eprintln!("v1 write-through campaign failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let raw_store_bytes = writer.bytes_written();
-    drop(writer);
-
-    // Compressed v2 write-through (the default) on another identical world.
-    eprintln!("persist: v2 write-through campaign to {} …", v2_dir.display());
-    let mut world = World::build(config);
-    let mut writer = match campaign.create_store(&world, &v2_dir) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("cannot create store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let t = Instant::now();
-    if let Err(e) = campaign.run_to_store(&mut world, &mut writer) {
-        eprintln!("write-through campaign failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let disk_wall_ms = ms(t.elapsed().as_secs_f64());
-    let store_bytes = writer.bytes_written();
-    let write_seconds = writer.write_seconds();
-    let chunk_write_mbps =
-        if write_seconds > 0.0 { store_bytes as f64 / 1e6 / write_seconds } else { 0.0 };
-    let compression_ratio =
-        if store_bytes > 0 { raw_store_bytes as f64 / store_bytes as f64 } else { 0.0 };
-    let compression_mbps =
-        if write_seconds > 0.0 { raw_store_bytes as f64 / 1e6 / write_seconds } else { 0.0 };
-    drop(writer);
-
-    // Streaming scan A/B from the v2 store: full decode of every column
-    // vs the projection-pruned adoption shape (flags + domain_id only).
-    let store = match open_store(&v2_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot reopen store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Best-of-reps timing: the scans are sub-millisecond, so the min is
-    // the defensible number on shared runners (the mean folds scheduler
-    // noise into the speedup ratio).
-    eprintln!("persist: full vs pruned streaming scan ({scan_reps} reps, best-of) …");
-    let mut total_rows = 0usize;
-    let mut scan_s = f64::INFINITY;
-    for rep in 0..scan_reps {
-        let mut rows = 0usize;
-        let t = Instant::now();
-        for source in store.sources() {
-            source.for_each_day(&mut |_, obs| rows += obs.len());
-        }
-        scan_s = scan_s.min(t.elapsed().as_secs_f64());
-        if rep == 0 {
-            total_rows = rows;
-        }
-    }
-    let scan_rows_per_sec = if scan_s > 0.0 { total_rows as f64 / scan_s } else { 0.0 };
-    let decompression_mbps = if scan_s > 0.0 { raw_store_bytes as f64 / 1e6 / scan_s } else { 0.0 };
-
-    let pruned = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
-    let mut pruned_rows = 0usize;
-    let mut pruned_s = f64::INFINITY;
-    for rep in 0..scan_reps {
-        let mut rows = 0usize;
-        let t = Instant::now();
-        for source in store.sources() {
-            source.for_each_day_filtered(pruned, &mut |_, obs| rows += obs.len());
-        }
-        pruned_s = pruned_s.min(t.elapsed().as_secs_f64());
-        if rep == 0 {
-            pruned_rows = rows;
-        }
-    }
-    let pruned_rows_per_sec = if pruned_s > 0.0 { pruned_rows as f64 / pruned_s } else { 0.0 };
-    let pruned_speedup = if pruned_s > 0.0 { scan_s / pruned_s } else { 0.0 };
-    if pruned_rows != total_rows {
-        eprintln!("persist: pruned scan lost rows ({pruned_rows} of {total_rows})");
-        return ExitCode::FAILURE;
-    }
-
-    // Resident bound: streaming holds at most the largest day per
-    // vantage; the in-memory store holds every observation at once.
-    let resident_rows_disk: usize = store.readers.iter().map(|r| r.max_rows_per_day()).sum();
-    let resident_ratio = if resident_rows_memory > 0 {
-        resident_rows_disk as f64 / resident_rows_memory as f64
-    } else {
-        0.0
-    };
-
-    // Sequential vs parallel cross-vantage diff from v2, and the v1
-    // store through the same reader: all must render the in-memory
-    // report byte-for-byte or the numbers above mean nothing.
-    let t = Instant::now();
-    let v2_seq_report = analysis::vantage_diff_sources(&store.sources()).to_string();
-    let seq_diff_wall_ms = ms(t.elapsed().as_secs_f64());
-    let t = Instant::now();
-    let v2_par_report = analysis::vantage_diff_parallel(&store.sources()).to_string();
-    let parallel_diff_wall_ms = ms(t.elapsed().as_secs_f64());
-    let vantages = store.readers.len();
-    drop(store);
-    let v1_report = match open_store(&v1_dir) {
-        Ok(s) => analysis::vantage_diff_parallel(&s.sources()).to_string(),
-        Err(e) => {
-            eprintln!("cannot reopen v1 store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let byte_identical = v2_seq_report == memory_report
-        && v2_par_report == memory_report
-        && v1_report == memory_report;
-    let _ = std::fs::remove_dir_all(&base);
-    if !byte_identical {
-        eprintln!("persist: BYTE-IDENTITY FAILURE across memory/v1/v2/parallel reports");
-        eprintln!(
-            "--- memory ---\n{memory_report}\n--- v1 ---\n{v1_report}\n--- v2 sequential ---\n\
-             {v2_seq_report}\n--- v2 parallel ---\n{v2_par_report}"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let physical_cpus = physical_cpus();
-    let threads_axis = threads_axis_json(&[1, threads, vantages]);
-    let json = format!(
-        "{{\n  \"bench\": \"persist\",\n  \"schema\": 8,\n  \"population\": {population},\n  \
-         \"list_size\": {list_size},\n  \"days\": {days},\n  \"vantages\": {vantages},\n  \
-         \"threads\": {threads},\n  \"physical_cpus\": {physical_cpus},\n  \
-         \"threads_axis\": {threads_axis},\n  \"total_rows\": {total_rows},\n  \
-         \"raw_store_bytes\": {raw_store_bytes},\n  \"store_bytes\": {store_bytes},\n  \
-         \"compression_ratio\": {compression_ratio:.2},\n  \
-         \"chunk_write_mbps\": {chunk_write_mbps:.1},\n  \
-         \"write_seconds\": {write_seconds:.4},\n  \
-         \"compression_mbps\": {compression_mbps:.1},\n  \
-         \"decompression_mbps\": {decompression_mbps:.1},\n  \
-         \"scan_rows_per_sec\": {scan_rows_per_sec:.0},\n  \"scan_wall_ms\": {:.2},\n  \
-         \"pruned_scan_rows_per_sec\": {pruned_rows_per_sec:.0},\n  \
-         \"pruned_scan_wall_ms\": {:.2},\n  \"pruned_speedup\": {pruned_speedup:.2},\n  \
-         \"seq_diff_wall_ms\": {seq_diff_wall_ms:.2},\n  \
-         \"parallel_diff_wall_ms\": {parallel_diff_wall_ms:.2},\n  \
-         \"memory_wall_ms\": {memory_wall_ms:.1},\n  \"disk_wall_ms\": {disk_wall_ms:.1},\n  \
-         \"resident_rows_disk\": {resident_rows_disk},\n  \
-         \"resident_rows_memory\": {resident_rows_memory},\n  \
-         \"resident_ratio\": {resident_ratio:.4},\n  \"byte_identical\": {byte_identical},\n  \
-         \"notes\": \"identical worlds run four ways: in-memory, raw v1 write-through (the \
-         compression baseline, streamed back through the same version-dispatching reader), \
-         compressed v2 write-through (the default format), and the one-reader-thread-per-vantage \
-         parallel diff; compression/decompression MB/s are raw uncompressed bytes over the v2 \
-         writer's own append time and over the full-decode streaming pass; the pruned scan \
-         decodes only the flags and domain_id blocks (chunk checksums still verified over every \
-         byte) so pruned_speedup isolates the column-decode saving; threads_axis lists the scan \
-         thread counts actually measured (1 = sequential diff, vantage count = parallel diff) \
-         plus the campaign's worker threads; all four cross-vantage reports are asserted \
-         byte-identical\"\n}}\n",
-        ms(scan_s),
-        ms(pruned_s),
-    );
-    match flag(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote persist snapshot to {path}");
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
-}
-
-/// The pre-pool batch path, reconstructed faithfully as a benchmark
-/// baseline: dedup on freshly-allocated `(String, u16)` keys, a
-/// zone-affinity partition that renders a key `String` per distinct
-/// query (via `find_authority`), scoped OS threads torn down and
-/// respawned per batch, and the same input-order result assembly. The
-/// delta against `QueryEngine::resolve_batch` on the same warm engine
-/// is what the persistent worker pool plus the borrowed-key hot path
-/// buys per batch.
-fn scoped_spawn_batch(
-    engine: &httpsrr::resolver::QueryEngine,
-    queries: &[httpsrr::resolver::Query],
-    threads: usize,
-) {
-    use std::collections::HashMap;
-    fn fnv1a(key: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-    let resolver = engine.resolver();
-
-    let mut index_of: HashMap<(String, u16), usize> = HashMap::new();
-    let mut distinct: Vec<&httpsrr::resolver::Query> = Vec::new();
-    let mut positions: Vec<usize> = Vec::with_capacity(queries.len());
-    for q in queries {
-        let next = distinct.len();
-        let idx = *index_of.entry((q.name.key(), q.rtype.code())).or_insert_with(|| {
-            distinct.push(q);
-            next
-        });
-        positions.push(idx);
-    }
-
-    let threads = threads.clamp(1, distinct.len());
-    let mut resolved = vec![None; distinct.len()];
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); threads];
-    for (i, q) in distinct.iter().enumerate() {
-        let affinity = resolver
-            .registry()
-            .find_authority(&q.name)
-            .map(|(apex, _)| apex.key())
-            .unwrap_or_else(|| q.name.key());
-        assignment[(fnv1a(&affinity) % threads as u64) as usize].push(i);
-    }
-    let chunks: Vec<Vec<(usize, _)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = assignment
-            .iter()
-            .filter(|indices| !indices.is_empty())
-            .map(|indices| {
-                let distinct = &distinct;
-                scope.spawn(move || {
-                    indices
-                        .iter()
-                        .map(|&i| (i, resolver.resolve(&distinct[i].name, distinct[i].rtype)))
-                        .collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("scoped baseline worker")).collect()
-    });
-    for (i, result) in chunks.into_iter().flatten() {
-        resolved[i] = Some(result);
-    }
-    let mut remaining = vec![0usize; resolved.len()];
-    for &idx in &positions {
-        remaining[idx] += 1;
-    }
-    let _results: Vec<_> = positions
-        .into_iter()
-        .map(|idx| {
-            remaining[idx] -= 1;
-            let slot = &mut resolved[idx];
-            if remaining[idx] == 0 { slot.take() } else { slot.clone() }.expect("resolved")
-        })
-        .collect();
-}
-
-/// Benchmark the engine's batch path against the scanner's wave-1 query
-/// shape and emit a machine-readable JSON perf snapshot (cold-batch
-/// latency, warm throughput at one and `--mt-threads` workers, the
-/// scoped-spawn baseline the worker pool replaced, hit rates,
-/// deterministic counters).
-fn cmd_bench(args: &[String]) -> ExitCode {
-    use httpsrr::dns_wire::RecordType;
-    use httpsrr::resolver::{Query, QueryEngine, ResolverConfig, SelectionStrategy};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let population = num_flag(args, "--population", 1_200usize);
-    let list_size = num_flag(args, "--list", 900usize);
-    let threads = num_flag(args, "--threads", 1usize).max(1);
-    let shards = num_flag(args, "--shards", httpsrr::resolver::DEFAULT_SHARDS);
-    let world = World::build(EcosystemConfig { population, list_size, ..EcosystemConfig::tiny() });
-
-    // The scanner's wave-1 shape: HTTPS + A + NS per apex, HTTPS for www.
-    let mut queries = Vec::new();
-    for &id in world.today_list().ranked() {
-        let apex = world.domain(id).apex.clone();
-        queries.push(Query::new(apex.clone(), RecordType::Https));
-        queries.push(Query::new(apex.clone(), RecordType::A));
-        queries.push(Query::new(apex.clone(), RecordType::Ns));
-        if let Ok(www) = apex.prepend("www") {
-            queries.push(Query::new(www, RecordType::Https));
-        }
-    }
-
-    let engine = |metrics: Option<Arc<httpsrr::telemetry::MetricsRegistry>>| {
-        let eng = QueryEngine::new(
-            world.network.clone(),
-            world.registry.clone(),
-            ResolverConfig {
-                validate: true,
-                strategy: SelectionStrategy::RoundRobin,
-                cache_shards: shards,
-                ..Default::default()
-            },
-        );
-        match metrics {
-            Some(m) => eng.with_metrics(m),
-            None => eng,
-        }
-    };
-
-    // Cold: fresh engine and cache, full authority path.
-    let cold_reps = 3u32;
-    let cold_start = Instant::now();
-    for _ in 0..cold_reps {
-        let _ = engine(None).resolve_batch(&queries, threads);
-    }
-    let cold_batch_ms = cold_start.elapsed().as_secs_f64() * 1e3 / cold_reps as f64;
-
-    // Warm: prime the cache uninstrumented, then attach the registry so
-    // the reported warm metrics cover only the measured batches (the
-    // cold priming batch would otherwise dilute the rates and make the
-    // snapshot depend on warm_reps).
-    let warm_engine = engine(None);
-    let _ = warm_engine.resolve_batch(&queries, threads);
-    let primed = warm_engine.cache().stats();
-    let metrics = Arc::new(httpsrr::telemetry::MetricsRegistry::new("bench"));
-    let warm_engine = warm_engine.with_metrics(metrics.clone());
-    let warm_reps = 5u32;
-    let warm_start = Instant::now();
-    for _ in 0..warm_reps {
-        let _ = warm_engine.resolve_batch(&queries, threads);
-    }
-    let warm_batch_ms = warm_start.elapsed().as_secs_f64() * 1e3 / warm_reps as f64;
-    let warm_kqps = queries.len() as f64 / (warm_batch_ms / 1e3) / 1e3;
-
-    let from_cache = metrics.counter_value("engine.from_cache");
-    let distinct = metrics.counter_value("engine.distinct");
-    let warm_from_cache_rate =
-        if distinct == 0 { 0.0 } else { from_cache as f64 / distinct as f64 };
-    // Warm cache behaviour: the post-prime delta of the cache counters.
-    let cache = warm_engine.cache().stats();
-    let warm_hits = cache.hits - primed.hits;
-    let warm_lookups = cache.lookups() - primed.lookups();
-    let warm_cache_hit_rate =
-        if warm_lookups == 0 { 0.0 } else { warm_hits as f64 / warm_lookups as f64 };
-
-    // Multi-threaded fan-out comparison on one primed engine: the
-    // persistent-pool path vs the scoped-spawn-per-batch fan-out it
-    // replaced, same warm cache and work. The pool is started by the
-    // priming batch, so the measured batches pay zero spawns.
-    let mt_threads = num_flag(args, "--mt-threads", 4usize).max(2);
-    let mt_engine = engine(None);
-    let _ = mt_engine.resolve_batch(&queries, mt_threads);
-    let mt_reps = 5u32;
-    // Dedicated sequential baseline on the same primed engine: the
-    // overhead fields below must mean "fan-out vs sequential" even when
-    // `--threads` (and with it `warm_batch_ms`) is not 1.
-    let t1_start = Instant::now();
-    for _ in 0..mt_reps {
-        let _ = mt_engine.resolve_batch(&queries, 1);
-    }
-    let warm_t1_ms = t1_start.elapsed().as_secs_f64() * 1e3 / mt_reps as f64;
-    let mt_start = Instant::now();
-    for _ in 0..mt_reps {
-        let _ = mt_engine.resolve_batch(&queries, mt_threads);
-    }
-    let warm_pool_mt_ms = mt_start.elapsed().as_secs_f64() * 1e3 / mt_reps as f64;
-    let scoped_start = Instant::now();
-    for _ in 0..mt_reps {
-        scoped_spawn_batch(&mt_engine, &queries, mt_threads);
-    }
-    let warm_scoped_mt_ms = scoped_start.elapsed().as_secs_f64() * 1e3 / mt_reps as f64;
-    let pool_mt_overhead_pct = (warm_pool_mt_ms / warm_t1_ms - 1.0) * 100.0;
-    let scoped_mt_overhead_pct = (warm_scoped_mt_ms / warm_t1_ms - 1.0) * 100.0;
-
-    use std::fmt::Write;
-    let mut counters = String::new();
-    for (i, (name, value)) in metrics.counter_snapshot().into_iter().enumerate() {
-        if i > 0 {
-            counters.push_str(", ");
-        }
-        let _ = write!(counters, "\"{name}\": {value}");
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"engine_batch\",\n  \"schema\": 2,\n  \"population\": {population},\n  \
-         \"list_size\": {list_size},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \
-         \"physical_cpus\": {},\n  \"threads_axis\": {},\n  \
-         \"queries_per_batch\": {},\n  \"cold_batch_ms\": {cold_batch_ms:.2},\n  \
-         \"warm_batch_ms\": {warm_batch_ms:.2},\n  \"warm_kqps\": {warm_kqps:.1},\n  \
-         \"warm_from_cache_rate\": {warm_from_cache_rate:.4},\n  \
-         \"warm_cache_hit_rate\": {warm_cache_hit_rate:.4},\n  \
-         \"mt_threads\": {mt_threads},\n  \
-         \"warm_t1_ms\": {warm_t1_ms:.2},\n  \
-         \"warm_pool_mt_ms\": {warm_pool_mt_ms:.2},\n  \
-         \"warm_scoped_mt_ms\": {warm_scoped_mt_ms:.2},\n  \
-         \"pool_mt_overhead_pct\": {pool_mt_overhead_pct:.1},\n  \
-         \"scoped_mt_overhead_pct\": {scoped_mt_overhead_pct:.1},\n  \
-         \"cache_lock_contended\": {},\n  \"counters\": {{{counters}}}\n}}\n",
-        physical_cpus(),
-        threads_axis_json(&[1, threads, mt_threads]),
-        queries.len(),
-        cache.lock_contended,
-    );
-    match flag(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote perf snapshot to {path}");
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
-}
-
-/// The ecosystem-layer scale snapshot (`bench --scale`): same-binary
-/// A/B of day-list computation (pre-refactor full-sort reference vs the
-/// chunked partial-selection scorer, sequential and multi-threaded,
-/// with byte-identical lists asserted), plus world build / dirty-set
-/// step / full-day scan timings at 6 k and 100 k domains, and the
-/// shared day-list cache's effect on an overlap window.
-fn cmd_bench_scale(args: &[String]) -> ExitCode {
-    use httpsrr::ecosystem::TrancoModel;
-    use std::fmt::Write;
-    use std::time::Instant;
-
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mt_threads = num_flag(args, "--mt-threads", host_cpus).max(1);
-    let scan_threads = num_flag(args, "--threads", 1usize).max(1);
-    let ms = |secs: f64| secs * 1e3;
-
-    // ---- day-list computation A/B ----
-    // Days straddle the source change; every measured list is asserted
-    // byte-identical between the reference and both new paths.
-    let list_days: [u64; 3] = [0, 42, 86];
-    let list_rows: [(usize, usize); 3] = [(6_000, 4_000), (100_000, 10_000), (100_000, 66_000)];
-    let mut list_json = String::new();
-    for (i, &(population, list_size)) in list_rows.iter().enumerate() {
-        eprintln!("scale: day-list A/B at population {population}, list {list_size} …");
-        let config = EcosystemConfig {
-            population,
-            list_size,
-            score_threads: 1,
-            ..EcosystemConfig::default()
-        };
-        let t = Instant::now();
-        let model = TrancoModel::new(&config);
-        let model_build_ms = ms(t.elapsed().as_secs_f64());
-
-        // Small universes score in well under a millisecond; repeat them
-        // enough that scheduler noise on a shared host can't invert a
-        // sub-ms A/B.
-        let reps = (200_000 / population).clamp(3, 50) as u32;
-        let mut baseline_s = 0.0;
-        let mut seq_s = 0.0;
-        let mut mt_s = 0.0;
-        let mut identical = true;
-        for &day in &list_days {
-            let t = Instant::now();
-            let mut reference = model.list_for_day_reference(day);
-            for _ in 1..reps {
-                reference = model.list_for_day_reference(day);
-            }
-            baseline_s += t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let mut seq = model.list_for_day_with_threads(day, 1);
-            for _ in 1..reps {
-                seq = model.list_for_day_with_threads(day, 1);
-            }
-            seq_s += t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let mut mt = model.list_for_day_with_threads(day, mt_threads);
-            for _ in 1..reps {
-                mt = model.list_for_day_with_threads(day, mt_threads);
-            }
-            mt_s += t.elapsed().as_secs_f64();
-            identical &= seq.ranked() == reference.ranked() && mt.ranked() == reference.ranked();
-        }
-        let per_day = (list_days.len() as u32 * reps) as f64;
-        let (baseline, seq, mt) = (baseline_s / per_day, seq_s / per_day, mt_s / per_day);
-        // Warm cache re-access cost for one already-computed day.
-        let cached = model.day_list(0);
-        let t = Instant::now();
-        let cached_again = model.day_list(0);
-        let cached_us = t.elapsed().as_secs_f64() * 1e6;
-        identical &= std::sync::Arc::ptr_eq(&cached, &cached_again);
-        let _ = write!(
-            list_json,
-            "    {{ \"population\": {population}, \"list_size\": {list_size}, \
-             \"model_build_ms\": {model_build_ms:.2}, \
-             \"baseline_ms_per_day\": {:.3}, \"seq_ms_per_day\": {:.3}, \
-             \"mt_ms_per_day\": {:.3}, \"cached_reaccess_us\": {cached_us:.1}, \
-             \"seq_speedup\": {:.2}, \"mt_speedup\": {:.2}, \"identical\": {identical} }}{}",
-            ms(baseline),
-            ms(seq),
-            ms(mt),
-            baseline / seq,
-            baseline / mt,
-            if i + 1 < list_rows.len() { ",\n" } else { "" },
-        );
-        if !identical {
-            eprintln!("scale: BYTE-IDENTITY FAILURE at population {population}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // ---- world build / step / scan ----
-    let world_rows: [(usize, usize); 2] = [(6_000, 4_000), (100_000, 10_000)];
-    let mut world_json = String::new();
-    for (i, &(population, list_size)) in world_rows.iter().enumerate() {
-        eprintln!("scale: world build+step+scan at population {population} …");
-        let config = EcosystemConfig { population, list_size, ..EcosystemConfig::default() };
-        let t = Instant::now();
-        let mut world = World::build(config);
-        let world_build_ms = ms(t.elapsed().as_secs_f64());
-        let step_days = 3u64;
-        let t = Instant::now();
-        world.step_to_day(step_days);
-        let step_ms_per_day = ms(t.elapsed().as_secs_f64()) / step_days as f64;
-        let campaign = Campaign {
-            sample_days: vec![step_days],
-            scan_www: true,
-            threads: scan_threads,
-            vantages: Vec::new(),
-        };
-        let t = Instant::now();
-        let store = campaign.run(&mut world);
-        let scan_s = t.elapsed().as_secs_f64();
-        let observations = store.len();
-        // The cache dedup: an overlap analysis over the stepped window
-        // re-reads four day lists that are all still cached.
-        let t = Instant::now();
-        let overlap = world.tranco.overlapping(0, step_days);
-        let overlap_ms = ms(t.elapsed().as_secs_f64());
-        let cache = world.tranco.day_cache();
-        let _ = write!(
-            world_json,
-            "    {{ \"population\": {population}, \"list_size\": {list_size}, \
-             \"world_build_ms\": {world_build_ms:.1}, \"step_ms_per_day\": {step_ms_per_day:.2}, \
-             \"scan_day_ms\": {:.1}, \"observations\": {observations}, \
-             \"obs_per_sec\": {:.0}, \"overlap_window_ms\": {overlap_ms:.3}, \
-             \"overlap_size\": {}, \"day_cache_hits\": {}, \"day_cache_misses\": {} }}{}",
-            ms(scan_s),
-            observations as f64 / scan_s,
-            overlap.len(),
-            cache.hits(),
-            cache.misses(),
-            if i + 1 < world_rows.len() { ",\n" } else { "" },
-        );
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"schema\": 3,\n  \"host_cpus\": {host_cpus},\n  \
-         \"physical_cpus\": {},\n  \"threads_axis\": {},\n  \
-         \"mt_threads\": {mt_threads},\n  \"scan_threads\": {scan_threads},\n  \
-         \"list_days\": {list_days:?},\n  \"list_rows\": [\n{list_json}\n  ],\n  \
-         \"world_rows\": [\n{world_json}\n  ],\n  \
-         \"notes\": \"speedups are same-binary A/B vs the pre-refactor full-sort scorer with \
-         byte-identical lists asserted; per-call gains are bounded by the bit-exact per-domain \
-         RNG+Box-Muller scoring floor (~50-75% of baseline cost), which only parallel chunking \
-         can divide, so seq_speedup reflects the partial-selection win and mt_speedup scales \
-         with host_cpus; cached_reaccess_us and overlap_window_ms show the day-list cache \
-         eliminating whole recomputations\"\n}}\n",
-        physical_cpus(),
-        threads_axis_json(&[1, scan_threads, mt_threads]),
-    );
-    match flag(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote scale snapshot to {path}");
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
-}
-
-/// The wire-path snapshot (`bench --wire`): same-binary A/B of the
-/// authoritative serve path. The owned reference path decodes every
-/// query into a [`Message`], assembles the answer, and encodes it; the
-/// precompiled path parses a borrowed [`MessageView`] and serves cached
-/// response bytes with only the transaction ID patched. Every response
-/// is asserted byte-identical between the two paths (hard failure).
-fn cmd_bench_wire(args: &[String]) -> ExitCode {
-    use httpsrr::authserver::{AuthoritativeServer, Zone, ZoneSet};
-    use httpsrr::dns_wire::{DnsName, Message, RData, Record, RecordType, SvcParam, SvcbRdata};
-    use httpsrr::dnssec::ZoneKeys;
-    use httpsrr::netsim::{DatagramService, Timestamp};
-    use std::net::Ipv4Addr;
-    use std::time::Instant;
-
-    let zones_n: usize = num_flag(args, "--zones", 400usize).max(1);
-    let reps: u32 = num_flag(args, "--reps", 5u32).max(1);
-    let ms = |secs: f64| secs * 1e3;
-
-    eprintln!("wire: building {zones_n} zones (every 4th signed) …");
-    let zones = ZoneSet::new();
-    let mut apexes = Vec::with_capacity(zones_n);
-    for i in 0..zones_n {
-        let apex = DnsName::parse(&format!("d{i}.example")).unwrap();
-        let mut z = Zone::new(apex.clone());
-        z.add(Record::new(
-            apex.clone(),
-            300,
-            RData::A(Ipv4Addr::new(192, 0, 2, (i % 250 + 1) as u8)),
-        ));
-        z.add(Record::new(
-            apex.clone(),
-            300,
-            RData::Https(SvcbRdata::service_self(vec![
-                SvcParam::Alpn(vec![b"h2".to_vec(), b"h3".to_vec()]),
-                SvcParam::Ipv4Hint(vec![Ipv4Addr::new(203, 0, 113, 7)]),
-            ])),
-        ));
-        z.add(Record::new(apex.prepend("www").unwrap(), 300, RData::Cname(apex.clone())));
-        if i % 4 == 0 {
-            z.enable_signing(ZoneKeys::derive(&apex, i as u32), 0, u32::MAX - 1);
-        }
-        zones.insert(z);
-        apexes.push(apex);
-    }
-    let server = AuthoritativeServer::new(zones);
-
-    // Query workload: per zone, four shapes exercising plain answers,
-    // DO-bit DNSSEC variants, in-zone CNAME chasing, and NXDOMAIN+SOA.
-    let mut queries: Vec<Vec<u8>> = Vec::with_capacity(zones_n * 4);
-    for apex in &apexes {
-        queries.push(Message::query(1, apex.clone(), RecordType::Https).encode());
-        queries.push(Message::query_dnssec(2, apex.clone(), RecordType::Https).encode());
-        queries.push(Message::query(3, apex.prepend("www").unwrap(), RecordType::A).encode());
-        queries.push(Message::query(4, apex.prepend("missing").unwrap(), RecordType::A).encode());
-    }
-
-    // Owned reference path: full decode + answer assembly + encode per
-    // message — the pre-change `handle()` body.
-    let owned_once = |wire: &[u8]| -> Vec<u8> {
-        let q = Message::decode(wire).expect("bench query decodes");
-        server.answer(&q).encode()
-    };
-
-    eprintln!("wire: owned reference path ({} msgs × {reps} reps) …", queries.len());
-    let t = Instant::now();
-    let reference: Vec<Vec<u8>> = queries.iter().map(|w| owned_once(w)).collect();
-    let owned_cold_batch_ms = ms(t.elapsed().as_secs_f64());
-    let t = Instant::now();
-    for _ in 0..reps {
-        for wire in &queries {
-            let _ = owned_once(wire);
-        }
-    }
-    let owned_s = t.elapsed().as_secs_f64();
-    let owned_msgs_per_sec = (reps as usize * queries.len()) as f64 / owned_s;
-
-    // Precompiled path: the first pass renders through the reference
-    // machinery and compiles; every later pass is lookup + memcpy + ID
-    // patch off a borrowed view.
-    eprintln!("wire: precompiled path (cold compile pass, then {reps} serve reps) …");
-    let t = Instant::now();
-    let served_cold: Vec<Vec<u8>> =
-        queries.iter().map(|w| server.handle(w, Timestamp(0)).expect("serve")).collect();
-    let precompiled_cold_batch_ms = ms(t.elapsed().as_secs_f64());
-    let t = Instant::now();
-    for _ in 0..reps {
-        for wire in &queries {
-            let _ = server.handle(wire, Timestamp(0)).expect("serve");
-        }
-    }
-    let serve_s = t.elapsed().as_secs_f64();
-    let precompiled_msgs_per_sec = (reps as usize * queries.len()) as f64 / serve_s;
-    let speedup = precompiled_msgs_per_sec / owned_msgs_per_sec;
-
-    // Byte-identity between the paths, on both the cold (compile) pass
-    // and a final cached pass. Any divergence is a hard failure.
-    let mut identical = true;
-    for (i, wire) in queries.iter().enumerate() {
-        let cached = server.handle(wire, Timestamp(0)).expect("serve");
-        if served_cold[i] != reference[i] || cached != reference[i] {
-            eprintln!("wire: BYTE-IDENTITY FAILURE on query {i}");
-            identical = false;
-        }
-    }
-    assert!(identical, "precompiled responses must be byte-identical to the reference path");
-
-    let json = format!(
-        "{{\n  \"bench\": \"wire\",\n  \"schema\": 4,\n  \"zones\": {zones_n},\n  \
-         \"physical_cpus\": {},\n  \"threads_axis\": {},\n  \
-         \"queries_per_pass\": {},\n  \"reps\": {reps},\n  \
-         \"owned_cold_batch_ms\": {owned_cold_batch_ms:.2},\n  \
-         \"precompiled_cold_batch_ms\": {precompiled_cold_batch_ms:.2},\n  \
-         \"owned_msgs_per_sec\": {owned_msgs_per_sec:.0},\n  \
-         \"precompiled_msgs_per_sec\": {precompiled_msgs_per_sec:.0},\n  \
-         \"speedup\": {speedup:.2},\n  \"byte_identical\": {identical},\n  \
-         \"notes\": \"same-binary A/B over one AuthoritativeServer: owned = Message::decode + \
-         answer() + encode per datagram (the pre-change handle body); precompiled = \
-         MessageView parse + per-zone compiled-answer lookup + 2-byte ID patch, compiled \
-         lazily by the first reference render of each query shape and invalidated on zone \
-         mutation; every response byte-identical between paths (asserted), DNSSEC variants \
-         cached separately per DO bit\"\n}}\n",
-        physical_cpus(),
-        threads_axis_json(&[1]),
-        queries.len(),
-    );
-    match flag(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote wire snapshot to {path}");
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
-}
-
-/// The virtual-time snapshot (`bench --async`): event-loop vs pooled
-/// backends on the same warm wave-1 workload, at link RTTs of 0, 20,
-/// and 100 ms (1% loss on the lossy rows). The pooled backend runs the
-/// synchronous zero-latency path regardless of the installed model, so
-/// it is the wall-clock baseline; the event loop additionally reports
-/// what only virtual time can express — the batch's virtual duration,
-/// peak in-flight concurrency on its one worker, and the deterministic
-/// timeout/retransmit/drop/fallback counters.
-fn cmd_bench_async(args: &[String]) -> ExitCode {
-    use httpsrr::dns_wire::RecordType;
-    use httpsrr::netsim::LinkModel;
-    use httpsrr::resolver::{EngineBackend, Query, QueryEngine, ResolverConfig, SelectionStrategy};
-    use std::fmt::Write;
-    use std::time::Instant;
-
-    let population = num_flag(args, "--population", 1_500usize);
-    let list_size = num_flag(args, "--list", 1_200usize);
-    let reps = num_flag(args, "--reps", 3u32).max(1);
-    let ms = |secs: f64| secs * 1e3;
-
-    // One world per (rtt, backend) cell: each engine needs its own clock
-    // (the event loop advances it) and a cold cache for the cold row.
-    let build_world =
-        || World::build(EcosystemConfig { population, list_size, ..EcosystemConfig::tiny() });
-    // The scanner's wave-1 shape minus www: HTTPS + A + NS per apex, so
-    // every query's zone is its own apex and the in-flight population is
-    // the full list.
-    let queries_of = |world: &World| -> Vec<Query> {
-        let mut queries = Vec::new();
-        for &id in world.today_list().ranked() {
-            let apex = world.domain(id).apex.clone();
-            queries.push(Query::new(apex.clone(), RecordType::Https));
-            queries.push(Query::new(apex.clone(), RecordType::A));
-            queries.push(Query::new(apex, RecordType::Ns));
-        }
-        queries
-    };
-    let engine_on = |world: &World, backend: EngineBackend| {
-        QueryEngine::new(
-            world.network.clone(),
-            world.registry.clone(),
-            ResolverConfig {
-                validate: true,
-                strategy: SelectionStrategy::RoundRobin,
-                backend,
-                ..Default::default()
-            },
-        )
-    };
-
-    let mut rows = String::new();
-    for (i, rtt_ms) in [0u64, 20, 100].into_iter().enumerate() {
-        let loss_permille: u16 = if rtt_ms == 0 { 0 } else { 10 };
-        let model = LinkModel::new(0xA57).with_rtt_ms(rtt_ms).with_loss_permille(loss_permille);
-        eprintln!("async: rtt {rtt_ms} ms, loss {loss_permille}‰ …");
-
-        // Event-loop backend: cold batch (full authority path, peak
-        // concurrency), then warm reps.
-        let world = build_world();
-        world.network.set_latency_model(model.clone());
-        let queries = queries_of(&world);
-        let engine = engine_on(&world, EngineBackend::EventLoop);
-        let t = Instant::now();
-        let (_, timing) = engine.resolve_batch_timed(&queries, 1);
-        let event_cold_wall_ms = ms(t.elapsed().as_secs_f64());
-        let timing = timing.expect("event backend reports timing");
-        let t = Instant::now();
-        for _ in 0..reps {
-            let _ = engine.resolve_batch(&queries, 1);
-        }
-        let event_warm_wall_ms = ms(t.elapsed().as_secs_f64()) / reps as f64;
-
-        // Pooled backend on its own identical world: the synchronous
-        // zero-latency baseline (the model does not apply to it).
-        let world = build_world();
-        world.network.set_latency_model(model);
-        let queries = queries_of(&world);
-        let engine = engine_on(&world, EngineBackend::Pooled);
-        let t = Instant::now();
-        let _ = engine.resolve_batch(&queries, 4);
-        let pooled_cold_wall_ms = ms(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        for _ in 0..reps {
-            let _ = engine.resolve_batch(&queries, 4);
-        }
-        let pooled_warm_wall_ms = ms(t.elapsed().as_secs_f64()) / reps as f64;
-
-        let _ = write!(
-            rows,
-            "    {{ \"rtt_ms\": {rtt_ms}, \"loss_permille\": {loss_permille}, \
-             \"queries\": {}, \"max_in_flight\": {}, \"virtual_batch_ms\": {}, \
-             \"event_cold_wall_ms\": {event_cold_wall_ms:.1}, \
-             \"event_warm_wall_ms\": {event_warm_wall_ms:.1}, \
-             \"pooled_cold_wall_ms\": {pooled_cold_wall_ms:.1}, \
-             \"pooled_warm_wall_ms\": {pooled_warm_wall_ms:.1}, \
-             \"timeouts\": {}, \"retransmits\": {}, \"drops\": {}, \"ns_fallbacks\": {} }}{}",
-            queries.len(),
-            timing.max_in_flight,
-            timing.finished_ms - timing.started_ms,
-            timing.stats.timeouts,
-            timing.stats.retransmits,
-            timing.stats.drops,
-            timing.stats.ns_fallbacks,
-            if i < 2 { ",\n" } else { "" },
-        );
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"async\",\n  \"schema\": 5,\n  \"population\": {population},\n  \
-         \"list_size\": {list_size},\n  \"reps\": {reps},\n  \"physical_cpus\": {},\n  \
-         \"threads_axis\": {},\n  \"rows\": [\n{rows}\n  ],\n  \
-         \"notes\": \"event-loop vs pooled resolve_batch on the same cold/warm wave-1 workload; \
-         the pooled backend always runs the synchronous zero-latency path (the link model only \
-         binds on the scheduled path), so its wall times are flat across rows while the event \
-         loop pays real scheduling work to simulate the RTT; virtual_batch_ms, max_in_flight \
-         (one worker), and the timeout/retransmit/drop/fallback counters are deterministic \
-         functions of the model seed and identical for every thread setting\"\n}}\n",
-        physical_cpus(),
-        threads_axis_json(&[1, 4]),
-    );
-    match flag(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote async snapshot to {path}");
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
 }
 
 /// `serve` — run one open-loop load sweep and print the canonical
 /// report (plus the pinned metrics text with `--metrics`).
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &[String]) -> Outcome {
     use httpsrr::resolver::EvictionPolicy;
     use httpsrr::serve::{load_sweep, ServeConfig, WorkloadConfig};
     use httpsrr::telemetry::MetricsRegistry;
 
-    let population = num_flag(args, "--population", 100_000usize);
-    let list_size = num_flag(args, "--list", 10_000usize);
-    let clients = num_flag(args, "--clients", 256usize);
-    let workers = num_flag(args, "--workers", 1usize);
-    let seed = num_flag(args, "--seed", WorkloadConfig::default().seed);
-    let phase_ms = num_flag(args, "--phase-ms", 1_000u64);
-    let capacity = num_flag(args, "--capacity", 4_096usize);
-    let rates = list_flag(args, "--rates", &[2.0, 4.0, 8.0, 16.0, 32.0]);
-    let policy = match flag(args, "--policy").map(|p| p.parse::<EvictionPolicy>()) {
-        None => EvictionPolicy::TtlSweepLru,
-        Some(Ok(policy)) => policy,
-        Some(Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let flags = Flags::parse(
+        args,
+        &[
+            "--population",
+            "--list",
+            "--clients",
+            "--workers",
+            "--seed",
+            "--phase-ms",
+            "--capacity",
+            "--rates",
+            "--policy",
+        ],
+        &["--metrics"],
+    )?;
+    let population = flags.num("--population", 100_000usize)?;
+    let list_size = flags.num("--list", 10_000usize)?;
+    let clients = flags.num("--clients", 256usize)?;
+    let workers = flags.num("--workers", 1usize)?;
+    let seed = flags.num("--seed", WorkloadConfig::default().seed)?;
+    let phase_ms = flags.num("--phase-ms", 1_000u64)?;
+    let capacity = flags.num("--capacity", 4_096usize)?;
+    let rates = flags.list("--rates", &[2.0, 4.0, 8.0, 16.0, 32.0])?;
+    let policy = flags.num("--policy", EvictionPolicy::TtlSweepLru)?;
 
     let cfg = ServeConfig {
         workload: WorkloadConfig { clients, seed, ..WorkloadConfig::default() },
@@ -1324,171 +470,26 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     eprintln!("serve: building {population}-domain world (list {list_size}) …");
     let world = World::build(EcosystemConfig { population, list_size, ..EcosystemConfig::tiny() });
-    let metrics = args.iter().any(|a| a == "--metrics").then(|| MetricsRegistry::new("serve"));
+    let metrics = flags.has("--metrics").then(|| MetricsRegistry::new("serve"));
     let report = load_sweep(&world, &cfg, &rates, metrics.as_ref());
     print!("{}", report.canonical_text());
     if let Some(m) = &metrics {
         print!("{}", m.counters_text());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `bench --serve` — the serving-subsystem perf snapshot: a load sweep
-/// to saturation on the bounded default cache (replayed twice and
-/// hard-failed on any byte difference), then the hit-rate-vs-capacity
-/// curve across both eviction policies on the same replayed trace.
-fn cmd_bench_serve(args: &[String]) -> ExitCode {
-    use httpsrr::resolver::EvictionPolicy;
-    use httpsrr::serve::{capacity_curve, load_sweep, ServeConfig, WorkloadConfig};
-    use std::fmt::Write;
-    use std::time::Instant;
-
-    let population = num_flag(args, "--population", 100_000usize);
-    let list_size = num_flag(args, "--list", 10_000usize);
-    let clients = num_flag(args, "--clients", 256usize);
-    let phase_ms = num_flag(args, "--phase-ms", 1_000u64);
-    let rates = list_flag(args, "--rates", &[2.0, 4.0, 8.0, 16.0, 32.0]);
-    // Defaults bracket the curve trace's working set (~4k distinct keys
-    // at the default rate/window): the low cells bind hard, the top one
-    // shows the unbounded plateau.
-    let capacities = list_flag(args, "--capacities", &[16usize, 64, 256, 1_024]);
-    let curve_rate = num_flag(args, "--curve-rate", 8.0f64);
-    let ms = |secs: f64| secs * 1e3;
-
-    let cfg = ServeConfig {
-        workload: WorkloadConfig { clients, ..WorkloadConfig::default() },
-        phase_ms,
-        ..ServeConfig::default()
-    };
-    eprintln!("serve bench: building {population}-domain world (list {list_size}) …");
-    let t = Instant::now();
-    let world = World::build(EcosystemConfig { population, list_size, ..EcosystemConfig::tiny() });
-    let build_wall_ms = ms(t.elapsed().as_secs_f64());
-
-    eprintln!("serve bench: load sweep over {rates:?} kq/s …");
-    let t = Instant::now();
-    let report = load_sweep(&world, &cfg, &rates, None);
-    let sweep_wall_ms = ms(t.elapsed().as_secs_f64());
-    // Determinism is part of the snapshot's contract: the replayed sweep
-    // must be byte-identical, or the numbers above mean nothing.
-    let replay = load_sweep(&world, &cfg, &rates, None);
-    if report.canonical_text() != replay.canonical_text() {
-        eprintln!("serve sweep replay diverged — determinism contract broken:");
-        eprintln!("--- first ---\n{}", report.canonical_text());
-        eprintln!("--- replay ---\n{}", replay.canonical_text());
-        return ExitCode::FAILURE;
-    }
-
-    eprintln!("serve bench: capacity curve over {capacities:?} × both policies …");
-    let t = Instant::now();
-    let points = capacity_curve(
-        &world,
-        &cfg,
-        &capacities,
-        &[EvictionPolicy::TtlSweepLru, EvictionPolicy::S3Fifo],
-        curve_rate,
-    );
-    let curve_wall_ms = ms(t.elapsed().as_secs_f64());
-
-    let mut phase_rows = String::new();
-    for (i, p) in report.phases.iter().enumerate() {
-        let series: Vec<String> = p.hit_series.iter().map(|h| format!("{h:.4}")).collect();
-        let _ = write!(
-            phase_rows,
-            "    {{ \"offered_kqps\": {:.3}, \"queries\": {}, \"arrived_kqps\": {:.3}, \
-             \"achieved_kqps\": {:.3}, \"hit_rate\": {:.4}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"p999_us\": {}, \"failures\": {}, \"evictions\": {}, \"swept\": {}, \
-             \"saturated\": {}, \"hit_series\": [{}] }}{}",
-            p.offered_kqps,
-            p.queries,
-            p.arrived_kqps,
-            p.achieved_kqps,
-            p.hit_rate,
-            p.p50_us,
-            p.p99_us,
-            p.p999_us,
-            p.failures,
-            p.evictions,
-            p.swept,
-            p.saturated(),
-            series.join(", "),
-            if i + 1 < report.phases.len() { ",\n" } else { "" },
-        );
-    }
-    let mut curve_rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            curve_rows,
-            "    {{ \"policy\": \"{}\", \"capacity_per_shard\": {}, \"total_capacity\": {}, \
-             \"hit_rate\": {:.4}, \"p99_us\": {}, \"evictions\": {}, \"swept\": {}, \
-             \"entries\": {}, \"approx_bytes\": {} }}{}",
-            p.policy,
-            p.capacity_per_shard,
-            p.total_capacity,
-            p.hit_rate,
-            p.p99_us,
-            p.evictions,
-            p.swept,
-            p.entries,
-            p.approx_bytes,
-            if i + 1 < points.len() { ",\n" } else { "" },
-        );
-    }
-    let p99_sustained = match report.p99_at_sustained_us() {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"schema\": 6,\n  \"population\": {population},\n  \
-         \"list_size\": {list_size},\n  \"clients\": {clients},\n  \"workers\": {},\n  \
-         \"physical_cpus\": {},\n  \"threads_axis\": {},\n  \
-         \"phase_ms\": {phase_ms},\n  \"sweep_policy\": \"{}\",\n  \
-         \"sweep_capacity_per_shard\": {},\n  \"sustained_kqps\": {:.3},\n  \
-         \"p99_at_sustained_us\": {p99_sustained},\n  \"saturated\": {},\n  \
-         \"phases\": [\n{phase_rows}\n  ],\n  \"curve_rate_kqps\": {curve_rate:.3},\n  \
-         \"curve\": [\n{curve_rows}\n  ],\n  \"build_wall_ms\": {build_wall_ms:.1},\n  \
-         \"sweep_wall_ms\": {sweep_wall_ms:.1},\n  \"curve_wall_ms\": {curve_wall_ms:.1},\n  \
-         \"notes\": \"stub-client load sweep + hit-rate-vs-capacity curve on the bounded record \
-         cache; every phase and curve cell replays a (seed, phase, client)-determined arrival \
-         stream in virtual time, so all fields except the *_wall_ms observations are \
-         byte-reproducible on any host and thread count (the sweep is replayed twice in-process \
-         and hard-fails on divergence); latency percentiles come from the deterministic M/G/k \
-         queueing model over real engine hit/miss outcomes, not from wall timing\"\n}}\n",
-        report.workers,
-        physical_cpus(),
-        threads_axis_json(&[report.workers]),
-        report.policy,
-        match report.capacity_per_shard {
-            Some(c) => c.to_string(),
-            None => "null".to_string(),
-        },
-        report.sustained_kqps(),
-        report.saturated(),
-    );
-    match flag(args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote serve snapshot to {path}");
-        }
-        None => print!("{json}"),
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_rotation(args: &[String]) -> ExitCode {
-    let hours = num_flag(args, "--hours", 7 * 24u64);
+fn cmd_rotation(args: &[String]) -> Outcome {
+    let hours = Flags::parse(args, &["--hours"], &[])?.num("--hours", 7 * 24u64)?;
     let mut world = World::build(EcosystemConfig::tiny());
     world.step_to_day(74); // the paper's July scan window
     let obs = hourly_ech_scan(&mut world, hours, 20);
     println!("{}", analysis::fig4_rotation(&obs));
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_audit(args: &[String]) -> ExitCode {
-    let day = num_flag(args, "--day", 239u64); // 2024-01-02
+fn cmd_audit(args: &[String]) -> Outcome {
+    let day = Flags::parse(args, &["--day"], &[])?.num("--day", 239u64)?; // 2024-01-02
     let mut world = World::build(EcosystemConfig {
         population: 2_000,
         list_size: 1_400,
@@ -1502,7 +503,7 @@ fn cmd_audit(args: &[String]) -> ExitCode {
         audit.insecure_pct_with_https(),
         audit.insecure_pct_without_https()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_zone(args: &[String]) -> ExitCode {

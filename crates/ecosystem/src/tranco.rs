@@ -307,8 +307,8 @@ impl TrancoModel {
 
     /// The pre-refactor `list_for_day`: sequential scoring into `(f64,
     /// id)` pairs and a full stable sort of the whole population. Kept
-    /// verbatim as the same-binary A/B baseline for `bench --scale` and
-    /// the equivalence tests; not used by any production path.
+    /// verbatim as the oracle of the equivalence tests; not used by any
+    /// production path.
     #[doc(hidden)]
     pub fn list_for_day_reference(&self, day: u64) -> DailyList {
         let mut scores: Vec<(f64, u32)> = Vec::with_capacity(self.pop.len());

@@ -1064,6 +1064,17 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_world_frees_its_web_servers() {
+        // Each web server sends through the network it is bound into; an
+        // owning handle there is a cycle that outlives the world.
+        let w = tiny_world();
+        let server = Arc::downgrade(w.web_server_of(0).expect("domain 0 is bound"));
+        assert!(server.upgrade().is_some());
+        drop(w);
+        assert!(server.upgrade().is_none(), "a bound web server outlived its world");
+    }
+
+    #[test]
     fn poisson_sampler_tracks_mean_in_both_regimes() {
         // Small-λ Knuth product method and large-λ normal approximation
         // must both land near the requested mean.

@@ -30,5 +30,5 @@ pub mod network;
 pub use clock::{Calendar, CivilDate, SimClock, TimeMs, Timestamp};
 pub use latency::{EndpointOverride, LinkFate, LinkModel};
 pub use network::{
-    DatagramService, NetError, Network, ScheduledDelivery, StreamService, TrafficStats,
+    DatagramService, NetError, Network, ScheduledDelivery, StreamService, TrafficStats, WeakNetwork,
 };

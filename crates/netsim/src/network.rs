@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Errors surfaced by simulated network operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,15 +88,6 @@ impl TrafficCounters {
             connect_failures: self.connect_failures.load(Ordering::Relaxed),
         }
     }
-
-    fn reset(&self) {
-        self.datagrams_sent.store(0, Ordering::Relaxed);
-        self.datagrams_answered.store(0, Ordering::Relaxed);
-        self.datagrams_dropped.store(0, Ordering::Relaxed);
-        self.streams_opened.store(0, Ordering::Relaxed);
-        self.streams_completed.store(0, Ordering::Relaxed);
-        self.connect_failures.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Counters of simulated traffic, for benches and pacing assertions
@@ -147,7 +138,41 @@ pub struct Network {
     clock: SimClock,
 }
 
+/// Non-owning handle to a [`Network`], for a service that is bound into
+/// the network and also sends through it. An owning handle there closes
+/// a cycle (network → binding → service → network) that keeps every
+/// binding alive after the last outside handle is dropped.
+#[derive(Clone)]
+pub struct WeakNetwork {
+    state: Weak<RwLock<NetworkState>>,
+    stats: Weak<TrafficCounters>,
+    latency: Weak<RwLock<Arc<LinkModel>>>,
+    clock: SimClock,
+}
+
+impl WeakNetwork {
+    /// The network, if any owning handle to it is still alive.
+    pub fn upgrade(&self) -> Option<Network> {
+        Some(Network {
+            state: self.state.upgrade()?,
+            stats: self.stats.upgrade()?,
+            latency: self.latency.upgrade()?,
+            clock: self.clock.clone(),
+        })
+    }
+}
+
 impl Network {
+    /// A handle that does not keep the network alive.
+    pub fn downgrade(&self) -> WeakNetwork {
+        WeakNetwork {
+            state: Arc::downgrade(&self.state),
+            stats: Arc::downgrade(&self.stats),
+            latency: Arc::downgrade(&self.latency),
+            clock: self.clock.clone(),
+        }
+    }
+
     /// Create an empty network driven by `clock`.
     pub fn new(clock: SimClock) -> Self {
         Network {
@@ -335,11 +360,6 @@ impl Network {
     /// Snapshot of traffic counters.
     pub fn stats(&self) -> TrafficStats {
         self.stats.snapshot()
-    }
-
-    /// Reset traffic counters (between bench iterations).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 }
 

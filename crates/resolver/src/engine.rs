@@ -217,13 +217,6 @@ impl QueryEngine {
         }
     }
 
-    /// Select the batch backend (builder style), overriding whatever the
-    /// resolver config chose.
-    pub fn with_backend(mut self, backend: EngineBackend) -> QueryEngine {
-        self.backend = backend;
-        self
-    }
-
     /// The batch backend this engine dispatches to.
     pub fn backend(&self) -> EngineBackend {
         self.backend
@@ -251,11 +244,6 @@ impl QueryEngine {
     /// The attached metrics registry, if any.
     pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
         self.metrics.as_ref()
-    }
-
-    /// The underlying resolver.
-    pub fn resolver(&self) -> &Arc<RecursiveResolver> {
-        &self.resolver
     }
 
     /// The resolver's sharded cache.

@@ -243,6 +243,48 @@ fn virtual_timeline_is_seeded_and_repeatable() {
     );
 }
 
+#[test]
+fn outcome_counters_are_pinned_at_rtt_0_20_100() {
+    // The seed-determined outcome of one cold 3600-query batch per link
+    // shape: any change to the latency draws, the timeout ladder or the
+    // per-zone serialization moves these numbers.
+    // (rtt ms, loss ‰, virtual batch ms, timeouts = retransmits = drops)
+    for (rtt_ms, loss_permille, virtual_ms, lost) in
+        [(0u64, 0u16, 0u64, 0u64), (20, 10, 1_060, 38), (100, 10, 1_300, 38)]
+    {
+        let world = World::build(EcosystemConfig {
+            population: 1_500,
+            list_size: 1_200,
+            ..EcosystemConfig::tiny()
+        });
+        world.network.set_latency_model(
+            LinkModel::new(0xA57).with_rtt_ms(rtt_ms).with_loss_permille(loss_permille),
+        );
+        let queries = wide_queries(&world);
+        assert_eq!(queries.len(), 3_600);
+        let engine = QueryEngine::new(
+            world.network.clone(),
+            world.registry.clone(),
+            ResolverConfig {
+                validate: true,
+                strategy: SelectionStrategy::RoundRobin,
+                backend: EngineBackend::EventLoop,
+                ..Default::default()
+            },
+        );
+        let (_, timing) = engine.resolve_batch_timed(&queries, 1);
+        let timing = timing.expect("event backend reports timing");
+        assert_eq!(timing.max_in_flight, 1_200, "rtt {rtt_ms}");
+        assert_eq!(timing.finished_ms - timing.started_ms, virtual_ms, "rtt {rtt_ms}");
+        let stats = timing.stats;
+        assert_eq!(
+            (stats.timeouts, stats.retransmits, stats.drops, stats.ns_fallbacks),
+            (lost, lost, lost, 0),
+            "rtt {rtt_ms}"
+        );
+    }
+}
+
 /// Two healthy authoritatives for `a.com`; the link model decides which
 /// of them actually answers.
 fn two_server_world() -> (Network, DelegationRegistry) {

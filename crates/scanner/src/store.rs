@@ -264,9 +264,10 @@ impl SnapshotStore {
 /// the CSV exporters) relies on:
 ///
 /// - [`days`](Self::days) is ascending and duplicate-free;
-/// - [`for_each_day`](Self::for_each_day) visits exactly those days in
-///   that order, handing each day's observations as one slice in the
-///   original scan order (sorted by `(domain_id, is_www)`);
+/// - [`for_each_day_filtered`](Self::for_each_day_filtered) visits
+///   those days the filter admits, in that order, handing each day's
+///   observations as one slice in the original scan order (sorted by
+///   `(domain_id, is_www)`);
 /// - observations are only guaranteed resident for the duration of one
 ///   visitor call, so a disk-backed source holds at most one day in
 ///   memory at a time.
@@ -288,45 +289,17 @@ pub trait ObservationSource: Sync {
     /// Resolve an interned org id back to its name.
     fn org_name(&self, id: OrgId) -> Option<&str>;
 
-    /// Visit every day in ascending order.
-    fn for_each_day(&self, visit: &mut dyn FnMut(u32, &[Observation]));
-
-    /// Visit a single day (no-op if the day is absent).
-    fn for_day(&self, day: u32, visit: &mut dyn FnMut(&[Observation]));
-
     /// Visit every day admitted by `filter`, in ascending order,
     /// decoding only the projected columns (see [`Projection`] for the
-    /// pruned-read contract). The default implementation filters days
-    /// but decodes everything; disk-backed sources override it to skip
-    /// chunks and column blocks outright.
-    fn for_each_day_filtered(
-        &self,
-        filter: ScanFilter,
-        visit: &mut dyn FnMut(u32, &[Observation]),
-    ) {
-        self.for_each_day(&mut |day, obs| {
-            if filter.admits_day(day) {
-                visit(day, obs);
-            }
-        });
-    }
-
-    /// Visit a single day decoding only the projected columns (no-op if
-    /// the day is absent). Default decodes everything.
-    fn for_day_projected(
-        &self,
-        day: u32,
-        projection: Projection,
-        visit: &mut dyn FnMut(&[Observation]),
-    ) {
-        let _ = projection;
-        self.for_day(day, visit);
-    }
+    /// pruned-read contract). [`ScanFilter::all`] visits everything;
+    /// `.days(d, d)` visits the single day `d`, or nothing if it is
+    /// absent.
+    fn for_each_day_filtered(&self, filter: ScanFilter, visit: &mut dyn FnMut(u32, &[Observation]));
 
     /// Total observation count across all days.
     fn total_observations(&self) -> usize {
         let mut n = 0;
-        self.for_each_day(&mut |_, obs| n += obs.len());
+        self.for_each_day_filtered(ScanFilter::all(), &mut |_, obs| n += obs.len());
         n
     }
 }
@@ -344,15 +317,20 @@ impl ObservationSource for SnapshotStore {
         self.orgs.name(id)
     }
 
-    fn for_each_day(&self, visit: &mut dyn FnMut(u32, &[Observation])) {
-        for (&day, range) in &self.day_ranges {
-            visit(day, &self.observations[range.clone()]);
+    /// Full rows whatever the projection (nothing to skip in memory);
+    /// the day range is a `BTreeMap` range, so a single day costs
+    /// O(log days).
+    fn for_each_day_filtered(
+        &self,
+        filter: ScanFilter,
+        visit: &mut dyn FnMut(u32, &[Observation]),
+    ) {
+        let (first, last) = filter.days.unwrap_or((0, u32::MAX));
+        if first > last {
+            return;
         }
-    }
-
-    fn for_day(&self, day: u32, visit: &mut dyn FnMut(&[Observation])) {
-        if let Some(range) = self.day_ranges.get(&day) {
-            visit(&self.observations[range.clone()]);
+        for (&day, range) in self.day_ranges.range(first..=last) {
+            visit(day, &self.observations[range.clone()]);
         }
     }
 
@@ -388,7 +366,7 @@ fn write_csv_row(
 pub fn write_csv(source: &dyn ObservationSource, out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "{CSV_HEADER}")?;
     let mut err: Option<io::Error> = None;
-    source.for_each_day(&mut |_, obs| {
+    source.for_each_day_filtered(ScanFilter::all(), &mut |_, obs| {
         if err.is_some() {
             return;
         }
@@ -415,7 +393,7 @@ pub fn write_combined_csv(
     writeln!(out, "vantage,{CSV_HEADER}")?;
     for source in sources {
         let mut err: Option<io::Error> = None;
-        source.for_each_day(&mut |_, obs| {
+        source.for_each_day_filtered(ScanFilter::all(), &mut |_, obs| {
             if err.is_some() {
                 return;
             }
@@ -499,21 +477,35 @@ mod tests {
         let org = store.orgs.intern("Cloudflare, Inc.");
         store.push_day(0, vec![Observation { org, ..obs(0, 1, flags::HTTPS_PRESENT) }]);
         store.push_day(3, vec![obs(3, 1, 0), obs(3, 2, 0)]);
+        store.push_day(7, vec![obs(7, 2, flags::HTTPS_PRESENT)]);
 
         let src: &dyn ObservationSource = &store;
         assert_eq!(src.vantage(), "google");
-        assert_eq!(src.days(), vec![0, 3]);
+        assert_eq!(src.days(), vec![0, 3, 7]);
         assert_eq!(src.org_name(org), Some("Cloudflare, Inc."));
-        assert_eq!(src.total_observations(), 3);
+        assert_eq!(src.total_observations(), 4);
 
-        let mut seen: Vec<(u32, usize)> = Vec::new();
-        src.for_each_day(&mut |day, obs| seen.push((day, obs.len())));
-        assert_eq!(seen, vec![(0, 1), (3, 2)]);
-
-        let mut day3 = Vec::new();
-        src.for_day(3, &mut |obs| day3.extend_from_slice(obs));
-        assert_eq!(day3.as_slice(), store.day(3));
-        src.for_day(99, &mut |_| panic!("absent day must not be visited"));
+        // The one visit method, in every filter shape its callers use:
+        // exactly the admitted days, ascending, each as the inherent
+        // `day()` slice; an absent day visits nothing.
+        let projected = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
+        for (filter, days) in [
+            (ScanFilter::all(), vec![0, 3, 7]),
+            (ScanFilter::all().days(3, 3), vec![3]),
+            (ScanFilter::all().days(5, 5), vec![]),
+            (ScanFilter::all().days(99, 99), vec![]),
+            (ScanFilter::all().days(1, 5), vec![3]),
+            (ScanFilter::all().days(2, 7), vec![3, 7]),
+            (projected.days(3, 3), vec![3]),
+            (projected.days(7, 3), vec![]),
+        ] {
+            let mut seen: Vec<u32> = Vec::new();
+            src.for_each_day_filtered(filter, &mut |day, obs| {
+                assert_eq!(obs, store.day(day), "{filter:?}");
+                seen.push(day);
+            });
+            assert_eq!(seen, days, "{filter:?}");
+        }
     }
 
     #[test]

@@ -83,7 +83,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 const MANIFEST_MAGIC: [u8; 8] = *b"SNAPMAN1";
 const DICT_MAGIC: [u8; 8] = *b"SNAPORG1";
@@ -999,7 +998,6 @@ pub struct StoreWriter {
     dict_file: File,
     dict_names: Vec<String>,
     bytes_written: u64,
-    write_nanos: u64,
 }
 
 impl StoreWriter {
@@ -1012,8 +1010,8 @@ impl StoreWriter {
 
     /// Create a fresh store writing chunks in an explicit format.
     /// [`StoreFormat::V1`] reproduces the raw fixed-width layout of
-    /// older builds byte-for-byte — kept for the bench's
-    /// compressed-vs-raw comparison and the back-compat fixtures.
+    /// older builds byte-for-byte — kept for the back-compat fixtures
+    /// and the compact/resume tests.
     pub fn create_with_format(
         dir: &Path,
         meta: StoreMeta,
@@ -1061,7 +1059,6 @@ impl StoreWriter {
             dict_file,
             dict_names: Vec::new(),
             bytes_written: 0,
-            write_nanos: 0,
         })
     }
 
@@ -1143,7 +1140,6 @@ impl StoreWriter {
             dict_file,
             dict_names,
             bytes_written: 0,
-            write_nanos: 0,
         })
     }
 
@@ -1170,11 +1166,6 @@ impl StoreWriter {
     /// Bytes appended by this writer instance (chunks + dict entries).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Wall-clock seconds spent in appends by this writer instance.
-    pub fn write_seconds(&self) -> f64 {
-        self.write_nanos as f64 / 1e9
     }
 
     /// Mirror the campaign's org interner into the on-disk dictionary.
@@ -1246,13 +1237,11 @@ impl StoreWriter {
                 format!("observation stamped day {} in a chunk for day {day}", bad.day),
             ));
         }
-        let start = Instant::now();
         let file = &mut self.files[vantage];
         let header_offset = file.seek(SeekFrom::End(0))?;
         let (buf, chunk) = encode_chunk(self.format, day, obs, header_offset);
         file.write_all(&buf)?;
         file.flush()?;
-        self.write_nanos += start.elapsed().as_nanos() as u64;
         self.bytes_written += buf.len() as u64;
         self.indexes[vantage].push(chunk);
         Ok(())
@@ -1371,16 +1360,6 @@ impl ObservationSource for StoreReader {
         self.orgs.name(id)
     }
 
-    fn for_each_day(&self, visit: &mut dyn FnMut(u32, &[Observation])) {
-        for chunk in &self.index {
-            self.visit_chunk(chunk, Projection::ALL, visit);
-        }
-    }
-
-    fn for_day(&self, day: u32, visit: &mut dyn FnMut(&[Observation])) {
-        self.for_day_projected(day, Projection::ALL, visit);
-    }
-
     /// Chunks outside the filter's day range are skipped without
     /// touching their payloads, and only the projected columns' blocks
     /// are decoded — the pruned path analyses stream through.
@@ -1394,12 +1373,6 @@ impl ObservationSource for StoreReader {
                 continue;
             }
             self.visit_chunk(chunk, filter.projection, visit);
-        }
-    }
-
-    fn for_day_projected(&self, day: u32, proj: Projection, visit: &mut dyn FnMut(&[Observation])) {
-        if let Some(chunk) = self.index.iter().find(|c| c.day == day) {
-            self.visit_chunk(chunk, proj, &mut |_, obs| visit(obs));
         }
     }
 
@@ -1436,7 +1409,9 @@ impl OpenStore {
             .map(|r| {
                 let mut store = SnapshotStore::with_vantage(&r.vantage);
                 store.orgs = orgs.clone();
-                r.for_each_day(&mut |day, obs| store.push_day(day, obs.to_vec()));
+                r.for_each_day_filtered(ScanFilter::all(), &mut |day, obs| {
+                    store.push_day(day, obs.to_vec())
+                });
                 store
             })
             .collect()
@@ -1669,7 +1644,7 @@ mod tests {
         assert_eq!(r.max_rows_per_day(), 50);
         assert_eq!(r.org_name(OrgId(0)), Some("Cloudflare, Inc."));
         let mut streamed = Vec::new();
-        r.for_each_day(&mut |_, o| streamed.extend_from_slice(o));
+        r.for_each_day_filtered(ScanFilter::all(), &mut |_, o| streamed.extend_from_slice(o));
         let expect: Vec<Observation> = day0.iter().chain(&day2).copied().collect();
         assert_eq!(streamed, expect);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1780,7 +1755,7 @@ mod tests {
         let open = open_store(&dir).unwrap();
         assert_eq!(ObservationSource::days(&open.readers[0]), vec![0, 1]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            open.readers[0].for_each_day(&mut |_, _| {});
+            open.readers[0].for_each_day_filtered(ScanFilter::all(), &mut |_, _| {});
         }));
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("snapshot store corrupted"), "panic was: {msg}");
@@ -1822,7 +1797,8 @@ mod tests {
 
         let open = open_store(&dir).unwrap();
         let mut streamed = Vec::new();
-        open.readers[0].for_each_day(&mut |_, o| streamed.extend_from_slice(o));
+        open.readers[0]
+            .for_each_day_filtered(ScanFilter::all(), &mut |_, o| streamed.extend_from_slice(o));
         let expect: Vec<Observation> = day0.iter().chain(&day2).copied().collect();
         assert_eq!(streamed, expect);
         // The v1 chunk has no stats footer, the v2 one does.
@@ -1877,9 +1853,8 @@ mod tests {
         let open = open_store(&dir).unwrap();
         let r = &open.readers[0];
         let mut got = Vec::new();
-        r.for_day_projected(0, Projection::FLAGS.with(Projection::DOMAIN_ID), &mut |o| {
-            got.extend_from_slice(o)
-        });
+        let pruned = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
+        r.for_each_day_filtered(pruned.days(0, 0), &mut |_, o| got.extend_from_slice(o));
         assert_eq!(got.len(), day0.len());
         for (g, o) in got.iter().zip(&day0) {
             assert_eq!(g.flags, o.flags);
@@ -1917,7 +1892,8 @@ mod tests {
 
         let mut before = Vec::new();
         let open = open_store(&dir).unwrap();
-        open.readers[0].for_each_day(&mut |_, o| before.extend_from_slice(o));
+        open.readers[0]
+            .for_each_day_filtered(ScanFilter::all(), &mut |_, o| before.extend_from_slice(o));
         drop(open);
 
         let report = compact_store(&dir).unwrap();
@@ -1934,7 +1910,8 @@ mod tests {
         let open = open_store(&dir).unwrap();
         assert_eq!(open.meta, meta_for(&[0, 2]));
         let mut after = Vec::new();
-        open.readers[0].for_each_day(&mut |_, o| after.extend_from_slice(o));
+        open.readers[0]
+            .for_each_day_filtered(ScanFilter::all(), &mut |_, o| after.extend_from_slice(o));
         assert_eq!(before, after);
         // The rewritten chunks are v2: stats footers exist now.
         assert!(open.readers[0].chunk_stats(0).unwrap().is_some());

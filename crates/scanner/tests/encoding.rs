@@ -18,7 +18,7 @@ use scanner::persist::encoding::{choose_block, decode_block};
 use scanner::persist::{StoreMeta, StoreWriter};
 use scanner::{
     compact_store, open_store, Campaign, Observation, ObservationSource, OrgId, OrgInterner,
-    StoreFormat,
+    ScanFilter, StoreFormat,
 };
 use std::path::{Path, PathBuf};
 
@@ -207,7 +207,9 @@ fn golden_v1_store_streams_byte_identically() {
         assert_eq!(reader.vantage(), GOLDEN_VANTAGES[vi]);
         assert_eq!(ObservationSource::days(reader), GOLDEN_DAYS.to_vec());
         let mut streamed = Vec::new();
-        reader.for_each_day(&mut |_, obs| streamed.extend_from_slice(obs));
+        reader.for_each_day_filtered(ScanFilter::all(), &mut |_, obs| {
+            streamed.extend_from_slice(obs)
+        });
         let expect: Vec<Observation> =
             GOLDEN_DAYS.iter().flat_map(|&d| golden_rows(d, vi)).collect();
         assert_eq!(streamed, expect, "vantage {vi} stream diverged from the fixture source");

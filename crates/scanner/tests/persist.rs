@@ -21,7 +21,7 @@ use ecosystem::{EcosystemConfig, World};
 use proptest::prelude::*;
 use scanner::persist::{StoreMeta, StoreWriter};
 use scanner::{
-    open_store, write_csv, Campaign, Observation, ObservationSource, OrgId, OrgInterner,
+    open_store, write_csv, Campaign, Observation, ObservationSource, OrgId, OrgInterner, ScanFilter,
 };
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -215,7 +215,9 @@ proptest! {
             prop_assert!(!reader.truncated_tail());
             // Stream and compare the exact observation sequence.
             let mut streamed: Vec<(u32, Vec<Observation>)> = Vec::new();
-            reader.for_each_day(&mut |day, obs| streamed.push((day, obs.to_vec())));
+            reader.for_each_day_filtered(ScanFilter::all(), &mut |day, obs| {
+                streamed.push((day, obs.to_vec()))
+            });
             let expected: Vec<(u32, Vec<Observation>)> = c
                 .days
                 .iter()

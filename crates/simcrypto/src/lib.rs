@@ -14,8 +14,7 @@
 //!
 //! **This is not security software.** "Public" keys carry the MAC key
 //! material so that verifiers can recompute MACs; a real adversary could
-//! forge. The simulated adversaries in this workspace do not. The
-//! substitution is documented in DESIGN.md.
+//! forge. The simulated adversaries in this workspace do not.
 
 #![warn(missing_docs)]
 

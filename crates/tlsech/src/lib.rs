@@ -8,8 +8,7 @@
 //!
 //! "Structural" means the messages and state transitions are faithful —
 //! who sends which SNI where, which key decrypts what, when retry fires —
-//! while the cryptography is the simulated scheme from `simcrypto`
-//! (substitution documented in DESIGN.md).
+//! while the cryptography is the simulated scheme from `simcrypto`.
 
 #![warn(missing_docs)]
 

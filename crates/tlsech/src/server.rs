@@ -7,7 +7,7 @@
 use crate::ech::EchKeyManager;
 use crate::msg::{AlertCause, ClientHello, InnerHello, ServerResponse};
 use dns_wire::DnsName;
-use netsim::{NetError, Network, StreamService, Timestamp};
+use netsim::{NetError, Network, StreamService, Timestamp, WeakNetwork};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -38,17 +38,19 @@ pub struct WebServer {
     ech: RwLock<Option<EchServerState>>,
     /// Split-mode forwarding: inner SNI → back-end address.
     forwards: RwLock<HashMap<String, (IpAddr, u16)>>,
-    network: Network,
+    /// Non-owning: the network owns the servers bound into it.
+    network: WeakNetwork,
 }
 
 impl WebServer {
-    /// Create a server without ECH.
+    /// Create a server without ECH. The server sends its split-mode
+    /// forwards through `network` but does not keep it alive.
     pub fn new(network: Network, config: WebServerConfig) -> WebServer {
         WebServer {
             config: RwLock::new(config),
             ech: RwLock::new(None),
             forwards: RwLock::new(HashMap::new()),
-            network,
+            network: network.downgrade(),
         }
     }
 
@@ -147,8 +149,12 @@ impl WebServer {
                             self.forwards.read().get(&inner.sni.to_ascii_lowercase()).copied();
                         if let Some((ip, port)) = fwd {
                             let fwd_hello = ClientHello::plain(&inner.sni, inner.alpn.clone());
-                            return match self.network.stream_exchange(ip, port, &fwd_hello.encode())
-                            {
+                            // A dropped network reaches no back end.
+                            let forwarded =
+                                self.network.upgrade().ok_or(NetError::Reset).and_then(|network| {
+                                    network.stream_exchange(ip, port, &fwd_hello.encode())
+                                });
+                            return match forwarded {
                                 Ok(bytes) => match ServerResponse::decode(&bytes) {
                                     Some(ServerResponse::Accepted {
                                         cert_name,
