@@ -20,6 +20,30 @@ pub struct Landmarks {
     pub study_end: u64,
 }
 
+impl Landmarks {
+    /// Whether Cloudflare's default record still advertises `h3-29`.
+    pub fn advertises_h3_29(&self, day: u64) -> bool {
+        day < self.h3_29_sunset
+    }
+
+    /// Whether Cloudflare still publishes (and rotates) ECH configs.
+    pub fn ech_live(&self, day: u64) -> bool {
+        day < self.ech_disable
+    }
+
+    /// Whether `day` is one on which every Cloudflare-proxied domain's
+    /// HTTPS records must be re-synthesized: a predicate above — an
+    /// input of `synthesize_https` that is a function of the day alone —
+    /// flips between `day - 1` and `day`. World stepping wakes the
+    /// Cloudflare cohort on exactly these days, so a day-dependent input
+    /// added to synthesis must be listed here or zones go silently stale.
+    pub fn forces_cf_resync(&self, day: u64) -> bool {
+        day > 0
+            && (self.advertises_h3_29(day) != self.advertises_h3_29(day - 1)
+                || self.ech_live(day) != self.ech_live(day - 1))
+    }
+}
+
 impl Default for Landmarks {
     fn default() -> Self {
         // Day numbers computed from the paper calendar (see netsim tests).

@@ -3,9 +3,12 @@
 //! `World::step_to_day`, `TrancoModel::overlapping`, and the scanner all
 //! need "the list for day *d*" — historically each call site recomputed
 //! it from scratch (an O(population) scoring pass plus a selection).
-//! [`DayListCache`] computes each day's list once and hands every
-//! consumer the same `Arc<DailyList>`, so a multi-layer campaign pays
-//! the scoring cost once per day instead of once per consumer.
+//! [`DayListCache`] computes a list the first time some consumer asks
+//! for its day and hands every consumer the same `Arc<DailyList>`, so a
+//! multi-layer campaign pays the scoring cost once per *requested* day
+//! instead of once per consumer. Days nobody asks for are never scored:
+//! `step_to_day` requests the day it lands on, not the days it walks
+//! through.
 //!
 //! The cache is capacity-bounded with LRU eviction: day access patterns
 //! are overwhelmingly monotonic (world stepping, overlap windows), so a

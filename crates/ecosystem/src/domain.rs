@@ -1,5 +1,6 @@
 //! Per-domain state and HTTPS-record synthesis under provider policies.
 
+use crate::config::Landmarks;
 use crate::providers::ProviderId;
 use dns_wire::{DnsName, SvcParam, SvcbRdata};
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -145,10 +146,8 @@ impl DomainState {
 pub struct SynthesisContext {
     /// Day number.
     pub day: u64,
-    /// Day Cloudflare stops advertising h3-29.
-    pub h3_29_sunset: u64,
-    /// Day Cloudflare disables ECH.
-    pub ech_disable: u64,
+    /// Timeline landmarks (the h3-29 sunset, the ECH kill switch).
+    pub landmarks: Landmarks,
     /// Current shared Cloudflare ECH config bytes.
     pub cf_ech_configs: Option<Vec<u8>>,
     /// Record TTL.
@@ -171,13 +170,13 @@ pub fn synthesize_https(
     match shape {
         HttpsShape::CfDefault => {
             let mut params = Vec::new();
-            if ctx.day < ctx.h3_29_sunset {
+            if ctx.landmarks.advertises_h3_29(ctx.day) {
                 params.push(alpn(&["h2", "h3", "h3-29"]));
             } else {
                 params.push(alpn(&["h2", "h3"]));
             }
             hints(&mut params);
-            if d.ech_enabled && ctx.day < ctx.ech_disable {
+            if d.ech_enabled && ctx.landmarks.ech_live(ctx.day) {
                 if let Some(cfg) = &ctx.cf_ech_configs {
                     params.push(SvcParam::Ech(cfg.clone()));
                 }
@@ -267,8 +266,7 @@ mod tests {
     fn ctx(day: u64) -> SynthesisContext {
         SynthesisContext {
             day,
-            h3_29_sunset: 23,
-            ech_disable: 150,
+            landmarks: Landmarks::default(),
             cf_ech_configs: Some(vec![1, 2, 3]),
             ttl: 300,
         }

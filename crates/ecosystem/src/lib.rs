@@ -31,4 +31,4 @@ pub use providers::{
 };
 pub use tranco::{DailyList, TrancoModel};
 pub use whois::{Allocation, WhoisDb};
-pub use world::{CfEch, World};
+pub use world::{CfEch, StepStats, World};

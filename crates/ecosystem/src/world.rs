@@ -5,8 +5,18 @@
 //! `World::build` constructs the day-0 state as a pure function of the
 //! config seed; `step_to_day` replays the study timeline (adoptions,
 //! proxied toggles, NS migrations, renumbering with lagging records, the
-//! h3-29 sunset, the ECH kill switch) while keeping every authoritative
-//! zone, delegation, and web binding in sync.
+//! h3-29 sunset, the ECH kill switch).
+//!
+//! Stepping has two halves. *State* — `DomainState`s, the clock, the ECH
+//! key, address allocation and web bindings — advances day by day, in
+//! order, because later days depend on earlier ones. The *published
+//! view* derived from it — every authoritative zone, delegation and
+//! today's Tranco list — is a pure function of the state, and is
+//! materialized once per `step_to_day`/`advance_hours` call, for the
+//! moment the call returns: nothing can query the world mid-call. The
+//! contract is that on return the view matches the state, whatever the
+//! size of the step; a domain whose zone went stale is rebuilt, one whose
+//! HTTPS records alone did (an ECH rotation, a landmark day) is patched.
 
 use crate::config::EcosystemConfig;
 use crate::domain::{synthesize_https, DomainState, HttpsIntent, HttpsShape, SynthesisContext};
@@ -14,7 +24,7 @@ use crate::providers::{well_known, HttpsPolicy, ProviderCatalog, ProviderId};
 use crate::tranco::{normal_sample, DailyList, TrancoModel};
 use crate::whois::WhoisDb;
 use authserver::{DelegationRegistry, NsEndpoint, Zone, ZoneSet};
-use dns_wire::{DnsName, RData, Record};
+use dns_wire::{DnsName, RData, Record, RecordType};
 use dnssec::ZoneKeys;
 use netsim::{Calendar, Network, SimClock, Timestamp};
 use rand::rngs::StdRng;
@@ -73,24 +83,10 @@ impl CfEch {
         self.manager.current_config_list().encode()
     }
 
-    /// The key manager (for wiring a client-facing server).
+    /// Serving state for a client-facing server: a copy of the key
+    /// manager as it stands, so the server accepts what DNS advertises.
     pub fn manager_state(&self) -> EchServerState {
-        EchServerState {
-            manager: {
-                // Hand the web server an equivalent manager (same label
-                // stream) so it accepts what DNS advertises.
-                let mut m = EchKeyManager::new(
-                    DnsName::parse("cloudflare-ech.com").expect("static"),
-                    "cf-ech",
-                    2,
-                );
-                for _ in 0..self.index {
-                    m.rotate("cf-ech");
-                }
-                m
-            },
-            retry_enabled: true,
-        }
+        EchServerState { manager: self.manager.clone(), retry_enabled: true }
     }
 }
 
@@ -123,6 +119,36 @@ pub struct World {
     web_servers: HashMap<u32, Arc<WebServer>>,
     next_ip: u32,
     schedule: DaySchedule,
+    stats: StepStats,
+}
+
+/// Exact counts of the work world stepping has done since `build`
+/// (`build`'s own day-0 materialization is not stepping and not counted).
+/// Deterministic for a given config and call sequence; observational
+/// only, never simulation state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepStats {
+    /// Days whose state transitions were applied.
+    pub days_applied: u64,
+    /// Domain zones rebuilt from scratch (zone, delegation and all).
+    pub zones_rebuilt: u64,
+    /// Domains whose HTTPS RRsets were replaced inside their live zone.
+    pub https_patched: u64,
+    /// Tranco day lists requested for `today_list` (one per call that
+    /// moved the day, whatever the distance).
+    pub day_lists: u64,
+}
+
+/// What a state transition left stale in a domain's published view.
+/// Ordered by strength (`None < Https < Zone`): when a domain collects
+/// both kinds across a walk, the rebuild wins (it re-publishes the HTTPS
+/// records too).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stale {
+    /// Only the HTTPS RRsets (ECH rotation, landmark days): patch them.
+    Https,
+    /// NS, addresses, delegation or provider moved: rebuild the zone.
+    Zone,
 }
 
 /// The per-day wake-up schedule behind dirty-set world stepping: instead
@@ -131,21 +157,24 @@ pub struct World {
 /// events (adoptions, migrations, undelegations) are bucketed by day
 /// once at build; toggling domains wake at their period boundaries; the
 /// ECH and Cloudflare cohorts wake on rotation/landmark days; renumber
-/// completions are queued at runtime when the renumber starts.
+/// completions are queued at runtime when the renumber starts. Each day
+/// is applied exactly once, so the per-day buckets are consumed.
 #[derive(Default)]
 struct DaySchedule {
     /// Build-time event buckets: day → domain indices with a scheduled
-    /// adoption, NS migration, or undelegation on that day.
+    /// adoption, NS migration, or undelegation on that day. Removed as
+    /// the day is applied.
     events: HashMap<u64, Vec<u32>>,
     /// `(index, period)` of every periodically-toggling domain; dirty on
     /// each period boundary (`day % period == 0`), when its proxied
     /// parity flips.
     toggles: Vec<(u32, u64)>,
-    /// Indices with Cloudflare-proxied intent: dirty on the h3-29 sunset
-    /// and ECH kill-switch landmark days, which force re-synthesis.
+    /// Indices with Cloudflare-proxied intent: dirty on the days
+    /// `Landmarks::forces_cf_resync` names (the h3-29 sunset, the ECH
+    /// kill switch), which re-synthesize their HTTPS records.
     cf_ids: Vec<u32>,
     /// ECH-enabled indices: dirty whenever the shared key rotated (until
-    /// the kill switch), since their record bytes change.
+    /// the kill switch), since their HTTPS record bytes change.
     ech_ids: Vec<u32>,
     /// Runtime wheel: day → indices whose lagging A/hint record syncs
     /// that day. Filled when a renumber event schedules its catch-up.
@@ -226,13 +255,15 @@ impl World {
             web_servers: HashMap::new(),
             next_ip: 0,
             schedule: DaySchedule::default(),
+            stats: StepStats::default(),
         };
         world.build_tld_infra();
         world.build_ns_suffix_zones();
         world.populate_domains();
         world.schedule = DaySchedule::build(&world.domains);
+        let ctx = world.synthesis_context();
         for idx in 0..world.domains.len() {
-            world.sync_domain(idx);
+            world.rebuild_zone(idx, &ctx);
             world.bind_web(idx);
         }
         world.today = world.tranco.day_list(0);
@@ -553,19 +584,52 @@ impl World {
         active && d.publishes_https(supports)
     }
 
-    /// (Re)materialize a domain's zone(s) and delegation.
+    /// (Re)materialize a domain's zone(s) and delegation from its current
+    /// state. A pure function of (domain state, `current_day`, `cf_ech`,
+    /// config): calling it on a consistent world changes nothing.
     pub fn sync_domain(&mut self, idx: usize) {
-        let day = self.current_day;
-        let cfg = &self.config;
-        let ctx = SynthesisContext {
-            day,
-            h3_29_sunset: cfg.landmarks.h3_29_sunset,
-            ech_disable: cfg.landmarks.ech_disable,
+        self.rebuild_zone(idx, &self.synthesis_context());
+    }
+
+    /// The day-dependent inputs of HTTPS synthesis, as of now. Encodes
+    /// the shared ECHConfigList, so build one per batch of domains.
+    fn synthesis_context(&self) -> SynthesisContext {
+        SynthesisContext {
+            day: self.current_day,
+            landmarks: self.config.landmarks,
             cf_ech_configs: Some(self.cf_ech.configs()),
-            ttl: cfg.cf_https_ttl,
-        };
-        let d = self.domains[idx].clone();
-        let publishes = self.publishes_today(&d);
+            ttl: self.config.cf_https_ttl,
+        }
+    }
+
+    /// The HTTPS RRsets `d` publishes today at its apex and at `www`
+    /// (empty when it publishes none). The one place HTTPS records are
+    /// synthesized, so a rebuilt and a patched zone cannot disagree.
+    fn https_rrsets(
+        &self,
+        d: &DomainState,
+        www: &DnsName,
+        ctx: &SynthesisContext,
+    ) -> (Vec<Record>, Vec<Record>) {
+        let mut at_apex = Vec::new();
+        let mut at_www = Vec::new();
+        if self.publishes_today(d) {
+            if let Some(shape) = d.shape() {
+                for rd in synthesize_https(d, shape, ctx) {
+                    if d.www_https {
+                        at_www.push(Record::new(www.clone(), ctx.ttl, RData::Https(rd.clone())));
+                    }
+                    at_apex.push(Record::new(d.apex.clone(), ctx.ttl, RData::Https(rd)));
+                }
+            }
+        }
+        (at_apex, at_www)
+    }
+
+    /// Build a domain's zone at its primary (and mixed secondary)
+    /// provider from scratch and (un)delegate it.
+    fn rebuild_zone(&self, idx: usize, ctx: &SynthesisContext) {
+        let d = &self.domains[idx];
         let primary = self.catalog.get(d.provider);
         let www = d.apex.prepend("www").expect("www label fits");
 
@@ -580,25 +644,13 @@ impl World {
             for ns in &ns_names {
                 zone.add(Record::new(d.apex.clone(), 3600, RData::Ns(ns.clone())));
             }
-            zone.add(Record::new(d.apex.clone(), cfg.cf_https_ttl, RData::A(d.a_ip)));
-            zone.add(Record::new(
-                d.apex.clone(),
-                cfg.cf_https_ttl,
-                RData::Aaaa(DomainState::v6_of(d.a_ip)),
-            ));
-            zone.add(Record::new(www.clone(), cfg.cf_https_ttl, RData::A(d.a_ip)));
-            if with_https && publishes {
-                if let Some(shape) = d.shape() {
-                    for rd in synthesize_https(&d, shape, &ctx) {
-                        zone.add(Record::new(
-                            d.apex.clone(),
-                            cfg.cf_https_ttl,
-                            RData::Https(rd.clone()),
-                        ));
-                        if d.www_https {
-                            zone.add(Record::new(www.clone(), cfg.cf_https_ttl, RData::Https(rd)));
-                        }
-                    }
+            zone.add(Record::new(d.apex.clone(), ctx.ttl, RData::A(d.a_ip)));
+            zone.add(Record::new(d.apex.clone(), ctx.ttl, RData::Aaaa(DomainState::v6_of(d.a_ip))));
+            zone.add(Record::new(www.clone(), ctx.ttl, RData::A(d.a_ip)));
+            if with_https {
+                let (at_apex, at_www) = self.https_rrsets(d, &www, ctx);
+                for record in at_apex.into_iter().chain(at_www) {
+                    zone.add(record);
                 }
             }
             if d.signed {
@@ -617,7 +669,7 @@ impl World {
 
         // Delegation: primary endpoints (+ secondary's for mixed sets),
         // unless the domain has lost its delegation.
-        if d.undelegate_day.is_none_or(|ud| day < ud) {
+        if d.undelegate_day.is_none_or(|ud| ctx.day < ud) {
             let mut endpoints = primary.endpoints.clone();
             if let Some(sec) = d.secondary_provider {
                 endpoints.extend(self.catalog.get(sec).endpoints.clone());
@@ -625,6 +677,48 @@ impl World {
             self.registry.delegate(&d.apex, endpoints);
         } else {
             self.registry.undelegate(&d.apex);
+        }
+    }
+
+    /// Replace only a domain's HTTPS RRsets inside its live zone(s): what
+    /// an ECH rotation or a landmark day costs. Everything else in the
+    /// zone, its keys and its delegation are current by the stepping
+    /// invariant; signatures are made at answer time.
+    fn patch_https(&self, idx: usize, ctx: &SynthesisContext) {
+        let d = &self.domains[idx];
+        let www = d.apex.prepend("www").expect("www label fits");
+        // A secondary that does not support HTTPS serves none to patch.
+        let secondary = d.secondary_provider.filter(|&sec| self.provider_supports_https(sec));
+        for provider in std::iter::once(d.provider).chain(secondary) {
+            let (at_apex, at_www) = self.https_rrsets(d, &www, ctx);
+            self.catalog
+                .get(provider)
+                .zones
+                .with_zone(&d.apex, |zone| {
+                    zone.set(d.apex.clone(), RecordType::Https, at_apex);
+                    zone.set(www.clone(), RecordType::Https, at_www);
+                })
+                .expect("every domain has a zone at its providers since build");
+        }
+    }
+
+    /// Bring every stale domain's published view up to the current state,
+    /// once each: a zone rebuild where the zone went stale, an HTTPS
+    /// patch where only its HTTPS records did.
+    fn materialize(&mut self, stale: &[Option<Stale>]) {
+        let ctx = self.synthesis_context();
+        for (idx, kind) in stale.iter().enumerate() {
+            match kind {
+                None => {}
+                Some(Stale::Zone) => {
+                    self.rebuild_zone(idx, &ctx);
+                    self.stats.zones_rebuilt += 1;
+                }
+                Some(Stale::Https) => {
+                    self.patch_https(idx, &ctx);
+                    self.stats.https_patched += 1;
+                }
+            }
         }
     }
 
@@ -652,27 +746,43 @@ impl World {
         self.web_servers.insert(d.id, server);
     }
 
-    /// Advance the world to `day`, applying all intermediate days.
+    /// Advance the world to `day`. State transitions are applied for
+    /// every intermediate day, in order; the views derived from that
+    /// state — zones, delegations, today's list — are materialized once,
+    /// for `day`, since nothing can query the world in between. On return
+    /// the world is exactly what stepping one day per call leaves.
     pub fn step_to_day(&mut self, day: u64) {
         assert!(day >= self.current_day, "world time is monotonic");
-        while self.current_day < day {
-            let next = self.current_day + 1;
-            self.apply_day(next);
+        if day == self.current_day {
+            return;
         }
+        // One slot per domain, owned by this call: however many days are
+        // walked, a domain is materialized once, by its strongest kind.
+        let mut stale = vec![None; self.domains.len()];
+        while self.current_day < day {
+            self.apply_day(self.current_day + 1, &mut stale);
+        }
+        self.materialize(&stale);
+        self.today = self.tranco.day_list(day);
+        self.stats.day_lists += 1;
     }
 
-    /// Apply one day of evolution via the dirty set: the union of the
-    /// day's scheduled events, toggle boundaries, sampled renumber
+    /// Apply one day of state transitions via the dirty set: the union of
+    /// the day's scheduled events, toggle boundaries, sampled renumber
     /// starts, queued record syncs, and the rotation/landmark cohorts.
     /// Only those domains are visited; cost is proportional to churn,
-    /// not population.
-    fn apply_day(&mut self, day: u64) {
+    /// not population. Everything order-dependent (address allocation,
+    /// web bindings, the pending wheel) happens here, day by day; what a
+    /// visit leaves stale in the published view is recorded in `stale`
+    /// (indexed like `domains`) for the caller to materialize.
+    fn apply_day(&mut self, day: u64, stale: &mut [Option<Stale>]) {
         self.current_day = day;
         self.clock.set(Timestamp(day * 86_400));
         let rotated = self.cf_ech.refresh(self.clock.now());
         let lm = self.config.landmarks;
 
-        let mut dirty: Vec<u32> = self.schedule.events.get(&day).cloned().unwrap_or_default();
+        // A day is applied exactly once: both buckets are consumed.
+        let mut dirty: Vec<u32> = self.schedule.events.remove(&day).unwrap_or_default();
         if let Some(mut due) = self.schedule.pending.remove(&day) {
             dirty.append(&mut due);
         }
@@ -681,9 +791,9 @@ impl World {
                 dirty.push(idx);
             }
         }
-        if day == lm.h3_29_sunset || day == lm.ech_disable {
+        if lm.forces_cf_resync(day) {
             dirty.extend_from_slice(&self.schedule.cf_ids);
-        } else if rotated && day < lm.ech_disable {
+        } else if rotated && lm.ech_live(day) {
             // ECH domains are a subset of the Cloudflare cohort, so the
             // landmark branch above already covers them on those days.
             dirty.extend_from_slice(&self.schedule.ech_ids);
@@ -693,21 +803,16 @@ impl World {
         dirty.sort_unstable();
         dirty.dedup();
 
-        let mut resync: Vec<u32> = Vec::with_capacity(dirty.len());
         for &idx in &dirty {
             let renumber = renumbers.binary_search(&idx).is_ok();
-            let (changed, rebind) = self.visit_domain(idx as usize, day, rotated, renumber);
+            let (went_stale, rebind) = self.visit_domain(idx as usize, day, rotated, renumber);
             if rebind {
                 self.finish_renumber(idx as usize);
             }
-            if changed {
-                resync.push(idx);
-            }
+            let slot = &mut stale[idx as usize];
+            *slot = (*slot).max(went_stale);
         }
-        for idx in resync {
-            self.sync_domain(idx as usize);
-        }
-        self.today = self.tranco.day_list(day);
+        self.stats.days_applied += 1;
     }
 
     /// Sample the set of domains that renumber on `day` (ascending,
@@ -742,22 +847,26 @@ impl World {
     }
 
     /// Apply every day-`day` state transition to one domain; returns
-    /// `(needs re-sync, needs renumber completion)`. Mirrors the checks
+    /// `(what went stale, needs renumber completion)`. Mirrors the checks
     /// the historical full sweep ran per domain — the dirty set decides
-    /// who gets visited, this decides what actually changed.
+    /// who gets visited, this decides what actually changed. Every input
+    /// of `rebuild_zone`/`https_rrsets` that can change must be reported
+    /// here: with materialization deferred to the end of a walk, a missed
+    /// one is a zone that stays stale, not a one-day glitch.
     fn visit_domain(
         &mut self,
         idx: usize,
         day: u64,
         rotated: bool,
         renumber: bool,
-    ) -> (bool, bool) {
+    ) -> (Option<Stale>, bool) {
         let lm = self.config.landmarks;
         let hint_lag_mean_days = self.config.hint_lag_mean_days;
         let seed = self.config.seed;
-        let mut changed = false;
+        let mut went_stale: Option<Stale> = None;
         let mut rebind = false;
         let mut pending_wake: Option<u64> = None;
+        let mut left_provider: Option<ProviderId> = None;
         {
             let d = &mut self.domains[idx];
 
@@ -767,25 +876,28 @@ impl World {
                 if let HttpsIntent::CfProxied(_) = d.intent {
                     d.proxied = true;
                 }
-                changed = true;
+                went_stale = Some(Stale::Zone);
             }
             // Periodic proxied toggling (§4.2.3 same-NS intermittency).
             if let Some(period) = d.toggle_period {
                 let on = (day / period).is_multiple_of(2);
                 if d.proxied != on {
                     d.proxied = on;
-                    changed = true;
+                    went_stale = Some(Stale::Zone);
                 }
             }
             // NS migration (§4.2.3): provider change loses the record.
             if let Some((md, new_provider)) = d.migrate {
                 if md == day {
-                    d.provider = new_provider;
-                    changed = true;
+                    let old = std::mem::replace(&mut d.provider, new_provider);
+                    if old != new_provider && d.secondary_provider != Some(old) {
+                        left_provider = Some(old);
+                    }
+                    went_stale = Some(Stale::Zone);
                 }
             }
             if d.undelegate_day == Some(day) {
-                changed = true;
+                went_stale = Some(Stale::Zone);
             }
 
             // Renumbering with lagging records (§4.3.5); membership was
@@ -806,7 +918,7 @@ impl World {
                 d.pending_a_sync = a_lags.then_some(day + lag);
                 d.pending_hint_sync = (!a_lags).then_some(day + lag);
                 pending_wake = Some(day + lag);
-                changed = true;
+                went_stale = Some(Stale::Zone);
                 rebind = true;
             }
             // Pending syncs completing today.
@@ -814,30 +926,35 @@ impl World {
                 d.pending_a_sync = None;
                 d.a_ip = d.ip;
                 d.old_ip_live = None;
-                changed = true;
+                went_stale = Some(Stale::Zone);
             }
             if d.pending_hint_sync == Some(day) {
                 d.pending_hint_sync = None;
                 d.hint_ip = d.ip;
                 d.old_ip_live = None;
-                changed = true;
+                went_stale = Some(Stale::Zone);
             }
 
-            // Landmark days force re-synthesis of Cloudflare records.
-            if (day == lm.h3_29_sunset || day == lm.ech_disable)
-                && matches!(d.intent, HttpsIntent::CfProxied(_))
+            // Landmark days re-synthesize Cloudflare's HTTPS records,
+            // and an ECH rotation changes the ECH domains' record bytes;
+            // neither touches anything else in the zone.
+            if (lm.forces_cf_resync(day) && matches!(d.intent, HttpsIntent::CfProxied(_)))
+                || (rotated && d.ech_enabled && lm.ech_live(day))
             {
-                changed = true;
-            }
-            // ECH rotation changes record bytes for ECH domains.
-            if rotated && d.ech_enabled && day < lm.ech_disable {
-                changed = true;
+                went_stale = went_stale.max(Some(Stale::Https));
             }
         }
         if let Some(wake) = pending_wake {
             self.schedule.pending.entry(wake).or_default().push(idx as u32);
         }
-        (changed, rebind)
+        if let Some(old) = left_provider {
+            // The provider the domain left stops serving its zone. Nothing
+            // could reach it (the delegation moves with the rebuild), and
+            // a zone nobody re-syncs would freeze at whatever day it was
+            // last materialized.
+            self.catalog.get(old).zones.remove(&self.domains[idx].apex);
+        }
+        (went_stale, rebind)
     }
 
     /// Complete a renumber started in `apply_day`: allocate the new
@@ -865,18 +982,27 @@ impl World {
     }
 
     /// Advance within the current day by whole hours (for the §4.4.2
-    /// hourly ECH scans), re-syncing ECH-bearing records on rotation
-    /// (the build-time ECH cohort; membership never changes).
+    /// hourly ECH scans). Like [`World::step_to_day`]: rotations are
+    /// applied hour by hour, the ECH cohort's records (the build-time
+    /// cohort; membership never changes) are re-published once on return.
     pub fn advance_hours(&mut self, hours: u64) {
+        let mut rotated = false;
         for _ in 0..hours {
             self.clock.advance(3_600);
-            if self.cf_ech.refresh(self.clock.now()) {
-                for i in 0..self.schedule.ech_ids.len() {
-                    let idx = self.schedule.ech_ids[i] as usize;
-                    self.sync_domain(idx);
-                }
-            }
+            rotated |= self.cf_ech.refresh(self.clock.now());
         }
+        if rotated && self.config.landmarks.ech_live(self.current_day) {
+            let mut stale = vec![None; self.domains.len()];
+            for &idx in &self.schedule.ech_ids {
+                stale[idx as usize] = Some(Stale::Https);
+            }
+            self.materialize(&stale);
+        }
+    }
+
+    /// What stepping has cost so far; see [`StepStats`].
+    pub fn step_stats(&self) -> StepStats {
+        self.stats
     }
 
     /// Today's Tranco list.

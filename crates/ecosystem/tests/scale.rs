@@ -1,16 +1,21 @@
 //! Scale contracts for the ecosystem layer: the parallel chunked
 //! day-list scorer is byte-identical to the sequential reference for
 //! every thread count, the golden pre-refactor fingerprints still hold,
-//! the shared day-list cache hands every consumer one `Arc`, and the
-//! 100 k-population world allocates collision-free addresses.
+//! the shared day-list cache hands every consumer one `Arc`, the
+//! 100 k-population world allocates collision-free addresses, and world
+//! stepping materializes derived state once per call without the result
+//! depending on how the days were grouped into calls (jump = walk,
+//! patch = rebuild).
 //!
 //! CI runs the thread-sensitive tests under the same matrix as the
 //! resolver determinism suite: set `RESOLVER_TEST_THREADS` to a
 //! comma-separated list (e.g. `16,32`) to extend the default
 //! `{1, 2, 4, 8}` axis.
 
-use ecosystem::{EcosystemConfig, TrancoModel, World};
+use ecosystem::{EcosystemConfig, HttpsIntent, TrancoModel, World};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
 
 /// Thread counts to exercise: the built-in axis plus any counts named in
@@ -170,8 +175,13 @@ fn world_today_is_the_cached_day_list() {
     world.step_to_day(5);
     let today = world.today_list_shared();
     assert!(Arc::ptr_eq(&today, &world.tranco.day_list(5)));
-    // Stepping computed each day exactly once; the re-requests above hit.
-    assert_eq!(world.tranco.day_cache().misses(), 6);
+    // A list is a derived view: stepping computes it for the day it
+    // lands on, not for the four days it passed through (which nothing
+    // could observe). Day 0 at build + day 5 = 2 computations (this read
+    // 6 while every walked day scored a list); the re-requests above hit.
+    assert_eq!(world.tranco.day_cache().misses(), 2);
+    assert_eq!(world.step_stats().day_lists, 1);
+    assert_eq!(world.step_stats().days_applied, 5);
 }
 
 #[test]
@@ -231,6 +241,207 @@ fn renumber_volume_tracks_configured_rates() {
     );
 }
 
+/// What a day-by-day walk did, re-derived from outside by diffing the
+/// public `DomainState`s around each one-day step: an oracle for the
+/// wake-ups `World::apply_day` must report, independent of its code.
+#[derive(Default)]
+struct WalkLog {
+    /// Every domain some day of the walk left stale.
+    stale: BTreeSet<u32>,
+    /// Every address a domain's service ever lived at (live + retired).
+    addresses: BTreeSet<Ipv4Addr>,
+    toggle_days: Vec<u64>,
+    migration_days: Vec<u64>,
+    undelegation_days: Vec<u64>,
+    renumber_days: Vec<u64>,
+    a_sync_days: Vec<u64>,
+    hint_sync_days: Vec<u64>,
+}
+
+/// Step `world` one day per call up to `to`, logging what happened.
+fn walk(world: &mut World, to: u64, log: &mut WalkLog) {
+    let lm = world.config.landmarks;
+    log.addresses.extend(world.domains.iter().flat_map(|d| [d.ip, d.hint_ip]));
+    for day in world.current_day + 1..=to {
+        // The fields a day can change (the rest of a `DomainState` is
+        // fixed at build).
+        let before: Vec<_> = world
+            .domains
+            .iter()
+            .map(|d| (d.proxied, d.provider, d.ip, d.pending_a_sync, d.pending_hint_sync))
+            .collect();
+        let configs = world.cf_ech.configs();
+        world.step_to_day(day);
+        // The key rotates every 1.1–1.4 h: every day is a rotated day.
+        assert_ne!(configs, world.cf_ech.configs(), "no ECH rotation on day {day}");
+        for (&(proxied, provider, ip, a_sync, hint_sync), a) in before.iter().zip(&world.domains) {
+            let mut events = [
+                (a.proxied != proxied && a.toggle_period.is_some(), Some(&mut log.toggle_days)),
+                (a.provider != provider, Some(&mut log.migration_days)),
+                (a.undelegate_day == Some(day), Some(&mut log.undelegation_days)),
+                (a.ip != ip, Some(&mut log.renumber_days)),
+                (a_sync == Some(day), Some(&mut log.a_sync_days)),
+                (hint_sync == Some(day), Some(&mut log.hint_sync_days)),
+                (a.adoption_day == Some(day), None),
+                (lm.forces_cf_resync(day) && matches!(a.intent, HttpsIntent::CfProxied(_)), None),
+                (a.ech_enabled && lm.ech_live(day), None),
+            ];
+            for (happened, days) in &mut events {
+                if *happened {
+                    log.stale.insert(a.id);
+                    if let Some(days) = days {
+                        days.push(day);
+                    }
+                }
+            }
+            if a.ip != ip {
+                log.addresses.insert(a.ip);
+            }
+        }
+    }
+}
+
+/// Everything a query can reach: per domain, its zone at every provider
+/// (records, signed or not — absent where the provider does not serve
+/// it) and its delegation.
+fn published_view(world: &World) -> Vec<String> {
+    world
+        .domains
+        .iter()
+        .map(|d| {
+            let mut view = format!("{:?}\n", world.registry.endpoints_of(&d.apex));
+            for infra in world.catalog.all() {
+                let zone = infra
+                    .zones
+                    .read_zone(&d.apex, |z| format!("signed={}\n{}", z.is_signed(), z.to_text()));
+                if let Some(text) = zone {
+                    view.push_str(&format!("@{}: {text}", infra.spec.org));
+                }
+            }
+            view
+        })
+        .collect()
+}
+
+/// Two worlds are indistinguishable: state, published view, today's
+/// list, and which addresses accept connections.
+fn assert_same_world(walked: &World, jumped: &World, addresses: &BTreeSet<Ipv4Addr>) {
+    let day = walked.current_day;
+    assert_eq!(day, jumped.current_day);
+    assert_eq!(walked.clock.now(), jumped.clock.now(), "day {day}");
+    assert_eq!(walked.cf_ech.configs(), jumped.cf_ech.configs(), "day {day}");
+    assert_eq!(walked.today_list().ranked(), jumped.today_list().ranked(), "day {day}");
+    for (x, y) in walked.domains.iter().zip(&jumped.domains) {
+        // Every field, including ones added later.
+        assert_eq!(format!("{x:?}"), format!("{y:?}"), "day {day}");
+        let ech = |w: &World| w.web_server_of(x.id).map(|s| s.current_ech_configs());
+        assert_eq!(ech(walked), ech(jumped), "day {day}: web server keys of {}", x.apex);
+    }
+    for (x, y) in published_view(walked).iter().zip(&published_view(jumped)) {
+        assert_eq!(x, y, "day {day}");
+    }
+    for &ip in addresses {
+        for port in [443, 80] {
+            assert_eq!(
+                walked.network.can_connect(IpAddr::V4(ip), port).is_ok(),
+                jumped.network.can_connect(IpAddr::V4(ip), port).is_ok(),
+                "day {day}: {ip}:{port}"
+            );
+        }
+    }
+}
+
+/// Stops on both sides of every landmark (h3-29 sunset 23, hint fix 42,
+/// source change 85, ECH kill switch 150). Migrations are drawn from
+/// days 82–246 and undelegations from days 164–328 (`tiny()`'s only one
+/// falls on 328), hence the last stop one day past the study's end.
+const JUMP_STOPS: [u64; 12] = [20, 23, 24, 42, 85, 100, 149, 150, 160, 230, 260, 329];
+
+/// jump = walk and patch = rebuild for one config: a world stepped one
+/// day per call and a world stepped stop to stop agree at every stop,
+/// and re-syncing every domain of either from scratch changes nothing.
+fn assert_stepping_is_grouping_invariant(config: EcosystemConfig) {
+    let mut walked = World::build(config.clone());
+    let mut jumped = World::build(config);
+    let mut log = WalkLog::default();
+    for stop in JUMP_STOPS {
+        walk(&mut walked, stop, &mut log);
+        jumped.step_to_day(stop);
+        assert_same_world(&walked, &jumped, &log.addresses);
+    }
+
+    // The window must exercise every kind of transition on a day the
+    // jumping world never stopped at, or the comparison proves nothing.
+    let inside_a_jump = |days: &[u64]| days.iter().any(|d| !JUMP_STOPS.contains(d));
+    assert!(inside_a_jump(&log.toggle_days), "no toggle inside a jump");
+    assert!(inside_a_jump(&log.migration_days), "no migration inside a jump");
+    assert!(inside_a_jump(&log.undelegation_days), "no undelegation inside a jump");
+    assert!(inside_a_jump(&log.renumber_days), "no renumber inside a jump");
+    assert!(inside_a_jump(&log.a_sync_days), "no A-record sync inside a jump");
+    assert!(inside_a_jump(&log.hint_sync_days), "no hint sync inside a jump");
+    assert!(
+        log.addresses.iter().any(|&ip| walked.network.can_connect(IpAddr::V4(ip), 443).is_err()),
+        "no retired address was ever unbound"
+    );
+
+    let jumps = jumped.step_stats();
+    let walks = walked.step_stats();
+    assert_eq!(jumps.days_applied, walks.days_applied);
+    assert_eq!(jumps.day_lists, JUMP_STOPS.len() as u64);
+    assert!(jumps.zones_rebuilt + jumps.https_patched < walks.zones_rebuilt + walks.https_patched);
+
+    // patch = rebuild: the walked world's zones have been patched on
+    // every rotation and landmark day; the jumped one's at every stop.
+    for mut world in [walked, jumped] {
+        let before = published_view(&world);
+        for idx in 0..world.domains.len() {
+            world.sync_domain(idx);
+        }
+        for (x, y) in before.iter().zip(&published_view(&world)) {
+            assert_eq!(x, y, "a full re-sync changed a published zone");
+        }
+    }
+}
+
+#[test]
+fn jumping_equals_walking_and_patching_equals_rebuilding() {
+    assert_stepping_is_grouping_invariant(EcosystemConfig::tiny());
+    assert_stepping_is_grouping_invariant(EcosystemConfig {
+        population: 1_500,
+        list_size: 600,
+        ..EcosystemConfig::default()
+    });
+}
+
+#[test]
+fn step_stats_count_one_materialization_per_stale_domain() {
+    let mut walked = World::build(EcosystemConfig::tiny());
+    let mut log = WalkLog::default();
+    walk(&mut walked, 28, &mut log);
+
+    let mut world = World::build(EcosystemConfig::tiny());
+    world.step_to_day(28);
+    let stats = world.step_stats();
+    assert_eq!(stats.days_applied, 28);
+    assert_eq!(stats.day_lists, 1);
+    // One rebuild or patch per domain any of the 28 days left stale …
+    assert_eq!(stats.zones_rebuilt + stats.https_patched, log.stale.len() as u64);
+    assert!(stats.zones_rebuilt > 0 && stats.https_patched > 0, "{stats:?}");
+    // … not one per domain per day, as when every walked day synced.
+    let ech_cohort = world.domains.iter().filter(|d| d.ech_enabled).count() as u64;
+    assert!(stats.zones_rebuilt + stats.https_patched < 28 * ech_cohort);
+    let per_day = walked.step_stats();
+    assert!(per_day.zones_rebuilt + per_day.https_patched >= 22 * ech_cohort, "{per_day:?}");
+
+    // Stepping to the current day is a no-op.
+    let today = world.today_list_shared();
+    let view = published_view(&world);
+    world.step_to_day(28);
+    assert_eq!(world.step_stats(), stats);
+    assert!(Arc::ptr_eq(&today, &world.today_list_shared()));
+    assert_eq!(view, published_view(&world));
+}
+
 /// Slow (≈1 min in debug): run with `--ignored`, as the CI scale job
 /// does in release mode.
 #[test]
@@ -250,4 +461,15 @@ fn hundred_k_world_has_no_duplicate_addresses() {
         }
     }
     assert!(seen.len() >= 100_000);
+}
+
+/// The jump = walk / patch = rebuild contract at Tranco scale.
+#[test]
+#[ignore = "builds two 100k-population worlds; run with --ignored (CI scale job)"]
+fn hundred_k_jumping_equals_walking() {
+    assert_stepping_is_grouping_invariant(EcosystemConfig {
+        population: 100_000,
+        list_size: 10_000,
+        ..EcosystemConfig::default()
+    });
 }

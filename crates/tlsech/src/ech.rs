@@ -125,7 +125,10 @@ impl EchConfigList {
 /// paper measures in §4.4.2: a current key plus a grace window of recent
 /// keys, so clients holding DNS-cached configs keep working until the
 /// caches expire.
-#[derive(Debug)]
+///
+/// `Clone` copies the whole key state, so a server handed a clone accepts
+/// exactly what the original advertises and accepted at that moment.
+#[derive(Debug, Clone)]
 pub struct EchKeyManager {
     /// The client-facing name advertised in configs.
     pub public_name: DnsName,
@@ -258,6 +261,36 @@ mod tests {
         mgr.rotate("seed");
         assert!(mgr.open(b"", &sealed0).is_none());
         assert_eq!(mgr.rotations(), 2);
+    }
+
+    #[test]
+    fn clone_equals_a_manager_replayed_from_the_seed() {
+        // A clone must be indistinguishable from a manager rebuilt by
+        // replaying every rotation: same advertised bytes, same rotation
+        // count, same current and grace keys.
+        let mut mgr = EchKeyManager::new(name("cloudflare-ech.com"), "cf-ech", 2);
+        let mut sealed = Vec::new();
+        for i in 0..50u32 {
+            if i >= 47 {
+                sealed.push(mgr.current_config().public_key.seal(b"aad", b"grace"));
+            }
+            mgr.rotate("cf-ech");
+        }
+        // Sealed to the key three rotations back (aged out of a depth-2
+        // window), the two grace keys, and the current key.
+        sealed.push(mgr.current_config().public_key.seal(b"aad", b"current"));
+        let clone = mgr.clone();
+        let mut replayed = EchKeyManager::new(name("cloudflare-ech.com"), "cf-ech", 2);
+        for _ in 0..50 {
+            replayed.rotate("cf-ech");
+        }
+        assert_eq!(clone.current_config_list().encode(), replayed.current_config_list().encode());
+        assert_eq!(clone.rotations(), 50);
+        assert_eq!(clone.rotations(), replayed.rotations());
+        for (i, payload) in sealed.iter().enumerate() {
+            assert_eq!(clone.open(b"aad", payload), replayed.open(b"aad", payload), "payload {i}");
+            assert_eq!(clone.open(b"aad", payload).is_some(), i > 0, "payload {i}");
+        }
     }
 
     #[test]
