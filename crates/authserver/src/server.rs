@@ -240,7 +240,7 @@ impl AuthoritativeServer {
             return None;
         }
         let q = &query.questions[0];
-        if !q.name.labels().iter().all(|l| l.iter().all(|&b| plain_lowercase_byte(b))) {
+        if !q.name.labels().all(|l| l.iter().all(|&b| plain_lowercase_byte(b))) {
             return None;
         }
         let apex = self.zones.find_zone_for(&q.name)?;

@@ -437,9 +437,10 @@ fn substitute_dname(name: &DnsName, owner: &DnsName, target: &DnsName) -> Option
         return None;
     }
     let keep = name.label_count() - owner.label_count();
-    let mut labels: Vec<Vec<u8>> = name.labels()[..keep].to_vec();
-    labels.extend(target.labels().iter().cloned());
-    Some(DnsName::from_labels(labels))
+    // An over-long substitution has no CNAME to synthesize (RFC 6672
+    // §2.2 answers YXDOMAIN); the lookup falls through as if no DNAME
+    // applied.
+    DnsName::from_labels(name.labels().take(keep).chain(target.labels())).ok()
 }
 
 /// The RRSIG RDATA values inside a set of RRSIG records.
@@ -569,6 +570,26 @@ mod tests {
             LookupResult::Found { records, .. } => assert_eq!(records.len(), 1),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn dname_substitution_past_255_octets_is_no_substitution() {
+        // RFC 6672 §2.2: a substituted name over 255 octets is YXDOMAIN,
+        // never a CNAME to an unrepresentable name.
+        let long = "t".repeat(63);
+        let target = name(&format!("{long}.{long}.{long}.org"));
+        let mut z = Zone::new(name("a.com"));
+        z.add(Record::new(name("legacy.a.com"), 300, RData::Dname(target.clone())));
+        let fits = name("svc.legacy.a.com");
+        match z.lookup(&fits, RecordType::A) {
+            LookupResult::Cname { target: synth, .. } => {
+                assert_eq!(synth, target.prepend("svc").unwrap());
+            }
+            other => panic!("{other:?}"),
+        }
+        let overflows = name(&format!("{}.legacy.a.com", "x".repeat(63)));
+        assert!(overflows.wire_len() - name("legacy.a.com").wire_len() + target.wire_len() > 255);
+        assert_eq!(z.lookup(&overflows, RecordType::A), LookupResult::NxDomain);
     }
 
     #[test]

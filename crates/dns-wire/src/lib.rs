@@ -57,7 +57,8 @@ mod proptests {
     }
 
     fn arb_name() -> impl Strategy<Value = DnsName> {
-        proptest::collection::vec(arb_label(), 0..5).prop_map(DnsName::from_labels)
+        proptest::collection::vec(arb_label(), 0..5)
+            .prop_map(|labels| DnsName::from_labels(labels).unwrap())
     }
 
     fn arb_svcparam() -> impl Strategy<Value = SvcParam> {

@@ -1,11 +1,12 @@
-//! Domain names: label sequences with case-insensitive semantics,
-//! wire encoding/decoding (including RFC 1035 compression pointers),
-//! and presentation-format parsing/printing.
+//! Domain names: one flat, shared buffer per name with case-insensitive
+//! semantics, wire encoding/decoding (including RFC 1035 compression
+//! pointers), and presentation-format parsing/printing.
 
 use crate::error::{ParseError, WireError};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Maximum wire length of a name (RFC 1035 §3.1).
 pub const MAX_NAME_WIRE_LEN: usize = 255;
@@ -13,12 +14,24 @@ pub const MAX_NAME_WIRE_LEN: usize = 255;
 pub const MAX_LABEL_LEN: usize = 63;
 /// Budget of compression pointers followed before declaring a loop.
 pub(crate) const MAX_POINTER_HOPS: usize = 64;
+/// Longest flat form: the wire form without its root octet.
+const MAX_FLAT_LEN: usize = MAX_NAME_WIRE_LEN - 1;
+/// Most labels a name can carry (a label takes at least two octets).
+const MAX_LABELS: usize = MAX_FLAT_LEN / 2;
 
 /// A fully-qualified DNS domain name.
 ///
-/// Stored as a sequence of raw labels (without the root label). Comparison
-/// and hashing are case-insensitive over ASCII, per RFC 1035 §2.3.3; the
-/// original case is preserved for display.
+/// Stored flat: the uncompressed wire form without the root octet
+/// (`3www7Example3COM`), original case preserved, in one
+/// reference-counted buffer. A clone is a reference count, and
+/// [`DnsName::parent`] shares its child's buffer from one label
+/// further in, so walking a name's ancestors allocates nothing.
+///
+/// Every length octet is at most 63 and so sits below `'A'`: folding
+/// ASCII case over the whole buffer folds exactly the label bytes, which
+/// is what lets equality be one case-insensitive slice comparison.
+/// Comparison and hashing are case-insensitive over ASCII, per RFC 1035
+/// §2.3.3; the original case is preserved for display.
 ///
 /// ```
 /// use dns_wire::DnsName;
@@ -27,126 +40,209 @@ pub(crate) const MAX_POINTER_HOPS: usize = 64;
 /// assert_eq!(a, b);
 /// assert_eq!(a.to_string(), "WWW.Example.COM.");
 /// ```
-#[derive(Debug, Clone, Eq)]
+#[derive(Clone)]
 pub struct DnsName {
-    labels: Vec<Vec<u8>>,
+    /// Length-prefixed labels, most-specific first, no root octet. Every
+    /// label is 1..=63 octets and the whole is at most 254, so offsets
+    /// and lengths fit a `u8`.
+    buf: Arc<[u8]>,
+    /// Where this name starts in `buf`; always on a length octet, or at
+    /// `buf.len()` for the root.
+    start: u8,
+}
+
+/// A name being assembled on the stack, so that building one allocates
+/// once, when it is frozen. The one place that enforces the label and
+/// name length limits the flat layout depends on.
+struct Flat {
+    bytes: [u8; MAX_FLAT_LEN],
+    len: usize,
+}
+
+impl Flat {
+    fn new() -> Flat {
+        Flat { bytes: [0; MAX_FLAT_LEN], len: 0 }
+    }
+
+    fn push_label(&mut self, label: &[u8]) -> Result<(), WireError> {
+        if label.is_empty() {
+            return Err(WireError::InvalidValue { context: "empty label" });
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(WireError::LabelTooLong(label.len()));
+        }
+        let body = self.reserve(1 + label.len())?;
+        body[0] = label.len() as u8;
+        body[1..].copy_from_slice(label);
+        Ok(())
+    }
+
+    /// Append every label of an already valid name.
+    fn push_name(&mut self, name: &DnsName) -> Result<(), WireError> {
+        let wire = name.wire();
+        self.reserve(wire.len())?.copy_from_slice(wire);
+        Ok(())
+    }
+
+    fn reserve(&mut self, n: usize) -> Result<&mut [u8], WireError> {
+        let end = self.len + n;
+        if end > MAX_FLAT_LEN {
+            return Err(WireError::NameTooLong(end + 1)); // + root octet
+        }
+        let body = &mut self.bytes[self.len..end];
+        self.len = end;
+        Ok(body)
+    }
+
+    fn freeze(&self) -> DnsName {
+        if self.len == 0 {
+            DnsName::root()
+        } else {
+            DnsName { buf: Arc::from(&self.bytes[..self.len]), start: 0 }
+        }
+    }
 }
 
 impl DnsName {
-    /// The root name (`.`).
+    /// The root name (`.`). Every root shares one static empty buffer.
     pub fn root() -> Self {
-        DnsName { labels: Vec::new() }
+        static ROOT: OnceLock<Arc<[u8]>> = OnceLock::new();
+        DnsName { buf: ROOT.get_or_init(|| Arc::from([])).clone(), start: 0 }
     }
 
-    /// Build from raw labels (no root label). Labels are used as-is.
-    pub fn from_labels(labels: Vec<Vec<u8>>) -> Self {
-        DnsName { labels }
+    /// Build from raw labels (no root label), most-specific first.
+    /// Labels may hold any octets but must be 1..=63 long, and the name
+    /// at most 255 octets on the wire.
+    pub fn from_labels<I>(labels: I) -> Result<Self, WireError>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[u8]>,
+    {
+        let mut flat = Flat::new();
+        for label in labels {
+            flat.push_label(label.as_ref())?;
+        }
+        Ok(flat.freeze())
     }
 
     /// Parse a presentation-format name such as `www.example.com` or
-    /// `example.com.`. A lone `.` yields the root name. Simple `\.`
-    /// escapes inside labels are honoured.
+    /// `example.com.`. A lone `.` yields the root name. `\.`-style
+    /// escapes and the `\DDD` decimal escapes [`fmt::Display`] emits
+    /// are honoured.
     pub fn parse(s: &str) -> Result<Self, ParseError> {
         let s = s.trim();
+        let bad = || ParseError::BadName(s.to_string());
         if s.is_empty() {
-            return Err(ParseError::BadName(s.to_string()));
+            return Err(bad());
         }
         if s == "." {
             return Ok(DnsName::root());
         }
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        let mut current: Vec<u8> = Vec::new();
-        let mut chars = s.bytes().peekable();
-        while let Some(b) = chars.next() {
-            match b {
-                b'\\' => {
-                    let esc = chars.next().ok_or_else(|| ParseError::BadName(s.to_string()))?;
-                    current.push(esc);
-                }
-                b'.' => {
-                    if current.is_empty() {
-                        return Err(ParseError::BadName(s.to_string()));
+        let mut flat = Flat::new();
+        let mut label = [0u8; MAX_LABEL_LEN];
+        let mut n = 0usize;
+        let mut rest = s.as_bytes();
+        while let Some((&b, tail)) = rest.split_first() {
+            rest = tail;
+            let octet = match b {
+                b'\\' => match rest {
+                    [h @ b'0'..=b'9', t @ b'0'..=b'9', u @ b'0'..=b'9', tail @ ..]
+                        if (*h, *t, *u) <= (b'2', b'5', b'5') =>
+                    {
+                        rest = tail;
+                        (h - b'0') * 100 + (t - b'0') * 10 + (u - b'0')
                     }
-                    labels.push(std::mem::take(&mut current));
+                    [esc, tail @ ..] => {
+                        rest = tail;
+                        *esc
+                    }
+                    [] => return Err(bad()),
+                },
+                b'.' => {
+                    flat.push_label(&label[..n]).map_err(|_| bad())?;
+                    n = 0;
+                    continue;
                 }
-                _ => current.push(b),
-            }
+                _ => b,
+            };
+            *label.get_mut(n).ok_or_else(bad)? = octet;
+            n += 1;
         }
-        if !current.is_empty() {
-            labels.push(current);
+        if n > 0 {
+            flat.push_label(&label[..n]).map_err(|_| bad())?;
         }
-        let name = DnsName { labels };
-        if name.labels.iter().any(|l| l.len() > MAX_LABEL_LEN) {
-            return Err(ParseError::BadName(s.to_string()));
-        }
-        if name.wire_len() > MAX_NAME_WIRE_LEN {
-            return Err(ParseError::BadName(s.to_string()));
-        }
-        Ok(name)
+        Ok(flat.freeze())
+    }
+
+    /// The flat form: length-prefixed labels without the root octet.
+    pub(crate) fn wire(&self) -> &[u8] {
+        &self.buf[self.start as usize..]
     }
 
     /// The labels of this name, most-specific first, excluding the root.
-    pub fn labels(&self) -> &[Vec<u8>] {
-        &self.labels
+    pub fn labels(&self) -> Labels<'_> {
+        Labels { rest: self.wire() }
     }
 
     /// Number of labels (the root name has zero).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire().is_empty()
     }
 
     /// Length of the uncompressed wire encoding (labels + root octet).
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire().len() + 1
     }
 
     /// The name with its leftmost label removed; `None` for the root.
+    /// Shares this name's buffer.
     pub fn parent(&self) -> Option<DnsName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DnsName { labels: self.labels[1..].to_vec() })
-        }
+        let first = *self.wire().first()?;
+        Some(DnsName { buf: self.buf.clone(), start: self.start + 1 + first })
     }
 
     /// Prepend a label, e.g. `example.com`.prepend("www") = `www.example.com`.
     pub fn prepend(&self, label: &str) -> Result<DnsName, ParseError> {
-        if label.is_empty() || label.len() > MAX_LABEL_LEN || label.contains('.') {
-            return Err(ParseError::BadName(label.to_string()));
+        let bad = |_| ParseError::BadName(label.to_string());
+        if label.contains('.') {
+            return Err(bad(()));
         }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.as_bytes().to_vec());
-        labels.extend(self.labels.iter().cloned());
-        let name = DnsName { labels };
-        if name.wire_len() > MAX_NAME_WIRE_LEN {
-            return Err(ParseError::BadName(label.to_string()));
-        }
-        Ok(name)
+        let mut flat = Flat::new();
+        flat.push_label(label.as_bytes()).map_err(|_| bad(()))?;
+        flat.push_name(self).map_err(|_| bad(()))?;
+        Ok(flat.freeze())
     }
 
     /// True when `self` equals `other` or is a descendant of it.
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, other: &DnsName) -> bool {
-        if other.labels.len() > self.labels.len() {
+        let (mine, theirs) = (self.wire(), other.wire());
+        let Some(cut) = mine.len().checked_sub(theirs.len()) else {
+            return false;
+        };
+        if !mine[cut..].eq_ignore_ascii_case(theirs) {
             return false;
         }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..].iter().zip(other.labels.iter()).all(|(a, b)| eq_label(a, b))
+        // Matching bytes are not enough: `other` has to start where one
+        // of our labels starts (`badexample.com` is not under
+        // `example.com`, nor the one label `a\003com` under `com`).
+        let mut pos = 0;
+        while pos < cut {
+            pos += 1 + mine[pos] as usize;
+        }
+        pos == cut
     }
 
     /// The canonical (lowercased) uncompressed wire form; used as a
     /// compression-dictionary key and in DNSSEC-style canonical ordering.
     pub fn canonical_wire(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
-        for label in &self.labels {
-            out.push(label.len() as u8);
-            out.extend(label.iter().map(|b| b.to_ascii_lowercase()));
-        }
+        out.extend(self.wire().iter().map(u8::to_ascii_lowercase));
         out.push(0);
         out
     }
@@ -154,7 +250,7 @@ impl DnsName {
     /// Lowercased presentation form without trailing dot (root → `.`),
     /// convenient as a map key in higher layers.
     pub fn key(&self) -> String {
-        let mut s = String::new();
+        let mut s = String::with_capacity(self.wire().len().max(1));
         self.write_key(&mut s);
         s
     }
@@ -163,11 +259,11 @@ impl DnsName {
     /// fresh `String` — hot paths (e.g. batch partitioning) reuse one
     /// cleared buffer across many names.
     pub fn write_key(&self, out: &mut String) {
-        if self.labels.is_empty() {
+        if self.is_root() {
             out.push('.');
             return;
         }
-        for (i, label) in self.labels.iter().enumerate() {
+        for (i, label) in self.labels().enumerate() {
             if i > 0 {
                 out.push('.');
             }
@@ -235,11 +331,10 @@ impl DnsName {
     /// Decode a (possibly compressed) name from `buf` starting at `start`.
     /// Returns the name and the offset at which sequential reading resumes.
     pub fn decode_at(buf: &[u8], start: usize) -> Result<(DnsName, usize), WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        let mut flat = Flat::new();
         let mut pos = start;
         let mut resume: Option<usize> = None;
         let mut hops = 0usize;
-        let mut wire_len = 1usize; // root octet
 
         loop {
             let len_byte =
@@ -249,20 +344,14 @@ impl DnsName {
                     let n = len_byte as usize;
                     if n == 0 {
                         let next = resume.unwrap_or(pos + 1);
-                        return Ok((DnsName { labels }, next));
-                    }
-                    if n > MAX_LABEL_LEN {
-                        return Err(WireError::LabelTooLong(n));
+                        return Ok((flat.freeze(), next));
                     }
                     let end = pos + 1 + n;
                     if end > buf.len() {
                         return Err(WireError::Truncated { context: "name label" });
                     }
-                    wire_len += n + 1;
-                    if wire_len > MAX_NAME_WIRE_LEN {
-                        return Err(WireError::NameTooLong(wire_len));
-                    }
-                    labels.push(buf[pos + 1..end].to_vec());
+                    // Label and name length limits are `push_label`'s.
+                    flat.push_label(&buf[pos + 1..end])?;
                     pos = end;
                 }
                 0xC0 => {
@@ -290,25 +379,59 @@ impl DnsName {
     }
 }
 
-fn eq_label(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.eq_ignore_ascii_case(y))
+/// Iterator over the labels of a [`DnsName`], most-specific first.
+#[derive(Debug, Clone)]
+pub struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, tail) = self.rest.split_first()?;
+        let (label, rest) = tail.split_at_checked(len as usize)?;
+        self.rest = rest;
+        Some(label)
+    }
+}
+
+/// Record where each label of `wire` starts (the offset of its length
+/// octet) and return how many there are, so that a right-to-left walk
+/// needs no heap.
+fn label_starts(wire: &[u8], starts: &mut [u8; MAX_LABELS]) -> usize {
+    let mut count = 0;
+    let mut pos = 0;
+    while let (Some(&len), Some(slot)) = (wire.get(pos), starts.get_mut(count)) {
+        *slot = pos as u8;
+        count += 1;
+        pos += 1 + len as usize;
+    }
+    count
+}
+
+fn label_at(wire: &[u8], start: u8) -> &[u8] {
+    let start = start as usize;
+    &wire[start + 1..start + 1 + wire[start] as usize]
 }
 
 impl PartialEq for DnsName {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self.labels.iter().zip(other.labels.iter()).all(|(a, b)| eq_label(a, b))
+        self.wire().eq_ignore_ascii_case(other.wire())
     }
 }
 
+impl Eq for DnsName {}
+
 impl Hash for DnsName {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for label in &self.labels {
-            state.write_usize(label.len());
-            for &b in label {
-                state.write_u8(b.to_ascii_lowercase());
-            }
+        let wire = self.wire();
+        let mut folded = [0u8; MAX_FLAT_LEN + 1];
+        let folded = &mut folded[..wire.len() + 1]; // ends in the root octet
+        for (out, b) in folded.iter_mut().zip(wire) {
+            *out = b.to_ascii_lowercase();
         }
+        state.write(folded);
     }
 }
 
@@ -322,26 +445,35 @@ impl Ord for DnsName {
     /// Canonical DNS ordering (RFC 4034 §6.1): compare label sequences
     /// right-to-left, case-insensitively.
     fn cmp(&self, other: &Self) -> Ordering {
-        let a_rev = self.labels.iter().rev();
-        let b_rev = other.labels.iter().rev();
-        for (a, b) in a_rev.zip(b_rev) {
-            let la: Vec<u8> = a.iter().map(|c| c.to_ascii_lowercase()).collect();
-            let lb: Vec<u8> = b.iter().map(|c| c.to_ascii_lowercase()).collect();
-            match la.cmp(&lb) {
+        let (a, b) = (self.wire(), other.wire());
+        let (mut a_starts, mut b_starts) = ([0u8; MAX_LABELS], [0u8; MAX_LABELS]);
+        let a_count = label_starts(a, &mut a_starts);
+        let b_count = label_starts(b, &mut b_starts);
+        let a_rev = a_starts[..a_count].iter().rev().map(|&s| label_at(a, s));
+        let b_rev = b_starts[..b_count].iter().rev().map(|&s| label_at(b, s));
+        for (la, lb) in a_rev.zip(b_rev) {
+            let la = la.iter().map(u8::to_ascii_lowercase);
+            match la.cmp(lb.iter().map(u8::to_ascii_lowercase)) {
                 Ordering::Equal => continue,
                 ord => return ord,
             }
         }
-        self.labels.len().cmp(&other.labels.len())
+        a_count.cmp(&b_count)
+    }
+}
+
+impl fmt::Debug for DnsName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "DnsName({self})")
     }
 }
 
 impl fmt::Display for DnsName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for label in &self.labels {
+        for label in self.labels() {
             for &b in label {
                 if b == b'.' || b == b'\\' {
                     write!(f, "\\{}", b as char)?;
@@ -465,10 +597,34 @@ mod tests {
     }
 
     #[test]
+    fn from_labels_enforces_the_limits() {
+        assert_eq!(DnsName::from_labels([[b'a'; 63]]).unwrap().wire_len(), 65);
+        assert_eq!(DnsName::from_labels([[b'a'; 64]]), Err(WireError::LabelTooLong(64)));
+        assert!(matches!(DnsName::from_labels([b""]), Err(WireError::InvalidValue { .. })));
+        // 3 × 64 + 62 + the root octet = 255 fits; one octet more does not.
+        let mut labels = vec![vec![b'a'; 63]; 3];
+        labels.push(vec![b'b'; 61]);
+        assert_eq!(DnsName::from_labels(&labels).unwrap().wire_len(), 255);
+        labels[3].push(b'b');
+        assert_eq!(DnsName::from_labels(&labels), Err(WireError::NameTooLong(256)));
+        assert!(DnsName::from_labels(&labels[..3]).unwrap().prepend(&"b".repeat(62)).is_err());
+        assert_eq!(DnsName::from_labels::<[&[u8]; 0]>([]).unwrap(), DnsName::root());
+    }
+
+    #[test]
+    fn decimal_escapes_round_trip() {
+        let n = DnsName::from_labels([&[0u8, b' ', 200, b'a'][..]]).unwrap();
+        assert_eq!(n.to_string(), r"\000\032\200a.");
+        assert_eq!(DnsName::parse(&n.to_string()).unwrap().labels().next(), n.labels().next());
+        // Not a decimal octet: the escape covers one character, as before.
+        assert_eq!(DnsName::parse(r"\256").unwrap().labels().next(), Some(&b"256"[..]));
+    }
+
+    #[test]
     fn escaped_dot_in_label() {
         let n = DnsName::parse(r"foo\.bar.example").unwrap();
         assert_eq!(n.label_count(), 2);
-        assert_eq!(n.labels()[0], b"foo.bar".to_vec());
+        assert_eq!(n.labels().next(), Some(&b"foo.bar"[..]));
         assert_eq!(n.to_string(), r"foo\.bar.example.");
     }
 

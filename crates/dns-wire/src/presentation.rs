@@ -125,9 +125,8 @@ fn parse_name_token(tok: &str, origin: &DnsName) -> Result<DnsName, ParseError> 
     }
     // Relative name: append origin.
     let rel = DnsName::parse(tok)?;
-    let mut labels = rel.labels().to_vec();
-    labels.extend(origin.labels().iter().cloned());
-    Ok(DnsName::from_labels(labels))
+    DnsName::from_labels(rel.labels().chain(origin.labels()))
+        .map_err(|_| ParseError::BadName(tok.to_string()))
 }
 
 fn parse_rdata(rtype: RecordType, tokens: &[&str], origin: &DnsName) -> Result<RData, ParseError> {
@@ -288,6 +287,23 @@ mod tests {
         assert_eq!(r.name, DnsName::parse("www.example.com").unwrap());
         let r = parse_record_line("@ 60 IN A 1.2.3.4", &origin(), 60).unwrap().unwrap();
         assert_eq!(r.name, origin());
+    }
+
+    #[test]
+    fn relative_name_plus_origin_past_255_octets_is_a_located_error() {
+        let long = "o".repeat(63);
+        let origin = DnsName::parse(&format!("{long}.{long}.{long}")).unwrap();
+        // 193 octets of origin + 62 fit exactly; one more does not.
+        let fits = "r".repeat(61);
+        let r =
+            parse_record_line(&format!("{fits} 60 IN A 1.2.3.4"), &origin, 60).unwrap().unwrap();
+        assert_eq!(r.name.wire_len(), 255);
+        let over = "r".repeat(62);
+        let err = parse_record_line(&format!("{over} 60 IN A 1.2.3.4"), &origin, 60).unwrap_err();
+        assert_eq!(err, ParseError::BadName(over.clone()));
+        // The same rule inside RDATA.
+        let err = parse_record_line(&format!("@ 60 IN CNAME {over}"), &origin, 60).unwrap_err();
+        assert_eq!(err, ParseError::BadName(over));
     }
 
     #[test]

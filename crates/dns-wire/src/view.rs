@@ -5,7 +5,7 @@
 //! [`Message::decode`](crate::Message::decode). Parsing locates the
 //! header fields and the offsets of every question and resource record
 //! in a single pass — names are *validated* (same structural rules as
-//! [`DnsName::decode_at`]) but never materialized into `Vec<Vec<u8>>`,
+//! [`DnsName::decode_at`]) but never materialized,
 //! and RDATA is left as an `RDLENGTH`-delimited subrange of the buffer.
 //! Callers then read what they need:
 //!
@@ -62,18 +62,9 @@ impl<'a> NameView<'a> {
 
     /// Case-insensitive comparison against an owned [`DnsName`].
     pub fn eq_name(&self, other: &DnsName) -> bool {
-        let mut it = self.labels();
-        for expected in other.labels() {
-            match it.next() {
-                Some(l)
-                    if l.len() == expected.len()
-                        && l.iter()
-                            .zip(expected.iter())
-                            .all(|(a, b)| a.eq_ignore_ascii_case(b)) => {}
-                _ => return false,
-            }
-        }
-        it.next().is_none()
+        let mut theirs = other.labels();
+        self.labels().all(|l| theirs.next().is_some_and(|t| l.eq_ignore_ascii_case(t)))
+            && theirs.next().is_none()
     }
 
     /// Append the canonical (lowercased, uncompressed) wire form to

@@ -179,13 +179,8 @@ impl WireWriter {
     /// scratch buffer; dictionary lookups borrow suffix subslices of it, so
     /// a fully-compressed or already-known name allocates nothing.
     pub fn put_name(&mut self, name: &DnsName) {
-        let labels = name.labels();
-        if !self.compression_enabled || labels.is_empty() {
-            for label in labels {
-                debug_assert!(label.len() <= 63);
-                self.buf.push(label.len() as u8);
-                self.buf.extend_from_slice(label);
-            }
+        if !self.compression_enabled || name.is_root() {
+            self.buf.extend_from_slice(name.wire());
             self.buf.push(0); // root label
             return;
         }
@@ -193,14 +188,14 @@ impl WireWriter {
         let mut offs = std::mem::take(&mut self.scratch_offs);
         scratch.clear();
         offs.clear();
-        for label in labels {
+        for label in name.labels() {
             offs.push(scratch.len());
             scratch.push(label.len() as u8);
             scratch.extend(label.iter().map(|b| b.to_ascii_lowercase()));
         }
         scratch.push(0);
         let mut emitted_pointer = false;
-        for (idx, label) in labels.iter().enumerate() {
+        for (idx, label) in name.labels().enumerate() {
             let suffix: &[u8] = &scratch[offs[idx]..];
             if let Some(&off) = self.compress.get(suffix) {
                 self.put_u16(0xC000 | off);
@@ -210,7 +205,6 @@ impl WireWriter {
             if self.buf.len() <= 0x3FFF {
                 self.compress.insert(suffix.into(), self.buf.len() as u16);
             }
-            debug_assert!(label.len() <= 63);
             self.buf.push(label.len() as u8);
             self.buf.extend_from_slice(label);
         }
