@@ -24,7 +24,9 @@ pub struct NsEndpoint {
 
 #[derive(Default)]
 struct RegistryState {
-    delegations: HashMap<String, Vec<NsEndpoint>>,
+    /// Keyed by the apex itself (its `Hash`/`Eq` fold case); endpoint
+    /// sets are shared with every resolution that consults them.
+    delegations: HashMap<DnsName, Arc<[NsEndpoint]>>,
 }
 
 /// Shared registry of zone delegations.
@@ -41,26 +43,28 @@ impl DelegationRegistry {
 
     /// Set (replace) the NS endpoints for a zone apex.
     pub fn delegate(&self, apex: &DnsName, endpoints: Vec<NsEndpoint>) {
-        self.state.write().delegations.insert(apex.key(), endpoints);
+        self.state.write().delegations.insert(apex.clone(), endpoints.into());
     }
 
     /// Remove a delegation entirely (the §4.2.3 "no NS records" case).
     pub fn undelegate(&self, apex: &DnsName) -> bool {
-        self.state.write().delegations.remove(&apex.key()).is_some()
+        self.state.write().delegations.remove(apex).is_some()
     }
 
     /// NS endpoints for exactly this apex.
-    pub fn endpoints_of(&self, apex: &DnsName) -> Option<Vec<NsEndpoint>> {
-        self.state.read().delegations.get(&apex.key()).cloned()
+    pub fn endpoints_of(&self, apex: &DnsName) -> Option<Arc<[NsEndpoint]>> {
+        self.state.read().delegations.get(apex).cloned()
     }
 
     /// Find the deepest delegated zone containing `name`, returning
-    /// `(zone apex, endpoints)`.
-    pub fn find_authority(&self, name: &DnsName) -> Option<(DnsName, Vec<NsEndpoint>)> {
+    /// `(zone apex, endpoints)`. The apex shares `name`'s buffer and the
+    /// endpoints are the registry's own set, so a lookup allocates
+    /// nothing however many servers the zone has.
+    pub fn find_authority(&self, name: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
         let st = self.state.read();
         let mut candidate = Some(name.clone());
         while let Some(c) = candidate {
-            if let Some(eps) = st.delegations.get(&c.key()) {
+            if let Some(eps) = st.delegations.get(&c) {
                 return Some((c, eps.clone()));
             }
             candidate = c.parent();
@@ -68,42 +72,15 @@ impl DelegationRegistry {
         None
     }
 
-    /// Find the deepest delegated zone containing the name rendered as
-    /// `key` (a [`DnsName::key`] string), returning the apex as a
-    /// sub-slice of `key` (or `"."` for a root delegation).
-    ///
-    /// This is [`find_authority`](Self::find_authority) stripped to what
-    /// batch partitioning needs: every ancestor of a key-rendered name is
-    /// one of its dot-suffixes, so the walk borrows slices of the
-    /// caller's buffer instead of allocating a candidate `String` (and
-    /// cloning the endpoint set) per ancestor level.
-    pub fn authority_apex_of_key<'k>(&self, key: &'k str) -> Option<&'k str> {
-        let st = self.state.read();
-        let mut suffix = key;
-        loop {
-            if st.delegations.contains_key(suffix) {
-                return Some(suffix);
-            }
-            match suffix.split_once('.') {
-                Some((_, rest)) if !rest.is_empty() => suffix = rest,
-                _ => break,
-            }
-        }
-        if key != "." && st.delegations.contains_key(".") {
-            return Some(".");
-        }
-        None
-    }
-
     /// Find the authority for the *parent* of `apex` — where the DS
     /// record for `apex` lives.
-    pub fn find_parent_authority(&self, apex: &DnsName) -> Option<(DnsName, Vec<NsEndpoint>)> {
+    pub fn find_parent_authority(&self, apex: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
         self.find_authority(&apex.parent()?)
     }
 
     /// All delegated apexes (sorted, for deterministic iteration).
     pub fn apexes(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.state.read().delegations.keys().cloned().collect();
+        let mut v: Vec<String> = self.state.read().delegations.keys().map(DnsName::key).collect();
         v.sort();
         v
     }
@@ -151,21 +128,29 @@ mod tests {
 
     #[test]
     fn apex_of_key_agrees_with_find_authority() {
+        // The registry used to be keyed by the dotted key and walked its
+        // dot-suffixes; walking a name's parents must find the same apex.
         let reg = DelegationRegistry::new();
         reg.delegate(&DnsName::root(), vec![ep("a.root-servers.net", "198.41.0.4")]);
         reg.delegate(&name("com"), vec![ep("a.gtld-servers.net", "192.5.6.30")]);
         reg.delegate(&name("a.com"), vec![ep("ns1.cloudflare.com", "173.245.58.1")]);
+        let apexes = reg.apexes();
+        assert_eq!(apexes, [".", "a.com", "com"]);
 
-        for n in ["www.a.com", "a.com", "b.com", "x.org", "."] {
+        for n in ["www.a.com", "WWW.A.Com", "a.com", "b.com", "x.org", "."] {
             let key = name(n).key();
-            let borrowed = reg.authority_apex_of_key(&key);
-            let owned = reg.find_authority(&name(n)).map(|(apex, _)| apex.key());
-            assert_eq!(borrowed.map(str::to_string), owned, "name {n}");
+            let by_suffix = std::iter::successors(Some(key.as_str()), |k| {
+                k.split_once('.').map(|(_, rest)| rest).filter(|rest| !rest.is_empty())
+            })
+            .chain(["."])
+            .find(|k| apexes.iter().any(|a| a == k));
+            let by_parent = reg.find_authority(&name(n)).map(|(apex, _)| apex.key());
+            assert_eq!(by_suffix.map(str::to_string), by_parent, "name {n}");
         }
 
         let empty = DelegationRegistry::new();
-        assert_eq!(empty.authority_apex_of_key("www.a.com"), None);
-        assert_eq!(empty.authority_apex_of_key("."), None);
+        assert!(empty.find_authority(&name("www.a.com")).is_none());
+        assert!(empty.find_authority(&DnsName::root()).is_none());
     }
 
     #[test]
@@ -196,7 +181,7 @@ mod tests {
         let reg = DelegationRegistry::new();
         let eps = vec![ep("ns1.x.net", "1.1.1.1"), ep("ns2.y.net", "2.2.2.2")];
         reg.delegate(&name("a.com"), eps.clone());
-        assert_eq!(reg.endpoints_of(&name("a.com")).unwrap(), eps);
+        assert_eq!(reg.endpoints_of(&name("a.com")).unwrap()[..], eps[..]);
         assert_eq!(reg.len(), 1);
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// zones under live traffic.
 #[derive(Clone, Default)]
 pub struct ZoneSet {
-    zones: Arc<RwLock<HashMap<String, Zone>>>,
+    zones: Arc<RwLock<HashMap<DnsName, Zone>>>,
 }
 
 impl ZoneSet {
@@ -28,18 +28,18 @@ impl ZoneSet {
 
     /// Insert or replace a zone.
     pub fn insert(&self, zone: Zone) {
-        self.zones.write().insert(zone.apex.key(), zone);
+        self.zones.write().insert(zone.apex.clone(), zone);
     }
 
     /// Remove a zone by apex.
     pub fn remove(&self, apex: &DnsName) -> bool {
-        self.zones.write().remove(&apex.key()).is_some()
+        self.zones.write().remove(apex).is_some()
     }
 
     /// Run `f` over the zone with the given apex, if present.
     pub fn with_zone<R>(&self, apex: &DnsName, f: impl FnOnce(&mut Zone) -> R) -> Option<R> {
         let mut zones = self.zones.write();
-        zones.get_mut(&apex.key()).map(|zone| {
+        zones.get_mut(apex).map(|zone| {
             let out = f(zone);
             // The closure had `&mut Zone`: assume it mutated and drop the
             // precompiled answers (the zone's own mutators also do this,
@@ -52,7 +52,7 @@ impl ZoneSet {
     /// Run `f` over a snapshot of the zone (read-only).
     pub fn read_zone<R>(&self, apex: &DnsName, f: impl FnOnce(&Zone) -> R) -> Option<R> {
         let zones = self.zones.read();
-        zones.get(&apex.key()).map(f)
+        zones.get(apex).map(f)
     }
 
     /// Find the deepest zone containing `name`, returning its apex.
@@ -60,7 +60,7 @@ impl ZoneSet {
         let zones = self.zones.read();
         let mut candidate = Some(name.clone());
         while let Some(c) = candidate {
-            if zones.contains_key(&c.key()) {
+            if zones.contains_key(&c) {
                 return Some(c);
             }
             candidate = c.parent();
@@ -69,14 +69,12 @@ impl ZoneSet {
     }
 
     /// Serve a query from the deepest matching zone's precompiled cache.
-    /// `qname_key` is the lowercase dotted form [`DnsName::key`] uses as
-    /// the zones-map key; the suffix walk mirrors [`ZoneSet::find_zone_for`]
-    /// without materializing a `DnsName`. A miss in the deepest zone is a
-    /// miss outright — shallower zones are shadowed.
+    /// The ancestor walk is [`ZoneSet::find_zone_for`]'s. A miss in the
+    /// deepest zone is a miss outright — shallower zones are shadowed.
     #[allow(clippy::too_many_arguments)]
     fn compiled_for(
         &self,
-        qname_key: &str,
+        qname: &DnsName,
         qname_wire: &[u8],
         qtype: u16,
         qclass: u16,
@@ -85,19 +83,14 @@ impl ZoneSet {
         do_bit: bool,
     ) -> Option<Arc<[u8]>> {
         let zones = self.zones.read();
-        let mut key = qname_key;
-        loop {
-            if let Some(zone) = zones.get(key) {
+        let mut candidate = Some(qname.clone());
+        while let Some(c) = candidate {
+            if let Some(zone) = zones.get(&c) {
                 return zone.compiled_lookup(qname_wire, qtype, qclass, rd, edns, do_bit);
             }
-            if key == "." {
-                return None;
-            }
-            key = match key.split_once('.') {
-                Some((_, rest)) if !rest.is_empty() => rest,
-                _ => ".",
-            };
+            candidate = c.parent();
         }
+        None
     }
 
     /// Number of zones.
@@ -211,10 +204,8 @@ impl AuthoritativeServer {
         let name = q.name();
         let mut qname_wire = Vec::with_capacity(64);
         name.write_canonical_wire(&mut qname_wire);
-        let mut qname_key = String::with_capacity(qname_wire.len());
-        name.write_key(&mut qname_key);
         let cached = self.zones.compiled_for(
-            &qname_key,
+            &name.to_owned(),
             &qname_wire,
             q.qtype().code(),
             q.qclass().code(),
@@ -268,8 +259,8 @@ impl AuthoritativeServer {
 
 /// Whether a query's response bytes depend only on the compiled-key
 /// fields (plus the patched ID): opcode QUERY, exactly one question, no
-/// records beyond an optional OPT, and a qname that round-trips through
-/// the lowercase dotted zone key unchanged.
+/// records beyond an optional OPT, and a qname that is its own
+/// canonical form.
 fn compilable_shape(view: &MessageView<'_>) -> bool {
     view.opcode() == Opcode::Query
         && view.question_count() == 1
@@ -279,9 +270,9 @@ fn compilable_shape(view: &MessageView<'_>) -> bool {
         && view.question().is_some_and(|q| plain_lowercase_name(&q.name()))
 }
 
-/// Labels restricted to the hostname-ish charset that [`DnsName::key`]
-/// renders verbatim (no dots, escapes, or uppercase); anything else
-/// skips the precompiled path and takes the reference path instead.
+/// Labels restricted to the hostname-ish charset (no dots, escapes, or
+/// uppercase); anything else skips the precompiled path and takes the
+/// reference path instead.
 fn plain_lowercase_name(name: &NameView<'_>) -> bool {
     name.labels().all(|l| l.iter().all(|&b| plain_lowercase_byte(b)))
 }

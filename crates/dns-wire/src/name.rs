@@ -273,6 +273,30 @@ impl DnsName {
         }
     }
 
+    /// Feed the UTF-8 bytes of [`DnsName::key`] to `sink`, in order,
+    /// without building the string: a map keyed by the name itself can
+    /// still derive a value (a shard index, a seed) from the dotted key.
+    pub fn for_each_key_byte(&self, mut sink: impl FnMut(u8)) {
+        if self.is_root() {
+            return sink(b'.');
+        }
+        for (i, label) in self.labels().enumerate() {
+            if i > 0 {
+                sink(b'.');
+            }
+            for &b in label {
+                if b.is_ascii() {
+                    sink(b.to_ascii_lowercase());
+                } else {
+                    // `key` pushes the octet as a `char`, which UTF-8
+                    // spells in two bytes from 0x80 up.
+                    sink(0xC0 | b >> 6);
+                    sink(0x80 | (b & 0x3F));
+                }
+            }
+        }
+    }
+
     /// Validate a (possibly compressed) name at `start` without building
     /// the label vector, returning the offset at which sequential reading
     /// resumes. Applies the same structural rules as [`DnsName::decode_at`]

@@ -293,6 +293,9 @@ proptest! {
         let mut appended = String::from("x");
         name.write_key(&mut appended);
         prop_assert_eq!(appended, format!("x{}", model.key()));
+        let mut streamed = Vec::new();
+        name.for_each_key_byte(|b| streamed.push(b));
+        prop_assert_eq!(streamed, model.key().into_bytes());
         prop_assert_eq!(name.to_string(), model.display());
 
         // The whole ancestor chain, each step sharing the child's buffer.

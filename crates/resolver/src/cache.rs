@@ -128,7 +128,10 @@ pub enum CachedAnswer {
     },
 }
 
-type Key = (String, u16);
+/// `DnsName`'s own `Hash`/`Eq` fold ASCII case, and a clone (one per
+/// index and queue a bounded store files the key under) is a reference
+/// count.
+type Key = (DnsName, u16);
 
 /// Which S3-FIFO queue an entry's live slot sits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -502,22 +505,22 @@ impl Default for RecordCache {
     }
 }
 
-/// FNV-1a over the case-folded owner key; stable across runs (no
-/// `RandomState`), so shard assignment is deterministic. Shared with
-/// the engine's worker-affinity partition, which must use the same
-/// stable hash.
-pub(crate) fn fnv1a(key: &str) -> u64 {
+/// FNV-1a over `prefix` followed by the name's case-folded dotted key
+/// ([`DnsName::key`]), streamed rather than rendered; stable across
+/// runs (no `RandomState`), so shard assignment is deterministic.
+/// Shared with the engine's worker-affinity partition and the NS
+/// selector's per-zone seeds, which must use the same stable hash.
+pub(crate) fn fnv1a_key(prefix: &[u8], name: &DnsName) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let mut step = |b: u8| h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    prefix.iter().copied().for_each(&mut step);
+    name.for_each_key_byte(step);
     h
 }
 
 /// Stable fingerprint of a cache key for the S3-FIFO ghost queue.
 fn ghost_fp(key: &Key) -> u64 {
-    fnv1a(&key.0) ^ (key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    fnv1a_key(b"", &key.0) ^ (key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl RecordCache {
@@ -571,8 +574,8 @@ impl RecordCache {
         self.bound.map(|b| b.policy)
     }
 
-    fn shard_for(&self, owner_key: &str) -> &Shard {
-        let idx = (fnv1a(owner_key) % self.shards.len() as u64) as usize;
+    fn shard_for(&self, owner: &DnsName) -> &Shard {
+        let idx = (fnv1a_key(b"", owner) % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
 
@@ -671,7 +674,7 @@ impl RecordCache {
             return;
         }
         let ttl = self.effective_ttl(records.iter().map(|r| r.ttl).min().unwrap_or(0));
-        let key = (name.key(), rtype.code());
+        let key = (name.clone(), rtype.code());
         self.store(key, CachedAnswer::Positive { records, rrsigs }, now, ttl);
     }
 
@@ -686,7 +689,7 @@ impl RecordCache {
         now: Timestamp,
     ) {
         let ttl = self.effective_ttl(ttl);
-        let key = (name.key(), rtype.code());
+        let key = (name.clone(), rtype.code());
         self.store(key, CachedAnswer::Negative { rcode }, now, ttl);
     }
 
@@ -694,7 +697,7 @@ impl RecordCache {
     /// cache a hit also refreshes the entry's recency (LRU) or heat
     /// (S3-FIFO) under the same lock acquisition.
     pub fn get(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<CachedAnswer> {
-        let key = (name.key(), rtype.code());
+        let key = (name.clone(), rtype.code());
         let shard = self.shard_for(&key.0);
         let mut inner = shard.lock_inner();
         enum Looked {
@@ -754,7 +757,7 @@ impl RecordCache {
 
     /// Age in seconds of the live entry at (name, type), if any.
     pub fn age(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<u64> {
-        let key = (name.key(), rtype.code());
+        let key = (name.clone(), rtype.code());
         let shard = self.shard_for(&key.0);
         let inner = shard.lock_inner();
         inner.entries.get(&key).filter(|e| e.expires > now).map(|e| now.since(e.inserted))
@@ -848,7 +851,9 @@ impl RecordCache {
         for shard in &self.shards {
             let inner = shard.inner.lock();
             for ((owner, _), entry) in inner.entries.iter() {
-                bytes += owner.len() + std::mem::size_of::<Entry>() + SLOT_OVERHEAD;
+                let mut key_len = 0;
+                owner.for_each_key_byte(|_| key_len += 1);
+                bytes += key_len + std::mem::size_of::<Entry>() + SLOT_OVERHEAD;
                 if let CachedAnswer::Positive { records, rrsigs } = &entry.answer {
                     bytes += records.len() * RECORD_COST + rrsigs.len() * RRSIG_COST;
                 }
@@ -900,6 +905,26 @@ mod tests {
 
     fn a_record(ttl: u32) -> Record {
         Record::new(name("a.com"), ttl, RData::A(Ipv4Addr::new(1, 2, 3, 4)))
+    }
+
+    /// Shard choice, ghost fingerprints and the selector's per-zone
+    /// seeds were FNV-1a over the rendered key string; streaming the key
+    /// must give the same value, bit for bit.
+    #[test]
+    fn streamed_key_hash_equals_the_hash_of_the_rendered_key() {
+        fn fnv1a_str(key: &str) -> u64 {
+            key.bytes()
+                .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        }
+        let odd = DnsName::from_labels([&b"Caf\xC9 \\."[..], b"x"]).unwrap();
+        for n in [name("WWW.Example.COM"), name("a.com"), DnsName::root(), odd] {
+            assert_eq!(fnv1a_key(b"", &n), fnv1a_str(&n.key()), "{n}");
+            assert_eq!(fnv1a_key(b"ds:", &n), fnv1a_str(&format!("ds:{}", n.key())), "{n}");
+        }
+        assert_eq!(
+            fnv1a_key(b"", &name("a.com")),
+            fnv1a_key(b"", &name("www.A.com").parent().unwrap())
+        );
     }
 
     /// A 1-shard bounded cache so capacity arithmetic is exact.

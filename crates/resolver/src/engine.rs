@@ -23,9 +23,8 @@
 //! hot path allocation-light:
 //!
 //! - deduplication and partitioning borrow the input queries (no
-//!   per-query key `String`s); the zone-affinity walk renders each name
-//!   into one reused buffer and matches delegated apexes as borrowed
-//!   suffix slices of it;
+//!   per-query key `String`s); the zone-affinity walk yields each
+//!   name's delegated apex as a share of the name's own buffer;
 //! - because pool workers outlive the batch (the workspace forbids the
 //!   `unsafe` lifetime juggling scoped threads rely on), jobs must own
 //!   their queries; a cross-batch intern table hands out `Arc<Query>`
@@ -96,7 +95,7 @@
 //!   `engine.queue_depth`, `engine.authority_datagrams`) are
 //!   wall-clock/scheduling observations for perf work only.
 
-use crate::cache::{fnv1a, RecordCache};
+use crate::cache::{fnv1a_key, RecordCache};
 use crate::eventloop::{self, EventLoopStats};
 use crate::pool::WorkerPool;
 use crate::resolver::{RecursiveResolver, Resolution, ResolveError, ResolverConfig};
@@ -329,22 +328,11 @@ impl QueryEngine {
             // pooled path buckets on (authoritative apex of each name),
             // interned to dense ids in first-appearance order.
             let registry = self.resolver.registry();
-            let mut zone_ids: HashMap<String, usize> = HashMap::new();
+            let mut zone_ids: HashMap<DnsName, usize> = HashMap::new();
             let mut zone_index = Vec::with_capacity(distinct.len());
-            let mut key_buf = String::new();
             for q in &distinct {
-                key_buf.clear();
-                q.name.write_key(&mut key_buf);
-                let apex = registry.authority_apex_of_key(&key_buf).unwrap_or(key_buf.as_str());
                 let next = zone_ids.len();
-                let id = match zone_ids.get(apex) {
-                    Some(&id) => id,
-                    None => {
-                        zone_ids.insert(apex.to_string(), next);
-                        next
-                    }
-                };
-                zone_index.push(id);
+                zone_index.push(*zone_ids.entry(partition_apex(registry, &q.name)).or_insert(next));
             }
             let zone_count = zone_ids.len();
             let outcome = eventloop::drive(&self.resolver, &distinct, &zone_index, zone_count);
@@ -382,21 +370,18 @@ impl QueryEngine {
             }
         } else {
             // Zone-affinity partition: every query for one zone lands on
-            // one worker (see the module docs). Each name is rendered
-            // into one reused buffer and its delegated apex matched as a
-            // borrowed suffix slice — no per-query key `String`. The
-            // intern table hands each work item an `Arc<Query>` so pool
-            // jobs own their queries without a per-batch deep copy.
+            // one worker (see the module docs). The apex shares the
+            // query name's buffer and its dotted key is hashed as a
+            // stream — no per-query key `String`. The intern table
+            // hands each work item an `Arc<Query>` so pool jobs own
+            // their queries without a per-batch deep copy.
             let mut buckets: Vec<Vec<(usize, Arc<Query>)>> = vec![Vec::new(); threads];
             {
                 let mut interned = self.interned.lock();
                 let registry = self.resolver.registry();
-                let mut key_buf = String::new();
                 for (i, q) in distinct.iter().enumerate() {
-                    key_buf.clear();
-                    q.name.write_key(&mut key_buf);
-                    let apex = registry.authority_apex_of_key(&key_buf).unwrap_or(key_buf.as_str());
-                    let bucket = (fnv1a(apex) % threads as u64) as usize;
+                    let apex = partition_apex(registry, &q.name);
+                    let bucket = (fnv1a_key(b"", &apex) % threads as u64) as usize;
                     let query = match interned.get(*q) {
                         Some(a) => Arc::clone(a),
                         None => {
@@ -525,6 +510,12 @@ impl QueryEngine {
         metrics.counter("engine.answers_negative").add(negative);
         metrics.counter("engine.failures").add(failures);
     }
+}
+
+/// The serialization group of a query name: the apex of its deepest
+/// delegated zone, or the name itself where nothing is delegated.
+fn partition_apex(registry: &DelegationRegistry, name: &DnsName) -> DnsName {
+    registry.find_authority(name).map_or_else(|| name.clone(), |(apex, _)| apex)
 }
 
 /// Resolve one distinct query, recording its wall-clock latency when a

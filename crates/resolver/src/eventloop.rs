@@ -236,7 +236,7 @@ async fn query_authority_async(
     let r = &ctx.resolver;
     let (apex, endpoints) =
         r.registry().find_authority(name).ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
-    let order = r.selector().pick_order(&apex.key(), &endpoints);
+    let order = r.selector().pick_order(&apex, &endpoints);
     if order.is_empty() {
         return Err(ResolveError::NoAuthority(name.clone()));
     }

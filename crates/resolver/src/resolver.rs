@@ -354,7 +354,7 @@ impl RecursiveResolver {
             .registry
             .find_authority(name)
             .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
-        let order = self.selector.pick_order(&apex.key(), &endpoints);
+        let order = self.selector.pick_order(&apex, &endpoints);
         if order.is_empty() {
             return Err(ResolveError::NoAuthority(name.clone()));
         }
@@ -468,7 +468,7 @@ impl ChainSource for ResolverChainSource<'_> {
             None => {
                 // DS lives in the parent zone.
                 let (_, endpoints) = r.registry.find_parent_authority(zone)?;
-                let order = r.selector.pick_order(&format!("ds:{}", zone.key()), &endpoints);
+                let order = r.selector.pick_order_ds(zone, &endpoints);
                 let id = r.next_id.fetch_add(1, Ordering::Relaxed);
                 let query = Message::query_dnssec(id, zone.clone(), RecordType::Ds);
                 let wire = query.encode();

@@ -4,8 +4,9 @@
 //! strategy decides whether a client sees the HTTPS record at all, so the
 //! strategy is pluggable and an ablation axis.
 
-use crate::cache::fnv1a;
+use crate::cache::fnv1a_key;
 use authserver::NsEndpoint;
+use dns_wire::DnsName;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,8 +22,9 @@ pub enum SelectionStrategy {
     RoundRobin,
     /// Uniform random choice (seeded; models randomized selection). The
     /// pick sequence is **per zone**: each zone draws from its own RNG
-    /// seeded from `(selector seed, zone key)`, so picks in one zone are
-    /// independent of how queries against other zones interleave.
+    /// seeded from `(selector seed, zone's dotted key)`, so picks in one
+    /// zone are independent of how queries against other zones
+    /// interleave.
     Random,
 }
 
@@ -33,15 +35,20 @@ pub struct NsSelector {
     state: Mutex<SelectorState>,
 }
 
+/// One selection stream: a zone's own queries, or (`true`) the DS
+/// queries about it, which go to its parent's servers and must not
+/// disturb either zone's own rotation.
+type StreamKey = (DnsName, bool);
+
 #[derive(Default)]
 struct SelectorState {
-    counters: HashMap<String, usize>,
-    /// Per-zone RNGs for `Random`, lazily seeded from `(seed, zone_key)`.
+    counters: HashMap<StreamKey, usize>,
+    /// Per-zone RNGs for `Random`, lazily seeded from `(seed, stream)`.
     /// One RNG per zone (rather than one shared stream) keeps the pick
     /// sequence of a zone invariant under cross-zone interleaving, which
     /// is what makes `QueryEngine::resolve_batch` thread-count-invariant
     /// under `Random` (all queries for one zone share a worker).
-    rngs: HashMap<String, StdRng>,
+    rngs: HashMap<StreamKey, StdRng>,
 }
 
 impl NsSelector {
@@ -55,13 +62,13 @@ impl NsSelector {
         self.strategy
     }
 
-    /// Pick one endpoint for the zone keyed by `zone_key`.
-    pub fn pick<'a>(&self, zone_key: &str, endpoints: &'a [NsEndpoint]) -> Option<&'a NsEndpoint> {
-        self.pick_index(zone_key, endpoints).map(|i| &endpoints[i])
+    /// Pick one endpoint for `zone`.
+    pub fn pick<'a>(&self, zone: &DnsName, endpoints: &'a [NsEndpoint]) -> Option<&'a NsEndpoint> {
+        self.pick_index(zone, false, endpoints).map(|i| &endpoints[i])
     }
 
-    /// Pick the index of one endpoint for the zone keyed by `zone_key`.
-    fn pick_index(&self, zone_key: &str, endpoints: &[NsEndpoint]) -> Option<usize> {
+    /// Pick the index of one endpoint from the `(zone, ds)` stream.
+    fn pick_index(&self, zone: &DnsName, ds: bool, endpoints: &[NsEndpoint]) -> Option<usize> {
         if endpoints.is_empty() {
             return None;
         }
@@ -69,7 +76,7 @@ impl NsSelector {
             SelectionStrategy::First => 0,
             SelectionStrategy::RoundRobin => {
                 let mut st = self.state.lock();
-                let c = st.counters.entry(zone_key.to_string()).or_insert(0);
+                let c = st.counters.entry((zone.clone(), ds)).or_insert(0);
                 let idx = *c % endpoints.len();
                 *c += 1;
                 idx
@@ -77,10 +84,12 @@ impl NsSelector {
             SelectionStrategy::Random => {
                 let mut st = self.state.lock();
                 let seed = self.seed;
-                let rng = st
-                    .rngs
-                    .entry(zone_key.to_string())
-                    .or_insert_with(|| StdRng::seed_from_u64(seed ^ fnv1a(zone_key)));
+                let rng = st.rngs.entry((zone.clone(), ds)).or_insert_with(|| {
+                    // The seed a stream had when it was keyed by the
+                    // string `zone.key()`, or `"ds:" + zone.key()`.
+                    let prefix: &[u8] = if ds { b"ds:" } else { b"" };
+                    StdRng::seed_from_u64(seed ^ fnv1a_key(prefix, zone))
+                });
                 rng.gen_range(0..endpoints.len())
             }
         };
@@ -94,10 +103,29 @@ impl NsSelector {
     /// so the order always covers every slot exactly once.
     pub fn pick_order<'a>(
         &self,
-        zone_key: &str,
+        zone: &DnsName,
         endpoints: &'a [NsEndpoint],
     ) -> Vec<&'a NsEndpoint> {
-        let Some(primary) = self.pick_index(zone_key, endpoints) else {
+        self.order(zone, false, endpoints)
+    }
+
+    /// [`pick_order`](Self::pick_order) for the DS query about `zone`,
+    /// over its parent's `endpoints`, from a stream of its own.
+    pub fn pick_order_ds<'a>(
+        &self,
+        zone: &DnsName,
+        endpoints: &'a [NsEndpoint],
+    ) -> Vec<&'a NsEndpoint> {
+        self.order(zone, true, endpoints)
+    }
+
+    fn order<'a>(
+        &self,
+        zone: &DnsName,
+        ds: bool,
+        endpoints: &'a [NsEndpoint],
+    ) -> Vec<&'a NsEndpoint> {
+        let Some(primary) = self.pick_index(zone, ds, endpoints) else {
             return Vec::new();
         };
         let mut order: Vec<&NsEndpoint> = Vec::with_capacity(endpoints.len());
@@ -110,7 +138,10 @@ impl NsSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::DnsName;
+
+    fn z(s: &str) -> DnsName {
+        DnsName::parse(s).unwrap()
+    }
 
     fn eps(n: usize) -> Vec<NsEndpoint> {
         (0..n)
@@ -126,7 +157,7 @@ mod tests {
         let sel = NsSelector::new(SelectionStrategy::First, 0);
         let endpoints = eps(3);
         for _ in 0..5 {
-            assert_eq!(sel.pick("z", &endpoints).unwrap(), &endpoints[0]);
+            assert_eq!(sel.pick(&z("z"), &endpoints).unwrap(), &endpoints[0]);
         }
     }
 
@@ -134,12 +165,12 @@ mod tests {
     fn round_robin_cycles_per_zone() {
         let sel = NsSelector::new(SelectionStrategy::RoundRobin, 0);
         let endpoints = eps(3);
-        let picks: Vec<_> = (0..6).map(|_| sel.pick("z", &endpoints).unwrap().ip).collect();
+        let picks: Vec<_> = (0..6).map(|_| sel.pick(&z("z"), &endpoints).unwrap().ip).collect();
         assert_eq!(picks[0], picks[3]);
         assert_eq!(picks[1], picks[4]);
         assert_ne!(picks[0], picks[1]);
         // Independent counter for another zone.
-        assert_eq!(sel.pick("other", &endpoints).unwrap(), &endpoints[0]);
+        assert_eq!(sel.pick(&z("other"), &endpoints).unwrap(), &endpoints[0]);
     }
 
     #[test]
@@ -147,7 +178,7 @@ mod tests {
         let endpoints = eps(4);
         let run = |seed| -> Vec<std::net::IpAddr> {
             let sel = NsSelector::new(SelectionStrategy::Random, seed);
-            (0..10).map(|_| sel.pick("z", &endpoints).unwrap().ip).collect()
+            (0..10).map(|_| sel.pick(&z("z"), &endpoints).unwrap().ip).collect()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -160,15 +191,15 @@ mod tests {
         let endpoints = eps(4);
         let alone = {
             let sel = NsSelector::new(SelectionStrategy::Random, 7);
-            (0..10).map(|_| sel.pick("zone-a", &endpoints).unwrap().ip).collect::<Vec<_>>()
+            (0..10).map(|_| sel.pick(&z("zone-a"), &endpoints).unwrap().ip).collect::<Vec<_>>()
         };
         let interleaved = {
             let sel = NsSelector::new(SelectionStrategy::Random, 7);
             (0..10)
                 .map(|_| {
-                    let _ = sel.pick("zone-b", &endpoints);
-                    let pick = sel.pick("zone-a", &endpoints).unwrap().ip;
-                    let _ = sel.pick("zone-c", &endpoints);
+                    let _ = sel.pick(&z("zone-b"), &endpoints);
+                    let pick = sel.pick(&z("zone-a"), &endpoints).unwrap().ip;
+                    let _ = sel.pick(&z("zone-c"), &endpoints);
                     pick
                 })
                 .collect::<Vec<_>>()
@@ -180,8 +211,8 @@ mod tests {
     fn random_zones_draw_distinct_streams() {
         let endpoints = eps(4);
         let sel = NsSelector::new(SelectionStrategy::Random, 7);
-        let a: Vec<_> = (0..16).map(|_| sel.pick("zone-a", &endpoints).unwrap().ip).collect();
-        let b: Vec<_> = (0..16).map(|_| sel.pick("zone-b", &endpoints).unwrap().ip).collect();
+        let a: Vec<_> = (0..16).map(|_| sel.pick(&z("zone-a"), &endpoints).unwrap().ip).collect();
+        let b: Vec<_> = (0..16).map(|_| sel.pick(&z("zone-b"), &endpoints).unwrap().ip).collect();
         assert_ne!(a, b, "distinct zones should not share one pick stream");
     }
 
@@ -191,7 +222,7 @@ mod tests {
         let sel = NsSelector::new(SelectionStrategy::Random, 42);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            seen.insert(sel.pick("z", &endpoints).unwrap().ip);
+            seen.insert(sel.pick(&z("z"), &endpoints).unwrap().ip);
         }
         assert_eq!(seen.len(), 3);
     }
@@ -199,15 +230,15 @@ mod tests {
     #[test]
     fn empty_endpoint_list() {
         let sel = NsSelector::new(SelectionStrategy::First, 0);
-        assert!(sel.pick("z", &[]).is_none());
-        assert!(sel.pick_order("z", &[]).is_empty());
+        assert!(sel.pick(&z("z"), &[]).is_none());
+        assert!(sel.pick_order(&z("z"), &[]).is_empty());
     }
 
     #[test]
     fn pick_order_contains_all_unique() {
         let endpoints = eps(3);
         let sel = NsSelector::new(SelectionStrategy::RoundRobin, 0);
-        let order = sel.pick_order("z", &endpoints);
+        let order = sel.pick_order(&z("z"), &endpoints);
         assert_eq!(order.len(), 3);
         let set: std::collections::HashSet<_> = order.iter().map(|e| e.ip).collect();
         assert_eq!(set.len(), 3);
@@ -226,7 +257,7 @@ mod tests {
         {
             let sel = NsSelector::new(strategy, 3);
             for _ in 0..6 {
-                let order = sel.pick_order("z", &endpoints);
+                let order = sel.pick_order(&z("z"), &endpoints);
                 assert_eq!(order.len(), endpoints.len(), "{strategy:?} shrank the retry set");
                 let dup_count = order.iter().filter(|e| e.ip == endpoints[0].ip).count();
                 assert_eq!(dup_count, 2, "{strategy:?} dropped a duplicate endpoint");

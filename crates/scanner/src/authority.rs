@@ -72,7 +72,7 @@ pub fn probe_domain(
         return None;
     }
     let mut answers = Vec::with_capacity(endpoints.len());
-    for ep in &endpoints {
+    for ep in endpoints.iter() {
         let qid = next_id.fetch_add(1, Ordering::Relaxed);
         let query = Message::query(qid, apex.clone(), RecordType::Https);
         let answer = match world.network.send_datagram(ep.ip, 53, &query.encode()) {

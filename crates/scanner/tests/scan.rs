@@ -230,7 +230,7 @@ fn lossy_event_campaign_is_thread_invariant_and_flags_timeouts() {
         let (_, endpoints) =
             world.registry.find_authority(&victim_apex).expect("victim is delegated");
         let mut model = netsim::LinkModel::new(0x10AD).with_rtt_ms(20).with_loss_permille(10);
-        for ep in &endpoints {
+        for ep in endpoints.iter() {
             model = model.with_lame_endpoint(ep.ip);
         }
         world.network.set_latency_model(model);
