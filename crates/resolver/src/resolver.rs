@@ -384,27 +384,21 @@ impl RecursiveResolver {
         Err(last_err)
     }
 
+    /// Cache every RRset of an answer section, in the order the sets
+    /// first appear — which is the order a bounded cache stamps them in,
+    /// so which of a CNAME and its target outlives the other never
+    /// depends on a hasher.
     pub(crate) fn cache_answer_sections(&self, answers: &[Record], now: Timestamp) {
-        use std::collections::HashMap;
-        let mut sets: HashMap<(String, u16), Vec<Record>> = HashMap::new();
-        for rec in answers {
-            if rec.rtype == RecordType::Rrsig {
+        for (i, first) in answers.iter().enumerate() {
+            // An authority emits an RRset contiguously, so looking back
+            // from a set's later records finds its first one at once.
+            let seen = |r: &Record| r.rtype == first.rtype && r.name == first.name;
+            if first.rtype == RecordType::Rrsig || answers[..i].iter().rev().any(seen) {
                 continue;
             }
-            sets.entry((rec.name.key(), rec.rtype.code())).or_default().push(rec.clone());
-        }
-        for ((_, tcode), records) in sets {
-            let name = records[0].name.clone();
-            let rtype = RecordType::from_code(tcode);
-            let rrsigs: Vec<RrsigRdata> = answers
-                .iter()
-                .filter(|r| r.rtype == RecordType::Rrsig && r.name == name)
-                .filter_map(|r| match &r.rdata {
-                    RData::Rrsig(s) if s.type_covered == rtype => Some(s.clone()),
-                    _ => None,
-                })
-                .collect();
-            self.cache.insert_positive(&name, rtype, records, rrsigs, now);
+            let records = extract_rrset(&answers[i..], &first.name, first.rtype);
+            let rrsigs = extract_rrsigs(answers, &first.name, first.rtype);
+            self.cache.insert_positive(&first.name, first.rtype, records, rrsigs, now);
         }
     }
 

@@ -116,6 +116,37 @@ fn second_resolve_hits_cache() {
 }
 
 #[test]
+fn cname_and_target_are_cached_in_answer_order() {
+    // One answer carries two RRsets (the authority chased the in-zone
+    // CNAME): `www.a.com CNAME a.com`, then `a.com A`. In a one-entry
+    // cache the second set stored evicts the first, so which survives
+    // is the order they were stored in. That order is the answer's:
+    // the target survives, the chase finds it, one query is sent. It
+    // used to be a `HashMap`'s iteration order, which differs from one
+    // hasher to the next — every resolver here has a fresh one.
+    use resolver::EvictionPolicy;
+    for _ in 0..32 {
+        let (net, reg, _) = world(true);
+        let config = ResolverConfig {
+            validate: false,
+            cache_shards: 1,
+            cache_capacity_per_shard: Some(1),
+            cache_eviction: EvictionPolicy::TtlSweepLru,
+            ..Default::default()
+        };
+        let r = RecursiveResolver::new(net.clone(), reg, config);
+        let res = r.resolve(&name("www.a.com"), RecordType::A).unwrap();
+        assert_eq!((res.chain.len(), res.records.len()), (1, 1));
+        assert_eq!(net.stats().datagrams_sent, 1);
+        let stats = r.cache().stats();
+        assert_eq!((stats.insertions, stats.evictions, stats.hits), (2, 1, 1));
+        let now = net.clock().now();
+        assert!(r.cache().get(&name("a.com"), RecordType::A, now).is_some());
+        assert!(r.cache().get(&name("www.a.com"), RecordType::Cname, now).is_none());
+    }
+}
+
+#[test]
 fn cache_expires_with_virtual_time() {
     let (net, reg, a_set) = world(true);
     let r = resolver_of(&net, &reg);
