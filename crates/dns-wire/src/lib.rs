@@ -61,6 +61,22 @@ mod proptests {
             .prop_map(|labels| DnsName::from_labels(labels).unwrap())
     }
 
+    /// Names drawn from a handful of labels in both cases, so that two
+    /// of them usually share a suffix — up to case, sometimes.
+    fn arb_related_name() -> impl Strategy<Value = DnsName> {
+        let label = prop_oneof![
+            Just(&b"a"[..]),
+            Just(&b"A"[..]),
+            Just(&b"b"[..]),
+            Just(&b"www"[..]),
+            Just(&b"example"[..]),
+            Just(&b"Example"[..]),
+            Just(&b"com"[..]),
+            Just(&b"COM"[..]),
+        ];
+        proptest::collection::vec(label, 0..5).prop_map(|l| DnsName::from_labels(l).unwrap())
+    }
+
     fn arb_svcparam() -> impl Strategy<Value = SvcParam> {
         prop_oneof![
             proptest::collection::vec(any::<u8>().prop_map(|b| vec![b % 26 + b'a']), 1..4)
@@ -169,6 +185,77 @@ mod proptests {
             };
             let back = Message::decode(&msg.encode()).unwrap();
             prop_assert_eq!(back, msg);
+        }
+
+        /// The compression dictionary compares suffixes where they lie
+        /// in the buffer; the bytes must be those of the dictionary it
+        /// replaced, a map from each canonical suffix to the offset it
+        /// was first spelled out at.
+        #[test]
+        fn name_compression_matches_the_reference_dictionary(
+            names in proptest::collection::vec(
+                (arb_related_name(), any::<bool>(), 0usize..4), 1..12),
+        ) {
+            let mut w = crate::wire::WireWriter::new();
+            let mut expect: Vec<u8> = Vec::new();
+            let mut dict: std::collections::HashMap<Vec<u8>, u16> = Default::default();
+            let mut starts = Vec::new();
+            for (name, compress, filler) in &names {
+                w.put_bytes(&vec![0xEE; *filler]);
+                expect.extend(vec![0xEE; *filler]);
+                starts.push(expect.len());
+                if *compress {
+                    w.put_name(name);
+                } else {
+                    w.put_name_uncompressed(name);
+                }
+                let labels: Vec<&[u8]> = name.labels().collect();
+                let mut pointed = false;
+                for (i, label) in labels.iter().enumerate() {
+                    if *compress {
+                        let suffix = DnsName::from_labels(&labels[i..]).unwrap().canonical_wire();
+                        if let Some(&at) = dict.get(&suffix) {
+                            expect.extend((0xC000 | at).to_be_bytes());
+                            pointed = true;
+                            break;
+                        }
+                        dict.insert(suffix, expect.len() as u16);
+                    }
+                    expect.push(label.len() as u8);
+                    expect.extend_from_slice(label);
+                }
+                if !pointed {
+                    expect.push(0);
+                }
+            }
+            prop_assert_eq!(w.as_bytes(), &expect[..]);
+            starts.push(expect.len());
+            for (i, (name, _, _)) in names.iter().enumerate() {
+                let (back, next) = DnsName::decode_at(w.as_bytes(), starts[i]).unwrap();
+                prop_assert_eq!(&back, name);
+                prop_assert_eq!(next + names.get(i + 1).map_or(0, |n| n.2), starts[i + 1]);
+            }
+        }
+
+        /// Messages whose names share suffixes: whatever the writer
+        /// compressed, both decoders read the same message back.
+        #[test]
+        fn shared_suffix_message_round_trip(
+            qname in arb_related_name(),
+            owners in proptest::collection::vec((arb_related_name(), arb_related_name()), 0..8),
+        ) {
+            let answers = owners
+                .into_iter()
+                .map(|(owner, target)| Record::new(owner, 60, RData::Cname(target)))
+                .collect();
+            let msg = Message {
+                answers,
+                ..Message::query(7, qname, RecordType::Https).response()
+            };
+            let wire = msg.encode();
+            prop_assert_eq!(Message::decode(&wire).unwrap(), msg.clone());
+            let view = crate::view::MessageView::parse(&wire).unwrap();
+            prop_assert_eq!(view.to_message().unwrap(), msg);
         }
 
         #[test]

@@ -7,7 +7,6 @@
 
 use crate::error::WireError;
 use crate::name::DnsName;
-use std::collections::HashMap;
 
 /// Bounds-checked reading cursor over a DNS message buffer.
 #[derive(Debug, Clone)]
@@ -99,30 +98,55 @@ impl<'a> WireReader<'a> {
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Maps a name suffix (canonical lowercase wire form) to the offset of
-    /// its first occurrence, for compression-pointer emission. Offsets must
-    /// fit in 14 bits per RFC 1035. Lookups borrow subslices of `scratch`,
-    /// so only genuinely new suffixes allocate a key.
-    compress: HashMap<Box<[u8]>, u16>,
+    /// The compression dictionary: the offset of every label this
+    /// writer spelled out in a compressible name, in writing order. The
+    /// name suffix that starts at each (through any pointer it ends in)
+    /// is what a later name may point at; the suffixes are compared
+    /// where they lie in `buf`, so the dictionary stores no names. A
+    /// suffix is spelled out at most once — every later use is a pointer
+    /// — so the first match is the only one. Offsets must fit in 14 bits
+    /// per RFC 1035.
+    suffixes: Vec<u16>,
     /// When false, names are written uncompressed (required inside RDATA of
     /// newer record types such as SVCB/HTTPS, RFC 9460 §2.2).
     compression_enabled: bool,
-    /// Reused canonical rendering of the name currently being written.
-    scratch: Vec<u8>,
-    /// Start offset of each label suffix inside `scratch`.
-    scratch_offs: Vec<usize>,
+}
+
+/// Whether the (possibly compressed) name at `at` in `buf` spells the
+/// labels of `flat` (length-prefixed, no root octet), ASCII case aside.
+fn name_at_eq(buf: &[u8], mut at: usize, mut flat: &[u8]) -> bool {
+    loop {
+        let Some(&len) = buf.get(at) else {
+            return false;
+        };
+        if len == 0 {
+            return flat.is_empty();
+        }
+        if len & 0xC0 == 0xC0 {
+            // The writer's own pointer: always backwards, so this ends.
+            let Some(&low) = buf.get(at + 1) else {
+                return false;
+            };
+            at = usize::from(u16::from_be_bytes([len & 0x3F, low]));
+            continue;
+        }
+        // Length octet and label in one comparison: the octet is below
+        // 'A', so ignoring case cannot make two lengths agree.
+        let end = at + 1 + len as usize;
+        match (buf.get(at..end), flat.split_at_checked(end - at)) {
+            (Some(label), Some((head, tail))) if label.eq_ignore_ascii_case(head) => {
+                at = end;
+                flat = tail;
+            }
+            _ => return false,
+        }
+    }
 }
 
 impl WireWriter {
     /// New empty writer with compression enabled.
     pub fn new() -> Self {
-        WireWriter {
-            buf: Vec::with_capacity(512),
-            compress: HashMap::new(),
-            compression_enabled: true,
-            scratch: Vec::new(),
-            scratch_offs: Vec::new(),
-        }
+        WireWriter { buf: Vec::with_capacity(512), suffixes: Vec::new(), compression_enabled: true }
     }
 
     /// Bytes written so far.
@@ -173,46 +197,28 @@ impl WireWriter {
     }
 
     /// Append a domain name, emitting a compression pointer when a suffix of
-    /// the name was already written and compression is allowed.
-    ///
-    /// The canonical (lowercased) wire form is rendered once into a reused
-    /// scratch buffer; dictionary lookups borrow suffix subslices of it, so
-    /// a fully-compressed or already-known name allocates nothing.
+    /// the name was already written and compression is allowed: the
+    /// longest such suffix, at the offset it was first written.
     pub fn put_name(&mut self, name: &DnsName) {
-        if !self.compression_enabled || name.is_root() {
-            self.buf.extend_from_slice(name.wire());
-            self.buf.push(0); // root label
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut offs = std::mem::take(&mut self.scratch_offs);
-        scratch.clear();
-        offs.clear();
-        for label in name.labels() {
-            offs.push(scratch.len());
-            scratch.push(label.len() as u8);
-            scratch.extend(label.iter().map(|b| b.to_ascii_lowercase()));
-        }
-        scratch.push(0);
-        let mut emitted_pointer = false;
-        for (idx, label) in name.labels().enumerate() {
-            let suffix: &[u8] = &scratch[offs[idx]..];
-            if let Some(&off) = self.compress.get(suffix) {
-                self.put_u16(0xC000 | off);
-                emitted_pointer = true;
-                break;
+        let mut rest = name.wire();
+        if self.compression_enabled {
+            while let Some(&len) = rest.first() {
+                let known =
+                    self.suffixes.iter().find(|&&at| name_at_eq(&self.buf, at.into(), rest));
+                if let Some(&at) = known {
+                    self.put_u16(0xC000 | at);
+                    return;
+                }
+                if let Ok(at @ 0..=0x3FFF) = u16::try_from(self.buf.len()) {
+                    self.suffixes.push(at);
+                }
+                let (label, tail) = rest.split_at(1 + len as usize);
+                self.buf.extend_from_slice(label);
+                rest = tail;
             }
-            if self.buf.len() <= 0x3FFF {
-                self.compress.insert(suffix.into(), self.buf.len() as u16);
-            }
-            self.buf.push(label.len() as u8);
-            self.buf.extend_from_slice(label);
         }
-        if !emitted_pointer {
-            self.buf.push(0); // root label
-        }
-        self.scratch = scratch;
-        self.scratch_offs = offs;
+        self.buf.extend_from_slice(rest);
+        self.buf.push(0); // root label
     }
 
     /// Append a domain name without compression (RFC 9460 requires
@@ -271,6 +277,41 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert_eq!(r.read_name().unwrap(), a);
         assert_eq!(r.read_name().unwrap(), b);
+    }
+
+    #[test]
+    fn compression_is_case_insensitive_and_takes_the_longest_first_written_suffix() {
+        let name = |s: &str| DnsName::parse(s).unwrap();
+        let mut w = WireWriter::new();
+        w.put_u16(0xAAAA);
+        w.put_name(&name("www.Example.com")); // at 2: 3www 7Example 3com 0
+        w.put_name(&name("MAIL.example.COM")); // at 19: 4MAIL -> 6
+        w.put_name(&name("x.mail.EXAMPLE.com")); // at 26: 1x -> 19
+        w.put_name_uncompressed(&name("com")); // at 30, never pointed at
+        w.put_name(&name("Com")); // -> 14, not 30
+        w.put_name(&name("org")); // nothing shared
+        w.put_name(&DnsName::root());
+        let mut expect = vec![0xAA, 0xAA];
+        expect.extend_from_slice(b"\x03www\x07Example\x03com\x00");
+        expect.extend_from_slice(b"\x04MAIL\xC0\x06");
+        expect.extend_from_slice(b"\x01x\xC0\x13");
+        expect.extend_from_slice(b"\x03com\x00");
+        expect.extend_from_slice(b"\xC0\x0E");
+        expect.extend_from_slice(b"\x03org\x00\x00");
+        assert_eq!(w.as_bytes(), &expect[..]);
+    }
+
+    #[test]
+    fn labels_past_the_14_bit_offset_limit_are_never_pointed_at() {
+        let name = |s: &str| DnsName::parse(s).unwrap();
+        let mut w = WireWriter::new();
+        w.put_bytes(&vec![0xEE; 0x3FFE]);
+        w.put_name(&name("a.b")); // `a` at 0x3FFE, `b` at 0x4000
+        let at = w.len();
+        w.put_name(&name("b")); // spelled out again: 0x4000 cannot be encoded
+        w.put_name(&name("A.B")); // the whole name can: it starts at 0x3FFE
+        w.put_name(&name("x.b")); // and `b` still cannot
+        assert_eq!(&w.as_bytes()[at..], b"\x01b\x00\xFF\xFE\x01x\x01b\x00");
     }
 
     #[test]
