@@ -1,0 +1,79 @@
+//! Allocation budgets of the authority's name-keyed lookups, counted
+//! with a per-thread counting allocator and held on every thread of the
+//! `RESOLVER_TEST_THREADS` axis while the threads share one zone and
+//! one registry.
+
+#![allow(unsafe_code)]
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use authserver::{DelegationRegistry, NsEndpoint, Zone, ZoneSet};
+use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
+use dns_wire::{DnsName, RData, Record, RecordType};
+use std::hint::black_box;
+use std::net::{IpAddr, Ipv4Addr};
+
+fn name(s: &str) -> DnsName {
+    DnsName::parse(s).unwrap()
+}
+
+#[test]
+fn zone_get_allocates_nothing() {
+    let apex = name("example.com");
+    let mut zone = Zone::new(apex.clone());
+    for i in 0..64u8 {
+        let owner = name(&format!("h{i}.dept{}.example.com", i % 5));
+        zone.add(Record::new(owner, 300, RData::A(Ipv4Addr::new(10, 0, 0, i))));
+    }
+    let hit = name("H40.dept0.Example.COM");
+    let miss = name("nope.dept0.example.com");
+    let zones = ZoneSet::new();
+    zones.insert(zone.clone());
+
+    for threads in thread_axis() {
+        let counts = allocs_per_thread(threads, || {
+            for _ in 0..100 {
+                assert_eq!(zone.get(black_box(&hit), RecordType::A).map(Vec::len), Some(1));
+                assert!(zone.get(&miss, RecordType::A).is_none());
+                assert!(zone.get(&hit, RecordType::Aaaa).is_none());
+                assert!(zone.soa().is_some());
+                assert_eq!(zones.find_zone_for(&hit).as_ref(), Some(&apex));
+                assert_eq!(zones.read_zone(&apex, |z| z.is_signed()), Some(false));
+            }
+        });
+        assert_eq!(counts, vec![0; threads], "{threads} threads");
+    }
+}
+
+#[test]
+fn find_authority_does_not_depend_on_the_endpoint_count() {
+    let endpoints = |n: u8| -> Vec<NsEndpoint> {
+        (0..n)
+            .map(|i| NsEndpoint {
+                name: name(&format!("ns{i}.provider.net")),
+                ip: IpAddr::V4(Ipv4Addr::new(192, 0, 2, i)),
+            })
+            .collect()
+    };
+    let registry = DelegationRegistry::new();
+    registry.delegate(&name("com"), endpoints(2));
+    registry.delegate(&name("one.com"), endpoints(1));
+    registry.delegate(&name("thirteen.com"), endpoints(13));
+    let one = name("a.b.www.one.com");
+    let thirteen = name("a.b.www.thirteen.com");
+
+    for threads in thread_axis() {
+        let counts = allocs_per_thread(threads, || {
+            for _ in 0..100 {
+                let (few, found) = allocs_in(|| registry.find_authority(&one).unwrap());
+                assert_eq!((found.0.label_count(), found.1.len()), (2, 1));
+                let (many, found) = allocs_in(|| registry.find_authority(&thirteen).unwrap());
+                assert_eq!((found.0.label_count(), found.1.len()), (2, 13));
+                assert_eq!((few, many), (0, 0));
+                assert!(registry.find_parent_authority(&found.0).is_some());
+            }
+        });
+        assert_eq!(counts, vec![0; threads], "{threads} threads");
+    }
+}

@@ -208,13 +208,13 @@ impl DnsName {
 
     /// Prepend a label, e.g. `example.com`.prepend("www") = `www.example.com`.
     pub fn prepend(&self, label: &str) -> Result<DnsName, ParseError> {
-        let bad = |_| ParseError::BadName(label.to_string());
+        let bad = || ParseError::BadName(label.to_string());
         if label.contains('.') {
-            return Err(bad(()));
+            return Err(bad());
         }
         let mut flat = Flat::new();
-        flat.push_label(label.as_bytes()).map_err(|_| bad(()))?;
-        flat.push_name(self).map_err(|_| bad(()))?;
+        flat.push_label(label.as_bytes()).map_err(|_| bad())?;
+        flat.push_name(self).map_err(|_| bad())?;
         Ok(flat.freeze())
     }
 
@@ -229,8 +229,8 @@ impl DnsName {
             return false;
         }
         // Matching bytes are not enough: `other` has to start where one
-        // of our labels starts (`badexample.com` is not under
-        // `example.com`, nor the one label `a\003com` under `com`).
+        // of our labels starts. The one label `a\003com` ends with the
+        // bytes of `com` and is not under it.
         let mut pos = 0;
         while pos < cut {
             pos += 1 + mine[pos] as usize;
@@ -298,7 +298,7 @@ impl DnsName {
     }
 
     /// Validate a (possibly compressed) name at `start` without building
-    /// the label vector, returning the offset at which sequential reading
+    /// it, returning the offset at which sequential reading
     /// resumes. Applies the same structural rules as [`DnsName::decode_at`]
     /// (backward-only pointers, hop budget, label and name length limits),
     /// so a buffer that passes `skip_at` decodes without error.

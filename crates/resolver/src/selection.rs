@@ -85,8 +85,8 @@ impl NsSelector {
                 let mut st = self.state.lock();
                 let seed = self.seed;
                 let rng = st.rngs.entry((zone.clone(), ds)).or_insert_with(|| {
-                    // The seed a stream had when it was keyed by the
-                    // string `zone.key()`, or `"ds:" + zone.key()`.
+                    // Pinned reports depend on these streams: FNV-1a of
+                    // the zone's dotted key, behind `ds:` for the DS one.
                     let prefix: &[u8] = if ds { b"ds:" } else { b"" };
                     StdRng::seed_from_u64(seed ^ fnv1a_key(prefix, zone))
                 });
