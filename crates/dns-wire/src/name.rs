@@ -259,42 +259,15 @@ impl DnsName {
     /// fresh `String` — hot paths (e.g. batch partitioning) reuse one
     /// cleared buffer across many names.
     pub fn write_key(&self, out: &mut String) {
-        if self.is_root() {
-            out.push('.');
-            return;
-        }
-        for (i, label) in self.labels().enumerate() {
-            if i > 0 {
-                out.push('.');
-            }
-            for &b in label {
-                out.push(b.to_ascii_lowercase() as char);
-            }
-        }
+        key_chars(self.labels(), |c| out.push(c));
     }
 
     /// Feed the UTF-8 bytes of [`DnsName::key`] to `sink`, in order,
     /// without building the string: a map keyed by the name itself can
     /// still derive a value (a shard index, a seed) from the dotted key.
     pub fn for_each_key_byte(&self, mut sink: impl FnMut(u8)) {
-        if self.is_root() {
-            return sink(b'.');
-        }
-        for (i, label) in self.labels().enumerate() {
-            if i > 0 {
-                sink(b'.');
-            }
-            for &b in label {
-                if b.is_ascii() {
-                    sink(b.to_ascii_lowercase());
-                } else {
-                    // `key` pushes the octet as a `char`, which UTF-8
-                    // spells in two bytes from 0x80 up.
-                    sink(0xC0 | b >> 6);
-                    sink(0x80 | (b & 0x3F));
-                }
-            }
-        }
+        // An octet rendered as a `char` is at most U+00FF: two bytes.
+        key_chars(self.labels(), |c| c.encode_utf8(&mut [0; 2]).bytes().for_each(&mut sink));
     }
 
     /// Validate a (possibly compressed) name at `start` without building
@@ -420,6 +393,52 @@ impl<'a> Iterator for Labels<'a> {
     }
 }
 
+/// The lowercased dotted form of a label sequence, no trailing dot
+/// (no labels → `.`), one `char` per octet: what [`DnsName::key`] and
+/// [`NameView::write_key`](crate::view::NameView::write_key) render.
+pub(crate) fn key_chars<'a>(labels: impl Iterator<Item = &'a [u8]>, mut sink: impl FnMut(char)) {
+    let mut any = false;
+    for label in labels {
+        if any {
+            sink('.');
+        }
+        any = true;
+        for &b in label {
+            sink(b.to_ascii_lowercase() as char);
+        }
+    }
+    if !any {
+        sink('.');
+    }
+}
+
+/// The presentation form of a label sequence: every label dot-terminated
+/// (no labels → `.`), dots and backslashes escaped, anything that is not
+/// a graphic ASCII character as `\DDD`.
+pub(crate) fn fmt_labels<'a>(
+    labels: impl Iterator<Item = &'a [u8]>,
+    f: &mut fmt::Formatter<'_>,
+) -> fmt::Result {
+    let mut any = false;
+    for label in labels {
+        any = true;
+        for &b in label {
+            if b == b'.' || b == b'\\' {
+                write!(f, "\\{}", b as char)?;
+            } else if b.is_ascii_graphic() {
+                write!(f, "{}", b as char)?;
+            } else {
+                write!(f, "\\{:03}", b)?;
+            }
+        }
+        write!(f, ".")?;
+    }
+    if !any {
+        write!(f, ".")?;
+    }
+    Ok(())
+}
+
 /// Record where each label of `wire` starts (the offset of its length
 /// octet) and return how many there are, so that a right-to-left walk
 /// needs no heap.
@@ -494,22 +513,7 @@ impl fmt::Debug for DnsName {
 
 impl fmt::Display for DnsName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_root() {
-            return write!(f, ".");
-        }
-        for label in self.labels() {
-            for &b in label {
-                if b == b'.' || b == b'\\' {
-                    write!(f, "\\{}", b as char)?;
-                } else if b.is_ascii_graphic() {
-                    write!(f, "{}", b as char)?;
-                } else {
-                    write!(f, "\\{:03}", b)?;
-                }
-            }
-            write!(f, ".")?;
-        }
-        Ok(())
+        fmt_labels(self.labels(), f)
     }
 }
 

@@ -24,7 +24,7 @@
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
-use crate::name::{DnsName, MAX_POINTER_HOPS};
+use crate::name::{fmt_labels, key_chars, DnsName, MAX_POINTER_HOPS};
 use crate::record::{DnsClass, RData, Record, RecordType};
 use std::fmt;
 
@@ -80,19 +80,7 @@ impl<'a> NameView<'a> {
     /// Append the lowercased dotted form (no trailing dot; root → `.`)
     /// to `out`, matching [`DnsName::key`].
     pub fn write_key(&self, out: &mut String) {
-        let mut any = false;
-        for label in self.labels() {
-            if any {
-                out.push('.');
-            }
-            any = true;
-            for &b in label {
-                out.push(b.to_ascii_lowercase() as char);
-            }
-        }
-        if !any {
-            out.push('.');
-        }
+        key_chars(self.labels(), |c| out.push(c));
     }
 
     /// Materialize an owned [`DnsName`]. Views are only handed out for
@@ -107,24 +95,7 @@ impl<'a> NameView<'a> {
 
 impl fmt::Display for NameView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut any = false;
-        for label in self.labels() {
-            any = true;
-            for &b in label {
-                if b == b'.' || b == b'\\' {
-                    write!(f, "\\{}", b as char)?;
-                } else if b.is_ascii_graphic() {
-                    write!(f, "{}", b as char)?;
-                } else {
-                    write!(f, "\\{:03}", b)?;
-                }
-            }
-            write!(f, ".")?;
-        }
-        if !any {
-            write!(f, ".")?;
-        }
-        Ok(())
+        fmt_labels(self.labels(), f)
     }
 }
 
