@@ -536,7 +536,7 @@ impl Browser {
         match self.engine.resolve(name, qtype) {
             Ok(res) => {
                 let mut records = res.chain;
-                records.extend(res.records);
+                records.extend(res.records.iter().cloned());
                 records
             }
             Err(_) => Vec::new(),

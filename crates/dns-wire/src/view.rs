@@ -2,11 +2,13 @@
 //! lazy, zero-copy access to names and RDATA.
 //!
 //! [`MessageView`] is the borrowed counterpart of
-//! [`Message::decode`](crate::Message::decode). Parsing locates the
-//! header fields and the offsets of every question and resource record
-//! in a single pass — names are *validated* (same structural rules as
-//! [`DnsName::decode_at`]) but never materialized,
-//! and RDATA is left as an `RDLENGTH`-delimited subrange of the buffer.
+//! [`Message::decode`](crate::Message::decode). Parsing reads the
+//! header fields and walks every question and resource record in a
+//! single pass — names are *validated* (same structural rules as
+//! [`DnsName::decode_at`]) but never materialized, RDATA is left as an
+//! `RDLENGTH`-delimited subrange of the buffer, and all the pass keeps
+//! is where each section starts: the section iterators walk the
+//! validated bytes again, so a view owns no heap memory.
 //! Callers then read what they need:
 //!
 //! - [`NameView`] exposes a compression-aware label iterator plus
@@ -142,7 +144,7 @@ impl<'a> Iterator for LabelIter<'a> {
     }
 }
 
-/// Per-question metadata recorded by the parse pass.
+/// The fixed fields of one question-section entry.
 #[derive(Debug, Clone, Copy)]
 struct QuestionMeta {
     name_off: usize,
@@ -150,7 +152,17 @@ struct QuestionMeta {
     qclass: u16,
 }
 
-/// Per-record metadata recorded by the parse pass: where the owner name
+impl QuestionMeta {
+    /// Validate the entry at `pos`; returns it and the offset after it.
+    fn read_at(buf: &[u8], pos: usize) -> Result<(QuestionMeta, usize), WireError> {
+        let fixed = DnsName::skip_at(buf, pos)?;
+        let qtype = read_u16_at(buf, fixed, "question type")?;
+        let qclass = read_u16_at(buf, fixed + 2, "question class")?;
+        Ok((QuestionMeta { name_off: pos, qtype, qclass }, fixed + 4))
+    }
+}
+
+/// The fixed fields of one resource record: where the owner name
 /// starts and where the RDATA subrange lies.
 #[derive(Debug, Clone, Copy)]
 struct RecordMeta {
@@ -160,6 +172,41 @@ struct RecordMeta {
     ttl: u32,
     rd_start: usize,
     rd_end: usize,
+}
+
+impl RecordMeta {
+    /// Validate the record at `pos` (owner-name structure, fixed fields,
+    /// `RDLENGTH` within the buffer); returns it and the offset after it.
+    fn read_at(buf: &[u8], pos: usize) -> Result<(RecordMeta, usize), WireError> {
+        let fixed = DnsName::skip_at(buf, pos)?;
+        let rtype = read_u16_at(buf, fixed, "record type")?;
+        let class = read_u16_at(buf, fixed + 2, "record class")?;
+        let ttl = read_u32_at(buf, fixed + 4, "record ttl")?;
+        let rdlen = read_u16_at(buf, fixed + 8, "rdlength")? as usize;
+        let rd_start = fixed + 10;
+        let rd_end = rd_start + rdlen;
+        if rd_end > buf.len() {
+            return Err(WireError::Truncated { context: "rdata" });
+        }
+        Ok((RecordMeta { name_off: pos, rtype, class, ttl, rd_start, rd_end }, rd_end))
+    }
+}
+
+/// Lazy walk over `left` consecutive entries starting at `pos`, in bytes
+/// [`MessageView::parse`] has already accepted — so `read_at` cannot
+/// fail here, and if it did the walk would end instead of panicking.
+fn walk<'a, M>(
+    buf: &'a [u8],
+    mut pos: usize,
+    mut left: usize,
+    read_at: impl Fn(&[u8], usize) -> Result<(M, usize), WireError> + 'a,
+) -> impl Iterator<Item = M> + 'a {
+    std::iter::from_fn(move || {
+        left = left.checked_sub(1)?;
+        let (meta, next) = read_at(buf, pos).ok()?;
+        pos = next;
+        Some(meta)
+    })
 }
 
 /// Borrowed view of one question-section entry.
@@ -266,11 +313,11 @@ pub struct MessageView<'a> {
     opcode: Opcode,
     flags: Flags,
     rcode: Rcode,
-    questions: Vec<QuestionMeta>,
-    /// Answers, authorities and additionals, in wire order.
-    records: Vec<RecordMeta>,
-    ancount: usize,
-    nscount: usize,
+    qdcount: usize,
+    /// Record counts of the answer, authority and additional sections,
+    /// and the offset each of them starts at (questions start at 12).
+    counts: [usize; 3],
+    starts: [usize; 3],
     edns: Option<Edns>,
 }
 
@@ -317,66 +364,41 @@ impl<'a> MessageView<'a> {
         let arcount = u16::from_be_bytes([buf[10], buf[11]]) as usize;
 
         let mut pos = 12;
-        let mut questions = Vec::with_capacity(qdcount);
         for _ in 0..qdcount {
-            let name_off = pos;
-            pos = DnsName::skip_at(buf, pos)?;
-            let qtype = read_u16_at(buf, pos, "question type")?;
-            let qclass = read_u16_at(buf, pos + 2, "question class")?;
-            pos += 4;
-            questions.push(QuestionMeta { name_off, qtype, qclass });
+            pos = QuestionMeta::read_at(buf, pos)?.1;
         }
 
-        let total = ancount + nscount + arcount;
-        let mut records = Vec::with_capacity(total);
+        let counts = [ancount, nscount, arcount];
+        let mut starts = [0; 3];
         let mut edns = None;
-        for i in 0..total {
-            let name_off = pos;
-            pos = DnsName::skip_at(buf, pos)?;
-            let rtype = read_u16_at(buf, pos, "record type")?;
-            let class = read_u16_at(buf, pos + 2, "record class")?;
-            let ttl = read_u32_at(buf, pos + 4, "record ttl")?;
-            let rdlen = read_u16_at(buf, pos + 8, "rdlength")? as usize;
-            pos += 10;
-            let rd_start = pos;
-            let rd_end = rd_start + rdlen;
-            if rd_end > buf.len() {
-                return Err(WireError::Truncated { context: "rdata" });
-            }
-            pos = rd_end;
-            // OPT pseudo-records in the additional section become EDNS
-            // state, exactly as in `Message::decode` (last one wins; a
-            // non-zero extended RCODE merges with the header RCODE).
-            if i >= ancount + nscount && rtype == RecordType::Opt.code() {
-                let e = Edns {
-                    udp_payload_size: class,
-                    version: ((ttl >> 16) & 0xFF) as u8,
-                    dnssec_ok: ttl & 0x8000 != 0,
-                    extended_rcode: ((ttl >> 24) & 0xFF) as u8,
-                };
-                if e.extended_rcode != 0 {
-                    let full = ((e.extended_rcode as u16) << 4) | (rcode.code() as u16);
-                    rcode = Rcode::from_code((full & 0xFF) as u8);
+        for (section, &count) in counts.iter().enumerate() {
+            starts[section] = pos;
+            for _ in 0..count {
+                let (meta, next) = RecordMeta::read_at(buf, pos)?;
+                pos = next;
+                // OPT pseudo-records in the additional section become
+                // EDNS state, exactly as in `Message::decode` (last one
+                // wins; a non-zero extended RCODE merges with the header
+                // RCODE).
+                if section == 2 && meta.rtype == RecordType::Opt.code() {
+                    let e = Edns {
+                        udp_payload_size: meta.class,
+                        version: ((meta.ttl >> 16) & 0xFF) as u8,
+                        dnssec_ok: meta.ttl & 0x8000 != 0,
+                        extended_rcode: ((meta.ttl >> 24) & 0xFF) as u8,
+                    };
+                    if e.extended_rcode != 0 {
+                        let full = ((e.extended_rcode as u16) << 4) | (rcode.code() as u16);
+                        rcode = Rcode::from_code((full & 0xFF) as u8);
+                    }
+                    edns = Some(e);
                 }
-                edns = Some(e);
             }
-            records.push(RecordMeta { name_off, rtype, class, ttl, rd_start, rd_end });
         }
         if pos != buf.len() {
             return Err(WireError::TrailingBytes(buf.len() - pos));
         }
-        Ok(MessageView {
-            buf,
-            id,
-            opcode,
-            flags,
-            rcode,
-            questions,
-            records,
-            ancount,
-            nscount,
-            edns,
-        })
+        Ok(MessageView { buf, id, opcode, flags, rcode, qdcount, counts, starts, edns })
     }
 
     /// Transaction id.
@@ -416,48 +438,52 @@ impl<'a> MessageView<'a> {
 
     /// Number of question-section entries.
     pub fn question_count(&self) -> usize {
-        self.questions.len()
+        self.qdcount
     }
 
     /// Number of answer-section records.
     pub fn answer_count(&self) -> usize {
-        self.ancount
+        self.counts[0]
     }
 
     /// Number of authority-section records.
     pub fn authority_count(&self) -> usize {
-        self.nscount
+        self.counts[1]
     }
 
     /// First question, if present.
     pub fn question(&self) -> Option<QuestionView<'a>> {
-        self.questions.first().map(|m| QuestionView { buf: self.buf, meta: *m })
+        self.questions().next()
     }
 
     /// Iterate the question section.
     pub fn questions(&self) -> impl Iterator<Item = QuestionView<'a>> + '_ {
-        self.questions.iter().map(|m| QuestionView { buf: self.buf, meta: *m })
+        let buf = self.buf;
+        walk(buf, 12, self.qdcount, QuestionMeta::read_at)
+            .map(move |meta| QuestionView { buf, meta })
+    }
+
+    /// Iterate one of the three record sections.
+    fn section(&self, section: usize) -> impl Iterator<Item = RecordView<'a>> + '_ {
+        let buf = self.buf;
+        walk(buf, self.starts[section], self.counts[section], RecordMeta::read_at)
+            .map(move |meta| RecordView { buf, meta })
     }
 
     /// Iterate the answer section.
     pub fn answers(&self) -> impl Iterator<Item = RecordView<'a>> + '_ {
-        self.records[..self.ancount].iter().map(|m| RecordView { buf: self.buf, meta: *m })
+        self.section(0)
     }
 
     /// Iterate the authority section.
     pub fn authorities(&self) -> impl Iterator<Item = RecordView<'a>> + '_ {
-        self.records[self.ancount..self.ancount + self.nscount]
-            .iter()
-            .map(|m| RecordView { buf: self.buf, meta: *m })
+        self.section(1)
     }
 
     /// Iterate the additional section, excluding OPT pseudo-records
     /// (their contents are exposed via [`MessageView::edns`]).
     pub fn additionals(&self) -> impl Iterator<Item = RecordView<'a>> + '_ {
-        self.records[self.ancount + self.nscount..]
-            .iter()
-            .filter(|m| m.rtype != RecordType::Opt.code())
-            .map(|m| RecordView { buf: self.buf, meta: *m })
+        self.section(2).filter(|r| r.meta.rtype != RecordType::Opt.code())
     }
 
     /// Materialize an owned [`Message`], decoding every name and RDATA.
@@ -465,15 +491,15 @@ impl<'a> MessageView<'a> {
     /// succeed; fails only on RDATA that `Message::decode` would also
     /// reject (the structure was validated by [`MessageView::parse`]).
     pub fn to_message(&self) -> Result<Message, WireError> {
-        let mut questions = Vec::with_capacity(self.questions.len());
+        let mut questions = Vec::with_capacity(self.qdcount);
         for q in self.questions() {
             questions.push(q.to_owned());
         }
-        let mut answers = Vec::with_capacity(self.ancount);
+        let mut answers = Vec::with_capacity(self.counts[0]);
         for r in self.answers() {
             answers.push(r.to_owned()?);
         }
-        let mut authorities = Vec::with_capacity(self.nscount);
+        let mut authorities = Vec::with_capacity(self.counts[1]);
         for r in self.authorities() {
             authorities.push(r.to_owned()?);
         }

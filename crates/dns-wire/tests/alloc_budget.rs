@@ -1,7 +1,8 @@
-//! Allocation budgets of [`DnsName`]: what a name costs to copy,
-//! compare, hash and build, counted with a per-thread counting allocator
-//! and held on every thread of the `RESOLVER_TEST_THREADS` axis while
-//! the threads share the same names.
+//! Allocation budgets of [`DnsName`] and [`MessageView`]: what a name
+//! costs to copy, compare, hash and build and what a datagram costs to
+//! validate and walk, counted with a per-thread counting allocator and
+//! held on every thread of the `RESOLVER_TEST_THREADS` axis while the
+//! threads share the same names and bytes.
 
 #![allow(unsafe_code)]
 
@@ -10,7 +11,7 @@ mod counting_alloc;
 
 use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
 use dns_wire::wire::WireWriter;
-use dns_wire::{DnsName, Message, MessageView, RecordType};
+use dns_wire::{DnsName, Message, MessageView, RData, Record, RecordType};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -94,5 +95,38 @@ fn building_a_name_allocates_once() {
         });
         // Each thread's whole closure: the five names it built.
         assert_eq!(counts, vec![5; threads], "{threads} threads");
+    }
+}
+
+#[test]
+fn parsing_a_view_and_walking_every_section_allocates_nothing() {
+    let owner = name("www.example.com");
+    let mut reply = Message::query_dnssec(7, owner.clone(), RecordType::A).response();
+    let a = |last| RData::A([192, 0, 2, last].into());
+    reply.answers.push(Record::new(owner.clone(), 300, RData::Cname(name("example.com"))));
+    reply.answers.extend((1..=8).map(|i| Record::new(name("example.com"), 60, a(i))));
+    reply.authorities.push(Record::new(
+        name("example.com"),
+        3600,
+        RData::Ns(name("ns1.example.com")),
+    ));
+    reply.additionals.push(Record::new(name("ns1.example.com"), 3600, a(53)));
+    let wire = reply.encode();
+
+    for threads in thread_axis() {
+        let counts = allocs_per_thread(threads, || {
+            for _ in 0..50 {
+                let view = MessageView::parse(black_box(&wire)).unwrap();
+                assert!(view.question().unwrap().name().eq_name(&owner));
+                let sections = [
+                    view.questions().count(),
+                    view.answers().count(),
+                    view.authorities().count(),
+                    view.additionals().count(),
+                ];
+                assert_eq!(sections, [1, 9, 1, 1]);
+            }
+        });
+        assert_eq!(counts, vec![0; threads], "{threads} threads");
     }
 }

@@ -64,6 +64,7 @@ use netsim::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default shard count: enough to keep a typical worker fan-out (the
 /// scanner uses 4–8 threads) contention-free without wasting memory on
@@ -112,14 +113,19 @@ impl std::str::FromStr for EvictionPolicy {
 }
 
 /// A positive or negative cached answer.
+///
+/// A positive answer is immutable and shared: the cache, every
+/// [`Resolution`](crate::Resolution) served from it and the reply it
+/// was parsed from hold reference counts on the same two slices, so a
+/// hit or a fill copies no record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CachedAnswer {
     /// A cached RRset with its signatures.
     Positive {
         /// The records of the set.
-        records: Vec<Record>,
+        records: Arc<[Record]>,
         /// Covering RRSIGs (as fetched with the DO bit).
-        rrsigs: Vec<RrsigRdata>,
+        rrsigs: Arc<[RrsigRdata]>,
     },
     /// A cached negative answer (NODATA or NXDOMAIN).
     Negative {
@@ -661,21 +667,23 @@ impl RecordCache {
         }
     }
 
-    /// Insert a positive RRset observed at `now`.
+    /// Insert a positive RRset observed at `now`. Shared slices are
+    /// stored as given (a reference count each); `Vec`s are converted.
     pub fn insert_positive(
         &self,
         name: &DnsName,
         rtype: RecordType,
-        records: Vec<Record>,
-        rrsigs: Vec<RrsigRdata>,
+        records: impl Into<Arc<[Record]>>,
+        rrsigs: impl Into<Arc<[RrsigRdata]>>,
         now: Timestamp,
     ) {
+        let records = records.into();
         if records.is_empty() {
             return;
         }
         let ttl = self.effective_ttl(records.iter().map(|r| r.ttl).min().unwrap_or(0));
         let key = (name.clone(), rtype.code());
-        self.store(key, CachedAnswer::Positive { records, rrsigs }, now, ttl);
+        self.store(key, CachedAnswer::Positive { records, rrsigs: rrsigs.into() }, now, ttl);
     }
 
     /// Insert a negative answer with the given TTL (typically the SOA
@@ -693,9 +701,10 @@ impl RecordCache {
         self.store(key, CachedAnswer::Negative { rcode }, now, ttl);
     }
 
-    /// Fetch a live entry; expired entries are evicted. On a bounded
-    /// cache a hit also refreshes the entry's recency (LRU) or heat
-    /// (S3-FIFO) under the same lock acquisition.
+    /// Fetch a live entry; expired entries are evicted. A positive hit
+    /// hands out reference counts on the stored RRset, not a copy. On a
+    /// bounded cache a hit also refreshes the entry's recency (LRU) or
+    /// heat (S3-FIFO) under the same lock acquisition.
     pub fn get(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<CachedAnswer> {
         let key = (name.clone(), rtype.code());
         let shard = self.shard_for(&key.0);
@@ -845,6 +854,10 @@ impl RecordCache {
     /// campaign), not absolute memory accounting.
     pub fn approx_bytes(&self) -> usize {
         const SLOT_OVERHEAD: usize = 48;
+        // A fixed cost like the others, not `size_of::<Entry>()`: the
+        // figure is compared across runs and versions, and must not
+        // move when the entry's representation does.
+        const ENTRY_COST: usize = 96;
         const RECORD_COST: usize = 96;
         const RRSIG_COST: usize = 128;
         let mut bytes = 0;
@@ -853,7 +866,7 @@ impl RecordCache {
             for ((owner, _), entry) in inner.entries.iter() {
                 let mut key_len = 0;
                 owner.for_each_key_byte(|_| key_len += 1);
-                bytes += key_len + std::mem::size_of::<Entry>() + SLOT_OVERHEAD;
+                bytes += key_len + ENTRY_COST + SLOT_OVERHEAD;
                 if let CachedAnswer::Positive { records, rrsigs } = &entry.answer {
                     bytes += records.len() * RECORD_COST + rrsigs.len() * RRSIG_COST;
                 }

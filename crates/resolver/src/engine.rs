@@ -44,8 +44,9 @@
 //! 1. **Deduplication.** Queries are deduplicated on `(owner name,
 //!    record type)` before the fan-out; each distinct query is resolved
 //!    exactly once per batch and duplicate positions receive a clone of
-//!    that single resolution. Whether a duplicate "would have" hit the
-//!    cache therefore does not depend on scheduling.
+//!    that single resolution (reference counts on the one answer RRset).
+//!    Whether a duplicate "would have" hit the cache therefore does not
+//!    depend on scheduling.
 //! 2. **Zone-affinity assignment.** Distinct queries are assigned to
 //!    pool workers by a stable hash of their authoritative zone apex
 //!    (from the delegation registry), and each worker's FIFO queue
@@ -456,7 +457,8 @@ impl QueryEngine {
         }
 
         // Hand each resolution to its consumers, cloning only for true
-        // duplicates: the common all-distinct batch moves every result.
+        // duplicates — a clone shares the answer RRset, it does not copy
+        // it: the common all-distinct batch moves every result.
         let mut remaining = vec![0usize; resolved.len()];
         for &idx in &positions {
             remaining[idx] += 1;

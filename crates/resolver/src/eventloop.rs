@@ -37,9 +37,7 @@
 //! validation walk.
 
 use crate::engine::Query;
-use crate::resolver::{
-    extract_rrset, extract_rrsigs, AuthorityReply, RecursiveResolver, Resolution, ResolveError,
-};
+use crate::resolver::{AuthorityReply, RecursiveResolver, Resolution, ResolveError};
 use dns_wire::{DnsName, Message, RData, Rcode, RecordType};
 use netsim::{NetError, ScheduledDelivery, TimeMs};
 use std::cell::{Cell, RefCell};
@@ -47,6 +45,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::future::Future;
 use std::net::IpAddr;
+use std::ops::ControlFlow;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -234,24 +233,24 @@ async fn query_authority_async(
     rtype: RecordType,
 ) -> Result<AuthorityReply, ResolveError> {
     let r = &ctx.resolver;
-    let (apex, endpoints) =
-        r.registry().find_authority(name).ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
+    let (apex, endpoints) = r
+        .registry()
+        .find_authority(name)
+        .filter(|(_, endpoints)| !endpoints.is_empty())
+        .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
     let order = r.selector().pick_order(&apex, &endpoints);
-    if order.is_empty() {
-        return Err(ResolveError::NoAuthority(name.clone()));
-    }
     let id = r.next_query_id();
     let wire = Message::query_dnssec(id, name.clone(), rtype).encode();
     let mut last_err = ResolveError::Lame(apex.clone());
     let mut timed_out_total = 0u32;
-    for (ep_index, ep) in order.iter().enumerate() {
+    for (ep_index, ep) in order.enumerate() {
         if ep_index > 0 {
             ctx.stats.borrow_mut().ns_fallbacks += 1;
         }
         let mut attempt = 0u32;
         loop {
             match ctx.exchange(ep.ip, &wire, attempt).await {
-                Ok(bytes) => match AuthorityReply::parse(&bytes) {
+                Ok(bytes) => match AuthorityReply::parse(&bytes, id, name, rtype) {
                     Some(resp) if resp.rcode == Rcode::Refused => {
                         last_err = ResolveError::Lame(apex.clone());
                         break;
@@ -319,58 +318,10 @@ async fn resolve_async(
         from_cache = false;
 
         let resp = query_authority_async(&ctx, &current, rtype).await?;
-        match resp.rcode {
-            Rcode::NoError => {}
-            Rcode::NxDomain => {
-                let ttl = resp.negative_ttl(r.config().default_negative_ttl);
-                r.cache().insert_negative(&current, rtype, Rcode::NxDomain, ttl, now);
-                return Ok(Resolution {
-                    chain,
-                    records: Vec::new(),
-                    rrsigs: Vec::new(),
-                    rcode: Rcode::NxDomain,
-                    validation: None,
-                    from_cache: false,
-                });
-            }
-            other => {
-                return Ok(Resolution {
-                    chain,
-                    records: Vec::new(),
-                    rrsigs: Vec::new(),
-                    rcode: other,
-                    validation: None,
-                    from_cache: false,
-                });
-            }
+        match r.apply_reply(&resp, &mut chain, &current, rtype, now) {
+            ControlFlow::Break(resolution) => return Ok(resolution),
+            ControlFlow::Continue(target) => current = target,
         }
-
-        r.cache_answer_sections(&resp.answers, now);
-
-        let records = extract_rrset(&resp.answers, &current, rtype);
-        if !records.is_empty() {
-            let rrsigs = extract_rrsigs(&resp.answers, &current, rtype);
-            return Ok(r.finish(chain, CachedAnswer::Positive { records, rrsigs }, false, now));
-        }
-        let cname =
-            resp.answers.iter().find(|rec| rec.rtype == RecordType::Cname && rec.name == current);
-        if let Some(rec) = cname {
-            if let RData::Cname(target) = &rec.rdata {
-                chain.push(rec.clone());
-                current = target.clone();
-                continue;
-            }
-        }
-        let ttl = resp.negative_ttl(r.config().default_negative_ttl);
-        r.cache().insert_negative(&current, rtype, Rcode::NoError, ttl, now);
-        return Ok(Resolution {
-            chain,
-            records: Vec::new(),
-            rrsigs: Vec::new(),
-            rcode: Rcode::NoError,
-            validation: None,
-            from_cache: false,
-        });
     }
     Err(ResolveError::ChainTooLong)
 }

@@ -10,13 +10,15 @@
 
 use crate::cache::{CachedAnswer, EvictionPolicy, RecordCache};
 use crate::selection::{NsSelector, SelectionStrategy};
-use authserver::DelegationRegistry;
+use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
 use dns_wire::{DnsName, Message, MessageView, RData, Rcode, Record, RecordType};
 use dnssec::{ChainSource, ValidationState, Validator};
 use netsim::{DatagramService, NetError, Network, Timestamp};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::Arc;
 
 /// Resolver configuration.
 #[derive(Debug, Clone)]
@@ -126,14 +128,18 @@ impl ResolveError {
 impl std::error::Error for ResolveError {}
 
 /// The outcome of a resolution.
+///
+/// The answer RRset and its signatures are the values the reply was
+/// parsed into, shared with the resolver's cache and with every other
+/// `Resolution` of the same answer: a clone is two reference counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resolution {
     /// CNAME chain records traversed, in order.
     pub chain: Vec<Record>,
     /// Final answer RRset (of the queried type); empty on NODATA/NXDOMAIN.
-    pub records: Vec<Record>,
+    pub records: Arc<[Record]>,
     /// RRSIGs covering the final RRset (when the zone is signed).
-    pub rrsigs: Vec<RrsigRdata>,
+    pub rrsigs: Arc<[RrsigRdata]>,
     /// Final response code.
     pub rcode: Rcode,
     /// DNSSEC validation state of the final RRset (None when validation
@@ -144,6 +150,19 @@ pub struct Resolution {
 }
 
 impl Resolution {
+    /// A resolution without an answer RRset. `Arc::<[_]>::default()` is
+    /// one process-wide empty slice, so the two sets allocate nothing.
+    fn negative(chain: Vec<Record>, rcode: Rcode, from_cache: bool) -> Resolution {
+        Resolution {
+            chain,
+            records: Arc::default(),
+            rrsigs: Arc::default(),
+            rcode,
+            validation: None,
+            from_cache,
+        }
+    }
+
     /// The Authenticated Data bit as a resolver would set it.
     pub fn ad(&self) -> bool {
         matches!(self.validation, Some(ValidationState::Secure))
@@ -251,69 +270,55 @@ impl RecursiveResolver {
 
             // 3. Query the authority.
             let resp = self.query_authority(&current, rtype)?;
-            match resp.rcode {
-                Rcode::NoError => {}
-                Rcode::NxDomain => {
-                    let ttl = resp.negative_ttl(self.config.default_negative_ttl);
-                    self.cache.insert_negative(&current, rtype, Rcode::NxDomain, ttl, now);
-                    return Ok(Resolution {
-                        chain,
-                        records: Vec::new(),
-                        rrsigs: Vec::new(),
-                        rcode: Rcode::NxDomain,
-                        validation: None,
-                        from_cache: false,
-                    });
-                }
-                other => {
-                    return Ok(Resolution {
-                        chain,
-                        records: Vec::new(),
-                        rrsigs: Vec::new(),
-                        rcode: other,
-                        validation: None,
-                        from_cache: false,
-                    });
-                }
+            match self.apply_reply(&resp, &mut chain, &current, rtype, now) {
+                ControlFlow::Break(resolution) => return Ok(resolution),
+                ControlFlow::Continue(target) => current = target,
             }
-
-            // Cache every RRset in the answer section (covers the case
-            // where the authority chased a CNAME for us).
-            self.cache_answer_sections(&resp.answers, now);
-
-            let records = extract_rrset(&resp.answers, &current, rtype);
-            if !records.is_empty() {
-                let rrsigs = extract_rrsigs(&resp.answers, &current, rtype);
-                return Ok(self.finish(
-                    chain,
-                    CachedAnswer::Positive { records, rrsigs },
-                    false,
-                    now,
-                ));
-            }
-            // CNAME step from the live response.
-            let cname =
-                resp.answers.iter().find(|r| r.rtype == RecordType::Cname && r.name == current);
-            if let Some(rec) = cname {
-                if let RData::Cname(target) = &rec.rdata {
-                    chain.push(rec.clone());
-                    current = target.clone();
-                    continue;
-                }
-            }
-            // NODATA.
-            let ttl = resp.negative_ttl(self.config.default_negative_ttl);
-            self.cache.insert_negative(&current, rtype, Rcode::NoError, ttl, now);
-            return Ok(Resolution {
-                chain,
-                records: Vec::new(),
-                rrsigs: Vec::new(),
-                rcode: Rcode::NoError,
-                validation: None,
-                from_cache: false,
-            });
         }
         Err(ResolveError::ChainTooLong)
+    }
+
+    /// What an authority's reply about `(current, rtype)` means for the
+    /// resolution in progress — the step both backends share. Every
+    /// RRset of the answer section is cached (the authority may have
+    /// chased a CNAME for us) and so is a negative outcome; then the
+    /// resolution either ends (`Break`, taking `chain`) or moves on to
+    /// the target of `current`'s CNAME (`Continue`).
+    pub(crate) fn apply_reply(
+        &self,
+        resp: &AuthorityReply,
+        chain: &mut Vec<Record>,
+        current: &DnsName,
+        rtype: RecordType,
+        now: Timestamp,
+    ) -> ControlFlow<Resolution, DnsName> {
+        if resp.rcode != Rcode::NoError {
+            if resp.rcode == Rcode::NxDomain {
+                let ttl = resp.negative_ttl(self.config.default_negative_ttl);
+                self.cache.insert_negative(current, rtype, Rcode::NxDomain, ttl, now);
+            }
+            return ControlFlow::Break(Resolution::negative(
+                std::mem::take(chain),
+                resp.rcode,
+                false,
+            ));
+        }
+        self.cache_answer(resp, now);
+        if let Some(set) = resp.rrset(current, rtype) {
+            let chain = std::mem::take(chain);
+            return ControlFlow::Break(self.finish(chain, set.clone().into(), false, now));
+        }
+        // CNAME step from the live response.
+        if let Some(rec) = resp.rrset(current, RecordType::Cname).map(|set| &set.records[0]) {
+            if let RData::Cname(target) = &rec.rdata {
+                chain.push(rec.clone());
+                return ControlFlow::Continue(target.clone());
+            }
+        }
+        // NODATA.
+        let ttl = resp.negative_ttl(self.config.default_negative_ttl);
+        self.cache.insert_negative(current, rtype, Rcode::NoError, ttl, now);
+        ControlFlow::Break(Resolution::negative(std::mem::take(chain), Rcode::NoError, false))
     }
 
     pub(crate) fn finish(
@@ -332,14 +337,7 @@ impl RecursiveResolver {
                 };
                 Resolution { chain, records, rrsigs, rcode: Rcode::NoError, validation, from_cache }
             }
-            CachedAnswer::Negative { rcode } => Resolution {
-                chain,
-                records: Vec::new(),
-                rrsigs: Vec::new(),
-                rcode,
-                validation: None,
-                from_cache,
-            },
+            CachedAnswer::Negative { rcode } => Resolution::negative(chain, rcode, from_cache),
         }
     }
 
@@ -353,53 +351,50 @@ impl RecursiveResolver {
         let (apex, endpoints) = self
             .registry
             .find_authority(name)
+            .filter(|(_, endpoints)| !endpoints.is_empty())
             .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
-        let order = self.selector.pick_order(&apex, &endpoints);
-        if order.is_empty() {
-            return Err(ResolveError::NoAuthority(name.clone()));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let query = Message::query_dnssec(id, name.clone(), rtype);
-        let wire = query.encode();
-        let mut last_err = ResolveError::Lame(apex.clone());
+        self.ask(&apex, self.selector.pick_order(&apex, &endpoints), name, rtype)
+    }
+
+    /// Send one query for `(name, rtype)` to `zone`'s endpoints in the
+    /// given order until one of them answers it usably.
+    fn ask<'a>(
+        &self,
+        zone: &DnsName,
+        order: impl Iterator<Item = &'a NsEndpoint>,
+        name: &DnsName,
+        rtype: RecordType,
+    ) -> Result<AuthorityReply, ResolveError> {
+        let id = self.next_query_id();
+        let wire = Message::query_dnssec(id, name.clone(), rtype).encode();
+        let mut last_err = ResolveError::Lame(zone.clone());
         for ep in order {
-            match self.network.send_datagram(ep.ip, 53, &wire) {
-                Ok(bytes) => match AuthorityReply::parse(&bytes) {
-                    Some(resp) if resp.rcode == Rcode::Refused => {
-                        last_err = ResolveError::Lame(apex.clone());
-                        continue;
-                    }
+            last_err = match self.network.send_datagram(ep.ip, 53, &wire) {
+                Ok(bytes) => match AuthorityReply::parse(&bytes, id, name, rtype) {
+                    Some(resp) if resp.rcode == Rcode::Refused => ResolveError::Lame(zone.clone()),
                     Some(resp) => return Ok(resp),
-                    None => {
-                        last_err = ResolveError::Malformed;
-                        continue;
-                    }
+                    None => ResolveError::Malformed,
                 },
-                Err(e) => {
-                    last_err = ResolveError::Network(e);
-                    continue;
-                }
-            }
+                Err(e) => ResolveError::Network(e),
+            };
         }
         Err(last_err)
     }
 
-    /// Cache every RRset of an answer section, in the order the sets
-    /// first appear — which is the order a bounded cache stamps them in,
-    /// so which of a CNAME and its target outlives the other never
-    /// depends on a hasher.
-    pub(crate) fn cache_answer_sections(&self, answers: &[Record], now: Timestamp) {
-        for (i, first) in answers.iter().enumerate() {
-            // An authority emits an RRset contiguously, so looking back
-            // from a set's later records finds its first one at once.
-            let seen = |r: &Record| r.rtype == first.rtype && r.name == first.name;
-            if first.rtype == RecordType::Rrsig || answers[..i].iter().rev().any(seen) {
-                continue;
-            }
-            let records = extract_rrset(&answers[i..], &first.name, first.rtype);
-            let rrsigs = extract_rrsigs(answers, &first.name, first.rtype);
-            self.cache.insert_positive(&first.name, first.rtype, records, rrsigs, now);
+    /// Cache every RRset of a reply's answer section, in the order the
+    /// sets first appear — which is the order a bounded cache stamps
+    /// them in, so which of a CNAME and its target outlives the other
+    /// never depends on a hasher.
+    fn cache_answer(&self, resp: &AuthorityReply, now: Timestamp) {
+        for set in &resp.answers {
+            self.cache_rrset(set, now);
         }
+    }
+
+    fn cache_rrset(&self, set: &RrSet, now: Timestamp) {
+        let first = &set.records[0];
+        let (records, rrsigs) = (Arc::clone(&set.records), Arc::clone(&set.rrsigs));
+        self.cache.insert_positive(&first.name, first.rtype, records, rrsigs, now);
     }
 
     fn validate_rrset(
@@ -419,6 +414,26 @@ struct ResolverChainSource<'a> {
     resolver: &'a RecursiveResolver,
 }
 
+impl ResolverChainSource<'_> {
+    /// The `(zone, rtype)` RRset of a chain-walk reply; a reply without
+    /// one is cached as a negative answer under the reply's own rcode.
+    fn rrset_of<'r>(
+        &self,
+        resp: &'r AuthorityReply,
+        zone: &DnsName,
+        rtype: RecordType,
+        now: Timestamp,
+    ) -> Option<&'r RrSet> {
+        let set = resp.rrset(zone, rtype);
+        if set.is_none() {
+            let r = self.resolver;
+            let ttl = resp.negative_ttl(r.config.default_negative_ttl);
+            r.cache.insert_negative(zone, rtype, resp.rcode, ttl, now);
+        }
+        set
+    }
+}
+
 impl ChainSource for ResolverChainSource<'_> {
     fn dnskeys(&mut self, zone: &DnsName) -> Option<(Vec<DnskeyRdata>, Vec<RrsigRdata>)> {
         let r = self.resolver;
@@ -428,15 +443,9 @@ impl ChainSource for ResolverChainSource<'_> {
             Some(CachedAnswer::Negative { .. }) => return None,
             None => {
                 let resp = r.query_authority(zone, RecordType::Dnskey).ok()?;
-                r.cache_answer_sections(&resp.answers, now);
-                let records = extract_rrset(&resp.answers, zone, RecordType::Dnskey);
-                if records.is_empty() {
-                    let ttl = resp.negative_ttl(r.config.default_negative_ttl);
-                    r.cache.insert_negative(zone, RecordType::Dnskey, resp.rcode, ttl, now);
-                    return None;
-                }
-                let rrsigs = extract_rrsigs(&resp.answers, zone, RecordType::Dnskey);
-                (records, rrsigs)
+                r.cache_answer(&resp, now);
+                let set = self.rrset_of(&resp, zone, RecordType::Dnskey, now)?;
+                (Arc::clone(&set.records), Arc::clone(&set.rrsigs))
             }
         };
         let keys: Vec<DnskeyRdata> = records
@@ -449,7 +458,7 @@ impl ChainSource for ResolverChainSource<'_> {
         if keys.is_empty() {
             None
         } else {
-            Some((keys, rrsigs))
+            Some((keys, rrsigs.to_vec()))
         }
     }
 
@@ -461,32 +470,12 @@ impl ChainSource for ResolverChainSource<'_> {
             Some(CachedAnswer::Negative { .. }) => return None,
             None => {
                 // DS lives in the parent zone.
-                let (_, endpoints) = r.registry.find_parent_authority(zone)?;
+                let (parent, endpoints) = r.registry.find_parent_authority(zone)?;
                 let order = r.selector.pick_order_ds(zone, &endpoints);
-                let id = r.next_id.fetch_add(1, Ordering::Relaxed);
-                let query = Message::query_dnssec(id, zone.clone(), RecordType::Ds);
-                let wire = query.encode();
-                let mut found: Option<AuthorityReply> = None;
-                for ep in order {
-                    if let Ok(bytes) = r.network.send_datagram(ep.ip, 53, &wire) {
-                        if let Some(resp) = AuthorityReply::parse(&bytes) {
-                            if resp.rcode != Rcode::Refused {
-                                found = Some(resp);
-                                break;
-                            }
-                        }
-                    }
-                }
-                let resp = found?;
-                let records = extract_rrset(&resp.answers, zone, RecordType::Ds);
-                if records.is_empty() {
-                    let ttl = resp.negative_ttl(r.config.default_negative_ttl);
-                    r.cache.insert_negative(zone, RecordType::Ds, resp.rcode, ttl, now);
-                    return None;
-                }
-                let rrsigs = extract_rrsigs(&resp.answers, zone, RecordType::Ds);
-                r.cache.insert_positive(zone, RecordType::Ds, records.clone(), rrsigs, now);
-                records
+                let resp = r.ask(&parent, order, zone, RecordType::Ds).ok()?;
+                let set = self.rrset_of(&resp, zone, RecordType::Ds, now)?;
+                r.cache_rrset(set, now);
+                Arc::clone(&set.records)
             }
         };
         let set: Vec<DsRdata> = records
@@ -521,9 +510,9 @@ impl DatagramService for RecursiveResolver {
                 resp.rcode = res.rcode;
                 resp.flags.ad = res.ad();
                 resp.answers.extend(res.chain.clone());
-                resp.answers.extend(res.records.clone());
+                resp.answers.extend(res.records.iter().cloned());
                 if query.dnssec_ok() {
-                    for sig in &res.rrsigs {
+                    for sig in res.rrsigs.iter() {
                         if let Some(first) = res.records.first() {
                             resp.answers.push(Record::with_type(
                                 first.name.clone(),
@@ -543,27 +532,126 @@ impl DatagramService for RecursiveResolver {
     }
 }
 
+/// One RRset of an answer section with the signatures covering it:
+/// built once, by move, where the reply is parsed, and from then on only
+/// shared — the cache, the [`Resolution`] and every duplicate of the
+/// query in a batch hold reference counts on these two slices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RrSet {
+    /// The records of the set, in answer order; never empty.
+    pub(crate) records: Arc<[Record]>,
+    /// The RRSIGs covering the set, in answer order.
+    pub(crate) rrsigs: Arc<[RrsigRdata]>,
+}
+
+impl RrSet {
+    fn is(&self, name: &DnsName, rtype: RecordType) -> bool {
+        let first = &self.records[0];
+        first.rtype == rtype && first.name == *name
+    }
+}
+
+impl From<RrSet> for CachedAnswer {
+    fn from(set: RrSet) -> CachedAnswer {
+        CachedAnswer::Positive { records: set.records, rrsigs: set.rrsigs }
+    }
+}
+
+/// `Vec` → shared slice; an empty one is the process-wide empty slice
+/// (`Arc::<[_]>::default()`) rather than an allocation of its own.
+fn share<T>(items: Vec<T>) -> Arc<[T]> {
+    if items.is_empty() {
+        Arc::default()
+    } else {
+        items.into()
+    }
+}
+
+/// Group an answer section into its RRsets, by move: sets in the order
+/// they first appear, a set split across the section merged into one,
+/// each RRSIG attached to the set `(owner, type covered)` it signs
+/// wherever in the section it sits, and dropped when that set is absent.
+/// The first record that fails to decode fails the whole section.
+pub(crate) fn group_rrsets<E>(
+    answers: impl Iterator<Item = Result<Record, E>>,
+) -> Result<Vec<RrSet>, E> {
+    let mut sets: Vec<(Vec<Record>, Vec<RrsigRdata>)> = Vec::new();
+    // RRSIGs met before the set they cover.
+    let mut early: Vec<(DnsName, RrsigRdata)> = Vec::new();
+    for rec in answers {
+        let rec = rec?;
+        let covers = |sig: &RrsigRdata, owner: &DnsName, first: &Record| {
+            first.rtype == sig.type_covered && first.name == *owner
+        };
+        if rec.rtype == RecordType::Rrsig {
+            if let RData::Rrsig(sig) = rec.rdata {
+                match sets.iter_mut().find(|(records, _)| covers(&sig, &rec.name, &records[0])) {
+                    Some((_, rrsigs)) => rrsigs.push(sig),
+                    None => early.push((rec.name, sig)),
+                }
+            }
+            continue;
+        }
+        // An authority emits an RRset contiguously, so looking back
+        // from a set's later records finds it at once.
+        let same = |first: &Record| first.rtype == rec.rtype && first.name == rec.name;
+        match sets.iter_mut().rev().find(|(records, _)| same(&records[0])) {
+            Some((records, _)) => records.push(rec),
+            None => {
+                let mut rrsigs = Vec::new();
+                let mut i = 0;
+                while i < early.len() {
+                    if covers(&early[i].1, &early[i].0, &rec) {
+                        rrsigs.push(early.remove(i).1);
+                    } else {
+                        i += 1;
+                    }
+                }
+                sets.push((vec![rec], rrsigs));
+            }
+        }
+    }
+    let share = |(records, rrsigs)| RrSet { records: share(records), rrsigs: share(rrsigs) };
+    Ok(sets.into_iter().map(share).collect())
+}
+
 /// The slice of an authority response the resolver actually consumes,
 /// lifted off a borrowed [`MessageView`]. Only answer-section records
-/// are materialized (they feed the [`RecordCache`]); the authority
-/// section is scanned lazily for the first SOA's negative TTL, and
+/// are materialized — once, straight into the shared [`RrSet`]s that
+/// the cache and the [`Resolution`] then hold; the authority section is
+/// scanned lazily for the first SOA's negative TTL, and
 /// additional-section rdata is never decoded at all.
 pub(crate) struct AuthorityReply {
     pub(crate) rcode: Rcode,
-    pub(crate) answers: Vec<Record>,
+    /// The answer section's RRsets, in first-appearance order.
+    pub(crate) answers: Vec<RrSet>,
     /// `min(SOA minimum, SOA TTL)` from the authority section, if any.
     soa_negative_ttl: Option<u32>,
 }
 
 impl AuthorityReply {
-    /// Parse a response datagram. `None` means malformed: a structural
-    /// error anywhere, or undecodable rdata in a record we consume.
-    pub(crate) fn parse(bytes: &[u8]) -> Option<AuthorityReply> {
+    /// Parse the reply to the query `(id, name, rtype)`. `None` means
+    /// unusable: a structural error anywhere, undecodable rdata in a
+    /// record we consume, or a datagram that does not answer that query
+    /// (RFC 5452 §4: not a response, another transaction id, or a
+    /// question section that is not exactly the question asked).
+    pub(crate) fn parse(
+        bytes: &[u8],
+        id: u16,
+        name: &DnsName,
+        rtype: RecordType,
+    ) -> Option<AuthorityReply> {
         let view = MessageView::parse(bytes).ok()?;
-        let mut answers = Vec::with_capacity(view.answer_count());
-        for rec in view.answers() {
-            answers.push(rec.to_owned().ok()?);
+        let question = view.question()?;
+        let answers_query = view.flags().qr
+            && view.id() == id
+            && view.question_count() == 1
+            && question.qtype() == rtype
+            && question.name().eq_name(name);
+        if !answers_query {
+            return None;
         }
+        let answers = group_rrsets(view.answers().map(|rec| rec.to_owned())).ok()?;
         let mut soa_negative_ttl = None;
         for rec in view.authorities() {
             if rec.rtype() == RecordType::Soa {
@@ -579,26 +667,121 @@ impl AuthorityReply {
         Some(AuthorityReply { rcode: view.rcode(), answers, soa_negative_ttl })
     }
 
+    /// The `(name, rtype)` RRset of the answer section, if it has one.
+    pub(crate) fn rrset(&self, name: &DnsName, rtype: RecordType) -> Option<&RrSet> {
+        self.answers.iter().find(|set| set.is(name, rtype))
+    }
+
     pub(crate) fn negative_ttl(&self, default: u32) -> u32 {
         self.soa_negative_ttl.unwrap_or(default)
     }
 }
 
-pub(crate) fn extract_rrset(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<Record> {
-    answers.iter().filter(|r| r.rtype == rtype && r.name == *name).cloned().collect()
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::convert::Infallible;
+    use std::net::Ipv4Addr;
 
-pub(crate) fn extract_rrsigs(
-    answers: &[Record],
-    name: &DnsName,
-    rtype: RecordType,
-) -> Vec<RrsigRdata> {
-    answers
-        .iter()
-        .filter(|r| r.rtype == RecordType::Rrsig && r.name == *name)
-        .filter_map(|r| match &r.rdata {
-            RData::Rrsig(s) if s.type_covered == rtype => Some(s.clone()),
-            _ => None,
-        })
-        .collect()
+    // What `group_rrsets` replaced, kept as its oracle: every set and
+    // every signature list deep-copied out of the flat answer section.
+
+    fn extract_rrset(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<Record> {
+        answers.iter().filter(|r| r.rtype == rtype && r.name == *name).cloned().collect()
+    }
+
+    fn extract_rrsigs(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<RrsigRdata> {
+        answers
+            .iter()
+            .filter(|r| r.rtype == RecordType::Rrsig && r.name == *name)
+            .filter_map(|r| match &r.rdata {
+                RData::Rrsig(s) if s.type_covered == rtype => Some(s.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn oracle(answers: &[Record]) -> Vec<(Vec<Record>, Vec<RrsigRdata>)> {
+        let mut sets = Vec::new();
+        for (i, first) in answers.iter().enumerate() {
+            let seen = |r: &Record| r.rtype == first.rtype && r.name == first.name;
+            if first.rtype == RecordType::Rrsig || answers[..i].iter().rev().any(seen) {
+                continue;
+            }
+            sets.push((
+                extract_rrset(&answers[i..], &first.name, first.rtype),
+                extract_rrsigs(answers, &first.name, first.rtype),
+            ));
+        }
+        sets
+    }
+
+    /// `a.example` twice, differing only in case; its `www`; a stranger.
+    const OWNERS: [&str; 4] = ["a.example", "A.Example", "www.a.example", "b.example"];
+    const TYPES: [RecordType; 4] =
+        [RecordType::A, RecordType::Aaaa, RecordType::Cname, RecordType::Rrsig];
+
+    fn owner(i: usize) -> DnsName {
+        DnsName::parse(OWNERS[i]).unwrap()
+    }
+
+    /// One answer record: of type `TYPES[t]` when `sig` is 0 (an RRSIG
+    /// *record* with foreign rdata for `t` = 3), else an RRSIG covering
+    /// that type. `serial` tells otherwise equal records apart.
+    fn record((o, t, sig, serial): (usize, usize, u8, u8)) -> Record {
+        if sig == 1 {
+            let rdata = RrsigRdata {
+                type_covered: TYPES[t],
+                algorithm: 13,
+                labels: 2,
+                original_ttl: 300,
+                expiration: 2_000,
+                inception: 1_000,
+                key_tag: u16::from(serial),
+                signer: owner(0),
+                signature: vec![serial; 4],
+            };
+            return Record::with_type(owner(o), RecordType::Rrsig, 300, RData::Rrsig(rdata));
+        }
+        let rdata = match TYPES[t] {
+            RecordType::Cname => RData::Cname(owner(usize::from(serial) % OWNERS.len())),
+            RecordType::Aaaa => RData::Aaaa(Ipv4Addr::new(192, 0, 2, serial).to_ipv6_mapped()),
+            _ => RData::A(Ipv4Addr::new(192, 0, 2, serial)),
+        };
+        Record::with_type(owner(o), TYPES[t], 300 + u32::from(serial), rdata)
+    }
+
+    /// Records with their owners spelled out: `DnsName`'s `==` folds
+    /// case, and which spelling a set keeps is part of the contract.
+    fn spelled(records: &[Record]) -> Vec<(String, &Record)> {
+        records.iter().map(|r| (r.name.to_string(), r)).collect()
+    }
+
+    proptest! {
+        /// Interleaved and split sets, RRSIGs before, after and without
+        /// their set, owners differing only in case, CNAME + target:
+        /// the same sets, in the same order, holding the same records
+        /// and signatures in the same order as the code replaced.
+        #[test]
+        fn grouping_equals_the_extract_functions_it_replaced(
+            section in proptest::collection::vec((0usize..4, 0usize..4, 0u8..2, 0u8..255), 0..14),
+        ) {
+            let answers: Vec<Record> = section.into_iter().map(record).collect();
+            let grouped = group_rrsets(answers.iter().cloned().map(Ok::<_, Infallible>)).unwrap();
+            let expected = oracle(&answers);
+            prop_assert_eq!(grouped.len(), expected.len());
+            for (set, (records, rrsigs)) in grouped.iter().zip(&expected) {
+                prop_assert_eq!(spelled(&set.records), spelled(records));
+                prop_assert_eq!(&set.rrsigs[..], &rrsigs[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn an_undecodable_record_fails_the_whole_section() {
+        let good = record((0, 0, 0, 1));
+        assert_eq!(group_rrsets([Ok(good.clone()), Err("rdata")].into_iter()), Err("rdata"));
+        assert_eq!(group_rrsets([Ok::<_, ()>(good)].into_iter()).map(|sets| sets.len()), Ok(1));
+    }
 }

@@ -96,16 +96,18 @@ impl NsSelector {
         Some(idx)
     }
 
-    /// Pick endpoints in fallback order: the primary pick first, then the
+    /// Endpoints in fallback order: the primary pick first, then the
     /// remaining endpoints (for retry after an unresponsive server). With
     /// duplicate endpoints in the delegation set, only the picked *slot*
     /// is moved to the front — other copies keep their retry positions,
-    /// so the order always covers every slot exactly once.
+    /// so the order always covers every slot exactly once. The pick is
+    /// made (and the zone's stream stepped, once) by this call, not by
+    /// the iteration.
     pub fn pick_order<'a>(
         &self,
         zone: &DnsName,
         endpoints: &'a [NsEndpoint],
-    ) -> Vec<&'a NsEndpoint> {
+    ) -> impl Iterator<Item = &'a NsEndpoint> {
         self.order(zone, false, endpoints)
     }
 
@@ -115,7 +117,7 @@ impl NsSelector {
         &self,
         zone: &DnsName,
         endpoints: &'a [NsEndpoint],
-    ) -> Vec<&'a NsEndpoint> {
+    ) -> impl Iterator<Item = &'a NsEndpoint> {
         self.order(zone, true, endpoints)
     }
 
@@ -124,14 +126,10 @@ impl NsSelector {
         zone: &DnsName,
         ds: bool,
         endpoints: &'a [NsEndpoint],
-    ) -> Vec<&'a NsEndpoint> {
-        let Some(primary) = self.pick_index(zone, ds, endpoints) else {
-            return Vec::new();
-        };
-        let mut order: Vec<&NsEndpoint> = Vec::with_capacity(endpoints.len());
-        order.push(&endpoints[primary]);
-        order.extend(endpoints.iter().enumerate().filter(|(i, _)| *i != primary).map(|(_, e)| e));
-        order
+    ) -> impl Iterator<Item = &'a NsEndpoint> {
+        let primary = self.pick_index(zone, ds, endpoints);
+        let rest = endpoints.iter().enumerate().filter(move |(i, _)| Some(*i) != primary);
+        primary.map(|i| &endpoints[i]).into_iter().chain(rest.map(|(_, e)| e))
     }
 }
 
@@ -231,14 +229,14 @@ mod tests {
     fn empty_endpoint_list() {
         let sel = NsSelector::new(SelectionStrategy::First, 0);
         assert!(sel.pick(&z("z"), &[]).is_none());
-        assert!(sel.pick_order(&z("z"), &[]).is_empty());
+        assert!(sel.pick_order(&z("z"), &[]).next().is_none());
     }
 
     #[test]
     fn pick_order_contains_all_unique() {
         let endpoints = eps(3);
         let sel = NsSelector::new(SelectionStrategy::RoundRobin, 0);
-        let order = sel.pick_order(&z("z"), &endpoints);
+        let order: Vec<_> = sel.pick_order(&z("z"), &endpoints).collect();
         assert_eq!(order.len(), 3);
         let set: std::collections::HashSet<_> = order.iter().map(|e| e.ip).collect();
         assert_eq!(set.len(), 3);
@@ -257,7 +255,7 @@ mod tests {
         {
             let sel = NsSelector::new(strategy, 3);
             for _ in 0..6 {
-                let order = sel.pick_order(&z("z"), &endpoints);
+                let order: Vec<_> = sel.pick_order(&z("z"), &endpoints).collect();
                 assert_eq!(order.len(), endpoints.len(), "{strategy:?} shrank the retry set");
                 let dup_count = order.iter().filter(|e| e.ip == endpoints[0].ip).count();
                 assert_eq!(dup_count, 2, "{strategy:?} dropped a duplicate endpoint");

@@ -1,5 +1,6 @@
-//! Allocation budgets of the record cache's lookups, counted with a
-//! per-thread counting allocator and held on every thread of the
+//! Allocation budgets of the record cache's lookups and of the shared
+//! answer RRsets, counted with a per-thread counting allocator; the
+//! lookup budgets are held on every thread of the
 //! `RESOLVER_TEST_THREADS` axis while the threads share one cache and
 //! the names they look up.
 
@@ -8,11 +9,14 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
+use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
+use dns_wire::record::RrsigRdata;
 use dns_wire::{DnsName, RData, Rcode, Record, RecordType};
-use netsim::Timestamp;
-use resolver::{CachedAnswer, EvictionPolicy, RecordCache};
+use netsim::{Network, SimClock, Timestamp};
+use resolver::{CachedAnswer, EvictionPolicy, Query, QueryEngine, RecordCache, ResolverConfig};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn name(s: &str) -> DnsName {
     DnsName::parse(s).unwrap()
@@ -97,4 +101,100 @@ fn hits_on_a_shared_unbounded_cache_cost_the_same_on_every_thread() {
         });
         assert_eq!(counts, vec![100 * per_hit; threads], "{threads} threads");
     }
+}
+
+#[test]
+fn a_positive_hit_is_a_reference_count_on_the_set_that_was_inserted() {
+    let now = Timestamp(1_000);
+    let owner = name("example.com");
+    let other = name("other.example.com");
+    let rrsig = RrsigRdata {
+        type_covered: RecordType::A,
+        algorithm: 13,
+        labels: 2,
+        original_ttl: 300,
+        expiration: 2_000,
+        inception: 500,
+        key_tag: 7,
+        signer: owner.clone(),
+        signature: vec![0xAB; 64],
+    };
+    for (size, signed) in [(1u8, false), (1, true), (8, false), (8, true)] {
+        let records: Arc<[Record]> = (0..size)
+            .map(|i| Record::new(owner.clone(), 300, RData::A(Ipv4Addr::new(192, 0, 2, i))))
+            .collect();
+        let rrsigs: Arc<[RrsigRdata]> = if signed { vec![rrsig.clone()].into() } else { [].into() };
+        for cache in caches() {
+            // A second entry, so that a hit never empties an index.
+            cache.insert_positive(&other, RecordType::A, a_record(&other), Vec::new(), now);
+            let (r, s) = (Arc::clone(&records), Arc::clone(&rrsigs));
+            cache.insert_positive(&owner, RecordType::A, r, s, now);
+            for _ in 0..3 {
+                let (n, got) = allocs_in(|| cache.get(&owner, RecordType::A, now));
+                assert_eq!(n, 0, "{size} records, signed: {signed}");
+                let Some(CachedAnswer::Positive { records: r, rrsigs: s }) = got else {
+                    panic!("expected a positive hit, got {got:?}");
+                };
+                assert!(Arc::ptr_eq(&r, &records) && Arc::ptr_eq(&s, &rrsigs));
+            }
+        }
+    }
+}
+
+/// An engine over one honest server for `a.com`: an unsigned zone with
+/// an A RRset of two records.
+fn a_com_engine() -> QueryEngine {
+    let apex = name("a.com");
+    let mut zone = Zone::new(apex.clone());
+    for last in [4, 5] {
+        zone.add(Record::new(apex.clone(), 60, RData::A(Ipv4Addr::new(1, 2, 3, last))));
+    }
+    let zones = ZoneSet::new();
+    zones.insert(zone);
+    let net = Network::new(SimClock::new());
+    let ip = "10.0.0.1".parse().unwrap();
+    net.bind_datagram(ip, 53, Arc::new(AuthoritativeServer::new(zones)));
+    let reg = DelegationRegistry::new();
+    reg.delegate(&apex, vec![NsEndpoint { name: name("ns1.x.net"), ip }]);
+    QueryEngine::new(net, reg, ResolverConfig { validate: false, ..Default::default() })
+}
+
+#[test]
+fn an_answer_without_records_allocates_nothing_for_its_sets() {
+    let engine = a_com_engine();
+    for (owner, rtype, rcode) in [
+        (name("a.com"), RecordType::Aaaa, Rcode::NoError),
+        (name("nx.a.com"), RecordType::A, Rcode::NxDomain),
+    ] {
+        let live = engine.resolve(&owner, rtype).unwrap();
+        assert!(!live.from_cache && !live.is_positive());
+        assert_eq!(live.rcode, rcode);
+        // Served from the negative cache, the whole resolution is free…
+        let (n, cached) = allocs_in(|| engine.resolve(&owner, rtype).unwrap());
+        assert_eq!(n, 0, "{rcode:?} from the cache");
+        assert!(cached.from_cache);
+        // …and the live one held the same process-wide empty slices.
+        assert!(Arc::ptr_eq(&live.records, &cached.records), "{rcode:?}");
+        assert!(Arc::ptr_eq(&live.rrsigs, &cached.rrsigs), "{rcode:?}");
+    }
+}
+
+#[test]
+fn duplicates_in_a_batch_and_later_hits_share_the_set_the_reply_was_parsed_into() {
+    let engine = a_com_engine();
+    let query = Query::new(name("a.com"), RecordType::A);
+    let upper = Query::new(name("A.COM"), RecordType::A);
+    let batch = engine.resolve_batch(&[query.clone(), upper, query.clone()], 1);
+    let first = batch[0].as_ref().unwrap();
+    assert_eq!(first.records.len(), 2);
+    for duplicate in &batch[1..] {
+        let duplicate = duplicate.as_ref().unwrap();
+        assert!(Arc::ptr_eq(&first.records, &duplicate.records));
+        assert!(Arc::ptr_eq(&first.rrsigs, &duplicate.rrsigs));
+    }
+    // The cache holds that same set, and a warm resolution hands it out
+    // again without allocating.
+    let (n, warm) = allocs_in(|| engine.resolve(&query.name, query.rtype).unwrap());
+    assert_eq!(n, 0, "warm positive resolution");
+    assert!(warm.from_cache && Arc::ptr_eq(&first.records, &warm.records));
 }

@@ -16,7 +16,10 @@
 //! CI runs this suite under the same thread matrix as `engine_batch`:
 //! `RESOLVER_TEST_THREADS` extends the default `{1, 2, 4, 8}` axis.
 
+mod common;
+
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
+use common::{mismatch_world, victim, MISMATCHES};
 use dns_wire::{DnsName, RData, Record, RecordType};
 use ecosystem::{EcosystemConfig, World};
 use netsim::{LinkModel, Network, SimClock};
@@ -398,4 +401,35 @@ fn slow_endpoint_times_out_but_fast_fallback_wins() {
     assert_eq!(stats.drops, 0);
     assert_eq!(stats.timeouts, u64::from(retransmits) + 1);
     assert_eq!(stats.ns_fallbacks, 1);
+}
+
+#[test]
+fn a_reply_that_does_not_answer_the_query_falls_back_and_is_never_cached() {
+    // The event loop goes through the same reply check as the
+    // synchronous path (`failure_injection`): wrong id, another
+    // question or an echoed query is a malformed reply — next NS.
+    let config = || ResolverConfig {
+        strategy: SelectionStrategy::First,
+        validate: false,
+        backend: EngineBackend::EventLoop,
+        ..Default::default()
+    };
+    let queries = vec![Query::new(name("a.com"), RecordType::A)];
+    for mismatch in MISMATCHES {
+        let (net, reg) = mismatch_world(mismatch, None);
+        let engine = QueryEngine::new(net.clone(), reg, config());
+        let (results, timing) = engine.resolve_batch_timed(&queries, 1);
+        let res = results[0].as_ref().expect("the honest second server answers");
+        assert_eq!(res.records[0].rdata, RData::A("1.2.3.4".parse().unwrap()), "{mismatch:?}");
+        assert_eq!(timing.unwrap().stats.ns_fallbacks, 1, "{mismatch:?}");
+        let now = net.clock().now();
+        assert!(engine.cache().get(&victim(), RecordType::A, now).is_none(), "{mismatch:?}");
+        assert_eq!(engine.cache().len(), 1, "{mismatch:?}: only the honest answer is cached");
+
+        let (net, reg) = mismatch_world(mismatch, Some(mismatch));
+        let engine = QueryEngine::new(net, reg, config());
+        let results = engine.resolve_batch(&queries, 1);
+        assert_eq!(results[0], Err(ResolveError::Malformed), "{mismatch:?}");
+        assert!(engine.cache().is_empty(), "{mismatch:?} cached");
+    }
 }

@@ -1,7 +1,11 @@
-//! Failure-injection tests: lame delegations, malformed authority
-//! responses, total blackouts, and strategy-dependent behaviour.
+//! Failure-injection tests: lame delegations, malformed and mismatched
+//! authority responses, total blackouts, and strategy-dependent
+//! behaviour.
+
+mod common;
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
+use common::{mismatch_world, victim, MISMATCHES};
 use dns_wire::{DnsName, RData, Record, RecordType};
 use netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
 use resolver::{RecursiveResolver, ResolveError, ResolverConfig, SelectionStrategy};
@@ -97,6 +101,35 @@ fn all_garbage_is_malformed_error() {
     let (net, reg) = world_with(Arc::new(GarbageServer), Some(Arc::new(GarbageServer)));
     let r = resolver_first(&net, &reg);
     assert!(matches!(r.resolve(&name("a.com"), RecordType::A), Err(ResolveError::Malformed)));
+}
+
+#[test]
+fn a_reply_that_does_not_answer_the_query_is_skipped_and_never_cached() {
+    // RFC 5452 §4: a response must match the query's id and question.
+    for mismatch in MISMATCHES {
+        let (net, reg) = mismatch_world(mismatch, None);
+        let r = resolver_first(&net, &reg);
+        let res = r.resolve(&name("a.com"), RecordType::A).unwrap();
+        assert_eq!(res.records.len(), 1, "{mismatch:?}: the honest second server answers");
+        assert_eq!(res.records[0].rdata, RData::A("1.2.3.4".parse().unwrap()), "{mismatch:?}");
+        assert!(!res.from_cache);
+        let now = net.clock().now();
+        assert!(r.cache().get(&victim(), RecordType::A, now).is_none(), "{mismatch:?} cached");
+        assert_eq!(r.cache().len(), 1, "{mismatch:?}: only the honest answer is cached");
+    }
+}
+
+#[test]
+fn all_mismatched_replies_is_malformed_error() {
+    for mismatch in MISMATCHES {
+        let (net, reg) = mismatch_world(mismatch, Some(mismatch));
+        let r = resolver_first(&net, &reg);
+        assert!(
+            matches!(r.resolve(&name("a.com"), RecordType::A), Err(ResolveError::Malformed)),
+            "{mismatch:?}"
+        );
+        assert!(r.cache().is_empty(), "{mismatch:?} cached");
+    }
 }
 
 #[test]

@@ -526,7 +526,7 @@ pub fn scan_one_day(
         }
         if let Some(idx) = t.ns_lookup {
             if let Ok(ns_res) = &wave2_results[idx] {
-                for r in &ns_res.records {
+                for r in ns_res.records.iter() {
                     if let RData::Ns(ns) = &r.rdata {
                         t.ns_host_a.push(wave3.len());
                         wave3.push(Query::new(ns.clone(), RecordType::A));
@@ -543,13 +543,13 @@ pub fn scan_one_day(
         if t.ns_lookup.is_none() || t.ns_host_a.is_empty() {
             continue;
         }
-        let mut orgs: Vec<String> = Vec::new();
+        let mut orgs: Vec<&str> = Vec::new();
         for &idx in &t.ns_host_a {
             if let Ok(a_res) = &wave3_results[idx] {
-                for r in &a_res.records {
+                for r in a_res.records.iter() {
                     if let RData::A(a) = &r.rdata {
                         if let Some(org) = world.whois.lookup(std::net::IpAddr::V4(*a)) {
-                            orgs.push(org.to_string());
+                            orgs.push(org);
                         }
                     }
                 }
@@ -659,11 +659,11 @@ fn is_cf_default(rd: &SvcbRdata) -> bool {
 
 /// Attribute an NS org set to a category and representative operator
 /// (§4.2.2's pipeline, applied to the WHOIS lookups of wave 3).
-fn categorize_orgs(orgs: &[String], org_ids: &HashMap<String, OrgId>) -> (NsCategory, OrgId) {
+fn categorize_orgs(orgs: &[&str], org_ids: &HashMap<String, OrgId>) -> (NsCategory, OrgId) {
     if orgs.is_empty() {
         return (NsCategory::NoNs, OrgId::NONE);
     }
-    let is_cf = |o: &String| o == "Cloudflare, Inc.";
+    let is_cf = |o: &&str| *o == "Cloudflare, Inc.";
     let cf_count = orgs.iter().filter(|o| is_cf(o)).count();
     let category = if cf_count == orgs.len() {
         NsCategory::FullCloudflare
@@ -674,6 +674,6 @@ fn categorize_orgs(orgs: &[String], org_ids: &HashMap<String, OrgId>) -> (NsCate
     };
     let representative =
         orgs.iter().find(|o| !is_cf(o)).or_else(|| orgs.first()).expect("non-empty");
-    let org_id = org_ids.get(representative.as_str()).copied().unwrap_or(OrgId::NONE);
+    let org_id = org_ids.get(*representative).copied().unwrap_or(OrgId::NONE);
     (category, org_id)
 }

@@ -42,7 +42,7 @@ pub fn hourly_ech_scan(world: &mut World, window_hours: u64, sample: usize) -> V
         world.advance_hours(1);
         for (id, apex) in &targets {
             let Ok(res) = resolver.resolve(apex, RecordType::Https) else { continue };
-            for rec in &res.records {
+            for rec in res.records.iter() {
                 if let RData::Https(rd) = &rec.rdata {
                     if let Some(ech) = rd.ech() {
                         out.push(EchObservation {

@@ -55,7 +55,7 @@ fn main() {
     let resolver = RecursiveResolver::new(network.clone(), registry, ResolverConfig::default());
     let res = resolver.resolve(&apex, RecordType::Https).expect("resolution succeeds");
     println!("HTTPS record(s) for {apex}:");
-    for rec in &res.records {
+    for rec in res.records.iter() {
         println!("  {rec}");
     }
 
