@@ -544,11 +544,10 @@ pub(crate) struct RrSet {
     pub(crate) rrsigs: Arc<[RrsigRdata]>,
 }
 
-impl RrSet {
-    fn is(&self, name: &DnsName, rtype: RecordType) -> bool {
-        let first = &self.records[0];
-        first.rtype == rtype && first.name == *name
-    }
+/// Whether `first`, the first record of a set, makes it the
+/// `(name, rtype)` RRset.
+fn heads(first: &Record, name: &DnsName, rtype: RecordType) -> bool {
+    first.rtype == rtype && first.name == *name
 }
 
 impl From<RrSet> for CachedAnswer {
@@ -580,39 +579,31 @@ pub(crate) fn group_rrsets<E>(
     let mut early: Vec<(DnsName, RrsigRdata)> = Vec::new();
     for rec in answers {
         let rec = rec?;
-        let covers = |sig: &RrsigRdata, owner: &DnsName, first: &Record| {
-            first.rtype == sig.type_covered && first.name == *owner
-        };
+        // An authority emits an RRset contiguously and its RRSIGs right
+        // after it, so looking back finds the set at once.
         if rec.rtype == RecordType::Rrsig {
             if let RData::Rrsig(sig) = rec.rdata {
-                match sets.iter_mut().find(|(records, _)| covers(&sig, &rec.name, &records[0])) {
+                let owner = &rec.name;
+                match sets.iter_mut().rev().find(|s| heads(&s.0[0], owner, sig.type_covered)) {
                     Some((_, rrsigs)) => rrsigs.push(sig),
                     None => early.push((rec.name, sig)),
                 }
             }
             continue;
         }
-        // An authority emits an RRset contiguously, so looking back
-        // from a set's later records finds it at once.
-        let same = |first: &Record| first.rtype == rec.rtype && first.name == rec.name;
-        match sets.iter_mut().rev().find(|(records, _)| same(&records[0])) {
+        match sets.iter_mut().rev().find(|s| heads(&s.0[0], &rec.name, rec.rtype)) {
             Some((records, _)) => records.push(rec),
             None => {
-                let mut rrsigs = Vec::new();
-                let mut i = 0;
-                while i < early.len() {
-                    if covers(&early[i].1, &early[i].0, &rec) {
-                        rrsigs.push(early.remove(i).1);
-                    } else {
-                        i += 1;
-                    }
-                }
+                let rrsigs = early
+                    .extract_if(.., |(owner, sig)| heads(&rec, owner, sig.type_covered))
+                    .map(|(_, sig)| sig)
+                    .collect();
                 sets.push((vec![rec], rrsigs));
             }
         }
     }
-    let share = |(records, rrsigs)| RrSet { records: share(records), rrsigs: share(rrsigs) };
-    Ok(sets.into_iter().map(share).collect())
+    let freeze = |(records, rrsigs)| RrSet { records: share(records), rrsigs: share(rrsigs) };
+    Ok(sets.into_iter().map(freeze).collect())
 }
 
 /// The slice of an authority response the resolver actually consumes,
@@ -669,7 +660,7 @@ impl AuthorityReply {
 
     /// The `(name, rtype)` RRset of the answer section, if it has one.
     pub(crate) fn rrset(&self, name: &DnsName, rtype: RecordType) -> Option<&RrSet> {
-        self.answers.iter().find(|set| set.is(name, rtype))
+        self.answers.iter().find(|set| heads(&set.records[0], name, rtype))
     }
 
     pub(crate) fn negative_ttl(&self, default: u32) -> u32 {

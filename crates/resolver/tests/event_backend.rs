@@ -19,7 +19,7 @@
 mod common;
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
-use common::{mismatch_world, victim, MISMATCHES};
+use common::{victim, MISMATCHES};
 use dns_wire::{DnsName, RData, Record, RecordType};
 use ecosystem::{EcosystemConfig, World};
 use netsim::{LinkModel, Network, SimClock};
@@ -416,7 +416,8 @@ fn a_reply_that_does_not_answer_the_query_falls_back_and_is_never_cached() {
     };
     let queries = vec![Query::new(name("a.com"), RecordType::A)];
     for mismatch in MISMATCHES {
-        let (net, reg) = mismatch_world(mismatch, None);
+        let (net, reg) = two_server_world();
+        net.bind_datagram(ip("10.0.0.1"), 53, Arc::new(mismatch));
         let engine = QueryEngine::new(net.clone(), reg, config());
         let (results, timing) = engine.resolve_batch_timed(&queries, 1);
         let res = results[0].as_ref().expect("the honest second server answers");
@@ -426,7 +427,10 @@ fn a_reply_that_does_not_answer_the_query_falls_back_and_is_never_cached() {
         assert!(engine.cache().get(&victim(), RecordType::A, now).is_none(), "{mismatch:?}");
         assert_eq!(engine.cache().len(), 1, "{mismatch:?}: only the honest answer is cached");
 
-        let (net, reg) = mismatch_world(mismatch, Some(mismatch));
+        let (net, reg) = two_server_world();
+        for addr in ["10.0.0.1", "10.0.0.2"] {
+            net.bind_datagram(ip(addr), 53, Arc::new(mismatch));
+        }
         let engine = QueryEngine::new(net, reg, config());
         let results = engine.resolve_batch(&queries, 1);
         assert_eq!(results[0], Err(ResolveError::Malformed), "{mismatch:?}");

@@ -5,7 +5,7 @@
 mod common;
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
-use common::{mismatch_world, victim, MISMATCHES};
+use common::{victim, MISMATCHES};
 use dns_wire::{DnsName, RData, Record, RecordType};
 use netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
 use resolver::{RecursiveResolver, ResolveError, ResolverConfig, SelectionStrategy};
@@ -107,7 +107,7 @@ fn all_garbage_is_malformed_error() {
 fn a_reply_that_does_not_answer_the_query_is_skipped_and_never_cached() {
     // RFC 5452 §4: a response must match the query's id and question.
     for mismatch in MISMATCHES {
-        let (net, reg) = mismatch_world(mismatch, None);
+        let (net, reg) = world_with(Arc::new(mismatch), Some(good_server()));
         let r = resolver_first(&net, &reg);
         let res = r.resolve(&name("a.com"), RecordType::A).unwrap();
         assert_eq!(res.records.len(), 1, "{mismatch:?}: the honest second server answers");
@@ -122,7 +122,7 @@ fn a_reply_that_does_not_answer_the_query_is_skipped_and_never_cached() {
 #[test]
 fn all_mismatched_replies_is_malformed_error() {
     for mismatch in MISMATCHES {
-        let (net, reg) = mismatch_world(mismatch, Some(mismatch));
+        let (net, reg) = world_with(Arc::new(mismatch), Some(Arc::new(mismatch)));
         let r = resolver_first(&net, &reg);
         assert!(
             matches!(r.resolve(&name("a.com"), RecordType::A), Err(ResolveError::Malformed)),

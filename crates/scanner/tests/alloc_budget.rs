@@ -29,7 +29,7 @@ fn a_scanned_day_stays_under_its_allocation_ceiling() {
         // response the authorities compile; in company, for a share.
         let world = World::build(EcosystemConfig::tiny());
         let expected = 2 * world.config.list_size;
-        let counts = allocs_per_thread(threads, || {
+        allocs_per_thread(threads, || {
             let engine = VantagePoint::custom("", SelectionStrategy::RoundRobin)
                 .engine(world.network.clone(), world.registry.clone());
             let (allocs, observations) =
@@ -42,6 +42,5 @@ fn a_scanned_day_stays_under_its_allocation_ceiling() {
                  ceiling {CEILING}, {threads} threads"
             );
         });
-        assert_eq!(counts.len(), threads);
     }
 }
