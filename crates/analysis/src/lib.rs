@@ -48,21 +48,30 @@ use std::collections::HashSet;
 /// in `days` — the paper's "overlapping domains" for a phase.
 pub fn overlapping_ids(source: &dyn ObservationSource, days: &[u32]) -> HashSet<u32> {
     let filter = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
-    let apexes_on = |day: u32| {
-        let mut ids: HashSet<u32> = HashSet::new();
+    // Both ascending and duplicate-free: a scan writes each day in id
+    // order, so the intersection is a two-cursor merge.
+    let mut set: Vec<u32> = Vec::new();
+    let mut today: Vec<u32> = Vec::new();
+    for (i, &day) in days.iter().enumerate() {
+        today.clear();
         source.for_each_day_filtered(filter.days(day, day), &mut |_, obs| {
-            ids = obs.iter().filter(|o| !o.is_www()).map(|o| o.domain_id).collect();
+            today.extend(obs.iter().filter(|o| !o.is_www()).map(|o| o.domain_id));
         });
-        ids
-    };
-    let mut iter = days.iter();
-    let Some(&first) = iter.next() else { return HashSet::new() };
-    let mut set = apexes_on(first);
-    for &day in iter {
-        let today = apexes_on(day);
-        set.retain(|id| today.contains(id));
+        if !today.windows(2).all(|w| w[0] < w[1]) {
+            today.sort_unstable();
+            today.dedup();
+        }
+        if i == 0 {
+            std::mem::swap(&mut set, &mut today);
+            continue;
+        }
+        let mut at = 0;
+        set.retain(|&id| {
+            at += today[at..].iter().take_while(|&&t| t < id).count();
+            today.get(at) == Some(&id)
+        });
     }
-    set
+    set.into_iter().collect()
 }
 
 /// A (day, value) series with a label, printable as two CSV columns.
@@ -140,6 +149,18 @@ mod tests {
         let ov = overlapping_ids(&store, &[0, 1, 2]);
         assert_eq!(ov, [3u32].into_iter().collect());
         assert!(overlapping_ids(&store, &[]).is_empty());
+    }
+
+    #[test]
+    fn overlapping_takes_a_day_in_any_order() {
+        let www = |day, id| Observation { flags: scanner::flags::IS_WWW, ..obs(day, id) };
+        let mut store = SnapshotStore::new();
+        store.push_day(0, vec![obs(0, 9), obs(0, 2), www(0, 5), obs(0, 9), obs(0, u32::MAX)]);
+        store.push_day(4, vec![obs(4, u32::MAX), obs(4, 5), obs(4, 9), obs(4, 1)]);
+        assert_eq!(overlapping_ids(&store, &[0, 4]), [9, u32::MAX].into_iter().collect());
+        assert_eq!(overlapping_ids(&store, &[0]), [2, 9, u32::MAX].into_iter().collect());
+        // A day the source lacks is a day nothing was listed on.
+        assert!(overlapping_ids(&store, &[0, 2, 4]).is_empty());
     }
 
     #[test]

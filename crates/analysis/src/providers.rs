@@ -215,7 +215,9 @@ pub fn sec423_intermittent(store: &dyn ObservationSource) -> IntermittentBreakdo
     struct Track {
         with: usize,
         without: usize,
-        categories: HashSet<u8>,
+        /// Bit `c` set: NS category byte `c` was observed (only 0..=2
+        /// reach here; anything else decodes as `NoNs`).
+        categories: u64,
         lost_ns: bool,
     }
     let mut tracks: BTreeMap<u32, Track> = BTreeMap::new();
@@ -224,20 +226,21 @@ pub fn sec423_intermittent(store: &dyn ObservationSource) -> IntermittentBreakdo
     );
     store.for_each_day_filtered(proj, &mut |_, obs| {
         for o in obs {
-            if o.is_www() || o.has(flags::RESOLUTION_FAILED) {
-                // Resolution failures count as "lost NS" evidence.
-                if !o.is_www() && o.has(flags::RESOLUTION_FAILED) {
-                    tracks.entry(o.domain_id).or_default().lost_ns = true;
-                    tracks.entry(o.domain_id).or_default().without += 1;
-                }
+            if o.is_www() {
                 continue;
             }
             let t = tracks.entry(o.domain_id).or_default();
+            if o.has(flags::RESOLUTION_FAILED) {
+                // Resolution failures count as "lost NS" evidence.
+                t.lost_ns = true;
+                t.without += 1;
+                continue;
+            }
             if NsCategory::from_u8(o.ns_category) == NsCategory::NoNs {
                 // Delegation gone while listed: the "no NS records" class.
                 t.lost_ns = true;
             } else {
-                t.categories.insert(o.ns_category);
+                t.categories |= 1 << o.ns_category;
             }
             if o.https() {
                 t.with += 1;
@@ -254,9 +257,9 @@ pub fn sec423_intermittent(store: &dyn ObservationSource) -> IntermittentBreakdo
         out.intermittent_total += 1;
         if t.lost_ns {
             out.lost_ns += 1;
-        } else if t.categories.len() <= 1 {
+        } else if t.categories.count_ones() <= 1 {
             out.same_ns += 1;
-            if t.categories.contains(&(NsCategory::FullCloudflare as u8)) {
+            if t.categories & (1 << NsCategory::FullCloudflare as u8) != 0 {
                 out.same_ns_cloudflare += 1;
             }
         } else {
