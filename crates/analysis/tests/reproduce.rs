@@ -25,6 +25,13 @@ fn full_pipeline_shapes() {
     let last = adoption.dynamic_apex.last().unwrap();
     assert!((8.0..40.0).contains(&first), "day-0 adoption {first}%");
     assert!(last >= first - 2.0, "dynamic adoption should not fall: {first} -> {last}");
+    let www_first = adoption.dynamic_www.first().unwrap();
+    let www_last = adoption.dynamic_www.last().unwrap();
+    assert!((8.0..40.0).contains(&www_first), "day-0 www adoption {www_first}%");
+    assert!(www_last >= www_first - 2.0, "www adoption should not fall: {www_first} -> {www_last}");
+    // The overlapping set is the stable one: its share barely moves.
+    let overlap_std = adoption.overlapping_apex.std();
+    assert!(overlap_std < 5.0, "overlapping apex adoption std {overlap_std}");
 
     // ---- Table 2: full-Cloudflare dominates ----
     let tab2 = tab2_ns_category(&store);
@@ -66,6 +73,9 @@ fn full_pipeline_shapes() {
     assert!(fig11.apex_utilization.mean() > 60.0);
     let match_mean = fig11.apex_match.mean();
     assert!((80.0..=100.0).contains(&match_mean), "match {match_mean}%");
+    assert!(fig11.www_utilization.mean() > 60.0);
+    let www_match = fig11.www_match.mean();
+    assert!((80.0..=100.0).contains(&www_match), "www match {www_match}%");
 
     // ---- Fig 12: permanent mismatchers detected ----
     let fig12 = fig12_mismatch_durations(&store);
@@ -98,6 +108,18 @@ fn full_pipeline_shapes() {
     assert!((1.0..20.0).contains(&signed), "signed {signed}%");
     assert!(validated < signed, "validated {validated} < signed {signed}");
     assert!(validated > 0.0);
+    let signed_first = fig5.signed_apex.first().unwrap();
+    let signed_last = fig5.signed_apex.last().unwrap();
+    assert!(
+        signed_last >= signed_first - 2.0,
+        "signed share fell: {signed_first} -> {signed_last}"
+    );
+
+    // ---- Fig 14: some ECH publishers sign, fewer validate ----
+    let signed_ech = fig5.signed_ech.mean();
+    let validated_ech = fig5.validated_ech.mean();
+    assert!(signed_ech > 0.0);
+    assert!(validated_ech < signed_ech, "validated {validated_ech} < signed {signed_ech}");
 }
 
 #[test]

@@ -121,17 +121,6 @@ impl Navigation {
         self.events.iter().any(|e| matches!(e, NavEvent::TlsAttempt { ech: true, .. }))
     }
 
-    /// The ports of all TLS attempts, in order.
-    pub fn tls_ports(&self) -> Vec<u16> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                NavEvent::TlsAttempt { port, .. } => Some(*port),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The IPs of all TLS attempts, in order.
     pub fn tls_ips(&self) -> Vec<IpAddr> {
         self.events

@@ -142,9 +142,9 @@ impl BrowserProfile {
     }
 
     /// A fully RFC 9460 / ECH-draft compliant client: every parameter
-    /// honoured, every failover implemented, Split Mode supported. Used
-    /// by the ablation benches to quantify how much breakage current
-    /// browser gaps cause.
+    /// honoured, every failover implemented, Split Mode supported: the
+    /// reference that shows how much breakage current browser gaps
+    /// cause (`tests/matrix.rs`, `examples/browser_matrix.rs`).
     pub fn spec_compliant() -> BrowserProfile {
         BrowserProfile {
             name: "SpecClient",

@@ -68,12 +68,6 @@ impl Study {
     pub fn quick() -> Study {
         Study::run(EcosystemConfig::tiny(), 28)
     }
-
-    /// The paper-shaped study at the default scaled population
-    /// (6 k domains, weekly snapshots; ≈ a minute).
-    pub fn paper_scaled() -> Study {
-        Study::run(EcosystemConfig::default(), 7)
-    }
 }
 
 /// Render the full server-side report: every §4 table and figure.

@@ -72,12 +72,6 @@ impl SvcParam {
         }
     }
 
-    /// Presentation-format key mnemonic. Borrowed (`'static`) for the
-    /// seven registered keys; allocates only for `keyNNNNN` fallbacks.
-    pub fn key_name(&self) -> Cow<'static, str> {
-        key_to_name(self.key())
-    }
-
     fn encode_value(&self, w: &mut WireWriter) {
         match self {
             SvcParam::Mandatory(keys) => {

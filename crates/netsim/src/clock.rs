@@ -94,11 +94,6 @@ impl SimClock {
         SimClock::default()
     }
 
-    /// A clock starting at an arbitrary timestamp.
-    pub fn starting_at(t: Timestamp) -> Self {
-        SimClock { now_ms: Arc::new(Mutex::new(t.as_millis())) }
-    }
-
     /// Current simulated time (whole seconds, floored).
     pub fn now(&self) -> Timestamp {
         self.now_ms.lock().to_timestamp()
@@ -229,11 +224,6 @@ impl Calendar {
     /// The civil date of simulation day `day`.
     pub fn date_of_day(&self, day: u64) -> CivilDate {
         self.start.plus_days(day as i64)
-    }
-
-    /// The civil date at a timestamp.
-    pub fn date_of(&self, t: Timestamp) -> CivilDate {
-        self.date_of_day(t.day())
     }
 
     /// The simulation day number of a civil date (None if before start).

@@ -232,11 +232,6 @@ impl Network {
         self.state.write().unreachable.remove(&ip);
     }
 
-    /// Whether an IP is currently blackholed.
-    pub fn is_unreachable(&self, ip: IpAddr) -> bool {
-        self.state.read().unreachable.contains(&ip)
-    }
-
     /// Send one datagram and wait for the response. Only takes a read
     /// lock on the topology, so parallel senders do not serialize.
     pub fn send_datagram(

@@ -252,8 +252,7 @@ impl CacheStats {
     }
 }
 
-/// The canonical one-line rendering used by telemetry reports and the
-/// bench regeneration output.
+/// The canonical one-line rendering used by telemetry reports.
 impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -535,11 +534,6 @@ impl RecordCache {
         RecordCache::default()
     }
 
-    /// An empty cache clamping every TTL at `clamp` seconds.
-    pub fn with_ttl_clamp(clamp: u32) -> RecordCache {
-        RecordCache::with_config(DEFAULT_SHARDS, Some(clamp))
-    }
-
     /// An empty cache with `shards` shards (minimum 1) and no clamp.
     pub fn with_shards(shards: usize) -> RecordCache {
         RecordCache::with_config(shards, None)
@@ -573,11 +567,6 @@ impl RecordCache {
     /// The per-shard capacity bound, if this cache is bounded.
     pub fn capacity_per_shard(&self) -> Option<usize> {
         self.bound.map(|b| b.capacity)
-    }
-
-    /// The eviction policy, if this cache is bounded.
-    pub fn eviction_policy(&self) -> Option<EvictionPolicy> {
-        self.bound.map(|b| b.policy)
     }
 
     fn shard_for(&self, owner: &DnsName) -> &Shard {
@@ -1077,7 +1066,7 @@ mod tests {
 
     #[test]
     fn ttl_clamp_caps_lifetime() {
-        let cache = RecordCache::with_ttl_clamp(30);
+        let cache = RecordCache::with_config(DEFAULT_SHARDS, Some(30));
         cache.insert_positive(
             &name("a.com"),
             RecordType::A,

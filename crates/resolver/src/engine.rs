@@ -27,9 +27,8 @@
 //!   name's delegated apex as a share of the name's own buffer;
 //! - because pool workers outlive the batch (the workspace forbids the
 //!   `unsafe` lifetime juggling scoped threads rely on), jobs must own
-//!   their queries; a cross-batch intern table hands out `Arc<Query>`
-//!   clones so each distinct query is deep-copied at most once per
-//!   engine, not once per batch.
+//!   their queries; a job's bucket holds clones, and cloning a [`Query`]
+//!   is a reference count on its name's shared buffer.
 //!
 //! A panicking job is caught inside its worker's loop: the submitting
 //! batch observes the dropped result channel and propagates the panic,
@@ -66,7 +65,10 @@
 //!    batch, so every query sees the same `now` and cache-expiry
 //!    decisions are interleaving-independent. Cache entries written by
 //!    concurrent workers for the same RRset are byte-identical, so
-//!    last-writer-wins races cannot change any answer.
+//!    last-writer-wins races cannot change any answer. The DNSKEY/DS
+//!    sets of shared ancestors are checked and fetched under one
+//!    per-resolver lock, so the cache's hit/miss statistics do not
+//!    depend on the interleaving either.
 //!
 //! Under those rules a batch's results match a sequential resolution of
 //! the same distinct queries, independent of thread count. The residual
@@ -104,7 +106,7 @@ use authserver::DelegationRegistry;
 use dns_wire::{DnsName, RecordType};
 use netsim::Network;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use telemetry::MetricsRegistry;
@@ -185,12 +187,6 @@ pub struct QueryEngine {
     /// lock is held only while growing the pool and enqueuing jobs —
     /// result collection happens outside it.
     pool: Mutex<WorkerPool>,
-    /// Cross-batch `Arc<Query>` intern table: pool jobs must own their
-    /// queries, and a campaign re-resolves the same names every day, so
-    /// each distinct query is deep-copied once per engine rather than
-    /// once per batch. Bounded by the distinct queries the engine ever
-    /// sees (the scanner's shape: a few per listed domain).
-    interned: Mutex<HashSet<Arc<Query>>>,
 }
 
 impl QueryEngine {
@@ -213,7 +209,6 @@ impl QueryEngine {
             metrics: None,
             single: None,
             pool: Mutex::new(WorkerPool::new()),
-            interned: Mutex::new(HashSet::new()),
         }
     }
 
@@ -373,26 +368,15 @@ impl QueryEngine {
             // Zone-affinity partition: every query for one zone lands on
             // one worker (see the module docs). The apex shares the
             // query name's buffer and its dotted key is hashed as a
-            // stream — no per-query key `String`. The intern table
-            // hands each work item an `Arc<Query>` so pool jobs own
-            // their queries without a per-batch deep copy.
-            let mut buckets: Vec<Vec<(usize, Arc<Query>)>> = vec![Vec::new(); threads];
-            {
-                let mut interned = self.interned.lock();
-                let registry = self.resolver.registry();
-                for (i, q) in distinct.iter().enumerate() {
-                    let apex = partition_apex(registry, &q.name);
-                    let bucket = (fnv1a_key(b"", &apex) % threads as u64) as usize;
-                    let query = match interned.get(*q) {
-                        Some(a) => Arc::clone(a),
-                        None => {
-                            let a = Arc::new((*q).clone());
-                            interned.insert(Arc::clone(&a));
-                            a
-                        }
-                    };
-                    buckets[bucket].push((i, query));
-                }
+            // stream — no per-query key `String`. Pool jobs outlive the
+            // borrow of `queries`, so each work item owns a clone of its
+            // query: a reference count on the name's buffer.
+            let mut buckets: Vec<Vec<(usize, Query)>> = vec![Vec::new(); threads];
+            let registry = self.resolver.registry();
+            for (i, q) in distinct.iter().enumerate() {
+                let apex = partition_apex(registry, &q.name);
+                let bucket = (fnv1a_key(b"", &apex) % threads as u64) as usize;
+                buckets[bucket].push((i, (*q).clone()));
             }
             if let Some(m) = &self.metrics {
                 let depth = m.histogram("engine.queue_depth");

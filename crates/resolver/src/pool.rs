@@ -20,8 +20,7 @@
 //!   workspace forbids `unsafe`, so the pool cannot lend workers
 //!   stack-borrowed data the way `std::thread::scope` does; callers move
 //!   `Arc`-shared state into each job and collect results over a
-//!   channel. The engine amortises the resulting query ownership with a
-//!   cross-batch intern table (see `engine.rs`).
+//!   channel.
 //! - **Panics don't poison the pool.** Each job runs under
 //!   `catch_unwind`, so a panicking job cannot kill its worker — the
 //!   caller observes the panic as a disconnect on whatever result

@@ -15,6 +15,7 @@ use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
 use dns_wire::{DnsName, Message, MessageView, RData, Rcode, Record, RecordType};
 use dnssec::{ChainSource, ValidationState, Validator};
 use netsim::{DatagramService, NetError, Network, Timestamp};
+use parking_lot::Mutex;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU16, Ordering};
@@ -183,6 +184,12 @@ pub struct RecursiveResolver {
     validator: Validator,
     config: ResolverConfig,
     next_id: AtomicU16,
+    /// Held across each cache-check-then-fetch of DNSSEC chain material
+    /// ([`ResolverChainSource`]). Two pool workers validating different
+    /// zones share ancestors; without it both miss and both fetch, and
+    /// the cache statistics a campaign prints count two misses where a
+    /// sequential run counts a miss and a hit.
+    chain_fetch: Mutex<()>,
 }
 
 impl RecursiveResolver {
@@ -206,6 +213,7 @@ impl RecursiveResolver {
             validator: Validator::new(),
             config,
             next_id: AtomicU16::new(1),
+            chain_fetch: Mutex::new(()),
         }
     }
 
@@ -437,6 +445,7 @@ impl ResolverChainSource<'_> {
 impl ChainSource for ResolverChainSource<'_> {
     fn dnskeys(&mut self, zone: &DnsName) -> Option<(Vec<DnskeyRdata>, Vec<RrsigRdata>)> {
         let r = self.resolver;
+        let _fetching = r.chain_fetch.lock();
         let now = r.network.clock().now();
         let (records, rrsigs) = match r.cache.get(zone, RecordType::Dnskey, now) {
             Some(CachedAnswer::Positive { records, rrsigs }) => (records, rrsigs),
@@ -464,6 +473,7 @@ impl ChainSource for ResolverChainSource<'_> {
 
     fn ds_set(&mut self, zone: &DnsName) -> Option<Vec<DsRdata>> {
         let r = self.resolver;
+        let _fetching = r.chain_fetch.lock();
         let now = r.network.clock().now();
         let records = match r.cache.get(zone, RecordType::Ds, now) {
             Some(CachedAnswer::Positive { records, .. }) => records,

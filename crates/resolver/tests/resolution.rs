@@ -2,12 +2,13 @@
 //! (root → com → a.com) on the simulated network.
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
-use dns_wire::{DnsName, RData, Rcode, Record, RecordType, SvcParam, SvcbRdata};
+use dns_wire::{DnsName, Message, RData, Rcode, Record, RecordType, SvcParam, SvcbRdata};
 use dnssec::{ValidationState, ZoneKeys};
-use netsim::{Network, SimClock};
-use resolver::{RecursiveResolver, ResolveError, ResolverConfig, SelectionStrategy};
+use netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
+use resolver::{CacheStats, RecursiveResolver, ResolveError, ResolverConfig, SelectionStrategy};
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn name(s: &str) -> DnsName {
     DnsName::parse(s).unwrap()
@@ -20,6 +21,12 @@ fn ip(s: &str) -> IpAddr {
 /// Build a world: root + com + a.com zones, a.com signed with DS
 /// linked per `link_ds`. Returns (network, registry, zoneset of a.com).
 fn world(link_ds: bool) -> (Network, DelegationRegistry, ZoneSet) {
+    let (net, registry, a_set, _) = signed_hierarchy(link_ds);
+    (net, registry, a_set)
+}
+
+/// [`world`], also returning the zoneset the `com` server answers from.
+fn signed_hierarchy(link_ds: bool) -> (Network, DelegationRegistry, ZoneSet, ZoneSet) {
     let clock = SimClock::new();
     clock.advance(1000);
     let net = Network::new(clock);
@@ -49,7 +56,7 @@ fn world(link_ds: bool) -> (Network, DelegationRegistry, ZoneSet) {
         com_zone.add(a_keys.ds_record(300));
     }
     com_set.insert(com_zone);
-    net.bind_datagram(ip("192.5.6.30"), 53, Arc::new(AuthoritativeServer::new(com_set)));
+    net.bind_datagram(ip("192.5.6.30"), 53, Arc::new(AuthoritativeServer::new(com_set.clone())));
     registry.delegate(
         &name("com"),
         vec![NsEndpoint { name: name("a.gtld-servers.net"), ip: ip("192.5.6.30") }],
@@ -73,7 +80,7 @@ fn world(link_ds: bool) -> (Network, DelegationRegistry, ZoneSet) {
         vec![NsEndpoint { name: name("ns1.cloudflare.com"), ip: ip("173.245.58.1") }],
     );
 
-    (net, registry, a_set)
+    (net, registry, a_set, com_set)
 }
 
 fn resolver_of(net: &Network, reg: &DelegationRegistry) -> RecursiveResolver {
@@ -286,22 +293,114 @@ fn mixed_provider_ns_set_yields_intermittent_https() {
         ],
     );
 
-    let r = RecursiveResolver::new(
-        net.clone(),
-        reg.clone(),
-        ResolverConfig {
-            strategy: SelectionStrategy::RoundRobin,
-            validate: false,
-            ..Default::default()
-        },
-    );
-    let mut seen = Vec::new();
-    for _ in 0..4 {
-        let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
-        seen.push(res.is_positive());
-        net.clock().advance(301); // expire cache between observations
+    for strategy in
+        [SelectionStrategy::First, SelectionStrategy::RoundRobin, SelectionStrategy::Random]
+    {
+        let r = RecursiveResolver::new(
+            net.clone(),
+            reg.clone(),
+            ResolverConfig { strategy, validate: false, ..Default::default() },
+        );
+        let mut seen = Vec::new();
+        for _ in 0..8 {
+            let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
+            seen.push(res.is_positive());
+            net.clock().advance(301); // expire cache between observations
+        }
+        if strategy == SelectionStrategy::First {
+            // The first-listed provider is the one that publishes it.
+            assert!(seen.iter().all(|&positive| positive), "{strategy:?}: {seen:?}");
+        } else {
+            // Rotation and random picks reach both providers: both
+            // outcomes occur.
+            assert!(seen.contains(&true), "{strategy:?} never observed HTTPS: {seen:?}");
+            assert!(seen.contains(&false), "{strategy:?} always observed HTTPS: {seen:?}");
+        }
     }
-    // Round-robin alternates between the providers: both outcomes occur.
-    assert!(seen.contains(&true), "HTTPS record never observed: {seen:?}");
-    assert!(seen.contains(&false), "HTTPS record always observed: {seen:?}");
+}
+
+/// The `com` server behind a gate that holds the first `com` DNSKEY
+/// query until a second one arrives or 300 ms pass.
+struct ComDnskeyGate {
+    com: AuthoritativeServer,
+    arrived: Mutex<usize>,
+    second: Condvar,
+}
+
+impl DatagramService for ComDnskeyGate {
+    fn handle(&self, request: &[u8], now: Timestamp) -> Result<Vec<u8>, NetError> {
+        let question = Message::decode(request).ok().and_then(|m| m.questions.into_iter().next());
+        if question.is_some_and(|q| q.name == name("com") && q.qtype == RecordType::Dnskey) {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            if *arrived == 1 {
+                let _held = self
+                    .second
+                    .wait_timeout_while(arrived, Duration::from_millis(300), |n| *n < 2)
+                    .unwrap();
+            } else {
+                self.second.notify_all();
+            }
+        }
+        self.com.handle(request, now)
+    }
+}
+
+#[test]
+fn concurrent_validations_fetch_shared_chain_material_once() {
+    // Two pool workers validating different zones both need the DNSKEY
+    // of their shared ancestor `com`. The check-then-fetch must be
+    // atomic per resolver: one miss and one hit, as in a sequential
+    // run — the cache statistics are a printed, pinned figure.
+    let (net, reg, _, com_set) = signed_hierarchy(true);
+    let b_keys = ZoneKeys::derive(&name("b.com"), 0);
+    com_set.with_zone(&name("com"), |com| com.add(b_keys.ds_record(300))).unwrap();
+    let b_set = ZoneSet::new();
+    let mut b_zone = Zone::new(name("b.com"));
+    b_zone.enable_signing(b_keys, 0, u32::MAX - 1);
+    b_zone.add(Record::new(
+        name("b.com"),
+        300,
+        RData::Https(SvcbRdata::service_self(vec![SvcParam::Alpn(vec![b"h3".to_vec()])])),
+    ));
+    b_set.insert(b_zone);
+    net.bind_datagram(ip("173.245.59.1"), 53, Arc::new(AuthoritativeServer::new(b_set)));
+    reg.delegate(
+        &name("b.com"),
+        vec![NsEndpoint { name: name("ns2.cloudflare.com"), ip: ip("173.245.59.1") }],
+    );
+    let children = [name("a.com"), name("b.com")];
+    let comparable = |r: &RecursiveResolver| CacheStats {
+        lock_contended: 0, // scheduling-dependent by definition
+        ..r.cache().stats()
+    };
+
+    let sequential = resolver_of(&net, &reg);
+    for child in &children {
+        let res = sequential.resolve(child, RecordType::Https).unwrap();
+        assert_eq!(res.validation, Some(ValidationState::Secure), "{child}");
+    }
+
+    let gate = Arc::new(ComDnskeyGate {
+        com: AuthoritativeServer::new(com_set),
+        arrived: Mutex::new(0),
+        second: Condvar::new(),
+    });
+    net.bind_datagram(ip("192.5.6.30"), 53, gate.clone());
+    let shared = resolver_of(&net, &reg);
+    std::thread::scope(|scope| {
+        for child in &children {
+            let shared = &shared;
+            scope.spawn(move || {
+                let res = shared.resolve(child, RecordType::Https).unwrap();
+                assert_eq!(res.validation, Some(ValidationState::Secure), "{child}");
+            });
+        }
+    });
+    assert_eq!(
+        comparable(&shared),
+        comparable(&sequential),
+        "com DNSKEY queries sent: {}",
+        gate.arrived.lock().unwrap()
+    );
 }

@@ -90,12 +90,6 @@ impl Campaign {
         Campaign::strided(study_days, 1)
     }
 
-    /// Use the given vantage profiles (builder style).
-    pub fn with_vantages(mut self, vantages: Vec<VantagePoint>) -> Campaign {
-        self.vantages = vantages;
-        self
-    }
-
     /// The profiles this campaign scans through: the configured ones, or
     /// the single unlabelled default.
     fn effective_vantages(&self) -> Vec<VantagePoint> {

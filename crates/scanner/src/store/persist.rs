@@ -37,26 +37,24 @@
 //! fallback, followed by a [`ChunkStats`] footer (per-column min/max,
 //! flags OR-mask, distinct-org count). The checksum is FNV-1a 64 over
 //! the payload (blocks + stats) and is verified on every chunk read.
-//! The trailer sits outside the checksum: it back-points at the chunk's
-//! own header so the file can be walked backward from EOF. The org
-//! dictionary is the campaign's [`OrgInterner`] serialized once and
-//! extended append-only; it is shared by all vantages because campaigns
-//! intern orgs identically per vantage.
+//! The trailer sits outside the checksum and back-points at the chunk's
+//! own header; this reader never reads it (it only counts its 12 bytes
+//! into the chunk's length). The org dictionary is the campaign's
+//! [`OrgInterner`] serialized once and extended append-only; it is
+//! shared by all vantages because campaigns intern orgs identically per
+//! vantage.
 //!
 //! ## Crash recovery and resume
 //!
 //! All writes are appends, so a killed campaign can only leave *tails*
 //! in a bad state: a torn final dict entry or a torn final chunk.
-//! Opening a column file first tries the backward fast path: the
-//! trailer at EOF seeks straight to the last chunk's header, and each
-//! chunk's stats footer + trailer chain the walk back to the file
-//! header — no sequential rescan of a multi-GB store. Any
-//! inconsistency (torn tail, v1 chunks, garbage) falls back to the
-//! forward structural scan, which stops at the first malformed chunk.
-//! [`StoreWriter::open_resume`] additionally verifies the last
-//! surviving chunk's checksum, truncates everything past the last day
-//! completed by *every* vantage, and reports how many days survive. The
-//! campaign layer then deterministically replays the completed days
+//! Opening a column file walks it forward — one seek and one 24-byte
+//! header read per chunk, payloads skipped — and stops at the first
+//! incomplete or malformed chunk, whatever mix of v1 and v2 chunks the
+//! file holds. [`StoreWriter::open_resume`] additionally verifies the
+//! last surviving chunk's checksum, truncates everything past the last
+//! day completed by *every* vantage, and reports how many days survive.
+//! The campaign layer then deterministically replays the completed days
 //! (rebuilding resolver cache/RNG state and verifying each replayed day
 //! against the stored chunk) before appending new ones — which is what
 //! makes a resumed run byte-identical to an uninterrupted one.
@@ -135,9 +133,9 @@ impl StoreFormat {
 }
 
 /// The statistics footer of a v2 chunk: advisory metadata used for
-/// chunk pruning, the backward file walk, and reporting. `min`/`max`
-/// are per column in canonical order; an empty chunk carries
-/// `min = u64::MAX, max = 0` (min > max signals "no rows").
+/// chunk pruning and reporting. `min`/`max` are per column in canonical
+/// order; an empty chunk carries `min = u64::MAX, max = 0` (min > max
+/// signals "no rows").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkStats {
     /// Row count (must match the chunk header).
@@ -501,10 +499,7 @@ fn chunk_shape_ok(c: &ChunkRef) -> bool {
 
 /// Structurally scan a column file without reading chunk payloads.
 ///
-/// Validates the header, then indexes the chunks — first via the
-/// backward fast path (v2 trailers chain each chunk's header offset
-/// from EOF, so a clean file never re-reads headers sequentially), and
-/// when that refuses (torn tail, v1 or mixed chunks) via the forward
+/// Validates the header, then indexes the chunks with the forward
 /// walk, which seeks past payloads and stops (marking a torn tail) at
 /// the first incomplete or malformed chunk — an append-only writer can
 /// only corrupt the tail.
@@ -534,9 +529,6 @@ fn scan_column(file: &mut File, path: &Path) -> io::Result<ColumnScan> {
         String::from_utf8(name_buf).map_err(|_| corrupt(format!("{ctx}: non-UTF-8 vantage")))?;
     let header_end = 12 + name_len;
 
-    if let Some(chunks) = scan_chunks_backward(file, header_end, len)? {
-        return Ok(ColumnScan { vantage, chunks, header_end, valid_end: len, truncated: false });
-    }
     let (chunks, valid_end, truncated) = scan_chunks_forward(file, header_end, len)?;
     Ok(ColumnScan { vantage, chunks, header_end, valid_end, truncated })
 }
@@ -575,90 +567,6 @@ fn scan_chunks_forward(
         chunks.push(chunk);
     }
     Ok((chunks, pos.min(len), truncated))
-}
-
-/// The backward fast path over an all-v2 file: read the trailer at EOF,
-/// seek straight to the chunk header it points at, and keep walking —
-/// each step reads one window covering the current chunk's header plus
-/// the *previous* chunk's stats footer and trailer (they are adjacent
-/// on disk), so the walk costs one read per chunk and never rescans.
-/// Returns `None` (fall back to the forward walk) on any
-/// inconsistency: torn tail, v1 chunks, or footers that do not match
-/// their headers.
-fn scan_chunks_backward(
-    file: &mut File,
-    header_end: u64,
-    len: u64,
-) -> io::Result<Option<Vec<ChunkRef>>> {
-    const TAIL: usize = STATS_BYTES + TRAILER_BYTES as usize;
-    let min_chunk = CHUNK_HEADER_BYTES + MIN_V2_PAYLOAD + TRAILER_BYTES;
-    if len == header_end {
-        return Ok(Some(Vec::new()));
-    }
-    if len < header_end + min_chunk {
-        return Ok(None);
-    }
-
-    // Tail of the last chunk: stats footer + trailer.
-    let mut tail = [0u8; TAIL];
-    file.seek(SeekFrom::Start(len - TAIL as u64))?;
-    file.read_exact(&mut tail)?;
-
-    let mut chunks: Vec<ChunkRef> = Vec::new();
-    let mut end = len;
-    let mut window = [0u8; TAIL + CHUNK_HEADER_BYTES as usize];
-    loop {
-        // `tail` holds the stats footer + trailer of the chunk that
-        // ends at `end`.
-        if tail[STATS_BYTES..STATS_BYTES + 4] != TRAILER_MAGIC {
-            return Ok(None);
-        }
-        let header_offset =
-            u64::from_le_bytes(tail[STATS_BYTES + 4..].try_into().expect("8 bytes"));
-        if header_offset < header_end || header_offset + min_chunk > end {
-            return Ok(None);
-        }
-        let stats = ChunkStats::decode(&tail[..STATS_BYTES]);
-
-        // One read covers this chunk's header and, when another chunk
-        // precedes it, that chunk's stats footer + trailer.
-        let header: [u8; CHUNK_HEADER_BYTES as usize];
-        if header_offset >= header_end + min_chunk {
-            file.seek(SeekFrom::Start(header_offset - TAIL as u64))?;
-            file.read_exact(&mut window)?;
-            tail.copy_from_slice(&window[..TAIL]);
-            header = window[TAIL..].try_into().expect("window tail is one header");
-        } else if header_offset == header_end {
-            let mut head = [0u8; CHUNK_HEADER_BYTES as usize];
-            file.seek(SeekFrom::Start(header_offset))?;
-            file.read_exact(&mut head)?;
-            header = head;
-        } else {
-            return Ok(None);
-        }
-        let Some(chunk) = parse_chunk_header(&header, header_offset) else {
-            return Ok(None);
-        };
-        // The footer must corroborate its header: same row count, and
-        // (for non-empty chunks) a day column pinned to the chunk day.
-        let footer_ok = stats.rows == chunk.rows
-            && (chunk.rows == 0
-                || (stats.min[0] == chunk.day as u64 && stats.max[0] == chunk.day as u64));
-        if chunk.version != 2 || !chunk_shape_ok(&chunk) || chunk.end_offset() != end || !footer_ok
-        {
-            return Ok(None);
-        }
-        chunks.push(chunk);
-        end = header_offset;
-        if end == header_end {
-            break;
-        }
-    }
-    chunks.reverse();
-    if !chunks.windows(2).all(|w| w[0].day < w[1].day) {
-        return Ok(None);
-    }
-    Ok(Some(chunks))
 }
 
 fn encode_payload_v1(obs: &[Observation]) -> Vec<u8> {
@@ -1687,42 +1595,46 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_on_open_and_truncated_on_resume() {
-        let dir = temp_dir("torn");
-        let mut orgs = OrgInterner::default();
-        orgs.intern("Org A");
-        let day0: Vec<Observation> = (0..30).map(|i| obs(0, i, 0)).collect();
-        let day2: Vec<Observation> = (0..30).map(|i| obs(2, i, 0)).collect();
-        let mut w = StoreWriter::create(&dir, meta_for(&[0, 2])).unwrap();
-        for v in 0..2 {
-            w.append_chunk(v, 0, &day0, &orgs).unwrap();
-            w.append_chunk(v, 2, &day2, &orgs).unwrap();
+        // The cut lands inside the trailer (1, 11), takes exactly the
+        // trailer (12), or reaches into the payload (17).
+        for cut in [1u64, 11, TRAILER_BYTES, 17] {
+            let dir = temp_dir(&format!("torn{cut}"));
+            let mut orgs = OrgInterner::default();
+            orgs.intern("Org A");
+            let day0: Vec<Observation> = (0..30).map(|i| obs(0, i, 0)).collect();
+            let day2: Vec<Observation> = (0..30).map(|i| obs(2, i, 0)).collect();
+            let mut w = StoreWriter::create(&dir, meta_for(&[0, 2])).unwrap();
+            for v in 0..2 {
+                w.append_chunk(v, 0, &day0, &orgs).unwrap();
+                w.append_chunk(v, 2, &day2, &orgs).unwrap();
+            }
+            drop(w);
+            // Tear the second vantage's last chunk.
+            let path = dir.join(column_file_name(1));
+            let len = std::fs::metadata(&path).unwrap().len();
+            let f = OpenOptions::new().write(true).open(&path).unwrap();
+            f.set_len(len - cut).unwrap();
+            drop(f);
+
+            // Read-only open: torn chunk ignored, files untouched.
+            let open = open_store(&dir).unwrap();
+            assert_eq!(ObservationSource::days(&open.readers[0]), vec![0, 2], "cut {cut}");
+            assert_eq!(ObservationSource::days(&open.readers[1]), vec![0], "cut {cut}");
+            assert!(open.readers[1].truncated_tail(), "cut {cut}");
+            assert!(!open.readers[0].truncated_tail(), "cut {cut}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), len - cut);
+
+            // Resume: both vantages truncated back to the common boundary.
+            let w = StoreWriter::open_resume(&dir).unwrap();
+            assert_eq!(w.completed_days(), 1, "cut {cut}");
+            assert_eq!(w.days_written(0), 1, "cut {cut}");
+            assert_eq!(w.days_written(1), 1, "cut {cut}");
+            drop(w);
+            let reopened = open_store(&dir).unwrap();
+            assert_eq!(ObservationSource::days(&reopened.readers[0]), vec![0], "cut {cut}");
+            assert_eq!(ObservationSource::days(&reopened.readers[1]), vec![0], "cut {cut}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        drop(w);
-        // Tear the second vantage's last chunk mid-payload.
-        let path = dir.join(column_file_name(1));
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 17).unwrap();
-        drop(f);
-
-        // Read-only open: torn chunk ignored, files untouched.
-        let open = open_store(&dir).unwrap();
-        assert_eq!(ObservationSource::days(&open.readers[0]), vec![0, 2]);
-        assert_eq!(ObservationSource::days(&open.readers[1]), vec![0]);
-        assert!(open.readers[1].truncated_tail());
-        assert!(!open.readers[0].truncated_tail());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), len - 17);
-
-        // Resume: both vantages truncated back to the common boundary.
-        let w = StoreWriter::open_resume(&dir).unwrap();
-        assert_eq!(w.completed_days(), 1);
-        assert_eq!(w.days_written(0), 1);
-        assert_eq!(w.days_written(1), 1);
-        drop(w);
-        let reopened = open_store(&dir).unwrap();
-        assert_eq!(ObservationSource::days(&reopened.readers[0]), vec![0]);
-        assert_eq!(ObservationSource::days(&reopened.readers[1]), vec![0]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1812,8 +1724,8 @@ mod tests {
     }
 
     #[test]
-    fn backward_fast_scan_matches_forward_walk() {
-        let dir = temp_dir("backscan");
+    fn forward_walk_indexes_a_clean_v2_file_and_never_reads_a_trailer() {
+        let dir = temp_dir("fwdscan");
         let orgs = OrgInterner::default();
         let mut w = StoreWriter::create(&dir, meta_for(&[0, 2, 5])).unwrap();
         for (i, day) in [0u32, 2, 5].into_iter().enumerate() {
@@ -1824,18 +1736,36 @@ mod tests {
         drop(w);
 
         let path = dir.join(column_file_name(0));
-        let mut file = File::open(&path).unwrap();
-        let len = file.metadata().unwrap().len();
+        let len = std::fs::metadata(&path).unwrap().len();
         let header_end = (12 + "google".len()) as u64;
-        let backward = scan_chunks_backward(&mut file, header_end, len)
-            .unwrap()
-            .expect("clean v2 file takes the fast path");
-        let (forward, valid_end, truncated) =
-            scan_chunks_forward(&mut file, header_end, len).unwrap();
-        assert_eq!(backward, forward);
+        let walk = || {
+            let mut file = File::open(&path).unwrap();
+            scan_chunks_forward(&mut file, header_end, len).unwrap()
+        };
+        let (chunks, valid_end, truncated) = walk();
         assert_eq!(valid_end, len);
         assert!(!truncated);
-        assert_eq!(backward.iter().map(|c| c.day).collect::<Vec<_>>(), vec![0, 2, 5]);
+        assert_eq!(chunks.iter().map(|c| c.day).collect::<Vec<_>>(), vec![0, 2, 5]);
+        let rows_of = |open: &OpenStore| {
+            let mut rows = Vec::new();
+            open.readers[0]
+                .for_each_day_filtered(ScanFilter::all(), &mut |_, o| rows.extend_from_slice(o));
+            rows
+        };
+        let clean = rows_of(&open_store(&dir).unwrap());
+
+        // The trailer is outside the checksum and unread: a flipped byte
+        // in the last one (its back-pointer) changes nothing a reader sees.
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[bytes.len() - 12..bytes.len() - 8], TRAILER_MAGIC);
+        let target = bytes.len() - 3;
+        bytes[target] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(walk(), (chunks, len, false));
+        let open = open_store(&dir).unwrap();
+        assert!(!open.readers[0].truncated_tail());
+        assert_eq!(ObservationSource::days(&open.readers[0]), vec![0, 2, 5]);
+        assert_eq!(rows_of(&open), clean);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -89,16 +89,6 @@ impl WebServer {
         self.forwards.write().insert(inner_sni.to_ascii_lowercase(), backend);
     }
 
-    /// Replace the ALPN protocol list.
-    pub fn set_alpn(&self, alpn: Vec<String>) {
-        self.config.write().alpn = alpn;
-    }
-
-    /// Replace the certificate names.
-    pub fn set_cert_names(&self, names: Vec<DnsName>) {
-        self.config.write().cert_names = names;
-    }
-
     fn negotiate_alpn(&self, offered: &[String]) -> Result<Option<String>, AlertCause> {
         if offered.is_empty() {
             // No ALPN offered: implicit HTTP/1.1 over TLS.
