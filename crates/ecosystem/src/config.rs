@@ -159,8 +159,6 @@ pub struct EcosystemConfig {
     /// Worker threads for chunked day-list scoring; 0 = one per
     /// available CPU. Lists are bit-identical for every value.
     pub score_threads: usize,
-    /// Capacity of the shared day-list cache (entries; clamped to ≥ 1).
-    pub day_cache_capacity: usize,
 }
 
 impl Default for EcosystemConfig {
@@ -219,7 +217,6 @@ impl Default for EcosystemConfig {
             www_https_rate: 0.93,
 
             score_threads: 0,
-            day_cache_capacity: crate::daylist::DEFAULT_DAY_CACHE_CAPACITY,
         }
     }
 }

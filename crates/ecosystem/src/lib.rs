@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod daylist;
 pub mod domain;
 pub mod providers;
 pub mod tranco;
@@ -23,7 +22,6 @@ pub mod whois;
 pub mod world;
 
 pub use config::{EcosystemConfig, Landmarks};
-pub use daylist::DayListCache;
 pub use domain::{synthesize_https, DomainState, HttpsIntent, HttpsShape, SynthesisContext};
 pub use providers::{
     provider_specs, well_known, HttpsPolicy, ProviderCatalog, ProviderId, ProviderInfra,

@@ -10,11 +10,10 @@
 //! composition exactly as the paper observed.
 
 use crate::config::EcosystemConfig;
-use crate::daylist::DayListCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Per-domain popularity state.
 #[derive(Debug, Clone)]
@@ -41,8 +40,6 @@ pub struct TrancoModel {
     /// universe yields bit-identical lists; threads only change
     /// wall-clock time.
     score_threads: usize,
-    /// Shared memoizing day → list cache behind [`TrancoModel::day_list`].
-    cache: DayListCache,
 }
 
 /// One day's list: domain ids ordered by rank (index 0 = rank 1).
@@ -194,24 +191,12 @@ impl TrancoModel {
             pop,
             post_change_weight,
             score_threads: resolve_score_threads(config.score_threads),
-            cache: DayListCache::new(config.day_cache_capacity),
         }
     }
 
-    /// The cached list for `day`, shared as one `Arc` by every consumer
-    /// (world stepping, the scanner, overlap windows). Computes via
-    /// [`TrancoModel::list_for_day`] on a miss.
-    pub fn day_list(&self, day: u64) -> Arc<DailyList> {
-        self.cache.get_or_compute(day, || self.list_for_day(day))
-    }
-
-    /// The shared day-list cache (for hit/miss introspection).
-    pub fn day_cache(&self) -> &DayListCache {
-        &self.cache
-    }
-
-    /// Deterministically compute the list for `day` (uncached), using
-    /// the model's configured scoring thread count.
+    /// Deterministically score the list for `day`, using the model's
+    /// configured scoring thread count. The model holds no list: each
+    /// call scores afresh.
     pub fn list_for_day(&self, day: u64) -> DailyList {
         self.list_for_day_with_threads(day, self.score_threads)
     }
@@ -330,15 +315,14 @@ impl TrancoModel {
     }
 
     /// Domains present every day of `[from, to]` (the paper's
-    /// "overlapping" set for a phase). Day lists come from the shared
-    /// [`DayListCache`], so a window that a campaign already stepped
-    /// through costs only membership checks, and no per-day id set is
-    /// materialized (the first day's ranked vector seeds the running
-    /// set, later days answer through their lazy rank index).
+    /// "overlapping" set for a phase). Every day of the window is scored
+    /// with [`TrancoModel::list_for_day`]; the first day's ranked vector
+    /// seeds the running set, later days answer through their lazy rank
+    /// index, and the walk stops once the set is empty.
     pub fn overlapping(&self, from: u64, to: u64) -> HashSet<u32> {
-        let mut set: HashSet<u32> = self.day_list(from).ranked().iter().copied().collect();
+        let mut set: HashSet<u32> = self.list_for_day(from).ranked().iter().copied().collect();
         for day in (from + 1)..=to {
-            let today = self.day_list(day);
+            let today = self.list_for_day(day);
             set.retain(|id| today.contains(*id));
             if set.is_empty() {
                 break;

@@ -266,7 +266,7 @@ impl World {
             world.rebuild_zone(idx, &ctx);
             world.bind_web(idx);
         }
-        world.today = world.tranco.day_list(0);
+        world.today = Arc::new(world.tranco.list_for_day(0));
         world
     }
 
@@ -763,7 +763,7 @@ impl World {
             self.apply_day(self.current_day + 1, &mut stale);
         }
         self.materialize(&stale);
-        self.today = self.tranco.day_list(day);
+        self.today = Arc::new(self.tranco.list_for_day(day));
         self.stats.day_lists += 1;
     }
 
@@ -1010,9 +1010,9 @@ impl World {
         &self.today
     }
 
-    /// Today's Tranco list as the shared cache entry: the same `Arc` the
-    /// day-list cache and every other same-day consumer hold, so takers
-    /// keep no private copy alive.
+    /// Today's Tranco list as the one `Arc` the world scored when it
+    /// landed on this day, so takers share it and keep no private copy
+    /// alive.
     pub fn today_list_shared(&self) -> Arc<DailyList> {
         self.today.clone()
     }

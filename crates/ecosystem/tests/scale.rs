@@ -1,11 +1,11 @@
 //! Scale contracts for the ecosystem layer: the parallel chunked
 //! day-list scorer is byte-identical to the sequential reference for
 //! every thread count, the golden pre-refactor fingerprints still hold,
-//! the shared day-list cache hands every consumer one `Arc`, the
-//! 100 k-population world allocates collision-free addresses, and world
-//! stepping materializes derived state once per call without the result
-//! depending on how the days were grouped into calls (jump = walk,
-//! patch = rebuild).
+//! the 100 k-population world allocates collision-free addresses, and
+//! world stepping scores one list for the day it lands on and
+//! materializes derived state once per call without the result depending
+//! on how the days were grouped into calls (jump = walk, patch =
+//! rebuild).
 //!
 //! CI runs the thread-sensitive tests under the same matrix as the
 //! resolver determinism suite: set `RESOLVER_TEST_THREADS` to a
@@ -91,7 +91,7 @@ fn golden_fingerprints_hold_for_every_thread_count() {
     // The pre-refactor golden pins (captured from the full-sort,
     // fresh-RNG-per-domain implementation at population 500 / list 300)
     // must survive parallel chunked scoring and partial selection at
-    // every thread count, and via the cached entry point too.
+    // every thread count.
     let config = EcosystemConfig { population: 500, list_size: 300, ..EcosystemConfig::tiny() };
     let golden: [(u64, u64); 6] = [
         (0, 0x1ed108cb7d8fab6f),
@@ -108,11 +108,6 @@ fn golden_fingerprints_hold_for_every_thread_count() {
                 fingerprint(model.list_for_day(day).ranked()),
                 expected,
                 "golden list for day {day} diverged at {threads} scoring threads"
-            );
-            assert_eq!(
-                fingerprint(model.day_list(day).ranked()),
-                expected,
-                "cached golden list for day {day} diverged at {threads} scoring threads"
             );
         }
     }
@@ -153,46 +148,15 @@ proptest! {
 }
 
 #[test]
-fn day_list_cache_shares_one_arc_per_day() {
-    let model = model(2_000, 1_200);
-    let a = model.day_list(7);
-    let b = model.day_list(7);
-    assert!(Arc::ptr_eq(&a, &b), "same day must share one cached list");
-    assert_eq!(model.day_cache().hits(), 1);
-    assert_eq!(model.day_cache().misses(), 1);
-    // The cached entry is byte-identical to a fresh computation.
-    assert_eq!(a.ranked(), model.list_for_day(7).ranked());
-}
-
-#[test]
-fn world_today_is_the_cached_day_list() {
+fn stepping_scores_one_list_for_the_day_it_lands_on() {
     let mut world = World::build(EcosystemConfig::tiny());
-    let today = world.today_list_shared();
-    assert!(
-        Arc::ptr_eq(&today, &world.tranco.day_list(0)),
-        "world and cache must share day 0's list"
-    );
     world.step_to_day(5);
-    let today = world.today_list_shared();
-    assert!(Arc::ptr_eq(&today, &world.tranco.day_list(5)));
-    // A list is a derived view: stepping computes it for the day it
-    // lands on, not for the four days it passed through (which nothing
-    // could observe). Day 0 at build + day 5 = 2 computations (this read
-    // 6 while every walked day scored a list); the re-requests above hit.
-    assert_eq!(world.tranco.day_cache().misses(), 2);
+    // A list is a derived view: stepping scores it for the day it lands
+    // on, not for the four days it passed through (which nothing could
+    // observe).
     assert_eq!(world.step_stats().day_lists, 1);
     assert_eq!(world.step_stats().days_applied, 5);
-}
-
-#[test]
-fn overlapping_reuses_cached_day_lists() {
-    let model = model(600, 400);
-    let first = model.overlapping(0, 6);
-    let misses_after_first = model.day_cache().misses();
-    assert_eq!(misses_after_first, 7, "one computation per window day");
-    let second = model.overlapping(0, 6);
-    assert_eq!(model.day_cache().misses(), misses_after_first, "second window is all hits");
-    assert_eq!(first, second);
+    assert_eq!(world.today_list().ranked(), world.tranco.list_for_day(5).ranked());
 }
 
 #[test]

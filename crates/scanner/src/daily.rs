@@ -405,8 +405,7 @@ pub fn scan_one_day(
     scan_www: bool,
     threads: usize,
 ) -> Vec<Observation> {
-    // The day's list as the shared cache entry — the same `Arc` the
-    // world and every other same-day consumer hold.
+    // The day's list as the world's own `Arc`, shared rather than copied.
     let list = world.today_list_shared();
     let day = world.current_day as u32;
 

@@ -14,8 +14,9 @@
 //! Every file is little-endian binary with an 8-byte magic + `u16`
 //! format version. A column file is its header followed by one chunk
 //! per completed scan day, in `sample_days` order. Two chunk layouts
-//! coexist, dispatched by the chunk magic (a resumed v1 store appends
-//! v2 chunks into the same file):
+//! coexist, dispatched by the chunk magic. This build writes only v2;
+//! v1 chunks (from older builds) are read and compacted, never written,
+//! and a resumed v1 store appends v2 chunks into the same file:
 //!
 //! ```text
 //! v1 chunk := "CHNK" day:u32 rows:u32 payload_len:u32 checksum:u64 payload
@@ -88,11 +89,9 @@ const COLUMN_MAGIC: [u8; 8] = *b"SNAPCOL1";
 const CHUNK_MAGIC_V1: [u8; 4] = *b"CHNK";
 const CHUNK_MAGIC_V2: [u8; 4] = *b"CHK2";
 const TRAILER_MAGIC: [u8; 4] = *b"TRL2";
-const FORMAT_V1: u16 = 1;
-const FORMAT_V2: u16 = 2;
-/// On-disk format version written by default (older versions stay
+/// On-disk format version this build writes (older versions stay
 /// readable; chunk layout is dispatched per chunk by its magic).
-pub const FORMAT_VERSION: u16 = FORMAT_V2;
+pub const FORMAT_VERSION: u16 = 2;
 /// Fixed-width payload bytes per observation row in a *v1* chunk (sum
 /// of the column widths — also the raw-equivalent size v2 compresses).
 pub const ROW_BYTES: usize = 23;
@@ -113,24 +112,6 @@ pub const COLUMN_COUNT: usize = 7;
 const COLUMN_WIDTHS: [usize; COLUMN_COUNT] = [4, 4, 4, 4, 1, 4, 2];
 const COLUMN_NAMES: [&str; COLUMN_COUNT] =
     ["day", "domain_id", "rank", "flags", "ns_category", "org", "min_priority"];
-
-/// Which chunk layout a [`StoreWriter`] emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// Raw fixed-width columns (the PR 9 layout), 23 B/row.
-    V1,
-    /// Per-column encoded blocks with a statistics footer.
-    V2,
-}
-
-impl StoreFormat {
-    fn header_version(self) -> u16 {
-        match self {
-            StoreFormat::V1 => FORMAT_V1,
-            StoreFormat::V2 => FORMAT_V2,
-        }
-    }
-}
 
 /// The statistics footer of a v2 chunk: advisory metadata used for
 /// chunk pruning and reporting. `min`/`max` are per column in canonical
@@ -318,6 +299,10 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn u16(&mut self) -> io::Result<u16> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
@@ -378,8 +363,11 @@ fn read_manifest(path: &Path) -> io::Result<StoreMeta> {
     for _ in 0..nv {
         vantages.push(c.str()?);
     }
+    // Size nothing from a count before the bytes behind it exist: a
+    // damaged count must end in the truncation error below, not in an
+    // allocation failure.
     let nd = c.u32()? as usize;
-    let mut sample_days = Vec::with_capacity(nd);
+    let mut sample_days = Vec::with_capacity(nd.min(c.remaining() / 8));
     for _ in 0..nd {
         sample_days.push(c.u64()?);
     }
@@ -569,32 +557,6 @@ fn scan_chunks_forward(
     Ok((chunks, pos.min(len), truncated))
 }
 
-fn encode_payload_v1(obs: &[Observation]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(obs.len() * ROW_BYTES);
-    for o in obs {
-        buf.extend_from_slice(&o.day.to_le_bytes());
-    }
-    for o in obs {
-        buf.extend_from_slice(&o.domain_id.to_le_bytes());
-    }
-    for o in obs {
-        buf.extend_from_slice(&o.rank.to_le_bytes());
-    }
-    for o in obs {
-        buf.extend_from_slice(&o.flags.to_le_bytes());
-    }
-    for o in obs {
-        buf.push(o.ns_category);
-    }
-    for o in obs {
-        buf.extend_from_slice(&o.org.0.to_le_bytes());
-    }
-    for o in obs {
-        buf.extend_from_slice(&o.min_priority.to_le_bytes());
-    }
-    buf
-}
-
 fn encode_payload_v2(obs: &[Observation]) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut col: Vec<u64> = Vec::with_capacity(obs.len());
@@ -610,39 +572,29 @@ fn encode_payload_v2(obs: &[Observation]) -> Vec<u8> {
     buf
 }
 
-/// Serialize one complete chunk (header + payload, and for v2 the
-/// trailer) to be appended at `header_offset`. The codec choice inside
-/// is a pure function of the observations, so a resumed or compacted
-/// store re-emits byte-identical chunks.
-fn encode_chunk(
-    format: StoreFormat,
-    day: u32,
-    obs: &[Observation],
-    header_offset: u64,
-) -> (Vec<u8>, ChunkRef) {
-    let (magic, payload, version) = match format {
-        StoreFormat::V1 => (CHUNK_MAGIC_V1, encode_payload_v1(obs), 1u8),
-        StoreFormat::V2 => (CHUNK_MAGIC_V2, encode_payload_v2(obs), 2u8),
-    };
+/// Serialize one complete v2 chunk (header, payload and trailer) to be
+/// appended at `header_offset`. The codec choice inside is a pure
+/// function of the observations, so a resumed or compacted store
+/// re-emits byte-identical chunks.
+fn encode_chunk(day: u32, obs: &[Observation], header_offset: u64) -> (Vec<u8>, ChunkRef) {
+    let payload = encode_payload_v2(obs);
     let checksum = fnv1a64(&payload);
-    let mut buf = Vec::with_capacity(CHUNK_HEADER_BYTES as usize + payload.len() + 12);
-    buf.extend_from_slice(&magic);
+    let mut buf = Vec::with_capacity((CHUNK_HEADER_BYTES + TRAILER_BYTES) as usize + payload.len());
+    buf.extend_from_slice(&CHUNK_MAGIC_V2);
     put_u32(&mut buf, day);
     put_u32(&mut buf, u32::try_from(obs.len()).expect("row count fits in u32"));
     put_u32(&mut buf, u32::try_from(payload.len()).expect("payload fits in u32"));
     put_u64(&mut buf, checksum);
     buf.extend_from_slice(&payload);
-    if version == 2 {
-        buf.extend_from_slice(&TRAILER_MAGIC);
-        put_u64(&mut buf, header_offset);
-    }
+    buf.extend_from_slice(&TRAILER_MAGIC);
+    put_u64(&mut buf, header_offset);
     let chunk = ChunkRef {
         day,
         rows: obs.len() as u32,
         payload_offset: header_offset + CHUNK_HEADER_BYTES,
         payload_len: payload.len() as u32,
         checksum,
-        version,
+        version: 2,
     };
     (buf, chunk)
 }
@@ -696,6 +648,11 @@ fn decode_payload_v2(
     cols: &mut [Vec<u64>; COLUMN_COUNT],
     out: &mut Vec<Observation>,
 ) -> io::Result<()> {
+    // The footer's row count is checksummed, the header's is not: check
+    // them against each other before any block decode sizes a buffer.
+    // `chunk_shape_ok` admitted no v2 payload shorter than the footer.
+    let footer_at = payload.len() - STATS_BYTES;
+    checked_footer(chunk, &payload[footer_at..])?;
     let n = chunk.rows as usize;
     let mut pos = 0usize;
     for (c, col) in cols.iter_mut().enumerate() {
@@ -724,17 +681,10 @@ fn decode_payload_v2(
         }
         pos += data_len;
     }
-    if payload.len() - pos != STATS_BYTES {
+    if pos != footer_at {
         return Err(corrupt(format!(
             "{} bytes where the {STATS_BYTES}-byte stats footer should be",
             payload.len() - pos
-        )));
-    }
-    let stats = ChunkStats::decode(&payload[pos..]);
-    if stats.rows != chunk.rows {
-        return Err(corrupt(format!(
-            "stats footer says {} rows but the chunk header says {}",
-            stats.rows, chunk.rows
         )));
     }
     if proj.includes_column(0) {
@@ -877,14 +827,20 @@ fn read_chunk_stats(file: &mut File, chunk: &ChunkRef) -> io::Result<Option<Chun
         chunk.payload_offset + chunk.payload_len as u64 - STATS_BYTES as u64,
     ))?;
     file.read_exact(&mut buf)?;
-    let stats = ChunkStats::decode(&buf);
+    checked_footer(chunk, &buf).map(Some)
+}
+
+/// Decode `chunk`'s stats footer, refusing one whose row count
+/// contradicts the chunk header.
+fn checked_footer(chunk: &ChunkRef, buf: &[u8]) -> io::Result<ChunkStats> {
+    let stats = ChunkStats::decode(buf);
     if stats.rows != chunk.rows {
         return Err(corrupt(format!(
             "stats footer says {} rows but the chunk header says {}",
             stats.rows, chunk.rows
         )));
     }
-    Ok(Some(stats))
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------
@@ -900,7 +856,6 @@ fn read_chunk_stats(file: &mut File, chunk: &ChunkRef) -> io::Result<Option<Chun
 pub struct StoreWriter {
     dir: PathBuf,
     meta: StoreMeta,
-    format: StoreFormat,
     files: Vec<File>,
     indexes: Vec<Vec<ChunkRef>>,
     dict_file: File,
@@ -909,22 +864,10 @@ pub struct StoreWriter {
 }
 
 impl StoreWriter {
-    /// Create a fresh store directory in the current (v2) format. Fails
-    /// (rather than clobbering) if `dir` already contains a store
-    /// manifest.
+    /// Create a fresh store directory in the v2 format, the only one
+    /// this build writes. Fails (rather than clobbering) if `dir`
+    /// already contains a store manifest.
     pub fn create(dir: &Path, meta: StoreMeta) -> io::Result<StoreWriter> {
-        StoreWriter::create_with_format(dir, meta, StoreFormat::V2)
-    }
-
-    /// Create a fresh store writing chunks in an explicit format.
-    /// [`StoreFormat::V1`] reproduces the raw fixed-width layout of
-    /// older builds byte-for-byte — kept for the back-compat fixtures
-    /// and the compact/resume tests.
-    pub fn create_with_format(
-        dir: &Path,
-        meta: StoreMeta,
-        format: StoreFormat,
-    ) -> io::Result<StoreWriter> {
         assert!(!meta.vantages.is_empty(), "a store needs at least one vantage");
         std::fs::create_dir_all(dir)?;
         let manifest = dir.join("MANIFEST");
@@ -934,8 +877,7 @@ impl StoreWriter {
                 format!("{}: store already exists (use resume)", dir.display()),
             ));
         }
-        let version = format.header_version();
-        std::fs::write(&manifest, manifest_bytes(&meta, version))?;
+        std::fs::write(&manifest, manifest_bytes(&meta, FORMAT_VERSION))?;
         let mut dict_file = OpenOptions::new()
             .create(true)
             .truncate(true)
@@ -944,7 +886,7 @@ impl StoreWriter {
             .open(dir.join("orgs.dict"))?;
         let mut dict_header = Vec::new();
         dict_header.extend_from_slice(&DICT_MAGIC);
-        put_u16(&mut dict_header, version);
+        put_u16(&mut dict_header, FORMAT_VERSION);
         dict_file.write_all(&dict_header)?;
         let mut files = Vec::with_capacity(meta.vantages.len());
         for (i, vantage) in meta.vantages.iter().enumerate() {
@@ -954,14 +896,13 @@ impl StoreWriter {
                 .read(true)
                 .write(true)
                 .open(dir.join(column_file_name(i)))?;
-            file.write_all(&column_header_bytes(vantage, version))?;
+            file.write_all(&column_header_bytes(vantage, FORMAT_VERSION))?;
             files.push(file);
         }
         let indexes = vec![Vec::new(); meta.vantages.len()];
         Ok(StoreWriter {
             dir: dir.to_path_buf(),
             meta,
-            format,
             files,
             indexes,
             dict_file,
@@ -1014,10 +955,14 @@ impl StoreWriter {
             // Chunk days must be a prefix of the manifest's sample days;
             // anything else is corruption, not a torn tail.
             for (j, chunk) in scan.chunks.iter().enumerate() {
-                let expect = meta.sample_days[j] as u32;
-                if chunk.day != expect {
+                let expect = meta.sample_days.get(j).map(|&d| d as u32);
+                if expect != Some(chunk.day) {
+                    let campaign = match expect {
+                        Some(d) => format!("the campaign's day {j} is {d}"),
+                        None => format!("the campaign has {} days", meta.sample_days.len()),
+                    };
                     return Err(corrupt(format!(
-                        "{}: chunk {j} is day {} but the campaign's day {j} is {expect}",
+                        "{}: chunk {j} is day {} but {campaign}",
                         path.display(),
                         chunk.day
                     )));
@@ -1036,13 +981,11 @@ impl StoreWriter {
             file.seek(SeekFrom::End(0))?;
         }
         let indexes = scans.into_iter().map(|s| s.chunks).collect();
-        // Appends always use the current format — a resumed v1 store
-        // grows v2 chunks, which the per-chunk magic dispatch reads
-        // alongside the old ones.
+        // A resumed v1 store grows v2 chunks, which the per-chunk magic
+        // dispatch reads alongside the old ones.
         Ok(StoreWriter {
             dir: dir.to_path_buf(),
             meta,
-            format: StoreFormat::V2,
             files,
             indexes,
             dict_file,
@@ -1147,7 +1090,7 @@ impl StoreWriter {
         }
         let file = &mut self.files[vantage];
         let header_offset = file.seek(SeekFrom::End(0))?;
-        let (buf, chunk) = encode_chunk(self.format, day, obs, header_offset);
+        let (buf, chunk) = encode_chunk(day, obs, header_offset);
         file.write_all(&buf)?;
         file.flush()?;
         self.bytes_written += buf.len() as u64;
@@ -1421,14 +1364,14 @@ pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
 
     let meta = read_manifest(&dir.join("MANIFEST"))?;
     std::fs::create_dir_all(&tmp)?;
-    std::fs::write(tmp.join("MANIFEST"), manifest_bytes(&meta, FORMAT_V2))?;
+    std::fs::write(tmp.join("MANIFEST"), manifest_bytes(&meta, FORMAT_VERSION))?;
 
     // Dictionary: complete entries only, under a v2 header.
     let mut dict_file = File::open(dir.join("orgs.dict"))?;
     let (names, _, _) = scan_dict(&mut dict_file)?;
     let mut dict = Vec::new();
     dict.extend_from_slice(&DICT_MAGIC);
-    put_u16(&mut dict, FORMAT_V2);
+    put_u16(&mut dict, FORMAT_VERSION);
     for n in &names {
         dict.extend_from_slice(&dict_entry_bytes(n));
     }
@@ -1455,13 +1398,13 @@ pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
             )));
         }
         let mut dst = File::create(tmp.join(column_file_name(i)))?;
-        let header = column_header_bytes(vantage, FORMAT_V2);
+        let header = column_header_bytes(vantage, FORMAT_VERSION);
         dst.write_all(&header)?;
         let mut offset = header.len() as u64;
         let locus = ChunkLocus { path: &path, vantage };
         for chunk in &scan.chunks {
             read_chunk(&mut src, chunk, Projection::ALL, &mut scratch, &mut decoded, locus)?;
-            let (buf, _) = encode_chunk(StoreFormat::V2, chunk.day, &decoded, offset);
+            let (buf, _) = encode_chunk(chunk.day, &decoded, offset);
             dst.write_all(&buf)?;
             offset += buf.len() as u64;
             report.chunks += 1;
@@ -1498,6 +1441,26 @@ mod tests {
             population: 400,
             list_size: 300,
         }
+    }
+
+    /// A private copy of the committed golden v1 store: vantages
+    /// `golden-a`/`golden-b`, days 0, 3 and 7, 60 rows a day.
+    fn golden_v1_copy(tag: &str) -> PathBuf {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1_store");
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(src).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+        dir
+    }
+
+    /// Every row a reader streams, in day order.
+    fn streamed(reader: &StoreReader) -> Vec<Observation> {
+        let mut rows = Vec::new();
+        reader.for_each_day_filtered(ScanFilter::all(), &mut |_, o| rows.extend_from_slice(o));
+        rows
     }
 
     fn obs(day: u32, id: u32, f: u32) -> Observation {
@@ -1551,10 +1514,8 @@ mod tests {
         assert_eq!(r.total_observations(), 90);
         assert_eq!(r.max_rows_per_day(), 50);
         assert_eq!(r.org_name(OrgId(0)), Some("Cloudflare, Inc."));
-        let mut streamed = Vec::new();
-        r.for_each_day_filtered(ScanFilter::all(), &mut |_, o| streamed.extend_from_slice(o));
         let expect: Vec<Observation> = day0.iter().chain(&day2).copied().collect();
-        assert_eq!(streamed, expect);
+        assert_eq!(streamed(r), expect);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1683,41 +1644,39 @@ mod tests {
 
     #[test]
     fn v1_chunks_and_resumed_v2_appends_share_one_file() {
-        let dir = temp_dir("mixed");
-        let mut orgs = OrgInterner::default();
-        orgs.intern("Org A");
-        let day0: Vec<Observation> = (0..25).map(|i| obs(0, i, 1)).collect();
-        let day2: Vec<Observation> = (0..35).map(|i| obs(2, i, 0)).collect();
-
-        // A store written by the old raw-column format…
-        let mut w =
-            StoreWriter::create_with_format(&dir, meta_for(&[0, 2]), StoreFormat::V1).unwrap();
+        // The committed v1 store, cut after each file's day-0 chunk…
+        let dir = golden_v1_copy("mixed");
+        let day0_end = 12 + "golden-a".len() as u64 + CHUNK_HEADER_BYTES + 60 * ROW_BYTES as u64;
         for v in 0..2 {
-            w.append_chunk(v, 0, &day0, &orgs).unwrap();
+            let f = OpenOptions::new().write(true).open(dir.join(column_file_name(v))).unwrap();
+            f.set_len(day0_end).unwrap();
         }
-        drop(w);
+        let open = open_store(&dir).unwrap();
+        assert!(!open.readers[0].truncated_tail(), "the cut is a chunk boundary");
+        let day0 = streamed(&open.readers[0]);
+        assert_eq!(day0.len(), 60);
+        let orgs = (*open.readers[0].orgs).clone();
+        drop(open);
+        let day3: Vec<Observation> = (0..35).map(|i| obs(3, i, 0)).collect();
 
         // …resumed by this build appends v2 chunks into the same files.
         let mut w = StoreWriter::open_resume(&dir).unwrap();
         assert_eq!(w.completed_days(), 1);
         for v in 0..2 {
-            w.append_chunk(v, 2, &day2, &orgs).unwrap();
+            w.append_chunk(v, 3, &day3, &orgs).unwrap();
         }
         assert_eq!(w.read_day(0, 0).unwrap(), day0);
-        assert_eq!(w.read_day(0, 2).unwrap(), day2);
+        assert_eq!(w.read_day(0, 3).unwrap(), day3);
         drop(w);
 
         let open = open_store(&dir).unwrap();
-        let mut streamed = Vec::new();
-        open.readers[0]
-            .for_each_day_filtered(ScanFilter::all(), &mut |_, o| streamed.extend_from_slice(o));
-        let expect: Vec<Observation> = day0.iter().chain(&day2).copied().collect();
-        assert_eq!(streamed, expect);
+        let expect: Vec<Observation> = day0.iter().chain(&day3).copied().collect();
+        assert_eq!(streamed(&open.readers[0]), expect);
         // The v1 chunk has no stats footer, the v2 one does.
         assert!(open.readers[0].chunk_stats(0).unwrap().is_none());
-        let stats = open.readers[0].chunk_stats(2).unwrap().expect("v2 footer");
+        let stats = open.readers[0].chunk_stats(3).unwrap().expect("v2 footer");
         assert_eq!(stats.rows, 35);
-        assert_eq!((stats.min[0], stats.max[0]), (2, 2));
+        assert_eq!((stats.min[0], stats.max[0]), (3, 3));
         assert_eq!((stats.min[1], stats.max[1]), (0, 34));
         assert_eq!(stats.distinct_orgs, 3); // NONE plus OrgId(0)/OrgId(1)
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1746,13 +1705,7 @@ mod tests {
         assert_eq!(valid_end, len);
         assert!(!truncated);
         assert_eq!(chunks.iter().map(|c| c.day).collect::<Vec<_>>(), vec![0, 2, 5]);
-        let rows_of = |open: &OpenStore| {
-            let mut rows = Vec::new();
-            open.readers[0]
-                .for_each_day_filtered(ScanFilter::all(), &mut |_, o| rows.extend_from_slice(o));
-            rows
-        };
-        let clean = rows_of(&open_store(&dir).unwrap());
+        let clean = streamed(&open_store(&dir).unwrap().readers[0]);
 
         // The trailer is outside the checksum and unread: a flipped byte
         // in the last one (its back-pointer) changes nothing a reader sees.
@@ -1765,7 +1718,7 @@ mod tests {
         let open = open_store(&dir).unwrap();
         assert!(!open.readers[0].truncated_tail());
         assert_eq!(ObservationSource::days(&open.readers[0]), vec![0, 2, 5]);
-        assert_eq!(rows_of(&open), clean);
+        assert_eq!(streamed(&open.readers[0]), clean);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1807,42 +1760,25 @@ mod tests {
 
     #[test]
     fn compact_rewrites_v1_store_smaller_and_byte_identical_streams() {
-        let dir = temp_dir("compact");
-        let mut orgs = OrgInterner::default();
-        orgs.intern("Org A");
-        let mut w =
-            StoreWriter::create_with_format(&dir, meta_for(&[0, 2]), StoreFormat::V1).unwrap();
-        for v in 0..2 {
-            for day in [0u32, 2] {
-                let rows: Vec<Observation> = (0..200).map(|i| obs(day, i, i % 4)).collect();
-                w.append_chunk(v, day, &rows, &orgs).unwrap();
-            }
-        }
-        drop(w);
-
-        let mut before = Vec::new();
-        let open = open_store(&dir).unwrap();
-        open.readers[0]
-            .for_each_day_filtered(ScanFilter::all(), &mut |_, o| before.extend_from_slice(o));
-        drop(open);
+        let dir = golden_v1_copy("compact");
+        let meta = read_manifest(&dir.join("MANIFEST")).unwrap();
+        let before = streamed(&open_store(&dir).unwrap().readers[0]);
 
         let report = compact_store(&dir).unwrap();
-        assert_eq!((report.vantages, report.chunks, report.rows), (2, 4, 800));
+        assert_eq!((report.vantages, report.chunks, report.rows), (2, 6, 360));
         assert!(
             report.bytes_after < report.bytes_before,
             "compact grew the store: {} -> {}",
             report.bytes_before,
             report.bytes_after
         );
-        assert!(!dir.with_file_name("compact.compact-tmp").exists());
-        assert!(!dir.with_file_name("compact.compact-old").exists());
+        let name = dir.file_name().unwrap().to_str().unwrap();
+        assert!(!dir.with_file_name(format!("{name}.compact-tmp")).exists());
+        assert!(!dir.with_file_name(format!("{name}.compact-old")).exists());
 
         let open = open_store(&dir).unwrap();
-        assert_eq!(open.meta, meta_for(&[0, 2]));
-        let mut after = Vec::new();
-        open.readers[0]
-            .for_each_day_filtered(ScanFilter::all(), &mut |_, o| after.extend_from_slice(o));
-        assert_eq!(before, after);
+        assert_eq!(open.meta, meta);
+        assert_eq!(streamed(&open.readers[0]), before);
         // The rewritten chunks are v2: stats footers exist now.
         assert!(open.readers[0].chunk_stats(0).unwrap().is_some());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1862,6 +1798,78 @@ mod tests {
         let stats = open.readers[0].chunk_stats(0).unwrap().expect("footer");
         assert_eq!(stats.rows, 0);
         assert!(stats.min[0] > stats.max[0], "empty chunk signals min > max");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_day_count_past_the_file_is_an_error_not_an_abort() {
+        let dir = temp_dir("hugedays");
+        drop(StoreWriter::create(&dir, meta_for(&[0, 2])).unwrap());
+        let path = dir.join("MANIFEST");
+        let mut bytes = std::fs::read(&path).unwrap();
+        // magic, version, scan_www, vantage count, the two names: then days.
+        let at = 8 + 2 + 1 + 2 + (2 + "google".len()) + (2 + "isp".len());
+        assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let Err(err) = open_store(&dir) else { panic!("a damaged manifest opened") };
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(err.to_string().contains("MANIFEST: truncated"), "{err}");
+        assert_eq!(StoreWriter::open_resume(&dir).unwrap_err().kind(), ErrorKind::InvalidData);
+        assert_eq!(compact_store(&dir).unwrap_err().kind(), ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn header_row_count_is_checked_against_the_footer_before_decoding() {
+        let dir = temp_dir("hugerows");
+        let orgs = OrgInterner::default();
+        let day0: Vec<Observation> = (0..10).map(|i| obs(0, i, 0)).collect();
+        let mut w = StoreWriter::create(&dir, meta_for(&[0])).unwrap();
+        w.append_chunk(0, 0, &day0, &orgs).unwrap();
+        drop(w);
+        // Set bit 31 of the header's `rows` (chunk header bytes 8..12),
+        // which the payload checksum does not cover.
+        let path = dir.join(column_file_name(0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let header_end = 12 + "google".len();
+        bytes[header_end + 11] ^= 0x80;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let open = open_store(&dir).unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            open.readers[0].for_each_day_filtered(ScanFilter::all(), &mut |_, _| {});
+        }));
+        let msg = *result.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("snapshot store corrupted"), "panic was: {msg}");
+        assert!(msg.contains("stats footer says 10 rows"), "panic was: {msg}");
+        assert!(msg.contains(&format!("day 0 chunk at byte offset {header_end}")), "{msg}");
+        drop(open);
+        // Resume treats the damaged last chunk as unflushed and drops it.
+        assert_eq!(StoreWriter::open_resume(&dir).unwrap().days_written(0), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_names_a_chunk_past_the_manifest_days() {
+        let dir = temp_dir("extrachunk");
+        let orgs = OrgInterner::default();
+        let mut w = StoreWriter::create(&dir, meta_for(&[0, 2])).unwrap();
+        for v in 0..2 {
+            for day in [0u32, 2] {
+                w.append_chunk(v, day, &[obs(day, 1, 0)], &orgs).unwrap();
+            }
+        }
+        drop(w);
+        let short = manifest_bytes(&meta_for(&[0]), FORMAT_VERSION);
+        std::fs::write(dir.join("MANIFEST"), short).unwrap();
+
+        let err = StoreWriter::open_resume(&dir).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(&dir.join(column_file_name(0)).display().to_string()), "{msg}");
+        assert!(msg.contains("chunk 1 is day 2 but the campaign has 1 days"), "{msg}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

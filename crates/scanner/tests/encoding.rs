@@ -5,20 +5,21 @@
 //!    encode → decode exactly, including empty, single-row, and
 //!    adversarial high-cardinality blocks, and the chooser never emits
 //!    a block larger than raw.
-//! 2. **Golden v1 pin** — a committed fixture written by the v1 raw
-//!    format streams byte-identically through today's reader, and
-//!    today's `StoreFormat::V1` writer still reproduces the fixture's
-//!    exact bytes (read-back compat can never silently drift).
-//! 3. **Compact** — `compact_store` rewrites a v1 store to v2 with a
-//!    byte-identical observation stream, and a compacted campaign store
-//!    replays clean under resume (all days verified, nothing appended).
+//! 2. **Golden v1 pin** — a committed fixture written by the frozen v1
+//!    raw format (no build writes it any more) streams byte-identically
+//!    through today's reader.
+//! 3. **Compact** — `compact_store` rewrites the v1 fixture into exactly
+//!    the bytes a native v2 write of the same rows produces, compacting
+//!    a v2 store is a byte-for-byte no-op, and a compacted campaign
+//!    store replays clean under resume (all days verified, nothing
+//!    appended).
 
 use proptest::prelude::*;
 use scanner::persist::encoding::{choose_block, decode_block};
 use scanner::persist::{StoreMeta, StoreWriter};
 use scanner::{
     compact_store, open_store, Campaign, Observation, ObservationSource, OrgId, OrgInterner,
-    ScanFilter, StoreFormat,
+    ScanFilter,
 };
 use std::path::{Path, PathBuf};
 
@@ -163,13 +164,13 @@ fn golden_rows(day: u32, vantage: usize) -> Vec<Observation> {
         .collect()
 }
 
-fn write_golden(dir: &Path) {
+/// The golden rows written natively, as this build writes every store.
+fn write_golden_v2(dir: &Path) {
     let mut orgs = OrgInterner::default();
     for name in ["Cloudflare, Inc.", "GoDaddy.com, LLC", "Google LLC", "NSOne, Inc."] {
         orgs.intern(name);
     }
-    let mut w =
-        StoreWriter::create_with_format(dir, golden_meta(), StoreFormat::V1).expect("create v1");
+    let mut w = StoreWriter::create(dir, golden_meta()).expect("create");
     for &day in &GOLDEN_DAYS {
         for vi in 0..GOLDEN_VANTAGES.len() {
             w.append_chunk(vi, day, &golden_rows(day, vi), &orgs).expect("append");
@@ -177,21 +178,15 @@ fn write_golden(dir: &Path) {
     }
 }
 
-/// Rebuilds the committed fixture. Run manually after an intentional v1
-/// format change (there should never be one):
-/// `cargo test -p scanner --test encoding regenerate_golden -- --ignored`
-#[test]
-#[ignore = "regenerates the committed golden v1 fixture in-place"]
-fn regenerate_golden_v1_fixture() {
-    let dir = fixture_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    write_golden(&dir);
+const STORE_FILES: [&str; 4] = ["MANIFEST", "orgs.dict", "v00.col", "v01.col"];
+
+/// Every file of a store, in [`STORE_FILES`] order.
+fn store_bytes(dir: &Path) -> Vec<Vec<u8>> {
+    STORE_FILES.iter().map(|name| std::fs::read(dir.join(name)).expect("store file")).collect()
 }
 
 /// The committed v1 store opens, carries v1 headers/chunks on disk, and
-/// streams the exact observation sequence it was written from — and the
-/// current `StoreFormat::V1` writer still reproduces its bytes, so the
-/// fixture pins both read- and write-side v1 compatibility.
+/// streams the exact observation sequence it was written from.
 #[test]
 fn golden_v1_store_streams_byte_identically() {
     let dir = fixture_dir();
@@ -214,18 +209,6 @@ fn golden_v1_store_streams_byte_identically() {
             GOLDEN_DAYS.iter().flat_map(|&d| golden_rows(d, vi)).collect();
         assert_eq!(streamed, expect, "vantage {vi} stream diverged from the fixture source");
     }
-
-    // Write-side pin: today's binary still emits these exact bytes.
-    let tmp = scratch("golden-rewrite");
-    write_golden(&tmp);
-    for name in ["MANIFEST", "orgs.dict", "v00.col", "v01.col"] {
-        assert_eq!(
-            std::fs::read(tmp.join(name)).expect("rewrite"),
-            std::fs::read(dir.join(name)).expect("fixture"),
-            "V1 writer output drifted from the committed fixture ({name})"
-        );
-    }
-    std::fs::remove_dir_all(&tmp).expect("cleanup");
 }
 
 // ---------------------------------------------------------------------
@@ -234,7 +217,10 @@ fn golden_v1_store_streams_byte_identically() {
 #[test]
 fn compact_then_stream_is_byte_identical_to_original() {
     let dir = scratch("compact-stream");
-    write_golden(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for name in STORE_FILES {
+        std::fs::copy(fixture_dir().join(name), dir.join(name)).expect("copy fixture");
+    }
 
     let streamed = |dir: &Path| {
         let open = open_store(dir).expect("open");
@@ -248,15 +234,24 @@ fn compact_then_stream_is_byte_identical_to_original() {
     assert_eq!(report.rows, (GOLDEN_DAYS.len() * GOLDEN_VANTAGES.len() * 60) as u64);
     assert_eq!(streamed(&dir), before, "compact changed the observation stream");
 
-    // The rewrite is v2 on disk now.
-    let col = std::fs::read(dir.join("v00.col")).expect("col");
-    assert_eq!(u16::from_le_bytes([col[8], col[9]]), 2);
+    // v1 → v2 conversion is a native v2 write of the same rows…
+    let native = scratch("compact-native");
+    write_golden_v2(&native);
+    let compacted = store_bytes(&dir);
+    for (name, (got, want)) in STORE_FILES.iter().zip(compacted.iter().zip(store_bytes(&native))) {
+        assert_eq!(*got, want, "compacted fixture differs from a native v2 write ({name})");
+    }
+    // …and compacting a v2 store changes no byte.
+    compact_store(&dir).expect("compact v2");
+    assert_eq!(store_bytes(&dir), compacted, "compacting a v2 store rewrote it");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+    std::fs::remove_dir_all(&native).expect("cleanup");
 }
 
-/// A campaign store written in v1, compacted to v2, must replay clean
-/// under resume: every day verifies against the deterministic re-run and
-/// nothing is appended.
+/// A compacted campaign store must replay clean under resume: every day
+/// verifies against the deterministic re-run and nothing is appended.
+/// The store is written in v2; the test above pins that compacting v1
+/// yields exactly such a store.
 #[test]
 fn compacted_campaign_store_replays_clean_under_resume() {
     let config = ecosystem::EcosystemConfig {
@@ -272,10 +267,8 @@ fn compacted_campaign_store_replays_clean_under_resume() {
     };
     let dir = scratch("compact-resume");
     let mut world = ecosystem::World::build(config.clone());
-    let mut writer =
-        StoreWriter::create_with_format(&dir, campaign.store_meta(&world), StoreFormat::V1)
-            .expect("create v1 store");
-    campaign.run_to_store(&mut world, &mut writer).expect("v1 campaign");
+    let mut writer = StoreWriter::create(&dir, campaign.store_meta(&world)).expect("create store");
+    campaign.run_to_store(&mut world, &mut writer).expect("campaign");
     drop(writer);
 
     compact_store(&dir).expect("compact");
