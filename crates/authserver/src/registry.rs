@@ -7,7 +7,7 @@
 //! DNSSEC DS lookup) is derived by walking apex ancestors in the same
 //! registry.
 
-use dns_wire::DnsName;
+use dns_wire::{DnsName, NameBuildHasher};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -24,9 +24,10 @@ pub struct NsEndpoint {
 
 #[derive(Default)]
 struct RegistryState {
-    /// Keyed by the apex itself (its `Hash`/`Eq` fold case); endpoint
-    /// sets are shared with every resolution that consults them.
-    delegations: HashMap<DnsName, Arc<[NsEndpoint]>>,
+    /// Keyed by the apex itself (its `Hash`/`Eq` fold case), hashed
+    /// once per ancestor probe; endpoint sets are shared with every
+    /// resolution that consults them.
+    delegations: HashMap<DnsName, Arc<[NsEndpoint]>, NameBuildHasher>,
 }
 
 /// Shared registry of zone delegations.

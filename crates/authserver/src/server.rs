@@ -4,7 +4,9 @@
 //! semantics.
 
 use crate::zone::{LookupResult, Zone};
-use dns_wire::{DnsName, Message, MessageView, NameView, Opcode, Rcode, RecordType};
+use dns_wire::{
+    DnsName, Message, MessageView, NameBuildHasher, NameView, Opcode, Rcode, RecordType,
+};
 use netsim::{DatagramService, NetError, Timestamp};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -17,7 +19,7 @@ use std::sync::Arc;
 /// zones under live traffic.
 #[derive(Clone, Default)]
 pub struct ZoneSet {
-    zones: Arc<RwLock<HashMap<DnsName, Zone>>>,
+    zones: Arc<RwLock<HashMap<DnsName, Zone, NameBuildHasher>>>,
 }
 
 impl ZoneSet {
@@ -75,7 +77,6 @@ impl ZoneSet {
     fn compiled_for(
         &self,
         qname: &DnsName,
-        qname_wire: &[u8],
         qtype: u16,
         qclass: u16,
         rd: bool,
@@ -86,7 +87,7 @@ impl ZoneSet {
         let mut candidate = Some(qname.clone());
         while let Some(c) = candidate {
             if let Some(zone) = zones.get(&c) {
-                return zone.compiled_lookup(qname_wire, qtype, qclass, rd, edns, do_bit);
+                return zone.compiled_lookup(qname, qtype, qclass, rd, edns, do_bit);
             }
             candidate = c.parent();
         }
@@ -201,12 +202,8 @@ impl AuthoritativeServer {
             return None;
         }
         let q = view.question()?;
-        let name = q.name();
-        let mut qname_wire = Vec::with_capacity(64);
-        name.write_canonical_wire(&mut qname_wire);
         let cached = self.zones.compiled_for(
-            &name.to_owned(),
-            &qname_wire,
+            &q.name().to_owned(),
             q.qtype().code(),
             q.qclass().code(),
             view.flags().rd,
@@ -245,7 +242,7 @@ impl AuthoritativeServer {
         self.zones.read_zone(apex, |z| {
             z.compiled_insert(
                 generation,
-                &q.name.canonical_wire(),
+                &q.name,
                 q.qtype.code(),
                 q.qclass.code(),
                 query.flags.rd,

@@ -3,11 +3,12 @@
 //! NXDOMAIN).
 
 use dns_wire::record::RrsigRdata;
-use dns_wire::{DnsName, RData, Record, RecordType, SoaRdata};
+use dns_wire::{DnsName, NameBuildHasher, RData, Record, RecordType, SoaRdata};
 use dnssec::ZoneKeys;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Outcome of a lookup inside a single zone.
@@ -42,10 +43,11 @@ const COMPILED_CACHE_MAX: usize = 4096;
 /// Full identity of a precompiled response: every query attribute the
 /// response bytes depend on besides the transaction ID (which is patched
 /// at serve time) and the question-name case (only all-lowercase names
-/// are compiled).
+/// are compiled, so the name's case-folding equality is byte equality
+/// here).
 struct CompiledKey {
-    /// Canonical (lowercase, uncompressed) wire form of the qname.
-    qname_wire: Box<[u8]>,
+    /// The question name (a reference count on the query's buffer).
+    qname: DnsName,
     qtype: u16,
     qclass: u16,
     /// Query RD flag (echoed into the response header).
@@ -59,7 +61,7 @@ struct CompiledKey {
 impl CompiledKey {
     fn matches(
         &self,
-        qname_wire: &[u8],
+        qname: &DnsName,
         qtype: u16,
         qclass: u16,
         rd: bool,
@@ -71,18 +73,20 @@ impl CompiledKey {
             && self.rd == rd
             && self.edns == edns
             && self.do_bit == do_bit
-            && *self.qname_wire == *qname_wire
+            && self.qname == *qname
     }
 }
 
-/// Hash-then-verify map of precompiled responses. Keys are hashed with
-/// FNV-1a over borrowed fields so a lookup never allocates; the bucket
-/// scan verifies full equality before a hit is declared.
+/// Hash-then-verify map of precompiled responses. A key's hash is the
+/// qname's word-at-a-time case-folded hash (the one every name-keyed map
+/// uses), with the other fields FNV-1a-stepped onto it, and the map
+/// takes that `u64` as it is; the bucket scan verifies full equality
+/// before a hit is declared. A lookup never allocates.
 type CompiledBucket = Vec<(CompiledKey, Arc<[u8]>)>;
 
 #[derive(Default)]
 struct CompiledCache {
-    map: HashMap<u64, CompiledBucket>,
+    map: HashMap<u64, CompiledBucket, NameBuildHasher>,
     len: usize,
     /// Bumped on every invalidation; inserts carry the generation they
     /// were rendered under and are dropped if it has moved on, so a
@@ -96,17 +100,14 @@ fn fnv_step(h: u64, b: u8) -> u64 {
 }
 
 fn compiled_hash(
-    qname_wire: &[u8],
+    qname: &DnsName,
     qtype: u16,
     qclass: u16,
     rd: bool,
     edns: bool,
     do_bit: bool,
 ) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in qname_wire {
-        h = fnv_step(h, b);
-    }
+    let mut h = NameBuildHasher::default().hash_one(qname);
     for b in qtype.to_be_bytes() {
         h = fnv_step(h, b);
     }
@@ -334,24 +335,23 @@ impl Zone {
 /// until the zone mutates.
 impl Zone {
     /// Fetch the precompiled response for a query shape, if cached.
-    /// `qname_wire` must be the canonical (lowercase) wire form of the
-    /// question name.
+    /// `qname` must be all lowercase, as every compiled name is.
     pub fn compiled_lookup(
         &self,
-        qname_wire: &[u8],
+        qname: &DnsName,
         qtype: u16,
         qclass: u16,
         rd: bool,
         edns: bool,
         do_bit: bool,
     ) -> Option<Arc<[u8]>> {
-        let h = compiled_hash(qname_wire, qtype, qclass, rd, edns, do_bit);
+        let h = compiled_hash(qname, qtype, qclass, rd, edns, do_bit);
         let cache = self.compiled.lock();
         cache
             .map
             .get(&h)?
             .iter()
-            .find(|(k, _)| k.matches(qname_wire, qtype, qclass, rd, edns, do_bit))
+            .find(|(k, _)| k.matches(qname, qtype, qclass, rd, edns, do_bit))
             .map(|(_, bytes)| bytes.clone())
     }
 
@@ -369,7 +369,7 @@ impl Zone {
     pub fn compiled_insert(
         &self,
         generation: u64,
-        qname_wire: &[u8],
+        qname: &DnsName,
         qtype: u16,
         qclass: u16,
         rd: bool,
@@ -377,19 +377,16 @@ impl Zone {
         do_bit: bool,
         bytes: Arc<[u8]>,
     ) {
-        let h = compiled_hash(qname_wire, qtype, qclass, rd, edns, do_bit);
+        let h = compiled_hash(qname, qtype, qclass, rd, edns, do_bit);
         let mut cache = self.compiled.lock();
         if cache.generation != generation || cache.len >= COMPILED_CACHE_MAX {
             return;
         }
         let bucket = cache.map.entry(h).or_default();
-        if bucket.iter().any(|(k, _)| k.matches(qname_wire, qtype, qclass, rd, edns, do_bit)) {
+        if bucket.iter().any(|(k, _)| k.matches(qname, qtype, qclass, rd, edns, do_bit)) {
             return;
         }
-        bucket.push((
-            CompiledKey { qname_wire: qname_wire.into(), qtype, qclass, rd, edns, do_bit },
-            bytes,
-        ));
+        bucket.push((CompiledKey { qname: qname.clone(), qtype, qclass, rd, edns, do_bit }, bytes));
         cache.len += 1;
     }
 

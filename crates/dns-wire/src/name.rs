@@ -33,6 +33,12 @@ const MAX_LABELS: usize = MAX_FLAT_LEN / 2;
 /// Comparison and hashing are case-insensitive over ASCII, per RFC 1035
 /// §2.3.3; the original case is preserved for display.
 ///
+/// `Hash` writes one `u64`: the flat bytes case-folded eight at a time
+/// and multiply-mixed a word at a time. It is unkeyed on purpose — the
+/// simulation has no adversary to flood a map — and [`NameBuildHasher`]
+/// passes the word straight to the map, so a name-keyed probe hashes
+/// the name once and nothing else.
+///
 /// ```
 /// use dns_wire::DnsName;
 /// let a = DnsName::parse("WWW.Example.COM").unwrap();
@@ -266,8 +272,27 @@ impl DnsName {
     /// without building the string: a map keyed by the name itself can
     /// still derive a value (a shard index, a seed) from the dotted key.
     pub fn for_each_key_byte(&self, mut sink: impl FnMut(u8)) {
-        // An octet rendered as a `char` is at most U+00FF: two bytes.
-        key_chars(self.labels(), |c| c.encode_utf8(&mut [0; 2]).bytes().for_each(&mut sink));
+        let wire = self.wire();
+        if wire.is_empty() {
+            return sink(b'.');
+        }
+        // Every length octet but the first becomes the dot before its
+        // label; an octet rendered as a `char` is U+0000..=U+00FF, two
+        // UTF-8 bytes from 0x80 up.
+        let mut next_len = 0;
+        for (at, &b) in wire.iter().enumerate() {
+            if at == next_len {
+                next_len += 1 + b as usize;
+                if at > 0 {
+                    sink(b'.');
+                }
+            } else if b < 0x80 {
+                sink(b.to_ascii_lowercase());
+            } else {
+                sink(0xC0 | (b >> 6));
+                sink(0x80 | (b & 0x3F));
+            }
+        }
     }
 
     /// Validate a (possibly compressed) name at `start` without building
@@ -460,21 +485,119 @@ fn label_at(wire: &[u8], start: u8) -> &[u8] {
 
 impl PartialEq for DnsName {
     fn eq(&self, other: &Self) -> bool {
-        self.wire().eq_ignore_ascii_case(other.wire())
+        let (a, b) = (self.wire(), other.wire());
+        // Names in one map nearly always agree in case: try the exact
+        // bytes before folding.
+        a.len() == b.len() && (a == b || a.eq_ignore_ascii_case(b))
     }
 }
 
 impl Eq for DnsName {}
 
 impl Hash for DnsName {
+    /// One word: `fold_hash` of the flat bytes.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let wire = self.wire();
-        let mut folded = [0u8; MAX_FLAT_LEN + 1];
-        let folded = &mut folded[..wire.len() + 1]; // ends in the root octet
-        for (out, b) in folded.iter_mut().zip(wire) {
-            *out = b.to_ascii_lowercase();
-        }
-        state.write(folded);
+        state.write_u64(fold_hash(self.wire()));
+    }
+}
+
+/// Odd multiplier of the mixing steps (2^64 / φ).
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+/// One in every byte of a word.
+const BYTES: u64 = 0x0101_0101_0101_0101;
+
+/// The 128-bit product of `x` and [`MIX`], its halves xored: every
+/// input bit reaches the low bits as well as the high ones.
+fn mix(x: u64) -> u64 {
+    let p = x as u128 * MIX as u128;
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// Lowercase the ASCII letters among eight bytes at once (SWAR): add
+/// 0x20 where a byte is in `A..=Z`, leave every other byte, 0x80 and up
+/// included, as it is.
+fn fold_word(w: u64) -> u64 {
+    let low7 = w & (0x7F * BYTES);
+    let from_a = low7 + (0x80 - b'A' as u64) * BYTES; // top bit: ≥ 'A'
+    let past_z = low7 + (0x7F - b'Z' as u64) * BYTES; // top bit: > 'Z'
+    let upper = from_a & !past_z & !w & (0x80 * BYTES);
+    w | (upper >> 2)
+}
+
+/// The case-folded hash of a flat name: the length, then each word of
+/// eight folded bytes (the last zero-padded), mixed in turn. Names that
+/// differ only in ASCII case hash alike; a parent hashes like the same
+/// name built on its own, since only its own bytes are read.
+fn fold_hash(flat: &[u8]) -> u64 {
+    let mut h = MIX ^ flat.len() as u64;
+    let mut words = flat.chunks_exact(8);
+    for word in &mut words {
+        h = mix(h ^ fold_word(u64::from_le_bytes(word.try_into().expect("eight bytes"))));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix(h ^ fold_word(u64::from_le_bytes(last)));
+    }
+    h
+}
+
+/// The hasher of every name-keyed map: a [`DnsName`]'s word passes
+/// straight through, and a small integer beside it (the record type of
+/// a `(DnsName, u16)` key, a flag) is multiplied in. Unkeyed and not
+/// meant for untrusted keys; see [`DnsName`].
+///
+/// ```
+/// use dns_wire::{DnsName, NameBuildHasher};
+/// use std::collections::HashMap;
+/// let mut zones: HashMap<DnsName, u32, NameBuildHasher> = HashMap::default();
+/// zones.insert(DnsName::parse("Example.COM").unwrap(), 7);
+/// assert_eq!(zones.get(&DnsName::parse("example.com").unwrap()), Some(&7));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NameHasher(u64);
+
+/// Builds a [`NameHasher`] per probe; the `S` of every name-keyed map.
+pub type NameBuildHasher = std::hash::BuildHasherDefault<NameHasher>;
+
+impl NameHasher {
+    fn mix_in(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(MIX);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// A name's word (or a `u64` key) passes through into a fresh
+    /// hasher; a later word is chained onto what is there.
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_mul(MIX) ^ word;
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.mix_in(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.mix_in(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix_in(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix_in(n as u64);
+    }
+
+    /// Raw bytes only reach here from key types other than names and
+    /// integers; they are mixed in one at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.mix_in(b.into()));
     }
 }
 

@@ -69,16 +69,6 @@ impl<'a> NameView<'a> {
             && theirs.next().is_none()
     }
 
-    /// Append the canonical (lowercased, uncompressed) wire form to
-    /// `out` — length-prefixed labels plus the root octet.
-    pub fn write_canonical_wire(&self, out: &mut Vec<u8>) {
-        for label in self.labels() {
-            out.push(label.len() as u8);
-            out.extend(label.iter().map(|b| b.to_ascii_lowercase()));
-        }
-        out.push(0);
-    }
-
     /// Append the lowercased dotted form (no trailing dot; root → `.`)
     /// to `out`, matching [`DnsName::key`].
     pub fn write_key(&self, out: &mut String) {
@@ -657,9 +647,7 @@ mod tests {
         qname.write_key(&mut key);
         assert_eq!(key, "www.example.com");
         assert!(!qname.is_ascii_lowercase());
-        let mut wire = Vec::new();
-        qname.write_canonical_wire(&mut wire);
-        assert_eq!(wire, name("www.example.com").canonical_wire());
+        assert_eq!(qname.to_owned().canonical_wire(), name("www.example.com").canonical_wire());
         assert_eq!(qname.to_string(), "www.Example.com.");
     }
 

@@ -3,7 +3,7 @@
 
 use crate::signer::{ds_matches_dnskey, verify_rrsig};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
-use dns_wire::{DnsName, RData, Record};
+use dns_wire::{DnsName, NameBuildHasher, RData, Record};
 use std::collections::HashSet;
 
 /// Validation outcome for an RRset, matching RFC 4035 terminology.
@@ -44,13 +44,13 @@ pub trait ChainSource {
 /// A DNSSEC validator rooted at a trust anchor.
 pub struct Validator {
     /// Zones whose keys are trusted axiomatically (normally just the root).
-    trust_anchors: HashSet<DnsName>,
+    trust_anchors: HashSet<DnsName, NameBuildHasher>,
 }
 
 impl Validator {
     /// Validator trusting the root zone.
     pub fn new() -> Validator {
-        let mut trust_anchors = HashSet::new();
+        let mut trust_anchors = HashSet::default();
         trust_anchors.insert(DnsName::root());
         Validator { trust_anchors }
     }
@@ -197,8 +197,8 @@ mod tests {
     /// In-memory fixture: a hierarchy of signed zones with optional DS.
     #[derive(Default)]
     struct Fixture {
-        keys: HashMap<DnsName, ZoneKeys>,
-        ds: HashMap<DnsName, Vec<DsRdata>>,
+        keys: HashMap<DnsName, ZoneKeys, NameBuildHasher>,
+        ds: HashMap<DnsName, Vec<DsRdata>, NameBuildHasher>,
     }
 
     impl Fixture {

@@ -59,7 +59,7 @@
 //! (a contention proxy; see the README's single-CPU caveat).
 
 use dns_wire::record::RrsigRdata;
-use dns_wire::{DnsName, Rcode, Record, RecordType};
+use dns_wire::{DnsName, NameBuildHasher, Rcode, Record, RecordType};
 use netsim::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -134,9 +134,9 @@ pub enum CachedAnswer {
     },
 }
 
-/// `DnsName`'s own `Hash`/`Eq` fold ASCII case, and a clone (one per
-/// index and queue a bounded store files the key under) is a reference
-/// count.
+/// `DnsName`'s own `Hash`/`Eq` fold ASCII case, [`NameBuildHasher`]
+/// mixes the type into the name's word, and a clone (one per index and
+/// queue a bounded store files the key under) is a reference count.
 type Key = (DnsName, u16);
 
 /// Which S3-FIFO queue an entry's live slot sits in.
@@ -313,7 +313,7 @@ impl ShardCounters {
 /// hot path pays nothing for the eviction layer.
 #[derive(Default)]
 struct ShardInner {
-    entries: HashMap<Key, Entry>,
+    entries: HashMap<Key, Entry, NameBuildHasher>,
     /// Monotonic per-shard stamp source for `seq`/`touch`/`slot`.
     next_seq: u64,
     /// LRU recency order: `touch` stamp → key (TtlSweepLru only).
@@ -899,6 +899,7 @@ impl RecordCache {
 mod tests {
     use super::*;
     use dns_wire::RData;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> DnsName {
@@ -909,15 +910,32 @@ mod tests {
         Record::new(name("a.com"), ttl, RData::A(Ipv4Addr::new(1, 2, 3, 4)))
     }
 
+    fn fnv1a_str(key: &str) -> u64 {
+        key.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    proptest! {
+        /// The pin below over arbitrary names: every octet value, `.`
+        /// and `\` inside labels, mixed case, the root.
+        #[test]
+        fn streamed_key_hash_equals_the_hash_of_any_rendered_key(labels in proptest::collection::vec(
+            proptest::collection::vec(
+                prop_oneof![any::<u8>(), b'A'..=b'Z', 0x80u8..=0xFF, Just(b'.'), Just(b'\\')],
+                1..=20,
+            ),
+            0..6,
+        )) {
+            let n = DnsName::from_labels(&labels).unwrap();
+            prop_assert_eq!(fnv1a_key(b"", &n), fnv1a_str(&n.key()));
+            prop_assert_eq!(fnv1a_key(b"ds:", &n), fnv1a_str(&format!("ds:{}", n.key())));
+        }
+    }
+
     /// Shard choice, ghost fingerprints and the selector's per-zone
     /// seeds were FNV-1a over the rendered key string; streaming the key
     /// must give the same value, bit for bit.
     #[test]
     fn streamed_key_hash_equals_the_hash_of_the_rendered_key() {
-        fn fnv1a_str(key: &str) -> u64 {
-            key.bytes()
-                .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-        }
         let odd = DnsName::from_labels([&b"Caf\xC9 \\."[..], b"x"]).unwrap();
         for n in [name("WWW.Example.COM"), name("a.com"), DnsName::root(), odd] {
             assert_eq!(fnv1a_key(b"", &n), fnv1a_str(&n.key()), "{n}");

@@ -103,7 +103,7 @@ use crate::eventloop::{self, EventLoopStats};
 use crate::pool::WorkerPool;
 use crate::resolver::{RecursiveResolver, Resolution, ResolveError, ResolverConfig};
 use authserver::DelegationRegistry;
-use dns_wire::{DnsName, RecordType};
+use dns_wire::{DnsName, NameBuildHasher, RecordType};
 use netsim::Network;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -302,7 +302,8 @@ impl QueryEngine {
         // borrows the input queries — `Query`'s case-folding `Hash`/`Eq`
         // replaces the `(String, u16)` key this used to allocate per
         // input.
-        let mut index_of: HashMap<&Query, usize> = HashMap::with_capacity(queries.len());
+        let mut index_of: HashMap<&Query, usize, NameBuildHasher> =
+            HashMap::with_capacity_and_hasher(queries.len(), NameBuildHasher::default());
         let mut distinct: Vec<&Query> = Vec::new();
         let mut positions: Vec<usize> = Vec::with_capacity(queries.len());
         for q in queries {
@@ -324,7 +325,7 @@ impl QueryEngine {
             // pooled path buckets on (authoritative apex of each name),
             // interned to dense ids in first-appearance order.
             let registry = self.resolver.registry();
-            let mut zone_ids: HashMap<DnsName, usize> = HashMap::new();
+            let mut zone_ids: HashMap<DnsName, usize, NameBuildHasher> = HashMap::default();
             let mut zone_index = Vec::with_capacity(distinct.len());
             for q in &distinct {
                 let next = zone_ids.len();
@@ -534,7 +535,7 @@ mod tests {
         let a = Query::new(DnsName::parse("A.Example").unwrap(), RecordType::Https);
         let b = Query::new(DnsName::parse("a.example").unwrap(), RecordType::Https);
         assert_eq!(a, b);
-        let mut dedup: HashMap<&Query, usize> = HashMap::new();
+        let mut dedup: HashMap<&Query, usize, NameBuildHasher> = HashMap::default();
         dedup.insert(&a, 0);
         assert_eq!(dedup.get(&b), Some(&0));
         let c = Query::new(DnsName::parse("a.example").unwrap(), RecordType::A);

@@ -6,7 +6,7 @@
 
 use crate::cache::fnv1a_key;
 use authserver::NsEndpoint;
-use dns_wire::DnsName;
+use dns_wire::{DnsName, NameBuildHasher};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,13 +42,13 @@ type StreamKey = (DnsName, bool);
 
 #[derive(Default)]
 struct SelectorState {
-    counters: HashMap<StreamKey, usize>,
+    counters: HashMap<StreamKey, usize, NameBuildHasher>,
     /// Per-zone RNGs for `Random`, lazily seeded from `(seed, stream)`.
     /// One RNG per zone (rather than one shared stream) keeps the pick
     /// sequence of a zone invariant under cross-zone interleaving, which
     /// is what makes `QueryEngine::resolve_batch` thread-count-invariant
     /// under `Random` (all queries for one zone share a worker).
-    rngs: HashMap<StreamKey, StdRng>,
+    rngs: HashMap<StreamKey, StdRng, NameBuildHasher>,
 }
 
 impl NsSelector {
