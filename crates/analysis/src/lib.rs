@@ -1,7 +1,7 @@
 //! # analysis
 //!
 //! One module per experiment in the paper's evaluation: each function
-//! turns the scanner's longitudinal [`SnapshotStore`] (plus, where the
+//! turns the scanner's longitudinal [`scanner::SnapshotStore`] (plus, where the
 //! paper itself used ground truth such as Tranco ranks, the ecosystem
 //! model) into the statistic the corresponding table or figure reports.
 //!
@@ -11,7 +11,7 @@
 //!
 //! Every analysis takes `&dyn ObservationSource` and streams the
 //! campaign day-by-day, so it runs identically over an in-memory
-//! [`SnapshotStore`] or a disk-backed [`scanner::StoreReader`] — with
+//! [`scanner::SnapshotStore`] or a disk-backed [`scanner::StoreReader`] — with
 //! byte-identical reports, and bounded resident memory in the disk
 //! case (a property the workspace's persistence tests pin).
 

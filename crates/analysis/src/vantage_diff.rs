@@ -411,13 +411,13 @@ impl SourceTally {
 /// [`vantage_diff_sources`] with one reader thread per source.
 ///
 /// Each source is read on its own scoped thread, which runs the same
-/// [`day_view`] per common day as the sequential pass — one visit builds
+/// `day_view` per common day as the sequential pass — one visit builds
 /// the day's view *and* folds the summary tallies — and sends each view
 /// through a bounded channel (at most two days in flight per source — the
 /// multi-vantage analogue of the reader's one-day residency bound). The
 /// coordinator receives one view per source per common day, in day
-/// order, and folds them through the same [`DayDiffs`] loop and
-/// [`SourceTally`] arithmetic — the report, including every
+/// order, and folds them through the same `DayDiffs` loop and
+/// `SourceTally` arithmetic — the report, including every
 /// floating-point field, is byte-identical to [`vantage_diff_sources`].
 pub fn vantage_diff_parallel(sources: &[&dyn ObservationSource]) -> VantageDiffReport {
     let vantages: Vec<String> = sources.iter().map(|s| s.vantage().to_string()).collect();

@@ -73,21 +73,14 @@ impl ZoneSet {
     /// Serve a query from the deepest matching zone's precompiled cache.
     /// The ancestor walk is [`ZoneSet::find_zone_for`]'s. A miss in the
     /// deepest zone is a miss outright — shallower zones are shadowed.
-    #[allow(clippy::too_many_arguments)]
-    fn compiled_for(
-        &self,
-        qname: &DnsName,
-        qtype: u16,
-        qclass: u16,
-        rd: bool,
-        edns: bool,
-        do_bit: bool,
-    ) -> Option<Arc<[u8]>> {
+    fn compiled_for(&self, key: &CompiledKey) -> Option<Arc<[u8]>> {
         let zones = self.zones.read();
-        let mut candidate = Some(qname.clone());
+        let mut candidate = Some(key.qname.clone());
         while let Some(c) = candidate {
             if let Some(zone) = zones.get(&c) {
-                return zone.compiled_lookup(qname, qtype, qclass, rd, edns, do_bit);
+                return zone.compiled_lookup(
+                    &key.qname, key.qtype, key.qclass, key.rd, key.edns, key.do_bit,
+                );
             }
             candidate = c.parent();
         }
@@ -193,64 +186,55 @@ impl AuthoritativeServer {
         }
     }
 
-    /// Try the precompiled fast path: parse the datagram as a borrowed
-    /// view, and if the query's shape is compilable, look it up in the
-    /// owning zone's cache. On a hit the response is the cached bytes
-    /// with only the transaction ID patched.
-    fn serve_precompiled(&self, view: &MessageView<'_>) -> Option<Vec<u8>> {
-        if !compilable_shape(view) {
-            return None;
-        }
-        let q = view.question()?;
-        let cached = self.zones.compiled_for(
-            &q.name().to_owned(),
-            q.qtype().code(),
-            q.qclass().code(),
-            view.flags().rd,
-            view.edns().is_some(),
-            view.dnssec_ok(),
-        )?;
-        let mut bytes = cached.to_vec();
-        bytes[0..2].copy_from_slice(&view.as_bytes()[0..2]);
-        Some(bytes)
-    }
-
-    /// If the decoded query is compilable, capture the owning zone's apex
-    /// and cache generation *before* the answer is rendered, so a zone
-    /// mutation in between makes the later insert a no-op.
-    fn compile_context(&self, query: &Message) -> Option<(DnsName, u64)> {
-        if query.opcode != Opcode::Query
-            || query.questions.len() != 1
-            || !query.answers.is_empty()
-            || !query.authorities.is_empty()
-            || !query.additionals.is_empty()
-        {
-            return None;
-        }
-        let q = &query.questions[0];
-        if !q.name.labels().all(|l| l.iter().all(|&b| plain_lowercase_byte(b))) {
-            return None;
-        }
-        let apex = self.zones.find_zone_for(&q.name)?;
+    /// Capture the apex and cache generation of the zone owning the
+    /// query *before* the answer is rendered, so a zone mutation in
+    /// between makes the later insert a no-op.
+    fn compile_context(&self, key: &CompiledKey) -> Option<(DnsName, u64)> {
+        let apex = self.zones.find_zone_for(&key.qname)?;
         let generation = self.zones.read_zone(&apex, |z| z.compiled_generation())?;
         Some((apex, generation))
     }
 
     /// Remember a rendered response in the owning zone's compiled cache.
-    fn compile(&self, query: &Message, apex: &DnsName, generation: u64, wire: &[u8]) {
-        let q = &query.questions[0];
+    fn compile(&self, key: &CompiledKey, apex: &DnsName, generation: u64, wire: &[u8]) {
         self.zones.read_zone(apex, |z| {
             z.compiled_insert(
                 generation,
-                &q.name,
-                q.qtype.code(),
-                q.qclass.code(),
-                query.flags.rd,
-                query.edns.is_some(),
-                query.dnssec_ok(),
+                &key.qname,
+                key.qtype,
+                key.qclass,
+                key.rd,
+                key.edns,
+                key.do_bit,
                 wire.into(),
             );
         });
+    }
+}
+
+/// The fields a compilable query's response bytes depend on (beside the
+/// patched ID), read off its view.
+struct CompiledKey {
+    qname: DnsName,
+    qtype: u16,
+    qclass: u16,
+    rd: bool,
+    edns: bool,
+    do_bit: bool,
+}
+
+impl CompiledKey {
+    /// The key of a query of [`compilable_shape`]; `None` for any other.
+    fn of(view: &MessageView<'_>) -> Option<CompiledKey> {
+        let q = view.question().filter(|_| compilable_shape(view))?;
+        Some(CompiledKey {
+            qname: q.name().to_owned(),
+            qtype: q.qtype().code(),
+            qclass: q.qclass().code(),
+            rd: view.flags().rd,
+            edns: view.edns().is_some(),
+            do_bit: view.dnssec_ok(),
+        })
     }
 }
 
@@ -271,38 +255,29 @@ fn compilable_shape(view: &MessageView<'_>) -> bool {
 /// uppercase); anything else skips the precompiled path and takes the
 /// reference path instead.
 fn plain_lowercase_name(name: &NameView<'_>) -> bool {
-    name.labels().all(|l| l.iter().all(|&b| plain_lowercase_byte(b)))
-}
-
-fn plain_lowercase_byte(b: u8) -> bool {
-    matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_')
+    name.labels().all(|l| l.iter().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_')))
 }
 
 impl DatagramService for AuthoritativeServer {
     fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
+        // Unparseable datagram: a real server answers FORMERR when it can
+        // extract an id; we drop, which the caller sees as a reset.
+        let view = MessageView::parse(request).map_err(|_| NetError::Reset)?;
         // Fast path: lookup + memcpy + 2-byte ID patch, no record
         // decoding or wire assembly.
-        if let Ok(view) = MessageView::parse(request) {
-            if let Some(bytes) = self.serve_precompiled(&view) {
-                return Ok(bytes);
-            }
+        let key = CompiledKey::of(&view);
+        if let Some(cached) = key.as_ref().and_then(|k| self.zones.compiled_for(k)) {
+            let mut bytes = cached.to_vec();
+            bytes[0..2].copy_from_slice(&request[0..2]);
+            return Ok(bytes);
         }
-        // Reference path: full decode, answer assembly, encode. Also
-        // compiles the rendered bytes so the next identical query shape
-        // is served from cache.
-        let query = match Message::decode(request) {
-            Ok(m) => m,
-            Err(_) => {
-                // Unparseable datagram: a real server answers FORMERR when
-                // it can extract an id; we drop, which the caller sees as
-                // a reset.
-                return Err(NetError::Reset);
-            }
-        };
-        let compile_ctx = self.compile_context(&query);
+        // Reference path: decode, answer assembly, encode. A compilable
+        // query's rendered bytes then serve the next identical shape.
+        let query = view.to_message().map_err(|_| NetError::Reset)?;
+        let compile_ctx = key.as_ref().and_then(|k| self.compile_context(k));
         let wire = self.answer(&query).encode();
-        if let Some((apex, generation)) = compile_ctx {
-            self.compile(&query, &apex, generation, &wire);
+        if let (Some(key), Some((apex, generation))) = (&key, compile_ctx) {
+            self.compile(key, &apex, generation, &wire);
         }
         Ok(wire)
     }

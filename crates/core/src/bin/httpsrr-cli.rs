@@ -130,18 +130,29 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// The world shape `study` and `run` share: `--population`, `--list`, `--seed`.
-fn world_config(flags: &Flags) -> Result<EcosystemConfig, String> {
-    let config = EcosystemConfig {
-        population: flags.num("--population", 2_000)?,
-        list_size: flags.num("--list", 1_400)?,
-        seed: flags.num("--seed", EcosystemConfig::default().seed)?,
-        ..EcosystemConfig::default()
-    };
-    if config.list_size > config.population {
+/// `--population` and `--list`, given the command's defaults: the one
+/// rule every command holds them to is `1 <= --list <= --population`.
+fn world_size(flags: &Flags, population: usize, list: usize) -> Result<(usize, usize), String> {
+    let population = flags.num("--population", population)?;
+    let list = flags.num("--list", list)?;
+    if list == 0 {
+        return Err("--list must be at least 1".to_string());
+    }
+    if list > population {
         return Err("--list must not exceed --population".to_string());
     }
-    Ok(config)
+    Ok((population, list))
+}
+
+/// The world shape `study` and `run` share: `--population`, `--list`, `--seed`.
+fn world_config(flags: &Flags) -> Result<EcosystemConfig, String> {
+    let (population, list_size) = world_size(flags, 2_000, 1_400)?;
+    Ok(EcosystemConfig {
+        population,
+        list_size,
+        seed: flags.num("--seed", EcosystemConfig::default().seed)?,
+        ..EcosystemConfig::default()
+    })
 }
 
 fn cmd_study(args: &[String]) -> Outcome {
@@ -450,8 +461,7 @@ fn cmd_serve(args: &[String]) -> Outcome {
         ],
         &["--metrics"],
     )?;
-    let population = flags.num("--population", 100_000usize)?;
-    let list_size = flags.num("--list", 10_000usize)?;
+    let (population, list_size) = world_size(&flags, 100_000, 10_000)?;
     let clients = flags.num("--clients", 256usize)?;
     let workers = flags.num("--workers", 1usize)?;
     let seed = flags.num("--seed", WorkloadConfig::default().seed)?;

@@ -3,7 +3,8 @@
 use crate::error::WireError;
 use crate::name::DnsName;
 use crate::record::{DnsClass, RData, Record, RecordType};
-use crate::wire::{WireReader, WireWriter};
+use crate::view::MessageView;
+use crate::wire::WireWriter;
 use std::fmt;
 
 /// Response codes (RCODE).
@@ -191,15 +192,6 @@ impl Edns {
             rdata: RData::Opt(Vec::new()),
         }
     }
-
-    fn from_record(rec: &Record) -> Edns {
-        Edns {
-            udp_payload_size: rec.class.code(),
-            version: ((rec.ttl >> 16) & 0xFF) as u8,
-            dnssec_ok: rec.ttl & 0x8000 != 0,
-            extended_rcode: ((rec.ttl >> 24) & 0xFF) as u8,
-        }
-    }
 }
 
 /// A full DNS message.
@@ -328,63 +320,10 @@ impl Message {
         w.into_bytes()
     }
 
-    /// Decode from wire format. Rejects trailing bytes.
+    /// Decode from wire format: the borrowed view's parse, then every
+    /// name and RDATA materialized. Rejects trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
-        let mut r = WireReader::new(buf);
-        let id = r.read_u16()?;
-        let b2 = r.read_u8()?;
-        let b3 = r.read_u8()?;
-        let flags = Flags {
-            qr: b2 & 0x80 != 0,
-            aa: b2 & 0x04 != 0,
-            tc: b2 & 0x02 != 0,
-            rd: b2 & 0x01 != 0,
-            ra: b3 & 0x80 != 0,
-            ad: b3 & 0x20 != 0,
-            cd: b3 & 0x10 != 0,
-        };
-        let opcode = Opcode::from_code((b2 >> 3) & 0x0F);
-        let mut rcode = Rcode::from_code(b3 & 0x0F);
-        let qdcount = r.read_u16()? as usize;
-        let ancount = r.read_u16()? as usize;
-        let nscount = r.read_u16()? as usize;
-        let arcount = r.read_u16()? as usize;
-        let mut questions = Vec::with_capacity(qdcount);
-        for _ in 0..qdcount {
-            let name = r.read_name()?;
-            let qtype = RecordType::from_code(r.read_u16()?);
-            let qclass = DnsClass::from_code(r.read_u16()?);
-            questions.push(Question { name, qtype, qclass });
-        }
-        let read_section = |n: usize, r: &mut WireReader<'_>| -> Result<Vec<Record>, WireError> {
-            let mut recs = Vec::with_capacity(n);
-            for _ in 0..n {
-                recs.push(Record::decode(r)?);
-            }
-            Ok(recs)
-        };
-        let answers = read_section(ancount, &mut r)?;
-        let authorities = read_section(nscount, &mut r)?;
-        let raw_additionals = read_section(arcount, &mut r)?;
-        if r.remaining() > 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
-        let mut additionals = Vec::new();
-        let mut edns = None;
-        for rec in raw_additionals {
-            if rec.rtype == RecordType::Opt {
-                let e = Edns::from_record(&rec);
-                // Merge extended rcode (high 8 bits) with header rcode.
-                if e.extended_rcode != 0 {
-                    let full = ((e.extended_rcode as u16) << 4) | (rcode.code() as u16);
-                    rcode = Rcode::from_code((full & 0xFF) as u8);
-                }
-                edns = Some(e);
-            } else {
-                additionals.push(rec);
-            }
-        }
-        Ok(Message { id, opcode, flags, rcode, questions, answers, authorities, additionals, edns })
+        MessageView::parse(buf)?.to_message()
     }
 }
 

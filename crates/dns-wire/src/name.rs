@@ -296,107 +296,70 @@ impl DnsName {
     }
 
     /// Validate a (possibly compressed) name at `start` without building
-    /// it, returning the offset at which sequential reading
-    /// resumes. Applies the same structural rules as [`DnsName::decode_at`]
-    /// (backward-only pointers, hop budget, label and name length limits),
-    /// so a buffer that passes `skip_at` decodes without error.
+    /// it, returning the offset at which sequential reading resumes.
+    /// The walk is [`DnsName::decode_at`]'s, so a name that passes
+    /// `skip_at` decodes without error.
     pub fn skip_at(buf: &[u8], start: usize) -> Result<usize, WireError> {
-        let mut pos = start;
-        let mut resume: Option<usize> = None;
-        let mut hops = 0usize;
-        let mut wire_len = 1usize; // root octet
-
-        loop {
-            let len_byte =
-                *buf.get(pos).ok_or(WireError::Truncated { context: "name label length" })?;
-            match len_byte & 0xC0 {
-                0x00 => {
-                    let n = len_byte as usize;
-                    if n == 0 {
-                        return Ok(resume.unwrap_or(pos + 1));
-                    }
-                    if n > MAX_LABEL_LEN {
-                        return Err(WireError::LabelTooLong(n));
-                    }
-                    let end = pos + 1 + n;
-                    if end > buf.len() {
-                        return Err(WireError::Truncated { context: "name label" });
-                    }
-                    wire_len += n + 1;
-                    if wire_len > MAX_NAME_WIRE_LEN {
-                        return Err(WireError::NameTooLong(wire_len));
-                    }
-                    pos = end;
-                }
-                0xC0 => {
-                    let second = *buf
-                        .get(pos + 1)
-                        .ok_or(WireError::Truncated { context: "compression pointer" })?;
-                    let target = (((len_byte & 0x3F) as usize) << 8) | second as usize;
-                    if target >= pos {
-                        return Err(WireError::BadCompressionPointer { at: pos });
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadCompressionPointer { at: pos });
-                    }
-                    if resume.is_none() {
-                        resume = Some(pos + 2);
-                    }
-                    pos = target;
-                }
-                other => return Err(WireError::UnsupportedLabelType(other)),
-            }
-        }
+        walk_name(buf, start, |_| Ok(()))
     }
 
     /// Decode a (possibly compressed) name from `buf` starting at `start`.
     /// Returns the name and the offset at which sequential reading resumes.
     pub fn decode_at(buf: &[u8], start: usize) -> Result<(DnsName, usize), WireError> {
         let mut flat = Flat::new();
-        let mut pos = start;
-        let mut resume: Option<usize> = None;
-        let mut hops = 0usize;
+        let next = walk_name(buf, start, |label| flat.push_label(label))?;
+        Ok((flat.freeze(), next))
+    }
+}
 
-        loop {
-            let len_byte =
-                *buf.get(pos).ok_or(WireError::Truncated { context: "name label length" })?;
-            match len_byte & 0xC0 {
-                0x00 => {
-                    let n = len_byte as usize;
-                    if n == 0 {
-                        let next = resume.unwrap_or(pos + 1);
-                        return Ok((flat.freeze(), next));
-                    }
-                    let end = pos + 1 + n;
-                    if end > buf.len() {
-                        return Err(WireError::Truncated { context: "name label" });
-                    }
-                    // Label and name length limits are `push_label`'s.
-                    flat.push_label(&buf[pos + 1..end])?;
-                    pos = end;
+/// Walk the (possibly compressed) name at `start`, handing each label to
+/// `label` in order, and return the offset at which sequential reading
+/// resumes: after the first pointer, or after the root octet when there
+/// is none. The one owner of the structural rules: pointers strictly
+/// backwards (so the walk ends) within a hop budget, labels of at most
+/// 63 octets (a length octet's top bits say so), and at most 255 octets
+/// spelled out — so a label handed on never breaks [`Flat`]'s limits.
+fn walk_name(
+    buf: &[u8],
+    start: usize,
+    mut label: impl FnMut(&[u8]) -> Result<(), WireError>,
+) -> Result<usize, WireError> {
+    let mut pos = start;
+    let mut resume: Option<usize> = None;
+    let mut hops = 0usize;
+    let mut wire_len = 1usize; // root octet
+    loop {
+        let len_byte =
+            *buf.get(pos).ok_or(WireError::Truncated { context: "name label length" })?;
+        match len_byte & 0xC0 {
+            0x00 => {
+                let n = len_byte as usize;
+                if n == 0 {
+                    return Ok(resume.unwrap_or(pos + 1));
                 }
-                0xC0 => {
-                    let second = *buf
-                        .get(pos + 1)
-                        .ok_or(WireError::Truncated { context: "compression pointer" })?;
-                    let target = (((len_byte & 0x3F) as usize) << 8) | second as usize;
-                    // Pointers must strictly point backwards; forward or
-                    // self-pointing targets cannot terminate.
-                    if target >= pos {
-                        return Err(WireError::BadCompressionPointer { at: pos });
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadCompressionPointer { at: pos });
-                    }
-                    if resume.is_none() {
-                        resume = Some(pos + 2);
-                    }
-                    pos = target;
+                let end = pos + 1 + n;
+                let body =
+                    buf.get(pos + 1..end).ok_or(WireError::Truncated { context: "name label" })?;
+                wire_len += n + 1;
+                if wire_len > MAX_NAME_WIRE_LEN {
+                    return Err(WireError::NameTooLong(wire_len));
                 }
-                other => return Err(WireError::UnsupportedLabelType(other)),
+                label(body)?;
+                pos = end;
             }
+            0xC0 => {
+                let second = *buf
+                    .get(pos + 1)
+                    .ok_or(WireError::Truncated { context: "compression pointer" })?;
+                let target = (((len_byte & 0x3F) as usize) << 8) | second as usize;
+                hops += 1;
+                if target >= pos || hops > MAX_POINTER_HOPS {
+                    return Err(WireError::BadCompressionPointer { at: pos });
+                }
+                resume.get_or_insert(pos + 2);
+                pos = target;
+            }
+            other => return Err(WireError::UnsupportedLabelType(other)),
         }
     }
 }

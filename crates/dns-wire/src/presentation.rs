@@ -42,15 +42,14 @@ pub fn parse_record_line(
                     .map_err(|_| ParseError::BadField { field: "TTL", token: t.to_string() })?;
                 idx += 1;
             }
-            Some(t) if t.eq_ignore_ascii_case("IN") => {
-                class = DnsClass::In;
-                idx += 1;
-            }
-            Some(t) if t.eq_ignore_ascii_case("CH") => {
-                class = DnsClass::Ch;
-                idx += 1;
-            }
-            _ => {}
+            Some(t) => match DnsClass::from_mnemonic(t) {
+                Some(c) => {
+                    class = c;
+                    idx += 1;
+                }
+                None => break,
+            },
+            None => break,
         }
     }
 

@@ -187,6 +187,19 @@ impl DnsClass {
             other => DnsClass::Unknown(other),
         }
     }
+
+    /// Parse a presentation mnemonic (`IN`, `CH`, `HS`, `ANY`, or the
+    /// RFC 3597 `CLASSnnn` form); the inverse of [`fmt::Display`].
+    pub fn from_mnemonic(s: &str) -> Option<Self> {
+        let up = s.to_ascii_uppercase();
+        Some(match up.as_str() {
+            "IN" => DnsClass::In,
+            "CH" => DnsClass::Ch,
+            "HS" => DnsClass::Hs,
+            "ANY" => DnsClass::Any,
+            other => DnsClass::from_code(other.strip_prefix("CLASS")?.parse().ok()?),
+        })
+    }
 }
 
 impl fmt::Display for DnsClass {
@@ -711,23 +724,6 @@ impl Record {
         w.patch_u16(len_at, rdlen as u16);
     }
 
-    /// Decode one record at the reader's position.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Record, WireError> {
-        let name = r.read_name()?;
-        let rtype = RecordType::from_code(r.read_u16()?);
-        let class = DnsClass::from_code(r.read_u16()?);
-        let ttl = r.read_u32()?;
-        let rdlen = r.read_u16()? as usize;
-        let start = r.position();
-        if r.remaining() < rdlen {
-            return Err(WireError::Truncated { context: "rdata" });
-        }
-        let whole = r.whole();
-        let rdata = RData::decode(rtype, (start, start + rdlen), whole)?;
-        r.seek(start + rdlen)?;
-        Ok(Record { name, rtype, class, ttl, rdata })
-    }
-
     /// Zone-file presentation line.
     pub fn to_presentation(&self) -> String {
         let mut out = String::new();
@@ -753,16 +749,23 @@ impl fmt::Display for Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use crate::svcb::SvcParam;
 
+    /// A message whose only content is `rec` as its one answer: a header
+    /// with ANCOUNT 1, then the record.
+    fn one_record_message(rec: &Record) -> Vec<u8> {
+        let mut msg = Message::query(0, DnsName::root(), RecordType::A);
+        msg.questions.clear();
+        msg.edns = None;
+        msg.answers.push(rec.clone());
+        msg.encode()
+    }
+
     fn rt(rec: &Record) -> Record {
-        let mut w = WireWriter::new();
-        rec.encode(&mut w);
-        let buf = w.into_bytes();
-        let mut r = WireReader::new(&buf);
-        let back = Record::decode(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0, "trailing bytes after record");
-        back
+        let mut back = Message::decode(&one_record_message(rec)).unwrap();
+        assert_eq!(back.answers.len(), 1);
+        back.answers.remove(0)
     }
 
     fn name(s: &str) -> DnsName {
@@ -919,28 +922,26 @@ mod tests {
     #[test]
     fn truncated_rdata_rejected() {
         let rec = Record::new(name("a.com"), 300, RData::A(Ipv4Addr::new(1, 2, 3, 4)));
-        let mut w = WireWriter::new();
-        rec.encode(&mut w);
-        let buf = w.into_bytes();
-        for cut in 1..buf.len() {
-            let mut r = WireReader::new(&buf[..cut]);
-            assert!(Record::decode(&mut r).is_err(), "cut at {cut} should fail");
+        let buf = one_record_message(&rec);
+        // Every cut after the 12-octet header falls inside the record.
+        for cut in 12..buf.len() {
+            assert!(Message::decode(&buf[..cut]).is_err(), "cut at {cut} should fail");
         }
     }
 
     #[test]
     fn bad_a_length_rejected() {
-        // Hand-encode an A record with 3-byte RDATA.
+        // Hand-encode a header announcing one answer, then an A record
+        // with 3-byte RDATA.
         let mut w = WireWriter::new();
+        w.put_bytes(&[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]);
         w.put_name(&name("x.com"));
         w.put_u16(RecordType::A.code());
         w.put_u16(DnsClass::In.code());
         w.put_u32(60);
         w.put_u16(3);
         w.put_bytes(&[1, 2, 3]);
-        let buf = w.into_bytes();
-        let mut r = WireReader::new(&buf);
-        assert!(Record::decode(&mut r).is_err());
+        assert!(Message::decode(w.as_bytes()).is_err());
     }
 
     #[test]

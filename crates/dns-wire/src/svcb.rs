@@ -75,8 +75,12 @@ impl SvcParam {
     fn encode_value(&self, w: &mut WireWriter) {
         match self {
             SvcParam::Mandatory(keys) => {
-                for k in keys {
-                    w.put_u16(*k);
+                // The wire form lists the keys in increasing order (RFC
+                // 9460 §8); the presentation form may list them in any.
+                let mut sorted = keys.clone();
+                sorted.sort_unstable();
+                for k in sorted {
+                    w.put_u16(k);
                 }
             }
             SvcParam::Alpn(ids) => {
@@ -556,71 +560,75 @@ impl SvcbRdata {
         })?;
         let target_tok = it.next().ok_or(ParseError::MissingField("TargetName"))?;
         let target = DnsName::parse(target_tok)?;
-        let mut params = Vec::new();
+        let mut params: Vec<SvcParam> = Vec::new();
         for tok in it {
-            params.push(parse_svcparam_token(tok)?);
+            let param = parse_svcparam_token(tok)?;
+            // A key appears at most once (RFC 9460 §2.2).
+            if params.iter().any(|p| p.key() == param.key()) {
+                return Err(ParseError::BadSvcParam(tok.to_string()));
+            }
+            params.push(param);
         }
         Ok(SvcbRdata { priority, target, params })
     }
 }
 
+/// One `key=value` token. Whatever it accepts encodes to a value
+/// [`SvcParam::decode`] accepts back.
 fn parse_svcparam_token(tok: &str) -> Result<SvcParam, ParseError> {
     let (k, v) = match tok.split_once('=') {
         Some((k, v)) => (k, Some(v)),
         None => (tok, None),
     };
-    let key_num = name_to_key(k).ok_or_else(|| ParseError::BadSvcParam(tok.to_string()))?;
     let bad = || ParseError::BadSvcParam(tok.to_string());
+    let key_num = name_to_key(k).ok_or_else(bad)?;
+    if k.starts_with("key") {
+        // The generic `keyNNNNN` form (RFC 9460 §2.1): the value is the
+        // wire-format value, here in hex, decoded — and so checked — as
+        // the wire decoder would, registered key or not.
+        let hex = v.unwrap_or("");
+        let value = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(hex.get(i..i + 2).ok_or_else(bad)?, 16).map_err(|_| bad()))
+            .collect::<Result<Vec<u8>, _>>()?;
+        return SvcParam::decode(key_num, &value).map_err(|_| bad());
+    }
+    let value = || v.ok_or_else(bad);
     match key_num {
         key::MANDATORY => {
-            let v = v.ok_or_else(bad)?;
-            let keys: Option<Vec<u16>> = v.split(',').map(name_to_key).collect();
-            Ok(SvcParam::Mandatory(keys.ok_or_else(bad)?))
+            let keys: Vec<u16> =
+                value()?.split(',').map(name_to_key).collect::<Option<_>>().ok_or_else(bad)?;
+            // No key twice and not `mandatory` itself (RFC 9460 §8).
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            if sorted.windows(2).any(|w| w[0] == w[1]) || sorted.contains(&key::MANDATORY) {
+                return Err(bad());
+            }
+            Ok(SvcParam::Mandatory(keys))
         }
         key::ALPN => {
-            let v = v.ok_or_else(bad)?;
-            let ids: Vec<Vec<u8>> = v.split(',').map(|s| s.as_bytes().to_vec()).collect();
-            if ids.iter().any(|i| i.is_empty()) {
+            let ids: Vec<Vec<u8>> = value()?.split(',').map(|s| s.as_bytes().to_vec()).collect();
+            // An alpn-id is 1..=255 octets behind a one-octet length.
+            if ids.iter().any(|i| i.is_empty() || i.len() > 255) {
                 return Err(bad());
             }
             Ok(SvcParam::Alpn(ids))
         }
-        key::NO_DEFAULT_ALPN => {
-            if v.is_some() {
-                return Err(bad());
-            }
-            Ok(SvcParam::NoDefaultAlpn)
-        }
-        key::PORT => Ok(SvcParam::Port(v.ok_or_else(bad)?.parse().map_err(|_| bad())?)),
+        key::NO_DEFAULT_ALPN if v.is_none() => Ok(SvcParam::NoDefaultAlpn),
+        key::PORT => Ok(SvcParam::Port(value()?.parse().map_err(|_| bad())?)),
         key::IPV4HINT => {
-            let v = v.ok_or_else(bad)?;
-            let addrs: Result<Vec<Ipv4Addr>, _> = v.split(',').map(|s| s.parse()).collect();
+            let addrs: Result<Vec<Ipv4Addr>, _> = value()?.split(',').map(|s| s.parse()).collect();
             Ok(SvcParam::Ipv4Hint(addrs.map_err(|_| bad())?))
         }
-        key::ECH => {
-            let v = v.ok_or_else(bad)?;
-            Ok(SvcParam::Ech(debase64ish(v).ok_or_else(bad)?))
-        }
+        key::ECH => match debase64ish(value()?) {
+            Some(config) if !config.is_empty() => Ok(SvcParam::Ech(config)),
+            _ => Err(bad()),
+        },
         key::IPV6HINT => {
-            let v = v.ok_or_else(bad)?;
-            let addrs: Result<Vec<Ipv6Addr>, _> = v.split(',').map(|s| s.parse()).collect();
+            let addrs: Result<Vec<Ipv6Addr>, _> = value()?.split(',').map(|s| s.parse()).collect();
             Ok(SvcParam::Ipv6Hint(addrs.map_err(|_| bad())?))
         }
-        other => {
-            let value = match v {
-                None => Vec::new(),
-                Some(hex) => {
-                    if hex.len() % 2 != 0 {
-                        return Err(bad());
-                    }
-                    (0..hex.len())
-                        .step_by(2)
-                        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| bad()))
-                        .collect::<Result<Vec<u8>, _>>()?
-                }
-            };
-            Ok(SvcParam::Unknown { key: other, value })
-        }
+        _ => Err(bad()),
     }
 }
 
@@ -750,6 +758,40 @@ mod tests {
         let tokens: Vec<&str> = text.split_whitespace().collect();
         let parsed = SvcbRdata::parse_presentation(&tokens).unwrap();
         assert_eq!(parsed, rd);
+    }
+
+    /// What the presentation parser accepts encodes to RDATA the wire
+    /// decoder accepts (RFC 9460 §2.1, §2.2, §8), and what it cannot
+    /// encode that way it rejects.
+    #[test]
+    fn presentation_accepts_only_what_the_wire_decoder_accepts() {
+        let long_alpn_id = format!("1 . alpn={}", "a".repeat(256));
+        let cases = [
+            // Keys in any order; the wire form sorts them.
+            (
+                "1 . mandatory=port,alpn alpn=h2 port=8443",
+                Some("1 . mandatory=alpn,port alpn=h2 port=8443"),
+            ),
+            ("1 . mandatory=alpn,alpn alpn=h2", None),
+            ("1 . mandatory=mandatory", None),
+            ("1 . key65535=00", None),
+            ("1 . alpn=h2 alpn=h3", None),
+            (&long_alpn_id, None),
+            ("1 . ech=", None),
+            // The generic form carries the wire value: a length octet,
+            // then the alpn-id. Without the octet, 0x68 overruns.
+            ("1 . key1=026832", Some("1 . alpn=h2")),
+            ("1 . key1=6832", None),
+            ("1 . key7=0102", Some("1 . key7=0102")),
+        ];
+        for (text, decodes_as) in cases {
+            let tokens: Vec<&str> = text.split_whitespace().collect();
+            match (SvcbRdata::parse_presentation(&tokens), decodes_as) {
+                (Ok(rd), Some(expect)) => assert_eq!(rt(&rd).to_presentation(), expect, "{text}"),
+                (Err(_), None) => {}
+                (parsed, _) => panic!("{text}: parsed as {parsed:?}, expected {decodes_as:?}"),
+            }
+        }
     }
 
     #[test]

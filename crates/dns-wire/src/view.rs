@@ -1,15 +1,15 @@
-//! Borrowed message views: one validation pass over a datagram, then
-//! lazy, zero-copy access to names and RDATA.
+//! Borrowed message views: the crate's one message decoder. A single
+//! validation pass over a datagram, then lazy, zero-copy access to names
+//! and RDATA.
 //!
-//! [`MessageView`] is the borrowed counterpart of
-//! [`Message::decode`](crate::Message::decode). Parsing reads the
-//! header fields and walks every question and resource record in a
-//! single pass — names are *validated* (same structural rules as
-//! [`DnsName::decode_at`]) but never materialized, RDATA is left as an
-//! `RDLENGTH`-delimited subrange of the buffer, and all the pass keeps
-//! is where each section starts: the section iterators walk the
-//! validated bytes again, so a view owns no heap memory.
-//! Callers then read what they need:
+//! [`MessageView::parse`] reads the header fields and walks every
+//! question and resource record once — names are *validated* by the walk
+//! [`DnsName::decode_at`] shares, but never materialized, RDATA is left
+//! as an `RDLENGTH`-delimited subrange of the buffer, and all the pass
+//! keeps is where each section starts: the section iterators walk the
+//! validated bytes again, so a view owns no heap memory. The header,
+//! section, OPT/extended-RCODE and trailing-byte rules live here and
+//! nowhere else. Callers then read what they need:
 //!
 //! - [`NameView`] exposes a compression-aware label iterator plus
 //!   comparison/rendering helpers that work straight off the wire;
@@ -17,12 +17,9 @@
 //!   record's subrange;
 //! - `to_owned()` escape hatches ([`NameView::to_owned`],
 //!   [`RecordView::to_owned`], [`MessageView::to_message`]) produce the
-//!   owned types so existing `Message` consumers can migrate
-//!   incrementally.
-//!
-//! On any buffer where [`MessageView::parse`] and
-//! [`MessageView::to_message`] both succeed, the resulting [`Message`]
-//! equals `Message::decode` of the same bytes (pinned by proptest).
+//!   owned types. [`Message::decode`] is `parse` followed by
+//!   `to_message`, so the owned and borrowed paths accept exactly the
+//!   same datagrams.
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
@@ -76,8 +73,9 @@ impl<'a> NameView<'a> {
     }
 
     /// Materialize an owned [`DnsName`]. Views are only handed out for
-    /// names that already passed structural validation, so this cannot
-    /// fail; a defensive fallback yields the root name.
+    /// names that passed [`DnsName::skip_at`], and `decode_at` walks a
+    /// name the same way, so this cannot fail; a defensive fallback
+    /// yields the root name.
     pub fn to_owned(&self) -> DnsName {
         DnsName::decode_at(self.buf, self.start)
             .map(|(name, _)| name)
@@ -294,7 +292,7 @@ impl<'a> RecordView<'a> {
 /// let q = view.question().unwrap();
 /// assert_eq!(q.qtype(), RecordType::Https);
 /// assert!(q.name().eq_name(&DnsName::parse("EXAMPLE.com").unwrap()));
-/// assert_eq!(view.to_message().unwrap(), Message::decode(&bytes).unwrap());
+/// assert_eq!(view.to_message().unwrap(), query);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MessageView<'a> {
@@ -327,9 +325,10 @@ fn read_u32_at(buf: &[u8], at: usize, context: &'static str) -> Result<u32, Wire
 
 impl<'a> MessageView<'a> {
     /// Parse the message structure in one pass: header fields, question
-    /// and record offsets, EDNS extraction (extended RCODE merged as in
-    /// [`Message::decode`]). Names are validated but not materialized;
-    /// RDATA contents are not inspected. Rejects trailing bytes.
+    /// and record offsets, EDNS extraction (a non-zero extended RCODE
+    /// merged into the header RCODE). Names are validated but not
+    /// materialized; RDATA contents are not inspected. Rejects trailing
+    /// bytes.
     pub fn parse(buf: &'a [u8]) -> Result<MessageView<'a>, WireError> {
         if buf.len() < 12 {
             return Err(WireError::Truncated { context: "header" });
@@ -367,9 +366,8 @@ impl<'a> MessageView<'a> {
                 let (meta, next) = RecordMeta::read_at(buf, pos)?;
                 pos = next;
                 // OPT pseudo-records in the additional section become
-                // EDNS state, exactly as in `Message::decode` (last one
-                // wins; a non-zero extended RCODE merges with the header
-                // RCODE).
+                // EDNS state (last one wins; a non-zero extended RCODE
+                // merges with the header RCODE).
                 if section == 2 && meta.rtype == RecordType::Opt.code() {
                     let e = Edns {
                         udp_payload_size: meta.class,
@@ -476,10 +474,10 @@ impl<'a> MessageView<'a> {
         self.section(2).filter(|r| r.meta.rtype != RecordType::Opt.code())
     }
 
-    /// Materialize an owned [`Message`], decoding every name and RDATA.
-    /// Equal to [`Message::decode`] of the same buffer whenever both
-    /// succeed; fails only on RDATA that `Message::decode` would also
-    /// reject (the structure was validated by [`MessageView::parse`]).
+    /// Materialize an owned [`Message`], decoding every name and RDATA:
+    /// the second half of [`Message::decode`]. Fails only on malformed
+    /// RDATA — the structure was validated by [`MessageView::parse`],
+    /// and OPT pseudo-records are never decoded.
     pub fn to_message(&self) -> Result<Message, WireError> {
         let mut questions = Vec::with_capacity(self.qdcount);
         for q in self.questions() {
@@ -560,7 +558,7 @@ mod tests {
     fn view_matches_owned_decode() {
         let buf = sample_response().encode();
         let view = MessageView::parse(&buf).unwrap();
-        assert_eq!(view.to_message().unwrap(), Message::decode(&buf).unwrap());
+        assert_eq!(view.to_message().unwrap(), sample_response());
     }
 
     #[test]
@@ -659,7 +657,6 @@ mod tests {
         resp.edns = Some(Edns { extended_rcode: 1, ..Default::default() });
         let buf = resp.encode();
         let view = MessageView::parse(&buf).unwrap();
-        assert_eq!(view.rcode(), Message::decode(&buf).unwrap().rcode);
         assert_eq!(view.rcode(), Rcode::from_code(0x15));
     }
 

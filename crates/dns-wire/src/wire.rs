@@ -26,24 +26,9 @@ impl<'a> WireReader<'a> {
         self.pos
     }
 
-    /// Total buffer length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the underlying buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Bytes remaining after the cursor.
     pub fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
-    }
-
-    /// The whole underlying buffer (used by name decompression).
-    pub fn whole(&self) -> &'a [u8] {
-        self.buf
     }
 
     /// Move the cursor to an absolute offset.

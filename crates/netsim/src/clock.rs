@@ -170,7 +170,7 @@ impl CivilDate {
         era * 146_097 + doe - 719_468
     }
 
-    /// Inverse of [`days_from_civil`].
+    /// Inverse of [`CivilDate::days_from_civil`].
     pub fn from_days(z: i64) -> CivilDate {
         let z = z + 719_468;
         let era = if z >= 0 { z } else { z - 146_096 } / 146_097;

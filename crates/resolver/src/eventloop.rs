@@ -3,8 +3,9 @@
 //! One worker thread drives every in-flight query of a batch to
 //! completion as a per-query state machine (a hand-rolled future): send
 //! → await reply or timeout → retransmit within the configured budget →
-//! fall back to the next NS in the existing [`NsSelector`] order. Sends
-//! go through [`Network::send_datagram_scheduled`], so each exchange is
+//! fall back to the next NS in the existing [`NsSelector`](crate::NsSelector)
+//! order. Sends go through
+//! [`Network::send_datagram_scheduled`](netsim::Network::send_datagram_scheduled), so each exchange is
 //! a *scheduled delivery* in virtual milliseconds; the loop owns the one
 //! timer queue (a `BinaryHeap` keyed by `(delivery instant, sequence)`)
 //! and advances the shared [`SimClock`](netsim::SimClock) monotonically

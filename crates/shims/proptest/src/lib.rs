@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
-//! Implements the subset this workspace uses: [`Strategy`] with
-//! `prop_map`, [`Just`], `any::<T>()`, integer/float ranges as
+//! Implements the subset this workspace uses: [`Strategy`](strategy::Strategy)
+//! with `prop_map`, [`Just`](strategy::Just), `any::<T>()`, integer/float ranges as
 //! strategies, tuple strategies, [`collection::vec`], `prop_oneof!`,
 //! and the `proptest!`/`prop_assert*!`/`prop_assume!` macros.
 //!

@@ -16,6 +16,11 @@ fn bad_flags_and_unknown_commands_fail_naming_the_offender() {
         (&["study", "--stride"][..], "--stride"),
         (&["run", "--dayz", "3"][..], "--dayz"),
         (&["serve", "--rates", "4,,x"][..], "--rates"),
+        (&["serve", "--population", "0"][..], "--population"),
+        (&["serve", "--list", "0"][..], "--list"),
+        (&["serve", "--list", "200", "--population", "100"][..], "--population"),
+        (&["study", "--list", "0"][..], "--list"),
+        (&["run", "--list", "0", "--population", "0"][..], "--list"),
         (&["bench"][..], "unknown command \"bench\""),
         (&["bench", "--store"][..], "unknown command \"bench\""),
     ] {
