@@ -24,9 +24,9 @@ pub struct NsEndpoint {
 
 #[derive(Default)]
 struct RegistryState {
-    /// Keyed by the apex itself (its `Hash`/`Eq` fold case), hashed
-    /// once per ancestor probe; endpoint sets are shared with every
-    /// resolution that consults them.
+    /// Keyed by the apex itself (its `Hash`/`Eq` fold case) and probed
+    /// by borrowed suffixes, hashed once per ancestor; endpoint sets are
+    /// shared with every resolution that consults them.
     delegations: HashMap<DnsName, Arc<[NsEndpoint]>, NameBuildHasher>,
 }
 
@@ -58,19 +58,14 @@ impl DelegationRegistry {
     }
 
     /// Find the deepest delegated zone containing `name`, returning
-    /// `(zone apex, endpoints)`. The apex shares `name`'s buffer and the
-    /// endpoints are the registry's own set, so a lookup allocates
-    /// nothing however many servers the zone has.
+    /// `(zone apex, endpoints)`. The walk probes borrowed suffixes of
+    /// `name`; the apex is the hit's suffix, sharing `name`'s buffer and
+    /// spelling, and the endpoints are the registry's own set, so a
+    /// lookup allocates nothing and costs two reference counts however
+    /// deep the name and however many servers the zone has.
     pub fn find_authority(&self, name: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
         let st = self.state.read();
-        let mut candidate = Some(name.clone());
-        while let Some(c) = candidate {
-            if let Some(eps) = st.delegations.get(&c) {
-                return Some((c, eps.clone()));
-            }
-            candidate = c.parent();
-        }
-        None
+        name.find_ancestor(|apex| st.delegations.get(apex.as_key()).cloned())
     }
 
     /// Find the authority for the *parent* of `apex` — where the DS

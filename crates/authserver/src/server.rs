@@ -5,7 +5,7 @@
 
 use crate::zone::{LookupResult, Zone};
 use dns_wire::{
-    DnsName, Message, MessageView, NameBuildHasher, NameView, Opcode, Rcode, RecordType,
+    DnsName, Message, MessageView, NameBuildHasher, NameRef, NameView, Opcode, Rcode, RecordType,
 };
 use netsim::{DatagramService, NetError, Timestamp};
 use parking_lot::RwLock;
@@ -57,34 +57,22 @@ impl ZoneSet {
         zones.get(apex).map(f)
     }
 
-    /// Find the deepest zone containing `name`, returning its apex.
+    /// Find the deepest zone containing `name`, returning its apex: a
+    /// suffix of `name`, sharing its buffer and spelling.
     pub fn find_zone_for(&self, name: &DnsName) -> Option<DnsName> {
         let zones = self.zones.read();
-        let mut candidate = Some(name.clone());
-        while let Some(c) = candidate {
-            if zones.contains_key(&c) {
-                return Some(c);
-            }
-            candidate = c.parent();
-        }
-        None
+        name.find_ancestor(|apex| zones.contains_key(apex.as_key()).then_some(()))
+            .map(|(apex, ())| apex)
     }
 
-    /// Serve a query from the deepest matching zone's precompiled cache.
-    /// The ancestor walk is [`ZoneSet::find_zone_for`]'s. A miss in the
-    /// deepest zone is a miss outright — shallower zones are shadowed.
-    fn compiled_for(&self, key: &CompiledKey) -> Option<Arc<[u8]>> {
+    /// Serve a query from the deepest matching zone's precompiled cache,
+    /// probing with suffixes of the request's own question bytes. A miss
+    /// in the deepest zone is a miss outright — shallower zones are
+    /// shadowed.
+    fn compiled_for(&self, key: &CompiledKey<'_>) -> Option<Arc<[u8]>> {
         let zones = self.zones.read();
-        let mut candidate = Some(key.qname.clone());
-        while let Some(c) = candidate {
-            if let Some(zone) = zones.get(&c) {
-                return zone.compiled_lookup(
-                    &key.qname, key.qtype, key.qclass, key.rd, key.edns, key.do_bit,
-                );
-            }
-            candidate = c.parent();
-        }
-        None
+        let zone = key.qname.ancestors().find_map(|apex| zones.get(apex.as_key()))?;
+        zone.compiled_lookup(key.qname, key.qtype, key.qclass, key.rd, key.edns, key.do_bit)
     }
 
     /// Number of zones.
@@ -186,21 +174,29 @@ impl AuthoritativeServer {
         }
     }
 
-    /// Capture the apex and cache generation of the zone owning the
-    /// query *before* the answer is rendered, so a zone mutation in
-    /// between makes the later insert a no-op.
-    fn compile_context(&self, key: &CompiledKey) -> Option<(DnsName, u64)> {
-        let apex = self.zones.find_zone_for(&key.qname)?;
+    /// Capture the apex and cache generation of the zone owning `qname`
+    /// *before* the answer is rendered, so a zone mutation in between
+    /// makes the later insert a no-op.
+    fn compile_context(&self, qname: &DnsName) -> Option<(DnsName, u64)> {
+        let apex = self.zones.find_zone_for(qname)?;
         let generation = self.zones.read_zone(&apex, |z| z.compiled_generation())?;
         Some((apex, generation))
     }
 
-    /// Remember a rendered response in the owning zone's compiled cache.
-    fn compile(&self, key: &CompiledKey, apex: &DnsName, generation: u64, wire: &[u8]) {
+    /// Remember a rendered response in the owning zone's compiled cache,
+    /// under the decoded question name `qname`.
+    fn compile(
+        &self,
+        key: &CompiledKey<'_>,
+        qname: &DnsName,
+        apex: &DnsName,
+        generation: u64,
+        wire: &[u8],
+    ) {
         self.zones.read_zone(apex, |z| {
             z.compiled_insert(
                 generation,
-                &key.qname,
+                qname,
                 key.qtype,
                 key.qclass,
                 key.rd,
@@ -213,9 +209,10 @@ impl AuthoritativeServer {
 }
 
 /// The fields a compilable query's response bytes depend on (beside the
-/// patched ID), read off its view.
-struct CompiledKey {
-    qname: DnsName,
+/// patched ID), read off its view; the name is borrowed from the
+/// request.
+struct CompiledKey<'a> {
+    qname: NameRef<'a>,
     qtype: u16,
     qclass: u16,
     rd: bool,
@@ -223,12 +220,14 @@ struct CompiledKey {
     do_bit: bool,
 }
 
-impl CompiledKey {
-    /// The key of a query of [`compilable_shape`]; `None` for any other.
-    fn of(view: &MessageView<'_>) -> Option<CompiledKey> {
+impl<'a> CompiledKey<'a> {
+    /// The key of a query of [`compilable_shape`] whose question name is
+    /// spelled out in place; `None` for any other (a compression pointer
+    /// in the name included), which takes the reference path.
+    fn of(view: &MessageView<'a>) -> Option<CompiledKey<'a>> {
         let q = view.question().filter(|_| compilable_shape(view))?;
         Some(CompiledKey {
-            qname: q.name().to_owned(),
+            qname: q.name().flat()?,
             qtype: q.qtype().code(),
             qclass: q.qclass().code(),
             rd: view.flags().rd,
@@ -274,10 +273,13 @@ impl DatagramService for AuthoritativeServer {
         // Reference path: decode, answer assembly, encode. A compilable
         // query's rendered bytes then serve the next identical shape.
         let query = view.to_message().map_err(|_| NetError::Reset)?;
-        let compile_ctx = key.as_ref().and_then(|k| self.compile_context(k));
+        let compiling = key.zip(query.question()).and_then(|(key, q)| {
+            let (apex, generation) = self.compile_context(&q.name)?;
+            Some((key, &q.name, apex, generation))
+        });
         let wire = self.answer(&query).encode();
-        if let (Some(key), Some((apex, generation))) = (&key, compile_ctx) {
-            self.compile(key, &apex, generation, &wire);
+        if let Some((key, qname, apex, generation)) = compiling {
+            self.compile(&key, qname, &apex, generation, &wire);
         }
         Ok(wire)
     }
@@ -488,6 +490,29 @@ mod tests {
         // the lowercase-keyed cache could not have produced.
         assert!(out.windows(6).any(|w| w == [1, b'A', 3, b'c', b'o', b'm']));
         assert_eq!(Message::decode(&out).unwrap().answers_of(RecordType::A).len(), 1);
+    }
+
+    #[test]
+    fn a_compressed_question_takes_the_reference_path_to_the_same_bytes() {
+        let zones = ZoneSet::new();
+        let mut z = Zone::new(name("a"));
+        z.add(Record::new(name("www.a"), 300, RData::A(Ipv4Addr::new(1, 2, 3, 4))));
+        zones.insert(z);
+        let s = AuthoritativeServer::new(zones);
+        // ID 0x0161 and zero flags spell the name `a.` at offset 0, so a
+        // question of `www` and a pointer to 0 asks for `www.a.`.
+        let header = [0x01, 0x61, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        let (qtype_a, class_in) = ([0, 1], [0, 1]);
+        let plain = [&header[..], &[3, b'w', b'w', b'w', 1, b'a', 0], &qtype_a, &class_in].concat();
+        let pointer = [&header[..], &[3, b'w', b'w', b'w', 0xC0, 0], &qtype_a, &class_in].concat();
+        assert_eq!(Message::decode(&pointer).unwrap(), Message::decode(&plain).unwrap());
+
+        let cold = s.handle(&pointer, Timestamp(0)).unwrap();
+        let reference = s.handle(&plain, Timestamp(0)).unwrap(); // compiles
+        assert_eq!(cold, reference);
+        assert_eq!(s.handle(&plain, Timestamp(0)).unwrap(), reference); // precompiled
+        assert_eq!(s.handle(&pointer, Timestamp(0)).unwrap(), reference);
+        assert_eq!(s.zones().read_zone(&name("a"), |z| z.compiled_len()), Some(1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! NXDOMAIN).
 
 use dns_wire::record::RrsigRdata;
-use dns_wire::{DnsName, NameBuildHasher, RData, Record, RecordType, SoaRdata};
+use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, RData, Record, RecordType, SoaRdata};
 use dnssec::ZoneKeys;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -61,7 +61,7 @@ struct CompiledKey {
 impl CompiledKey {
     fn matches(
         &self,
-        qname: &DnsName,
+        qname: NameRef<'_>,
         qtype: u16,
         qclass: u16,
         rd: bool,
@@ -73,7 +73,7 @@ impl CompiledKey {
             && self.rd == rd
             && self.edns == edns
             && self.do_bit == do_bit
-            && self.qname == *qname
+            && self.qname.name_ref() == qname
     }
 }
 
@@ -100,14 +100,14 @@ fn fnv_step(h: u64, b: u8) -> u64 {
 }
 
 fn compiled_hash(
-    qname: &DnsName,
+    qname: NameRef<'_>,
     qtype: u16,
     qclass: u16,
     rd: bool,
     edns: bool,
     do_bit: bool,
 ) -> u64 {
-    let mut h = NameBuildHasher::default().hash_one(qname);
+    let mut h = NameBuildHasher::default().hash_one(qname.as_key());
     for b in qtype.to_be_bytes() {
         h = fnv_step(h, b);
     }
@@ -335,10 +335,11 @@ impl Zone {
 /// until the zone mutates.
 impl Zone {
     /// Fetch the precompiled response for a query shape, if cached.
-    /// `qname` must be all lowercase, as every compiled name is.
+    /// `qname` must be all lowercase, as every compiled name is; it is
+    /// borrowed (from the request, on the serving path).
     pub fn compiled_lookup(
         &self,
-        qname: &DnsName,
+        qname: NameRef<'_>,
         qtype: u16,
         qclass: u16,
         rd: bool,
@@ -377,13 +378,14 @@ impl Zone {
         do_bit: bool,
         bytes: Arc<[u8]>,
     ) {
-        let h = compiled_hash(qname, qtype, qclass, rd, edns, do_bit);
+        let qref = qname.name_ref();
+        let h = compiled_hash(qref, qtype, qclass, rd, edns, do_bit);
         let mut cache = self.compiled.lock();
         if cache.generation != generation || cache.len >= COMPILED_CACHE_MAX {
             return;
         }
         let bucket = cache.map.entry(h).or_default();
-        if bucket.iter().any(|(k, _)| k.matches(qname, qtype, qclass, rd, edns, do_bit)) {
+        if bucket.iter().any(|(k, _)| k.matches(qref, qtype, qclass, rd, edns, do_bit)) {
             return;
         }
         bucket.push((CompiledKey { qname: qname.clone(), qtype, qclass, rd, edns, do_bit }, bytes));

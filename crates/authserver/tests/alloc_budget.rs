@@ -1,16 +1,17 @@
-//! Allocation budgets of the authority's name-keyed lookups, counted
-//! with a per-thread counting allocator and held on every thread of the
-//! `RESOLVER_TEST_THREADS` axis while the threads share one zone and
-//! one registry.
+//! Allocation budgets of the authority's name-keyed lookups and of a
+//! precompiled serve, counted with a per-thread counting allocator and
+//! held on every thread of the `RESOLVER_TEST_THREADS` axis while the
+//! threads share one zone, one registry and one server.
 
 #![allow(unsafe_code)]
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use authserver::{DelegationRegistry, NsEndpoint, Zone, ZoneSet};
+use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
-use dns_wire::{DnsName, RData, Record, RecordType};
+use dns_wire::{DnsName, Message, RData, Record, RecordType};
+use netsim::{DatagramService, Timestamp};
 use std::hint::black_box;
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -75,5 +76,31 @@ fn find_authority_does_not_depend_on_the_endpoint_count() {
             }
         });
         assert_eq!(counts, vec![0; threads], "{threads} threads");
+    }
+}
+
+#[test]
+fn a_precompiled_serve_allocates_only_the_response() {
+    let zones = ZoneSet::new();
+    let mut parent = Zone::new(name("com"));
+    parent.add(Record::new(name("example.com"), 300, RData::Ns(name("ns1.provider.net"))));
+    zones.insert(parent);
+    let mut zone = Zone::new(name("example.com"));
+    zone.add(Record::new(name("www.example.com"), 300, RData::A(Ipv4Addr::new(192, 0, 2, 1))));
+    zones.insert(zone);
+    let server = AuthoritativeServer::new(zones);
+    let request = Message::query_dnssec(9, name("www.example.com"), RecordType::A).encode();
+    // The first serve renders through the reference path and compiles.
+    let reference = server.handle(&request, Timestamp(0)).unwrap();
+
+    for threads in thread_axis() {
+        let counts = allocs_per_thread(threads, || {
+            for _ in 0..100 {
+                let (n, served) = allocs_in(|| server.handle(black_box(&request), Timestamp(0)));
+                assert_eq!(n, 1, "the response bytes");
+                assert_eq!(served.unwrap(), reference);
+            }
+        });
+        assert_eq!(counts, vec![100; threads], "{threads} threads");
     }
 }

@@ -33,7 +33,7 @@ pub mod wire;
 
 pub use error::{ParseError, WireError};
 pub use message::{Edns, Flags, Message, Opcode, Question, Rcode};
-pub use name::{DnsName, NameBuildHasher, NameHasher};
+pub use name::{DnsName, NameBuildHasher, NameHasher, NameKey, NameRef};
 pub use record::{
     DnsClass, DnskeyRdata, DsRdata, RData, Record, RecordType, RrsigRdata, SoaRdata, SrvRdata,
 };
@@ -321,6 +321,7 @@ mod proptests {
             if let Ok(view) = crate::view::MessageView::parse(&bytes) {
                 for q in view.questions() {
                     let _ = q.name().labels().count();
+                    let _ = q.name().flat().map(|f| f.ancestors().count());
                     let _ = q.to_owned();
                 }
                 for r in view.answers().chain(view.authorities()).chain(view.additionals()) {

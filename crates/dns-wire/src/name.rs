@@ -1,8 +1,18 @@
 //! Domain names: one flat, shared buffer per name with case-insensitive
 //! semantics, wire encoding/decoding (including RFC 1035 compression
 //! pointers), and presentation-format parsing/printing.
+//!
+//! A name can also be borrowed as its flat bytes, a [`NameRef`]: a
+//! suffix of a [`DnsName`]'s buffer (an ancestor walk) or a message's
+//! uncompressed name ([`NameView::flat`](crate::NameView::flat), such as
+//! a query's question at offset 12). Every `DnsName`-keyed map borrows
+//! its keys as [`dyn NameKey`](NameKey), whose hash word and
+//! case-folding equality are exactly `DnsName`'s, so such a map is
+//! probed by borrowed bytes without building, cloning or dropping a
+//! name.
 
 use crate::error::{ParseError, WireError};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -222,6 +232,22 @@ impl DnsName {
         flat.push_label(label.as_bytes()).map_err(|_| bad())?;
         flat.push_name(self).map_err(|_| bad())?;
         Ok(flat.freeze())
+    }
+
+    /// Walk this name and its ancestors, nearest first, until `probe`
+    /// gives a value for one. That ancestor comes back beside the value
+    /// as a name sharing this one's buffer and spelling: the walk reads
+    /// borrowed suffixes, and the hit costs one reference count.
+    pub fn find_ancestor<T>(
+        &self,
+        mut probe: impl FnMut(NameRef<'_>) -> Option<T>,
+    ) -> Option<(DnsName, T)> {
+        self.name_ref().ancestors().find_map(|ancestor| {
+            let value = probe(ancestor)?;
+            // An ancestor's bytes end where this name's buffer ends.
+            let start = (self.buf.len() - ancestor.flat.len()) as u8;
+            Some((DnsName { buf: self.buf.clone(), start }, value))
+        })
     }
 
     /// True when `self` equals `other` or is a descendant of it.
@@ -446,12 +472,16 @@ fn label_at(wire: &[u8], start: u8) -> &[u8] {
     &wire[start + 1..start + 1 + wire[start] as usize]
 }
 
+/// Equality of two flat names, ASCII case folded.
+fn flat_eq(a: &[u8], b: &[u8]) -> bool {
+    // Names in one map nearly always agree in case: try the exact bytes
+    // before folding.
+    a.len() == b.len() && (a == b || a.eq_ignore_ascii_case(b))
+}
+
 impl PartialEq for DnsName {
     fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.wire(), other.wire());
-        // Names in one map nearly always agree in case: try the exact
-        // bytes before folding.
-        a.len() == b.len() && (a == b || a.eq_ignore_ascii_case(b))
+        flat_eq(self.wire(), other.wire())
     }
 }
 
@@ -461,6 +491,105 @@ impl Hash for DnsName {
     /// One word: `fold_hash` of the flat bytes.
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(fold_hash(self.wire()));
+    }
+}
+
+/// A name borrowed as its flat bytes (length-prefixed labels, no root
+/// octet): a suffix of a [`DnsName`]'s buffer, or a message's name
+/// spelled out in place ([`NameView::flat`](crate::NameView::flat)).
+/// Compares like a `DnsName`, ASCII case folded; as
+/// [`dyn NameKey`](NameKey) it also hashes like one.
+#[derive(Clone, Copy)]
+pub struct NameRef<'a> {
+    /// Always on a length octet, with labels of 1..=63 octets up to the
+    /// end of the slice, at most 254 octets in all.
+    pub(crate) flat: &'a [u8],
+}
+
+impl<'a> NameRef<'a> {
+    /// The name with its leftmost label removed; `None` for the root.
+    pub fn parent(self) -> Option<NameRef<'a>> {
+        let (&len, rest) = self.flat.split_first()?;
+        Some(NameRef { flat: rest.get(len as usize..)? })
+    }
+
+    /// This name, then each ancestor up to and including the root.
+    pub fn ancestors(self) -> impl Iterator<Item = NameRef<'a>> {
+        std::iter::successors(Some(self), |name| name.parent())
+    }
+
+    /// The probe form of this name for a `DnsName`-keyed map.
+    pub fn as_key(&self) -> &(dyn NameKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for NameRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        flat_eq(self.flat, other.flat)
+    }
+}
+
+impl Eq for NameRef<'_> {}
+
+impl fmt::Debug for NameRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "NameRef(")?;
+        fmt_labels(Labels { rest: self.flat }, f)?;
+        write!(f, ")")
+    }
+}
+
+/// What a `DnsName`-keyed map is probed with: a [`DnsName`] or a
+/// [`NameRef`], as `&dyn NameKey`. `DnsName` borrows as `dyn NameKey`,
+/// and the trait object's `Hash` and `Eq` are `DnsName`'s, so a
+/// `HashMap<DnsName, _, NameBuildHasher>` answers a borrowed probe as it
+/// answers the owned name.
+///
+/// ```
+/// use dns_wire::{DnsName, NameBuildHasher, NameKey};
+/// use std::collections::HashMap;
+/// let mut zones: HashMap<DnsName, u32, NameBuildHasher> = HashMap::default();
+/// zones.insert(DnsName::parse("example.com").unwrap(), 7);
+/// let host = DnsName::parse("WWW.Example.COM").unwrap();
+/// let hit = host.name_ref().ancestors().find_map(|a| zones.get(a.as_key()));
+/// assert_eq!(hit, Some(&7));
+/// ```
+pub trait NameKey {
+    /// The name's flat bytes, borrowed.
+    fn name_ref(&self) -> NameRef<'_>;
+}
+
+impl NameKey for DnsName {
+    fn name_ref(&self) -> NameRef<'_> {
+        NameRef { flat: self.wire() }
+    }
+}
+
+impl NameKey for NameRef<'_> {
+    fn name_ref(&self) -> NameRef<'_> {
+        *self
+    }
+}
+
+impl Hash for dyn NameKey + '_ {
+    /// `DnsName`'s word: `fold_hash` of the flat bytes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(fold_hash(self.name_ref().flat));
+    }
+}
+
+impl PartialEq for dyn NameKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.name_ref() == other.name_ref()
+    }
+}
+
+impl Eq for dyn NameKey + '_ {}
+
+impl<'a> Borrow<dyn NameKey + 'a> for DnsName {
+    fn borrow(&self) -> &(dyn NameKey + 'a) {
+        self
     }
 }
 

@@ -236,7 +236,10 @@ pub fn key_to_name(k: u16) -> Cow<'static, str> {
     }
 }
 
-/// Convert a presentation mnemonic to its numeric key.
+/// Convert a presentation mnemonic to its numeric key. The generic form
+/// is `key` and the number in plain decimal digits, with no sign and no
+/// leading zero (`key0` is the one number that starts with `0`), per RFC
+/// 9460 §2.1.
 pub fn name_to_key(s: &str) -> Option<u16> {
     match s {
         "mandatory" => Some(key::MANDATORY),
@@ -246,7 +249,11 @@ pub fn name_to_key(s: &str) -> Option<u16> {
         "ipv4hint" => Some(key::IPV4HINT),
         "ech" => Some(key::ECH),
         "ipv6hint" => Some(key::IPV6HINT),
-        other => other.strip_prefix("key").and_then(|n| n.parse().ok()),
+        other => other
+            .strip_prefix("key")
+            .filter(|n| n.bytes().all(|b| b.is_ascii_digit()))
+            .filter(|n| *n == "0" || !n.starts_with('0'))
+            .and_then(|n| n.parse().ok()),
     }
 }
 
@@ -775,6 +782,13 @@ mod tests {
             ("1 . mandatory=alpn,alpn alpn=h2", None),
             ("1 . mandatory=mandatory", None),
             ("1 . key65535=00", None),
+            // RFC 9460 §2.1: the number has no leading zero and no sign.
+            ("1 . key01=0102", None),
+            ("1 . key007=0102", None),
+            ("1 . key+7=0102", None),
+            ("1 . key-0=00", None),
+            ("1 . key=00", None),
+            ("1 . key0=0001", Some("1 . mandatory=alpn")),
             ("1 . alpn=h2 alpn=h3", None),
             (&long_alpn_id, None),
             ("1 . ech=", None),

@@ -19,11 +19,15 @@
 //!   [`RecordView::to_owned`], [`MessageView::to_message`]) produce the
 //!   owned types. [`Message::decode`] is `parse` followed by
 //!   `to_message`, so the owned and borrowed paths accept exactly the
-//!   same datagrams.
+//!   same datagrams;
+//! - two ways around building a name: [`NameView::flat`] borrows a name
+//!   spelled out in place as a [`NameRef`] map key, and
+//!   [`RecordView::to_owned_for`] shares the asked name as the owner of
+//!   a record that points at the question.
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
-use crate::name::{fmt_labels, key_chars, DnsName, MAX_POINTER_HOPS};
+use crate::name::{fmt_labels, key_chars, DnsName, NameRef, MAX_POINTER_HOPS};
 use crate::record::{DnsClass, RData, Record, RecordType};
 use std::fmt;
 
@@ -70,6 +74,20 @@ impl<'a> NameView<'a> {
     /// to `out`, matching [`DnsName::key`].
     pub fn write_key(&self, out: &mut String) {
         key_chars(self.labels(), |c| out.push(c));
+    }
+
+    /// The name's flat bytes, borrowed from the message, when it is
+    /// spelled out in place with no compression pointer — as a query's
+    /// question name at offset 12 is; `None` otherwise.
+    pub fn flat(&self) -> Option<NameRef<'a>> {
+        let mut pos = self.start;
+        loop {
+            match *self.buf.get(pos)? {
+                0 => return Some(NameRef { flat: &self.buf[self.start..pos] }),
+                len @ 1..=0x3F => pos += 1 + len as usize,
+                _ => return None,
+            }
+        }
     }
 
     /// Materialize an owned [`DnsName`]. Views are only handed out for
@@ -270,8 +288,30 @@ impl<'a> RecordView<'a> {
 
     /// Materialize an owned [`Record`], decoding name and RDATA.
     pub fn to_owned(&self) -> Result<Record, WireError> {
+        self.record_named(self.name().to_owned())
+    }
+
+    /// [`RecordView::to_owned`] for a record of the reply to a question
+    /// about `qname`. When the owner is exactly the pointer to the
+    /// question (`0xC00C`) and the question spells `qname` byte for byte,
+    /// the owner is a clone of `qname` — what decoding would build,
+    /// spelling included — and no name is decoded.
+    pub fn to_owned_for(&self, qname: &DnsName) -> Result<Record, WireError> {
+        let flat = qname.wire();
+        let owner_is_question = self.buf.get(self.meta.name_off..self.meta.name_off + 2)
+            == Some(&[0xC0, 12][..])
+            && self.buf.get(12..12 + flat.len()) == Some(flat)
+            && self.buf.get(12 + flat.len()) == Some(&0);
+        if owner_is_question {
+            self.record_named(qname.clone())
+        } else {
+            self.to_owned()
+        }
+    }
+
+    fn record_named(&self, name: DnsName) -> Result<Record, WireError> {
         Ok(Record {
-            name: self.name().to_owned(),
+            name,
             rtype: self.rtype(),
             class: self.class(),
             ttl: self.meta.ttl,

@@ -11,9 +11,11 @@ mod counting_alloc;
 
 use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
 use dns_wire::wire::WireWriter;
-use dns_wire::{DnsName, Message, MessageView, RData, Record, RecordType};
+use dns_wire::{
+    DnsName, Message, MessageView, NameBuildHasher, NameKey, RData, Record, RecordType,
+};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::hint::black_box;
 
@@ -30,6 +32,8 @@ fn copying_comparing_and_hashing_a_name_allocate_nothing() {
     let tree: BTreeMap<DnsName, u32> =
         (0..200).map(|i| (name(&format!("host{i}.zone{}.example.com", i % 7)), i)).collect();
     let probe = name("HOST150.zone3.EXAMPLE.com");
+    let zones: HashMap<DnsName, u32, NameBuildHasher> =
+        [(name("com"), 1), (name("Example.com"), 2)].into_iter().collect();
 
     for threads in thread_axis() {
         let counts = allocs_per_thread(threads, || {
@@ -52,6 +56,12 @@ fn copying_comparing_and_hashing_a_name_allocate_nothing() {
                     candidate = c.parent();
                 }
                 assert_eq!(levels, 2);
+
+                // The same walk over borrowed suffixes, probing a map.
+                let hit = deep.name_ref().ancestors().find_map(|a| zones.get(a.as_key()));
+                assert_eq!(hit, Some(&2));
+                let (found, depth) = deep.find_ancestor(|a| zones.get(a.as_key())).unwrap();
+                assert_eq!((&found, depth), (&apex, &2));
 
                 assert_eq!(tree.get(black_box(&probe)), Some(&150));
                 assert_eq!(tree.get(&deep), None);
@@ -128,5 +138,37 @@ fn parsing_a_view_and_walking_every_section_allocates_nothing() {
             }
         });
         assert_eq!(counts, vec![0; threads], "{threads} threads");
+    }
+}
+
+#[test]
+fn an_owner_that_points_at_the_question_is_not_decoded() {
+    let qname = name("www.example.com");
+    let mut reply = Message::query_dnssec(7, qname.clone(), RecordType::A).response();
+    reply.answers.push(Record::new(qname.clone(), 300, RData::A([192, 0, 2, 1].into())));
+    reply.answers.push(Record::new(name("example.com"), 60, RData::A([192, 0, 2, 2].into())));
+    let wire = reply.encode();
+    let view = MessageView::parse(&wire).unwrap();
+    let otherwise_spelled = name("WWW.example.com");
+    let expected: Vec<Record> = view.answers().map(|r| r.to_owned().unwrap()).collect();
+    let spelled_as = |a: &DnsName, b: &DnsName| a.labels().eq(b.labels());
+
+    for threads in thread_axis() {
+        let counts = allocs_per_thread(threads, || {
+            let mut answers = view.answers();
+            let (at_question, other) = (answers.next().unwrap(), answers.next().unwrap());
+            let (n, rec) = allocs_in(|| at_question.to_owned_for(&qname).unwrap());
+            assert_eq!(n, 0, "the asked name, shared");
+            assert!(rec == expected[0] && spelled_as(&rec.name, &expected[0].name));
+            // Another spelling of the asked name: the reply's own is decoded.
+            let (n, rec) = allocs_in(|| at_question.to_owned_for(&otherwise_spelled).unwrap());
+            assert_eq!(n, 1, "decoded");
+            assert!(rec == expected[0] && spelled_as(&rec.name, &expected[0].name));
+            // An owner compressed against a suffix of the question.
+            let (n, rec) = allocs_in(|| other.to_owned_for(&qname).unwrap());
+            assert_eq!(n, 1, "decoded");
+            assert!(rec == expected[1] && spelled_as(&rec.name, &expected[1].name));
+        });
+        assert_eq!(counts, vec![2; threads], "{threads} threads");
     }
 }

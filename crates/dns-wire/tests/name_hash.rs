@@ -1,4 +1,6 @@
-//! The contracts of a name's hash and of the key bytes derived from it:
+//! The contracts of a name's hash and of the key bytes derived from it
+//! (and of [`NameRef`], the borrowed key that hashes and compares like
+//! the name):
 //! [`DnsName::for_each_key_byte`] streams exactly the bytes of
 //! [`DnsName::key`] (shard choice and the `Random` selector's seeds are
 //! FNV-1a over them, so pinned reports depend on every byte); names equal
@@ -6,11 +8,14 @@
 //! other byte change keeps them equal; and the word spreads world-shaped
 //! names over a hash table's buckets like a uniform hash would.
 
-use dns_wire::{DnsName, NameBuildHasher};
+use dns_wire::{
+    DnsName, Message, MessageView, NameBuildHasher, NameKey, NameRef, RData, Record, RecordType,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::hash::BuildHasher;
 
-fn word<T: std::hash::Hash>(key: &T) -> u64 {
+fn word<T: std::hash::Hash + ?Sized>(key: &T) -> u64 {
     NameBuildHasher::default().hash_one(key)
 }
 
@@ -138,6 +143,63 @@ proptest! {
         prop_assert!(at.is_root());
         prop_assert_eq!(word(&at), word(&DnsName::root()));
     }
+
+    /// The borrowed key: every suffix of a name, borrowed from its
+    /// buffer, has the owned suffix's hash word — alone and beside a
+    /// type — and its case-folding equality with every suffix of a
+    /// re-cased copy; a `DnsName`-keyed map answers it as it answers the
+    /// owned name; `find_ancestor` hands back the hit with the name's
+    /// spelling; and a query's question borrowed in place is the same key.
+    #[test]
+    fn a_borrowed_suffix_hashes_and_compares_like_the_owned_name(
+        labels in arb_labels(),
+        mask in any::<u64>(),
+        pick in any::<usize>(),
+    ) {
+        let name = build(&labels);
+        let recased = flip_case(&labels, mask);
+        let other = build(&recased);
+        let map: HashMap<DnsName, usize, NameBuildHasher> =
+            (0..=labels.len()).rev().map(|depth| (build(&recased[depth..]), depth)).collect();
+        let suffixes: Vec<NameRef<'_>> = name.name_ref().ancestors().collect();
+        prop_assert_eq!(suffixes.len(), labels.len() + 1);
+        for (depth, suffix) in suffixes.iter().enumerate() {
+            let owned = build(&labels[depth..]);
+            prop_assert_eq!(word(suffix.as_key()), word(&owned));
+            prop_assert_eq!(word(&(suffix.as_key(), 65u16)), word(&(owned.clone(), 65u16)));
+            prop_assert_eq!(map.get(suffix.as_key()), map.get(&owned));
+            for (at, theirs) in other.name_ref().ancestors().enumerate() {
+                prop_assert_eq!(*suffix == theirs, owned == build(&recased[at..]));
+                prop_assert_eq!(suffix.as_key() == theirs.as_key(), *suffix == theirs);
+            }
+        }
+
+        let want = pick % (labels.len() + 1);
+        let hit = name.find_ancestor(|a| map.get(a.as_key()).filter(|&&d| d >= want).copied());
+        let (apex, depth) = hit.unwrap();
+        prop_assert_eq!(apex.to_string(), build(&labels[depth..]).to_string());
+        prop_assert_eq!(map.get(&apex), Some(&depth));
+
+        let query = Message::query(1, name.clone(), RecordType::A).encode();
+        let view = MessageView::parse(&query).unwrap();
+        let question = view.question().unwrap().name().flat().unwrap();
+        prop_assert!(question == name.name_ref());
+        prop_assert_eq!(word(question.as_key()), word(&name));
+        prop_assert_eq!(map.get(question.as_key()), Some(&0));
+    }
+}
+
+/// A name with a compression pointer is not borrowed in place.
+#[test]
+fn a_compressed_name_has_no_flat_view() {
+    let mut reply =
+        Message::query(1, DnsName::parse("www.example.com").unwrap(), RecordType::A).response();
+    let owner = DnsName::parse("example.com").unwrap();
+    reply.answers.push(Record::new(owner, 60, RData::A([192, 0, 2, 1].into())));
+    let wire = reply.encode();
+    let view = MessageView::parse(&wire).unwrap();
+    assert!(view.question().unwrap().name().flat().is_some());
+    assert!(view.answers().next().unwrap().name().flat().is_none());
 }
 
 #[test]

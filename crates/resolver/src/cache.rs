@@ -14,8 +14,11 @@
 //! (case-folded, via FNV-1a) and touches exactly one shard, so batch
 //! workloads ([`crate::engine::QueryEngine::resolve_batch`]) scale with
 //! available threads instead of serializing on a single lock. All entries
-//! for one owner name land in one shard regardless of record type, which
-//! keeps a CNAME-chase for a name on a single lock path.
+//! for one owner name land in one shard regardless of record type, so a
+//! resolution step's two lookups — the queried type, then CNAME
+//! (`RecordCache::get_or_cname`) — take one shard lock between them.
+//! Entries are keyed by a struct that borrows as `(name bytes, type)`:
+//! a lookup probes with the caller's borrowed name and clones no key.
 //!
 //! Sharding is invisible in the API: statistics aggregate across shards,
 //! and behaviour (hits, misses, expirations, eviction) is identical for
@@ -59,10 +62,12 @@
 //! (a contention proxy; see the README's single-CPU caveat).
 
 use dns_wire::record::RrsigRdata;
-use dns_wire::{DnsName, NameBuildHasher, Rcode, Record, RecordType};
+use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, Rcode, Record, RecordType};
 use netsim::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -134,10 +139,65 @@ pub enum CachedAnswer {
     },
 }
 
-/// `DnsName`'s own `Hash`/`Eq` fold ASCII case, [`NameBuildHasher`]
-/// mixes the type into the name's word, and a clone (one per index and
-/// queue a bounded store files the key under) is a reference count.
-type Key = (DnsName, u16);
+/// An entry's key: owner name and record type. `DnsName`'s own
+/// `Hash`/`Eq` fold ASCII case, [`NameBuildHasher`] mixes the type into
+/// the name's word, and a clone (one per index and queue a bounded store
+/// files the key under) is a reference count. It borrows as
+/// [`dyn Probe`](Probe), so a lookup hashes and compares a borrowed name
+/// and clones none.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Key {
+    name: DnsName,
+    rtype: u16,
+}
+
+/// A key as `(name bytes, type)`, whether owned ([`Key`]) or borrowed
+/// (`(NameRef, u16)`). Hashes and compares exactly as [`Key`] does.
+trait Probe {
+    fn name(&self) -> NameRef<'_>;
+    fn rtype(&self) -> u16;
+}
+
+impl Probe for Key {
+    fn name(&self) -> NameRef<'_> {
+        self.name.name_ref()
+    }
+
+    fn rtype(&self) -> u16 {
+        self.rtype
+    }
+}
+
+impl Probe for (NameRef<'_>, u16) {
+    fn name(&self) -> NameRef<'_> {
+        self.0
+    }
+
+    fn rtype(&self) -> u16 {
+        self.1
+    }
+}
+
+impl Hash for dyn Probe + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name().as_key().hash(state);
+        self.rtype().hash(state);
+    }
+}
+
+impl PartialEq for dyn Probe + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.rtype() == other.rtype() && self.name() == other.name()
+    }
+}
+
+impl Eq for dyn Probe + '_ {}
+
+impl<'a> Borrow<dyn Probe + 'a> for Key {
+    fn borrow(&self) -> &(dyn Probe + 'a) {
+        self
+    }
+}
 
 /// Which S3-FIFO queue an entry's live slot sits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,14 +391,56 @@ struct ShardInner {
     ghost_set: HashSet<u64>,
 }
 
+/// What one lookup found under the shard lock.
+enum Looked {
+    /// A live entry's answer.
+    Hit(CachedAnswer),
+    /// An expired entry, now removed.
+    Dead,
+    /// Nothing stored under the key.
+    Absent,
+}
+
 impl ShardInner {
     /// Remove an entry and its index bookkeeping (stale S3-FIFO queue
     /// slots are left behind and skipped lazily by the victim scan).
-    fn remove_entry(&mut self, key: &Key) -> Option<Entry> {
+    fn remove_entry(&mut self, key: &dyn Probe) -> Option<Entry> {
         let entry = self.entries.remove(key)?;
         self.lru.remove(&entry.touch);
         self.expiry.remove(&(entry.expires.0, entry.seq));
         Some(entry)
+    }
+
+    /// Look `(name, rtype)` up by borrowed name. An expired entry is
+    /// removed; a live one on a bounded cache has its recency (LRU) or
+    /// heat (S3-FIFO) refreshed.
+    fn look_up(
+        &mut self,
+        name: NameRef<'_>,
+        rtype: u16,
+        now: Timestamp,
+        bound: Option<Bound>,
+    ) -> Looked {
+        let probe: &dyn Probe = &(name, rtype);
+        let Some(entry) = self.entries.get_mut(probe) else {
+            return Looked::Absent;
+        };
+        if entry.expires <= now {
+            self.remove_entry(probe);
+            return Looked::Dead;
+        }
+        match bound.map(|b| b.policy) {
+            None => {}
+            Some(EvictionPolicy::TtlSweepLru) => {
+                self.next_seq += 1;
+                let old = std::mem::replace(&mut entry.touch, self.next_seq);
+                // Move the key to its new recency slot rather than clone it.
+                let key = self.lru.remove(&old).expect("a live LRU entry has a recency slot");
+                self.lru.insert(self.next_seq, key);
+            }
+            Some(EvictionPolicy::S3Fifo) => entry.freq = (entry.freq + 1).min(3),
+        }
+        Looked::Hit(entry.answer.clone())
     }
 
     /// Pop entries whose expiry second is `<= now` off the expiry index.
@@ -473,6 +575,29 @@ struct Shard {
 }
 
 impl Shard {
+    /// Count a lookup's outcome — outside the lock — and hand out its
+    /// answer.
+    fn count(&self, looked: Looked) -> Option<CachedAnswer> {
+        let stats = &self.stats;
+        match looked {
+            Looked::Absent => {
+                stats.miss_absent.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Looked::Dead => {
+                stats.miss_expired.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            Looked::Hit(answer) => {
+                stats.hits.fetch_add(1, Ordering::Relaxed);
+                if matches!(answer, CachedAnswer::Negative { .. }) {
+                    stats.negative_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(answer)
+            }
+        }
+    }
+
     /// Acquire the shard lock on a hot path, counting the acquisition
     /// and whether it had to block behind another holder.
     fn lock_inner(&self) -> MutexGuard<'_, ShardInner> {
@@ -525,7 +650,7 @@ pub(crate) fn fnv1a_key(prefix: &[u8], name: &DnsName) -> u64 {
 
 /// Stable fingerprint of a cache key for the S3-FIFO ghost queue.
 fn ghost_fp(key: &Key) -> u64 {
-    fnv1a_key(b"", &key.0) ^ (key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    fnv1a_key(b"", &key.name) ^ (key.rtype as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl RecordCache {
@@ -585,7 +710,7 @@ impl RecordCache {
     /// any overflow (TTL sweep first, then policy eviction) — all under
     /// one hot-path lock acquisition.
     fn store(&self, key: Key, answer: CachedAnswer, now: Timestamp, ttl: u32) {
-        let shard = self.shard_for(&key.0);
+        let shard = self.shard_for(&key.name);
         shard.stats.insertions.fetch_add(1, Ordering::Relaxed);
         let expires = now.plus(ttl as u64);
         let mut inner = shard.lock_inner();
@@ -602,7 +727,10 @@ impl RecordCache {
             freq: 0,
         };
         let Some(bound) = self.bound else {
-            inner.entries.insert(key, entry);
+            let replaced = inner.entries.insert(key, entry);
+            drop(inner);
+            // The replaced entry's answer is released after the lock.
+            drop(replaced);
             return;
         };
         if let Some(old) = inner.entries.get(&key) {
@@ -635,24 +763,21 @@ impl RecordCache {
                 }
             }
         }
-        inner.entries.insert(key, entry);
+        let replaced = inner.entries.insert(key, entry);
+        let (mut swept, mut evicted) = (0u64, 0u64);
         if inner.entries.len() > bound.capacity {
-            let swept = inner.sweep_expired(now);
-            let mut evicted = 0u64;
-            while inner.entries.len() > bound.capacity {
-                if inner.evict_one(bound) {
-                    evicted += 1;
-                } else {
-                    break;
-                }
+            swept = inner.sweep_expired(now);
+            while inner.entries.len() > bound.capacity && inner.evict_one(bound) {
+                evicted += 1;
             }
-            drop(inner);
-            if swept > 0 {
-                shard.stats.swept.fetch_add(swept, Ordering::Relaxed);
-            }
-            if evicted > 0 {
-                shard.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-            }
+        }
+        drop(inner);
+        drop(replaced);
+        if swept > 0 {
+            shard.stats.swept.fetch_add(swept, Ordering::Relaxed);
+        }
+        if evicted > 0 {
+            shard.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
@@ -671,7 +796,7 @@ impl RecordCache {
             return;
         }
         let ttl = self.effective_ttl(records.iter().map(|r| r.ttl).min().unwrap_or(0));
-        let key = (name.clone(), rtype.code());
+        let key = Key { name: name.clone(), rtype: rtype.code() };
         self.store(key, CachedAnswer::Positive { records, rrsigs: rrsigs.into() }, now, ttl);
     }
 
@@ -686,7 +811,7 @@ impl RecordCache {
         now: Timestamp,
     ) {
         let ttl = self.effective_ttl(ttl);
-        let key = (name.clone(), rtype.code());
+        let key = Key { name: name.clone(), rtype: rtype.code() };
         self.store(key, CachedAnswer::Negative { rcode }, now, ttl);
     }
 
@@ -695,70 +820,44 @@ impl RecordCache {
     /// bounded cache a hit also refreshes the entry's recency (LRU) or
     /// heat (S3-FIFO) under the same lock acquisition.
     pub fn get(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<CachedAnswer> {
-        let key = (name.clone(), rtype.code());
-        let shard = self.shard_for(&key.0);
+        let shard = self.shard_for(name);
+        let looked = shard.lock_inner().look_up(name.name_ref(), rtype.code(), now, self.bound);
+        shard.count(looked)
+    }
+
+    /// The cache half of one resolution step: [`get`](Self::get) of
+    /// `(name, rtype)` and, when that misses and `rtype` is not CNAME,
+    /// of `(name, CNAME)`, under one lock of the one shard both keys
+    /// live in. Each lookup counts, refreshes and evicts as a `get`
+    /// would; only [`CacheStats::lock_acquisitions`] sees one step.
+    /// Returns the type that hit with its answer.
+    pub(crate) fn get_or_cname(
+        &self,
+        name: &DnsName,
+        rtype: RecordType,
+        now: Timestamp,
+    ) -> Option<(RecordType, CachedAnswer)> {
+        let shard = self.shard_for(name);
         let mut inner = shard.lock_inner();
-        enum Looked {
-            Hit { answer: CachedAnswer, negative: bool, touch: u64 },
-            Dead,
-            Absent,
-        }
-        let looked = match inner.entries.get(&key) {
-            Some(entry) if entry.expires > now => Looked::Hit {
-                answer: entry.answer.clone(),
-                negative: matches!(entry.answer, CachedAnswer::Negative { .. }),
-                touch: entry.touch,
-            },
-            Some(_) => Looked::Dead,
-            None => Looked::Absent,
+        let asked = inner.look_up(name.name_ref(), rtype.code(), now, self.bound);
+        let alias = match asked {
+            Looked::Hit(_) => None,
+            _ if rtype == RecordType::Cname => None,
+            _ => Some(inner.look_up(name.name_ref(), RecordType::Cname.code(), now, self.bound)),
         };
-        match looked {
-            Looked::Absent => {
-                drop(inner);
-                shard.stats.miss_absent.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Looked::Dead => {
-                inner.remove_entry(&key);
-                drop(inner);
-                shard.stats.miss_expired.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Looked::Hit { answer, negative, touch } => {
-                if let Some(bound) = self.bound {
-                    match bound.policy {
-                        EvictionPolicy::TtlSweepLru => {
-                            inner.next_seq += 1;
-                            let stamp = inner.next_seq;
-                            inner.lru.remove(&touch);
-                            inner.lru.insert(stamp, key.clone());
-                            if let Some(entry) = inner.entries.get_mut(&key) {
-                                entry.touch = stamp;
-                            }
-                        }
-                        EvictionPolicy::S3Fifo => {
-                            if let Some(entry) = inner.entries.get_mut(&key) {
-                                entry.freq = (entry.freq + 1).min(3);
-                            }
-                        }
-                    }
-                }
-                drop(inner);
-                shard.stats.hits.fetch_add(1, Ordering::Relaxed);
-                if negative {
-                    shard.stats.negative_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(answer)
-            }
+        drop(inner);
+        if let Some(answer) = shard.count(asked) {
+            return Some((rtype, answer));
         }
+        shard.count(alias?).map(|answer| (RecordType::Cname, answer))
     }
 
     /// Age in seconds of the live entry at (name, type), if any.
     pub fn age(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<u64> {
-        let key = (name.clone(), rtype.code());
-        let shard = self.shard_for(&key.0);
+        let shard = self.shard_for(name);
         let inner = shard.lock_inner();
-        inner.entries.get(&key).filter(|e| e.expires > now).map(|e| now.since(e.inserted))
+        let probe: &dyn Probe = &(name.name_ref(), rtype.code());
+        inner.entries.get(probe).filter(|e| e.expires > now).map(|e| now.since(e.inserted))
     }
 
     /// Drop every entry (the testbed's "clear local DNS cache" step).
@@ -852,9 +951,9 @@ impl RecordCache {
         let mut bytes = 0;
         for shard in &self.shards {
             let inner = shard.inner.lock();
-            for ((owner, _), entry) in inner.entries.iter() {
+            for (key, entry) in inner.entries.iter() {
                 let mut key_len = 0;
-                owner.for_each_key_byte(|_| key_len += 1);
+                key.name.for_each_key_byte(|_| key_len += 1);
                 bytes += key_len + ENTRY_COST + SLOT_OVERHEAD;
                 if let CachedAnswer::Positive { records, rrsigs } = &entry.answer {
                     bytes += records.len() * RECORD_COST + rrsigs.len() * RRSIG_COST;

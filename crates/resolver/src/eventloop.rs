@@ -39,7 +39,7 @@
 
 use crate::engine::Query;
 use crate::resolver::{AuthorityReply, RecursiveResolver, Resolution, ResolveError};
-use dns_wire::{DnsName, Message, RData, Rcode, RecordType};
+use dns_wire::{DnsName, Message, Rcode, RecordType};
 use netsim::{NetError, ScheduledDelivery, TimeMs};
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -292,7 +292,6 @@ async fn resolve_async(
     name: DnsName,
     rtype: RecordType,
 ) -> Result<Resolution, ResolveError> {
-    use crate::cache::CachedAnswer;
     let r = Arc::clone(&ctx.resolver);
     let now = r.network().clock().now();
     let mut chain = Vec::new();
@@ -300,23 +299,14 @@ async fn resolve_async(
     let mut from_cache = true;
 
     for _ in 0..=r.config().max_cname_chain {
-        if let Some(ans) = r.cache().get(&current, rtype, now) {
-            return Ok(r.finish(chain, ans, from_cache, now));
-        }
-        if rtype != RecordType::Cname {
-            if let Some(CachedAnswer::Positive { records, .. }) =
-                r.cache().get(&current, RecordType::Cname, now)
-            {
-                if let Some(rec) = records.first() {
-                    if let RData::Cname(target) = &rec.rdata {
-                        chain.push(rec.clone());
-                        current = target.clone();
-                        continue;
-                    }
-                }
+        match r.cached_step(&mut chain, &current, rtype, from_cache, now) {
+            ControlFlow::Break(resolution) => return Ok(resolution),
+            ControlFlow::Continue(Some(target)) => {
+                current = target;
+                continue;
             }
+            ControlFlow::Continue(None) => from_cache = false,
         }
-        from_cache = false;
 
         let resp = query_authority_async(&ctx, &current, rtype).await?;
         match r.apply_reply(&resp, &mut chain, &current, rtype, now) {

@@ -256,27 +256,17 @@ impl RecursiveResolver {
         let mut from_cache = true;
 
         for _ in 0..=self.config.max_cname_chain {
-            // 1. Cache: final answer?
-            if let Some(ans) = self.cache.get(&current, rtype, now) {
-                return Ok(self.finish(chain, ans, from_cache, now));
-            }
-            // 2. Cache: CNAME step?
-            if rtype != RecordType::Cname {
-                if let Some(CachedAnswer::Positive { records, .. }) =
-                    self.cache.get(&current, RecordType::Cname, now)
-                {
-                    if let Some(rec) = records.first() {
-                        if let RData::Cname(target) = &rec.rdata {
-                            chain.push(rec.clone());
-                            current = target.clone();
-                            continue;
-                        }
-                    }
+            // 1. Cache: final answer, or a CNAME step?
+            match self.cached_step(&mut chain, &current, rtype, from_cache, now) {
+                ControlFlow::Break(resolution) => return Ok(resolution),
+                ControlFlow::Continue(Some(target)) => {
+                    current = target;
+                    continue;
                 }
+                ControlFlow::Continue(None) => from_cache = false,
             }
-            from_cache = false;
 
-            // 3. Query the authority.
+            // 2. Query the authority.
             let resp = self.query_authority(&current, rtype)?;
             match self.apply_reply(&resp, &mut chain, &current, rtype, now) {
                 ControlFlow::Break(resolution) => return Ok(resolution),
@@ -284,6 +274,35 @@ impl RecursiveResolver {
             }
         }
         Err(ResolveError::ChainTooLong)
+    }
+
+    /// The cache half of a resolution step, shared by both backends: one
+    /// lookup of `(current, rtype)`, then of `(current, CNAME)`, under
+    /// one shard lock. The resolution ends on a cached answer (`Break`,
+    /// taking `chain`), follows a cached CNAME to its target
+    /// (`Continue(Some)`, the record pushed on `chain`), or has to ask
+    /// an authority (`Continue(None)`).
+    pub(crate) fn cached_step(
+        &self,
+        chain: &mut Vec<Record>,
+        current: &DnsName,
+        rtype: RecordType,
+        from_cache: bool,
+        now: Timestamp,
+    ) -> ControlFlow<Resolution, Option<DnsName>> {
+        match self.cache.get_or_cname(current, rtype, now) {
+            Some((hit, ans)) if hit == rtype => {
+                ControlFlow::Break(self.finish(std::mem::take(chain), ans, from_cache, now))
+            }
+            Some((_, CachedAnswer::Positive { records, .. })) => match records.first() {
+                Some(rec @ Record { rdata: RData::Cname(target), .. }) => {
+                    chain.push(rec.clone());
+                    ControlFlow::Continue(Some(target.clone()))
+                }
+                _ => ControlFlow::Continue(None),
+            },
+            _ => ControlFlow::Continue(None),
+        }
     }
 
     /// What an authority's reply about `(current, rtype)` means for the
@@ -652,7 +671,7 @@ impl AuthorityReply {
         if !answers_query {
             return None;
         }
-        let answers = group_rrsets(view.answers().map(|rec| rec.to_owned())).ok()?;
+        let answers = group_rrsets(view.answers().map(|rec| rec.to_owned_for(name))).ok()?;
         let mut soa_negative_ttl = None;
         for rec in view.authorities() {
             if rec.rtype() == RecordType::Soa {

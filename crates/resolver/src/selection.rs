@@ -35,20 +35,34 @@ pub struct NsSelector {
     state: Mutex<SelectorState>,
 }
 
-/// One selection stream: a zone's own queries, or (`true`) the DS
-/// queries about it, which go to its parent's servers and must not
-/// disturb either zone's own rotation.
-type StreamKey = (DnsName, bool);
+/// One selection stream per zone and map: index 0 holds a zone's own
+/// queries, index 1 (`ds`) the DS queries about it, which go to its
+/// parent's servers and must not disturb either zone's own rotation.
+type Streams<T> = [HashMap<DnsName, T, NameBuildHasher>; 2];
 
 #[derive(Default)]
 struct SelectorState {
-    counters: HashMap<StreamKey, usize, NameBuildHasher>,
+    counters: Streams<usize>,
     /// Per-zone RNGs for `Random`, lazily seeded from `(seed, stream)`.
     /// One RNG per zone (rather than one shared stream) keeps the pick
     /// sequence of a zone invariant under cross-zone interleaving, which
     /// is what makes `QueryEngine::resolve_batch` thread-count-invariant
     /// under `Random` (all queries for one zone share a worker).
-    rngs: HashMap<StreamKey, StdRng, NameBuildHasher>,
+    rngs: Streams<StdRng>,
+}
+
+/// Step `zone`'s stream in `streams`: an existing one through
+/// `get_mut`; only a new one, made by `new`, clones the zone.
+fn step<T, R>(
+    streams: &mut HashMap<DnsName, T, NameBuildHasher>,
+    zone: &DnsName,
+    new: impl FnOnce() -> T,
+    step: impl FnOnce(&mut T) -> R,
+) -> R {
+    if let Some(stream) = streams.get_mut(zone) {
+        return step(stream);
+    }
+    step(streams.entry(zone.clone()).or_insert_with(new))
 }
 
 impl NsSelector {
@@ -76,21 +90,29 @@ impl NsSelector {
             SelectionStrategy::First => 0,
             SelectionStrategy::RoundRobin => {
                 let mut st = self.state.lock();
-                let c = st.counters.entry((zone.clone(), ds)).or_insert(0);
-                let idx = *c % endpoints.len();
-                *c += 1;
-                idx
+                step(
+                    &mut st.counters[usize::from(ds)],
+                    zone,
+                    || 0,
+                    |c| {
+                        let idx = *c % endpoints.len();
+                        *c += 1;
+                        idx
+                    },
+                )
             }
             SelectionStrategy::Random => {
                 let mut st = self.state.lock();
                 let seed = self.seed;
-                let rng = st.rngs.entry((zone.clone(), ds)).or_insert_with(|| {
+                let seeded = || {
                     // Pinned reports depend on these streams: FNV-1a of
                     // the zone's dotted key, behind `ds:` for the DS one.
                     let prefix: &[u8] = if ds { b"ds:" } else { b"" };
                     StdRng::seed_from_u64(seed ^ fnv1a_key(prefix, zone))
-                });
-                rng.gen_range(0..endpoints.len())
+                };
+                step(&mut st.rngs[usize::from(ds)], zone, seeded, |rng| {
+                    rng.gen_range(0..endpoints.len())
+                })
             }
         };
         Some(idx)

@@ -404,3 +404,41 @@ fn concurrent_validations_fetch_shared_chain_material_once() {
         gate.arrived.lock().unwrap()
     );
 }
+
+/// A resolution step looks `(name, type)` and then `(name, CNAME)` up
+/// under one shard lock, and counts like the two `get`s it replaced:
+/// after a cold resolve through a CNAME, a resolve through the cached
+/// CNAME, one after both entries expired and a CNAME query, every
+/// `CacheStats` field but `lock_acquisitions` reads what the two-probe
+/// code read (its lock counts were 14, 22, 36 and 42).
+#[test]
+fn one_lock_per_cache_step_counts_like_two_lookups() {
+    let (net, reg, _) = world(true);
+    let r = resolver_of(&net, &reg);
+    let stats = |hits, miss_absent, miss_expired, insertions, lock_acquisitions| CacheStats {
+        hits,
+        miss_absent,
+        miss_expired,
+        insertions,
+        lock_acquisitions,
+        ..CacheStats::default()
+    };
+    let www = name("www.a.com");
+
+    let res = r.resolve(&www, RecordType::Https).unwrap();
+    assert_eq!((res.chain.len(), res.from_cache), (1, false));
+    assert_eq!(r.cache().stats(), stats(2, 6, 0, 6, 13));
+
+    let res = r.resolve(&www, RecordType::Https).unwrap();
+    assert_eq!((res.chain.len(), res.from_cache), (1, true));
+    assert_eq!(r.cache().stats(), stats(9, 7, 0, 6, 20));
+
+    net.clock().advance(301);
+    let res = r.resolve(&www, RecordType::A).unwrap();
+    assert_eq!((res.chain.len(), res.from_cache), (1, false));
+    assert_eq!(r.cache().stats(), stats(11, 8, 5, 12, 33));
+
+    let res = r.resolve(&www, RecordType::Cname).unwrap();
+    assert_eq!((res.chain.len(), res.from_cache), (0, true));
+    assert_eq!(r.cache().stats(), stats(17, 8, 5, 12, 39));
+}
