@@ -3,13 +3,16 @@
 //! The scanner, the browser testbed, and the benches all used to
 //! hand-roll their own query loops against a [`RecursiveResolver`]. The
 //! [`QueryEngine`] replaces those loops with one object that owns the
-//! resolver (and through it the sharded [`RecordCache`]) and exposes two
-//! paths:
+//! resolver (and through it the sharded [`RecordCache`]) and exposes
+//! three paths:
 //!
 //! - [`QueryEngine::resolve`] — the existing single-query path,
 //!   unchanged semantics;
 //! - [`QueryEngine::resolve_batch`] — resolve many queries with a
-//!   deterministic worker fan-out over the simulated network.
+//!   deterministic worker fan-out over the simulated network;
+//! - [`QueryEngine::resolve_batches`] — one batch per engine for several
+//!   engines at once (*Joint batches* below); `resolve_batch` is its
+//!   one-engine case.
 //!
 //! ## The persistent worker pool
 //!
@@ -81,6 +84,34 @@
 //! apex zone shares a worker — shared ancestor zones serve identical
 //! data from every endpoint, so pick order cannot change an answer).
 //!
+//! ## Joint batches
+//!
+//! `resolve_batches(engines, batches, threads)` resolves `batches[i]`
+//! through `engines[i]` in one call: the shape of a multi-vantage scan
+//! wave, where engines with their own resolvers and caches ask one
+//! authority nearly the same questions. Each engine deduplicates its
+//! own batch; then
+//!
+//! - when every engine is pooled and `threads` is 1, the distinct
+//!   queries resolve on the calling thread index by index across the
+//!   engines — engine 0's i-th distinct query, then engine 1's i-th,
+//!   and so on — so the registry entry, zone and compiled answer one
+//!   engine's query touches are still in the CPU cache when the next
+//!   engine asks the same question;
+//! - otherwise each engine's batch runs through its own backend (the
+//!   pool, or the event loop), in engine order.
+//!
+//! The engines stay independent: each one's results, cache contents,
+//! selector streams, [`CacheStats`](crate::CacheStats) and counters are
+//! what its own `resolve_batch` of the same batch gives. They share only
+//! the authority's compiled-answer cache (whose content is the same
+//! either way) and the network's traffic counters. The pooled backend
+//! reads the clock and never moves it, so interleaving cannot change a
+//! pooled answer. The event loop does move the shared clock, so there
+//! the engine order is part of the outcome: under a latency model each
+//! engine's batch starts at the virtual instant the previous engine's
+//! finished.
+//!
 //! ## Telemetry
 //!
 //! An engine can carry a [`telemetry::MetricsRegistry`]
@@ -97,6 +128,8 @@
 //! - **Histograms** (`engine.batch_us`, `engine.query_us`,
 //!   `engine.queue_depth`, `engine.authority_datagrams`) are
 //!   wall-clock/scheduling observations for perf work only.
+//!   `engine.batch_us` times the whole call, so after a joint batch
+//!   every participating engine records the same joint figure.
 
 use crate::cache::{fnv1a_key, RecordCache};
 use crate::eventloop::{self, EventLoopStats};
@@ -108,7 +141,7 @@ use netsim::Network;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use telemetry::MetricsRegistry;
 
 /// One query in a batch: an owner name and a record type.
@@ -283,181 +316,36 @@ impl QueryEngine {
 
     /// [`resolve_batch`](Self::resolve_batch), additionally returning
     /// the batch's virtual-time accounting when the event-loop backend
-    /// ran it (`None` from the pooled backend).
+    /// ran it (`None` from the pooled backend). The one-engine case of
+    /// [`resolve_batches`](Self::resolve_batches).
     pub fn resolve_batch_timed(
         &self,
         queries: &[Query],
         threads: usize,
     ) -> (Vec<Result<Resolution, ResolveError>>, Option<BatchTiming>) {
-        // An empty batch does no work: no assignment maps, no thread
-        // scaffolding, no metrics traffic.
-        if queries.is_empty() {
-            return (Vec::new(), None);
-        }
-        let batch_start = self.metrics.as_ref().map(|_| Instant::now());
-        let datagrams_before = self.metrics.as_ref().map(|_| self.network().stats().datagrams_sent);
-        let query_us = self.metrics.as_ref().map(|m| m.histogram("engine.query_us"));
+        // One engine in, one result pair out: the default is never taken.
+        resolve_jointly(&[self], &[queries], threads).pop().unwrap_or_default()
+    }
 
-        // Deduplicate, preserving first-occurrence order. The map
-        // borrows the input queries — `Query`'s case-folding `Hash`/`Eq`
-        // replaces the `(String, u16)` key this used to allocate per
-        // input.
-        let mut index_of: HashMap<&Query, usize, NameBuildHasher> =
-            HashMap::with_capacity_and_hasher(queries.len(), NameBuildHasher::default());
-        let mut distinct: Vec<&Query> = Vec::new();
-        let mut positions: Vec<usize> = Vec::with_capacity(queries.len());
-        for q in queries {
-            let next = distinct.len();
-            let idx = *index_of.entry(q).or_insert_with(|| {
-                distinct.push(q);
-                next
-            });
-            positions.push(idx);
-        }
-
-        let threads = threads.clamp(1, distinct.len());
-        let mut resolved: Vec<Option<Result<Resolution, ResolveError>>> =
-            vec![None; distinct.len()];
-        let mut timing: Option<BatchTiming> = None;
-
-        if self.backend == EngineBackend::EventLoop {
-            // Per-zone serialization groups: the same partition key the
-            // pooled path buckets on (authoritative apex of each name),
-            // interned to dense ids in first-appearance order.
-            let registry = self.resolver.registry();
-            let mut zone_ids: HashMap<DnsName, usize, NameBuildHasher> = HashMap::default();
-            let mut zone_index = Vec::with_capacity(distinct.len());
-            for q in &distinct {
-                let next = zone_ids.len();
-                zone_index.push(*zone_ids.entry(partition_apex(registry, &q.name)).or_insert(next));
-            }
-            let zone_count = zone_ids.len();
-            let outcome = eventloop::drive(&self.resolver, &distinct, &zone_index, zone_count);
-            if let Some(m) = &self.metrics {
-                // All four counters and the virtual-time latency
-                // histogram are outcome-derived (seeded virtual time),
-                // so they live on the byte-identical side of the
-                // determinism split alongside the batch counters.
-                m.counter("engine.timeouts").add(outcome.stats.timeouts);
-                m.counter("engine.retransmits").add(outcome.stats.retransmits);
-                m.counter("engine.drops").add(outcome.stats.drops);
-                m.counter("engine.ns_fallbacks").add(outcome.stats.ns_fallbacks);
-                let vt = m.det_histogram("engine.vt_query_ms");
-                for &(start, end) in &outcome.spans {
-                    vt.record(end - start);
-                }
-                m.histogram("engine.queue_depth").record(distinct.len() as u64);
-            }
-            timing = Some(BatchTiming {
-                started_ms: outcome.started_ms,
-                finished_ms: outcome.finished_ms,
-                max_in_flight: outcome.max_in_flight,
-                stats: outcome.stats,
-                per_query_ms: positions.iter().map(|&i| outcome.spans[i]).collect(),
-            });
-            for (slot, result) in outcome.results.into_iter().enumerate() {
-                resolved[slot] = Some(result);
-            }
-        } else if threads == 1 {
-            if let Some(m) = &self.metrics {
-                m.histogram("engine.queue_depth").record(distinct.len() as u64);
-            }
-            for (slot, q) in resolved.iter_mut().zip(&distinct) {
-                *slot = Some(timed_resolve(&self.resolver, q, query_us.as_deref()));
-            }
-        } else {
-            // Zone-affinity partition: every query for one zone lands on
-            // one worker (see the module docs). The apex shares the
-            // query name's buffer and its dotted key is hashed as a
-            // stream — no per-query key `String`. Pool jobs outlive the
-            // borrow of `queries`, so each work item owns a clone of its
-            // query: a reference count on the name's buffer.
-            let mut buckets: Vec<Vec<(usize, Query)>> = vec![Vec::new(); threads];
-            let registry = self.resolver.registry();
-            for (i, q) in distinct.iter().enumerate() {
-                let apex = partition_apex(registry, &q.name);
-                let bucket = (fnv1a_key(b"", &apex) % threads as u64) as usize;
-                buckets[bucket].push((i, (*q).clone()));
-            }
-            if let Some(m) = &self.metrics {
-                let depth = m.histogram("engine.queue_depth");
-                for bucket in buckets.iter().filter(|bucket| !bucket.is_empty()) {
-                    depth.record(bucket.len() as u64);
-                }
-            }
-            // Submit one job per non-empty bucket to its worker's FIFO
-            // queue (empty hash-mod buckets get no job at all), then
-            // collect chunks outside the pool lock. A worker that dies
-            // mid-batch drops its result sender, which surfaces here as
-            // a disconnect before every chunk arrived.
-            let (results_tx, results_rx) =
-                mpsc::channel::<Vec<(usize, Result<Resolution, ResolveError>)>>();
-            let mut jobs = 0usize;
-            {
-                let mut pool = self.pool.lock();
-                pool.ensure(threads);
-                for (worker, bucket) in buckets.into_iter().enumerate() {
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    jobs += 1;
-                    let resolver = Arc::clone(&self.resolver);
-                    let query_us = query_us.clone();
-                    let results = results_tx.clone();
-                    pool.submit(
-                        worker,
-                        Box::new(move || {
-                            let mut chunk = Vec::with_capacity(bucket.len());
-                            for (slot, q) in &bucket {
-                                chunk.push((
-                                    *slot,
-                                    timed_resolve(&resolver, q, query_us.as_deref()),
-                                ));
-                            }
-                            let _ = results.send(chunk);
-                        }),
-                    );
-                }
-            }
-            drop(results_tx);
-            for _ in 0..jobs {
-                let chunk = results_rx.recv().unwrap_or_else(|_| panic!("batch worker panicked"));
-                for (i, result) in chunk {
-                    resolved[i] = Some(result);
-                }
-            }
-        }
-
-        if let Some(metrics) = &self.metrics {
-            self.record_batch_outcomes(metrics, queries.len(), &resolved);
-            if let Some(start) = batch_start {
-                metrics.histogram("engine.batch_us").record_duration(start.elapsed());
-            }
-            if let Some(before) = datagrams_before {
-                // Approximate under concurrently batching engines on one
-                // shared network; exact for the (sequential) campaigns.
-                let sent = self.network().stats().datagrams_sent.saturating_sub(before);
-                metrics.histogram("engine.authority_datagrams").record(sent);
-            }
-        }
-
-        // Hand each resolution to its consumers, cloning only for true
-        // duplicates — a clone shares the answer RRset, it does not copy
-        // it: the common all-distinct batch moves every result.
-        let mut remaining = vec![0usize; resolved.len()];
-        for &idx in &positions {
-            remaining[idx] += 1;
-        }
-        let results = positions
-            .into_iter()
-            .map(|idx| {
-                remaining[idx] -= 1;
-                let slot = &mut resolved[idx];
-                if remaining[idx] == 0 { slot.take() } else { slot.clone() }
-                    .expect("every distinct query resolved")
-            })
-            .collect();
-        (results, timing)
+    /// Resolve one batch per engine — `batches[i]` through `engines[i]`
+    /// — returning each engine's results in its batch's input order.
+    /// Every engine ends up where its own
+    /// [`resolve_batch`](Self::resolve_batch) of the same batch would
+    /// leave it: same results, cache contents, selector streams and
+    /// counters (module docs, *Joint batches*). What changes is the
+    /// order the work runs in: on the pooled backend at `threads` 1 the
+    /// engines' distinct queries resolve index by index across the
+    /// engines.
+    ///
+    /// # Panics
+    ///
+    /// If `engines` and `batches` differ in length.
+    pub fn resolve_batches(
+        engines: &[&QueryEngine],
+        batches: &[&[Query]],
+        threads: usize,
+    ) -> Vec<Vec<Result<Resolution, ResolveError>>> {
+        resolve_jointly(engines, batches, threads).into_iter().map(|(results, _)| results).collect()
     }
 
     /// Record the deterministic counter class for one finished batch.
@@ -496,6 +384,283 @@ impl QueryEngine {
         metrics.counter("engine.answers_positive").add(positive);
         metrics.counter("engine.answers_negative").add(negative);
         metrics.counter("engine.failures").add(failures);
+    }
+}
+
+/// One engine's share of a joint batch's outcome: its results in input
+/// order, and the event loop's virtual-time accounting.
+type BatchOutcome = (Vec<Result<Resolution, ResolveError>>, Option<BatchTiming>);
+
+/// The batch core behind [`QueryEngine::resolve_batch_timed`] and
+/// [`QueryEngine::resolve_batches`]: deduplicate each engine's batch,
+/// resolve the distinct queries (module docs, *Joint batches*), then
+/// record each engine's figures and hand its results back out.
+fn resolve_jointly(
+    engines: &[&QueryEngine],
+    batches: &[&[Query]],
+    threads: usize,
+) -> Vec<BatchOutcome> {
+    assert_eq!(engines.len(), batches.len(), "one batch per engine");
+    let start = engines.iter().any(|engine| engine.metrics.is_some()).then(Instant::now);
+    let mut jobs: Vec<EngineBatch> = engines
+        .iter()
+        .zip(batches)
+        .map(|(&engine, &queries)| EngineBatch::new(engine, queries))
+        .collect();
+    if threads <= 1 && engines.iter().all(|engine| engine.backend == EngineBackend::Pooled) {
+        resolve_interleaved(&mut jobs);
+    } else {
+        // An empty batch does no work: no assignment maps, no thread
+        // scaffolding.
+        for job in jobs.iter_mut().filter(|job| !job.distinct.is_empty()) {
+            match (job.engine.backend, threads.clamp(1, job.distinct.len())) {
+                (EngineBackend::EventLoop, _) => job.resolve_event_loop(),
+                (EngineBackend::Pooled, 1) => resolve_interleaved(std::slice::from_mut(job)),
+                (EngineBackend::Pooled, workers) => job.resolve_pooled(workers),
+            }
+        }
+    }
+    let elapsed = start.map(|start| start.elapsed());
+    jobs.into_iter().map(|job| job.finish(elapsed)).collect()
+}
+
+/// Resolve every job's distinct queries on the calling thread, index by
+/// index across the jobs: the first job's i-th distinct query, then the
+/// second's i-th, and so on. With one job this is the plain sequential
+/// loop.
+fn resolve_interleaved(jobs: &mut [EngineBatch]) {
+    for job in jobs.iter() {
+        if let (Some(m), false) = (&job.engine.metrics, job.distinct.is_empty()) {
+            m.histogram("engine.queue_depth").record(job.distinct.len() as u64);
+        }
+    }
+    let longest = jobs.iter().map(|job| job.distinct.len()).max().unwrap_or(0);
+    for i in 0..longest {
+        for job in jobs.iter_mut() {
+            let Some(&q) = job.distinct.get(i) else { continue };
+            let before = job.datagrams_now();
+            let result = timed_resolve(&job.engine.resolver, q, job.query_us.as_deref());
+            job.count_datagrams_since(before);
+            job.resolved[i] = Some(result);
+        }
+    }
+}
+
+/// One engine's share of a joint batch: its queries deduplicated, the
+/// results of its distinct queries as they arrive, and the figures its
+/// registry records once they are all in.
+struct EngineBatch<'a> {
+    engine: &'a QueryEngine,
+    /// Input queries, duplicates included.
+    inputs: usize,
+    /// Distinct queries, in first-occurrence order.
+    distinct: Vec<&'a Query>,
+    /// Per input position, the index of its distinct query.
+    positions: Vec<usize>,
+    /// Per distinct query, its result once resolved.
+    resolved: Vec<Option<Result<Resolution, ResolveError>>>,
+    /// Virtual-time accounting, from the event-loop backend only.
+    timing: Option<BatchTiming>,
+    /// Datagrams this engine's queries sent (counted when instrumented).
+    datagrams: u64,
+    query_us: Option<Arc<telemetry::Histogram>>,
+}
+
+impl<'a> EngineBatch<'a> {
+    /// Deduplicate `queries`, preserving first-occurrence order. The map
+    /// borrows the input queries — `Query`'s case-folding `Hash`/`Eq`
+    /// replaces the `(String, u16)` key this used to allocate per input.
+    fn new(engine: &'a QueryEngine, queries: &'a [Query]) -> EngineBatch<'a> {
+        let mut index_of: HashMap<&Query, usize, NameBuildHasher> =
+            HashMap::with_capacity_and_hasher(queries.len(), NameBuildHasher::default());
+        let mut distinct: Vec<&Query> = Vec::new();
+        let mut positions: Vec<usize> = Vec::with_capacity(queries.len());
+        for q in queries {
+            let next = distinct.len();
+            let idx = *index_of.entry(q).or_insert_with(|| {
+                distinct.push(q);
+                next
+            });
+            positions.push(idx);
+        }
+        EngineBatch {
+            engine,
+            inputs: queries.len(),
+            resolved: vec![None; distinct.len()],
+            distinct,
+            positions,
+            timing: None,
+            datagrams: 0,
+            // An empty batch registers no instrument.
+            query_us: engine
+                .metrics
+                .as_ref()
+                .filter(|_| !queries.is_empty())
+                .map(|m| m.histogram("engine.query_us")),
+        }
+    }
+
+    /// Datagrams sent on the engine's network so far, read only when
+    /// the engine is instrumented: the figure feeds one histogram.
+    fn datagrams_now(&self) -> Option<u64> {
+        self.engine.metrics.as_ref().map(|_| self.engine.network().stats().datagrams_sent)
+    }
+
+    /// Add what was sent since `before`, a
+    /// [`datagrams_now`](Self::datagrams_now) reading, to this engine's
+    /// count.
+    fn count_datagrams_since(&mut self, before: Option<u64>) {
+        if let Some(before) = before {
+            let now = self.engine.network().stats().datagrams_sent;
+            self.datagrams += now.saturating_sub(before);
+        }
+    }
+
+    /// Resolve the distinct queries on the virtual-time event loop.
+    fn resolve_event_loop(&mut self) {
+        let before = self.datagrams_now();
+        let engine = self.engine;
+        // Per-zone serialization groups: the same partition key the
+        // pooled path buckets on (authoritative apex of each name),
+        // interned to dense ids in first-appearance order.
+        let registry = engine.resolver.registry();
+        let mut zone_ids: HashMap<DnsName, usize, NameBuildHasher> = HashMap::default();
+        let mut zone_index = Vec::with_capacity(self.distinct.len());
+        for q in &self.distinct {
+            let next = zone_ids.len();
+            zone_index.push(*zone_ids.entry(partition_apex(registry, &q.name)).or_insert(next));
+        }
+        let outcome =
+            eventloop::drive(&engine.resolver, &self.distinct, &zone_index, zone_ids.len());
+        if let Some(m) = &engine.metrics {
+            // All four counters and the virtual-time latency
+            // histogram are outcome-derived (seeded virtual time),
+            // so they live on the byte-identical side of the
+            // determinism split alongside the batch counters.
+            m.counter("engine.timeouts").add(outcome.stats.timeouts);
+            m.counter("engine.retransmits").add(outcome.stats.retransmits);
+            m.counter("engine.drops").add(outcome.stats.drops);
+            m.counter("engine.ns_fallbacks").add(outcome.stats.ns_fallbacks);
+            let vt = m.det_histogram("engine.vt_query_ms");
+            for &(start, end) in &outcome.spans {
+                vt.record(end - start);
+            }
+            m.histogram("engine.queue_depth").record(self.distinct.len() as u64);
+        }
+        self.timing = Some(BatchTiming {
+            started_ms: outcome.started_ms,
+            finished_ms: outcome.finished_ms,
+            max_in_flight: outcome.max_in_flight,
+            stats: outcome.stats,
+            per_query_ms: self.positions.iter().map(|&i| outcome.spans[i]).collect(),
+        });
+        for (slot, result) in self.resolved.iter_mut().zip(outcome.results) {
+            *slot = Some(result);
+        }
+        self.count_datagrams_since(before);
+    }
+
+    /// Resolve the distinct queries on the engine's worker pool with
+    /// `threads` (at least two) workers.
+    fn resolve_pooled(&mut self, threads: usize) {
+        let before = self.datagrams_now();
+        let engine = self.engine;
+        // Zone-affinity partition: every query for one zone lands on
+        // one worker (see the module docs). The apex shares the
+        // query name's buffer and its dotted key is hashed as a
+        // stream — no per-query key `String`. Pool jobs outlive the
+        // borrow of the queries, so each work item owns a clone of its
+        // query: a reference count on the name's buffer.
+        let mut buckets: Vec<Vec<(usize, Query)>> = vec![Vec::new(); threads];
+        let registry = engine.resolver.registry();
+        for (i, q) in self.distinct.iter().enumerate() {
+            let apex = partition_apex(registry, &q.name);
+            let bucket = (fnv1a_key(b"", &apex) % threads as u64) as usize;
+            buckets[bucket].push((i, (*q).clone()));
+        }
+        if let Some(m) = &engine.metrics {
+            let depth = m.histogram("engine.queue_depth");
+            for bucket in buckets.iter().filter(|bucket| !bucket.is_empty()) {
+                depth.record(bucket.len() as u64);
+            }
+        }
+        // Submit one job per non-empty bucket to its worker's FIFO
+        // queue (empty hash-mod buckets get no job at all), then
+        // collect chunks outside the pool lock. A worker that dies
+        // mid-batch drops its result sender, which surfaces here as
+        // a disconnect before every chunk arrived.
+        let (results_tx, results_rx) =
+            mpsc::channel::<Vec<(usize, Result<Resolution, ResolveError>)>>();
+        let mut jobs = 0usize;
+        {
+            let mut pool = engine.pool.lock();
+            pool.ensure(threads);
+            for (worker, bucket) in buckets.into_iter().enumerate() {
+                if bucket.is_empty() {
+                    continue;
+                }
+                jobs += 1;
+                let resolver = Arc::clone(&engine.resolver);
+                let query_us = self.query_us.clone();
+                let results = results_tx.clone();
+                pool.submit(
+                    worker,
+                    Box::new(move || {
+                        let mut chunk = Vec::with_capacity(bucket.len());
+                        for (slot, q) in &bucket {
+                            chunk.push((*slot, timed_resolve(&resolver, q, query_us.as_deref())));
+                        }
+                        let _ = results.send(chunk);
+                    }),
+                );
+            }
+        }
+        drop(results_tx);
+        for _ in 0..jobs {
+            let chunk = results_rx.recv().unwrap_or_else(|_| panic!("batch worker panicked"));
+            for (i, result) in chunk {
+                self.resolved[i] = Some(result);
+            }
+        }
+        self.count_datagrams_since(before);
+    }
+
+    /// Record this engine's batch figures (`elapsed` is the joint
+    /// batch's wall time), then hand each resolution to its input
+    /// positions, cloning only for true duplicates — a clone shares the
+    /// answer RRset, it does not copy it. The common all-distinct batch
+    /// moves its results out in place: no second buffer is resident
+    /// while every engine of a joint batch holds its results. An empty
+    /// batch records nothing.
+    fn finish(self, elapsed: Option<Duration>) -> BatchOutcome {
+        let EngineBatch { engine, inputs, positions, mut resolved, timing, datagrams, .. } = self;
+        if let Some(metrics) = engine.metrics.as_ref().filter(|_| inputs > 0) {
+            engine.record_batch_outcomes(metrics, inputs, &resolved);
+            if let Some(elapsed) = elapsed {
+                metrics.histogram("engine.batch_us").record_duration(elapsed);
+            }
+            // Counted around this engine's own queries: exact unless
+            // another thread sends on the same network meanwhile.
+            metrics.histogram("engine.authority_datagrams").record(datagrams);
+        }
+        let expect = |result: Option<_>| result.expect("every distinct query resolved");
+        if positions.len() == resolved.len() {
+            // No duplicates: input i is distinct query i.
+            return (resolved.into_iter().map(expect).collect(), timing);
+        }
+        let mut remaining = vec![0usize; resolved.len()];
+        for &idx in &positions {
+            remaining[idx] += 1;
+        }
+        let results = positions
+            .into_iter()
+            .map(|idx| {
+                remaining[idx] -= 1;
+                let slot = &mut resolved[idx];
+                expect(if remaining[idx] == 0 { slot.take() } else { slot.clone() })
+            })
+            .collect();
+        (results, timing)
     }
 }
 

@@ -4,13 +4,19 @@
 //! selection strategy — including `Random`, whose per-zone seeded RNGs
 //! make randomized-vantage batches thread-count-invariant.
 //!
+//! Joint batches (`resolve_batches`) are pinned against each engine's
+//! own `resolve_batch` on the same axis.
+//!
 //! CI runs this suite under a thread matrix: set `RESOLVER_TEST_THREADS`
 //! to a comma-separated list (e.g. `16,32`) to extend the default
 //! `{1, 2, 4, 8}` axis.
 
-use dns_wire::RecordType;
+use dns_wire::{DnsName, RecordType};
 use ecosystem::{EcosystemConfig, World};
-use resolver::{Query, QueryEngine, Resolution, ResolveError, ResolverConfig, SelectionStrategy};
+use resolver::{
+    CacheStats, EngineBackend, Query, QueryEngine, Resolution, ResolveError, ResolverConfig,
+    SelectionStrategy, VantagePoint,
+};
 use std::sync::Arc;
 use telemetry::MetricsRegistry;
 
@@ -233,6 +239,84 @@ fn empty_batch_is_a_no_op() {
     assert_eq!(metrics.counter_value("engine.batches"), 0);
     assert!(metrics.counter_snapshot().iter().all(|(_, v)| *v == 0));
     assert_eq!(engine.network().stats().datagrams_sent, sent_before);
+}
+
+/// The three presets' engines over `world` on `backend`, each with a
+/// registry of its own.
+fn preset_engines(
+    world: &World,
+    backend: EngineBackend,
+) -> Vec<(QueryEngine, Arc<MetricsRegistry>)> {
+    VantagePoint::presets()
+        .into_iter()
+        .map(|v| {
+            let metrics = Arc::new(MetricsRegistry::new(&v.name));
+            let engine = v
+                .with_backend(backend)
+                .engine(world.network.clone(), world.registry.clone())
+                .with_metrics(metrics.clone());
+            (engine, metrics)
+        })
+        .collect()
+}
+
+#[test]
+fn joint_batches_equal_each_engines_own_batches() {
+    // `resolve_batches` changes the order work runs in, never an
+    // engine's outcome. Over the three presets, with unequal batches
+    // (one empty, one holding a duplicate that differs only in case),
+    // every engine's results, cache statistics and counters equal what
+    // its own `resolve_batch` of the same batch gives on a twin world —
+    // cold, then warm; pooled on the thread axis, and on the event loop
+    // at zero latency.
+    let queries = scan_queries(&world());
+    let half = queries.len() / 2;
+    let mut with_duplicate = queries[..half].to_vec();
+    let shouted = DnsName::parse(&queries[3].name.to_string().to_ascii_uppercase()).unwrap();
+    assert_ne!(shouted.to_string(), queries[3].name.to_string());
+    with_duplicate.push(Query::new(shouted, queries[3].rtype));
+    let rounds: [[&[Query]; 3]; 2] =
+        [[&queries, &[], &with_duplicate], [&with_duplicate, &queries, &queries[half / 2..]]];
+
+    for backend in [EngineBackend::Pooled, EngineBackend::EventLoop] {
+        for threads in thread_axis() {
+            let (joint_world, own_world) = (world(), world());
+            let joint = preset_engines(&joint_world, backend);
+            let own = preset_engines(&own_world, backend);
+            let engines: Vec<&QueryEngine> = joint.iter().map(|(engine, _)| engine).collect();
+            for (round, batches) in rounds.iter().enumerate() {
+                let together = QueryEngine::resolve_batches(&engines, batches, threads);
+                assert_eq!(together.len(), batches.len());
+                for (v, ((engine, _), batch)) in own.iter().zip(batches).enumerate() {
+                    assert_eq!(
+                        together[v],
+                        engine.resolve_batch(batch, threads),
+                        "engine {v}, round {round}: {backend:?} at threads={threads}"
+                    );
+                }
+            }
+            for ((a, a_metrics), (b, b_metrics)) in joint.iter().zip(&own) {
+                let label = a_metrics.label();
+                // Contention is the one scheduling-dependent statistic.
+                let stats = |e: &QueryEngine| CacheStats { lock_contended: 0, ..e.cache().stats() };
+                assert_eq!(stats(a), stats(b), "{label}: {backend:?} at threads={threads}");
+                assert_eq!(a.cache().len(), b.cache().len(), "{label}");
+                assert_eq!(
+                    a_metrics.counters_text(),
+                    b_metrics.counters_text(),
+                    "{label}: {backend:?} at threads={threads}"
+                );
+            }
+            // The case-only duplicate coalesced in both rounds it rode in.
+            assert_eq!(joint[2].1.counter_value("engine.coalesced"), 1);
+            assert_eq!(joint[0].1.counter_value("engine.coalesced"), 1);
+            assert_eq!(
+                joint[1].1.counter_value("engine.batches"),
+                1,
+                "an empty batch records nothing"
+            );
+        }
+    }
 }
 
 #[test]

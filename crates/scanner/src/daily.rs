@@ -19,6 +19,20 @@
 //! frozen state, so cross-vantage differences are pure resolver-view
 //! effects — the §4.2.3 mixed-provider comparison.
 //!
+//! The vantages scan a day in one pass ([`scan_day`]): the target list
+//! and the wave-1 batch are built once, each vantage keeps a compact
+//! per-target state, and every wave is resolved for all vantages
+//! together ([`QueryEngine::resolve_batches`]) before the next wave is
+//! built. On the pooled backend at one thread the engines' queries are
+//! interleaved, so the authority state one vantage's question pulls in
+//! is still in the CPU cache when the next vantage asks it. Each
+//! vantage's observations are what it would see scanning alone
+//! ([`scan_one_day`], the one-engine case). On the event-loop backend
+//! the order is part of the outcome: the shared virtual clock runs on
+//! through wave 1 of every vantage, then wave 2 of every vantage, and
+//! so on, so under a latency model a later vantage scans a wave at the
+//! virtual instant the earlier ones finished it.
+//!
 //! ## Telemetry
 //!
 //! [`Campaign::run_vantages_instrumented`] attaches one labelled
@@ -27,10 +41,12 @@
 //! instrumentation follows the telemetry crate's determinism split:
 //! per-day cache-hit-rate series and per-wave query volumes are
 //! deterministic counters (derived from batch outcomes), while per-day
-//! scan timings and per-wave latencies are wall-clock histograms.
-//! Telemetry is purely observational — an instrumented campaign
-//! produces a byte-identical [`SnapshotStore`] to an uninstrumented
-//! one, a property pinned by this crate's tests.
+//! scan timings and per-wave latencies are wall-clock histograms. Since
+//! the vantages scan a day together, `scan.day_us` and `scan.wave*_us`
+//! time the joint day or wave and record the same figure in every
+//! vantage's registry. Telemetry is purely observational — an
+//! instrumented campaign produces a byte-identical [`SnapshotStore`] to
+//! an uninstrumented one, a property pinned by this crate's tests.
 //!
 //! ## Persistence
 //!
@@ -46,17 +62,19 @@
 use crate::observation::{flags, NsCategory, Observation};
 use crate::store::persist::{StoreMeta, StoreWriter};
 use crate::store::{OrgId, OrgInterner, SnapshotStore};
-use dns_wire::{DnsName, RData, RecordType, SvcbRdata};
+use dns_wire::{DnsName, RData, Record, RecordType, SvcbRdata};
 use ecosystem::World;
 use resolver::{
     CacheStats, Query, QueryEngine, Resolution, ResolveError, SelectionStrategy, VantagePoint,
 };
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::io::{self, ErrorKind};
-use std::net::Ipv4Addr;
+use std::net::IpAddr;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use telemetry::MetricsRegistry;
 
 /// Campaign configuration: which days to scan and how.
@@ -91,7 +109,7 @@ impl Campaign {
     }
 
     /// The profiles this campaign scans through: the configured ones, or
-    /// the single unlabelled default.
+    /// the single unlabelled default. Never empty.
     fn effective_vantages(&self) -> Vec<VantagePoint> {
         if self.vantages.is_empty() {
             vec![VantagePoint::custom("", SelectionStrategy::RoundRobin)]
@@ -109,7 +127,9 @@ impl Campaign {
             vantages: self.effective_vantages().into_iter().take(1).collect(),
             ..self.clone()
         };
-        single.run_vantages(world).into_iter().next().expect("one vantage yields one store")
+        // `effective_vantages` is never empty, so a one-vantage campaign
+        // yields exactly one store and the default is never built.
+        single.run_vantages(world).into_iter().next().unwrap_or_default()
     }
 
     /// Run the campaign through every configured vantage, producing one
@@ -143,12 +163,13 @@ impl Campaign {
                 store
             })
             .collect();
+        // The in-memory sink cannot fail: its error type has no values.
         let engines = self
             .drive(world, instrument, &mut |vi, day, obs| {
                 stores[vi].push_day(day, obs);
-                Ok(())
+                Ok::<(), Infallible>(())
             })
-            .expect("in-memory day sink cannot fail");
+            .unwrap_or_else(|never| match never {});
         engines
             .into_iter()
             .zip(stores)
@@ -188,20 +209,20 @@ impl Campaign {
 
     /// The campaign core every entry point drives: one engine per
     /// vantage, the world stepped once per scan day, every vantage
-    /// scanning the identical frozen state, and each completed day
-    /// handed to `on_day(vantage_index, day, observations)`. The sink
-    /// decides where days land (in-memory store, write-through disk
-    /// chunk, or replay verification); resolution is byte-identical
-    /// across sinks because the sink is invoked strictly after the
-    /// day's scan.
-    fn drive(
+    /// scanning the identical frozen state in one pass ([`scan_day`]),
+    /// and each completed day handed to `on_day(vantage_index, day,
+    /// observations)` in vantage order. The sink decides where days land
+    /// (in-memory store, write-through disk chunk, or replay
+    /// verification); resolution is byte-identical across sinks because
+    /// the sink is invoked strictly after the day's scan.
+    fn drive<E>(
         &self,
         world: &mut World,
         instrument: bool,
-        on_day: &mut dyn FnMut(usize, u32, Vec<Observation>) -> io::Result<()>,
-    ) -> io::Result<Vec<(QueryEngine, Arc<MetricsRegistry>)>> {
+        on_day: &mut dyn FnMut(usize, u32, Vec<Observation>) -> Result<(), E>,
+    ) -> Result<Vec<(QueryEngine, Arc<MetricsRegistry>)>, E> {
         let (_, org_ids) = Self::canonical_orgs(world);
-        let mut engines: Vec<(QueryEngine, Arc<MetricsRegistry>)> = self
+        let engines: Vec<(QueryEngine, Arc<MetricsRegistry>)> = self
             .effective_vantages()
             .iter()
             .map(|v| {
@@ -213,31 +234,28 @@ impl Campaign {
                 (engine, metrics)
             })
             .collect();
+        let scanners: Vec<&QueryEngine> = engines.iter().map(|(engine, _)| engine).collect();
 
         for &day in &self.sample_days {
             world.step_to_day(day);
-            for (vi, (engine, metrics)) in engines.iter_mut().enumerate() {
-                let day_start = instrument.then(Instant::now);
-                let lookups_before =
-                    if instrument { metrics.counter_value("engine.distinct") } else { 0 };
-                let cached_before =
-                    if instrument { metrics.counter_value("engine.from_cache") } else { 0 };
-                let obs = scan_one_day(world, engine, &org_ids, self.scan_www, self.threads);
-                if let Some(start) = day_start {
-                    // Wall-clock class: how long this vantage's scan of
-                    // the day took.
-                    metrics.histogram("scan.day_us").record_duration(start.elapsed());
-                    // Deterministic class: the per-day hit-rate series
-                    // (distinct lookups and cache-served answers this
-                    // day), plus campaign totals.
-                    metrics
-                        .counter(&format!("scan.day{day:04}.lookups"))
-                        .add(metrics.counter_value("engine.distinct") - lookups_before);
-                    metrics
-                        .counter(&format!("scan.day{day:04}.from_cache"))
-                        .add(metrics.counter_value("engine.from_cache") - cached_before);
-                    metrics.counter("scan.days").inc();
-                    metrics.counter("scan.observations").add(obs.len() as u64);
+            let day_start = instrument.then(Instant::now);
+            // Each vantage's distinct lookups and cache-served answers
+            // before the day, for the per-day hit-rate series.
+            let before: Vec<(u64, u64)> = if instrument {
+                engines
+                    .iter()
+                    .map(|(_, m)| {
+                        (m.counter_value("engine.distinct"), m.counter_value("engine.from_cache"))
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let days = scan_day(world, &scanners, &org_ids, self.scan_www, self.threads);
+            let elapsed = day_start.map(|start| start.elapsed());
+            for (vi, ((_, metrics), obs)) in engines.iter().zip(days).enumerate() {
+                if let Some(elapsed) = elapsed {
+                    record_day(metrics, day, elapsed, before[vi], obs.len());
                 }
                 on_day(vi, day as u32, obs)?;
             }
@@ -293,7 +311,7 @@ impl Campaign {
         let (orgs, _) = Self::canonical_orgs(world);
         let mut report = StoreRunReport::default();
         let mut next_index = vec![0usize; expected_meta.vantages.len()];
-        self.drive(world, false, &mut |vi, day, obs| {
+        self.drive::<io::Error>(world, false, &mut |vi, day, obs| {
             let i = next_index[vi];
             next_index[vi] += 1;
             if i < writer.days_written(vi) {
@@ -318,6 +336,28 @@ impl Campaign {
         })?;
         Ok(report)
     }
+}
+
+/// Record one vantage's figures for a scanned day: the joint day's wall
+/// time, and the deterministic per-day hit-rate series (distinct
+/// lookups and cache-served answers since `before`) plus campaign
+/// totals.
+fn record_day(
+    metrics: &MetricsRegistry,
+    day: u64,
+    elapsed: Duration,
+    (lookups_before, cached_before): (u64, u64),
+    observations: usize,
+) {
+    metrics.histogram("scan.day_us").record_duration(elapsed);
+    metrics
+        .counter(&format!("scan.day{day:04}.lookups"))
+        .add(metrics.counter_value("engine.distinct") - lookups_before);
+    metrics
+        .counter(&format!("scan.day{day:04}.from_cache"))
+        .add(metrics.counter_value("engine.from_cache") - cached_before);
+    metrics.counter("scan.days").inc();
+    metrics.counter("scan.observations").add(observations as u64);
 }
 
 /// What a write-through campaign run did: how many vantage-days were
@@ -360,34 +400,51 @@ impl VantageRun {
     }
 }
 
-/// Per-target scan state accumulated across the waves. The target's
-/// name lives in the wave-1 query at the same index (targets and wave-1
-/// queries are built 1:1), not in a second per-target copy.
-struct TargetScan {
+/// One scanned name, shared by every vantage. Its name lives in the
+/// wave-1 query at the same index (targets and wave-1 queries are built
+/// 1:1), not in a second per-target copy.
+struct Target {
     domain_id: u32,
     rank: u32,
     is_www: bool,
+}
+
+/// One vantage's state for one target, folded wave by wave. It owns no
+/// heap block: follow-ups are `u32` indices into the vantage's wave
+/// batches, and the hint check holds the HTTPS answer's shared RRset
+/// instead of a copy of its hints.
+struct TargetScan {
     flags: u32,
     min_priority: u16,
     ns_category: u8,
     org: OrgId,
-    /// IPv4 hints advertised by the chosen HTTPS RRset (for the
-    /// hint-consistency check against the owner's A records).
-    hints: Vec<Ipv4Addr>,
-    /// Index into the wave-2 batch of the owner-name A follow-up.
-    owner_a: Option<usize>,
+    /// The owner-name A follow-up: its index in the wave-2 batch, and the
+    /// HTTPS answer whose IPv4 hints are checked against its records.
+    owner_a: Option<(u32, Arc<[Record]>)>,
     /// Index into the wave-2 batch of the apex NS follow-up.
-    ns_lookup: Option<usize>,
-    /// Indices into the wave-3 batch of the NS-host A lookups.
-    ns_host_a: Vec<usize>,
+    ns_lookup: Option<u32>,
+    /// The wave-3 NS-host A lookups, which are pushed contiguously.
+    ns_hosts: Range<u32>,
 }
 
 impl TargetScan {
-    fn finish(&self, day: u32) -> Observation {
+    fn new(is_www: bool) -> TargetScan {
+        TargetScan {
+            flags: if is_www { flags::IS_WWW } else { 0 },
+            min_priority: u16::MAX,
+            ns_category: NsCategory::NoNs as u8,
+            org: OrgId::NONE,
+            owner_a: None,
+            ns_lookup: None,
+            ns_hosts: 0..0,
+        }
+    }
+
+    fn finish(&self, target: &Target, day: u32) -> Observation {
         Observation {
             day,
-            domain_id: self.domain_id,
-            rank: self.rank,
+            domain_id: target.domain_id,
+            rank: target.rank,
             flags: self.flags,
             ns_category: self.ns_category,
             org: self.org,
@@ -396,8 +453,11 @@ impl TargetScan {
     }
 }
 
+/// One wave's results for one vantage, in its batch's order.
+type WaveResults = Vec<Result<Resolution, ResolveError>>;
+
 /// Scan today's list through the engine. Returns observations sorted by
-/// (domain, www-flag).
+/// (domain, www-flag). The one-engine case of [`scan_day`].
 pub fn scan_one_day(
     world: &World,
     engine: &QueryEngine,
@@ -405,14 +465,32 @@ pub fn scan_one_day(
     scan_www: bool,
     threads: usize,
 ) -> Vec<Observation> {
+    // One engine in, one list out: the default is never taken.
+    scan_day(world, &[engine], org_ids, scan_www, threads).pop().unwrap_or_default()
+}
+
+/// Scan today's list through every engine in one pass, returning one
+/// observation list per engine (in `engines` order, each sorted by
+/// domain, then www-flag). The target list and the wave-1 batch are
+/// built once for all engines; each wave is resolved for all of them
+/// together ([`QueryEngine::resolve_batches`]) and folded into each
+/// engine's compact per-target state, and its results are dropped
+/// before the next wave is built. Each engine's list is what
+/// [`scan_one_day`] gives through that engine alone (module docs).
+pub fn scan_day(
+    world: &World,
+    engines: &[&QueryEngine],
+    org_ids: &HashMap<String, OrgId>,
+    scan_www: bool,
+    threads: usize,
+) -> Vec<Vec<Observation>> {
     // The day's list as the world's own `Arc`, shared rather than copied.
     let list = world.today_list_shared();
     let day = world.current_day as u32;
 
     // Build the target list and the wave-1 HTTPS queries together, 1:1
-    // in list order: the query owns the only copy of each target name
-    // (the per-target name clone this loop used to make is gone).
-    let mut targets: Vec<TargetScan> = Vec::with_capacity(list.ranked().len() * 2);
+    // in list order: the query owns the only copy of each target name.
+    let mut targets: Vec<Target> = Vec::with_capacity(list.ranked().len() * 2);
     let mut https_queries: Vec<Query> = Vec::with_capacity(list.ranked().len() * 2);
     for &id in list.ranked() {
         let d = world.domain(id);
@@ -420,19 +498,7 @@ pub fn scan_one_day(
         // same-day rank lookup instead of rebuilding a local map here.
         let rank = list.rank_of(id).unwrap_or(0) as u32;
         let mut push = |name: DnsName, is_www: bool| {
-            targets.push(TargetScan {
-                domain_id: id,
-                rank,
-                is_www,
-                flags: if is_www { flags::IS_WWW } else { 0 },
-                min_priority: u16::MAX,
-                ns_category: NsCategory::NoNs as u8,
-                org: OrgId::NONE,
-                hints: Vec::new(),
-                owner_a: None,
-                ns_lookup: None,
-                ns_host_a: Vec::new(),
-            });
+            targets.push(Target { domain_id: id, rank, is_www });
             https_queries.push(Query::new(name, RecordType::Https));
         };
         push(d.apex.clone(), false);
@@ -443,107 +509,176 @@ pub fn scan_one_day(
         }
     }
 
-    // Wave 1: HTTPS for every target.
-    let https_results = scan_wave(engine, &https_queries, threads, "wave1_https");
-
-    let mut wave2: Vec<Query> = Vec::new();
-    for (i, (t, res)) in targets.iter_mut().zip(&https_results).enumerate() {
-        match res {
-            Ok(res) => {
-                if !res.chain.is_empty() {
-                    t.flags |= flags::VIA_CNAME;
-                }
-                let rdatas: Vec<&SvcbRdata> = res
-                    .records
-                    .iter()
-                    .filter_map(|r| match &r.rdata {
-                        RData::Https(rd) => Some(rd),
-                        _ => None,
-                    })
-                    .collect();
-                if !rdatas.is_empty() {
-                    t.flags |= flags::HTTPS_PRESENT;
-                    t.flags |= classify_rdatas(&rdatas);
-                    t.min_priority = rdatas.iter().map(|rd| rd.priority).min().unwrap_or(u16::MAX);
-                    if !res.rrsigs.is_empty() {
-                        t.flags |= flags::RRSIG;
-                    }
-                    if res.ad() {
-                        t.flags |= flags::AD;
-                    }
-                    // Follow-up A query for the record owner; hint
-                    // consistency is checked in wave 2.
-                    t.hints =
-                        rdatas.iter().filter_map(|rd| rd.ipv4hint()).flatten().copied().collect();
-                    t.owner_a = Some(wave2.len());
-                    wave2.push(Query::new(res.records[0].name.clone(), RecordType::A));
-                }
-            }
-            Err(e) => {
-                t.flags |= flags::RESOLUTION_FAILED;
-                if e.is_timeout() {
-                    t.flags |= flags::RESOLUTION_TIMEOUT;
-                }
-            }
-        }
-        // NS follow-up for every apex observation (the paper's NS dataset
-        // tracks providers whether or not the HTTPS record is active).
-        if !t.is_www && t.flags & flags::RESOLUTION_FAILED == 0 {
-            t.ns_lookup = Some(wave2.len());
-            wave2.push(Query::new(https_queries[i].name.clone(), RecordType::Ns));
-        }
+    // Wave 1: HTTPS for every target, the same batch for every vantage.
+    let wave1 = vec![https_queries.as_slice(); engines.len()];
+    let mut scans: Vec<Vec<TargetScan>> = Vec::with_capacity(engines.len());
+    let mut wave2: Vec<Vec<Query>> = Vec::with_capacity(engines.len());
+    for results in scan_wave(engines, &wave1, threads, "wave1_https") {
+        let (scan, followups) = fold_https(&targets, &https_queries, results);
+        scans.push(scan);
+        wave2.push(followups);
     }
 
     // Wave 2: owner-A and apex-NS follow-ups.
-    let wave2_results = scan_wave(engine, &wave2, threads, "wave2_followups");
+    let batches: Vec<&[Query]> = wave2.iter().map(Vec::as_slice).collect();
+    let results = scan_wave(engines, &batches, threads, "wave2_followups");
+    let wave3: Vec<Vec<Query>> = scans
+        .iter_mut()
+        .zip(results)
+        .map(|(scan, results)| fold_followups(scan, results))
+        .collect();
+    drop(wave2);
 
+    // Wave 3: NS-host addresses, then WHOIS attribution.
+    let batches: Vec<&[Query]> = wave3.iter().map(Vec::as_slice).collect();
+    let results = scan_wave(engines, &batches, threads, "wave3_nshosts");
+    for (scan, results) in scans.iter_mut().zip(results) {
+        fold_ns_hosts(world, scan, &results, org_ids);
+    }
+
+    // One (domain, www-flag) order of the shared targets serves every
+    // vantage's observations.
+    let mut order: Vec<u32> = (0..targets.len() as u32).collect();
+    order.sort_by_key(|&i| {
+        let target = &targets[i as usize];
+        (target.domain_id, target.is_www)
+    });
+    scans
+        .iter()
+        .map(|scan| {
+            order.iter().map(|&i| scan[i as usize].finish(&targets[i as usize], day)).collect()
+        })
+        .collect()
+}
+
+/// Resolve one scan wave, one batch per engine. An instrumented engine
+/// also records the joint wave's wall-clock latency histogram and its
+/// own batch's deterministic query-volume counter; resolution itself is
+/// identical either way.
+fn scan_wave(
+    engines: &[&QueryEngine],
+    batches: &[&[Query]],
+    threads: usize,
+    wave: &str,
+) -> Vec<WaveResults> {
+    let start = engines.iter().any(|engine| engine.metrics().is_some()).then(Instant::now);
+    let results = QueryEngine::resolve_batches(engines, batches, threads);
+    if let Some(start) = start {
+        let elapsed = start.elapsed();
+        for (engine, batch) in engines.iter().zip(batches) {
+            if let Some(metrics) = engine.metrics() {
+                metrics.histogram(&format!("scan.{wave}_us")).record_duration(elapsed);
+                metrics.counter(&format!("scan.{wave}.queries")).add(batch.len() as u64);
+            }
+        }
+    }
+    results
+}
+
+/// Fold one vantage's wave-1 HTTPS results into fresh per-target state,
+/// returning it with the vantage's wave-2 batch: an A query for each
+/// HTTPS record owner, an NS query for each resolved apex.
+fn fold_https(
+    targets: &[Target],
+    https_queries: &[Query],
+    results: WaveResults,
+) -> (Vec<TargetScan>, Vec<Query>) {
+    let mut wave2: Vec<Query> = Vec::new();
+    let scans = targets
+        .iter()
+        .zip(https_queries)
+        .zip(results)
+        .map(|((target, query), res)| {
+            let mut t = TargetScan::new(target.is_www);
+            match res {
+                Ok(res) => {
+                    if !res.chain.is_empty() {
+                        t.flags |= flags::VIA_CNAME;
+                    }
+                    if let Some(min_priority) =
+                        https_rdatas(&res.records).map(|rd| rd.priority).min()
+                    {
+                        t.flags |= flags::HTTPS_PRESENT | classify_rdatas(&res.records);
+                        t.min_priority = min_priority;
+                        if !res.rrsigs.is_empty() {
+                            t.flags |= flags::RRSIG;
+                        }
+                        if res.ad() {
+                            t.flags |= flags::AD;
+                        }
+                        // Follow-up A query for the record owner; its
+                        // answer is checked against the hints in wave 2.
+                        // An HTTPS RDATA was found, so `records[0]` exists.
+                        let owner = res.records[0].name.clone();
+                        t.owner_a = Some((wave2.len() as u32, res.records));
+                        wave2.push(Query::new(owner, RecordType::A));
+                    }
+                }
+                Err(e) => {
+                    t.flags |= flags::RESOLUTION_FAILED;
+                    if e.is_timeout() {
+                        t.flags |= flags::RESOLUTION_TIMEOUT;
+                    }
+                }
+            }
+            // NS follow-up for every apex observation (the paper's NS
+            // dataset tracks providers whether or not the HTTPS record
+            // is active).
+            if !target.is_www && t.flags & flags::RESOLUTION_FAILED == 0 {
+                t.ns_lookup = Some(wave2.len() as u32);
+                wave2.push(Query::new(query.name.clone(), RecordType::Ns));
+            }
+            t
+        })
+        .collect();
+    (scans, wave2)
+}
+
+/// Fold one vantage's wave-2 results: the hint check for each
+/// HTTPS-positive target, and the vantage's wave-3 batch of NS-host
+/// address lookups.
+fn fold_followups(scans: &mut [TargetScan], results: WaveResults) -> Vec<Query> {
     let mut wave3: Vec<Query> = Vec::new();
-    for t in targets.iter_mut() {
-        if let Some(idx) = t.owner_a {
-            if let Ok(a_res) = &wave2_results[idx] {
-                let a_ips: Vec<Ipv4Addr> = a_res
-                    .records
-                    .iter()
-                    .filter_map(|r| match &r.rdata {
-                        RData::A(a) => Some(*a),
-                        _ => None,
-                    })
-                    .collect();
-                if !t.hints.is_empty()
-                    && !a_ips.is_empty()
-                    && t.hints.iter().all(|h| a_ips.contains(h))
-                {
+    for t in scans.iter_mut() {
+        if let Some((idx, https)) = t.owner_a.take() {
+            if let Ok(a_res) = &results[idx as usize] {
+                if hints_match(&https, &a_res.records) {
                     t.flags |= flags::HINT_MATCH;
                 }
             }
         }
         if let Some(idx) = t.ns_lookup {
-            if let Ok(ns_res) = &wave2_results[idx] {
+            let start = wave3.len() as u32;
+            if let Ok(ns_res) = &results[idx as usize] {
                 for r in ns_res.records.iter() {
                     if let RData::Ns(ns) = &r.rdata {
-                        t.ns_host_a.push(wave3.len());
                         wave3.push(Query::new(ns.clone(), RecordType::A));
                     }
                 }
             }
+            t.ns_hosts = start..wave3.len() as u32;
         }
     }
+    wave3
+}
 
-    // Wave 3: NS-host addresses, then WHOIS attribution.
-    let wave3_results = scan_wave(engine, &wave3, threads, "wave3_nshosts");
-
-    for t in targets.iter_mut() {
-        if t.ns_lookup.is_none() || t.ns_host_a.is_empty() {
-            continue;
-        }
-        let mut orgs: Vec<&str> = Vec::new();
-        for &idx in &t.ns_host_a {
-            if let Ok(a_res) = &wave3_results[idx] {
-                for r in a_res.records.iter() {
-                    if let RData::A(a) = &r.rdata {
-                        if let Some(org) = world.whois.lookup(std::net::IpAddr::V4(*a)) {
-                            orgs.push(org);
-                        }
+/// Fold one vantage's wave-3 results: WHOIS attribution of each apex's
+/// NS-host addresses.
+fn fold_ns_hosts(
+    world: &World,
+    scans: &mut [TargetScan],
+    results: &[Result<Resolution, ResolveError>],
+    org_ids: &HashMap<String, OrgId>,
+) {
+    // One scratch list for every target's orgs.
+    let mut orgs: Vec<&str> = Vec::new();
+    for t in scans.iter_mut().filter(|t| !t.ns_hosts.is_empty()) {
+        orgs.clear();
+        for a_res in results[t.ns_hosts.start as usize..t.ns_hosts.end as usize].iter().flatten() {
+            for r in a_res.records.iter() {
+                if let RData::A(a) = &r.rdata {
+                    if let Some(org) = world.whois.lookup(IpAddr::V4(*a)) {
+                        orgs.push(org);
                     }
                 }
             }
@@ -552,45 +687,40 @@ pub fn scan_one_day(
         t.ns_category = category as u8;
         t.org = org;
     }
-
-    let mut results: Vec<Observation> = targets.iter().map(|t| t.finish(day)).collect();
-    results.sort_by_key(|o| (o.domain_id, o.is_www()));
-    results
 }
 
-/// Resolve one scan wave through the engine. On an instrumented engine
-/// this also records the wave's wall-clock latency histogram and its
-/// deterministic query-volume counter; resolution itself is identical
-/// either way.
-fn scan_wave(
-    engine: &QueryEngine,
-    queries: &[Query],
-    threads: usize,
-    wave: &str,
-) -> Vec<Result<Resolution, ResolveError>> {
-    match engine.metrics() {
-        Some(metrics) => {
-            let start = Instant::now();
-            let results = engine.resolve_batch(queries, threads);
-            metrics.histogram(&format!("scan.{wave}_us")).record_duration(start.elapsed());
-            metrics.counter(&format!("scan.{wave}.queries")).add(queries.len() as u64);
-            results
-        }
-        None => engine.resolve_batch(queries, threads),
-    }
+/// The HTTPS RDATAs of an answer RRset.
+fn https_rdatas(records: &[Record]) -> impl Iterator<Item = &SvcbRdata> {
+    records.iter().filter_map(|r| match &r.rdata {
+        RData::Https(rd) => Some(rd),
+        _ => None,
+    })
 }
 
-/// Derive record-shape flags from the HTTPS RDATA set.
-fn classify_rdatas(rdatas: &[&SvcbRdata]) -> u32 {
-    let mut f = 0u32;
+/// Whether an HTTPS RRset advertises IPv4 hints and every one of them
+/// is among the owner's A records.
+fn hints_match(https: &[Record], a_records: &[Record]) -> bool {
+    let a_ips = || {
+        a_records.iter().filter_map(|r| match &r.rdata {
+            RData::A(a) => Some(a),
+            _ => None,
+        })
+    };
+    let mut hints = https_rdatas(https).filter_map(SvcbRdata::ipv4hint).flatten().peekable();
+    hints.peek().is_some() && a_ips().next().is_some() && hints.all(|h| a_ips().any(|a| a == h))
+}
+
+/// Derive record-shape flags from an answer's HTTPS RDATAs (no flags
+/// when it holds none).
+fn classify_rdatas(records: &[Record]) -> u32 {
     // The record a client would use: lowest ServiceMode priority, else alias.
-    let chosen: &SvcbRdata = rdatas
-        .iter()
+    let chosen = https_rdatas(records)
         .filter(|rd| !rd.is_alias())
         .min_by_key(|rd| rd.priority)
-        .or_else(|| rdatas.first())
-        .expect("non-empty");
+        .or_else(|| https_rdatas(records).next());
+    let Some(chosen) = chosen else { return 0 };
 
+    let mut f = 0u32;
     if chosen.is_alias() {
         f |= flags::ALIAS_MODE;
         if chosen.target.is_root() {
@@ -630,7 +760,8 @@ fn classify_rdatas(rdatas: &[&SvcbRdata]) -> u32 {
             }
         }
     }
-    if is_cf_default(chosen) && rdatas.len() == 1 {
+    // The default shape counts only as the RRset's sole record.
+    if is_cf_default(chosen) && https_rdatas(records).nth(1).is_none() {
         f |= flags::CF_DEFAULT;
     }
     f
@@ -653,9 +784,9 @@ fn is_cf_default(rd: &SvcbRdata) -> bool {
 /// Attribute an NS org set to a category and representative operator
 /// (§4.2.2's pipeline, applied to the WHOIS lookups of wave 3).
 fn categorize_orgs(orgs: &[&str], org_ids: &HashMap<String, OrgId>) -> (NsCategory, OrgId) {
-    if orgs.is_empty() {
+    let Some(first) = orgs.first() else {
         return (NsCategory::NoNs, OrgId::NONE);
-    }
+    };
     let is_cf = |o: &&str| *o == "Cloudflare, Inc.";
     let cf_count = orgs.iter().filter(|o| is_cf(o)).count();
     let category = if cf_count == orgs.len() {
@@ -665,8 +796,7 @@ fn categorize_orgs(orgs: &[&str], org_ids: &HashMap<String, OrgId>) -> (NsCatego
     } else {
         NsCategory::NoneCloudflare
     };
-    let representative =
-        orgs.iter().find(|o| !is_cf(o)).or_else(|| orgs.first()).expect("non-empty");
+    let representative = orgs.iter().find(|o| !is_cf(o)).unwrap_or(first);
     let org_id = org_ids.get(*representative).copied().unwrap_or(OrgId::NONE);
     (category, org_id)
 }

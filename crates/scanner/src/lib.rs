@@ -40,7 +40,7 @@ pub mod store;
 pub use authority::{
     authority_consistency_scan, probe_domain, AuthorityDisagreement, EndpointAnswer,
 };
-pub use daily::{scan_one_day, Campaign, StoreRunReport, VantageRun};
+pub use daily::{scan_day, scan_one_day, Campaign, StoreRunReport, VantageRun};
 pub use observation::{flags, NsCategory, Observation};
 pub use special::{connectivity_probe, hourly_ech_scan, ConnectivityReport, EchObservation};
 pub use store::persist::{

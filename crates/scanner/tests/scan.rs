@@ -1,11 +1,40 @@
 //! End-to-end scanner tests over a tiny world.
+//!
+//! The thread-axis tests take extra counts from `RESOLVER_TEST_THREADS`
+//! (a comma-separated list, the CI determinism matrix's hook).
 
 use ecosystem::{EcosystemConfig, World};
-use scanner::{connectivity_probe, flags, hourly_ech_scan, Campaign, NsCategory};
+use scanner::{connectivity_probe, flags, hourly_ech_scan, Campaign, NsCategory, OrgId};
 use std::collections::HashMap;
 
 fn tiny_world() -> World {
     World::build(EcosystemConfig::tiny())
+}
+
+/// Thread counts to exercise: 1, 2 and 4, plus any counts named in the
+/// `RESOLVER_TEST_THREADS` env var.
+fn thread_axis() -> Vec<usize> {
+    let mut axis = vec![1, 2, 4];
+    if let Ok(extra) = std::env::var("RESOLVER_TEST_THREADS") {
+        for n in extra.split(',').filter_map(|tok| tok.trim().parse::<usize>().ok()) {
+            if n > 0 && !axis.contains(&n) {
+                axis.push(n);
+            }
+        }
+    }
+    axis
+}
+
+/// Operator name → id for every org in the world's catalog, so scans
+/// attribute NS operators.
+fn org_ids(world: &World) -> HashMap<String, OrgId> {
+    world
+        .catalog
+        .all()
+        .iter()
+        .enumerate()
+        .map(|(i, infra)| (infra.spec.org.to_string(), OrgId(i as u32)))
+        .collect()
 }
 
 #[test]
@@ -359,5 +388,112 @@ fn telemetry_does_not_perturb_the_campaign() {
     let runs2 = campaign.run_vantages_instrumented(&mut world2);
     for (a, b) in runs.iter().zip(&runs2) {
         assert_eq!(a.metrics.counters_text(), b.metrics.counters_text());
+    }
+}
+
+#[test]
+fn one_pass_day_equals_each_vantage_scanning_alone() {
+    // `scan_day` builds one target list and resolves each wave for every
+    // vantage together. Each vantage's observations, cache statistics
+    // and counters must equal what its own `scan_one_day` gives over a
+    // twin world, day after day (caches and selector streams carry
+    // over), at every thread count. In the mixed-NS world the vantages
+    // disagree on HTTPS presence, so their wave-2 batches differ in
+    // length.
+    use resolver::{CacheStats, QueryEngine, VantagePoint};
+    use scanner::{scan_day, scan_one_day};
+    use std::sync::Arc;
+    use telemetry::MetricsRegistry;
+
+    let engines = |world: &World| -> Vec<(QueryEngine, Arc<MetricsRegistry>)> {
+        VantagePoint::presets()
+            .iter()
+            .map(|v| {
+                let metrics = Arc::new(MetricsRegistry::new(&v.name));
+                let engine = v
+                    .engine(world.network.clone(), world.registry.clone())
+                    .with_metrics(metrics.clone());
+                (engine, metrics)
+            })
+            .collect()
+    };
+    let mixed = EcosystemConfig { mixed_ns_domains: 24, ..EcosystemConfig::tiny() };
+    for (config, is_mixed) in [(EcosystemConfig::tiny(), false), (mixed, true)] {
+        for threads in thread_axis() {
+            let mut joint_world = World::build(config.clone());
+            let mut own_world = World::build(config.clone());
+            let org_ids = org_ids(&joint_world);
+            let (joint, own) = (engines(&joint_world), engines(&own_world));
+            let scanners: Vec<&QueryEngine> = joint.iter().map(|(engine, _)| engine).collect();
+            let mut wave2_lengths_differ = false;
+            for day in [0, 3, 7] {
+                joint_world.step_to_day(day);
+                own_world.step_to_day(day);
+                let wave2 = |v: usize| joint[v].1.counter_value("scan.wave2_followups.queries");
+                let before: Vec<u64> = (0..joint.len()).map(wave2).collect();
+                let together = scan_day(&joint_world, &scanners, &org_ids, true, threads);
+                assert_eq!(together.len(), own.len());
+                for (v, (engine, _)) in own.iter().enumerate() {
+                    let alone = scan_one_day(&own_world, engine, &org_ids, true, threads);
+                    assert_eq!(
+                        together[v], alone,
+                        "vantage {v} diverged on day {day} at threads={threads} (mixed: {is_mixed})"
+                    );
+                }
+                let lengths: Vec<u64> = (0..joint.len()).map(|v| wave2(v) - before[v]).collect();
+                wave2_lengths_differ |= lengths.iter().any(|&n| n != lengths[0]);
+            }
+            for ((a, a_metrics), (b, b_metrics)) in joint.iter().zip(&own) {
+                // Contention is the one scheduling-dependent statistic.
+                let stats = |e: &QueryEngine| CacheStats { lock_contended: 0, ..e.cache().stats() };
+                assert_eq!(stats(a), stats(b), "{} at threads={threads}", a_metrics.label());
+                assert_eq!(a_metrics.counters_text(), b_metrics.counters_text());
+            }
+            if is_mixed {
+                assert!(wave2_lengths_differ, "the vantages' wave-2 batches never differed");
+            }
+        }
+    }
+}
+
+#[test]
+fn lossy_two_vantage_event_campaign_is_thread_invariant() {
+    // On the event loop the shared virtual clock runs on through each
+    // wave of every vantage in turn (wave 1 of both, then wave 2 of
+    // both, …), so under a latency model the joint order is part of the
+    // outcome. Over a lossy 20 ms link, two event-loop vantages must
+    // produce the same stores, and leave the clock at the same instant,
+    // at every thread setting.
+    use resolver::{EngineBackend, SelectionStrategy, VantagePoint};
+
+    let run = |threads: usize| -> (Vec<String>, u64) {
+        let mut world = tiny_world();
+        let model = netsim::LinkModel::new(0x2A7E).with_rtt_ms(20).with_loss_permille(30);
+        world.network.set_latency_model(model);
+        let campaign = Campaign {
+            sample_days: vec![0, 2],
+            scan_www: true,
+            threads,
+            vantages: [
+                ("rr", SelectionStrategy::RoundRobin),
+                ("random", SelectionStrategy::Random),
+            ]
+            .into_iter()
+            .map(|(name, strategy)| {
+                VantagePoint::custom(name, strategy).with_backend(EngineBackend::EventLoop)
+            })
+            .collect(),
+        };
+        let stores = campaign.run_vantages(&mut world);
+        let clock = world.network.clock().now_ms().0;
+        (stores.iter().map(|s| s.to_csv()).collect(), clock)
+    };
+    let (stores, clock) = run(1);
+    assert_eq!(stores.len(), 2);
+    assert!(clock > 0, "a 20 ms link must move the virtual clock");
+    for threads in thread_axis().into_iter().skip(1) {
+        let (other_stores, other_clock) = run(threads);
+        assert_eq!(other_stores, stores, "stores diverged at threads={threads}");
+        assert_eq!(other_clock, clock, "virtual clock diverged at threads={threads}");
     }
 }
