@@ -5,7 +5,6 @@
 //! httpsrr-cli run    [--population N] [--list N] [--days D] [--threads T] [--seed S]
 //!                    [--metrics PATH] [--csv PATH] [--store DIR]  # campaign (+ write-through)
 //! httpsrr-cli resume --store DIR [--threads T]     # continue an interrupted --store campaign
-//! httpsrr-cli compact --store DIR                  # rewrite a v1 store to v2 compressed blocks
 //! httpsrr-cli serve  [--population N] [--list N] [--rates R,R,..] [--capacity C] [--policy P]
 //! httpsrr-cli matrix
 //! httpsrr-cli rotation [--hours H]
@@ -18,8 +17,8 @@
 use httpsrr::analysis;
 use httpsrr::ecosystem::{EcosystemConfig, World};
 use httpsrr::scanner::{
-    combined_csv, compact_store, hourly_ech_scan, open_store, write_combined_csv, Campaign,
-    StoreWriter, VantageRun,
+    combined_csv, hourly_ech_scan, open_store, write_combined_csv, Campaign, StoreWriter,
+    VantageRun,
 };
 use httpsrr::{client_side_report, server_side_report, Study};
 use std::process::ExitCode;
@@ -35,7 +34,6 @@ fn main() -> ExitCode {
         "study" => cmd_study(rest),
         "run" => cmd_run(rest),
         "resume" => cmd_resume(rest),
-        "compact" => cmd_compact(rest),
         "serve" => cmd_serve(rest),
         "matrix" => Flags::parse(rest, &[], &[]).map(|_| {
             println!("{}", client_side_report());
@@ -56,7 +54,6 @@ const USAGE: &str = "usage:
   httpsrr-cli study  [--population N] [--list N] [--stride D] [--seed S] [--csv PATH]
   httpsrr-cli run    [--population N] [--list N] [--days D] [--threads T] [--seed S] [--metrics PATH] [--csv PATH] [--store DIR]
   httpsrr-cli resume --store DIR [--threads T] [--csv PATH]   # continue an interrupted --store campaign at the last day boundary
-  httpsrr-cli compact --store DIR                # rewrite a v1 store to v2 compressed column blocks, atomically
   httpsrr-cli serve  [--population N] [--list N] [--clients C] [--workers K] [--seed S] [--rates R,R,..] [--phase-ms MS] [--capacity C] [--policy lru|s3fifo] [--metrics]
   httpsrr-cli matrix
   httpsrr-cli rotation [--hours H]
@@ -403,40 +400,6 @@ fn cmd_resume(args: &[String]) -> Outcome {
     }
     drop(writer);
     Ok(report_from_store(&dir, flags.get("--csv")))
-}
-
-/// `compact --store DIR` — rewrite a store in place to the v2 chunk
-/// format (compressed column blocks + statistics footers). v1 stores
-/// shrink several-fold; already-v2 stores are re-encoded byte-stably.
-/// The rewrite builds the new files in a sibling temp directory and
-/// swaps them in with renames, so a crash leaves the original intact.
-fn cmd_compact(args: &[String]) -> Outcome {
-    let flags = Flags::parse(args, &["--store"], &[])?;
-    let dir = flags.get("--store").ok_or("compact requires --store DIR")?;
-    let dir = std::path::PathBuf::from(dir);
-    match compact_store(&dir) {
-        Ok(report) => {
-            let ratio = if report.bytes_after > 0 {
-                report.bytes_before as f64 / report.bytes_after as f64
-            } else {
-                0.0
-            };
-            eprintln!(
-                "compacted {}: {} vantages, {} chunks, {} rows, {} -> {} bytes ({ratio:.2}x)",
-                dir.display(),
-                report.vantages,
-                report.chunks,
-                report.rows,
-                report.bytes_before,
-                report.bytes_after
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        Err(e) => {
-            eprintln!("cannot compact store {}: {e}", dir.display());
-            Ok(ExitCode::FAILURE)
-        }
-    }
 }
 
 /// `serve` — run one open-loop load sweep and print the canonical

@@ -273,12 +273,6 @@ impl<'a> RecordView<'a> {
         self.meta.ttl
     }
 
-    /// The raw `RDLENGTH`-delimited RDATA bytes (undecoded; names inside
-    /// may point elsewhere in the message).
-    pub fn rdata_bytes(&self) -> &'a [u8] {
-        &self.buf[self.meta.rd_start..self.meta.rd_end]
-    }
-
     /// Decode the typed [`RData`] on demand. This is where malformed
     /// RDATA surfaces: the parse pass only validated the subrange
     /// boundaries, not the contents.

@@ -44,8 +44,7 @@ pub use daily::{scan_day, scan_one_day, Campaign, StoreRunReport, VantageRun};
 pub use observation::{flags, NsCategory, Observation};
 pub use special::{connectivity_probe, hourly_ech_scan, ConnectivityReport, EchObservation};
 pub use store::persist::{
-    self, compact_store, open_store, ChunkStats, CompactReport, OpenStore, StoreMeta, StoreReader,
-    StoreWriter,
+    self, open_store, ChunkStats, OpenStore, StoreMeta, StoreReader, StoreWriter,
 };
 pub use store::{
     combined_csv, write_combined_csv, write_csv, ObservationSource, OrgId, OrgInterner, Projection,

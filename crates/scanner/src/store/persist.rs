@@ -12,18 +12,14 @@
 //! ```
 //!
 //! Every file is little-endian binary with an 8-byte magic + `u16`
-//! format version. A column file is its header followed by one chunk
-//! per completed scan day, in `sample_days` order. Two chunk layouts
-//! coexist, dispatched by the chunk magic. This build writes only v2;
-//! v1 chunks (from older builds) are read and compacted, never written,
-//! and a resumed v1 store appends v2 chunks into the same file:
+//! format version, and this build reads and writes exactly one version,
+//! [`FORMAT_VERSION`] (v2). A store written by an older build carries
+//! version 1 in its headers and is refused at open, before any byte of
+//! it is read as a chunk or truncated. A column file is its header
+//! followed by one chunk per completed scan day, in `sample_days` order:
 //!
 //! ```text
-//! v1 chunk := "CHNK" day:u32 rows:u32 payload_len:u32 checksum:u64 payload
-//! payload  := day[u32×n] domain_id[u32×n] rank[u32×n] flags[u32×n]
-//!             ns_category[u8×n] org[u32×n] min_priority[u16×n]   (23n bytes)
-//!
-//! v2 chunk := "CHK2" day:u32 rows:u32 payload_len:u32 checksum:u64
+//! chunk    := "CHK2" day:u32 rows:u32 payload_len:u32 checksum:u64
 //!             payload trailer
 //! payload  := block×7 stats
 //! block    := tag:u8 len:u32 data      (see [`encoding`] for the codecs)
@@ -31,7 +27,7 @@
 //! trailer  := "TRL2" header_offset:u64
 //! ```
 //!
-//! A v2 payload holds one [`encoding`] block per column — constant/RLE
+//! A payload holds one [`encoding`] block per column — constant/RLE
 //! for `day`, delta+varint for near-sorted `domain_id`/`rank`,
 //! dictionary+bit-packing for the small-alphabet `flags`/`ns_category`/
 //! `org`/`min_priority` — each chosen by measured size with a raw
@@ -51,10 +47,11 @@
 //! in a bad state: a torn final dict entry or a torn final chunk.
 //! Opening a column file walks it forward — one seek and one 24-byte
 //! header read per chunk, payloads skipped — and stops at the first
-//! incomplete or malformed chunk, whatever mix of v1 and v2 chunks the
-//! file holds. [`StoreWriter::open_resume`] additionally verifies the
-//! last surviving chunk's checksum, truncates everything past the last
-//! day completed by *every* vantage, and reports how many days survive.
+//! incomplete or malformed chunk. [`StoreWriter::open_resume`]
+//! additionally verifies the last surviving chunk's checksum, truncates
+//! everything past the last day completed by *every* vantage, and
+//! reports how many days survive; it checks every file's header before
+//! it truncates anything.
 //! The campaign layer then deterministically replays the completed days
 //! (rebuilding resolver cache/RNG state and verifying each replayed day
 //! against the stored chunk) before appending new ones — which is what
@@ -86,26 +83,22 @@ use std::sync::{Arc, Mutex};
 const MANIFEST_MAGIC: [u8; 8] = *b"SNAPMAN1";
 const DICT_MAGIC: [u8; 8] = *b"SNAPORG1";
 const COLUMN_MAGIC: [u8; 8] = *b"SNAPCOL1";
-const CHUNK_MAGIC_V1: [u8; 4] = *b"CHNK";
-const CHUNK_MAGIC_V2: [u8; 4] = *b"CHK2";
+const CHUNK_MAGIC: [u8; 4] = *b"CHK2";
 const TRAILER_MAGIC: [u8; 4] = *b"TRL2";
-/// On-disk format version this build writes (older versions stay
-/// readable; chunk layout is dispatched per chunk by its magic).
+/// The on-disk format version this build reads and writes; every file
+/// header must carry exactly this version.
 pub const FORMAT_VERSION: u16 = 2;
-/// Fixed-width payload bytes per observation row in a *v1* chunk (sum
-/// of the column widths — also the raw-equivalent size v2 compresses).
-pub const ROW_BYTES: usize = 23;
 const CHUNK_HEADER_BYTES: u64 = 24;
-/// Size of the v2 trailer ("TRL2" + header back-pointer).
+/// Size of the chunk trailer ("TRL2" + header back-pointer).
 const TRAILER_BYTES: u64 = 12;
 /// Serialized size of a [`ChunkStats`] footer.
 const STATS_BYTES: usize = 4 + COLUMN_COUNT * 16 + 4 + 4;
-/// The smallest possible v2 payload: 7 empty blocks plus the footer.
-const MIN_V2_PAYLOAD: u64 = (COLUMN_COUNT * 5 + STATS_BYTES) as u64;
+/// The smallest possible payload: 7 empty blocks plus the footer.
+const MIN_PAYLOAD: u64 = (COLUMN_COUNT * 5 + STATS_BYTES) as u64;
 /// Sanity cap for dictionary entries; WHOIS org names are short.
 const MAX_DICT_ENTRY: u32 = 1 << 20;
 
-/// Number of observation columns (one v2 block each).
+/// Number of observation columns (one block each).
 pub const COLUMN_COUNT: usize = 7;
 /// Raw little-endian byte width of each column, in canonical order:
 /// day, domain_id, rank, flags, ns_category, org, min_priority.
@@ -113,7 +106,7 @@ const COLUMN_WIDTHS: [usize; COLUMN_COUNT] = [4, 4, 4, 4, 1, 4, 2];
 const COLUMN_NAMES: [&str; COLUMN_COUNT] =
     ["day", "domain_id", "rank", "flags", "ns_category", "org", "min_priority"];
 
-/// The statistics footer of a v2 chunk: advisory metadata used for
+/// The statistics footer of a chunk: advisory metadata used for
 /// chunk pruning and reporting. `min`/`max` are per column in canonical
 /// order; an empty chunk carries `min = u64::MAX, max = 0` (min > max
 /// signals "no rows").
@@ -164,24 +157,16 @@ impl ChunkStats {
         put_u32(buf, self.distinct_orgs);
     }
 
-    /// Decode from exactly [`STATS_BYTES`] bytes (caller-checked).
-    fn decode(buf: &[u8]) -> ChunkStats {
-        debug_assert_eq!(buf.len(), STATS_BYTES);
-        let u32_at = |p: usize| u32::from_le_bytes(buf[p..p + 4].try_into().expect("4 bytes"));
-        let u64_at = |p: usize| u64::from_le_bytes(buf[p..p + 8].try_into().expect("8 bytes"));
+    fn decode(buf: &[u8; STATS_BYTES]) -> io::Result<ChunkStats> {
+        let mut c = Cursor::new(buf, "stats footer");
+        let rows = c.u32()?;
         let mut min = [0u64; COLUMN_COUNT];
         let mut max = [0u64; COLUMN_COUNT];
-        for c in 0..COLUMN_COUNT {
-            min[c] = u64_at(4 + c * 16);
-            max[c] = u64_at(4 + c * 16 + 8);
+        for col in 0..COLUMN_COUNT {
+            min[col] = c.u64()?;
+            max[col] = c.u64()?;
         }
-        ChunkStats {
-            rows: u32_at(0),
-            min,
-            max,
-            flags_or: u32_at(4 + COLUMN_COUNT * 16),
-            distinct_orgs: u32_at(4 + COLUMN_COUNT * 16 + 4),
-        }
+        Ok(ChunkStats { rows, min, max, flags_or: c.u32()?, distinct_orgs: c.u32()? })
     }
 }
 
@@ -226,8 +211,6 @@ struct ChunkRef {
     payload_offset: u64,
     payload_len: u32,
     checksum: u64,
-    /// Chunk layout version (1 or 2), dispatched from the chunk magic.
-    version: u8,
 }
 
 impl ChunkRef {
@@ -236,8 +219,7 @@ impl ChunkRef {
     }
 
     fn end_offset(&self) -> u64 {
-        let trailer = if self.version >= 2 { TRAILER_BYTES } else { 0 };
-        self.payload_offset + self.payload_len as u64 + trailer
+        self.payload_offset + self.payload_len as u64 + TRAILER_BYTES
     }
 }
 
@@ -278,41 +260,52 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Cursor over a fully-read byte buffer (manifest / headers).
+/// Cursor over a fully-read byte buffer (headers, manifest, footers).
+/// Every fixed-width read goes through [`array`](Self::array), so a
+/// short buffer is an error, never a panic.
 struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    what: &'static str,
+    rest: &'a [u8],
+    what: &'a str,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8], what: &'static str) -> Cursor<'a> {
-        Cursor { buf, pos: 0, what }
+    fn new(buf: &'a [u8], what: &'a str) -> Cursor<'a> {
+        Cursor { rest: buf, what }
+    }
+
+    fn truncated(&self, n: usize) -> io::Error {
+        corrupt(format!("{}: truncated (needed {n} more bytes)", self.what))
     }
 
     fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt(format!("{}: truncated (needed {n} more bytes)", self.what)));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let rest = self.rest;
+        let (head, rest) = rest.split_at_checked(n).ok_or_else(|| self.truncated(n))?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, as the array a `from_le_bytes` takes.
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let rest = self.rest;
+        let (head, rest) = rest.split_first_chunk::<N>().ok_or_else(|| self.truncated(N))?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn str(&mut self) -> io::Result<String> {
@@ -321,15 +314,35 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| corrupt(format!("{}: non-UTF-8 name", self.what)))
     }
+
+    /// Check a file header: `magic`, then exactly [`FORMAT_VERSION`].
+    /// `kind` says what the magic marks, for the bad-magic error.
+    fn header(&mut self, magic: [u8; 8], kind: &str) -> io::Result<()> {
+        if self.array::<8>()? != magic {
+            return Err(corrupt(format!("{}: bad magic (not {kind})", self.what)));
+        }
+        match self.u16()? {
+            FORMAT_VERSION => Ok(()),
+            1 => Err(corrupt(format!(
+                "{}: format version 1 — v1 stores are not supported; \
+                 this build reads only v{FORMAT_VERSION}",
+                self.what
+            ))),
+            v => Err(corrupt(format!(
+                "{}: unsupported format version {v} (this build reads only v{FORMAT_VERSION})",
+                self.what
+            ))),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // Manifest.
 
-fn manifest_bytes(meta: &StoreMeta, version: u16) -> Vec<u8> {
+fn manifest_bytes(meta: &StoreMeta) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&MANIFEST_MAGIC);
-    put_u16(&mut buf, version);
+    put_u16(&mut buf, FORMAT_VERSION);
     buf.push(meta.scan_www as u8);
     put_u16(&mut buf, u16::try_from(meta.vantages.len()).expect("vantage count fits in u16"));
     for v in &meta.vantages {
@@ -347,17 +360,11 @@ fn manifest_bytes(meta: &StoreMeta, version: u16) -> Vec<u8> {
 
 fn read_manifest(path: &Path) -> io::Result<StoreMeta> {
     let buf = std::fs::read(path)?;
-    let mut c = Cursor::new(&buf, "MANIFEST");
-    if c.take(8)? != MANIFEST_MAGIC {
-        return Err(corrupt("MANIFEST: bad magic (not a snapshot store)".into()));
-    }
-    let version = c.u16()?;
-    if version == 0 || version > FORMAT_VERSION {
-        return Err(corrupt(format!(
-            "MANIFEST: format version {version} (this build reads up to {FORMAT_VERSION})"
-        )));
-    }
-    let scan_www = c.take(1)?[0] != 0;
+    let ctx = path.display().to_string();
+    let mut c = Cursor::new(&buf, &ctx);
+    c.header(MANIFEST_MAGIC, "a snapshot store")?;
+    let [scan_www] = c.array()?;
+    let scan_www = scan_www != 0;
     let nv = c.u16()? as usize;
     let mut vantages = Vec::with_capacity(nv);
     for _ in 0..nv {
@@ -375,7 +382,7 @@ fn read_manifest(path: &Path) -> io::Result<StoreMeta> {
     let population = c.u64()?;
     let list_size = c.u64()?;
     if !sample_days.windows(2).all(|w| w[0] < w[1]) {
-        return Err(corrupt("MANIFEST: sample days not strictly ascending".into()));
+        return Err(corrupt(format!("{ctx}: sample days not strictly ascending")));
     }
     Ok(StoreMeta { vantages, sample_days, scan_www, world_seed, population, list_size })
 }
@@ -392,37 +399,29 @@ fn dict_entry_bytes(name: &str) -> Vec<u8> {
 
 /// Scan the dictionary file: returns the names, the offset just past
 /// the last complete entry, and whether a torn tail was dropped.
-fn scan_dict(file: &mut File) -> io::Result<(Vec<String>, u64, bool)> {
+fn scan_dict(file: &mut File, path: &Path) -> io::Result<(Vec<String>, u64, bool)> {
     let mut buf = Vec::new();
     file.seek(SeekFrom::Start(0))?;
     file.read_to_end(&mut buf)?;
-    if buf.len() < 10 || buf[..8] != DICT_MAGIC {
-        return Err(corrupt("orgs.dict: bad or truncated header".into()));
-    }
-    let version = u16::from_le_bytes(buf[8..10].try_into().expect("2 bytes"));
-    if version == 0 || version > FORMAT_VERSION {
-        return Err(corrupt(format!("orgs.dict: unsupported format version {version}")));
-    }
+    let ctx = path.display().to_string();
+    let mut c = Cursor::new(&buf, &ctx);
+    c.header(DICT_MAGIC, "an org dictionary")?;
     let mut names = Vec::new();
-    let mut pos = 10usize;
-    loop {
-        if buf.len() - pos < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
+    let mut end = buf.len() - c.remaining();
+    while c.remaining() > 0 {
+        // A torn final entry (its length or its name cut short) ends
+        // the scan.
+        let Ok(len) = c.u32() else { break };
         if len > MAX_DICT_ENTRY {
-            return Err(corrupt(format!("orgs.dict: implausible entry length {len}")));
+            return Err(corrupt(format!("{ctx}: implausible entry length {len}")));
         }
-        let len = len as usize;
-        if buf.len() - pos - 4 < len {
-            break;
-        }
-        let name = String::from_utf8(buf[pos + 4..pos + 4 + len].to_vec())
-            .map_err(|_| corrupt("orgs.dict: non-UTF-8 entry".into()))?;
+        let Ok(name) = c.take(len as usize) else { break };
+        let name = String::from_utf8(name.to_vec())
+            .map_err(|_| corrupt(format!("{ctx}: non-UTF-8 entry")))?;
         names.push(name);
-        pos += 4 + len;
+        end = buf.len() - c.remaining();
     }
-    Ok((names, pos as u64, pos < buf.len()))
+    Ok((names, end as u64, end < buf.len()))
 }
 
 fn interner_from_names(names: Vec<String>) -> OrgInterner {
@@ -436,10 +435,10 @@ fn interner_from_names(names: Vec<String>) -> OrgInterner {
 // ---------------------------------------------------------------------
 // Column files.
 
-fn column_header_bytes(vantage: &str, version: u16) -> Vec<u8> {
+fn column_header_bytes(vantage: &str) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&COLUMN_MAGIC);
-    put_u16(&mut buf, version);
+    put_u16(&mut buf, FORMAT_VERSION);
     put_str(&mut buf, vantage);
     buf
 }
@@ -456,33 +455,23 @@ struct ColumnScan {
 }
 
 /// Parse one 24-byte chunk header starting at `header_offset`; `None`
-/// for an unrecognized magic.
+/// for a wrong magic or a payload too short to hold the stats footer.
 fn parse_chunk_header(
     header: &[u8; CHUNK_HEADER_BYTES as usize],
     header_offset: u64,
 ) -> Option<ChunkRef> {
-    let version = match &header[..4] {
-        m if *m == CHUNK_MAGIC_V1 => 1,
-        m if *m == CHUNK_MAGIC_V2 => 2,
-        _ => return None,
-    };
-    Some(ChunkRef {
-        day: u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")),
-        rows: u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")),
-        payload_offset: header_offset + CHUNK_HEADER_BYTES,
-        payload_len: u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")),
-        checksum: u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")),
-        version,
-    })
-}
-
-/// Version-specific structural plausibility of a chunk header: exact
-/// payload size for fixed-width v1, footer-capacity for v2.
-fn chunk_shape_ok(c: &ChunkRef) -> bool {
-    match c.version {
-        1 => c.payload_len as u64 == c.rows as u64 * ROW_BYTES as u64,
-        _ => c.payload_len as u64 >= MIN_V2_PAYLOAD,
+    let mut c = Cursor::new(header, "chunk header");
+    if c.array().ok()? != CHUNK_MAGIC {
+        return None;
     }
+    let chunk = ChunkRef {
+        day: c.u32().ok()?,
+        rows: c.u32().ok()?,
+        payload_offset: header_offset + CHUNK_HEADER_BYTES,
+        payload_len: c.u32().ok()?,
+        checksum: c.u64().ok()?,
+    };
+    (chunk.payload_len as u64 >= MIN_PAYLOAD).then_some(chunk)
 }
 
 /// Structurally scan a column file without reading chunk payloads.
@@ -493,21 +482,16 @@ fn chunk_shape_ok(c: &ChunkRef) -> bool {
 /// only corrupt the tail.
 fn scan_column(file: &mut File, path: &Path) -> io::Result<ColumnScan> {
     let len = file.metadata()?.len();
-    let ctx = path.display();
+    let ctx = path.display().to_string();
     file.seek(SeekFrom::Start(0))?;
     let mut head = [0u8; 12];
     if len < 12 {
         return Err(corrupt(format!("{ctx}: truncated column header")));
     }
     file.read_exact(&mut head)?;
-    if head[..8] != COLUMN_MAGIC {
-        return Err(corrupt(format!("{ctx}: bad magic (not a column file)")));
-    }
-    let version = u16::from_le_bytes(head[8..10].try_into().expect("2 bytes"));
-    if version == 0 || version > FORMAT_VERSION {
-        return Err(corrupt(format!("{ctx}: unsupported format version {version}")));
-    }
-    let name_len = u16::from_le_bytes(head[10..12].try_into().expect("2 bytes")) as u64;
+    let mut c = Cursor::new(&head, &ctx);
+    c.header(COLUMN_MAGIC, "a column file")?;
+    let name_len = c.u16()? as u64;
     if len < 12 + name_len {
         return Err(corrupt(format!("{ctx}: truncated column header")));
     }
@@ -540,24 +524,19 @@ fn scan_chunks_forward(
         }
         file.seek(SeekFrom::Start(pos))?;
         file.read_exact(&mut header)?;
-        let chunk = parse_chunk_header(&header, pos);
-        let structurally_ok = chunk.is_some_and(|c| {
-            chunk_shape_ok(&c)
-                && chunks.last().is_none_or(|prev| c.day > prev.day)
-                && c.end_offset() <= len
-        });
-        if !structurally_ok {
+        let Some(chunk) = parse_chunk_header(&header, pos)
+            .filter(|c| chunks.last().is_none_or(|prev| c.day > prev.day) && c.end_offset() <= len)
+        else {
             truncated = true;
             break;
-        }
-        let chunk = chunk.expect("checked above");
+        };
         pos = chunk.end_offset();
         chunks.push(chunk);
     }
     Ok((chunks, pos.min(len), truncated))
 }
 
-fn encode_payload_v2(obs: &[Observation]) -> Vec<u8> {
+fn encode_payload(obs: &[Observation]) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut col: Vec<u64> = Vec::with_capacity(obs.len());
     for (c, &width) in COLUMN_WIDTHS.iter().enumerate() {
@@ -572,15 +551,15 @@ fn encode_payload_v2(obs: &[Observation]) -> Vec<u8> {
     buf
 }
 
-/// Serialize one complete v2 chunk (header, payload and trailer) to be
+/// Serialize one complete chunk (header, payload and trailer) to be
 /// appended at `header_offset`. The codec choice inside is a pure
-/// function of the observations, so a resumed or compacted store
-/// re-emits byte-identical chunks.
+/// function of the observations, so a resumed store re-emits
+/// byte-identical chunks.
 fn encode_chunk(day: u32, obs: &[Observation], header_offset: u64) -> (Vec<u8>, ChunkRef) {
-    let payload = encode_payload_v2(obs);
+    let payload = encode_payload(obs);
     let checksum = fnv1a64(&payload);
     let mut buf = Vec::with_capacity((CHUNK_HEADER_BYTES + TRAILER_BYTES) as usize + payload.len());
-    buf.extend_from_slice(&CHUNK_MAGIC_V2);
+    buf.extend_from_slice(&CHUNK_MAGIC);
     put_u32(&mut buf, day);
     put_u32(&mut buf, u32::try_from(obs.len()).expect("row count fits in u32"));
     put_u32(&mut buf, u32::try_from(payload.len()).expect("payload fits in u32"));
@@ -594,54 +573,11 @@ fn encode_chunk(day: u32, obs: &[Observation], header_offset: u64) -> (Vec<u8>, 
         payload_offset: header_offset + CHUNK_HEADER_BYTES,
         payload_len: payload.len() as u32,
         checksum,
-        version: 2,
     };
     (buf, chunk)
 }
 
-fn decode_payload_v1(
-    chunk: &ChunkRef,
-    payload: &[u8],
-    proj: Projection,
-    out: &mut Vec<Observation>,
-) -> io::Result<()> {
-    let n = chunk.rows as usize;
-    debug_assert_eq!(payload.len(), n * ROW_BYTES);
-    let u32_at = |base: usize, i: usize| {
-        u32::from_le_bytes(payload[base + 4 * i..base + 4 * i + 4].try_into().expect("4 bytes"))
-    };
-    out.clear();
-    out.reserve(n);
-    for i in 0..n {
-        if proj.includes_column(0) {
-            let day = u32_at(0, i);
-            if day != chunk.day {
-                return Err(corrupt(format!(
-                    "chunk for day {} contains a row stamped day {day}",
-                    chunk.day
-                )));
-            }
-        }
-        out.push(Observation {
-            day: chunk.day,
-            domain_id: if proj.includes_column(1) { u32_at(4 * n, i) } else { 0 },
-            rank: if proj.includes_column(2) { u32_at(8 * n, i) } else { 0 },
-            flags: if proj.includes_column(3) { u32_at(12 * n, i) } else { 0 },
-            ns_category: if proj.includes_column(4) { payload[16 * n + i] } else { 0 },
-            org: if proj.includes_column(5) { OrgId(u32_at(17 * n, i)) } else { OrgId::NONE },
-            min_priority: if proj.includes_column(6) {
-                u16::from_le_bytes(
-                    payload[21 * n + 2 * i..21 * n + 2 * i + 2].try_into().expect("2 bytes"),
-                )
-            } else {
-                0
-            },
-        });
-    }
-    Ok(())
-}
-
-fn decode_payload_v2(
+fn decode_payload(
     chunk: &ChunkRef,
     payload: &[u8],
     proj: Projection,
@@ -650,41 +586,35 @@ fn decode_payload_v2(
 ) -> io::Result<()> {
     // The footer's row count is checksummed, the header's is not: check
     // them against each other before any block decode sizes a buffer.
-    // `chunk_shape_ok` admitted no v2 payload shorter than the footer.
-    let footer_at = payload.len() - STATS_BYTES;
-    checked_footer(chunk, &payload[footer_at..])?;
+    let Some((blocks, footer)) = payload.split_last_chunk::<STATS_BYTES>() else {
+        return Err(corrupt(format!("payload shorter than the {STATS_BYTES}-byte stats footer")));
+    };
+    checked_footer(chunk, footer)?;
     let n = chunk.rows as usize;
-    let mut pos = 0usize;
+    let mut blocks = Cursor::new(blocks, "payload");
     for (c, col) in cols.iter_mut().enumerate() {
-        if payload.len() - pos < 5 {
-            return Err(corrupt(format!(
-                "payload truncated before the {} block header",
-                COLUMN_NAMES[c]
-            )));
-        }
-        let tag = payload[pos];
-        let data_len =
-            u32::from_le_bytes(payload[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-        pos += 5;
-        if payload.len() - pos < data_len {
-            return Err(corrupt(format!(
-                "{} block claims {data_len} bytes but only {} remain",
-                COLUMN_NAMES[c],
-                payload.len() - pos
-            )));
-        }
+        let name = COLUMN_NAMES[c];
+        let [tag, data_len @ ..] = blocks
+            .array::<5>()
+            .map_err(|_| corrupt(format!("payload truncated before the {name} block header")))?;
+        let data_len = u32::from_le_bytes(data_len) as usize;
+        let data = blocks.take(data_len).map_err(|_| {
+            corrupt(format!(
+                "{name} block claims {data_len} bytes but only {} remain",
+                blocks.remaining()
+            ))
+        })?;
         if proj.includes_column(c) {
-            encoding::decode_block(tag, &payload[pos..pos + data_len], n, COLUMN_WIDTHS[c], col)
-                .map_err(|e| corrupt(format!("{} block: {e}", COLUMN_NAMES[c])))?;
+            encoding::decode_block(tag, data, n, COLUMN_WIDTHS[c], col)
+                .map_err(|e| corrupt(format!("{name} block: {e}")))?;
         } else {
             col.clear();
         }
-        pos += data_len;
     }
-    if pos != footer_at {
+    if blocks.remaining() != 0 {
         return Err(corrupt(format!(
             "{} bytes where the {STATS_BYTES}-byte stats footer should be",
-            payload.len() - pos
+            blocks.remaining()
         )));
     }
     if proj.includes_column(0) {
@@ -810,30 +740,23 @@ fn read_chunk_inner(
             chunk.checksum
         )));
     }
-    match chunk.version {
-        1 => decode_payload_v1(chunk, &scratch.bytes, proj, out),
-        2 => decode_payload_v2(chunk, &scratch.bytes, proj, &mut scratch.cols, out),
-        v => Err(corrupt(format!("unknown chunk version {v}"))),
-    }
+    decode_payload(chunk, &scratch.bytes, proj, &mut scratch.cols, out)
 }
 
-/// Read a v2 chunk's statistics footer without decoding the payload.
-fn read_chunk_stats(file: &mut File, chunk: &ChunkRef) -> io::Result<Option<ChunkStats>> {
-    if chunk.version < 2 {
-        return Ok(None);
-    }
+/// Read a chunk's statistics footer without decoding the payload.
+fn read_chunk_stats(file: &mut File, chunk: &ChunkRef) -> io::Result<ChunkStats> {
     let mut buf = [0u8; STATS_BYTES];
     file.seek(SeekFrom::Start(
         chunk.payload_offset + chunk.payload_len as u64 - STATS_BYTES as u64,
     ))?;
     file.read_exact(&mut buf)?;
-    checked_footer(chunk, &buf).map(Some)
+    checked_footer(chunk, &buf)
 }
 
 /// Decode `chunk`'s stats footer, refusing one whose row count
 /// contradicts the chunk header.
-fn checked_footer(chunk: &ChunkRef, buf: &[u8]) -> io::Result<ChunkStats> {
-    let stats = ChunkStats::decode(buf);
+fn checked_footer(chunk: &ChunkRef, buf: &[u8; STATS_BYTES]) -> io::Result<ChunkStats> {
+    let stats = ChunkStats::decode(buf)?;
     if stats.rows != chunk.rows {
         return Err(corrupt(format!(
             "stats footer says {} rows but the chunk header says {}",
@@ -864,8 +787,8 @@ pub struct StoreWriter {
 }
 
 impl StoreWriter {
-    /// Create a fresh store directory in the v2 format, the only one
-    /// this build writes. Fails (rather than clobbering) if `dir`
+    /// Create a fresh store directory in the [`FORMAT_VERSION`] format.
+    /// Fails (rather than clobbering) if `dir`
     /// already contains a store manifest.
     pub fn create(dir: &Path, meta: StoreMeta) -> io::Result<StoreWriter> {
         assert!(!meta.vantages.is_empty(), "a store needs at least one vantage");
@@ -877,7 +800,7 @@ impl StoreWriter {
                 format!("{}: store already exists (use resume)", dir.display()),
             ));
         }
-        std::fs::write(&manifest, manifest_bytes(&meta, FORMAT_VERSION))?;
+        std::fs::write(&manifest, manifest_bytes(&meta))?;
         let mut dict_file = OpenOptions::new()
             .create(true)
             .truncate(true)
@@ -896,7 +819,7 @@ impl StoreWriter {
                 .read(true)
                 .write(true)
                 .open(dir.join(column_file_name(i)))?;
-            file.write_all(&column_header_bytes(vantage, FORMAT_VERSION))?;
+            file.write_all(&column_header_bytes(vantage))?;
             files.push(file);
         }
         let indexes = vec![Vec::new(); meta.vantages.len()];
@@ -917,12 +840,9 @@ impl StoreWriter {
     /// *all* vantages, so the store sits at a clean day boundary.
     pub fn open_resume(dir: &Path) -> io::Result<StoreWriter> {
         let meta = read_manifest(&dir.join("MANIFEST"))?;
-        let mut dict_file =
-            OpenOptions::new().read(true).write(true).open(dir.join("orgs.dict"))?;
-        let (dict_names, dict_end, dict_torn) = scan_dict(&mut dict_file)?;
-        if dict_torn {
-            dict_file.set_len(dict_end)?;
-        }
+        let dict_path = dir.join("orgs.dict");
+        let mut dict_file = OpenOptions::new().read(true).write(true).open(&dict_path)?;
+        let (dict_names, dict_end, dict_torn) = scan_dict(&mut dict_file, &dict_path)?;
 
         let mut files = Vec::with_capacity(meta.vantages.len());
         let mut scans = Vec::with_capacity(meta.vantages.len());
@@ -972,7 +892,13 @@ impl StoreWriter {
             scans.push(scan);
         }
 
-        // Truncate to the last day every vantage completed.
+        // Every header and index checked out: only now cut torn tails,
+        // and every column file back to the last day all vantages
+        // completed.
+        if dict_torn {
+            dict_file.set_len(dict_end)?;
+            dict_file.seek(SeekFrom::End(0))?;
+        }
         let complete = scans.iter().map(|s| s.chunks.len()).min().unwrap_or(0);
         for (file, scan) in files.iter_mut().zip(scans.iter_mut()) {
             scan.chunks.truncate(complete);
@@ -981,8 +907,6 @@ impl StoreWriter {
             file.seek(SeekFrom::End(0))?;
         }
         let indexes = scans.into_iter().map(|s| s.chunks).collect();
-        // A resumed v1 store grows v2 chunks, which the per-chunk magic
-        // dispatch reads alongside the old ones.
         Ok(StoreWriter {
             dir: dir.to_path_buf(),
             meta,
@@ -1169,8 +1093,8 @@ impl StoreReader {
         self.index.iter().map(|c| c.rows as usize).max().unwrap_or(0)
     }
 
-    /// The statistics footer of `day`'s chunk: `None` for absent days
-    /// and for v1 chunks (which carry no footer). Advisory metadata —
+    /// The statistics footer of `day`'s chunk, `None` for an absent
+    /// day. Advisory metadata —
     /// it is read without checksum verification, but a footer whose row
     /// count contradicts the chunk header is an error.
     pub fn chunk_stats(&self, day: u32) -> io::Result<Option<ChunkStats>> {
@@ -1179,6 +1103,7 @@ impl StoreReader {
         };
         let mut state = self.state.lock().expect("reader lock");
         read_chunk_stats(&mut state.file, chunk)
+            .map(Some)
             .map_err(|e| ChunkLocus { path: &self.path, vantage: &self.vantage }.wrap(chunk, e))
     }
 
@@ -1276,8 +1201,8 @@ impl OpenStore {
 /// and consumers like `vantage_diff` work over the common days.
 pub fn open_store(dir: &Path) -> io::Result<OpenStore> {
     let meta = read_manifest(&dir.join("MANIFEST"))?;
-    let mut dict_file = File::open(dir.join("orgs.dict"))?;
-    let (names, _, _) = scan_dict(&mut dict_file)?;
+    let dict_path = dir.join("orgs.dict");
+    let (names, _, _) = scan_dict(&mut File::open(&dict_path)?, &dict_path)?;
     let orgs = Arc::new(interner_from_names(names));
     let mut readers = Vec::with_capacity(meta.vantages.len());
     for (i, vantage) in meta.vantages.iter().enumerate() {
@@ -1307,119 +1232,6 @@ pub fn open_store(dir: &Path) -> io::Result<OpenStore> {
     Ok(OpenStore { meta, readers })
 }
 
-/// What [`compact_store`] did: chunk/row totals and the size change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Column files rewritten.
-    pub vantages: usize,
-    /// Chunks re-encoded.
-    pub chunks: usize,
-    /// Observation rows carried over.
-    pub rows: u64,
-    /// Store directory size before (sum of file lengths).
-    pub bytes_before: u64,
-    /// Store directory size after.
-    pub bytes_after: u64,
-}
-
-fn dir_bytes(dir: &Path) -> io::Result<u64> {
-    let mut total = 0;
-    for entry in std::fs::read_dir(dir)? {
-        total += entry?.metadata()?.len();
-    }
-    Ok(total)
-}
-
-/// Rewrite a store (typically v1) into the v2 block format, in a
-/// sibling directory swapped in by atomic renames.
-///
-/// Every chunk is checksum-verified, fully decoded, and re-encoded as
-/// v2; the manifest's campaign shape and the org dictionary's complete
-/// entries are carried over unchanged, so the compacted store resumes
-/// and streams exactly like the original (a torn tail chunk, which a
-/// resume would re-scan anyway, is dropped — mid-store corruption is an
-/// error, not a drop). The directory is replaced via
-/// `dir` → `<dir>.compact-old`, `<dir>.compact-tmp` → `dir`, so a crash
-/// mid-compact never leaves a half-written store under the original
-/// name.
-pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
-    let name = dir.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
-        io::Error::new(ErrorKind::InvalidInput, "store path has no directory name")
-    })?;
-    let tmp = dir.with_file_name(format!("{name}.compact-tmp"));
-    let old = dir.with_file_name(format!("{name}.compact-old"));
-    if tmp.exists() {
-        std::fs::remove_dir_all(&tmp)?;
-    }
-    if old.exists() {
-        return Err(io::Error::new(
-            ErrorKind::AlreadyExists,
-            format!(
-                "{}: leftover from an interrupted compact — inspect and remove it",
-                old.display()
-            ),
-        ));
-    }
-    let bytes_before = dir_bytes(dir)?;
-
-    let meta = read_manifest(&dir.join("MANIFEST"))?;
-    std::fs::create_dir_all(&tmp)?;
-    std::fs::write(tmp.join("MANIFEST"), manifest_bytes(&meta, FORMAT_VERSION))?;
-
-    // Dictionary: complete entries only, under a v2 header.
-    let mut dict_file = File::open(dir.join("orgs.dict"))?;
-    let (names, _, _) = scan_dict(&mut dict_file)?;
-    let mut dict = Vec::new();
-    dict.extend_from_slice(&DICT_MAGIC);
-    put_u16(&mut dict, FORMAT_VERSION);
-    for n in &names {
-        dict.extend_from_slice(&dict_entry_bytes(n));
-    }
-    std::fs::write(tmp.join("orgs.dict"), dict)?;
-
-    let mut report = CompactReport {
-        vantages: meta.vantages.len(),
-        chunks: 0,
-        rows: 0,
-        bytes_before,
-        bytes_after: 0,
-    };
-    let mut scratch = Scratch::default();
-    let mut decoded = Vec::new();
-    for (i, vantage) in meta.vantages.iter().enumerate() {
-        let path = dir.join(column_file_name(i));
-        let mut src = File::open(&path)?;
-        let scan = scan_column(&mut src, &path)?;
-        if scan.vantage != *vantage {
-            return Err(corrupt(format!(
-                "{}: vantage \"{}\" does not match manifest \"{vantage}\"",
-                path.display(),
-                scan.vantage
-            )));
-        }
-        let mut dst = File::create(tmp.join(column_file_name(i)))?;
-        let header = column_header_bytes(vantage, FORMAT_VERSION);
-        dst.write_all(&header)?;
-        let mut offset = header.len() as u64;
-        let locus = ChunkLocus { path: &path, vantage };
-        for chunk in &scan.chunks {
-            read_chunk(&mut src, chunk, Projection::ALL, &mut scratch, &mut decoded, locus)?;
-            let (buf, _) = encode_chunk(chunk.day, &decoded, offset);
-            dst.write_all(&buf)?;
-            offset += buf.len() as u64;
-            report.chunks += 1;
-            report.rows += chunk.rows as u64;
-        }
-        dst.flush()?;
-    }
-
-    std::fs::rename(dir, &old)?;
-    std::fs::rename(&tmp, dir)?;
-    std::fs::remove_dir_all(&old)?;
-    report.bytes_after = dir_bytes(dir)?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1441,19 +1253,6 @@ mod tests {
             population: 400,
             list_size: 300,
         }
-    }
-
-    /// A private copy of the committed golden v1 store: vantages
-    /// `golden-a`/`golden-b`, days 0, 3 and 7, 60 rows a day.
-    fn golden_v1_copy(tag: &str) -> PathBuf {
-        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1_store");
-        let dir = temp_dir(tag);
-        std::fs::create_dir_all(&dir).unwrap();
-        for entry in std::fs::read_dir(src).unwrap() {
-            let entry = entry.unwrap();
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-        }
-        dir
     }
 
     /// Every row a reader streams, in day order.
@@ -1516,6 +1315,13 @@ mod tests {
         assert_eq!(r.org_name(OrgId(0)), Some("Cloudflare, Inc."));
         let expect: Vec<Observation> = day0.iter().chain(&day2).copied().collect();
         assert_eq!(streamed(r), expect);
+        // The non-empty footer: rows, per-column ranges, orgs seen.
+        let stats = r.chunk_stats(2).unwrap().expect("day 2 is stored");
+        assert_eq!(stats.rows, 40);
+        assert_eq!((stats.min[0], stats.max[0]), (2, 2));
+        assert_eq!((stats.min[1], stats.max[1]), (0, 39));
+        assert_eq!(stats.distinct_orgs, 3); // NONE plus OrgId(0)/OrgId(1)
+        assert!(r.chunk_stats(1).unwrap().is_none(), "no chunk for day 1");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1614,7 +1420,7 @@ mod tests {
         .unwrap();
         drop(w);
         // Flip one byte inside the FIRST chunk's payload (not the tail;
-        // a v2 payload is at least the 124-byte stats footer, so +5 is
+        // a payload is at least the 124-byte stats footer, so +5 is
         // well inside it).
         let path = dir.join(column_file_name(0));
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1639,46 +1445,6 @@ mod tests {
             msg.contains(&format!("day 0 chunk at byte offset {header_end}")),
             "panic was: {msg}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_chunks_and_resumed_v2_appends_share_one_file() {
-        // The committed v1 store, cut after each file's day-0 chunk…
-        let dir = golden_v1_copy("mixed");
-        let day0_end = 12 + "golden-a".len() as u64 + CHUNK_HEADER_BYTES + 60 * ROW_BYTES as u64;
-        for v in 0..2 {
-            let f = OpenOptions::new().write(true).open(dir.join(column_file_name(v))).unwrap();
-            f.set_len(day0_end).unwrap();
-        }
-        let open = open_store(&dir).unwrap();
-        assert!(!open.readers[0].truncated_tail(), "the cut is a chunk boundary");
-        let day0 = streamed(&open.readers[0]);
-        assert_eq!(day0.len(), 60);
-        let orgs = (*open.readers[0].orgs).clone();
-        drop(open);
-        let day3: Vec<Observation> = (0..35).map(|i| obs(3, i, 0)).collect();
-
-        // …resumed by this build appends v2 chunks into the same files.
-        let mut w = StoreWriter::open_resume(&dir).unwrap();
-        assert_eq!(w.completed_days(), 1);
-        for v in 0..2 {
-            w.append_chunk(v, 3, &day3, &orgs).unwrap();
-        }
-        assert_eq!(w.read_day(0, 0).unwrap(), day0);
-        assert_eq!(w.read_day(0, 3).unwrap(), day3);
-        drop(w);
-
-        let open = open_store(&dir).unwrap();
-        let expect: Vec<Observation> = day0.iter().chain(&day3).copied().collect();
-        assert_eq!(streamed(&open.readers[0]), expect);
-        // The v1 chunk has no stats footer, the v2 one does.
-        assert!(open.readers[0].chunk_stats(0).unwrap().is_none());
-        let stats = open.readers[0].chunk_stats(3).unwrap().expect("v2 footer");
-        assert_eq!(stats.rows, 35);
-        assert_eq!((stats.min[0], stats.max[0]), (3, 3));
-        assert_eq!((stats.min[1], stats.max[1]), (0, 34));
-        assert_eq!(stats.distinct_orgs, 3); // NONE plus OrgId(0)/OrgId(1)
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1759,32 +1525,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_rewrites_v1_store_smaller_and_byte_identical_streams() {
-        let dir = golden_v1_copy("compact");
-        let meta = read_manifest(&dir.join("MANIFEST")).unwrap();
-        let before = streamed(&open_store(&dir).unwrap().readers[0]);
-
-        let report = compact_store(&dir).unwrap();
-        assert_eq!((report.vantages, report.chunks, report.rows), (2, 6, 360));
-        assert!(
-            report.bytes_after < report.bytes_before,
-            "compact grew the store: {} -> {}",
-            report.bytes_before,
-            report.bytes_after
-        );
-        let name = dir.file_name().unwrap().to_str().unwrap();
-        assert!(!dir.with_file_name(format!("{name}.compact-tmp")).exists());
-        assert!(!dir.with_file_name(format!("{name}.compact-old")).exists());
-
-        let open = open_store(&dir).unwrap();
-        assert_eq!(open.meta, meta);
-        assert_eq!(streamed(&open.readers[0]), before);
-        // The rewritten chunks are v2: stats footers exist now.
-        assert!(open.readers[0].chunk_stats(0).unwrap().is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn empty_chunks_round_trip_in_v2() {
         let dir = temp_dir("emptyv2");
         let orgs = OrgInterner::default();
@@ -1817,7 +1557,6 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("MANIFEST: truncated"), "{err}");
         assert_eq!(StoreWriter::open_resume(&dir).unwrap_err().kind(), ErrorKind::InvalidData);
-        assert_eq!(compact_store(&dir).unwrap_err().kind(), ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1862,7 +1601,7 @@ mod tests {
             }
         }
         drop(w);
-        let short = manifest_bytes(&meta_for(&[0]), FORMAT_VERSION);
+        let short = manifest_bytes(&meta_for(&[0]));
         std::fs::write(dir.join("MANIFEST"), short).unwrap();
 
         let err = StoreWriter::open_resume(&dir).unwrap_err();
@@ -1870,6 +1609,79 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains(&dir.join(column_file_name(0)).display().to_string()), "{msg}");
         assert!(msg.contains("chunk 1 is day 2 but the campaign has 1 days"), "{msg}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file of a store directory, by name.
+    fn store_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn v1_headers_are_refused_before_any_byte_is_cut() {
+        for file in ["MANIFEST", "orgs.dict", "v01.col"] {
+            let dir = temp_dir(&format!("oldheader-{file}"));
+            let mut orgs = OrgInterner::default();
+            orgs.intern("Org A");
+            let mut w = StoreWriter::create(&dir, meta_for(&[0, 2])).unwrap();
+            w.append_chunk(0, 0, &[obs(0, 1, 0)], &orgs).unwrap();
+            w.append_chunk(1, 0, &[obs(0, 1, 0)], &orgs).unwrap();
+            w.append_chunk(0, 2, &[obs(2, 1, 0)], &orgs).unwrap();
+            drop(w);
+            // Tails a resume would cut: vantage 0 is a day ahead of
+            // vantage 1, and the dictionary ends in a torn entry.
+            let mut dict = OpenOptions::new().append(true).open(dir.join("orgs.dict")).unwrap();
+            dict.write_all(&[7, 0]).unwrap();
+            drop(dict);
+            // The format version sits at bytes 8..10 of every header.
+            let path = dir.join(file);
+            let mut bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes[8..10], FORMAT_VERSION.to_le_bytes(), "{file}");
+            bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let before = store_files(&dir);
+
+            let Err(open_err) = open_store(&dir) else { panic!("{file}: a v1 store opened") };
+            let resume_err = StoreWriter::open_resume(&dir).unwrap_err();
+            for err in [open_err, resume_err] {
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "{file}");
+                let msg = err.to_string();
+                assert!(msg.contains(&path.display().to_string()), "{file}: {msg}");
+                assert!(msg.contains("v1 stores are not supported"), "{file}: {msg}");
+            }
+            assert_eq!(store_files(&dir), before, "{file}: a refused resume changed the store");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn resume_cuts_a_torn_dict_entry_and_appends_at_the_cut() {
+        let dir = temp_dir("torndict");
+        let mut orgs = OrgInterner::default();
+        orgs.intern("Org A");
+        let mut w = StoreWriter::create(&dir, meta_for(&[0])).unwrap();
+        w.sync_orgs(&orgs).unwrap();
+        drop(w);
+        // A killed append: the next entry's length and half its name.
+        let path = dir.join("orgs.dict");
+        let mut torn = dict_entry_bytes("Org B");
+        torn.truncate(6);
+        OpenOptions::new().append(true).open(&path).unwrap().write_all(&torn).unwrap();
+
+        let mut w = StoreWriter::open_resume(&dir).unwrap();
+        orgs.intern("Org B");
+        w.sync_orgs(&orgs).unwrap();
+        drop(w);
+        let (names, end, torn) = scan_dict(&mut File::open(&path).unwrap(), &path).unwrap();
+        assert_eq!(names, ["Org A", "Org B"]);
+        assert!(!torn);
+        assert_eq!(end, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,4 +1,4 @@
-//! Per-column block encodings for v2 chunks.
+//! Per-column block encodings for store chunks.
 //!
 //! A block encodes one column of a single day's chunk as a `(tag, data)`
 //! pair. Values are carried as `u64` regardless of the column's on-disk
@@ -16,7 +16,7 @@
 //! [`choose_block`] encodes a column with every applicable codec and
 //! keeps the smallest output; ties break toward the lower tag. The
 //! choice is a pure function of the values, which is what keeps resumed
-//! and compacted stores byte-identical to uninterrupted writes.
+//! stores byte-identical to uninterrupted writes.
 //!
 //! Decoding validates everything it touches — widths, varint
 //! termination, dict bounds, exact data consumption — and returns

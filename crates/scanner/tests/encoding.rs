@@ -1,26 +1,19 @@
-//! v2 block-codec and format-migration tests:
+//! v2 block-codec and on-disk format tests:
 //!
 //! 1. **Codec round-trips (property)** — every encoder the chooser can
 //!    pick (raw / constant / RLE / delta-varint / dict-packed) survives
 //!    encode → decode exactly, including empty, single-row, and
 //!    adversarial high-cardinality blocks, and the chooser never emits
 //!    a block larger than raw.
-//! 2. **Golden v1 pin** — a committed fixture written by the frozen v1
-//!    raw format (no build writes it any more) streams byte-identically
-//!    through today's reader.
-//! 3. **Compact** — `compact_store` rewrites the v1 fixture into exactly
-//!    the bytes a native v2 write of the same rows produces, compacting
-//!    a v2 store is a byte-for-byte no-op, and a compacted campaign
-//!    store replays clean under resume (all days verified, nothing
-//!    appended).
+//! 2. **Golden v2 pin** — a committed store holds the bytes the writer
+//!    produced for a fixed set of rows: a fresh write of the same rows
+//!    must equal it byte for byte, and it must stream exactly those
+//!    rows back.
 
 use proptest::prelude::*;
 use scanner::persist::encoding::{choose_block, decode_block};
 use scanner::persist::{StoreMeta, StoreWriter};
-use scanner::{
-    compact_store, open_store, Campaign, Observation, ObservationSource, OrgId, OrgInterner,
-    ScanFilter,
-};
+use scanner::{open_store, Observation, ObservationSource, OrgId, OrgInterner, ScanFilter};
 use std::path::{Path, PathBuf};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -119,10 +112,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Golden v1 fixture: committed bytes written by the raw v1 format.
+// Golden v2 fixture: committed bytes of the golden rows' store.
 
 fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1_store")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2_store")
 }
 
 const GOLDEN_DAYS: [u32; 3] = [0, 3, 7];
@@ -164,7 +157,7 @@ fn golden_rows(day: u32, vantage: usize) -> Vec<Observation> {
         .collect()
 }
 
-/// The golden rows written natively, as this build writes every store.
+/// The golden rows written the way this build writes every store.
 fn write_golden_v2(dir: &Path) {
     let mut orgs = OrgInterner::default();
     for name in ["Cloudflare, Inc.", "GoDaddy.com, LLC", "Google LLC", "NSOne, Inc."] {
@@ -185,18 +178,19 @@ fn store_bytes(dir: &Path) -> Vec<Vec<u8>> {
     STORE_FILES.iter().map(|name| std::fs::read(dir.join(name)).expect("store file")).collect()
 }
 
-/// The committed v1 store opens, carries v1 headers/chunks on disk, and
-/// streams the exact observation sequence it was written from.
+/// The committed store is what this build writes for the golden rows,
+/// byte for byte, and it streams exactly those rows back.
 #[test]
-fn golden_v1_store_streams_byte_identically() {
-    let dir = fixture_dir();
-    let col = std::fs::read(dir.join("v00.col")).expect("committed fixture present");
-    assert_eq!(&col[..8], b"SNAPCOL1");
-    assert_eq!(u16::from_le_bytes([col[8], col[9]]), 1, "fixture file header must be v1");
-    let header_end = 12 + GOLDEN_VANTAGES[0].len();
-    assert_eq!(&col[header_end..header_end + 4], b"CHNK", "fixture chunks must be raw v1");
+fn golden_v2_store_is_pinned_byte_for_byte() {
+    let committed = store_bytes(&fixture_dir());
+    let fresh = scratch("golden-v2");
+    write_golden_v2(&fresh);
+    for (name, (got, want)) in STORE_FILES.iter().zip(store_bytes(&fresh).iter().zip(&committed)) {
+        assert_eq!(got, want, "a fresh write differs from the committed store ({name})");
+    }
+    std::fs::remove_dir_all(&fresh).expect("cleanup");
 
-    let open = open_store(&dir).expect("golden fixture opens");
+    let open = open_store(&fixture_dir()).expect("golden fixture opens");
     assert_eq!(open.meta, golden_meta());
     for (vi, reader) in open.readers.iter().enumerate() {
         assert_eq!(reader.vantage(), GOLDEN_VANTAGES[vi]);
@@ -209,75 +203,4 @@ fn golden_v1_store_streams_byte_identically() {
             GOLDEN_DAYS.iter().flat_map(|&d| golden_rows(d, vi)).collect();
         assert_eq!(streamed, expect, "vantage {vi} stream diverged from the fixture source");
     }
-}
-
-// ---------------------------------------------------------------------
-// Compact: v1 → v2 rewrite preserves the stream and replays under resume.
-
-#[test]
-fn compact_then_stream_is_byte_identical_to_original() {
-    let dir = scratch("compact-stream");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    for name in STORE_FILES {
-        std::fs::copy(fixture_dir().join(name), dir.join(name)).expect("copy fixture");
-    }
-
-    let streamed = |dir: &Path| {
-        let open = open_store(dir).expect("open");
-        let mut out = Vec::new();
-        scanner::write_combined_csv(&open.sources(), &mut out).expect("csv");
-        String::from_utf8(out).expect("utf8")
-    };
-    let before = streamed(&dir);
-    let report = compact_store(&dir).expect("compact");
-    assert_eq!(report.vantages, GOLDEN_VANTAGES.len());
-    assert_eq!(report.rows, (GOLDEN_DAYS.len() * GOLDEN_VANTAGES.len() * 60) as u64);
-    assert_eq!(streamed(&dir), before, "compact changed the observation stream");
-
-    // v1 → v2 conversion is a native v2 write of the same rows…
-    let native = scratch("compact-native");
-    write_golden_v2(&native);
-    let compacted = store_bytes(&dir);
-    for (name, (got, want)) in STORE_FILES.iter().zip(compacted.iter().zip(store_bytes(&native))) {
-        assert_eq!(*got, want, "compacted fixture differs from a native v2 write ({name})");
-    }
-    // …and compacting a v2 store changes no byte.
-    compact_store(&dir).expect("compact v2");
-    assert_eq!(store_bytes(&dir), compacted, "compacting a v2 store rewrote it");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-    std::fs::remove_dir_all(&native).expect("cleanup");
-}
-
-/// A compacted campaign store must replay clean under resume: every day
-/// verifies against the deterministic re-run and nothing is appended.
-/// The store is written in v2; the test above pins that compacting v1
-/// yields exactly such a store.
-#[test]
-fn compacted_campaign_store_replays_clean_under_resume() {
-    let config = ecosystem::EcosystemConfig {
-        population: 220,
-        list_size: 160,
-        ..ecosystem::EcosystemConfig::tiny()
-    };
-    let campaign = Campaign {
-        sample_days: vec![0, 2, 5],
-        scan_www: true,
-        threads: 2,
-        vantages: resolver::VantagePoint::presets(),
-    };
-    let dir = scratch("compact-resume");
-    let mut world = ecosystem::World::build(config.clone());
-    let mut writer = StoreWriter::create(&dir, campaign.store_meta(&world)).expect("create store");
-    campaign.run_to_store(&mut world, &mut writer).expect("campaign");
-    drop(writer);
-
-    compact_store(&dir).expect("compact");
-
-    let mut writer = StoreWriter::open_resume(&dir).expect("resume compacted store");
-    let mut world = ecosystem::World::build(config);
-    let vantages = writer.meta().vantages.len();
-    let report = campaign.run_to_store(&mut world, &mut writer).expect("replay");
-    assert_eq!(report.appended_days, 0, "a complete compacted store must not grow");
-    assert_eq!(report.replayed_days, 3 * vantages, "every day must verify");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

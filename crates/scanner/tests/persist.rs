@@ -74,26 +74,18 @@ fn csv_of(source: &dyn ObservationSource) -> String {
 }
 
 /// Byte spans of every chunk in a column file, `(header_offset,
-/// total_bytes)`, walked with the same per-chunk version dispatch the
-/// reader uses: a v1 `CHNK` is header plus raw rows, a v2 `CHK2` is
-/// header plus encoded payload plus 12-byte trailer. Tests use this
-/// instead of hard-coding `24 + rows * 23`, which only held for the
-/// raw v1 format.
+/// total_bytes)`: each `CHK2` chunk is its 24-byte header, its encoded
+/// payload and a 12-byte trailer.
 fn chunk_spans(path: &Path) -> Vec<(u64, u64)> {
     let bytes = std::fs::read(path).expect("read column file");
     let name_len = u16::from_le_bytes([bytes[10], bytes[11]]) as usize;
     let mut pos = 12 + name_len;
     let mut spans = Vec::new();
     while pos + 24 <= bytes.len() {
-        let magic = &bytes[pos..pos + 4];
-        let trailer: u64 = match magic {
-            b"CHNK" => 0,
-            b"CHK2" => 12,
-            other => panic!("unknown chunk magic {other:?} at offset {pos}"),
-        };
+        assert_eq!(&bytes[pos..pos + 4], b"CHK2", "chunk magic at offset {pos}");
         let payload_len =
             u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4 bytes")) as u64;
-        let total = 24 + payload_len + trailer;
+        let total = 24 + payload_len + 12;
         spans.push((pos as u64, total));
         pos += total as usize;
     }
@@ -318,6 +310,15 @@ fn killed_and_resumed_store_is_byte_identical_to_uninterrupted() {
     campaign.run_to_store(&mut world, &mut writer).expect("reference run");
     drop(writer);
     let reference = read_store_files(&reference_dir, vantages);
+
+    // A complete store: resume verifies every day against disk and
+    // appends nothing.
+    let mut writer = StoreWriter::open_resume(&reference_dir).expect("resume complete");
+    let mut world = World::build(config.clone());
+    let report = campaign.run_to_store(&mut world, &mut writer).expect("replay complete");
+    assert_eq!((report.replayed_days, report.appended_days), (4 * vantages, 0));
+    drop(writer);
+    assert_eq!(read_store_files(&reference_dir, vantages), reference, "replay changed the store");
 
     // "Killed" runs: copy the reference store, then truncate to simulate
     // a kill (a) exactly at a day boundary, (b) mid-chunk.

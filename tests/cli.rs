@@ -23,6 +23,7 @@ fn bad_flags_and_unknown_commands_fail_naming_the_offender() {
         (&["run", "--list", "0", "--population", "0"][..], "--list"),
         (&["bench"][..], "unknown command \"bench\""),
         (&["bench", "--store"][..], "unknown command \"bench\""),
+        (&["compact", "--store", "x"][..], "unknown command \"compact\""),
     ] {
         let out = cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
