@@ -2,8 +2,8 @@
 //! calendar so longitudinal scans can be reported against real dates
 //! (the paper's measurement runs 2023-05-08 → 2024-03-31).
 
-use parking_lot::Mutex;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Seconds of simulated time since the simulation epoch.
@@ -82,10 +82,12 @@ impl From<Timestamp> for TimeMs {
 /// clock; tests advance it explicitly, making every timing effect
 /// deterministic and instant. State is kept in milliseconds so the
 /// event-loop resolution backend can advance virtual time by sub-second
-/// RTT steps; the seconds-facing API floors.
+/// RTT steps; the seconds-facing API floors. The state is one atomic
+/// count of milliseconds: every resolution and every datagram reads it,
+/// and a read is a load, not a lock.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    now_ms: Arc<Mutex<TimeMs>>,
+    now_ms: Arc<AtomicU64>,
 }
 
 impl SimClock {
@@ -96,26 +98,22 @@ impl SimClock {
 
     /// Current simulated time (whole seconds, floored).
     pub fn now(&self) -> Timestamp {
-        self.now_ms.lock().to_timestamp()
+        self.now_ms().to_timestamp()
     }
 
     /// Current simulated time at millisecond resolution.
     pub fn now_ms(&self) -> TimeMs {
-        *self.now_ms.lock()
+        TimeMs(self.now_ms.load(Ordering::Acquire))
     }
 
     /// Advance by `secs` seconds and return the new time.
     pub fn advance(&self, secs: u64) -> Timestamp {
-        let mut t = self.now_ms.lock();
-        *t = t.plus(secs * 1_000);
-        t.to_timestamp()
+        self.advance_ms(secs * 1_000).to_timestamp()
     }
 
     /// Advance by `ms` milliseconds and return the new fine-grained time.
     pub fn advance_ms(&self, ms: u64) -> TimeMs {
-        let mut t = self.now_ms.lock();
-        *t = t.plus(ms);
-        *t
+        TimeMs(self.now_ms.fetch_add(ms, Ordering::AcqRel) + ms)
     }
 
     /// Advance by whole days.
@@ -134,9 +132,10 @@ impl SimClock {
     /// Jump to an absolute millisecond time; panics if it would move
     /// backwards. Setting to the current instant is a no-op.
     pub fn set_ms(&self, t: TimeMs) {
-        let mut now = self.now_ms.lock();
-        assert!(t >= *now, "SimClock cannot move backwards ({:?} -> {:?})", *now, t);
-        *now = t;
+        // A later instant is stored; an earlier one leaves the clock as
+        // it was and panics.
+        let now = TimeMs(self.now_ms.fetch_max(t.0, Ordering::AcqRel));
+        assert!(t >= now, "SimClock cannot move backwards ({now:?} -> {t:?})");
     }
 }
 

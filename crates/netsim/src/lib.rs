@@ -12,7 +12,7 @@
 //! which makes every experiment in the workspace reproducible bit-for-bit
 //! from a seed. Concurrency in higher layers (the scanner) uses scoped
 //! threads over this shared handle; all interior state is behind
-//! `parking_lot` locks.
+//! `parking_lot` locks, except the clock, which is one atomic.
 //!
 //! Virtual time extends this without breaking it: a [`LinkModel`] gives
 //! links seeded RTT/loss behaviour, and
