@@ -159,7 +159,7 @@ pub fn tab9_chain_audit(world: &World) -> ChainAudit {
         let has_https = https.as_ref().map(|r| r.is_positive()).unwrap_or(false);
         let (signed, secure) = if has_https {
             let res = https.expect("checked");
-            (!res.rrsigs.is_empty(), res.ad())
+            (res.records.rrsig_count() > 0, res.ad())
         } else {
             // No HTTPS record: audit the zone via its DNSKEY chain.
             match resolver.resolve(&d.apex, RecordType::Dnskey) {

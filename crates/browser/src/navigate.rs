@@ -525,7 +525,7 @@ impl Browser {
         match self.engine.resolve(name, qtype) {
             Ok(res) => {
                 let mut records = res.chain;
-                records.extend(res.records.iter().cloned());
+                records.extend(res.records.to_records());
                 records
             }
             Err(_) => Vec::new(),

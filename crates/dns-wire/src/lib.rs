@@ -37,7 +37,7 @@ pub use name::{DnsName, NameBuildHasher, NameHasher, NameKey, NameRef};
 pub use record::{
     DnsClass, DnskeyRdata, DsRdata, RData, Record, RecordType, RrsigRdata, SoaRdata, SrvRdata,
 };
-pub use svcb::{SvcParam, SvcbRdata};
+pub use svcb::{SvcParam, SvcbRdata, SvcbView};
 pub use view::{MessageView, NameView, QuestionView, RecordView};
 
 #[cfg(test)]

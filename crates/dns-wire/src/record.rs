@@ -2,7 +2,7 @@
 
 use crate::error::WireError;
 use crate::name::DnsName;
-use crate::svcb::SvcbRdata;
+use crate::svcb::{SvcbRdata, SvcbView};
 use crate::wire::{WireReader, WireWriter};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -599,6 +599,90 @@ impl RData {
         }
     }
 
+    /// Whether [`RData::decode`] would accept these RDATA, answered
+    /// without building them: no name, vector or parameter list is
+    /// allocated. `Ok` exactly when `decode` is `Ok`, with the same error
+    /// otherwise (the equivalence is pinned by this crate's tests).
+    pub fn check(
+        rtype: RecordType,
+        rdata_range: (usize, usize),
+        whole_message: &[u8],
+    ) -> Result<(), WireError> {
+        let (start, end) = rdata_range;
+        if end > whole_message.len() || start > end {
+            return Err(WireError::Truncated { context: "rdata range" });
+        }
+        let rdata = &whole_message[start..end];
+        // Where the name at `off` ends, relative to the RDATA: the walk
+        // `decode` makes, without keeping the labels.
+        let skip_name_at =
+            |off: usize| DnsName::skip_at(whole_message, start + off).map(|next| next - start);
+        let name_fills = |off: usize| {
+            let consumed = skip_name_at(off)?;
+            if consumed != rdata.len() {
+                return Err(WireError::RdataLengthMismatch { declared: rdata.len(), consumed });
+            }
+            Ok(())
+        };
+        match rtype {
+            RecordType::A if rdata.len() != 4 => {
+                Err(WireError::InvalidValue { context: "A rdata" })
+            }
+            RecordType::Aaaa if rdata.len() != 16 => {
+                Err(WireError::InvalidValue { context: "AAAA rdata" })
+            }
+            RecordType::A | RecordType::Aaaa => Ok(()),
+            RecordType::Cname | RecordType::Dname | RecordType::Ns | RecordType::Ptr => {
+                name_fills(0)
+            }
+            RecordType::Mx if rdata.len() < 3 => Err(WireError::Truncated { context: "MX rdata" }),
+            RecordType::Mx => name_fills(2),
+            RecordType::Txt => {
+                let mut r = WireReader::new(rdata);
+                while r.remaining() > 0 {
+                    let n = r.read_u8()? as usize;
+                    r.read_bytes(n, "TXT string")?;
+                }
+                Ok(())
+            }
+            RecordType::Soa => soa_minimum(rdata_range, whole_message).map(|_| ()),
+            RecordType::Srv => {
+                let mut r = WireReader::new(rdata);
+                for _ in 0..3 {
+                    r.read_u16()?;
+                }
+                name_fills(6)
+            }
+            RecordType::Svcb | RecordType::Https => SvcbView::parse(rdata).map(|_| ()),
+            RecordType::Rrsig => {
+                let mut r = WireReader::new(rdata);
+                r.read_u16()?;
+                r.read_u8()?;
+                r.read_u8()?;
+                for _ in 0..3 {
+                    r.read_u32()?;
+                }
+                r.read_u16()?;
+                let next = skip_name_at(r.position())?;
+                match rdata.get(next..) {
+                    Some(_) => Ok(()),
+                    None => Err(WireError::Truncated { context: "RRSIG signature" }),
+                }
+            }
+            RecordType::Dnskey | RecordType::Ds => {
+                let mut r = WireReader::new(rdata);
+                r.read_u16()?;
+                r.read_u8()?;
+                r.read_u8()?;
+                if rtype == RecordType::Ds && r.remaining() == 0 {
+                    return Err(WireError::InvalidValue { context: "DS digest" });
+                }
+                Ok(())
+            }
+            RecordType::Opt | RecordType::Unknown(_) => Ok(()),
+        }
+    }
+
     /// Presentation form of the RDATA.
     pub fn to_presentation(&self) -> String {
         let mut out = String::new();
@@ -681,6 +765,31 @@ fn push_hex(out: &mut String, bytes: &[u8], alphabet: &[u8; 16]) {
         out.push(alphabet[(b >> 4) as usize] as char);
         out.push(alphabet[(b & 0x0F) as usize] as char);
     }
+}
+
+/// The `minimum` field of the SOA RDATA at `rdata_range`, read after
+/// the checks [`RData::decode`] makes: both names walked, not built,
+/// then exactly five 32-bit fields.
+pub(crate) fn soa_minimum(
+    rdata_range: (usize, usize),
+    whole_message: &[u8],
+) -> Result<u32, WireError> {
+    let (start, end) = rdata_range;
+    if end > whole_message.len() || start > end {
+        return Err(WireError::Truncated { context: "rdata range" });
+    }
+    let rname = DnsName::skip_at(whole_message, start)?;
+    let fields = DnsName::skip_at(whole_message, rname)?;
+    let mut r = WireReader::new(&whole_message[start..end]);
+    r.seek(fields - start)?;
+    for _ in 0..4 {
+        r.read_u32()?;
+    }
+    let minimum = r.read_u32()?;
+    if r.remaining() > 0 {
+        return Err(WireError::TrailingBytes(r.remaining()));
+    }
+    Ok(minimum)
 }
 
 /// A complete resource record.

@@ -6,6 +6,7 @@
 
 use crate::error::{ParseError, WireError};
 use crate::name::DnsName;
+use crate::view::{skip_in_place, NameView};
 use crate::wire::{WireReader, WireWriter};
 use std::borrow::Cow;
 use std::fmt;
@@ -115,6 +116,51 @@ impl SvcParam {
         self.encode_value(w);
         let vlen = w.len() - before;
         w.patch_u16(len_at, vlen as u16);
+    }
+
+    /// Whether [`SvcParam::decode`] would accept `value` for key `k`,
+    /// answered without building the value: `Ok` exactly when `decode`
+    /// is, with the same error otherwise.
+    pub fn check(k: u16, value: &[u8]) -> Result<(), WireError> {
+        let invalid = |reason| Err(WireError::InvalidSvcParam { key: k, reason });
+        match k {
+            key::MANDATORY => {
+                if value.is_empty() || !value.len().is_multiple_of(2) {
+                    return invalid("mandatory list length must be a positive multiple of 2");
+                }
+                let keys = value.chunks_exact(2).map(|c| u16::from_be_bytes([c[0], c[1]]));
+                let increasing = keys.clone().zip(keys.clone().skip(1)).all(|(a, b)| a < b);
+                if !increasing || keys.clone().any(|k| k == key::MANDATORY) {
+                    return invalid("mandatory list must be strictly increasing and exclude key 0");
+                }
+                Ok(())
+            }
+            key::ALPN => {
+                let mut r = WireReader::new(value);
+                while r.remaining() > 0 {
+                    let n = r.read_u8()? as usize;
+                    if n == 0 {
+                        return invalid("empty alpn-id");
+                    }
+                    r.read_bytes(n, "alpn-id")?;
+                }
+                if value.is_empty() {
+                    return invalid("alpn list must be non-empty");
+                }
+                Ok(())
+            }
+            key::NO_DEFAULT_ALPN if !value.is_empty() => invalid("no-default-alpn takes no value"),
+            key::PORT if value.len() != 2 => invalid("port must be exactly 2 octets"),
+            key::IPV4HINT if value.is_empty() || !value.len().is_multiple_of(4) => {
+                invalid("ipv4hint length must be a positive multiple of 4")
+            }
+            key::ECH if value.is_empty() => invalid("ech value must be non-empty"),
+            key::IPV6HINT if value.is_empty() || !value.len().is_multiple_of(16) => {
+                invalid("ipv6hint length must be a positive multiple of 16")
+            }
+            key::INVALID => invalid("key 65535 is reserved invalid"),
+            _ => Ok(()),
+        }
     }
 
     /// Decode one SvcParam from raw value bytes for the given key.
@@ -383,6 +429,115 @@ pub fn debase64ish(s: &str) -> Option<Vec<u8>> {
         }
     }
     Some(out)
+}
+
+/// Checked SVCB/HTTPS RDATA read in place: the priority, the target
+/// and each parameter's raw value, borrowed from the RDATA bytes. It
+/// accepts exactly what [`SvcbRdata::decode`] accepts and builds nothing,
+/// so a reader that only classifies a record (its mode, which keys it
+/// carries, its hints) pays no allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct SvcbView<'a> {
+    rdata: &'a [u8],
+    priority: u16,
+    /// Where the parameters start in `rdata`.
+    params: usize,
+}
+
+impl<'a> SvcbView<'a> {
+    /// Check `rdata` as [`SvcbRdata::decode`] does — the target name's
+    /// structure, parameter order and every value's rules — and keep
+    /// where its parts lie.
+    pub fn parse(rdata: &'a [u8]) -> Result<SvcbView<'a>, WireError> {
+        let mut r = WireReader::new(rdata);
+        let priority = r.read_u16()?;
+        let params = DnsName::skip_at(rdata, r.position())?;
+        r.seek(params)?;
+        let mut last_key: Option<u16> = None;
+        while r.remaining() > 0 {
+            let k = r.read_u16()?;
+            if last_key.is_some_and(|prev| k <= prev) {
+                return Err(WireError::SvcParamsOutOfOrder);
+            }
+            last_key = Some(k);
+            let vlen = r.read_u16()? as usize;
+            SvcParam::check(k, r.read_bytes(vlen, "SvcParamValue")?)?;
+        }
+        Ok(SvcbView { rdata, priority, params })
+    }
+
+    /// Read RDATA that [`SvcbView::parse`] (or [`crate::RData::check`])
+    /// has already accepted, without checking it again: the priority is
+    /// read and the target name stepped over in place; the parameters
+    /// are walked only as far as an accessor reads. On other bytes the
+    /// accessors read what they can; `None` only when the priority or
+    /// the target does not fit.
+    pub fn read(rdata: &'a [u8]) -> Option<SvcbView<'a>> {
+        let priority = u16::from_be_bytes(*rdata.first_chunk::<2>()?);
+        let params = skip_in_place(rdata, 2).ok()?;
+        Some(SvcbView { rdata, priority, params })
+    }
+
+    /// 0 = AliasMode; anything else = ServiceMode (lower preferred).
+    pub fn priority(&self) -> u16 {
+        self.priority
+    }
+
+    /// True when this record is in AliasMode (priority 0).
+    pub fn is_alias(&self) -> bool {
+        self.priority == 0
+    }
+
+    /// The TargetName, borrowed.
+    pub fn target(&self) -> NameView<'a> {
+        NameView::at(self.rdata, 2)
+    }
+
+    /// Whether the record carries any parameter.
+    pub fn has_params(&self) -> bool {
+        self.params < self.rdata.len()
+    }
+
+    /// Every parameter as `(key, raw value)`, in wire (ascending key)
+    /// order.
+    pub fn params(&self) -> impl Iterator<Item = (u16, &'a [u8])> {
+        let mut rest = self.rdata.get(self.params..).unwrap_or_default();
+        std::iter::from_fn(move || {
+            let (head, tail) = rest.split_first_chunk::<4>()?;
+            let k = u16::from_be_bytes([head[0], head[1]]);
+            let vlen = u16::from_be_bytes([head[2], head[3]]) as usize;
+            let value = tail.get(..vlen)?;
+            rest = &tail[vlen..];
+            Some((k, value))
+        })
+    }
+
+    /// The raw value of the parameter with key `k`, if present.
+    pub fn param(&self, k: u16) -> Option<&'a [u8]> {
+        self.params().find(|&(key, _)| key == k).map(|(_, value)| value)
+    }
+
+    /// The ALPN identifiers, if the record advertises any.
+    pub fn alpn_ids(&self) -> Option<impl Iterator<Item = &'a [u8]>> {
+        let mut rest = self.param(key::ALPN)?;
+        Some(std::iter::from_fn(move || {
+            let (&n, tail) = rest.split_first()?;
+            let id = tail.get(..n as usize)?;
+            rest = &tail[n as usize..];
+            Some(id)
+        }))
+    }
+
+    /// The IPv4 hints, if present.
+    pub fn ipv4hint(&self) -> Option<impl Iterator<Item = Ipv4Addr> + 'a> {
+        let value = self.param(key::IPV4HINT)?;
+        Some(value.chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])))
+    }
+
+    /// Build the owned [`SvcbRdata`].
+    pub fn to_owned(&self) -> Result<SvcbRdata, WireError> {
+        SvcbRdata::decode(self.rdata)
+    }
 }
 
 /// SVCB/HTTPS RDATA: priority, target, parameters.

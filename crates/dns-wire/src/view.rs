@@ -27,8 +27,9 @@
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
-use crate::name::{fmt_labels, key_chars, DnsName, NameRef, MAX_POINTER_HOPS};
-use crate::record::{DnsClass, RData, Record, RecordType};
+use crate::name::{fmt_labels, key_chars, DnsName, NameKey, NameRef, MAX_POINTER_HOPS};
+use crate::record::{soa_minimum, DnsClass, RData, Record, RecordType};
+use crate::svcb::SvcbView;
 use std::fmt;
 
 /// Borrowed view of one (possibly compressed) domain name inside a
@@ -41,6 +42,29 @@ pub struct NameView<'a> {
 }
 
 impl<'a> NameView<'a> {
+    /// The name at `start` of `buf`, which the caller has walked.
+    pub(crate) fn at(buf: &'a [u8], start: usize) -> NameView<'a> {
+        NameView { buf, start }
+    }
+
+    /// Case-insensitive comparison against another borrowed name, in
+    /// this message or another one.
+    pub fn eq_view(&self, other: &NameView<'_>) -> bool {
+        // In one message, the same offset or the same pointer is the
+        // same name.
+        if std::ptr::eq(self.buf, other.buf) {
+            let pointer = |at: usize| self.buf.get(at..at + 2).filter(|p| p[0] >= 0xC0);
+            if self.start == other.start
+                || pointer(self.start).is_some_and(|p| Some(p) == pointer(other.start))
+            {
+                return true;
+            }
+        }
+        let mut theirs = other.labels();
+        self.labels().all(|l| theirs.next().is_some_and(|t| l.eq_ignore_ascii_case(t)))
+            && theirs.next().is_none()
+    }
+
     /// Iterate the raw labels (most-specific first), following
     /// compression pointers without allocating.
     pub fn labels(&self) -> LabelIter<'a> {
@@ -63,8 +87,13 @@ impl<'a> NameView<'a> {
         self.labels().all(|l| !l.iter().any(u8::is_ascii_uppercase))
     }
 
-    /// Case-insensitive comparison against an owned [`DnsName`].
+    /// Case-insensitive comparison against an owned [`DnsName`]: one
+    /// slice comparison when the name is spelled out in place (as a
+    /// question is), a label walk otherwise.
     pub fn eq_name(&self, other: &DnsName) -> bool {
+        if let Some(flat) = self.flat() {
+            return flat == other.name_ref();
+        }
         let mut theirs = other.labels();
         self.labels().all(|l| theirs.next().is_some_and(|t| l.eq_ignore_ascii_case(t)))
             && theirs.next().is_none()
@@ -158,10 +187,43 @@ struct QuestionMeta {
     qclass: u16,
 }
 
+/// How a reader steps over the name at `pos`: [`DnsName::skip_at`]
+/// validates it, [`skip_in_place`] trusts a validated message.
+type SkipName = fn(&[u8], usize) -> Result<usize, WireError>;
+
+/// Where the name at `pos` ends in place — after its root octet or its
+/// first pointer — in a message [`MessageView::parse`] has validated:
+/// the labels are stepped over, a pointer is not followed. Bounds are
+/// still checked and the offset only grows, so other bytes give an
+/// error or a wrong end, never a panic or a loop.
+pub(crate) fn skip_in_place(buf: &[u8], mut pos: usize) -> Result<usize, WireError> {
+    loop {
+        match *buf.get(pos).ok_or(WireError::Truncated { context: "name label length" })? {
+            0 => return Ok(pos + 1),
+            len @ 1..=0x3F => pos += 1 + len as usize,
+            0xC0..=0xFF if pos + 2 <= buf.len() => return Ok(pos + 2),
+            _ => return Err(WireError::Truncated { context: "name label" }),
+        }
+    }
+}
+
 impl QuestionMeta {
     /// Validate the entry at `pos`; returns it and the offset after it.
     fn read_at(buf: &[u8], pos: usize) -> Result<(QuestionMeta, usize), WireError> {
-        let fixed = DnsName::skip_at(buf, pos)?;
+        QuestionMeta::read_with(buf, pos, DnsName::skip_at)
+    }
+
+    /// Read the entry at `pos` of a validated message again.
+    fn reread_at(buf: &[u8], pos: usize) -> Result<(QuestionMeta, usize), WireError> {
+        QuestionMeta::read_with(buf, pos, skip_in_place)
+    }
+
+    fn read_with(
+        buf: &[u8],
+        pos: usize,
+        skip: SkipName,
+    ) -> Result<(QuestionMeta, usize), WireError> {
+        let fixed = skip(buf, pos)?;
         let qtype = read_u16_at(buf, fixed, "question type")?;
         let qclass = read_u16_at(buf, fixed + 2, "question class")?;
         Ok((QuestionMeta { name_off: pos, qtype, qclass }, fixed + 4))
@@ -184,7 +246,16 @@ impl RecordMeta {
     /// Validate the record at `pos` (owner-name structure, fixed fields,
     /// `RDLENGTH` within the buffer); returns it and the offset after it.
     fn read_at(buf: &[u8], pos: usize) -> Result<(RecordMeta, usize), WireError> {
-        let fixed = DnsName::skip_at(buf, pos)?;
+        RecordMeta::read_with(buf, pos, DnsName::skip_at)
+    }
+
+    /// Read the record at `pos` of a validated message again.
+    fn reread_at(buf: &[u8], pos: usize) -> Result<(RecordMeta, usize), WireError> {
+        RecordMeta::read_with(buf, pos, skip_in_place)
+    }
+
+    fn read_with(buf: &[u8], pos: usize, skip: SkipName) -> Result<(RecordMeta, usize), WireError> {
+        let fixed = skip(buf, pos)?;
         let rtype = read_u16_at(buf, fixed, "record type")?;
         let class = read_u16_at(buf, fixed + 2, "record class")?;
         let ttl = read_u32_at(buf, fixed + 4, "record ttl")?;
@@ -199,8 +270,9 @@ impl RecordMeta {
 }
 
 /// Lazy walk over `left` consecutive entries starting at `pos`, in bytes
-/// [`MessageView::parse`] has already accepted — so `read_at` cannot
-/// fail here, and if it did the walk would end instead of panicking.
+/// [`MessageView::parse`] has already accepted — so names are stepped
+/// over in place (`reread_at`), which cannot fail here; if it did the
+/// walk would end instead of panicking.
 fn walk<'a, M>(
     buf: &'a [u8],
     mut pos: usize,
@@ -253,6 +325,21 @@ pub struct RecordView<'a> {
 }
 
 impl<'a> RecordView<'a> {
+    /// Re-enter the record that starts at `offset` of `message`, as
+    /// [`RecordView::offset`] reported it on a view of a message
+    /// [`MessageView::parse`] accepted: the owner name is stepped over
+    /// in place and the fixed fields read again; nothing else of the
+    /// message is walked or validated again. At another offset this
+    /// fails or reads whatever lies there — it never panics.
+    pub fn at(message: &'a [u8], offset: usize) -> Result<RecordView<'a>, WireError> {
+        RecordMeta::reread_at(message, offset).map(|(meta, _)| RecordView { buf: message, meta })
+    }
+
+    /// Where this record starts in its message.
+    pub fn offset(&self) -> usize {
+        self.meta.name_off
+    }
+
     /// The owner name, borrowed.
     pub fn name(&self) -> NameView<'a> {
         NameView { buf: self.buf, start: self.meta.name_off }
@@ -280,27 +367,81 @@ impl<'a> RecordView<'a> {
         RData::decode(self.rtype(), (self.meta.rd_start, self.meta.rd_end), self.buf)
     }
 
+    /// Whether [`RecordView::rdata`] would succeed, answered without
+    /// building anything ([`RData::check`]).
+    pub fn check_rdata(&self) -> Result<(), WireError> {
+        RData::check(self.rtype(), (self.meta.rd_start, self.meta.rd_end), self.buf)
+    }
+
+    /// The RDATA of an SVCB or HTTPS record, checked and read in place;
+    /// an error for malformed RDATA or another type.
+    pub fn svcb(&self) -> Result<SvcbView<'a>, WireError> {
+        SvcbView::parse(self.svcb_rdata()?)
+    }
+
+    /// [`RecordView::svcb`] for a record whose RDATA a check already
+    /// accepted — one of a reply the resolver parsed — read in place
+    /// without checking it again ([`SvcbView::read`]).
+    pub fn svcb_prechecked(&self) -> Result<SvcbView<'a>, WireError> {
+        SvcbView::read(self.svcb_rdata()?).ok_or(WireError::Truncated { context: "SVCB rdata" })
+    }
+
+    fn svcb_rdata(&self) -> Result<&'a [u8], WireError> {
+        if !matches!(self.rtype(), RecordType::Svcb | RecordType::Https) {
+            return Err(WireError::InvalidValue { context: "SVCB view of another type" });
+        }
+        Ok(&self.buf[self.meta.rd_start..self.meta.rd_end])
+    }
+
+    /// The `minimum` field of an SOA record — its negative-caching TTL
+    /// (RFC 2308) — read off the wire after the checks
+    /// [`RecordView::rdata`] makes, without building either name; an
+    /// error for malformed RDATA or another type.
+    pub fn soa_minimum(&self) -> Result<u32, WireError> {
+        if self.rtype() != RecordType::Soa {
+            return Err(WireError::InvalidValue { context: "SOA minimum of another type" });
+        }
+        soa_minimum((self.meta.rd_start, self.meta.rd_end), self.buf)
+    }
+
     /// Materialize an owned [`Record`], decoding name and RDATA.
     pub fn to_owned(&self) -> Result<Record, WireError> {
         self.record_named(self.name().to_owned())
     }
 
     /// [`RecordView::to_owned`] for a record of the reply to a question
-    /// about `qname`. When the owner is exactly the pointer to the
-    /// question (`0xC00C`) and the question spells `qname` byte for byte,
-    /// the owner is a clone of `qname` — what decoding would build,
-    /// spelling included — and no name is decoded.
+    /// about `qname`, its owner built by [`RecordView::owner_for`].
     pub fn to_owned_for(&self, qname: &DnsName) -> Result<Record, WireError> {
+        self.record_named(self.owner_for(qname))
+    }
+
+    /// The owner name of a record of the reply to a question about
+    /// `qname`. When the owner is exactly the pointer to the question
+    /// (`0xC00C`) and the question spells `qname` byte for byte, it is a
+    /// clone of `qname` — what decoding would build, spelling included —
+    /// and no name is decoded.
+    pub fn owner_for(&self, qname: &DnsName) -> DnsName {
         let flat = qname.wire();
         let owner_is_question = self.buf.get(self.meta.name_off..self.meta.name_off + 2)
             == Some(&[0xC0, 12][..])
             && self.buf.get(12..12 + flat.len()) == Some(flat)
             && self.buf.get(12 + flat.len()) == Some(&0);
         if owner_is_question {
-            self.record_named(qname.clone())
+            qname.clone()
         } else {
-            self.to_owned()
+            self.name().to_owned()
         }
+    }
+
+    /// The type an RRSIG record covers — the first field of its RDATA —
+    /// without decoding the rest; `None` for another type or RDATA too
+    /// short to hold it.
+    pub fn rrsig_covers(&self) -> Option<RecordType> {
+        if self.meta.rtype != RecordType::Rrsig.code() {
+            return None;
+        }
+        let field = self.buf.get(self.meta.rd_start..self.meta.rd_end)?.first_chunk::<2>()?;
+        Some(RecordType::from_code(u16::from_be_bytes(*field)))
     }
 
     fn record_named(&self, name: DnsName) -> Result<Record, WireError> {
@@ -481,14 +622,14 @@ impl<'a> MessageView<'a> {
     /// Iterate the question section.
     pub fn questions(&self) -> impl Iterator<Item = QuestionView<'a>> + '_ {
         let buf = self.buf;
-        walk(buf, 12, self.qdcount, QuestionMeta::read_at)
+        walk(buf, 12, self.qdcount, QuestionMeta::reread_at)
             .map(move |meta| QuestionView { buf, meta })
     }
 
     /// Iterate one of the three record sections.
     fn section(&self, section: usize) -> impl Iterator<Item = RecordView<'a>> + '_ {
         let buf = self.buf;
-        walk(buf, self.starts[section], self.counts[section], RecordMeta::read_at)
+        walk(buf, self.starts[section], self.counts[section], RecordMeta::reread_at)
             .map(move |meta| RecordView { buf, meta })
     }
 

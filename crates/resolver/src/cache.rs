@@ -61,15 +61,14 @@
 //! also counts hot-path lock acquisitions and contended acquisitions
 //! (a contention proxy; see the README's single-CPU caveat).
 
-use dns_wire::record::RrsigRdata;
-use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, Rcode, Record, RecordType};
+use crate::reply::RrSet;
+use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, Rcode, RecordType};
 use netsim::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Default shard count: enough to keep a typical worker fan-out (the
 /// scanner uses 4–8 threads) contention-free without wasting memory on
@@ -119,19 +118,16 @@ impl std::str::FromStr for EvictionPolicy {
 
 /// A positive or negative cached answer.
 ///
-/// A positive answer is immutable and shared: the cache, every
-/// [`Resolution`](crate::Resolution) served from it and the reply it
-/// was parsed from hold reference counts on the same two slices, so a
-/// hit or a fill copies no record.
+/// A positive answer is an [`RrSet`]: offsets into the authority reply
+/// it came in, which the cache, every [`Resolution`](crate::Resolution)
+/// served from it and every other set of that reply share. A fill
+/// stores reference counts and a hit hands them out; no record is
+/// built or copied either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CachedAnswer {
-    /// A cached RRset with its signatures.
-    Positive {
-        /// The records of the set.
-        records: Arc<[Record]>,
-        /// Covering RRSIGs (as fetched with the DO bit).
-        rrsigs: Arc<[RrsigRdata]>,
-    },
+    /// A cached RRset with its covering RRSIGs (as fetched with the DO
+    /// bit).
+    Positive(RrSet),
     /// A cached negative answer (NODATA or NXDOMAIN).
     Negative {
         /// The rcode that produced the entry.
@@ -434,9 +430,13 @@ impl ShardInner {
             Some(EvictionPolicy::TtlSweepLru) => {
                 self.next_seq += 1;
                 let old = std::mem::replace(&mut entry.touch, self.next_seq);
-                // Move the key to its new recency slot rather than clone it.
-                let key = self.lru.remove(&old).expect("a live LRU entry has a recency slot");
-                self.lru.insert(self.next_seq, key);
+                // Move the key to its new recency slot rather than clone
+                // it. Every entry of an LRU shard is filed under its
+                // `touch` stamp, and unfiled only with the entry, so the
+                // slot is there.
+                if let Some(key) = self.lru.remove(&old) {
+                    self.lru.insert(self.next_seq, key);
+                }
             }
             Some(EvictionPolicy::S3Fifo) => entry.freq = (entry.freq + 1).min(3),
         }
@@ -448,11 +448,11 @@ impl ShardInner {
     /// empty otherwise).
     fn sweep_expired(&mut self, now: Timestamp) -> u64 {
         let mut swept = 0;
-        while let Some((&(exp_secs, seq), _)) = self.expiry.iter().next() {
-            if exp_secs > now.0 {
+        while let Some(head) = self.expiry.first_entry() {
+            if head.key().0 > now.0 {
                 break;
             }
-            let key = self.expiry.remove(&(exp_secs, seq)).expect("expiry head vanished");
+            let key = head.remove();
             if let Some(entry) = self.entries.remove(&key) {
                 self.lru.remove(&entry.touch);
                 swept += 1;
@@ -479,10 +479,9 @@ impl ShardInner {
     fn evict_one(&mut self, bound: Bound) -> bool {
         match bound.policy {
             EvictionPolicy::TtlSweepLru => {
-                let Some((&touch, _)) = self.lru.iter().next() else {
+                let Some((_, key)) = self.lru.pop_first() else {
                     return false;
                 };
-                let key = self.lru.remove(&touch).expect("lru head vanished");
                 match self.entries.remove(&key) {
                     Some(entry) => {
                         self.expiry.remove(&(entry.expires.0, entry.seq));
@@ -511,59 +510,41 @@ impl ShardInner {
             } else {
                 self.small.len() > small_target
             };
-            if use_small {
-                let Some((slot, key)) = self.small.pop_front() else {
-                    continue;
-                };
-                let live = matches!(self.entries.get(&key),
-                    Some(e) if e.queue == QueueId::Small && e.slot == slot);
-                if !live {
-                    continue;
-                }
-                let hit = self.entries.get(&key).map(|e| e.freq > 0).unwrap_or(false);
-                if hit {
-                    // Earned a hit during probation: promote to main.
-                    self.next_seq += 1;
-                    let stamp = self.next_seq;
-                    if let Some(e) = self.entries.get_mut(&key) {
-                        e.queue = QueueId::Main;
-                        e.slot = stamp;
-                        e.freq = 0;
-                    }
-                    self.main.push_back((stamp, key));
+            let queue = if use_small { QueueId::Small } else { QueueId::Main };
+            let popped = if use_small { self.small.pop_front() } else { self.main.pop_front() };
+            let Some((slot, key)) = popped else {
+                continue;
+            };
+            // A slot whose entry has since been refreshed, moved or
+            // removed is stale.
+            let Some(entry) =
+                self.entries.get_mut(&key).filter(|e| e.queue == queue && e.slot == slot)
+            else {
+                continue;
+            };
+            if entry.freq > 0 {
+                // Earned a hit during probation: promote to main. Still
+                // warm in main: spend one frequency unit and recycle.
+                self.next_seq += 1;
+                entry.slot = self.next_seq;
+                if use_small {
+                    entry.queue = QueueId::Main;
+                    entry.freq = 0;
                 } else {
-                    let entry = self.entries.remove(&key).expect("live small entry vanished");
-                    self.lru.remove(&entry.touch);
-                    self.expiry.remove(&(entry.expires.0, entry.seq));
-                    self.ghost_insert(ghost_fp(&key), capacity);
-                    return true;
+                    entry.freq -= 1;
                 }
-            } else {
-                let Some((slot, key)) = self.main.pop_front() else {
-                    continue;
-                };
-                let live = matches!(self.entries.get(&key),
-                    Some(e) if e.queue == QueueId::Main && e.slot == slot);
-                if !live {
-                    continue;
-                }
-                let hot = self.entries.get(&key).map(|e| e.freq > 0).unwrap_or(false);
-                if hot {
-                    // Still warm: spend one frequency unit and recycle.
-                    self.next_seq += 1;
-                    let stamp = self.next_seq;
-                    if let Some(e) = self.entries.get_mut(&key) {
-                        e.freq -= 1;
-                        e.slot = stamp;
-                    }
-                    self.main.push_back((stamp, key));
-                } else {
-                    let entry = self.entries.remove(&key).expect("live main entry vanished");
-                    self.lru.remove(&entry.touch);
-                    self.expiry.remove(&(entry.expires.0, entry.seq));
-                    return true;
-                }
+                self.main.push_back((self.next_seq, key));
+                continue;
             }
+            // Cold: the victim.
+            if let Some(entry) = self.entries.remove(&key) {
+                self.lru.remove(&entry.touch);
+                self.expiry.remove(&(entry.expires.0, entry.seq));
+            }
+            if use_small {
+                self.ghost_insert(ghost_fp(&key), capacity);
+            }
+            return true;
         }
     }
 }
@@ -781,23 +762,16 @@ impl RecordCache {
         }
     }
 
-    /// Insert a positive RRset observed at `now`. Shared slices are
-    /// stored as given (a reference count each); `Vec`s are converted.
-    pub fn insert_positive(
-        &self,
-        name: &DnsName,
-        rtype: RecordType,
-        records: impl Into<Arc<[Record]>>,
-        rrsigs: impl Into<Arc<[RrsigRdata]>>,
-        now: Timestamp,
-    ) {
-        let records = records.into();
-        if records.is_empty() {
+    /// Insert a positive RRset observed at `now`, under `(name, rtype)`,
+    /// for its smallest record TTL. The set is stored as given — a
+    /// reference count on its reply — and an empty one is not stored.
+    pub fn insert_positive(&self, name: &DnsName, rtype: RecordType, set: RrSet, now: Timestamp) {
+        if set.is_empty() {
             return;
         }
-        let ttl = self.effective_ttl(records.iter().map(|r| r.ttl).min().unwrap_or(0));
+        let ttl = self.effective_ttl(set.ttl());
         let key = Key { name: name.clone(), rtype: rtype.code() };
-        self.store(key, CachedAnswer::Positive { records, rrsigs: rrsigs.into() }, now, ttl);
+        self.store(key, CachedAnswer::Positive(set), now, ttl);
     }
 
     /// Insert a negative answer with the given TTL (typically the SOA
@@ -955,8 +929,8 @@ impl RecordCache {
                 let mut key_len = 0;
                 key.name.for_each_key_byte(|_| key_len += 1);
                 bytes += key_len + ENTRY_COST + SLOT_OVERHEAD;
-                if let CachedAnswer::Positive { records, rrsigs } = &entry.answer {
-                    bytes += records.len() * RECORD_COST + rrsigs.len() * RRSIG_COST;
+                if let CachedAnswer::Positive(set) = &entry.answer {
+                    bytes += set.len() * RECORD_COST + set.rrsig_count() * RRSIG_COST;
                 }
             }
         }
@@ -997,7 +971,7 @@ impl RecordCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::RData;
+    use dns_wire::{RData, Record};
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
@@ -1007,6 +981,10 @@ mod tests {
 
     fn a_record(ttl: u32) -> Record {
         Record::new(name("a.com"), ttl, RData::A(Ipv4Addr::new(1, 2, 3, 4)))
+    }
+
+    fn a_set(records: &[Record]) -> RrSet {
+        RrSet::from_records(records, &[])
     }
 
     fn fnv1a_str(key: &str) -> u64 {
@@ -1052,13 +1030,7 @@ mod tests {
     }
 
     fn insert(cache: &RecordCache, host: &str, ttl: u32, now: u64) {
-        cache.insert_positive(
-            &name(host),
-            RecordType::A,
-            vec![a_record(ttl)],
-            vec![],
-            Timestamp(now),
-        );
+        cache.insert_positive(&name(host), RecordType::A, a_set(&[a_record(ttl)]), Timestamp(now));
     }
 
     fn has(cache: &RecordCache, host: &str, now: u64) -> bool {
@@ -1068,13 +1040,7 @@ mod tests {
     #[test]
     fn hit_until_ttl_expiry() {
         let cache = RecordCache::new();
-        cache.insert_positive(
-            &name("a.com"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(299)).is_some());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(300)).is_none());
         // After expiry the entry is evicted.
@@ -1091,13 +1057,7 @@ mod tests {
         let cache = RecordCache::new();
         // Nothing stored: an absent miss.
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(0)).is_none());
-        cache.insert_positive(
-            &name("a.com"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         // Stored but dead: an expired miss (and an eviction).
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(400)).is_none());
         // Evicted now, so the next lookup is absent again.
@@ -1119,13 +1079,7 @@ mod tests {
             300,
             Timestamp(0),
         );
-        cache.insert_positive(
-            &name("p.com"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("p.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("n.com"), RecordType::Https, Timestamp(1)).is_some());
         assert!(cache.get(&name("n.com"), RecordType::Https, Timestamp(2)).is_some());
         assert!(cache.get(&name("p.com"), RecordType::A, Timestamp(1)).is_some());
@@ -1138,13 +1092,7 @@ mod tests {
     #[test]
     fn hot_path_lock_acquisitions_are_counted() {
         let cache = RecordCache::new();
-        cache.insert_positive(
-            &name("a.com"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         let _ = cache.get(&name("a.com"), RecordType::A, Timestamp(1));
         let _ = cache.age(&name("a.com"), RecordType::A, Timestamp(1));
         // insert + get + age: three hot-path acquisitions; flush() and
@@ -1158,8 +1106,8 @@ mod tests {
     #[test]
     fn min_ttl_of_rrset_governs() {
         let cache = RecordCache::new();
-        let records = vec![a_record(300), a_record(60)];
-        cache.insert_positive(&name("a.com"), RecordType::A, records, vec![], Timestamp(0));
+        let records = a_set(&[a_record(300), a_record(60)]);
+        cache.insert_positive(&name("a.com"), RecordType::A, records, Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(59)).is_some());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(61)).is_none());
     }
@@ -1184,13 +1132,7 @@ mod tests {
     #[test]
     fn ttl_clamp_caps_lifetime() {
         let cache = RecordCache::with_config(DEFAULT_SHARDS, Some(30));
-        cache.insert_positive(
-            &name("a.com"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(29)).is_some());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(31)).is_none());
     }
@@ -1198,13 +1140,7 @@ mod tests {
     #[test]
     fn flush_clears() {
         let cache = RecordCache::new();
-        cache.insert_positive(
-            &name("a.com"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         cache.flush();
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_none());
         assert!(cache.is_empty());
@@ -1216,8 +1152,7 @@ mod tests {
         cache.insert_positive(
             &name("a.com"),
             RecordType::A,
-            vec![a_record(300)],
-            vec![],
+            a_set(&[a_record(300)]),
             Timestamp(100),
         );
         assert_eq!(cache.age(&name("a.com"), RecordType::A, Timestamp(150)), Some(50));
@@ -1227,13 +1162,7 @@ mod tests {
     #[test]
     fn types_are_separate_keys() {
         let cache = RecordCache::new();
-        cache.insert_positive(
-            &name("a.com"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::Https, Timestamp(1)).is_none());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_some());
     }
@@ -1241,20 +1170,14 @@ mod tests {
     #[test]
     fn case_insensitive_keying() {
         let cache = RecordCache::new();
-        cache.insert_positive(
-            &name("A.COM"),
-            RecordType::A,
-            vec![a_record(300)],
-            vec![],
-            Timestamp(0),
-        );
+        cache.insert_positive(&name("A.COM"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_some());
     }
 
     #[test]
     fn empty_rrset_not_inserted() {
         let cache = RecordCache::new();
-        cache.insert_positive(&name("a.com"), RecordType::A, vec![], vec![], Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[]), Timestamp(0));
         assert!(cache.is_empty());
     }
 
@@ -1264,7 +1187,7 @@ mod tests {
         assert_eq!(cache.shard_count(), 1);
         for i in 0..32 {
             let n = name(&format!("d{i}.example"));
-            cache.insert_positive(&n, RecordType::A, vec![a_record(60)], vec![], Timestamp(0));
+            cache.insert_positive(&n, RecordType::A, a_set(&[a_record(60)]), Timestamp(0));
         }
         assert_eq!(cache.len(), 32);
         assert_eq!(cache.stats().insertions, 32);
@@ -1275,7 +1198,7 @@ mod tests {
         let cache = RecordCache::with_shards(16);
         for i in 0..256 {
             let n = name(&format!("d{i}.example"));
-            cache.insert_positive(&n, RecordType::A, vec![a_record(60)], vec![], Timestamp(0));
+            cache.insert_positive(&n, RecordType::A, a_set(&[a_record(60)]), Timestamp(0));
         }
         assert_eq!(cache.len(), 256);
         let populated = cache.shards.iter().filter(|s| !s.inner.lock().entries.is_empty()).count();

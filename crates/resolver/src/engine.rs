@@ -643,6 +643,12 @@ impl<'a> EngineBatch<'a> {
             // another thread sends on the same network meanwhile.
             metrics.histogram("engine.authority_datagrams").record(datagrams);
         }
+        // Every slot is filled before `finish`: the interleaved loop
+        // visits each index of each job, the event loop hands back one
+        // result per distinct query, and the pool puts every index in
+        // one bucket, every non-empty bucket in one job and waits for
+        // each job's chunk (a lost worker panics the batch in
+        // `resolve_pooled` instead).
         let expect = |result: Option<_>| result.expect("every distinct query resolved");
         if positions.len() == resolved.len() {
             // No duplicates: input i is distinct query i.

@@ -386,12 +386,19 @@ pub(crate) fn drive(
         if active.is_empty() {
             break;
         }
-        // Fire the next delivery and resume the task waiting on it.
+        // Fire the next delivery and resume the task waiting on it. A
+        // task is only suspended on an exchange whose slot is pending,
+        // and `exchange` leaves a slot pending only after scheduling its
+        // event, so an active task has one in the queue.
         let Reverse(event) =
             core.events.borrow_mut().pop().expect("suspended task without a scheduled event");
         clock.set_ms(TimeMs(event.at));
         *event.slot.borrow_mut() = SlotState::Ready(event.payload);
-        let mut fut = active.remove(&event.task).expect("delivery for an unknown task");
+        // The event's task is the one suspended on it; one that is not
+        // active has nothing to resume.
+        let Some(mut fut) = active.remove(&event.task) else {
+            continue;
+        };
         match fut.as_mut().poll(&mut poll_cx) {
             Poll::Ready(result) => {
                 spans[event.task].1 = clock.now_ms().0;
@@ -410,6 +417,9 @@ pub(crate) fn drive(
     for s in stats_of.iter().flatten() {
         stats.absorb(&s.borrow());
     }
+    // The loop ends when nothing is left to admit and no task is
+    // active; every slot was admitted once (each zone's queue drains
+    // into `admit`) and an admitted task leaves only with its result.
     DriveOutcome {
         results: results.into_iter().map(|r| r.expect("every query driven")).collect(),
         spans,

@@ -14,6 +14,7 @@ pub mod cache;
 pub mod engine;
 pub mod eventloop;
 pub mod pool;
+pub mod reply;
 pub mod resolver;
 pub mod selection;
 pub mod vantage;
@@ -22,6 +23,7 @@ pub use cache::{CacheStats, CachedAnswer, EvictionPolicy, RecordCache, DEFAULT_S
 pub use engine::{BatchTiming, EngineBackend, Query, QueryEngine};
 pub use eventloop::EventLoopStats;
 pub use pool::WorkerPool;
+pub use reply::RrSet;
 pub use resolver::{RecursiveResolver, Resolution, ResolveError, ResolverConfig};
 pub use selection::{NsSelector, SelectionStrategy};
 pub use vantage::VantagePoint;

@@ -9,17 +9,18 @@
 //! measures records through Google/Cloudflare public resolvers.
 
 use crate::cache::{CachedAnswer, EvictionPolicy, RecordCache};
+pub(crate) use crate::reply::AuthorityReply;
+use crate::reply::RrSet;
 use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
-use dns_wire::{DnsName, Message, MessageView, RData, Rcode, Record, RecordType};
+use dns_wire::{DnsName, Message, RData, Rcode, Record, RecordType};
 use dnssec::{ChainSource, ValidationState, Validator};
 use netsim::{DatagramService, NetError, Network, Timestamp};
 use parking_lot::Mutex;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::Arc;
 
 /// Resolver configuration.
 #[derive(Debug, Clone)]
@@ -130,17 +131,18 @@ impl std::error::Error for ResolveError {}
 
 /// The outcome of a resolution.
 ///
-/// The answer RRset and its signatures are the values the reply was
-/// parsed into, shared with the resolver's cache and with every other
-/// `Resolution` of the same answer: a clone is two reference counts.
+/// The answer is an [`RrSet`]: offsets into the authority reply it came
+/// in, shared with the resolver's cache and with every other
+/// `Resolution` of the same answer, so cloning one copies no record.
+/// Readers decode what they need through [`RrSet::records`]; `==`
+/// compares the records and signatures, not the reply bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resolution {
     /// CNAME chain records traversed, in order.
     pub chain: Vec<Record>,
-    /// Final answer RRset (of the queried type); empty on NODATA/NXDOMAIN.
-    pub records: Arc<[Record]>,
-    /// RRSIGs covering the final RRset (when the zone is signed).
-    pub rrsigs: Arc<[RrsigRdata]>,
+    /// Final answer RRset (of the queried type) with the RRSIGs covering
+    /// it (when the zone is signed); empty on NODATA/NXDOMAIN.
+    pub records: RrSet,
     /// Final response code.
     pub rcode: Rcode,
     /// DNSSEC validation state of the final RRset (None when validation
@@ -151,17 +153,10 @@ pub struct Resolution {
 }
 
 impl Resolution {
-    /// A resolution without an answer RRset. `Arc::<[_]>::default()` is
-    /// one process-wide empty slice, so the two sets allocate nothing.
+    /// A resolution without an answer RRset. The empty set allocates
+    /// nothing.
     fn negative(chain: Vec<Record>, rcode: Rcode, from_cache: bool) -> Resolution {
-        Resolution {
-            chain,
-            records: Arc::default(),
-            rrsigs: Arc::default(),
-            rcode,
-            validation: None,
-            from_cache,
-        }
+        Resolution { chain, records: RrSet::default(), rcode, validation: None, from_cache }
     }
 
     /// The Authenticated Data bit as a resolver would set it.
@@ -294,12 +289,12 @@ impl RecursiveResolver {
             Some((hit, ans)) if hit == rtype => {
                 ControlFlow::Break(self.finish(std::mem::take(chain), ans, from_cache, now))
             }
-            Some((_, CachedAnswer::Positive { records, .. })) => match records.first() {
-                Some(rec @ Record { rdata: RData::Cname(target), .. }) => {
-                    chain.push(rec.clone());
-                    ControlFlow::Continue(Some(target.clone()))
+            Some((_, CachedAnswer::Positive(alias))) => match cname_step(&alias) {
+                Some((rec, target)) => {
+                    chain.push(rec);
+                    ControlFlow::Continue(Some(target))
                 }
-                _ => ControlFlow::Continue(None),
+                None => ControlFlow::Continue(None),
             },
             _ => ControlFlow::Continue(None),
         }
@@ -330,17 +325,26 @@ impl RecursiveResolver {
                 false,
             ));
         }
-        self.cache_answer(resp, now);
-        if let Some(set) = resp.rrset(current, rtype) {
+        // Cache every set, keeping the answer and `current`'s CNAME.
+        let (mut answer, mut alias) = (None, None);
+        for set in resp.sets() {
+            self.cache_rrset(&set, now);
+            if set.owner() == current {
+                if set.rtype() == rtype {
+                    answer = Some(set);
+                } else if set.rtype() == RecordType::Cname {
+                    alias = Some(set);
+                }
+            }
+        }
+        if let Some(set) = answer {
             let chain = std::mem::take(chain);
-            return ControlFlow::Break(self.finish(chain, set.clone().into(), false, now));
+            return ControlFlow::Break(self.finish(chain, CachedAnswer::Positive(set), false, now));
         }
         // CNAME step from the live response.
-        if let Some(rec) = resp.rrset(current, RecordType::Cname).map(|set| &set.records[0]) {
-            if let RData::Cname(target) = &rec.rdata {
-                chain.push(rec.clone());
-                return ControlFlow::Continue(target.clone());
-            }
+        if let Some((rec, target)) = alias.as_ref().and_then(cname_step) {
+            chain.push(rec);
+            return ControlFlow::Continue(target);
         }
         // NODATA.
         let ttl = resp.negative_ttl(self.config.default_negative_ttl);
@@ -356,13 +360,9 @@ impl RecursiveResolver {
         now: Timestamp,
     ) -> Resolution {
         match ans {
-            CachedAnswer::Positive { records, rrsigs } => {
-                let validation = if self.config.validate {
-                    Some(self.validate_rrset(&records, &rrsigs, now))
-                } else {
-                    None
-                };
-                Resolution { chain, records, rrsigs, rcode: Rcode::NoError, validation, from_cache }
+            CachedAnswer::Positive(records) => {
+                let validation = self.config.validate.then(|| self.validate_rrset(&records, now));
+                Resolution { chain, records, rcode: Rcode::NoError, validation, from_cache }
             }
             CachedAnswer::Negative { rcode } => Resolution::negative(chain, rcode, from_cache),
         }
@@ -413,25 +413,38 @@ impl RecursiveResolver {
     /// them in, so which of a CNAME and its target outlives the other
     /// never depends on a hasher.
     fn cache_answer(&self, resp: &AuthorityReply, now: Timestamp) {
-        for set in &resp.answers {
-            self.cache_rrset(set, now);
+        for set in resp.sets() {
+            self.cache_rrset(&set, now);
         }
     }
 
     fn cache_rrset(&self, set: &RrSet, now: Timestamp) {
-        let first = &set.records[0];
-        let (records, rrsigs) = (Arc::clone(&set.records), Arc::clone(&set.rrsigs));
-        self.cache.insert_positive(&first.name, first.rtype, records, rrsigs, now);
+        self.cache.insert_positive(set.owner(), set.rtype(), set.clone(), now);
     }
 
-    fn validate_rrset(
-        &self,
-        records: &[Record],
-        rrsigs: &[RrsigRdata],
-        now: Timestamp,
-    ) -> ValidationState {
+    /// The set's DNSSEC state. A set no RRSIG covers is what
+    /// [`Validator::validate`] calls `Unsigned`, answered without
+    /// building a record; a signed one is built for the validator.
+    fn validate_rrset(&self, set: &RrSet, now: Timestamp) -> ValidationState {
+        if set.rrsig_count() == 0 {
+            return ValidationState::Unsigned;
+        }
         let mut source = ResolverChainSource { resolver: self };
-        self.validator.validate(records, rrsigs, &mut source, now.0.min(u32::MAX as u64) as u32)
+        let now = now.0.min(u32::MAX as u64) as u32;
+        self.validator.validate(&set.to_records(), &set.rrsig_rdatas(), &mut source, now)
+    }
+}
+
+/// The first record of a CNAME set and its target: the step a
+/// resolution takes through it.
+fn cname_step(alias: &RrSet) -> Option<(Record, DnsName)> {
+    let rec = alias.records().next()?.to_owned_for(alias.owner()).ok()?;
+    match &rec.rdata {
+        RData::Cname(target) => {
+            let target = target.clone();
+            Some((rec, target))
+        }
+        _ => None,
     }
 }
 
@@ -444,13 +457,13 @@ struct ResolverChainSource<'a> {
 impl ResolverChainSource<'_> {
     /// The `(zone, rtype)` RRset of a chain-walk reply; a reply without
     /// one is cached as a negative answer under the reply's own rcode.
-    fn rrset_of<'r>(
+    fn rrset_of(
         &self,
-        resp: &'r AuthorityReply,
+        resp: &AuthorityReply,
         zone: &DnsName,
         rtype: RecordType,
         now: Timestamp,
-    ) -> Option<&'r RrSet> {
+    ) -> Option<RrSet> {
         let set = resp.rrset(zone, rtype);
         if set.is_none() {
             let r = self.resolver;
@@ -466,27 +479,26 @@ impl ChainSource for ResolverChainSource<'_> {
         let r = self.resolver;
         let _fetching = r.chain_fetch.lock();
         let now = r.network.clock().now();
-        let (records, rrsigs) = match r.cache.get(zone, RecordType::Dnskey, now) {
-            Some(CachedAnswer::Positive { records, rrsigs }) => (records, rrsigs),
+        let set = match r.cache.get(zone, RecordType::Dnskey, now) {
+            Some(CachedAnswer::Positive(set)) => set,
             Some(CachedAnswer::Negative { .. }) => return None,
             None => {
                 let resp = r.query_authority(zone, RecordType::Dnskey).ok()?;
                 r.cache_answer(&resp, now);
-                let set = self.rrset_of(&resp, zone, RecordType::Dnskey, now)?;
-                (Arc::clone(&set.records), Arc::clone(&set.rrsigs))
+                self.rrset_of(&resp, zone, RecordType::Dnskey, now)?
             }
         };
-        let keys: Vec<DnskeyRdata> = records
-            .iter()
-            .filter_map(|rec| match &rec.rdata {
-                RData::Dnskey(k) => Some(k.clone()),
+        let keys: Vec<DnskeyRdata> = set
+            .records()
+            .filter_map(|rec| match rec.rdata() {
+                Ok(RData::Dnskey(k)) => Some(k),
                 _ => None,
             })
             .collect();
         if keys.is_empty() {
             None
         } else {
-            Some((keys, rrsigs.to_vec()))
+            Some((keys, set.rrsig_rdatas()))
         }
     }
 
@@ -494,8 +506,8 @@ impl ChainSource for ResolverChainSource<'_> {
         let r = self.resolver;
         let _fetching = r.chain_fetch.lock();
         let now = r.network.clock().now();
-        let records = match r.cache.get(zone, RecordType::Ds, now) {
-            Some(CachedAnswer::Positive { records, .. }) => records,
+        let set = match r.cache.get(zone, RecordType::Ds, now) {
+            Some(CachedAnswer::Positive(set)) => set,
             Some(CachedAnswer::Negative { .. }) => return None,
             None => {
                 // DS lives in the parent zone.
@@ -503,21 +515,21 @@ impl ChainSource for ResolverChainSource<'_> {
                 let order = r.selector.pick_order_ds(zone, &endpoints);
                 let resp = r.ask(&parent, order, zone, RecordType::Ds).ok()?;
                 let set = self.rrset_of(&resp, zone, RecordType::Ds, now)?;
-                r.cache_rrset(set, now);
-                Arc::clone(&set.records)
+                r.cache_rrset(&set, now);
+                set
             }
         };
-        let set: Vec<DsRdata> = records
-            .iter()
-            .filter_map(|rec| match &rec.rdata {
-                RData::Ds(d) => Some(d.clone()),
+        let ds: Vec<DsRdata> = set
+            .records()
+            .filter_map(|rec| match rec.rdata() {
+                Ok(RData::Ds(d)) => Some(d),
                 _ => None,
             })
             .collect();
-        if set.is_empty() {
+        if ds.is_empty() {
             None
         } else {
-            Some(set)
+            Some(ds)
         }
     }
 }
@@ -538,270 +550,33 @@ impl DatagramService for RecursiveResolver {
             Ok(res) => {
                 resp.rcode = res.rcode;
                 resp.flags.ad = res.ad();
-                resp.answers.extend(res.chain.clone());
-                resp.answers.extend(res.records.iter().cloned());
-                if query.dnssec_ok() {
-                    for sig in res.rrsigs.iter() {
-                        if let Some(first) = res.records.first() {
-                            resp.answers.push(Record::with_type(
+                let records = res.records.to_records();
+                // Each RRSIG is re-issued under the set's first record.
+                let rrsigs: Vec<Record> = match records.first() {
+                    Some(first) if query.dnssec_ok() => res
+                        .records
+                        .rrsig_rdatas()
+                        .into_iter()
+                        .map(|sig| {
+                            let rdata = RData::Rrsig(sig);
+                            Record::with_type(
                                 first.name.clone(),
                                 RecordType::Rrsig,
                                 first.ttl,
-                                RData::Rrsig(sig.clone()),
-                            ));
-                        }
-                    }
-                }
+                                rdata,
+                            )
+                        })
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                resp.answers.extend(res.chain);
+                resp.answers.extend(records);
+                resp.answers.extend(rrsigs);
             }
             Err(_) => {
                 resp.rcode = Rcode::ServFail;
             }
         }
         Ok(resp.encode())
-    }
-}
-
-/// One RRset of an answer section with the signatures covering it:
-/// built once, by move, where the reply is parsed, and from then on only
-/// shared — the cache, the [`Resolution`] and every duplicate of the
-/// query in a batch hold reference counts on these two slices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RrSet {
-    /// The records of the set, in answer order; never empty.
-    pub(crate) records: Arc<[Record]>,
-    /// The RRSIGs covering the set, in answer order.
-    pub(crate) rrsigs: Arc<[RrsigRdata]>,
-}
-
-/// Whether `first`, the first record of a set, makes it the
-/// `(name, rtype)` RRset.
-fn heads(first: &Record, name: &DnsName, rtype: RecordType) -> bool {
-    first.rtype == rtype && first.name == *name
-}
-
-impl From<RrSet> for CachedAnswer {
-    fn from(set: RrSet) -> CachedAnswer {
-        CachedAnswer::Positive { records: set.records, rrsigs: set.rrsigs }
-    }
-}
-
-/// `Vec` → shared slice; an empty one is the process-wide empty slice
-/// (`Arc::<[_]>::default()`) rather than an allocation of its own.
-fn share<T>(items: Vec<T>) -> Arc<[T]> {
-    if items.is_empty() {
-        Arc::default()
-    } else {
-        items.into()
-    }
-}
-
-/// Group an answer section into its RRsets, by move: sets in the order
-/// they first appear, a set split across the section merged into one,
-/// each RRSIG attached to the set `(owner, type covered)` it signs
-/// wherever in the section it sits, and dropped when that set is absent.
-/// The first record that fails to decode fails the whole section.
-pub(crate) fn group_rrsets<E>(
-    answers: impl Iterator<Item = Result<Record, E>>,
-) -> Result<Vec<RrSet>, E> {
-    let mut sets: Vec<(Vec<Record>, Vec<RrsigRdata>)> = Vec::new();
-    // RRSIGs met before the set they cover.
-    let mut early: Vec<(DnsName, RrsigRdata)> = Vec::new();
-    for rec in answers {
-        let rec = rec?;
-        // An authority emits an RRset contiguously and its RRSIGs right
-        // after it, so looking back finds the set at once.
-        if rec.rtype == RecordType::Rrsig {
-            if let RData::Rrsig(sig) = rec.rdata {
-                let owner = &rec.name;
-                match sets.iter_mut().rev().find(|s| heads(&s.0[0], owner, sig.type_covered)) {
-                    Some((_, rrsigs)) => rrsigs.push(sig),
-                    None => early.push((rec.name, sig)),
-                }
-            }
-            continue;
-        }
-        match sets.iter_mut().rev().find(|s| heads(&s.0[0], &rec.name, rec.rtype)) {
-            Some((records, _)) => records.push(rec),
-            None => {
-                let rrsigs = early
-                    .extract_if(.., |(owner, sig)| heads(&rec, owner, sig.type_covered))
-                    .map(|(_, sig)| sig)
-                    .collect();
-                sets.push((vec![rec], rrsigs));
-            }
-        }
-    }
-    let freeze = |(records, rrsigs)| RrSet { records: share(records), rrsigs: share(rrsigs) };
-    Ok(sets.into_iter().map(freeze).collect())
-}
-
-/// The slice of an authority response the resolver actually consumes,
-/// lifted off a borrowed [`MessageView`]. Only answer-section records
-/// are materialized — once, straight into the shared [`RrSet`]s that
-/// the cache and the [`Resolution`] then hold; the authority section is
-/// scanned lazily for the first SOA's negative TTL, and
-/// additional-section rdata is never decoded at all.
-pub(crate) struct AuthorityReply {
-    pub(crate) rcode: Rcode,
-    /// The answer section's RRsets, in first-appearance order.
-    pub(crate) answers: Vec<RrSet>,
-    /// `min(SOA minimum, SOA TTL)` from the authority section, if any.
-    soa_negative_ttl: Option<u32>,
-}
-
-impl AuthorityReply {
-    /// Parse the reply to the query `(id, name, rtype)`. `None` means
-    /// unusable: a structural error anywhere, undecodable rdata in a
-    /// record we consume, or a datagram that does not answer that query
-    /// (RFC 5452 §4: not a response, another transaction id, or a
-    /// question section that is not exactly the question asked).
-    pub(crate) fn parse(
-        bytes: &[u8],
-        id: u16,
-        name: &DnsName,
-        rtype: RecordType,
-    ) -> Option<AuthorityReply> {
-        let view = MessageView::parse(bytes).ok()?;
-        let question = view.question()?;
-        let answers_query = view.flags().qr
-            && view.id() == id
-            && view.question_count() == 1
-            && question.qtype() == rtype
-            && question.name().eq_name(name);
-        if !answers_query {
-            return None;
-        }
-        let answers = group_rrsets(view.answers().map(|rec| rec.to_owned_for(name))).ok()?;
-        let mut soa_negative_ttl = None;
-        for rec in view.authorities() {
-            if rec.rtype() == RecordType::Soa {
-                match rec.rdata().ok()? {
-                    RData::Soa(soa) => {
-                        soa_negative_ttl = Some(soa.minimum.min(rec.ttl()));
-                        break;
-                    }
-                    _ => continue,
-                }
-            }
-        }
-        Some(AuthorityReply { rcode: view.rcode(), answers, soa_negative_ttl })
-    }
-
-    /// The `(name, rtype)` RRset of the answer section, if it has one.
-    pub(crate) fn rrset(&self, name: &DnsName, rtype: RecordType) -> Option<&RrSet> {
-        self.answers.iter().find(|set| heads(&set.records[0], name, rtype))
-    }
-
-    pub(crate) fn negative_ttl(&self, default: u32) -> u32 {
-        self.soa_negative_ttl.unwrap_or(default)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::convert::Infallible;
-    use std::net::Ipv4Addr;
-
-    // What `group_rrsets` replaced, kept as its oracle: every set and
-    // every signature list deep-copied out of the flat answer section.
-
-    fn extract_rrset(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<Record> {
-        answers.iter().filter(|r| r.rtype == rtype && r.name == *name).cloned().collect()
-    }
-
-    fn extract_rrsigs(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<RrsigRdata> {
-        answers
-            .iter()
-            .filter(|r| r.rtype == RecordType::Rrsig && r.name == *name)
-            .filter_map(|r| match &r.rdata {
-                RData::Rrsig(s) if s.type_covered == rtype => Some(s.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn oracle(answers: &[Record]) -> Vec<(Vec<Record>, Vec<RrsigRdata>)> {
-        let mut sets = Vec::new();
-        for (i, first) in answers.iter().enumerate() {
-            let seen = |r: &Record| r.rtype == first.rtype && r.name == first.name;
-            if first.rtype == RecordType::Rrsig || answers[..i].iter().rev().any(seen) {
-                continue;
-            }
-            sets.push((
-                extract_rrset(&answers[i..], &first.name, first.rtype),
-                extract_rrsigs(answers, &first.name, first.rtype),
-            ));
-        }
-        sets
-    }
-
-    /// `a.example` twice, differing only in case; its `www`; a stranger.
-    const OWNERS: [&str; 4] = ["a.example", "A.Example", "www.a.example", "b.example"];
-    const TYPES: [RecordType; 4] =
-        [RecordType::A, RecordType::Aaaa, RecordType::Cname, RecordType::Rrsig];
-
-    fn owner(i: usize) -> DnsName {
-        DnsName::parse(OWNERS[i]).unwrap()
-    }
-
-    /// One answer record: of type `TYPES[t]` when `sig` is 0 (an RRSIG
-    /// *record* with foreign rdata for `t` = 3), else an RRSIG covering
-    /// that type. `serial` tells otherwise equal records apart.
-    fn record((o, t, sig, serial): (usize, usize, u8, u8)) -> Record {
-        if sig == 1 {
-            let rdata = RrsigRdata {
-                type_covered: TYPES[t],
-                algorithm: 13,
-                labels: 2,
-                original_ttl: 300,
-                expiration: 2_000,
-                inception: 1_000,
-                key_tag: u16::from(serial),
-                signer: owner(0),
-                signature: vec![serial; 4],
-            };
-            return Record::with_type(owner(o), RecordType::Rrsig, 300, RData::Rrsig(rdata));
-        }
-        let rdata = match TYPES[t] {
-            RecordType::Cname => RData::Cname(owner(usize::from(serial) % OWNERS.len())),
-            RecordType::Aaaa => RData::Aaaa(Ipv4Addr::new(192, 0, 2, serial).to_ipv6_mapped()),
-            _ => RData::A(Ipv4Addr::new(192, 0, 2, serial)),
-        };
-        Record::with_type(owner(o), TYPES[t], 300 + u32::from(serial), rdata)
-    }
-
-    /// Records with their owners spelled out: `DnsName`'s `==` folds
-    /// case, and which spelling a set keeps is part of the contract.
-    fn spelled(records: &[Record]) -> Vec<(String, &Record)> {
-        records.iter().map(|r| (r.name.to_string(), r)).collect()
-    }
-
-    proptest! {
-        /// Interleaved and split sets, RRSIGs before, after and without
-        /// their set, owners differing only in case, CNAME + target:
-        /// the same sets, in the same order, holding the same records
-        /// and signatures in the same order as the code replaced.
-        #[test]
-        fn grouping_equals_the_extract_functions_it_replaced(
-            section in proptest::collection::vec((0usize..4, 0usize..4, 0u8..2, 0u8..255), 0..14),
-        ) {
-            let answers: Vec<Record> = section.into_iter().map(record).collect();
-            let grouped = group_rrsets(answers.iter().cloned().map(Ok::<_, Infallible>)).unwrap();
-            let expected = oracle(&answers);
-            prop_assert_eq!(grouped.len(), expected.len());
-            for (set, (records, rrsigs)) in grouped.iter().zip(&expected) {
-                prop_assert_eq!(spelled(&set.records), spelled(records));
-                prop_assert_eq!(&set.rrsigs[..], &rrsigs[..]);
-            }
-        }
-    }
-
-    #[test]
-    fn an_undecodable_record_fails_the_whole_section() {
-        let good = record((0, 0, 0, 1));
-        assert_eq!(group_rrsets([Ok(good.clone()), Err("rdata")].into_iter()), Err("rdata"));
-        assert_eq!(group_rrsets([Ok::<_, ()>(good)].into_iter()).map(|sets| sets.len()), Ok(1));
     }
 }

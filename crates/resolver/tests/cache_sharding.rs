@@ -6,7 +6,7 @@
 use dns_wire::{DnsName, RData, Rcode, Record, RecordType};
 use netsim::Timestamp;
 use proptest::prelude::*;
-use resolver::RecordCache;
+use resolver::{RecordCache, RrSet};
 use std::net::Ipv4Addr;
 
 /// One scripted cache operation over a small universe of owner names.
@@ -42,6 +42,10 @@ fn a_record(d: u8, ttl: u32) -> Record {
     Record::new(name_of(d), ttl, RData::A(Ipv4Addr::new(192, 0, 2, d)))
 }
 
+fn a_set(d: u8, ttl: u32) -> RrSet {
+    RrSet::from_records(&[a_record(d, ttl)], &[])
+}
+
 proptest! {
     #[test]
     fn shard_count_does_not_change_behaviour(ops in proptest::collection::vec(arb_op(), 1..100)) {
@@ -52,8 +56,8 @@ proptest! {
             match *op {
                 Op::InsertPositive { d, ttl } => {
                     let n = name_of(d);
-                    one.insert_positive(&n, RecordType::A, vec![a_record(d, ttl)], vec![], now);
-                    sixteen.insert_positive(&n, RecordType::A, vec![a_record(d, ttl)], vec![], now);
+                    one.insert_positive(&n, RecordType::A, a_set(d, ttl), now);
+                    sixteen.insert_positive(&n, RecordType::A, a_set(d, ttl), now);
                 }
                 Op::InsertNegative { d, ttl } => {
                     let n = name_of(d);

@@ -1,7 +1,8 @@
-//! Name servers whose replies do not answer the query in flight
-//! (RFC 5452 §4) — shared by `failure_injection` (synchronous backend)
-//! and `event_backend`, each of which binds them into its own
-//! two-server world for `a.com`.
+//! Name servers whose replies a resolver must refuse — replies that do
+//! not answer the query in flight (RFC 5452 §4), and well-formed replies
+//! holding RDATA that does not decode — shared by `failure_injection`
+//! (synchronous backend) and `event_backend`, each of which binds them
+//! into its own two-server world for `a.com`.
 
 use dns_wire::{DnsName, Message, RData, Record, RecordType};
 use netsim::{DatagramService, NetError, Timestamp};
@@ -37,5 +38,46 @@ impl DatagramService for Mismatch {
         };
         reply.answers.push(Record::new(victim(), 3600, RData::A("6.6.6.6".parse().unwrap())));
         Ok(reply.encode())
+    }
+}
+
+/// An answer record whose RDATA does not decode, in an otherwise
+/// well-formed reply.
+#[derive(Debug, Clone, Copy)]
+pub enum BadRdata {
+    /// An HTTPS record whose `alpn` SvcParam claims 5 octets and holds 3.
+    TruncatedSvcParam,
+    /// An A record of 3 octets.
+    ShortA,
+}
+
+/// Every kind of undecodable answer.
+pub const BAD_RDATA: [BadRdata; 2] = [BadRdata::TruncatedSvcParam, BadRdata::ShortA];
+
+impl DatagramService for BadRdata {
+    /// The reply to the query asked, answering it with a decodable A
+    /// record for [`victim`] and then, owned by the question name, the
+    /// undecodable record.
+    fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
+        let query = Message::decode(request).map_err(|_| NetError::Reset)?;
+        let mut reply = query.response();
+        reply.edns = None; // keep the answer section last
+        reply.answers.push(Record::new(victim(), 3600, RData::A("6.6.6.6".parse().unwrap())));
+        let mut bytes = reply.encode();
+        let (rtype, rdata): (RecordType, &[u8]) = match self {
+            // Priority 1, target ".", then key 1 (alpn), length 5.
+            BadRdata::TruncatedSvcParam => {
+                (RecordType::Https, &[0, 1, 0, 0, 1, 0, 5, 2, b'h', b'2'])
+            }
+            BadRdata::ShortA => (RecordType::A, &[1, 2, 3]),
+        };
+        bytes[7] += 1; // ANCOUNT
+        bytes.extend_from_slice(&[0xC0, 12]); // owner: the question name
+        bytes.extend_from_slice(&rtype.code().to_be_bytes());
+        bytes.extend_from_slice(&1u16.to_be_bytes());
+        bytes.extend_from_slice(&3600u32.to_be_bytes());
+        bytes.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+        bytes.extend_from_slice(rdata);
+        Ok(bytes)
     }
 }

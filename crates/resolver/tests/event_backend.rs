@@ -19,7 +19,7 @@
 mod common;
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
-use common::{victim, MISMATCHES};
+use common::{victim, BAD_RDATA, MISMATCHES};
 use dns_wire::{DnsName, RData, Record, RecordType};
 use ecosystem::{EcosystemConfig, World};
 use netsim::{LinkModel, Network, SimClock};
@@ -404,6 +404,40 @@ fn slow_endpoint_times_out_but_fast_fallback_wins() {
 }
 
 #[test]
+fn a_reply_with_undecodable_rdata_falls_back_and_caches_nothing_from_it() {
+    // The same reply check as the synchronous path: one answer record
+    // that does not decode makes the whole reply malformed — next NS,
+    // and nothing of it (not even its decodable records) cached.
+    let config = || ResolverConfig {
+        strategy: SelectionStrategy::First,
+        validate: false,
+        backend: EngineBackend::EventLoop,
+        ..Default::default()
+    };
+    let queries = vec![Query::new(name("a.com"), RecordType::A)];
+    for bad in BAD_RDATA {
+        let (net, reg) = two_server_world();
+        net.bind_datagram(ip("10.0.0.1"), 53, Arc::new(bad));
+        let engine = QueryEngine::new(net.clone(), reg, config());
+        let (results, timing) = engine.resolve_batch_timed(&queries, 1);
+        let res = results[0].as_ref().expect("the honest second server answers");
+        assert_eq!(res.records.len(), 1, "{bad:?}");
+        assert_eq!(timing.unwrap().stats.ns_fallbacks, 1, "{bad:?}");
+        let now = net.clock().now();
+        assert!(engine.cache().get(&victim(), RecordType::A, now).is_none(), "{bad:?}");
+        assert_eq!(engine.cache().len(), 1, "{bad:?}: only the honest answer is cached");
+
+        let (net, reg) = two_server_world();
+        net.bind_datagram(ip("10.0.0.1"), 53, Arc::new(bad));
+        net.bind_datagram(ip("10.0.0.2"), 53, Arc::new(bad));
+        let engine = QueryEngine::new(net, reg, config());
+        let results = engine.resolve_batch(&queries, 1);
+        assert_eq!(results[0], Err(ResolveError::Malformed), "{bad:?}");
+        assert!(engine.cache().is_empty(), "{bad:?}");
+    }
+}
+
+#[test]
 fn a_reply_that_does_not_answer_the_query_falls_back_and_is_never_cached() {
     // The event loop goes through the same reply check as the
     // synchronous path (`failure_injection`): wrong id, another
@@ -421,7 +455,11 @@ fn a_reply_that_does_not_answer_the_query_falls_back_and_is_never_cached() {
         let engine = QueryEngine::new(net.clone(), reg, config());
         let (results, timing) = engine.resolve_batch_timed(&queries, 1);
         let res = results[0].as_ref().expect("the honest second server answers");
-        assert_eq!(res.records[0].rdata, RData::A("1.2.3.4".parse().unwrap()), "{mismatch:?}");
+        assert_eq!(
+            res.records.to_records()[0].rdata,
+            RData::A("1.2.3.4".parse().unwrap()),
+            "{mismatch:?}"
+        );
         assert_eq!(timing.unwrap().stats.ns_fallbacks, 1, "{mismatch:?}");
         let now = net.clock().now();
         assert!(engine.cache().get(&victim(), RecordType::A, now).is_none(), "{mismatch:?}");

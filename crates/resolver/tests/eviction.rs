@@ -19,7 +19,7 @@ use netsim::Timestamp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use resolver::{EvictionPolicy, QueryEngine, RecordCache, ResolverConfig};
+use resolver::{EvictionPolicy, QueryEngine, RecordCache, ResolverConfig, RrSet};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -31,6 +31,10 @@ fn name_of(d: u16) -> DnsName {
 
 fn a_record(d: u16, ttl: u32) -> Record {
     Record::new(name_of(d), ttl, RData::A(Ipv4Addr::new(192, 0, (d >> 8) as u8, d as u8)))
+}
+
+fn a_set(d: u16, ttl: u32) -> RrSet {
+    RrSet::from_records(&[a_record(d, ttl)], &[])
 }
 
 fn policy_of(pick: u8) -> EvictionPolicy {
@@ -70,7 +74,7 @@ proptest! {
         let cache = RecordCache::with_eviction(SHARDS, None, cap, policy_of(policy_pick));
         let now = Timestamp(0);
         for &(d, ttl) in &inserts {
-            cache.insert_positive(&name_of(d), RecordType::A, vec![a_record(d, ttl)], vec![], now);
+            cache.insert_positive(&name_of(d), RecordType::A, a_set(d, ttl), now);
             // The bound holds after *every* insert, not just at the end.
             for (shard, len) in cache.shard_lens().iter().enumerate() {
                 prop_assert!(
@@ -100,7 +104,7 @@ proptest! {
             match *op {
                 Op::Insert { d, ttl } => {
                     cache.insert_positive(
-                        &name_of(d), RecordType::A, vec![a_record(d, ttl)], vec![], now,
+                        &name_of(d), RecordType::A, a_set(d, ttl), now,
                     );
                     shadow.insert(d, now.plus(ttl as u64));
                 }
@@ -150,13 +154,7 @@ fn lru_hit_count_is_monotone_in_capacity_on_a_fixed_trace() {
             if cache.get(&name_of(d), RecordType::A, now).is_some() {
                 hits += 1;
             } else {
-                cache.insert_positive(
-                    &name_of(d),
-                    RecordType::A,
-                    vec![a_record(d, 3_600)],
-                    vec![],
-                    now,
-                );
+                cache.insert_positive(&name_of(d), RecordType::A, a_set(d, 3_600), now);
             }
         }
         hit_counts.push((cap, hits));

@@ -1,11 +1,11 @@
 //! Failure-injection tests: lame delegations, malformed and mismatched
-//! authority responses, total blackouts, and strategy-dependent
-//! behaviour.
+//! authority responses, well-formed responses with undecodable RDATA,
+//! total blackouts, and strategy-dependent behaviour.
 
 mod common;
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
-use common::{victim, MISMATCHES};
+use common::{victim, BAD_RDATA, MISMATCHES};
 use dns_wire::{DnsName, RData, Record, RecordType};
 use netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
 use resolver::{RecursiveResolver, ResolveError, ResolverConfig, SelectionStrategy};
@@ -111,11 +111,40 @@ fn a_reply_that_does_not_answer_the_query_is_skipped_and_never_cached() {
         let r = resolver_first(&net, &reg);
         let res = r.resolve(&name("a.com"), RecordType::A).unwrap();
         assert_eq!(res.records.len(), 1, "{mismatch:?}: the honest second server answers");
-        assert_eq!(res.records[0].rdata, RData::A("1.2.3.4".parse().unwrap()), "{mismatch:?}");
+        assert_eq!(
+            res.records.to_records()[0].rdata,
+            RData::A("1.2.3.4".parse().unwrap()),
+            "{mismatch:?}"
+        );
         assert!(!res.from_cache);
         let now = net.clock().now();
         assert!(r.cache().get(&victim(), RecordType::A, now).is_none(), "{mismatch:?} cached");
         assert_eq!(r.cache().len(), 1, "{mismatch:?}: only the honest answer is cached");
+    }
+}
+
+#[test]
+fn a_reply_with_undecodable_rdata_fails_over_and_caches_nothing_from_it() {
+    for bad in BAD_RDATA {
+        let (net, reg) = world_with(Arc::new(bad), Some(good_server()));
+        let r = resolver_first(&net, &reg);
+        let res = r.resolve(&name("a.com"), RecordType::A).unwrap();
+        assert_eq!(res.records.len(), 1, "{bad:?}: the honest second server answers");
+        assert!(!res.from_cache);
+        let now = net.clock().now();
+        assert!(r.cache().get(&victim(), RecordType::A, now).is_none(), "{bad:?} cached");
+        assert_eq!(r.cache().len(), 1, "{bad:?}: only the honest answer is cached");
+    }
+}
+
+#[test]
+fn a_lone_reply_with_undecodable_rdata_is_malformed() {
+    for bad in BAD_RDATA {
+        let (net, reg) = world_with(Arc::new(bad), None);
+        let r = resolver_first(&net, &reg);
+        let got = r.resolve(&name("a.com"), RecordType::A);
+        assert!(matches!(got, Err(ResolveError::Malformed)), "{bad:?}: {got:?}");
+        assert!(r.cache().is_empty(), "{bad:?}");
     }
 }
 

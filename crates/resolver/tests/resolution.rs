@@ -94,7 +94,7 @@ fn resolves_https_with_secure_validation() {
     let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
     assert_eq!(res.rcode, Rcode::NoError);
     assert_eq!(res.records.len(), 1);
-    assert_eq!(res.rrsigs.len(), 1);
+    assert_eq!(res.records.rrsig_count(), 1);
     assert_eq!(res.validation, Some(ValidationState::Secure));
     assert!(res.ad());
     assert!(!res.from_cache);
@@ -107,7 +107,7 @@ fn missing_ds_gives_insecure_no_ad() {
     let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
     assert_eq!(res.validation, Some(ValidationState::Insecure));
     assert!(!res.ad());
-    assert_eq!(res.rrsigs.len(), 1); // signed but not validatable
+    assert_eq!(res.records.rrsig_count(), 1); // signed but not validatable
 }
 
 #[test]
@@ -173,7 +173,7 @@ fn cache_expires_with_virtual_time() {
     // Warm cache still serves the old record.
     let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
     assert!(res.from_cache);
-    match &res.records[0].rdata {
+    match &res.records.to_records()[0].rdata {
         RData::Https(rd) => assert_eq!(rd.alpn().unwrap(), vec!["h2"]),
         other => panic!("{other:?}"),
     }
@@ -181,7 +181,7 @@ fn cache_expires_with_virtual_time() {
     net.clock().advance(301);
     let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
     assert!(!res.from_cache);
-    match &res.records[0].rdata {
+    match &res.records.to_records()[0].rdata {
         RData::Https(rd) => assert_eq!(rd.alpn().unwrap(), vec!["h3"]),
         other => panic!("{other:?}"),
     }
@@ -194,7 +194,7 @@ fn chases_cname_for_https() {
     let res = r.resolve(&name("www.a.com"), RecordType::Https).unwrap();
     assert_eq!(res.chain.len(), 1);
     assert_eq!(res.records.len(), 1);
-    assert_eq!(res.records[0].name, name("a.com"));
+    assert_eq!(res.records.to_records()[0].name, name("a.com"));
 }
 
 #[test]
@@ -270,7 +270,7 @@ fn unsigned_zone_resolves_without_ad() {
     let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
     assert_eq!(res.validation, Some(ValidationState::Unsigned));
     assert!(!res.ad());
-    assert!(res.rrsigs.is_empty());
+    assert_eq!(res.records.rrsig_count(), 0);
 }
 
 #[test]

@@ -62,10 +62,12 @@
 use crate::observation::{flags, NsCategory, Observation};
 use crate::store::persist::{StoreMeta, StoreWriter};
 use crate::store::{OrgId, OrgInterner, SnapshotStore};
-use dns_wire::{DnsName, RData, Record, RecordType, SvcbRdata};
+use dns_wire::svcb::key;
+use dns_wire::{DnsName, NameView, RData, RecordType, SvcbView};
 use ecosystem::World;
 use resolver::{
-    CacheStats, Query, QueryEngine, Resolution, ResolveError, SelectionStrategy, VantagePoint,
+    CacheStats, Query, QueryEngine, Resolution, ResolveError, RrSet, SelectionStrategy,
+    VantagePoint,
 };
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -411,8 +413,8 @@ struct Target {
 
 /// One vantage's state for one target, folded wave by wave. It owns no
 /// heap block: follow-ups are `u32` indices into the vantage's wave
-/// batches, and the hint check holds the HTTPS answer's shared RRset
-/// instead of a copy of its hints.
+/// batches, and the hint check holds the HTTPS answer's shared RRset —
+/// a reference count on the reply — instead of a copy of its hints.
 struct TargetScan {
     flags: u32,
     min_priority: u16,
@@ -420,7 +422,7 @@ struct TargetScan {
     org: OrgId,
     /// The owner-name A follow-up: its index in the wave-2 batch, and the
     /// HTTPS answer whose IPv4 hints are checked against its records.
-    owner_a: Option<(u32, Arc<[Record]>)>,
+    owner_a: Option<(u32, RrSet)>,
     /// Index into the wave-2 batch of the apex NS follow-up.
     ns_lookup: Option<u32>,
     /// The wave-3 NS-host A lookups, which are pushed contiguously.
@@ -595,12 +597,10 @@ fn fold_https(
                     if !res.chain.is_empty() {
                         t.flags |= flags::VIA_CNAME;
                     }
-                    if let Some(min_priority) =
-                        https_rdatas(&res.records).map(|rd| rd.priority).min()
-                    {
-                        t.flags |= flags::HTTPS_PRESENT | classify_rdatas(&res.records);
+                    if let Some((min_priority, shape)) = read_https(&res.records) {
+                        t.flags |= flags::HTTPS_PRESENT | shape;
                         t.min_priority = min_priority;
-                        if !res.rrsigs.is_empty() {
+                        if res.records.rrsig_count() > 0 {
                             t.flags |= flags::RRSIG;
                         }
                         if res.ad() {
@@ -608,8 +608,7 @@ fn fold_https(
                         }
                         // Follow-up A query for the record owner; its
                         // answer is checked against the hints in wave 2.
-                        // An HTTPS RDATA was found, so `records[0]` exists.
-                        let owner = res.records[0].name.clone();
+                        let owner = res.records.owner().clone();
                         t.owner_a = Some((wave2.len() as u32, res.records));
                         wave2.push(Query::new(owner, RecordType::A));
                     }
@@ -650,9 +649,9 @@ fn fold_followups(scans: &mut [TargetScan], results: WaveResults) -> Vec<Query> 
         if let Some(idx) = t.ns_lookup {
             let start = wave3.len() as u32;
             if let Ok(ns_res) = &results[idx as usize] {
-                for r in ns_res.records.iter() {
-                    if let RData::Ns(ns) = &r.rdata {
-                        wave3.push(Query::new(ns.clone(), RecordType::A));
+                for rec in ns_res.records.records() {
+                    if let Ok(RData::Ns(ns)) = rec.rdata() {
+                        wave3.push(Query::new(ns, RecordType::A));
                     }
                 }
             }
@@ -675,11 +674,9 @@ fn fold_ns_hosts(
     for t in scans.iter_mut().filter(|t| !t.ns_hosts.is_empty()) {
         orgs.clear();
         for a_res in results[t.ns_hosts.start as usize..t.ns_hosts.end as usize].iter().flatten() {
-            for r in a_res.records.iter() {
-                if let RData::A(a) = &r.rdata {
-                    if let Some(org) = world.whois.lookup(IpAddr::V4(*a)) {
-                        orgs.push(org);
-                    }
+            for a in a_ips(&a_res.records) {
+                if let Some(org) = world.whois.lookup(IpAddr::V4(a)) {
+                    orgs.push(org);
                 }
             }
         }
@@ -689,62 +686,78 @@ fn fold_ns_hosts(
     }
 }
 
-/// The HTTPS RDATAs of an answer RRset.
-fn https_rdatas(records: &[Record]) -> impl Iterator<Item = &SvcbRdata> {
-    records.iter().filter_map(|r| match &r.rdata {
-        RData::Https(rd) => Some(rd),
+/// The HTTPS RDATAs of an answer RRset, read in place. Every record of
+/// a set the resolver hands out was checked when its reply was parsed,
+/// so none is skipped.
+fn https_views(set: &RrSet) -> impl Iterator<Item = SvcbView<'_>> {
+    let https = set.rtype() == RecordType::Https;
+    set.records().filter(move |_| https).filter_map(|rec| rec.svcb_prechecked().ok())
+}
+
+/// The addresses of an A RRset.
+fn a_ips(set: &RrSet) -> impl Iterator<Item = std::net::Ipv4Addr> + '_ {
+    set.records().filter_map(|rec| match rec.rdata() {
+        Ok(RData::A(a)) => Some(a),
         _ => None,
     })
 }
 
-/// Whether an HTTPS RRset advertises IPv4 hints and every one of them
-/// is among the owner's A records.
-fn hints_match(https: &[Record], a_records: &[Record]) -> bool {
-    let a_ips = || {
-        a_records.iter().filter_map(|r| match &r.rdata {
-            RData::A(a) => Some(a),
-            _ => None,
-        })
-    };
-    let mut hints = https_rdatas(https).filter_map(SvcbRdata::ipv4hint).flatten().peekable();
-    hints.peek().is_some() && a_ips().next().is_some() && hints.all(|h| a_ips().any(|a| a == h))
+/// One read of an HTTPS answer: its lowest SvcPriority and the
+/// record-shape flags of the record a client would use — the lowest
+/// ServiceMode priority (the first of equals), else the first alias.
+/// `None` when it holds no HTTPS RDATA. Each RDATA is read once, in
+/// place.
+fn read_https(set: &RrSet) -> Option<(u16, u32)> {
+    let (mut min_priority, mut count) = (u16::MAX, 0usize);
+    let mut chosen: Option<SvcbView<'_>> = None;
+    for rd in https_views(set) {
+        count += 1;
+        min_priority = min_priority.min(rd.priority());
+        chosen = match chosen {
+            Some(c) if rd.is_alias() || (!c.is_alias() && c.priority() <= rd.priority()) => Some(c),
+            _ => Some(rd),
+        };
+    }
+    Some((min_priority, classify(&chosen?, count == 1)))
 }
 
-/// Derive record-shape flags from an answer's HTTPS RDATAs (no flags
-/// when it holds none).
-fn classify_rdatas(records: &[Record]) -> u32 {
-    // The record a client would use: lowest ServiceMode priority, else alias.
-    let chosen = https_rdatas(records)
-        .filter(|rd| !rd.is_alias())
-        .min_by_key(|rd| rd.priority)
-        .or_else(|| https_rdatas(records).next());
-    let Some(chosen) = chosen else { return 0 };
+/// Whether an HTTPS RRset advertises IPv4 hints and every one of them
+/// is among the owner's A records.
+fn hints_match(https: &RrSet, a_records: &RrSet) -> bool {
+    let mut hints = https_views(https).filter_map(|rd| rd.ipv4hint()).flatten().peekable();
+    hints.peek().is_some()
+        && a_ips(a_records).next().is_some()
+        && hints.all(|h| a_ips(a_records).any(|a| a == h))
+}
 
+/// Record-shape flags of the chosen HTTPS RDATA; `sole` says it is the
+/// RRset's only one.
+fn classify(chosen: &SvcbView<'_>, sole: bool) -> u32 {
     let mut f = 0u32;
     if chosen.is_alias() {
         f |= flags::ALIAS_MODE;
-        if chosen.target.is_root() {
+        if chosen.target().is_root() {
             f |= flags::TARGET_SELF_DOT;
         }
-    } else if chosen.params.is_empty() {
+    } else if !chosen.has_params() {
         f |= flags::EMPTY_SVCPARAMS;
     }
-    if chosen.lint().iter().any(|i| i.contains("IPv4 address literal")) {
+    if is_ipv4_literal(chosen.target()) {
         f |= flags::IP_LITERAL_TARGET;
     }
-    if chosen.ech().is_some() {
+    if chosen.param(key::ECH).is_some() {
         f |= flags::ECH;
     }
-    if chosen.ipv4hint().is_some() {
+    if chosen.param(key::IPV4HINT).is_some() {
         f |= flags::IPV4HINT;
     }
-    if chosen.ipv6hint().is_some() {
+    if chosen.param(key::IPV6HINT).is_some() {
         f |= flags::IPV6HINT;
     }
     match chosen.alpn_ids() {
         Some(ids) => {
             for id in ids {
-                match id.as_slice() {
+                match id {
                     b"http/1.1" => f |= flags::ALPN_H1,
                     b"h2" => f |= flags::ALPN_H2,
                     b"h3" => f |= flags::ALPN_H3,
@@ -755,30 +768,48 @@ fn classify_rdatas(records: &[Record]) -> u32 {
             }
         }
         None => {
-            if !chosen.is_alias() && !chosen.params.is_empty() {
+            if !chosen.is_alias() && chosen.has_params() {
                 f |= flags::NO_ALPN;
             }
         }
     }
     // The default shape counts only as the RRset's sole record.
-    if is_cf_default(chosen) && https_rdatas(records).nth(1).is_none() {
+    if sole && is_cf_default(chosen) {
         f |= flags::CF_DEFAULT;
     }
     f
 }
 
+/// The lint [`dns_wire::SvcbRdata::lint`] reports as "TargetName is an
+/// IPv4 address literal": a non-root target whose dotted key parses as
+/// an IPv4 address. Only a name of four all-digit labels can, so no
+/// other name is rendered.
+fn is_ipv4_literal(target: NameView<'_>) -> bool {
+    let digits = |label: &[u8]| label.iter().all(u8::is_ascii_digit);
+    if target.label_count() != 4 || !target.labels().all(digits) {
+        return false;
+    }
+    let mut key = String::new();
+    target.write_key(&mut key);
+    key.parse::<std::net::Ipv4Addr>().is_ok()
+}
+
 /// Whether a record matches Cloudflare's auto-generated default shape:
 /// ServiceMode priority 1, `.` target, alpn ⊇ {h2,h3}, both hint types.
-fn is_cf_default(rd: &SvcbRdata) -> bool {
-    if rd.priority != 1 || !rd.target.is_root() {
+fn is_cf_default(rd: &SvcbView<'_>) -> bool {
+    if rd.priority() != 1 || !rd.target().is_root() {
         return false;
     }
     let Some(alpn) = rd.alpn_ids() else { return false };
-    alpn.iter().any(|p| p.as_slice() == b"h2")
-        && alpn.iter().any(|p| p.as_slice() == b"h3")
-        && rd.ipv4hint().is_some()
-        && rd.ipv6hint().is_some()
-        && rd.port().is_none()
+    let (mut h2, mut h3) = (false, false);
+    for id in alpn {
+        h2 |= id == b"h2";
+        h3 |= id == b"h3";
+    }
+    h2 && h3
+        && rd.param(key::IPV4HINT).is_some()
+        && rd.param(key::IPV6HINT).is_some()
+        && rd.param(key::PORT).is_none()
 }
 
 /// Attribute an NS org set to a category and representative operator

@@ -2,7 +2,8 @@
 //! ECH scan (key-rotation measurement) and the §4.3.5 connectivity probe
 //! (TLS handshakes to every address of hint/A-mismatched domains).
 
-use dns_wire::{DnsName, RData, RecordType};
+use dns_wire::svcb::key;
+use dns_wire::{DnsName, RData, RecordType, RecordView, SvcbView};
 use ecosystem::World;
 use resolver::{RecursiveResolver, ResolverConfig};
 use std::net::{IpAddr, Ipv4Addr};
@@ -42,20 +43,24 @@ pub fn hourly_ech_scan(world: &mut World, window_hours: u64, sample: usize) -> V
         world.advance_hours(1);
         for (id, apex) in &targets {
             let Ok(res) = resolver.resolve(apex, RecordType::Https) else { continue };
-            for rec in res.records.iter() {
-                if let RData::Https(rd) = &rec.rdata {
-                    if let Some(ech) = rd.ech() {
-                        out.push(EchObservation {
-                            hour: hour as u32,
-                            domain_id: *id,
-                            config_hash: simcrypto::siphash::siphash24(&[1u8; 16], ech),
-                        });
-                    }
+            for rd in res.records.records().filter_map(|rec| https_view(&rec)) {
+                if let Some(ech) = rd.param(key::ECH) {
+                    out.push(EchObservation {
+                        hour: hour as u32,
+                        domain_id: *id,
+                        config_hash: simcrypto::siphash::siphash24(&[1u8; 16], ech),
+                    });
                 }
             }
         }
     }
     out
+}
+
+/// The HTTPS RDATA of an answer record, read in place; `None` for a
+/// record of another type.
+fn https_view<'a>(rec: &RecordView<'a>) -> Option<SvcbView<'a>> {
+    (rec.rtype() == RecordType::Https).then(|| rec.svcb_prechecked().ok()).flatten()
 }
 
 /// Result of probing one mismatched domain's addresses (§4.3.5).
@@ -104,19 +109,16 @@ pub fn connectivity_probe(world: &World) -> Vec<ConnectivityReport> {
         let Ok(https) = resolver.resolve(&d.apex, RecordType::Https) else { continue };
         let hints: Vec<Ipv4Addr> = https
             .records
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Https(rd) => rd.ipv4hint().map(|h| h.to_vec()),
-                _ => None,
-            })
+            .records()
+            .filter_map(|rec| https_view(&rec)?.ipv4hint())
             .flatten()
             .collect();
         let Ok(a) = resolver.resolve(&d.apex, RecordType::A) else { continue };
         let a_ips: Vec<Ipv4Addr> = a
             .records
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::A(ip) => Some(*ip),
+            .records()
+            .filter_map(|rec| match rec.rdata() {
+                Ok(RData::A(ip)) => Some(ip),
                 _ => None,
             })
             .collect();

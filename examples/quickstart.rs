@@ -55,12 +55,13 @@ fn main() {
     let resolver = RecursiveResolver::new(network.clone(), registry, ResolverConfig::default());
     let res = resolver.resolve(&apex, RecordType::Https).expect("resolution succeeds");
     println!("HTTPS record(s) for {apex}:");
-    for rec in res.records.iter() {
+    let records = res.records.to_records();
+    for rec in &records {
         println!("  {rec}");
     }
 
     // 5. Use the record: pick the ALPN and hint address, then handshake.
-    let RData::Https(rd) = &res.records[0].rdata else {
+    let RData::Https(rd) = &records[0].rdata else {
         panic!("expected HTTPS rdata");
     };
     let alpn = rd.alpn().expect("record advertises alpn");

@@ -4,7 +4,7 @@
 use httpsrr::dns_wire::{DnsName, Message, RData, Record, RecordType, SvcParam, SvcbRdata};
 use httpsrr::dnssec::ZoneKeys;
 use httpsrr::netsim::Timestamp;
-use httpsrr::resolver::RecordCache;
+use httpsrr::resolver::{RecordCache, RrSet};
 use httpsrr::tlsech::{ClientHello, EchConfig, EchConfigList, InnerHello, ServerResponse};
 use proptest::prelude::*;
 
@@ -30,7 +30,8 @@ proptest! {
     ) {
         let cache = RecordCache::new();
         let rec = Record::new(name.clone(), ttl, RData::A("1.2.3.4".parse().unwrap()));
-        cache.insert_positive(&name, RecordType::A, vec![rec], vec![], Timestamp(inserted_at));
+        let set = RrSet::from_records(&[rec], &[]);
+        cache.insert_positive(&name, RecordType::A, set, Timestamp(inserted_at));
         let now = Timestamp(inserted_at + query_offset);
         let hit = cache.get(&name, RecordType::A, now).is_some();
         prop_assert_eq!(hit, query_offset < u64::from(ttl));
