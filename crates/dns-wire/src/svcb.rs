@@ -163,106 +163,33 @@ impl SvcParam {
         }
     }
 
-    /// Decode one SvcParam from raw value bytes for the given key.
+    /// Decode one SvcParam from raw value bytes for the given key: the
+    /// value is checked ([`SvcParam::check`]), then built.
     pub fn decode(k: u16, value: &[u8]) -> Result<SvcParam, WireError> {
+        SvcParam::check(k, value)?;
+        Ok(SvcParam::from_checked(k, value))
+    }
+
+    /// Build the SvcParam of a value [`SvcParam::check`] accepted.
+    fn from_checked(k: u16, value: &[u8]) -> SvcParam {
         match k {
-            key::MANDATORY => {
-                if value.is_empty() || !value.len().is_multiple_of(2) {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "mandatory list length must be a positive multiple of 2",
-                    });
-                }
-                let keys: Vec<u16> =
-                    value.chunks_exact(2).map(|c| u16::from_be_bytes([c[0], c[1]])).collect();
-                // Keys must be strictly increasing and must not include
-                // `mandatory` itself (RFC 9460 §8).
-                if keys.windows(2).any(|w| w[0] >= w[1]) || keys.contains(&key::MANDATORY) {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "mandatory list must be strictly increasing and exclude key 0",
-                    });
-                }
-                Ok(SvcParam::Mandatory(keys))
-            }
-            key::ALPN => {
-                let mut ids = Vec::new();
-                let mut r = WireReader::new(value);
-                while r.remaining() > 0 {
-                    let n = r.read_u8()? as usize;
-                    if n == 0 {
-                        return Err(WireError::InvalidSvcParam { key: k, reason: "empty alpn-id" });
-                    }
-                    ids.push(r.read_bytes(n, "alpn-id")?.to_vec());
-                }
-                if ids.is_empty() {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "alpn list must be non-empty",
-                    });
-                }
-                Ok(SvcParam::Alpn(ids))
-            }
-            key::NO_DEFAULT_ALPN => {
-                if !value.is_empty() {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "no-default-alpn takes no value",
-                    });
-                }
-                Ok(SvcParam::NoDefaultAlpn)
-            }
-            key::PORT => {
-                if value.len() != 2 {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "port must be exactly 2 octets",
-                    });
-                }
-                Ok(SvcParam::Port(u16::from_be_bytes([value[0], value[1]])))
-            }
-            key::IPV4HINT => {
-                if value.is_empty() || !value.len().is_multiple_of(4) {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "ipv4hint length must be a positive multiple of 4",
-                    });
-                }
-                Ok(SvcParam::Ipv4Hint(
-                    value.chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])).collect(),
-                ))
-            }
-            key::ECH => {
-                if value.is_empty() {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "ech value must be non-empty",
-                    });
-                }
-                Ok(SvcParam::Ech(value.to_vec()))
-            }
-            key::IPV6HINT => {
-                if value.is_empty() || !value.len().is_multiple_of(16) {
-                    return Err(WireError::InvalidSvcParam {
-                        key: k,
-                        reason: "ipv6hint length must be a positive multiple of 16",
-                    });
-                }
-                Ok(SvcParam::Ipv6Hint(
-                    value
-                        .chunks_exact(16)
-                        .map(|c| {
-                            let mut o = [0u8; 16];
-                            o.copy_from_slice(c);
-                            Ipv6Addr::from(o)
-                        })
-                        .collect(),
-                ))
-            }
-            key::INVALID => {
-                Err(WireError::InvalidSvcParam { key: k, reason: "key 65535 is reserved invalid" })
-            }
-            other => Ok(SvcParam::Unknown { key: other, value: value.to_vec() }),
+            key::MANDATORY => SvcParam::Mandatory(
+                value.chunks_exact(2).map(|c| u16::from_be_bytes([c[0], c[1]])).collect(),
+            ),
+            key::ALPN => SvcParam::Alpn(alpn_ids(value).map(<[u8]>::to_vec).collect()),
+            key::NO_DEFAULT_ALPN => SvcParam::NoDefaultAlpn,
+            key::PORT => SvcParam::Port(value.first_chunk().map_or(0, |p| u16::from_be_bytes(*p))),
+            key::IPV4HINT => SvcParam::Ipv4Hint(
+                value.chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])).collect(),
+            ),
+            key::ECH => SvcParam::Ech(value.to_vec()),
+            key::IPV6HINT => SvcParam::Ipv6Hint(
+                value
+                    .chunks_exact(16)
+                    .filter_map(|c| c.first_chunk::<16>().map(|o| Ipv6Addr::from(*o)))
+                    .collect(),
+            ),
+            other => SvcParam::Unknown { key: other, value: value.to_vec() },
         }
     }
 }
@@ -431,6 +358,17 @@ pub fn debase64ish(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// The length-prefixed identifiers of an `alpn` value, as far as they
+/// are whole.
+fn alpn_ids(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (&n, tail) = rest.split_first()?;
+        let id = tail.get(..n as usize)?;
+        rest = &tail[n as usize..];
+        Some(id)
+    })
+}
+
 /// Checked SVCB/HTTPS RDATA read in place: the priority, the target
 /// and each parameter's raw value, borrowed from the RDATA bytes. It
 /// accepts exactly what [`SvcbRdata::decode`] accepts and builds nothing,
@@ -519,24 +457,13 @@ impl<'a> SvcbView<'a> {
 
     /// The ALPN identifiers, if the record advertises any.
     pub fn alpn_ids(&self) -> Option<impl Iterator<Item = &'a [u8]>> {
-        let mut rest = self.param(key::ALPN)?;
-        Some(std::iter::from_fn(move || {
-            let (&n, tail) = rest.split_first()?;
-            let id = tail.get(..n as usize)?;
-            rest = &tail[n as usize..];
-            Some(id)
-        }))
+        self.param(key::ALPN).map(alpn_ids)
     }
 
     /// The IPv4 hints, if present.
     pub fn ipv4hint(&self) -> Option<impl Iterator<Item = Ipv4Addr> + 'a> {
         let value = self.param(key::IPV4HINT)?;
         Some(value.chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])))
-    }
-
-    /// Build the owned [`SvcbRdata`].
-    pub fn to_owned(&self) -> Result<SvcbRdata, WireError> {
-        SvcbRdata::decode(self.rdata)
     }
 }
 
@@ -640,24 +567,12 @@ impl SvcbRdata {
 
     /// Decode RDATA from exactly `rdata`.
     pub fn decode(rdata: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(rdata);
-        let priority = r.read_u16()?;
-        let target = r.read_name()?;
-        let mut params = Vec::new();
-        let mut last_key: Option<u16> = None;
-        while r.remaining() > 0 {
-            let k = r.read_u16()?;
-            if let Some(prev) = last_key {
-                if k <= prev {
-                    return Err(WireError::SvcParamsOutOfOrder);
-                }
-            }
-            last_key = Some(k);
-            let vlen = r.read_u16()? as usize;
-            let value = r.read_bytes(vlen, "SvcParamValue")?;
-            params.push(SvcParam::decode(k, value)?);
-        }
-        Ok(SvcbRdata { priority, target, params })
+        let view = SvcbView::parse(rdata)?;
+        Ok(SvcbRdata {
+            priority: view.priority(),
+            target: view.target().to_owned(),
+            params: view.params().map(|(k, value)| SvcParam::from_checked(k, value)).collect(),
+        })
     }
 
     /// Validate RFC 9460 semantic rules, returning human-readable issues.

@@ -7,14 +7,22 @@
 //! [`DnsName::decode_at`] shares, but never materialized, RDATA is left
 //! as an `RDLENGTH`-delimited subrange of the buffer, and all the pass
 //! keeps is where each section starts: the section iterators walk the
-//! validated bytes again, so a view owns no heap memory. The header,
+//! validated bytes again, stepping over each name in place instead of
+//! validating it twice, so a view owns no heap memory. The header,
 //! section, OPT/extended-RCODE and trailing-byte rules live here and
 //! nowhere else. Callers then read what they need:
 //!
 //! - [`NameView`] exposes a compression-aware label iterator plus
 //!   comparison/rendering helpers that work straight off the wire;
 //! - [`RecordView::rdata`] decodes typed [`RData`] on demand from the
-//!   record's subrange;
+//!   record's subrange; [`RecordView::check_rdata`] answers whether it
+//!   would, building nothing, and [`RecordView::svcb`] and
+//!   [`RecordView::soa_minimum`] read the fields a resolver needs in
+//!   place;
+//! - [`RecordView::at`] re-enters a record by the offset
+//!   [`RecordView::offset`] reported, reading that one record's fields
+//!   again — how a resolver keeps a reply's answers as offsets into its
+//!   bytes;
 //! - `to_owned()` escape hatches ([`NameView::to_owned`],
 //!   [`RecordView::to_owned`], [`MessageView::to_message`]) produce the
 //!   owned types. [`Message::decode`] is `parse` followed by
@@ -373,24 +381,17 @@ impl<'a> RecordView<'a> {
         RData::check(self.rtype(), (self.meta.rd_start, self.meta.rd_end), self.buf)
     }
 
-    /// The RDATA of an SVCB or HTTPS record, checked and read in place;
-    /// an error for malformed RDATA or another type.
+    /// The RDATA of an SVCB or HTTPS record, read in place
+    /// ([`SvcbView::read`]): the priority and the target are located,
+    /// the parameters are not checked again — for a record whose RDATA
+    /// [`RecordView::check_rdata`] accepted, as the resolver's are. An
+    /// error for another type or RDATA too short for a target.
     pub fn svcb(&self) -> Result<SvcbView<'a>, WireError> {
-        SvcbView::parse(self.svcb_rdata()?)
-    }
-
-    /// [`RecordView::svcb`] for a record whose RDATA a check already
-    /// accepted — one of a reply the resolver parsed — read in place
-    /// without checking it again ([`SvcbView::read`]).
-    pub fn svcb_prechecked(&self) -> Result<SvcbView<'a>, WireError> {
-        SvcbView::read(self.svcb_rdata()?).ok_or(WireError::Truncated { context: "SVCB rdata" })
-    }
-
-    fn svcb_rdata(&self) -> Result<&'a [u8], WireError> {
         if !matches!(self.rtype(), RecordType::Svcb | RecordType::Https) {
             return Err(WireError::InvalidValue { context: "SVCB view of another type" });
         }
-        Ok(&self.buf[self.meta.rd_start..self.meta.rd_end])
+        SvcbView::read(&self.buf[self.meta.rd_start..self.meta.rd_end])
+            .ok_or(WireError::Truncated { context: "SVCB rdata" })
     }
 
     /// The `minimum` field of an SOA record — its negative-caching TTL

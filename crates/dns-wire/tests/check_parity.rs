@@ -2,7 +2,9 @@
 //! the decoders that build it: [`RecordView::check_rdata`] with
 //! [`RecordView::rdata`], [`SvcbView::parse`] with [`SvcbRdata::decode`],
 //! [`SvcParam::check`] with [`SvcParam::decode`], and
-//! [`RecordView::soa_minimum`] with the decoded SOA's `minimum`. A
+//! [`RecordView::soa_minimum`] with the decoded SOA's `minimum`; what
+//! [`RecordView::svcb`] reads of checked RDATA is what the decoder
+//! builds. A
 //! resolver that only checks an answer must accept and reject exactly the
 //! datagrams one that decodes it does.
 
@@ -154,7 +156,6 @@ fn agree(rtype: RecordType, rdata: &[u8]) {
         assert_eq!(seen.map(|_| ()), owned.as_ref().map(|_| ()).map_err(Clone::clone));
         if let (Ok(view), Ok(owned)) = (rec.svcb(), owned) {
             same_reading(&view, &owned);
-            same_reading(&rec.svcb_prechecked().unwrap(), &owned);
         }
     }
     if rtype == RecordType::Soa {
@@ -184,7 +185,6 @@ fn same_reading(view: &SvcbView<'_>, owned: &SvcbRdata) {
     assert_eq!(view.param(key::ECH), owned.ech());
     assert_eq!(view.param(key::PORT).is_some(), owned.port().is_some());
     assert_eq!(view.param(key::IPV6HINT).is_some(), owned.ipv6hint().is_some());
-    assert_eq!(&view.to_owned().unwrap(), owned);
 }
 
 #[test]

@@ -691,7 +691,7 @@ fn fold_ns_hosts(
 /// so none is skipped.
 fn https_views(set: &RrSet) -> impl Iterator<Item = SvcbView<'_>> {
     let https = set.rtype() == RecordType::Https;
-    set.records().filter(move |_| https).filter_map(|rec| rec.svcb_prechecked().ok())
+    set.records().filter(move |_| https).filter_map(|rec| rec.svcb().ok())
 }
 
 /// The addresses of an A RRset.

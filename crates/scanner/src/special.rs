@@ -60,7 +60,7 @@ pub fn hourly_ech_scan(world: &mut World, window_hours: u64, sample: usize) -> V
 /// The HTTPS RDATA of an answer record, read in place; `None` for a
 /// record of another type.
 fn https_view<'a>(rec: &RecordView<'a>) -> Option<SvcbView<'a>> {
-    (rec.rtype() == RecordType::Https).then(|| rec.svcb_prechecked().ok()).flatten()
+    (rec.rtype() == RecordType::Https).then(|| rec.svcb().ok()).flatten()
 }
 
 /// Result of probing one mismatched domain's addresses (§4.3.5).
