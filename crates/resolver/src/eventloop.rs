@@ -38,7 +38,8 @@
 //! validation walk.
 
 use crate::engine::Query;
-use crate::resolver::{AuthorityReply, RecursiveResolver, Resolution, ResolveError};
+use crate::reply::AuthorityReply;
+use crate::resolver::{RecursiveResolver, Resolution, ResolveError};
 use dns_wire::{DnsName, Message, Rcode, RecordType};
 use netsim::{NetError, ScheduledDelivery, TimeMs};
 use std::cell::{Cell, RefCell};

@@ -242,12 +242,20 @@ fn with_index<R>(view: &MessageView<'_>, finish: impl FnOnce(&[u8]) -> R) -> Opt
         }
         let earlier =
             members[..i].iter().flatten().find(|(m, t, _)| *t == rtype && owned_by(m, &rec));
-        let set = earlier.map_or_else(|| (sets, sets += 1).0, |&(_, _, set)| set);
+        let set = match earlier {
+            Some(&(_, _, set)) => set,
+            None => {
+                sets += 1;
+                sets - 1
+            }
+        };
         members[i] = Some((rec, rtype, set));
     }
     for i in 0..members.len() {
         let Some((rec, rtype, _)) = members[i] else { continue };
         let Some(covered) = rec.rrsig_covers() else { continue };
+        // Only a set of records can be signed: an RRSIG covering RRSIGs
+        // joins none.
         let signed = members
             .iter()
             .flatten()

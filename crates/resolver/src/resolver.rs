@@ -9,8 +9,7 @@
 //! measures records through Google/Cloudflare public resolvers.
 
 use crate::cache::{CachedAnswer, EvictionPolicy, RecordCache};
-pub(crate) use crate::reply::AuthorityReply;
-use crate::reply::RrSet;
+use crate::reply::{AuthorityReply, RrSet};
 use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
