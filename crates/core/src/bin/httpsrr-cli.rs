@@ -5,7 +5,7 @@
 //! httpsrr-cli run    [--population N] [--list N] [--days D] [--threads T] [--seed S]
 //!                    [--metrics PATH] [--csv PATH] [--store DIR]  # campaign (+ write-through)
 //! httpsrr-cli resume --store DIR [--threads T]     # continue an interrupted --store campaign
-//! httpsrr-cli serve  [--population N] [--list N] [--rates R,R,..] [--capacity C] [--policy P]
+//! httpsrr-cli serve  [--population N] [--list N] [--rates R,R,..] [--capacity C]
 //! httpsrr-cli matrix
 //! httpsrr-cli rotation [--hours H]
 //! httpsrr-cli audit  [--day D]
@@ -54,7 +54,7 @@ const USAGE: &str = "usage:
   httpsrr-cli study  [--population N] [--list N] [--stride D] [--seed S] [--csv PATH]
   httpsrr-cli run    [--population N] [--list N] [--days D] [--threads T] [--seed S] [--metrics PATH] [--csv PATH] [--store DIR]
   httpsrr-cli resume --store DIR [--threads T] [--csv PATH]   # continue an interrupted --store campaign at the last day boundary
-  httpsrr-cli serve  [--population N] [--list N] [--clients C] [--workers K] [--seed S] [--rates R,R,..] [--phase-ms MS] [--capacity C] [--policy lru|s3fifo] [--metrics]
+  httpsrr-cli serve  [--population N] [--list N] [--clients C] [--workers K] [--seed S] [--rates R,R,..] [--phase-ms MS] [--capacity C] [--metrics]
   httpsrr-cli matrix
   httpsrr-cli rotation [--hours H]
   httpsrr-cli audit  [--day D]
@@ -108,6 +108,20 @@ impl<'a> Flags<'a> {
             None => Ok(default),
             Some(value) => value.parse().map_err(|_| format!("bad value {value:?} for {name}")),
         }
+    }
+
+    /// A count that must be at least 1: zero is an error naming the
+    /// flag, never silently raised to 1.
+    fn count<T: std::str::FromStr + PartialEq + From<u8>>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let value = self.num(name, default)?;
+        if value == T::from(0) {
+            return Err(format!("{name} must be at least 1"));
+        }
+        Ok(value)
     }
 
     /// A comma-separated value (`--rates 2,4,8`); every item must parse.
@@ -405,7 +419,6 @@ fn cmd_resume(args: &[String]) -> Outcome {
 /// `serve` — run one open-loop load sweep and print the canonical
 /// report (plus the pinned metrics text with `--metrics`).
 fn cmd_serve(args: &[String]) -> Outcome {
-    use httpsrr::resolver::EvictionPolicy;
     use httpsrr::serve::{load_sweep, ServeConfig, WorkloadConfig};
     use httpsrr::telemetry::MetricsRegistry;
 
@@ -420,24 +433,24 @@ fn cmd_serve(args: &[String]) -> Outcome {
             "--phase-ms",
             "--capacity",
             "--rates",
-            "--policy",
         ],
         &["--metrics"],
     )?;
     let (population, list_size) = world_size(&flags, 100_000, 10_000)?;
-    let clients = flags.num("--clients", 256usize)?;
-    let workers = flags.num("--workers", 1usize)?;
+    let clients = flags.count("--clients", 256usize)?;
+    let workers = flags.count("--workers", 1usize)?;
     let seed = flags.num("--seed", WorkloadConfig::default().seed)?;
-    let phase_ms = flags.num("--phase-ms", 1_000u64)?;
+    let phase_ms = flags.count("--phase-ms", 1_000u64)?;
     let capacity = flags.num("--capacity", 4_096usize)?;
     let rates = flags.list("--rates", &[2.0, 4.0, 8.0, 16.0, 32.0])?;
-    let policy = flags.num("--policy", EvictionPolicy::TtlSweepLru)?;
+    if !rates.iter().all(|rate: &f64| rate.is_finite() && *rate > 0.0) {
+        return Err("--rates must each be finite and greater than 0".to_string());
+    }
 
     let cfg = ServeConfig {
         workload: WorkloadConfig { clients, seed, ..WorkloadConfig::default() },
         workers,
         capacity_per_shard: if capacity == 0 { None } else { Some(capacity) },
-        policy,
         phase_ms,
         ..ServeConfig::default()
     };

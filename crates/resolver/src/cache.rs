@@ -1,5 +1,5 @@
 //! The resolver's TTL-driven record cache, sharded for concurrency and
-//! (optionally) bounded with pluggable eviction.
+//! (optionally) bounded with TTL-sweep-then-LRU eviction.
 //!
 //! Cache staleness is the mechanism behind two of the paper's findings:
 //! IP-hint/A mismatches persisting after synchronized zone updates
@@ -29,21 +29,14 @@
 //! By default the cache is unbounded (the scanner campaigns want every
 //! observation retained); a production resolver serving client traffic
 //! cannot afford that, so [`RecordCache::with_eviction`] adds a
-//! per-shard capacity with a pluggable [`EvictionPolicy`]. On overflow a
-//! shard first sweeps entries that are already TTL-expired (counted in
-//! [`CacheStats::swept`]) and only then evicts live entries under the
-//! policy (counted in [`CacheStats::evictions`]):
+//! per-shard capacity. On overflow a shard first sweeps entries that are
+//! already TTL-expired (counted in [`CacheStats::swept`]) and only then
+//! evicts the least recently used live entries (counted in
+//! [`CacheStats::evictions`]). LRU has the stack/inclusion property, so
+//! hit rate is monotone non-decreasing in capacity on a replayed trace.
 //!
-//! - [`TtlSweepLru`](EvictionPolicy::TtlSweepLru): classic LRU over a
-//!   recency order; has the stack/inclusion property, so hit rate is
-//!   monotone non-decreasing in capacity on a replayed trace.
-//! - [`S3Fifo`](EvictionPolicy::S3Fifo): the scan-resistant small/main
-//!   FIFO pair with a ghost queue of recently evicted fingerprints
-//!   (Yang et al., SOSP'23 shape). One-hit-wonders wash out of the small
-//!   queue; re-admissions after a ghost hit go straight to main.
-//!
-//! All eviction bookkeeping uses explicitly ordered structures
-//! (`BTreeMap`/`VecDeque` keyed by a per-shard monotonic sequence), never
+//! The eviction bookkeeping uses explicitly ordered structures
+//! (`BTreeMap`s keyed by a per-shard monotonic sequence), never
 //! `HashMap` iteration order, so the victim sequence is deterministic and
 //! byte-identical across runs. Unbounded caches skip the index
 //! maintenance entirely — the hot path cost of the default configuration
@@ -66,7 +59,7 @@ use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, Rcode, RecordType};
 use netsim::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,43 +68,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// tiny caches.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// How a bounded shard chooses a victim once TTL-expired entries have
-/// been swept and the shard is still over capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The bounded cache's one eviction policy, by name.
+///
+/// The cache itself takes no policy: a bounded shard always sweeps
+/// TTL-expired entries first, then evicts the least recently *used*
+/// live entry. The type stays only because the benchmark harness names
+/// it in `serve::ServeConfig::policy`, and the serve report's
+/// `policy=TtlSweepLru` header, which the harness digests, renders it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Sweep TTL-expired entries first, then evict the least recently
-    /// *used* live entry (lookup hits refresh recency). LRU has the
-    /// inclusion property: a larger cache's contents are a superset of a
-    /// smaller one's on the same trace, so hit rate is monotone in
-    /// capacity.
-    #[default]
+    /// used live entry (lookup hits refresh recency).
     TtlSweepLru,
-    /// Sweep TTL-expired entries first, then run the S3-FIFO victim
-    /// scan: a small probationary FIFO (~10% of capacity) absorbs
-    /// one-hit-wonders, entries hit at least once promote to the main
-    /// FIFO, and a ghost queue of evicted-key fingerprints re-admits
-    /// recently evicted keys straight into main. Scan-resistant, but not
-    /// a stack algorithm (no monotonicity guarantee).
-    S3Fifo,
 }
 
 impl std::fmt::Display for EvictionPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EvictionPolicy::TtlSweepLru => write!(f, "TtlSweepLru"),
-            EvictionPolicy::S3Fifo => write!(f, "S3Fifo"),
-        }
-    }
-}
-
-impl std::str::FromStr for EvictionPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EvictionPolicy, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" | "ttl-lru" | "ttlsweeplru" => Ok(EvictionPolicy::TtlSweepLru),
-            "s3fifo" | "s3-fifo" => Ok(EvictionPolicy::S3Fifo),
-            other => Err(format!("unknown eviction policy {other:?} (expected lru|s3fifo)")),
+            EvictionPolicy::TtlSweepLru => f.write_str("TtlSweepLru"),
         }
     }
 }
@@ -137,8 +111,8 @@ pub enum CachedAnswer {
 
 /// An entry's key: owner name and record type. `DnsName`'s own
 /// `Hash`/`Eq` fold ASCII case, [`NameBuildHasher`] mixes the type into
-/// the name's word, and a clone (one per index and queue a bounded store
-/// files the key under) is a reference count. It borrows as
+/// the name's word, and a clone (one per index a bounded store files the
+/// key under) is a reference count. It borrows as
 /// [`dyn Probe`](Probe), so a lookup hashes and compares a borrowed name
 /// and clones none.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -195,17 +169,6 @@ impl<'a> Borrow<dyn Probe + 'a> for Key {
     }
 }
 
-/// Which S3-FIFO queue an entry's live slot sits in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueId {
-    /// Not enqueued (unbounded cache, or the LRU policy).
-    None,
-    /// The probationary small FIFO.
-    Small,
-    /// The main FIFO.
-    Main,
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     answer: CachedAnswer,
@@ -215,15 +178,8 @@ struct Entry {
     /// the entry's lifetime and used as the expiry-index tiebreaker.
     seq: u64,
     /// Recency stamp keying the LRU order map; refreshed on every hit
-    /// under [`EvictionPolicy::TtlSweepLru`].
+    /// of a bounded cache.
     touch: u64,
-    /// S3-FIFO: which queue holds this entry's live slot.
-    queue: QueueId,
-    /// S3-FIFO: stamp of the live queue slot. Queue elements carrying an
-    /// older stamp are stale and skipped by the victim scan.
-    slot: u64,
-    /// S3-FIFO: saturating hit counter (capped at 3).
-    freq: u8,
 }
 
 /// Statistics snapshot for cache behaviour analysis and ablations.
@@ -256,7 +212,7 @@ pub struct CacheStats {
     /// so excluded from determinism comparisons (and near-meaningless on
     /// a single-CPU host, where threads rarely overlap).
     pub lock_contended: u64,
-    /// Live entries evicted by the capacity policy (bounded caches only).
+    /// Live entries evicted by LRU on overflow (bounded caches only).
     pub evictions: u64,
     /// TTL-expired entries removed by an overflow sweep or
     /// [`RecordCache::purge_expired`] (read-path expiry removals are
@@ -364,27 +320,19 @@ impl ShardCounters {
 
 /// A shard's mutable state: the entry map plus the eviction indexes.
 ///
-/// The indexes (`lru`, `expiry`, the S3-FIFO queues) are maintained only
-/// for bounded caches; unbounded shards leave them empty so the default
-/// hot path pays nothing for the eviction layer.
+/// The indexes (`lru`, `expiry`) are maintained only for bounded caches;
+/// unbounded shards leave them empty so the default hot path pays
+/// nothing for the eviction layer.
 #[derive(Default)]
 struct ShardInner {
     entries: HashMap<Key, Entry, NameBuildHasher>,
-    /// Monotonic per-shard stamp source for `seq`/`touch`/`slot`.
+    /// Monotonic per-shard stamp source for `seq`/`touch`.
     next_seq: u64,
-    /// LRU recency order: `touch` stamp → key (TtlSweepLru only).
+    /// LRU recency order: `touch` stamp → key.
     lru: BTreeMap<u64, Key>,
     /// Expiry order: `(expiry second, seq)` → key, so the TTL sweep pops
     /// dead entries without scanning the map.
     expiry: BTreeMap<(u64, u64), Key>,
-    /// S3-FIFO probationary queue of `(slot stamp, key)`.
-    small: VecDeque<(u64, Key)>,
-    /// S3-FIFO main queue of `(slot stamp, key)`.
-    main: VecDeque<(u64, Key)>,
-    /// S3-FIFO ghost FIFO of evicted-key fingerprints (trim order).
-    ghost: VecDeque<u64>,
-    /// S3-FIFO ghost membership set.
-    ghost_set: HashSet<u64>,
 }
 
 /// What one lookup found under the shard lock.
@@ -398,8 +346,7 @@ enum Looked {
 }
 
 impl ShardInner {
-    /// Remove an entry and its index bookkeeping (stale S3-FIFO queue
-    /// slots are left behind and skipped lazily by the victim scan).
+    /// Remove an entry and its index bookkeeping.
     fn remove_entry(&mut self, key: &dyn Probe) -> Option<Entry> {
         let entry = self.entries.remove(key)?;
         self.lru.remove(&entry.touch);
@@ -408,15 +355,9 @@ impl ShardInner {
     }
 
     /// Look `(name, rtype)` up by borrowed name. An expired entry is
-    /// removed; a live one on a bounded cache has its recency (LRU) or
-    /// heat (S3-FIFO) refreshed.
-    fn look_up(
-        &mut self,
-        name: NameRef<'_>,
-        rtype: u16,
-        now: Timestamp,
-        bound: Option<Bound>,
-    ) -> Looked {
+    /// removed; a live one on a `bounded` cache has its recency
+    /// refreshed.
+    fn look_up(&mut self, name: NameRef<'_>, rtype: u16, now: Timestamp, bounded: bool) -> Looked {
         let probe: &dyn Probe = &(name, rtype);
         let Some(entry) = self.entries.get_mut(probe) else {
             return Looked::Absent;
@@ -425,20 +366,16 @@ impl ShardInner {
             self.remove_entry(probe);
             return Looked::Dead;
         }
-        match bound.map(|b| b.policy) {
-            None => {}
-            Some(EvictionPolicy::TtlSweepLru) => {
-                self.next_seq += 1;
-                let old = std::mem::replace(&mut entry.touch, self.next_seq);
-                // Move the key to its new recency slot rather than clone
-                // it. Every entry of an LRU shard is filed under its
-                // `touch` stamp, and unfiled only with the entry, so the
-                // slot is there.
-                if let Some(key) = self.lru.remove(&old) {
-                    self.lru.insert(self.next_seq, key);
-                }
+        if bounded {
+            self.next_seq += 1;
+            let old = std::mem::replace(&mut entry.touch, self.next_seq);
+            // Move the key to its new recency slot rather than clone it.
+            // Every entry of a bounded shard is filed under its `touch`
+            // stamp, and unfiled only with the entry, so the slot is
+            // there.
+            if let Some(key) = self.lru.remove(&old) {
+                self.lru.insert(self.next_seq, key);
             }
-            Some(EvictionPolicy::S3Fifo) => entry.freq = (entry.freq + 1).min(3),
         }
         Looked::Hit(entry.answer.clone())
     }
@@ -461,90 +398,18 @@ impl ShardInner {
         swept
     }
 
-    /// Record an evicted key's fingerprint in the ghost queue, trimmed
-    /// to one capacity's worth of history.
-    fn ghost_insert(&mut self, fp: u64, capacity: usize) {
-        if self.ghost_set.insert(fp) {
-            self.ghost.push_back(fp);
-            while self.ghost.len() > capacity {
-                if let Some(old) = self.ghost.pop_front() {
-                    self.ghost_set.remove(&old);
-                }
-            }
-        }
-    }
-
-    /// Evict one live entry under `bound`'s policy. Returns false if no
+    /// Evict the least recently used live entry. Returns false if no
     /// victim could be found (empty shard).
-    fn evict_one(&mut self, bound: Bound) -> bool {
-        match bound.policy {
-            EvictionPolicy::TtlSweepLru => {
-                let Some((_, key)) = self.lru.pop_first() else {
-                    return false;
-                };
-                match self.entries.remove(&key) {
-                    Some(entry) => {
-                        self.expiry.remove(&(entry.expires.0, entry.seq));
-                        true
-                    }
-                    None => false,
-                }
-            }
-            EvictionPolicy::S3Fifo => self.evict_s3fifo(bound.capacity),
-        }
-    }
-
-    /// The S3-FIFO victim scan: drain stale slots, promote small-queue
-    /// entries that earned a hit, recycle main-queue entries with
-    /// remaining frequency, evict the first entry found cold.
-    fn evict_s3fifo(&mut self, capacity: usize) -> bool {
-        let small_target = (capacity / 10).max(1);
-        loop {
-            if self.small.is_empty() && self.main.is_empty() {
-                return false;
-            }
-            let use_small = if self.small.is_empty() {
-                false
-            } else if self.main.is_empty() {
-                true
-            } else {
-                self.small.len() > small_target
-            };
-            let queue = if use_small { QueueId::Small } else { QueueId::Main };
-            let popped = if use_small { self.small.pop_front() } else { self.main.pop_front() };
-            let Some((slot, key)) = popped else {
-                continue;
-            };
-            // A slot whose entry has since been refreshed, moved or
-            // removed is stale.
-            let Some(entry) =
-                self.entries.get_mut(&key).filter(|e| e.queue == queue && e.slot == slot)
-            else {
-                continue;
-            };
-            if entry.freq > 0 {
-                // Earned a hit during probation: promote to main. Still
-                // warm in main: spend one frequency unit and recycle.
-                self.next_seq += 1;
-                entry.slot = self.next_seq;
-                if use_small {
-                    entry.queue = QueueId::Main;
-                    entry.freq = 0;
-                } else {
-                    entry.freq -= 1;
-                }
-                self.main.push_back((self.next_seq, key));
-                continue;
-            }
-            // Cold: the victim.
-            if let Some(entry) = self.entries.remove(&key) {
-                self.lru.remove(&entry.touch);
+    fn evict_lru(&mut self) -> bool {
+        let Some((_, key)) = self.lru.pop_first() else {
+            return false;
+        };
+        match self.entries.remove(&key) {
+            Some(entry) => {
                 self.expiry.remove(&(entry.expires.0, entry.seq));
+                true
             }
-            if use_small {
-                self.ghost_insert(ghost_fp(&key), capacity);
-            }
-            return true;
+            None => false,
         }
     }
 }
@@ -593,21 +458,14 @@ impl Shard {
     }
 }
 
-/// The per-shard capacity bound and its eviction policy.
-#[derive(Debug, Clone, Copy)]
-struct Bound {
-    capacity: usize,
-    policy: EvictionPolicy,
-}
-
 /// TTL cache keyed by `(owner name, record type)`, sharded by owner name.
 pub struct RecordCache {
     shards: Vec<Shard>,
     /// Optional TTL clamp (seconds); `Some(c)` caps every entry's
     /// lifetime at `c`, the knob used by the Fig 12 ablation.
     ttl_clamp: Option<u32>,
-    /// Per-shard capacity + policy; `None` = unbounded (the default).
-    bound: Option<Bound>,
+    /// Per-shard capacity; `None` = unbounded (the default).
+    capacity: Option<usize>,
 }
 
 impl Default for RecordCache {
@@ -629,11 +487,6 @@ pub(crate) fn fnv1a_key(prefix: &[u8], name: &DnsName) -> u64 {
     h
 }
 
-/// Stable fingerprint of a cache key for the S3-FIFO ghost queue.
-fn ghost_fp(key: &Key) -> u64 {
-    fnv1a_key(b"", &key.name) ^ (key.rtype as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 impl RecordCache {
     /// An empty cache with the default shard count and no TTL clamp.
     pub fn new() -> RecordCache {
@@ -649,19 +502,23 @@ impl RecordCache {
     /// TTL clamp.
     pub fn with_config(shards: usize, ttl_clamp: Option<u32>) -> RecordCache {
         let n = shards.max(1);
-        RecordCache { shards: (0..n).map(|_| Shard::default()).collect(), ttl_clamp, bound: None }
+        RecordCache {
+            shards: (0..n).map(|_| Shard::default()).collect(),
+            ttl_clamp,
+            capacity: None,
+        }
     }
 
     /// An empty **bounded** cache: at most `capacity_per_shard` entries
-    /// per shard (minimum 1), evicting under `policy` on overflow.
+    /// per shard (minimum 1), sweeping expired then evicting least
+    /// recently used entries on overflow.
     pub fn with_eviction(
         shards: usize,
         ttl_clamp: Option<u32>,
         capacity_per_shard: usize,
-        policy: EvictionPolicy,
     ) -> RecordCache {
         let mut cache = RecordCache::with_config(shards, ttl_clamp);
-        cache.bound = Some(Bound { capacity: capacity_per_shard.max(1), policy });
+        cache.capacity = Some(capacity_per_shard.max(1));
         cache
     }
 
@@ -672,7 +529,7 @@ impl RecordCache {
 
     /// The per-shard capacity bound, if this cache is bounded.
     pub fn capacity_per_shard(&self) -> Option<usize> {
-        self.bound.map(|b| b.capacity)
+        self.capacity
     }
 
     fn shard_for(&self, owner: &DnsName) -> &Shard {
@@ -688,7 +545,7 @@ impl RecordCache {
     }
 
     /// Shared store path: stamp the entry, refresh indexes, and resolve
-    /// any overflow (TTL sweep first, then policy eviction) — all under
+    /// any overflow (TTL sweep first, then LRU eviction) — all under
     /// one hot-path lock acquisition.
     fn store(&self, key: Key, answer: CachedAnswer, now: Timestamp, ttl: u32) {
         let shard = self.shard_for(&key.name);
@@ -697,58 +554,22 @@ impl RecordCache {
         let mut inner = shard.lock_inner();
         inner.next_seq += 1;
         let seq = inner.next_seq;
-        let mut entry = Entry {
-            answer,
-            inserted: now,
-            expires,
-            seq,
-            touch: seq,
-            queue: QueueId::None,
-            slot: 0,
-            freq: 0,
-        };
-        let Some(bound) = self.bound else {
+        let entry = Entry { answer, inserted: now, expires, seq, touch: seq };
+        let Some(capacity) = self.capacity else {
             let replaced = inner.entries.insert(key, entry);
             drop(inner);
             // The replaced entry's answer is released after the lock.
             drop(replaced);
             return;
         };
-        if let Some(old) = inner.entries.get(&key) {
-            let (old_touch, old_exp, old_seq) = (old.touch, old.expires.0, old.seq);
-            let (old_queue, old_slot, old_freq) = (old.queue, old.slot, old.freq);
-            inner.lru.remove(&old_touch);
-            inner.expiry.remove(&(old_exp, old_seq));
-            if bound.policy == EvictionPolicy::S3Fifo && old_queue != QueueId::None {
-                // A refresh keeps the entry's queue position and heat.
-                entry.queue = old_queue;
-                entry.slot = old_slot;
-                entry.freq = old_freq;
-            }
-        }
+        let replaced = inner.remove_entry(&key);
         inner.expiry.insert((expires.0, seq), key.clone());
-        match bound.policy {
-            EvictionPolicy::TtlSweepLru => {
-                inner.lru.insert(seq, key.clone());
-            }
-            EvictionPolicy::S3Fifo => {
-                if entry.queue == QueueId::None {
-                    entry.slot = seq;
-                    if inner.ghost_set.remove(&ghost_fp(&key)) {
-                        entry.queue = QueueId::Main;
-                        inner.main.push_back((seq, key.clone()));
-                    } else {
-                        entry.queue = QueueId::Small;
-                        inner.small.push_back((seq, key.clone()));
-                    }
-                }
-            }
-        }
-        let replaced = inner.entries.insert(key, entry);
+        inner.lru.insert(seq, key.clone());
+        inner.entries.insert(key, entry);
         let (mut swept, mut evicted) = (0u64, 0u64);
-        if inner.entries.len() > bound.capacity {
+        if inner.entries.len() > capacity {
             swept = inner.sweep_expired(now);
-            while inner.entries.len() > bound.capacity && inner.evict_one(bound) {
+            while inner.entries.len() > capacity && inner.evict_lru() {
                 evicted += 1;
             }
         }
@@ -791,11 +612,11 @@ impl RecordCache {
 
     /// Fetch a live entry; expired entries are evicted. A positive hit
     /// hands out reference counts on the stored RRset, not a copy. On a
-    /// bounded cache a hit also refreshes the entry's recency (LRU) or
-    /// heat (S3-FIFO) under the same lock acquisition.
+    /// bounded cache a hit also refreshes the entry's recency under the
+    /// same lock acquisition.
     pub fn get(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<CachedAnswer> {
-        let shard = self.shard_for(name);
-        let looked = shard.lock_inner().look_up(name.name_ref(), rtype.code(), now, self.bound);
+        let (shard, bounded) = (self.shard_for(name), self.capacity.is_some());
+        let looked = shard.lock_inner().look_up(name.name_ref(), rtype.code(), now, bounded);
         shard.count(looked)
     }
 
@@ -811,13 +632,13 @@ impl RecordCache {
         rtype: RecordType,
         now: Timestamp,
     ) -> Option<(RecordType, CachedAnswer)> {
-        let shard = self.shard_for(name);
+        let (shard, bounded) = (self.shard_for(name), self.capacity.is_some());
         let mut inner = shard.lock_inner();
-        let asked = inner.look_up(name.name_ref(), rtype.code(), now, self.bound);
+        let asked = inner.look_up(name.name_ref(), rtype.code(), now, bounded);
         let alias = match asked {
             Looked::Hit(_) => None,
             _ if rtype == RecordType::Cname => None,
-            _ => Some(inner.look_up(name.name_ref(), RecordType::Cname.code(), now, self.bound)),
+            _ => Some(inner.look_up(name.name_ref(), RecordType::Cname.code(), now, bounded)),
         };
         drop(inner);
         if let Some(answer) = shard.count(asked) {
@@ -841,10 +662,6 @@ impl RecordCache {
             inner.entries.clear();
             inner.lru.clear();
             inner.expiry.clear();
-            inner.small.clear();
-            inner.main.clear();
-            inner.ghost.clear();
-            inner.ghost_set.clear();
         }
     }
 
@@ -860,7 +677,7 @@ impl RecordCache {
         let mut total = 0;
         for shard in &self.shards {
             let mut inner = shard.inner.lock();
-            let removed = if self.bound.is_some() {
+            let removed = if self.capacity.is_some() {
                 inner.sweep_expired(now)
             } else {
                 let before = inner.entries.len();
@@ -907,34 +724,6 @@ impl RecordCache {
     /// bounded cache).
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.inner.lock().entries.len()).collect()
-    }
-
-    /// Rough resident size of the cached data in bytes. A deliberately
-    /// cheap heuristic (fixed per-record/per-signature costs plus key
-    /// and map-slot overhead), **not** an allocator measurement — use it
-    /// for relative comparisons (capacity curves, growth over a
-    /// campaign), not absolute memory accounting.
-    pub fn approx_bytes(&self) -> usize {
-        const SLOT_OVERHEAD: usize = 48;
-        // A fixed cost like the others, not `size_of::<Entry>()`: the
-        // figure is compared across runs and versions, and must not
-        // move when the entry's representation does.
-        const ENTRY_COST: usize = 96;
-        const RECORD_COST: usize = 96;
-        const RRSIG_COST: usize = 128;
-        let mut bytes = 0;
-        for shard in &self.shards {
-            let inner = shard.inner.lock();
-            for (key, entry) in inner.entries.iter() {
-                let mut key_len = 0;
-                key.name.for_each_key_byte(|_| key_len += 1);
-                bytes += key_len + ENTRY_COST + SLOT_OVERHEAD;
-                if let CachedAnswer::Positive(set) = &entry.answer {
-                    bytes += set.len() * RECORD_COST + set.rrsig_count() * RRSIG_COST;
-                }
-            }
-        }
-        bytes
     }
 
     /// Export the eviction-class counters into `metrics` as monotonic
@@ -1008,8 +797,8 @@ mod tests {
         }
     }
 
-    /// Shard choice, ghost fingerprints and the selector's per-zone
-    /// seeds were FNV-1a over the rendered key string; streaming the key
+    /// Shard choice and the selector's per-zone seeds were FNV-1a over
+    /// the rendered key string; streaming the key
     /// must give the same value, bit for bit.
     #[test]
     fn streamed_key_hash_equals_the_hash_of_the_rendered_key() {
@@ -1025,8 +814,8 @@ mod tests {
     }
 
     /// A 1-shard bounded cache so capacity arithmetic is exact.
-    fn bounded(capacity: usize, policy: EvictionPolicy) -> RecordCache {
-        RecordCache::with_eviction(1, None, capacity, policy)
+    fn bounded(capacity: usize) -> RecordCache {
+        RecordCache::with_eviction(1, None, capacity)
     }
 
     fn insert(cache: &RecordCache, host: &str, ttl: u32, now: u64) {
@@ -1215,20 +1004,18 @@ mod tests {
 
     #[test]
     fn bounded_capacity_is_never_exceeded() {
-        for policy in [EvictionPolicy::TtlSweepLru, EvictionPolicy::S3Fifo] {
-            let cache = bounded(8, policy);
-            for i in 0..100 {
-                insert(&cache, &format!("d{i}.example"), 300, i);
-                assert!(cache.len() <= 8, "{policy}: len {} > capacity 8", cache.len());
-            }
-            assert_eq!(cache.shard_lens(), vec![8]);
-            assert!(cache.stats().evictions >= 92 - 8);
+        let cache = bounded(8);
+        for i in 0..100 {
+            insert(&cache, &format!("d{i}.example"), 300, i);
+            assert!(cache.len() <= 8, "len {} > capacity 8", cache.len());
         }
+        assert_eq!(cache.shard_lens(), vec![8]);
+        assert!(cache.stats().evictions >= 92 - 8);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = bounded(3, EvictionPolicy::TtlSweepLru);
+        let cache = bounded(3);
         insert(&cache, "a.example", 300, 0);
         insert(&cache, "b.example", 300, 1);
         insert(&cache, "c.example", 300, 2);
@@ -1245,14 +1032,14 @@ mod tests {
 
     #[test]
     fn expired_entries_swept_before_live_evicted() {
-        let cache = bounded(3, EvictionPolicy::TtlSweepLru);
+        let cache = bounded(3);
         insert(&cache, "dead.example", 10, 0); // expires at t=10
         insert(&cache, "live1.example", 300, 1);
         insert(&cache, "live2.example", 300, 2);
         // Overflow at t=50: the dead entry is swept; no live eviction.
         insert(&cache, "live3.example", 300, 50);
         let s = cache.stats();
-        assert_eq!(s.swept, 1, "the expired entry should be swept, not policy-evicted");
+        assert_eq!(s.swept, 1, "the expired entry should be swept, not LRU-evicted");
         assert_eq!(s.evictions, 0);
         assert!(has(&cache, "live1.example", 51));
         assert!(has(&cache, "live2.example", 51));
@@ -1260,53 +1047,13 @@ mod tests {
     }
 
     #[test]
-    fn s3fifo_keeps_hot_entries_over_one_hit_wonders() {
-        let cache = bounded(10, EvictionPolicy::S3Fifo);
-        // Two hot keys, referenced repeatedly.
-        insert(&cache, "hot1.example", 3000, 0);
-        insert(&cache, "hot2.example", 3000, 0);
-        for t in 1..20 {
-            assert!(cache.get(&name("hot1.example"), RecordType::A, Timestamp(t)).is_some());
-            assert!(cache.get(&name("hot2.example"), RecordType::A, Timestamp(t)).is_some());
-        }
-        // A long scan of one-hit-wonders overflows the shard repeatedly.
-        for i in 0..60 {
-            insert(&cache, &format!("scan{i}.example"), 3000, 20 + i);
-        }
-        assert!(has(&cache, "hot1.example", 100), "hot key must survive the scan");
-        assert!(has(&cache, "hot2.example", 100), "hot key must survive the scan");
-        assert!(cache.len() <= 10);
-        assert!(cache.stats().evictions > 0);
-    }
-
-    #[test]
-    fn s3fifo_ghost_readmits_to_main() {
-        let cache = bounded(4, EvictionPolicy::S3Fifo);
-        insert(&cache, "victim.example", 3000, 0);
-        // Push victim out with a scan.
-        for i in 0..8 {
-            insert(&cache, &format!("s{i}.example"), 3000, 1 + i);
-        }
-        assert!(!has(&cache, "victim.example", 20));
-        // Re-inserting a ghost-remembered key must not panic and must be
-        // retained through a subsequent scan burst (it landed in main).
-        insert(&cache, "victim.example", 3000, 21);
-        for i in 0..4 {
-            insert(&cache, &format!("t{i}.example"), 3000, 22 + i);
-        }
-        assert!(cache.len() <= 4);
-    }
-
-    #[test]
     fn overwrite_does_not_grow_a_bounded_shard() {
-        for policy in [EvictionPolicy::TtlSweepLru, EvictionPolicy::S3Fifo] {
-            let cache = bounded(4, policy);
-            for t in 0..20 {
-                insert(&cache, "same.example", 300, t);
-            }
-            assert_eq!(cache.len(), 1, "{policy}: refreshes must overwrite in place");
-            assert_eq!(cache.stats().evictions, 0);
+        let cache = bounded(4);
+        for t in 0..20 {
+            insert(&cache, "same.example", 300, t);
         }
+        assert_eq!(cache.len(), 1, "refreshes must overwrite in place");
+        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
@@ -1324,7 +1071,7 @@ mod tests {
         assert_eq!(cache.stats().swept, 1);
 
         // Bounded: same semantics through the expiry index.
-        let cache = bounded(16, EvictionPolicy::TtlSweepLru);
+        let cache = bounded(16);
         for i in 0..6 {
             insert(&cache, &format!("d{i}.example"), 10 + i as u32, 0);
         }
@@ -1334,30 +1081,15 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_tracks_contents() {
-        let cache = RecordCache::new();
-        assert_eq!(cache.approx_bytes(), 0);
-        insert(&cache, "a.example", 300, 0);
-        let one = cache.approx_bytes();
-        assert!(one > 0);
-        insert(&cache, "b.example", 300, 0);
-        assert!(cache.approx_bytes() > one);
-        cache.flush();
-        assert_eq!(cache.approx_bytes(), 0);
-    }
-
-    #[test]
     fn eviction_policy_parses_and_displays() {
-        assert_eq!("lru".parse::<EvictionPolicy>().unwrap(), EvictionPolicy::TtlSweepLru);
-        assert_eq!("S3FIFO".parse::<EvictionPolicy>().unwrap(), EvictionPolicy::S3Fifo);
-        assert!("clock".parse::<EvictionPolicy>().is_err());
+        // The serve report's `policy=` header renders this; the
+        // benchmark digests that header.
         assert_eq!(EvictionPolicy::TtlSweepLru.to_string(), "TtlSweepLru");
-        assert_eq!(EvictionPolicy::S3Fifo.to_string(), "S3Fifo");
     }
 
     #[test]
     fn export_eviction_metrics_is_idempotent() {
-        let cache = bounded(2, EvictionPolicy::TtlSweepLru);
+        let cache = bounded(2);
         for i in 0..6 {
             insert(&cache, &format!("d{i}.example"), 300, i);
         }

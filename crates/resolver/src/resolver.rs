@@ -8,7 +8,7 @@
 //! to decide the AD bit — the full pipeline the paper relies on when it
 //! measures records through Google/Cloudflare public resolvers.
 
-use crate::cache::{CachedAnswer, EvictionPolicy, RecordCache};
+use crate::cache::{CachedAnswer, RecordCache};
 use crate::reply::{AuthorityReply, RrSet};
 use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
@@ -53,9 +53,6 @@ pub struct ResolverConfig {
     /// subsystem sets `Some(n)` to model a production resolver's finite
     /// cache.
     pub cache_capacity_per_shard: Option<usize>,
-    /// Eviction policy used when the cache is bounded (ignored
-    /// otherwise).
-    pub cache_eviction: EvictionPolicy,
 }
 
 impl Default for ResolverConfig {
@@ -72,7 +69,6 @@ impl Default for ResolverConfig {
             attempt_timeout_ms: 500,
             retransmits: 2,
             cache_capacity_per_shard: None,
-            cache_eviction: EvictionPolicy::default(),
         }
     }
 }
@@ -190,12 +186,9 @@ impl RecursiveResolver {
     /// Create a resolver.
     pub fn new(network: Network, registry: DelegationRegistry, config: ResolverConfig) -> Self {
         let cache = match config.cache_capacity_per_shard {
-            Some(capacity) => RecordCache::with_eviction(
-                config.cache_shards,
-                config.ttl_clamp,
-                capacity,
-                config.cache_eviction,
-            ),
+            Some(capacity) => {
+                RecordCache::with_eviction(config.cache_shards, config.ttl_clamp, capacity)
+            }
             None => RecordCache::with_config(config.cache_shards, config.ttl_clamp),
         };
         let selector = NsSelector::new(config.strategy, config.seed);

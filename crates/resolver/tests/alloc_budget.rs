@@ -16,9 +16,7 @@ use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
 use dns_wire::record::RrsigRdata;
 use dns_wire::{DnsName, RData, Rcode, Record, RecordType, SvcParam, SvcbRdata};
 use netsim::{Network, SimClock, Timestamp};
-use resolver::{
-    CachedAnswer, EvictionPolicy, Query, QueryEngine, RecordCache, ResolverConfig, RrSet,
-};
+use resolver::{CachedAnswer, Query, QueryEngine, RecordCache, ResolverConfig, RrSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -33,14 +31,10 @@ fn a_record(owner: &DnsName) -> RrSet {
     )
 }
 
-/// One unbounded and one of each bounded kind, a single shard each so
-/// that two caches of a kind go through the same index states.
-fn caches() -> [RecordCache; 3] {
-    [
-        RecordCache::with_shards(1),
-        RecordCache::with_eviction(1, None, 8, EvictionPolicy::TtlSweepLru),
-        RecordCache::with_eviction(1, None, 8, EvictionPolicy::S3Fifo),
-    ]
+/// One unbounded and one bounded cache, a single shard each so that
+/// two caches of a kind go through the same index states.
+fn caches() -> [RecordCache; 2] {
+    [RecordCache::with_shards(1), RecordCache::with_eviction(1, None, 8)]
 }
 
 #[test]
@@ -72,7 +66,7 @@ fn a_miss_allocates_nothing_and_a_hit_does_not_depend_on_the_label_count() {
             assert_eq!(counts, vec![0; threads], "misses, {threads} threads");
         }
 
-        // Hits move the bounded caches' recency indexes, so the two
+        // Hits move the bounded cache's recency index, so the two
         // caches are stepped in lockstep on one thread.
         for _ in 0..50 {
             let (on_short, got) = allocs_in(|| with_short.get(&short, RecordType::A, now));

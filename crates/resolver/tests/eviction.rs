@@ -1,12 +1,12 @@
-//! Eviction-policy invariants for the bounded [`RecordCache`]:
+//! Eviction invariants for the bounded [`RecordCache`] (TTL sweep, then
+//! LRU):
 //!
-//! 1. **Capacity bound** — for any insert sequence, under either
-//!    policy, no shard ever holds more than its capacity.
+//! 1. **Capacity bound** — for any insert sequence, no shard ever holds
+//!    more than its capacity.
 //! 2. **No stale serves** — interleaved inserts, lookups, and clock
 //!    advances never observe an answer a shadow TTL model says is dead;
 //!    eviction reclaims entries but never resurrects them.
-//! 3. **LRU inclusion** — on a fixed replayed trace, the TtlSweepLru
-//!    hit count is monotone non-decreasing in capacity (a bigger LRU
+//! 3. **LRU inclusion** — on a fixed replayed trace, the hit count is monotone non-decreasing in capacity (a bigger LRU
 //!    cache's contents are a superset of a smaller one's, shard by
 //!    shard).
 //! 4. **Purge-then-re-resolve** — `purge_expired` reclaims dead entries
@@ -19,7 +19,7 @@ use netsim::Timestamp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use resolver::{EvictionPolicy, QueryEngine, RecordCache, ResolverConfig, RrSet};
+use resolver::{QueryEngine, RecordCache, ResolverConfig, RrSet};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -35,14 +35,6 @@ fn a_record(d: u16, ttl: u32) -> Record {
 
 fn a_set(d: u16, ttl: u32) -> RrSet {
     RrSet::from_records(&[a_record(d, ttl)], &[])
-}
-
-fn policy_of(pick: u8) -> EvictionPolicy {
-    if pick == 0 {
-        EvictionPolicy::TtlSweepLru
-    } else {
-        EvictionPolicy::S3Fifo
-    }
 }
 
 /// One scripted operation for the no-stale-serve model checker.
@@ -69,9 +61,8 @@ proptest! {
     fn bounded_shard_never_exceeds_capacity(
         inserts in proptest::collection::vec((0u16..256, 30u32..600), 1..120),
         cap in 1usize..24,
-        policy_pick in 0u8..2,
     ) {
-        let cache = RecordCache::with_eviction(SHARDS, None, cap, policy_of(policy_pick));
+        let cache = RecordCache::with_eviction(SHARDS, None, cap);
         let now = Timestamp(0);
         for &(d, ttl) in &inserts {
             cache.insert_positive(&name_of(d), RecordType::A, a_set(d, ttl), now);
@@ -92,9 +83,8 @@ proptest! {
     fn eviction_never_serves_stale_answers(
         ops in proptest::collection::vec(arb_op(), 1..150),
         cap in 1usize..8,
-        policy_pick in 0u8..2,
     ) {
-        let cache = RecordCache::with_eviction(SHARDS, None, cap, policy_of(policy_pick));
+        let cache = RecordCache::with_eviction(SHARDS, None, cap);
         // Shadow TTL model: the expiry each domain's latest insert
         // promised. The cache may hold any *subset* of the live shadow
         // entries (eviction shrinks it), but must never serve beyond one.
@@ -147,7 +137,7 @@ fn lru_hit_count_is_monotone_in_capacity_on_a_fixed_trace() {
         .collect();
     let mut hit_counts = Vec::new();
     for cap in [2usize, 4, 8, 32, 1_024] {
-        let cache = RecordCache::with_eviction(SHARDS, None, cap, EvictionPolicy::TtlSweepLru);
+        let cache = RecordCache::with_eviction(SHARDS, None, cap);
         let now = Timestamp(0);
         let mut hits = 0u64;
         for &d in &trace {
@@ -192,7 +182,6 @@ fn purge_expired_reclaims_and_next_resolution_relearns() {
     let cache = engine.cache();
     let len_before = cache.len();
     assert!(len_before > 0);
-    assert!(cache.approx_bytes() > 0, "resident entries must account bytes");
     assert_eq!(cache.purge_expired(world.clock.now()), 0, "nothing is dead yet");
 
     // Far past every TTL the tiny world hands out.

@@ -131,14 +131,12 @@ fn cname_and_target_are_cached_in_answer_order() {
     // the target survives, the chase finds it, one query is sent. It
     // used to be a `HashMap`'s iteration order, which differs from one
     // hasher to the next — every resolver here has a fresh one.
-    use resolver::EvictionPolicy;
     for _ in 0..32 {
         let (net, reg, _) = world(true);
         let config = ResolverConfig {
             validate: false,
             cache_shards: 1,
             cache_capacity_per_shard: Some(1),
-            cache_eviction: EvictionPolicy::TtlSweepLru,
             ..Default::default()
         };
         let r = RecursiveResolver::new(net.clone(), reg, config);

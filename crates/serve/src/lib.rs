@@ -13,12 +13,10 @@
 //!   and emit open-loop Poisson arrivals with per-client seeded rate
 //!   jitter, merged into one virtual-time arrival stream.
 //! - [`driver`]: replays an arrival stream against a
-//!   [`resolver::QueryEngine`] with a **bounded** record cache
-//!   ([`resolver::EvictionPolicy`]), layering a deterministic k-server
-//!   queueing model in virtual microseconds on top of the engine's
-//!   hit/miss outcomes. Open-loop load sweeps ramp offered kq/s until
-//!   the model saturates; capacity curves compare eviction policies by
-//!   hit rate.
+//!   [`resolver::QueryEngine`] with a **bounded** record cache (TTL
+//!   sweep, then LRU), layering a deterministic k-server queueing model
+//!   in virtual microseconds on top of the engine's hit/miss outcomes.
+//!   Open-loop load sweeps ramp offered kq/s until the model saturates.
 //!
 //! ## Determinism
 //!
@@ -43,6 +41,6 @@ pub mod driver;
 pub mod report;
 pub mod workload;
 
-pub use driver::{capacity_curve, load_sweep, ServeConfig};
-pub use report::{CurvePoint, PhaseReport, ServeReport};
+pub use driver::{load_sweep, ServeConfig};
+pub use report::{PhaseReport, ServeReport};
 pub use workload::{Arrival, StubPopulation, WorkloadConfig};

@@ -1,5 +1,5 @@
-//! Serving results: per-phase reports, the sweep-level [`ServeReport`],
-//! and hit-rate-vs-capacity [`CurvePoint`]s.
+//! Serving results: per-phase reports and the sweep-level
+//! [`ServeReport`].
 //!
 //! Every number here derives from virtual time or deterministic
 //! counters, and the canonical text renderings use fixed-precision
@@ -82,7 +82,9 @@ impl PhaseReport {
 /// A full load sweep's results.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
-    /// Eviction policy of the engine's cache (when bounded).
+    /// Eviction policy of the engine's cache (when bounded). It has one
+    /// value; the field stays for the `policy=` header, which the
+    /// benchmark harness digests.
     pub policy: EvictionPolicy,
     /// Per-shard capacity bound (`None` = unbounded).
     pub capacity_per_shard: Option<usize>,
@@ -138,48 +140,5 @@ impl ServeReport {
             self.saturated()
         );
         out
-    }
-}
-
-/// One cell of a hit-rate-vs-capacity curve.
-#[derive(Debug, Clone)]
-pub struct CurvePoint {
-    /// Eviction policy of this cell.
-    pub policy: EvictionPolicy,
-    /// Per-shard capacity bound.
-    pub capacity_per_shard: usize,
-    /// Total capacity (`capacity_per_shard × shards`).
-    pub total_capacity: usize,
-    /// Hit rate over the cell's replayed trace.
-    pub hit_rate: f64,
-    /// p99 virtual-time latency over the trace, microseconds.
-    pub p99_us: u64,
-    /// Capacity evictions during the trace.
-    pub evictions: u64,
-    /// TTL sweeps during the trace.
-    pub swept: u64,
-    /// Entries resident when the trace ended.
-    pub entries: usize,
-    /// Approximate resident bytes when the trace ended (heuristic; see
-    /// `RecordCache::approx_bytes`).
-    pub approx_bytes: usize,
-}
-
-impl CurvePoint {
-    /// Canonical one-line rendering.
-    pub fn canonical_line(&self) -> String {
-        format!(
-            "policy={} capacity_per_shard={} total_capacity={} hit_rate={:.4} p99_us={} \
-             evictions={} swept={} entries={} approx_bytes={}",
-            self.policy,
-            self.capacity_per_shard,
-            self.total_capacity,
-            self.hit_rate,
-            self.p99_us,
-            self.evictions,
-            self.swept,
-            self.entries,
-            self.approx_bytes
-        )
     }
 }

@@ -12,8 +12,7 @@
 //! pinned string on some leg.
 
 use ecosystem::{EcosystemConfig, World};
-use resolver::EvictionPolicy;
-use serve::{capacity_curve, load_sweep, ServeConfig, WorkloadConfig};
+use serve::{load_sweep, ServeConfig, WorkloadConfig};
 use telemetry::MetricsRegistry;
 
 /// Thread counts to exercise (the CI matrix hook, same as engine_batch).
@@ -77,37 +76,4 @@ fn eviction_counters_reach_the_registry() {
         (0..16).map(|i| metrics.counter_value(&format!("cache.shard{i:02}.evictions"))).sum();
     assert_eq!(per_shard, evicted, "per-shard counters must sum to the aggregate");
     assert_eq!(metrics.counter_value("serve.queries"), report.phases[0].queries);
-}
-
-#[test]
-fn capacity_curve_is_stable_across_policy_order() {
-    // Cells are independent (fresh engine each): reversing the policy
-    // order must not change any cell's numbers.
-    let world = World::build(EcosystemConfig::tiny());
-    let cfg = serve_config();
-    let forward = capacity_curve(
-        &world,
-        &cfg,
-        &[8, 64],
-        &[EvictionPolicy::TtlSweepLru, EvictionPolicy::S3Fifo],
-        6.0,
-    );
-    let backward = capacity_curve(
-        &world,
-        &cfg,
-        &[8, 64],
-        &[EvictionPolicy::S3Fifo, EvictionPolicy::TtlSweepLru],
-        6.0,
-    );
-    let find = |pts: &[serve::CurvePoint], policy: EvictionPolicy, cap: usize| -> String {
-        pts.iter()
-            .find(|p| p.policy == policy && p.capacity_per_shard == cap)
-            .expect("cell present")
-            .canonical_line()
-    };
-    for policy in [EvictionPolicy::TtlSweepLru, EvictionPolicy::S3Fifo] {
-        for cap in [8, 64] {
-            assert_eq!(find(&forward, policy, cap), find(&backward, policy, cap));
-        }
-    }
 }

@@ -1,7 +1,7 @@
 //! The command line rejects what it does not understand: a mistyped
-//! flag, a missing or unparseable value, and an unknown command each
-//! exit non-zero naming the offender above the usage text — never a
-//! run on silently defaulted settings.
+//! flag, a missing, unparseable or out-of-range value, and an unknown
+//! command each exit non-zero naming the offender above the usage text
+//! — never a run on silently defaulted or clamped settings.
 
 use std::process::{Command, Output};
 
@@ -16,6 +16,14 @@ fn bad_flags_and_unknown_commands_fail_naming_the_offender() {
         (&["study", "--stride"][..], "--stride"),
         (&["run", "--dayz", "3"][..], "--dayz"),
         (&["serve", "--rates", "4,,x"][..], "--rates"),
+        (&["serve", "--rates", "inf"][..], "--rates"),
+        (&["serve", "--rates", "2,nan"][..], "--rates"),
+        (&["serve", "--rates", "-4"][..], "--rates"),
+        (&["serve", "--rates", "0"][..], "--rates"),
+        (&["serve", "--clients", "0"][..], "--clients"),
+        (&["serve", "--workers", "0"][..], "--workers"),
+        (&["serve", "--phase-ms", "0"][..], "--phase-ms"),
+        (&["serve", "--policy", "lru"][..], "unknown flag --policy"),
         (&["serve", "--population", "0"][..], "--population"),
         (&["serve", "--list", "0"][..], "--list"),
         (&["serve", "--list", "200", "--population", "100"][..], "--population"),
