@@ -35,12 +35,20 @@
 //! [`CacheStats::evictions`]). LRU has the stack/inclusion property, so
 //! hit rate is monotone non-decreasing in capacity on a replayed trace.
 //!
-//! The eviction bookkeeping uses explicitly ordered structures
-//! (`BTreeMap`s keyed by a per-shard monotonic sequence), never
-//! `HashMap` iteration order, so the victim sequence is deterministic and
-//! byte-identical across runs. Unbounded caches skip the index
-//! maintenance entirely — the hot path cost of the default configuration
-//! is unchanged.
+//! Recency is a doubly linked list over a slab of slots, least recently
+//! used at the head: a hit moves its entry's node to the tail, a store
+//! pushes one there and an eviction pops the head, each in O(1) with no
+//! allocation once the slab has reached capacity. Victims are chosen by
+//! that list, never by `HashMap` iteration order, so the victim sequence
+//! is deterministic and byte-identical across runs. Unbounded caches
+//! keep no list: their entries carry no slot and a hit moves nothing.
+//!
+//! The TTL sweep keeps no index either. Each shard holds a lower bound
+//! on its entries' expiry seconds, which a store lowers; while the clock
+//! is below it a sweep costs one comparison, and otherwise one pass over
+//! the shard removes every expired entry and makes the bound exact
+//! again. So a shard scans at most once per simulated second in which
+//! it overflows, and never while nothing in it can have expired.
 //!
 //! ## Statistics
 //!
@@ -59,7 +67,7 @@ use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, Rcode, RecordType};
 use netsim::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,8 +119,8 @@ pub enum CachedAnswer {
 
 /// An entry's key: owner name and record type. `DnsName`'s own
 /// `Hash`/`Eq` fold ASCII case, [`NameBuildHasher`] mixes the type into
-/// the name's word, and a clone (one per index a bounded store files the
-/// key under) is a reference count. It borrows as
+/// the name's word, and a clone (the one a bounded store files in the
+/// recency list) is a reference count. It borrows as
 /// [`dyn Probe`](Probe), so a lookup hashes and compares a borrowed name
 /// and clones none.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -174,12 +182,110 @@ struct Entry {
     answer: CachedAnswer,
     inserted: Timestamp,
     expires: Timestamp,
-    /// Insertion stamp from the shard's monotonic sequence; fixed for
-    /// the entry's lifetime and used as the expiry-index tiebreaker.
-    seq: u64,
-    /// Recency stamp keying the LRU order map; refreshed on every hit
-    /// of a bounded cache.
-    touch: u64,
+    /// The entry's node in its shard's recency list; [`NIL`] on an
+    /// unbounded shard, which keeps no list.
+    slot: u32,
+}
+
+/// The slot index that names no node: the end of a list, or the slot
+/// of an entry that is in none.
+const NIL: u32 = u32::MAX;
+
+/// One node of a recency list. A free slot holds no key and chains the
+/// free list through `next`.
+struct Link {
+    prev: u32,
+    next: u32,
+    key: Option<Key>,
+}
+
+/// A bounded shard's recency order: a doubly linked list over a slab of
+/// [`Link`]s, least recently used at `head`, most recently used at
+/// `tail`. Slots freed by removals are reused before the slab grows, so
+/// it never holds more than one slot over the shard's capacity, and a
+/// capacity under [`NIL`] keeps every slot index below it.
+struct Recency {
+    links: Vec<Link>,
+    head: u32,
+    tail: u32,
+    /// First free slot.
+    free: u32,
+}
+
+impl Default for Recency {
+    fn default() -> Recency {
+        Recency { links: Vec::new(), head: NIL, tail: NIL, free: NIL }
+    }
+}
+
+impl Recency {
+    /// Link `key` at the most recently used end; returns its slot.
+    fn push_back(&mut self, key: Key) -> u32 {
+        let link = Link { prev: NIL, next: NIL, key: Some(key) };
+        let slot = match self.free {
+            NIL => {
+                self.links.push(link);
+                (self.links.len() - 1) as u32
+            }
+            slot => {
+                self.free = self.links[slot as usize].next;
+                self.links[slot as usize] = link;
+                slot
+            }
+        };
+        self.attach_back(slot);
+        slot
+    }
+
+    /// Move a linked slot to the most recently used end.
+    fn move_to_back(&mut self, slot: u32) {
+        if slot != self.tail {
+            self.detach(slot);
+            self.attach_back(slot);
+        }
+    }
+
+    /// Unlink a slot, free it and return the key it held.
+    fn remove(&mut self, slot: u32) -> Option<Key> {
+        self.detach(slot);
+        let link = &mut self.links[slot as usize];
+        link.next = self.free;
+        self.free = slot;
+        link.key.take()
+    }
+
+    /// Unlink and return the least recently used key.
+    fn pop_front(&mut self) -> Option<Key> {
+        (self.head != NIL).then(|| self.remove(self.head)).flatten()
+    }
+
+    /// Empty the list, keeping the slab's allocation.
+    fn clear(&mut self) {
+        self.links.clear();
+        (self.head, self.tail, self.free) = (NIL, NIL, NIL);
+    }
+
+    fn detach(&mut self, slot: u32) {
+        let Link { prev, next, .. } = self.links[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => self.links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.links[next as usize].prev = prev,
+        }
+    }
+
+    fn attach_back(&mut self, slot: u32) {
+        let link = &mut self.links[slot as usize];
+        (link.prev, link.next) = (self.tail, NIL);
+        match self.tail {
+            NIL => self.head = slot,
+            tail => self.links[tail as usize].next = slot,
+        }
+        self.tail = slot;
+    }
 }
 
 /// Statistics snapshot for cache behaviour analysis and ablations.
@@ -318,21 +424,23 @@ impl ShardCounters {
     }
 }
 
-/// A shard's mutable state: the entry map plus the eviction indexes.
+/// A shard's mutable state: the entry map, its recency list and the
+/// sweep's lower bound.
 ///
-/// The indexes (`lru`, `expiry`) are maintained only for bounded caches;
-/// unbounded shards leave them empty so the default hot path pays
-/// nothing for the eviction layer.
-#[derive(Default)]
+/// The recency list is kept only by bounded caches; unbounded shards
+/// leave it empty so the default hot path pays nothing for eviction.
 struct ShardInner {
     entries: HashMap<Key, Entry, NameBuildHasher>,
-    /// Monotonic per-shard stamp source for `seq`/`touch`.
-    next_seq: u64,
-    /// LRU recency order: `touch` stamp → key.
-    lru: BTreeMap<u64, Key>,
-    /// Expiry order: `(expiry second, seq)` → key, so the TTL sweep pops
-    /// dead entries without scanning the map.
-    expiry: BTreeMap<(u64, u64), Key>,
+    recency: Recency,
+    /// No entry expires before this second: stores lower it, a sweep
+    /// sets it to the exact minimum of the entries it keeps.
+    earliest: u64,
+}
+
+impl Default for ShardInner {
+    fn default() -> ShardInner {
+        ShardInner { entries: HashMap::default(), recency: Recency::default(), earliest: u64::MAX }
+    }
 }
 
 /// What one lookup found under the shard lock.
@@ -346,71 +454,54 @@ enum Looked {
 }
 
 impl ShardInner {
-    /// Remove an entry and its index bookkeeping.
-    fn remove_entry(&mut self, key: &dyn Probe) -> Option<Entry> {
-        let entry = self.entries.remove(key)?;
-        self.lru.remove(&entry.touch);
-        self.expiry.remove(&(entry.expires.0, entry.seq));
-        Some(entry)
-    }
-
     /// Look `(name, rtype)` up by borrowed name. An expired entry is
-    /// removed; a live one on a `bounded` cache has its recency
-    /// refreshed.
-    fn look_up(&mut self, name: NameRef<'_>, rtype: u16, now: Timestamp, bounded: bool) -> Looked {
+    /// removed; a live one on a bounded shard moves to the most recently
+    /// used end of the list.
+    fn look_up(&mut self, name: NameRef<'_>, rtype: u16, now: Timestamp) -> Looked {
         let probe: &dyn Probe = &(name, rtype);
-        let Some(entry) = self.entries.get_mut(probe) else {
+        let Some(entry) = self.entries.get(probe) else {
             return Looked::Absent;
         };
         if entry.expires <= now {
-            self.remove_entry(probe);
+            let slot = entry.slot;
+            self.entries.remove(probe);
+            if slot != NIL {
+                self.recency.remove(slot);
+            }
             return Looked::Dead;
         }
-        if bounded {
-            self.next_seq += 1;
-            let old = std::mem::replace(&mut entry.touch, self.next_seq);
-            // Move the key to its new recency slot rather than clone it.
-            // Every entry of a bounded shard is filed under its `touch`
-            // stamp, and unfiled only with the entry, so the slot is
-            // there.
-            if let Some(key) = self.lru.remove(&old) {
-                self.lru.insert(self.next_seq, key);
-            }
+        if entry.slot != NIL {
+            self.recency.move_to_back(entry.slot);
         }
         Looked::Hit(entry.answer.clone())
     }
 
-    /// Pop entries whose expiry second is `<= now` off the expiry index.
-    /// Returns the number removed. Bounded shards only (the index is
-    /// empty otherwise).
+    /// Remove every entry whose expiry second is `<= now` and return how
+    /// many went; a no-op while `now` is below the shard's lower bound.
     fn sweep_expired(&mut self, now: Timestamp) -> u64 {
-        let mut swept = 0;
-        while let Some(head) = self.expiry.first_entry() {
-            if head.key().0 > now.0 {
-                break;
-            }
-            let key = head.remove();
-            if let Some(entry) = self.entries.remove(&key) {
-                self.lru.remove(&entry.touch);
-                swept += 1;
-            }
+        if self.earliest > now.0 {
+            return 0;
         }
-        swept
+        let (before, mut earliest) = (self.entries.len(), u64::MAX);
+        let recency = &mut self.recency;
+        self.entries.retain(|_, entry| {
+            if entry.expires > now {
+                earliest = earliest.min(entry.expires.0);
+                return true;
+            }
+            if entry.slot != NIL {
+                recency.remove(entry.slot);
+            }
+            false
+        });
+        self.earliest = earliest;
+        (before - self.entries.len()) as u64
     }
 
-    /// Evict the least recently used live entry. Returns false if no
-    /// victim could be found (empty shard).
+    /// Evict the least recently used entry. Returns false if the shard
+    /// is empty.
     fn evict_lru(&mut self) -> bool {
-        let Some((_, key)) = self.lru.pop_first() else {
-            return false;
-        };
-        match self.entries.remove(&key) {
-            Some(entry) => {
-                self.expiry.remove(&(entry.expires.0, entry.seq));
-                true
-            }
-            None => false,
-        }
+        self.recency.pop_front().is_some_and(|key| self.entries.remove(&key).is_some())
     }
 }
 
@@ -510,15 +601,15 @@ impl RecordCache {
     }
 
     /// An empty **bounded** cache: at most `capacity_per_shard` entries
-    /// per shard (minimum 1), sweeping expired then evicting least
-    /// recently used entries on overflow.
+    /// per shard (minimum 1, maximum `u32::MAX - 1`), sweeping expired
+    /// then evicting least recently used entries on overflow.
     pub fn with_eviction(
         shards: usize,
         ttl_clamp: Option<u32>,
         capacity_per_shard: usize,
     ) -> RecordCache {
         let mut cache = RecordCache::with_config(shards, ttl_clamp);
-        cache.capacity = Some(capacity_per_shard.max(1));
+        cache.capacity = Some(capacity_per_shard.clamp(1, NIL as usize - 1));
         cache
     }
 
@@ -544,36 +635,32 @@ impl RecordCache {
         }
     }
 
-    /// Shared store path: stamp the entry, refresh indexes, and resolve
-    /// any overflow (TTL sweep first, then LRU eviction) — all under
-    /// one hot-path lock acquisition.
+    /// Shared store path: file the entry, link it at the most recently
+    /// used end, and resolve any overflow (TTL sweep first, then LRU
+    /// eviction) — all under one hot-path lock acquisition.
     fn store(&self, key: Key, answer: CachedAnswer, now: Timestamp, ttl: u32) {
         let shard = self.shard_for(&key.name);
         shard.stats.insertions.fetch_add(1, Ordering::Relaxed);
         let expires = now.plus(ttl as u64);
         let mut inner = shard.lock_inner();
-        inner.next_seq += 1;
-        let seq = inner.next_seq;
-        let entry = Entry { answer, inserted: now, expires, seq, touch: seq };
-        let Some(capacity) = self.capacity else {
-            let replaced = inner.entries.insert(key, entry);
-            drop(inner);
-            // The replaced entry's answer is released after the lock.
-            drop(replaced);
-            return;
+        inner.earliest = inner.earliest.min(expires.0);
+        let slot = match self.capacity {
+            Some(_) => inner.recency.push_back(key.clone()),
+            None => NIL,
         };
-        let replaced = inner.remove_entry(&key);
-        inner.expiry.insert((expires.0, seq), key.clone());
-        inner.lru.insert(seq, key.clone());
-        inner.entries.insert(key, entry);
+        let replaced = inner.entries.insert(key, Entry { answer, inserted: now, expires, slot });
+        if let Some(old) = replaced.as_ref().filter(|old| old.slot != NIL) {
+            inner.recency.remove(old.slot);
+        }
         let (mut swept, mut evicted) = (0u64, 0u64);
-        if inner.entries.len() > capacity {
+        if let Some(capacity) = self.capacity.filter(|&c| inner.entries.len() > c) {
             swept = inner.sweep_expired(now);
             while inner.entries.len() > capacity && inner.evict_lru() {
                 evicted += 1;
             }
         }
         drop(inner);
+        // The replaced entry's answer is released after the lock.
         drop(replaced);
         if swept > 0 {
             shard.stats.swept.fetch_add(swept, Ordering::Relaxed);
@@ -615,8 +702,8 @@ impl RecordCache {
     /// bounded cache a hit also refreshes the entry's recency under the
     /// same lock acquisition.
     pub fn get(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<CachedAnswer> {
-        let (shard, bounded) = (self.shard_for(name), self.capacity.is_some());
-        let looked = shard.lock_inner().look_up(name.name_ref(), rtype.code(), now, bounded);
+        let shard = self.shard_for(name);
+        let looked = shard.lock_inner().look_up(name.name_ref(), rtype.code(), now);
         shard.count(looked)
     }
 
@@ -632,13 +719,13 @@ impl RecordCache {
         rtype: RecordType,
         now: Timestamp,
     ) -> Option<(RecordType, CachedAnswer)> {
-        let (shard, bounded) = (self.shard_for(name), self.capacity.is_some());
+        let shard = self.shard_for(name);
         let mut inner = shard.lock_inner();
-        let asked = inner.look_up(name.name_ref(), rtype.code(), now, bounded);
+        let asked = inner.look_up(name.name_ref(), rtype.code(), now);
         let alias = match asked {
             Looked::Hit(_) => None,
             _ if rtype == RecordType::Cname => None,
-            _ => Some(inner.look_up(name.name_ref(), RecordType::Cname.code(), now, bounded)),
+            _ => Some(inner.look_up(name.name_ref(), RecordType::Cname.code(), now)),
         };
         drop(inner);
         if let Some(answer) = shard.count(asked) {
@@ -660,8 +747,8 @@ impl RecordCache {
         for shard in &self.shards {
             let mut inner = shard.inner.lock();
             inner.entries.clear();
-            inner.lru.clear();
-            inner.expiry.clear();
+            inner.recency.clear();
+            inner.earliest = u64::MAX;
         }
     }
 
@@ -676,15 +763,7 @@ impl RecordCache {
     pub fn purge_expired(&self, now: Timestamp) -> u64 {
         let mut total = 0;
         for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            let removed = if self.capacity.is_some() {
-                inner.sweep_expired(now)
-            } else {
-                let before = inner.entries.len();
-                inner.entries.retain(|_, e| e.expires > now);
-                (before - inner.entries.len()) as u64
-            };
-            drop(inner);
+            let removed = shard.inner.lock().sweep_expired(now);
             if removed > 0 {
                 shard.stats.swept.fetch_add(removed, Ordering::Relaxed);
                 total += removed;
@@ -1070,7 +1149,7 @@ mod tests {
         assert!(has(&cache, "long.example", 11));
         assert_eq!(cache.stats().swept, 1);
 
-        // Bounded: same semantics through the expiry index.
+        // Bounded: same semantics, and the list loses the swept nodes.
         let cache = bounded(16);
         for i in 0..6 {
             insert(&cache, &format!("d{i}.example"), 10 + i as u32, 0);
@@ -1078,6 +1157,81 @@ mod tests {
         assert_eq!(cache.purge_expired(Timestamp(12)), 3);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().swept, 3);
+    }
+
+    /// The shard's sweep bound, for the lazy-sweep tests.
+    fn earliest(cache: &RecordCache) -> u64 {
+        cache.shards[0].inner.lock().earliest
+    }
+
+    #[test]
+    fn a_stale_sweep_bound_sweeps_no_live_entry() {
+        let cache = bounded(2);
+        insert(&cache, "short.example", 10, 0); // sets the bound to 10
+        insert(&cache, "b.example", 300, 0);
+        insert(&cache, "c.example", 300, 1); // evicts short.example
+        assert!(!has(&cache, "short.example", 1));
+        assert_eq!(earliest(&cache), 10, "an eviction leaves the bound where it was");
+        // Past the bound, the overflow scans, finds nothing dead, and
+        // makes the bound exact; the victim is still the LRU entry.
+        insert(&cache, "d.example", 300, 20);
+        let s = cache.stats();
+        assert_eq!((s.swept, s.evictions), (0, 2));
+        assert_eq!(earliest(&cache), 300);
+        assert!(!has(&cache, "b.example", 21));
+        assert!(has(&cache, "c.example", 21));
+        assert!(has(&cache, "d.example", 21));
+    }
+
+    #[test]
+    fn a_ttl_zero_insert_into_a_full_shard_is_swept_not_evicted() {
+        let cache = bounded(2);
+        insert(&cache, "a.example", 300, 0);
+        insert(&cache, "b.example", 300, 0);
+        insert(&cache, "zero.example", 0, 5);
+        let s = cache.stats();
+        assert_eq!((s.swept, s.evictions), (1, 0));
+        assert_eq!(cache.len(), 2);
+        assert!(has(&cache, "a.example", 5));
+        assert!(has(&cache, "b.example", 5));
+        assert!(cache.get(&name("zero.example"), RecordType::A, Timestamp(5)).is_none());
+        assert_eq!(cache.stats().miss_absent, 1);
+    }
+
+    #[test]
+    fn a_flushed_bounded_shard_fills_and_evicts_again() {
+        let cache = bounded(2);
+        for (i, host) in ["a.example", "b.example", "c.example"].iter().enumerate() {
+            insert(&cache, host, 10, i as u64);
+        }
+        cache.flush();
+        assert!(cache.is_empty());
+        assert_eq!(earliest(&cache), u64::MAX);
+        insert(&cache, "d.example", 300, 0);
+        insert(&cache, "e.example", 300, 1);
+        assert!(cache.get(&name("d.example"), RecordType::A, Timestamp(2)).is_some());
+        insert(&cache, "f.example", 300, 3);
+        assert_eq!(cache.stats().evictions, 2, "one before the flush, one after");
+        assert!(has(&cache, "d.example", 4));
+        assert!(!has(&cache, "e.example", 4), "the LRU victim is e, d was refreshed");
+        assert!(has(&cache, "f.example", 4));
+    }
+
+    #[test]
+    fn bounded_purge_counts_nothing_before_the_bound_and_every_dead_entry_after() {
+        let cache = bounded(16);
+        for i in 0..6 {
+            insert(&cache, &format!("d{i}.example"), 10 + i as u32, 0);
+        }
+        assert_eq!(earliest(&cache), 10);
+        assert_eq!(cache.purge_expired(Timestamp(9)), 0);
+        assert_eq!(cache.purge_expired(Timestamp(12)), 3);
+        assert_eq!(earliest(&cache), 13, "a sweep makes the bound exact");
+        assert_eq!(cache.purge_expired(Timestamp(12)), 0);
+        assert_eq!(cache.purge_expired(Timestamp(100)), 3);
+        assert!(cache.is_empty());
+        assert_eq!(earliest(&cache), u64::MAX);
+        assert_eq!(cache.stats().swept, 6);
     }
 
     #[test]

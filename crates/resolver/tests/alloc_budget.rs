@@ -1,5 +1,6 @@
-//! Allocation budgets of the record cache's lookups and of the shared
-//! answer RRsets, counted with a per-thread counting allocator; the
+//! Allocation budgets of the record cache's lookups, of stores into a
+//! full bounded shard and of the shared answer RRsets, counted with a
+//! per-thread counting allocator; the
 //! lookup budgets are held on every thread of the
 //! `RESOLVER_TEST_THREADS` axis while the threads share one cache and
 //! the names they look up. An answer RRset is offsets into the one
@@ -66,18 +67,18 @@ fn a_miss_allocates_nothing_and_a_hit_does_not_depend_on_the_label_count() {
             assert_eq!(counts, vec![0; threads], "misses, {threads} threads");
         }
 
-        // Hits move the bounded cache's recency index, so the two
-        // caches are stepped in lockstep on one thread.
+        // Hits move the bounded cache's recency list, so the two caches
+        // are stepped in lockstep on one thread.
         for _ in 0..50 {
             let (on_short, got) = allocs_in(|| with_short.get(&short, RecordType::A, now));
             assert!(matches!(got, Some(CachedAnswer::Positive { .. })));
             let (on_deep, got) = allocs_in(|| with_deep.get(&deep, RecordType::A, now));
             assert!(matches!(got, Some(CachedAnswer::Positive { .. })));
-            assert_eq!(on_short, on_deep, "positive hit");
+            assert_eq!((on_short, on_deep), (0, 0), "positive hit");
             let (on_short, got) = allocs_in(|| with_short.get(&short, RecordType::Aaaa, now));
             assert!(matches!(got, Some(CachedAnswer::Negative { .. })));
             let (on_deep, _) = allocs_in(|| with_deep.get(&deep, RecordType::Aaaa, now));
-            assert_eq!(on_short, on_deep, "negative hit");
+            assert_eq!((on_short, on_deep), (0, 0), "negative hit");
         }
     }
 }
@@ -141,6 +142,63 @@ fn a_positive_hit_is_a_reference_count_on_the_set_that_was_inserted() {
                 assert_eq!(got, set);
             }
         }
+    }
+}
+
+/// `count` distinct owners under one parent, each with a one-record A
+/// set built up front, so that storing one costs only the cache's work.
+fn owners(count: usize) -> Vec<(DnsName, RrSet)> {
+    (0..count)
+        .map(|i| {
+            let owner = name(&format!("d{i}.example.com"));
+            let set = a_record(&owner);
+            (owner, set)
+        })
+        .collect()
+}
+
+#[test]
+fn a_bounded_hit_allocates_nothing_whatever_the_shard_holds() {
+    let now = Timestamp(1_000);
+    for capacity in [1, 2, 12, 64, 300] {
+        let cache = RecordCache::with_eviction(1, None, capacity);
+        let resident = owners(capacity);
+        for (owner, set) in &resident {
+            cache.insert_positive(owner, RecordType::A, set.clone(), now);
+        }
+        // Every hit moves its entry to the most recently used end, from
+        // the least recently used end first and then from the middle.
+        for step in 0..3 * capacity {
+            let (owner, _) = &resident[(step * 7) % capacity];
+            let (n, got) = allocs_in(|| cache.get(owner, RecordType::A, now));
+            assert!(got.is_some());
+            assert_eq!(n, 0, "capacity {capacity}, hit {step}");
+        }
+        assert_eq!(cache.stats().evictions, 0);
+    }
+}
+
+#[test]
+fn storing_a_fresh_key_into_a_full_bounded_shard_allocates_nothing() {
+    let now = Timestamp(1_000);
+    for capacity in [1, 2, 12, 64, 300] {
+        let cache = RecordCache::with_eviction(1, None, capacity);
+        let stream = owners(20 * capacity);
+        // Fill the shard and overflow it many times over: the recency
+        // list is full after one round, and the entry table once the
+        // removed entries' tombstones have had it grow to where it
+        // rehashes in place.
+        let (warm, measured) = stream.split_at(16 * capacity);
+        for (owner, set) in warm {
+            cache.insert_positive(owner, RecordType::A, set.clone(), now);
+        }
+        for (i, (owner, set)) in measured.iter().enumerate() {
+            let set = set.clone();
+            let (n, ()) = allocs_in(|| cache.insert_positive(owner, RecordType::A, set, now));
+            assert_eq!(n, 0, "capacity {capacity}, store {i}");
+        }
+        assert_eq!(cache.len(), capacity);
+        assert_eq!(cache.stats().evictions, 19 * capacity as u64);
     }
 }
 

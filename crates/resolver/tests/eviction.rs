@@ -12,6 +12,10 @@
 //! 4. **Purge-then-re-resolve** — `purge_expired` reclaims dead entries
 //!    end-to-end through a real engine, and the next resolution goes
 //!    recursive again and re-learns the same records.
+//! 5. **Reference model** — random inserts, lookups, clock advances and
+//!    purges give the lookup outcomes, counters and resident keys of a
+//!    plain `Vec` per shard: on overflow sweep every expired entry, then
+//!    evict from the least recently used end.
 
 use dns_wire::{DnsName, RData, Record, RecordType};
 use ecosystem::{EcosystemConfig, World};
@@ -19,7 +23,7 @@ use netsim::Timestamp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use resolver::{QueryEngine, RecordCache, ResolverConfig, RrSet};
+use resolver::{CacheStats, QueryEngine, RecordCache, ResolverConfig, RrSet};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -119,6 +123,139 @@ proptest! {
                 prop_assert!(cache.get(&name_of(d), RecordType::A, now).is_none());
             }
         }
+    }
+}
+
+/// One operation of the reference-model check.
+#[derive(Debug, Clone)]
+enum ModelOp {
+    Insert { d: u16, ttl: u32 },
+    Get { d: u16 },
+    Advance { secs: u32 },
+    Purge,
+}
+
+fn arb_model_op() -> impl Strategy<Value = ModelOp> {
+    prop_oneof![
+        (0u16..24, 0u32..400).prop_map(|(d, ttl)| ModelOp::Insert { d, ttl }),
+        (0u16..24).prop_map(|d| ModelOp::Get { d }),
+        (1u32..120).prop_map(|secs| ModelOp::Advance { secs }),
+        Just(ModelOp::Purge),
+    ]
+}
+
+/// The cache's shard for domain `d`: FNV-1a over the case-folded
+/// dotted key, modulo the shard count, as the cache documents it.
+fn shard_of(d: u16, shards: usize) -> usize {
+    let h = name_of(d)
+        .key()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+    (h % shards as u64) as usize
+}
+
+/// One bounded shard as a list of `(domain, expiry second)`, least
+/// recently used first, with the counters it should have bumped.
+#[derive(Default)]
+struct ModelShard {
+    entries: Vec<(u16, u64)>,
+    stats: CacheStats,
+}
+
+impl ModelShard {
+    fn sweep(&mut self, now: u64) -> u64 {
+        let before = self.entries.len();
+        self.entries.retain(|&(_, expires)| expires > now);
+        (before - self.entries.len()) as u64
+    }
+
+    fn insert(&mut self, d: u16, expires: u64, now: u64, cap: usize) {
+        self.stats.insertions += 1;
+        self.entries.retain(|&(k, _)| k != d);
+        self.entries.push((d, expires));
+        if self.entries.len() > cap {
+            self.stats.swept += self.sweep(now);
+            while self.entries.len() > cap {
+                self.entries.remove(0);
+                self.stats.evictions += 1;
+            }
+        }
+    }
+
+    fn get(&mut self, d: u16, now: u64) -> bool {
+        let Some(at) = self.entries.iter().position(|&(k, _)| k == d) else {
+            self.stats.miss_absent += 1;
+            return false;
+        };
+        let entry = self.entries.remove(at);
+        if entry.1 <= now {
+            self.stats.miss_expired += 1;
+            return false;
+        }
+        self.entries.push(entry);
+        self.stats.hits += 1;
+        true
+    }
+}
+
+/// Run `ops` against a bounded cache and the model, comparing after
+/// every operation.
+fn check_against_model(ops: &[ModelOp], shards: usize, cap: usize) {
+    let cache = RecordCache::with_eviction(shards, None, cap);
+    let mut model: Vec<ModelShard> = (0..shards).map(|_| ModelShard::default()).collect();
+    let mut now = 0u64;
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            ModelOp::Insert { d, ttl } => {
+                let at = Timestamp(now);
+                cache.insert_positive(&name_of(d), RecordType::A, a_set(d, ttl), at);
+                model[shard_of(d, shards)].insert(d, now + ttl as u64, now, cap);
+            }
+            ModelOp::Get { d } => {
+                let hit = cache.get(&name_of(d), RecordType::A, Timestamp(now)).is_some();
+                let expected = model[shard_of(d, shards)].get(d, now);
+                assert_eq!(hit, expected, "step {}: get {} at t={}", step, d, now);
+            }
+            ModelOp::Advance { secs } => now += secs as u64,
+            ModelOp::Purge => {
+                let expected: u64 = model
+                    .iter_mut()
+                    .map(|shard| {
+                        let swept = shard.sweep(now);
+                        shard.stats.swept += swept;
+                        swept
+                    })
+                    .sum();
+                assert_eq!(cache.purge_expired(Timestamp(now)), expected, "step {}", step);
+            }
+        }
+        let counters = |s: &CacheStats| {
+            (s.hits, s.miss_absent, s.miss_expired, s.insertions, s.evictions, s.swept)
+        };
+        for (i, (got, want)) in cache.shard_stats().iter().zip(&model).enumerate() {
+            assert_eq!(counters(got), counters(&want.stats), "step {}: shard {} counters", step, i);
+        }
+        let lens: Vec<usize> = model.iter().map(|s| s.entries.len()).collect();
+        assert_eq!(cache.shard_lens(), lens, "step {}: resident entries per shard", step);
+        for d in 0..24u16 {
+            let live = model[shard_of(d, shards)]
+                .entries
+                .iter()
+                .any(|&(k, expires)| k == d && expires > now);
+            let held = cache.age(&name_of(d), RecordType::A, Timestamp(now)).is_some();
+            assert_eq!(held, live, "step {}: domain {} live at t={}", step, d, now);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn bounded_cache_matches_the_reference_model(
+        ops in proptest::collection::vec(arb_model_op(), 1..200),
+        cap in 1usize..8,
+    ) {
+        check_against_model(&ops, 1, cap);
+        check_against_model(&ops, SHARDS, cap);
     }
 }
 
