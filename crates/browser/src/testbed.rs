@@ -107,20 +107,6 @@ impl Testbed {
         Browser::new(profile, engine, ip(addr::RESOLVER))
     }
 
-    /// Like [`browser`](Self::browser), but the browser's engine carries
-    /// a metrics registry: each navigation's DNS queries land in the
-    /// `engine.single_*` counters and the `engine.single_us` wall-clock
-    /// latency histogram. Navigation outcomes are identical either way —
-    /// telemetry observes, never perturbs.
-    pub fn instrumented_browser(
-        &self,
-        profile: BrowserProfile,
-        metrics: Arc<telemetry::MetricsRegistry>,
-    ) -> Browser {
-        let engine = QueryEngine::from_resolver(Arc::clone(&self.resolver)).with_metrics(metrics);
-        Browser::new(profile, engine, ip(addr::RESOLVER))
-    }
-
     /// Reset DNS state between experiment rounds (the paper clears local
     /// caches and waits out the 60 s TTL; we flush directly).
     pub fn flush_dns(&self) {

@@ -138,32 +138,3 @@ fn http_scheme_upgrade_skips_http_entirely() {
         nav.events
     );
 }
-
-#[test]
-fn instrumented_navigation_counts_queries_without_changing_outcomes() {
-    use std::sync::Arc;
-    use telemetry::MetricsRegistry;
-
-    let tb = Testbed::new();
-    tb.set_domain_records(vec!["203.0.113.10".parse().unwrap()], None);
-    tb.web_server(
-        browser::testbed::addr::WEB_PRIMARY,
-        443,
-        vec![tb.domain.clone()],
-        vec!["h2", "http/1.1"],
-    );
-    let plain = tb.browser(BrowserProfile::chrome()).navigate(&tb.domain.key(), UrlScheme::Https);
-    tb.flush_dns();
-
-    let metrics = Arc::new(MetricsRegistry::new("browser"));
-    let instrumented = tb
-        .instrumented_browser(BrowserProfile::chrome(), metrics.clone())
-        .navigate(&tb.domain.key(), UrlScheme::Https);
-    assert_eq!(format!("{:?}", plain.outcome), format!("{:?}", instrumented.outcome));
-
-    // Chrome's HTTPS navigation issues HTTPS + A + AAAA through the
-    // engine's single-query path.
-    let queries = metrics.counter_value("engine.single_queries");
-    assert!(queries >= 3, "expected >=3 single queries, saw {queries}");
-    assert_eq!(metrics.counter_value("engine.single_failures"), 0);
-}

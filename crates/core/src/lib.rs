@@ -26,8 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod automation;
-
 pub use analysis;
 pub use authserver;
 pub use browser;

@@ -575,9 +575,13 @@ impl SvcbRdata {
         })
     }
 
-    /// Validate RFC 9460 semantic rules, returning human-readable issues.
-    /// (Used by the scanner's misconfiguration analysis; an empty vec means
-    /// the record is well-formed.)
+    /// Validate RFC 9460 semantic rules, returning human-readable issues;
+    /// an empty vec means the record is well-formed. `httpsrr-cli zone`
+    /// prints these. The scanner does not call it: its misconfiguration
+    /// flags (`scanner::daily`'s `classify`) apply a subset straight to
+    /// the wire view — AliasMode with a `.` target, ServiceMode with no
+    /// SvcParams, an IPv4-literal target — and check neither an
+    /// AliasMode record's SvcParams nor a missing mandatory key.
     pub fn lint(&self) -> Vec<String> {
         let mut issues = Vec::new();
         if self.is_alias() {

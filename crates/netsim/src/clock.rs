@@ -21,11 +21,6 @@ impl Timestamp {
         Timestamp(self.0 + secs)
     }
 
-    /// Seconds elapsed since `earlier` (saturating).
-    pub fn since(self, earlier: Timestamp) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-
     /// Whole days since the epoch.
     pub fn day(self) -> u64 {
         self.0 / 86_400
@@ -52,11 +47,6 @@ impl TimeMs {
     /// Add milliseconds.
     pub fn plus(self, ms: u64) -> TimeMs {
         TimeMs(self.0 + ms)
-    }
-
-    /// Milliseconds elapsed since `earlier` (saturating).
-    pub fn since(self, earlier: TimeMs) -> u64 {
-        self.0.saturating_sub(earlier.0)
     }
 
     /// Whole seconds since the epoch (floor).
@@ -301,8 +291,6 @@ mod tests {
         assert_eq!(TimeMs(7_450).as_secs(), 7);
         assert_eq!(TimeMs(7_450).to_timestamp(), Timestamp(7));
         assert_eq!(TimeMs(100).plus(20), TimeMs(120));
-        assert_eq!(TimeMs(120).since(TimeMs(100)), 20);
-        assert_eq!(TimeMs(100).since(TimeMs(120)), 0);
     }
 
     #[test]
@@ -345,7 +333,6 @@ mod tests {
         let t = Timestamp(3600 * 25);
         assert_eq!(t.day(), 1);
         assert_eq!(t.hour(), 25);
-        assert_eq!(t.plus(10).since(t), 10);
-        assert_eq!(t.since(t.plus(10)), 0);
+        assert_eq!(t.plus(10), Timestamp(3600 * 25 + 10));
     }
 }

@@ -232,6 +232,27 @@ impl Network {
         self.state.write().unreachable.remove(&ip);
     }
 
+    /// The service bound at `dst:port` in the binding map `bindings`
+    /// picks, under a read lock on the topology. A blackholed `dst` or an
+    /// empty port counts one connect failure.
+    fn route<S: ?Sized>(
+        &self,
+        dst: IpAddr,
+        port: u16,
+        bindings: impl FnOnce(&NetworkState) -> &HashMap<(IpAddr, u16), Arc<S>>,
+    ) -> Result<Arc<S>, NetError> {
+        let st = self.state.read();
+        let svc = if st.unreachable.contains(&dst) {
+            Err(NetError::Unreachable(dst))
+        } else {
+            bindings(&st).get(&(dst, port)).cloned().ok_or(NetError::ConnectionRefused(dst, port))
+        };
+        if svc.is_err() {
+            self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        svc
+    }
+
     /// Send one datagram and wait for the response. Only takes a read
     /// lock on the topology, so parallel senders do not serialize.
     pub fn send_datagram(
@@ -241,20 +262,7 @@ impl Network {
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
         self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
-        let svc = {
-            let st = self.state.read();
-            if st.unreachable.contains(&dst) {
-                self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(NetError::Unreachable(dst));
-            }
-            match st.datagram.get(&(dst, port)) {
-                Some(svc) => Arc::clone(svc),
-                None => {
-                    self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(NetError::ConnectionRefused(dst, port));
-                }
-            }
-        };
+        let svc = self.route(dst, port, |st| &st.datagram)?;
         let now = self.clock.now();
         let resp = svc.handle(payload, now)?;
         self.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
@@ -278,19 +286,9 @@ impl Network {
         attempt: u32,
     ) -> ScheduledDelivery {
         self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
-        let svc = {
-            let st = self.state.read();
-            if st.unreachable.contains(&dst) {
-                self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                return ScheduledDelivery::Failed(NetError::Unreachable(dst));
-            }
-            match st.datagram.get(&(dst, port)) {
-                Some(svc) => Arc::clone(svc),
-                None => {
-                    self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    return ScheduledDelivery::Failed(NetError::ConnectionRefused(dst, port));
-                }
-            }
+        let svc = match self.route(dst, port, |st| &st.datagram) {
+            Ok(svc) => svc,
+            Err(e) => return ScheduledDelivery::Failed(e),
         };
         let model = self.latency_model();
         match model.fate(dst, payload, attempt) {
@@ -319,20 +317,7 @@ impl Network {
         message: &[u8],
     ) -> Result<Vec<u8>, NetError> {
         self.stats.streams_opened.fetch_add(1, Ordering::Relaxed);
-        let svc = {
-            let st = self.state.read();
-            if st.unreachable.contains(&dst) {
-                self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(NetError::Unreachable(dst));
-            }
-            match st.stream.get(&(dst, port)) {
-                Some(svc) => Arc::clone(svc),
-                None => {
-                    self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(NetError::ConnectionRefused(dst, port));
-                }
-            }
-        };
+        let svc = self.route(dst, port, |st| &st.stream)?;
         let now = self.clock.now();
         let resp = svc.exchange(message, now)?;
         self.stats.streams_completed.fetch_add(1, Ordering::Relaxed);

@@ -180,7 +180,6 @@ impl<'a> Borrow<dyn Probe + 'a> for Key {
 #[derive(Debug, Clone)]
 struct Entry {
     answer: CachedAnswer,
-    inserted: Timestamp,
     expires: Timestamp,
     /// The entry's node in its shard's recency list; [`NIL`] on an
     /// unbounded shard, which keeps no list.
@@ -311,7 +310,7 @@ pub struct CacheStats {
     pub miss_expired: u64,
     /// Entries inserted.
     pub insertions: u64,
-    /// Hot-path (get/insert/age) acquisitions of the shard entry lock.
+    /// Hot-path (get/insert) acquisitions of the shard entry lock.
     pub lock_acquisitions: u64,
     /// Hot-path acquisitions that found the lock already held and had
     /// to block — a cross-thread contention proxy. Scheduling-dependent,
@@ -320,9 +319,9 @@ pub struct CacheStats {
     pub lock_contended: u64,
     /// Live entries evicted by LRU on overflow (bounded caches only).
     pub evictions: u64,
-    /// TTL-expired entries removed by an overflow sweep or
-    /// [`RecordCache::purge_expired`] (read-path expiry removals are
-    /// counted in [`miss_expired`](Self::miss_expired) instead).
+    /// TTL-expired entries removed by an overflow sweep (read-path
+    /// expiry removals are counted in [`miss_expired`](Self::miss_expired)
+    /// instead).
     pub swept: u64,
 }
 
@@ -330,14 +329,6 @@ impl CacheStats {
     /// Total misses, either cause.
     pub fn misses(&self) -> u64 {
         self.miss_absent + self.miss_expired
-    }
-
-    /// Entries evicted by the read path because they had expired: a dead
-    /// entry is always removed by the lookup that finds it, so this
-    /// equals [`miss_expired`](Self::miss_expired). Sweep/purge removals
-    /// are counted separately in [`swept`](Self::swept).
-    pub fn expirations(&self) -> u64 {
-        self.miss_expired
     }
 
     /// Total lookups that counted a hit or a miss.
@@ -584,13 +575,8 @@ impl RecordCache {
         RecordCache::default()
     }
 
-    /// An empty cache with `shards` shards (minimum 1) and no clamp.
-    pub fn with_shards(shards: usize) -> RecordCache {
-        RecordCache::with_config(shards, None)
-    }
-
-    /// An empty unbounded cache with explicit shard count and optional
-    /// TTL clamp.
+    /// An empty unbounded cache with `shards` shards (minimum 1) and an
+    /// optional TTL clamp.
     pub fn with_config(shards: usize, ttl_clamp: Option<u32>) -> RecordCache {
         let n = shards.max(1);
         RecordCache {
@@ -611,11 +597,6 @@ impl RecordCache {
         let mut cache = RecordCache::with_config(shards, ttl_clamp);
         cache.capacity = Some(capacity_per_shard.clamp(1, NIL as usize - 1));
         cache
-    }
-
-    /// Number of shards (for benches and diagnostics).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The per-shard capacity bound, if this cache is bounded.
@@ -648,7 +629,7 @@ impl RecordCache {
             Some(_) => inner.recency.push_back(key.clone()),
             None => NIL,
         };
-        let replaced = inner.entries.insert(key, Entry { answer, inserted: now, expires, slot });
+        let replaced = inner.entries.insert(key, Entry { answer, expires, slot });
         if let Some(old) = replaced.as_ref().filter(|old| old.slot != NIL) {
             inner.recency.remove(old.slot);
         }
@@ -734,12 +715,18 @@ impl RecordCache {
         shard.count(alias?).map(|answer| (RecordType::Cname, answer))
     }
 
-    /// Age in seconds of the live entry at (name, type), if any.
-    pub fn age(&self, name: &DnsName, rtype: RecordType, now: Timestamp) -> Option<u64> {
-        let shard = self.shard_for(name);
-        let inner = shard.lock_inner();
+    /// When the live entry at `(name, rtype)` expires, if there is one.
+    /// A peek: it counts nothing, not even its lock acquisition, and
+    /// leaves the entry's recency and an expired entry where they are.
+    pub fn expires_at(
+        &self,
+        name: &DnsName,
+        rtype: RecordType,
+        now: Timestamp,
+    ) -> Option<Timestamp> {
+        let inner = self.shard_for(name).inner.lock();
         let probe: &dyn Probe = &(name.name_ref(), rtype.code());
-        inner.entries.get(probe).filter(|e| e.expires > now).map(|e| now.since(e.inserted))
+        inner.entries.get(probe).map(|e| e.expires).filter(|&expires| expires > now)
     }
 
     /// Drop every entry (the testbed's "clear local DNS cache" step).
@@ -750,26 +737,6 @@ impl RecordCache {
             inner.recency.clear();
             inner.earliest = u64::MAX;
         }
-    }
-
-    /// Remove every entry that has expired as of `now` and return how
-    /// many were removed. Unlike read-path expiry (which only removes
-    /// the entry a lookup stumbles over), this reclaims *all* dead
-    /// entries — the maintenance sweep a long-running serving process
-    /// needs. Removals are counted in [`CacheStats::swept`].
-    ///
-    /// A maintenance path: its lock acquisitions are deliberately not
-    /// counted in [`CacheStats::lock_acquisitions`].
-    pub fn purge_expired(&self, now: Timestamp) -> u64 {
-        let mut total = 0;
-        for shard in &self.shards {
-            let removed = shard.inner.lock().sweep_expired(now);
-            if removed > 0 {
-                shard.stats.swept.fetch_add(removed, Ordering::Relaxed);
-                total += removed;
-            }
-        }
-        total
     }
 
     /// Current statistics snapshot, aggregated across shards. Lock-free:
@@ -902,7 +869,7 @@ mod tests {
     }
 
     fn has(cache: &RecordCache, host: &str, now: u64) -> bool {
-        cache.age(&name(host), RecordType::A, Timestamp(now)).is_some()
+        cache.expires_at(&name(host), RecordType::A, Timestamp(now)).is_some()
     }
 
     #[test]
@@ -916,7 +883,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.miss_expired, 1);
-        assert_eq!(s.expirations(), 1);
         assert_eq!(s.miss_absent, 0);
     }
 
@@ -962,9 +928,11 @@ mod tests {
         let cache = RecordCache::new();
         cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         let _ = cache.get(&name("a.com"), RecordType::A, Timestamp(1));
-        let _ = cache.age(&name("a.com"), RecordType::A, Timestamp(1));
-        // insert + get + age: three hot-path acquisitions; flush() and
-        // stats() are maintenance paths and deliberately uncounted.
+        let _ = cache.get_or_cname(&name("b.com"), RecordType::A, Timestamp(1));
+        let _ = cache.expires_at(&name("a.com"), RecordType::A, Timestamp(1));
+        // insert + get + get_or_cname (two lookups, one lock): three
+        // hot-path acquisitions; the expires_at peek, flush() and stats()
+        // are uncounted.
         cache.flush();
         let s = cache.stats();
         assert_eq!(s.lock_acquisitions, 3);
@@ -1015,7 +983,7 @@ mod tests {
     }
 
     #[test]
-    fn age_tracks_insertion() {
+    fn expires_at_reports_only_a_live_entry() {
         let cache = RecordCache::new();
         cache.insert_positive(
             &name("a.com"),
@@ -1023,8 +991,34 @@ mod tests {
             a_set(&[a_record(300)]),
             Timestamp(100),
         );
-        assert_eq!(cache.age(&name("a.com"), RecordType::A, Timestamp(150)), Some(50));
-        assert_eq!(cache.age(&name("a.com"), RecordType::A, Timestamp(500)), None);
+        let expires = |now| cache.expires_at(&name("a.com"), RecordType::A, Timestamp(now));
+        assert_eq!(expires(150), Some(Timestamp(400)));
+        assert_eq!(expires(400), None);
+        assert_eq!(cache.len(), 1, "a peek leaves an expired entry in place");
+    }
+
+    #[test]
+    fn peeking_the_lru_head_counts_nothing_and_leaves_it_the_victim() {
+        let cache = bounded(2);
+        insert(&cache, "a.example", 300, 0);
+        insert(&cache, "b.example", 300, 1);
+        let before = cache.stats();
+        let head = cache.expires_at(&name("a.example"), RecordType::A, Timestamp(2));
+        assert_eq!(head, Some(Timestamp(300)));
+        assert_eq!(cache.stats(), before, "a peek changes no counter");
+        insert(&cache, "c.example", 300, 3);
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(!has(&cache, "a.example", 4), "the peeked head is still the LRU victim");
+        assert!(has(&cache, "b.example", 4));
+        assert!(has(&cache, "c.example", 4));
+    }
+
+    /// Every entry of every campaign and serving cache is one of these.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_cache_entry_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<CachedAnswer>(), 48);
+        assert_eq!(std::mem::size_of::<Entry>(), 64);
     }
 
     #[test]
@@ -1051,8 +1045,8 @@ mod tests {
 
     #[test]
     fn single_shard_degenerate_case_works() {
-        let cache = RecordCache::with_shards(1);
-        assert_eq!(cache.shard_count(), 1);
+        let cache = RecordCache::with_config(1, None);
+        assert_eq!(cache.shard_stats().len(), 1);
         for i in 0..32 {
             let n = name(&format!("d{i}.example"));
             cache.insert_positive(&n, RecordType::A, a_set(&[a_record(60)]), Timestamp(0));
@@ -1063,7 +1057,7 @@ mod tests {
 
     #[test]
     fn entries_spread_across_shards() {
-        let cache = RecordCache::with_shards(16);
+        let cache = RecordCache::with_config(16, None);
         for i in 0..256 {
             let n = name(&format!("d{i}.example"));
             cache.insert_positive(&n, RecordType::A, a_set(&[a_record(60)]), Timestamp(0));
@@ -1074,9 +1068,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_clamped_to_one() {
-        let cache = RecordCache::with_shards(0);
-        assert_eq!(cache.shard_count(), 1);
+    fn zero_shards_clamp_to_one() {
+        let cache = RecordCache::with_config(0, None);
+        assert_eq!(cache.shard_stats().len(), 1);
     }
 
     // ---- bounded eviction ----
@@ -1133,30 +1127,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 1, "refreshes must overwrite in place");
         assert_eq!(cache.stats().evictions, 0);
-    }
-
-    #[test]
-    fn purge_expired_reclaims_dead_entries() {
-        // Unbounded: purge is the only way to reclaim un-looked-up dead
-        // entries.
-        let cache = RecordCache::new();
-        insert(&cache, "short.example", 10, 0);
-        insert(&cache, "long.example", 1000, 0);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.purge_expired(Timestamp(5)), 0);
-        assert_eq!(cache.purge_expired(Timestamp(10)), 1);
-        assert_eq!(cache.len(), 1);
-        assert!(has(&cache, "long.example", 11));
-        assert_eq!(cache.stats().swept, 1);
-
-        // Bounded: same semantics, and the list loses the swept nodes.
-        let cache = bounded(16);
-        for i in 0..6 {
-            insert(&cache, &format!("d{i}.example"), 10 + i as u32, 0);
-        }
-        assert_eq!(cache.purge_expired(Timestamp(12)), 3);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().swept, 3);
     }
 
     /// The shard's sweep bound, for the lazy-sweep tests.
@@ -1218,20 +1188,30 @@ mod tests {
     }
 
     #[test]
-    fn bounded_purge_counts_nothing_before_the_bound_and_every_dead_entry_after() {
-        let cache = bounded(16);
+    fn an_overflow_sweep_counts_nothing_before_the_bound_and_every_dead_entry_after() {
+        let cache = bounded(6);
         for i in 0..6 {
             insert(&cache, &format!("d{i}.example"), 10 + i as u32, 0);
         }
         assert_eq!(earliest(&cache), 10);
-        assert_eq!(cache.purge_expired(Timestamp(9)), 0);
-        assert_eq!(cache.purge_expired(Timestamp(12)), 3);
+        let counts = |cache: &RecordCache| (cache.stats().swept, cache.stats().evictions);
+        // Below the bound nothing is dead: the overflow evicts the LRU.
+        insert(&cache, "x0.example", 1000, 9);
+        assert_eq!(counts(&cache), (0, 1));
+        // Past it, one sweep takes both dead entries and makes it exact.
+        insert(&cache, "x1.example", 1000, 12);
+        assert_eq!(counts(&cache), (2, 1));
         assert_eq!(earliest(&cache), 13, "a sweep makes the bound exact");
-        assert_eq!(cache.purge_expired(Timestamp(12)), 0);
-        assert_eq!(cache.purge_expired(Timestamp(100)), 3);
-        assert!(cache.is_empty());
-        assert_eq!(earliest(&cache), u64::MAX);
-        assert_eq!(cache.stats().swept, 6);
+        assert_eq!(cache.len(), 5);
+        // The same second again: the exact bound sweeps nothing.
+        insert(&cache, "x2.example", 1000, 12);
+        insert(&cache, "x3.example", 1000, 12);
+        assert_eq!(counts(&cache), (2, 2));
+        // Every entry still dead by then is counted, and only those.
+        insert(&cache, "x4.example", 1000, 100);
+        assert_eq!(counts(&cache), (4, 2));
+        assert_eq!(earliest(&cache), 1009);
+        assert_eq!(cache.len(), 5);
     }
 
     #[test]
@@ -1258,7 +1238,7 @@ mod tests {
             evictions,
             "export must not double-add"
         );
-        let per_shard: u64 = (0..cache.shard_count())
+        let per_shard: u64 = (0..cache.shard_stats().len())
             .map(|i| metrics.counter_value(&format!("cache.shard{i:02}.evictions")))
             .sum();
         assert_eq!(per_shard, evictions);

@@ -199,22 +199,11 @@ pub struct BatchTiming {
     pub per_query_ms: Vec<(u64, u64)>,
 }
 
-/// Instrument handles for the single-query path, resolved from the
-/// registry once at attach time so each `resolve()` records through
-/// held `Arc`s instead of re-locking the registry's name maps.
-struct SingleQueryMetrics {
-    latency: Arc<telemetry::Histogram>,
-    queries: Arc<telemetry::Counter>,
-    from_cache: Arc<telemetry::Counter>,
-    failures: Arc<telemetry::Counter>,
-}
-
 /// The shared, batch-capable resolution engine.
 pub struct QueryEngine {
     resolver: Arc<RecursiveResolver>,
     backend: EngineBackend,
     metrics: Option<Arc<MetricsRegistry>>,
-    single: Option<SingleQueryMetrics>,
     /// The persistent batch workers (module docs): empty until the first
     /// multi-threaded batch, then reused for the engine's lifetime. The
     /// lock is held only while growing the pool and enqueuing jobs —
@@ -236,13 +225,7 @@ impl QueryEngine {
     /// network as a public-resolver datagram service).
     pub fn from_resolver(resolver: Arc<RecursiveResolver>) -> QueryEngine {
         let backend = resolver.config().backend;
-        QueryEngine {
-            resolver,
-            backend,
-            metrics: None,
-            single: None,
-            pool: Mutex::new(WorkerPool::new()),
-        }
+        QueryEngine { resolver, backend, metrics: None, pool: Mutex::new(WorkerPool::new()) }
     }
 
     /// The batch backend this engine dispatches to.
@@ -259,12 +242,6 @@ impl QueryEngine {
     /// Attach a metrics registry (builder style). Resolution results are
     /// bit-identical with or without one; see the module docs.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> QueryEngine {
-        self.single = Some(SingleQueryMetrics {
-            latency: metrics.histogram("engine.single_us"),
-            queries: metrics.counter("engine.single_queries"),
-            from_cache: metrics.counter("engine.single_from_cache"),
-            failures: metrics.counter("engine.single_failures"),
-        });
         self.metrics = Some(metrics);
         self
     }
@@ -286,19 +263,7 @@ impl QueryEngine {
 
     /// Resolve one query at the current simulated time.
     pub fn resolve(&self, name: &DnsName, rtype: RecordType) -> Result<Resolution, ResolveError> {
-        let Some(single) = &self.single else {
-            return self.resolver.resolve(name, rtype);
-        };
-        let start = Instant::now();
-        let result = self.resolver.resolve(name, rtype);
-        single.latency.record_duration(start.elapsed());
-        single.queries.inc();
-        match &result {
-            Ok(res) if res.from_cache => single.from_cache.inc(),
-            Ok(_) => {}
-            Err(_) => single.failures.inc(),
-        }
-        result
+        self.resolver.resolve(name, rtype)
     }
 
     /// Resolve a batch of queries with `threads` workers, returning one

@@ -35,7 +35,7 @@ fn a_record(owner: &DnsName) -> RrSet {
 /// One unbounded and one bounded cache, a single shard each so that
 /// two caches of a kind go through the same index states.
 fn caches() -> [RecordCache; 2] {
-    [RecordCache::with_shards(1), RecordCache::with_eviction(1, None, 8)]
+    [RecordCache::with_config(1, None), RecordCache::with_eviction(1, None, 8)]
 }
 
 #[test]

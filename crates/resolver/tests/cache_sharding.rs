@@ -48,9 +48,9 @@ fn a_set(d: u8, ttl: u32) -> RrSet {
 
 proptest! {
     #[test]
-    fn shard_count_does_not_change_behaviour(ops in proptest::collection::vec(arb_op(), 1..100)) {
-        let one = RecordCache::with_shards(1);
-        let sixteen = RecordCache::with_shards(16);
+    fn the_number_of_shards_does_not_change_behaviour(ops in proptest::collection::vec(arb_op(), 1..100)) {
+        let one = RecordCache::with_config(1, None);
+        let sixteen = RecordCache::with_config(16, None);
         let mut now = Timestamp(0);
         for op in &ops {
             match *op {
@@ -75,8 +75,8 @@ proptest! {
                         sixteen.get(&n, RecordType::Https, now)
                     );
                     prop_assert_eq!(
-                        one.age(&n, RecordType::A, now),
-                        sixteen.age(&n, RecordType::A, now)
+                        one.expires_at(&n, RecordType::A, now),
+                        sixteen.expires_at(&n, RecordType::A, now)
                     );
                 }
                 Op::Advance { secs } => now = now.plus(secs as u64),

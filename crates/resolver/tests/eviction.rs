@@ -9,13 +9,13 @@
 //! 3. **LRU inclusion** — on a fixed replayed trace, the hit count is monotone non-decreasing in capacity (a bigger LRU
 //!    cache's contents are a superset of a smaller one's, shard by
 //!    shard).
-//! 4. **Purge-then-re-resolve** — `purge_expired` reclaims dead entries
-//!    end-to-end through a real engine, and the next resolution goes
+//! 4. **Expire-then-re-resolve** — once the clock passes every TTL, a
+//!    resolution through a real engine finds its entry dead, goes
 //!    recursive again and re-learns the same records.
-//! 5. **Reference model** — random inserts, lookups, clock advances and
-//!    purges give the lookup outcomes, counters and resident keys of a
-//!    plain `Vec` per shard: on overflow sweep every expired entry, then
-//!    evict from the least recently used end.
+//! 5. **Reference model** — random inserts, lookups and clock advances
+//!    give the lookup outcomes, counters and resident keys of a plain
+//!    `Vec` per shard: on overflow sweep every expired entry, then evict
+//!    from the least recently used end.
 
 use dns_wire::{DnsName, RData, Record, RecordType};
 use ecosystem::{EcosystemConfig, World};
@@ -115,9 +115,7 @@ proptest! {
                 Op::Advance { secs } => now = now.plus(secs as u64),
             }
         }
-        // And the sweep-everything path agrees with the shadow model:
-        // after a purge, nothing dead remains resident.
-        cache.purge_expired(now);
+        // And at the end, nothing the shadow model says is dead is served.
         for (&d, &expires) in &shadow {
             if expires <= now {
                 prop_assert!(cache.get(&name_of(d), RecordType::A, now).is_none());
@@ -132,7 +130,6 @@ enum ModelOp {
     Insert { d: u16, ttl: u32 },
     Get { d: u16 },
     Advance { secs: u32 },
-    Purge,
 }
 
 fn arb_model_op() -> impl Strategy<Value = ModelOp> {
@@ -140,7 +137,6 @@ fn arb_model_op() -> impl Strategy<Value = ModelOp> {
         (0u16..24, 0u32..400).prop_map(|(d, ttl)| ModelOp::Insert { d, ttl }),
         (0u16..24).prop_map(|d| ModelOp::Get { d }),
         (1u32..120).prop_map(|secs| ModelOp::Advance { secs }),
-        Just(ModelOp::Purge),
     ]
 }
 
@@ -217,17 +213,6 @@ fn check_against_model(ops: &[ModelOp], shards: usize, cap: usize) {
                 assert_eq!(hit, expected, "step {}: get {} at t={}", step, d, now);
             }
             ModelOp::Advance { secs } => now += secs as u64,
-            ModelOp::Purge => {
-                let expected: u64 = model
-                    .iter_mut()
-                    .map(|shard| {
-                        let swept = shard.sweep(now);
-                        shard.stats.swept += swept;
-                        swept
-                    })
-                    .sum();
-                assert_eq!(cache.purge_expired(Timestamp(now)), expected, "step {}", step);
-            }
         }
         let counters = |s: &CacheStats| {
             (s.hits, s.miss_absent, s.miss_expired, s.insertions, s.evictions, s.swept)
@@ -241,8 +226,9 @@ fn check_against_model(ops: &[ModelOp], shards: usize, cap: usize) {
             let live = model[shard_of(d, shards)]
                 .entries
                 .iter()
-                .any(|&(k, expires)| k == d && expires > now);
-            let held = cache.age(&name_of(d), RecordType::A, Timestamp(now)).is_some();
+                .find(|&&(k, expires)| k == d && expires > now)
+                .map(|&(_, expires)| Timestamp(expires));
+            let held = cache.expires_at(&name_of(d), RecordType::A, Timestamp(now));
             assert_eq!(held, live, "step {}: domain {} live at t={}", step, d, now);
         }
     }
@@ -302,7 +288,7 @@ fn lru_hit_count_is_monotone_in_capacity_on_a_fixed_trace() {
 }
 
 #[test]
-fn purge_expired_reclaims_and_next_resolution_relearns() {
+fn expired_answers_miss_and_next_resolution_relearns() {
     let world = World::build(EcosystemConfig::tiny());
     let engine = QueryEngine::new(
         world.network.clone(),
@@ -316,19 +302,12 @@ fn purge_expired_reclaims_and_next_resolution_relearns() {
     let warm = engine.resolve(&apex, RecordType::Https).expect("apex resolves");
     assert!(warm.from_cache, "the second lookup must come from cache");
 
-    let cache = engine.cache();
-    let len_before = cache.len();
-    assert!(len_before > 0);
-    assert_eq!(cache.purge_expired(world.clock.now()), 0, "nothing is dead yet");
-
     // Far past every TTL the tiny world hands out.
+    let cache = engine.cache();
+    let expired_before = cache.stats().miss_expired;
     world.clock.advance(7 * 86_400);
-    let purged = cache.purge_expired(world.clock.now());
-    assert!(purged >= 1, "a week must expire the warm entries");
-    assert!(cache.len() < len_before, "purge must shrink the resident set");
-
     let relearned = engine.resolve(&apex, RecordType::Https).expect("apex re-resolves");
-    assert!(!relearned.from_cache, "purged answers must be fetched recursively again");
+    assert!(!relearned.from_cache, "expired answers must be fetched recursively again");
     assert_eq!(relearned.records, first.records, "re-resolution must re-learn the same RRset");
-    assert!(cache.stats().swept >= purged, "purges are counted in the swept telemetry");
+    assert!(cache.stats().miss_expired > expired_before, "the dead entry is an expired miss");
 }
