@@ -2,13 +2,24 @@
 //! queries from its set of zones, with in-zone CNAME chasing, DNSSEC
 //! record attachment (honouring the EDNS DO bit), and NXDOMAIN/NODATA
 //! semantics.
+//!
+//! Every datagram is answered the same way: parse the request's view,
+//! find the deepest zone by probing the zone map with suffixes of the
+//! question, walk the zone's index ([`Zone`]), and write the header, the
+//! question and each answer owner — compressed against the question and
+//! the earlier owners, as [`Message::encode`] compresses — followed by
+//! the set's stored bytes. [`AuthoritativeServer::answer`] is the owned
+//! reference those bytes are tested against.
 
-use crate::zone::{LookupResult, Zone};
+use crate::zone::{LookupResult, Step, Zone};
+use dns_wire::wire::WireWriter;
 use dns_wire::{
-    DnsName, Message, MessageView, NameBuildHasher, NameRef, NameView, Opcode, Rcode, RecordType,
+    DnsName, Message, MessageView, NameBuf, NameBuildHasher, NameKey, NameRef, NameView, Rcode,
+    RecordType,
 };
 use netsim::{DatagramService, NetError, Timestamp};
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -40,15 +51,7 @@ impl ZoneSet {
 
     /// Run `f` over the zone with the given apex, if present.
     pub fn with_zone<R>(&self, apex: &DnsName, f: impl FnOnce(&mut Zone) -> R) -> Option<R> {
-        let mut zones = self.zones.write();
-        zones.get_mut(apex).map(|zone| {
-            let out = f(zone);
-            // The closure had `&mut Zone`: assume it mutated and drop the
-            // precompiled answers (the zone's own mutators also do this,
-            // but a closure can touch fields directly).
-            zone.invalidate_compiled();
-            out
-        })
+        self.zones.write().get_mut(apex).map(f)
     }
 
     /// Run `f` over a snapshot of the zone (read-only).
@@ -63,16 +66,6 @@ impl ZoneSet {
         let zones = self.zones.read();
         name.find_ancestor(|apex| zones.contains_key(apex.as_key()).then_some(()))
             .map(|(apex, ())| apex)
-    }
-
-    /// Serve a query from the deepest matching zone's precompiled cache,
-    /// probing with suffixes of the request's own question bytes. A miss
-    /// in the deepest zone is a miss outright — shallower zones are
-    /// shadowed.
-    fn compiled_for(&self, key: &CompiledKey<'_>) -> Option<Arc<[u8]>> {
-        let zones = self.zones.read();
-        let zone = key.qname.ancestors().find_map(|apex| zones.get(apex.as_key()))?;
-        zone.compiled_lookup(key.qname, key.qtype, key.qclass, key.rd, key.edns, key.do_bit)
     }
 
     /// Number of zones.
@@ -169,119 +162,174 @@ impl AuthoritativeServer {
     }
 
     fn attach_soa(&self, apex: &DnsName, resp: &mut Message) {
-        if let Some(Some(soa)) = self.zones.read_zone(apex, |z| z.soa().cloned()) {
+        if let Some(Some(soa)) = self.zones.read_zone(apex, |z| z.soa()) {
             resp.authorities.push(soa);
         }
     }
 
-    /// Capture the apex and cache generation of the zone owning `qname`
-    /// *before* the answer is rendered, so a zone mutation in between
-    /// makes the later insert a no-op.
-    fn compile_context(&self, qname: &DnsName) -> Option<(DnsName, u64)> {
-        let apex = self.zones.find_zone_for(qname)?;
-        let generation = self.zones.read_zone(&apex, |z| z.compiled_generation())?;
-        Some((apex, generation))
-    }
-
-    /// Remember a rendered response in the owning zone's compiled cache,
-    /// under the decoded question name `qname`.
-    fn compile(
-        &self,
-        key: &CompiledKey<'_>,
-        qname: &DnsName,
-        apex: &DnsName,
-        generation: u64,
-        wire: &[u8],
-    ) {
-        self.zones.read_zone(apex, |z| {
-            z.compiled_insert(
-                generation,
-                qname,
-                key.qtype,
-                key.qclass,
-                key.rd,
-                key.edns,
-                key.do_bit,
-                wire.into(),
-            );
+    /// The wire answer to a parsed request, written into this thread's
+    /// scratch buffer and copied out at its exact size: the response is
+    /// the one allocation, however large it is.
+    fn render(&self, view: &MessageView<'_>) -> Vec<u8> {
+        let mut scratch = SCRATCH.take();
+        scratch.reserve(512);
+        let mut w = WireWriter::from_bytes(scratch);
+        w.put_u16(view.id());
+        // QR, the request's opcode and RD; AA and the RCODE are patched in
+        // once known. An authoritative server does not offer recursion.
+        w.put_u8(0x80 | ((view.opcode().code() & 0x0F) << 3) | u8::from(view.flags().rd));
+        w.put_u8(0);
+        w.put_u16(view.question_count() as u16);
+        w.put_u32(0); // ANCOUNT and NSCOUNT, patched in below
+        w.put_u16(u16::from(view.edns().is_some()));
+        for q in view.questions() {
+            spelled(q.name(), |name| w.put_name(&name));
+            w.put_u16(q.qtype().code());
+            w.put_u16(q.qclass().code());
+        }
+        let zones = self.zones.zones.read();
+        let answered = view.question().map(|q| {
+            spelled(q.name(), |qname| {
+                let zone = qname.ancestors().find_map(|apex| zones.get(apex.as_key()))?;
+                let (qtype, dnssec) = (q.qtype().code(), view.dnssec_ok());
+                Some(self.write_answer(&mut w, zone, qname, qtype, dnssec))
+            })
         });
+        let (aa, rcode, counts) = match answered {
+            None => (false, Rcode::FormErr, [0, 0]),
+            Some(None) => (false, Rcode::Refused, [0, 0]),
+            Some(Some((rcode, counts))) => (true, rcode, counts),
+        };
+        if let Some(edns) = view.edns() {
+            // OPT: root owner, our payload size, the requester's DO bit.
+            w.put_u8(0);
+            w.put_u16(RecordType::Opt.code());
+            w.put_u16(1232);
+            w.put_u32(if edns.dnssec_ok { 0x8000 } else { 0 });
+            w.put_u16(0);
+        }
+        let mut scratch = w.into_bytes();
+        scratch[2] |= u8::from(aa) << 2;
+        scratch[3] = rcode.code() & 0x0F;
+        scratch[6..8].copy_from_slice(&counts[0].to_be_bytes());
+        scratch[8..10].copy_from_slice(&counts[1].to_be_bytes());
+        let response = scratch.to_vec();
+        scratch.clear();
+        SCRATCH.set(scratch);
+        response
+    }
+
+    /// Write the answer and authority sections for `qname` from `zone`,
+    /// chasing in-zone CNAMEs as [`AuthoritativeServer::answer`] does;
+    /// returns the RCODE and the two sections' record counts.
+    fn write_answer(
+        &self,
+        w: &mut WireWriter,
+        zone: &Zone,
+        qname: NameRef<'_>,
+        qtype: u16,
+        dnssec: bool,
+    ) -> (Rcode, [u16; 2]) {
+        let mut answers = 0;
+        let chases = |target: NameRef<'_>| {
+            target.is_subdomain_of(zone.apex.name_ref()) && qtype != RecordType::Cname.code()
+        };
+        // The name a CNAME or DNAME led to, spelled out on the stack.
+        let mut chased: Option<NameBuf> = None;
+        for _ in 0..=self.max_cname_chase {
+            let name = chased.as_ref().map_or(qname, NameBuf::name_ref);
+            match zone.step(name, qtype) {
+                Step::Found(owner, set) => {
+                    answers += set.records().map(|r| put(w, qname, owner, r)).sum::<u16>();
+                    if let Some(rrsig) = dnssec.then(|| zone.rrsig(owner, set, false)).flatten() {
+                        answers += put(w, qname, owner, &rrsig);
+                    }
+                    return (Rcode::NoError, [answers, 0]);
+                }
+                Step::Cname(owner, set, target) => {
+                    answers += set.records().take(1).map(|r| put(w, qname, owner, r)).sum::<u16>();
+                    if let Some(rrsig) = dnssec.then(|| zone.rrsig(owner, set, true)).flatten() {
+                        answers += put(w, qname, owner, &rrsig);
+                    }
+                    if !chases(target) {
+                        return (Rcode::NoError, [answers, 0]);
+                    }
+                    chased = Some(NameBuf::from(target));
+                }
+                Step::Dname(ttl, target) => {
+                    w.put_name(&name);
+                    w.put_u16(RecordType::Cname.code());
+                    w.put_u16(1); // IN
+                    w.put_u32(ttl);
+                    let len_at = w.len();
+                    w.put_u16(0);
+                    w.put_name_uncompressed(&target.name_ref());
+                    w.patch_u16(len_at, (w.len() - len_at - 2) as u16);
+                    answers += 1;
+                    if !chases(target.name_ref()) {
+                        return (Rcode::NoError, [answers, 0]);
+                    }
+                    chased = Some(target);
+                }
+                Step::NoData => return (Rcode::NoError, [answers, soa(w, zone, qname)]),
+                Step::NxDomain => return (Rcode::NxDomain, [answers, soa(w, zone, qname)]),
+            }
+        }
+        // CNAME chain exceeded the budget.
+        (Rcode::ServFail, [answers, 0])
     }
 }
 
-/// The fields a compilable query's response bytes depend on (beside the
-/// patched ID), read off its view; the name is borrowed from the
-/// request.
-struct CompiledKey<'a> {
-    qname: NameRef<'a>,
-    qtype: u16,
-    qclass: u16,
-    rd: bool,
-    edns: bool,
-    do_bit: bool,
+thread_local! {
+    /// Where [`AuthoritativeServer::render`] writes; kept between answers.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
-impl<'a> CompiledKey<'a> {
-    /// The key of a query of [`compilable_shape`] whose question name is
-    /// spelled out in place; `None` for any other (a compression pointer
-    /// in the name included), which takes the reference path.
-    fn of(view: &MessageView<'a>) -> Option<CompiledKey<'a>> {
-        let q = view.question().filter(|_| compilable_shape(view))?;
-        Some(CompiledKey {
-            qname: q.name().flat()?,
-            qtype: q.qtype().code(),
-            qclass: q.qclass().code(),
-            rd: view.flags().rd,
-            edns: view.edns().is_some(),
-            do_bit: view.dnssec_ok(),
-        })
+/// `f` over a question's name: borrowed from the request where it is
+/// spelled out in place, as a query's is, else spelled out on the stack.
+fn spelled<R>(name: NameView<'_>, f: impl FnOnce(NameRef<'_>) -> R) -> R {
+    match name.flat() {
+        Some(flat) => f(flat),
+        None => f(name.to_buf().name_ref()),
     }
 }
 
-/// Whether a query's response bytes depend only on the compiled-key
-/// fields (plus the patched ID): opcode QUERY, exactly one question, no
-/// records beyond an optional OPT, and a qname that is its own
-/// canonical form.
-fn compilable_shape(view: &MessageView<'_>) -> bool {
-    view.opcode() == Opcode::Query
-        && view.question_count() == 1
-        && view.answer_count() == 0
-        && view.authority_count() == 0
-        && view.additionals().next().is_none()
-        && view.question().is_some_and(|q| plain_lowercase_name(&q.name()))
+/// Write one record: its owner name, compressed, then its bytes after
+/// the owner. Returns the count of records written.
+fn put(w: &mut WireWriter, question: NameRef<'_>, owner: &DnsName, bytes: &[u8]) -> u16 {
+    // An owner that is the question, as most are, is the pointer to it
+    // that `put_name` would find first.
+    if owner.name_ref() == question && question.labels().next().is_some() {
+        w.put_u16(0xC00C);
+    } else {
+        w.put_name(owner);
+    }
+    w.put_bytes(bytes);
+    1
 }
 
-/// Labels restricted to the hostname-ish charset (no dots, escapes, or
-/// uppercase); anything else skips the precompiled path and takes the
-/// reference path instead.
-fn plain_lowercase_name(name: &NameView<'_>) -> bool {
-    name.labels().all(|l| l.iter().all(|b| matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_')))
+/// Write the zone's SOA record — the first of its set — into the
+/// authority section; returns how many records that is.
+fn soa(w: &mut WireWriter, zone: &Zone, question: NameRef<'_>) -> u16 {
+    let soa = zone.get(&zone.apex, RecordType::Soa);
+    match soa.and_then(|s| Some((s.owner, s.set.records().next()?))) {
+        Some((owner, first)) => put(w, question, owner, first),
+        None => 0,
+    }
 }
 
 impl DatagramService for AuthoritativeServer {
     fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
         // Unparseable datagram: a real server answers FORMERR when it can
-        // extract an id; we drop, which the caller sees as a reset.
+        // extract an id; we drop, which the caller sees as a reset. So
+        // does a record whose RDATA does not decode, as for
+        // `Message::decode`.
         let view = MessageView::parse(request).map_err(|_| NetError::Reset)?;
-        // Fast path: lookup + memcpy + 2-byte ID patch, no record
-        // decoding or wire assembly.
-        let key = CompiledKey::of(&view);
-        if let Some(cached) = key.as_ref().and_then(|k| self.zones.compiled_for(k)) {
-            let mut bytes = cached.to_vec();
-            bytes[0..2].copy_from_slice(&request[0..2]);
-            return Ok(bytes);
+        let mut records = view.answers().chain(view.authorities()).chain(view.additionals());
+        if records.any(|r| r.check_rdata().is_err()) {
+            return Err(NetError::Reset);
         }
-        // Reference path: decode, answer assembly, encode. A compilable
-        // query's rendered bytes then serve the next identical shape.
-        let query = view.to_message().map_err(|_| NetError::Reset)?;
-        let compiling = key.zip(query.question()).and_then(|(key, q)| {
-            let (apex, generation) = self.compile_context(&q.name)?;
-            Some((key, &q.name, apex, generation))
-        });
-        let wire = self.answer(&query).encode();
-        if let Some((key, qname, apex, generation)) = compiling {
-            self.compile(&key, qname, &apex, generation, &wire);
-        }
-        Ok(wire)
+        Ok(self.render(&view))
     }
 }
 
@@ -430,12 +478,14 @@ mod tests {
 
     #[test]
     fn precompiled_serve_matches_reference_bytes() {
+        // The sets are stored precompiled to wire form; a serve copies
+        // them and equals the owned answer, encoded.
         let s = server_with_zone();
-        let q = Message::query(21, name("a.com"), RecordType::Https).encode();
-        let first = s.handle(&q, Timestamp(0)).unwrap(); // reference path, compiles
-        let cached = s.handle(&q, Timestamp(0)).unwrap(); // precompiled path
-        assert_eq!(first, cached);
-        // A different ID serves the same bytes with only the ID patched.
+        let q = Message::query(21, name("a.com"), RecordType::Https);
+        let first = s.handle(&q.encode(), Timestamp(0)).unwrap();
+        assert_eq!(first, s.answer(&q).encode());
+        assert_eq!(s.handle(&q.encode(), Timestamp(0)).unwrap(), first);
+        // A different ID serves the same bytes with only the ID changed.
         let q2 = Message::query(0x55AA, name("a.com"), RecordType::Https).encode();
         let served = s.handle(&q2, Timestamp(0)).unwrap();
         assert_eq!(served[0..2], 0x55AAu16.to_be_bytes());
@@ -450,50 +500,69 @@ mod tests {
                 z.enable_signing(ZoneKeys::derive(&name("a.com"), 0), 0, u32::MAX - 1)
             })
             .unwrap();
-        let plain = Message::query(31, name("a.com"), RecordType::Https).encode();
-        let signed = Message::query_dnssec(31, name("a.com"), RecordType::Https).encode();
+        let plain = Message::query(31, name("a.com"), RecordType::Https);
+        let signed = Message::query_dnssec(31, name("a.com"), RecordType::Https);
+        // The first DO answer signs the set; later ones reuse the RRSIG.
         for q in [&plain, &signed, &plain, &signed] {
-            let _ = s.handle(q, Timestamp(0)).unwrap();
+            assert_eq!(s.handle(&q.encode(), Timestamp(0)).unwrap(), s.answer(q).encode());
         }
-        let plain_resp = Message::decode(&s.handle(&plain, Timestamp(0)).unwrap()).unwrap();
-        assert!(plain_resp.answers_of(RecordType::Rrsig).is_empty());
-        let signed_resp = Message::decode(&s.handle(&signed, Timestamp(0)).unwrap()).unwrap();
-        assert_eq!(signed_resp.answers_of(RecordType::Rrsig).len(), 1);
+        let plain_resp = Message::decode(&s.handle(&plain.encode(), Timestamp(0)).unwrap());
+        assert!(plain_resp.unwrap().answers_of(RecordType::Rrsig).is_empty());
+        let signed_resp = Message::decode(&s.handle(&signed.encode(), Timestamp(0)).unwrap());
+        assert_eq!(signed_resp.unwrap().answers_of(RecordType::Rrsig).len(), 1);
     }
 
     #[test]
     fn zone_mutation_invalidates_precompiled() {
         let s = server_with_zone();
-        let q = Message::query(22, name("a.com"), RecordType::Https).encode();
-        let before = s.handle(&q, Timestamp(0)).unwrap();
-        let _ = s.handle(&q, Timestamp(0)).unwrap(); // now served from cache
         s.zones()
             .with_zone(&name("a.com"), |z| {
-                z.remove(&name("a.com"), RecordType::Https);
+                z.enable_signing(ZoneKeys::derive(&name("a.com"), 0), 0, u32::MAX - 1)
             })
             .unwrap();
-        let after = s.handle(&q, Timestamp(0)).unwrap();
-        assert_ne!(before, after);
-        assert!(Message::decode(&after).unwrap().answers.is_empty());
+        let q = Message::query_dnssec(22, name("a.com"), RecordType::A).encode();
+        let before = s.handle(&q, Timestamp(0)).unwrap(); // signs the A set
+        let a = Record::new(name("a.com"), 300, RData::A(Ipv4Addr::new(4, 3, 2, 1)));
+        s.zones().with_zone(&name("a.com"), |z| z.add(a)).unwrap();
+        let after = Message::decode(&s.handle(&q, Timestamp(0)).unwrap()).unwrap();
+        assert_ne!(Message::decode(&before).unwrap(), after);
+        // Both addresses, under an RRSIG that covers both.
+        assert_eq!(after.answers_of(RecordType::A).len(), 2);
+        let keys = ZoneKeys::derive(&name("a.com"), 0);
+        let set: Vec<Record> = after.answers_of(RecordType::A).into_iter().cloned().collect();
+        let sig = keys.sign(&set, 0, u32::MAX - 1);
+        assert_eq!(after.answers_of(RecordType::Rrsig), vec![&sig]);
     }
 
     #[test]
-    fn uppercase_qname_bypasses_precompiled_and_echoes_case() {
+    fn a_new_key_replaces_every_signed_rrsig() {
         let s = server_with_zone();
-        // Warm the cache with the lowercase shape first.
-        let warm = Message::query(23, name("a.com"), RecordType::A).encode();
-        let _ = s.handle(&warm, Timestamp(0)).unwrap();
-        let _ = s.handle(&warm, Timestamp(0)).unwrap();
-        let mixed = Message::query(24, DnsName::parse("A.com").unwrap(), RecordType::A).encode();
-        let out = s.handle(&mixed, Timestamp(0)).unwrap();
-        // The echoed question must keep the query's original case, which
-        // the lowercase-keyed cache could not have produced.
+        let q = Message::query_dnssec(25, name("a.com"), RecordType::Https);
+        let sign = |generation| {
+            s.zones().with_zone(&name("a.com"), |z| {
+                z.enable_signing(ZoneKeys::derive(&name("a.com"), generation), 0, u32::MAX - 1)
+            })
+        };
+        sign(0);
+        let first = s.handle(&q.encode(), Timestamp(0)).unwrap();
+        sign(1);
+        let second = s.handle(&q.encode(), Timestamp(0)).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(second, s.answer(&q).encode());
+    }
+
+    #[test]
+    fn an_uppercase_qname_is_echoed_in_its_case() {
+        let s = server_with_zone();
+        let mixed = Message::query(24, DnsName::parse("A.com").unwrap(), RecordType::A);
+        let out = s.handle(&mixed.encode(), Timestamp(0)).unwrap();
         assert!(out.windows(6).any(|w| w == [1, b'A', 3, b'c', b'o', b'm']));
         assert_eq!(Message::decode(&out).unwrap().answers_of(RecordType::A).len(), 1);
+        assert_eq!(out, s.answer(&mixed).encode());
     }
 
     #[test]
-    fn a_compressed_question_takes_the_reference_path_to_the_same_bytes() {
+    fn a_compressed_question_is_answered_like_a_spelled_out_one() {
         let zones = ZoneSet::new();
         let mut z = Zone::new(name("a"));
         z.add(Record::new(name("www.a"), 300, RData::A(Ipv4Addr::new(1, 2, 3, 4))));
@@ -507,24 +576,26 @@ mod tests {
         let pointer = [&header[..], &[3, b'w', b'w', b'w', 0xC0, 0], &qtype_a, &class_in].concat();
         assert_eq!(Message::decode(&pointer).unwrap(), Message::decode(&plain).unwrap());
 
-        let cold = s.handle(&pointer, Timestamp(0)).unwrap();
-        let reference = s.handle(&plain, Timestamp(0)).unwrap(); // compiles
-        assert_eq!(cold, reference);
-        assert_eq!(s.handle(&plain, Timestamp(0)).unwrap(), reference); // precompiled
+        let reference = s.answer(&Message::decode(&plain).unwrap()).encode();
         assert_eq!(s.handle(&pointer, Timestamp(0)).unwrap(), reference);
-        assert_eq!(s.zones().read_zone(&name("a"), |z| z.compiled_len()), Some(1));
+        assert_eq!(s.handle(&plain, Timestamp(0)).unwrap(), reference);
     }
 
     #[test]
-    fn compiled_cache_counts_entries() {
-        let s = server_with_zone();
-        assert_eq!(s.zones().read_zone(&name("a.com"), |z| z.compiled_len()).unwrap(), 0);
-        let q = Message::query(25, name("a.com"), RecordType::A).encode();
-        let _ = s.handle(&q, Timestamp(0)).unwrap();
-        assert_eq!(s.zones().read_zone(&name("a.com"), |z| z.compiled_len()).unwrap(), 1);
-        // Same shape again hits the cache rather than growing it.
-        let _ = s.handle(&q, Timestamp(0)).unwrap();
-        assert_eq!(s.zones().read_zone(&name("a.com"), |z| z.compiled_len()).unwrap(), 1);
+    fn dname_answers_equal_the_owned_answers_past_255_octets_too() {
+        let long = "t".repeat(63);
+        let zones = ZoneSet::new();
+        let mut z = Zone::new(name("a.com"));
+        let target = name(&format!("{long}.{long}.{long}.org"));
+        z.add(Record::new(name("legacy.a.com"), 300, RData::Dname(target)));
+        zones.insert(z);
+        let s = AuthoritativeServer::new(zones);
+        for prefix in ["svc", &"x".repeat(63)] {
+            let q = Message::query(13, name(&format!("{prefix}.legacy.a.com")), RecordType::A);
+            assert_eq!(s.handle(&q.encode(), Timestamp(0)).unwrap(), s.answer(&q).encode());
+        }
+        let fits = Message::query(13, name("svc.legacy.a.com"), RecordType::A);
+        assert_eq!(s.answer(&fits).answers_of(RecordType::Cname).len(), 1);
     }
 
     #[test]

@@ -1,15 +1,30 @@
-//! Zone data: RRsets keyed by (name, type), optional DNSSEC signing,
-//! and lookup semantics (exact match, CNAME, DNAME synthesis, NODATA vs
-//! NXDOMAIN).
+//! Zone data: one hash index from owner name to that name's RRsets,
+//! each kept in wire form; optional DNSSEC signing; and lookup semantics
+//! (exact match, CNAME, DNAME synthesis, NODATA vs NXDOMAIN).
+//!
+//! An owner's node keeps all its RRsets in one buffer, each as its
+//! records' bytes after the owner name — TYPE, CLASS, TTL, RDLENGTH,
+//! RDATA, with every RDATA name uncompressed — so an answer copies them
+//! behind an owner name it writes itself. A set's RRSIG is signed the
+//! first time a DO answer needs it and kept until a set at that owner or
+//! the keys change. A node also counts the names below it that hold
+//! records: an empty non-terminal is a node with no sets, and NODATA
+//! versus NXDOMAIN is one probe.
+//!
+//! [`Zone::lookup`] answers from typed records decoded out of the index,
+//! signing afresh: it is the owned reference the wire answers of
+//! [`AuthoritativeServer`](crate::AuthoritativeServer) are tested
+//! against.
 
-use dns_wire::record::RrsigRdata;
-use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, RData, Record, RecordType, SoaRdata};
+use dns_wire::wire::WireWriter;
+use dns_wire::{
+    DnsClass, DnsName, NameBuf, NameBuildHasher, NameKey, NameRef, RData, Record, RecordType,
+    SoaRdata,
+};
 use dnssec::ZoneKeys;
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
-use std::hash::BuildHasher;
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Outcome of a lookup inside a single zone.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,121 +51,210 @@ pub enum LookupResult {
     NxDomain,
 }
 
-/// Upper bound on precompiled responses retained per zone; beyond this
-/// the cache stops admitting new entries until the next invalidation.
-const COMPILED_CACHE_MAX: usize = 4096;
-
-/// Full identity of a precompiled response: every query attribute the
-/// response bytes depend on besides the transaction ID (which is patched
-/// at serve time) and the question-name case (only all-lowercase names
-/// are compiled, so the name's case-folding equality is byte equality
-/// here).
-struct CompiledKey {
-    /// The question name (a reference count on the query's buffer).
-    qname: DnsName,
-    qtype: u16,
-    qclass: u16,
-    /// Query RD flag (echoed into the response header).
-    rd: bool,
-    /// Whether the query carried an OPT record at all.
-    edns: bool,
-    /// EDNS DO bit (selects the DNSSEC variant of the answer).
-    do_bit: bool,
+/// One RRset of a node, borrowed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WireSet<'z> {
+    node: &'z Node,
+    /// Its place among the node's sets, which keys its RRSIG.
+    index: usize,
+    /// Each record after its owner name, in insertion order.
+    bytes: &'z [u8],
 }
 
-impl CompiledKey {
-    fn matches(
-        &self,
-        qname: NameRef<'_>,
-        qtype: u16,
-        qclass: u16,
-        rd: bool,
-        edns: bool,
-        do_bit: bool,
-    ) -> bool {
-        self.qtype == qtype
-            && self.qclass == qclass
-            && self.rd == rd
-            && self.edns == edns
-            && self.do_bit == do_bit
-            && self.qname.name_ref() == qname
+impl<'z> WireSet<'z> {
+    /// Each record's bytes after its owner name.
+    pub(crate) fn records(self) -> impl Iterator<Item = &'z [u8]> {
+        let mut rest = self.bytes;
+        std::iter::from_fn(move || {
+            let rdlength = u16::from_be_bytes([*rest.get(8)?, *rest.get(9)?]);
+            let (record, tail) = rest.split_at_checked(10 + usize::from(rdlength))?;
+            rest = tail;
+            Some(record)
+        })
+    }
+
+    /// The name the first record's RDATA holds, for a CNAME or DNAME.
+    fn first_target(self) -> Option<NameRef<'z>> {
+        NameRef::from_wire(self.records().next()?.get(10..)?)
+    }
+
+    fn decode(self, owner: &DnsName) -> Vec<Record> {
+        self.records().map(|r| decode_after_owner(owner, r)).collect()
     }
 }
 
-/// Hash-then-verify map of precompiled responses. A key's hash is the
-/// qname's word-at-a-time case-folded hash (the one every name-keyed map
-/// uses), with the other fields FNV-1a-stepped onto it, and the map
-/// takes that `u64` as it is; the bucket scan verifies full equality
-/// before a hit is declared. A lookup never allocates.
-type CompiledBucket = Vec<(CompiledKey, Arc<[u8]>)>;
-
-#[derive(Default)]
-struct CompiledCache {
-    map: HashMap<u64, CompiledBucket, NameBuildHasher>,
-    len: usize,
-    /// Bumped on every invalidation; inserts carry the generation they
-    /// were rendered under and are dropped if it has moved on, so a
-    /// response rendered against pre-mutation zone state can never be
-    /// cached after the mutation's invalidation ran.
-    generation: u64,
+/// A record's TYPE, CLASS, TTL, RDLENGTH and RDATA.
+fn put_after_owner(w: &mut WireWriter, record: &Record) {
+    w.put_u16(record.rtype.code());
+    w.put_u16(record.class.code());
+    w.put_u32(record.ttl);
+    let len_at = w.len();
+    w.put_u16(0);
+    record.rdata.encode(w);
+    w.patch_u16(len_at, (w.len() - len_at - 2) as u16);
 }
 
-fn fnv_step(h: u64, b: u8) -> u64 {
-    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-fn compiled_hash(
-    qname: NameRef<'_>,
-    qtype: u16,
-    qclass: u16,
-    rd: bool,
-    edns: bool,
-    do_bit: bool,
-) -> u64 {
-    let mut h = NameBuildHasher::default().hash_one(qname.as_key());
-    for b in qtype.to_be_bytes() {
-        h = fnv_step(h, b);
+/// The typed record [`put_after_owner`] wrote. RDATA that does not
+/// decode stays the opaque bytes it is, which encode back unchanged.
+fn decode_after_owner(owner: &DnsName, bytes: &[u8]) -> Record {
+    let field = |at: usize| u16::from_be_bytes([bytes[at], bytes[at + 1]]);
+    let rtype = RecordType::from_code(field(0));
+    let rdata = RData::decode(rtype, (10, bytes.len()), bytes)
+        .unwrap_or_else(|_| RData::Unknown(bytes[10..].to_vec()));
+    Record {
+        name: owner.clone(),
+        rtype,
+        class: DnsClass::from_code(field(2)),
+        ttl: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
+        rdata,
     }
-    for b in qclass.to_be_bytes() {
-        h = fnv_step(h, b);
-    }
-    fnv_step(h, (rd as u8) | ((edns as u8) << 1) | ((do_bit as u8) << 2))
 }
+
+/// Bytes made on first use and kept.
+type Memo = OnceLock<Box<[u8]>>;
+
+/// One owner name in the index.
+#[derive(Debug, Clone, Default)]
+struct Node {
+    /// The owner's RRsets, one after another, each as its TYPE (two
+    /// octets), the length of its records (four), then the records.
+    sets: Box<[u8]>,
+    /// Each set's RRSIG record after its owner name, by the set's place:
+    /// made by the first DO answer at this name, signed by the first one
+    /// that needs it, and dropped when any set here changes.
+    rrsigs: OnceLock<Box<[Memo]>>,
+    /// Names strictly below this one, inside the zone, that hold a set.
+    below: u32,
+}
+
+impl Node {
+    /// The sets with their types, in order.
+    fn sets(&self) -> impl Iterator<Item = (u16, WireSet<'_>)> {
+        let mut rest = &self.sets[..];
+        (0..).map_while(move |index| {
+            let (head, tail) = rest.split_first_chunk::<6>()?;
+            let len = u32::from_be_bytes([head[2], head[3], head[4], head[5]]);
+            let (bytes, tail) = tail.split_at_checked(len as usize)?;
+            rest = tail;
+            Some((u16::from_be_bytes([head[0], head[1]]), WireSet { node: self, index, bytes }))
+        })
+    }
+
+    fn set(&self, rtype: u16) -> Option<WireSet<'_>> {
+        self.sets().find(|(t, _)| *t == rtype).map(|(_, set)| set)
+    }
+
+    /// Replace the records of the `rtype` set with what `f` makes of the
+    /// old ones (`None` when there is no such set); no records drop the
+    /// set. Returns whether the set existed.
+    fn rewrite(&mut self, rtype: u16, f: impl FnOnce(Option<&[u8]>) -> Vec<u8>) -> bool {
+        let old = self.set(rtype).map(|set| set.bytes);
+        let records = f(old);
+        let others = self.sets.len() - old.map_or(0, |r| 6 + r.len());
+        let mut sets =
+            Vec::with_capacity(others + if records.is_empty() { 0 } else { 6 + records.len() });
+        for (t, set) in self.sets().filter(|(t, _)| *t != rtype) {
+            put_entry(&mut sets, t, set.bytes);
+        }
+        if !records.is_empty() {
+            put_entry(&mut sets, rtype, &records);
+        }
+        let existed = old.is_some();
+        self.sets = sets.into_boxed_slice();
+        self.rrsigs = OnceLock::new();
+        existed
+    }
+}
+
+fn put_entry(sets: &mut Vec<u8>, rtype: u16, records: &[u8]) {
+    sets.extend_from_slice(&rtype.to_be_bytes());
+    sets.extend_from_slice(&(records.len() as u32).to_be_bytes());
+    sets.extend_from_slice(records);
+}
+
+/// `bytes`, then each record after its owner name.
+fn encode<'r>(bytes: Vec<u8>, records: impl IntoIterator<Item = &'r Record>) -> Vec<u8> {
+    let mut w = WireWriter::from_bytes(bytes);
+    records.into_iter().for_each(|r| put_after_owner(&mut w, r));
+    w.into_bytes()
+}
+
+#[derive(Debug, Clone)]
+struct Signing {
+    keys: ZoneKeys,
+    /// Inception and expiration of every RRSIG.
+    window: (u32, u32),
+    /// The apex DNSKEY set, answered from the keys so that key state can
+    /// never drift from record state.
+    dnskey: Node,
+}
+
+impl Signing {
+    /// The RRSIG record over `records`, after its owner name.
+    fn sign(&self, records: &[Record]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        put_after_owner(&mut w, &self.keys.sign(records, self.window.0, self.window.1));
+        w.into_bytes()
+    }
+}
+
+/// What the index holds for one name of an answer, borrowed from the
+/// zone. A transient value on the answer writer's stack: the substituted
+/// name stays inline rather than cost an allocation.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Step<'z> {
+    /// The set asked for, and the owner spelling it is answered with.
+    Found(&'z DnsName, WireSet<'z>),
+    /// A CNAME set at the name (its first record answers) and the target
+    /// that record names.
+    Cname(&'z DnsName, WireSet<'z>, NameRef<'z>),
+    /// A DNAME at an ancestor rewrote the name: the synthesized CNAME's
+    /// TTL and target (RFC 6672).
+    Dname(u32, NameBuf),
+    NoData,
+    NxDomain,
+}
+
+const CNAME: u16 = 5;
+const DNAME: u16 = 39;
+const DNSKEY: u16 = 48;
 
 /// A single authoritative zone.
+#[derive(Debug, Clone)]
 pub struct Zone {
     /// Apex name of the zone.
     pub apex: DnsName,
-    rrsets: BTreeMap<(DnsName, u16), Vec<Record>>,
-    /// Signing keys; `Some` when the zone is DNSSEC-signed.
-    keys: Option<ZoneKeys>,
-    /// Signature validity window applied to generated RRSIGs.
-    sig_window: (u32, u32),
-    /// Precompiled wire-format responses, invalidated on any mutation.
-    compiled: Mutex<CompiledCache>,
+    /// Owner names, keyed with the spelling each was first written with.
+    nodes: HashMap<DnsName, Node, NameBuildHasher>,
+    /// How many of the nodes hold a DNAME set: with none, an answer
+    /// skips the ancestor walk.
+    dnames: usize,
+    /// `Some` when the zone is DNSSEC-signed.
+    signing: Option<Box<Signing>>,
 }
 
-impl Clone for Zone {
-    fn clone(&self) -> Zone {
-        // The compiled cache is a derived artifact; clones start cold.
-        Zone {
-            apex: self.apex.clone(),
-            rrsets: self.rrsets.clone(),
-            keys: self.keys.clone(),
-            sig_window: self.sig_window,
-            compiled: Mutex::new(CompiledCache::default()),
-        }
+/// An RRset of a [`Zone`], borrowed.
+#[derive(Clone, Copy)]
+pub struct RrSetRef<'z> {
+    pub(crate) owner: &'z DnsName,
+    pub(crate) set: WireSet<'z>,
+}
+
+impl<'z> RrSetRef<'z> {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.set.records().count()
     }
-}
 
-impl fmt::Debug for Zone {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Zone")
-            .field("apex", &self.apex)
-            .field("rrsets", &self.rrsets)
-            .field("keys", &self.keys)
-            .field("sig_window", &self.sig_window)
-            .finish_non_exhaustive()
+    /// Whether the set is empty; a stored set never is.
+    pub fn is_empty(&self) -> bool {
+        self.set.bytes.is_empty()
+    }
+
+    /// The records, decoded, in insertion order.
+    pub fn records(&self) -> impl Iterator<Item = Record> + 'z {
+        let owner = self.owner;
+        self.set.records().map(move |r| decode_after_owner(owner, r))
     }
 }
 
@@ -170,38 +274,39 @@ impl Zone {
                 minimum: 300,
             }),
         );
-        let mut zone = Zone {
-            apex,
-            rrsets: BTreeMap::new(),
-            keys: None,
-            sig_window: (0, u32::MAX - 1),
-            compiled: Mutex::new(CompiledCache::default()),
-        };
+        let mut zone = Zone { apex, nodes: HashMap::default(), dnames: 0, signing: None };
         zone.add(soa);
         zone
     }
 
     /// Enable DNSSEC signing with the given keys.
     pub fn enable_signing(&mut self, keys: ZoneKeys, inception: u32, expiration: u32) {
-        self.keys = Some(keys);
-        self.sig_window = (inception, expiration);
-        self.invalidate_compiled();
+        let mut dnskey = Node::default();
+        dnskey.rewrite(DNSKEY, |_| encode(Vec::new(), [&keys.dnskey_record(300)]));
+        self.signing = Some(Box::new(Signing { keys, window: (inception, expiration), dnskey }));
+        self.forget_rrsigs();
     }
 
     /// Disable DNSSEC signing.
     pub fn disable_signing(&mut self) {
-        self.keys = None;
-        self.invalidate_compiled();
+        self.signing = None;
+        self.forget_rrsigs();
+    }
+
+    fn forget_rrsigs(&mut self) {
+        for node in self.nodes.values_mut() {
+            node.rrsigs.take();
+        }
     }
 
     /// Whether the zone is signed.
     pub fn is_signed(&self) -> bool {
-        self.keys.is_some()
+        self.signing.is_some()
     }
 
     /// The signing keys, if any.
     pub fn keys(&self) -> Option<&ZoneKeys> {
-        self.keys.as_ref()
+        self.signing.as_ref().map(|s| &s.keys)
     }
 
     /// Add a record to its RRset (no deduplication of identical records).
@@ -212,85 +317,110 @@ impl Zone {
             record.name,
             self.apex
         );
-        self.rrsets.entry((record.name.clone(), record.rtype.code())).or_default().push(record);
-        self.invalidate_compiled();
+        self.edit(&record.name, |node| {
+            node.rewrite(record.rtype.code(), |old| {
+                encode(old.unwrap_or_default().to_vec(), [&record])
+            })
+        });
     }
 
     /// Replace the whole RRset at (name, type).
     pub fn set(&mut self, name: DnsName, rtype: RecordType, records: Vec<Record>) {
-        if records.is_empty() {
-            self.rrsets.remove(&(name, rtype.code()));
-        } else {
-            self.rrsets.insert((name, rtype.code()), records);
-        }
-        self.invalidate_compiled();
+        let bytes = encode(Vec::new(), &records);
+        self.edit(&name, |node| node.rewrite(rtype.code(), |_| bytes));
     }
 
     /// Remove the RRset at (name, type); returns whether it existed.
     pub fn remove(&mut self, name: &DnsName, rtype: RecordType) -> bool {
-        let removed = self.rrsets.remove(&(name.clone(), rtype.code())).is_some();
-        if removed {
-            self.invalidate_compiled();
+        self.edit(name, |node| node.rewrite(rtype.code(), |_| Vec::new()))
+    }
+
+    /// Run `f` over the node at `owner`, then keep the index's shape: a
+    /// name that gained its first set is counted below each ancestor up
+    /// to the apex, one that lost its last is uncounted, and a node left
+    /// with no sets and nothing below goes.
+    fn edit<R>(&mut self, owner: &DnsName, f: impl FnOnce(&mut Node) -> R) -> R {
+        let node = self.nodes.entry(owner.clone()).or_default();
+        let (had, had_dname) = (!node.sets.is_empty(), node.set(DNAME).is_some());
+        let out = f(node);
+        let has = !node.sets.is_empty();
+        self.dnames = self.dnames + usize::from(node.set(DNAME).is_some()) - usize::from(had_dname);
+        if !has && node.below == 0 {
+            self.nodes.remove(owner);
         }
-        removed
+        if had != has && owner.is_subdomain_of(&self.apex) {
+            let delta = if has { 1 } else { -1 };
+            let mut ancestor = owner.parent().filter(|_| *owner != self.apex);
+            while let Some(name) = ancestor {
+                let node = self.nodes.entry(name.clone()).or_default();
+                node.below = node.below.wrapping_add_signed(delta);
+                if node.sets.is_empty() && node.below == 0 {
+                    self.nodes.remove(&name);
+                }
+                ancestor = name.parent().filter(|_| name != self.apex);
+            }
+        }
+        out
     }
 
-    /// Fetch the RRset at (name, type) if present.
-    pub fn get(&self, name: &DnsName, rtype: RecordType) -> Option<&Vec<Record>> {
-        self.rrsets.get(&(name.clone(), rtype.code()))
+    /// The RRset at (name, type), borrowed.
+    pub fn get(&self, name: &DnsName, rtype: RecordType) -> Option<RrSetRef<'_>> {
+        let (owner, node) = self.nodes.get_key_value(name)?;
+        Some(RrSetRef { owner, set: node.set(rtype.code())? })
     }
 
-    /// Iterate over every record in the zone.
-    pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.rrsets.values().flatten()
+    /// Every record in the zone, decoded, in canonical (name, type)
+    /// order — RFC 4034 §6.1 for the names — and insertion order within
+    /// a set.
+    pub fn iter(&self) -> impl Iterator<Item = Record> + '_ {
+        let mut sets: Vec<(&DnsName, u16, WireSet<'_>)> = self
+            .nodes
+            .iter()
+            .flat_map(|(owner, node)| node.sets().map(move |(rtype, set)| (owner, rtype, set)))
+            .collect();
+        sets.sort_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(&b.1)));
+        sets.into_iter().flat_map(|(owner, _, set)| RrSetRef { owner, set }.records())
     }
 
     /// The zone's SOA record.
-    pub fn soa(&self) -> Option<&Record> {
-        self.get(&self.apex, RecordType::Soa).and_then(|v| v.first())
+    pub fn soa(&self) -> Option<Record> {
+        self.get(&self.apex, RecordType::Soa)?.records().next()
     }
 
-    /// RRSIG records covering `rrset`, if the zone is signed.
-    pub fn sign_rrset(&self, rrset: &[Record]) -> Vec<Record> {
-        match (&self.keys, rrset.first()) {
-            (Some(keys), Some(_)) => {
-                vec![keys.sign(rrset, self.sig_window.0, self.sig_window.1)]
-            }
+    /// RRSIG records covering `rrset`, signed afresh, if the zone is
+    /// signed.
+    fn sign_rrset(&self, rrset: &[Record]) -> Vec<Record> {
+        match (&self.signing, rrset.first()) {
+            (Some(s), Some(_)) => vec![s.keys.sign(rrset, s.window.0, s.window.1)],
             _ => Vec::new(),
         }
     }
 
-    /// Look up (name, type) with full zone semantics.
+    /// Look up (name, type) with full zone semantics, from typed records.
     pub fn lookup(&self, name: &DnsName, rtype: RecordType) -> LookupResult {
         if !name.is_subdomain_of(&self.apex) {
             return LookupResult::NxDomain;
         }
-        // DNSKEY queries are answered from the signing keys directly so
-        // key state can never drift from record state.
         if rtype == RecordType::Dnskey && *name == self.apex {
-            if let Some(keys) = &self.keys {
+            if let Some(keys) = self.keys() {
                 let rec = keys.dnskey_record(300);
                 let rrsigs = self.sign_rrset(std::slice::from_ref(&rec));
                 return LookupResult::Found { records: vec![rec], rrsigs };
             }
         }
         if let Some(rrset) = self.get(name, rtype) {
-            let rrsigs = self.sign_rrset(rrset);
-            return LookupResult::Found { records: rrset.clone(), rrsigs };
+            let records: Vec<Record> = rrset.records().collect();
+            let rrsigs = self.sign_rrset(&records);
+            return LookupResult::Found { records, rrsigs };
         }
         // CNAME at the name answers any other type (except CNAME itself,
         // handled above, and DNSSEC meta-queries at the apex).
         if rtype != RecordType::Cname {
-            if let Some(cnames) = self.get(name, RecordType::Cname) {
-                if let Some(rec) = cnames.first() {
-                    if let RData::Cname(target) = &rec.rdata {
-                        let rrsigs = self.sign_rrset(std::slice::from_ref(rec));
-                        return LookupResult::Cname {
-                            record: rec.clone(),
-                            rrsigs,
-                            target: target.clone(),
-                        };
-                    }
+            if let Some(rec) = self.get(name, RecordType::Cname).and_then(|s| s.records().next()) {
+                if let RData::Cname(target) = &rec.rdata {
+                    let target = target.clone();
+                    let rrsigs = self.sign_rrset(std::slice::from_ref(&rec));
+                    return LookupResult::Cname { record: rec, rrsigs, target };
                 }
             }
         }
@@ -300,109 +430,99 @@ impl Zone {
             if !anc.is_subdomain_of(&self.apex) {
                 break;
             }
-            if let Some(dnames) = self.get(&anc, RecordType::Dname) {
-                if let Some(rec) = dnames.first() {
-                    if let RData::Dname(target) = &rec.rdata {
-                        if let Some(synth_target) = substitute_dname(name, &anc, target) {
-                            let synth = Record::new(
-                                name.clone(),
-                                rec.ttl,
-                                RData::Cname(synth_target.clone()),
-                            );
-                            return LookupResult::Cname {
-                                record: synth,
-                                rrsigs: Vec::new(),
-                                target: synth_target,
-                            };
-                        }
+            if let Some(rec) = self.get(&anc, RecordType::Dname).and_then(|s| s.records().next()) {
+                if let RData::Dname(target) = &rec.rdata {
+                    if let Some(synth_target) = substitute_dname(name, &anc, target) {
+                        let synth =
+                            Record::new(name.clone(), rec.ttl, RData::Cname(synth_target.clone()));
+                        return LookupResult::Cname {
+                            record: synth,
+                            rrsigs: Vec::new(),
+                            target: synth_target,
+                        };
                     }
                 }
             }
             ancestor = anc.parent();
         }
-        // Does the name exist at all (any type, or as an empty non-terminal)?
-        let exists = self.rrsets.keys().any(|(n, _)| n == name || n.is_subdomain_of(name));
-        if exists {
+        // The name exists — it holds records or has some below it.
+        if self.nodes.contains_key(name) {
             LookupResult::NoData
         } else {
             LookupResult::NxDomain
         }
     }
-}
 
-/// Precompiled-response cache plumbing. Responses are rendered once by
-/// the reference path and then served as `lookup + clone + ID patch`
-/// until the zone mutates.
-impl Zone {
-    /// Fetch the precompiled response for a query shape, if cached.
-    /// `qname` must be all lowercase, as every compiled name is; it is
-    /// borrowed (from the request, on the serving path).
-    pub fn compiled_lookup(
-        &self,
-        qname: NameRef<'_>,
-        qtype: u16,
-        qclass: u16,
-        rd: bool,
-        edns: bool,
-        do_bit: bool,
-    ) -> Option<Arc<[u8]>> {
-        let h = compiled_hash(qname, qtype, qclass, rd, edns, do_bit);
-        let cache = self.compiled.lock();
-        cache
-            .map
-            .get(&h)?
-            .iter()
-            .find(|(k, _)| k.matches(qname, qtype, qclass, rd, edns, do_bit))
-            .map(|(_, bytes)| bytes.clone())
-    }
-
-    /// The cache generation a response must be rendered under for
-    /// [`Zone::compiled_insert`] to accept it.
-    pub fn compiled_generation(&self) -> u64 {
-        self.compiled.lock().generation
-    }
-
-    /// Remember a rendered response for a query shape. No-op once the
-    /// per-zone cap is reached (until the next invalidation), or when the
-    /// cache generation moved past `generation` since the response was
-    /// rendered.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compiled_insert(
-        &self,
-        generation: u64,
-        qname: &DnsName,
-        qtype: u16,
-        qclass: u16,
-        rd: bool,
-        edns: bool,
-        do_bit: bool,
-        bytes: Arc<[u8]>,
-    ) {
-        let qref = qname.name_ref();
-        let h = compiled_hash(qref, qtype, qclass, rd, edns, do_bit);
-        let mut cache = self.compiled.lock();
-        if cache.generation != generation || cache.len >= COMPILED_CACHE_MAX {
-            return;
+    /// [`Zone::lookup`]'s semantics for one name of a wire answer, over
+    /// the index and borrowed: nothing is decoded or built but a DNAME's
+    /// substituted name, on the stack.
+    pub(crate) fn step(&self, name: NameRef<'_>, qtype: u16) -> Step<'_> {
+        let apex = self.apex.name_ref();
+        if !name.is_subdomain_of(apex) {
+            return Step::NxDomain;
         }
-        let bucket = cache.map.entry(h).or_default();
-        if bucket.iter().any(|(k, _)| k.matches(qref, qtype, qclass, rd, edns, do_bit)) {
-            return;
+        if let Some(s) = self.signing.as_ref().filter(|_| qtype == DNSKEY && name == apex) {
+            if let Some(dnskey) = s.dnskey.set(DNSKEY) {
+                return Step::Found(&s.keys.apex, dnskey);
+            }
         }
-        bucket.push((CompiledKey { qname: qname.clone(), qtype, qclass, rd, edns, do_bit }, bytes));
-        cache.len += 1;
+        let found = self.nodes.get_key_value(name.as_key());
+        if let Some((owner, node)) = found {
+            if let Some(set) = node.set(qtype) {
+                return Step::Found(owner, set);
+            }
+            let cname = node.set(CNAME).filter(|_| qtype != CNAME);
+            if let Some((set, target)) = cname.and_then(|s| Some((s, s.first_target()?))) {
+                return Step::Cname(owner, set, target);
+            }
+        }
+        let ancestors = name.ancestors().skip(1).take_while(|a| a.is_subdomain_of(apex));
+        for ancestor in ancestors.filter(|_| self.dnames > 0) {
+            let dname = self.nodes.get(ancestor.as_key()).and_then(|n| n.set(DNAME));
+            let Some((set, target)) = dname.and_then(|s| Some((s, s.first_target()?))) else {
+                continue;
+            };
+            // An over-long substitution has no CNAME to synthesize (RFC
+            // 6672 §2.2 answers YXDOMAIN): the walk goes on as if no
+            // DNAME applied.
+            let mut synth = NameBuf::new();
+            let keep = name.labels().count() - ancestor.labels().count();
+            let fits = name.labels().take(keep).try_for_each(|l| synth.push_label(l)).is_ok()
+                && synth.push_name(target).is_ok();
+            if let (true, Some(first)) = (fits, set.records().next()) {
+                return Step::Dname(
+                    u32::from_be_bytes([first[4], first[5], first[6], first[7]]),
+                    synth,
+                );
+            }
+        }
+        if found.is_some() {
+            Step::NoData
+        } else {
+            Step::NxDomain
+        }
     }
 
-    /// Number of precompiled responses currently cached.
-    pub fn compiled_len(&self) -> usize {
-        self.compiled.lock().len
-    }
-
-    /// Drop every precompiled response (zone content changed).
-    pub(crate) fn invalidate_compiled(&self) {
-        let mut cache = self.compiled.lock();
-        cache.map.clear();
-        cache.len = 0;
-        cache.generation += 1;
+    /// The RRSIG covering `set` at `owner`, after its owner name, or
+    /// `None` when the zone is unsigned: signed on first use and kept
+    /// until a set at the owner or the keys change. With `first_only` it
+    /// covers the set's first record alone — what a CNAME answer carries
+    /// — which is the set's own RRSIG unless the set holds more.
+    pub(crate) fn rrsig<'z>(
+        &'z self,
+        owner: &DnsName,
+        set: WireSet<'z>,
+        first_only: bool,
+    ) -> Option<Cow<'z, [u8]>> {
+        let signing = self.signing.as_ref()?;
+        let records = || set.decode(owner);
+        if first_only && set.records().nth(1).is_some() {
+            return Some(Cow::Owned(signing.sign(&records()[..1])));
+        }
+        let memos =
+            set.node.rrsigs.get_or_init(|| set.node.sets().map(|_| OnceLock::new()).collect());
+        let memo = memos[set.index].get_or_init(|| signing.sign(&records()).into());
+        Some(Cow::Borrowed(memo))
     }
 }
 
@@ -425,7 +545,7 @@ impl Zone {
 
     /// Render the zone as presentation-format text.
     pub fn to_text(&self) -> String {
-        let records: Vec<Record> = self.iter().cloned().collect();
+        let records: Vec<Record> = self.iter().collect();
         dns_wire::presentation::to_zone_text(&records)
     }
 }
@@ -442,20 +562,10 @@ fn substitute_dname(name: &DnsName, owner: &DnsName, target: &DnsName) -> Option
     DnsName::from_labels(name.labels().take(keep).chain(target.labels())).ok()
 }
 
-/// The RRSIG RDATA values inside a set of RRSIG records.
-pub fn rrsig_rdatas(records: &[Record]) -> Vec<RrsigRdata> {
-    records
-        .iter()
-        .filter_map(|r| match &r.rdata {
-            RData::Rrsig(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dns_wire::record::RrsigRdata;
     use dns_wire::SvcbRdata;
     use std::net::Ipv4Addr;
 
@@ -518,6 +628,73 @@ mod tests {
         z.add(Record::new(name("x.y.a.com"), 60, RData::A(Ipv4Addr::new(1, 1, 1, 1))));
         // y.a.com has no records but has a descendant.
         assert_eq!(z.lookup(&name("y.a.com"), RecordType::A), LookupResult::NoData);
+    }
+
+    /// The RRSIG RDATA values inside a set of RRSIG records.
+    fn rrsig_rdatas(records: &[Record]) -> Vec<RrsigRdata> {
+        records
+            .iter()
+            .filter_map(|r| match &r.rdata {
+                RData::Rrsig(s) => Some(s.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn removing_the_last_name_below_an_empty_non_terminal_removes_it() {
+        let mut z = Zone::new(name("a.com"));
+        z.add(Record::new(name("x.y.a.com"), 60, RData::A(Ipv4Addr::new(1, 1, 1, 1))));
+        z.add(Record::new(name("w.y.a.com"), 60, RData::A(Ipv4Addr::new(1, 1, 1, 2))));
+        assert!(z.remove(&name("x.y.a.com"), RecordType::A));
+        assert_eq!(z.lookup(&name("y.a.com"), RecordType::A), LookupResult::NoData);
+        assert!(z.remove(&name("w.y.a.com"), RecordType::A));
+        assert_eq!(z.lookup(&name("y.a.com"), RecordType::A), LookupResult::NxDomain);
+        // Only the apex is left.
+        assert_eq!(z.nodes.len(), 1);
+        // A name that gains records again is counted again.
+        z.set(
+            name("x.y.a.com"),
+            RecordType::A,
+            vec![Record::new(name("x.y.a.com"), 60, RData::A(Ipv4Addr::new(1, 1, 1, 3)))],
+        );
+        assert_eq!(z.lookup(&name("y.a.com"), RecordType::Txt), LookupResult::NoData);
+        z.set(name("x.y.a.com"), RecordType::A, vec![]);
+        assert_eq!(z.nodes.len(), 1);
+    }
+
+    #[test]
+    fn iter_is_in_canonical_order_whatever_the_insertion_order() {
+        let records = [
+            Record::new(name("b.a.com"), 60, RData::A(Ipv4Addr::new(1, 1, 1, 1))),
+            Record::new(name("a.com"), 60, RData::A(Ipv4Addr::new(2, 2, 2, 2))),
+            Record::new(name("z.a.com"), 60, RData::Aaaa("::1".parse().unwrap())),
+            Record::new(name("Z.a.com"), 60, RData::A(Ipv4Addr::new(3, 3, 3, 3))),
+            Record::new(name("b.a.com"), 60, RData::A(Ipv4Addr::new(4, 4, 4, 4))),
+        ];
+        let order = |indices: &[usize]| {
+            let mut z = Zone::new(name("a.com"));
+            for &i in indices {
+                z.add(records[i].clone());
+            }
+            z.iter().map(|r| (r.name.key(), r.rtype, r.rdata)).collect::<Vec<_>>()
+        };
+        let forward = order(&[0, 1, 2, 3, 4]);
+        assert_eq!(forward, order(&[3, 1, 0, 4, 2]));
+        let keys: Vec<(String, RecordType)> =
+            forward.iter().map(|(n, t, _)| (n.clone(), *t)).collect();
+        assert_eq!(
+            keys,
+            [
+                ("a.com", RecordType::A),
+                ("a.com", RecordType::Soa),
+                ("b.a.com", RecordType::A),
+                ("b.a.com", RecordType::A),
+                ("z.a.com", RecordType::A),
+                ("z.a.com", RecordType::Aaaa),
+            ]
+            .map(|(n, t)| (n.to_string(), t))
+        );
     }
 
     #[test]

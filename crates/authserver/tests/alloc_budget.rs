@@ -1,7 +1,7 @@
-//! Allocation budgets of the authority's name-keyed lookups and of a
-//! precompiled serve, counted with a per-thread counting allocator and
-//! held on every thread of the `RESOLVER_TEST_THREADS` axis while the
-//! threads share one zone, one registry and one server.
+//! Allocation budgets of the authority's name-keyed lookups and of its
+//! wire answers, counted with a per-thread counting allocator and held
+//! on every thread of the `RESOLVER_TEST_THREADS` axis while the threads
+//! share one zone, one registry and one server.
 
 #![allow(unsafe_code)]
 
@@ -10,7 +10,8 @@ mod counting_alloc;
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
-use dns_wire::{DnsName, Message, RData, Record, RecordType};
+use dns_wire::{DnsName, Message, RData, Record, RecordType, SvcParam, SvcbRdata};
+use dnssec::ZoneKeys;
 use netsim::{DatagramService, Timestamp};
 use std::hint::black_box;
 use std::net::{IpAddr, Ipv4Addr};
@@ -35,10 +36,10 @@ fn zone_get_allocates_nothing() {
     for threads in thread_axis() {
         let counts = allocs_per_thread(threads, || {
             for _ in 0..100 {
-                assert_eq!(zone.get(black_box(&hit), RecordType::A).map(Vec::len), Some(1));
+                assert_eq!(zone.get(black_box(&hit), RecordType::A).map(|s| s.len()), Some(1));
                 assert!(zone.get(&miss, RecordType::A).is_none());
                 assert!(zone.get(&hit, RecordType::Aaaa).is_none());
-                assert!(zone.soa().is_some());
+                assert!(zone.get(&apex, RecordType::Soa).is_some());
                 assert_eq!(zones.find_zone_for(&hit).as_ref(), Some(&apex));
                 assert_eq!(zones.read_zone(&apex, |z| z.is_signed()), Some(false));
             }
@@ -80,27 +81,67 @@ fn find_authority_does_not_depend_on_the_endpoint_count() {
 }
 
 #[test]
-fn a_precompiled_serve_allocates_only_the_response() {
+fn every_authority_answer_allocates_only_the_response() {
+    let apex = name("example.com");
     let zones = ZoneSet::new();
     let mut parent = Zone::new(name("com"));
-    parent.add(Record::new(name("example.com"), 300, RData::Ns(name("ns1.provider.net"))));
+    parent.add(Record::new(apex.clone(), 300, RData::Ns(name("ns1.provider.net"))));
     zones.insert(parent);
-    let mut zone = Zone::new(name("example.com"));
-    zone.add(Record::new(name("www.example.com"), 300, RData::A(Ipv4Addr::new(192, 0, 2, 1))));
+    let mut zone = Zone::new(apex.clone());
+    let www = name("www.example.com");
+    zone.add(Record::new(www.clone(), 300, RData::A(Ipv4Addr::new(192, 0, 2, 1))));
+    zone.add(Record::new(www.clone(), 300, RData::A(Ipv4Addr::new(192, 0, 2, 2))));
+    let alpn = SvcParam::Alpn(vec![b"h2".to_vec()]);
+    zone.add(Record::new(apex.clone(), 300, RData::Https(SvcbRdata::service_self(vec![alpn]))));
+    zone.add(Record::new(name("alias.example.com"), 300, RData::Cname(www.clone())));
+    zone.enable_signing(ZoneKeys::derive(&apex, 0), 0, u32::MAX - 1);
     zones.insert(zone);
     let server = AuthoritativeServer::new(zones);
-    let request = Message::query_dnssec(9, name("www.example.com"), RecordType::A).encode();
-    // The first serve renders through the reference path and compiles.
-    let reference = server.handle(&request, Timestamp(0)).unwrap();
+
+    let shapes = [
+        (www.clone(), RecordType::A),
+        (apex.clone(), RecordType::Https),
+        (www.clone(), RecordType::Aaaa),            // NODATA
+        (name("nope.example.com"), RecordType::A),  // NXDOMAIN
+        (name("alias.example.com"), RecordType::A), // an in-zone CNAME chase
+    ];
+    let plain: Vec<Message> =
+        shapes.iter().map(|(n, t)| Message::query(9, n.clone(), *t)).collect();
+    let signed: Vec<Message> =
+        shapes.iter().map(|(n, t)| Message::query_dnssec(9, n.clone(), *t)).collect();
+    // Each serve equals the owned answer. A thread writes every answer
+    // into one scratch buffer, allocated on its first serve.
+    let warm = Message::query(9, apex.clone(), RecordType::Txt).encode();
+    assert_eq!(allocs_in(|| server.handle(&warm, Timestamp(0))).0, 2, "response and scratch");
+    // Then the first serve of each shape, cold, allocates the response;
+    // only a DO answer's first serve signs its sets.
+    for query in &plain {
+        let request = query.encode();
+        let (n, served) = allocs_in(|| server.handle(&request, Timestamp(0)));
+        assert_eq!(n, 1, "the response bytes, cold");
+        assert_eq!(served.unwrap(), server.answer(query).encode());
+    }
+    for query in &signed {
+        assert_eq!(
+            server.handle(&query.encode(), Timestamp(0)).unwrap(),
+            server.answer(query).encode()
+        );
+    }
+    let requests: Vec<(Vec<u8>, Vec<u8>)> =
+        plain.iter().chain(&signed).map(|q| (q.encode(), server.answer(q).encode())).collect();
 
     for threads in thread_axis() {
         let counts = allocs_per_thread(threads, || {
-            for _ in 0..100 {
-                let (n, served) = allocs_in(|| server.handle(black_box(&request), Timestamp(0)));
-                assert_eq!(n, 1, "the response bytes");
-                assert_eq!(served.unwrap(), reference);
+            let (n, _) = allocs_in(|| server.handle(&warm, Timestamp(0)));
+            assert_eq!(n, 2, "response and this thread's scratch");
+            for _ in 0..10 {
+                for (request, reference) in &requests {
+                    let (n, served) = allocs_in(|| server.handle(black_box(request), Timestamp(0)));
+                    assert_eq!(n, 1, "the response bytes");
+                    assert_eq!(&served.unwrap(), reference);
+                }
             }
         });
-        assert_eq!(counts, vec![100; threads], "{threads} threads");
+        assert_eq!(counts, vec![10 * requests.len() as u64 + 2; threads], "{threads} threads");
     }
 }

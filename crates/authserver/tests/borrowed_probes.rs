@@ -1,7 +1,8 @@
 //! The authority's name-keyed lookups walk borrowed suffixes — of the
-//! query name, or of a request's own question bytes — instead of
-//! `parent()` clones. Over names that nest and differ in case, each
-//! answers what the owned walk it replaced answers, spelling included.
+//! query name, or of a request's question spelled out on the stack —
+//! instead of `parent()` clones. Over names that nest and differ in
+//! case, each answers what the owned walk it replaced answers, spelling
+//! included.
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use dns_wire::{DnsName, Message, RData, Record, RecordType};
@@ -64,18 +65,12 @@ proptest! {
             );
             prop_assert_eq!(found.map(|(_, eps)| eps), authority.map(|(eps, _)| eps));
 
-            // The precompiled path probes the zones with the request's own
-            // bytes: the second serve of a shape equals the reference
-            // answer the first one rendered.
+            // The wire path probes the zones with the request's question,
+            // spelled out on the stack: it answers what the owned answer
+            // to the decoded request encodes.
             let request = Message::query(7, q.clone(), RecordType::A).encode();
             let reference = server.answer(&Message::decode(&request).unwrap()).encode();
-            for _ in 0..2 {
-                prop_assert_eq!(server.handle(&request, Timestamp(0)).unwrap(), reference.clone());
-            }
-            let lowercase = q.labels().flatten().all(|b| !b.is_ascii_uppercase());
-            if let (Some(apex), true) = (&zone, lowercase) {
-                prop_assert!(zones.read_zone(apex, |z| z.compiled_len()).unwrap() > 0);
-            }
+            prop_assert_eq!(server.handle(&request, Timestamp(0)).unwrap(), reference);
         }
     }
 }

@@ -223,7 +223,7 @@ impl Browser {
         if record.is_alias() {
             return self.navigate_alias(&record, host, &host_ips, events);
         }
-        self.navigate_service(&record, host, &host_ips, events)
+        self.navigate_service(&record, &host_name, host, &host_ips, events)
     }
 
     fn navigate_alias(
@@ -251,17 +251,16 @@ impl Browser {
     fn navigate_service(
         &self,
         record: &SvcbRdata,
+        host_name: &DnsName,
         host: &str,
         host_ips: &[IpAddr],
         events: &mut Vec<NavEvent>,
     ) -> Outcome {
         // Endpoint selection (TargetName).
-        let endpoint_name: DnsName = if record.target.is_root() {
-            DnsName::parse(host).expect("validated above")
-        } else if self.profile.follows_service_target {
+        let endpoint_name = if !record.target.is_root() && self.profile.follows_service_target {
             record.target.clone()
         } else {
-            DnsName::parse(host).expect("validated above")
+            host_name.clone()
         };
 
         // Address candidates: A records of the endpoint vs IP hints.

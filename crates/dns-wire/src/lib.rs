@@ -33,7 +33,7 @@ pub mod wire;
 
 pub use error::{ParseError, WireError};
 pub use message::{Edns, Flags, Message, Opcode, Question, Rcode};
-pub use name::{DnsName, NameBuildHasher, NameHasher, NameKey, NameRef};
+pub use name::{DnsName, NameBuf, NameBuildHasher, NameHasher, NameKey, NameRef};
 pub use record::{
     DnsClass, DnskeyRdata, DsRdata, RData, Record, RecordType, RrsigRdata, SoaRdata, SrvRdata,
 };

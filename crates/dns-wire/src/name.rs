@@ -67,20 +67,32 @@ pub struct DnsName {
     start: u8,
 }
 
-/// A name being assembled on the stack, so that building one allocates
-/// once, when it is frozen. The one place that enforces the label and
-/// name length limits the flat layout depends on.
-struct Flat {
+/// A name assembled on the stack: building one allocates nothing, and
+/// freezing it into a [`DnsName`] allocates once. The one place that
+/// enforces the label and name length limits the flat layout depends
+/// on. An answer writer keeps the name it is chasing in one, borrowed
+/// as a [`NameRef`] for map probes.
+#[derive(Clone)]
+pub struct NameBuf {
     bytes: [u8; MAX_FLAT_LEN],
     len: usize,
 }
 
-impl Flat {
-    fn new() -> Flat {
-        Flat { bytes: [0; MAX_FLAT_LEN], len: 0 }
+impl Default for NameBuf {
+    fn default() -> NameBuf {
+        NameBuf { bytes: [0; MAX_FLAT_LEN], len: 0 }
+    }
+}
+
+impl NameBuf {
+    /// The root name: no labels yet.
+    pub fn new() -> NameBuf {
+        NameBuf::default()
     }
 
-    fn push_label(&mut self, label: &[u8]) -> Result<(), WireError> {
+    /// Append one label (1..=63 octets), keeping the whole within 255
+    /// octets on the wire.
+    pub fn push_label(&mut self, label: &[u8]) -> Result<(), WireError> {
         if label.is_empty() {
             return Err(WireError::InvalidValue { context: "empty label" });
         }
@@ -93,11 +105,16 @@ impl Flat {
         Ok(())
     }
 
-    /// Append every label of an already valid name.
-    fn push_name(&mut self, name: &DnsName) -> Result<(), WireError> {
-        let wire = name.wire();
-        self.reserve(wire.len())?.copy_from_slice(wire);
+    /// Append every label of a name; an error if the result would pass
+    /// 255 octets on the wire.
+    pub fn push_name(&mut self, name: NameRef<'_>) -> Result<(), WireError> {
+        self.reserve(name.flat.len())?.copy_from_slice(name.flat);
         Ok(())
+    }
+
+    /// The name built so far, borrowed.
+    pub fn name_ref(&self) -> NameRef<'_> {
+        NameRef { flat: &self.bytes[..self.len] }
     }
 
     fn reserve(&mut self, n: usize) -> Result<&mut [u8], WireError> {
@@ -110,12 +127,21 @@ impl Flat {
         Ok(body)
     }
 
-    fn freeze(&self) -> DnsName {
+    pub(crate) fn freeze(&self) -> DnsName {
         if self.len == 0 {
             DnsName::root()
         } else {
             DnsName { buf: Arc::from(&self.bytes[..self.len]), start: 0 }
         }
+    }
+}
+
+impl From<NameRef<'_>> for NameBuf {
+    fn from(name: NameRef<'_>) -> NameBuf {
+        let mut buf = NameBuf::new();
+        buf.bytes[..name.flat.len()].copy_from_slice(name.flat);
+        buf.len = name.flat.len();
+        buf
     }
 }
 
@@ -134,7 +160,7 @@ impl DnsName {
         I: IntoIterator,
         I::Item: AsRef<[u8]>,
     {
-        let mut flat = Flat::new();
+        let mut flat = NameBuf::new();
         for label in labels {
             flat.push_label(label.as_ref())?;
         }
@@ -154,7 +180,7 @@ impl DnsName {
         if s == "." {
             return Ok(DnsName::root());
         }
-        let mut flat = Flat::new();
+        let mut flat = NameBuf::new();
         let mut label = [0u8; MAX_LABEL_LEN];
         let mut n = 0usize;
         let mut rest = s.as_bytes();
@@ -228,9 +254,9 @@ impl DnsName {
         if label.contains('.') {
             return Err(bad());
         }
-        let mut flat = Flat::new();
+        let mut flat = NameBuf::new();
         flat.push_label(label.as_bytes()).map_err(|_| bad())?;
-        flat.push_name(self).map_err(|_| bad())?;
+        flat.push_name(self.name_ref()).map_err(|_| bad())?;
         Ok(flat.freeze())
     }
 
@@ -253,21 +279,7 @@ impl DnsName {
     /// True when `self` equals `other` or is a descendant of it.
     /// Every name is a subdomain of the root.
     pub fn is_subdomain_of(&self, other: &DnsName) -> bool {
-        let (mine, theirs) = (self.wire(), other.wire());
-        let Some(cut) = mine.len().checked_sub(theirs.len()) else {
-            return false;
-        };
-        if !mine[cut..].eq_ignore_ascii_case(theirs) {
-            return false;
-        }
-        // Matching bytes are not enough: `other` has to start where one
-        // of our labels starts. The one label `a\003com` ends with the
-        // bytes of `com` and is not under it.
-        let mut pos = 0;
-        while pos < cut {
-            pos += 1 + mine[pos] as usize;
-        }
-        pos == cut
+        self.name_ref().is_subdomain_of(other.name_ref())
     }
 
     /// The canonical (lowercased) uncompressed wire form; used as a
@@ -332,7 +344,7 @@ impl DnsName {
     /// Decode a (possibly compressed) name from `buf` starting at `start`.
     /// Returns the name and the offset at which sequential reading resumes.
     pub fn decode_at(buf: &[u8], start: usize) -> Result<(DnsName, usize), WireError> {
-        let mut flat = Flat::new();
+        let mut flat = NameBuf::new();
         let next = walk_name(buf, start, |label| flat.push_label(label))?;
         Ok((flat.freeze(), next))
     }
@@ -344,7 +356,7 @@ impl DnsName {
 /// is none. The one owner of the structural rules: pointers strictly
 /// backwards (so the walk ends) within a hop budget, labels of at most
 /// 63 octets (a length octet's top bits say so), and at most 255 octets
-/// spelled out — so a label handed on never breaks [`Flat`]'s limits.
+/// spelled out — so a label handed on never breaks [`NameBuf`]'s limits.
 fn walk_name(
     buf: &[u8],
     start: usize,
@@ -521,6 +533,44 @@ impl<'a> NameRef<'a> {
     /// The probe form of this name for a `DnsName`-keyed map.
     pub fn as_key(&self) -> &(dyn NameKey + 'a) {
         self
+    }
+
+    /// The uncompressed name that fills `wire` exactly, root octet
+    /// included — a name inside RDATA this crate encoded; `None` for
+    /// anything else.
+    pub fn from_wire(wire: &'a [u8]) -> Option<NameRef<'a>> {
+        let (&0, flat) = wire.split_last()? else {
+            return None;
+        };
+        let mut pos = 0;
+        while let Some(&len @ 1..=0x3F) = flat.get(pos) {
+            pos += 1 + len as usize;
+        }
+        (pos == flat.len() && wire.len() <= MAX_NAME_WIRE_LEN).then_some(NameRef { flat })
+    }
+
+    /// The labels, most-specific first.
+    pub fn labels(self) -> Labels<'a> {
+        Labels { rest: self.flat }
+    }
+
+    /// True when `self` equals `other` or is a descendant of it.
+    pub fn is_subdomain_of(self, other: NameRef<'_>) -> bool {
+        let (mine, theirs) = (self.flat, other.flat);
+        let Some(cut) = mine.len().checked_sub(theirs.len()) else {
+            return false;
+        };
+        if !mine[cut..].eq_ignore_ascii_case(theirs) {
+            return false;
+        }
+        // Matching bytes are not enough: `other` has to start where one
+        // of our labels starts. The one label `a\003com` ends with the
+        // bytes of `com` and is not under it.
+        let mut pos = 0;
+        while pos < cut {
+            pos += 1 + mine[pos] as usize;
+        }
+        pos == cut
     }
 }
 

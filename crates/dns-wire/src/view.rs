@@ -35,7 +35,7 @@
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
-use crate::name::{fmt_labels, key_chars, DnsName, NameKey, NameRef, MAX_POINTER_HOPS};
+use crate::name::{fmt_labels, key_chars, DnsName, NameBuf, NameKey, NameRef, MAX_POINTER_HOPS};
 use crate::record::{soa_minimum, DnsClass, RData, Record, RecordType};
 use crate::svcb::SvcbView;
 use std::fmt;
@@ -127,14 +127,20 @@ impl<'a> NameView<'a> {
         }
     }
 
-    /// Materialize an owned [`DnsName`]. Views are only handed out for
-    /// names that passed [`DnsName::skip_at`], and `decode_at` walks a
-    /// name the same way, so this cannot fail; a defensive fallback
-    /// yields the root name.
+    /// Materialize an owned [`DnsName`].
     pub fn to_owned(&self) -> DnsName {
-        DnsName::decode_at(self.buf, self.start)
-            .map(|(name, _)| name)
-            .unwrap_or_else(|_| DnsName::root())
+        self.to_buf().freeze()
+    }
+
+    /// Spell the name out on the stack, pointers followed. Views are
+    /// only handed out for names that passed [`DnsName::skip_at`], whose
+    /// labels always fit; a label that did not would be left out.
+    pub fn to_buf(&self) -> NameBuf {
+        let mut buf = NameBuf::new();
+        for label in self.labels() {
+            let _ = buf.push_label(label);
+        }
+        buf
     }
 }
 

@@ -6,7 +6,7 @@
 //! append-only buffer with a name-compression dictionary.
 
 use crate::error::WireError;
-use crate::name::DnsName;
+use crate::name::{DnsName, NameKey};
 
 /// Bounds-checked reading cursor over a DNS message buffer.
 #[derive(Debug, Clone)]
@@ -84,18 +84,24 @@ impl<'a> WireReader<'a> {
 pub struct WireWriter {
     buf: Vec<u8>,
     /// The compression dictionary: the offset of every label this
-    /// writer spelled out in a compressible name, in writing order. The
-    /// name suffix that starts at each (through any pointer it ends in)
-    /// is what a later name may point at; the suffixes are compared
-    /// where they lie in `buf`, so the dictionary stores no names. A
-    /// suffix is spelled out at most once — every later use is a pointer
-    /// — so the first match is the only one. Offsets must fit in 14 bits
-    /// per RFC 1035.
-    suffixes: Vec<u16>,
+    /// writer spelled out in a compressible name, in writing order — the
+    /// first [`INLINE_SUFFIXES`] inline (`inline[..inline_len]`), the
+    /// rest in `spilled`, so that a query or a typical answer writes its
+    /// names without allocating. The name suffix that starts at each
+    /// (through any pointer it ends in) is what a later name may point
+    /// at; the suffixes are compared where they lie in `buf`, so the
+    /// dictionary stores no names. A suffix is spelled out at most once
+    /// — every later use is a pointer — so the first match is the only
+    /// one. Offsets must fit in 14 bits per RFC 1035.
+    inline: [u16; INLINE_SUFFIXES],
+    inline_len: usize,
+    spilled: Vec<u16>,
     /// When false, names are written uncompressed (required inside RDATA of
     /// newer record types such as SVCB/HTTPS, RFC 9460 §2.2).
     compression_enabled: bool,
 }
+
+const INLINE_SUFFIXES: usize = 32;
 
 /// Whether the (possibly compressed) name at `at` in `buf` spells the
 /// labels of `flat` (length-prefixed, no root octet), ASCII case aside.
@@ -131,7 +137,13 @@ fn name_at_eq(buf: &[u8], mut at: usize, mut flat: &[u8]) -> bool {
 impl WireWriter {
     /// New empty writer with compression enabled.
     pub fn new() -> Self {
-        WireWriter { buf: Vec::with_capacity(512), suffixes: Vec::new(), compression_enabled: true }
+        WireWriter::from_bytes(Vec::with_capacity(512))
+    }
+
+    /// A writer that appends to `buf`, compression enabled; compression
+    /// offsets count from the start of `buf`.
+    pub fn from_bytes(buf: Vec<u8>) -> Self {
+        WireWriter { buf, compression_enabled: true, ..WireWriter::default() }
     }
 
     /// Bytes written so far.
@@ -184,18 +196,22 @@ impl WireWriter {
     /// Append a domain name, emitting a compression pointer when a suffix of
     /// the name was already written and compression is allowed: the
     /// longest such suffix, at the offset it was first written.
-    pub fn put_name(&mut self, name: &DnsName) {
-        let mut rest = name.wire();
+    pub fn put_name(&mut self, name: &(impl NameKey + ?Sized)) {
+        let mut rest = name.name_ref().flat;
         if self.compression_enabled {
             while let Some(&len) = rest.first() {
-                let known =
-                    self.suffixes.iter().find(|&&at| name_at_eq(&self.buf, at.into(), rest));
+                let mut suffixes = self.inline[..self.inline_len].iter().chain(&self.spilled);
+                let known = suffixes.find(|&&at| name_at_eq(&self.buf, at.into(), rest));
                 if let Some(&at) = known {
                     self.put_u16(0xC000 | at);
                     return;
                 }
                 if let Ok(at @ 0..=0x3FFF) = u16::try_from(self.buf.len()) {
-                    self.suffixes.push(at);
+                    match self.inline.get_mut(self.inline_len) {
+                        Some(slot) => *slot = at,
+                        None => self.spilled.push(at),
+                    }
+                    self.inline_len = (self.inline_len + 1).min(INLINE_SUFFIXES);
                 }
                 let (label, tail) = rest.split_at(1 + len as usize);
                 self.buf.extend_from_slice(label);
@@ -208,7 +224,7 @@ impl WireWriter {
 
     /// Append a domain name without compression (RFC 9460 requires
     /// uncompressed TargetName inside SVCB/HTTPS RDATA).
-    pub fn put_name_uncompressed(&mut self, name: &DnsName) {
+    pub fn put_name_uncompressed(&mut self, name: &(impl NameKey + ?Sized)) {
         let prev = self.compression_enabled;
         self.compression_enabled = false;
         self.put_name(name);

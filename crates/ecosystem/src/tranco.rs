@@ -125,13 +125,14 @@ impl DailyList {
     /// Deterministic: the same seeded RNG always yields the same id
     /// stream.
     ///
+    /// `None` when there is nothing to draw: the list is empty or its
+    /// weights sum to zero.
+    ///
     /// # Panics
     ///
     /// If the list was built without weights (see
-    /// [`DailyList::with_weights`]), is empty, or the weights sum to
-    /// zero.
-    pub fn sample_by_popularity(&self, rng: &mut StdRng) -> u32 {
-        assert!(!self.ranked.is_empty(), "cannot sample an empty list");
+    /// [`DailyList::with_weights`]).
+    pub fn sample_by_popularity(&self, rng: &mut StdRng) -> Option<u32> {
         let cumulative = self.cumulative.get_or_init(|| {
             let weights =
                 self.weights.as_ref().expect("sample_by_popularity requires a weighted list");
@@ -144,11 +145,10 @@ impl DailyList {
                 })
                 .collect()
         });
-        let total = *cumulative.last().expect("non-empty cumulative table");
-        assert!(total > 0.0, "list weights must have a positive sum");
+        let total = cumulative.last().copied().filter(|&total| total > 0.0)?;
         let u: f64 = rng.gen_range(0.0..1.0) * total;
         let idx = cumulative.partition_point(|&c| c <= u).min(self.ranked.len() - 1);
-        self.ranked[idx]
+        Some(self.ranked[idx])
     }
 }
 
@@ -507,7 +507,7 @@ mod tests {
         let mut rank_hits = vec![0u32; n];
         let draws = 30_000;
         for _ in 0..draws {
-            let id = list.sample_by_popularity(&mut rng);
+            let id = list.sample_by_popularity(&mut rng).unwrap();
             rank_hits[list.rank_of(id).unwrap() - 1] += 1;
         }
         let decile = n / 10;
@@ -547,6 +547,17 @@ mod tests {
             model.pop.iter().zip(&model.post_change_weight).any(|(p, w)| p.base_weight != *w),
             "the source change must re-sample some weights"
         );
+    }
+
+    #[test]
+    fn sampling_an_empty_or_weightless_list_draws_nothing() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let empty = DailyList::with_weights(vec![], vec![]);
+        assert_eq!(empty.sample_by_popularity(&mut rng), None);
+        let weightless = DailyList::with_weights(vec![4, 5], vec![0.0, 0.0]);
+        assert_eq!(weightless.sample_by_popularity(&mut rng), None);
+        let one = DailyList::with_weights(vec![4, 5], vec![0.0, 1.0]);
+        assert_eq!(one.sample_by_popularity(&mut rng), Some(5));
     }
 
     #[test]

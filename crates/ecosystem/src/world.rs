@@ -1119,7 +1119,7 @@ mod tests {
             .read_zone(&probe.apex, |z| {
                 z.get(&probe.apex, RecordType::Https)
                     .map(|rs| {
-                        rs.iter().any(|r| match &r.rdata {
+                        rs.records().any(|r| match &r.rdata {
                             RData::Https(rd) => rd.ech().is_some(),
                             _ => false,
                         })
@@ -1136,7 +1136,7 @@ mod tests {
             .read_zone(&probe.apex, |z| {
                 z.get(&probe.apex, RecordType::Https)
                     .map(|rs| {
-                        rs.iter().any(|r| match &r.rdata {
+                        rs.records().any(|r| match &r.rdata {
                             RData::Https(rd) => rd.ech().is_some(),
                             _ => false,
                         })

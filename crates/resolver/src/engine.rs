@@ -95,17 +95,17 @@
 //! - when every engine is pooled and `threads` is 1, the distinct
 //!   queries resolve on the calling thread index by index across the
 //!   engines — engine 0's i-th distinct query, then engine 1's i-th,
-//!   and so on — so the registry entry, zone and compiled answer one
-//!   engine's query touches are still in the CPU cache when the next
-//!   engine asks the same question;
+//!   and so on — so the registry entry and zone node one engine's query
+//!   touches are still in the CPU cache when the next engine asks the
+//!   same question;
 //! - otherwise each engine's batch runs through its own backend (the
 //!   pool, or the event loop), in engine order.
 //!
 //! The engines stay independent: each one's results, cache contents,
 //! selector streams, [`CacheStats`](crate::CacheStats) and counters are
 //! what its own `resolve_batch` of the same batch gives. They share only
-//! the authority's compiled-answer cache (whose content is the same
-//! either way) and the network's traffic counters. The pooled backend
+//! the RRSIGs the authorities sign on first use (the same bytes either
+//! way) and the network's traffic counters. The pooled backend
 //! reads the clock and never moves it, so interleaving cannot change a
 //! pooled answer. The event loop does move the shared clock, so there
 //! the engine order is part of the outcome: under a latency model each

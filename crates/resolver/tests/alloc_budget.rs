@@ -242,9 +242,10 @@ fn parsing_a_reply_costs_the_same_however_many_records_and_params_it_holds() {
     let mut counts = Vec::new();
     for (records, params) in [(1, 0), (1, 7), (3, 2), (8, 0), (8, 7)] {
         let engine = https_engine(records, params);
-        // The first resolution has the authority compile its answer and
-        // the cache size its table; the second one pays only for the
-        // query, the reply datagram and the one buffer it is parsed into.
+        // The first resolution has the cache size its table and the
+        // authority's thread its scratch buffer; the second one pays only
+        // for the query, the reply datagram and the one buffer it is
+        // parsed into.
         assert_eq!(engine.resolve(&apex, RecordType::Https).unwrap().records.len(), records.into());
         engine.cache().flush();
         let (n, cold) = allocs_in(|| engine.resolve(&apex, RecordType::Https).unwrap());

@@ -731,7 +731,11 @@ fn hints_match(https: &RrSet, a_records: &RrSet) -> bool {
 }
 
 /// Record-shape flags of the chosen HTTPS RDATA; `sole` says it is the
-/// RRset's only one.
+/// RRset's only one. Of RFC 9460's rules it flags AliasMode (§2.4.2)
+/// with a `.` target (§2.5.1), ServiceMode without SvcParams and an
+/// IPv4-literal TargetName; it does not flag an AliasMode record that
+/// carries SvcParams (§2.4.2) or a `mandatory` key the record lacks
+/// (§8), and counts neither as a failure (`tests/scan.rs` pins it).
 fn classify(chosen: &SvcbView<'_>, sole: bool) -> u32 {
     let mut f = 0u32;
     if chosen.is_alias() {

@@ -3,6 +3,8 @@
 //! The thread-axis tests take extra counts from `RESOLVER_TEST_THREADS`
 //! (a comma-separated list, the CI determinism matrix's hook).
 
+use dns_wire::svcb::key;
+use dns_wire::{DnsName, RData, Record, RecordType, SvcParam, SvcbRdata};
 use ecosystem::{EcosystemConfig, World};
 use scanner::{connectivity_probe, flags, hourly_ech_scan, Campaign, NsCategory, OrgId};
 use std::collections::HashMap;
@@ -117,6 +119,42 @@ fn rrsig_and_ad_flags_appear() {
     assert!(signed > 0, "some HTTPS RRsets must be signed");
     assert!(validated <= signed);
     assert!(validated < signed, "some signed records must fail validation (missing DS)");
+}
+
+/// The scanner reads a record's shape (`classify`) by a subset of RFC
+/// 9460. Two client-side rules it does not apply: an AliasMode record
+/// carrying SvcParams (§2.4.2), and a record whose `mandatory` list names
+/// a key it lacks (§8). A scan counts either as an HTTPS record like any
+/// other, not as a failure.
+#[test]
+fn rfc9460_client_rules_outside_classify_do_not_fail_a_record() {
+    let mut world = tiny_world();
+    let alpn = || SvcParam::Alpn(vec![b"h2".to_vec()]);
+    let target = DnsName::parse("svc.example.net").unwrap();
+    let alias_with_params = SvcbRdata { priority: 0, target, params: vec![alpn()] };
+    let missing_mandatory =
+        SvcbRdata::service_self(vec![SvcParam::Mandatory(vec![key::IPV6HINT]), alpn()]);
+    let ids = world.today_list_shared().ranked()[..2].to_vec();
+    for (&id, rdata) in ids.iter().zip([alias_with_params, missing_mandatory]) {
+        assert_eq!(rdata.lint().len(), 1, "{rdata:?} breaks one rule");
+        let apex = world.domain(id).apex.clone();
+        let record = Record::new(apex.clone(), 300, RData::Https(rdata));
+        for infra in world.catalog.all() {
+            infra
+                .zones
+                .with_zone(&apex, |z| z.set(apex.clone(), RecordType::Https, vec![record.clone()]));
+        }
+    }
+    let campaign = Campaign { sample_days: vec![0], scan_www: false, threads: 1, vantages: vec![] };
+    let store = campaign.run(&mut world);
+    let observed = |id: u32| *store.day(0).iter().find(|o| o.domain_id == id).unwrap();
+    let (alias, service) = (observed(ids[0]), observed(ids[1]));
+    for o in [alias, service] {
+        assert!(o.https() && o.has(flags::ALPN_H2), "{o:?}");
+        assert!(!o.has(flags::RESOLUTION_FAILED), "{o:?}");
+    }
+    assert!(alias.has(flags::ALIAS_MODE));
+    assert!(!service.has(flags::ALIAS_MODE | flags::EMPTY_SVCPARAMS | flags::NO_ALPN));
 }
 
 #[test]

@@ -77,7 +77,8 @@ impl StubPopulation {
     /// Generate the merged open-loop arrival stream for one phase:
     /// `offered_qps` total offered queries/second across all clients,
     /// over the virtual window `[start_us, start_us + duration_us)`.
-    /// Arrivals are returned sorted by `(at_us, client)`.
+    /// Arrivals are returned sorted by `(at_us, client)`; an empty list
+    /// gives none.
     pub fn arrivals(
         &self,
         world: &World,
@@ -114,19 +115,23 @@ impl StubPopulation {
                 continue;
             }
             let rng = &mut rngs[client as usize];
-            arrivals.push(Arrival { at_us, client, query: self.sample_query(world, rng) });
+            // An empty list has nothing to ask for.
+            let Some(query) = self.sample_query(world, rng) else {
+                break;
+            };
+            arrivals.push(Arrival { at_us, client, query });
             heap.push(Reverse((at_us + exp_gap(rng, rates[client as usize]), client)));
         }
         arrivals
     }
 
     /// Draw one query: a popularity-weighted domain plus a shape from
-    /// the configured mix.
-    fn sample_query(&self, world: &World, rng: &mut StdRng) -> Query {
-        let id = self.list.sample_by_popularity(rng);
+    /// the configured mix; `None` when the list has no domain to draw.
+    fn sample_query(&self, world: &World, rng: &mut StdRng) -> Option<Query> {
+        let id = self.list.sample_by_popularity(rng)?;
         let apex = world.domain(id).apex.clone();
         let shape: f64 = rng.gen_range(0.0..1.0);
-        if shape < self.config.apex_https {
+        Some(if shape < self.config.apex_https {
             Query::new(apex, RecordType::Https)
         } else if shape < self.config.apex_https + self.config.apex_a {
             Query::new(apex, RecordType::A)
@@ -135,7 +140,7 @@ impl StubPopulation {
                 Ok(www) => Query::new(www, RecordType::Https),
                 Err(_) => Query::new(apex, RecordType::Https),
             }
-        }
+        })
     }
 }
 
