@@ -1,8 +1,8 @@
 //! Fig 2 (adoption trends) and Fig 8/9 (rank distributions).
 
-use crate::{overlapping_ids, Series};
+use crate::merge::{IdCursor, Tracks};
+use crate::{daily_shares, overlapping_ids, Series};
 use scanner::{NsCategory, Observation, ObservationSource, Projection, ScanFilter};
-use std::collections::HashSet;
 
 /// The four Fig 2 series: apex/www × dynamic/overlapping.
 #[derive(Debug, Clone)]
@@ -36,41 +36,27 @@ pub fn fig2_adoption(store: &dyn ObservationSource, source_change_day: u32) -> A
     let ov1 = overlapping_ids(store, &phase1);
     let ov2 = overlapping_ids(store, &phase2);
 
-    // One streaming pass: per day, tally (total, https) for each of the
-    // four series (dynamic/overlapping × apex/www). Only flags and
-    // domain ids are touched, so a disk-backed source skips the rest.
+    // Only flags and domain ids are touched, so a disk-backed source
+    // skips the rest.
     let proj = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
-    let mut points: [Vec<(u32, f64)>; 4] = Default::default();
-    store.for_each_day_filtered(proj, &mut |day, obs| {
-        let ov = if day < source_change_day { &ov1 } else { &ov2 };
-        let mut tallies = [(0usize, 0usize); 4];
-        for o in obs {
-            let mut bump = |slot: usize| {
-                tallies[slot].0 += 1;
-                if o.https() {
-                    tallies[slot].1 += 1;
-                }
-            };
-            let www = usize::from(o.is_www());
-            bump(www);
-            if ov.contains(&o.domain_id) {
-                bump(2 + www);
-            }
-        }
-        for (slot, (total, https)) in tallies.iter().enumerate() {
-            let v = if *total == 0 { 0.0 } else { 100.0 * *https as f64 / *total as f64 };
-            points[slot].push((day, v));
-        }
-    });
-    let [dynamic_apex, dynamic_www, overlapping_apex, overlapping_www] = points;
-    let series = |label: &str, points: Vec<(u32, f64)>| Series { label: label.to_string(), points };
-
-    AdoptionSeries {
-        dynamic_apex: series("fig2a dynamic apex %HTTPS", dynamic_apex),
-        dynamic_www: series("fig2a dynamic www %HTTPS", dynamic_www),
-        overlapping_apex: series("fig2b overlapping apex %HTTPS", overlapping_apex),
-        overlapping_www: series("fig2b overlapping www %HTTPS", overlapping_www),
-    }
+    let (mut in_ov1, mut in_ov2) = (IdCursor::new(&ov1), IdCursor::new(&ov2));
+    let [dynamic_apex, dynamic_www, overlapping_apex, overlapping_www] = daily_shares(
+        store,
+        proj,
+        [
+            ("fig2a dynamic apex %HTTPS", 0.0),
+            ("fig2a dynamic www %HTTPS", 0.0),
+            ("fig2b overlapping apex %HTTPS", 0.0),
+            ("fig2b overlapping www %HTTPS", 0.0),
+        ],
+        |day, o| {
+            let ov = if day < source_change_day { &mut in_ov1 } else { &mut in_ov2 };
+            let (www, overlapping) = (o.is_www(), ov.contains(o.domain_id));
+            let https = o.https();
+            [(!www, https), (www, https), (!www && overlapping, https), (www && overlapping, https)]
+        },
+    );
+    AdoptionSeries { dynamic_apex, dynamic_www, overlapping_apex, overlapping_www }
 }
 
 /// Rank-distribution buckets (deciles of the list) for two domain sets.
@@ -117,13 +103,16 @@ impl std::fmt::Display for RankBuckets {
 
 /// Fig 8: rank distribution of overlapping vs non-overlapping domains
 /// (averaged over phase-1 days). Also used for Fig 9 by passing the
-/// non-CF adopter set as `special`.
+/// non-CF adopter set (ascending ids) as `special`.
 pub fn fig8_rank_distribution(
     store: &dyn ObservationSource,
     phase_days: &[u32],
-    special: Option<&HashSet<u32>>,
+    special: Option<&[u32]>,
 ) -> RankBuckets {
     let overlapping = overlapping_ids(store, phase_days);
+    // Fig 9 mode buckets only the special set's HTTPS rows (e.g. non-CF
+    // HTTPS adopters), compared against everyone.
+    let mut set_a_ids = IdCursor::new(special.unwrap_or(&overlapping));
     let Some(&probe_day) = phase_days.iter().next() else {
         return RankBuckets {
             bounds: vec![],
@@ -151,23 +140,10 @@ pub fn fig8_rank_distribution(
         }
         let idx = ((o.rank - 1) / width) as usize;
         let idx = idx.min(buckets - 1);
-        match special {
-            Some(set) => {
-                // Fig 9 mode: bucket only the special set (e.g. non-CF
-                // HTTPS adopters), compared against everyone.
-                if set.contains(&o.domain_id) && o.https() {
-                    set_a[idx] += 1;
-                } else {
-                    set_b[idx] += 1;
-                }
-            }
-            None => {
-                if overlapping.contains(&o.domain_id) {
-                    set_a[idx] += 1;
-                } else {
-                    set_b[idx] += 1;
-                }
-            }
+        if set_a_ids.contains(o.domain_id) && (special.is_none() || o.https()) {
+            set_a[idx] += 1;
+        } else {
+            set_b[idx] += 1;
         }
     }
     RankBuckets {
@@ -180,22 +156,19 @@ pub fn fig8_rank_distribution(
 }
 
 /// Domain ids whose apex observation shows HTTPS on non-Cloudflare NS on
-/// any sampled day (the Fig 9 population).
-pub fn noncf_adopter_ids(store: &dyn ObservationSource) -> HashSet<u32> {
+/// any sampled day (the Fig 9 population), ascending.
+pub fn noncf_adopter_ids(store: &dyn ObservationSource) -> Vec<u32> {
     let proj = ScanFilter::projected(
         Projection::FLAGS.with(Projection::NS_CATEGORY).with(Projection::DOMAIN_ID),
     );
-    let mut ids = HashSet::new();
+    let mut ids: Tracks<(), ()> = Tracks::default();
     store.for_each_day_filtered(proj, &mut |_, obs| {
-        ids.extend(
-            obs.iter()
-                .filter(|o| {
-                    !o.is_www()
-                        && o.https()
-                        && NsCategory::from_u8(o.ns_category) == NsCategory::NoneCloudflare
-                })
-                .map(|o| o.domain_id),
-        );
+        let adopters = obs.iter().filter(|o| {
+            !o.is_www()
+                && o.https()
+                && NsCategory::from_u8(o.ns_category) == NsCategory::NoneCloudflare
+        });
+        ids.merge_day(adopters.map(|o| (u64::from(o.domain_id), ())), |_, ()| {});
     });
-    ids
+    ids.iter().map(|&(id, ())| id as u32).collect()
 }

@@ -2,7 +2,7 @@
 //! (signed ECH records), and Table 9 (full chain audit with the
 //! with/without-HTTPS and Cloudflare/non-CF splits).
 
-use crate::Series;
+use crate::{daily_shares, Series};
 use dns_wire::RecordType;
 use ecosystem::{well_known, World};
 use resolver::{RecursiveResolver, ResolverConfig};
@@ -42,43 +42,39 @@ impl std::fmt::Display for DnssecSeries {
 
 /// Compute Fig 5 / Fig 14 from the longitudinal store.
 pub fn fig5_dnssec_trend(store: &dyn ObservationSource) -> DnssecSeries {
-    // (www, needed flags, base filter) per series, one streaming pass.
-    let configs: [(bool, u32, u32); 6] = [
-        (false, flags::RRSIG, 0),
-        (false, flags::RRSIG | flags::AD, 0),
-        (true, flags::RRSIG, 0),
-        (true, flags::RRSIG | flags::AD, 0),
-        (false, flags::RRSIG, flags::ECH),
-        (false, flags::RRSIG | flags::AD, flags::ECH),
-    ];
-    let mut points: [Vec<(u32, f64)>; 6] = Default::default();
-    store.for_each_day_filtered(ScanFilter::projected(Projection::FLAGS), &mut |day, obs| {
-        for (slot, &(www, need, base)) in configs.iter().enumerate() {
-            let mut total = 0usize;
-            let mut hit = 0usize;
-            for o in obs {
-                if o.is_www() != www || !o.https() || !o.has(base) {
-                    continue;
-                }
-                total += 1;
-                if o.has(need) {
-                    hit += 1;
-                }
-            }
-            points[slot]
-                .push((day, if total == 0 { 0.0 } else { 100.0 * hit as f64 / total as f64 }));
-        }
-    });
     let [signed_apex, validated_apex, signed_www, validated_www, signed_ech, validated_ech] =
-        points;
-    let series = |label: &str, points: Vec<(u32, f64)>| Series { label: label.to_string(), points };
+        daily_shares(
+            store,
+            ScanFilter::projected(Projection::FLAGS),
+            [
+                ("fig5 apex %signed", 0.0),
+                ("fig5 apex %validated", 0.0),
+                ("fig5 www %signed", 0.0),
+                ("fig5 www %validated", 0.0),
+                ("fig14 ech %signed", 0.0),
+                ("fig14 ech %validated", 0.0),
+            ],
+            |_, o| {
+                let (apex, www) = (!o.is_www() && o.https(), o.is_www() && o.https());
+                let ech = apex && o.has(flags::ECH);
+                let (signed, validated) = (o.has(flags::RRSIG), o.has(flags::RRSIG | flags::AD));
+                [
+                    (apex, signed),
+                    (apex, validated),
+                    (www, signed),
+                    (www, validated),
+                    (ech, signed),
+                    (ech, validated),
+                ]
+            },
+        );
     DnssecSeries {
-        signed_apex: series("fig5 apex %signed", signed_apex),
-        validated_apex: series("fig5 apex %validated", validated_apex),
-        signed_www: series("fig5 www %signed", signed_www),
-        validated_www: series("fig5 www %validated", validated_www),
-        signed_ech: series("fig14 ech %signed", signed_ech),
-        validated_ech: series("fig14 ech %validated", validated_ech),
+        signed_apex,
+        validated_apex,
+        signed_www,
+        validated_www,
+        signed_ech,
+        validated_ech,
     }
 }
 

@@ -1,7 +1,7 @@
 //! ECH analyses: Fig 13 (ECH share over time, with the kill-switch drop)
 //! and Fig 4 (key-rotation durations from hourly scans).
 
-use crate::Series;
+use crate::{daily_shares, Series};
 use scanner::{flags, EchObservation, ObservationSource, Projection, ScanFilter};
 use std::collections::BTreeMap;
 
@@ -22,29 +22,18 @@ impl std::fmt::Display for EchShareSeries {
 
 /// Compute Fig 13.
 pub fn fig13_ech_share(store: &dyn ObservationSource) -> EchShareSeries {
-    let mut points: [Vec<(u32, f64)>; 2] = Default::default();
-    store.for_each_day_filtered(ScanFilter::projected(Projection::FLAGS), &mut |day, obs| {
-        for (slot, www) in [(0usize, false), (1, true)] {
-            let mut https = 0usize;
-            let mut ech = 0usize;
-            for o in obs {
-                if o.is_www() != www || !o.https() {
-                    continue;
-                }
-                https += 1;
-                if o.has(flags::ECH) {
-                    ech += 1;
-                }
-            }
-            points[slot]
-                .push((day, if https == 0 { 0.0 } else { 100.0 * ech as f64 / https as f64 }));
-        }
-    });
-    let [apex, www] = points;
-    EchShareSeries {
-        apex: Series { label: "fig13 apex %ECH among HTTPS".to_string(), points: apex },
-        www: Series { label: "fig13 www %ECH among HTTPS".to_string(), points: www },
-    }
+    let [apex, www] = daily_shares(
+        store,
+        ScanFilter::projected(Projection::FLAGS),
+        [("fig13 apex %ECH among HTTPS", 0.0), ("fig13 www %ECH among HTTPS", 0.0)],
+        |_, o| {
+            [
+                (!o.is_www() && o.https(), o.has(flags::ECH)),
+                (o.is_www() && o.https(), o.has(flags::ECH)),
+            ]
+        },
+    );
+    EchShareSeries { apex, www }
 }
 
 /// Fig 4: ECH config lifetimes from the hourly scan.

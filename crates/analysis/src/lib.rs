@@ -20,6 +20,7 @@
 pub mod adoption;
 pub mod dnssec_a;
 pub mod ech;
+mod merge;
 pub mod params;
 pub mod providers;
 pub mod vantage_diff;
@@ -41,37 +42,57 @@ pub use vantage_diff::{
     VantageDiffReport, VantageDisagreement, VantageSummary,
 };
 
-use scanner::{ObservationSource, Projection, ScanFilter};
-use std::collections::HashSet;
+use merge::Tracks;
+use scanner::{Observation, ObservationSource, Projection, ScanFilter};
 
 /// Domain ids present on the list (i.e. observed) on *every* sampled day
-/// in `days` — the paper's "overlapping domains" for a phase.
-pub fn overlapping_ids(source: &dyn ObservationSource, days: &[u32]) -> HashSet<u32> {
+/// in `days` — the paper's "overlapping domains" for a phase — ascending
+/// and duplicate-free.
+pub fn overlapping_ids(source: &dyn ObservationSource, days: &[u32]) -> Vec<u32> {
     let filter = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
-    // Both ascending and duplicate-free: a scan writes each day in id
-    // order, so the intersection is a two-cursor merge.
-    let mut set: Vec<u32> = Vec::new();
-    let mut today: Vec<u32> = Vec::new();
+    // Per id, how many of the days, from the first on, listed it.
+    let mut listed: Tracks<usize, ()> = Tracks::default();
     for (i, &day) in days.iter().enumerate() {
-        today.clear();
         source.for_each_day_filtered(filter.days(day, day), &mut |_, obs| {
-            today.extend(obs.iter().filter(|o| !o.is_www()).map(|o| o.domain_id));
-        });
-        if !today.windows(2).all(|w| w[0] < w[1]) {
-            today.sort_unstable();
-            today.dedup();
-        }
-        if i == 0 {
-            std::mem::swap(&mut set, &mut today);
-            continue;
-        }
-        let mut at = 0;
-        set.retain(|&id| {
-            at += today[at..].iter().take_while(|&&t| t < id).count();
-            today.get(at) == Some(&id)
+            let apexes = obs.iter().filter(|o| !o.is_www());
+            listed.merge_day(apexes.map(|o| (u64::from(o.domain_id), ())), |n, ()| {
+                if *n == i {
+                    *n += 1;
+                }
+            });
         });
     }
-    set.into_iter().collect()
+    listed.iter().filter(|&&(_, n)| n == days.len()).map(|&(id, _)| id as u32).collect()
+}
+
+/// `N` daily percentage series in one pass over `store`: `tally` says,
+/// per row, whether it counts toward each series and whether it is a
+/// hit there. A day's point is 100 × hits / counted, or the series'
+/// `empty` value on a day that counts no row.
+fn daily_shares<const N: usize>(
+    store: &dyn ObservationSource,
+    filter: ScanFilter,
+    series: [(&str, f64); N],
+    mut tally: impl FnMut(u32, &Observation) -> [(bool, bool); N],
+) -> [Series; N] {
+    let mut points: [Vec<(u32, f64)>; N] = std::array::from_fn(|_| Vec::new());
+    store.for_each_day_filtered(filter, &mut |day, obs| {
+        let mut counts = [(0usize, 0usize); N];
+        for o in obs {
+            for (count, (counted, hit)) in counts.iter_mut().zip(tally(day, o)) {
+                count.0 += usize::from(counted);
+                count.1 += usize::from(counted && hit);
+            }
+        }
+        for ((points, (total, hits)), (_, empty)) in points.iter_mut().zip(counts).zip(series) {
+            let share = if total == 0 { empty } else { 100.0 * hits as f64 / total as f64 };
+            points.push((day, share));
+        }
+    });
+    std::array::from_fn(|i| Series {
+        label: series[i].0.to_string(),
+        points: std::mem::take(&mut points[i]),
+    })
 }
 
 /// A (day, value) series with a label, printable as two CSV columns.
@@ -147,7 +168,7 @@ mod tests {
         store.push_day(1, vec![obs(1, 2), obs(1, 3)]);
         store.push_day(2, vec![obs(2, 3), obs(2, 4)]);
         let ov = overlapping_ids(&store, &[0, 1, 2]);
-        assert_eq!(ov, [3u32].into_iter().collect());
+        assert_eq!(ov, [3]);
         assert!(overlapping_ids(&store, &[]).is_empty());
     }
 
@@ -157,8 +178,8 @@ mod tests {
         let mut store = SnapshotStore::new();
         store.push_day(0, vec![obs(0, 9), obs(0, 2), www(0, 5), obs(0, 9), obs(0, u32::MAX)]);
         store.push_day(4, vec![obs(4, u32::MAX), obs(4, 5), obs(4, 9), obs(4, 1)]);
-        assert_eq!(overlapping_ids(&store, &[0, 4]), [9, u32::MAX].into_iter().collect());
-        assert_eq!(overlapping_ids(&store, &[0]), [2, 9, u32::MAX].into_iter().collect());
+        assert_eq!(overlapping_ids(&store, &[0, 4]), [9, u32::MAX]);
+        assert_eq!(overlapping_ids(&store, &[0]), [2, 9, u32::MAX]);
         // A day the source lacks is a day nothing was listed on.
         assert!(overlapping_ids(&store, &[0, 2, 4]).is_empty());
     }

@@ -3,9 +3,12 @@
 //! Table 8 (ALPN shares), Fig 11 (IP-hint utilization/consistency),
 //! Fig 12 (mismatch durations), §4.3.5 (connectivity).
 
-use crate::Series;
-use scanner::{flags, ConnectivityReport, NsCategory, ObservationSource, Projection, ScanFilter};
-use std::collections::{BTreeMap, HashMap};
+use crate::merge::Tracks;
+use crate::{daily_shares, Series};
+use scanner::{
+    flags, ConnectivityReport, NsCategory, Observation, ObservationSource, Projection, ScanFilter,
+};
+use std::collections::BTreeMap;
 
 /// Table 4: Cloudflare default vs customized configuration shares.
 #[derive(Debug, Clone)]
@@ -26,29 +29,14 @@ impl std::fmt::Display for CfConfigSplit {
 
 /// Compute Table 4 over all days (average of daily shares).
 pub fn tab4_cf_config(store: &dyn ObservationSource) -> CfConfigSplit {
-    let mut daily = Vec::new();
     let proj = ScanFilter::projected(Projection::FLAGS.with(Projection::NS_CATEGORY));
-    store.for_each_day_filtered(proj, &mut |_, obs| {
-        let mut default = 0usize;
-        let mut total = 0usize;
-        for o in obs {
-            if o.is_www()
-                || !o.https()
-                || NsCategory::from_u8(o.ns_category) != NsCategory::FullCloudflare
-            {
-                continue;
-            }
-            total += 1;
-            if o.has(flags::CF_DEFAULT) {
-                default += 1;
-            }
-        }
-        if total > 0 {
-            daily.push(100.0 * default as f64 / total as f64);
-        }
+    let [mut daily] = daily_shares(store, proj, [("", f64::NAN)], |_, o| {
+        let cf = NsCategory::from_u8(o.ns_category) == NsCategory::FullCloudflare;
+        [(!o.is_www() && o.https() && cf, o.has(flags::CF_DEFAULT))]
     });
-    let default_pct =
-        if daily.is_empty() { 0.0 } else { daily.iter().sum::<f64>() / daily.len() as f64 };
+    // A day without a Cloudflare-NS HTTPS apex has no share to average.
+    daily.points.retain(|(_, share)| !share.is_nan());
+    let default_pct = if daily.points.is_empty() { 0.0 } else { daily.mean() };
     CfConfigSplit { default_pct, customized_pct: 100.0 - default_pct }
 }
 
@@ -125,38 +113,38 @@ impl std::fmt::Display for AnomalyCounts {
 
 /// Compute the anomaly counts (distinct domains over the whole study).
 pub fn sec433_anomalies(store: &dyn ObservationSource) -> AnomalyCounts {
-    use std::collections::HashSet;
-    let mut empty: HashSet<u32> = HashSet::new();
-    let mut self_dot: HashSet<u32> = HashSet::new();
-    let mut ip_lit: HashSet<u32> = HashSet::new();
+    // Per domain: which anomalies it ever showed; the histogram counts
+    // the min priority of its first HTTPS apex row, taken when its track
+    // is new.
+    #[derive(Clone, Copy, Default)]
+    struct Track {
+        seen: bool,
+        empty: bool,
+        self_dot: bool,
+        ip_lit: bool,
+    }
+    let mut tracks: Tracks<Track, Observation> = Tracks::default();
     let mut hist: BTreeMap<u16, usize> = BTreeMap::new();
-    let mut seen_prio: HashSet<u32> = HashSet::new();
     let proj = ScanFilter::projected(
         Projection::FLAGS.with(Projection::DOMAIN_ID).with(Projection::MIN_PRIORITY),
     );
     store.for_each_day_filtered(proj, &mut |_, obs| {
-        for o in obs {
-            if o.is_www() || !o.https() {
-                continue;
-            }
-            if o.has(flags::EMPTY_SVCPARAMS) {
-                empty.insert(o.domain_id);
-            }
-            if o.has(flags::TARGET_SELF_DOT) {
-                self_dot.insert(o.domain_id);
-            }
-            if o.has(flags::IP_LITERAL_TARGET) {
-                ip_lit.insert(o.domain_id);
-            }
-            if seen_prio.insert(o.domain_id) {
+        let https_apexes = obs.iter().filter(|o| !o.is_www() && o.https());
+        tracks.merge_day(https_apexes.map(|o| (u64::from(o.domain_id), *o)), |t, o| {
+            t.empty |= o.has(flags::EMPTY_SVCPARAMS);
+            t.self_dot |= o.has(flags::TARGET_SELF_DOT);
+            t.ip_lit |= o.has(flags::IP_LITERAL_TARGET);
+            if !t.seen {
+                t.seen = true;
                 *hist.entry(o.min_priority).or_default() += 1;
             }
-        }
+        });
     });
+    let count = |anomaly: fn(&Track) -> bool| tracks.iter().filter(|(_, t)| anomaly(t)).count();
     AnomalyCounts {
-        empty_servicemode: empty.len(),
-        alias_self_dot: self_dot.len(),
-        ip_literal_target: ip_lit.len(),
+        empty_servicemode: count(|t| t.empty),
+        alias_self_dot: count(|t| t.self_dot),
+        ip_literal_target: count(|t| t.ip_lit),
         priority_histogram: hist,
     }
 }
@@ -268,48 +256,22 @@ impl std::fmt::Display for IpHintSeries {
 
 /// Compute Fig 11.
 pub fn fig11_iphints(store: &dyn ObservationSource) -> IpHintSeries {
-    // (www, matching) per series slot, one streaming pass.
-    let configs: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
-    let mut points: [Vec<(u32, f64)>; 4] = Default::default();
-    store.for_each_day_filtered(ScanFilter::projected(Projection::FLAGS), &mut |day, obs| {
-        for (slot, &(www, matching)) in configs.iter().enumerate() {
-            let mut with_hint = 0usize;
-            let mut matched = 0usize;
-            let mut https_total = 0usize;
-            for o in obs {
-                if o.is_www() != www || !o.https() {
-                    continue;
-                }
-                https_total += 1;
-                if o.has(flags::IPV4HINT) {
-                    with_hint += 1;
-                    if o.has(flags::HINT_MATCH) {
-                        matched += 1;
-                    }
-                }
-            }
-            let v = if matching {
-                if with_hint == 0 {
-                    100.0
-                } else {
-                    100.0 * matched as f64 / with_hint as f64
-                }
-            } else if https_total == 0 {
-                0.0
-            } else {
-                100.0 * with_hint as f64 / https_total as f64
-            };
-            points[slot].push((day, v));
-        }
-    });
-    let [apex_utilization, apex_match, www_utilization, www_match] = points;
-    let series = |label: &str, points: Vec<(u32, f64)>| Series { label: label.to_string(), points };
-    IpHintSeries {
-        apex_utilization: series("fig11a apex %ipv4hint", apex_utilization),
-        apex_match: series("fig11a apex %hint==A", apex_match),
-        www_utilization: series("fig11b www %ipv4hint", www_utilization),
-        www_match: series("fig11b www %hint==A", www_match),
-    }
+    let [apex_utilization, apex_match, www_utilization, www_match] = daily_shares(
+        store,
+        ScanFilter::projected(Projection::FLAGS),
+        [
+            ("fig11a apex %ipv4hint", 0.0),
+            ("fig11a apex %hint==A", 100.0),
+            ("fig11b www %ipv4hint", 0.0),
+            ("fig11b www %hint==A", 100.0),
+        ],
+        |_, o| {
+            let (apex, www) = (!o.is_www() && o.https(), o.is_www() && o.https());
+            let (hint, matched) = (o.has(flags::IPV4HINT), o.has(flags::HINT_MATCH));
+            [(apex, hint), (apex && hint, matched), (www, hint), (www && hint, matched)]
+        },
+    );
+    IpHintSeries { apex_utilization, apex_match, www_utilization, www_match }
 }
 
 /// Fig 12: distribution of mismatch durations, in sampled-day units.
@@ -349,38 +311,39 @@ impl std::fmt::Display for MismatchDurations {
 
 /// Compute Fig 12 from consecutive-day mismatch runs.
 pub fn fig12_mismatch_durations(store: &dyn ObservationSource) -> MismatchDurations {
-    // domain → ordered (day, mismatched) for hint-bearing observations.
-    let mut tracks: HashMap<u32, Vec<(u32, bool)>> = HashMap::new();
+    // Per domain, over its hint-bearing HTTPS apex rows in day order: how
+    // many there were, how many mismatched, and the open mismatch run.
+    #[derive(Clone, Copy, Default)]
+    struct Track {
+        rows: u32,
+        mismatched: u32,
+        run: u32,
+    }
+    let mut tracks: Tracks<Track, bool> = Tracks::default();
+    let mut histogram: BTreeMap<u32, usize> = BTreeMap::new();
     let proj = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
     store.for_each_day_filtered(proj, &mut |_, obs| {
-        for o in obs {
-            if o.is_www() || !o.https() || !o.has(flags::IPV4HINT) {
-                continue;
-            }
-            tracks.entry(o.domain_id).or_default().push((o.day, !o.has(flags::HINT_MATCH)));
-        }
-    });
-    let mut histogram: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut always = 0usize;
-    for (_, mut seq) in tracks {
-        seq.sort_by_key(|(d, _)| *d);
-        let total = seq.len();
-        let mismatch_days = seq.iter().filter(|(_, m)| *m).count();
-        if mismatch_days == total && total > 1 {
-            always += 1;
-            continue;
-        }
-        let mut run = 0u32;
-        for (_, mismatched) in seq {
+        let hinted = obs.iter().filter(|o| !o.is_www() && o.https() && o.has(flags::IPV4HINT));
+        let rows = hinted.map(|o| (u64::from(o.domain_id), !o.has(flags::HINT_MATCH)));
+        tracks.merge_day(rows, |t, mismatched| {
+            t.rows += 1;
             if mismatched {
-                run += 1;
-            } else if run > 0 {
-                *histogram.entry(run).or_default() += 1;
-                run = 0;
+                t.mismatched += 1;
+                t.run += 1;
+            } else if t.run > 0 {
+                // A matching row ends the run, and shows the domain is
+                // not mismatched throughout.
+                *histogram.entry(t.run).or_default() += 1;
+                t.run = 0;
             }
-        }
-        if run > 0 {
-            *histogram.entry(run).or_default() += 1;
+        });
+    });
+    let mut always = 0usize;
+    for (_, t) in tracks.iter() {
+        if t.mismatched == t.rows && t.rows > 1 {
+            always += 1;
+        } else if t.run > 0 {
+            *histogram.entry(t.run).or_default() += 1;
         }
     }
     MismatchDurations { histogram, always_mismatched: always }

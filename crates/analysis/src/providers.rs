@@ -2,9 +2,10 @@
 //! 10 (non-CF provider and domain counts), and §4.2.3 (intermittent
 //! HTTPS records).
 
-use crate::Series;
-use scanner::{flags, NsCategory, ObservationSource, OrgId, Projection, ScanFilter};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::merge::Tracks;
+use crate::{daily_shares, Series};
+use scanner::{flags, NsCategory, Observation, ObservationSource, OrgId, Projection, ScanFilter};
+use std::collections::HashSet;
 
 /// Table 2: mean/std shares of NS categories among HTTPS-positive apexes.
 #[derive(Debug, Clone)]
@@ -38,41 +39,26 @@ impl std::fmt::Display for NsCategoryShares {
 
 /// Compute Table 2 over all sampled days.
 pub fn tab2_ns_category(store: &dyn ObservationSource) -> NsCategoryShares {
-    let mut full = Vec::new();
-    let mut none = Vec::new();
-    let mut partial = Vec::new();
     let proj = ScanFilter::projected(Projection::FLAGS.with(Projection::NS_CATEGORY));
-    store.for_each_day_filtered(proj, &mut |_, obs| {
-        let mut counts = [0usize; 3];
-        for o in obs {
-            if o.is_www() || !o.https() {
-                continue;
-            }
-            match NsCategory::from_u8(o.ns_category) {
-                NsCategory::FullCloudflare => counts[0] += 1,
-                NsCategory::PartialCloudflare => counts[1] += 1,
-                NsCategory::NoneCloudflare => counts[2] += 1,
-                NsCategory::NoNs => {}
-            }
-        }
-        let total: usize = counts.iter().sum();
-        if total > 0 {
-            full.push(100.0 * counts[0] as f64 / total as f64);
-            partial.push(100.0 * counts[1] as f64 / total as f64);
-            none.push(100.0 * counts[2] as f64 / total as f64);
-        }
+    let shares = daily_shares(store, proj, [("", f64::NAN); 3], |_, o| {
+        let category = NsCategory::from_u8(o.ns_category);
+        let counted = !o.is_www() && o.https() && category != NsCategory::NoNs;
+        [
+            (counted, category == NsCategory::FullCloudflare),
+            (counted, category == NsCategory::NoneCloudflare),
+            (counted, category == NsCategory::PartialCloudflare),
+        ]
     });
-    let stats = |v: &[f64]| -> (f64, f64) {
-        if v.is_empty() {
-            return (0.0, 0.0);
-        }
-        let m = v.iter().sum::<f64>() / v.len() as f64;
-        let s = (v.iter().map(|x| (x - m).powi(2)).sum::<f64>() / v.len() as f64).sqrt();
-        (m, s)
-    };
-    let (full_mean, full_std) = stats(&full);
-    let (none_mean, none_std) = stats(&none);
-    let (partial_mean, partial_std) = stats(&partial);
+    // A day without a categorised HTTPS apex has no share to average.
+    let [(full_mean, full_std), (none_mean, none_std), (partial_mean, partial_std)] =
+        shares.map(|mut s| {
+            s.points.retain(|(_, share)| !share.is_nan());
+            if s.points.is_empty() {
+                (0.0, 0.0)
+            } else {
+                (s.mean(), s.std())
+            }
+        });
     NsCategoryShares { full_mean, full_std, none_mean, none_std, partial_mean, partial_std }
 }
 
@@ -95,7 +81,9 @@ impl std::fmt::Display for TopProviders {
 
 /// Compute Table 3 over all sampled days.
 pub fn tab3_top_noncf(store: &dyn ObservationSource) -> TopProviders {
-    let mut per_org: HashMap<OrgId, HashSet<u32>> = HashMap::new();
+    // One track per distinct (domain, org) pair, keyed domain-major so a
+    // day in scan order merges without sorting.
+    let mut pairs: Tracks<(), ()> = Tracks::default();
     let proj = ScanFilter::projected(
         Projection::FLAGS
             .with(Projection::NS_CATEGORY)
@@ -103,22 +91,24 @@ pub fn tab3_top_noncf(store: &dyn ObservationSource) -> TopProviders {
             .with(Projection::DOMAIN_ID),
     );
     store.for_each_day_filtered(proj, &mut |_, obs| {
-        for o in obs {
-            if o.is_www() || !o.https() {
-                continue;
-            }
-            if NsCategory::from_u8(o.ns_category) != NsCategory::NoneCloudflare {
-                continue;
-            }
-            if !o.org.is_none() {
-                per_org.entry(o.org).or_default().insert(o.domain_id);
-            }
-        }
+        let noncf = obs.iter().filter(|o| {
+            !o.is_www()
+                && o.https()
+                && NsCategory::from_u8(o.ns_category) == NsCategory::NoneCloudflare
+                && !o.org.is_none()
+        });
+        pairs.merge_day(
+            noncf.map(|o| (u64::from(o.domain_id) << 32 | u64::from(o.org.0), ())),
+            |_, _| {},
+        );
     });
-    let mut providers: Vec<(String, usize)> = per_org
-        .into_iter()
-        .map(|(org, domains)| {
-            (store.org_name(org).unwrap_or("<unknown>").to_string(), domains.len())
+    let mut orgs: Vec<u32> = pairs.iter().map(|&(pair, ())| pair as u32).collect();
+    orgs.sort_unstable();
+    let mut providers: Vec<(String, usize)> = orgs
+        .chunk_by(|a, b| a == b)
+        .map(|run| {
+            let name = store.org_name(OrgId(run[0])).unwrap_or("<unknown>");
+            (name.to_string(), run.len())
         })
         .collect();
     providers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -211,30 +201,27 @@ impl std::fmt::Display for IntermittentBreakdown {
 pub fn sec423_intermittent(store: &dyn ObservationSource) -> IntermittentBreakdown {
     // Track per-domain: days with/without HTTPS (only days the domain was
     // listed) and the NS categories observed while HTTPS was active or not.
-    #[derive(Default)]
+    #[derive(Clone, Copy, Default)]
     struct Track {
-        with: usize,
-        without: usize,
+        with: u32,
+        without: u32,
         /// Bit `c` set: NS category byte `c` was observed (only 0..=2
         /// reach here; anything else decodes as `NoNs`).
         categories: u64,
         lost_ns: bool,
     }
-    let mut tracks: BTreeMap<u32, Track> = BTreeMap::new();
+    let mut tracks: Tracks<Track, Observation> = Tracks::default();
     let proj = ScanFilter::projected(
         Projection::FLAGS.with(Projection::NS_CATEGORY).with(Projection::DOMAIN_ID),
     );
     store.for_each_day_filtered(proj, &mut |_, obs| {
-        for o in obs {
-            if o.is_www() {
-                continue;
-            }
-            let t = tracks.entry(o.domain_id).or_default();
+        let apexes = obs.iter().filter(|o| !o.is_www());
+        tracks.merge_day(apexes.map(|o| (u64::from(o.domain_id), *o)), |t, o| {
             if o.has(flags::RESOLUTION_FAILED) {
                 // Resolution failures count as "lost NS" evidence.
                 t.lost_ns = true;
                 t.without += 1;
-                continue;
+                return;
             }
             if NsCategory::from_u8(o.ns_category) == NsCategory::NoNs {
                 // Delegation gone while listed: the "no NS records" class.
@@ -247,10 +234,10 @@ pub fn sec423_intermittent(store: &dyn ObservationSource) -> IntermittentBreakdo
             } else {
                 t.without += 1;
             }
-        }
+        });
     });
     let mut out = IntermittentBreakdown::default();
-    for t in tracks.values() {
+    for (_, t) in tracks.iter() {
         if t.with == 0 || t.without == 0 {
             continue;
         }

@@ -12,6 +12,7 @@
 //! observation that the record's visibility depends on where you look
 //! from.
 
+use crate::merge::Tracks;
 use scanner::{Observation, ObservationSource, Projection, ScanFilter, SnapshotStore, VantageRun};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,9 +20,16 @@ use std::collections::{BTreeMap, BTreeSet};
 /// domain id. Disk-backed sources skip decoding the other columns.
 const DIFF_PROJECTION: Projection = Projection::FLAGS.with(Projection::DOMAIN_ID);
 
+/// The most views one diff compares: a disagreement row holds each
+/// view's presence as one bit of a word.
+const MAX_VIEWS: usize = u64::BITS as usize;
+
 /// One cross-vantage disagreement: a (day, name) whose HTTPS presence
-/// differs between resolver views.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// differs between resolver views. Every view held the name that day;
+/// which ones saw the record is one bit per view, read back as labels
+/// with [`present_in`](Self::present_in) and
+/// [`absent_in`](Self::absent_in).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VantageDisagreement {
     /// Scan day.
     pub day: u32,
@@ -29,10 +37,24 @@ pub struct VantageDisagreement {
     pub domain_id: u32,
     /// Whether this is the www observation.
     pub is_www: bool,
-    /// Vantage labels that saw the HTTPS record.
-    pub present_in: Vec<String>,
-    /// Vantage labels that did not.
-    pub absent_in: Vec<String>,
+    /// Bit `i` set: the view labelled `vantages[i]` of the report saw
+    /// the HTTPS record; clear: it did not.
+    pub present: u64,
+}
+
+impl VantageDisagreement {
+    /// Labels, out of the report's `vantages`, of the views that saw the
+    /// HTTPS record.
+    pub fn present_in<'a>(&self, vantages: &'a [String]) -> impl Iterator<Item = &'a str> {
+        let present = self.present;
+        vantages.iter().enumerate().filter(move |&(i, _)| present >> i & 1 == 1).map(|(_, v)| &**v)
+    }
+
+    /// Labels, out of the report's `vantages`, of the views that did not.
+    pub fn absent_in<'a>(&self, vantages: &'a [String]) -> impl Iterator<Item = &'a str> {
+        let present = self.present;
+        vantages.iter().enumerate().filter(move |&(i, _)| present >> i & 1 == 0).map(|(_, v)| &**v)
+    }
 }
 
 /// Per-vantage summary statistics.
@@ -161,23 +183,15 @@ fn day_view(
     view: &mut Vec<u64>,
 ) {
     view.clear();
-    tally.rows.clear();
     source.for_each_day_filtered(
         ScanFilter::projected(DIFF_PROJECTION).days(day, day),
         &mut |_, obs| {
+            tally.merge_day(obs);
+            let compared = obs.iter().filter(|o| !o.has(scanner::flags::RESOLUTION_FAILED));
             view.reserve(obs.len());
-            tally.rows.reserve(obs.len());
-            for o in obs {
-                tally.count(o);
-                let row = pack(o);
-                tally.rows.push(row);
-                if !o.has(scanner::flags::RESOLUTION_FAILED) {
-                    view.push(row);
-                }
-            }
+            view.extend(compared.map(pack));
         },
     );
-    tally.merge_day();
     if !view.windows(2).all(|w| name_of(w[0]) < name_of(w[1])) {
         view.sort_by_key(|&row| name_of(row));
         view.dedup_by(|later, kept| {
@@ -207,8 +221,12 @@ pub fn vantage_diff(stores: &[SnapshotStore]) -> VantageDiffReport {
 /// disk-backed [`scanner::StoreReader`]s — in one streaming visit per
 /// (source, common day): a day is read once, and no more than one day's
 /// view per source is held at a time.
+///
+/// # Panics
+///
+/// If given more than 64 sources.
 pub fn vantage_diff_sources(sources: &[&dyn ObservationSource]) -> VantageDiffReport {
-    let vantages: Vec<String> = sources.iter().map(|s| s.vantage().to_string()).collect();
+    let vantages = labels(sources);
     let days = common_days(sources);
 
     let mut diff = DayDiffs::default();
@@ -218,9 +236,15 @@ pub fn vantage_diff_sources(sources: &[&dyn ObservationSource]) -> VantageDiffRe
         for ((source, tally), view) in sources.iter().zip(&mut tallies).zip(&mut views) {
             day_view(*source, day, tally, view);
         }
-        diff.fold_day(day, &views, &vantages);
+        diff.fold_day(day, &views);
     }
     diff.into_report(vantages, days, tallies)
+}
+
+/// The sources' vantage labels, in order.
+fn labels(sources: &[&dyn ObservationSource]) -> Vec<String> {
+    assert!(sources.len() <= MAX_VIEWS, "a diff compares at most {MAX_VIEWS} views");
+    sources.iter().map(|s| s.vantage().to_string()).collect()
 }
 
 /// Days present in every source, ascending — the only days compared.
@@ -252,8 +276,8 @@ impl DayDiffs {
     /// Merge one day's views (each ascending by name, one row per name):
     /// walk the first and advance a cursor through each of the others. A
     /// name some view lacks is skipped; a name every view holds is
-    /// compared, and only a disagreement clones the labels.
-    fn fold_day(&mut self, day: u32, views: &[Vec<u64>], vantages: &[String]) {
+    /// compared.
+    fn fold_day(&mut self, day: u32, views: &[Vec<u64>]) {
         // No view at all means no source, hence no day to fold.
         let Some((first, others)) = views.split_first() else { return };
         let mut count = 0usize;
@@ -274,17 +298,16 @@ impl DayDiffs {
             }
             // Every cursor now rests on this name's row in its view.
             let rows = others.iter().zip(&self.cursors).map(|(view, &at)| view[at]);
-            let (mut present_in, mut absent_in) = (Vec::new(), Vec::new());
-            for (r, label) in std::iter::once(row).chain(rows).zip(vantages) {
-                if https_of(r) { &mut present_in } else { &mut absent_in }.push(label.clone());
-            }
+            let present = std::iter::once(row)
+                .chain(rows)
+                .enumerate()
+                .fold(0u64, |present, (i, r)| present | u64::from(https_of(r)) << i);
             let domain_id = (name >> 1) as u32;
             self.disagreements.push(VantageDisagreement {
                 day,
                 domain_id,
                 is_www: name & 1 == 1,
-                present_in,
-                absent_in,
+                present,
             });
             self.disagreeing_domains.insert(domain_id);
             count += 1;
@@ -315,8 +338,8 @@ impl DayDiffs {
 }
 
 /// What the flapping figure keeps of one name's presence timeline.
+#[derive(Clone, Copy, Default)]
 struct Track {
-    name: u64,
     /// Rows seen so far, failed ones included.
     rows: usize,
     /// HTTPS presence in the latest row.
@@ -331,61 +354,33 @@ struct SourceTally {
     positives: usize,
     resolution_failures: usize,
     timeouts: usize,
-    /// Ascending by name: O(names seen), whatever the number of days.
-    tracks: Vec<Track>,
-    /// The day being read, every row packed in scan order; reused.
-    rows: Vec<u64>,
+    /// Per name: O(names seen), whatever the number of days.
+    tracks: Tracks<Track, bool>,
 }
 
 impl SourceTally {
-    /// Fold one row of a common day into the scalar tallies.
-    fn count(&mut self, o: &Observation) {
-        if !o.is_www() && o.https() {
-            self.positives += 1;
-        }
-        if o.has(scanner::flags::RESOLUTION_FAILED) {
-            self.resolution_failures += 1;
-            if o.has(scanner::flags::RESOLUTION_TIMEOUT) {
-                self.timeouts += 1;
+    /// Fold one common day into the scalar tallies and the tracks.
+    /// Failed rows take part in the tracks (as whatever their HTTPS bit
+    /// says, i.e. absent), and a repeated name contributes every one of
+    /// its rows, in scan order.
+    fn merge_day(&mut self, obs: &[Observation]) {
+        for o in obs {
+            if !o.is_www() && o.https() {
+                self.positives += 1;
+            }
+            if o.has(scanner::flags::RESOLUTION_FAILED) {
+                self.resolution_failures += 1;
+                if o.has(scanner::flags::RESOLUTION_TIMEOUT) {
+                    self.timeouts += 1;
+                }
             }
         }
-    }
-
-    /// Merge the day in `rows` into `tracks`. Failed rows take part (as
-    /// whatever their HTTPS bit says, i.e. absent), and a repeated name
-    /// contributes every one of its rows, in scan order.
-    fn merge_day(&mut self) {
-        if !self.rows.windows(2).all(|w| name_of(w[0]) <= name_of(w[1])) {
-            self.rows.sort_by_key(|&row| name_of(row));
-        }
-        let known = self.tracks.len();
-        // A day longer than the names known brings at least the
-        // difference in new ones (the whole first day, typically).
-        self.tracks.reserve(self.rows.len().saturating_sub(known));
-        let mut at = 0;
-        for &row in &self.rows {
-            let (name, https) = (name_of(row), https_of(row));
-            at += self.tracks[at..known].iter().take_while(|t| t.name < name).count();
-            let i = if at < known && self.tracks[at].name == name {
-                at
-            } else {
-                // A new name is appended once; its repeats, next in
-                // name order, find it at the end.
-                if self.tracks.last().is_none_or(|t| t.name != name) {
-                    self.tracks.push(Track { name, rows: 0, last: https, flapped: false });
-                }
-                self.tracks.len() - 1
-            };
-            let t = &mut self.tracks[i];
+        let rows = obs.iter().map(|o| (name_of(pack(o)), o.https()));
+        self.tracks.merge_day(rows, |t, https| {
+            t.flapped |= t.rows > 0 && t.last != https;
             t.rows += 1;
-            t.flapped |= t.last != https;
             t.last = https;
-        }
-        // The new names were appended in order: after known ones that
-        // makes two sorted runs, which the stable sort merges in one pass.
-        if 0 < known && known < self.tracks.len() {
-            self.tracks.sort_by_key(|t| t.name);
-        }
+        });
     }
 
     fn into_summary(self, vantage: &str, day_count: usize) -> VantageSummary {
@@ -393,8 +388,8 @@ impl SourceTally {
             if day_count == 0 { 0.0 } else { self.positives as f64 / day_count as f64 };
         // Flapping: domains observed every day whose presence changed
         // between consecutive sampled days.
-        let full = self.tracks.iter().filter(|t| t.rows == day_count);
-        let flapped = full.clone().filter(|t| t.flapped).count();
+        let full = self.tracks.iter().filter(|(_, t)| t.rows == day_count);
+        let flapped = full.clone().filter(|(_, t)| t.flapped).count();
         let full = full.count();
         let flapping_rate = if full == 0 { 0.0 } else { flapped as f64 / full as f64 };
         VantageSummary {
@@ -419,8 +414,12 @@ impl SourceTally {
 /// order, and folds them through the same `DayDiffs` loop and
 /// `SourceTally` arithmetic — the report, including every
 /// floating-point field, is byte-identical to [`vantage_diff_sources`].
+///
+/// # Panics
+///
+/// If given more than 64 sources.
 pub fn vantage_diff_parallel(sources: &[&dyn ObservationSource]) -> VantageDiffReport {
-    let vantages: Vec<String> = sources.iter().map(|s| s.vantage().to_string()).collect();
+    let vantages = labels(sources);
     let days = common_days(sources);
 
     let mut diff = DayDiffs::default();
@@ -451,7 +450,7 @@ pub fn vantage_diff_parallel(sources: &[&dyn ObservationSource]) -> VantageDiffR
                 .iter()
                 .map(|rx| rx.recv().expect("vantage reader thread died mid-scan"))
                 .collect();
-            diff.fold_day(day, &views, &vantages);
+            diff.fold_day(day, &views);
         }
         drop(receivers);
         handles.into_iter().map(|h| h.join().expect("vantage reader thread panicked")).collect()
@@ -530,35 +529,32 @@ mod tests {
         }
 
         impl DayDiffs {
-            fn fold_day(
-                &mut self,
-                day: u32,
-                views: &[HashMap<(u32, bool), bool>],
-                vantages: &[String],
-            ) {
+            fn fold_day(&mut self, day: u32, views: &[HashMap<(u32, bool), bool>]) {
                 let mut count = 0usize;
                 let keys: BTreeSet<(u32, bool)> = match views.first() {
                     Some(v) => v.keys().copied().collect(),
                     None => BTreeSet::new(),
                 };
                 for key in keys {
-                    let mut present_in = Vec::new();
-                    let mut absent_in = Vec::new();
+                    let mut present = 0u64;
+                    let (mut any_present, mut any_absent) = (false, false);
                     let mut everywhere = true;
-                    for (view, label) in views.iter().zip(vantages) {
+                    for (i, view) in views.iter().enumerate() {
                         match view.get(&key) {
-                            Some(true) => present_in.push(label.clone()),
-                            Some(false) => absent_in.push(label.clone()),
+                            Some(true) => {
+                                present |= 1 << i;
+                                any_present = true;
+                            }
+                            Some(false) => any_absent = true,
                             None => everywhere = false,
                         }
                     }
-                    if everywhere && !present_in.is_empty() && !absent_in.is_empty() {
+                    if everywhere && any_present && any_absent {
                         self.disagreements.push(VantageDisagreement {
                             day,
                             domain_id: key.0,
                             is_www: key.1,
-                            present_in,
-                            absent_in,
+                            present,
                         });
                         self.disagreeing_domains.insert(key.0);
                         count += 1;
@@ -617,7 +613,7 @@ mod tests {
             for &day in &days {
                 let views: Vec<HashMap<(u32, bool), bool>> =
                     sources.iter().map(|s| presence_of(*s, day)).collect();
-                diff.fold_day(day, &views, &vantages);
+                diff.fold_day(day, &views);
             }
             let DayDiffs { disagreements, per_day, disagreeing_domains } = diff;
 
@@ -749,8 +745,8 @@ mod tests {
         assert_eq!(report.disagreements.len(), 1);
         let d = &report.disagreements[0];
         assert_eq!((d.day, d.domain_id), (0, 2));
-        assert_eq!(d.present_in, vec!["pinned".to_string()]);
-        assert_eq!(d.absent_in, vec!["random".to_string()]);
+        assert_eq!(d.present_in(&report.vantages).collect::<Vec<_>>(), ["pinned"]);
+        assert_eq!(d.absent_in(&report.vantages).collect::<Vec<_>>(), ["random"]);
         assert_eq!(report.per_day[&0], 1);
         assert!(report.disagreeing_domains.contains(&2));
     }
@@ -777,6 +773,13 @@ mod tests {
         let report = vantage_diff(std::slice::from_ref(&a));
         assert!((report.summaries[0].flapping_rate - 0.5).abs() < 1e-9);
         assert!((report.summaries[0].mean_positive - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 views")]
+    fn more_than_64_views_are_refused() {
+        let stores: Vec<SnapshotStore> = (0..65).map(|i| store(&format!("v{i}"), &[])).collect();
+        vantage_diff(&stores);
     }
 
     #[test]

@@ -16,14 +16,15 @@ const DAYS: u32 = 30;
 /// Names the last vantage misses the HTTPS record of, every day.
 const DISAGREEING: u32 = 4;
 
-/// Heap blocks per compared day the diff may ask for. It asks for 41.4
-/// (1 243 over 30 days, the same on every run and at either size): 40 a
-/// day are the eight disagreements themselves — a report row's two label
-/// vectors and three label strings — and the other 43 the report's maps
-/// and the buffers every day reuses. With a hash map per vantage per day
-/// and a timeline per name it asked for 4 436 a day at 500 names and
-/// 35 182 at 4 000.
-const CEILING_PER_DAY: f64 = 43.0;
+/// Heap blocks per compared day the diff may ask for. It asks for 1.5
+/// (46 over 30 days, the same on every run and at either size): the
+/// report's maps and vectors, the label strings, and the buffers every
+/// day reuses — a disagreement row, held as one presence bit per view,
+/// allocates nothing. The ceiling keeps the 1.6-a-day margin it had when
+/// each row cloned its labels into two vectors (41.4 a day). With a hash
+/// map per vantage per day and a timeline per name it asked for 4 436 a
+/// day at 500 names and 35 182 at 4 000.
+const CEILING_PER_DAY: f64 = 3.1;
 
 /// One vantage's campaign in scan order: apex and `www` rows for `names`
 /// names a day, the odd names past the hidden ones flapping from day to

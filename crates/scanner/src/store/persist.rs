@@ -60,15 +60,18 @@
 //! ## Bounded memory and pruned reads
 //!
 //! [`StoreReader`] implements [`ObservationSource`] by decoding one
-//! day's chunk at a time into a reused scratch buffer: streaming a
-//! 730-day campaign keeps at most one day of observations resident.
-//! Filtered streaming ([`ObservationSource::for_each_day_filtered`])
-//! skips whole chunks outside the requested day range without touching
-//! their payloads, and decodes only the blocks of projected columns —
-//! an analysis that reads nothing but flags never pays the rank/org
-//! decode. Unprojected fields come back as deterministic defaults
-//! (zero / [`OrgId::NONE`]); `day` is always stamped from the chunk
-//! header, which append-time validation guarantees is exact.
+//! day's chunk at a time into reused buffers: streaming a 730-day
+//! campaign keeps one day's payload bytes and rows resident, plus the
+//! dict codec's lookup table (at most 4 096 entries). Each block decodes
+//! straight into its field of the day's rows, with no intermediate
+//! column. Filtered streaming
+//! ([`ObservationSource::for_each_day_filtered`]) skips whole chunks
+//! outside the requested day range without touching their payloads, and
+//! decodes only the blocks of projected columns — an analysis that reads
+//! nothing but flags never pays the rank/org decode. Unprojected fields
+//! come back as deterministic defaults (zero / [`OrgId::NONE`]); `day`
+//! is always stamped from the chunk header, which append-time
+//! validation guarantees is exact.
 
 pub mod encoding;
 
@@ -581,7 +584,7 @@ fn decode_payload(
     chunk: &ChunkRef,
     payload: &[u8],
     proj: Projection,
-    cols: &mut [Vec<u64>; COLUMN_COUNT],
+    table: &mut Vec<u64>,
     out: &mut Vec<Observation>,
 ) -> io::Result<()> {
     // The footer's row count is checksummed, the header's is not: check
@@ -590,10 +593,24 @@ fn decode_payload(
         return Err(corrupt(format!("payload shorter than the {STATS_BYTES}-byte stats footer")));
     };
     checked_footer(chunk, footer)?;
-    let n = chunk.rows as usize;
+    // Every row starts as the day-stamped default, which is what an
+    // unprojected field comes back as; each projected block is then
+    // decoded straight into its field.
+    out.clear();
+    out.resize(
+        chunk.rows as usize,
+        Observation {
+            day: chunk.day,
+            domain_id: 0,
+            rank: 0,
+            flags: 0,
+            ns_category: 0,
+            org: OrgId::NONE,
+            min_priority: 0,
+        },
+    );
     let mut blocks = Cursor::new(blocks, "payload");
-    for (c, col) in cols.iter_mut().enumerate() {
-        let name = COLUMN_NAMES[c];
+    for (c, name) in COLUMN_NAMES.iter().enumerate() {
         let [tag, data_len @ ..] = blocks
             .array::<5>()
             .map_err(|_| corrupt(format!("payload truncated before the {name} block header")))?;
@@ -605,10 +622,8 @@ fn decode_payload(
             ))
         })?;
         if proj.includes_column(c) {
-            encoding::decode_block(tag, data, n, COLUMN_WIDTHS[c], col)
+            decode_column(c, tag, data, table, out)
                 .map_err(|e| corrupt(format!("{name} block: {e}")))?;
-        } else {
-            col.clear();
         }
     }
     if blocks.remaining() != 0 {
@@ -618,69 +633,48 @@ fn decode_payload(
         )));
     }
     if proj.includes_column(0) {
-        if let Some(&bad) = cols[0].iter().find(|&&d| d != chunk.day as u64) {
+        if let Some(bad) = out.iter().find(|o| o.day != chunk.day) {
             return Err(corrupt(format!(
-                "chunk for day {} contains a row stamped day {bad}",
-                chunk.day
+                "chunk for day {} contains a row stamped day {}",
+                chunk.day, bad.day
             )));
-        }
-    }
-    // Column-major scatter: fill with the day-stamped default row, then
-    // one tight loop per projected column — a row-major loop would
-    // re-test the projection on every field of every row.
-    out.clear();
-    out.resize(
-        n,
-        Observation {
-            day: chunk.day,
-            domain_id: 0,
-            rank: 0,
-            flags: 0,
-            ns_category: 0,
-            org: OrgId::NONE,
-            min_priority: 0,
-        },
-    );
-    if proj.includes_column(1) {
-        for (o, &v) in out.iter_mut().zip(cols[1].iter()) {
-            o.domain_id = v as u32;
-        }
-    }
-    if proj.includes_column(2) {
-        for (o, &v) in out.iter_mut().zip(cols[2].iter()) {
-            o.rank = v as u32;
-        }
-    }
-    if proj.includes_column(3) {
-        for (o, &v) in out.iter_mut().zip(cols[3].iter()) {
-            o.flags = v as u32;
-        }
-    }
-    if proj.includes_column(4) {
-        for (o, &v) in out.iter_mut().zip(cols[4].iter()) {
-            o.ns_category = v as u8;
-        }
-    }
-    if proj.includes_column(5) {
-        for (o, &v) in out.iter_mut().zip(cols[5].iter()) {
-            o.org = OrgId(v as u32);
-        }
-    }
-    if proj.includes_column(6) {
-        for (o, &v) in out.iter_mut().zip(cols[6].iter()) {
-            o.min_priority = v as u16;
         }
     }
     Ok(())
 }
 
-/// Reusable decode buffers: the raw payload plus one value column per
-/// field, so streaming a store allocates once and stays bounded by the
-/// largest single day.
+/// Decode column `c`'s block into that field of every row.
+fn decode_column(
+    c: usize,
+    tag: u8,
+    data: &[u8],
+    table: &mut Vec<u64>,
+    rows: &mut [Observation],
+) -> io::Result<()> {
+    let width = COLUMN_WIDTHS[c];
+    // Each value fits its column's width (the decoder checks), so the
+    // narrowing casts are exact.
+    match c {
+        0 => encoding::decode_block(tag, data, width, rows, table, |o, v| o.day = v as u32),
+        1 => encoding::decode_block(tag, data, width, rows, table, |o, v| o.domain_id = v as u32),
+        2 => encoding::decode_block(tag, data, width, rows, table, |o, v| o.rank = v as u32),
+        3 => encoding::decode_block(tag, data, width, rows, table, |o, v| o.flags = v as u32),
+        4 => encoding::decode_block(tag, data, width, rows, table, |o, v| o.ns_category = v as u8),
+        5 => encoding::decode_block(tag, data, width, rows, table, |o, v| o.org = OrgId(v as u32)),
+        _ => {
+            encoding::decode_block(tag, data, width, rows, table, |o, v| o.min_priority = v as u16)
+        }
+    }
+}
+
+/// Reusable decode buffers: the raw payload and the dict codec's lookup
+/// table. Blocks decode straight into the caller's rows, so streaming a
+/// store allocates once and stays bounded by the largest single day's
+/// payload and rows.
 #[derive(Debug, Default)]
 struct Scratch {
     bytes: Vec<u8>,
-    cols: [Vec<u64>; COLUMN_COUNT],
+    table: Vec<u64>,
 }
 
 /// Where a chunk read is happening, for error messages: a corrupt
@@ -740,7 +734,7 @@ fn read_chunk_inner(
             chunk.checksum
         )));
     }
-    decode_payload(chunk, &scratch.bytes, proj, &mut scratch.cols, out)
+    decode_payload(chunk, &scratch.bytes, proj, &mut scratch.table, out)
 }
 
 /// Read a chunk's statistics footer without decoding the payload.

@@ -18,8 +18,12 @@
 //! choice is a pure function of the values, which is what keeps resumed
 //! stores byte-identical to uninterrupted writes.
 //!
-//! Decoding validates everything it touches — widths, varint
-//! termination, dict bounds, exact data consumption — and returns
+//! [`decode_block`] writes each value straight into its row through a
+//! setter, so a reader fills one `Observation` field per block with no
+//! intermediate column. Packed dict indices unpack eight at a time from
+//! one `u128` word, at every bit width. Decoding validates everything it
+//! touches — widths, varint termination, dict bounds (one check of a
+//! block's largest index), exact data consumption — and returns
 //! `InvalidData` rather than panicking: a corrupt block must surface as
 //! a store error with a locus, not a crash.
 
@@ -55,10 +59,11 @@ fn put_value(buf: &mut Vec<u8>, v: u64, width: usize) {
     buf.extend_from_slice(&v.to_le_bytes()[..width]);
 }
 
-fn get_value(data: &[u8], pos: usize, width: usize) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes[..width].copy_from_slice(&data[pos..pos + width]);
-    u64::from_le_bytes(bytes)
+/// The little-endian value of `bytes` (at most eight of them).
+fn get_value(bytes: &[u8]) -> u64 {
+    let mut value = [0u8; 8];
+    value[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(value)
 }
 
 /// Append `v` as a LEB128 unsigned varint.
@@ -205,40 +210,42 @@ pub fn choose_block(values: &[u64], width: usize) -> (u8, Vec<u8>) {
     best
 }
 
-/// Decode one column block of exactly `rows` values into `out`.
+/// Decode one column block of `rows.len()` values straight into `rows`:
+/// `set` stores each decoded value into its row, so the store reader
+/// fills one `Observation` field per block with no intermediate column.
+/// `table` is the dict codec's lookup table, reused across blocks.
 ///
 /// Rejects unknown tags, values that do not fit `width`, and blocks
 /// whose data is shorter or longer than the encoding requires.
-pub fn decode_block(
+pub fn decode_block<T>(
     tag: u8,
     data: &[u8],
-    rows: usize,
     width: usize,
-    out: &mut Vec<u64>,
+    rows: &mut [T],
+    table: &mut Vec<u64>,
+    set: impl Fn(&mut T, u64),
 ) -> io::Result<()> {
-    out.clear();
-    out.reserve(rows);
+    let n = rows.len();
     if tag > TAG_DICT_PACKED {
         return Err(bad(format!("unknown block encoding tag {tag}")));
     }
-    if rows == 0 {
+    if n == 0 {
         if !data.is_empty() {
             return Err(bad(format!("empty block carries {} stray bytes", data.len())));
         }
         return Ok(());
     }
-    let max = width_max(width);
     match tag {
         TAG_RAW => {
-            if data.len() != rows * width {
+            if data.len() != n * width {
                 return Err(bad(format!(
-                    "raw block is {} bytes, expected {} ({rows} rows × {width})",
+                    "raw block is {} bytes, expected {} ({n} rows × {width})",
                     data.len(),
-                    rows * width
+                    n * width
                 )));
             }
-            for i in 0..rows {
-                out.push(get_value(data, i * width, width));
+            for (row, bytes) in rows.iter_mut().zip(data.chunks_exact(width)) {
+                set(row, get_value(bytes));
             }
         }
         TAG_CONSTANT => {
@@ -248,31 +255,34 @@ pub fn decode_block(
                     data.len()
                 )));
             }
-            let v = get_value(data, 0, width);
-            out.resize(rows, v);
+            let v = get_value(data);
+            rows.iter_mut().for_each(|row| set(row, v));
         }
         TAG_RLE => {
-            let mut pos = 0;
-            while out.len() < rows {
+            let (mut pos, mut filled) = (0, 0);
+            while filled < n {
                 let (run, next) = read_uvarint(data, pos)?;
-                if run == 0 || run > (rows - out.len()) as u64 {
-                    return Err(bad(format!("RLE run of {run} overruns {rows} rows")));
+                if run == 0 || run > (n - filled) as u64 {
+                    return Err(bad(format!("RLE run of {run} overruns {n} rows")));
                 }
                 if data.len() - next < width {
                     return Err(bad("RLE value runs past the end of the block".into()));
                 }
-                let v = get_value(data, next, width);
+                let v = get_value(&data[next..next + width]);
                 pos = next + width;
-                out.resize(out.len() + run as usize, v);
+                let end = filled + run as usize;
+                rows[filled..end].iter_mut().for_each(|row| set(row, v));
+                filled = end;
             }
             if pos != data.len() {
                 return Err(bad(format!("RLE block has {} trailing bytes", data.len() - pos)));
             }
         }
         TAG_DELTA_VARINT => {
+            let max = width_max(width);
             let mut pos = 0;
             let mut prev: u64 = 0;
-            for _ in 0..rows {
+            for row in rows.iter_mut() {
                 // Small deltas dominate real columns, so single-byte
                 // varints get a branch instead of the general loop.
                 let (z, next) = match data.get(pos) {
@@ -285,70 +295,96 @@ pub fn decode_block(
                 if v > max {
                     return Err(bad(format!("delta block value {v} does not fit {width} bytes")));
                 }
-                out.push(v);
+                set(row, v);
                 prev = v;
             }
             if pos != data.len() {
                 return Err(bad(format!("delta block has {} trailing bytes", data.len() - pos)));
             }
         }
-        TAG_DICT_PACKED => {
-            let (len, mut pos) = read_uvarint(data, 0)?;
-            let len = len as usize;
-            if len == 0 || len > DICT_MAX_ENTRIES {
-                return Err(bad(format!("dict block has implausible dictionary size {len}")));
-            }
-            if data.len() - pos < len * width {
-                return Err(bad("dict block dictionary runs past the end".into()));
-            }
-            let mut dict = Vec::with_capacity(len);
-            for i in 0..len {
-                dict.push(get_value(data, pos + i * width, width));
-            }
-            pos += len * width;
-            let bits = index_bits(len);
-            let packed = &data[pos..];
-            let need = (rows * bits as usize).div_ceil(8);
-            if packed.len() != need {
-                return Err(bad(format!(
-                    "dict block indices are {} bytes, expected {need}",
-                    packed.len()
-                )));
-            }
-            let mut acc: u64 = 0;
-            let mut filled: u32 = 0;
-            let mut byte = 0usize;
-            for _ in 0..rows {
-                while filled < bits {
-                    acc |= (packed[byte] as u64) << filled;
-                    byte += 1;
-                    filled += 8;
-                }
-                let index = if bits == 0 { 0 } else { (acc & ((1u64 << bits) - 1)) as usize };
-                acc >>= bits;
-                filled -= bits;
-                let v = *dict
-                    .get(index)
-                    .ok_or_else(|| bad(format!("dict index {index} out of range {len}")))?;
-                out.push(v);
-            }
-            if filled >= 8 || (acc != 0 && bits > 0) {
-                return Err(bad("dict block has stray trailing index bits".into()));
-            }
-        }
-        other => return Err(bad(format!("unknown block encoding tag {other}"))),
+        _ => decode_dict_packed(data, width, rows, table, set)?,
     }
     Ok(())
+}
+
+/// The dict-packed arm of [`decode_block`]. Every bit width takes the
+/// same loop: a group of eight rows is exactly `bits` bytes, read as one
+/// little-endian `u128` (12 bits × 8 rows fit in 96), and each index
+/// looks its value up in `table`, padded to `2^bits` entries so any
+/// `bits`-bit index lands inside it. Indices past the dictionary are
+/// caught by one check of the block's largest index.
+fn decode_dict_packed<T>(
+    data: &[u8],
+    width: usize,
+    rows: &mut [T],
+    table: &mut Vec<u64>,
+    set: impl Fn(&mut T, u64),
+) -> io::Result<()> {
+    let n = rows.len();
+    let (len, pos) = read_uvarint(data, 0)?;
+    let len = len as usize;
+    if len == 0 || len > DICT_MAX_ENTRIES {
+        return Err(bad(format!("dict block has implausible dictionary size {len}")));
+    }
+    if data.len() - pos < len * width {
+        return Err(bad("dict block dictionary runs past the end".into()));
+    }
+    let (dict, packed) = data[pos..].split_at(len * width);
+    let bits = index_bits(len) as usize;
+    let need = (n * bits).div_ceil(8);
+    if packed.len() != need {
+        return Err(bad(format!("dict block indices are {} bytes, expected {need}", packed.len())));
+    }
+    table.clear();
+    table.extend(dict.chunks_exact(width).map(get_value));
+    table.resize(1 << bits, 0);
+    let mask = (1usize << bits) - 1;
+    let mut largest = 0usize;
+    for (g, group) in rows.chunks_mut(8).enumerate() {
+        let mut word = group_word(packed, g * bits);
+        for row in group {
+            let index = word as usize & mask;
+            largest = largest.max(index);
+            set(row, table[index]);
+            word >>= bits;
+        }
+    }
+    if largest >= len {
+        let index = |k: usize| (group_word(packed, k / 8 * bits) >> (k % 8 * bits)) as usize & mask;
+        let first = (0..n).map(index).find(|&i| i >= len).unwrap_or(largest);
+        return Err(bad(format!("dict index {first} out of range {len}")));
+    }
+    let used = n * bits % 8;
+    if used != 0 && packed[need - 1] >> used != 0 {
+        return Err(bad("dict block has stray trailing index bits".into()));
+    }
+    Ok(())
+}
+
+/// The packed index bytes from `at` on as one little-endian word, zero
+/// past the end.
+fn group_word(packed: &[u8], at: usize) -> u128 {
+    if let Some(bytes) = packed[at..].first_chunk::<16>() {
+        return u128::from_le_bytes(*bytes);
+    }
+    let mut bytes = [0u8; 16];
+    bytes[..packed.len() - at].copy_from_slice(&packed[at..]);
+    u128::from_le_bytes(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn decode(tag: u8, data: &[u8], rows: usize, width: usize) -> io::Result<Vec<u64>> {
+        let mut out = vec![0; rows];
+        decode_block(tag, data, width, &mut out, &mut Vec::new(), |row, v| *row = v)?;
+        Ok(out)
+    }
+
     fn round_trip(values: &[u64], width: usize) -> (u8, usize) {
         let (tag, data) = choose_block(values, width);
-        let mut out = Vec::new();
-        decode_block(tag, &data, values.len(), width, &mut out).expect("decode");
+        let out = decode(tag, &data, values.len(), width).expect("decode");
         assert_eq!(out, values, "round trip failed for tag {tag}");
         (tag, data.len())
     }
@@ -399,25 +435,24 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_blocks() {
-        let mut out = Vec::new();
         // Unknown tag.
-        assert!(decode_block(9, &[], 0, 4, &mut out).is_err());
+        assert!(decode(9, &[], 0, 4).is_err());
         // Truncated raw.
-        assert!(decode_block(TAG_RAW, &[1, 2, 3], 1, 4, &mut out).is_err());
+        assert!(decode(TAG_RAW, &[1, 2, 3], 1, 4).is_err());
         // RLE run past the row count.
         let mut rle = Vec::new();
         put_uvarint(&mut rle, 3);
         rle.extend_from_slice(&[5, 0, 0, 0]);
-        assert!(decode_block(TAG_RLE, &rle, 2, 4, &mut out).is_err());
+        assert!(decode(TAG_RLE, &rle, 2, 4).is_err());
         // Delta that leaves the column's width.
         let mut delta = Vec::new();
         put_uvarint(&mut delta, zigzag(300));
-        assert!(decode_block(TAG_DELTA_VARINT, &delta, 1, 1, &mut out).is_err());
+        assert!(decode(TAG_DELTA_VARINT, &delta, 1, 1).is_err());
         // Dict index bytes of the wrong length.
         let mut dict = Vec::new();
         put_uvarint(&mut dict, 2);
         dict.extend_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);
-        assert!(decode_block(TAG_DICT_PACKED, &dict, 9, 4, &mut out).is_err());
+        assert!(decode(TAG_DICT_PACKED, &dict, 9, 4).is_err());
         // Unterminated varint.
         assert!(read_uvarint(&[0x80, 0x80], 0).is_err());
     }

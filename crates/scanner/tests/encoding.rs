@@ -5,13 +5,21 @@
 //!    encode → decode exactly, including empty, single-row, and
 //!    adversarial high-cardinality blocks, and the chooser never emits
 //!    a block larger than raw.
-//! 2. **Golden v2 pin** — a committed store holds the bytes the writer
+//! 2. **Decoder against its reference model (property)** — blocks of
+//!    every codec, width and dict bit width, valid or with a byte
+//!    flipped, cut short or read at the wrong row count, decode to the
+//!    values the column decoder this one replaced returns, or fail with
+//!    its exact error text.
+//! 3. **Golden v2 pin** — a committed store holds the bytes the writer
 //!    produced for a fixed set of rows: a fresh write of the same rows
 //!    must equal it byte for byte, and it must stream exactly those
 //!    rows back.
 
 use proptest::prelude::*;
-use scanner::persist::encoding::{choose_block, decode_block};
+use scanner::persist::encoding::{
+    choose_block, decode_block, put_uvarint, TAG_CONSTANT, TAG_DELTA_VARINT, TAG_DICT_PACKED,
+    TAG_RAW, TAG_RLE,
+};
 use scanner::persist::{StoreMeta, StoreWriter};
 use scanner::{open_store, Observation, ObservationSource, OrgId, OrgInterner, ScanFilter};
 use std::path::{Path, PathBuf};
@@ -36,10 +44,262 @@ fn round_trip(values: &[u64], width: usize) -> u8 {
         data.len(),
         values.len() * width
     );
-    let mut out = Vec::new();
-    decode_block(tag, &data, values.len(), width, &mut out).expect("decode chosen block");
+    let out = decode(tag, &data, values.len(), width).expect("decode chosen block");
     assert_eq!(out, values, "round-trip mismatch for tag {tag} width {width}");
     tag
+}
+
+/// [`decode_block`] into a fresh column of `rows` values.
+fn decode(tag: u8, data: &[u8], rows: usize, width: usize) -> std::io::Result<Vec<u64>> {
+    let mut out = vec![0; rows];
+    decode_block(tag, data, width, &mut out, &mut Vec::new(), |row, v| *row = v)?;
+    Ok(out)
+}
+
+/// The column decoder [`decode_block`] replaced: one `u64` per row into a
+/// vector, the dictionary looked up and bound-checked row by row. The
+/// reference its property test compares against.
+mod oracle {
+    use scanner::persist::encoding::read_uvarint;
+    use std::io::{self, ErrorKind};
+
+    const DICT_MAX_ENTRIES: usize = 4096;
+
+    fn bad(msg: String) -> io::Error {
+        io::Error::new(ErrorKind::InvalidData, msg)
+    }
+
+    fn width_max(width: usize) -> u64 {
+        match width {
+            8 => u64::MAX,
+            w => (1u64 << (8 * w)) - 1,
+        }
+    }
+
+    fn get_value(data: &[u8], pos: usize, width: usize) -> u64 {
+        let mut bytes = [0u8; 8];
+        bytes[..width].copy_from_slice(&data[pos..pos + width]);
+        u64::from_le_bytes(bytes)
+    }
+
+    fn unzigzag(v: u64) -> i64 {
+        ((v >> 1) as i64) ^ -((v & 1) as i64)
+    }
+
+    fn index_bits(len: usize) -> u32 {
+        if len <= 1 {
+            0
+        } else {
+            usize::BITS - (len - 1).leading_zeros()
+        }
+    }
+
+    pub fn decode_block(
+        tag: u8,
+        data: &[u8],
+        rows: usize,
+        width: usize,
+        out: &mut Vec<u64>,
+    ) -> io::Result<()> {
+        out.clear();
+        out.reserve(rows);
+        if tag > 4 {
+            return Err(bad(format!("unknown block encoding tag {tag}")));
+        }
+        if rows == 0 {
+            if !data.is_empty() {
+                return Err(bad(format!("empty block carries {} stray bytes", data.len())));
+            }
+            return Ok(());
+        }
+        let max = width_max(width);
+        match tag {
+            0 => {
+                if data.len() != rows * width {
+                    return Err(bad(format!(
+                        "raw block is {} bytes, expected {} ({rows} rows × {width})",
+                        data.len(),
+                        rows * width
+                    )));
+                }
+                for i in 0..rows {
+                    out.push(get_value(data, i * width, width));
+                }
+            }
+            1 => {
+                if data.len() != width {
+                    return Err(bad(format!(
+                        "constant block is {} bytes, expected {width}",
+                        data.len()
+                    )));
+                }
+                let v = get_value(data, 0, width);
+                out.resize(rows, v);
+            }
+            2 => {
+                let mut pos = 0;
+                while out.len() < rows {
+                    let (run, next) = read_uvarint(data, pos)?;
+                    if run == 0 || run > (rows - out.len()) as u64 {
+                        return Err(bad(format!("RLE run of {run} overruns {rows} rows")));
+                    }
+                    if data.len() - next < width {
+                        return Err(bad("RLE value runs past the end of the block".into()));
+                    }
+                    let v = get_value(data, next, width);
+                    pos = next + width;
+                    out.resize(out.len() + run as usize, v);
+                }
+                if pos != data.len() {
+                    return Err(bad(format!("RLE block has {} trailing bytes", data.len() - pos)));
+                }
+            }
+            3 => {
+                let mut pos = 0;
+                let mut prev: u64 = 0;
+                for _ in 0..rows {
+                    let (z, next) = read_uvarint(data, pos)?;
+                    pos = next;
+                    let v = prev.wrapping_add(unzigzag(z) as u64);
+                    if v > max {
+                        return Err(bad(format!(
+                            "delta block value {v} does not fit {width} bytes"
+                        )));
+                    }
+                    out.push(v);
+                    prev = v;
+                }
+                if pos != data.len() {
+                    return Err(bad(format!(
+                        "delta block has {} trailing bytes",
+                        data.len() - pos
+                    )));
+                }
+            }
+            _ => {
+                let (len, mut pos) = read_uvarint(data, 0)?;
+                let len = len as usize;
+                if len == 0 || len > DICT_MAX_ENTRIES {
+                    return Err(bad(format!("dict block has implausible dictionary size {len}")));
+                }
+                if data.len() - pos < len * width {
+                    return Err(bad("dict block dictionary runs past the end".into()));
+                }
+                let mut dict = Vec::with_capacity(len);
+                for i in 0..len {
+                    dict.push(get_value(data, pos + i * width, width));
+                }
+                pos += len * width;
+                let bits = index_bits(len);
+                let packed = &data[pos..];
+                let need = (rows * bits as usize).div_ceil(8);
+                if packed.len() != need {
+                    return Err(bad(format!(
+                        "dict block indices are {} bytes, expected {need}",
+                        packed.len()
+                    )));
+                }
+                let mut acc: u64 = 0;
+                let mut filled: u32 = 0;
+                let mut byte = 0usize;
+                for _ in 0..rows {
+                    while filled < bits {
+                        acc |= (packed[byte] as u64) << filled;
+                        byte += 1;
+                        filled += 8;
+                    }
+                    let index = if bits == 0 { 0 } else { (acc & ((1u64 << bits) - 1)) as usize };
+                    acc >>= bits;
+                    filled -= bits;
+                    let v = *dict
+                        .get(index)
+                        .ok_or_else(|| bad(format!("dict index {index} out of range {len}")))?;
+                    out.push(v);
+                }
+                if filled >= 8 || (acc != 0 && bits > 0) {
+                    return Err(bad("dict block has stray trailing index bits".into()));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A deterministic value stream for one generated block.
+fn values_from(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        state ^ state >> 29
+    }
+}
+
+/// A valid block of `rows` values under codec `tag`, whatever its size
+/// against the other codecs. `dict_len` sizes the dict codec's
+/// dictionary (any length 1..=4096, so every index bit width 0..=12); a
+/// `sloppy` dict block draws its indices from the whole bit width and
+/// fills the last byte's spare bits, so it may point past the
+/// dictionary or carry stray trailing bits.
+fn encode_as(
+    tag: u8,
+    rows: usize,
+    width: usize,
+    (dict_len, sloppy): (usize, bool),
+    seed: u64,
+) -> Vec<u8> {
+    let mask = if width == 8 { u64::MAX } else { (1u64 << (8 * width)) - 1 };
+    let mut next = values_from(seed);
+    let put = |buf: &mut Vec<u8>, v: u64| buf.extend_from_slice(&v.to_le_bytes()[..width]);
+    let mut buf = Vec::new();
+    match tag {
+        TAG_RAW => (0..rows).for_each(|_| put(&mut buf, next() & mask)),
+        TAG_CONSTANT => put(&mut buf, next() & mask),
+        TAG_RLE => {
+            let mut left = rows;
+            while left > 0 {
+                let run = (next() as usize % left) + 1;
+                put_uvarint(&mut buf, run as u64);
+                put(&mut buf, next() & mask);
+                left -= run;
+            }
+        }
+        TAG_DELTA_VARINT => {
+            let mut prev = 0u64;
+            for _ in 0..rows {
+                // Mostly small steps, now and then anywhere in the width.
+                let v = if next().is_multiple_of(4) {
+                    next() & mask
+                } else {
+                    prev.wrapping_add(next() % 5) & mask
+                };
+                let delta = v.wrapping_sub(prev) as i64;
+                put_uvarint(&mut buf, ((delta << 1) ^ (delta >> 63)) as u64);
+                prev = v;
+            }
+        }
+        TAG_DICT_PACKED => {
+            put_uvarint(&mut buf, dict_len as u64);
+            (0..dict_len).for_each(|_| put(&mut buf, next() & mask));
+            let bits = if dict_len <= 1 { 0 } else { usize::BITS - (dict_len - 1).leading_zeros() };
+            let (mut acc, mut filled) = (0u64, 0u32);
+            let drawn = if sloppy { 1 << bits } else { dict_len as u64 };
+            for _ in 0..rows {
+                acc |= (next() % drawn) << filled;
+                filled += bits;
+                while filled >= 8 {
+                    buf.push(acc as u8);
+                    acc >>= 8;
+                    filled -= 8;
+                }
+            }
+            if filled > 0 {
+                let spare = if sloppy { (next() as u8) << filled } else { 0 };
+                buf.push(acc as u8 | spare);
+            }
+        }
+        other => unreachable!("no codec has tag {other}"),
+    }
+    buf
 }
 
 proptest! {
@@ -108,6 +368,60 @@ proptest! {
         let max = if width == 8 { u64::MAX } else { (1u64 << (8 * width)) - 1 };
         round_trip(&[], width);
         round_trip(&[v & max], width);
+    }
+}
+
+/// Row counts around a group of eight indices, and whole groups.
+fn row_count() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), Just(1), Just(7), Just(8), Just(9), (1usize..64).prop_map(|k| 8 * k)]
+}
+
+/// A dictionary length of exactly `bits` index bits, 0..=12.
+fn dict_len() -> impl Strategy<Value = usize> {
+    ((0u32..=12), any::<u64>()).prop_map(|(bits, pick)| match bits {
+        0 => 1,
+        b => (1usize << (b - 1)) + 1 + (pick % (1u64 << (b - 1))) as usize,
+    })
+}
+
+proptest! {
+    /// Every codec at every width, row count and dict bit width, intact
+    /// or damaged: the decoder returns the reference decoder's values or
+    /// its error text. Damage is one byte flipped, the block cut anywhere
+    /// or by its last few bytes, a byte appended, a row more or fewer
+    /// than the block holds, or a tag byte the format does not define.
+    #[test]
+    fn decoder_matches_the_column_decoder_it_replaced(
+        // Every codec; the dict codec, with the most checks, most often.
+        tag in prop_oneof![0u8..5, Just(TAG_DICT_PACKED)],
+        width in (0usize..4).prop_map(|i| [1usize, 2, 4, 8][i]),
+        rows in row_count(),
+        dict in (dict_len(), any::<bool>()),
+        seed in any::<u64>(),
+        damage in (0u8..7, any::<u64>(), 1u8..=255),
+    ) {
+        let mut data = encode_as(tag, rows, width, dict, seed);
+        let (kind, at, flip) = damage;
+        let (mut tag, mut rows) = (tag, rows);
+        match kind {
+            1 if !data.is_empty() => {
+                let at = at as usize % data.len();
+                data[at] ^= flip;
+            }
+            2 => data.truncate(at as usize % (data.len() + 1)),
+            3 => data.truncate(data.len().saturating_sub(1 + at as usize % 8)),
+            4 => data.push(flip),
+            5 => rows = if at % 2 == 0 { rows + 1 } else { rows.saturating_sub(1) },
+            6 => tag = tag.wrapping_add(flip),
+            _ => {}
+        }
+        let mut want = Vec::new();
+        let want = oracle::decode_block(tag, &data, rows, width, &mut want).map(|()| want);
+        match (decode(tag, &data, rows, width), want) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => panic!("tag {tag} width {width} rows {rows}: got {got:?}, reference {want:?}"),
+        }
     }
 }
 
