@@ -448,7 +448,7 @@ fn cmd_serve(args: &[String]) -> Outcome {
     }
 
     let cfg = ServeConfig {
-        workload: WorkloadConfig { clients, seed, ..WorkloadConfig::default() },
+        workload: WorkloadConfig { clients, seed },
         workers,
         capacity_per_shard: if capacity == 0 { None } else { Some(capacity) },
         phase_ms,

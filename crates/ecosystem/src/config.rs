@@ -128,10 +128,6 @@ pub struct EcosystemConfig {
     /// enabled pre-kill. Calibrated so ~70% of HTTPS-publishing apexes
     /// carry the ech parameter, the paper's Fig 13 level.
     pub ech_rate_apex: f64,
-    /// Calibration target (not a sampling knob): expected ECH share
-    /// among www subdomains with HTTPS; emerges from `www_https_rate`
-    /// applied to ECH-enabled apexes.
-    pub ech_rate_www: f64,
     /// Mean ECH key-rotation period, seconds (paper: ≈1.26 h).
     pub ech_rotation_mean_secs: u64,
     /// TTL of Cloudflare HTTPS records (paper: 300 s).
@@ -203,7 +199,6 @@ impl Default for EcosystemConfig {
             permanent_mismatch_domains: 4,
 
             ech_rate_apex: 0.95,
-            ech_rate_www: 0.63,
             ech_rotation_mean_secs: 4_536, // 1.26 h
             cf_https_ttl: 300,
 

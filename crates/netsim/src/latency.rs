@@ -9,10 +9,12 @@
 //! and RTT exactly the way a real retransmitted packet meets fresh
 //! network conditions.
 //!
-//! The default model is [`LinkModel::zero`]: no latency, no loss. The
-//! synchronous [`Network::send_datagram`](crate::Network::send_datagram)
-//! path ignores the model entirely, so installing one only affects
-//! callers that opt into the scheduled path.
+//! A [`Network`](crate::Network) carries no model until one is
+//! installed, and its scheduled path then behaves as
+//! [`LinkModel::zero`]: no latency, no loss. The synchronous
+//! [`Network::send_datagram`](crate::Network::send_datagram) path ignores
+//! the model entirely; installing one moves the resolver's batches onto
+//! the scheduled path.
 
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -57,8 +59,8 @@ pub struct LinkModel {
 
 impl LinkModel {
     /// The zero model: every exchange is delivered instantly. This is
-    /// the behaviour of the pre-virtual-time network and the default on
-    /// every [`Network`](crate::Network).
+    /// what the scheduled path does on a [`Network`](crate::Network) that
+    /// carries no model.
     pub fn zero() -> LinkModel {
         LinkModel::default()
     }

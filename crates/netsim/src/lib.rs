@@ -18,8 +18,9 @@
 //! links seeded RTT/loss behaviour, and
 //! [`Network::send_datagram_scheduled`] turns a send into a *scheduled
 //! delivery* (the reply is computed eagerly but time-stamped at
-//! `now + rtt`). The default model is [`LinkModel::zero`], so every
-//! existing synchronous caller is untouched.
+//! `now + rtt`). A network carries no model until one is installed; the
+//! model selects the resolver's virtual-time event loop, and every
+//! synchronous caller is untouched either way.
 
 #![warn(missing_docs)]
 

@@ -134,7 +134,7 @@ pub enum ScheduledDelivery {
 pub struct Network {
     state: Arc<RwLock<NetworkState>>,
     stats: Arc<TrafficCounters>,
-    latency: Arc<RwLock<Arc<LinkModel>>>,
+    latency: Arc<RwLock<Option<Arc<LinkModel>>>>,
     clock: SimClock,
 }
 
@@ -146,7 +146,7 @@ pub struct Network {
 pub struct WeakNetwork {
     state: Weak<RwLock<NetworkState>>,
     stats: Weak<TrafficCounters>,
-    latency: Weak<RwLock<Arc<LinkModel>>>,
+    latency: Weak<RwLock<Option<Arc<LinkModel>>>>,
     clock: SimClock,
 }
 
@@ -178,21 +178,25 @@ impl Network {
         Network {
             state: Arc::new(RwLock::new(NetworkState::default())),
             stats: Arc::new(TrafficCounters::default()),
-            latency: Arc::new(RwLock::new(Arc::new(LinkModel::zero()))),
+            latency: Arc::new(RwLock::new(None)),
             clock,
         }
     }
 
-    /// Install a latency/loss model. Only the scheduled datagram path
-    /// consults it; [`send_datagram`](Self::send_datagram) stays
-    /// synchronous and lossless regardless.
+    /// Install a latency/loss model. From then on every resolver batch
+    /// on this network runs on the virtual-time event loop
+    /// (`resolver::QueryEngine`), even under [`LinkModel::zero`]. Only
+    /// the scheduled datagram path consults the model;
+    /// [`send_datagram`](Self::send_datagram) stays synchronous and
+    /// lossless regardless.
     pub fn set_latency_model(&self, model: LinkModel) {
-        *self.latency.write() = Arc::new(model);
+        *self.latency.write() = Some(Arc::new(model));
     }
 
-    /// The currently installed latency/loss model.
-    pub fn latency_model(&self) -> Arc<LinkModel> {
-        Arc::clone(&self.latency.read())
+    /// The installed latency/loss model: `None` until
+    /// [`set_latency_model`](Self::set_latency_model) is called.
+    pub fn latency_model(&self) -> Option<Arc<LinkModel>> {
+        self.latency.read().clone()
     }
 
     /// The clock driving this network.
@@ -269,8 +273,9 @@ impl Network {
         Ok(resp)
     }
 
-    /// Send one datagram through the installed [`LinkModel`], returning
-    /// *when* (in virtual time) the reply arrives rather than blocking.
+    /// Send one datagram through the installed [`LinkModel`] (the zero
+    /// model when none is installed), returning *when* (in virtual time)
+    /// the reply arrives rather than blocking.
     ///
     /// Because simulated services are pure synchronous functions, the
     /// response can be computed eagerly and merely time-stamped for
@@ -290,8 +295,12 @@ impl Network {
             Ok(svc) => svc,
             Err(e) => return ScheduledDelivery::Failed(e),
         };
-        let model = self.latency_model();
-        match model.fate(dst, payload, attempt) {
+        let fate = self
+            .latency
+            .read()
+            .as_ref()
+            .map_or(LinkFate::Deliver { rtt_ms: 0 }, |model| model.fate(dst, payload, attempt));
+        match fate {
             LinkFate::Drop => {
                 self.stats.datagrams_dropped.fetch_add(1, Ordering::Relaxed);
                 ScheduledDelivery::Dropped
@@ -432,6 +441,19 @@ mod tests {
         let net = Network::new(clock.clone());
         clock.advance(42);
         assert_eq!(net.clock().now(), Timestamp(42));
+    }
+
+    #[test]
+    fn a_new_network_has_no_model_and_delivers_scheduled_sends_at_once() {
+        let clock = SimClock::new();
+        clock.advance_ms(250);
+        let net = Network::new(clock);
+        assert!(net.latency_model().is_none());
+        net.bind_datagram(ip("10.0.0.1"), 53, Arc::new(Echo));
+        let sched = net.send_datagram_scheduled(ip("10.0.0.1"), 53, b"abc", 0);
+        assert_eq!(sched, ScheduledDelivery::Reply { at: TimeMs(250), bytes: b"cba".to_vec() });
+        net.set_latency_model(LinkModel::zero());
+        assert_eq!(net.latency_model().as_deref(), Some(&LinkModel::zero()));
     }
 
     #[test]

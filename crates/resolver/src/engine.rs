@@ -14,6 +14,11 @@
 //!   engines at once (*Joint batches* below); `resolve_batch` is its
 //!   one-engine case.
 //!
+//! The network picks how a batch runs: on the virtual-time event loop
+//! ([`crate::eventloop`]) exactly when the engine's network carries a
+//! [`LinkModel`](netsim::LinkModel), otherwise on the calling thread at
+//! `threads` 1 and on the worker pool above that.
+//!
 //! ## The persistent worker pool
 //!
 //! Multi-threaded batches run on a [`WorkerPool`](crate::pool): `threads`
@@ -92,14 +97,14 @@
 //! authority nearly the same questions. Each engine deduplicates its
 //! own batch; then
 //!
-//! - when every engine is pooled and `threads` is 1, the distinct
-//!   queries resolve on the calling thread index by index across the
-//!   engines — engine 0's i-th distinct query, then engine 1's i-th,
-//!   and so on — so the registry entry and zone node one engine's query
-//!   touches are still in the CPU cache when the next engine asks the
-//!   same question;
-//! - otherwise each engine's batch runs through its own backend (the
-//!   pool, or the event loop), in engine order.
+//! - when `threads` is 1 and no engine's network carries a latency
+//!   model, the distinct queries resolve on the calling thread index by
+//!   index across the engines — engine 0's i-th distinct query, then
+//!   engine 1's i-th, and so on — so the registry entry and zone node
+//!   one engine's query touches are still in the CPU cache when the next
+//!   engine asks the same question;
+//! - otherwise each engine's batch runs on its own, in engine order: on
+//!   the event loop when its network carries a model, else on the pool.
 //!
 //! The engines stay independent: each one's results, cache contents,
 //! selector streams, [`CacheStats`](crate::CacheStats) and counters are
@@ -164,24 +169,6 @@ impl Query {
     }
 }
 
-/// Which machinery `resolve_batch` uses for the distinct queries. Both
-/// backends honour the same determinism contract and return identical
-/// results on the zero-latency network model (pinned by the
-/// `event_backend` suite); they differ in what they can express.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineBackend {
-    /// The persistent [`WorkerPool`]: `threads` OS workers with
-    /// zone-affinity FIFO queues. Real parallelism, but each query is a
-    /// synchronous call — the network must be zero-latency.
-    #[default]
-    Pooled,
-    /// The virtual-time event loop ([`crate::eventloop`]): one worker
-    /// drives every query as a state machine over the timer queue, so
-    /// latency/loss models, timeouts, retransmits, and NS fallback all
-    /// work — and `threads` is ignored (determinism by construction).
-    EventLoop,
-}
-
 /// Virtual-time accounting for one event-loop batch (`None` from the
 /// pooled backend, which does not run in virtual time).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,7 +189,6 @@ pub struct BatchTiming {
 /// The shared, batch-capable resolution engine.
 pub struct QueryEngine {
     resolver: Arc<RecursiveResolver>,
-    backend: EngineBackend,
     metrics: Option<Arc<MetricsRegistry>>,
     /// The persistent batch workers (module docs): empty until the first
     /// multi-threaded batch, then reused for the engine's lifetime. The
@@ -224,13 +210,7 @@ impl QueryEngine {
     /// Wrap an existing shared resolver (e.g. one also bound to the
     /// network as a public-resolver datagram service).
     pub fn from_resolver(resolver: Arc<RecursiveResolver>) -> QueryEngine {
-        let backend = resolver.config().backend;
-        QueryEngine { resolver, backend, metrics: None, pool: Mutex::new(WorkerPool::new()) }
-    }
-
-    /// The batch backend this engine dispatches to.
-    pub fn backend(&self) -> EngineBackend {
-        self.backend
+        QueryEngine { resolver, metrics: None, pool: Mutex::new(WorkerPool::new()) }
     }
 
     /// Number of live pool workers (0 until the first multi-threaded
@@ -268,8 +248,9 @@ impl QueryEngine {
 
     /// Resolve a batch of queries with `threads` workers, returning one
     /// result per query in input order. See the module docs for the
-    /// determinism contract. On the [`EngineBackend::EventLoop`] backend
-    /// `threads` is ignored (one worker drives everything in virtual
+    /// determinism contract. When the engine's network carries a
+    /// [`LinkModel`](netsim::LinkModel) the batch runs on the event loop
+    /// and `threads` is ignored (one worker drives everything in virtual
     /// time and is thread-count invariant by construction).
     pub fn resolve_batch(
         &self,
@@ -280,8 +261,8 @@ impl QueryEngine {
     }
 
     /// [`resolve_batch`](Self::resolve_batch), additionally returning
-    /// the batch's virtual-time accounting when the event-loop backend
-    /// ran it (`None` from the pooled backend). The one-engine case of
+    /// the batch's virtual-time accounting when it ran on the event loop
+    /// (`None` on a network without a latency model). The one-engine case of
     /// [`resolve_batches`](Self::resolve_batches).
     pub fn resolve_batch_timed(
         &self,
@@ -298,9 +279,9 @@ impl QueryEngine {
     /// [`resolve_batch`](Self::resolve_batch) of the same batch would
     /// leave it: same results, cache contents, selector streams and
     /// counters (module docs, *Joint batches*). What changes is the
-    /// order the work runs in: on the pooled backend at `threads` 1 the
-    /// engines' distinct queries resolve index by index across the
-    /// engines.
+    /// order the work runs in: at `threads` 1, with no engine's network
+    /// carrying a latency model, the engines' distinct queries resolve
+    /// index by index across the engines.
     ///
     /// # Panics
     ///
@@ -372,16 +353,16 @@ fn resolve_jointly(
         .zip(batches)
         .map(|(&engine, &queries)| EngineBatch::new(engine, queries))
         .collect();
-    if threads <= 1 && engines.iter().all(|engine| engine.backend == EngineBackend::Pooled) {
+    if threads <= 1 && !jobs.iter().any(EngineBatch::on_event_loop) {
         resolve_interleaved(&mut jobs);
     } else {
         // An empty batch does no work: no assignment maps, no thread
         // scaffolding.
         for job in jobs.iter_mut().filter(|job| !job.distinct.is_empty()) {
-            match (job.engine.backend, threads.clamp(1, job.distinct.len())) {
-                (EngineBackend::EventLoop, _) => job.resolve_event_loop(),
-                (EngineBackend::Pooled, 1) => resolve_interleaved(std::slice::from_mut(job)),
-                (EngineBackend::Pooled, workers) => job.resolve_pooled(workers),
+            match threads.clamp(1, job.distinct.len()) {
+                _ if job.on_event_loop() => job.resolve_event_loop(),
+                1 => resolve_interleaved(std::slice::from_mut(job)),
+                workers => job.resolve_pooled(workers),
             }
         }
     }
@@ -463,6 +444,12 @@ impl<'a> EngineBatch<'a> {
                 .filter(|_| !queries.is_empty())
                 .map(|m| m.histogram("engine.query_us")),
         }
+    }
+
+    /// Whether this batch runs on the event loop: exactly when the
+    /// engine's network carries a latency model.
+    fn on_event_loop(&self) -> bool {
+        self.engine.network().latency_model().is_some()
     }
 
     /// Datagrams sent on the engine's network so far, read only when

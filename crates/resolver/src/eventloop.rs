@@ -1,9 +1,11 @@
 //! The virtual-time event-loop resolution backend.
 //!
-//! One worker thread drives every in-flight query of a batch to
-//! completion as a per-query state machine (a hand-rolled future): send
-//! → await reply or timeout → retransmit within the configured budget →
-//! fall back to the next NS in the existing [`NsSelector`](crate::NsSelector)
+//! A batch runs here exactly when its engine's network carries a
+//! [`LinkModel`](netsim::LinkModel). One worker thread drives every
+//! in-flight query of the batch to completion as a per-query state
+//! machine (a hand-rolled future): send → await reply or timeout
+//! ([`ATTEMPT_TIMEOUT_MS`]) → retransmit ([`RETRANSMITS`] times) → fall
+//! back to the next NS in the existing [`NsSelector`](crate::NsSelector)
 //! order. Sends go through
 //! [`Network::send_datagram_scheduled`](netsim::Network::send_datagram_scheduled), so each exchange is
 //! a *scheduled delivery* in virtual milliseconds; the loop owns the one
@@ -39,7 +41,9 @@
 
 use crate::engine::Query;
 use crate::reply::AuthorityReply;
-use crate::resolver::{RecursiveResolver, Resolution, ResolveError};
+use crate::resolver::{
+    RecursiveResolver, Resolution, ResolveError, ATTEMPT_TIMEOUT_MS, MAX_CNAME_CHAIN, RETRANSMITS,
+};
 use dns_wire::{DnsName, Message, Rcode, RecordType};
 use netsim::{NetError, ScheduledDelivery, TimeMs};
 use std::cell::{Cell, RefCell};
@@ -186,8 +190,6 @@ struct TaskCtx {
     resolver: Arc<RecursiveResolver>,
     stats: Rc<RefCell<EventLoopStats>>,
     task: usize,
-    attempt_timeout_ms: u64,
-    retransmits: u32,
 }
 
 impl TaskCtx {
@@ -198,7 +200,7 @@ impl TaskCtx {
     fn exchange(&self, ip: IpAddr, wire: &[u8], attempt: u32) -> ExchangeFuture {
         let network = self.resolver.network();
         let now = network.clock().now_ms();
-        let deadline = now.plus(self.attempt_timeout_ms);
+        let deadline = now.plus(ATTEMPT_TIMEOUT_MS);
         let slot = Rc::new(RefCell::new(SlotState::Pending));
         match network.send_datagram_scheduled(ip, 53, wire, attempt) {
             ScheduledDelivery::Failed(e) => {
@@ -268,7 +270,7 @@ async fn query_authority_async(
                     timed_out_total += 1;
                     last_err =
                         ResolveError::Timeout { zone: apex.clone(), attempts: timed_out_total };
-                    if attempt >= ctx.retransmits {
+                    if attempt >= RETRANSMITS {
                         break; // budget exhausted: fall back to the next NS
                     }
                     attempt += 1;
@@ -299,7 +301,7 @@ async fn resolve_async(
     let mut current = name;
     let mut from_cache = true;
 
-    for _ in 0..=r.config().max_cname_chain {
+    for _ in 0..=MAX_CNAME_CHAIN {
         match r.cached_step(&mut chain, &current, rtype, from_cache, now) {
             ControlFlow::Break(resolution) => return Ok(resolution),
             ControlFlow::Continue(Some(target)) => {
@@ -333,8 +335,6 @@ pub(crate) fn drive(
     let core = Rc::new(Core { events: RefCell::new(BinaryHeap::new()), seq: Cell::new(0) });
     let waker = Waker::from(Arc::new(NoopWake));
     let mut poll_cx = Context::from_waker(&waker);
-    let attempt_timeout_ms = resolver.config().attempt_timeout_ms;
-    let retransmits = resolver.config().retransmits;
 
     let n = distinct.len();
     let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); zone_count];
@@ -365,8 +365,6 @@ pub(crate) fn drive(
                 resolver: Arc::clone(resolver),
                 stats,
                 task: slot,
-                attempt_timeout_ms,
-                retransmits,
             };
             let q = distinct[slot];
             let mut fut: TaskFuture = Box::pin(resolve_async(ctx, q.name.clone(), q.rtype));

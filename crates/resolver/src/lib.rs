@@ -20,10 +20,13 @@ pub mod selection;
 pub mod vantage;
 
 pub use cache::{CacheStats, CachedAnswer, EvictionPolicy, RecordCache, DEFAULT_SHARDS};
-pub use engine::{BatchTiming, EngineBackend, Query, QueryEngine};
+pub use engine::{BatchTiming, Query, QueryEngine};
 pub use eventloop::EventLoopStats;
 pub use pool::WorkerPool;
 pub use reply::RrSet;
-pub use resolver::{RecursiveResolver, Resolution, ResolveError, ResolverConfig};
+pub use resolver::{
+    RecursiveResolver, Resolution, ResolveError, ResolverConfig, ATTEMPT_TIMEOUT_MS,
+    MAX_CNAME_CHAIN, RETRANSMITS,
+};
 pub use selection::{NsSelector, SelectionStrategy};
 pub use vantage::VantagePoint;

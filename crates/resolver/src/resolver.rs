@@ -21,13 +21,23 @@ use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU16, Ordering};
 
+/// Maximum cross-zone CNAME chain length a resolution follows.
+pub const MAX_CNAME_CHAIN: usize = 8;
+
+/// Virtual milliseconds the event loop waits for a reply before
+/// declaring one attempt timed out.
+pub const ATTEMPT_TIMEOUT_MS: u64 = 500;
+
+/// Retransmissions per endpoint after the first attempt times out (so
+/// each endpoint is tried `RETRANSMITS + 1` times) before the event loop
+/// falls back to the next NS.
+pub const RETRANSMITS: u32 = 2;
+
 /// Resolver configuration.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
     /// Perform DNSSEC validation and set the AD bit on Secure answers.
     pub validate: bool,
-    /// Maximum cross-zone CNAME chain length.
-    pub max_cname_chain: usize,
     /// NS selection strategy.
     pub strategy: SelectionStrategy,
     /// Seed for randomized selection.
@@ -38,16 +48,6 @@ pub struct ResolverConfig {
     pub default_negative_ttl: u32,
     /// Shard count for the record cache (see [`crate::cache`]).
     pub cache_shards: usize,
-    /// Which batch backend [`crate::QueryEngine::resolve_batch`] uses
-    /// (the synchronous worker pool, or the virtual-time event loop).
-    pub backend: crate::engine::EngineBackend,
-    /// Virtual milliseconds the event-loop backend waits for a reply
-    /// before declaring one attempt timed out.
-    pub attempt_timeout_ms: u64,
-    /// Retransmissions per endpoint after the first attempt times out
-    /// (so each endpoint is tried `retransmits + 1` times) before the
-    /// event-loop backend falls back to the next NS.
-    pub retransmits: u32,
     /// Per-shard cache capacity bound; `None` (the default) keeps the
     /// cache unbounded, which the scanner campaigns rely on. The serving
     /// subsystem sets `Some(n)` to model a production resolver's finite
@@ -59,15 +59,11 @@ impl Default for ResolverConfig {
     fn default() -> Self {
         ResolverConfig {
             validate: true,
-            max_cname_chain: 8,
             strategy: SelectionStrategy::RoundRobin,
             seed: 0,
             ttl_clamp: None,
             default_negative_ttl: 300,
             cache_shards: crate::cache::DEFAULT_SHARDS,
-            backend: crate::engine::EngineBackend::default(),
-            attempt_timeout_ms: 500,
-            retransmits: 2,
             cache_capacity_per_shard: None,
         }
     }
@@ -82,7 +78,7 @@ pub enum ResolveError {
     Network(NetError),
     /// The authority answered but refused / was lame for the zone.
     Lame(DnsName),
-    /// CNAME chain exceeded the configured limit.
+    /// CNAME chain exceeded [`MAX_CNAME_CHAIN`].
     ChainTooLong,
     /// The authority's response could not be decoded.
     Malformed,
@@ -225,11 +221,6 @@ impl RecursiveResolver {
         &self.selector
     }
 
-    /// This resolver's configuration.
-    pub(crate) fn config(&self) -> &ResolverConfig {
-        &self.config
-    }
-
     /// Allocate the next DNS transaction id.
     pub(crate) fn next_query_id(&self) -> u16 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
@@ -242,7 +233,7 @@ impl RecursiveResolver {
         let mut current = name.clone();
         let mut from_cache = true;
 
-        for _ in 0..=self.config.max_cname_chain {
+        for _ in 0..=MAX_CNAME_CHAIN {
             // 1. Cache: final answer, or a CNAME step?
             match self.cached_step(&mut chain, &current, rtype, from_cache, now) {
                 ControlFlow::Break(resolution) => return Ok(resolution),

@@ -9,7 +9,10 @@
 //! produce those differences — selection strategy, DNSSEC validation,
 //! TTL clamp, negative-TTL default, and the selection seed — under a
 //! stable label, so a scanner can drive N engines with distinct
-//! profiles over one world and diff their datasets.
+//! profiles over one world and diff their datasets. The link is not
+//! part of a profile: a [`LinkModel`](netsim::LinkModel) installed on
+//! the network puts every vantage's engine on the virtual-time event
+//! loop (see [`crate::engine`]).
 //!
 //! ## Determinism
 //!
@@ -18,7 +21,7 @@
 //! [`crate::selection`]), so a multi-vantage scan produces byte-identical
 //! per-vantage datasets for any worker thread count.
 
-use crate::engine::{EngineBackend, QueryEngine};
+use crate::engine::QueryEngine;
 use crate::resolver::ResolverConfig;
 use crate::selection::SelectionStrategy;
 use authserver::DelegationRegistry;
@@ -39,10 +42,6 @@ pub struct VantagePoint {
     pub ttl_clamp: Option<u32>,
     /// Negative-cache TTL when the response carries no SOA.
     pub default_negative_ttl: u32,
-    /// Batch backend this vantage's engine resolves with (the pooled
-    /// workers by default; the virtual-time event loop when the campaign
-    /// models latency/loss).
-    pub backend: EngineBackend,
 }
 
 impl VantagePoint {
@@ -56,7 +55,6 @@ impl VantagePoint {
             seed: 0,
             ttl_clamp: None,
             default_negative_ttl: 300,
-            backend: EngineBackend::Pooled,
         }
     }
 
@@ -70,7 +68,6 @@ impl VantagePoint {
             seed: 0x600_61E,
             ttl_clamp: Some(21_600),
             default_negative_ttl: 300,
-            backend: EngineBackend::Pooled,
         }
     }
 
@@ -84,7 +81,6 @@ impl VantagePoint {
             seed: 0x1111,
             ttl_clamp: Some(3_600),
             default_negative_ttl: 300,
-            backend: EngineBackend::Pooled,
         }
     }
 
@@ -98,7 +94,6 @@ impl VantagePoint {
             seed: 0x15B_0BAD,
             ttl_clamp: None,
             default_negative_ttl: 900,
-            backend: EngineBackend::Pooled,
         }
     }
 
@@ -120,12 +115,6 @@ impl VantagePoint {
         self
     }
 
-    /// Select the batch backend (builder style).
-    pub fn with_backend(mut self, backend: EngineBackend) -> VantagePoint {
-        self.backend = backend;
-        self
-    }
-
     /// The [`ResolverConfig`] this profile resolves with.
     pub fn resolver_config(&self) -> ResolverConfig {
         ResolverConfig {
@@ -134,7 +123,6 @@ impl VantagePoint {
             seed: self.seed,
             ttl_clamp: self.ttl_clamp,
             default_negative_ttl: self.default_negative_ttl,
-            backend: self.backend,
             ..Default::default()
         }
     }

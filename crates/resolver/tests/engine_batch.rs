@@ -13,9 +13,10 @@
 
 use dns_wire::{DnsName, RecordType};
 use ecosystem::{EcosystemConfig, World};
+use netsim::LinkModel;
 use resolver::{
-    CacheStats, EngineBackend, Query, QueryEngine, Resolution, ResolveError, ResolverConfig,
-    SelectionStrategy, VantagePoint,
+    CacheStats, Query, QueryEngine, Resolution, ResolveError, ResolverConfig, SelectionStrategy,
+    VantagePoint,
 };
 use std::sync::Arc;
 use telemetry::MetricsRegistry;
@@ -241,18 +242,14 @@ fn empty_batch_is_a_no_op() {
     assert_eq!(engine.network().stats().datagrams_sent, sent_before);
 }
 
-/// The three presets' engines over `world` on `backend`, each with a
-/// registry of its own.
-fn preset_engines(
-    world: &World,
-    backend: EngineBackend,
-) -> Vec<(QueryEngine, Arc<MetricsRegistry>)> {
+/// The three presets' engines over `world`, each with a registry of its
+/// own.
+fn preset_engines(world: &World) -> Vec<(QueryEngine, Arc<MetricsRegistry>)> {
     VantagePoint::presets()
         .into_iter()
         .map(|v| {
             let metrics = Arc::new(MetricsRegistry::new(&v.name));
             let engine = v
-                .with_backend(backend)
                 .engine(world.network.clone(), world.registry.clone())
                 .with_metrics(metrics.clone());
             (engine, metrics)
@@ -268,7 +265,7 @@ fn joint_batches_equal_each_engines_own_batches() {
     // every engine's results, cache statistics and counters equal what
     // its own `resolve_batch` of the same batch gives on a twin world —
     // cold, then warm; pooled on the thread axis, and on the event loop
-    // at zero latency.
+    // over worlds carrying the zero model.
     let queries = scan_queries(&world());
     let half = queries.len() / 2;
     let mut with_duplicate = queries[..half].to_vec();
@@ -278,11 +275,15 @@ fn joint_batches_equal_each_engines_own_batches() {
     let rounds: [[&[Query]; 3]; 2] =
         [[&queries, &[], &with_duplicate], [&with_duplicate, &queries, &queries[half / 2..]]];
 
-    for backend in [EngineBackend::Pooled, EngineBackend::EventLoop] {
+    for backend in ["pooled", "event loop"] {
         for threads in thread_axis() {
             let (joint_world, own_world) = (world(), world());
-            let joint = preset_engines(&joint_world, backend);
-            let own = preset_engines(&own_world, backend);
+            if backend == "event loop" {
+                joint_world.network.set_latency_model(LinkModel::zero());
+                own_world.network.set_latency_model(LinkModel::zero());
+            }
+            let joint = preset_engines(&joint_world);
+            let own = preset_engines(&own_world);
             let engines: Vec<&QueryEngine> = joint.iter().map(|(engine, _)| engine).collect();
             for (round, batches) in rounds.iter().enumerate() {
                 let together = QueryEngine::resolve_batches(&engines, batches, threads);
@@ -291,7 +292,7 @@ fn joint_batches_equal_each_engines_own_batches() {
                     assert_eq!(
                         together[v],
                         engine.resolve_batch(batch, threads),
-                        "engine {v}, round {round}: {backend:?} at threads={threads}"
+                        "engine {v}, round {round}: {backend} at threads={threads}"
                     );
                 }
             }
@@ -299,12 +300,12 @@ fn joint_batches_equal_each_engines_own_batches() {
                 let label = a_metrics.label();
                 // Contention is the one scheduling-dependent statistic.
                 let stats = |e: &QueryEngine| CacheStats { lock_contended: 0, ..e.cache().stats() };
-                assert_eq!(stats(a), stats(b), "{label}: {backend:?} at threads={threads}");
+                assert_eq!(stats(a), stats(b), "{label}: {backend} at threads={threads}");
                 assert_eq!(a.cache().len(), b.cache().len(), "{label}");
                 assert_eq!(
                     a_metrics.counters_text(),
                     b_metrics.counters_text(),
-                    "{label}: {backend:?} at threads={threads}"
+                    "{label}: {backend} at threads={threads}"
                 );
             }
             // The case-only duplicate coalesced in both rounds it rode in.

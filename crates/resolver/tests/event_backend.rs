@@ -13,6 +13,11 @@
 //!    retransmit budget in virtual time, then NS fallback recovers the
 //!    answer from the healthy endpoint.
 //!
+//! A batch runs on the event loop exactly when its engine's network
+//! carries a latency model, so every event-loop engine here resolves on
+//! a network with one installed — [`LinkModel::zero`] where the test is
+//! about the loop rather than the link.
+//!
 //! CI runs this suite under the same thread matrix as `engine_batch`:
 //! `RESOLVER_TEST_THREADS` extends the default `{1, 2, 4, 8}` axis.
 
@@ -24,7 +29,8 @@ use dns_wire::{DnsName, RData, Record, RecordType};
 use ecosystem::{EcosystemConfig, World};
 use netsim::{LinkModel, Network, SimClock};
 use resolver::{
-    EngineBackend, Query, QueryEngine, Resolution, ResolveError, ResolverConfig, SelectionStrategy,
+    Query, QueryEngine, Resolution, ResolveError, ResolverConfig, SelectionStrategy,
+    ATTEMPT_TIMEOUT_MS, RETRANSMITS,
 };
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -53,11 +59,11 @@ fn thread_axis() -> Vec<usize> {
     axis
 }
 
-fn engine_with(world: &World, strategy: SelectionStrategy, backend: EngineBackend) -> QueryEngine {
+fn engine_with(world: &World, strategy: SelectionStrategy) -> QueryEngine {
     QueryEngine::new(
         world.network.clone(),
         world.registry.clone(),
-        ResolverConfig { validate: true, strategy, seed: 0xBEEF, backend, ..Default::default() },
+        ResolverConfig { validate: true, strategy, seed: 0xBEEF, ..Default::default() },
     )
 }
 
@@ -81,19 +87,24 @@ fn event_backend_matches_pooled_on_zero_latency() {
     // The tentpole equivalence pin: same world, same queries, and the
     // event loop returns exactly what the pooled backend returns — for
     // stateful selection strategies included, because both backends
-    // consume per-zone selection state in batch input order.
+    // consume per-zone selection state in batch input order. The pooled
+    // batch runs on a world without a model and the loop on a second,
+    // identical world carrying the zero model.
     let world = World::build(EcosystemConfig::tiny());
     let queries = scan_queries(&world);
     assert!(queries.len() > 100, "world too small to be meaningful");
+    let zero = World::build(EcosystemConfig::tiny());
+    zero.network.set_latency_model(LinkModel::zero());
+    assert_eq!(scan_queries(&zero), queries);
 
     for strategy in
         [SelectionStrategy::RoundRobin, SelectionStrategy::Random, SelectionStrategy::First]
     {
         let pooled: Vec<Result<Resolution, ResolveError>> =
-            engine_with(&world, strategy, EngineBackend::Pooled).resolve_batch(&queries, 4);
+            engine_with(&world, strategy).resolve_batch(&queries, 4);
         for threads in thread_axis() {
-            let engine = engine_with(&world, strategy, EngineBackend::EventLoop);
-            assert_eq!(engine.backend(), EngineBackend::EventLoop);
+            let engine = engine_with(&zero, strategy);
+            assert!(engine.network().latency_model().is_some());
             let (batch, timing) = engine.resolve_batch_timed(&queries, threads);
             assert_eq!(batch.len(), pooled.len());
             for (i, (b, p)) in batch.iter().zip(&pooled).enumerate() {
@@ -115,11 +126,13 @@ fn event_backend_matches_pooled_on_zero_latency() {
 #[test]
 fn event_backend_duplicates_share_one_resolution() {
     let world = World::build(EcosystemConfig::tiny());
+    world.network.set_latency_model(LinkModel::zero());
     let mut queries = scan_queries(&world);
     queries.truncate(40);
     let doubled: Vec<Query> = queries.iter().chain(queries.iter()).cloned().collect();
-    let batch = engine_with(&world, SelectionStrategy::RoundRobin, EngineBackend::EventLoop)
-        .resolve_batch(&doubled, 4);
+    let (batch, timing) =
+        engine_with(&world, SelectionStrategy::RoundRobin).resolve_batch_timed(&doubled, 4);
+    assert!(timing.is_some(), "the zero model runs the batch on the event loop");
     let n = queries.len();
     for i in 0..n {
         assert_eq!(batch[i], batch[i + n], "position {i} vs its duplicate");
@@ -181,7 +194,6 @@ fn lossy_batch_is_thread_count_invariant_and_deeply_concurrent() {
                 validate: false,
                 strategy: SelectionStrategy::RoundRobin,
                 seed: 0xBEEF,
-                backend: EngineBackend::EventLoop,
                 ..Default::default()
             },
         )
@@ -225,12 +237,7 @@ fn virtual_timeline_is_seeded_and_repeatable() {
         let engine = QueryEngine::new(
             world.network.clone(),
             world.registry.clone(),
-            ResolverConfig {
-                validate: false,
-                seed: 0xBEEF,
-                backend: EngineBackend::EventLoop,
-                ..Default::default()
-            },
+            ResolverConfig { validate: false, seed: 0xBEEF, ..Default::default() },
         );
         runs.push(engine.resolve_batch_timed(&queries, 4));
     }
@@ -271,7 +278,6 @@ fn outcome_counters_are_pinned_at_rtt_0_20_100() {
             ResolverConfig {
                 validate: true,
                 strategy: SelectionStrategy::RoundRobin,
-                backend: EngineBackend::EventLoop,
                 ..Default::default()
             },
         );
@@ -288,10 +294,12 @@ fn outcome_counters_are_pinned_at_rtt_0_20_100() {
     }
 }
 
-/// Two healthy authoritatives for `a.com`; the link model decides which
-/// of them actually answers.
+/// Two healthy authoritatives for `a.com`, on a network carrying the
+/// zero model; a test's own link model decides which of them actually
+/// answers.
 fn two_server_world() -> (Network, DelegationRegistry) {
     let net = Network::new(SimClock::new());
+    net.set_latency_model(LinkModel::zero());
     let reg = DelegationRegistry::new();
     for addr in ["10.0.0.1", "10.0.0.2"] {
         let zones = ZoneSet::new();
@@ -320,10 +328,8 @@ fn lame_delegation_recovers_via_retransmits_then_fallback() {
     let config = ResolverConfig {
         strategy: SelectionStrategy::First,
         validate: false,
-        backend: EngineBackend::EventLoop,
         ..Default::default()
     };
-    let (attempt_timeout_ms, retransmits) = (config.attempt_timeout_ms, config.retransmits);
     let engine = QueryEngine::new(net.clone(), reg, config);
     let queries = vec![Query::new(name("a.com"), RecordType::A)];
     let (results, timing) = engine.resolve_batch_timed(&queries, 1);
@@ -331,13 +337,13 @@ fn lame_delegation_recovers_via_retransmits_then_fallback() {
     assert_eq!(res.records.len(), 1);
 
     let timing = timing.unwrap();
-    let attempts = u64::from(retransmits) + 1;
+    let attempts = u64::from(RETRANSMITS) + 1;
     assert_eq!(timing.stats.drops, attempts, "every attempt against the mute NS is dropped");
     assert_eq!(timing.stats.timeouts, attempts);
     assert_eq!(timing.stats.retransmits, attempts - 1);
     assert_eq!(timing.stats.ns_fallbacks, 1);
     // The virtual cost is exactly the burned budget plus one healthy RTT.
-    assert_eq!(timing.finished_ms - timing.started_ms, attempts * attempt_timeout_ms + 20);
+    assert_eq!(timing.finished_ms - timing.started_ms, attempts * ATTEMPT_TIMEOUT_MS + 20);
     // The shared clock advanced with the batch.
     assert_eq!(net.clock().now_ms().0, timing.finished_ms);
 }
@@ -357,17 +363,15 @@ fn all_endpoints_lame_surfaces_a_timeout_error() {
     let config = ResolverConfig {
         strategy: SelectionStrategy::First,
         validate: false,
-        backend: EngineBackend::EventLoop,
         ..Default::default()
     };
-    let retransmits = config.retransmits;
     let engine = QueryEngine::new(net, reg, config);
     let queries = vec![Query::new(name("a.com"), RecordType::A)];
     let (results, timing) = engine.resolve_batch_timed(&queries, 1);
     match &results[0] {
         Err(e @ ResolveError::Timeout { attempts, .. }) => {
             assert!(e.is_timeout());
-            assert_eq!(*attempts, 2 * (retransmits + 1), "both ladders burned");
+            assert_eq!(*attempts, 2 * (RETRANSMITS + 1), "both ladders burned");
         }
         other => panic!("expected a timeout error, got {other:?}"),
     }
@@ -383,15 +387,13 @@ fn slow_endpoint_times_out_but_fast_fallback_wins() {
     let config = ResolverConfig {
         strategy: SelectionStrategy::First,
         validate: false,
-        backend: EngineBackend::EventLoop,
         ..Default::default()
     };
     net.set_latency_model(
         LinkModel::new(3)
             .with_rtt_ms(20)
-            .with_slow_endpoint(ip("10.0.0.1"), config.attempt_timeout_ms * 2),
+            .with_slow_endpoint(ip("10.0.0.1"), ATTEMPT_TIMEOUT_MS * 2),
     );
-    let retransmits = config.retransmits;
     let engine = QueryEngine::new(net, reg, config);
     let queries = vec![Query::new(name("a.com"), RecordType::A)];
     let (results, timing) = engine.resolve_batch_timed(&queries, 1);
@@ -399,7 +401,7 @@ fn slow_endpoint_times_out_but_fast_fallback_wins() {
     let stats = timing.unwrap().stats;
     // Late replies are timeouts, not drops.
     assert_eq!(stats.drops, 0);
-    assert_eq!(stats.timeouts, u64::from(retransmits) + 1);
+    assert_eq!(stats.timeouts, u64::from(RETRANSMITS) + 1);
     assert_eq!(stats.ns_fallbacks, 1);
 }
 
@@ -411,7 +413,6 @@ fn a_reply_with_undecodable_rdata_falls_back_and_caches_nothing_from_it() {
     let config = || ResolverConfig {
         strategy: SelectionStrategy::First,
         validate: false,
-        backend: EngineBackend::EventLoop,
         ..Default::default()
     };
     let queries = vec![Query::new(name("a.com"), RecordType::A)];
@@ -445,7 +446,6 @@ fn a_reply_that_does_not_answer_the_query_falls_back_and_is_never_cached() {
     let config = || ResolverConfig {
         strategy: SelectionStrategy::First,
         validate: false,
-        backend: EngineBackend::EventLoop,
         ..Default::default()
     };
     let queries = vec![Query::new(name("a.com"), RecordType::A)];

@@ -23,15 +23,16 @@
 //! and the wave-1 batch are built once, each vantage keeps a compact
 //! per-target state, and every wave is resolved for all vantages
 //! together ([`QueryEngine::resolve_batches`]) before the next wave is
-//! built. On the pooled backend at one thread the engines' queries are
-//! interleaved, so the authority state one vantage's question pulls in
-//! is still in the CPU cache when the next vantage asks it. Each
-//! vantage's observations are what it would see scanning alone
-//! ([`scan_one_day`], the one-engine case). On the event-loop backend
-//! the order is part of the outcome: the shared virtual clock runs on
-//! through wave 1 of every vantage, then wave 2 of every vantage, and
-//! so on, so under a latency model a later vantage scans a wave at the
-//! virtual instant the earlier ones finished it.
+//! built. At one thread on a network without a latency model the
+//! engines' queries are interleaved, so the authority state one
+//! vantage's question pulls in is still in the CPU cache when the next
+//! vantage asks it. Each vantage's observations are what it would see
+//! scanning alone ([`scan_one_day`], the one-engine case). A network
+//! that carries a latency model runs every wave on the event loop, and
+//! there the order is part of the outcome: the shared virtual clock runs
+//! on through wave 1 of every vantage, then wave 2 of every vantage, and
+//! so on, so a later vantage scans a wave at the virtual instant the
+//! earlier ones finished it.
 //!
 //! ## Telemetry
 //!

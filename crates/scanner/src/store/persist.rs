@@ -667,7 +667,8 @@ fn decode_column(
     }
 }
 
-/// Reusable decode buffers: the raw payload and the dict codec's lookup
+/// Reusable decode buffers: the raw payload (the first `payload_len`
+/// bytes of a buffer that only grows) and the dict codec's lookup
 /// table. Blocks decode straight into the caller's rows, so streaming a
 /// store allocates once and stays bounded by the largest single day's
 /// payload and rows.
@@ -723,18 +724,23 @@ fn read_chunk_inner(
     scratch: &mut Scratch,
     out: &mut Vec<Observation>,
 ) -> io::Result<()> {
-    scratch.bytes.clear();
-    scratch.bytes.resize(chunk.payload_len as usize, 0);
+    // The buffer only grows and a chunk reads into its first `len` bytes,
+    // so no read zero-fills bytes it is about to overwrite.
+    let len = chunk.payload_len as usize;
+    if scratch.bytes.len() < len {
+        scratch.bytes.resize(len, 0);
+    }
+    let payload = &mut scratch.bytes[..len];
     file.seek(SeekFrom::Start(chunk.payload_offset))?;
-    file.read_exact(&mut scratch.bytes)?;
-    let sum = fnv1a64(&scratch.bytes);
+    file.read_exact(payload)?;
+    let sum = fnv1a64(payload);
     if sum != chunk.checksum {
         return Err(corrupt(format!(
             "checksum mismatch (stored {:#018x}, computed {sum:#018x})",
             chunk.checksum
         )));
     }
-    decode_payload(chunk, &scratch.bytes, proj, &mut scratch.table, out)
+    decode_payload(chunk, payload, proj, &mut scratch.table, out)
 }
 
 /// Read a chunk's statistics footer without decoding the payload.
@@ -1581,6 +1587,32 @@ mod tests {
         drop(open);
         // Resume treats the damaged last chunk as unflushed and drops it.
         assert_eq!(StoreWriter::open_resume(&dir).unwrap().days_written(0), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_payload_cut_short_is_a_located_eof() {
+        // Day 2's payload loses its last bytes after the writer indexed
+        // it: reading it back is an `UnexpectedEof` naming the chunk,
+        // and a larger day read before it through the same buffer
+        // changes nothing.
+        let dir = temp_dir("shortread");
+        let orgs = OrgInterner::default();
+        let day0: Vec<Observation> = (0..40).map(|i| obs(0, i, i % 5)).collect();
+        let mut w = StoreWriter::create(&dir, meta_for(&[0, 2])).unwrap();
+        w.append_chunk(0, 0, &day0, &orgs).unwrap();
+        w.append_chunk(0, 2, &[obs(2, 1, 0), obs(2, 2, 1)], &orgs).unwrap();
+        assert_eq!(w.read_day(0, 0).unwrap(), day0);
+        let path = dir.join(column_file_name(0));
+        let day2 = w.indexes[0][1];
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(day2.payload_offset + u64::from(day2.payload_len) - 5).unwrap();
+        let err = w.read_day(0, 2).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
+        assert!(msg.contains("(vantage \"google\"), day 2 chunk at byte offset"), "{msg}");
+        assert_eq!(w.read_day(0, 0).unwrap(), day0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -253,27 +253,27 @@ fn multi_vantage_stores_are_identical_across_thread_counts() {
 
 #[test]
 fn event_backend_campaign_matches_pooled_byte_for_byte() {
-    // The virtual-time tentpole's campaign-level equivalence pin: on the
-    // default zero-latency network, a multi-vantage campaign through the
-    // event-loop backend produces byte-identical SnapshotStores to the
-    // pooled backend.
-    use resolver::{EngineBackend, VantagePoint};
+    // The virtual-time tentpole's campaign-level equivalence pin: a
+    // multi-vantage campaign over a network carrying the zero model runs
+    // on the event loop and produces byte-identical SnapshotStores to the
+    // pooled path over a network without a model.
+    use resolver::VantagePoint;
 
-    let run = |backend: EngineBackend| -> Vec<String> {
+    let run = |model: Option<netsim::LinkModel>| -> Vec<String> {
         let mut world = tiny_world();
+        if let Some(model) = model {
+            world.network.set_latency_model(model);
+        }
         let campaign = Campaign {
             sample_days: vec![0, 3, 6],
             scan_www: true,
             threads: 4,
-            vantages: VantagePoint::presets()
-                .into_iter()
-                .map(|v| v.with_backend(backend))
-                .collect(),
+            vantages: VantagePoint::presets(),
         };
         campaign.run_vantages(&mut world).iter().map(|s| s.to_csv()).collect()
     };
-    let pooled = run(EngineBackend::Pooled);
-    let event = run(EngineBackend::EventLoop);
+    let pooled = run(None);
+    let event = run(Some(netsim::LinkModel::zero()));
     assert_eq!(pooled.len(), 3);
     for (label, (p, e)) in ["google", "cloudflare", "isp"].iter().zip(pooled.iter().zip(&event)) {
         assert_eq!(p, e, "vantage {label} store diverged between backends");
@@ -283,12 +283,12 @@ fn event_backend_campaign_matches_pooled_byte_for_byte() {
 #[test]
 fn lossy_event_campaign_is_thread_invariant_and_flags_timeouts() {
     // End-to-end through the latency model: mute one listed domain's NS
-    // endpoints on a lossy 20 ms link and scan through the event-loop
-    // backend. The victim (and anything sharing its NS infrastructure)
+    // endpoints on a lossy 20 ms link, which puts the scan on the event
+    // loop. The victim (and anything sharing its NS infrastructure)
     // surfaces as RESOLUTION_FAILED + RESOLUTION_TIMEOUT — the distinct
     // timeout shape `analysis` counts per vantage — and the store is
     // byte-identical for every thread setting.
-    use resolver::{EngineBackend, SelectionStrategy, VantagePoint};
+    use resolver::{SelectionStrategy, VantagePoint};
 
     let run = |threads: usize| -> String {
         let mut world = tiny_world();
@@ -305,8 +305,7 @@ fn lossy_event_campaign_is_thread_invariant_and_flags_timeouts() {
             sample_days: vec![0, 2],
             scan_www: false,
             threads,
-            vantages: vec![VantagePoint::custom("lossy", SelectionStrategy::RoundRobin)
-                .with_backend(EngineBackend::EventLoop)],
+            vantages: vec![VantagePoint::custom("lossy", SelectionStrategy::RoundRobin)],
         };
         let store = campaign.run(&mut world);
         let timed_out: Vec<_> =
@@ -322,6 +321,43 @@ fn lossy_event_campaign_is_thread_invariant_and_flags_timeouts() {
         store.to_csv()
     };
     assert_eq!(run(1), run(8), "lossy event-loop store diverged across thread settings");
+}
+
+#[test]
+fn presets_on_a_lossy_network_time_out_on_its_lame_endpoints() {
+    // The network picks the batch path: the three presets, with no
+    // per-vantage setting, scan a network whose lossy model makes the
+    // top-ranked domain's NS endpoints lame. Every vantage resolves on
+    // the event loop and records that domain as RESOLUTION_TIMEOUT with
+    // RESOLUTION_FAILED; a pooled scan would ignore the model and
+    // resolve it.
+    use resolver::VantagePoint;
+
+    let mut world = tiny_world();
+    let victim_id = world.today_list().ranked()[0];
+    let victim_apex = world.domain(victim_id).apex.clone();
+    let (_, endpoints) = world.registry.find_authority(&victim_apex).expect("victim is delegated");
+    let mut model = netsim::LinkModel::new(0x1A3E).with_rtt_ms(20).with_loss_permille(10);
+    for ep in endpoints.iter() {
+        model = model.with_lame_endpoint(ep.ip);
+    }
+    world.network.set_latency_model(model);
+    let campaign = Campaign {
+        sample_days: vec![0],
+        scan_www: false,
+        threads: 2,
+        vantages: VantagePoint::presets(),
+    };
+    let stores = campaign.run_vantages(&mut world);
+    assert_eq!(stores.len(), 3);
+    for (v, store) in stores.iter().enumerate() {
+        let victim: Vec<_> = store.all().iter().filter(|o| o.domain_id == victim_id).collect();
+        assert!(!victim.is_empty(), "vantage {v} never observed the victim");
+        for o in victim {
+            assert!(o.has(flags::RESOLUTION_TIMEOUT), "vantage {v}: {o:?}");
+            assert!(o.has(flags::RESOLUTION_FAILED), "vantage {v}: {o:?}");
+        }
+    }
 }
 
 #[test]
@@ -499,10 +535,10 @@ fn lossy_two_vantage_event_campaign_is_thread_invariant() {
     // On the event loop the shared virtual clock runs on through each
     // wave of every vantage in turn (wave 1 of both, then wave 2 of
     // both, …), so under a latency model the joint order is part of the
-    // outcome. Over a lossy 20 ms link, two event-loop vantages must
+    // outcome. Over a lossy 20 ms link, two vantages on the loop must
     // produce the same stores, and leave the clock at the same instant,
     // at every thread setting.
-    use resolver::{EngineBackend, SelectionStrategy, VantagePoint};
+    use resolver::{SelectionStrategy, VantagePoint};
 
     let run = |threads: usize| -> (Vec<String>, u64) {
         let mut world = tiny_world();
@@ -517,9 +553,7 @@ fn lossy_two_vantage_event_campaign_is_thread_invariant() {
                 ("random", SelectionStrategy::Random),
             ]
             .into_iter()
-            .map(|(name, strategy)| {
-                VantagePoint::custom(name, strategy).with_backend(EngineBackend::EventLoop)
-            })
+            .map(|(name, strategy)| VantagePoint::custom(name, strategy))
             .collect(),
         };
         let stores = campaign.run_vantages(&mut world);

@@ -9,15 +9,15 @@
 //! its ground-truth outcome: hit, recursive miss, or failure. On top of
 //! those outcomes a deterministic M/G/k queue in virtual microseconds
 //! assigns latency: `workers` virtual servers each take
-//! `hit_service_us` per cache hit and `miss_service_us` per recursive
-//! resolution, and a miss additionally pays `miss_penalty_us` of
+//! [`HIT_SERVICE_US`] per cache hit and [`MISS_SERVICE_US`] per recursive
+//! resolution, and a miss additionally pays [`MISS_PENALTY_US`] of
 //! upstream RTT **in latency only** (the worker is assumed to service
 //! other queries while the recursion is in flight). Latency = queue
 //! wait + service + penalty. When offered load exceeds
 //! `workers / avg_service`, the backlog grows and the achieved rate
 //! tops out — the sweep's saturation knee.
 //!
-//! Service costs are model knobs, not measurements; what the real
+//! Service costs are model constants, not measurements; what the real
 //! engine contributes is the *hit/miss stream* — which is exactly what
 //! the capacity bound changes.
 //!
@@ -37,29 +37,31 @@ use crate::report::{PhaseReport, ServeReport};
 use crate::workload::{StubPopulation, WorkloadConfig};
 use ecosystem::World;
 use netsim::TimeMs;
-use resolver::{EvictionPolicy, QueryEngine, ResolverConfig, DEFAULT_SHARDS};
+use resolver::{EvictionPolicy, QueryEngine, ResolverConfig};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use telemetry::MetricsRegistry;
 
-/// Serving-driver configuration: the workload shape plus the queueing
-/// model's knobs and the cache bound under test.
+/// Virtual service cost of a cache hit, microseconds.
+pub const HIT_SERVICE_US: u64 = 20;
+
+/// Virtual service cost of a recursive (miss) resolution, microseconds
+/// of worker occupancy.
+pub const MISS_SERVICE_US: u64 = 400;
+
+/// Upstream RTT a miss adds to its own latency (not to worker
+/// occupancy), microseconds.
+pub const MISS_PENALTY_US: u64 = 20_000;
+
+/// Serving-driver configuration: the workload shape, the number of
+/// virtual workers and the cache bound under test. The cache has
+/// [`resolver::DEFAULT_SHARDS`] shards.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Stub-client population shape.
     pub workload: WorkloadConfig,
     /// Virtual service workers (the `k` of the queueing model).
     pub workers: usize,
-    /// Virtual service cost of a cache hit, microseconds.
-    pub hit_service_us: u64,
-    /// Virtual service cost of a recursive (miss) resolution,
-    /// microseconds of worker occupancy.
-    pub miss_service_us: u64,
-    /// Upstream RTT a miss adds to its own latency (not to worker
-    /// occupancy), microseconds.
-    pub miss_penalty_us: u64,
-    /// Cache shard count.
-    pub cache_shards: usize,
     /// Per-shard cache capacity (`None` = unbounded).
     pub capacity_per_shard: Option<usize>,
     /// Eviction policy when bounded. It has one value, and the cache
@@ -76,10 +78,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workload: WorkloadConfig::default(),
             workers: 1,
-            hit_service_us: 20,
-            miss_service_us: 400,
-            miss_penalty_us: 20_000,
-            cache_shards: DEFAULT_SHARDS,
             capacity_per_shard: Some(4_096),
             policy: EvictionPolicy::TtlSweepLru,
             phase_ms: 1_000,
@@ -96,7 +94,6 @@ fn engine_for(world: &World, cfg: &ServeConfig) -> QueryEngine {
         world.registry.clone(),
         ResolverConfig {
             validate: false,
-            cache_shards: cfg.cache_shards,
             cache_capacity_per_shard: cfg.capacity_per_shard,
             ..ResolverConfig::default()
         },
@@ -153,14 +150,14 @@ fn run_phase(
         if hit {
             hits += 1;
         }
-        let service = if hit { cfg.hit_service_us } else { cfg.miss_service_us };
+        let service = if hit { HIT_SERVICE_US } else { MISS_SERVICE_US };
         let Reverse(free_at) = free.pop().expect("at least one worker");
         let done = free_at.max(arrival.at_us) + service;
         free.push(Reverse(done));
         if done > last_done_us {
             last_done_us = done;
         }
-        let latency = done - arrival.at_us + if hit { 0 } else { cfg.miss_penalty_us };
+        let latency = done - arrival.at_us + if hit { 0 } else { MISS_PENALTY_US };
         if let Some(hist) = &latency_hist {
             hist.record(latency);
         }

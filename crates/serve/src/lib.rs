@@ -29,8 +29,9 @@
 //! determinism tests under the `RESOLVER_TEST_THREADS` matrix).
 //!
 //! The queueing model is explicitly a model: per-query service costs
-//! (cache hit vs recursive miss) and the miss RTT penalty are
-//! configuration knobs, not measurements; misses add latency but do not
+//! (cache hit vs recursive miss) and the miss RTT penalty are the
+//! constants [`HIT_SERVICE_US`], [`MISS_SERVICE_US`] and
+//! [`MISS_PENALTY_US`], not measurements; misses add latency but do not
 //! occupy the worker for the RTT (the worker is assumed to context
 //! switch). Saturation then emerges naturally when offered load exceeds
 //! `workers / avg_service`.
@@ -41,6 +42,6 @@ pub mod driver;
 pub mod report;
 pub mod workload;
 
-pub use driver::{load_sweep, ServeConfig};
+pub use driver::{load_sweep, ServeConfig, HIT_SERVICE_US, MISS_PENALTY_US, MISS_SERVICE_US};
 pub use report::{PhaseReport, ServeReport};
-pub use workload::{Arrival, StubPopulation, WorkloadConfig};
+pub use workload::{Arrival, StubPopulation, WorkloadConfig, APEX_A, APEX_HTTPS};

@@ -24,6 +24,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+/// Fraction of queries that are apex HTTPS lookups.
+pub const APEX_HTTPS: f64 = 0.55;
+
+/// Fraction of queries that are apex A lookups (the remainder are `www`
+/// HTTPS lookups).
+pub const APEX_A: f64 = 0.30;
+
 /// Shape of the stub-client population.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -32,16 +39,11 @@ pub struct WorkloadConfig {
     /// Master seed; per-client streams derive from `(seed, phase,
     /// client)`.
     pub seed: u64,
-    /// Fraction of queries that are apex HTTPS lookups.
-    pub apex_https: f64,
-    /// Fraction of queries that are apex A lookups (the remainder are
-    /// `www` HTTPS lookups).
-    pub apex_a: f64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> WorkloadConfig {
-        WorkloadConfig { clients: 256, seed: 0x5E17E, apex_https: 0.55, apex_a: 0.30 }
+        WorkloadConfig { clients: 256, seed: 0x5E17E }
     }
 }
 
@@ -126,14 +128,14 @@ impl StubPopulation {
     }
 
     /// Draw one query: a popularity-weighted domain plus a shape from
-    /// the configured mix; `None` when the list has no domain to draw.
+    /// the [`APEX_HTTPS`] / [`APEX_A`] mix; `None` when the list has no domain to draw.
     fn sample_query(&self, world: &World, rng: &mut StdRng) -> Option<Query> {
         let id = self.list.sample_by_popularity(rng)?;
         let apex = world.domain(id).apex.clone();
         let shape: f64 = rng.gen_range(0.0..1.0);
-        Some(if shape < self.config.apex_https {
+        Some(if shape < APEX_HTTPS {
             Query::new(apex, RecordType::Https)
-        } else if shape < self.config.apex_https + self.config.apex_a {
+        } else if shape < APEX_HTTPS + APEX_A {
             Query::new(apex, RecordType::A)
         } else {
             match apex.prepend("www") {
