@@ -9,9 +9,10 @@
 //! A zone is one hash index from owner name to that name's RRsets, each
 //! stored once in wire form with its RRSIG signed on first use; every
 //! datagram is answered by copying those bytes behind owner names the
-//! server compresses itself. The owned path ([`Zone::lookup`],
-//! [`AuthoritativeServer::answer`]) decodes the same index and is the
-//! reference the wire answers are tested against.
+//! server compresses itself, into the buffer the sender hands it. The
+//! owned path ([`Zone::lookup`], [`AuthoritativeServer::answer`])
+//! decodes the same index and is the reference the wire answers are
+//! tested against.
 //!
 //! A provider in the ecosystem owns one or more `AuthoritativeServer`
 //! instances bound to IPs on the simulated network; domains migrate

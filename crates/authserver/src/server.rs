@@ -8,8 +8,10 @@
 //! question, walk the zone's index ([`Zone`]), and write the header, the
 //! question and each answer owner — compressed against the question and
 //! the earlier owners, as [`Message::encode`] compresses — followed by
-//! the set's stored bytes. [`AuthoritativeServer::answer`] is the owned
-//! reference those bytes are tested against.
+//! the set's stored bytes, straight into the buffer the caller hands
+//! [`DatagramService::handle`]: an answer into a reused buffer allocates
+//! nothing. [`AuthoritativeServer::answer`] is the owned reference those
+//! bytes are tested against.
 
 use crate::zone::{LookupResult, Step, Zone};
 use dns_wire::wire::WireWriter;
@@ -19,7 +21,6 @@ use dns_wire::{
 };
 use netsim::{DatagramService, NetError, Timestamp};
 use parking_lot::RwLock;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -167,13 +168,13 @@ impl AuthoritativeServer {
         }
     }
 
-    /// The wire answer to a parsed request, written into this thread's
-    /// scratch buffer and copied out at its exact size: the response is
-    /// the one allocation, however large it is.
-    fn render(&self, view: &MessageView<'_>) -> Vec<u8> {
-        let mut scratch = SCRATCH.take();
-        scratch.reserve(512);
-        let mut w = WireWriter::from_bytes(scratch);
+    /// Write the wire answer to a parsed request into `out`, which is
+    /// cleared first: a caller that reuses its buffer is answered
+    /// without an allocation.
+    fn render(&self, view: &MessageView<'_>, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(512);
+        let mut w = WireWriter::from_bytes(std::mem::take(out));
         w.put_u16(view.id());
         // QR, the request's opcode and RD; AA and the RCODE are patched in
         // once known. An authoritative server does not offer recursion.
@@ -208,15 +209,11 @@ impl AuthoritativeServer {
             w.put_u32(if edns.dnssec_ok { 0x8000 } else { 0 });
             w.put_u16(0);
         }
-        let mut scratch = w.into_bytes();
-        scratch[2] |= u8::from(aa) << 2;
-        scratch[3] = rcode.code() & 0x0F;
-        scratch[6..8].copy_from_slice(&counts[0].to_be_bytes());
-        scratch[8..10].copy_from_slice(&counts[1].to_be_bytes());
-        let response = scratch.to_vec();
-        scratch.clear();
-        SCRATCH.set(scratch);
-        response
+        *out = w.into_bytes();
+        out[2] |= u8::from(aa) << 2;
+        out[3] = rcode.code() & 0x0F;
+        out[6..8].copy_from_slice(&counts[0].to_be_bytes());
+        out[8..10].copy_from_slice(&counts[1].to_be_bytes());
     }
 
     /// Write the answer and authority sections for `qname` from `zone`,
@@ -280,11 +277,6 @@ impl AuthoritativeServer {
     }
 }
 
-thread_local! {
-    /// Where [`AuthoritativeServer::render`] writes; kept between answers.
-    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-}
-
 /// `f` over a question's name: borrowed from the request where it is
 /// spelled out in place, as a query's is, else spelled out on the stack.
 fn spelled<R>(name: NameView<'_>, f: impl FnOnce(NameRef<'_>) -> R) -> R {
@@ -319,7 +311,7 @@ fn soa(w: &mut WireWriter, zone: &Zone, question: NameRef<'_>) -> u16 {
 }
 
 impl DatagramService for AuthoritativeServer {
-    fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
+    fn handle(&self, request: &[u8], _now: Timestamp, reply: &mut Vec<u8>) -> Result<(), NetError> {
         // Unparseable datagram: a real server answers FORMERR when it can
         // extract an id; we drop, which the caller sees as a reset. So
         // does a record whose RDATA does not decode, as for
@@ -329,7 +321,8 @@ impl DatagramService for AuthoritativeServer {
         if records.any(|r| r.check_rdata().is_err()) {
             return Err(NetError::Reset);
         }
-        Ok(self.render(&view))
+        self.render(&view, reply);
+        Ok(())
     }
 }
 
@@ -342,6 +335,13 @@ mod tests {
 
     fn name(s: &str) -> DnsName {
         DnsName::parse(s).unwrap()
+    }
+
+    /// The server's answer to `request`, in a fresh buffer.
+    fn serve(s: &AuthoritativeServer, request: &[u8]) -> Vec<u8> {
+        let mut reply = Vec::new();
+        s.handle(request, Timestamp(0), &mut reply).unwrap();
+        reply
     }
 
     fn server_with_zone() -> AuthoritativeServer {
@@ -438,7 +438,7 @@ mod tests {
     fn wire_round_trip_through_datagram_service() {
         let s = server_with_zone();
         let q = Message::query(9, name("a.com"), RecordType::Https);
-        let resp_bytes = s.handle(&q.encode(), Timestamp(0)).unwrap();
+        let resp_bytes = serve(&s, &q.encode());
         let resp = Message::decode(&resp_bytes).unwrap();
         assert_eq!(resp.id, 9);
         assert_eq!(resp.answers_of(RecordType::Https).len(), 1);
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn garbage_datagram_rejected() {
         let s = server_with_zone();
-        assert!(s.handle(&[0xFF; 7], Timestamp(0)).is_err());
+        assert!(s.handle(&[0xFF; 7], Timestamp(0), &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -482,12 +482,12 @@ mod tests {
         // them and equals the owned answer, encoded.
         let s = server_with_zone();
         let q = Message::query(21, name("a.com"), RecordType::Https);
-        let first = s.handle(&q.encode(), Timestamp(0)).unwrap();
+        let first = serve(&s, &q.encode());
         assert_eq!(first, s.answer(&q).encode());
-        assert_eq!(s.handle(&q.encode(), Timestamp(0)).unwrap(), first);
+        assert_eq!(serve(&s, &q.encode()), first);
         // A different ID serves the same bytes with only the ID changed.
         let q2 = Message::query(0x55AA, name("a.com"), RecordType::Https).encode();
-        let served = s.handle(&q2, Timestamp(0)).unwrap();
+        let served = serve(&s, &q2);
         assert_eq!(served[0..2], 0x55AAu16.to_be_bytes());
         assert_eq!(served[2..], first[2..]);
     }
@@ -504,11 +504,11 @@ mod tests {
         let signed = Message::query_dnssec(31, name("a.com"), RecordType::Https);
         // The first DO answer signs the set; later ones reuse the RRSIG.
         for q in [&plain, &signed, &plain, &signed] {
-            assert_eq!(s.handle(&q.encode(), Timestamp(0)).unwrap(), s.answer(q).encode());
+            assert_eq!(serve(&s, &q.encode()), s.answer(q).encode());
         }
-        let plain_resp = Message::decode(&s.handle(&plain.encode(), Timestamp(0)).unwrap());
+        let plain_resp = Message::decode(&serve(&s, &plain.encode()));
         assert!(plain_resp.unwrap().answers_of(RecordType::Rrsig).is_empty());
-        let signed_resp = Message::decode(&s.handle(&signed.encode(), Timestamp(0)).unwrap());
+        let signed_resp = Message::decode(&serve(&s, &signed.encode()));
         assert_eq!(signed_resp.unwrap().answers_of(RecordType::Rrsig).len(), 1);
     }
 
@@ -521,10 +521,10 @@ mod tests {
             })
             .unwrap();
         let q = Message::query_dnssec(22, name("a.com"), RecordType::A).encode();
-        let before = s.handle(&q, Timestamp(0)).unwrap(); // signs the A set
+        let before = serve(&s, &q); // signs the A set
         let a = Record::new(name("a.com"), 300, RData::A(Ipv4Addr::new(4, 3, 2, 1)));
         s.zones().with_zone(&name("a.com"), |z| z.add(a)).unwrap();
-        let after = Message::decode(&s.handle(&q, Timestamp(0)).unwrap()).unwrap();
+        let after = Message::decode(&serve(&s, &q)).unwrap();
         assert_ne!(Message::decode(&before).unwrap(), after);
         // Both addresses, under an RRSIG that covers both.
         assert_eq!(after.answers_of(RecordType::A).len(), 2);
@@ -544,9 +544,9 @@ mod tests {
             })
         };
         sign(0);
-        let first = s.handle(&q.encode(), Timestamp(0)).unwrap();
+        let first = serve(&s, &q.encode());
         sign(1);
-        let second = s.handle(&q.encode(), Timestamp(0)).unwrap();
+        let second = serve(&s, &q.encode());
         assert_ne!(first, second);
         assert_eq!(second, s.answer(&q).encode());
     }
@@ -555,7 +555,7 @@ mod tests {
     fn an_uppercase_qname_is_echoed_in_its_case() {
         let s = server_with_zone();
         let mixed = Message::query(24, DnsName::parse("A.com").unwrap(), RecordType::A);
-        let out = s.handle(&mixed.encode(), Timestamp(0)).unwrap();
+        let out = serve(&s, &mixed.encode());
         assert!(out.windows(6).any(|w| w == [1, b'A', 3, b'c', b'o', b'm']));
         assert_eq!(Message::decode(&out).unwrap().answers_of(RecordType::A).len(), 1);
         assert_eq!(out, s.answer(&mixed).encode());
@@ -577,8 +577,8 @@ mod tests {
         assert_eq!(Message::decode(&pointer).unwrap(), Message::decode(&plain).unwrap());
 
         let reference = s.answer(&Message::decode(&plain).unwrap()).encode();
-        assert_eq!(s.handle(&pointer, Timestamp(0)).unwrap(), reference);
-        assert_eq!(s.handle(&plain, Timestamp(0)).unwrap(), reference);
+        assert_eq!(serve(&s, &pointer), reference);
+        assert_eq!(serve(&s, &plain), reference);
     }
 
     #[test]
@@ -592,7 +592,7 @@ mod tests {
         let s = AuthoritativeServer::new(zones);
         for prefix in ["svc", &"x".repeat(63)] {
             let q = Message::query(13, name(&format!("{prefix}.legacy.a.com")), RecordType::A);
-            assert_eq!(s.handle(&q.encode(), Timestamp(0)).unwrap(), s.answer(&q).encode());
+            assert_eq!(serve(&s, &q.encode()), s.answer(&q).encode());
         }
         let fits = Message::query(13, name("svc.legacy.a.com"), RecordType::A);
         assert_eq!(s.answer(&fits).answers_of(RecordType::Cname).len(), 1);

@@ -109,39 +109,44 @@ fn every_authority_answer_allocates_only_the_response() {
         shapes.iter().map(|(n, t)| Message::query(9, n.clone(), *t)).collect();
     let signed: Vec<Message> =
         shapes.iter().map(|(n, t)| Message::query_dnssec(9, n.clone(), *t)).collect();
-    // Each serve equals the owned answer. A thread writes every answer
-    // into one scratch buffer, allocated on its first serve.
+    // Each serve equals the owned answer. A caller hands every answer
+    // the same buffer, which the first one allocates.
     let warm = Message::query(9, apex.clone(), RecordType::Txt).encode();
-    assert_eq!(allocs_in(|| server.handle(&warm, Timestamp(0))).0, 2, "response and scratch");
-    // Then the first serve of each shape, cold, allocates the response;
-    // only a DO answer's first serve signs its sets.
+    let mut reply = Vec::new();
+    let (n, served) = allocs_in(|| server.handle(&warm, Timestamp(0), &mut reply));
+    served.unwrap();
+    assert_eq!(n, 1, "the reply buffer");
+    // Then the first serve of each shape, cold, allocates nothing; only
+    // a DO answer's first serve signs its sets.
     for query in &plain {
         let request = query.encode();
-        let (n, served) = allocs_in(|| server.handle(&request, Timestamp(0)));
-        assert_eq!(n, 1, "the response bytes, cold");
-        assert_eq!(served.unwrap(), server.answer(query).encode());
+        let (n, served) = allocs_in(|| server.handle(&request, Timestamp(0), &mut reply));
+        served.unwrap();
+        assert_eq!(n, 0, "cold, into the reused buffer");
+        assert_eq!(reply, server.answer(query).encode());
     }
     for query in &signed {
-        assert_eq!(
-            server.handle(&query.encode(), Timestamp(0)).unwrap(),
-            server.answer(query).encode()
-        );
+        server.handle(&query.encode(), Timestamp(0), &mut reply).unwrap();
+        assert_eq!(reply, server.answer(query).encode());
     }
     let requests: Vec<(Vec<u8>, Vec<u8>)> =
         plain.iter().chain(&signed).map(|q| (q.encode(), server.answer(q).encode())).collect();
 
     for threads in thread_axis() {
         let counts = allocs_per_thread(threads, || {
-            let (n, _) = allocs_in(|| server.handle(&warm, Timestamp(0)));
-            assert_eq!(n, 2, "response and this thread's scratch");
+            let mut reply = Vec::new();
+            let (n, _) = allocs_in(|| server.handle(&warm, Timestamp(0), &mut reply));
+            assert_eq!(n, 1, "this thread's reply buffer");
             for _ in 0..10 {
                 for (request, reference) in &requests {
-                    let (n, served) = allocs_in(|| server.handle(black_box(request), Timestamp(0)));
-                    assert_eq!(n, 1, "the response bytes");
-                    assert_eq!(&served.unwrap(), reference);
+                    let (n, served) =
+                        allocs_in(|| server.handle(black_box(request), Timestamp(0), &mut reply));
+                    served.unwrap();
+                    assert_eq!(n, 0, "a warm answer into the reused buffer");
+                    assert_eq!(&reply, reference);
                 }
             }
         });
-        assert_eq!(counts, vec![10 * requests.len() as u64 + 2; threads], "{threads} threads");
+        assert_eq!(counts, vec![1; threads], "{threads} threads");
     }
 }

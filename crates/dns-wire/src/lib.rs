@@ -32,7 +32,7 @@ pub mod view;
 pub mod wire;
 
 pub use error::{ParseError, WireError};
-pub use message::{Edns, Flags, Message, Opcode, Question, Rcode};
+pub use message::{write_dnssec_query, Edns, Flags, Message, Opcode, Question, Rcode};
 pub use name::{DnsName, NameBuf, NameBuildHasher, NameHasher, NameKey, NameRef};
 pub use record::{
     DnsClass, DnskeyRdata, DsRdata, RData, Record, RecordType, RrsigRdata, SoaRdata, SrvRdata,

@@ -1,7 +1,7 @@
 //! DNS messages: header flags, questions, sections, EDNS(0), full codec.
 
 use crate::error::WireError;
-use crate::name::DnsName;
+use crate::name::{DnsName, NameKey};
 use crate::record::{DnsClass, RData, Record, RecordType};
 use crate::view::MessageView;
 use crate::wire::WireWriter;
@@ -325,6 +325,34 @@ impl Message {
     pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
         MessageView::parse(buf)?.to_message()
     }
+}
+
+/// Write the query [`Message::query_dnssec`]`(id, name, qtype)` into
+/// `out`, which is cleared first: exactly the bytes its
+/// [`Message::encode`] makes, written without building the message — a
+/// sender that reuses `out` writes every query in place.
+pub fn write_dnssec_query(
+    out: &mut Vec<u8>,
+    id: u16,
+    name: &(impl NameKey + ?Sized),
+    qtype: RecordType,
+) {
+    out.clear();
+    out.extend_from_slice(&id.to_be_bytes());
+    // RD alone; one question, no answer or authority, the OPT record.
+    out.extend_from_slice(&[0x01, 0, 0, 1, 0, 0, 0, 0, 0, 1]);
+    // The question name is the first in the message: nothing to point at.
+    out.extend_from_slice(name.name_ref().flat);
+    out.push(0);
+    out.extend_from_slice(&qtype.code().to_be_bytes());
+    out.extend_from_slice(&DnsClass::In.code().to_be_bytes());
+    // OPT: root owner, `Edns::dnssec()`'s payload size, the DO bit, no
+    // options.
+    out.push(0);
+    out.extend_from_slice(&RecordType::Opt.code().to_be_bytes());
+    out.extend_from_slice(&Edns::dnssec().udp_payload_size.to_be_bytes());
+    out.extend_from_slice(&0x8000u32.to_be_bytes());
+    out.extend_from_slice(&[0, 0]);
 }
 
 #[cfg(test)]

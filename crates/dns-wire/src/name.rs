@@ -127,7 +127,9 @@ impl NameBuf {
         Ok(body)
     }
 
-    pub(crate) fn freeze(&self) -> DnsName {
+    /// The name built so far, as an owned [`DnsName`]: one allocation
+    /// (none for the root).
+    pub fn freeze(&self) -> DnsName {
         if self.len == 0 {
             DnsName::root()
         } else {

@@ -387,6 +387,14 @@ impl<'a> RecordView<'a> {
         RData::check(self.rtype(), (self.meta.rd_start, self.meta.rd_end), self.buf)
     }
 
+    /// The host name the RDATA of an NS record holds, borrowed in place
+    /// — for a record whose RDATA [`RecordView::check_rdata`] accepted,
+    /// the name [`RecordView::rdata`] builds; `None` for another type.
+    pub fn ns_host(&self) -> Option<NameView<'a>> {
+        (self.rtype() == RecordType::Ns)
+            .then_some(NameView { buf: self.buf, start: self.meta.rd_start })
+    }
+
     /// The RDATA of an SVCB or HTTPS record, read in place
     /// ([`SvcbView::read`]): the priority and the target are located,
     /// the parameters are not checked again — for a record whose RDATA

@@ -10,9 +10,12 @@
 //!
 //! Design note: the network is synchronous — a packet is a method call —
 //! which makes every experiment in the workspace reproducible bit-for-bit
-//! from a seed. Concurrency in higher layers (the scanner) uses scoped
-//! threads over this shared handle; all interior state is behind
-//! `parking_lot` locks, except the clock, which is one atomic.
+//! from a seed. A datagram service writes its response into a buffer the
+//! sender hands it ([`Network::send_datagram_into`]), so a sender that
+//! reuses its buffer exchanges without allocating. Concurrency in higher
+//! layers (the scanner) uses scoped threads over this shared handle; all
+//! interior state is behind `parking_lot` locks, except the clock, which
+//! is one atomic.
 //!
 //! Virtual time extends this without breaking it: a [`LinkModel`] gives
 //! links seeded RTT/loss behaviour, and

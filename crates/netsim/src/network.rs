@@ -3,9 +3,10 @@
 //! (TLS/HTTP), per-IP reachability control, and traffic accounting.
 //!
 //! Everything is synchronous and deterministic: a "packet" is a method
-//! call. Components hold an [`Network`] handle (cheaply clonable) and
-//! address each other by IP, exactly as the paper's testbed components
-//! address each other over AWS.
+//! call, and its response is written into the sender's buffer.
+//! Components hold an [`Network`] handle (cheaply clonable) and address
+//! each other by IP, exactly as the paper's testbed components address
+//! each other over AWS.
 
 use crate::clock::{SimClock, TimeMs, Timestamp};
 use crate::latency::{LinkFate, LinkModel};
@@ -44,8 +45,11 @@ impl std::error::Error for NetError {}
 
 /// A datagram (DNS-shaped) service bound to an address.
 pub trait DatagramService: Send + Sync {
-    /// Handle one request datagram, producing a response datagram.
-    fn handle(&self, request: &[u8], now: Timestamp) -> Result<Vec<u8>, NetError>;
+    /// Handle one request datagram, writing the response datagram into
+    /// `reply`: whatever `reply` held is cleared first, so a caller can
+    /// hand the same buffer to every exchange. On `Err` its contents are
+    /// unspecified.
+    fn handle(&self, request: &[u8], now: Timestamp, reply: &mut Vec<u8>) -> Result<(), NetError>;
 }
 
 /// A byte-oriented connection handler (TLS-shaped): the caller opens a
@@ -257,20 +261,34 @@ impl Network {
         svc
     }
 
-    /// Send one datagram and wait for the response. Only takes a read
-    /// lock on the topology, so parallel senders do not serialize.
+    /// Send one datagram and wait for the response, written into
+    /// `reply` (cleared first). Only takes a read lock on the topology,
+    /// so parallel senders do not serialize; a sender that reuses its
+    /// buffer exchanges without allocating.
+    pub fn send_datagram_into(
+        &self,
+        dst: IpAddr,
+        port: u16,
+        payload: &[u8],
+        reply: &mut Vec<u8>,
+    ) -> Result<(), NetError> {
+        self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
+        let svc = self.route(dst, port, |st| &st.datagram)?;
+        svc.handle(payload, self.clock.now(), reply)?;
+        self.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// [`send_datagram_into`](Self::send_datagram_into) a fresh buffer.
     pub fn send_datagram(
         &self,
         dst: IpAddr,
         port: u16,
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
-        self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
-        let svc = self.route(dst, port, |st| &st.datagram)?;
-        let now = self.clock.now();
-        let resp = svc.handle(payload, now)?;
-        self.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
-        Ok(resp)
+        let mut reply = Vec::new();
+        self.send_datagram_into(dst, port, payload, &mut reply)?;
+        Ok(reply)
     }
 
     /// Send one datagram through the installed [`LinkModel`] (the zero
@@ -306,9 +324,9 @@ impl Network {
                 ScheduledDelivery::Dropped
             }
             LinkFate::Deliver { rtt_ms } => {
-                let now = self.clock.now();
-                match svc.handle(payload, now) {
-                    Ok(bytes) => {
+                let mut bytes = Vec::new();
+                match svc.handle(payload, self.clock.now(), &mut bytes) {
+                    Ok(()) => {
                         self.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
                         ScheduledDelivery::Reply { at: self.clock.now_ms().plus(rtt_ms), bytes }
                     }
@@ -370,10 +388,15 @@ mod tests {
 
     struct Echo;
     impl DatagramService for Echo {
-        fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
-            let mut v = request.to_vec();
-            v.reverse();
-            Ok(v)
+        fn handle(
+            &self,
+            request: &[u8],
+            _now: Timestamp,
+            reply: &mut Vec<u8>,
+        ) -> Result<(), NetError> {
+            reply.clear();
+            reply.extend(request.iter().rev());
+            Ok(())
         }
     }
     impl StreamService for Echo {
@@ -394,6 +417,18 @@ mod tests {
         assert_eq!(resp, b"cba");
         assert_eq!(net.stats().datagrams_sent, 1);
         assert_eq!(net.stats().datagrams_answered, 1);
+    }
+
+    #[test]
+    fn a_reused_reply_buffer_holds_only_the_latest_reply() {
+        let net = Network::new(SimClock::new());
+        net.bind_datagram(ip("10.0.0.1"), 53, Arc::new(Echo));
+        let mut reply = b"left over".to_vec();
+        net.send_datagram_into(ip("10.0.0.1"), 53, b"abc", &mut reply).unwrap();
+        assert_eq!(reply, b"cba");
+        net.send_datagram_into(ip("10.0.0.1"), 53, b"xy", &mut reply).unwrap();
+        assert_eq!(reply, b"yx");
+        assert_eq!(net.stats().datagrams_answered, 2);
     }
 
     #[test]

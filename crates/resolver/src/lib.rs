@@ -7,6 +7,12 @@
 //! [`VantagePoint`] profiles modelling public-resolver behaviours, and a
 //! [`netsim::DatagramService`] implementation so it can be bound to an IP
 //! and used as a "public resolver" by browsers and scanners.
+//!
+//! An exchange with an authority on the synchronous path allocates only
+//! the reply it keeps: the query is written in place
+//! ([`dns_wire::write_dnssec_query`]) and the answer received into
+//! per-thread buffers reused from one exchange to the next, and a reply
+//! with answers is copied once into the buffer its [`RrSet`]s share.
 
 #![warn(missing_docs)]
 

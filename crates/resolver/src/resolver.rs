@@ -3,20 +3,23 @@
 //! Resolution strategy: find the deepest delegated zone for the queried
 //! name via the [`DelegationRegistry`], pick a name server with the
 //! configured [`SelectionStrategy`], query it over the simulated network
-//! with the EDNS DO bit set, chase CNAMEs across zones, cache positive
-//! and negative answers by TTL, and (optionally) validate DNSSEC chains
-//! to decide the AD bit — the full pipeline the paper relies on when it
-//! measures records through Google/Cloudflare public resolvers.
+//! with the EDNS DO bit set (the query written and the reply received in
+//! buffers this thread keeps between exchanges), chase CNAMEs across
+//! zones, cache positive and negative answers by TTL, and (optionally)
+//! validate DNSSEC chains to decide the AD bit — the full pipeline the
+//! paper relies on when it measures records through Google/Cloudflare
+//! public resolvers.
 
-use crate::cache::{CachedAnswer, RecordCache};
+use crate::cache::{CachedAnswer, RecordCache, DEFAULT_SHARDS};
 use crate::reply::{AuthorityReply, RrSet};
 use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
-use dns_wire::{DnsName, Message, RData, Rcode, Record, RecordType};
+use dns_wire::{write_dnssec_query, DnsName, Message, RData, Rcode, Record, RecordType};
 use dnssec::{ChainSource, ValidationState, Validator};
 use netsim::{DatagramService, NetError, Network, Timestamp};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU16, Ordering};
@@ -46,8 +49,6 @@ pub struct ResolverConfig {
     pub ttl_clamp: Option<u32>,
     /// Negative-cache TTL when no SOA is present in the response.
     pub default_negative_ttl: u32,
-    /// Shard count for the record cache (see [`crate::cache`]).
-    pub cache_shards: usize,
     /// Per-shard cache capacity bound; `None` (the default) keeps the
     /// cache unbounded, which the scanner campaigns rely on. The serving
     /// subsystem sets `Some(n)` to model a production resolver's finite
@@ -63,7 +64,6 @@ impl Default for ResolverConfig {
             seed: 0,
             ttl_clamp: None,
             default_negative_ttl: 300,
-            cache_shards: crate::cache::DEFAULT_SHARDS,
             cache_capacity_per_shard: None,
         }
     }
@@ -183,9 +183,9 @@ impl RecursiveResolver {
     pub fn new(network: Network, registry: DelegationRegistry, config: ResolverConfig) -> Self {
         let cache = match config.cache_capacity_per_shard {
             Some(capacity) => {
-                RecordCache::with_eviction(config.cache_shards, config.ttl_clamp, capacity)
+                RecordCache::with_eviction(DEFAULT_SHARDS, config.ttl_clamp, capacity)
             }
-            None => RecordCache::with_config(config.cache_shards, config.ttl_clamp),
+            None => RecordCache::with_config(DEFAULT_SHARDS, config.ttl_clamp),
         };
         let selector = NsSelector::new(config.strategy, config.seed);
         RecursiveResolver {
@@ -367,7 +367,10 @@ impl RecursiveResolver {
     }
 
     /// Send one query for `(name, rtype)` to `zone`'s endpoints in the
-    /// given order until one of them answers it usably.
+    /// given order until one of them answers it usably. The query is
+    /// written and each reply received in this thread's [`EXCHANGE`]
+    /// buffers, so the exchange allocates only what a usable reply is
+    /// parsed into.
     fn ask<'a>(
         &self,
         zone: &DnsName,
@@ -376,19 +379,26 @@ impl RecursiveResolver {
         rtype: RecordType,
     ) -> Result<AuthorityReply, ResolveError> {
         let id = self.next_query_id();
-        let wire = Message::query_dnssec(id, name.clone(), rtype).encode();
+        let (mut query, mut reply) = EXCHANGE.take();
+        write_dnssec_query(&mut query, id, name, rtype);
         let mut last_err = ResolveError::Lame(zone.clone());
-        for ep in order {
-            last_err = match self.network.send_datagram(ep.ip, 53, &wire) {
-                Ok(bytes) => match AuthorityReply::parse(&bytes, id, name, rtype) {
-                    Some(resp) if resp.rcode == Rcode::Refused => ResolveError::Lame(zone.clone()),
-                    Some(resp) => return Ok(resp),
-                    None => ResolveError::Malformed,
-                },
-                Err(e) => ResolveError::Network(e),
-            };
-        }
-        Err(last_err)
+        let outcome = 'ask: {
+            for ep in order {
+                last_err = match self.network.send_datagram_into(ep.ip, 53, &query, &mut reply) {
+                    Ok(()) => match AuthorityReply::parse(&reply, id, name, rtype) {
+                        Some(resp) if resp.rcode == Rcode::Refused => {
+                            ResolveError::Lame(zone.clone())
+                        }
+                        Some(resp) => break 'ask Ok(resp),
+                        None => ResolveError::Malformed,
+                    },
+                    Err(e) => ResolveError::Network(e),
+                };
+            }
+            Err(last_err)
+        };
+        EXCHANGE.set((query, reply));
+        outcome
     }
 
     /// Cache every RRset of a reply's answer section, in the order the
@@ -416,6 +426,14 @@ impl RecursiveResolver {
         let now = now.0.min(u32::MAX as u64) as u32;
         self.validator.validate(&set.to_records(), &set.rrsig_rdatas(), &mut source, now)
     }
+}
+
+thread_local! {
+    /// The query and reply buffers of [`RecursiveResolver::ask`], kept
+    /// between exchanges. Taken for the exchange and put back after it,
+    /// so an exchange nested inside one (a resolver bound as another's
+    /// authority) gets empty buffers of its own.
+    static EXCHANGE: Cell<(Vec<u8>, Vec<u8>)> = const { Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// The first record of a CNAME set and its target: the step a
@@ -520,14 +538,15 @@ impl ChainSource for ResolverChainSource<'_> {
 /// A resolver exposed as a datagram service (a "public resolver" such as
 /// 8.8.8.8 in the testbed). Sets RA and the AD bit per validation.
 impl DatagramService for RecursiveResolver {
-    fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
+    fn handle(&self, request: &[u8], _now: Timestamp, reply: &mut Vec<u8>) -> Result<(), NetError> {
         let Ok(query) = Message::decode(request) else {
             return Err(NetError::Reset);
         };
         let mut resp = query.response();
         let Some(q) = query.question() else {
             resp.rcode = Rcode::FormErr;
-            return Ok(resp.encode());
+            *reply = resp.encode();
+            return Ok(());
         };
         match self.resolve(&q.name, q.qtype) {
             Ok(res) => {
@@ -560,6 +579,7 @@ impl DatagramService for RecursiveResolver {
                 resp.rcode = Rcode::ServFail;
             }
         }
-        Ok(resp.encode())
+        *reply = resp.encode();
+        Ok(())
     }
 }

@@ -243,9 +243,8 @@ fn parsing_a_reply_costs_the_same_however_many_records_and_params_it_holds() {
     for (records, params) in [(1, 0), (1, 7), (3, 2), (8, 0), (8, 7)] {
         let engine = https_engine(records, params);
         // The first resolution has the cache size its table and the
-        // authority's thread its scratch buffer; the second one pays only
-        // for the query, the reply datagram and the one buffer it is
-        // parsed into.
+        // thread its exchange buffers; the second one pays only for the
+        // one buffer the reply is parsed into.
         assert_eq!(engine.resolve(&apex, RecordType::Https).unwrap().records.len(), records.into());
         engine.cache().flush();
         let (n, cold) = allocs_in(|| engine.resolve(&apex, RecordType::Https).unwrap());
@@ -265,6 +264,22 @@ fn a_com_engine() -> QueryEngine {
         zone.add(Record::new(apex.clone(), 60, RData::A(Ipv4Addr::new(1, 2, 3, last))));
     }
     serve(zone)
+}
+
+#[test]
+fn a_warm_threads_cold_resolution_allocates_only_the_reply_it_keeps() {
+    let engine = a_com_engine();
+    let apex = name("a.com");
+    // The first resolution sizes the cache's table and this thread's
+    // query and reply buffers; every later exchange reuses them.
+    assert_eq!(engine.resolve(&apex, RecordType::A).unwrap().records.len(), 2);
+    for _ in 0..3 {
+        engine.cache().flush();
+        let (n, cold) = allocs_in(|| engine.resolve(&apex, RecordType::A).unwrap());
+        assert!(!cold.from_cache);
+        assert_eq!(cold.records.len(), 2);
+        assert_eq!(n, 1, "the one buffer the reply is parsed into");
+    }
 }
 
 #[test]

@@ -27,17 +27,21 @@ pub fn victim() -> DnsName {
 }
 
 impl DatagramService for Mismatch {
-    fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
+    fn handle(&self, request: &[u8], _now: Timestamp, out: &mut Vec<u8>) -> Result<(), NetError> {
         let query = Message::decode(request).map_err(|_| NetError::Reset)?;
         let mut reply = match self {
-            Mismatch::Echo => return Ok(request.to_vec()),
+            Mismatch::Echo => {
+                *out = request.to_vec();
+                return Ok(());
+            }
             Mismatch::WrongId => Message { id: query.id.wrapping_add(1), ..query.response() },
             Mismatch::OtherQuestion => {
                 Message::query_dnssec(query.id, victim(), RecordType::A).response()
             }
         };
         reply.answers.push(Record::new(victim(), 3600, RData::A("6.6.6.6".parse().unwrap())));
-        Ok(reply.encode())
+        *out = reply.encode();
+        Ok(())
     }
 }
 
@@ -58,7 +62,7 @@ impl DatagramService for BadRdata {
     /// The reply to the query asked, answering it with a decodable A
     /// record for [`victim`] and then, owned by the question name, the
     /// undecodable record.
-    fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
+    fn handle(&self, request: &[u8], _now: Timestamp, out: &mut Vec<u8>) -> Result<(), NetError> {
         let query = Message::decode(request).map_err(|_| NetError::Reset)?;
         let mut reply = query.response();
         reply.edns = None; // keep the answer section last
@@ -78,6 +82,7 @@ impl DatagramService for BadRdata {
         bytes.extend_from_slice(&3600u32.to_be_bytes());
         bytes.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
         bytes.extend_from_slice(rdata);
-        Ok(bytes)
+        *out = bytes;
+        Ok(())
     }
 }

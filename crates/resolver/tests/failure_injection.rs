@@ -23,8 +23,9 @@ fn ip(s: &str) -> IpAddr {
 /// A server that returns unparseable bytes.
 struct GarbageServer;
 impl DatagramService for GarbageServer {
-    fn handle(&self, _request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
-        Ok(vec![0xFF; 9])
+    fn handle(&self, _request: &[u8], _now: Timestamp, out: &mut Vec<u8>) -> Result<(), NetError> {
+        *out = vec![0xFF; 9];
+        Ok(())
     }
 }
 

@@ -125,29 +125,33 @@ fn second_resolve_hits_cache() {
 #[test]
 fn cname_and_target_are_cached_in_answer_order() {
     // One answer carries two RRsets (the authority chased the in-zone
-    // CNAME): `www.a.com CNAME a.com`, then `a.com A`. In a one-entry
-    // cache the second set stored evicts the first, so which survives
-    // is the order they were stored in. That order is the answer's:
-    // the target survives, the chase finds it, one query is sent. It
-    // used to be a `HashMap`'s iteration order, which differs from one
-    // hasher to the next — every resolver here has a fresh one.
+    // CNAME): `shop.a.com CNAME a.com`, then `a.com A`. The two owners
+    // share a shard of the 16 (FNV-1a of the dotted key is 7 mod 16 for
+    // both), so in a one-entry-per-shard cache the second set stored
+    // evicts the first, and which survives is the order they were
+    // stored in. That order is the answer's: the target survives, the
+    // chase finds it, one query is sent. It used to be a `HashMap`'s
+    // iteration order, which differs from one hasher to the next —
+    // every resolver here has a fresh one.
     for _ in 0..32 {
-        let (net, reg, _) = world(true);
+        let (net, reg, a_set) = world(true);
+        a_set.with_zone(&name("a.com"), |z| {
+            z.add(Record::new(name("shop.a.com"), 300, RData::Cname(name("a.com"))))
+        });
         let config = ResolverConfig {
             validate: false,
-            cache_shards: 1,
             cache_capacity_per_shard: Some(1),
             ..Default::default()
         };
         let r = RecursiveResolver::new(net.clone(), reg, config);
-        let res = r.resolve(&name("www.a.com"), RecordType::A).unwrap();
+        let res = r.resolve(&name("shop.a.com"), RecordType::A).unwrap();
         assert_eq!((res.chain.len(), res.records.len()), (1, 1));
         assert_eq!(net.stats().datagrams_sent, 1);
         let stats = r.cache().stats();
         assert_eq!((stats.insertions, stats.evictions, stats.hits), (2, 1, 1));
         let now = net.clock().now();
         assert!(r.cache().get(&name("a.com"), RecordType::A, now).is_some());
-        assert!(r.cache().get(&name("www.a.com"), RecordType::Cname, now).is_none());
+        assert!(r.cache().get(&name("shop.a.com"), RecordType::Cname, now).is_none());
     }
 }
 
@@ -326,7 +330,7 @@ struct ComDnskeyGate {
 }
 
 impl DatagramService for ComDnskeyGate {
-    fn handle(&self, request: &[u8], now: Timestamp) -> Result<Vec<u8>, NetError> {
+    fn handle(&self, request: &[u8], now: Timestamp, out: &mut Vec<u8>) -> Result<(), NetError> {
         let question = Message::decode(request).ok().and_then(|m| m.questions.into_iter().next());
         if question.is_some_and(|q| q.name == name("com") && q.qtype == RecordType::Dnskey) {
             let mut arrived = self.arrived.lock().unwrap();
@@ -340,7 +344,7 @@ impl DatagramService for ComDnskeyGate {
                 self.second.notify_all();
             }
         }
-        self.com.handle(request, now)
+        self.com.handle(request, now, out)
     }
 }
 

@@ -64,13 +64,13 @@ use crate::observation::{flags, NsCategory, Observation};
 use crate::store::persist::{StoreMeta, StoreWriter};
 use crate::store::{OrgId, OrgInterner, SnapshotStore};
 use dns_wire::svcb::key;
-use dns_wire::{DnsName, NameView, RData, RecordType, SvcbView};
+use dns_wire::{DnsName, NameBuildHasher, NameView, RData, RecordType, SvcbView};
 use ecosystem::World;
 use resolver::{
     CacheStats, Query, QueryEngine, Resolution, ResolveError, RrSet, SelectionStrategy,
     VantagePoint,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::io::{self, ErrorKind};
 use std::net::IpAddr;
@@ -525,10 +525,11 @@ pub fn scan_day(
     // Wave 2: owner-A and apex-NS follow-ups.
     let batches: Vec<&[Query]> = wave2.iter().map(Vec::as_slice).collect();
     let results = scan_wave(engines, &batches, threads, "wave2_followups");
+    let mut hosts = HashSet::default();
     let wave3: Vec<Vec<Query>> = scans
         .iter_mut()
         .zip(results)
-        .map(|(scan, results)| fold_followups(scan, results))
+        .map(|(scan, results)| fold_followups(scan, results, &mut hosts))
         .collect();
     drop(wave2);
 
@@ -636,8 +637,14 @@ fn fold_https(
 
 /// Fold one vantage's wave-2 results: the hint check for each
 /// HTTPS-positive target, and the vantage's wave-3 batch of NS-host
-/// address lookups.
-fn fold_followups(scans: &mut [TargetScan], results: WaveResults) -> Vec<Query> {
+/// address lookups. Each host is named by the one name `hosts` keeps
+/// for its spelling, so a day builds a name per distinct host, not one
+/// per NS record.
+fn fold_followups(
+    scans: &mut [TargetScan],
+    results: WaveResults,
+    hosts: &mut NameSet,
+) -> Vec<Query> {
     let mut wave3: Vec<Query> = Vec::new();
     for t in scans.iter_mut() {
         if let Some((idx, https)) = t.owner_a.take() {
@@ -651,8 +658,8 @@ fn fold_followups(scans: &mut [TargetScan], results: WaveResults) -> Vec<Query> 
             let start = wave3.len() as u32;
             if let Ok(ns_res) = &results[idx as usize] {
                 for rec in ns_res.records.records() {
-                    if let Ok(RData::Ns(ns)) = rec.rdata() {
-                        wave3.push(Query::new(ns, RecordType::A));
+                    if let Some(host) = rec.ns_host() {
+                        wave3.push(Query::new(shared_name(hosts, host), RecordType::A));
                     }
                 }
             }
@@ -660,6 +667,24 @@ fn fold_followups(scans: &mut [TargetScan], results: WaveResults) -> Vec<Query> 
         }
     }
     wave3
+}
+
+/// Names kept to be handed out again, keyed case-insensitively.
+type NameSet = HashSet<DnsName, NameBuildHasher>;
+
+/// The name `name` spells: the one `names` keeps when it is spelled the
+/// same way, case included, else a new one, kept unless `names` holds
+/// another spelling of it. Spelled on the stack, so a name seen before
+/// costs no allocation.
+fn shared_name(names: &mut NameSet, name: NameView<'_>) -> DnsName {
+    let spelled = name.to_buf();
+    let same_case = |known: &&DnsName| known.labels().eq(spelled.name_ref().labels());
+    if let Some(known) = names.get(spelled.name_ref().as_key()).filter(same_case) {
+        return known.clone();
+    }
+    let owned = spelled.freeze();
+    names.insert(owned.clone());
+    owned
 }
 
 /// Fold one vantage's wave-3 results: WHOIS attribution of each apex's
