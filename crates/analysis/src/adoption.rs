@@ -74,23 +74,6 @@ pub struct RankBuckets {
     pub label_b: String,
 }
 
-impl RankBuckets {
-    /// Mean rank of set A (approximate, using bucket midpoints).
-    pub fn mean_rank(counts: &[usize], bounds: &[u32]) -> f64 {
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            return f64::NAN;
-        }
-        let mut acc = 0.0;
-        let mut prev = 0u32;
-        for (c, b) in counts.iter().zip(bounds) {
-            acc += *c as f64 * f64::from(prev + (b - prev) / 2);
-            prev = *b;
-        }
-        acc / total as f64
-    }
-}
-
 impl std::fmt::Display for RankBuckets {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "# rank buckets: {} vs {}", self.label_a, self.label_b)?;

@@ -34,8 +34,8 @@ pub use params::{
     IpHintSeries, MismatchDurations, ProviderShapes,
 };
 pub use providers::{
-    fig10_noncf_domains, fig3_noncf_provider_count, sec423_intermittent, tab2_ns_category,
-    tab3_top_noncf, IntermittentBreakdown, NoncfSeries, NsCategoryShares, TopProviders,
+    fig3_noncf_provider_count, sec423_intermittent, tab2_ns_category, tab3_top_noncf,
+    IntermittentBreakdown, NoncfSeries, NsCategoryShares, TopProviders,
 };
 pub use vantage_diff::{
     vantage_diff, vantage_diff_parallel, vantage_diff_runs, vantage_diff_sources,
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn overlapping_intersects_days() {
-        let mut store = SnapshotStore::new();
+        let mut store = SnapshotStore::default();
         store.push_day(0, vec![obs(0, 1), obs(0, 2), obs(0, 3)]);
         store.push_day(1, vec![obs(1, 2), obs(1, 3)]);
         store.push_day(2, vec![obs(2, 3), obs(2, 4)]);
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn overlapping_takes_a_day_in_any_order() {
         let www = |day, id| Observation { flags: scanner::flags::IS_WWW, ..obs(day, id) };
-        let mut store = SnapshotStore::new();
+        let mut store = SnapshotStore::default();
         store.push_day(0, vec![obs(0, 9), obs(0, 2), www(0, 5), obs(0, 9), obs(0, u32::MAX)]);
         store.push_day(4, vec![obs(4, u32::MAX), obs(4, 5), obs(4, 9), obs(4, 1)]);
         assert_eq!(overlapping_ids(&store, &[0, 4]), [9, u32::MAX]);

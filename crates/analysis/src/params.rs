@@ -283,22 +283,6 @@ pub struct MismatchDurations {
     pub always_mismatched: usize,
 }
 
-impl MismatchDurations {
-    /// Mean episode duration.
-    pub fn mean(&self) -> f64 {
-        let (mut n, mut sum) = (0usize, 0u64);
-        for (d, c) in &self.histogram {
-            n += c;
-            sum += u64::from(*d) * *c as u64;
-        }
-        if n == 0 {
-            f64::NAN
-        } else {
-            sum as f64 / n as f64
-        }
-    }
-}
-
 impl std::fmt::Display for MismatchDurations {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "Fig 12: hint/A mismatch episode durations (sampled days)")?;

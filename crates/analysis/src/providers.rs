@@ -166,11 +166,6 @@ pub fn fig3_noncf_provider_count(store: &dyn ObservationSource) -> NoncfSeries {
     }
 }
 
-/// Alias of [`fig3_noncf_provider_count`] for the Fig 10 series.
-pub fn fig10_noncf_domains(store: &dyn ObservationSource) -> Series {
-    fig3_noncf_provider_count(store).domain_count
-}
-
 /// §4.2.3: breakdown of domains with intermittent HTTPS records.
 #[derive(Debug, Clone, Default)]
 pub struct IntermittentBreakdown {

@@ -26,9 +26,7 @@ const MAX_VIEWS: usize = u64::BITS as usize;
 
 /// One cross-vantage disagreement: a (day, name) whose HTTPS presence
 /// differs between resolver views. Every view held the name that day;
-/// which ones saw the record is one bit per view, read back as labels
-/// with [`present_in`](Self::present_in) and
-/// [`absent_in`](Self::absent_in).
+/// which ones saw the record is one bit per view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VantageDisagreement {
     /// Scan day.
@@ -40,21 +38,6 @@ pub struct VantageDisagreement {
     /// Bit `i` set: the view labelled `vantages[i]` of the report saw
     /// the HTTPS record; clear: it did not.
     pub present: u64,
-}
-
-impl VantageDisagreement {
-    /// Labels, out of the report's `vantages`, of the views that saw the
-    /// HTTPS record.
-    pub fn present_in<'a>(&self, vantages: &'a [String]) -> impl Iterator<Item = &'a str> {
-        let present = self.present;
-        vantages.iter().enumerate().filter(move |&(i, _)| present >> i & 1 == 1).map(|(_, v)| &**v)
-    }
-
-    /// Labels, out of the report's `vantages`, of the views that did not.
-    pub fn absent_in<'a>(&self, vantages: &'a [String]) -> impl Iterator<Item = &'a str> {
-        let present = self.present;
-        vantages.iter().enumerate().filter(move |&(i, _)| present >> i & 1 == 0).map(|(_, v)| &**v)
-    }
 }
 
 /// Per-vantage summary statistics.
@@ -100,13 +83,6 @@ pub struct VantageDiffReport {
     pub disagreeing_domains: BTreeSet<u32>,
     /// Per-vantage summaries (positive counts, flapping).
     pub summaries: Vec<VantageSummary>,
-}
-
-impl VantageDiffReport {
-    /// Whether any resolver views disagreed.
-    pub fn has_disagreements(&self) -> bool {
-        !self.disagreements.is_empty()
-    }
 }
 
 impl std::fmt::Display for VantageDiffReport {
@@ -741,12 +717,13 @@ mod tests {
         let a = store("pinned", &[(0, vec![obs(0, 1, true), obs(0, 2, true)])]);
         let b = store("random", &[(0, vec![obs(0, 1, true), obs(0, 2, false)])]);
         let report = vantage_diff(&[a, b]);
-        assert!(report.has_disagreements());
+        assert!(!report.disagreements.is_empty());
         assert_eq!(report.disagreements.len(), 1);
         let d = &report.disagreements[0];
         assert_eq!((d.day, d.domain_id), (0, 2));
-        assert_eq!(d.present_in(&report.vantages).collect::<Vec<_>>(), ["pinned"]);
-        assert_eq!(d.absent_in(&report.vantages).collect::<Vec<_>>(), ["random"]);
+        // Bit 0 is "pinned" (saw it), bit 1 "random" (did not).
+        assert_eq!(report.vantages, ["pinned", "random"]);
+        assert_eq!(d.present, 0b01);
         assert_eq!(report.per_day[&0], 1);
         assert!(report.disagreeing_domains.contains(&2));
     }
@@ -756,7 +733,7 @@ mod tests {
         let a = store("x", &[(0, vec![obs(0, 1, true)]), (1, vec![obs(1, 1, true)])]);
         let b = store("y", &[(0, vec![obs(0, 1, true)]), (1, vec![obs(1, 1, true)])]);
         let report = vantage_diff(&[a, b]);
-        assert!(!report.has_disagreements());
+        assert!(report.disagreements.is_empty());
         assert_eq!(report.days, vec![0, 1]);
         assert_eq!(report.summaries[0].flapping_rate, 0.0);
     }
@@ -785,7 +762,7 @@ mod tests {
     #[test]
     fn empty_store_slice_yields_empty_report() {
         let report = vantage_diff(&[]);
-        assert!(!report.has_disagreements());
+        assert!(report.disagreements.is_empty());
         assert!(report.days.is_empty());
         assert!(report.vantages.is_empty());
         assert!(report.summaries.is_empty());
@@ -797,7 +774,7 @@ mod tests {
         let b = store("b", &[(0, vec![obs(0, 1, true)])]);
         let report = vantage_diff(&[a, b]);
         assert_eq!(report.days, vec![0]);
-        assert!(!report.has_disagreements());
+        assert!(report.disagreements.is_empty());
     }
 
     #[test]

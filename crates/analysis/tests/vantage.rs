@@ -32,7 +32,7 @@ fn vantage_diff_reports_mixed_ns_disagreements() {
     let report = vantage_diff(&stores);
     assert_eq!(report.days, vec![0, 2, 4, 6, 8]);
     assert!(
-        report.has_disagreements(),
+        !report.disagreements.is_empty(),
         "three selection strategies over mixed-NS zones must disagree somewhere"
     );
 
@@ -47,8 +47,9 @@ fn vantage_diff_reports_mixed_ns_disagreements() {
             domain.apex,
             d.day
         );
-        assert!(d.present_in(&report.vantages).next().is_some());
-        assert!(d.absent_in(&report.vantages).next().is_some());
+        // Some view saw the record and some did not.
+        let every_view = (1u64 << report.vantages.len()) - 1;
+        assert!(d.present != 0 && d.present != every_view);
     }
 
     // The report totals line up.

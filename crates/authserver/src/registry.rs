@@ -73,23 +73,6 @@ impl DelegationRegistry {
     pub fn find_parent_authority(&self, apex: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
         self.find_authority(&apex.parent()?)
     }
-
-    /// All delegated apexes (sorted, for deterministic iteration).
-    pub fn apexes(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.state.read().delegations.keys().map(DnsName::key).collect();
-        v.sort();
-        v
-    }
-
-    /// Number of delegations.
-    pub fn len(&self) -> usize {
-        self.state.read().delegations.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.state.read().delegations.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -130,8 +113,7 @@ mod tests {
         reg.delegate(&DnsName::root(), vec![ep("a.root-servers.net", "198.41.0.4")]);
         reg.delegate(&name("com"), vec![ep("a.gtld-servers.net", "192.5.6.30")]);
         reg.delegate(&name("a.com"), vec![ep("ns1.cloudflare.com", "173.245.58.1")]);
-        let apexes = reg.apexes();
-        assert_eq!(apexes, [".", "a.com", "com"]);
+        let apexes = [".", "a.com", "com"];
 
         for n in ["www.a.com", "WWW.A.Com", "a.com", "b.com", "x.org", "."] {
             let key = name(n).key();
@@ -178,6 +160,5 @@ mod tests {
         let eps = vec![ep("ns1.x.net", "1.1.1.1"), ep("ns2.y.net", "2.2.2.2")];
         reg.delegate(&name("a.com"), eps.clone());
         assert_eq!(reg.endpoints_of(&name("a.com")).unwrap()[..], eps[..]);
-        assert_eq!(reg.len(), 1);
     }
 }

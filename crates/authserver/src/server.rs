@@ -68,16 +68,6 @@ impl ZoneSet {
         name.find_ancestor(|apex| zones.contains_key(apex.as_key()).then_some(()))
             .map(|(apex, ())| apex)
     }
-
-    /// Number of zones.
-    pub fn len(&self) -> usize {
-        self.zones.read().len()
-    }
-
-    /// Whether there are no zones.
-    pub fn is_empty(&self) -> bool {
-        self.zones.read().is_empty()
-    }
 }
 
 /// An authoritative DNS server instance.
@@ -96,11 +86,6 @@ impl AuthoritativeServer {
     /// Create a server over a zone set.
     pub fn new(zones: ZoneSet) -> AuthoritativeServer {
         AuthoritativeServer { zones, max_cname_chase: 8 }
-    }
-
-    /// The served zone set handle.
-    pub fn zones(&self) -> &ZoneSet {
-        &self.zones
     }
 
     /// Answer a decoded query message.
@@ -420,7 +405,7 @@ mod tests {
     #[test]
     fn rrsigs_only_with_do_bit() {
         let s = server_with_zone();
-        s.zones()
+        s.zones
             .with_zone(&name("a.com"), |z| {
                 z.enable_signing(ZoneKeys::derive(&name("a.com"), 0), 0, u32::MAX - 1)
             })
@@ -465,7 +450,7 @@ mod tests {
     #[test]
     fn zone_mutation_visible_to_server() {
         let s = server_with_zone();
-        s.zones()
+        s.zones
             .with_zone(&name("a.com"), |z| {
                 z.remove(&name("a.com"), RecordType::Https);
             })
@@ -495,7 +480,7 @@ mod tests {
     #[test]
     fn do_bit_selects_separate_precompiled_variant() {
         let s = server_with_zone();
-        s.zones()
+        s.zones
             .with_zone(&name("a.com"), |z| {
                 z.enable_signing(ZoneKeys::derive(&name("a.com"), 0), 0, u32::MAX - 1)
             })
@@ -515,7 +500,7 @@ mod tests {
     #[test]
     fn zone_mutation_invalidates_precompiled() {
         let s = server_with_zone();
-        s.zones()
+        s.zones
             .with_zone(&name("a.com"), |z| {
                 z.enable_signing(ZoneKeys::derive(&name("a.com"), 0), 0, u32::MAX - 1)
             })
@@ -523,7 +508,7 @@ mod tests {
         let q = Message::query_dnssec(22, name("a.com"), RecordType::A).encode();
         let before = serve(&s, &q); // signs the A set
         let a = Record::new(name("a.com"), 300, RData::A(Ipv4Addr::new(4, 3, 2, 1)));
-        s.zones().with_zone(&name("a.com"), |z| z.add(a)).unwrap();
+        s.zones.with_zone(&name("a.com"), |z| z.add(a)).unwrap();
         let after = Message::decode(&serve(&s, &q)).unwrap();
         assert_ne!(Message::decode(&before).unwrap(), after);
         // Both addresses, under an RRSIG that covers both.
@@ -539,7 +524,7 @@ mod tests {
         let s = server_with_zone();
         let q = Message::query_dnssec(25, name("a.com"), RecordType::Https);
         let sign = |generation| {
-            s.zones().with_zone(&name("a.com"), |z| {
+            s.zones.with_zone(&name("a.com"), |z| {
                 z.enable_signing(ZoneKeys::derive(&name("a.com"), generation), 0, u32::MAX - 1)
             })
         };

@@ -116,11 +116,6 @@ impl Navigation {
         self.events.iter().any(|e| matches!(e, NavEvent::DnsQuery { qtype: RecordType::Https, .. }))
     }
 
-    /// Whether any TLS attempt carried ECH.
-    pub fn attempted_ech(&self) -> bool {
-        self.events.iter().any(|e| matches!(e, NavEvent::TlsAttempt { ech: true, .. }))
-    }
-
     /// The IPs of all TLS attempts, in order.
     pub fn tls_ips(&self) -> Vec<IpAddr> {
         self.events
@@ -150,11 +145,6 @@ impl Browser {
     /// resolver is advertised at `resolver_ip:53`.
     pub fn new(profile: BrowserProfile, engine: QueryEngine, resolver_ip: IpAddr) -> Browser {
         Browser { profile, engine, resolver_ip }
-    }
-
-    /// The profile in use.
-    pub fn profile(&self) -> &BrowserProfile {
-        &self.profile
     }
 
     fn network(&self) -> &Network {

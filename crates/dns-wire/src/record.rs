@@ -283,16 +283,6 @@ pub struct DnskeyRdata {
 }
 
 impl DnskeyRdata {
-    /// Zone-key flag (bit 7, value 256).
-    pub fn is_zone_key(&self) -> bool {
-        self.flags & 0x0100 != 0
-    }
-
-    /// Secure-entry-point flag (bit 15, value 1): a KSK.
-    pub fn is_sep(&self) -> bool {
-        self.flags & 0x0001 != 0
-    }
-
     /// RFC 4034 Appendix B key tag over the wire-format RDATA.
     pub fn key_tag(&self) -> u16 {
         let mut w = WireWriter::new();
@@ -988,9 +978,6 @@ mod tests {
         assert_eq!(key.key_tag(), key.key_tag());
         let other = DnskeyRdata { public_key: vec![1, 2, 3, 5], ..key.clone() };
         assert_ne!(key.key_tag(), other.key_tag());
-        assert!(DnskeyRdata { flags: 257, ..key.clone() }.is_sep());
-        assert!(key.is_zone_key());
-        assert!(!key.is_sep());
     }
 
     #[test]

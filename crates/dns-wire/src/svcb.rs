@@ -537,14 +537,6 @@ impl SvcbRdata {
         }
     }
 
-    /// IPv6 hints, if present.
-    pub fn ipv6hint(&self) -> Option<&[Ipv6Addr]> {
-        match self.param(key::IPV6HINT) {
-            Some(SvcParam::Ipv6Hint(a)) => Some(a),
-            _ => None,
-        }
-    }
-
     /// Raw ECHConfigList bytes, if present.
     pub fn ech(&self) -> Option<&[u8]> {
         match self.param(key::ECH) {

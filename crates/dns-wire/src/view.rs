@@ -89,12 +89,6 @@ impl<'a> NameView<'a> {
         self.labels().next().is_none()
     }
 
-    /// Whether every label byte is free of uppercase ASCII (so the
-    /// lowercased canonical form equals the wire form byte-for-byte).
-    pub fn is_ascii_lowercase(&self) -> bool {
-        self.labels().all(|l| !l.iter().any(u8::is_ascii_uppercase))
-    }
-
     /// Case-insensitive comparison against an owned [`DnsName`]: one
     /// slice comparison when the name is spelled out in place (as a
     /// question is), a label walk otherwise.
@@ -609,11 +603,6 @@ impl<'a> MessageView<'a> {
         self.edns.map(|e| e.dnssec_ok).unwrap_or(false)
     }
 
-    /// The underlying datagram bytes.
-    pub fn as_bytes(&self) -> &'a [u8] {
-        self.buf
-    }
-
     /// Number of question-section entries.
     pub fn question_count(&self) -> usize {
         self.qdcount
@@ -622,11 +611,6 @@ impl<'a> MessageView<'a> {
     /// Number of answer-section records.
     pub fn answer_count(&self) -> usize {
         self.counts[0]
-    }
-
-    /// Number of authority-section records.
-    pub fn authority_count(&self) -> usize {
-        self.counts[1]
     }
 
     /// First question, if present.
@@ -761,7 +745,7 @@ mod tests {
         assert!(view.dnssec_ok());
         assert_eq!(view.question_count(), 1);
         assert_eq!(view.answer_count(), 2);
-        assert_eq!(view.authority_count(), 1);
+        assert_eq!(view.authorities().count(), 1);
         assert_eq!(view.additionals().count(), 1);
     }
 
@@ -834,7 +818,6 @@ mod tests {
         let mut key = String::new();
         qname.write_key(&mut key);
         assert_eq!(key, "www.example.com");
-        assert!(!qname.is_ascii_lowercase());
         assert_eq!(qname.to_owned().canonical_wire(), name("www.example.com").canonical_wire());
         assert_eq!(qname.to_string(), "www.Example.com.");
     }

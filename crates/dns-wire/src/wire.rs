@@ -6,7 +6,7 @@
 //! append-only buffer with a name-compression dictionary.
 
 use crate::error::WireError;
-use crate::name::{DnsName, NameKey};
+use crate::name::NameKey;
 
 /// Bounds-checked reading cursor over a DNS message buffer.
 #[derive(Debug, Clone)]
@@ -67,15 +67,6 @@ impl<'a> WireReader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
-    }
-
-    /// Read a domain name starting at the cursor, following compression
-    /// pointers. The cursor resumes after the first pointer (or after the
-    /// terminating root label when no pointer was present).
-    pub fn read_name(&mut self) -> Result<DnsName, WireError> {
-        let (name, next) = DnsName::decode_at(self.buf, self.pos)?;
-        self.pos = next;
-        Ok(name)
     }
 }
 
@@ -235,6 +226,7 @@ impl WireWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::name::DnsName;
 
     #[test]
     fn reader_primitives() {
@@ -275,9 +267,9 @@ mod tests {
         assert_eq!(w.len() - first_len, 7);
 
         let buf = w.into_bytes();
-        let mut r = WireReader::new(&buf);
-        assert_eq!(r.read_name().unwrap(), a);
-        assert_eq!(r.read_name().unwrap(), b);
+        let (first, next) = DnsName::decode_at(&buf, 0).unwrap();
+        assert_eq!((first, next), (a, first_len));
+        assert_eq!(DnsName::decode_at(&buf, next).unwrap(), (b, buf.len()));
     }
 
     #[test]

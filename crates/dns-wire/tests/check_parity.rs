@@ -184,7 +184,7 @@ fn same_reading(view: &SvcbView<'_>, owned: &SvcbRdata) {
     assert_eq!(hints.as_deref(), owned.ipv4hint());
     assert_eq!(view.param(key::ECH), owned.ech());
     assert_eq!(view.param(key::PORT).is_some(), owned.port().is_some());
-    assert_eq!(view.param(key::IPV6HINT).is_some(), owned.ipv6hint().is_some());
+    assert_eq!(view.param(key::IPV6HINT).is_some(), owned.param(key::IPV6HINT).is_some());
 }
 
 #[test]

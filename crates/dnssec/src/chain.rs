@@ -1,15 +1,14 @@
-//! Chain-of-trust validation: walk DS→DNSKEY links from a trust anchor
-//! down to the zone that signed an RRset, then verify the RRSIG.
+//! Chain-of-trust validation: walk DS→DNSKEY links from the root down to
+//! the zone that signed an RRset, then verify the RRSIG.
 
 use crate::signer::{ds_matches_dnskey, verify_rrsig};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
-use dns_wire::{DnsName, NameBuildHasher, RData, Record};
-use std::collections::HashSet;
+use dns_wire::{DnsName, RData, Record};
 
 /// Validation outcome for an RRset, matching RFC 4035 terminology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValidationState {
-    /// Unbroken chain from the trust anchor; the AD bit may be set.
+    /// Unbroken chain from the root; the AD bit may be set.
     Secure,
     /// A zone cut without a DS record breaks the chain: the data is not
     /// protected but not provably bad (the paper's "insecure" bucket).
@@ -41,144 +40,114 @@ pub trait ChainSource {
     fn ds_set(&mut self, zone: &DnsName) -> Option<Vec<DsRdata>>;
 }
 
-/// A DNSSEC validator rooted at a trust anchor.
-pub struct Validator {
-    /// Zones whose keys are trusted axiomatically (normally just the root).
-    trust_anchors: HashSet<DnsName, NameBuildHasher>,
+/// Validate an RRset with its RRSIGs at time `now`, trusting the root
+/// zone's keys and only those.
+///
+/// `source` provides DNSKEY/DS lookups. The walk starts at the signer's
+/// zone and climbs toward the root, requiring each zone's DNSKEY to be
+/// endorsed by a DS in its parent, and each DS / DNSKEY RRset itself to
+/// be signed.
+pub fn validate(
+    rrset: &[Record],
+    rrsigs: &[RrsigRdata],
+    source: &mut dyn ChainSource,
+    now: u32,
+) -> ValidationState {
+    if rrset.is_empty() {
+        return ValidationState::Unsigned;
+    }
+    let covering: Vec<&RrsigRdata> =
+        rrsigs.iter().filter(|s| s.type_covered == rrset[0].rtype).collect();
+    if covering.is_empty() {
+        return ValidationState::Unsigned;
+    }
+
+    for sig in covering {
+        match validate_with_sig(rrset, sig, source, now) {
+            ValidationState::Secure => return ValidationState::Secure,
+            ValidationState::Insecure => return ValidationState::Insecure,
+            _ => continue,
+        }
+    }
+    ValidationState::Bogus
 }
 
-impl Validator {
-    /// Validator trusting the root zone.
-    pub fn new() -> Validator {
-        let mut trust_anchors = HashSet::default();
-        trust_anchors.insert(DnsName::root());
-        Validator { trust_anchors }
+fn validate_with_sig(
+    rrset: &[Record],
+    sig: &RrsigRdata,
+    source: &mut dyn ChainSource,
+    now: u32,
+) -> ValidationState {
+    let zone = &sig.signer;
+    // The owner must be within the signer's zone.
+    if !rrset[0].name.is_subdomain_of(zone) {
+        return ValidationState::Bogus;
     }
-
-    /// Add an additional trust anchor (for closed-world tests).
-    pub fn add_anchor(&mut self, zone: DnsName) {
-        self.trust_anchors.insert(zone);
+    let Some((keys, key_sigs)) = source.dnskeys(zone) else {
+        return ValidationState::Insecure;
+    };
+    // Find a key that verifies the RRset signature.
+    let Some(signing_key) = keys.iter().find(|k| verify_rrsig(sig, rrset, k, now)) else {
+        return ValidationState::Bogus;
+    };
+    // The DNSKEY RRset itself must be signed by one of its keys
+    // (self-signed apex keyset), unless the zone is the root.
+    if zone.is_root() {
+        return ValidationState::Secure;
     }
-
-    /// Validate an RRset with its RRSIGs at time `now`.
-    ///
-    /// `source` provides DNSKEY/DS lookups. The walk starts at the
-    /// signer's zone and climbs toward a trust anchor, requiring each
-    /// zone's DNSKEY to be endorsed by a DS in its parent, and each DS /
-    /// DNSKEY RRset itself to be signed.
-    pub fn validate(
-        &self,
-        rrset: &[Record],
-        rrsigs: &[RrsigRdata],
-        source: &mut dyn ChainSource,
-        now: u32,
-    ) -> ValidationState {
-        if rrset.is_empty() {
-            return ValidationState::Unsigned;
-        }
-        let covering: Vec<&RrsigRdata> =
-            rrsigs.iter().filter(|s| s.type_covered == rrset[0].rtype).collect();
-        if covering.is_empty() {
-            return ValidationState::Unsigned;
-        }
-
-        for sig in covering {
-            match self.validate_with_sig(rrset, sig, source, now) {
-                ValidationState::Secure => return ValidationState::Secure,
-                ValidationState::Insecure => return ValidationState::Insecure,
-                _ => continue,
-            }
-        }
-        ValidationState::Bogus
+    let dnskey_rrset: Vec<Record> = keys
+        .iter()
+        .map(|k| Record::new(zone.clone(), sig.original_ttl, RData::Dnskey(k.clone())))
+        .collect();
+    let keyset_ok = key_sigs.iter().any(|ks| {
+        ks.type_covered == dns_wire::RecordType::Dnskey
+            && keys.iter().any(|k| verify_rrsig(ks, &dnskey_rrset, k, now))
+    });
+    if !keyset_ok {
+        return ValidationState::Bogus;
     }
-
-    fn validate_with_sig(
-        &self,
-        rrset: &[Record],
-        sig: &RrsigRdata,
-        source: &mut dyn ChainSource,
-        now: u32,
-    ) -> ValidationState {
-        let zone = &sig.signer;
-        // The owner must be within the signer's zone.
-        if !rrset[0].name.is_subdomain_of(zone) {
-            return ValidationState::Bogus;
-        }
-        let Some((keys, key_sigs)) = source.dnskeys(zone) else {
+    // Climb: the parent must endorse this zone's key via DS.
+    let Some(ds_set) = source.ds_set(zone) else {
+        // Signed zone, no DS uploaded: the paper's "insecure" case.
+        return ValidationState::Insecure;
+    };
+    if !ds_set.iter().any(|ds| ds_matches_dnskey(ds, zone, signing_key)) {
+        return ValidationState::Bogus;
+    }
+    // Recurse up to the parent zone: the DS RRset lives in the parent
+    // and must itself be validated. We model parent endorsement by
+    // walking the ancestor chain of zone apexes.
+    let mut current = zone.clone();
+    loop {
+        let Some(parent) = enclosing_zone(&current, source) else {
             return ValidationState::Insecure;
         };
-        // Find a key that verifies the RRset signature.
-        let Some(signing_key) = keys.iter().find(|k| verify_rrsig(sig, rrset, k, now)) else {
-            return ValidationState::Bogus;
-        };
-        // The DNSKEY RRset itself must be signed by one of its keys
-        // (self-signed apex keyset), unless the zone is a trust anchor.
-        if self.trust_anchors.contains(zone) {
+        if parent.is_root() {
             return ValidationState::Secure;
         }
-        let dnskey_rrset: Vec<Record> = keys
-            .iter()
-            .map(|k| Record::new(zone.clone(), sig.original_ttl, RData::Dnskey(k.clone())))
-            .collect();
-        let keyset_ok = key_sigs.iter().any(|ks| {
-            ks.type_covered == dns_wire::RecordType::Dnskey
-                && keys.iter().any(|k| verify_rrsig(ks, &dnskey_rrset, k, now))
-        });
-        if !keyset_ok {
-            return ValidationState::Bogus;
-        }
-        // Climb: the parent must endorse this zone's key via DS.
-        let Some(ds_set) = source.ds_set(zone) else {
-            // Signed zone, no DS uploaded: the paper's "insecure" case.
+        // Parent must be a signed zone endorsed by *its* parent.
+        let Some((pkeys, _)) = source.dnskeys(&parent) else {
             return ValidationState::Insecure;
         };
-        if !ds_set.iter().any(|ds| ds_matches_dnskey(ds, zone, signing_key)) {
+        let Some(pds) = source.ds_set(&parent) else {
+            return ValidationState::Insecure;
+        };
+        if !pds.iter().any(|ds| pkeys.iter().any(|k| ds_matches_dnskey(ds, &parent, k))) {
             return ValidationState::Bogus;
         }
-        // Recurse up to the parent zone: the DS RRset lives in the parent
-        // and must itself be validated. We model parent endorsement by
-        // walking the ancestor chain of zone apexes.
-        let mut current = zone.clone();
-        loop {
-            let Some(parent) = self.enclosing_zone(&current, source) else {
-                return ValidationState::Insecure;
-            };
-            if self.trust_anchors.contains(&parent) {
-                return ValidationState::Secure;
-            }
-            // Parent must be a signed zone endorsed by *its* parent.
-            let Some((pkeys, _)) = source.dnskeys(&parent) else {
-                return ValidationState::Insecure;
-            };
-            let Some(pds) = source.ds_set(&parent) else {
-                return ValidationState::Insecure;
-            };
-            if !pds.iter().any(|ds| pkeys.iter().any(|k| ds_matches_dnskey(ds, &parent, k))) {
-                return ValidationState::Bogus;
-            }
-            current = parent;
-        }
-    }
-
-    /// The nearest enclosing zone apex above `zone` that publishes keys,
-    /// or the root.
-    fn enclosing_zone(&self, zone: &DnsName, source: &mut dyn ChainSource) -> Option<DnsName> {
-        let mut candidate = zone.parent()?;
-        loop {
-            if candidate.is_root() || self.trust_anchors.contains(&candidate) {
-                return Some(candidate);
-            }
-            if source.dnskeys(&candidate).is_some() {
-                return Some(candidate);
-            }
-            candidate = candidate.parent()?;
-        }
+        current = parent;
     }
 }
 
-impl Default for Validator {
-    fn default() -> Self {
-        Validator::new()
+/// The nearest enclosing zone apex above `zone` that publishes keys, or
+/// the root.
+fn enclosing_zone(zone: &DnsName, source: &mut dyn ChainSource) -> Option<DnsName> {
+    let mut candidate = zone.parent()?;
+    loop {
+        if candidate.is_root() || source.dnskeys(&candidate).is_some() {
+            return Some(candidate);
+        }
+        candidate = candidate.parent()?;
     }
 }
 
@@ -186,7 +155,7 @@ impl Default for Validator {
 mod tests {
     use super::*;
     use crate::signer::ZoneKeys;
-    use dns_wire::RecordType;
+    use dns_wire::{NameBuildHasher, RecordType};
     use std::collections::HashMap;
     use std::net::Ipv4Addr;
 
@@ -267,8 +236,7 @@ mod tests {
         let mut fx = full_chain_fixture(true);
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset, &sigs, &mut fx, 100), ValidationState::Secure);
+        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Secure);
     }
 
     #[test]
@@ -278,16 +246,14 @@ mod tests {
         let mut fx = full_chain_fixture(false);
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset, &sigs, &mut fx, 100), ValidationState::Insecure);
+        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Insecure);
     }
 
     #[test]
     fn no_rrsig_is_unsigned() {
         let mut fx = full_chain_fixture(true);
         let rrset = https_rrset();
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset, &[], &mut fx, 100), ValidationState::Unsigned);
+        assert_eq!(validate(&rrset, &[], &mut fx, 100), ValidationState::Unsigned);
     }
 
     #[test]
@@ -302,8 +268,7 @@ mod tests {
         if let RData::Https(rd) = &mut rrset2[0].rdata {
             rd.priority = 2;
         }
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset2, &sigs, &mut fx, 100), ValidationState::Bogus);
+        assert_eq!(validate(&rrset2, &sigs, &mut fx, 100), ValidationState::Bogus);
     }
 
     #[test]
@@ -315,8 +280,7 @@ mod tests {
             RData::Rrsig(s) => vec![s],
             _ => unreachable!(),
         };
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
+        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
     }
 
     #[test]
@@ -331,8 +295,7 @@ mod tests {
         fx.ds.insert(name("a.com"), vec![ds]);
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
+        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
     }
 
     #[test]
@@ -345,8 +308,7 @@ mod tests {
         fx.add_zone("a.com", true);
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset, &sigs, &mut fx, 100), ValidationState::Insecure);
+        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Insecure);
     }
 
     #[test]
@@ -355,21 +317,7 @@ mod tests {
         fx.add_zone("evil.org", true);
         let rrset = https_rrset(); // owner a.com
         let sigs = fx.sign("evil.org", &rrset);
-        let v = Validator::new();
-        assert_eq!(v.validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
-    }
-
-    #[test]
-    fn trust_anchor_shortcut() {
-        // Anchoring a.com directly makes the chain trivially secure even
-        // without com/root involvement.
-        let mut fx = Fixture::default();
-        fx.add_zone("a.com", false);
-        let rrset = https_rrset();
-        let sigs = fx.sign("a.com", &rrset);
-        let mut v = Validator::new();
-        v.add_anchor(name("a.com"));
-        assert_eq!(v.validate(&rrset, &sigs, &mut fx, 100), ValidationState::Secure);
+        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
     }
 
     #[test]
@@ -378,9 +326,8 @@ mod tests {
         let a_rrset = vec![Record::new(name("a.com"), 300, RData::A(Ipv4Addr::new(1, 1, 1, 1)))];
         let sigs = fx.sign("a.com", &a_rrset);
         let https = https_rrset();
-        let v = Validator::new();
         // RRSIG covers A, not HTTPS.
-        assert_eq!(v.validate(&https, &sigs, &mut fx, 100), ValidationState::Unsigned);
+        assert_eq!(validate(&https, &sigs, &mut fx, 100), ValidationState::Unsigned);
         assert_eq!(sigs[0].type_covered, RecordType::A);
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! The validation states mirror RFC 4035 and the paper's §4.5 analysis:
 //!
-//! * **Secure** — an unbroken DS→DNSKEY→RRSIG chain from the trust anchor.
+//! * **Secure** — an unbroken DS→DNSKEY→RRSIG chain from the root, the
+//!   one trust anchor.
 //! * **Insecure** — the zone is signed but its parent has no DS record
 //!   (the paper's dominant failure: third-party DNS operators whose
 //!   customers never upload DS records to the registrar, §4.5.1/App. G).
@@ -20,5 +21,5 @@
 pub mod chain;
 pub mod signer;
 
-pub use chain::{ChainSource, ValidationState, Validator};
+pub use chain::{validate, ChainSource, ValidationState};
 pub use signer::{rrset_signing_bytes, sign_rrset, ZoneKeys, SIM_ALGORITHM, SIM_DIGEST_TYPE};

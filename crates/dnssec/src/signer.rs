@@ -29,11 +29,6 @@ impl ZoneKeys {
         ZoneKeys { apex: apex.clone(), key: SimKeyPair::derive(&label) }
     }
 
-    /// The public half.
-    pub fn public(&self) -> SimPublicKey {
-        self.key.public()
-    }
-
     /// The DNSKEY record to publish at the zone apex.
     pub fn dnskey_record(&self, ttl: u32) -> Record {
         Record::new(self.apex.clone(), ttl, RData::Dnskey(self.dnskey_rdata()))
@@ -47,11 +42,6 @@ impl ZoneKeys {
             algorithm: SIM_ALGORITHM,
             public_key: self.key.public().to_bytes(),
         }
-    }
-
-    /// The key tag of the published DNSKEY.
-    pub fn key_tag(&self) -> u16 {
-        self.dnskey_rdata().key_tag()
     }
 
     /// The DS record the *parent* zone should publish for this zone.
@@ -97,7 +87,10 @@ pub fn rrset_signing_bytes(sig_template: &RrsigRdata, rrset: &[Record]) -> Vec<u
     w.put_u16(sig_template.key_tag);
     w.put_name_uncompressed(&sig_template.signer);
 
-    // Canonical RRset: sort by RDATA wire form; lowercase owner.
+    // Canonical RRset: sort by RDATA wire form; lowercase owner. Every
+    // record of a set has the same owner up to case, so its canonical
+    // form is the first record's.
+    let owner = rrset.first().map(|r| r.name.canonical_wire()).unwrap_or_default();
     let mut rdatas: Vec<Vec<u8>> = rrset
         .iter()
         .map(|r| {
@@ -107,10 +100,7 @@ pub fn rrset_signing_bytes(sig_template: &RrsigRdata, rrset: &[Record]) -> Vec<u
         })
         .collect();
     rdatas.sort();
-    for (i, rdata) in rdatas.iter().enumerate() {
-        let owner =
-            rrset.get(i.min(rrset.len() - 1)).map(|r| r.name.canonical_wire()).unwrap_or_default();
-        // Owner is identical across the set; use the canonical form.
+    for rdata in &rdatas {
         w.put_bytes(&owner);
         w.put_u16(sig_template.type_covered.code());
         w.put_u16(1); // class IN
@@ -298,9 +288,7 @@ mod tests {
     fn dnskey_flags_and_tag() {
         let keys = ZoneKeys::derive(&name("example.org"), 3);
         let rd = keys.dnskey_rdata();
-        assert!(rd.is_zone_key());
-        assert!(rd.is_sep());
+        assert_eq!(rd.flags, 257, "zone key and secure entry point");
         assert_eq!(rd.algorithm, SIM_ALGORITHM);
-        assert_eq!(keys.key_tag(), rd.key_tag());
     }
 }

@@ -299,7 +299,7 @@ mod tests {
         assert!(d.hint_mismatch());
         let rds = synthesize_https(&d, HttpsShape::CfDefault, &ctx(50));
         assert_eq!(rds[0].ipv4hint().unwrap(), &[Ipv4Addr::new(10, 9, 9, 9)]);
-        assert!(rds[0].ipv6hint().is_some());
+        assert!(rds[0].param(dns_wire::svcb::key::IPV6HINT).is_some());
     }
 
     #[test]

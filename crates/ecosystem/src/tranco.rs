@@ -12,7 +12,7 @@
 use crate::config::EcosystemConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Per-domain popularity state.
@@ -46,14 +46,14 @@ pub struct TrancoModel {
 #[derive(Debug, Clone)]
 pub struct DailyList {
     /// Domain ids in rank order. Private and frozen after construction:
-    /// the first [`DailyList::rank_of`]/[`DailyList::contains`] call
+    /// the first [`DailyList::rank_of`] call
     /// snapshots this vector into the cached index below, so in-place
     /// mutation would serve stale ranks — build a new list via
     /// [`DailyList::new`] instead.
     ranked: Vec<u32>,
-    /// Lazily-built id → 1-based rank index backing [`DailyList::rank_of`]
-    /// and [`DailyList::contains`]; built on first membership/rank query
-    /// and reused for the rest of the list's life.
+    /// Lazily-built id → 1-based rank index backing
+    /// [`DailyList::rank_of`]; built on first rank query and reused for
+    /// the rest of the list's life.
     index: OnceLock<HashMap<u32, u32>>,
     /// Per-rank popularity weights aligned with `ranked` (the model's
     /// precomputed Zipf `base_weight`, or its post-source-change
@@ -89,31 +89,13 @@ impl DailyList {
         &self.ranked
     }
 
-    /// The set of included domain ids.
-    pub fn id_set(&self) -> HashSet<u32> {
-        self.ranked.iter().copied().collect()
-    }
-
-    fn rank_index(&self) -> &HashMap<u32, u32> {
-        self.index.get_or_init(|| {
-            self.ranked.iter().enumerate().map(|(i, id)| (*id, (i + 1) as u32)).collect()
-        })
-    }
-
-    /// Whether a domain id is on the list (O(1) after the first call).
-    pub fn contains(&self, id: u32) -> bool {
-        self.rank_index().contains_key(&id)
-    }
-
     /// Rank (1-based) of a domain id, if listed (O(1) after the first
     /// call; previously a linear scan per lookup).
     pub fn rank_of(&self, id: u32) -> Option<usize> {
-        self.rank_index().get(&id).map(|r| *r as usize)
-    }
-
-    /// Per-rank popularity weights, if this list carries them.
-    pub fn weights(&self) -> Option<&[f64]> {
-        self.weights.as_deref()
+        let index = self.index.get_or_init(|| {
+            self.ranked.iter().enumerate().map(|(i, id)| (*id, (i + 1) as u32)).collect()
+        });
+        index.get(&id).map(|r| *r as usize)
     }
 
     /// Draw one domain id with probability proportional to its
@@ -313,23 +295,6 @@ impl TrancoModel {
         scores.truncate(self.list_size);
         DailyList::new(scores.into_iter().map(|(_, id)| id).collect())
     }
-
-    /// Domains present every day of `[from, to]` (the paper's
-    /// "overlapping" set for a phase). Every day of the window is scored
-    /// with [`TrancoModel::list_for_day`]; the first day's ranked vector
-    /// seeds the running set, later days answer through their lazy rank
-    /// index, and the walk stops once the set is empty.
-    pub fn overlapping(&self, from: u64, to: u64) -> HashSet<u32> {
-        let mut set: HashSet<u32> = self.list_for_day(from).ranked().iter().copied().collect();
-        for day in (from + 1)..=to {
-            let today = self.list_for_day(day);
-            set.retain(|id| today.contains(*id));
-            if set.is_empty() {
-                break;
-            }
-        }
-        set
-    }
 }
 
 /// Minimum per-chunk population before chunked scoring spawns threads:
@@ -372,9 +337,26 @@ const TRANCO_STREAM: u64 = 0x7_2a_c0;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn config() -> EcosystemConfig {
         EcosystemConfig { population: 500, list_size: 300, ..EcosystemConfig::tiny() }
+    }
+
+    /// The set of a list's domain ids.
+    fn id_set(list: &DailyList) -> HashSet<u32> {
+        list.ranked.iter().copied().collect()
+    }
+
+    /// Domains present every day of `[from, to]` (the paper's
+    /// "overlapping" set for a phase).
+    fn overlapping(model: &TrancoModel, from: u64, to: u64) -> HashSet<u32> {
+        let mut set = id_set(&model.list_for_day(from));
+        for day in (from + 1)..=to {
+            let today = model.list_for_day(day);
+            set.retain(|id| today.rank_of(*id).is_some());
+        }
+        set
     }
 
     #[test]
@@ -385,14 +367,14 @@ mod tests {
         assert_eq!(a.ranked, b.ranked);
         assert_eq!(a.ranked.len(), 300);
         // All ids unique.
-        assert_eq!(a.id_set().len(), 300);
+        assert_eq!(id_set(&a).len(), 300);
     }
 
     #[test]
     fn lists_churn_day_to_day() {
         let model = TrancoModel::new(&config());
-        let d0 = model.list_for_day(0).id_set();
-        let d1 = model.list_for_day(1).id_set();
+        let d0 = id_set(&model.list_for_day(0));
+        let d1 = id_set(&model.list_for_day(1));
         let overlap = d0.intersection(&d1).count();
         assert!(overlap < 300, "lists should differ");
         assert!(overlap > 150, "lists should overlap substantially, got {overlap}");
@@ -401,8 +383,8 @@ mod tests {
     #[test]
     fn overlapping_set_shrinks_with_window() {
         let model = TrancoModel::new(&config());
-        let short = model.overlapping(0, 3);
-        let long = model.overlapping(0, 10);
+        let short = overlapping(&model, 0, 3);
+        let long = overlapping(&model, 0, 10);
         assert!(long.len() <= short.len());
         assert!(!long.is_empty(), "some stable core must persist");
         for id in &long {
@@ -413,10 +395,10 @@ mod tests {
     #[test]
     fn source_change_changes_composition() {
         let model = TrancoModel::new(&config());
-        let day_before = model.list_for_day(84).id_set();
-        let day_after = model.list_for_day(85).id_set();
+        let day_before = id_set(&model.list_for_day(84));
+        let day_after = id_set(&model.list_for_day(85));
         let cross = day_before.intersection(&day_after).count();
-        let same_side = day_before.intersection(&model.list_for_day(83).id_set()).count();
+        let same_side = day_before.intersection(&id_set(&model.list_for_day(83))).count();
         assert!(
             cross < same_side,
             "source change should disrupt composition more than daily churn ({cross} vs {same_side})"
@@ -427,7 +409,7 @@ mod tests {
     fn stable_domains_rank_higher_on_average() {
         let cfg = config();
         let model = TrancoModel::new(&cfg);
-        let overlapping = model.overlapping(0, 8);
+        let overlapping = overlapping(&model, 0, 8);
         let list = model.list_for_day(4);
         let (mut ov_sum, mut ov_n, mut non_sum, mut non_n) = (0usize, 0usize, 0usize, 0usize);
         for (idx, id) in list.ranked.iter().enumerate() {
@@ -454,9 +436,8 @@ mod tests {
         let first = list.ranked[0];
         assert_eq!(list.rank_of(first), Some(1));
         // Some universe id not in the list.
-        let missing = (0..500u32).find(|i| !list.id_set().contains(i)).unwrap();
+        let missing = (0..500u32).find(|i| !id_set(&list).contains(i)).unwrap();
         assert_eq!(list.rank_of(missing), None);
-        assert!(!list.contains(missing));
     }
 
     #[test]
@@ -468,7 +449,6 @@ mod tests {
             let list = model.list_for_day(day);
             for (i, id) in list.ranked.iter().enumerate() {
                 assert_eq!(list.rank_of(*id), Some(i + 1), "day {day} id {id}");
-                assert!(list.contains(*id));
             }
         }
     }
@@ -531,14 +511,14 @@ mod tests {
     fn list_weights_reuse_model_base_weights() {
         let model = TrancoModel::new(&config());
         let before = model.list_for_day(10);
-        let weights = before.weights().expect("model lists carry weights");
+        let weights = before.weights.as_deref().expect("model lists carry weights");
         assert_eq!(weights.len(), before.ranked.len());
         for (i, id) in before.ranked.iter().enumerate() {
             assert_eq!(weights[i], model.pop[*id as usize].base_weight, "rank {i} weight");
         }
         // From the source-change day onward the re-sampled weights apply.
         let after = model.list_for_day(85);
-        let weights = after.weights().unwrap();
+        let weights = after.weights.as_deref().unwrap();
         for (i, id) in after.ranked.iter().enumerate() {
             assert_eq!(weights[i], model.post_change_weight[*id as usize]);
             assert_eq!(weights[i], model.weight_on_day(85, *id));

@@ -47,16 +47,6 @@ impl WhoisDb {
             .max_by_key(|a| a.prefix_len)
             .map(|a| a.org.as_str())
     }
-
-    /// Number of allocations.
-    pub fn len(&self) -> usize {
-        self.allocations.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.allocations.is_empty()
-    }
 }
 
 #[cfg(test)]

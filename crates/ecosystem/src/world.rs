@@ -1087,7 +1087,7 @@ mod tests {
         let day0 = w.domains.iter().filter(|d| w.publishes_today(d)).count();
         w.step_to_day(100);
         assert_eq!(w.current_day, 100);
-        assert_eq!(w.clock.now().day(), 100);
+        assert_eq!(w.clock.now(), netsim::Timestamp(100 * 86_400));
         let day100 = w.domains.iter().filter(|d| w.publishes_today(d)).count();
         // Adoption grows over time in the dynamic universe.
         assert!(day100 >= day0, "{day100} vs {day0}");

@@ -21,16 +21,6 @@ impl Timestamp {
         Timestamp(self.0 + secs)
     }
 
-    /// Whole days since the epoch.
-    pub fn day(self) -> u64 {
-        self.0 / 86_400
-    }
-
-    /// Whole hours since the epoch.
-    pub fn hour(self) -> u64 {
-        self.0 / 3_600
-    }
-
     /// This instant at millisecond resolution.
     pub fn as_millis(self) -> TimeMs {
         TimeMs(self.0 * 1_000)
@@ -106,11 +96,6 @@ impl SimClock {
         TimeMs(self.now_ms.fetch_add(ms, Ordering::AcqRel) + ms)
     }
 
-    /// Advance by whole days.
-    pub fn advance_days(&self, days: u64) -> Timestamp {
-        self.advance(days * 86_400)
-    }
-
     /// Jump to an absolute time; panics if it would move backwards
     /// (virtual time is monotonic by construction). The guard is at
     /// millisecond granularity: setting to the current whole second
@@ -177,11 +162,6 @@ impl CivilDate {
     pub fn plus_days(self, n: i64) -> CivilDate {
         CivilDate::from_days(self.days_from_civil() + n)
     }
-
-    /// Signed day difference `self - other`.
-    pub fn diff_days(self, other: CivilDate) -> i64 {
-        self.days_from_civil() - other.days_from_civil()
-    }
 }
 
 impl fmt::Display for CivilDate {
@@ -205,24 +185,9 @@ impl Calendar {
         Calendar { start: CivilDate::new(2023, 5, 8) }
     }
 
-    /// A calendar anchored at an arbitrary date.
-    pub fn anchored(start: CivilDate) -> Calendar {
-        Calendar { start }
-    }
-
     /// The civil date of simulation day `day`.
     pub fn date_of_day(&self, day: u64) -> CivilDate {
         self.start.plus_days(day as i64)
-    }
-
-    /// The simulation day number of a civil date (None if before start).
-    pub fn day_of_date(&self, date: CivilDate) -> Option<u64> {
-        let d = date.diff_days(self.start);
-        if d < 0 {
-            None
-        } else {
-            Some(d as u64)
-        }
     }
 }
 
@@ -238,8 +203,8 @@ mod tests {
         let shared = c.clone();
         shared.advance(5);
         assert_eq!(c.now(), Timestamp(15));
-        c.advance_days(2);
-        assert_eq!(c.now().day(), 2);
+        c.advance(2 * 86_400);
+        assert_eq!(c.now(), Timestamp(15 + 2 * 86_400));
     }
 
     #[test]
@@ -315,12 +280,11 @@ mod tests {
         let cal = Calendar::paper();
         assert_eq!(cal.date_of_day(0), CivilDate::new(2023, 5, 8));
         // Tranco source change: 2023-08-01 is day 85.
-        assert_eq!(cal.day_of_date(CivilDate::new(2023, 8, 1)), Some(85));
+        assert_eq!(cal.date_of_day(85), CivilDate::new(2023, 8, 1));
         // Cloudflare ECH kill switch: 2023-10-05 is day 150.
-        assert_eq!(cal.day_of_date(CivilDate::new(2023, 10, 5)), Some(150));
+        assert_eq!(cal.date_of_day(150), CivilDate::new(2023, 10, 5));
         // Study end: 2024-03-31 is day 328.
-        assert_eq!(cal.day_of_date(CivilDate::new(2024, 3, 31)), Some(328));
-        assert_eq!(cal.day_of_date(CivilDate::new(2023, 1, 1)), None);
+        assert_eq!(cal.date_of_day(328), CivilDate::new(2024, 3, 31));
     }
 
     #[test]
@@ -331,8 +295,6 @@ mod tests {
     #[test]
     fn timestamp_arithmetic() {
         let t = Timestamp(3600 * 25);
-        assert_eq!(t.day(), 1);
-        assert_eq!(t.hour(), 25);
         assert_eq!(t.plus(10), Timestamp(3600 * 25 + 10));
     }
 }

@@ -106,15 +106,6 @@ impl LinkModel {
         self.with_endpoint(ip, EndpointOverride { mute: true, ..Default::default() })
     }
 
-    /// True when this model can neither delay nor drop anything, i.e.
-    /// the scheduled path behaves exactly like the synchronous one.
-    pub fn is_zero(&self) -> bool {
-        self.base_rtt_ms == 0
-            && self.jitter_ms == 0
-            && self.loss_permille == 0
-            && self.overrides.is_empty()
-    }
-
     /// Decide the fate of one datagram exchange. Deterministic in
     /// `(seed, dst, payload, attempt)`.
     pub fn fate(&self, dst: IpAddr, payload: &[u8], attempt: u32) -> LinkFate {
@@ -182,7 +173,6 @@ mod tests {
     #[test]
     fn zero_model_delivers_instantly() {
         let m = LinkModel::zero();
-        assert!(m.is_zero());
         assert_eq!(m.fate(ip("10.0.0.1"), b"q", 0), LinkFate::Deliver { rtt_ms: 0 });
     }
 
@@ -218,7 +208,6 @@ mod tests {
             .with_rtt_ms(20)
             .with_slow_endpoint(slow, 400)
             .with_lame_endpoint(lame);
-        assert!(!m.is_zero());
         assert_eq!(m.fate(lame, b"q", 0), LinkFate::Drop);
         assert_eq!(m.fate(slow, b"q", 0), LinkFate::Deliver { rtt_ms: 420 });
         assert_eq!(m.fate(ip("10.0.0.1"), b"q", 0), LinkFate::Deliver { rtt_ms: 20 });

@@ -219,11 +219,6 @@ impl Network {
         self.state.write().stream.insert((ip, port), svc);
     }
 
-    /// Remove a datagram binding.
-    pub fn unbind_datagram(&self, ip: IpAddr, port: u16) {
-        self.state.write().datagram.remove(&(ip, port));
-    }
-
     /// Remove a stream binding.
     pub fn unbind_stream(&self, ip: IpAddr, port: u16) {
         self.state.write().stream.remove(&(ip, port));
@@ -465,9 +460,9 @@ mod tests {
     #[test]
     fn unbind_removes_service() {
         let net = Network::new(SimClock::new());
-        net.bind_datagram(ip("9.9.9.9"), 53, Arc::new(Echo));
-        net.unbind_datagram(ip("9.9.9.9"), 53);
-        assert!(net.send_datagram(ip("9.9.9.9"), 53, b"x").is_err());
+        net.bind_stream(ip("9.9.9.9"), 443, Arc::new(Echo));
+        net.unbind_stream(ip("9.9.9.9"), 443);
+        assert!(net.stream_exchange(ip("9.9.9.9"), 443, b"x").is_err());
     }
 
     #[test]

@@ -570,11 +570,6 @@ pub(crate) fn fnv1a_key(prefix: &[u8], name: &DnsName) -> u64 {
 }
 
 impl RecordCache {
-    /// An empty cache with the default shard count and no TTL clamp.
-    pub fn new() -> RecordCache {
-        RecordCache::default()
-    }
-
     /// An empty unbounded cache with `shards` shards (minimum 1) and an
     /// optional TTL clamp.
     pub fn with_config(shards: usize, ttl_clamp: Option<u32>) -> RecordCache {
@@ -874,7 +869,7 @@ mod tests {
 
     #[test]
     fn hit_until_ttl_expiry() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(299)).is_some());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(300)).is_none());
@@ -888,7 +883,7 @@ mod tests {
 
     #[test]
     fn miss_causes_are_distinguished() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         // Nothing stored: an absent miss.
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(0)).is_none());
         cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
@@ -905,7 +900,7 @@ mod tests {
 
     #[test]
     fn negative_hits_surface_separately() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_negative(
             &name("n.com"),
             RecordType::Https,
@@ -925,7 +920,7 @@ mod tests {
 
     #[test]
     fn hot_path_lock_acquisitions_are_counted() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         let _ = cache.get(&name("a.com"), RecordType::A, Timestamp(1));
         let _ = cache.get_or_cname(&name("b.com"), RecordType::A, Timestamp(1));
@@ -941,7 +936,7 @@ mod tests {
 
     #[test]
     fn min_ttl_of_rrset_governs() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         let records = a_set(&[a_record(300), a_record(60)]);
         cache.insert_positive(&name("a.com"), RecordType::A, records, Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(59)).is_some());
@@ -950,7 +945,7 @@ mod tests {
 
     #[test]
     fn negative_caching() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_negative(
             &name("gone.com"),
             RecordType::Https,
@@ -975,7 +970,7 @@ mod tests {
 
     #[test]
     fn flush_clears() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         cache.flush();
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_none());
@@ -984,7 +979,7 @@ mod tests {
 
     #[test]
     fn expires_at_reports_only_a_live_entry() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_positive(
             &name("a.com"),
             RecordType::A,
@@ -1023,7 +1018,7 @@ mod tests {
 
     #[test]
     fn types_are_separate_keys() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::Https, Timestamp(1)).is_none());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_some());
@@ -1031,14 +1026,14 @@ mod tests {
 
     #[test]
     fn case_insensitive_keying() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_positive(&name("A.COM"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_some());
     }
 
     #[test]
     fn empty_rrset_not_inserted() {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[]), Timestamp(0));
         assert!(cache.is_empty());
     }

@@ -16,7 +16,7 @@ use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
 use dns_wire::{write_dnssec_query, DnsName, Message, RData, Rcode, Record, RecordType};
-use dnssec::{ChainSource, ValidationState, Validator};
+use dnssec::{ChainSource, ValidationState};
 use netsim::{DatagramService, NetError, Network, Timestamp};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -167,7 +167,6 @@ pub struct RecursiveResolver {
     registry: DelegationRegistry,
     cache: RecordCache,
     selector: NsSelector,
-    validator: Validator,
     config: ResolverConfig,
     next_id: AtomicU16,
     /// Held across each cache-check-then-fetch of DNSSEC chain material
@@ -193,7 +192,6 @@ impl RecursiveResolver {
             registry,
             cache,
             selector,
-            validator: Validator::new(),
             config,
             next_id: AtomicU16::new(1),
             chain_fetch: Mutex::new(()),
@@ -416,7 +414,7 @@ impl RecursiveResolver {
     }
 
     /// The set's DNSSEC state. A set no RRSIG covers is what
-    /// [`Validator::validate`] calls `Unsigned`, answered without
+    /// [`dnssec::validate`] calls `Unsigned`, answered without
     /// building a record; a signed one is built for the validator.
     fn validate_rrset(&self, set: &RrSet, now: Timestamp) -> ValidationState {
         if set.rrsig_count() == 0 {
@@ -424,7 +422,7 @@ impl RecursiveResolver {
         }
         let mut source = ResolverChainSource { resolver: self };
         let now = now.0.min(u32::MAX as u64) as u32;
-        self.validator.validate(&set.to_records(), &set.rrsig_rdatas(), &mut source, now)
+        dnssec::validate(&set.to_records(), &set.rrsig_rdatas(), &mut source, now)
     }
 }
 

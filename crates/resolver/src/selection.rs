@@ -71,16 +71,6 @@ impl NsSelector {
         NsSelector { strategy, seed, state: Mutex::new(SelectorState::default()) }
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> SelectionStrategy {
-        self.strategy
-    }
-
-    /// Pick one endpoint for `zone`.
-    pub fn pick<'a>(&self, zone: &DnsName, endpoints: &'a [NsEndpoint]) -> Option<&'a NsEndpoint> {
-        self.pick_index(zone, false, endpoints).map(|i| &endpoints[i])
-    }
-
     /// Pick the index of one endpoint from the `(zone, ds)` stream.
     fn pick_index(&self, zone: &DnsName, ds: bool, endpoints: &[NsEndpoint]) -> Option<usize> {
         if endpoints.is_empty() {
@@ -177,7 +167,7 @@ mod tests {
         let sel = NsSelector::new(SelectionStrategy::First, 0);
         let endpoints = eps(3);
         for _ in 0..5 {
-            assert_eq!(sel.pick(&z("z"), &endpoints).unwrap(), &endpoints[0]);
+            assert_eq!(sel.pick_order(&z("z"), &endpoints).next().unwrap(), &endpoints[0]);
         }
     }
 
@@ -185,12 +175,13 @@ mod tests {
     fn round_robin_cycles_per_zone() {
         let sel = NsSelector::new(SelectionStrategy::RoundRobin, 0);
         let endpoints = eps(3);
-        let picks: Vec<_> = (0..6).map(|_| sel.pick(&z("z"), &endpoints).unwrap().ip).collect();
+        let picks: Vec<_> =
+            (0..6).map(|_| sel.pick_order(&z("z"), &endpoints).next().unwrap().ip).collect();
         assert_eq!(picks[0], picks[3]);
         assert_eq!(picks[1], picks[4]);
         assert_ne!(picks[0], picks[1]);
         // Independent counter for another zone.
-        assert_eq!(sel.pick(&z("other"), &endpoints).unwrap(), &endpoints[0]);
+        assert_eq!(sel.pick_order(&z("other"), &endpoints).next().unwrap(), &endpoints[0]);
     }
 
     #[test]
@@ -198,7 +189,7 @@ mod tests {
         let endpoints = eps(4);
         let run = |seed| -> Vec<std::net::IpAddr> {
             let sel = NsSelector::new(SelectionStrategy::Random, seed);
-            (0..10).map(|_| sel.pick(&z("z"), &endpoints).unwrap().ip).collect()
+            (0..10).map(|_| sel.pick_order(&z("z"), &endpoints).next().unwrap().ip).collect()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -211,15 +202,17 @@ mod tests {
         let endpoints = eps(4);
         let alone = {
             let sel = NsSelector::new(SelectionStrategy::Random, 7);
-            (0..10).map(|_| sel.pick(&z("zone-a"), &endpoints).unwrap().ip).collect::<Vec<_>>()
+            (0..10)
+                .map(|_| sel.pick_order(&z("zone-a"), &endpoints).next().unwrap().ip)
+                .collect::<Vec<_>>()
         };
         let interleaved = {
             let sel = NsSelector::new(SelectionStrategy::Random, 7);
             (0..10)
                 .map(|_| {
-                    let _ = sel.pick(&z("zone-b"), &endpoints);
-                    let pick = sel.pick(&z("zone-a"), &endpoints).unwrap().ip;
-                    let _ = sel.pick(&z("zone-c"), &endpoints);
+                    let _ = sel.pick_order(&z("zone-b"), &endpoints).next();
+                    let pick = sel.pick_order(&z("zone-a"), &endpoints).next().unwrap().ip;
+                    let _ = sel.pick_order(&z("zone-c"), &endpoints).next();
                     pick
                 })
                 .collect::<Vec<_>>()
@@ -231,8 +224,10 @@ mod tests {
     fn random_zones_draw_distinct_streams() {
         let endpoints = eps(4);
         let sel = NsSelector::new(SelectionStrategy::Random, 7);
-        let a: Vec<_> = (0..16).map(|_| sel.pick(&z("zone-a"), &endpoints).unwrap().ip).collect();
-        let b: Vec<_> = (0..16).map(|_| sel.pick(&z("zone-b"), &endpoints).unwrap().ip).collect();
+        let a: Vec<_> =
+            (0..16).map(|_| sel.pick_order(&z("zone-a"), &endpoints).next().unwrap().ip).collect();
+        let b: Vec<_> =
+            (0..16).map(|_| sel.pick_order(&z("zone-b"), &endpoints).next().unwrap().ip).collect();
         assert_ne!(a, b, "distinct zones should not share one pick stream");
     }
 
@@ -242,7 +237,7 @@ mod tests {
         let sel = NsSelector::new(SelectionStrategy::Random, 42);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            seen.insert(sel.pick(&z("z"), &endpoints).unwrap().ip);
+            seen.insert(sel.pick_order(&z("z"), &endpoints).next().unwrap().ip);
         }
         assert_eq!(seen.len(), 3);
     }
@@ -250,7 +245,6 @@ mod tests {
     #[test]
     fn empty_endpoint_list() {
         let sel = NsSelector::new(SelectionStrategy::First, 0);
-        assert!(sel.pick(&z("z"), &[]).is_none());
         assert!(sel.pick_order(&z("z"), &[]).next().is_none());
     }
 

@@ -109,12 +109,6 @@ impl VantagePoint {
         ]
     }
 
-    /// Override the selection seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> VantagePoint {
-        self.seed = seed;
-        self
-    }
-
     /// The [`ResolverConfig`] this profile resolves with.
     pub fn resolver_config(&self) -> ResolverConfig {
         ResolverConfig {
@@ -162,9 +156,8 @@ mod tests {
 
     #[test]
     fn custom_profile_keeps_label() {
-        let v = VantagePoint::custom("lab", SelectionStrategy::First).with_seed(9);
+        let v = VantagePoint::custom("lab", SelectionStrategy::First);
         assert_eq!(v.name, "lab");
-        assert_eq!(v.seed, 9);
         assert!(v.validate);
     }
 }

@@ -88,7 +88,7 @@ fn hits_on_a_shared_unbounded_cache_cost_the_same_on_every_thread() {
     let now = Timestamp(1_000);
     let short = name("example.com");
     let deep = name("a.b.c.d.e.f.g.h.i.j.k.l.m.n.example.com");
-    let cache = RecordCache::new();
+    let cache = RecordCache::default();
     cache.insert_positive(&short, RecordType::A, a_record(&short), now);
     cache.insert_positive(&deep, RecordType::A, a_record(&deep), now);
     let (per_hit, _) = allocs_in(|| cache.get(&short, RecordType::A, now));

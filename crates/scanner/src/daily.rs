@@ -106,11 +106,6 @@ impl Campaign {
         }
     }
 
-    /// Scan every day (the paper's cadence).
-    pub fn daily(study_days: u64) -> Campaign {
-        Campaign::strided(study_days, 1)
-    }
-
     /// The profiles this campaign scans through: the configured ones, or
     /// the single unlabelled default. Never empty.
     fn effective_vantages(&self) -> Vec<VantagePoint> {

@@ -31,15 +31,11 @@
 
 #![warn(missing_docs)]
 
-pub mod authority;
 pub mod daily;
 pub mod observation;
 pub mod special;
 pub mod store;
 
-pub use authority::{
-    authority_consistency_scan, probe_domain, AuthorityDisagreement, EndpointAnswer,
-};
 pub use daily::{scan_day, scan_one_day, Campaign, StoreRunReport, VantageRun};
 pub use observation::{flags, NsCategory, Observation};
 pub use special::{connectivity_probe, hourly_ech_scan, ConnectivityReport, EchObservation};

@@ -93,8 +93,6 @@ impl OrgInterner {
 pub struct Projection(pub u8);
 
 impl Projection {
-    /// `day` column (index 0). Purely advisory — `day` is always valid.
-    pub const DAY: Projection = Projection(1 << 0);
     /// `domain_id` column (index 1).
     pub const DOMAIN_ID: Projection = Projection(1 << 1);
     /// `rank` column (index 2).
@@ -108,16 +106,12 @@ impl Projection {
     /// `min_priority` column (index 6).
     pub const MIN_PRIORITY: Projection = Projection(1 << 6);
     /// Every column — the default, equivalent to an unprojected read.
+    /// Bit 0 is the `day` column, which is always stamped.
     pub const ALL: Projection = Projection(0x7f);
 
     /// Union with another projection (const-friendly builder).
     pub const fn with(self, other: Projection) -> Projection {
         Projection(self.0 | other.0)
-    }
-
-    /// Whether every column in `other` is included in `self`.
-    pub fn contains(self, other: Projection) -> bool {
-        self.0 & other.0 == other.0
     }
 
     /// Whether the column at canonical index `c` (0..7) is projected.
@@ -186,11 +180,6 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// Empty store (unlabelled vantage).
-    pub fn new() -> SnapshotStore {
-        SnapshotStore::default()
-    }
-
     /// Empty store labelled with the vantage point that produced it.
     pub fn with_vantage(vantage: &str) -> SnapshotStore {
         SnapshotStore { vantage: vantage.to_string(), ..SnapshotStore::default() }
@@ -442,7 +431,7 @@ mod tests {
 
     #[test]
     fn push_and_query_days() {
-        let mut store = SnapshotStore::new();
+        let mut store = SnapshotStore::default();
         store.push_day(0, vec![obs(0, 1, flags::HTTPS_PRESENT), obs(0, 2, 0)]);
         store.push_day(7, vec![obs(7, 1, 0)]);
         assert_eq!(store.day(0).len(), 2);
@@ -455,7 +444,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "increasing order")]
     fn out_of_order_days_rejected() {
-        let mut store = SnapshotStore::new();
+        let mut store = SnapshotStore::default();
         store.push_day(5, vec![]);
         store.push_day(3, vec![]);
     }
@@ -466,7 +455,7 @@ mod tests {
         // Regression guard: a repeated day must panic loudly, not let
         // `BTreeMap::insert` silently replace the day's range while the
         // observation vec keeps both copies.
-        let mut store = SnapshotStore::new();
+        let mut store = SnapshotStore::default();
         store.push_day(5, vec![obs(5, 1, 0)]);
         store.push_day(5, vec![obs(5, 2, 0)]);
     }
@@ -554,7 +543,7 @@ mod tests {
 
     #[test]
     fn csv_export_contains_rows() {
-        let mut store = SnapshotStore::new();
+        let mut store = SnapshotStore::default();
         let org = store.orgs.intern("Cloudflare, Inc.");
         store
             .push_day(0, vec![Observation { org, ..obs(0, 9, flags::HTTPS_PRESENT | flags::ECH) }]);

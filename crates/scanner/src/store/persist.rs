@@ -923,11 +923,6 @@ impl StoreWriter {
         &self.meta
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Chunks already on disk for one vantage.
     pub fn days_written(&self, vantage: usize) -> usize {
         self.indexes[vantage].len()

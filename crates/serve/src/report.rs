@@ -108,15 +108,6 @@ impl ServeReport {
         self.phases.iter().any(|p| p.saturated())
     }
 
-    /// The p99 latency (µs) of the highest non-saturated phase, if any.
-    pub fn p99_at_sustained_us(&self) -> Option<u64> {
-        self.phases
-            .iter()
-            .filter(|p| !p.saturated())
-            .max_by(|a, b| a.offered_kqps.total_cmp(&b.offered_kqps))
-            .map(|p| p.p99_us)
-    }
-
     /// Canonical multi-line rendering; byte-identical across runs and
     /// host thread counts.
     pub fn canonical_text(&self) -> String {

@@ -71,11 +71,6 @@ impl StubPopulation {
         StubPopulation { list, config }
     }
 
-    /// The population's configuration.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
-    }
-
     /// Generate the merged open-loop arrival stream for one phase:
     /// `offered_qps` total offered queries/second across all clients,
     /// over the virtual window `[start_us, start_us + duration_us)`.

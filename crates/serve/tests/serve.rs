@@ -59,7 +59,6 @@ fn sweep_finds_the_saturation_knee() {
     assert!(high.p99_us > low.p99_us, "queueing delay must blow up the tail under saturation");
     assert!(report.saturated());
     assert!((report.sustained_kqps() - 1.0).abs() < 1e-9);
-    assert_eq!(report.p99_at_sustained_us(), Some(low.p99_us));
     assert_eq!(low.failures, 0, "the tiny world's listed domains must resolve");
     // The cache warms within the sweep: the last hit-rate window of the
     // first phase beats the first window.

@@ -20,7 +20,6 @@
 
 pub mod siphash;
 
-use rand::Rng;
 use siphash::siphash24;
 
 /// Domain-separation prefixes so signatures, digests and AEAD tags can
@@ -54,14 +53,8 @@ pub fn unkeyed_digest(data: &[u8]) -> [u8; 16] {
 }
 
 /// Identifier of a key pair; rotating a key yields a fresh id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct KeyId(pub u64);
-
-impl std::fmt::Display for KeyId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "key-{:016x}", self.0)
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct KeyId(u64);
 
 /// A simulated key pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,25 +78,12 @@ pub struct SimPublicKey {
 pub struct Signature(pub [u8; 16]);
 
 impl SimKeyPair {
-    /// Generate a fresh key pair from the given RNG.
-    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let mut material = [0u8; 16];
-        rng.fill(&mut material);
-        let id = KeyId(siphash24(&material, b"key-id"));
-        SimKeyPair { id, material }
-    }
-
     /// Deterministically derive a key pair from a label (for reproducible
     /// fixtures: same label, same key).
     pub fn derive(label: &str) -> Self {
         let material = digest128(&[0xA5; 16], label.as_bytes());
         let id = KeyId(siphash24(&material, b"key-id"));
         SimKeyPair { id, material }
-    }
-
-    /// This key's identity.
-    pub fn id(&self) -> KeyId {
-        self.id
     }
 
     /// The shareable public half.
@@ -145,11 +125,6 @@ impl SimKeyPair {
 }
 
 impl SimPublicKey {
-    /// This key's identity.
-    pub fn id(&self) -> KeyId {
-        self.id
-    }
-
     /// Opaque serialized form (id + material), e.g. for embedding in an
     /// ECHConfig or a DNSKEY record.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -220,13 +195,10 @@ fn xor_stream(key: &[u8; 16], data: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sign_verify_round_trip() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let kp = SimKeyPair::generate(&mut rng);
+        let kp = SimKeyPair::derive("sign");
         let sig = kp.sign(b"hello https rr");
         assert!(kp.public().verify(b"hello https rr", &sig));
     }
@@ -252,13 +224,12 @@ mod tests {
     #[test]
     fn derive_is_deterministic_and_distinct() {
         assert_eq!(SimKeyPair::derive("x"), SimKeyPair::derive("x"));
-        assert_ne!(SimKeyPair::derive("x").id(), SimKeyPair::derive("y").id());
+        assert_ne!(SimKeyPair::derive("x").id, SimKeyPair::derive("y").id);
     }
 
     #[test]
     fn seal_open_round_trip() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let kp = SimKeyPair::generate(&mut rng);
+        let kp = SimKeyPair::derive("seal");
         let sealed = kp.public().seal(b"outer-sni", b"inner client hello");
         assert_eq!(kp.open(b"outer-sni", &sealed).unwrap(), b"inner client hello");
     }

@@ -14,9 +14,8 @@
 //! from outcome-derived values such as virtual-time latencies, never
 //! from wall clocks) — in sorted-name order, and is the byte-identical
 //! snapshot the determinism suite pins across thread counts.
-//! [`render_text`](MetricsRegistry::render_text) and
-//! [`to_csv`](MetricsRegistry::to_csv) add the wall-clock histogram
-//! class for human and machine consumption.
+//! [`render_text`](MetricsRegistry::render_text) adds the wall-clock
+//! histogram class for human consumption.
 
 use crate::counter::Counter;
 use crate::histogram::Histogram;
@@ -143,30 +142,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Machine-readable CSV: `label,kind,name,field,value` rows, sorted
-    /// by kind then name.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("label,kind,name,field,value\n");
-        for (name, value) in self.counter_snapshot() {
-            let _ = writeln!(out, "{},counter,{name},value,{value}", self.label);
-        }
-        for (kind, map) in
-            [("det_histogram", &self.det_histograms), ("histogram", &self.histograms)]
-        {
-            let histograms = map.lock();
-            for (name, h) in histograms.iter() {
-                let s = h.snapshot();
-                let _ = writeln!(out, "{},{kind},{name},count,{}", self.label, s.count());
-                let _ = writeln!(out, "{},{kind},{name},sum,{}", self.label, s.sum);
-                for q in [50u32, 90, 99] {
-                    let v = s.quantile(q as f64 / 100.0).unwrap_or(0);
-                    let _ = writeln!(out, "{},{kind},{name},p{q},{v}", self.label);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -210,9 +185,6 @@ mod tests {
         reg.histogram("engine.batch_us").record(123);
         assert!(!reg.counters_text().contains("engine.batch_us"));
         assert!(reg.render_text().contains("histogram engine.batch_us"));
-        let csv = reg.to_csv();
-        assert!(csv.contains("v,det_histogram,engine.vt_query_ms,count,2"));
-        assert!(csv.contains("v,histogram,engine.batch_us,count,1"));
     }
 
     #[test]
@@ -225,17 +197,5 @@ mod tests {
         assert!(text.contains("counter engine.batches 1"));
         assert!(text.contains("histogram wave_us count=1"));
         assert!(text.contains("bucket 512..=1023 1"));
-    }
-
-    #[test]
-    fn csv_has_counter_and_quantile_rows() {
-        let reg = MetricsRegistry::new("g");
-        reg.counter("c").add(7);
-        reg.histogram("h").record(3);
-        let csv = reg.to_csv();
-        assert!(csv.starts_with("label,kind,name,field,value\n"));
-        assert!(csv.contains("g,counter,c,value,7"));
-        assert!(csv.contains("g,histogram,h,count,1"));
-        assert!(csv.contains("g,histogram,h,p99,3"));
     }
 }

@@ -174,11 +174,6 @@ impl EchKeyManager {
         self.config_counter = self.config_counter.wrapping_add(1);
     }
 
-    /// Number of rotations performed.
-    pub fn rotations(&self) -> u64 {
-        self.rotations
-    }
-
     /// Try to open a sealed payload with the current key, then the grace
     /// window. Returns the plaintext on success.
     pub fn open(&self, aad: &[u8], sealed: &[u8]) -> Option<Vec<u8>> {
@@ -186,12 +181,6 @@ impl EchKeyManager {
             return Some(pt);
         }
         self.grace.iter().find_map(|k| k.open(aad, sealed))
-    }
-
-    /// Drop the grace window (models a server that rotates without
-    /// accounting for DNS caches — the ablation's cut-over mode).
-    pub fn clear_grace(&mut self) {
-        self.grace.clear();
     }
 }
 
@@ -260,7 +249,7 @@ mod tests {
         // After a second rotation (grace depth 1), key 0 ages out.
         mgr.rotate("seed");
         assert!(mgr.open(b"", &sealed0).is_none());
-        assert_eq!(mgr.rotations(), 2);
+        assert_eq!(mgr.rotations, 2);
     }
 
     #[test]
@@ -285,8 +274,8 @@ mod tests {
             replayed.rotate("cf-ech");
         }
         assert_eq!(clone.current_config_list().encode(), replayed.current_config_list().encode());
-        assert_eq!(clone.rotations(), 50);
-        assert_eq!(clone.rotations(), replayed.rotations());
+        assert_eq!(clone.rotations, 50);
+        assert_eq!(clone.rotations, replayed.rotations);
         for (i, payload) in sealed.iter().enumerate() {
             assert_eq!(clone.open(b"aad", payload), replayed.open(b"aad", payload), "payload {i}");
             assert_eq!(clone.open(b"aad", payload).is_some(), i > 0, "payload {i}");
@@ -295,12 +284,15 @@ mod tests {
 
     #[test]
     fn clear_grace_breaks_stale_clients() {
-        let mut mgr = EchKeyManager::new(name("x.com"), "s", 4);
-        let sealed = mgr.current_config().public_key.seal(b"", b"inner");
-        mgr.rotate("s");
-        assert!(mgr.open(b"", &sealed).is_some());
-        mgr.clear_grace();
-        assert!(mgr.open(b"", &sealed).is_none());
+        // A server that rotates without accounting for DNS caches (grace
+        // depth 0, the cut-over mode) cannot open what a stale client
+        // sealed; one with a grace window still can.
+        for (depth, opens) in [(0, false), (4, true)] {
+            let mut mgr = EchKeyManager::new(name("x.com"), "s", depth);
+            let sealed = mgr.current_config().public_key.seal(b"", b"inner");
+            mgr.rotate("s");
+            assert_eq!(mgr.open(b"", &sealed).is_some(), opens, "grace depth {depth}");
+        }
     }
 
     #[test]

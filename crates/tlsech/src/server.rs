@@ -65,11 +65,6 @@ impl WebServer {
         *self.ech.write() = None;
     }
 
-    /// Whether ECH is currently enabled.
-    pub fn ech_enabled(&self) -> bool {
-        self.ech.read().is_some()
-    }
-
     /// Rotate the ECH key (no-op without ECH state). Returns the new
     /// config list bytes to publish in DNS.
     pub fn rotate_ech_key(&self, label_seed: &str) -> Option<Vec<u8>> {

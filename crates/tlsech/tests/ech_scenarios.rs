@@ -149,10 +149,8 @@ fn split_mode_chain_of_two_hops() {
 fn disable_then_reenable_ech() {
     let net = Network::new(SimClock::new());
     let server = ech_server(&net);
-    assert!(server.ech_enabled());
     let old_configs = server.current_ech_configs().unwrap();
     server.disable_ech();
-    assert!(!server.ech_enabled());
     assert!(server.current_ech_configs().is_none());
     assert!(server.rotate_ech_key("scenario").is_none());
 

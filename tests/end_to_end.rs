@@ -2,7 +2,7 @@
 //! server → TLS/ECH handshake, over the full simulated stack.
 
 use httpsrr::authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
-use httpsrr::browser::{Browser, BrowserProfile, Outcome, UrlScheme};
+use httpsrr::browser::{Browser, BrowserProfile, NavEvent, Outcome, UrlScheme};
 use httpsrr::dns_wire::{DnsName, RData, Record, SvcParam, SvcbRdata};
 use httpsrr::netsim::{Network, SimClock};
 use httpsrr::resolver::{QueryEngine, RecursiveResolver, ResolverConfig};
@@ -99,13 +99,14 @@ fn browser_full_path_plain() {
 fn browser_full_path_with_ech() {
     let stack = full_stack(true);
     for profile in [BrowserProfile::chrome(), BrowserProfile::firefox()] {
+        let name = profile.name;
         let browser = stack.browser(profile);
         let nav = browser.navigate("shop.example", UrlScheme::Https);
         match &nav.outcome {
             Outcome::HttpsOk { used_ech, .. } => {
-                assert!(used_ech, "{}: {:?}", browser.profile().name, nav.events)
+                assert!(used_ech, "{}: {:?}", name, nav.events)
             }
-            other => panic!("{}: {other:?}", browser.profile().name),
+            other => panic!("{name}: {other:?}"),
         }
         // The outer SNI on the wire must be the cover name, not the real one.
         let outer_snis: Vec<String> = nav
@@ -126,7 +127,7 @@ fn safari_skips_ech_but_connects() {
     let stack = full_stack(true);
     let browser = stack.browser(BrowserProfile::safari());
     let nav = browser.navigate("shop.example", UrlScheme::Https);
-    assert!(!nav.attempted_ech());
+    assert!(!nav.events.iter().any(|e| matches!(e, NavEvent::TlsAttempt { ech: true, .. })));
     assert!(matches!(nav.outcome, Outcome::HttpsOk { used_ech: false, .. }));
 }
 

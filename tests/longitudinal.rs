@@ -1,7 +1,11 @@
 //! Longitudinal invariants of the full study pipeline.
 
+#[path = "support/authority.rs"]
+mod authority;
+
+use authority::authority_consistency_scan;
 use httpsrr::analysis::{self, overlapping_ids};
-use httpsrr::scanner::{authority_consistency_scan, flags};
+use httpsrr::scanner::flags;
 use httpsrr::Study;
 
 #[test]

@@ -28,7 +28,7 @@ proptest! {
         query_offset in 0u64..20_000,
         name in arb_name(),
     ) {
-        let cache = RecordCache::new();
+        let cache = RecordCache::default();
         let rec = Record::new(name.clone(), ttl, RData::A("1.2.3.4".parse().unwrap()));
         let set = RrSet::from_records(&[rec], &[]);
         cache.insert_positive(&name, RecordType::A, set, Timestamp(inserted_at));

@@ -3,6 +3,10 @@
 //! name server of a domain directly, detecting NS sets that *disagree*
 //! about the HTTPS record — the root cause of resolver-dependent
 //! intermittent records.
+//!
+//! A test oracle over public API only (`World::registry`,
+//! `Network::send_datagram`, `MessageView`): no report or command runs
+//! it, so it lives with the tests that do, included by `#[path]`.
 
 use dns_wire::{DnsName, Message, MessageView, RecordType};
 use ecosystem::World;
@@ -129,7 +133,7 @@ mod tests {
         }
         let found: Vec<u32> = reports.iter().map(|r| r.domain_id).collect();
         for id in &truth {
-            if world.today_list().contains(*id) {
+            if world.today_list().rank_of(*id).is_some() {
                 assert!(found.contains(id), "mixed domain {id} not flagged");
             }
         }
