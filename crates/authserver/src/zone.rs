@@ -5,9 +5,10 @@
 //! An owner's node keeps all its RRsets in one buffer, each as its
 //! records' bytes after the owner name — TYPE, CLASS, TTL, RDLENGTH,
 //! RDATA, with every RDATA name uncompressed — so an answer copies them
-//! behind an owner name it writes itself. A set's RRSIG is signed the
-//! first time a DO answer needs it and kept until a set at that owner or
-//! the keys change. A node also counts the names below it that hold
+//! behind an owner name it writes itself. A set's RRSIG is signed from
+//! those bytes (`dnssec`'s one signed-data builder reads each RDATA at
+//! offset 10) the first time a DO answer needs it, and kept until a set
+//! at that owner or the keys change. A node also counts the names below it that hold
 //! records: an empty non-terminal is a node with no sets, and NODATA
 //! versus NXDOMAIN is one probe.
 //!
@@ -18,8 +19,8 @@
 
 use dns_wire::wire::WireWriter;
 use dns_wire::{
-    DnsClass, DnsName, NameBuf, NameBuildHasher, NameKey, NameRef, RData, Record, RecordType,
-    SoaRdata,
+    DnsClass, DnsName, NameBuf, NameBuildHasher, NameKey, NameRef, RData, RdataView, Record,
+    RecordType, SoaRdata,
 };
 use dnssec::ZoneKeys;
 use std::borrow::Cow;
@@ -73,13 +74,12 @@ impl<'z> WireSet<'z> {
         })
     }
 
-    /// The name the first record's RDATA holds, for a CNAME or DNAME.
+    /// The name the first record's RDATA holds, for a CNAME or DNAME:
+    /// spelled out in place and filling the RDATA.
     fn first_target(self) -> Option<NameRef<'z>> {
-        NameRef::from_wire(self.records().next()?.get(10..)?)
-    }
-
-    fn decode(self, owner: &DnsName) -> Vec<Record> {
-        self.records().map(|r| decode_after_owner(owner, r)).collect()
+        let first = self.records().next()?;
+        let (target, end) = RdataView::new(first, (10, first.len())).name_at(0)?;
+        target.flat().filter(|_| 10 + end == first.len())
     }
 }
 
@@ -187,15 +187,6 @@ struct Signing {
     /// The apex DNSKEY set, answered from the keys so that key state can
     /// never drift from record state.
     dnskey: Node,
-}
-
-impl Signing {
-    /// The RRSIG record over `records`, after its owner name.
-    fn sign(&self, records: &[Record]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        put_after_owner(&mut w, &self.keys.sign(records, self.window.0, self.window.1));
-        w.into_bytes()
-    }
 }
 
 /// What the index holds for one name of an answer, borrowed from the
@@ -390,10 +381,8 @@ impl Zone {
     /// RRSIG records covering `rrset`, signed afresh, if the zone is
     /// signed.
     fn sign_rrset(&self, rrset: &[Record]) -> Vec<Record> {
-        match (&self.signing, rrset.first()) {
-            (Some(s), Some(_)) => vec![s.keys.sign(rrset, s.window.0, s.window.1)],
-            _ => Vec::new(),
-        }
+        let signing = self.signing.as_ref().filter(|_| !rrset.is_empty());
+        signing.map(|s| s.keys.sign(rrset, s.window.0, s.window.1)).into_iter().collect()
     }
 
     /// Look up (name, type) with full zone semantics, from typed records.
@@ -515,13 +504,23 @@ impl Zone {
         first_only: bool,
     ) -> Option<Cow<'z, [u8]>> {
         let signing = self.signing.as_ref()?;
-        let records = || set.decode(owner);
+        // Signed from the node's bytes: the type and the TTL of the first
+        // record (a stored set has one), and each record's RDATA at 10.
+        let first = set.records().next()?;
+        let rtype = RecordType::from_code(u16::from_be_bytes([first[0], first[1]]));
+        let ttl = u32::from_be_bytes([first[4], first[5], first[6], first[7]]);
+        let sign = |count: usize| {
+            let rdatas = set.records().take(count).map(|r| RdataView::new(r, (10, r.len())));
+            let mut out = Vec::with_capacity(64 + signing.keys.apex.wire_len());
+            signing.keys.write_rrsig(&mut out, owner, rtype, ttl, rdatas, signing.window);
+            out
+        };
         if first_only && set.records().nth(1).is_some() {
-            return Some(Cow::Owned(signing.sign(&records()[..1])));
+            return Some(Cow::Owned(sign(1)));
         }
         let memos =
             set.node.rrsigs.get_or_init(|| set.node.sets().map(|_| OnceLock::new()).collect());
-        let memo = memos[set.index].get_or_init(|| signing.sign(&records()).into());
+        let memo = memos[set.index].get_or_init(|| sign(usize::MAX).into());
         Some(Cow::Borrowed(memo))
     }
 }

@@ -38,7 +38,7 @@ pub use record::{
     DnsClass, DnskeyRdata, DsRdata, RData, Record, RecordType, RrsigRdata, SoaRdata, SrvRdata,
 };
 pub use svcb::{SvcParam, SvcbRdata, SvcbView};
-pub use view::{MessageView, NameView, QuestionView, RecordView};
+pub use view::{MessageView, NameView, QuestionView, RdataView, RecordView};
 
 #[cfg(test)]
 mod proptests {
@@ -206,7 +206,7 @@ mod proptests {
         ) {
             let mut w = crate::wire::WireWriter::new();
             let mut expect: Vec<u8> = Vec::new();
-            let mut dict: std::collections::HashMap<Vec<u8>, u16> = Default::default();
+            let mut dict: std::collections::HashMap<DnsName, u16> = Default::default();
             let mut starts = Vec::new();
             for (name, compress, filler) in &names {
                 w.put_bytes(&vec![0xEE; *filler]);
@@ -221,7 +221,7 @@ mod proptests {
                 let mut pointed = false;
                 for (i, label) in labels.iter().enumerate() {
                     if *compress {
-                        let suffix = DnsName::from_labels(&labels[i..]).unwrap().canonical_wire();
+                        let suffix = DnsName::from_labels(&labels[i..]).unwrap();
                         if let Some(&at) = dict.get(&suffix) {
                             expect.extend((0xC000 | at).to_be_bytes());
                             pointed = true;

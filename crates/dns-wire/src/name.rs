@@ -284,15 +284,6 @@ impl DnsName {
         self.name_ref().is_subdomain_of(other.name_ref())
     }
 
-    /// The canonical (lowercased) uncompressed wire form; used as a
-    /// compression-dictionary key and in DNSSEC-style canonical ordering.
-    pub fn canonical_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        out.extend(self.wire().iter().map(u8::to_ascii_lowercase));
-        out.push(0);
-        out
-    }
-
     /// Lowercased presentation form without trailing dot (root → `.`),
     /// convenient as a map key in higher layers.
     pub fn key(&self) -> String {
@@ -535,20 +526,6 @@ impl<'a> NameRef<'a> {
     /// The probe form of this name for a `DnsName`-keyed map.
     pub fn as_key(&self) -> &(dyn NameKey + 'a) {
         self
-    }
-
-    /// The uncompressed name that fills `wire` exactly, root octet
-    /// included — a name inside RDATA this crate encoded; `None` for
-    /// anything else.
-    pub fn from_wire(wire: &'a [u8]) -> Option<NameRef<'a>> {
-        let (&0, flat) = wire.split_last()? else {
-            return None;
-        };
-        let mut pos = 0;
-        while let Some(&len @ 1..=0x3F) = flat.get(pos) {
-            pos += 1 + len as usize;
-        }
-        (pos == flat.len() && wire.len() <= MAX_NAME_WIRE_LEN).then_some(NameRef { flat })
     }
 
     /// The labels, most-specific first.

@@ -187,6 +187,38 @@ impl<'a> Iterator for LabelIter<'a> {
     }
 }
 
+/// One record's RDATA where it lies: a buffer and the RDATA's range in
+/// it, names inside resolving against the whole buffer — a reply's
+/// ([`RecordView::rdata_view`]), or a zone's record after its owner name.
+#[derive(Debug, Clone, Copy)]
+pub struct RdataView<'a> {
+    buf: &'a [u8],
+    start: usize,
+    end: usize,
+}
+
+impl<'a> RdataView<'a> {
+    /// The RDATA at `start..end` of `buf`, cut at the buffer's end.
+    pub fn new(buf: &'a [u8], (start, end): (usize, usize)) -> RdataView<'a> {
+        let end = end.min(buf.len());
+        RdataView { buf, start: start.min(end), end }
+    }
+
+    /// The RDATA bytes.
+    pub fn bytes(&self) -> &'a [u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// The name at `offset` into the RDATA, pointers followed, and the
+    /// offset after it; `None` unless a valid name starts there and ends
+    /// inside the RDATA.
+    pub fn name_at(&self, offset: usize) -> Option<(NameView<'a>, usize)> {
+        let at = self.start.checked_add(offset)?;
+        let next = DnsName::skip_at(&self.buf[..self.end], at).ok()?;
+        Some((NameView { buf: self.buf, start: at }, next - self.start))
+    }
+}
+
 /// The fixed fields of one question-section entry.
 #[derive(Debug, Clone, Copy)]
 struct QuestionMeta {
@@ -381,12 +413,9 @@ impl<'a> RecordView<'a> {
         RData::check(self.rtype(), (self.meta.rd_start, self.meta.rd_end), self.buf)
     }
 
-    /// The host name the RDATA of an NS record holds, borrowed in place
-    /// — for a record whose RDATA [`RecordView::check_rdata`] accepted,
-    /// the name [`RecordView::rdata`] builds; `None` for another type.
-    pub fn ns_host(&self) -> Option<NameView<'a>> {
-        (self.rtype() == RecordType::Ns)
-            .then_some(NameView { buf: self.buf, start: self.meta.rd_start })
+    /// The RDATA, in place.
+    pub fn rdata_view(&self) -> RdataView<'a> {
+        RdataView { buf: self.buf, start: self.meta.rd_start, end: self.meta.rd_end }
     }
 
     /// The RDATA of an SVCB or HTTPS record, read in place
@@ -818,7 +847,7 @@ mod tests {
         let mut key = String::new();
         qname.write_key(&mut key);
         assert_eq!(key, "www.example.com");
-        assert_eq!(qname.to_owned().canonical_wire(), name("www.example.com").canonical_wire());
+        assert_eq!(qname.to_owned(), name("www.example.com"));
         assert_eq!(qname.to_string(), "www.Example.com.");
     }
 

@@ -76,10 +76,6 @@ impl Model {
         out
     }
 
-    fn canonical_wire(&self) -> Vec<u8> {
-        Model(self.0.iter().map(|l| lower(l)).collect()).wire()
-    }
-
     fn key(&self) -> String {
         if self.0.is_empty() {
             return ".".to_string();
@@ -288,7 +284,6 @@ proptest! {
         prop_assert_eq!(name.label_count(), model.0.len());
         prop_assert_eq!(name.is_root(), model.0.is_empty());
         prop_assert_eq!(name.wire_len(), model.wire_len());
-        prop_assert_eq!(name.canonical_wire(), model.canonical_wire());
         prop_assert_eq!(name.key(), model.key());
         let mut appended = String::from("x");
         name.write_key(&mut appended);

@@ -1,9 +1,8 @@
 //! Chain-of-trust validation: walk DS→DNSKEY links from the root down to
 //! the zone that signed an RRset, then verify the RRSIG.
 
-use crate::signer::{ds_matches_dnskey, verify_rrsig};
-use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
-use dns_wire::{DnsName, RData, Record};
+use crate::signer::{ds_matches_dnskey, verify, SIGNER_AT};
+use dns_wire::{DnsName, RdataView, RecordType};
 
 /// Validation outcome for an RRset, matching RFC 4035 terminology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,25 +18,34 @@ pub enum ValidationState {
     Unsigned,
 }
 
-impl std::fmt::Display for ValidationState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ValidationState::Secure => write!(f, "secure"),
-            ValidationState::Insecure => write!(f, "insecure"),
-            ValidationState::Bogus => write!(f, "bogus"),
-            ValidationState::Unsigned => write!(f, "unsigned"),
-        }
-    }
+/// An RRset with its covering RRSIGs, read where it lies (a resolver's,
+/// in its reply): what [`validate`] checks and a [`ChainSource`] hands out.
+pub trait SignedSet {
+    /// The owner name.
+    fn owner(&self) -> &DnsName;
+    /// The record type.
+    fn rtype(&self) -> RecordType;
+    /// Each record's RDATA.
+    fn rdatas(&self) -> impl Iterator<Item = RdataView<'_>>;
+    /// Each covering RRSIG's RDATA.
+    fn signatures(&self) -> impl Iterator<Item = RdataView<'_>>;
 }
 
 /// Supplies DNSSEC records on demand during a chain walk. Implemented by
 /// the recursive resolver (which fetches them over the simulated network)
 /// and by in-memory fixtures in tests.
 pub trait ChainSource {
+    /// The sets handed out.
+    type Set: SignedSet;
     /// DNSKEY RRset of a zone apex, with its RRSIGs, if the zone is signed.
-    fn dnskeys(&mut self, zone: &DnsName) -> Option<(Vec<DnskeyRdata>, Vec<RrsigRdata>)>;
+    fn dnskeys(&mut self, zone: &DnsName) -> Option<Self::Set>;
     /// DS RRset for `zone` as published in its *parent* zone.
-    fn ds_set(&mut self, zone: &DnsName) -> Option<Vec<DsRdata>>;
+    fn ds_set(&mut self, zone: &DnsName) -> Option<Self::Set>;
+}
+
+/// Whether RRSIG RDATA covers `rtype`: its first field.
+fn covers(rrsig: &RdataView<'_>, rtype: RecordType) -> bool {
+    rrsig.bytes().starts_with(&rtype.code().to_be_bytes())
 }
 
 /// Validate an RRset with its RRSIGs at time `now`, trusting the root
@@ -46,48 +54,39 @@ pub trait ChainSource {
 /// `source` provides DNSKEY/DS lookups. The walk starts at the signer's
 /// zone and climbs toward the root, requiring each zone's DNSKEY to be
 /// endorsed by a DS in its parent, and each DS / DNSKEY RRset itself to
-/// be signed.
-pub fn validate(
-    rrset: &[Record],
-    rrsigs: &[RrsigRdata],
-    source: &mut dyn ChainSource,
-    now: u32,
-) -> ValidationState {
-    if rrset.is_empty() {
+/// be signed. Signatures are checked over the sets in place.
+pub fn validate<C: ChainSource>(set: &impl SignedSet, source: &mut C, now: u32) -> ValidationState {
+    let mut covering = set.signatures().filter(|s| covers(s, set.rtype())).peekable();
+    if set.rdatas().next().is_none() || covering.peek().is_none() {
         return ValidationState::Unsigned;
     }
-    let covering: Vec<&RrsigRdata> =
-        rrsigs.iter().filter(|s| s.type_covered == rrset[0].rtype).collect();
-    if covering.is_empty() {
-        return ValidationState::Unsigned;
-    }
-
     for sig in covering {
-        match validate_with_sig(rrset, sig, source, now) {
-            ValidationState::Secure => return ValidationState::Secure,
-            ValidationState::Insecure => return ValidationState::Insecure,
+        match validate_with_sig(set, sig, source, now) {
+            state @ (ValidationState::Secure | ValidationState::Insecure) => return state,
             _ => continue,
         }
     }
     ValidationState::Bogus
 }
 
-fn validate_with_sig(
-    rrset: &[Record],
-    sig: &RrsigRdata,
-    source: &mut dyn ChainSource,
+fn validate_with_sig<C: ChainSource>(
+    set: &impl SignedSet,
+    sig: RdataView<'_>,
+    source: &mut C,
     now: u32,
 ) -> ValidationState {
-    let zone = &sig.signer;
-    // The owner must be within the signer's zone.
-    if !rrset[0].name.is_subdomain_of(zone) {
+    // The signer's zone is the owner or one of its ancestors, named as
+    // the owner spells it.
+    let signer = sig.name_at(SIGNER_AT).map(|(name, _)| name);
+    let mut ancestors = std::iter::successors(Some(set.owner().clone()), DnsName::parent);
+    let Some(zone) = signer.and_then(|signer| ancestors.find(|a| signer.eq_name(a))) else {
         return ValidationState::Bogus;
-    }
-    let Some((keys, key_sigs)) = source.dnskeys(zone) else {
+    };
+    let Some(keys) = source.dnskeys(&zone) else {
         return ValidationState::Insecure;
     };
     // Find a key that verifies the RRset signature.
-    let Some(signing_key) = keys.iter().find(|k| verify_rrsig(sig, rrset, k, now)) else {
+    let Some(signing_key) = keys.rdatas().find(|k| verify(sig, set, k.bytes(), now)) else {
         return ValidationState::Bogus;
     };
     // The DNSKEY RRset itself must be signed by one of its keys
@@ -95,29 +94,24 @@ fn validate_with_sig(
     if zone.is_root() {
         return ValidationState::Secure;
     }
-    let dnskey_rrset: Vec<Record> = keys
-        .iter()
-        .map(|k| Record::new(zone.clone(), sig.original_ttl, RData::Dnskey(k.clone())))
-        .collect();
-    let keyset_ok = key_sigs.iter().any(|ks| {
-        ks.type_covered == dns_wire::RecordType::Dnskey
-            && keys.iter().any(|k| verify_rrsig(ks, &dnskey_rrset, k, now))
+    let keyset_ok = keys.signatures().any(|ks| {
+        covers(&ks, RecordType::Dnskey) && keys.rdatas().any(|k| verify(ks, &keys, k.bytes(), now))
     });
     if !keyset_ok {
         return ValidationState::Bogus;
     }
     // Climb: the parent must endorse this zone's key via DS.
-    let Some(ds_set) = source.ds_set(zone) else {
+    let Some(ds_set) = source.ds_set(&zone) else {
         // Signed zone, no DS uploaded: the paper's "insecure" case.
         return ValidationState::Insecure;
     };
-    if !ds_set.iter().any(|ds| ds_matches_dnskey(ds, zone, signing_key)) {
+    if !ds_set.rdatas().any(|ds| ds_matches_dnskey(ds.bytes(), &zone, signing_key.bytes())) {
         return ValidationState::Bogus;
     }
     // Recurse up to the parent zone: the DS RRset lives in the parent
     // and must itself be validated. We model parent endorsement by
     // walking the ancestor chain of zone apexes.
-    let mut current = zone.clone();
+    let mut current = zone;
     loop {
         let Some(parent) = enclosing_zone(&current, source) else {
             return ValidationState::Insecure;
@@ -126,13 +120,16 @@ fn validate_with_sig(
             return ValidationState::Secure;
         }
         // Parent must be a signed zone endorsed by *its* parent.
-        let Some((pkeys, _)) = source.dnskeys(&parent) else {
+        let Some(pkeys) = source.dnskeys(&parent) else {
             return ValidationState::Insecure;
         };
         let Some(pds) = source.ds_set(&parent) else {
             return ValidationState::Insecure;
         };
-        if !pds.iter().any(|ds| pkeys.iter().any(|k| ds_matches_dnskey(ds, &parent, k))) {
+        let endorsed = pds
+            .rdatas()
+            .any(|ds| pkeys.rdatas().any(|k| ds_matches_dnskey(ds.bytes(), &parent, k.bytes())));
+        if !endorsed {
             return ValidationState::Bogus;
         }
         current = parent;
@@ -141,7 +138,7 @@ fn validate_with_sig(
 
 /// The nearest enclosing zone apex above `zone` that publishes keys, or
 /// the root.
-fn enclosing_zone(zone: &DnsName, source: &mut dyn ChainSource) -> Option<DnsName> {
+fn enclosing_zone(zone: &DnsName, source: &mut impl ChainSource) -> Option<DnsName> {
     let mut candidate = zone.parent()?;
     loop {
         if candidate.is_root() || source.dnskeys(&candidate).is_some() {
@@ -154,8 +151,10 @@ fn enclosing_zone(zone: &DnsName, source: &mut dyn ChainSource) -> Option<DnsNam
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signer::tests::{rrsig_of, TestSet};
     use crate::signer::ZoneKeys;
-    use dns_wire::{NameBuildHasher, RecordType};
+    use dns_wire::record::RrsigRdata;
+    use dns_wire::{NameBuildHasher, RData, Record};
     use std::collections::HashMap;
     use std::net::Ipv4Addr;
 
@@ -167,7 +166,7 @@ mod tests {
     #[derive(Default)]
     struct Fixture {
         keys: HashMap<DnsName, ZoneKeys, NameBuildHasher>,
-        ds: HashMap<DnsName, Vec<DsRdata>, NameBuildHasher>,
+        ds: HashMap<DnsName, Record, NameBuildHasher>,
     }
 
     impl Fixture {
@@ -177,40 +176,33 @@ mod tests {
             let apex = name(apex);
             let keys = ZoneKeys::derive(&apex, 0);
             if link_ds {
-                let ds = match keys.ds_record(300).rdata {
-                    RData::Ds(d) => d,
-                    _ => unreachable!(),
-                };
-                self.ds.insert(apex.clone(), vec![ds]);
+                self.ds.insert(apex.clone(), keys.ds_record(300));
             }
             self.keys.insert(apex, keys);
         }
 
         fn sign(&self, zone: &str, rrset: &[Record]) -> Vec<RrsigRdata> {
-            let sig = self.keys[&name(zone)].sign(rrset, 0, u32::MAX - 1);
-            match sig.rdata {
-                RData::Rrsig(s) => vec![s],
-                _ => unreachable!(),
-            }
+            vec![rrsig_of(&self.keys[&name(zone)].sign(rrset, 0, u32::MAX - 1))]
         }
     }
 
     impl ChainSource for Fixture {
-        fn dnskeys(&mut self, zone: &DnsName) -> Option<(Vec<DnskeyRdata>, Vec<RrsigRdata>)> {
+        type Set = TestSet;
+
+        fn dnskeys(&mut self, zone: &DnsName) -> Option<TestSet> {
             let keys = self.keys.get(zone)?;
-            let rdata = keys.dnskey_rdata();
             let rrset = vec![keys.dnskey_record(300)];
-            let sig = keys.sign(&rrset, 0, u32::MAX - 1);
-            let sig_rdata = match sig.rdata {
-                RData::Rrsig(s) => s,
-                _ => unreachable!(),
-            };
-            Some((vec![rdata], vec![sig_rdata]))
+            let sig = rrsig_of(&keys.sign(&rrset, 0, u32::MAX - 1));
+            Some(TestSet::new(&rrset, &[sig]))
         }
 
-        fn ds_set(&mut self, zone: &DnsName) -> Option<Vec<DsRdata>> {
-            self.ds.get(zone).cloned()
+        fn ds_set(&mut self, zone: &DnsName) -> Option<TestSet> {
+            self.ds.get(zone).map(|ds| TestSet::new(std::slice::from_ref(ds), &[]))
         }
+    }
+
+    fn check(rrset: &[Record], sigs: &[RrsigRdata], fx: &mut Fixture) -> ValidationState {
+        validate(&TestSet::new(rrset, sigs), fx, 100)
     }
 
     fn https_rrset() -> Vec<Record> {
@@ -236,7 +228,7 @@ mod tests {
         let mut fx = full_chain_fixture(true);
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Secure);
+        assert_eq!(check(&rrset, &sigs, &mut fx), ValidationState::Secure);
     }
 
     #[test]
@@ -246,14 +238,14 @@ mod tests {
         let mut fx = full_chain_fixture(false);
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Insecure);
+        assert_eq!(check(&rrset, &sigs, &mut fx), ValidationState::Insecure);
     }
 
     #[test]
     fn no_rrsig_is_unsigned() {
         let mut fx = full_chain_fixture(true);
         let rrset = https_rrset();
-        assert_eq!(validate(&rrset, &[], &mut fx, 100), ValidationState::Unsigned);
+        assert_eq!(check(&rrset, &[], &mut fx), ValidationState::Unsigned);
     }
 
     #[test]
@@ -268,19 +260,15 @@ mod tests {
         if let RData::Https(rd) = &mut rrset2[0].rdata {
             rd.priority = 2;
         }
-        assert_eq!(validate(&rrset2, &sigs, &mut fx, 100), ValidationState::Bogus);
+        assert_eq!(check(&rrset2, &sigs, &mut fx), ValidationState::Bogus);
     }
 
     #[test]
     fn expired_signature_is_bogus() {
         let mut fx = full_chain_fixture(true);
         let rrset = https_rrset();
-        let sig = fx.keys[&name("a.com")].sign(&rrset, 0, 50);
-        let sigs = match sig.rdata {
-            RData::Rrsig(s) => vec![s],
-            _ => unreachable!(),
-        };
-        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
+        let sigs = vec![rrsig_of(&fx.keys[&name("a.com")].sign(&rrset, 0, 50))];
+        assert_eq!(check(&rrset, &sigs, &mut fx), ValidationState::Bogus);
     }
 
     #[test]
@@ -288,14 +276,10 @@ mod tests {
         let mut fx = full_chain_fixture(true);
         // Replace the child DS with one derived from a different key.
         let rogue = ZoneKeys::derive(&name("a.com"), 99);
-        let ds = match rogue.ds_record(300).rdata {
-            RData::Ds(d) => d,
-            _ => unreachable!(),
-        };
-        fx.ds.insert(name("a.com"), vec![ds]);
+        fx.ds.insert(name("a.com"), rogue.ds_record(300));
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
+        assert_eq!(check(&rrset, &sigs, &mut fx), ValidationState::Bogus);
     }
 
     #[test]
@@ -308,7 +292,7 @@ mod tests {
         fx.add_zone("a.com", true);
         let rrset = https_rrset();
         let sigs = fx.sign("a.com", &rrset);
-        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Insecure);
+        assert_eq!(check(&rrset, &sigs, &mut fx), ValidationState::Insecure);
     }
 
     #[test]
@@ -317,7 +301,7 @@ mod tests {
         fx.add_zone("evil.org", true);
         let rrset = https_rrset(); // owner a.com
         let sigs = fx.sign("evil.org", &rrset);
-        assert_eq!(validate(&rrset, &sigs, &mut fx, 100), ValidationState::Bogus);
+        assert_eq!(check(&rrset, &sigs, &mut fx), ValidationState::Bogus);
     }
 
     #[test]
@@ -327,7 +311,7 @@ mod tests {
         let sigs = fx.sign("a.com", &a_rrset);
         let https = https_rrset();
         // RRSIG covers A, not HTTPS.
-        assert_eq!(validate(&https, &sigs, &mut fx, 100), ValidationState::Unsigned);
+        assert_eq!(check(&https, &sigs, &mut fx), ValidationState::Unsigned);
         assert_eq!(sigs[0].type_covered, RecordType::A);
     }
 }

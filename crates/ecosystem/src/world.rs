@@ -60,7 +60,7 @@ impl CfEch {
     /// Rotation period of interval `i`: 1.1–1.4 h around the mean.
     fn period_of(&self, i: u64) -> u64 {
         let step = self.mean_period / 14; // ~0.09 h granularity
-        let pick = simcrypto::siphash::siphash24(&[7u8; 16], &i.to_le_bytes()) % 5;
+        let pick = simcrypto::siphash::siphash24(&[7u8; 16], [i.to_le_bytes()]) % 5;
         // mean - 2*step .. mean + 2*step
         self.mean_period - 2 * step + pick * step
     }

@@ -163,6 +163,25 @@ impl RrSet {
     }
 }
 
+/// The validator reads a set's RDATA in the reply.
+impl dnssec::SignedSet for RrSet {
+    fn owner(&self) -> &DnsName {
+        &self.owner
+    }
+
+    fn rtype(&self) -> RecordType {
+        RrSet::rtype(self)
+    }
+
+    fn rdatas(&self) -> impl Iterator<Item = dns_wire::RdataView<'_>> {
+        self.records().map(|rec| rec.rdata_view())
+    }
+
+    fn signatures(&self) -> impl Iterator<Item = dns_wire::RdataView<'_>> {
+        self.rrsigs().map(|rec| rec.rdata_view())
+    }
+}
+
 impl PartialEq for RrSet {
     fn eq(&self, other: &RrSet) -> bool {
         let same_entry = Arc::ptr_eq(&self.reply, &other.reply) && self.entry == other.entry;

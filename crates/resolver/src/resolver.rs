@@ -14,7 +14,6 @@ use crate::cache::{CachedAnswer, RecordCache, DEFAULT_SHARDS};
 use crate::reply::{AuthorityReply, RrSet};
 use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
-use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
 use dns_wire::{write_dnssec_query, DnsName, Message, RData, Rcode, Record, RecordType};
 use dnssec::{ChainSource, ValidationState};
 use netsim::{DatagramService, NetError, Network, Timestamp};
@@ -170,7 +169,7 @@ pub struct RecursiveResolver {
     config: ResolverConfig,
     next_id: AtomicU16,
     /// Held across each cache-check-then-fetch of DNSSEC chain material
-    /// ([`ResolverChainSource`]). Two pool workers validating different
+    /// ([`RecursiveResolver::chain_set`]). Two pool workers validating different
     /// zones share ancestors; without it both miss and both fetch, and
     /// the cache statistics a campaign prints count two misses where a
     /// sequential run counts a miss and a hit.
@@ -342,7 +341,9 @@ impl RecursiveResolver {
     ) -> Resolution {
         match ans {
             CachedAnswer::Positive(records) => {
-                let validation = self.config.validate.then(|| self.validate_rrset(&records, now));
+                let (source, now) = (&mut ChainFetch(self), now.0.min(u32::MAX as u64) as u32);
+                let validation =
+                    self.config.validate.then(|| dnssec::validate(&records, source, now));
                 Resolution { chain, records, rcode: Rcode::NoError, validation, from_cache }
             }
             CachedAnswer::Negative { rcode } => Resolution::negative(chain, rcode, from_cache),
@@ -399,30 +400,40 @@ impl RecursiveResolver {
         outcome
     }
 
-    /// Cache every RRset of a reply's answer section, in the order the
-    /// sets first appear — which is the order a bounded cache stamps
-    /// them in, so which of a CNAME and its target outlives the other
-    /// never depends on a hasher.
-    fn cache_answer(&self, resp: &AuthorityReply, now: Timestamp) {
-        for set in resp.sets() {
-            self.cache_rrset(&set, now);
-        }
-    }
-
     fn cache_rrset(&self, set: &RrSet, now: Timestamp) {
         self.cache.insert_positive(set.owner(), set.rtype(), set.clone(), now);
     }
 
-    /// The set's DNSSEC state. A set no RRSIG covers is what
-    /// [`dnssec::validate`] calls `Unsigned`, answered without
-    /// building a record; a signed one is built for the validator.
-    fn validate_rrset(&self, set: &RrSet, now: Timestamp) -> ValidationState {
-        if set.rrsig_count() == 0 {
-            return ValidationState::Unsigned;
+    /// The `(zone, rtype)` set of a chain walk from the cache, else
+    /// fetched with the DO bit: DNSKEY from the zone's servers (every set
+    /// of the reply cached), DS from its parent's (that set cached). A
+    /// reply without the set is cached as a negative answer under the
+    /// reply's own rcode.
+    fn chain_set(&self, zone: &DnsName, rtype: RecordType) -> Option<RrSet> {
+        let _fetching = self.chain_fetch.lock();
+        let now = self.network.clock().now();
+        match self.cache.get(zone, rtype, now) {
+            Some(CachedAnswer::Positive(set)) => return Some(set),
+            Some(CachedAnswer::Negative { .. }) => return None,
+            None => {}
         }
-        let mut source = ResolverChainSource { resolver: self };
-        let now = now.0.min(u32::MAX as u64) as u32;
-        dnssec::validate(&set.to_records(), &set.rrsig_rdatas(), &mut source, now)
+        let resp = if rtype == RecordType::Ds {
+            let (parent, endpoints) = self.registry.find_parent_authority(zone)?;
+            self.ask(&parent, self.selector.pick_order_ds(zone, &endpoints), zone, rtype).ok()?
+        } else {
+            let resp = self.query_authority(zone, rtype).ok()?;
+            resp.sets().for_each(|set| self.cache_rrset(&set, now));
+            resp
+        };
+        let Some(set) = resp.rrset(zone, rtype) else {
+            let ttl = resp.negative_ttl(self.config.default_negative_ttl);
+            self.cache.insert_negative(zone, rtype, resp.rcode, ttl, now);
+            return None;
+        };
+        if rtype == RecordType::Ds {
+            self.cache_rrset(&set, now);
+        }
+        Some(set)
     }
 }
 
@@ -447,89 +458,19 @@ fn cname_step(alias: &RrSet) -> Option<(Record, DnsName)> {
     }
 }
 
-/// `ChainSource` over the resolver: DNSKEY from the zone's own servers,
-/// DS from the parent zone's servers (both with the DO bit, both cached).
-struct ResolverChainSource<'a> {
-    resolver: &'a RecursiveResolver,
-}
+/// The validator's `ChainSource`: the resolver's chain sets, from its
+/// cache or fetched on a miss ([`RecursiveResolver::chain_set`]).
+struct ChainFetch<'a>(&'a RecursiveResolver);
 
-impl ResolverChainSource<'_> {
-    /// The `(zone, rtype)` RRset of a chain-walk reply; a reply without
-    /// one is cached as a negative answer under the reply's own rcode.
-    fn rrset_of(
-        &self,
-        resp: &AuthorityReply,
-        zone: &DnsName,
-        rtype: RecordType,
-        now: Timestamp,
-    ) -> Option<RrSet> {
-        let set = resp.rrset(zone, rtype);
-        if set.is_none() {
-            let r = self.resolver;
-            let ttl = resp.negative_ttl(r.config.default_negative_ttl);
-            r.cache.insert_negative(zone, rtype, resp.rcode, ttl, now);
-        }
-        set
-    }
-}
+impl ChainSource for ChainFetch<'_> {
+    type Set = RrSet;
 
-impl ChainSource for ResolverChainSource<'_> {
-    fn dnskeys(&mut self, zone: &DnsName) -> Option<(Vec<DnskeyRdata>, Vec<RrsigRdata>)> {
-        let r = self.resolver;
-        let _fetching = r.chain_fetch.lock();
-        let now = r.network.clock().now();
-        let set = match r.cache.get(zone, RecordType::Dnskey, now) {
-            Some(CachedAnswer::Positive(set)) => set,
-            Some(CachedAnswer::Negative { .. }) => return None,
-            None => {
-                let resp = r.query_authority(zone, RecordType::Dnskey).ok()?;
-                r.cache_answer(&resp, now);
-                self.rrset_of(&resp, zone, RecordType::Dnskey, now)?
-            }
-        };
-        let keys: Vec<DnskeyRdata> = set
-            .records()
-            .filter_map(|rec| match rec.rdata() {
-                Ok(RData::Dnskey(k)) => Some(k),
-                _ => None,
-            })
-            .collect();
-        if keys.is_empty() {
-            None
-        } else {
-            Some((keys, set.rrsig_rdatas()))
-        }
+    fn dnskeys(&mut self, zone: &DnsName) -> Option<RrSet> {
+        self.0.chain_set(zone, RecordType::Dnskey)
     }
 
-    fn ds_set(&mut self, zone: &DnsName) -> Option<Vec<DsRdata>> {
-        let r = self.resolver;
-        let _fetching = r.chain_fetch.lock();
-        let now = r.network.clock().now();
-        let set = match r.cache.get(zone, RecordType::Ds, now) {
-            Some(CachedAnswer::Positive(set)) => set,
-            Some(CachedAnswer::Negative { .. }) => return None,
-            None => {
-                // DS lives in the parent zone.
-                let (parent, endpoints) = r.registry.find_parent_authority(zone)?;
-                let order = r.selector.pick_order_ds(zone, &endpoints);
-                let resp = r.ask(&parent, order, zone, RecordType::Ds).ok()?;
-                let set = self.rrset_of(&resp, zone, RecordType::Ds, now)?;
-                r.cache_rrset(&set, now);
-                set
-            }
-        };
-        let ds: Vec<DsRdata> = set
-            .records()
-            .filter_map(|rec| match rec.rdata() {
-                Ok(RData::Ds(d)) => Some(d),
-                _ => None,
-            })
-            .collect();
-        if ds.is_empty() {
-            None
-        } else {
-            Some(ds)
-        }
+    fn ds_set(&mut self, zone: &DnsName) -> Option<RrSet> {
+        self.0.chain_set(zone, RecordType::Ds)
     }
 }
 

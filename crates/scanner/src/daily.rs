@@ -652,8 +652,9 @@ fn fold_followups(
         if let Some(idx) = t.ns_lookup {
             let start = wave3.len() as u32;
             if let Ok(ns_res) = &results[idx as usize] {
+                // The answer's records are NS: each RDATA is the host.
                 for rec in ns_res.records.records() {
-                    if let Some(host) = rec.ns_host() {
+                    if let Some((host, _)) = rec.rdata_view().name_at(0) {
                         wave3.push(Query::new(shared_name(hosts, host), RecordType::A));
                     }
                 }

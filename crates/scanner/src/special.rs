@@ -48,7 +48,7 @@ pub fn hourly_ech_scan(world: &mut World, window_hours: u64, sample: usize) -> V
                     out.push(EchObservation {
                         hour: hour as u32,
                         domain_id: *id,
-                        config_hash: simcrypto::siphash::siphash24(&[1u8; 16], ech),
+                        config_hash: simcrypto::siphash::siphash24(&[1u8; 16], [ech]),
                     });
                 }
             }

@@ -13,29 +13,33 @@ use resolver::{QueryEngine, SelectionStrategy, VantagePoint};
 use scanner::{scan_day, scan_one_day};
 use std::collections::HashMap;
 
-/// Heap blocks per observation one cold day over `tiny()` may ask for.
-/// It asks for 7.05 (4 231 over 600 observations, the same on every
-/// run), since an exchange writes its query and receives its answer in
-/// buffers the thread reuses, and the NS hosts of wave 3 are named once
-/// per spelling; it asked for 13.51 while each exchange built, encoded
-/// and copied buffers of its own, one of them per authority answer from
-/// zones stored in wire form, 30.23 while the authorities rendered
-/// each query shape once through owned messages and then served a
-/// cache of responses, 35.57 while each RRset was built as owned
-/// records, 37.09 while each target kept its hints and NS-host indices
-/// in heap vectors of its own, and 61.63 before answer RRsets were
-/// shared. The margin is the benchmark's own 2 % bound on
+/// Heap blocks per observation one cold day over `tiny()` may ask
+/// for. It asks for 2.27 (1 363 over 600 observations, the same on
+/// every run), since DNSSEC validation checks each signature over the
+/// cached replies in place and the zones sign from their own bytes;
+/// it asked for 7.05 while validation and signing went through owned
+/// records, with an exchange writing its query and receiving its
+/// answer in buffers the thread reuses and the NS hosts of wave 3
+/// named once per spelling, 13.51 while each exchange built, encoded
+/// and copied buffers of its own, one of them per authority answer
+/// from zones stored in wire form, 30.23 while the authorities
+/// rendered each query shape once through owned messages and then
+/// served a cache of responses, 35.57 while each RRset was built as
+/// owned records, 37.09 while each target kept its hints and NS-host
+/// indices in heap vectors of its own, and 61.63 before answer RRsets
+/// were shared. The margin is the benchmark's own 2 % bound on
 /// `allocs_per_unit`.
-const CEILING: f64 = 7.19;
+const CEILING: f64 = 2.32;
 
 /// Heap blocks per observation one cold day over `tiny()` may ask for
 /// when the three preset vantages scan it in one `scan_day` pass. It
-/// asks for 4.16 (7 488 over 1 800 observations; 10.56 with buffers of
-/// each exchange's own, 17.33 with the authorities' response caches,
-/// 22.71 with owned answer records): the target list, the wave-1
-/// batch, the NS-host names and the authorities' RRSIGs are built once
-/// for three vantages. The margin is the same 2 %.
-const JOINT_CEILING: f64 = 4.24;
+/// asks for 1.54 (2 772 over 1 800 observations; 4.16 with owned
+/// records in validation and signing, 10.56 with buffers of each
+/// exchange's own, 17.33 with the authorities' response caches, 22.71
+/// with owned answer records): the target list, the wave-1 batch, the
+/// NS-host names and the authorities' RRSIGs are built once for three
+/// vantages. The margin is the same 2 %.
+const JOINT_CEILING: f64 = 1.57;
 
 /// Run `scan` on each thread of the axis, each thread over engines of
 /// its own with one worker, so that the scan runs on the thread that is

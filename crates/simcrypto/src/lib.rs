@@ -31,25 +31,22 @@ mod domain {
     pub const SEAL_STREAM: &[u8] = b"simcrypto/seal-stream/v1";
 }
 
-/// A 128-bit keyed digest (two domain-separated SipHash-2-4 passes).
-pub fn digest128(key: &[u8; 16], data: &[u8]) -> [u8; 16] {
-    let mut msg = Vec::with_capacity(domain::DIGEST.len() + 1 + data.len());
-    msg.extend_from_slice(domain::DIGEST);
-    msg.push(0);
-    msg.extend_from_slice(data);
-    let lo = siphash24(key, &msg);
-    msg[domain::DIGEST.len()] = 1;
-    let hi = siphash24(key, &msg);
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&lo.to_le_bytes());
-    out[8..].copy_from_slice(&hi.to_le_bytes());
-    out
+/// A 128-bit keyed digest of the concatenation of `parts` (two
+/// domain-separated SipHash-2-4 passes, each fed the tag and then the
+/// parts in place).
+pub fn digest128(key: &[u8; 16], parts: &[&[u8]]) -> [u8; 16] {
+    let half = |pass: &[u8]| {
+        let tagged = [domain::DIGEST, pass].into_iter().chain(parts.iter().copied());
+        siphash24(key, tagged).to_le_bytes()
+    };
+    let (lo, hi) = (half(&[0]), half(&[1]));
+    std::array::from_fn(|i| if i < 8 { lo[i] } else { hi[i - 8] })
 }
 
-/// An unkeyed 128-bit digest of arbitrary data (fixed well-known key).
-/// Stands in for SHA-256 in DS-record digests.
-pub fn unkeyed_digest(data: &[u8]) -> [u8; 16] {
-    digest128(&[0x5A; 16], data)
+/// An unkeyed 128-bit digest of the concatenation of `parts` (fixed
+/// well-known key). Stands in for SHA-256 in DS-record digests.
+pub fn unkeyed_digest(parts: &[&[u8]]) -> [u8; 16] {
+    digest128(&[0x5A; 16], parts)
 }
 
 /// Identifier of a key pair; rotating a key yields a fresh id.
@@ -81,8 +78,8 @@ impl SimKeyPair {
     /// Deterministically derive a key pair from a label (for reproducible
     /// fixtures: same label, same key).
     pub fn derive(label: &str) -> Self {
-        let material = digest128(&[0xA5; 16], label.as_bytes());
-        let id = KeyId(siphash24(&material, b"key-id"));
+        let material = digest128(&[0xA5; 16], &[label.as_bytes()]);
+        let id = KeyId(siphash24(&material, [b"key-id"]));
         SimKeyPair { id, material }
     }
 
@@ -93,10 +90,7 @@ impl SimKeyPair {
 
     /// Sign a message.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let mut msg = Vec::with_capacity(domain::SIGN.len() + message.len());
-        msg.extend_from_slice(domain::SIGN);
-        msg.extend_from_slice(message);
-        Signature(digest128(&self.material, &msg))
+        Signature(digest128(&self.material, &[domain::SIGN, message]))
     }
 
     /// Open a sealed box produced with [`SimPublicKey::seal`] against this
@@ -148,10 +142,7 @@ impl SimPublicKey {
 
     /// Verify a detached signature over `message`.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
-        let mut msg = Vec::with_capacity(domain::SIGN.len() + message.len());
-        msg.extend_from_slice(domain::SIGN);
-        msg.extend_from_slice(message);
-        digest128(&self.material, &msg) == sig.0
+        digest128(&self.material, &[domain::SIGN, message]) == sig.0
     }
 
     /// Seal `plaintext` to the holder of this key (ECH-style).
@@ -167,12 +158,7 @@ impl SimPublicKey {
 }
 
 fn seal_tag(key: &[u8; 16], aad: &[u8], plaintext: &[u8]) -> [u8; 16] {
-    let mut msg = Vec::with_capacity(domain::SEAL_TAG.len() + 8 + aad.len() + plaintext.len());
-    msg.extend_from_slice(domain::SEAL_TAG);
-    msg.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    msg.extend_from_slice(aad);
-    msg.extend_from_slice(plaintext);
-    digest128(key, &msg)
+    digest128(key, &[domain::SEAL_TAG, &(aad.len() as u64).to_le_bytes(), aad, plaintext])
 }
 
 fn xor_stream(key: &[u8; 16], data: &[u8]) -> Vec<u8> {
@@ -181,10 +167,7 @@ fn xor_stream(key: &[u8; 16], data: &[u8]) -> Vec<u8> {
     let mut block = [0u8; 16];
     for (i, &b) in data.iter().enumerate() {
         if i % 16 == 0 {
-            let mut msg = Vec::with_capacity(domain::SEAL_STREAM.len() + 8);
-            msg.extend_from_slice(domain::SEAL_STREAM);
-            msg.extend_from_slice(&counter.to_le_bytes());
-            block = digest128(key, &msg);
+            block = digest128(key, &[domain::SEAL_STREAM, &counter.to_le_bytes()]);
             counter += 1;
         }
         out.push(b ^ block[i % 16]);
@@ -268,10 +251,42 @@ mod tests {
     fn digest_is_stable_and_keyed() {
         let k1 = [1u8; 16];
         let k2 = [2u8; 16];
-        assert_eq!(digest128(&k1, b"data"), digest128(&k1, b"data"));
-        assert_ne!(digest128(&k1, b"data"), digest128(&k2, b"data"));
-        assert_ne!(digest128(&k1, b"data"), digest128(&k1, b"date"));
-        assert_eq!(unkeyed_digest(b"x"), unkeyed_digest(b"x"));
+        assert_eq!(digest128(&k1, &[b"data"]), digest128(&k1, &[b"data"]));
+        assert_ne!(digest128(&k1, &[b"data"]), digest128(&k2, &[b"data"]));
+        assert_ne!(digest128(&k1, &[b"data"]), digest128(&k1, &[b"date"]));
+        assert_eq!(unkeyed_digest(&[b"x"]), unkeyed_digest(&[b"x"]));
+    }
+
+    /// A message fed in two parts hashes as the whole, at every split
+    /// point; and the outputs are the ones the concatenating code gave.
+    #[test]
+    fn parts_hash_as_their_concatenation_at_every_split() {
+        let key = [1u8; 16];
+        let message: Vec<u8> = (0..40).collect();
+        for at in 0..=message.len() {
+            let (head, tail) = message.split_at(at);
+            for cut in 0..=tail.len() {
+                let (mid, rest) = tail.split_at(cut);
+                let parts = siphash24(&key, [head, mid, rest]);
+                assert_eq!(parts, siphash24(&key, [&message]), "split at {at}, {cut}");
+            }
+            assert_eq!(digest128(&key, &[head, tail]), digest128(&key, &[&message]));
+        }
+        let pinned = [
+            0x82, 0xab, 0xe0, 0x32, 0xd7, 0x40, 0x9a, 0x15, 0xbd, 0x74, 0x55, 0xe0, 0x31, 0x90,
+            0x16, 0x5b,
+        ];
+        assert_eq!(digest128(&key, &[b"owner\x00", b"dnskey-rdata"]), pinned);
+        let pinned = [
+            0x22, 0x9f, 0x8d, 0xba, 0x06, 0x6c, 0x79, 0x76, 0x03, 0x64, 0xf5, 0x6f, 0xa6, 0x53,
+            0x81, 0x09,
+        ];
+        assert_eq!(SimKeyPair::derive("pin").sign(b"signed data").0, pinned);
+        let pinned = [
+            0xd5, 0xe3, 0xe3, 0x05, 0xfb, 0x2a, 0xc9, 0x87, 0x70, 0xa8, 0x9f, 0x80, 0xe0, 0xdb,
+            0xa4, 0xb7,
+        ];
+        assert_eq!(unkeyed_digest(&[b"\x01a\x03com\x00", b"rdata"]), pinned);
     }
 
     #[test]

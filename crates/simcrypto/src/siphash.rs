@@ -2,18 +2,20 @@
 //! underlying every digest in this crate. Verified against the reference
 //! test vectors from the SipHash paper / reference implementation.
 
-/// Compute SipHash-2-4 of `data` under a 128-bit key.
-pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
+/// SipHash-2-4 under a 128-bit key of the concatenation of `parts`, each
+/// read in place.
+pub fn siphash24(key: &[u8; 16], parts: impl IntoIterator<Item = impl AsRef<[u8]>>) -> u64 {
     let k0 = u64::from_le_bytes(key[..8].try_into().expect("8 bytes"));
     let k1 = u64::from_le_bytes(key[8..].try_into().expect("8 bytes"));
-
-    let mut v0: u64 = 0x736f6d6570736575 ^ k0;
-    let mut v1: u64 = 0x646f72616e646f6d ^ k1;
-    let mut v2: u64 = 0x6c7967656e657261 ^ k0;
-    let mut v3: u64 = 0x7465646279746573 ^ k1;
+    let mut v = [
+        0x736f6d6570736575 ^ k0,
+        0x646f72616e646f6d ^ k1,
+        0x6c7967656e657261 ^ k0,
+        0x7465646279746573 ^ k1,
+    ];
 
     #[inline(always)]
-    fn sipround(v0: &mut u64, v1: &mut u64, v2: &mut u64, v3: &mut u64) {
+    fn sipround([v0, v1, v2, v3]: &mut [u64; 4]) {
         *v0 = v0.wrapping_add(*v1);
         *v1 = v1.rotate_left(13);
         *v1 ^= *v0;
@@ -29,32 +31,42 @@ pub fn siphash24(key: &[u8; 16], data: &[u8]) -> u64 {
         *v1 ^= *v2;
         *v2 = v2.rotate_left(32);
     }
+    let compress = |v: &mut [u64; 4], m: u64| {
+        v[3] ^= m;
+        sipround(v);
+        sipround(v);
+        v[0] ^= m;
+    };
 
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let m = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        v3 ^= m;
-        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-        v0 ^= m;
+    // The bytes of the word not yet complete, and how many were read.
+    let (mut last, mut len) = (0u64, 0usize);
+    for part in parts {
+        let mut bytes = part.as_ref();
+        // A part starting inside a word tops it up byte by byte.
+        while len % 8 != 0 {
+            let Some((&b, rest)) = bytes.split_first() else { break };
+            (last, len, bytes) = (last | u64::from(b) << (8 * (len % 8)), len + 1, rest);
+            if len % 8 == 0 {
+                compress(&mut v, std::mem::take(&mut last));
+            }
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            compress(&mut v, u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        len += bytes.len() - chunks.remainder().len();
+        for &b in chunks.remainder() {
+            (last, len) = (last | u64::from(b) << (8 * (len % 8)), len + 1);
+        }
     }
 
     // Final block: remaining bytes + length in the top byte.
-    let rem = chunks.remainder();
-    let mut last: u64 = (data.len() as u64 & 0xFF) << 56;
-    for (i, &b) in rem.iter().enumerate() {
-        last |= (b as u64) << (8 * i);
-    }
-    v3 ^= last;
-    sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-    sipround(&mut v0, &mut v1, &mut v2, &mut v3);
-    v0 ^= last;
-
-    v2 ^= 0xFF;
+    compress(&mut v, last | (len as u64 & 0xFF) << 56);
+    v[2] ^= 0xFF;
     for _ in 0..4 {
-        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+        sipround(&mut v);
     }
-    v0 ^ v1 ^ v2 ^ v3
+    v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
 #[cfg(test)]
@@ -87,7 +99,7 @@ mod tests {
         let key: [u8; 16] = core::array::from_fn(|i| i as u8);
         for (len, expected) in REFERENCE.iter().enumerate() {
             let input: Vec<u8> = (0..len as u8).collect();
-            assert_eq!(siphash24(&key, &input), *expected, "vector length {len}");
+            assert_eq!(siphash24(&key, [&input]), *expected, "vector length {len}");
         }
     }
 
@@ -96,15 +108,15 @@ mod tests {
         let k1 = [0u8; 16];
         let mut k2 = [0u8; 16];
         k2[15] = 1;
-        assert_ne!(siphash24(&k1, b"data"), siphash24(&k2, b"data"));
+        assert_ne!(siphash24(&k1, [b"data"]), siphash24(&k2, [b"data"]));
     }
 
     #[test]
     fn length_extension_distinct() {
         // Messages that are prefixes of each other must hash differently.
         let key = [7u8; 16];
-        assert_ne!(siphash24(&key, b"abc"), siphash24(&key, b"abc\0"));
-        assert_ne!(siphash24(&key, b""), siphash24(&key, b"\0"));
+        assert_ne!(siphash24(&key, [b"abc"]), siphash24(&key, [b"abc\0"]));
+        assert_ne!(siphash24(&key, [b""]), siphash24(&key, [b"\0"]));
     }
 
     #[test]
@@ -113,7 +125,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for len in 0..64 {
             let input: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            assert!(seen.insert(siphash24(&key, &input)), "collision at length {len}");
+            assert!(seen.insert(siphash24(&key, [&input])), "collision at length {len}");
         }
     }
 }

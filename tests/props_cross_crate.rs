@@ -1,8 +1,9 @@
 //! Cross-crate property tests: invariants that must hold for arbitrary
 //! inputs across layer boundaries.
 
+use httpsrr::dns_wire::RrsigRdata;
 use httpsrr::dns_wire::{DnsName, Message, RData, Record, RecordType, SvcParam, SvcbRdata};
-use httpsrr::dnssec::ZoneKeys;
+use httpsrr::dnssec::{validate, ChainSource, ValidationState, ZoneKeys};
 use httpsrr::netsim::Timestamp;
 use httpsrr::resolver::{RecordCache, RrSet};
 use httpsrr::tlsech::{ClientHello, EchConfig, EchConfigList, InnerHello, ServerResponse};
@@ -16,6 +17,31 @@ fn arb_label() -> impl Strategy<Value = String> {
 fn arb_name() -> impl Strategy<Value = DnsName> {
     proptest::collection::vec(arb_label(), 1..4)
         .prop_map(|labels| DnsName::parse(&labels.join(".")).expect("generated names are valid"))
+}
+
+fn rrsig_of(record: &Record) -> RrsigRdata {
+    match &record.rdata {
+        RData::Rrsig(sig) => sig.clone(),
+        other => panic!("rrsig expected, got {other:?}"),
+    }
+}
+
+/// One signed zone below the root: its self-signed DNSKEY set and the DS
+/// its parent publishes; no other zone has keys.
+struct OneZone(ZoneKeys);
+
+impl ChainSource for OneZone {
+    type Set = RrSet;
+
+    fn dnskeys(&mut self, zone: &DnsName) -> Option<RrSet> {
+        let dnskey = [self.0.dnskey_record(300)];
+        let sig = rrsig_of(&self.0.sign(&dnskey, 0, u32::MAX - 1));
+        (*zone == self.0.apex).then(|| RrSet::from_records(&dnskey, &[sig]))
+    }
+
+    fn ds_set(&mut self, zone: &DnsName) -> Option<RrSet> {
+        (*zone == self.0.apex).then(|| RrSet::from_records(&[self.0.ds_record(300)], &[]))
+    }
 }
 
 proptest! {
@@ -37,8 +63,9 @@ proptest! {
         prop_assert_eq!(hit, query_offset < u64::from(ttl));
     }
 
-    /// Signing then verifying succeeds for arbitrary HTTPS RRsets; any
-    /// single-record tamper breaks it.
+    /// Signing then validating is Secure for arbitrary HTTPS RRsets, read
+    /// in place from a reply, under keys endorsed by a DS below the root;
+    /// any single-record tamper makes it Bogus.
     #[test]
     fn dnssec_sign_verify_tamper(
         name in arb_name(),
@@ -49,15 +76,17 @@ proptest! {
         let keys = ZoneKeys::derive(&name, 0);
         let rd = SvcbRdata { priority: prio, target: DnsName::root(), params: vec![SvcParam::Port(port)] };
         let rrset = vec![Record::new(name.clone(), ttl, RData::Https(rd))];
-        let sig_rec = keys.sign(&rrset, 0, u32::MAX - 1);
-        let RData::Rrsig(sig) = &sig_rec.rdata else { panic!("rrsig expected") };
-        prop_assert!(httpsrr::dnssec::signer::verify_rrsig(sig, &rrset, &keys.dnskey_rdata(), 100));
+        let sig = rrsig_of(&keys.sign(&rrset, 0, u32::MAX - 1));
+        let mut chain = OneZone(keys);
+        let set = RrSet::from_records(&rrset, std::slice::from_ref(&sig));
+        prop_assert_eq!(validate(&set, &mut chain, 100), ValidationState::Secure);
 
         let mut tampered = rrset.clone();
         if let RData::Https(rd) = &mut tampered[0].rdata {
             rd.priority = rd.priority.wrapping_add(1).max(1);
         }
-        prop_assert!(!httpsrr::dnssec::signer::verify_rrsig(sig, &tampered, &keys.dnskey_rdata(), 100));
+        let set = RrSet::from_records(&tampered, &[sig]);
+        prop_assert_eq!(validate(&set, &mut chain, 100), ValidationState::Bogus);
     }
 
     /// ECH seal/open round-trips for arbitrary inner hellos; a different
