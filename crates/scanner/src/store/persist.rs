@@ -77,7 +77,7 @@ pub mod encoding;
 
 use super::{ObservationSource, OrgId, OrgInterner, Projection, ScanFilter, SnapshotStore};
 use crate::observation::Observation;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -128,7 +128,7 @@ pub struct ChunkStats {
 }
 
 impl ChunkStats {
-    fn compute(obs: &[Observation]) -> ChunkStats {
+    fn compute(obs: &[Observation], orgs: &mut Vec<u64>) -> ChunkStats {
         let mut stats = ChunkStats {
             rows: obs.len() as u32,
             min: [u64::MAX; COLUMN_COUNT],
@@ -136,7 +136,6 @@ impl ChunkStats {
             flags_or: 0,
             distinct_orgs: 0,
         };
-        let mut orgs = BTreeSet::new();
         for o in obs {
             for c in 0..COLUMN_COUNT {
                 let v = column_value(o, c);
@@ -144,8 +143,11 @@ impl ChunkStats {
                 stats.max[c] = stats.max[c].max(v);
             }
             stats.flags_or |= o.flags;
-            orgs.insert(o.org.0);
         }
+        orgs.clear();
+        orgs.extend(obs.iter().map(|o| u64::from(o.org.0)));
+        orgs.sort_unstable();
+        orgs.dedup();
         stats.distinct_orgs = orgs.len() as u32;
         stats
     }
@@ -539,18 +541,20 @@ fn scan_chunks_forward(
     Ok((chunks, pos.min(len), truncated))
 }
 
-fn encode_payload(obs: &[Observation]) -> Vec<u8> {
-    let mut buf = Vec::new();
+fn encode_payload(obs: &[Observation], scratch: &mut encoding::DictScratch) -> Vec<u8> {
+    // No block is larger than its raw form, so the payload never grows.
+    let raw: usize = COLUMN_WIDTHS.iter().sum();
+    let mut buf = Vec::with_capacity(MIN_PAYLOAD as usize + obs.len() * raw);
     let mut col: Vec<u64> = Vec::with_capacity(obs.len());
     for (c, &width) in COLUMN_WIDTHS.iter().enumerate() {
         col.clear();
         col.extend(obs.iter().map(|o| column_value(o, c)));
-        let (tag, data) = encoding::choose_block(&col, width);
+        let (tag, data) = encoding::choose_block(&col, width, scratch);
         buf.push(tag);
         put_u32(&mut buf, u32::try_from(data.len()).expect("block fits in u32"));
         buf.extend_from_slice(&data);
     }
-    ChunkStats::compute(obs).encode(&mut buf);
+    ChunkStats::compute(obs, &mut col).encode(&mut buf);
     buf
 }
 
@@ -558,8 +562,13 @@ fn encode_payload(obs: &[Observation]) -> Vec<u8> {
 /// appended at `header_offset`. The codec choice inside is a pure
 /// function of the observations, so a resumed store re-emits
 /// byte-identical chunks.
-fn encode_chunk(day: u32, obs: &[Observation], header_offset: u64) -> (Vec<u8>, ChunkRef) {
-    let payload = encode_payload(obs);
+fn encode_chunk(
+    day: u32,
+    obs: &[Observation],
+    header_offset: u64,
+    scratch: &mut encoding::DictScratch,
+) -> (Vec<u8>, ChunkRef) {
+    let payload = encode_payload(obs, scratch);
     let checksum = fnv1a64(&payload);
     let mut buf = Vec::with_capacity((CHUNK_HEADER_BYTES + TRAILER_BYTES) as usize + payload.len());
     buf.extend_from_slice(&CHUNK_MAGIC);
@@ -784,6 +793,7 @@ pub struct StoreWriter {
     dict_file: File,
     dict_names: Vec<String>,
     bytes_written: u64,
+    blocks: encoding::DictScratch,
 }
 
 impl StoreWriter {
@@ -831,6 +841,7 @@ impl StoreWriter {
             dict_file,
             dict_names: Vec::new(),
             bytes_written: 0,
+            blocks: encoding::DictScratch::default(),
         })
     }
 
@@ -915,6 +926,7 @@ impl StoreWriter {
             dict_file,
             dict_names,
             bytes_written: 0,
+            blocks: encoding::DictScratch::default(),
         })
     }
 
@@ -1009,7 +1021,7 @@ impl StoreWriter {
         }
         let file = &mut self.files[vantage];
         let header_offset = file.seek(SeekFrom::End(0))?;
-        let (buf, chunk) = encode_chunk(day, obs, header_offset);
+        let (buf, chunk) = encode_chunk(day, obs, header_offset, &mut self.blocks);
         file.write_all(&buf)?;
         file.flush()?;
         self.bytes_written += buf.len() as u64;

@@ -13,10 +13,10 @@
 //! | 4   | dict packed   | `dict_len:uvarint dict[width × d] indices` where  |
 //! |     |               | indices are `⌈log₂ d⌉`-bit, LSB-first packed      |
 //!
-//! [`choose_block`] encodes a column with every applicable codec and
-//! keeps the smallest output; ties break toward the lower tag. The
-//! choice is a pure function of the values, which is what keeps resumed
-//! stores byte-identical to uninterrupted writes.
+//! [`choose_block`] sizes every codec exactly, then encodes a column with
+//! only the smallest; ties break toward the lower tag. The choice is a
+//! pure function of the values, which is what keeps resumed stores
+//! byte-identical to uninterrupted writes.
 //!
 //! [`decode_block`] writes each value straight into its row through a
 //! setter, so a reader fills one `Observation` field per block with no
@@ -107,107 +107,135 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn encode_raw(values: &[u64], width: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * width);
-    for &v in values {
-        put_value(&mut buf, v, width);
-    }
-    buf
-}
-
-fn encode_rle(values: &[u64], width: usize) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut i = 0;
-    while i < values.len() {
-        let mut run = 1usize;
-        while i + run < values.len() && values[i + run] == values[i] {
-            run += 1;
-        }
-        put_uvarint(&mut buf, run as u64);
-        put_value(&mut buf, values[i], width);
-        i += run;
-    }
-    buf
-}
-
-fn encode_delta_varint(values: &[u64]) -> Vec<u8> {
-    // Deltas are mod-2^64 (wrapping), so the codec is total over u64;
-    // for in-range data this emits the same bytes as plain subtraction.
-    let mut buf = Vec::new();
-    let mut prev: u64 = 0;
-    for &v in values {
-        put_uvarint(&mut buf, zigzag(v.wrapping_sub(prev) as i64));
-        prev = v;
-    }
-    buf
+/// Bytes `v` takes as a LEB128 uvarint.
+fn uvarint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
 }
 
 /// Bits needed to index a dictionary of `len` entries (0 for ≤1).
 fn index_bits(len: usize) -> u32 {
-    if len <= 1 {
-        0
-    } else {
-        usize::BITS - (len - 1).leading_zeros()
-    }
+    usize::BITS - len.saturating_sub(1).leading_zeros()
 }
 
-fn encode_dict_packed(values: &[u64], width: usize) -> Option<Vec<u8>> {
-    let mut dict: Vec<u64> = values.to_vec();
-    dict.sort_unstable();
-    dict.dedup();
-    if dict.len() > DICT_MAX_ENTRIES {
-        return None;
-    }
-    let mut buf = Vec::new();
-    put_uvarint(&mut buf, dict.len() as u64);
-    for &v in &dict {
-        put_value(&mut buf, v, width);
-    }
-    let bits = index_bits(dict.len());
-    let mut acc: u64 = 0;
-    let mut filled: u32 = 0;
-    for &v in values {
-        let index = dict.binary_search(&v).expect("value came from the dict") as u64;
-        acc |= index << filled;
-        filled += bits;
-        while filled >= 8 {
-            buf.push((acc & 0xff) as u8);
-            acc >>= 8;
-            filled -= 8;
+/// Size of a dict block of `rows` values over `len` distinct ones.
+fn dict_size(rows: usize, len: usize, width: usize) -> usize {
+    uvarint_len(len as u64) + len * width + (rows * index_bits(len) as usize).div_ceil(8)
+}
+
+/// What [`choose_block`] reuses from column to column: the dictionary and
+/// a set of `(value, mark)` slots, live where the mark has reached the
+/// column's `base`; the mark past it is the value's dictionary index.
+#[derive(Debug, Default)]
+pub struct DictScratch {
+    slots: Vec<(u64, u64)>,
+    base: u64,
+    dict: Vec<u64>,
+}
+
+impl DictScratch {
+    /// The slot holding `v` or the free one it goes to, probing from a hash's top 13 bits.
+    fn find(&self, v: u64) -> usize {
+        let mut at = (v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 51) as usize;
+        while self.slots[at].1 >= self.base && self.slots[at].0 != v {
+            at = (at + 1) % self.slots.len();
         }
+        at
     }
-    if filled > 0 {
-        buf.push((acc & 0xff) as u8);
+
+    /// Gather the distinct `values` into the dictionary, sorted; `None`
+    /// once a dict block, never smaller for more entries, cannot beat `best`.
+    fn distinct(&mut self, values: &[u64], width: usize, best: usize) -> Option<usize> {
+        if self.slots.is_empty() {
+            self.slots = vec![(0, 0); 2 * DICT_MAX_ENTRIES];
+            self.dict.reserve(DICT_MAX_ENTRIES);
+        }
+        self.base += DICT_MAX_ENTRIES as u64;
+        self.dict.clear();
+        for &v in values {
+            let at = self.find(v);
+            if self.slots[at].1 < self.base {
+                let len = self.dict.len() + 1;
+                if len > DICT_MAX_ENTRIES || dict_size(values.len(), len, width) >= best {
+                    return None;
+                }
+                self.slots[at] = (v, self.base);
+                self.dict.push(v);
+            }
+        }
+        self.dict.sort_unstable();
+        for (index, &v) in self.dict.iter().enumerate() {
+            let at = self.find(v);
+            self.slots[at].1 = self.base + index as u64;
+        }
+        Some(self.dict.len())
     }
-    Some(buf)
 }
 
-/// Encode one column block, trying every applicable codec and keeping
-/// the smallest output (ties break toward the lower tag). Every value
-/// must fit in `width` bytes; an empty column encodes as an empty raw
-/// block.
-pub fn choose_block(values: &[u64], width: usize) -> (u8, Vec<u8>) {
+/// Encode one column block with the smallest codec (ties break toward
+/// the lower tag), sizing all of them first and encoding only that one.
+/// Every value must fit in `width` bytes; an empty column encodes as an
+/// empty raw block.
+pub fn choose_block(values: &[u64], width: usize, scratch: &mut DictScratch) -> (u8, Vec<u8>) {
     debug_assert!(values.iter().all(|&v| v <= width_max(width)));
-    if values.is_empty() {
+    let Some(&first) = values.first() else {
         return (TAG_RAW, Vec::new());
-    }
-    let mut best = (TAG_RAW, encode_raw(values, width));
-    let mut consider = |tag: u8, data: Vec<u8>| {
-        if data.len() < best.1.len() || (data.len() == best.1.len() && tag < best.0) {
-            best = (tag, data);
-        }
     };
-    if values.iter().all(|&v| v == values[0]) {
-        let mut data = Vec::with_capacity(width);
-        put_value(&mut data, values[0], width);
-        consider(TAG_CONSTANT, data);
+    let (mut runs, mut run, mut sorted) = (1, 1u64, true);
+    let (mut rle, mut delta) = (0, uvarint_len(zigzag(first as i64)));
+    for pair in values.windows(2) {
+        // Deltas are mod-2^64 (wrapping), so the codec is total over u64.
+        delta += uvarint_len(zigzag(pair[1].wrapping_sub(pair[0]) as i64));
+        if pair[1] != pair[0] {
+            rle += uvarint_len(run) + width;
+            (runs, run, sorted) = (runs + 1, 0, sorted && pair[1] > pair[0]);
+        }
+        run += 1;
     }
-    consider(TAG_RLE, encode_rle(values, width));
-    consider(TAG_DELTA_VARINT, encode_delta_varint(values));
-    if let Some(data) = encode_dict_packed(values, width) {
-        consider(TAG_DICT_PACKED, data);
+    rle += uvarint_len(run) + width;
+    let constant = if runs == 1 { width } else { usize::MAX };
+    let mut best = (TAG_RAW, values.len() * width);
+    for (tag, size) in [(TAG_CONSTANT, constant), (TAG_RLE, rle), (TAG_DELTA_VARINT, delta)] {
+        if size < best.1 {
+            best = (tag, size);
+        }
     }
-    best
+    // A sorted column has one distinct value per run, so the set counts
+    // its dictionary only where that wins, which takes a short column.
+    if !sorted || (runs <= DICT_MAX_ENTRIES && dict_size(values.len(), runs, width) < best.1) {
+        if let Some(len) = scratch.distinct(values, width, best.1) {
+            best = (TAG_DICT_PACKED, dict_size(values.len(), len, width));
+        }
+    }
+    let mut buf = Vec::with_capacity(best.1);
+    match best.0 {
+        TAG_RAW => values.iter().for_each(|&v| put_value(&mut buf, v, width)),
+        TAG_CONSTANT => put_value(&mut buf, first, width),
+        TAG_RLE => values.chunk_by(|a, b| a == b).for_each(|run| {
+            put_uvarint(&mut buf, run.len() as u64);
+            put_value(&mut buf, run[0], width);
+        }),
+        TAG_DELTA_VARINT => {
+            let mut prev: u64 = 0;
+            for &v in values {
+                put_uvarint(&mut buf, zigzag(v.wrapping_sub(prev) as i64));
+                prev = v;
+            }
+        }
+        _ => {
+            let dict = &scratch.dict;
+            put_uvarint(&mut buf, dict.len() as u64);
+            dict.iter().for_each(|&v| put_value(&mut buf, v, width));
+            // Eight indices of `bits` bits fill `bits` bytes, LSB first.
+            let bits = index_bits(dict.len()) as usize;
+            let index = |&v: &u64| u128::from(scratch.slots[scratch.find(v)].1 - scratch.base);
+            for group in values.chunks(8) {
+                let word = (0..group.len()).fold(0, |w, k| w | index(&group[k]) << (k * bits));
+                buf.extend_from_slice(&word.to_le_bytes()[..(group.len() * bits).div_ceil(8)]);
+            }
+        }
+    }
+    debug_assert_eq!(buf.len(), best.1, "tag {} sized wrong", best.0);
+    (best.0, buf)
 }
 
 /// Decode one column block of `rows.len()` values straight into `rows`:
@@ -383,7 +411,7 @@ mod tests {
     }
 
     fn round_trip(values: &[u64], width: usize) -> (u8, usize) {
-        let (tag, data) = choose_block(values, width);
+        let (tag, data) = choose_block(values, width, &mut DictScratch::default());
         let out = decode(tag, &data, values.len(), width).expect("decode");
         assert_eq!(out, values, "round trip failed for tag {tag}");
         (tag, data.len())

@@ -10,15 +10,20 @@
 //!    flipped, cut short or read at the wrong row count, decode to the
 //!    values the column decoder this one replaced returns, or fail with
 //!    its exact error text.
-//! 3. **Golden v2 pin** — a committed store holds the bytes the writer
+//! 3. **Chooser against its reference model (property)** — columns of
+//!    every shape the store writes, at widths 1, 2 and 4 and up to 6 000
+//!    rows, get the same tag and bytes from the chooser that sizes every
+//!    codec and encodes only the winner as from the chooser it replaced,
+//!    which encoded every codec and kept the smallest output.
+//! 4. **Golden v2 pin** — a committed store holds the bytes the writer
 //!    produced for a fixed set of rows: a fresh write of the same rows
 //!    must equal it byte for byte, and it must stream exactly those
 //!    rows back.
 
 use proptest::prelude::*;
 use scanner::persist::encoding::{
-    choose_block, decode_block, put_uvarint, TAG_CONSTANT, TAG_DELTA_VARINT, TAG_DICT_PACKED,
-    TAG_RAW, TAG_RLE,
+    choose_block, decode_block, put_uvarint, DictScratch, TAG_CONSTANT, TAG_DELTA_VARINT,
+    TAG_DICT_PACKED, TAG_RAW, TAG_RLE,
 };
 use scanner::persist::{StoreMeta, StoreWriter};
 use scanner::{open_store, Observation, ObservationSource, OrgId, OrgInterner, ScanFilter};
@@ -37,7 +42,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// Encode with the chooser, decode, and require an exact round-trip plus
 /// the "never worse than raw" size bound.
 fn round_trip(values: &[u64], width: usize) -> u8 {
-    let (tag, data) = choose_block(values, width);
+    let (tag, data) = choose_block(values, width, &mut DictScratch::default());
     assert!(
         values.is_empty() || data.len() <= values.len() * width,
         "chosen block ({} bytes, tag {tag}) beats raw ({} bytes) the wrong way",
@@ -57,10 +62,15 @@ fn decode(tag: u8, data: &[u8], rows: usize, width: usize) -> std::io::Result<Ve
 }
 
 /// The column decoder [`decode_block`] replaced: one `u64` per row into a
-/// vector, the dictionary looked up and bound-checked row by row. The
-/// reference its property test compares against.
+/// vector, the dictionary looked up and bound-checked row by row; and the
+/// chooser [`choose_block`] replaced, which encoded a column with every
+/// applicable codec and kept the smallest output. The references their
+/// property tests compare against.
 mod oracle {
-    use scanner::persist::encoding::read_uvarint;
+    use scanner::persist::encoding::{
+        put_uvarint, read_uvarint, TAG_CONSTANT, TAG_DELTA_VARINT, TAG_DICT_PACKED, TAG_RAW,
+        TAG_RLE,
+    };
     use std::io::{self, ErrorKind};
 
     const DICT_MAX_ENTRIES: usize = 4096;
@@ -92,6 +102,108 @@ mod oracle {
         } else {
             usize::BITS - (len - 1).leading_zeros()
         }
+    }
+
+    fn put_value(buf: &mut Vec<u8>, v: u64, width: usize) {
+        buf.extend_from_slice(&v.to_le_bytes()[..width]);
+    }
+
+    fn zigzag(v: i64) -> u64 {
+        ((v << 1) ^ (v >> 63)) as u64
+    }
+
+    fn encode_raw(values: &[u64], width: usize) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(values.len() * width);
+        for &v in values {
+            put_value(&mut buf, v, width);
+        }
+        buf
+    }
+
+    fn encode_rle(values: &[u64], width: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut i = 0;
+        while i < values.len() {
+            let mut run = 1usize;
+            while i + run < values.len() && values[i + run] == values[i] {
+                run += 1;
+            }
+            put_uvarint(&mut buf, run as u64);
+            put_value(&mut buf, values[i], width);
+            i += run;
+        }
+        buf
+    }
+
+    fn encode_delta_varint(values: &[u64]) -> Vec<u8> {
+        // Deltas are mod-2^64 (wrapping), so the codec is total over u64;
+        // for in-range data this emits the same bytes as plain subtraction.
+        let mut buf = Vec::new();
+        let mut prev: u64 = 0;
+        for &v in values {
+            put_uvarint(&mut buf, zigzag(v.wrapping_sub(prev) as i64));
+            prev = v;
+        }
+        buf
+    }
+
+    fn encode_dict_packed(values: &[u64], width: usize) -> Option<Vec<u8>> {
+        let mut dict: Vec<u64> = values.to_vec();
+        dict.sort_unstable();
+        dict.dedup();
+        if dict.len() > DICT_MAX_ENTRIES {
+            return None;
+        }
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, dict.len() as u64);
+        for &v in &dict {
+            put_value(&mut buf, v, width);
+        }
+        let bits = index_bits(dict.len());
+        let mut acc: u64 = 0;
+        let mut filled: u32 = 0;
+        for &v in values {
+            let index = dict.binary_search(&v).expect("value came from the dict") as u64;
+            acc |= index << filled;
+            filled += bits;
+            while filled >= 8 {
+                buf.push((acc & 0xff) as u8);
+                acc >>= 8;
+                filled -= 8;
+            }
+        }
+        if filled > 0 {
+            buf.push((acc & 0xff) as u8);
+        }
+        Some(buf)
+    }
+
+    /// Encode one column block, trying every applicable codec and keeping
+    /// the smallest output (ties break toward the lower tag). Every value
+    /// must fit in `width` bytes; an empty column encodes as an empty raw
+    /// block.
+    pub fn choose_block(values: &[u64], width: usize) -> (u8, Vec<u8>) {
+        debug_assert!(values.iter().all(|&v| v <= width_max(width)));
+        if values.is_empty() {
+            return (TAG_RAW, Vec::new());
+        }
+        let mut best = (TAG_RAW, encode_raw(values, width));
+        let mut consider = |tag: u8, data: Vec<u8>| {
+            if data.len() < best.1.len() || (data.len() == best.1.len() && tag < best.0) {
+                best = (tag, data);
+            }
+        };
+        if values.iter().all(|&v| v == values[0]) {
+            let mut data = Vec::with_capacity(width);
+            put_value(&mut data, values[0], width);
+            consider(TAG_CONSTANT, data);
+        }
+        consider(TAG_RLE, encode_rle(values, width));
+        consider(TAG_DELTA_VARINT, encode_delta_varint(values));
+        if let Some(data) = encode_dict_packed(values, width) {
+            consider(TAG_DICT_PACKED, data);
+        }
+        best
     }
 
     pub fn decode_block(
@@ -422,6 +534,136 @@ proptest! {
             (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
             (got, want) => panic!("tag {tag} width {width} rows {rows}: got {got:?}, reference {want:?}"),
         }
+    }
+}
+
+/// A column of `rows` values of shape `shape`, each within `width`
+/// bytes: constant, long runs, sorted with duplicates, strictly sorted
+/// (until the width runs out), unsorted over a small alphabet, falling
+/// from the width's maximum (every delta wraps), or exactly `distinct`
+/// values unsorted (6) or sorted (7). The last two widen a 1-byte column
+/// to 2 bytes and take at least `distinct` rows.
+fn column(shape: u8, rows: usize, width: usize, distinct: usize, seed: u64) -> (Vec<u64>, usize) {
+    let mut next = values_from(seed);
+    let width = if shape >= 6 { width.max(2) } else { width };
+    let max = (1u64 << (8 * width)) - 1;
+    let values = match shape {
+        0 => vec![next() & max; rows],
+        1 => {
+            let mut values = Vec::with_capacity(rows);
+            while values.len() < rows {
+                let run = 1 + next() as usize % 400;
+                values.extend(std::iter::repeat_n(next() & max, run.min(rows - values.len())));
+            }
+            values
+        }
+        // Shape 2: half the steps repeat a value, the rest spread the
+        // column over the width. Shape 3: steps of 1..=50.
+        2 | 3 => {
+            let spread = 2 * max / rows.max(1) as u64 + 2;
+            let step = |r: u64| match shape {
+                2 if r.is_multiple_of(2) => 0,
+                2 => r % spread,
+                _ => 1 + r % 50,
+            };
+            let mut v = next() % 100;
+            (0..rows)
+                .map(|_| {
+                    let here = v;
+                    v = (v + step(next())).min(max);
+                    here
+                })
+                .collect()
+        }
+        4 => {
+            let alphabet: Vec<u64> = (0..1 + next() % 16).map(|_| next() & max).collect();
+            (0..rows).map(|_| alphabet[next() as usize % alphabet.len()]).collect()
+        }
+        5 => {
+            let mut v = max - next() % 4;
+            (0..rows)
+                .map(|_| {
+                    let here = v;
+                    v = v.saturating_sub(next() % 4);
+                    here
+                })
+                .collect()
+        }
+        // An odd multiplier permutes the width's values, and 7 919 (a
+        // prime that divides none of 4 095, 4 096, 4 097) the row order.
+        _ => {
+            let rows = rows.max(distinct);
+            let spread = next() | 1;
+            let gap = 1 + spread % (max / distinct as u64);
+            let value = |i: usize| match shape {
+                6 => ((i * 7_919 % distinct) as u64).wrapping_mul(spread) & max,
+                _ => (i * distinct / rows) as u64 * gap,
+            };
+            (0..rows).map(value).collect()
+        }
+    };
+    (values, width)
+}
+
+proptest! {
+    /// The chooser that sizes every codec and encodes only the winner
+    /// gives the tag and bytes of the chooser it replaced, on columns of
+    /// every shape the store writes and around the dictionary's
+    /// 4 096-entry cap, with one scratch reused across a chunk's columns
+    /// as the store writer reuses it.
+    #[test]
+    fn chooser_matches_the_encoder_it_replaced(
+        width in (0usize..3).prop_map(|i| [1usize, 2, 4][i]),
+        rows in prop_oneof![0usize..16, 0usize..=6_000],
+        distinct in 4_095usize..=4_097,
+        columns in proptest::collection::vec((0u8..8, any::<u64>()), 1..5),
+    ) {
+        let mut scratch = DictScratch::default();
+        for (shape, seed) in columns {
+            let (values, width) = column(shape, rows, width, distinct, seed);
+            let want = oracle::choose_block(&values, width);
+            // Twice: the second time over the set the first one filled.
+            for _ in 0..2 {
+                let got = choose_block(&values, width, &mut scratch);
+                prop_assert_eq!(&got, &want, "shape {}", shape);
+            }
+        }
+    }
+}
+
+/// Where two codecs give blocks of one size, the lower tag wins: raw
+/// over RLE and dict, RLE over delta-varint, delta-varint over dict, and
+/// raw over constant on a single row.
+#[test]
+fn ties_break_toward_the_lower_tag() {
+    let cases: [(&[u64], usize, u8); 4] = [
+        // raw 4, RLE 4, delta 5, dict 4.
+        (&[1, 1, 200, 200], 1, TAG_RAW),
+        // raw 40, RLE 10, delta 10, dict 11.
+        (&[0, 0, 0, 0, 0, 1, 1, 1, 1, 1], 4, TAG_RLE),
+        // raw 12, RLE 18, delta 6, dict 6.
+        (&[0, 1, 0, 1, 0, 1], 2, TAG_DELTA_VARINT),
+        // raw 4, constant 4, RLE 5, delta 5, dict 5.
+        (&[0xffff_fff0], 4, TAG_RAW),
+    ];
+    for (values, width, tag) in cases {
+        let got = choose_block(values, width, &mut DictScratch::default());
+        assert_eq!(got, oracle::choose_block(values, width), "{values:?}");
+        assert_eq!(got.0, tag, "{values:?}");
+    }
+}
+
+/// A dictionary of 4 096 entries is the largest the chooser may write:
+/// past it a column that a dictionary would shrink is written another way.
+#[test]
+fn the_dictionary_stops_at_4096_entries() {
+    for (distinct, tag) in [(4_095, TAG_DICT_PACKED), (4_096, TAG_DICT_PACKED), (4_097, TAG_RAW)] {
+        let values: Vec<u64> = (0..20_000u64)
+            .map(|i| (i * 7_919 % distinct).wrapping_mul(0x9e37_79b1) & 0xffff_ffff)
+            .collect();
+        let got = choose_block(&values, 4, &mut DictScratch::default());
+        assert_eq!(got, oracle::choose_block(&values, 4), "{distinct} distinct");
+        assert_eq!(got.0, tag, "{distinct} distinct");
     }
 }
 
