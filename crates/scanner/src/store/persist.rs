@@ -59,24 +59,28 @@
 //!
 //! ## Bounded memory and pruned reads
 //!
-//! [`StoreReader`] implements [`ObservationSource`] by decoding one
-//! day's chunk at a time into reused buffers: streaming a 730-day
-//! campaign keeps one day's payload bytes and rows resident, plus the
-//! dict codec's lookup table (at most 4 096 entries). Each block decodes
-//! straight into its field of the day's rows, with no intermediate
-//! column. Filtered streaming
+//! [`StoreReader`] implements [`ObservationSource`] by reading up to four
+//! adjacent chunks with one read, checksumming them with four FNV-1a
+//! chains side by side, and decoding one day's chunk at a time. Its
+//! buffers are the thread's, shared by every reader on it: one group's
+//! payloads (at most four chunks), one day's rows and the dict codec's
+//! lookup table (at most 4 096 entries) — at a 1 M-name list, ≈34 MB of
+//! payload beside ≈48 MB of rows, per thread, whatever the campaign's
+//! length. Each block decodes straight into its field of the day's rows,
+//! and a visit writes the rows' defaults once. Filtered streaming
 //! ([`ObservationSource::for_each_day_filtered`]) skips whole chunks
 //! outside the requested day range without touching their payloads, and
 //! decodes only the blocks of projected columns — an analysis that reads
 //! nothing but flags never pays the rank/org decode. Unprojected fields
 //! come back as deterministic defaults (zero / [`OrgId::NONE`]); `day`
-//! is always stamped from the chunk header, which append-time
-//! validation guarantees is exact.
+//! is always stamped from the chunk header, which both openers hold to
+//! the manifest's sample days.
 
 pub mod encoding;
 
 use super::{ObservationSource, OrgId, OrgInterner, Projection, ScanFilter, SnapshotStore};
 use crate::observation::Observation;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
@@ -232,11 +236,36 @@ fn corrupt(msg: String) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg)
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv1a64_step(h, b))
+}
+
+fn fnv1a64_step(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Chunks a reader reads, and checksums, at once.
+const LANES: usize = 4;
+
+/// [`fnv1a64`] of each of 1..=[`LANES`] `parts`: lane `k` gives part
+/// `k`'s. The lanes step through the parts' common length side by side,
+/// so each multiply overlaps the other lanes' instead of waiting on its
+/// own last one; each lane then finishes its own tail. A lane with no
+/// part repeats part 0, and one part runs serially, as [`fnv1a64`] does.
+fn fnv1a64_lanes(parts: &[&[u8]]) -> [u64; LANES] {
+    let lane = |k: usize| *parts.get(k).unwrap_or(&parts[0]);
+    let common = parts.iter().map(|p| p.len()).min().filter(|_| parts.len() > 1).unwrap_or(0);
+    let [a, b, c, d]: [&[u8]; LANES] = std::array::from_fn(|k| &lane(k)[..common]);
+    let mut hash = [FNV_OFFSET; LANES];
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        for (h, byte) in hash.iter_mut().zip([a, b, c, d]) {
+            *h = fnv1a64_step(*h, byte);
+        }
+    }
+    for (k, h) in hash.iter_mut().enumerate().take(parts.len()) {
+        *h = lane(k)[common..].iter().fold(*h, |h, &b| fnv1a64_step(h, b));
     }
     hash
 }
@@ -510,6 +539,35 @@ fn scan_column(file: &mut File, path: &Path) -> io::Result<ColumnScan> {
     Ok(ColumnScan { vantage, chunks, header_end, valid_end, truncated })
 }
 
+/// Check a scanned column file against the manifest: it must name
+/// `vantage`, and its chunk days must be a prefix of the campaign's `days`.
+/// Anything else is corruption, not a torn tail; a chunk header's day
+/// sits outside the checksum, and a reader stamps it on every row.
+fn check_column(scan: &ColumnScan, vantage: &str, days: &[u64], path: &Path) -> io::Result<()> {
+    if scan.vantage != vantage {
+        return Err(corrupt(format!(
+            "{}: vantage \"{}\" does not match manifest \"{vantage}\"",
+            path.display(),
+            scan.vantage
+        )));
+    }
+    for (j, chunk) in scan.chunks.iter().enumerate() {
+        let expect = days.get(j).map(|&d| d as u32);
+        if expect != Some(chunk.day) {
+            let campaign = match expect {
+                Some(d) => format!("the campaign's day {j} is {d}"),
+                None => format!("the campaign has {} days", days.len()),
+            };
+            return Err(corrupt(format!(
+                "{}: chunk {j} is day {} but {campaign}",
+                path.display(),
+                chunk.day
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The forward structural walk: one header read per chunk, payloads
 /// skipped by seeking. Returns the chunk index, the offset just past
 /// the last valid chunk, and whether trailing bytes were ignored.
@@ -602,10 +660,13 @@ fn decode_payload(
         return Err(corrupt(format!("payload shorter than the {STATS_BYTES}-byte stats footer")));
     };
     checked_footer(chunk, footer)?;
-    // Every row starts as the day-stamped default, which is what an
-    // unprojected field comes back as; each projected block is then
-    // decoded straight into its field.
-    out.clear();
+    // A row enters the buffer as the day-stamped default, which is what an
+    // unprojected field comes back as. One visit decodes one projection,
+    // so a row kept from its last chunk only needs the day restamped.
+    out.truncate(chunk.rows as usize);
+    if !proj.includes_column(0) {
+        out.iter_mut().for_each(|o| o.day = chunk.day);
+    }
     out.resize(
         chunk.rows as usize,
         Observation {
@@ -676,15 +737,32 @@ fn decode_column(
     }
 }
 
-/// Reusable decode buffers: the raw payload (the first `payload_len`
-/// bytes of a buffer that only grows) and the dict codec's lookup
-/// table. Blocks decode straight into the caller's rows, so streaming a
-/// store allocates once and stays bounded by the largest single day's
-/// payload and rows.
+/// The buffers a visit reads into: one group's file bytes (the start of a
+/// buffer that only grows, so no read zero-fills what it will overwrite),
+/// the dict codec's lookup table and the rows of the chunk being visited.
 #[derive(Debug, Default)]
-struct Scratch {
+struct ReadBuffers {
     bytes: Vec<u8>,
     table: Vec<u64>,
+    rows: Vec<Observation>,
+}
+
+thread_local! {
+    /// The [`ReadBuffers`] every store read on this thread shares. A visit
+    /// takes them and puts them back after it, so a visit nested inside
+    /// one (a visitor reading another reader) gets empty buffers of its own.
+    static READ_BUFFERS: Cell<ReadBuffers> =
+        const { Cell::new(ReadBuffers { bytes: Vec::new(), table: Vec::new(), rows: Vec::new() }) };
+}
+
+/// Run one visit `f` on this thread's [`READ_BUFFERS`], with the rows
+/// cleared so that the visit's first chunk writes every row's defaults.
+fn with_read_buffers<R>(f: impl FnOnce(&mut ReadBuffers) -> R) -> R {
+    let mut buffers = READ_BUFFERS.take();
+    buffers.rows.clear();
+    let out = f(&mut buffers);
+    READ_BUFFERS.set(buffers);
+    out
 }
 
 /// Where a chunk read is happening, for error messages: a corrupt
@@ -711,45 +789,77 @@ impl ChunkLocus<'_> {
     }
 }
 
-/// Read, checksum-verify, and decode one chunk's payload into `out`
-/// (reusing `scratch`), decoding only the columns in `proj`; fields of
-/// unprojected columns come back as deterministic defaults. Errors
-/// carry the full locus from `locus`.
-fn read_chunk(
+/// Read a group of 1..=[`LANES`] chunks that sit back to back in `file`
+/// with one read (the trailer and header between two payloads come along
+/// unread), checksum their payloads with one lane each, then decode each
+/// chunk's `proj` columns into `buffers.rows` and visit it, in order.
+/// Fields of unprojected columns come back as deterministic defaults. An
+/// error stops the group at the chunk it hits, after the chunks before it
+/// were visited, and carries that chunk's locus.
+fn read_group(
     file: &mut File,
-    chunk: &ChunkRef,
+    group: &[ChunkRef],
     proj: Projection,
-    scratch: &mut Scratch,
-    out: &mut Vec<Observation>,
+    buffers: &mut ReadBuffers,
     locus: ChunkLocus<'_>,
+    visit: &mut dyn FnMut(u32, &[Observation]),
 ) -> io::Result<()> {
-    read_chunk_inner(file, chunk, proj, scratch, out).map_err(|e| locus.wrap(chunk, e))
+    let start = group[0].payload_offset;
+    let end = |c: &ChunkRef| (c.payload_offset + u64::from(c.payload_len) - start) as usize;
+    let len = end(&group[group.len() - 1]);
+    let ReadBuffers { bytes, table, rows } = buffers;
+    if bytes.len() < len {
+        bytes.resize(len, 0);
+    }
+    let (filled, mut failure) = read_up_to(file, start, &mut bytes[..len]);
+    let read = group.iter().take_while(|c| end(c) <= filled).count();
+    let payloads: [&[u8]; LANES] = std::array::from_fn(|k| match group.get(k) {
+        Some(c) if k < read => &bytes[end(c) - c.payload_len as usize..end(c)],
+        _ => &[],
+    });
+    let sums = if read > 0 { fnv1a64_lanes(&payloads[..read]) } else { [0; LANES] };
+    for (k, chunk) in group.iter().enumerate() {
+        let result = if k >= read {
+            Err(failure.take().unwrap_or_else(|| ErrorKind::UnexpectedEof.into()))
+        } else if sums[k] != chunk.checksum {
+            Err(corrupt(format!(
+                "checksum mismatch (stored {:#018x}, computed {:#018x})",
+                chunk.checksum, sums[k]
+            )))
+        } else {
+            decode_payload(chunk, payloads[k], proj, table, rows)
+        };
+        result.map_err(|e| locus.wrap(chunk, e))?;
+        visit(chunk.day, rows);
+    }
+    Ok(())
 }
 
-fn read_chunk_inner(
-    file: &mut File,
-    chunk: &ChunkRef,
-    proj: Projection,
-    scratch: &mut Scratch,
-    out: &mut Vec<Observation>,
-) -> io::Result<()> {
-    // The buffer only grows and a chunk reads into its first `len` bytes,
-    // so no read zero-fills bytes it is about to overwrite.
-    let len = chunk.payload_len as usize;
-    if scratch.bytes.len() < len {
-        scratch.bytes.resize(len, 0);
+/// Read one chunk's every column on this thread's buffers, for the
+/// writer: the resume replay's comparison and its check of the last chunk.
+fn read_chunk(file: &mut File, chunk: ChunkRef, locus: ChunkLocus) -> io::Result<Vec<Observation>> {
+    let mut out = Vec::new();
+    let keep = &mut |_: u32, rows: &[Observation]| out = rows.to_vec();
+    with_read_buffers(|buffers| read_group(file, &[chunk], Projection::ALL, buffers, locus, keep))?;
+    Ok(out)
+}
+
+/// Read `buf.len()` bytes of `file` from `offset`, or up to the end of the
+/// file: how many were read, and the error that stopped the read, if any.
+fn read_up_to(file: &mut File, offset: u64, buf: &mut [u8]) -> (usize, Option<io::Error>) {
+    let mut filled = 0;
+    if let Err(e) = file.seek(SeekFrom::Start(offset)) {
+        return (0, Some(e));
     }
-    let payload = &mut scratch.bytes[..len];
-    file.seek(SeekFrom::Start(chunk.payload_offset))?;
-    file.read_exact(payload)?;
-    let sum = fnv1a64(payload);
-    if sum != chunk.checksum {
-        return Err(corrupt(format!(
-            "checksum mismatch (stored {:#018x}, computed {sum:#018x})",
-            chunk.checksum
-        )));
+    while filled < buf.len() {
+        match file.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return (filled, Some(e)),
+        }
     }
-    decode_payload(chunk, payload, proj, &mut scratch.table, out)
+    (filled, None)
 }
 
 /// Read a chunk's statistics footer without decoding the payload.
@@ -861,44 +971,18 @@ impl StoreWriter {
             let path = dir.join(column_file_name(i));
             let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
             let mut scan = scan_column(&mut file, &path)?;
-            if scan.vantage != *vantage {
-                return Err(corrupt(format!(
-                    "{}: vantage \"{}\" does not match manifest \"{vantage}\"",
-                    path.display(),
-                    scan.vantage
-                )));
-            }
             // The only chunk that can be silently damaged (vs torn) is
             // the last one the writer was flushing; verify its payload
             // checksum and drop it if it does not hold.
-            let mut scratch = Scratch::default();
-            let mut decoded = Vec::new();
             let locus = ChunkLocus { path: &path, vantage };
             if let Some(last) = scan.chunks.last().copied() {
-                if read_chunk(&mut file, &last, Projection::ALL, &mut scratch, &mut decoded, locus)
-                    .is_err()
-                {
+                if read_chunk(&mut file, last, locus).is_err() {
                     scan.valid_end = last.header_offset();
                     scan.chunks.pop();
                     scan.truncated = true;
                 }
             }
-            // Chunk days must be a prefix of the manifest's sample days;
-            // anything else is corruption, not a torn tail.
-            for (j, chunk) in scan.chunks.iter().enumerate() {
-                let expect = meta.sample_days.get(j).map(|&d| d as u32);
-                if expect != Some(chunk.day) {
-                    let campaign = match expect {
-                        Some(d) => format!("the campaign's day {j} is {d}"),
-                        None => format!("the campaign has {} days", meta.sample_days.len()),
-                    };
-                    return Err(corrupt(format!(
-                        "{}: chunk {j} is day {} but {campaign}",
-                        path.display(),
-                        chunk.day
-                    )));
-                }
-            }
+            check_column(&scan, vantage, &meta.sample_days, &path)?;
             files.push(file);
             scans.push(scan);
         }
@@ -1039,19 +1123,9 @@ impl StoreWriter {
                     format!("no chunk for day {day} in vantage {vantage}"),
                 )
             })?;
-        let mut scratch = Scratch::default();
-        let mut out = Vec::new();
         let path = self.dir.join(column_file_name(vantage));
         let locus = ChunkLocus { path: &path, vantage: &self.meta.vantages[vantage] };
-        read_chunk(
-            &mut self.files[vantage],
-            &chunk,
-            Projection::ALL,
-            &mut scratch,
-            &mut out,
-            locus,
-        )?;
-        Ok(out)
+        read_chunk(&mut self.files[vantage], chunk, locus)
     }
 }
 
@@ -1061,29 +1135,24 @@ impl StoreWriter {
 /// Streaming reader over one vantage's column file.
 ///
 /// Implements [`ObservationSource`] with one day resident at a time: a
-/// reused scratch buffer is filled per chunk and handed to the visitor,
-/// so memory stays bounded by the largest single day regardless of
-/// campaign length. Chunk checksums are verified on every read; a
+/// visit reads up to four adjacent chunks at once and hands the visitor
+/// one decoded day after another, in buffers every reader on the thread
+/// shares, so memory stays bounded per thread by one group's payloads and
+/// the largest day. Chunk checksums are verified on every read; a
 /// mismatch mid-stream panics with a "snapshot store corrupted" message
-/// (the trait's visitors are infallible by design — corruption of
-/// structurally-valid chunks is a hard error, unlike torn tails, which
-/// are dropped at open).
+/// after the days before the damaged chunk were visited (the trait's
+/// visitors are infallible by design — corruption of structurally-valid
+/// chunks is a hard error, unlike torn tails, which are dropped at open).
 ///
 /// Visitors must not re-enter the same reader (its file handle is held
-/// for the duration of the visit).
+/// while a group is visited); visiting another reader is fine.
 pub struct StoreReader {
     vantage: String,
     path: PathBuf,
-    state: Mutex<ReaderState>,
+    file: Mutex<File>,
     index: Vec<ChunkRef>,
     orgs: Arc<OrgInterner>,
     truncated_tail: bool,
-}
-
-struct ReaderState {
-    file: File,
-    scratch: Scratch,
-    decoded: Vec<Observation>,
 }
 
 impl StoreReader {
@@ -1108,25 +1177,9 @@ impl StoreReader {
         let Some(chunk) = self.index.iter().find(|c| c.day == day) else {
             return Ok(None);
         };
-        let mut state = self.state.lock().expect("reader lock");
-        read_chunk_stats(&mut state.file, chunk)
+        read_chunk_stats(&mut self.file.lock().expect("reader lock"), chunk)
             .map(Some)
             .map_err(|e| ChunkLocus { path: &self.path, vantage: &self.vantage }.wrap(chunk, e))
-    }
-
-    fn visit_chunk(
-        &self,
-        chunk: &ChunkRef,
-        proj: Projection,
-        visit: &mut dyn FnMut(u32, &[Observation]),
-    ) {
-        let mut state = self.state.lock().expect("reader lock");
-        let ReaderState { file, scratch, decoded } = &mut *state;
-        let locus = ChunkLocus { path: &self.path, vantage: &self.vantage };
-        if let Err(e) = read_chunk(file, chunk, proj, scratch, decoded, locus) {
-            panic!("snapshot store corrupted: {e}");
-        }
-        visit(chunk.day, decoded);
     }
 }
 
@@ -1151,12 +1204,19 @@ impl ObservationSource for StoreReader {
         filter: ScanFilter,
         visit: &mut dyn FnMut(u32, &[Observation]),
     ) {
-        for chunk in &self.index {
-            if !filter.admits_day(chunk.day) {
-                continue;
+        // Admitted chunks come in runs of the index, back to back in the
+        // file, and each run is read a group at a time.
+        let admitted = |c: &ChunkRef| filter.admits_day(c.day);
+        let runs = self.index.chunk_by(|a, b| admitted(a) == admitted(b));
+        let groups = runs.filter(|run| admitted(&run[0])).flat_map(|run| run.chunks(LANES));
+        let locus = ChunkLocus { path: &self.path, vantage: &self.vantage };
+        with_read_buffers(|buffers| {
+            for group in groups {
+                let mut file = self.file.lock().expect("reader lock");
+                read_group(&mut file, group, filter.projection, buffers, locus, visit)
+                    .unwrap_or_else(|e| panic!("snapshot store corrupted: {e}"));
             }
-            self.visit_chunk(chunk, filter.projection, visit);
-        }
+        });
     }
 
     fn total_observations(&self) -> usize {
@@ -1216,21 +1276,11 @@ pub fn open_store(dir: &Path) -> io::Result<OpenStore> {
         let path = dir.join(column_file_name(i));
         let mut file = File::open(&path)?;
         let scan = scan_column(&mut file, &path)?;
-        if scan.vantage != *vantage {
-            return Err(corrupt(format!(
-                "{}: vantage \"{}\" does not match manifest \"{vantage}\"",
-                path.display(),
-                scan.vantage
-            )));
-        }
+        check_column(&scan, vantage, &meta.sample_days, &path)?;
         readers.push(StoreReader {
             vantage: scan.vantage,
             path,
-            state: Mutex::new(ReaderState {
-                file,
-                scratch: Scratch::default(),
-                decoded: Vec::new(),
-            }),
+            file: Mutex::new(file),
             index: scan.chunks,
             orgs: orgs.clone(),
             truncated_tail: scan.truncated,
@@ -1716,5 +1766,188 @@ mod tests {
         assert!(!torn);
         assert_eq!(end, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_store_refuses_a_chunk_day_the_manifest_does_not_list() {
+        let dir = temp_dir("headerday");
+        let orgs = OrgInterner::default();
+        let mut w = StoreWriter::create(&dir, meta_for(&[0, 7, 14])).unwrap();
+        for day in [0u32, 7, 14] {
+            w.append_chunk(0, day, &[obs(day, 1, 0), obs(day, 2, 1)], &orgs).unwrap();
+        }
+        let middle = w.indexes[0][1];
+        drop(w);
+        // The chunk header's day (bytes 4..8) sits outside the checksum:
+        // a store whose middle chunk claims day 9 is still well formed.
+        let path = dir.join(column_file_name(0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = middle.header_offset() as usize + 4;
+        assert_eq!(bytes[at..at + 4], 7u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&9u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let Err(open_err) = open_store(&dir) else { panic!("a store with day 9 opened") };
+        let resume_err = StoreWriter::open_resume(&dir).unwrap_err();
+        for err in [open_err, resume_err] {
+            assert_eq!(err.kind(), ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains(&path.display().to_string()), "{msg}");
+            assert!(msg.contains("chunk 1 is day 9 but the campaign's day 1 is 7"), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_chunk_in_a_group_panics_after_the_days_before_it() {
+        let dir = temp_dir("groupflip");
+        let orgs = OrgInterner::default();
+        let days = [0u32, 1, 2, 3, 4];
+        let mut w = StoreWriter::create(&dir, meta_for(&days.map(u64::from))).unwrap();
+        for day in days {
+            let rows: Vec<Observation> = (0..10 + 3 * day).map(|i| obs(day, i, i % 3)).collect();
+            w.append_chunk(0, day, &rows, &orgs).unwrap();
+        }
+        let index = w.indexes[0].clone();
+        drop(w);
+        let path = dir.join(column_file_name(0));
+        let clean = std::fs::read(&path).unwrap();
+        // Days 0..4 are one group of four and day 4 a group of one: the
+        // first, second and last chunk of the four, and the one after.
+        for damaged in [0usize, 1, 3, 4] {
+            let chunk = index[damaged];
+            let mut bytes = clean.clone();
+            bytes[chunk.payload_offset as usize + 5] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
+
+            let open = open_store(&dir).unwrap();
+            let mut seen = Vec::new();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                open.readers[0]
+                    .for_each_day_filtered(ScanFilter::all(), &mut |day, _| seen.push(day));
+            }));
+            assert_eq!(seen, days[..damaged], "chunk {damaged}");
+            let msg = *result.unwrap_err().downcast::<String>().unwrap();
+            assert!(msg.contains("snapshot store corrupted"), "panic was: {msg}");
+            assert!(msg.contains("checksum mismatch"), "panic was: {msg}");
+            assert!(msg.contains(&path.display().to_string()), "panic was: {msg}");
+            assert!(msg.contains("vantage \"google\""), "panic was: {msg}");
+            let locus = format!("day {damaged} chunk at byte offset {}", chunk.header_offset());
+            assert!(msg.contains(&locus), "panic was: {msg}");
+        }
+        // The file cut inside day 2's payload after it was opened: the
+        // group's one read comes back short, and days 0 and 1 are visited.
+        std::fs::write(&path, &clean).unwrap();
+        let open = open_store(&dir).unwrap();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(index[2].payload_offset + 3).unwrap();
+        let mut seen = Vec::new();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            open.readers[0].for_each_day_filtered(ScanFilter::all(), &mut |day, _| seen.push(day));
+        }));
+        assert_eq!(seen, [0, 1]);
+        let msg = *result.unwrap_err().downcast::<String>().unwrap();
+        let locus = format!("day 2 chunk at byte offset {}", index[2].header_offset());
+        assert!(msg.contains(&locus), "panic was: {msg}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `o` as a visit projecting `proj` returns it: unprojected fields
+    /// at their defaults, the day always stamped.
+    fn projected(o: &Observation, proj: Projection) -> Observation {
+        let keep = |c: usize| proj.includes_column(c);
+        Observation {
+            day: o.day,
+            domain_id: if keep(1) { o.domain_id } else { 0 },
+            rank: if keep(2) { o.rank } else { 0 },
+            flags: if keep(3) { o.flags } else { 0 },
+            ns_category: if keep(4) { o.ns_category } else { 0 },
+            org: if keep(5) { o.org } else { OrgId::NONE },
+            min_priority: if keep(6) { o.min_priority } else { 0 },
+        }
+    }
+
+    #[test]
+    fn readers_on_one_thread_share_buffers_without_sharing_rows() {
+        let dir = temp_dir("sharedbuffers");
+        let mut orgs = OrgInterner::default();
+        orgs.intern("Org A");
+        orgs.intern("Org B");
+        let days = [0u32, 1, 2, 3, 4, 5];
+        let mut w = StoreWriter::create(&dir, meta_for(&days.map(u64::from))).unwrap();
+        // Row counts rise and fall from day to day and differ between
+        // the vantages, so a reused row is truncated or extended.
+        for day in days {
+            let counts = [10 + 9 * (day % 3), 30 - 4 * day];
+            for (v, rows) in counts.into_iter().enumerate() {
+                let rows: Vec<Observation> =
+                    (0..rows).map(|i| obs(day, i * (v as u32 + 1), (i + day) % 7 + 1)).collect();
+                w.append_chunk(v, day, &rows, &orgs).unwrap();
+            }
+        }
+        drop(w);
+        let open = open_store(&dir).unwrap();
+        let stores = open.materialize();
+        let expect = |v: usize, proj: Projection| -> Vec<(u32, Vec<Observation>)> {
+            let mut days = Vec::new();
+            stores[v].for_each_day_filtered(ScanFilter::all(), &mut |day, obs| {
+                days.push((day, obs.iter().map(|o| projected(o, proj)).collect()))
+            });
+            days
+        };
+        let visit = |v: usize, proj: Projection| -> Vec<(u32, Vec<Observation>)> {
+            let mut days = Vec::new();
+            open.readers[v].for_each_day_filtered(ScanFilter::projected(proj), &mut |day, obs| {
+                days.push((day, obs.to_vec()))
+            });
+            days
+        };
+        for proj in [Projection::ALL, Projection::FLAGS, Projection::ALL] {
+            for v in [0, 1] {
+                assert_eq!(visit(v, proj), expect(v, proj), "vantage {v}, {proj:?}");
+            }
+        }
+        // A visitor that streams the other reader on every day it is
+        // handed: the nested visit gets buffers of its own.
+        let (outer, inner) = (Projection::FLAGS, Projection::ALL.with(Projection::RANK));
+        let mut nested = Vec::new();
+        let mut days_seen = Vec::new();
+        open.readers[0].for_each_day_filtered(ScanFilter::projected(outer), &mut |day, obs| {
+            let before = obs.to_vec();
+            nested.push(visit(1, inner));
+            assert_eq!(obs, before, "the nested visit changed day {day}'s rows");
+            days_seen.push((day, before));
+        });
+        assert_eq!(days_seen, expect(0, outer));
+        assert!(nested.iter().all(|n| *n == expect(1, inner)));
+        assert_eq!(visit(0, Projection::ALL), expect(0, Projection::ALL));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    use proptest::prelude::*;
+
+    /// One part to hash: a handful of bytes, up to 40 000, or exactly
+    /// 1 000 (so that parts of one length, with no tail, come up).
+    fn part() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..=8),
+            proptest::collection::vec(any::<u8>(), 0..=40_000),
+            proptest::collection::vec(any::<u8>(), 1_000),
+        ]
+    }
+
+    proptest! {
+        /// Each lane gives its part's own FNV-1a, for one to four parts
+        /// of any lengths, empty ones and very unequal ones included.
+        #[test]
+        fn fnv1a64_lanes_equals_fnv1a64_of_each_part(
+            parts in proptest::collection::vec(part(), 1..=LANES),
+        ) {
+            let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            let sums = fnv1a64_lanes(&parts);
+            for (k, part) in parts.iter().enumerate() {
+                prop_assert_eq!(sums[k], fnv1a64(part), "lane {} of {}", k, parts.len());
+            }
+        }
     }
 }

@@ -20,10 +20,10 @@
 //!
 //! [`decode_block`] writes each value straight into its row through a
 //! setter, so a reader fills one `Observation` field per block with no
-//! intermediate column. Packed dict indices unpack eight at a time from
-//! one `u128` word, at every bit width. Decoding validates everything it
-//! touches — widths, varint termination, dict bounds (one check of a
-//! block's largest index), exact data consumption — and returns
+//! intermediate column. Each packed dict index is read from one `u64`
+//! loaded at its bit offset, at every bit width. Decoding validates
+//! everything it touches — widths, varint termination, dict bounds (one
+//! check of a block's largest index), exact data consumption — and returns
 //! `InvalidData` rather than panicking: a corrupt block must surface as
 //! a store error with a locus, not a crash.
 
@@ -336,11 +336,12 @@ pub fn decode_block<T>(
 }
 
 /// The dict-packed arm of [`decode_block`]. Every bit width takes the
-/// same loop: a group of eight rows is exactly `bits` bytes, read as one
-/// little-endian `u128` (12 bits × 8 rows fit in 96), and each index
-/// looks its value up in `table`, padded to `2^bits` entries so any
-/// `bits`-bit index lands inside it. Indices past the dictionary are
-/// caught by one check of the block's largest index.
+/// same loop: row `k`'s index starts at bit `k·bits`, so one
+/// little-endian `u64` loaded at byte `k·bits/8` and shifted by
+/// `k·bits mod 8` holds it whole (at least 57 bits remain for 12), and
+/// the index looks its value up in `table`, padded to `2^bits` entries
+/// so any `bits`-bit index lands inside it. Indices past the dictionary
+/// are caught by one check of the block's largest index.
 fn decode_dict_packed<T>(
     data: &[u8],
     width: usize,
@@ -367,18 +368,15 @@ fn decode_dict_packed<T>(
     table.extend(dict.chunks_exact(width).map(get_value));
     table.resize(1 << bits, 0);
     let mask = (1usize << bits) - 1;
+    let table = &table[..=mask];
+    let index = |k: usize| (word_at(packed, k * bits / 8) >> (k * bits % 8)) as usize & mask;
     let mut largest = 0usize;
-    for (g, group) in rows.chunks_mut(8).enumerate() {
-        let mut word = group_word(packed, g * bits);
-        for row in group {
-            let index = word as usize & mask;
-            largest = largest.max(index);
-            set(row, table[index]);
-            word >>= bits;
-        }
+    for (k, row) in rows.iter_mut().enumerate() {
+        let index = index(k);
+        largest = largest.max(index);
+        set(row, table[index]);
     }
     if largest >= len {
-        let index = |k: usize| (group_word(packed, k / 8 * bits) >> (k % 8 * bits)) as usize & mask;
         let first = (0..n).map(index).find(|&i| i >= len).unwrap_or(largest);
         return Err(bad(format!("dict index {first} out of range {len}")));
     }
@@ -391,13 +389,14 @@ fn decode_dict_packed<T>(
 
 /// The packed index bytes from `at` on as one little-endian word, zero
 /// past the end.
-fn group_word(packed: &[u8], at: usize) -> u128 {
-    if let Some(bytes) = packed[at..].first_chunk::<16>() {
-        return u128::from_le_bytes(*bytes);
+fn word_at(packed: &[u8], at: usize) -> u64 {
+    let rest = &packed[at..];
+    if let Some(bytes) = rest.first_chunk::<8>() {
+        return u64::from_le_bytes(*bytes);
     }
-    let mut bytes = [0u8; 16];
-    bytes[..packed.len() - at].copy_from_slice(&packed[at..]);
-    u128::from_le_bytes(bytes)
+    let mut bytes = [0u8; 8];
+    bytes[..rest.len()].copy_from_slice(rest);
+    u64::from_le_bytes(bytes)
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@ use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
 use ecosystem::{EcosystemConfig, World};
 use resolver::{QueryEngine, SelectionStrategy, VantagePoint};
 use scanner::persist::{StoreMeta, StoreWriter};
-use scanner::{scan_day, scan_one_day, Observation, OrgId, OrgInterner};
+use scanner::{
+    open_store, scan_day, scan_one_day, Observation, ObservationSource, OrgId, OrgInterner,
+    ScanFilter,
+};
 use std::collections::HashMap;
 
 /// Heap blocks per observation one cold day over `tiny()` may ask
@@ -146,4 +149,53 @@ fn an_appended_chunk_allocates_the_same_at_any_row_count() {
         assert_eq!(allocs, APPEND_ALLOCS, "a {rows}-row chunk");
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Heap blocks a full visit of a store reader asks for once another
+/// reader's visit has warmed the thread, on 600-row and 6 000-row days
+/// alike: none, since every reader on a thread reads, checksums and
+/// decodes into the thread's one set of buffers. It asked for 4 on the
+/// 600-row days and 3 on the 6 000-row days while each reader grew a
+/// payload buffer, a row buffer and a dict table of its own.
+const VISIT_ALLOCS: u64 = 0;
+
+#[test]
+fn a_warm_visit_of_another_reader_allocates_nothing() {
+    for rows in [600, 6_000] {
+        let dir = std::env::temp_dir()
+            .join(format!("httpsrr-alloc-budget-visit-{rows}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Six days: a group of four chunks and a group of two.
+        let days: Vec<u32> = (0..6).collect();
+        let meta = StoreMeta {
+            vantages: vec!["a".into(), "b".into()],
+            sample_days: days.iter().map(|&d| u64::from(d)).collect(),
+            scan_www: true,
+            world_seed: 1,
+            population: rows as u64,
+            list_size: rows as u64,
+        };
+        let mut orgs = OrgInterner::default();
+        for name in ["Cloudflare, Inc.", "Google LLC", "GoDaddy.com, LLC", "NSOne, Inc."] {
+            orgs.intern(name);
+        }
+        let mut writer = StoreWriter::create(&dir, meta).expect("create");
+        for &day in &days {
+            let obs = day_rows(day, rows);
+            writer.append_chunk(0, day, &obs, &orgs).expect("append");
+            writer.append_chunk(1, day, &obs, &orgs).expect("append");
+        }
+        drop(writer);
+        let store = open_store(&dir).expect("open");
+        let mut seen = 0;
+        store.readers[0].for_each_day_filtered(ScanFilter::all(), &mut |_, obs| seen += obs.len());
+        let (allocs, ()) = allocs_in(|| {
+            store.readers[1]
+                .for_each_day_filtered(ScanFilter::all(), &mut |_, obs| seen += obs.len())
+        });
+        assert_eq!(seen, 2 * days.len() * rows as usize);
+        assert_eq!(allocs, VISIT_ALLOCS, "a visit over {rows}-row days");
+        drop(store);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }
