@@ -9,9 +9,14 @@
 
 use dns_wire::{DnsName, NameBuildHasher};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 use std::sync::Arc;
+
+/// The most endpoints a delegation keeps: the thirteen name servers a
+/// 512-octet referral can carry. A resolver copies a zone's fallback
+/// order out of the registry into a buffer of this many addresses.
+pub const MAX_NS_ENDPOINTS: usize = 13;
 
 /// One authoritative name-server endpoint for a zone.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -25,9 +30,12 @@ pub struct NsEndpoint {
 #[derive(Default)]
 struct RegistryState {
     /// Keyed by the apex itself (its `Hash`/`Eq` fold case) and probed
-    /// by borrowed suffixes, hashed once per ancestor; endpoint sets are
-    /// shared with every resolution that consults them.
+    /// by borrowed suffixes, hashed once per ancestor.
     delegations: HashMap<DnsName, Arc<[NsEndpoint]>, NameBuildHasher>,
+    /// Every distinct endpoint list ever delegated, once: the zones of
+    /// one provider (or one mixed provider pair) share its allocation.
+    /// Lists are few (one per NS set), so none is ever dropped.
+    lists: HashSet<Arc<[NsEndpoint]>>,
 }
 
 /// Shared registry of zone delegations.
@@ -42,9 +50,21 @@ impl DelegationRegistry {
         DelegationRegistry::default()
     }
 
-    /// Set (replace) the NS endpoints for a zone apex.
-    pub fn delegate(&self, apex: &DnsName, endpoints: Vec<NsEndpoint>) {
-        self.state.write().delegations.insert(apex.clone(), endpoints.into());
+    /// Set (replace) the NS endpoints for a zone apex; past the first
+    /// [`MAX_NS_ENDPOINTS`] they are dropped. A list equal to one
+    /// delegated before shares that one's allocation.
+    pub fn delegate(&self, apex: &DnsName, mut endpoints: Vec<NsEndpoint>) {
+        endpoints.truncate(MAX_NS_ENDPOINTS);
+        let mut st = self.state.write();
+        let list = match st.lists.get(endpoints.as_slice()) {
+            Some(list) => Arc::clone(list),
+            None => {
+                let list: Arc<[NsEndpoint]> = endpoints.into();
+                st.lists.insert(Arc::clone(&list));
+                list
+            }
+        };
+        st.delegations.insert(apex.clone(), list);
     }
 
     /// Remove a delegation entirely (the §4.2.3 "no NS records" case).
@@ -60,18 +80,39 @@ impl DelegationRegistry {
     /// Find the deepest delegated zone containing `name`, returning
     /// `(zone apex, endpoints)`. The walk probes borrowed suffixes of
     /// `name`; the apex is the hit's suffix, sharing `name`'s buffer and
-    /// spelling, and the endpoints are the registry's own set, so a
-    /// lookup allocates nothing and costs two reference counts however
-    /// deep the name and however many servers the zone has.
+    /// spelling, and the endpoints are the registry's own list, so a
+    /// lookup allocates nothing, however deep the name and however many
+    /// servers the zone has. It costs a reference count on that list,
+    /// which every zone of the provider shares: the resolver reads
+    /// through [`with_authority`](Self::with_authority) instead.
     pub fn find_authority(&self, name: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
         let st = self.state.read();
         name.find_ancestor(|apex| st.delegations.get(apex.as_key()).cloned())
     }
 
-    /// Find the authority for the *parent* of `apex` — where the DS
-    /// record for `apex` lives.
-    pub fn find_parent_authority(&self, apex: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
-        self.find_authority(&apex.parent()?)
+    /// Find the deepest delegated zone containing `name`, as
+    /// [`find_authority`](Self::find_authority) does, and give its apex
+    /// and endpoints to `read` under the registry's read lock. The list
+    /// is lent, not cloned, so the lookup touches no reference count
+    /// that other threads share.
+    pub fn with_authority<R>(
+        &self,
+        name: &DnsName,
+        read: impl FnOnce(&DnsName, &[NsEndpoint]) -> R,
+    ) -> Option<R> {
+        let st = self.state.read();
+        let (apex, endpoints) = name.find_ancestor(|apex| st.delegations.get(apex.as_key()))?;
+        Some(read(&apex, endpoints))
+    }
+
+    /// [`with_authority`](Self::with_authority) for the *parent* of
+    /// `apex` — where the DS record for `apex` lives.
+    pub fn with_parent_authority<R>(
+        &self,
+        apex: &DnsName,
+        read: impl FnOnce(&DnsName, &[NsEndpoint]) -> R,
+    ) -> Option<R> {
+        self.with_authority(&apex.parent()?, read)
     }
 }
 
@@ -85,6 +126,11 @@ mod tests {
 
     fn ep(ns: &str, ip: &str) -> NsEndpoint {
         NsEndpoint { name: name(ns), ip: ip.parse().unwrap() }
+    }
+
+    /// A lookup's apex and a copy of its endpoints.
+    fn owned(apex: &DnsName, endpoints: &[NsEndpoint]) -> (DnsName, Vec<NsEndpoint>) {
+        (apex.clone(), endpoints.to_vec())
     }
 
     #[test]
@@ -124,6 +170,9 @@ mod tests {
             .find(|k| apexes.iter().any(|a| a == k));
             let by_parent = reg.find_authority(&name(n)).map(|(apex, _)| apex.key());
             assert_eq!(by_suffix.map(str::to_string), by_parent, "name {n}");
+            let lent = reg.with_authority(&name(n), |apex, eps| (apex.key(), eps.to_vec()));
+            let found = reg.find_authority(&name(n)).map(|(apex, eps)| (apex.key(), eps.to_vec()));
+            assert_eq!(lent, found, "name {n}");
         }
 
         let empty = DelegationRegistry::new();
@@ -138,11 +187,11 @@ mod tests {
         reg.delegate(&name("com"), vec![ep("a.gtld-servers.net", "192.5.6.30")]);
         reg.delegate(&name("a.com"), vec![ep("ns1.cloudflare.com", "173.245.58.1")]);
 
-        let (apex, _) = reg.find_parent_authority(&name("a.com")).unwrap();
+        let (apex, _) = reg.with_parent_authority(&name("a.com"), owned).unwrap();
         assert_eq!(apex, name("com"));
-        let (apex, _) = reg.find_parent_authority(&name("com")).unwrap();
+        let (apex, _) = reg.with_parent_authority(&name("com"), owned).unwrap();
         assert_eq!(apex, DnsName::root());
-        assert!(reg.find_parent_authority(&DnsName::root()).is_none());
+        assert!(reg.with_parent_authority(&DnsName::root(), owned).is_none());
     }
 
     #[test]
@@ -160,5 +209,28 @@ mod tests {
         let eps = vec![ep("ns1.x.net", "1.1.1.1"), ep("ns2.y.net", "2.2.2.2")];
         reg.delegate(&name("a.com"), eps.clone());
         assert_eq!(reg.endpoints_of(&name("a.com")).unwrap()[..], eps[..]);
+    }
+
+    #[test]
+    fn equal_endpoint_lists_share_one_allocation() {
+        let reg = DelegationRegistry::new();
+        let provider = || vec![ep("ns1.x.net", "1.1.1.1"), ep("ns2.x.net", "2.2.2.2")];
+        let (a, b, c) = (name("a.com"), name("b.com"), name("c.com"));
+        reg.delegate(&a, provider());
+        reg.delegate(&b, provider());
+        reg.delegate(&c, vec![ep("ns1.y.net", "3.3.3.3")]);
+        let first = reg.endpoints_of(&a).unwrap();
+        assert!(Arc::ptr_eq(&first, &reg.endpoints_of(&b).unwrap()));
+        assert!(!Arc::ptr_eq(&first, &reg.endpoints_of(&c).unwrap()));
+
+        // The list outlives every zone delegated to it.
+        assert!(reg.undelegate(&a));
+        assert!(reg.undelegate(&b));
+        reg.delegate(&a, provider());
+        assert!(Arc::ptr_eq(&first, &reg.endpoints_of(&a).unwrap()));
+
+        // Order is part of the list: a reordered set is its own.
+        reg.delegate(&b, provider().into_iter().rev().collect());
+        assert!(!Arc::ptr_eq(&first, &reg.endpoints_of(&b).unwrap()));
     }
 }

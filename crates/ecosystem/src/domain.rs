@@ -58,6 +58,10 @@ pub struct DomainState {
     pub id: u32,
     /// Apex name (e.g. `site00042.com`).
     pub apex: DnsName,
+    /// Its `www` name, built once: the zone, the web server, the scan's
+    /// targets and serve's arrivals all share it (and the world's apex
+    /// is its parent, sharing its buffer).
+    pub www: DnsName,
     /// Current primary DNS provider.
     pub provider: ProviderId,
     /// Optional second provider (mixed NS sets, §4.2.3).
@@ -200,8 +204,7 @@ pub fn synthesize_https(
             vec![SvcbRdata::alias(DnsName::parse("park.secureserver.example.net").expect("static"))]
         }
         HttpsShape::AliasToWww => {
-            let www = d.apex.prepend("www").unwrap_or_else(|_| d.apex.clone());
-            vec![SvcbRdata::alias(www)]
+            vec![SvcbRdata::alias(d.www.clone())]
         }
         HttpsShape::AliasSelfDot => {
             vec![SvcbRdata { priority: 0, target: DnsName::root(), params: vec![] }]
@@ -241,6 +244,7 @@ mod tests {
         DomainState {
             id: 1,
             apex: DnsName::parse("site00001.com").unwrap(),
+            www: DnsName::parse("www.site00001.com").unwrap(),
             provider: well_known::CLOUDFLARE,
             secondary_provider: None,
             intent: HttpsIntent::CfProxied(shape),

@@ -117,6 +117,8 @@ pub struct World {
     today: Arc<DailyList>,
     tld_zones: ZoneSet,
     web_servers: HashMap<u32, Arc<WebServer>>,
+    /// The ALPN list every web server offers, shared by all of them.
+    web_alpn: Arc<[String]>,
     next_ip: u32,
     schedule: DaySchedule,
     stats: StepStats,
@@ -253,6 +255,7 @@ impl World {
             today: Arc::new(DailyList::new(Vec::new())),
             tld_zones: ZoneSet::new(),
             web_servers: HashMap::new(),
+            web_alpn: ["h2", "h3", "http/1.1"].map(String::from).into(),
             next_ip: 0,
             schedule: DaySchedule::default(),
             stats: StepStats::default(),
@@ -406,7 +409,8 @@ impl World {
 
         for id in 0..cfg.population as u32 {
             let tld = ["com", "net", "org"][(id % 3) as usize];
-            let apex = DnsName::parse(&format!("site{id:05}.{tld}")).expect("generated");
+            let www = DnsName::parse(&format!("www.site{id:05}.{tld}")).expect("generated");
+            let apex = www.parent().expect("www has a parent");
             let ip = self.alloc_ip();
 
             let roll: f64 = rng.gen();
@@ -533,6 +537,7 @@ impl World {
             self.domains.push(DomainState {
                 id,
                 apex,
+                www,
                 provider,
                 secondary_provider,
                 intent,
@@ -605,19 +610,14 @@ impl World {
     /// The HTTPS RRsets `d` publishes today at its apex and at `www`
     /// (empty when it publishes none). The one place HTTPS records are
     /// synthesized, so a rebuilt and a patched zone cannot disagree.
-    fn https_rrsets(
-        &self,
-        d: &DomainState,
-        www: &DnsName,
-        ctx: &SynthesisContext,
-    ) -> (Vec<Record>, Vec<Record>) {
+    fn https_rrsets(&self, d: &DomainState, ctx: &SynthesisContext) -> (Vec<Record>, Vec<Record>) {
         let mut at_apex = Vec::new();
         let mut at_www = Vec::new();
         if self.publishes_today(d) {
             if let Some(shape) = d.shape() {
                 for rd in synthesize_https(d, shape, ctx) {
                     if d.www_https {
-                        at_www.push(Record::new(www.clone(), ctx.ttl, RData::Https(rd.clone())));
+                        at_www.push(Record::new(d.www.clone(), ctx.ttl, RData::Https(rd.clone())));
                     }
                     at_apex.push(Record::new(d.apex.clone(), ctx.ttl, RData::Https(rd)));
                 }
@@ -631,7 +631,6 @@ impl World {
     fn rebuild_zone(&self, idx: usize, ctx: &SynthesisContext) {
         let d = &self.domains[idx];
         let primary = self.catalog.get(d.provider);
-        let www = d.apex.prepend("www").expect("www label fits");
 
         let build_zone = |with_https: bool| -> Zone {
             let mut zone = Zone::new(d.apex.clone());
@@ -646,9 +645,9 @@ impl World {
             }
             zone.add(Record::new(d.apex.clone(), ctx.ttl, RData::A(d.a_ip)));
             zone.add(Record::new(d.apex.clone(), ctx.ttl, RData::Aaaa(DomainState::v6_of(d.a_ip))));
-            zone.add(Record::new(www.clone(), ctx.ttl, RData::A(d.a_ip)));
+            zone.add(Record::new(d.www.clone(), ctx.ttl, RData::A(d.a_ip)));
             if with_https {
-                let (at_apex, at_www) = self.https_rrsets(d, &www, ctx);
+                let (at_apex, at_www) = self.https_rrsets(d, ctx);
                 for record in at_apex.into_iter().chain(at_www) {
                     zone.add(record);
                 }
@@ -686,17 +685,16 @@ impl World {
     /// invariant; signatures are made at answer time.
     fn patch_https(&self, idx: usize, ctx: &SynthesisContext) {
         let d = &self.domains[idx];
-        let www = d.apex.prepend("www").expect("www label fits");
         // A secondary that does not support HTTPS serves none to patch.
         let secondary = d.secondary_provider.filter(|&sec| self.provider_supports_https(sec));
         for provider in std::iter::once(d.provider).chain(secondary) {
-            let (at_apex, at_www) = self.https_rrsets(d, &www, ctx);
+            let (at_apex, at_www) = self.https_rrsets(d, ctx);
             self.catalog
                 .get(provider)
                 .zones
                 .with_zone(&d.apex, |zone| {
                     zone.set(d.apex.clone(), RecordType::Https, at_apex);
-                    zone.set(www.clone(), RecordType::Https, at_www);
+                    zone.set(d.www.clone(), RecordType::Https, at_www);
                 })
                 .expect("every domain has a zone at its providers since build");
         }
@@ -725,12 +723,11 @@ impl World {
     /// Bind (or re-bind) a domain's web servers at its current address.
     fn bind_web(&mut self, idx: usize) {
         let d = &self.domains[idx];
-        let www = d.apex.prepend("www").expect("www label fits");
         let server = Arc::new(WebServer::new(
             self.network.clone(),
             WebServerConfig {
-                cert_names: vec![d.apex.clone(), www],
-                alpn: vec!["h2".into(), "h3".into(), "http/1.1".into()],
+                cert_names: vec![d.apex.clone(), d.www.clone()],
+                alpn: self.web_alpn.clone(),
             },
         ));
         if d.ech_enabled {

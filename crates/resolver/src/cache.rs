@@ -17,8 +17,10 @@
 //! for one owner name land in one shard regardless of record type, so a
 //! resolution step's two lookups — the queried type, then CNAME
 //! (`RecordCache::get_or_cname`) — take one shard lock between them.
-//! Entries are keyed by a struct that borrows as `(name bytes, type)`:
-//! a lookup probes with the caller's borrowed name and clones no key.
+//! An entry is its own key: its owner name (stored once, inside a
+//! positive answer's set) and type. The shard's map is a set of entries
+//! probed as `(name bytes, type)`, so a lookup borrows the caller's name
+//! and clones no key, and a bucket is the 64-byte entry alone.
 //!
 //! Sharding is invisible in the API: statistics aggregate across shards,
 //! and behaviour (hits, misses, expirations, eviction) is identical for
@@ -67,7 +69,7 @@ use dns_wire::{DnsName, NameBuildHasher, NameKey, NameRef, Rcode, RecordType};
 use netsim::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -117,20 +119,19 @@ pub enum CachedAnswer {
     },
 }
 
-/// An entry's key: owner name and record type. `DnsName`'s own
-/// `Hash`/`Eq` fold ASCII case, [`NameBuildHasher`] mixes the type into
-/// the name's word, and a clone (the one a bounded store files in the
-/// recency list) is a reference count. It borrows as
-/// [`dyn Probe`](Probe), so a lookup hashes and compares a borrowed name
-/// and clones none.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A recency link's key: owner name and record type, a clone of its
+/// entry's owner (a reference count), so an eviction can find the entry.
+#[derive(Clone)]
 struct Key {
     name: DnsName,
     rtype: u16,
 }
 
-/// A key as `(name bytes, type)`, whether owned ([`Key`]) or borrowed
-/// (`(NameRef, u16)`). Hashes and compares exactly as [`Key`] does.
+/// A key as `(name bytes, type)`: an [`Entry`]'s own, a [`Key`]'s, or
+/// a borrowed `(NameRef, u16)`. The entry map hashes and compares every
+/// one of them the same way (`DnsName`'s own case folding, with
+/// [`NameBuildHasher`] mixing the type into the name's word), so a
+/// lookup probes with a borrowed name and clones none.
 trait Probe {
     fn name(&self) -> NameRef<'_>;
     fn rtype(&self) -> u16;
@@ -171,19 +172,74 @@ impl PartialEq for dyn Probe + '_ {
 
 impl Eq for dyn Probe + '_ {}
 
-impl<'a> Borrow<dyn Probe + 'a> for Key {
-    fn borrow(&self) -> &(dyn Probe + 'a) {
-        self
-    }
+/// What an entry holds: a positive set, which carries its owner, or a
+/// negative answer with the owner beside it. Either way the owner is
+/// stored once and is the entry's key.
+#[derive(Debug)]
+enum Stored {
+    Positive(RrSet),
+    Negative { owner: DnsName, rcode: Rcode },
 }
 
-#[derive(Debug, Clone)]
+/// One bucket of a shard's entry map: the answer, its owner and type
+/// (which key it), its expiry and its recency slot. It is its own key:
+/// the map is a set of entries probed by [`Probe`], so the owner is not
+/// kept a second time beside it.
+#[derive(Debug)]
 struct Entry {
-    answer: CachedAnswer,
+    stored: Stored,
     expires: Timestamp,
     /// The entry's node in its shard's recency list; [`NIL`] on an
     /// unbounded shard, which keeps no list.
     slot: u32,
+    rtype: u16,
+}
+
+impl Entry {
+    fn owner(&self) -> &DnsName {
+        match &self.stored {
+            Stored::Positive(set) => set.owner(),
+            Stored::Negative { owner, .. } => owner,
+        }
+    }
+
+    /// The answer a hit hands out: reference counts, no copy.
+    fn answer(&self) -> CachedAnswer {
+        match &self.stored {
+            Stored::Positive(set) => CachedAnswer::Positive(set.clone()),
+            &Stored::Negative { rcode, .. } => CachedAnswer::Negative { rcode },
+        }
+    }
+}
+
+impl Probe for Entry {
+    fn name(&self) -> NameRef<'_> {
+        self.owner().name_ref()
+    }
+
+    fn rtype(&self) -> u16 {
+        self.rtype
+    }
+}
+
+impl Hash for Entry {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn Probe).hash(state);
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn Probe) == (other as &dyn Probe)
+    }
+}
+
+impl Eq for Entry {}
+
+impl<'a> Borrow<dyn Probe + 'a> for Entry {
+    fn borrow(&self) -> &(dyn Probe + 'a) {
+        self
+    }
 }
 
 /// The slot index that names no node: the end of a list, or the slot
@@ -421,7 +477,7 @@ impl ShardCounters {
 /// The recency list is kept only by bounded caches; unbounded shards
 /// leave it empty so the default hot path pays nothing for eviction.
 struct ShardInner {
-    entries: HashMap<Key, Entry, NameBuildHasher>,
+    entries: HashSet<Entry, NameBuildHasher>,
     recency: Recency,
     /// No entry expires before this second: stores lower it, a sweep
     /// sets it to the exact minimum of the entries it keeps.
@@ -430,7 +486,7 @@ struct ShardInner {
 
 impl Default for ShardInner {
     fn default() -> ShardInner {
-        ShardInner { entries: HashMap::default(), recency: Recency::default(), earliest: u64::MAX }
+        ShardInner { entries: HashSet::default(), recency: Recency::default(), earliest: u64::MAX }
     }
 }
 
@@ -464,7 +520,7 @@ impl ShardInner {
         if entry.slot != NIL {
             self.recency.move_to_back(entry.slot);
         }
-        Looked::Hit(entry.answer.clone())
+        Looked::Hit(entry.answer())
     }
 
     /// Remove every entry whose expiry second is `<= now` and return how
@@ -475,7 +531,7 @@ impl ShardInner {
         }
         let (before, mut earliest) = (self.entries.len(), u64::MAX);
         let recency = &mut self.recency;
-        self.entries.retain(|_, entry| {
+        self.entries.retain(|entry| {
             if entry.expires > now {
                 earliest = earliest.min(entry.expires.0);
                 return true;
@@ -492,7 +548,7 @@ impl ShardInner {
     /// Evict the least recently used entry. Returns false if the shard
     /// is empty.
     fn evict_lru(&mut self) -> bool {
-        self.recency.pop_front().is_some_and(|key| self.entries.remove(&key).is_some())
+        self.recency.pop_front().is_some_and(|key| self.entries.remove(&key as &dyn Probe))
     }
 }
 
@@ -613,18 +669,20 @@ impl RecordCache {
 
     /// Shared store path: file the entry, link it at the most recently
     /// used end, and resolve any overflow (TTL sweep first, then LRU
-    /// eviction) — all under one hot-path lock acquisition.
-    fn store(&self, key: Key, answer: CachedAnswer, now: Timestamp, ttl: u32) {
-        let shard = self.shard_for(&key.name);
-        shard.stats.insertions.fetch_add(1, Ordering::Relaxed);
+    /// eviction) — all under one hot-path lock acquisition. An entry
+    /// with the same key is replaced whole, owner spelling included.
+    fn store(&self, rtype: RecordType, stored: Stored, now: Timestamp, ttl: u32) {
         let expires = now.plus(ttl as u64);
+        let mut entry = Entry { stored, expires, slot: NIL, rtype: rtype.code() };
+        let shard = self.shard_for(entry.owner());
+        shard.stats.insertions.fetch_add(1, Ordering::Relaxed);
         let mut inner = shard.lock_inner();
         inner.earliest = inner.earliest.min(expires.0);
-        let slot = match self.capacity {
-            Some(_) => inner.recency.push_back(key.clone()),
-            None => NIL,
-        };
-        let replaced = inner.entries.insert(key, Entry { answer, expires, slot });
+        if self.capacity.is_some() {
+            entry.slot =
+                inner.recency.push_back(Key { name: entry.owner().clone(), rtype: entry.rtype });
+        }
+        let replaced = inner.entries.replace(entry);
         if let Some(old) = replaced.as_ref().filter(|old| old.slot != NIL) {
             inner.recency.remove(old.slot);
         }
@@ -649,13 +707,23 @@ impl RecordCache {
     /// Insert a positive RRset observed at `now`, under `(name, rtype)`,
     /// for its smallest record TTL. The set is stored as given — a
     /// reference count on its reply — and an empty one is not stored.
-    pub fn insert_positive(&self, name: &DnsName, rtype: RecordType, set: RrSet, now: Timestamp) {
+    /// The set's owner is the entry's key: a set owned by a name other
+    /// than `name` is filed as owned by `name`.
+    pub fn insert_positive(
+        &self,
+        name: &DnsName,
+        rtype: RecordType,
+        mut set: RrSet,
+        now: Timestamp,
+    ) {
         if set.is_empty() {
             return;
         }
+        if set.owner() != name {
+            set.set_owner(name.clone());
+        }
         let ttl = self.effective_ttl(set.ttl());
-        let key = Key { name: name.clone(), rtype: rtype.code() };
-        self.store(key, CachedAnswer::Positive(set), now, ttl);
+        self.store(rtype, Stored::Positive(set), now, ttl);
     }
 
     /// Insert a negative answer with the given TTL (typically the SOA
@@ -669,8 +737,7 @@ impl RecordCache {
         now: Timestamp,
     ) {
         let ttl = self.effective_ttl(ttl);
-        let key = Key { name: name.clone(), rtype: rtype.code() };
-        self.store(key, CachedAnswer::Negative { rcode }, now, ttl);
+        self.store(rtype, Stored::Negative { owner: name.clone(), rcode }, now, ttl);
     }
 
     /// Fetch a live entry; expired entries are evicted. A positive hit
@@ -1008,12 +1075,38 @@ mod tests {
         assert!(has(&cache, "c.example", 4));
     }
 
-    /// Every entry of every campaign and serving cache is one of these.
+    /// Every bucket of every campaign and serving cache is one of
+    /// these: the entry is its own key, so the bucket is the entry.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn a_cache_entry_is_64_bytes() {
         assert_eq!(std::mem::size_of::<CachedAnswer>(), 48);
+        assert_eq!(std::mem::size_of::<Stored>(), 48);
         assert_eq!(std::mem::size_of::<Entry>(), 64);
+    }
+
+    #[test]
+    fn a_replacing_store_hands_out_the_new_sets_owner_spelling() {
+        let set = |owner: &str| {
+            let record = Record::new(name(owner), 300, RData::A(Ipv4Addr::new(1, 2, 3, 4)));
+            RrSet::from_records(&[record], &[])
+        };
+        for cache in [RecordCache::default(), bounded(4)] {
+            let (old, new) = (set("a.example"), set("A.Example"));
+            cache.insert_positive(&old.owner().clone(), RecordType::A, old, Timestamp(0));
+            cache.insert_positive(&new.owner().clone(), RecordType::A, new, Timestamp(1));
+            match cache.get(&name("a.EXAMPLE"), RecordType::A, Timestamp(2)) {
+                Some(CachedAnswer::Positive(hit)) => {
+                    assert_eq!(hit.owner().to_string(), "A.Example.")
+                }
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(cache.len(), 1, "the store replaced the entry");
+            assert_eq!(
+                cache.expires_at(&name("a.example"), RecordType::A, Timestamp(2)),
+                Some(Timestamp(301))
+            );
+        }
     }
 
     #[test]

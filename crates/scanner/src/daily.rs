@@ -501,9 +501,7 @@ pub fn scan_day(
         };
         push(d.apex.clone(), false);
         if scan_www {
-            if let Ok(www) = d.apex.prepend("www") {
-                push(www, true);
-            }
+            push(d.www.clone(), true);
         }
     }
 

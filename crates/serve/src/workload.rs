@@ -125,18 +125,14 @@ impl StubPopulation {
     /// Draw one query: a popularity-weighted domain plus a shape from
     /// the [`APEX_HTTPS`] / [`APEX_A`] mix; `None` when the list has no domain to draw.
     fn sample_query(&self, world: &World, rng: &mut StdRng) -> Option<Query> {
-        let id = self.list.sample_by_popularity(rng)?;
-        let apex = world.domain(id).apex.clone();
+        let d = world.domain(self.list.sample_by_popularity(rng)?);
         let shape: f64 = rng.gen_range(0.0..1.0);
         Some(if shape < APEX_HTTPS {
-            Query::new(apex, RecordType::Https)
+            Query::new(d.apex.clone(), RecordType::Https)
         } else if shape < APEX_HTTPS + APEX_A {
-            Query::new(apex, RecordType::A)
+            Query::new(d.apex.clone(), RecordType::A)
         } else {
-            match apex.prepend("www") {
-                Ok(www) => Query::new(www, RecordType::Https),
-                Err(_) => Query::new(apex, RecordType::Https),
-            }
+            Query::new(d.www.clone(), RecordType::Https)
         })
     }
 }

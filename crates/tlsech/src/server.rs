@@ -11,6 +11,7 @@ use netsim::{NetError, Network, StreamService, Timestamp, WeakNetwork};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// ECH serving state for a client-facing server.
 pub struct EchServerState {
@@ -28,8 +29,8 @@ pub struct WebServerConfig {
     /// certificate presented on unknown SNI.
     pub cert_names: Vec<DnsName>,
     /// ALPN protocols supported, in server preference order
-    /// (e.g. `["h2", "http/1.1"]`).
-    pub alpn: Vec<String>,
+    /// (e.g. `["h2", "http/1.1"]`); servers with the same list share one.
+    pub alpn: Arc<[String]>,
 }
 
 /// A web server bound to one or more `(ip, port)` pairs on the network.
@@ -218,7 +219,6 @@ mod tests {
     use crate::ech::{EchConfigList, EchKeyManager};
     use crate::msg::EchExtension;
     use netsim::SimClock;
-    use std::sync::Arc;
 
     fn name(s: &str) -> DnsName {
         DnsName::parse(s).unwrap()
@@ -233,7 +233,7 @@ mod tests {
             net.clone(),
             WebServerConfig {
                 cert_names: vec![name("a.com"), name("cover.a.com")],
-                alpn: vec!["h2".into(), "http/1.1".into()],
+                alpn: vec!["h2".into(), "http/1.1".into()].into(),
             },
         )
     }
@@ -406,14 +406,14 @@ mod tests {
         // Back-end server for a.com at 1.1.1.1:443.
         let backend = Arc::new(WebServer::new(
             net.clone(),
-            WebServerConfig { cert_names: vec![name("a.com")], alpn: vec!["h2".into()] },
+            WebServerConfig { cert_names: vec![name("a.com")], alpn: vec!["h2".into()].into() },
         ));
         net.bind_stream("1.1.1.1".parse().unwrap(), 443, backend);
 
         // Client-facing server for b.com at 2.2.2.2 with a forward rule.
         let front = WebServer::new(
             net.clone(),
-            WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()] },
+            WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()].into() },
         );
         front.enable_ech(EchServerState {
             manager: EchKeyManager::new(name("b.com"), "front", 1),

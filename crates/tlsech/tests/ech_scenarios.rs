@@ -25,7 +25,7 @@ fn ech_server(net: &Network) -> WebServer {
         net.clone(),
         WebServerConfig {
             cert_names: vec![name("a.com"), name("cover.a.com")],
-            alpn: vec!["h2".into(), "http/1.1".into()],
+            alpn: vec!["h2".into(), "http/1.1".into()].into(),
         },
     );
     s.enable_ech(EchServerState {
@@ -91,7 +91,7 @@ fn split_mode_forward_to_dead_backend_fails_handshake() {
     let net = Network::new(SimClock::new());
     let front = WebServer::new(
         net.clone(),
-        WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()] },
+        WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()].into() },
     );
     front.enable_ech(EchServerState {
         manager: EchKeyManager::new(name("b.com"), "front", 1),
@@ -115,13 +115,13 @@ fn split_mode_chain_of_two_hops() {
     let net = Network::new(SimClock::new());
     let mid = Arc::new(WebServer::new(
         net.clone(),
-        WebServerConfig { cert_names: vec![name("a.com")], alpn: vec!["h2".into()] },
+        WebServerConfig { cert_names: vec![name("a.com")], alpn: vec!["h2".into()].into() },
     ));
     net.bind_stream("10.1.1.1".parse().unwrap(), 443, mid);
 
     let front = WebServer::new(
         net.clone(),
-        WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()] },
+        WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()].into() },
     );
     front.enable_ech(EchServerState {
         manager: EchKeyManager::new(name("b.com"), "front2", 1),

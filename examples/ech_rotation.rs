@@ -36,7 +36,7 @@ fn main() {
                 DnsName::parse("a.com").expect("valid"),
                 DnsName::parse("cover.a.com").expect("valid"),
             ],
-            alpn: vec!["h2".into()],
+            alpn: vec!["h2".into()].into(),
         },
     );
     server.enable_ech(EchServerState {

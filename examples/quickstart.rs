@@ -45,7 +45,7 @@ fn main() {
         network.clone(),
         WebServerConfig {
             cert_names: vec![apex.clone()],
-            alpn: vec!["h2".into(), "http/1.1".into()],
+            alpn: vec!["h2".into(), "http/1.1".into()].into(),
         },
     ));
     network.bind_stream(web_ip, 443, server);

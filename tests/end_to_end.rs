@@ -44,7 +44,7 @@ fn full_stack(with_ech: bool) -> Stack {
         network.clone(),
         WebServerConfig {
             cert_names: vec![apex.clone(), cover.clone()],
-            alpn: vec!["h2".into(), "http/1.1".into()],
+            alpn: vec!["h2".into(), "http/1.1".into()].into(),
         },
     ));
     let ech_param = if with_ech {

@@ -10,35 +10,49 @@ use std::cell::Cell;
 thread_local! {
     /// Heap blocks this thread has asked for (`alloc` and `realloc`).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks and bytes this thread has allocated minus those it has
+    /// freed (a `realloc` moves only the bytes). A block freed on
+    /// another thread than the one that made it moves both threads'
+    /// counts, so a census holds on work that stays on one thread.
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
 struct Counting;
 
-fn count() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+/// Count one call: `blocks` is 1 for a new block, 0 for a `realloc` and
+/// −1 for a free; every call but a free asks for a heap block. Uses
+/// `try_with`: the allocator also runs while a thread is torn down.
+fn count(blocks: i64, bytes: i64) {
+    if blocks >= 0 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+    let _ = LIVE.try_with(|live| {
+        let (b, n) = live.get();
+        live.set((b + blocks, n + bytes));
+    });
 }
 
 // SAFETY: every operation is `System`'s, called with the arguments this
-// allocator was given; the only addition is a thread-local counter that
-// itself never allocates (const-initialized `Cell`, no destructor).
+// allocator was given; the only addition is thread-local counters that
+// themselves never allocate (const-initialized `Cell`s, no destructor).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(1, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(1, layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(0, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-1, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -53,6 +67,17 @@ pub fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Run `f` and return the heap blocks and bytes the calling thread
+/// made meanwhile that are still live when `f` returns (`f`'s result
+/// included, since it is returned, not dropped inside).
+#[allow(dead_code)]
+pub fn live_in<R>(f: impl FnOnce() -> R) -> ((i64, i64), R) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    let after = LIVE.with(Cell::get);
+    ((after.0 - before.0, after.1 - before.1), out)
 }
 
 /// Thread counts to hold a budget on: 1, 2 and 4, plus any counts named
