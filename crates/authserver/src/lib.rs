@@ -25,6 +25,6 @@ pub mod registry;
 pub mod server;
 pub mod zone;
 
-pub use registry::{DelegationRegistry, NsEndpoint, MAX_NS_ENDPOINTS};
+pub use registry::{DelegationRegistry, NsEndpoint};
 pub use server::{AuthoritativeServer, ZoneSet};
 pub use zone::{LookupResult, RrSetRef, Zone};

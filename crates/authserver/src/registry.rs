@@ -13,11 +13,6 @@ use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 use std::sync::Arc;
 
-/// The most endpoints a delegation keeps: the thirteen name servers a
-/// 512-octet referral can carry. A resolver copies a zone's fallback
-/// order out of the registry into a buffer of this many addresses.
-pub const MAX_NS_ENDPOINTS: usize = 13;
-
 /// One authoritative name-server endpoint for a zone.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NsEndpoint {
@@ -50,11 +45,9 @@ impl DelegationRegistry {
         DelegationRegistry::default()
     }
 
-    /// Set (replace) the NS endpoints for a zone apex; past the first
-    /// [`MAX_NS_ENDPOINTS`] they are dropped. A list equal to one
-    /// delegated before shares that one's allocation.
-    pub fn delegate(&self, apex: &DnsName, mut endpoints: Vec<NsEndpoint>) {
-        endpoints.truncate(MAX_NS_ENDPOINTS);
+    /// Set (replace) the NS endpoints for a zone apex. A list equal to
+    /// one delegated before shares that one's allocation.
+    pub fn delegate(&self, apex: &DnsName, endpoints: Vec<NsEndpoint>) {
         let mut st = self.state.write();
         let list = match st.lists.get(endpoints.as_slice()) {
             Some(list) => Arc::clone(list),
@@ -80,39 +73,19 @@ impl DelegationRegistry {
     /// Find the deepest delegated zone containing `name`, returning
     /// `(zone apex, endpoints)`. The walk probes borrowed suffixes of
     /// `name`; the apex is the hit's suffix, sharing `name`'s buffer and
-    /// spelling, and the endpoints are the registry's own list, so a
-    /// lookup allocates nothing, however deep the name and however many
-    /// servers the zone has. It costs a reference count on that list,
-    /// which every zone of the provider shares: the resolver reads
-    /// through [`with_authority`](Self::with_authority) instead.
+    /// spelling, and the endpoints are the registry's own list (shared by
+    /// every zone with the same NS set), so a lookup allocates nothing
+    /// and costs two reference counts however deep the name and however
+    /// many servers the zone has.
     pub fn find_authority(&self, name: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
         let st = self.state.read();
         name.find_ancestor(|apex| st.delegations.get(apex.as_key()).cloned())
     }
 
-    /// Find the deepest delegated zone containing `name`, as
-    /// [`find_authority`](Self::find_authority) does, and give its apex
-    /// and endpoints to `read` under the registry's read lock. The list
-    /// is lent, not cloned, so the lookup touches no reference count
-    /// that other threads share.
-    pub fn with_authority<R>(
-        &self,
-        name: &DnsName,
-        read: impl FnOnce(&DnsName, &[NsEndpoint]) -> R,
-    ) -> Option<R> {
-        let st = self.state.read();
-        let (apex, endpoints) = name.find_ancestor(|apex| st.delegations.get(apex.as_key()))?;
-        Some(read(&apex, endpoints))
-    }
-
-    /// [`with_authority`](Self::with_authority) for the *parent* of
-    /// `apex` — where the DS record for `apex` lives.
-    pub fn with_parent_authority<R>(
-        &self,
-        apex: &DnsName,
-        read: impl FnOnce(&DnsName, &[NsEndpoint]) -> R,
-    ) -> Option<R> {
-        self.with_authority(&apex.parent()?, read)
+    /// Find the authority for the *parent* of `apex` — where the DS
+    /// record for `apex` lives.
+    pub fn find_parent_authority(&self, apex: &DnsName) -> Option<(DnsName, Arc<[NsEndpoint]>)> {
+        self.find_authority(&apex.parent()?)
     }
 }
 
@@ -126,11 +99,6 @@ mod tests {
 
     fn ep(ns: &str, ip: &str) -> NsEndpoint {
         NsEndpoint { name: name(ns), ip: ip.parse().unwrap() }
-    }
-
-    /// A lookup's apex and a copy of its endpoints.
-    fn owned(apex: &DnsName, endpoints: &[NsEndpoint]) -> (DnsName, Vec<NsEndpoint>) {
-        (apex.clone(), endpoints.to_vec())
     }
 
     #[test]
@@ -170,9 +138,6 @@ mod tests {
             .find(|k| apexes.iter().any(|a| a == k));
             let by_parent = reg.find_authority(&name(n)).map(|(apex, _)| apex.key());
             assert_eq!(by_suffix.map(str::to_string), by_parent, "name {n}");
-            let lent = reg.with_authority(&name(n), |apex, eps| (apex.key(), eps.to_vec()));
-            let found = reg.find_authority(&name(n)).map(|(apex, eps)| (apex.key(), eps.to_vec()));
-            assert_eq!(lent, found, "name {n}");
         }
 
         let empty = DelegationRegistry::new();
@@ -187,11 +152,11 @@ mod tests {
         reg.delegate(&name("com"), vec![ep("a.gtld-servers.net", "192.5.6.30")]);
         reg.delegate(&name("a.com"), vec![ep("ns1.cloudflare.com", "173.245.58.1")]);
 
-        let (apex, _) = reg.with_parent_authority(&name("a.com"), owned).unwrap();
+        let (apex, _) = reg.find_parent_authority(&name("a.com")).unwrap();
         assert_eq!(apex, name("com"));
-        let (apex, _) = reg.with_parent_authority(&name("com"), owned).unwrap();
+        let (apex, _) = reg.find_parent_authority(&name("com")).unwrap();
         assert_eq!(apex, DnsName::root());
-        assert!(reg.with_parent_authority(&DnsName::root(), owned).is_none());
+        assert!(reg.find_parent_authority(&DnsName::root()).is_none());
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn find_authority_does_not_depend_on_the_endpoint_count() {
                 let (many, found) = allocs_in(|| registry.find_authority(&thirteen).unwrap());
                 assert_eq!((found.0.label_count(), found.1.len()), (2, 13));
                 assert_eq!((few, many), (0, 0));
-                assert!(registry.with_parent_authority(&found.0, |_, _| ()).is_some());
+                assert!(registry.find_parent_authority(&found.0).is_some());
             }
         });
         assert_eq!(counts, vec![0; threads], "{threads} threads");
@@ -82,7 +82,7 @@ fn find_authority_does_not_depend_on_the_endpoint_count() {
 }
 
 #[test]
-fn a_lent_authority_lookup_allocates_nothing_and_leaves_the_shared_list_alone() {
+fn an_authority_lookup_allocates_nothing_and_hands_out_the_shared_list() {
     let endpoints = |provider: &str| -> Vec<NsEndpoint> {
         (0..3)
             .map(|i| NsEndpoint {
@@ -100,24 +100,22 @@ fn a_lent_authority_lookup_allocates_nothing_and_leaves_the_shared_list_alone() 
     assert!(Arc::ptr_eq(&shared, &registry.endpoints_of(&name("c.com")).unwrap()));
     let holders = Arc::strong_count(&shared);
     let queries = [name("www.a.com"), name("B.com"), name("x.y.c.com")];
-    // What the resolver reads: the apex's labels and the lent list.
-    let read = |apex: &DnsName, eps: &[NsEndpoint]| (apex.label_count(), eps.as_ptr(), eps.len());
 
     for threads in thread_axis() {
         let counts = allocs_per_thread(threads, || {
             for _ in 0..100 {
                 for q in &queries {
-                    let (n, found) = allocs_in(|| registry.with_authority(black_box(q), read));
-                    assert_eq!((n, found), (0, Some((2, shared.as_ptr(), 3))));
-                    let (n, parent) = allocs_in(|| {
-                        registry.with_parent_authority(q, |apex, _| apex.label_count())
-                    });
-                    assert_eq!((n, parent.is_some()), (0, true));
+                    let (n, (apex, eps)) =
+                        allocs_in(|| registry.find_authority(black_box(q)).unwrap());
+                    assert_eq!((n, apex.label_count()), (0, 2));
+                    assert!(Arc::ptr_eq(&eps, &shared), "{q}: the registry's own list");
+                    let (n, parent) = allocs_in(|| registry.find_parent_authority(&apex));
+                    assert_eq!((n, parent.map(|(apex, _)| apex.label_count())), (0, Some(1)));
                 }
-                assert_eq!(Arc::strong_count(&shared), holders, "no lookup clones the list");
             }
         });
         assert_eq!(counts, vec![0; threads], "{threads} threads");
+        assert_eq!(Arc::strong_count(&shared), holders, "every lookup gave its count back");
     }
 }
 

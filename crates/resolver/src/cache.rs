@@ -707,21 +707,12 @@ impl RecordCache {
     /// Insert a positive RRset observed at `now`, under `(name, rtype)`,
     /// for its smallest record TTL. The set is stored as given — a
     /// reference count on its reply — and an empty one is not stored.
-    /// The set's owner is the entry's key: a set owned by a name other
-    /// than `name` is filed as owned by `name`.
-    pub fn insert_positive(
-        &self,
-        name: &DnsName,
-        rtype: RecordType,
-        mut set: RrSet,
-        now: Timestamp,
-    ) {
+    /// The set's owner is the entry's key, so `name` must be that owner.
+    pub fn insert_positive(&self, name: &DnsName, rtype: RecordType, set: RrSet, now: Timestamp) {
         if set.is_empty() {
             return;
         }
-        if set.owner() != name {
-            set.set_owner(name.clone());
-        }
+        debug_assert!(set.owner() == name, "{name} files a set owned by {}", set.owner());
         let ttl = self.effective_ttl(set.ttl());
         self.store(rtype, Stored::Positive(set), now, ttl);
     }
@@ -876,12 +867,10 @@ mod tests {
         DnsName::parse(s).unwrap()
     }
 
-    fn a_record(ttl: u32) -> Record {
-        Record::new(name("a.com"), ttl, RData::A(Ipv4Addr::new(1, 2, 3, 4)))
-    }
-
-    fn a_set(records: &[Record]) -> RrSet {
-        RrSet::from_records(records, &[])
+    /// An A set owned by `owner`, one record per TTL.
+    fn a_set(owner: &str, ttls: &[u32]) -> RrSet {
+        let a = |&ttl: &u32| Record::new(name(owner), ttl, RData::A(Ipv4Addr::new(1, 2, 3, 4)));
+        RrSet::from_records(&ttls.iter().map(a).collect::<Vec<_>>(), &[])
     }
 
     fn fnv1a_str(key: &str) -> u64 {
@@ -927,7 +916,7 @@ mod tests {
     }
 
     fn insert(cache: &RecordCache, host: &str, ttl: u32, now: u64) {
-        cache.insert_positive(&name(host), RecordType::A, a_set(&[a_record(ttl)]), Timestamp(now));
+        cache.insert_positive(&name(host), RecordType::A, a_set(host, &[ttl]), Timestamp(now));
     }
 
     fn has(cache: &RecordCache, host: &str, now: u64) -> bool {
@@ -937,7 +926,7 @@ mod tests {
     #[test]
     fn hit_until_ttl_expiry() {
         let cache = RecordCache::default();
-        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set("a.com", &[300]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(299)).is_some());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(300)).is_none());
         // After expiry the entry is evicted.
@@ -953,7 +942,7 @@ mod tests {
         let cache = RecordCache::default();
         // Nothing stored: an absent miss.
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(0)).is_none());
-        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set("a.com", &[300]), Timestamp(0));
         // Stored but dead: an expired miss (and an eviction).
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(400)).is_none());
         // Evicted now, so the next lookup is absent again.
@@ -975,7 +964,7 @@ mod tests {
             300,
             Timestamp(0),
         );
-        cache.insert_positive(&name("p.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("p.com"), RecordType::A, a_set("p.com", &[300]), Timestamp(0));
         assert!(cache.get(&name("n.com"), RecordType::Https, Timestamp(1)).is_some());
         assert!(cache.get(&name("n.com"), RecordType::Https, Timestamp(2)).is_some());
         assert!(cache.get(&name("p.com"), RecordType::A, Timestamp(1)).is_some());
@@ -988,7 +977,7 @@ mod tests {
     #[test]
     fn hot_path_lock_acquisitions_are_counted() {
         let cache = RecordCache::default();
-        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set("a.com", &[300]), Timestamp(0));
         let _ = cache.get(&name("a.com"), RecordType::A, Timestamp(1));
         let _ = cache.get_or_cname(&name("b.com"), RecordType::A, Timestamp(1));
         let _ = cache.expires_at(&name("a.com"), RecordType::A, Timestamp(1));
@@ -1004,7 +993,7 @@ mod tests {
     #[test]
     fn min_ttl_of_rrset_governs() {
         let cache = RecordCache::default();
-        let records = a_set(&[a_record(300), a_record(60)]);
+        let records = a_set("a.com", &[300, 60]);
         cache.insert_positive(&name("a.com"), RecordType::A, records, Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(59)).is_some());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(61)).is_none());
@@ -1030,7 +1019,7 @@ mod tests {
     #[test]
     fn ttl_clamp_caps_lifetime() {
         let cache = RecordCache::with_config(DEFAULT_SHARDS, Some(30));
-        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set("a.com", &[300]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(29)).is_some());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(31)).is_none());
     }
@@ -1038,7 +1027,7 @@ mod tests {
     #[test]
     fn flush_clears() {
         let cache = RecordCache::default();
-        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set("a.com", &[300]), Timestamp(0));
         cache.flush();
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_none());
         assert!(cache.is_empty());
@@ -1050,7 +1039,7 @@ mod tests {
         cache.insert_positive(
             &name("a.com"),
             RecordType::A,
-            a_set(&[a_record(300)]),
+            a_set("a.com", &[300]),
             Timestamp(100),
         );
         let expires = |now| cache.expires_at(&name("a.com"), RecordType::A, Timestamp(now));
@@ -1112,7 +1101,7 @@ mod tests {
     #[test]
     fn types_are_separate_keys() {
         let cache = RecordCache::default();
-        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set("a.com", &[300]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::Https, Timestamp(1)).is_none());
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_some());
     }
@@ -1120,14 +1109,14 @@ mod tests {
     #[test]
     fn case_insensitive_keying() {
         let cache = RecordCache::default();
-        cache.insert_positive(&name("A.COM"), RecordType::A, a_set(&[a_record(300)]), Timestamp(0));
+        cache.insert_positive(&name("A.COM"), RecordType::A, a_set("A.COM", &[300]), Timestamp(0));
         assert!(cache.get(&name("a.com"), RecordType::A, Timestamp(1)).is_some());
     }
 
     #[test]
     fn empty_rrset_not_inserted() {
         let cache = RecordCache::default();
-        cache.insert_positive(&name("a.com"), RecordType::A, a_set(&[]), Timestamp(0));
+        cache.insert_positive(&name("a.com"), RecordType::A, a_set("a.com", &[]), Timestamp(0));
         assert!(cache.is_empty());
     }
 
@@ -1136,8 +1125,8 @@ mod tests {
         let cache = RecordCache::with_config(1, None);
         assert_eq!(cache.shard_stats().len(), 1);
         for i in 0..32 {
-            let n = name(&format!("d{i}.example"));
-            cache.insert_positive(&n, RecordType::A, a_set(&[a_record(60)]), Timestamp(0));
+            let host = format!("d{i}.example");
+            cache.insert_positive(&name(&host), RecordType::A, a_set(&host, &[60]), Timestamp(0));
         }
         assert_eq!(cache.len(), 32);
         assert_eq!(cache.stats().insertions, 32);
@@ -1147,8 +1136,8 @@ mod tests {
     fn entries_spread_across_shards() {
         let cache = RecordCache::with_config(16, None);
         for i in 0..256 {
-            let n = name(&format!("d{i}.example"));
-            cache.insert_positive(&n, RecordType::A, a_set(&[a_record(60)]), Timestamp(0));
+            let host = format!("d{i}.example");
+            cache.insert_positive(&name(&host), RecordType::A, a_set(&host, &[60]), Timestamp(0));
         }
         assert_eq!(cache.len(), 256);
         let populated = cache.shards.iter().filter(|s| !s.inner.lock().entries.is_empty()).count();

@@ -625,7 +625,7 @@ impl<'a> EngineBatch<'a> {
 /// The serialization group of a query name: the apex of its deepest
 /// delegated zone, or the name itself where nothing is delegated.
 fn partition_apex(registry: &DelegationRegistry, name: &DnsName) -> DnsName {
-    registry.with_authority(name, |apex, _| apex.clone()).unwrap_or_else(|| name.clone())
+    registry.find_authority(name).map_or_else(|| name.clone(), |(apex, _)| apex)
 }
 
 /// Resolve one distinct query, recording its wall-clock latency when a

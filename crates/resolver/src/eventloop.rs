@@ -237,18 +237,23 @@ async fn query_authority_async(
     rtype: RecordType,
 ) -> Result<AuthorityReply, ResolveError> {
     let r = &ctx.resolver;
-    let (apex, order) = r.authority_order(name)?;
+    let (apex, endpoints) = r
+        .registry()
+        .find_authority(name)
+        .filter(|(_, endpoints)| !endpoints.is_empty())
+        .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
+    let order = r.selector().pick_order(&apex, &endpoints);
     let id = r.next_query_id();
     let wire = Message::query_dnssec(id, name.clone(), rtype).encode();
     let mut last_err = ResolveError::Lame(apex.clone());
     let mut timed_out_total = 0u32;
-    for (ep_index, &ip) in order.ips().iter().enumerate() {
+    for (ep_index, ep) in order.enumerate() {
         if ep_index > 0 {
             ctx.stats.borrow_mut().ns_fallbacks += 1;
         }
         let mut attempt = 0u32;
         loop {
-            match ctx.exchange(ip, &wire, attempt).await {
+            match ctx.exchange(ep.ip, &wire, attempt).await {
                 Ok(bytes) => match AuthorityReply::parse(&bytes, id, name, rtype) {
                     Some(resp) if resp.rcode == Rcode::Refused => {
                         last_err = ResolveError::Lame(apex.clone());

@@ -103,12 +103,6 @@ impl RrSet {
         &self.owner
     }
 
-    /// File the set under another owner name (a cache entry keyed by a
-    /// name the set was not fetched for).
-    pub(crate) fn set_owner(&mut self, owner: DnsName) {
-        self.owner = owner;
-    }
-
     /// The record type.
     pub fn rtype(&self) -> RecordType {
         RecordType::from_code(self.word(0) as u16)

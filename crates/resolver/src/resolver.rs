@@ -12,8 +12,8 @@
 
 use crate::cache::{CachedAnswer, RecordCache, DEFAULT_SHARDS};
 use crate::reply::{AuthorityReply, RrSet};
-use crate::selection::{NsOrder, NsSelector, SelectionStrategy};
-use authserver::DelegationRegistry;
+use crate::selection::{NsSelector, SelectionStrategy};
+use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::{write_dnssec_query, DnsName, Message, RData, Rcode, Record, RecordType};
 use dnssec::{ChainSource, ValidationState};
 use netsim::{DatagramService, NetError, Network, Timestamp};
@@ -212,6 +212,12 @@ impl RecursiveResolver {
         &self.registry
     }
 
+    /// The NS selector (shared with the event-loop backend so both
+    /// resolution paths consume one per-zone selection-state stream).
+    pub(crate) fn selector(&self) -> &NsSelector {
+        &self.selector
+    }
+
     /// Allocate the next DNS transaction id.
     pub(crate) fn next_query_id(&self) -> u16 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
@@ -344,22 +350,6 @@ impl RecursiveResolver {
         }
     }
 
-    /// The deepest zone holding `name` and its endpoints' addresses in
-    /// the selector's fallback order (the zone's stream stepped once),
-    /// picked under the registry's read lock. The event loop asks here
-    /// too, so both resolution paths consume one selection stream.
-    pub(crate) fn authority_order(
-        &self,
-        name: &DnsName,
-    ) -> Result<(DnsName, NsOrder), ResolveError> {
-        self.registry
-            .with_authority(name, |apex, endpoints| {
-                (apex.clone(), NsOrder::of(self.selector.pick_order(apex, endpoints)))
-            })
-            .filter(|(_, order)| !order.ips().is_empty())
-            .ok_or_else(|| ResolveError::NoAuthority(name.clone()))
-    }
-
     /// One authoritative round: select endpoints for the deepest zone and
     /// try them in fallback order.
     fn query_authority(
@@ -367,8 +357,12 @@ impl RecursiveResolver {
         name: &DnsName,
         rtype: RecordType,
     ) -> Result<AuthorityReply, ResolveError> {
-        let (apex, order) = self.authority_order(name)?;
-        self.ask(&apex, &order, name, rtype)
+        let (apex, endpoints) = self
+            .registry
+            .find_authority(name)
+            .filter(|(_, endpoints)| !endpoints.is_empty())
+            .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
+        self.ask(&apex, self.selector.pick_order(&apex, &endpoints), name, rtype)
     }
 
     /// Send one query for `(name, rtype)` to `zone`'s endpoints in the
@@ -376,10 +370,10 @@ impl RecursiveResolver {
     /// written and each reply received in this thread's [`EXCHANGE`]
     /// buffers, so the exchange allocates only what a usable reply is
     /// parsed into.
-    fn ask(
+    fn ask<'a>(
         &self,
         zone: &DnsName,
-        order: &NsOrder,
+        order: impl Iterator<Item = &'a NsEndpoint>,
         name: &DnsName,
         rtype: RecordType,
     ) -> Result<AuthorityReply, ResolveError> {
@@ -388,8 +382,8 @@ impl RecursiveResolver {
         write_dnssec_query(&mut query, id, name, rtype);
         let mut last_err = ResolveError::Lame(zone.clone());
         let outcome = 'ask: {
-            for &ip in order.ips() {
-                last_err = match self.network.send_datagram_into(ip, 53, &query, &mut reply) {
+            for ep in order {
+                last_err = match self.network.send_datagram_into(ep.ip, 53, &query, &mut reply) {
                     Ok(()) => match AuthorityReply::parse(&reply, id, name, rtype) {
                         Some(resp) if resp.rcode == Rcode::Refused => {
                             ResolveError::Lame(zone.clone())
@@ -424,11 +418,8 @@ impl RecursiveResolver {
             None => {}
         }
         let resp = if rtype == RecordType::Ds {
-            let (parent, order) =
-                self.registry.with_parent_authority(zone, |parent, endpoints| {
-                    (parent.clone(), NsOrder::of(self.selector.pick_order_ds(zone, endpoints)))
-                })?;
-            self.ask(&parent, &order, zone, rtype).ok()?
+            let (parent, endpoints) = self.registry.find_parent_authority(zone)?;
+            self.ask(&parent, self.selector.pick_order_ds(zone, &endpoints), zone, rtype).ok()?
         } else {
             let resp = self.query_authority(zone, rtype).ok()?;
             resp.sets().for_each(|set| self.cache_rrset(&set, now));

@@ -5,13 +5,12 @@
 //! strategy is pluggable and an ablation axis.
 
 use crate::cache::fnv1a_key;
-use authserver::{NsEndpoint, MAX_NS_ENDPOINTS};
+use authserver::NsEndpoint;
 use dns_wire::{DnsName, NameBuildHasher};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr};
 
 /// Strategy for picking an NS endpoint from a zone's delegation set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,32 +26,6 @@ pub enum SelectionStrategy {
     /// zone are independent of how queries against other zones
     /// interleave.
     Random,
-}
-
-/// A zone's endpoint addresses in fallback order, copied out of the
-/// registry's shared list while its read lock is held: the exchanges
-/// that follow hold neither the lock nor a reference to the list.
-pub(crate) struct NsOrder {
-    ips: [IpAddr; MAX_NS_ENDPOINTS],
-    len: usize,
-}
-
-impl NsOrder {
-    /// The addresses of `order`'s endpoints, in its order (a delegation
-    /// keeps at most [`MAX_NS_ENDPOINTS`]).
-    pub(crate) fn of<'a>(order: impl Iterator<Item = &'a NsEndpoint>) -> NsOrder {
-        let mut ips = [IpAddr::V4(Ipv4Addr::UNSPECIFIED); MAX_NS_ENDPOINTS];
-        let mut len = 0;
-        for (slot, ep) in ips.iter_mut().zip(order) {
-            *slot = ep.ip;
-            len += 1;
-        }
-        NsOrder { ips, len }
-    }
-
-    pub(crate) fn ips(&self) -> &[IpAddr] {
-        &self.ips[..self.len]
-    }
 }
 
 /// Stateful selector owned by one resolver.
