@@ -46,10 +46,11 @@ impl DelegationRegistry {
     }
 
     /// Set (replace) the NS endpoints for a zone apex. A list equal to
-    /// one delegated before shares that one's allocation.
-    pub fn delegate(&self, apex: &DnsName, endpoints: Vec<NsEndpoint>) {
+    /// one delegated before shares that one's allocation; only a list
+    /// not seen before is copied.
+    pub fn delegate(&self, apex: &DnsName, endpoints: &[NsEndpoint]) {
         let mut st = self.state.write();
-        let list = match st.lists.get(endpoints.as_slice()) {
+        let list = match st.lists.get(endpoints) {
             Some(list) => Arc::clone(list),
             None => {
                 let list: Arc<[NsEndpoint]> = endpoints.into();
@@ -104,9 +105,9 @@ mod tests {
     #[test]
     fn deepest_delegation_wins() {
         let reg = DelegationRegistry::new();
-        reg.delegate(&DnsName::root(), vec![ep("a.root-servers.net", "198.41.0.4")]);
-        reg.delegate(&name("com"), vec![ep("a.gtld-servers.net", "192.5.6.30")]);
-        reg.delegate(&name("a.com"), vec![ep("ns1.cloudflare.com", "173.245.58.1")]);
+        reg.delegate(&DnsName::root(), &[ep("a.root-servers.net", "198.41.0.4")]);
+        reg.delegate(&name("com"), &[ep("a.gtld-servers.net", "192.5.6.30")]);
+        reg.delegate(&name("a.com"), &[ep("ns1.cloudflare.com", "173.245.58.1")]);
 
         let (apex, eps) = reg.find_authority(&name("www.a.com")).unwrap();
         assert_eq!(apex, name("a.com"));
@@ -124,9 +125,9 @@ mod tests {
         // The registry used to be keyed by the dotted key and walked its
         // dot-suffixes; walking a name's parents must find the same apex.
         let reg = DelegationRegistry::new();
-        reg.delegate(&DnsName::root(), vec![ep("a.root-servers.net", "198.41.0.4")]);
-        reg.delegate(&name("com"), vec![ep("a.gtld-servers.net", "192.5.6.30")]);
-        reg.delegate(&name("a.com"), vec![ep("ns1.cloudflare.com", "173.245.58.1")]);
+        reg.delegate(&DnsName::root(), &[ep("a.root-servers.net", "198.41.0.4")]);
+        reg.delegate(&name("com"), &[ep("a.gtld-servers.net", "192.5.6.30")]);
+        reg.delegate(&name("a.com"), &[ep("ns1.cloudflare.com", "173.245.58.1")]);
         let apexes = [".", "a.com", "com"];
 
         for n in ["www.a.com", "WWW.A.Com", "a.com", "b.com", "x.org", "."] {
@@ -148,9 +149,9 @@ mod tests {
     #[test]
     fn parent_authority_for_ds() {
         let reg = DelegationRegistry::new();
-        reg.delegate(&DnsName::root(), vec![ep("a.root-servers.net", "198.41.0.4")]);
-        reg.delegate(&name("com"), vec![ep("a.gtld-servers.net", "192.5.6.30")]);
-        reg.delegate(&name("a.com"), vec![ep("ns1.cloudflare.com", "173.245.58.1")]);
+        reg.delegate(&DnsName::root(), &[ep("a.root-servers.net", "198.41.0.4")]);
+        reg.delegate(&name("com"), &[ep("a.gtld-servers.net", "192.5.6.30")]);
+        reg.delegate(&name("a.com"), &[ep("ns1.cloudflare.com", "173.245.58.1")]);
 
         let (apex, _) = reg.find_parent_authority(&name("a.com")).unwrap();
         assert_eq!(apex, name("com"));
@@ -162,7 +163,7 @@ mod tests {
     #[test]
     fn undelegate_removes() {
         let reg = DelegationRegistry::new();
-        reg.delegate(&name("a.com"), vec![ep("ns1.x.net", "1.1.1.1")]);
+        reg.delegate(&name("a.com"), &[ep("ns1.x.net", "1.1.1.1")]);
         assert!(reg.undelegate(&name("a.com")));
         assert!(!reg.undelegate(&name("a.com")));
         assert!(reg.find_authority(&name("a.com")).is_none());
@@ -172,7 +173,7 @@ mod tests {
     fn multiple_endpoints_preserved_in_order() {
         let reg = DelegationRegistry::new();
         let eps = vec![ep("ns1.x.net", "1.1.1.1"), ep("ns2.y.net", "2.2.2.2")];
-        reg.delegate(&name("a.com"), eps.clone());
+        reg.delegate(&name("a.com"), &eps);
         assert_eq!(reg.endpoints_of(&name("a.com")).unwrap()[..], eps[..]);
     }
 
@@ -181,9 +182,9 @@ mod tests {
         let reg = DelegationRegistry::new();
         let provider = || vec![ep("ns1.x.net", "1.1.1.1"), ep("ns2.x.net", "2.2.2.2")];
         let (a, b, c) = (name("a.com"), name("b.com"), name("c.com"));
-        reg.delegate(&a, provider());
-        reg.delegate(&b, provider());
-        reg.delegate(&c, vec![ep("ns1.y.net", "3.3.3.3")]);
+        reg.delegate(&a, &provider());
+        reg.delegate(&b, &provider());
+        reg.delegate(&c, &[ep("ns1.y.net", "3.3.3.3")]);
         let first = reg.endpoints_of(&a).unwrap();
         assert!(Arc::ptr_eq(&first, &reg.endpoints_of(&b).unwrap()));
         assert!(!Arc::ptr_eq(&first, &reg.endpoints_of(&c).unwrap()));
@@ -191,11 +192,11 @@ mod tests {
         // The list outlives every zone delegated to it.
         assert!(reg.undelegate(&a));
         assert!(reg.undelegate(&b));
-        reg.delegate(&a, provider());
+        reg.delegate(&a, &provider());
         assert!(Arc::ptr_eq(&first, &reg.endpoints_of(&a).unwrap()));
 
         // Order is part of the list: a reordered set is its own.
-        reg.delegate(&b, provider().into_iter().rev().collect());
+        reg.delegate(&b, &provider().into_iter().rev().collect::<Vec<_>>());
         assert!(!Arc::ptr_eq(&first, &reg.endpoints_of(&b).unwrap()));
     }
 }

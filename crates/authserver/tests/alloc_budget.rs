@@ -60,9 +60,9 @@ fn find_authority_does_not_depend_on_the_endpoint_count() {
             .collect()
     };
     let registry = DelegationRegistry::new();
-    registry.delegate(&name("com"), endpoints(2));
-    registry.delegate(&name("one.com"), endpoints(1));
-    registry.delegate(&name("thirteen.com"), endpoints(13));
+    registry.delegate(&name("com"), &endpoints(2));
+    registry.delegate(&name("one.com"), &endpoints(1));
+    registry.delegate(&name("thirteen.com"), &endpoints(13));
     let one = name("a.b.www.one.com");
     let thirteen = name("a.b.www.thirteen.com");
 
@@ -92,9 +92,9 @@ fn an_authority_lookup_allocates_nothing_and_hands_out_the_shared_list() {
             .collect()
     };
     let registry = DelegationRegistry::new();
-    registry.delegate(&name("com"), endpoints("gtld.net"));
+    registry.delegate(&name("com"), &endpoints("gtld.net"));
     for zone in ["a.com", "b.com", "c.com"] {
-        registry.delegate(&name(zone), endpoints("provider.net"));
+        registry.delegate(&name(zone), &endpoints("provider.net"));
     }
     let shared = registry.endpoints_of(&name("a.com")).unwrap();
     assert!(Arc::ptr_eq(&shared, &registry.endpoints_of(&name("c.com")).unwrap()));

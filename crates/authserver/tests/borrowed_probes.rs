@@ -49,7 +49,7 @@ proptest! {
             zone.add(Record::new(apex.clone(), 300, RData::A(Ipv4Addr::new(192, 0, 2, i as u8))));
             zones.insert(zone);
             let ip = IpAddr::V4(Ipv4Addr::new(198, 51, 100, i as u8));
-            registry.delegate(apex, vec![NsEndpoint { name: apex.clone(), ip }]);
+            registry.delegate(apex, &[NsEndpoint { name: apex.clone(), ip }]);
         }
         let server = AuthoritativeServer::new(zones.clone());
 

@@ -1,13 +1,12 @@
 //! The navigation engine: drives one URL load through DNS (HTTPS, A and
-//! AAAA queries via the shared [`QueryEngine`]), HTTPS-RR
-//! interpretation, TLS (optionally with ECH), and the profile's failover
-//! behaviours, producing a typed event trace that the testbed asserts
-//! on.
+//! AAAA queries, each one datagram to the browser's recursive resolver
+//! over the simulated network), HTTPS-RR interpretation, TLS (optionally
+//! with ECH), and the profile's failover behaviours, producing a typed
+//! event trace that the testbed asserts on.
 
 use crate::profile::{BrowserProfile, IpFallback, MalformedEchBehavior};
-use dns_wire::{DnsName, RData, Record, RecordType, SvcbRdata};
+use dns_wire::{DnsName, Message, RData, Record, RecordType, SvcbRdata};
 use netsim::Network;
-use resolver::QueryEngine;
 use std::net::IpAddr;
 use tlsech::{AlertCause, ClientHello, EchConfigList, EchExtension, InnerHello, ServerResponse};
 
@@ -128,103 +127,99 @@ impl Navigation {
     }
 }
 
-/// A browser instance resolving through a [`QueryEngine`] and connecting
-/// over the engine's simulated network.
+/// A browser instance: it asks its recursive resolver every DNS
+/// question over the simulated network, and connects over that network.
 pub struct Browser {
     profile: BrowserProfile,
-    engine: QueryEngine,
-    /// The advertised address of the configured recursive resolver. DNS
-    /// semantics come from the engine, but the stub-to-recursive hop is
-    /// still subject to this address's reachability (so tests can
-    /// blackhole the resolver).
+    network: Network,
+    /// The configured recursive resolver, asked at port 53.
     resolver_ip: IpAddr,
 }
 
 impl Browser {
-    /// Create a browser resolving through `engine`, whose recursive
-    /// resolver is advertised at `resolver_ip:53`.
-    pub fn new(profile: BrowserProfile, engine: QueryEngine, resolver_ip: IpAddr) -> Browser {
-        Browser { profile, engine, resolver_ip }
-    }
-
-    fn network(&self) -> &Network {
-        self.engine.network()
+    /// Create a browser on `network` whose recursive resolver listens at
+    /// `resolver_ip:53`.
+    pub fn new(profile: BrowserProfile, network: Network, resolver_ip: IpAddr) -> Browser {
+        Browser { profile, network, resolver_ip }
     }
 
     /// Load `host` with the given URL form.
     pub fn navigate(&self, host: &str, scheme: UrlScheme) -> Navigation {
-        let mut events = Vec::new();
-        let outcome = self.navigate_inner(host, scheme, &mut events);
-        Navigation { outcome, events }
+        let mut visit = Visit { browser: self, host, events: Vec::new() };
+        let outcome = visit.run(scheme);
+        Navigation { outcome, events: visit.events }
+    }
+}
+
+/// The ALPN offer when no HTTPS record names the protocols.
+fn default_alpn() -> Vec<String> {
+    vec!["h2".to_string(), "http/1.1".to_string()]
+}
+
+/// One navigation in progress: the browser, the host it loads (the SNI,
+/// inner SNI under ECH, and the name the certificate must cover) and
+/// the events observed so far.
+struct Visit<'a> {
+    browser: &'a Browser,
+    host: &'a str,
+    events: Vec<NavEvent>,
+}
+
+impl<'a> Visit<'a> {
+    fn profile(&self) -> &'a BrowserProfile {
+        &self.browser.profile
     }
 
-    fn navigate_inner(&self, host: &str, scheme: UrlScheme, events: &mut Vec<NavEvent>) -> Outcome {
-        let Ok(host_name) = DnsName::parse(host) else {
+    fn run(&mut self, scheme: UrlScheme) -> Outcome {
+        let Ok(host_name) = DnsName::parse(self.host) else {
             return Outcome::Failed(FailureReason::DnsFailure);
         };
+        let profile = self.profile();
 
         // 1. DNS: browsers race HTTPS, A and AAAA queries for every URL
         // form (v4 preferred among the candidates, v6 appended).
-        let https_answers = if self.profile.queries_https_rr {
-            self.dns_query(&host_name, RecordType::Https, events)
+        let https_answers = if profile.queries_https_rr {
+            self.dns_query(&host_name, RecordType::Https)
         } else {
             Vec::new()
         };
-        let host_ips = self.resolve_addrs(&host_name, events);
-
-        let mut https_record = select_https_record(&https_answers);
-        if let Some(rd) = https_record {
-            if self.profile.ignores_record_without_alpn && !rd.is_alias() && rd.alpn_ids().is_none()
-            {
-                https_record = None;
-            }
-        }
+        let host_ips = self.resolve_addrs(&host_name);
+        let record = select_https_record(&https_answers).filter(|rd| {
+            !(profile.ignores_record_without_alpn && !rd.is_alias() && rd.alpn_ids().is_none())
+        });
 
         // 2. Scheme decision.
         let go_https = match scheme {
             UrlScheme::Https => true,
-            UrlScheme::Bare | UrlScheme::Http => {
-                https_record.is_some() && self.profile.upgrades_on_https_rr
-            }
+            UrlScheme::Bare | UrlScheme::Http => record.is_some() && profile.upgrades_on_https_rr,
         };
         if !go_https {
             // Plaintext HTTP to the A-record address.
             let Some(ip) = host_ips.first().copied() else {
                 return Outcome::Failed(FailureReason::NoAddress);
             };
-            events.push(NavEvent::HttpAttempt { ip, port: 80 });
-            return match self.network().stream_exchange(ip, 80, b"GET / HTTP/1.1\r\n\r\n") {
+            self.events.push(NavEvent::HttpAttempt { ip, port: 80 });
+            return match self.browser.network.stream_exchange(ip, 80, b"GET / HTTP/1.1\r\n\r\n") {
                 Ok(_) => Outcome::HttpOk { ip },
                 Err(_) => Outcome::Failed(FailureReason::ConnectFailed),
             };
         }
 
         // 3. HTTPS path.
-        let Some(record) = https_record else {
+        match record {
             // No HTTPS RR: plain TLS to the A address on 443.
-            let Some(ip) = host_ips.first().copied() else {
-                return Outcome::Failed(FailureReason::NoAddress);
-            };
-            let alpn = vec!["h2".to_string(), "http/1.1".to_string()];
-            return self.tls_connect(ip, 443, host, alpn, None, host, events, &[]);
-        };
-        let record = record.clone();
-
-        if record.is_alias() {
-            return self.navigate_alias(&record, host, &host_ips, events);
+            None => match host_ips.first().copied() {
+                Some(ip) => self.tls_connect(ip, 443, &default_alpn(), None, &[]),
+                None => Outcome::Failed(FailureReason::NoAddress),
+            },
+            Some(record) if record.is_alias() => self.alias(record, &host_ips),
+            Some(record) => self.service(record, &host_name, &host_ips),
         }
-        self.navigate_service(&record, &host_name, host, &host_ips, events)
     }
 
-    fn navigate_alias(
-        &self,
-        record: &SvcbRdata,
-        host: &str,
-        host_ips: &[IpAddr],
-        events: &mut Vec<NavEvent>,
-    ) -> Outcome {
-        let target_ips = if self.profile.follows_alias_target && !record.target.is_root() {
-            self.resolve_addrs(&record.target, events)
+    fn alias(&mut self, record: &SvcbRdata, host_ips: &[IpAddr]) -> Outcome {
+        let target_ips = if self.profile().follows_alias_target && !record.target.is_root() {
+            self.resolve_addrs(&record.target)
         } else {
             // Chrome/Edge/Firefox: keep trying the owner name's addresses.
             host_ips.to_vec()
@@ -233,74 +228,66 @@ impl Browser {
             // The paper's observed failure: no IP associated with the owner.
             return Outcome::Failed(FailureReason::NoAddress);
         };
-        let alpn = vec!["h2".to_string(), "http/1.1".to_string()];
-        self.tls_connect(ip, 443, host, alpn, None, host, events, &target_ips[1..])
+        self.tls_connect(ip, 443, &default_alpn(), None, &target_ips[1..])
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn navigate_service(
-        &self,
-        record: &SvcbRdata,
-        host_name: &DnsName,
-        host: &str,
-        host_ips: &[IpAddr],
-        events: &mut Vec<NavEvent>,
-    ) -> Outcome {
+    fn service(&mut self, record: &SvcbRdata, host_name: &DnsName, host_ips: &[IpAddr]) -> Outcome {
+        let profile = self.profile();
+
         // Endpoint selection (TargetName).
-        let endpoint_name = if !record.target.is_root() && self.profile.follows_service_target {
+        let endpoint_name = if !record.target.is_root() && profile.follows_service_target {
             record.target.clone()
         } else {
             host_name.clone()
         };
 
         // Address candidates: A records of the endpoint vs IP hints.
-        let endpoint_ips: Vec<IpAddr> = if endpoint_name.key() == host.to_ascii_lowercase() {
+        let endpoint_ips: Vec<IpAddr> = if endpoint_name.key() == self.host.to_ascii_lowercase() {
             host_ips.to_vec()
         } else {
-            self.resolve_addrs(&endpoint_name, events)
+            self.resolve_addrs(&endpoint_name)
         };
         let hint_ips: Vec<IpAddr> = record
             .ipv4hint()
             .map(|v| v.iter().map(|a| IpAddr::V4(*a)).collect())
             .unwrap_or_default();
 
-        let (primary, secondary) = if self.profile.prefers_ip_hints && !hint_ips.is_empty() {
-            (hint_ips.clone(), endpoint_ips.clone())
+        let (primary, secondary) = if profile.prefers_ip_hints && !hint_ips.is_empty() {
+            (hint_ips, endpoint_ips)
         } else if !endpoint_ips.is_empty() {
-            (endpoint_ips.clone(), hint_ips.clone())
+            (endpoint_ips, hint_ips)
         } else {
-            (hint_ips.clone(), Vec::new())
+            (hint_ips, Vec::new())
         };
         let Some(first_ip) = primary.first().copied() else {
             return Outcome::Failed(FailureReason::NoAddress);
         };
 
         // Port.
-        let advertised_port = record.port();
-        let port = if self.profile.uses_port_param { advertised_port.unwrap_or(443) } else { 443 };
+        let port = if profile.uses_port_param { record.port().unwrap_or(443) } else { 443 };
 
         // ALPN offer: the record's protocols intersected with support.
         let alpn: Vec<String> = match record.alpn() {
             Some(ids) => ids
                 .into_iter()
-                .filter(|p| self.profile.supported_alpn.contains(&p.as_ref()))
+                .filter(|p| profile.supported_alpn.contains(&p.as_ref()))
                 .map(|p| p.into_owned())
                 .collect(),
-            None => vec!["h2".to_string(), "http/1.1".to_string()],
+            None => default_alpn(),
         };
 
         // ECH.
         let mut ech_config: Option<EchConfigList> = None;
         if let Some(bytes) = record.ech() {
-            if self.profile.supports_ech {
+            if profile.supports_ech {
                 match EchConfigList::decode(bytes) {
                     Some(list) => ech_config = Some(list),
-                    None => match self.profile.malformed_ech {
+                    None => match profile.malformed_ech {
                         MalformedEchBehavior::HardFail => {
                             return Outcome::Failed(FailureReason::MalformedEch);
                         }
                         MalformedEchBehavior::Ignore => {
-                            events.push(NavEvent::Fallback("ignored malformed ECH config"));
+                            self.events.push(NavEvent::Fallback("ignored malformed ECH config"));
                         }
                     },
                 }
@@ -310,150 +297,100 @@ impl Browser {
         // Split-mode-aware connection target.
         let (connect_ip, fallback_ips): (IpAddr, Vec<IpAddr>) = match &ech_config {
             Some(list)
-                if self.profile.supports_ech_split_mode
+                if profile.supports_ech_split_mode
                     && list.preferred().public_name != endpoint_name =>
             {
                 // Correct split-mode behaviour: resolve the public name and
                 // connect to the client-facing server.
-                let ips = self.resolve_addrs(&list.preferred().public_name, events);
+                let ips = self.resolve_addrs(&list.preferred().public_name);
                 match ips.first().copied() {
                     Some(ip) => (ip, ips[1..].to_vec()),
                     None => return Outcome::Failed(FailureReason::NoAddress),
                 }
             }
-            _ => (first_ip, secondary.clone()),
+            _ => (first_ip, secondary),
         };
 
-        // First attempt (with failovers inside).
-        let outcome = self.tls_connect_with_fallbacks(
-            connect_ip,
-            port,
-            host,
-            alpn.clone(),
-            ech_config.as_ref(),
-            events,
-            &fallback_ips,
-            advertised_port,
-        );
+        let ech = ech_config.as_ref();
+        let mut outcome = self.tls_connect(connect_ip, port, &alpn, ech, &fallback_ips);
+        // Port failover: if the advertised port failed at connect level,
+        // Safari/Firefox retry on 443.
+        if outcome == Outcome::Failed(FailureReason::ConnectFailed)
+            && profile.port_fallback
+            && port != 443
+        {
+            self.events.push(NavEvent::Fallback("port fallback to 443"));
+            outcome = self.tls_connect(connect_ip, 443, &alpn, ech, &fallback_ips);
+        }
 
         // Firefox compatibility: after an h3-only success, race an h2
         // connection as well.
-        if self.profile.h3_then_h2_compat {
+        if profile.h3_then_h2_compat {
             if let Outcome::HttpsOk { alpn: Some(p), .. } = &outcome {
                 if p == "h3" && alpn.iter().all(|a| a == "h3") {
-                    events.push(NavEvent::H2CompatAttempt);
+                    self.events.push(NavEvent::H2CompatAttempt);
                 }
             }
         }
         outcome
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn tls_connect_with_fallbacks(
-        &self,
-        ip: IpAddr,
-        port: u16,
-        host: &str,
-        alpn: Vec<String>,
-        ech: Option<&EchConfigList>,
-        events: &mut Vec<NavEvent>,
-        fallback_ips: &[IpAddr],
-        advertised_port: Option<u16>,
-    ) -> Outcome {
-        let first = self.tls_connect(ip, port, host, alpn.clone(), ech, host, events, fallback_ips);
-        // Port failover: if the advertised port failed at connect level,
-        // Safari/Firefox retry on 443.
-        if let Outcome::Failed(FailureReason::ConnectFailed) = first {
-            if self.profile.port_fallback && advertised_port.is_some() && port != 443 {
-                events.push(NavEvent::Fallback("port fallback to 443"));
-                return self.tls_connect(ip, 443, host, alpn, ech, host, events, fallback_ips);
-            }
-        }
-        first
-    }
-
     /// One TLS connection attempt (plus intra-call IP failover and ECH
     /// fallback/retry logic).
-    #[allow(clippy::too_many_arguments)]
     fn tls_connect(
-        &self,
+        &mut self,
         ip: IpAddr,
         port: u16,
-        host: &str,
-        alpn: Vec<String>,
+        alpn: &[String],
         ech: Option<&EchConfigList>,
-        inner_host: &str,
-        events: &mut Vec<NavEvent>,
         fallback_ips: &[IpAddr],
     ) -> Outcome {
         let hello = match ech {
             Some(list) => {
                 let cfg = list.preferred();
-                let inner = InnerHello { sni: inner_host.to_string(), alpn: alpn.clone() };
+                let inner = InnerHello { sni: self.host.to_string(), alpn: alpn.to_vec() };
                 let sealed = cfg.public_key.seal(cfg.public_name.key().as_bytes(), &inner.encode());
                 ClientHello {
                     sni: cfg.public_name.key(),
-                    alpn: alpn.clone(),
+                    alpn: alpn.to_vec(),
                     ech: Some(EchExtension { config_id: cfg.config_id, sealed_inner: sealed }),
                 }
             }
-            None => ClientHello::plain(host, alpn.clone()),
+            None => ClientHello::plain(self.host, alpn.to_vec()),
         };
-        events.push(NavEvent::TlsAttempt {
+        self.events.push(NavEvent::TlsAttempt {
             ip,
             port,
             sni: hello.sni.clone(),
             ech: hello.ech.is_some(),
-            alpn: alpn.clone(),
+            alpn: alpn.to_vec(),
         });
 
-        let resp_bytes = match self.network().stream_exchange(ip, port, &hello.encode()) {
-            Ok(b) => b,
-            Err(_) => {
-                // IP failover per profile.
-                match self.profile.ip_fallback {
-                    IpFallback::HardFail => return Outcome::Failed(FailureReason::ConnectFailed),
-                    IpFallback::Immediate | IpFallback::Delayed => {
-                        if let Some(next) = fallback_ips.first().copied() {
-                            events.push(NavEvent::Fallback(
-                                if self.profile.ip_fallback == IpFallback::Immediate {
-                                    "immediate IP failover"
-                                } else {
-                                    "delayed IP failover"
-                                },
-                            ));
-                            return self.tls_connect(
-                                next,
-                                port,
-                                host,
-                                alpn,
-                                ech,
-                                inner_host,
-                                events,
-                                &fallback_ips[1..],
-                            );
-                        }
-                        return Outcome::Failed(FailureReason::ConnectFailed);
-                    }
+        let Ok(resp_bytes) = self.browser.network.stream_exchange(ip, port, &hello.encode()) else {
+            // IP failover per profile.
+            let (action, next) = match (self.profile().ip_fallback, fallback_ips.first()) {
+                (IpFallback::HardFail, _) | (_, None) => {
+                    return Outcome::Failed(FailureReason::ConnectFailed)
                 }
-            }
+                (IpFallback::Immediate, Some(&next)) => ("immediate IP failover", next),
+                (IpFallback::Delayed, Some(&next)) => ("delayed IP failover", next),
+            };
+            self.events.push(NavEvent::Fallback(action));
+            return self.tls_connect(next, port, alpn, ech, &fallback_ips[1..]);
         };
         let Some(resp) = ServerResponse::decode(&resp_bytes) else {
             return Outcome::Failed(FailureReason::TlsAlert);
         };
-        self.handle_response(resp, ip, port, host, alpn, ech, events)
+        self.handle_response(resp, ip, port, alpn, ech)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_response(
-        &self,
+        &mut self,
         resp: ServerResponse,
         ip: IpAddr,
         port: u16,
-        host: &str,
-        alpn: Vec<String>,
+        alpn: &[String],
         ech: Option<&EchConfigList>,
-        events: &mut Vec<NavEvent>,
     ) -> Outcome {
         match resp {
             ServerResponse::Accepted { cert_name, alpn: negotiated, used_ech, served_sni: _ } => {
@@ -463,29 +400,28 @@ impl Browser {
                     // draft, validate the certificate against the OUTER
                     // name; on success retry without ECH, otherwise it is
                     // the ECH-fallback certificate error.
-                    let outer = &list.preferred().public_name;
-                    if cert_name == *outer {
-                        events.push(NavEvent::Fallback("ECH not accepted; standard TLS retry"));
-                        return self.tls_connect(ip, port, host, alpn, None, host, events, &[]);
+                    if cert_name == list.preferred().public_name {
+                        self.events
+                            .push(NavEvent::Fallback("ECH not accepted; standard TLS retry"));
+                        return self.tls_connect(ip, port, alpn, None, &[]);
                     }
                     return Outcome::Failed(FailureReason::CertificateInvalid);
                 }
                 // Normal certificate validation against the target host.
-                let expected = DnsName::parse(host).ok();
-                if expected.map(|e| e != cert_name).unwrap_or(true) {
+                if !DnsName::parse(self.host).is_ok_and(|expected| expected == cert_name) {
                     return Outcome::Failed(FailureReason::CertificateInvalid);
                 }
                 Outcome::HttpsOk { ip, port, alpn: negotiated, used_ech }
             }
             ServerResponse::EchRetry { retry_configs, .. } => {
-                if !self.profile.supports_ech_retry {
+                if !self.profile().supports_ech_retry {
                     return Outcome::Failed(FailureReason::TlsAlert);
                 }
                 let Some(list) = EchConfigList::decode(&retry_configs) else {
                     return Outcome::Failed(FailureReason::TlsAlert);
                 };
-                events.push(NavEvent::EchRetry);
-                self.tls_connect(ip, port, host, alpn, Some(&list), host, events, &[])
+                self.events.push(NavEvent::EchRetry);
+                self.tls_connect(ip, port, alpn, Some(&list), &[])
             }
             ServerResponse::Alert(cause) => Outcome::Failed(match cause {
                 AlertCause::CertificateInvalid => FailureReason::CertificateInvalid,
@@ -494,42 +430,29 @@ impl Browser {
         }
     }
 
-    /// Issue one DNS query through the engine, returning the answer
-    /// records — the traversed CNAME chain followed by the final RRset —
-    /// or empty on failure. The stub-to-recursive hop approximates the
-    /// removed on-wire path: the query fails (empty answers) when the
-    /// resolver's advertised address is blackholed or nothing listens
-    /// at `resolver_ip:53`; unlike the wire path, the hop itself is not
-    /// counted in [`netsim::TrafficStats`].
-    fn dns_query(
-        &self,
-        name: &DnsName,
-        qtype: RecordType,
-        events: &mut Vec<NavEvent>,
-    ) -> Vec<Record> {
-        events.push(NavEvent::DnsQuery { name: name.key(), qtype });
-        if self.network().can_connect(self.resolver_ip, 53).is_err() {
-            return Vec::new();
-        }
-        match self.engine.resolve(name, qtype) {
-            Ok(res) => {
-                let mut records = res.chain;
-                records.extend(res.records.to_records());
-                records
-            }
-            Err(_) => Vec::new(),
-        }
+    /// Ask the resolver one question, as one query datagram to
+    /// `resolver_ip:53`, returning the reply's answer records (a CNAME
+    /// chain, then the final RRset), or none when the resolver cannot be
+    /// reached or fails the query.
+    fn dns_query(&mut self, name: &DnsName, qtype: RecordType) -> Vec<Record> {
+        self.events.push(NavEvent::DnsQuery { name: name.key(), qtype });
+        let query = Message::query(0, name.clone(), qtype).encode();
+        self.browser
+            .network
+            .send_datagram(self.browser.resolver_ip, 53, &query)
+            .ok()
+            .and_then(|reply| Message::decode(&reply).ok())
+            .map(|reply| reply.answers)
+            .unwrap_or_default()
     }
 
     /// Resolve the address candidates for `name`: A records first (every
     /// simulated web endpoint is v4), then AAAA records.
-    fn resolve_addrs(&self, name: &DnsName, events: &mut Vec<NavEvent>) -> Vec<IpAddr> {
-        let mut ips = a_ips(&self.dns_query(name, RecordType::A, events));
-        ips.extend(self.dns_query(name, RecordType::Aaaa, events).iter().filter_map(|r| {
-            match &r.rdata {
-                RData::Aaaa(a) => Some(IpAddr::V6(*a)),
-                _ => None,
-            }
+    fn resolve_addrs(&mut self, name: &DnsName) -> Vec<IpAddr> {
+        let mut ips = a_ips(&self.dns_query(name, RecordType::A));
+        ips.extend(self.dns_query(name, RecordType::Aaaa).iter().filter_map(|r| match &r.rdata {
+            RData::Aaaa(a) => Some(IpAddr::V6(*a)),
+            _ => None,
         }));
         ips
     }

@@ -3,12 +3,12 @@
 //! servers with configurable HTTPS records — plus runners for every §5
 //! experiment, producing the Table 6 / Table 7 support matrices.
 
-use crate::navigate::{Browser, FailureReason, NavEvent, Outcome, UrlScheme};
+use crate::navigate::{Browser, FailureReason, NavEvent, Navigation, Outcome, UrlScheme};
 use crate::profile::BrowserProfile;
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use dns_wire::{DnsName, RData, Record, RecordType, SvcParam, SvcbRdata};
 use netsim::{Network, SimClock};
-use resolver::{QueryEngine, RecursiveResolver, ResolverConfig};
+use resolver::{RecursiveResolver, ResolverConfig};
 use std::net::IpAddr;
 use std::sync::Arc;
 use tlsech::{EchKeyManager, EchServerState, HttpServer, WebServer, WebServerConfig};
@@ -88,7 +88,7 @@ impl Testbed {
         network.bind_datagram(ip(addr::NS), 53, server);
         registry.delegate(
             &domain,
-            vec![NsEndpoint { name: name("ns1.test-domain.com"), ip: ip(addr::NS) }],
+            &[NsEndpoint { name: name("ns1.test-domain.com"), ip: ip(addr::NS) }],
         );
 
         let resolver = Arc::new(RecursiveResolver::new(
@@ -101,10 +101,14 @@ impl Testbed {
         Testbed { network, registry, zones, resolver, domain }
     }
 
-    /// A browser wired to the testbed resolver through the query engine.
+    /// A browser asking the testbed resolver at its address.
     pub fn browser(&self, profile: BrowserProfile) -> Browser {
-        let engine = QueryEngine::from_resolver(Arc::clone(&self.resolver));
-        Browser::new(profile, engine, ip(addr::RESOLVER))
+        Browser::new(profile, self.network.clone(), ip(addr::RESOLVER))
+    }
+
+    /// Load the test domain over `scheme` in a fresh `profile` browser.
+    fn load(&self, profile: &BrowserProfile, scheme: UrlScheme) -> Navigation {
+        self.browser(profile.clone()).navigate(&self.domain.key(), scheme)
     }
 
     /// Reset DNS state between experiment rounds (the paper clears local
@@ -115,15 +119,8 @@ impl Testbed {
 
     /// Replace the test domain's A and HTTPS RRsets.
     pub fn set_domain_records(&self, a: Vec<IpAddr>, https: Option<SvcbRdata>) {
+        self.set_a(&self.domain, &a);
         self.zones.with_zone(&self.domain, |z| {
-            let a_records: Vec<Record> = a
-                .iter()
-                .filter_map(|addr| match addr {
-                    IpAddr::V4(v4) => Some(Record::new(self.domain.clone(), 60, RData::A(*v4))),
-                    IpAddr::V6(_) => None,
-                })
-                .collect();
-            z.set(self.domain.clone(), RecordType::A, a_records);
             let https_records = https
                 .map(|rd| vec![Record::new(self.domain.clone(), 60, RData::Https(rd))])
                 .unwrap_or_default();
@@ -160,6 +157,12 @@ impl Testbed {
         ));
         self.network.bind_stream(ip(at), port, server.clone());
         server
+    }
+
+    /// Bind a fresh `h2`/`http/1.1` web server for the test domain at
+    /// `at:port`.
+    fn serve_domain(&self, at: &str, port: u16) -> Arc<WebServer> {
+        self.web_server(at, port, vec![self.domain.clone()], vec!["h2", "http/1.1"])
     }
 
     /// Bind a plain HTTP (port 80) endpoint at `at`.
@@ -229,12 +232,12 @@ pub struct Table7Row {
 /// Run the §5.1 utilization experiment.
 pub fn run_utilization(tb: &Testbed, profile: &BrowserProfile) -> UtilizationResult {
     tb.set_domain_records(vec![ip(addr::WEB_PRIMARY)], Some(tb.basic_service_record()));
-    tb.web_server(addr::WEB_PRIMARY, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
+    tb.serve_domain(addr::WEB_PRIMARY, 443);
     tb.http_server(addr::WEB_PRIMARY);
 
     let judge = |scheme: UrlScheme| -> Support {
         tb.flush_dns();
-        let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), scheme);
+        let nav = tb.load(profile, scheme);
         match (&nav.outcome, nav.queried_https_rr()) {
             (Outcome::HttpsOk { .. }, true) => Support::Full,
             (_, true) => Support::Partial, // fetched the record, connected via HTTP
@@ -254,10 +257,9 @@ pub fn run_alias_mode(tb: &Testbed, profile: &BrowserProfile) -> Support {
     let pool = name("pool.test-domain.com");
     tb.set_domain_records(vec![], Some(SvcbRdata::alias(pool.clone())));
     tb.set_a(&pool, &[ip(addr::WEB_ALT)]);
-    tb.web_server(addr::WEB_ALT, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
-    tb.flush_dns();
+    tb.serve_domain(addr::WEB_ALT, 443);
 
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         Outcome::HttpsOk { ip: got, .. } if got == ip(addr::WEB_ALT) => Support::Full,
         _ => Support::None,
@@ -278,10 +280,9 @@ pub fn run_service_target(tb: &Testbed, profile: &BrowserProfile) -> Support {
     tb.set_a(&pool, &[ip(addr::WEB_ALT)]);
     // The real service is only at the alt address; nothing at primary:443.
     tb.network.unbind_stream(ip(addr::WEB_PRIMARY), 443);
-    tb.web_server(addr::WEB_ALT, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
-    tb.flush_dns();
+    tb.serve_domain(addr::WEB_ALT, 443);
 
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         Outcome::HttpsOk { ip: got, .. } if got == ip(addr::WEB_ALT) => Support::Full,
         _ => Support::None,
@@ -298,10 +299,9 @@ pub fn run_port_usage(tb: &Testbed, profile: &BrowserProfile) -> Support {
         ])),
     );
     tb.network.unbind_stream(ip(addr::WEB_PRIMARY), 443);
-    tb.web_server(addr::WEB_PRIMARY, 8443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
-    tb.flush_dns();
+    tb.serve_domain(addr::WEB_PRIMARY, 8443);
 
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         Outcome::HttpsOk { port: 8443, .. } => Support::Full,
         _ => Support::None,
@@ -320,10 +320,9 @@ pub fn run_port_failover(tb: &Testbed, profile: &BrowserProfile) -> (Support, bo
         ])),
     );
     tb.network.unbind_stream(ip(addr::WEB_PRIMARY), 8443);
-    tb.web_server(addr::WEB_PRIMARY, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
-    tb.flush_dns();
+    tb.serve_domain(addr::WEB_PRIMARY, 443);
 
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     let fell_back =
         nav.events.iter().any(|e| matches!(e, NavEvent::Fallback(msg) if msg.contains("port")));
     match nav.outcome {
@@ -342,11 +341,10 @@ pub fn run_ip_hint_preference(tb: &Testbed, profile: &BrowserProfile) -> (Suppor
             SvcParam::Ipv4Hint(vec![addr::WEB_HINT.parse().expect("v4")]),
         ])),
     );
-    tb.web_server(addr::WEB_PRIMARY, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
-    tb.web_server(addr::WEB_HINT, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
-    tb.flush_dns();
+    tb.serve_domain(addr::WEB_PRIMARY, 443);
+    tb.serve_domain(addr::WEB_HINT, 443);
 
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     let first = nav.tls_ips().first().copied().unwrap_or(ip("0.0.0.0"));
     let used_hint = first == ip(addr::WEB_HINT);
     match nav.outcome {
@@ -368,9 +366,8 @@ pub fn run_ip_hint_failover(tb: &Testbed, profile: &BrowserProfile) -> (Support,
     tb.set_domain_records(vec![ip(addr::WEB_PRIMARY)], Some(record.clone()));
     tb.network.unbind_stream(ip(addr::WEB_PRIMARY), 443);
     tb.network.unbind_stream(ip(addr::WEB_HINT), 443);
-    tb.web_server(addr::WEB_HINT, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
-    tb.flush_dns();
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    tb.serve_domain(addr::WEB_HINT, 443);
+    let nav = tb.load(profile, UrlScheme::Https);
     let hint_only = match nav.outcome {
         Outcome::HttpsOk { .. } => Support::Full,
         _ => Support::None,
@@ -378,9 +375,9 @@ pub fn run_ip_hint_failover(tb: &Testbed, profile: &BrowserProfile) -> (Support,
 
     // Case B: only the A-record address serves.
     tb.network.unbind_stream(ip(addr::WEB_HINT), 443);
-    tb.web_server(addr::WEB_PRIMARY, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
+    tb.serve_domain(addr::WEB_PRIMARY, 443);
     tb.flush_dns();
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     let a_only = match nav.outcome {
         Outcome::HttpsOk { .. } => Support::Full,
         _ => Support::None,
@@ -397,9 +394,8 @@ pub fn run_alpn(tb: &Testbed, profile: &BrowserProfile, proto: &str) -> Support 
     );
     tb.network.unbind_stream(ip(addr::WEB_PRIMARY), 443);
     tb.web_server(addr::WEB_PRIMARY, 443, vec![tb.domain.clone()], vec![proto]);
-    tb.flush_dns();
 
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         Outcome::HttpsOk { alpn: Some(p), .. } if p == proto => Support::Full,
         _ => Support::None,
@@ -428,14 +424,13 @@ fn setup_shared_ech(tb: &Testbed) -> Arc<WebServer> {
         ])),
     );
     tb.set_a(&cover, &[ip(addr::WEB_PRIMARY)]);
-    tb.flush_dns();
     server
 }
 
 /// §5.3.1 shared-mode ECH support.
 pub fn run_ech_shared(tb: &Testbed, profile: &BrowserProfile) -> Support {
     let _server = setup_shared_ech(tb);
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         Outcome::HttpsOk { used_ech: true, .. } => Support::Full,
         Outcome::HttpsOk { used_ech: false, .. } => Support::None, // connected without ECH
@@ -447,8 +442,7 @@ pub fn run_ech_shared(tb: &Testbed, profile: &BrowserProfile) -> Support {
 pub fn run_ech_unilateral(tb: &Testbed, profile: &BrowserProfile) -> Support {
     let server = setup_shared_ech(tb);
     server.disable_ech();
-    tb.flush_dns();
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         // Success = graceful fallback to standard TLS.
         Outcome::HttpsOk { used_ech: false, .. } => Support::Full,
@@ -467,8 +461,7 @@ pub fn run_ech_malformed(tb: &Testbed, profile: &BrowserProfile) -> Support {
             SvcParam::Ech(b"corrupted ech config bytes".to_vec()),
         ])),
     );
-    tb.flush_dns();
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         Outcome::HttpsOk { .. } => Support::Full, // ignored the bad config
         Outcome::Failed(FailureReason::MalformedEch) => Support::None, // hard fail
@@ -491,8 +484,7 @@ pub fn run_ech_mismatch(tb: &Testbed, profile: &BrowserProfile) -> (Support, boo
         // rotation 0). Rotate the server away from it.
         server.rotate_ech_key("testbed-shared");
     }
-    tb.flush_dns();
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     let retried = nav.events.iter().any(|e| matches!(e, NavEvent::EchRetry));
     match nav.outcome {
         Outcome::HttpsOk { used_ech: true, .. } => (Support::Full, retried),
@@ -510,14 +502,12 @@ pub fn run_ech_split(tb: &Testbed, profile: &BrowserProfile) -> (Support, Option
     front_zone.add(Record::new(public.clone(), 60, RData::A(addr::WEB_FRONT.parse().expect("v4"))));
     front_zones.insert(front_zone);
     tb.network.bind_datagram(ip("10.0.0.54"), 53, Arc::new(AuthoritativeServer::new(front_zones)));
-    tb.registry.delegate(
-        &public,
-        vec![NsEndpoint { name: name("ns1.public-ech.net"), ip: ip("10.0.0.54") }],
-    );
+    tb.registry
+        .delegate(&public, &[NsEndpoint { name: name("ns1.public-ech.net"), ip: ip("10.0.0.54") }]);
 
     // Back-end: the test domain's server, no ECH.
     tb.network.unbind_stream(ip(addr::WEB_PRIMARY), 443);
-    tb.web_server(addr::WEB_PRIMARY, 443, vec![tb.domain.clone()], vec!["h2", "http/1.1"]);
+    tb.serve_domain(addr::WEB_PRIMARY, 443);
 
     // Client-facing server with ECH for the public name, forwarding to
     // the back end.
@@ -536,9 +526,8 @@ pub fn run_ech_split(tb: &Testbed, profile: &BrowserProfile) -> (Support, Option
             SvcParam::Ech(configs),
         ])),
     );
-    tb.flush_dns();
 
-    let nav = tb.browser(profile.clone()).navigate(&tb.domain.key(), UrlScheme::Https);
+    let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
         Outcome::HttpsOk { used_ech: true, .. } => (Support::Full, None),
         Outcome::Failed(reason) => (Support::None, Some(reason)),

@@ -289,7 +289,7 @@ impl World {
             self.tld_zones.insert(zone);
             self.registry.delegate(
                 &apex,
-                vec![NsEndpoint {
+                &[NsEndpoint {
                     name: DnsName::parse(&format!("a.gtld.{tld}")).expect("static"),
                     ip: TLD_SERVER_IP.parse().expect("static"),
                 }],
@@ -304,7 +304,7 @@ impl World {
         );
         self.registry.delegate(
             &DnsName::root(),
-            vec![NsEndpoint {
+            &[NsEndpoint {
                 name: DnsName::parse("a.root-servers.net").expect("static"),
                 ip: ROOT_SERVER_IP.parse().expect("static"),
             }],
@@ -328,7 +328,7 @@ impl World {
                 }
             }
             infra.zones.insert(zone);
-            self.registry.delegate(&apex, infra.endpoints.clone());
+            self.registry.delegate(&apex, &infra.endpoints);
         }
     }
 
@@ -669,11 +669,15 @@ impl World {
         // Delegation: primary endpoints (+ secondary's for mixed sets),
         // unless the domain has lost its delegation.
         if d.undelegate_day.is_none_or(|ud| ctx.day < ud) {
-            let mut endpoints = primary.endpoints.clone();
-            if let Some(sec) = d.secondary_provider {
-                endpoints.extend(self.catalog.get(sec).endpoints.clone());
+            match d.secondary_provider {
+                None => self.registry.delegate(&d.apex, &primary.endpoints),
+                Some(sec) => {
+                    let secondary = &self.catalog.get(sec).endpoints;
+                    let mixed: Vec<NsEndpoint> =
+                        primary.endpoints.iter().chain(secondary).cloned().collect();
+                    self.registry.delegate(&d.apex, &mixed);
+                }
             }
-            self.registry.delegate(&d.apex, endpoints);
         } else {
             self.registry.undelegate(&d.apex);
         }

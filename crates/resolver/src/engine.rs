@@ -204,13 +204,11 @@ impl QueryEngine {
         registry: DelegationRegistry,
         config: ResolverConfig,
     ) -> QueryEngine {
-        QueryEngine::from_resolver(Arc::new(RecursiveResolver::new(network, registry, config)))
-    }
-
-    /// Wrap an existing shared resolver (e.g. one also bound to the
-    /// network as a public-resolver datagram service).
-    pub fn from_resolver(resolver: Arc<RecursiveResolver>) -> QueryEngine {
-        QueryEngine { resolver, metrics: None, pool: Mutex::new(WorkerPool::new()) }
+        QueryEngine {
+            resolver: Arc::new(RecursiveResolver::new(network, registry, config)),
+            metrics: None,
+            pool: Mutex::new(WorkerPool::new()),
+        }
     }
 
     /// Number of live pool workers (0 until the first multi-threaded

@@ -44,7 +44,7 @@ use crate::reply::AuthorityReply;
 use crate::resolver::{
     RecursiveResolver, Resolution, ResolveError, ATTEMPT_TIMEOUT_MS, MAX_CNAME_CHAIN, RETRANSMITS,
 };
-use dns_wire::{DnsName, Message, Rcode, RecordType};
+use dns_wire::{write_dnssec_query, DnsName, Rcode, RecordType};
 use netsim::{NetError, ScheduledDelivery, TimeMs};
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -244,7 +244,8 @@ async fn query_authority_async(
         .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
     let order = r.selector().pick_order(&apex, &endpoints);
     let id = r.next_query_id();
-    let wire = Message::query_dnssec(id, name.clone(), rtype).encode();
+    let mut wire = Vec::new();
+    write_dnssec_query(&mut wire, id, name, rtype);
     let mut last_err = ResolveError::Lame(apex.clone());
     let mut timed_out_total = 0u32;
     for (ep_index, ep) in order.enumerate() {

@@ -235,7 +235,7 @@ fn serve(zone: Zone) -> QueryEngine {
     let ip = "10.0.0.1".parse().unwrap();
     net.bind_datagram(ip, 53, Arc::new(AuthoritativeServer::new(zones)));
     let reg = DelegationRegistry::new();
-    reg.delegate(&apex, vec![NsEndpoint { name: name("ns1.x.net"), ip }]);
+    reg.delegate(&apex, &[NsEndpoint { name: name("ns1.x.net"), ip }]);
     QueryEngine::new(net, reg, ResolverConfig { validate: false, ..Default::default() })
 }
 
@@ -354,7 +354,7 @@ fn signed_chain(depth: usize, records: u16, validate: bool) -> (QueryEngine, Dns
         zones.insert(zone);
         let ip = Ipv4Addr::new(10, 0, 0, i as u8 + 1).into();
         net.bind_datagram(ip, 53, Arc::new(AuthoritativeServer::new(zones)));
-        reg.delegate(apex, vec![NsEndpoint { name: name("ns.example.net"), ip }]);
+        reg.delegate(apex, &[NsEndpoint { name: name("ns.example.net"), ip }]);
     }
     let config = ResolverConfig { validate, ..Default::default() };
     (QueryEngine::new(net, reg, config), apexes[depth].clone())

@@ -310,7 +310,7 @@ fn two_server_world() -> (Network, DelegationRegistry) {
     }
     reg.delegate(
         &name("a.com"),
-        vec![
+        &[
             NsEndpoint { name: name("ns1.x.net"), ip: ip("10.0.0.1") },
             NsEndpoint { name: name("ns2.x.net"), ip: ip("10.0.0.2") },
         ],

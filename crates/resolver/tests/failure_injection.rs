@@ -58,7 +58,7 @@ fn world_with(
         net.bind_datagram(ip("10.0.0.2"), 53, svc);
         eps.push(NsEndpoint { name: name("ns2.x.net"), ip: ip("10.0.0.2") });
     }
-    reg.delegate(&name("a.com"), eps);
+    reg.delegate(&name("a.com"), &eps);
     (net, reg)
 }
 

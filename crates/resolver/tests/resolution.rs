@@ -45,7 +45,7 @@ fn signed_hierarchy(link_ds: bool) -> (Network, DelegationRegistry, ZoneSet, Zon
     net.bind_datagram(ip("198.41.0.4"), 53, Arc::new(AuthoritativeServer::new(root_set)));
     registry.delegate(
         &DnsName::root(),
-        vec![NsEndpoint { name: name("a.root-servers.net"), ip: ip("198.41.0.4") }],
+        &[NsEndpoint { name: name("a.root-servers.net"), ip: ip("198.41.0.4") }],
     );
 
     // com zone serving DS for a.com (when linked).
@@ -59,7 +59,7 @@ fn signed_hierarchy(link_ds: bool) -> (Network, DelegationRegistry, ZoneSet, Zon
     net.bind_datagram(ip("192.5.6.30"), 53, Arc::new(AuthoritativeServer::new(com_set.clone())));
     registry.delegate(
         &name("com"),
-        vec![NsEndpoint { name: name("a.gtld-servers.net"), ip: ip("192.5.6.30") }],
+        &[NsEndpoint { name: name("a.gtld-servers.net"), ip: ip("192.5.6.30") }],
     );
 
     // a.com zone, signed.
@@ -77,7 +77,7 @@ fn signed_hierarchy(link_ds: bool) -> (Network, DelegationRegistry, ZoneSet, Zon
     net.bind_datagram(ip("173.245.58.1"), 53, Arc::new(AuthoritativeServer::new(a_set.clone())));
     registry.delegate(
         &name("a.com"),
-        vec![NsEndpoint { name: name("ns1.cloudflare.com"), ip: ip("173.245.58.1") }],
+        &[NsEndpoint { name: name("ns1.cloudflare.com"), ip: ip("173.245.58.1") }],
     );
 
     (net, registry, a_set, com_set)
@@ -227,7 +227,7 @@ fn failover_to_second_ns() {
     // Put a dead endpoint first in the list.
     reg.delegate(
         &name("a.com"),
-        vec![
+        &[
             NsEndpoint { name: name("ns-dead.x.net"), ip: ip("10.99.99.99") },
             NsEndpoint { name: name("ns1.cloudflare.com"), ip: ip("173.245.58.1") },
         ],
@@ -289,7 +289,7 @@ fn mixed_provider_ns_set_yields_intermittent_https() {
     net.bind_datagram(ip("10.7.7.7"), 53, Arc::new(AuthoritativeServer::new(other_set)));
     reg.delegate(
         &name("a.com"),
-        vec![
+        &[
             NsEndpoint { name: name("ns1.cloudflare.com"), ip: ip("173.245.58.1") },
             NsEndpoint { name: name("ns1.other.net"), ip: ip("10.7.7.7") },
         ],
@@ -369,7 +369,7 @@ fn concurrent_validations_fetch_shared_chain_material_once() {
     net.bind_datagram(ip("173.245.59.1"), 53, Arc::new(AuthoritativeServer::new(b_set)));
     reg.delegate(
         &name("b.com"),
-        vec![NsEndpoint { name: name("ns2.cloudflare.com"), ip: ip("173.245.59.1") }],
+        &[NsEndpoint { name: name("ns2.cloudflare.com"), ip: ip("173.245.59.1") }],
     );
     let children = [name("a.com"), name("b.com")];
     let comparable = |r: &RecursiveResolver| CacheStats {

@@ -1,6 +1,8 @@
 //! The allocation budget of one scanned day and of one stored chunk:
 //! what the benchmark reports as `allocs_per_unit` on a timing host,
-//! held here as a count that no host can move.
+//! held here as a count that no host can move; and beside it the
+//! datagrams a scanned day sends, the benchmark's
+//! `netsim.datagrams_per_obs`.
 
 #![allow(unsafe_code)]
 
@@ -89,6 +91,48 @@ fn a_three_vantage_day_stays_under_its_allocation_ceiling() {
         let scanners: Vec<&QueryEngine> = engines.iter().collect();
         scan_day(world, &scanners, &HashMap::new(), true, 1)
     });
+}
+
+/// Datagrams the network counts (`TrafficStats::datagrams_sent`) while
+/// the first preset vantage scans `tiny()`, 600 observations a scan:
+/// day 0 cold (1.79 per observation), day 0 again at the same instant,
+/// then day 1 (1.78). The rescan asks every question a second time
+/// within its TTL, so what it sends is what the cache does not answer;
+/// day 1 asks again after most answers' TTLs have run out. Every thread
+/// count sends the same.
+const ONE_VANTAGE_DATAGRAMS: [u64; 3] = [1_073, 0, 1_068];
+
+/// The same for the three preset vantages scanning in one `scan_day`
+/// pass, 1 800 observations a scan (1.76 and 1.75 per observation on
+/// days 0 and 1).
+const THREE_VANTAGE_DATAGRAMS: [u64; 3] = [3_168, 0, 3_153];
+
+/// The datagrams each scan of [`ONE_VANTAGE_DATAGRAMS`]' sequence sends
+/// over `tiny()`, through one engine per vantage with `threads` workers.
+fn datagrams_per_scan(vantages: &[VantagePoint], threads: usize) -> [u64; 3] {
+    let mut world = World::build(EcosystemConfig::tiny());
+    let engines: Vec<QueryEngine> =
+        vantages.iter().map(|v| v.engine(world.network.clone(), world.registry.clone())).collect();
+    let scanners: Vec<&QueryEngine> = engines.iter().collect();
+    let mut sent = [0; 3];
+    for (day, sent) in [0, 0, 1].into_iter().zip(&mut sent) {
+        world.step_to_day(day);
+        let before = world.network.stats().datagrams_sent;
+        scan_day(&world, &scanners, &HashMap::new(), true, threads);
+        *sent = world.network.stats().datagrams_sent - before;
+    }
+    sent
+}
+
+#[test]
+fn a_scanned_day_sends_its_pinned_datagrams_at_every_thread_count() {
+    let presets = VantagePoint::presets();
+    for threads in thread_axis() {
+        let one = datagrams_per_scan(&presets[..1], threads);
+        assert_eq!(one, ONE_VANTAGE_DATAGRAMS, "one vantage, {threads} threads");
+        let three = datagrams_per_scan(&presets, threads);
+        assert_eq!(three, THREE_VANTAGE_DATAGRAMS, "three vantages, {threads} threads");
+    }
 }
 
 /// Heap blocks one `StoreWriter::append_chunk` asks for, on a 600-row

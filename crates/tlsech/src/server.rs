@@ -35,7 +35,7 @@ pub struct WebServerConfig {
 
 /// A web server bound to one or more `(ip, port)` pairs on the network.
 pub struct WebServer {
-    config: RwLock<WebServerConfig>,
+    config: WebServerConfig,
     ech: RwLock<Option<EchServerState>>,
     /// Split-mode forwarding: inner SNI → back-end address.
     forwards: RwLock<HashMap<String, (IpAddr, u16)>>,
@@ -48,7 +48,7 @@ impl WebServer {
     /// forwards through `network` but does not keep it alive.
     pub fn new(network: Network, config: WebServerConfig) -> WebServer {
         WebServer {
-            config: RwLock::new(config),
+            config,
             ech: RwLock::new(None),
             forwards: RwLock::new(HashMap::new()),
             network: network.downgrade(),
@@ -90,15 +90,14 @@ impl WebServer {
             // No ALPN offered: implicit HTTP/1.1 over TLS.
             return Ok(None);
         }
-        let cfg = self.config.read();
-        match offered.iter().find(|p| cfg.alpn.contains(p)) {
+        match offered.iter().find(|p| self.config.alpn.contains(p)) {
             Some(p) => Ok(Some(p.clone())),
             None => Err(AlertCause::NoApplicationProtocol),
         }
     }
 
     fn cert_for(&self, sni: &str) -> DnsName {
-        let cfg = self.config.read();
+        let cfg = &self.config;
         let want = DnsName::parse(sni).ok();
         match want.and_then(|w| cfg.cert_names.iter().find(|n| **n == w).cloned()) {
             Some(n) => n,

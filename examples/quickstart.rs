@@ -37,7 +37,7 @@ fn main() {
     network.bind_datagram(ns_ip, 53, Arc::new(AuthoritativeServer::new(zones)));
     registry.delegate(
         &apex,
-        vec![NsEndpoint { name: DnsName::parse("ns1.example.com").expect("valid"), ip: ns_ip }],
+        &[NsEndpoint { name: DnsName::parse("ns1.example.com").expect("valid"), ip: ns_ip }],
     );
 
     // 3. A web server at the advertised address.

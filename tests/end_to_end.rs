@@ -5,7 +5,7 @@ use httpsrr::authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Z
 use httpsrr::browser::{Browser, BrowserProfile, NavEvent, Outcome, UrlScheme};
 use httpsrr::dns_wire::{DnsName, RData, Record, SvcParam, SvcbRdata};
 use httpsrr::netsim::{Network, SimClock};
-use httpsrr::resolver::{QueryEngine, RecursiveResolver, ResolverConfig};
+use httpsrr::resolver::{RecursiveResolver, ResolverConfig};
 use httpsrr::tlsech::{EchKeyManager, EchServerState, WebServer, WebServerConfig};
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -22,13 +22,12 @@ struct Stack {
     network: Network,
     zones: ZoneSet,
     web: Arc<WebServer>,
-    resolver: Arc<RecursiveResolver>,
 }
 
 impl Stack {
-    /// A browser resolving through the stack's shared public resolver.
+    /// A browser asking the stack's public resolver at 9.9.9.9.
     fn browser(&self, profile: BrowserProfile) -> Browser {
-        Browser::new(profile, QueryEngine::from_resolver(self.resolver.clone()), ip("9.9.9.9"))
+        Browser::new(profile, self.network.clone(), ip("9.9.9.9"))
     }
 }
 
@@ -67,16 +66,15 @@ fn full_stack(with_ech: bool) -> Stack {
     let zones = ZoneSet::new();
     zones.insert(zone);
     network.bind_datagram(ip("10.1.1.1"), 53, Arc::new(AuthoritativeServer::new(zones.clone())));
-    registry
-        .delegate(&apex, vec![NsEndpoint { name: name("ns1.shop.example"), ip: ip("10.1.1.1") }]);
+    registry.delegate(&apex, &[NsEndpoint { name: name("ns1.shop.example"), ip: ip("10.1.1.1") }]);
 
     let resolver = Arc::new(RecursiveResolver::new(
         network.clone(),
         registry,
         ResolverConfig { validate: false, ..Default::default() },
     ));
-    network.bind_datagram(ip("9.9.9.9"), 53, resolver.clone());
-    Stack { network, zones, web, resolver }
+    network.bind_datagram(ip("9.9.9.9"), 53, resolver);
+    Stack { network, zones, web }
 }
 
 #[test]
