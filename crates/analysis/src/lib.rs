@@ -49,19 +49,26 @@ use scanner::{Observation, ObservationSource, Projection, ScanFilter};
 /// in `days` — the paper's "overlapping domains" for a phase — ascending
 /// and duplicate-free.
 pub fn overlapping_ids(source: &dyn ObservationSource, days: &[u32]) -> Vec<u32> {
+    let mut days = days.to_vec();
+    days.sort_unstable();
+    days.dedup();
+    let (Some(&first), Some(&last)) = (days.first(), days.last()) else {
+        return Vec::new();
+    };
+    // One visit over the whole range, so a disk source reads its chunks
+    // in groups; the days in it that were not asked for are skipped.
     let filter = ScanFilter::projected(Projection::FLAGS.with(Projection::DOMAIN_ID));
     // Per id, how many of the days, from the first on, listed it.
     let mut listed: Tracks<usize, ()> = Tracks::default();
-    for (i, &day) in days.iter().enumerate() {
-        source.for_each_day_filtered(filter.days(day, day), &mut |_, obs| {
-            let apexes = obs.iter().filter(|o| !o.is_www());
-            listed.merge_day(apexes.map(|o| (u64::from(o.domain_id), ())), |n, ()| {
-                if *n == i {
-                    *n += 1;
-                }
-            });
+    source.for_each_day_filtered(filter.days(first, last), &mut |day, obs| {
+        let Ok(i) = days.binary_search(&day) else { return };
+        let apexes = obs.iter().filter(|o| !o.is_www());
+        listed.merge_day(apexes.map(|o| (u64::from(o.domain_id), ())), |n, ()| {
+            if *n == i {
+                *n += 1;
+            }
         });
-    }
+    });
     listed.iter().filter(|&&(_, n)| n == days.len()).map(|&(id, _)| id as u32).collect()
 }
 

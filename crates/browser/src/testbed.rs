@@ -7,11 +7,24 @@ use crate::navigate::{Browser, FailureReason, NavEvent, Navigation, Outcome, Url
 use crate::profile::BrowserProfile;
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use dns_wire::{DnsName, RData, Record, RecordType, SvcParam, SvcbRdata};
-use netsim::{Network, SimClock};
+use netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
 use resolver::{RecursiveResolver, ResolverConfig};
-use std::net::IpAddr;
-use std::sync::Arc;
+use std::net::{AddrParseError, IpAddr, Ipv4Addr};
+use std::str::FromStr;
+use std::sync::{Arc, Weak};
 use tlsech::{EchKeyManager, EchServerState, HttpServer, WebServer, WebServerConfig};
+
+/// The testbed's resolver as bound at its address. The binding holds it
+/// weakly: the resolver owns the network it is bound into, so an owning
+/// binding would keep the network, and with it every server and cache
+/// of the testbed, alive after the testbed is dropped.
+struct BoundResolver(Weak<RecursiveResolver>);
+
+impl DatagramService for BoundResolver {
+    fn handle(&self, request: &[u8], now: Timestamp, reply: &mut Vec<u8>) -> Result<(), NetError> {
+        self.0.upgrade().ok_or(NetError::Reset)?.handle(request, now, reply)
+    }
+}
 
 /// Support level for one matrix cell, mirroring the paper's notation:
 /// full circle / half circle / empty circle.
@@ -65,7 +78,7 @@ pub struct Testbed {
     pub domain: DnsName,
 }
 
-fn ip(s: &str) -> IpAddr {
+fn ip<A: FromStr<Err = AddrParseError>>(s: &str) -> A {
     s.parse().expect("valid test address")
 }
 
@@ -96,7 +109,8 @@ impl Testbed {
             registry.clone(),
             ResolverConfig { validate: false, ..Default::default() },
         ));
-        network.bind_datagram(ip(addr::RESOLVER), 53, resolver.clone());
+        let service = Arc::new(BoundResolver(Arc::downgrade(&resolver)));
+        network.bind_datagram(ip(addr::RESOLVER), 53, service);
 
         Testbed { network, registry, zones, resolver, domain }
     }
@@ -118,7 +132,7 @@ impl Testbed {
     }
 
     /// Replace the test domain's A and HTTPS RRsets.
-    pub fn set_domain_records(&self, a: Vec<IpAddr>, https: Option<SvcbRdata>) {
+    pub fn set_domain_records(&self, a: Vec<Ipv4Addr>, https: Option<SvcbRdata>) {
         self.set_a(&self.domain, &a);
         self.zones.with_zone(&self.domain, |z| {
             let https_records = https
@@ -129,17 +143,11 @@ impl Testbed {
         self.flush_dns();
     }
 
-    /// Add an A record for an arbitrary in-zone name.
-    pub fn set_a(&self, owner: &DnsName, addrs: &[IpAddr]) {
+    /// Replace the A RRset of an arbitrary in-zone name.
+    pub fn set_a(&self, owner: &DnsName, addrs: &[Ipv4Addr]) {
         self.zones.with_zone(&self.domain, |z| {
-            let records: Vec<Record> = addrs
-                .iter()
-                .filter_map(|a| match a {
-                    IpAddr::V4(v4) => Some(Record::new(owner.clone(), 60, RData::A(*v4))),
-                    IpAddr::V6(_) => None,
-                })
-                .collect();
-            z.set(owner.clone(), RecordType::A, records);
+            let records = addrs.iter().map(|&a| Record::new(owner.clone(), 60, RData::A(a)));
+            z.set(owner.clone(), RecordType::A, records.collect());
         });
     }
 
@@ -261,7 +269,7 @@ pub fn run_alias_mode(tb: &Testbed, profile: &BrowserProfile) -> Support {
 
     let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
-        Outcome::HttpsOk { ip: got, .. } if got == ip(addr::WEB_ALT) => Support::Full,
+        Outcome::HttpsOk { ip: got, .. } if got == ip::<IpAddr>(addr::WEB_ALT) => Support::Full,
         _ => Support::None,
     }
 }
@@ -284,7 +292,7 @@ pub fn run_service_target(tb: &Testbed, profile: &BrowserProfile) -> Support {
 
     let nav = tb.load(profile, UrlScheme::Https);
     match nav.outcome {
-        Outcome::HttpsOk { ip: got, .. } if got == ip(addr::WEB_ALT) => Support::Full,
+        Outcome::HttpsOk { ip: got, .. } if got == ip::<IpAddr>(addr::WEB_ALT) => Support::Full,
         _ => Support::None,
     }
 }
@@ -346,7 +354,7 @@ pub fn run_ip_hint_preference(tb: &Testbed, profile: &BrowserProfile) -> (Suppor
 
     let nav = tb.load(profile, UrlScheme::Https);
     let first = nav.tls_ips().first().copied().unwrap_or(ip("0.0.0.0"));
-    let used_hint = first == ip(addr::WEB_HINT);
+    let used_hint = first == ip::<IpAddr>(addr::WEB_HINT);
     match nav.outcome {
         Outcome::HttpsOk { .. } if used_hint => (Support::Full, first),
         Outcome::HttpsOk { .. } => (Support::None, first), // connected, hints unused

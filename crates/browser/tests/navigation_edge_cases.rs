@@ -138,3 +138,16 @@ fn http_scheme_upgrade_skips_http_entirely() {
         nav.events
     );
 }
+
+#[test]
+fn a_dropped_testbed_frees_its_resolver_and_network() {
+    let tb = Testbed::new();
+    tb.set_domain_records(vec!["203.0.113.10".parse().unwrap()], None);
+    tb.http_server(browser::testbed::addr::WEB_PRIMARY);
+    let nav = tb.browser(BrowserProfile::chrome()).navigate(&tb.domain.key(), UrlScheme::Bare);
+    assert!(matches!(nav.outcome, Outcome::HttpOk { .. }), "{:?}", nav.outcome);
+    let (resolver, network) = (std::sync::Arc::downgrade(&tb.resolver), tb.network.downgrade());
+    drop(tb);
+    assert!(resolver.upgrade().is_none(), "the resolver outlived its testbed");
+    assert!(network.upgrade().is_none(), "the network outlived its testbed");
+}

@@ -24,11 +24,13 @@ const POPULATION: usize = 2_000;
 /// shares one ALPN list; it kept 15.33 (30 654) before.
 const BLOCKS_PER_DOMAIN: f64 = 8.33;
 
-/// Heap bytes a built world keeps live per population domain: 1 743.9
-/// (3 487 832 over 2 000 domains) since a web server keeps its config
-/// without a lock; 1 759.9 (3 519 832) with the lock, and 2 023.7
-/// (4 047 348) before the shared lists and names above.
-const BYTES_PER_DOMAIN: f64 = 1_744.0;
+/// Heap bytes a built world keeps live per population domain: 1 719.9
+/// (3 439 808 over 2 000 domains) since the network is one allocation,
+/// so that a web server holds one `Weak` of it; 1 743.9 (3 487 832)
+/// with three, 1 759.9 (3 519 832) while a web server kept its config
+/// behind a lock, and 2 023.7 (4 047 348) before the shared lists and
+/// names above.
+const BYTES_PER_DOMAIN: f64 = 1_720.0;
 
 fn census_config() -> EcosystemConfig {
     EcosystemConfig {

@@ -136,9 +136,14 @@ pub enum ScheduledDelivery {
 /// Handle to the shared simulated network.
 #[derive(Clone)]
 pub struct Network {
-    state: Arc<RwLock<NetworkState>>,
-    stats: Arc<TrafficCounters>,
-    latency: Arc<RwLock<Option<Arc<LinkModel>>>>,
+    shared: Arc<Shared>,
+}
+
+/// Everything a network's handles share, in one allocation.
+struct Shared {
+    state: RwLock<NetworkState>,
+    stats: TrafficCounters,
+    latency: RwLock<Option<Arc<LinkModel>>>,
     clock: SimClock,
 }
 
@@ -148,43 +153,31 @@ pub struct Network {
 /// binding alive after the last outside handle is dropped.
 #[derive(Clone)]
 pub struct WeakNetwork {
-    state: Weak<RwLock<NetworkState>>,
-    stats: Weak<TrafficCounters>,
-    latency: Weak<RwLock<Option<Arc<LinkModel>>>>,
-    clock: SimClock,
+    shared: Weak<Shared>,
 }
 
 impl WeakNetwork {
     /// The network, if any owning handle to it is still alive.
     pub fn upgrade(&self) -> Option<Network> {
-        Some(Network {
-            state: self.state.upgrade()?,
-            stats: self.stats.upgrade()?,
-            latency: self.latency.upgrade()?,
-            clock: self.clock.clone(),
-        })
+        Some(Network { shared: self.shared.upgrade()? })
     }
 }
 
 impl Network {
     /// A handle that does not keep the network alive.
     pub fn downgrade(&self) -> WeakNetwork {
-        WeakNetwork {
-            state: Arc::downgrade(&self.state),
-            stats: Arc::downgrade(&self.stats),
-            latency: Arc::downgrade(&self.latency),
-            clock: self.clock.clone(),
-        }
+        WeakNetwork { shared: Arc::downgrade(&self.shared) }
     }
 
     /// Create an empty network driven by `clock`.
     pub fn new(clock: SimClock) -> Self {
-        Network {
-            state: Arc::new(RwLock::new(NetworkState::default())),
-            stats: Arc::new(TrafficCounters::default()),
-            latency: Arc::new(RwLock::new(None)),
+        let shared = Shared {
+            state: RwLock::new(NetworkState::default()),
+            stats: TrafficCounters::default(),
+            latency: RwLock::new(None),
             clock,
-        }
+        };
+        Network { shared: Arc::new(shared) }
     }
 
     /// Install a latency/loss model. From then on every resolver batch
@@ -194,45 +187,45 @@ impl Network {
     /// [`send_datagram`](Self::send_datagram) stays synchronous and
     /// lossless regardless.
     pub fn set_latency_model(&self, model: LinkModel) {
-        *self.latency.write() = Some(Arc::new(model));
+        *self.shared.latency.write() = Some(Arc::new(model));
     }
 
     /// The installed latency/loss model: `None` until
     /// [`set_latency_model`](Self::set_latency_model) is called.
     pub fn latency_model(&self) -> Option<Arc<LinkModel>> {
-        self.latency.read().clone()
+        self.shared.latency.read().clone()
     }
 
     /// The clock driving this network.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        &self.shared.clock
     }
 
     /// Bind a datagram service (e.g. a DNS server) to `ip:port`,
     /// replacing any previous binding.
     pub fn bind_datagram(&self, ip: IpAddr, port: u16, svc: Arc<dyn DatagramService>) {
-        self.state.write().datagram.insert((ip, port), svc);
+        self.shared.state.write().datagram.insert((ip, port), svc);
     }
 
     /// Bind a stream service (e.g. a web server) to `ip:port`.
     pub fn bind_stream(&self, ip: IpAddr, port: u16, svc: Arc<dyn StreamService>) {
-        self.state.write().stream.insert((ip, port), svc);
+        self.shared.state.write().stream.insert((ip, port), svc);
     }
 
     /// Remove a stream binding.
     pub fn unbind_stream(&self, ip: IpAddr, port: u16) {
-        self.state.write().stream.remove(&(ip, port));
+        self.shared.state.write().stream.remove(&(ip, port));
     }
 
     /// Mark an IP as unreachable (blackhole). Used by the §4.3.5
     /// connectivity experiments.
     pub fn set_unreachable(&self, ip: IpAddr) {
-        self.state.write().unreachable.insert(ip);
+        self.shared.state.write().unreachable.insert(ip);
     }
 
     /// Restore reachability of an IP.
     pub fn set_reachable(&self, ip: IpAddr) {
-        self.state.write().unreachable.remove(&ip);
+        self.shared.state.write().unreachable.remove(&ip);
     }
 
     /// The service bound at `dst:port` in the binding map `bindings`
@@ -244,14 +237,14 @@ impl Network {
         port: u16,
         bindings: impl FnOnce(&NetworkState) -> &HashMap<(IpAddr, u16), Arc<S>>,
     ) -> Result<Arc<S>, NetError> {
-        let st = self.state.read();
+        let st = self.shared.state.read();
         let svc = if st.unreachable.contains(&dst) {
             Err(NetError::Unreachable(dst))
         } else {
             bindings(&st).get(&(dst, port)).cloned().ok_or(NetError::ConnectionRefused(dst, port))
         };
         if svc.is_err() {
-            self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
         }
         svc
     }
@@ -267,10 +260,10 @@ impl Network {
         payload: &[u8],
         reply: &mut Vec<u8>,
     ) -> Result<(), NetError> {
-        self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
         let svc = self.route(dst, port, |st| &st.datagram)?;
-        svc.handle(payload, self.clock.now(), reply)?;
-        self.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
+        svc.handle(payload, self.shared.clock.now(), reply)?;
+        self.shared.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -303,27 +296,31 @@ impl Network {
         payload: &[u8],
         attempt: u32,
     ) -> ScheduledDelivery {
-        self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
         let svc = match self.route(dst, port, |st| &st.datagram) {
             Ok(svc) => svc,
             Err(e) => return ScheduledDelivery::Failed(e),
         };
         let fate = self
+            .shared
             .latency
             .read()
             .as_ref()
             .map_or(LinkFate::Deliver { rtt_ms: 0 }, |model| model.fate(dst, payload, attempt));
         match fate {
             LinkFate::Drop => {
-                self.stats.datagrams_dropped.fetch_add(1, Ordering::Relaxed);
+                self.shared.stats.datagrams_dropped.fetch_add(1, Ordering::Relaxed);
                 ScheduledDelivery::Dropped
             }
             LinkFate::Deliver { rtt_ms } => {
                 let mut bytes = Vec::new();
-                match svc.handle(payload, self.clock.now(), &mut bytes) {
+                match svc.handle(payload, self.shared.clock.now(), &mut bytes) {
                     Ok(()) => {
-                        self.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
-                        ScheduledDelivery::Reply { at: self.clock.now_ms().plus(rtt_ms), bytes }
+                        self.shared.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
+                        ScheduledDelivery::Reply {
+                            at: self.shared.clock.now_ms().plus(rtt_ms),
+                            bytes,
+                        }
                     }
                     Err(e) => ScheduledDelivery::Failed(e),
                 }
@@ -338,17 +335,17 @@ impl Network {
         port: u16,
         message: &[u8],
     ) -> Result<Vec<u8>, NetError> {
-        self.stats.streams_opened.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.streams_opened.fetch_add(1, Ordering::Relaxed);
         let svc = self.route(dst, port, |st| &st.stream)?;
-        let now = self.clock.now();
+        let now = self.shared.clock.now();
         let resp = svc.exchange(message, now)?;
-        self.stats.streams_completed.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.streams_completed.fetch_add(1, Ordering::Relaxed);
         Ok(resp)
     }
 
     /// Probe TCP-style reachability of `dst:port` without sending data.
     pub fn can_connect(&self, dst: IpAddr, port: u16) -> Result<(), NetError> {
-        let st = self.state.read();
+        let st = self.shared.state.read();
         if st.unreachable.contains(&dst) {
             return Err(NetError::Unreachable(dst));
         }
@@ -361,18 +358,18 @@ impl Network {
 
     /// Snapshot of traffic counters.
     pub fn stats(&self) -> TrafficStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 }
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.read();
+        let st = self.shared.state.read();
         f.debug_struct("Network")
             .field("datagram_bindings", &st.datagram.len())
             .field("stream_bindings", &st.stream.len())
             .field("unreachable", &st.unreachable.len())
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.shared.stats.snapshot())
             .finish()
     }
 }

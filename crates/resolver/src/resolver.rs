@@ -22,6 +22,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::Arc;
 
 /// Maximum cross-zone CNAME chain length a resolution follows.
 pub const MAX_CNAME_CHAIN: usize = 8;
@@ -36,7 +37,7 @@ pub const ATTEMPT_TIMEOUT_MS: u64 = 500;
 pub const RETRANSMITS: u32 = 2;
 
 /// Resolver configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolverConfig {
     /// Perform DNSSEC validation and set the AD bit on Secure answers.
     pub validate: bool,
@@ -350,6 +351,20 @@ impl RecursiveResolver {
         }
     }
 
+    /// The zone to ask about `name`, shared by both backends: the
+    /// deepest delegation covering it, with its endpoints. A name that
+    /// no delegation covers, or whose delegation lists no endpoint, has
+    /// no authority.
+    pub(crate) fn authority(
+        &self,
+        name: &DnsName,
+    ) -> Result<(DnsName, Arc<[NsEndpoint]>), ResolveError> {
+        self.registry
+            .find_authority(name)
+            .filter(|(_, endpoints)| !endpoints.is_empty())
+            .ok_or_else(|| ResolveError::NoAuthority(name.clone()))
+    }
+
     /// One authoritative round: select endpoints for the deepest zone and
     /// try them in fallback order.
     fn query_authority(
@@ -357,11 +372,7 @@ impl RecursiveResolver {
         name: &DnsName,
         rtype: RecordType,
     ) -> Result<AuthorityReply, ResolveError> {
-        let (apex, endpoints) = self
-            .registry
-            .find_authority(name)
-            .filter(|(_, endpoints)| !endpoints.is_empty())
-            .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
+        let (apex, endpoints) = self.authority(name)?;
         self.ask(&apex, self.selector.pick_order(&apex, &endpoints), name, rtype)
     }
 
@@ -384,12 +395,9 @@ impl RecursiveResolver {
         let outcome = 'ask: {
             for ep in order {
                 last_err = match self.network.send_datagram_into(ep.ip, 53, &query, &mut reply) {
-                    Ok(()) => match AuthorityReply::parse(&reply, id, name, rtype) {
-                        Some(resp) if resp.rcode == Rcode::Refused => {
-                            ResolveError::Lame(zone.clone())
-                        }
-                        Some(resp) => break 'ask Ok(resp),
-                        None => ResolveError::Malformed,
+                    Ok(()) => match check_reply(&reply, id, zone, name, rtype) {
+                        Ok(resp) => break 'ask Ok(resp),
+                        Err(e) => e,
                     },
                     Err(e) => ResolveError::Network(e),
                 };
@@ -443,6 +451,24 @@ thread_local! {
     /// so an exchange nested inside one (a resolver bound as another's
     /// authority) gets empty buffers of its own.
     static EXCHANGE: Cell<(Vec<u8>, Vec<u8>)> = const { Cell::new((Vec::new(), Vec::new())) };
+}
+
+/// What `zone`'s reply to query `id` about `(name, rtype)` is worth,
+/// shared by both backends: a refusal means the server is lame for the
+/// zone, a reply that does not parse or does not answer the query is
+/// malformed, anything else is the answer.
+pub(crate) fn check_reply(
+    reply: &[u8],
+    id: u16,
+    zone: &DnsName,
+    name: &DnsName,
+    rtype: RecordType,
+) -> Result<AuthorityReply, ResolveError> {
+    match AuthorityReply::parse(reply, id, name, rtype) {
+        Some(resp) if resp.rcode == Rcode::Refused => Err(ResolveError::Lame(zone.clone())),
+        Some(resp) => Ok(resp),
+        None => Err(ResolveError::Malformed),
+    }
 }
 
 /// The first record of a CNAME set and its target: the step a

@@ -19,8 +19,11 @@ use counting_alloc::{allocs_in, allocs_per_thread, thread_axis};
 use dns_wire::record::RrsigRdata;
 use dns_wire::{DnsName, RData, Rcode, Record, RecordType, SvcParam, SvcbRdata};
 use dnssec::{ValidationState, ZoneKeys};
-use netsim::{Network, SimClock, Timestamp};
-use resolver::{CachedAnswer, Query, QueryEngine, RecordCache, ResolverConfig, RrSet};
+use netsim::{LinkModel, Network, SimClock, Timestamp};
+use resolver::{
+    CachedAnswer, Query, QueryEngine, RecordCache, ResolverConfig, RrSet, SelectionStrategy,
+    RETRANSMITS,
+};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
@@ -414,5 +417,98 @@ fn a_warm_validated_resolution_allocates_what_an_unvalidated_one_does() {
                 );
             }
         }
+    }
+}
+
+/// Heap blocks the event loop asks for per distinct query of a batch on
+/// the zero model, each query answered by its zone's first endpoint in
+/// one exchange: the boxed task, the query it writes (as the buffer
+/// grows), the reply the network delivers and the buffer that reply is
+/// parsed into. The loop kept a queue per zone, a counter cell per task
+/// and a reply cell per exchange before, 10 in all.
+const EVENT_LOOP_BLOCKS_PER_QUERY: u64 = 7;
+
+/// Heap blocks the event loop adds per attempt it sends after a timeout
+/// (a retransmit, or the first send to the next NS) on a lossy batch:
+/// the attempt reuses its query and parks its outcome in its task's
+/// slot. 1 before, the exchange's reply cell.
+const EVENT_LOOP_BLOCKS_PER_RETRANSMIT: u64 = 0;
+
+/// An engine that does not validate and picks its zones' first endpoint
+/// first, over `zones` one-name zones `z{i}.com` (an A record at each
+/// apex) that `10.0.0.1` and then `10.0.0.2` both serve, on a network
+/// carrying `model`; with the A query of each apex.
+fn looped_engine(zones: usize, model: LinkModel) -> (QueryEngine, Vec<Query>) {
+    let set = ZoneSet::new();
+    let reg = DelegationRegistry::new();
+    let endpoints = [1, 2].map(|i| NsEndpoint {
+        name: name(&format!("ns{i}.x.net")),
+        ip: Ipv4Addr::new(10, 0, 0, i).into(),
+    });
+    let mut queries = Vec::new();
+    for i in 0..zones {
+        let apex = name(&format!("z{i}.com"));
+        let mut zone = Zone::new(apex.clone());
+        zone.add(Record::new(apex.clone(), 60, RData::A(Ipv4Addr::new(192, 0, 2, 1))));
+        set.insert(zone);
+        reg.delegate(&apex, &endpoints);
+        queries.push(Query::new(apex, RecordType::A));
+    }
+    let net = Network::new(SimClock::new());
+    let server = Arc::new(AuthoritativeServer::new(set));
+    for ep in &endpoints {
+        net.bind_datagram(ep.ip, 53, server.clone());
+    }
+    net.set_latency_model(model);
+    let config = ResolverConfig {
+        validate: false,
+        strategy: SelectionStrategy::First,
+        ..Default::default()
+    };
+    (QueryEngine::new(net, reg, config), queries)
+}
+
+/// Heap blocks the calling thread asks for to resolve `queries` as one
+/// batch on `engine`'s event loop from a flushed cache, with the
+/// batch's timeout count; every query must be answered.
+fn loop_batch_blocks(engine: &QueryEngine, queries: &[Query], threads: usize) -> (u64, u64) {
+    engine.cache().flush();
+    let (n, (results, timing)) = allocs_in(|| engine.resolve_batch_timed(queries, threads));
+    assert!(results.iter().all(|r| r.as_ref().is_ok_and(|res| res.records.len() == 1)));
+    (n, timing.expect("the batch ran on the event loop").stats.timeouts)
+}
+
+#[test]
+fn the_event_loop_allocates_a_fixed_count_per_query_and_per_retransmit() {
+    // 40 and 48 distinct queries fill every growing table of a batch to
+    // the same capacity, so their difference is 8 queries' own blocks.
+    let (small, large) = (40, 48);
+    let lame = LinkModel::zero().with_lame_endpoint(Ipv4Addr::new(10, 0, 0, 1).into());
+    for threads in thread_axis() {
+        let [zero, lossy] = [LinkModel::zero(), lame.clone()].map(|model| {
+            let (engine, queries) = looped_engine(large, model);
+            // The first batch sizes the cache's tables and the
+            // selector's; a flush keeps them.
+            loop_batch_blocks(&engine, &queries, threads);
+            [small, large].map(|n| loop_batch_blocks(&engine, &queries[..n], threads))
+        });
+        let [(at_small, _), (at_large, no_timeouts)] = zero;
+        assert_eq!(no_timeouts, 0);
+        let per_query = (at_large - at_small) / (large - small) as u64;
+        assert_eq!(
+            (at_large - at_small, per_query),
+            ((large - small) as u64 * EVENT_LOOP_BLOCKS_PER_QUERY, EVENT_LOOP_BLOCKS_PER_QUERY),
+            "zero model, {threads} threads: {at_small} blocks for {small} queries, \
+             {at_large} for {large}"
+        );
+        // The first endpoint is mute: each query times out on it once
+        // per attempt, then the second endpoint answers.
+        let (lossy_large, timeouts) = lossy[1];
+        assert_eq!(timeouts, large as u64 * u64::from(RETRANSMITS + 1));
+        assert_eq!(
+            lossy_large - at_large,
+            timeouts * EVENT_LOOP_BLOCKS_PER_RETRANSMIT,
+            "lossy, {threads} threads: {lossy_large} blocks against {at_large} lossless"
+        );
     }
 }

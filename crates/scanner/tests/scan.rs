@@ -230,7 +230,7 @@ fn multi_vantage_stores_are_identical_across_thread_counts() {
         threads: 4,
         vantages: vec![VantagePoint::isp_resolver()],
     };
-    assert_eq!(campaign.vantages[0].strategy, SelectionStrategy::Random);
+    assert_eq!(campaign.vantages[0].config().strategy, SelectionStrategy::Random);
     let store = campaign.run(&mut world);
     assert_eq!(store.vantage(), "isp");
     let mut world2 = tiny_world();

@@ -4,11 +4,11 @@
 use httpsrr::authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use httpsrr::browser::{Browser, BrowserProfile, NavEvent, Outcome, UrlScheme};
 use httpsrr::dns_wire::{DnsName, RData, Record, SvcParam, SvcbRdata};
-use httpsrr::netsim::{Network, SimClock};
+use httpsrr::netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
 use httpsrr::resolver::{RecursiveResolver, ResolverConfig};
 use httpsrr::tlsech::{EchKeyManager, EchServerState, WebServer, WebServerConfig};
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 fn name(s: &str) -> DnsName {
     DnsName::parse(s).unwrap()
@@ -22,6 +22,19 @@ struct Stack {
     network: Network,
     zones: ZoneSet,
     web: Arc<WebServer>,
+    /// The public resolver, which the network binds only weakly.
+    _resolver: Arc<RecursiveResolver>,
+}
+
+/// A resolver bound at an address without being owned by the binding:
+/// it owns the network, so an owning binding would be a cycle that
+/// keeps the whole stack alive after the test drops it.
+struct BoundResolver(Weak<RecursiveResolver>);
+
+impl DatagramService for BoundResolver {
+    fn handle(&self, request: &[u8], now: Timestamp, reply: &mut Vec<u8>) -> Result<(), NetError> {
+        self.0.upgrade().ok_or(NetError::Reset)?.handle(request, now, reply)
+    }
 }
 
 impl Stack {
@@ -73,8 +86,8 @@ fn full_stack(with_ech: bool) -> Stack {
         registry,
         ResolverConfig { validate: false, ..Default::default() },
     ));
-    network.bind_datagram(ip("9.9.9.9"), 53, resolver);
-    Stack { network, zones, web }
+    network.bind_datagram(ip("9.9.9.9"), 53, Arc::new(BoundResolver(Arc::downgrade(&resolver))));
+    Stack { network, zones, web, _resolver: resolver }
 }
 
 #[test]
