@@ -7,12 +7,13 @@
 /// whose keys are not ascending is stable-sorted first, so a key that
 /// repeats within a day is folded once per row, in scan order — what a
 /// map keyed by the same key would have seen.
-pub(crate) struct Tracks<T, R> {
+pub(crate) struct Tracks<T, R = ()> {
     /// Ascending by key, one entry per key seen so far.
     tracks: Vec<(u64, T)>,
     /// Keys first seen on the day being merged, ascending; reused.
     fresh: Vec<(u64, T)>,
-    /// The day being merged, in scan order; reused.
+    /// The day being merged by [`Tracks::merge_day`], in key order;
+    /// reused.
     day: Vec<(u64, R)>,
 }
 
@@ -31,17 +32,37 @@ impl<T: Copy + Default, R: Copy> Tracks<T, R> {
         rows: impl Iterator<Item = (u64, R)>,
         mut fold: impl FnMut(&mut T, R),
     ) {
+        let mut day = std::mem::take(&mut self.day);
         let (least, most) = rows.size_hint();
-        self.day.clear();
-        self.day.reserve(most.unwrap_or(least));
-        self.day.extend(rows);
-        if !self.day.windows(2).all(|w| w[0].0 <= w[1].0) {
-            self.day.sort_by_key(|&(key, _)| key);
+        day.clear();
+        day.reserve(most.unwrap_or(least));
+        day.extend(rows);
+        if !day.windows(2).all(|w| w[0].0 <= w[1].0) {
+            day.sort_by_key(|&(key, _)| key);
         }
-        self.fresh.reserve(self.day.len());
+        self.merge_sorted(&day, |&(key, _)| key, |state, &(_, row)| fold(state, row));
+        self.day = day;
+    }
+}
+
+impl<T: Copy + Default, R> Tracks<T, R> {
+    /// Fold each of one day's `rows`, already ascending by `key` (a
+    /// repeated key's rows in scan order), into its key's state: the
+    /// merge [`Tracks::merge_day`] runs once it has sorted a day, for a
+    /// caller that holds the day sorted in a buffer of its own.
+    pub(crate) fn merge_sorted<S>(
+        &mut self,
+        rows: &[S],
+        key: impl Fn(&S) -> u64,
+        mut fold: impl FnMut(&mut T, &S),
+    ) {
+        self.fresh.reserve(rows.len());
         let mut at = 0;
-        for &(key, row) in &self.day {
-            at += self.tracks[at..].iter().take_while(|t| t.0 < key).count();
+        for row in rows {
+            let key = key(row);
+            while at < self.tracks.len() && self.tracks[at].0 < key {
+                at += 1;
+            }
             if let Some((_, state)) = self.tracks.get_mut(at).filter(|t| t.0 == key) {
                 fold(state, row);
                 continue;

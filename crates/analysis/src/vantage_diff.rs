@@ -124,16 +124,33 @@ impl std::fmt::Display for VantageDiffReport {
     }
 }
 
-/// One observation packed for the diff: `domain_id << 2 | is_www << 1 |
-/// https`. Everything above the low bit is the *name*, so packed rows
-/// order as `(domain_id, is_www)` — the order a scan writes them in.
+/// Common days one visit per source reads together: the store reader
+/// reads and checksums up to four adjacent chunks at once.
+const BLOCK_DAYS: usize = 4;
+
+/// The flag bits below a packed row's name.
+const FLAG_BITS: u32 = 3;
+/// A packed row's bit for an observation whose resolution failed.
+const FAILED: u64 = 0b010;
+/// A packed row's bit for a failed resolution that timed out.
+const TIMED_OUT: u64 = 0b100;
+/// A packed row's `is_www` bit, the lowest bit of its name.
+const WWW: u64 = 1 << FLAG_BITS;
+
+/// One observation packed for the diff: `(domain_id << 1 | is_www) << 3
+/// | timed_out << 2 | failed << 1 | https`. Everything above the flag
+/// bits is the *name*, so packed rows order as `(domain_id, is_www)` —
+/// the order a scan writes them in.
 fn pack(o: &Observation) -> u64 {
-    u64::from(o.domain_id) << 2 | u64::from(o.is_www()) << 1 | u64::from(o.https())
+    let name = u64::from(o.domain_id) << 1 | u64::from(o.is_www());
+    let failed = o.has(scanner::flags::RESOLUTION_FAILED);
+    let timed_out = o.has(scanner::flags::RESOLUTION_FAILED | scanner::flags::RESOLUTION_TIMEOUT);
+    name << FLAG_BITS | u64::from(timed_out) << 2 | u64::from(failed) << 1 | u64::from(o.https())
 }
 
 /// The `(domain_id, is_www)` part of a packed row.
-fn name_of(row: u64) -> u64 {
-    row >> 1
+fn name_of(row: &u64) -> u64 {
+    row >> FLAG_BITS
 }
 
 /// The HTTPS-presence bit of a packed row.
@@ -141,43 +158,39 @@ fn https_of(row: u64) -> bool {
     row & 1 == 1
 }
 
-/// Visit `day` of `source` once: fold every row into `tally` and leave in
-/// `view` (cleared first) the day's presence view — one packed row per
-/// name whose resolution did not fail outright (a failed row is no view
-/// to compare, so [`DayDiffs::fold_day`] skips the name for that day),
-/// ascending by name.
+/// Append one day's rows to `rows`, packed, and fold them into `tally`:
+/// the day's view, which [`DayDiffs::fold_day`] compares.
 ///
 /// A scan writes a day sorted by `(domain_id, is_www)` with each name
 /// once, and one pass over the packed rows confirms it. A day that is
-/// not — rows out of order, or a name repeated — is stable-sorted by name
-/// and the last row of each name kept, which is what inserting the rows
-/// into a map in scan order yields.
-fn day_view(
-    source: &dyn ObservationSource,
-    day: u32,
-    tally: &mut SourceTally,
-    view: &mut Vec<u64>,
-) {
-    view.clear();
-    source.for_each_day_filtered(
-        ScanFilter::projected(DIFF_PROJECTION).days(day, day),
-        &mut |_, obs| {
-            tally.merge_day(obs);
-            let compared = obs.iter().filter(|o| !o.has(scanner::flags::RESOLUTION_FAILED));
-            view.reserve(obs.len());
-            view.extend(compared.map(pack));
-        },
-    );
-    if !view.windows(2).all(|w| name_of(w[0]) < name_of(w[1])) {
-        view.sort_by_key(|&row| name_of(row));
-        view.dedup_by(|later, kept| {
-            let same = name_of(*later) == name_of(*kept);
-            if same {
-                *kept = *later;
-            }
-            same
-        });
+/// not is stable-sorted by name, so a repeated name's rows stay in scan
+/// order: the tally folds every one of them, and the diff compares the
+/// last that did not fail — what a map filled in scan order holds.
+fn push_day(obs: &[Observation], tally: &mut SourceTally, rows: &mut Vec<u64>) {
+    let start = rows.len();
+    rows.extend(obs.iter().map(pack));
+    let day = &mut rows[start..];
+    if !day.windows(2).all(|w| name_of(&w[0]) <= name_of(&w[1])) {
+        day.sort_by_key(name_of);
     }
+    tally.merge_day(day);
+}
+
+/// The row of `name` a view compares, if any: the last of its rows at
+/// `*at` that did not fail (a failed row is no view to compare). `*at`
+/// ends past the name's rows; the rows before it must name less.
+fn compared_row(view: &[u64], at: &mut usize, name: u64) -> Option<u64> {
+    while *at < view.len() && name_of(&view[*at]) < name {
+        *at += 1;
+    }
+    let mut compared = None;
+    while let Some(&row) = view.get(*at).filter(|row| name_of(row) == name) {
+        if row & FAILED == 0 {
+            compared = Some(row);
+        }
+        *at += 1;
+    }
+    compared
 }
 
 /// Diff per-vantage stores produced by one multi-vantage campaign run.
@@ -194,9 +207,12 @@ pub fn vantage_diff(stores: &[SnapshotStore]) -> VantageDiffReport {
 }
 
 /// Diff any mix of observation sources — in-memory [`SnapshotStore`]s or
-/// disk-backed [`scanner::StoreReader`]s — in one streaming visit per
-/// (source, common day): a day is read once, and no more than one day's
-/// view per source is held at a time.
+/// disk-backed [`scanner::StoreReader`]s — walking the common days in
+/// blocks of up to four: one streaming visit per (source, block) reads
+/// the block's days, so a disk source reads and checksums them as one
+/// read group, skipping the days in the block's range that some other
+/// source lacks. Each day is read once, and no more than one read
+/// group, four days, of views is held per source at a time.
 ///
 /// # Panics
 ///
@@ -207,14 +223,65 @@ pub fn vantage_diff_sources(sources: &[&dyn ObservationSource]) -> VantageDiffRe
 
     let mut diff = DayDiffs::default();
     let mut tallies: Vec<SourceTally> = sources.iter().map(|_| SourceTally::default()).collect();
-    let mut views: Vec<Vec<u64>> = vec![Vec::new(); sources.len()];
-    for &day in &days {
-        for ((source, tally), view) in sources.iter().zip(&mut tallies).zip(&mut views) {
-            day_view(*source, day, tally, view);
+    let mut blocks: Vec<Block> = sources.iter().map(|_| Block::default()).collect();
+    for block_days in days.chunks(BLOCK_DAYS) {
+        for ((source, tally), block) in sources.iter().zip(&mut tallies).zip(&mut blocks) {
+            block.read(*source, block_days, tally);
         }
-        diff.fold_day(day, &views);
+        for (j, &day) in block_days.iter().enumerate() {
+            diff.fold_day(day, blocks.iter().map(|b| b.day(j)));
+        }
     }
     diff.into_report(vantages, days, tallies)
+}
+
+/// One source's views of a block of common days: each day's packed rows
+/// ([`push_day`]), day after day in one buffer reused from block to
+/// block.
+#[derive(Default)]
+struct Block {
+    rows: Vec<u64>,
+    /// Where the view of the block's `j`th day starts and ends in `rows`.
+    spans: [(usize, usize); BLOCK_DAYS],
+}
+
+impl Block {
+    /// Read `days` (ascending, at most [`BLOCK_DAYS`]) of `source` in one
+    /// visit, folding each into `tally`.
+    fn read(&mut self, source: &dyn ObservationSource, days: &[u32], tally: &mut SourceTally) {
+        self.rows.clear();
+        self.spans = Default::default();
+        visit_days(source, days, |j, obs| {
+            // Room for this day and, at its size, the rest of the block.
+            self.rows.reserve(obs.len() * (days.len() - j));
+            let start = self.rows.len();
+            push_day(obs, tally, &mut self.rows);
+            self.spans[j] = (start, self.rows.len());
+        });
+    }
+
+    /// The view of the block's `j`th day.
+    fn day(&self, j: usize) -> &[u64] {
+        let (start, end) = self.spans[j];
+        &self.rows[start..end]
+    }
+}
+
+/// Visit `days` (ascending) of `source` in one visit over their range,
+/// handing each to `each` with its index in `days`; the days in the
+/// range that are not asked for are skipped.
+fn visit_days(
+    source: &dyn ObservationSource,
+    days: &[u32],
+    mut each: impl FnMut(usize, &[Observation]),
+) {
+    let (Some(&first), Some(&last)) = (days.first(), days.last()) else { return };
+    let filter = ScanFilter::projected(DIFF_PROJECTION).days(first, last);
+    source.for_each_day_filtered(filter, &mut |day, obs| {
+        if let Ok(j) = days.binary_search(&day) {
+            each(j, obs);
+        }
+    });
 }
 
 /// The sources' vantage labels, in order.
@@ -244,40 +311,40 @@ struct DayDiffs {
     disagreements: Vec<VantageDisagreement>,
     per_day: BTreeMap<u32, usize>,
     disagreeing_domains: BTreeSet<u32>,
-    /// One position per view after the first, reused across days.
-    cursors: Vec<usize>,
 }
 
 impl DayDiffs {
-    /// Merge one day's views (each ascending by name, one row per name):
-    /// walk the first and advance a cursor through each of the others. A
-    /// name some view lacks is skipped; a name every view holds is
-    /// compared.
-    fn fold_day(&mut self, day: u32, views: &[Vec<u64>]) {
+    /// Merge one day's views (each from [`push_day`], one per source):
+    /// walk the names of the first and advance a cursor through each of
+    /// the others. A name some view lacks, or holds only in failed rows,
+    /// is skipped; a name every view holds is compared.
+    fn fold_day<'a>(&mut self, day: u32, views: impl IntoIterator<Item = &'a [u64]>) {
+        // The views and their cursors sit on the stack (`labels` holds a
+        // diff to `MAX_VIEWS`), so a fold allocates nothing.
+        let mut held: [&[u64]; MAX_VIEWS] = [&[]; MAX_VIEWS];
+        let mut count = 0;
+        for (slot, view) in held.iter_mut().zip(views) {
+            *slot = view;
+            count += 1;
+        }
         // No view at all means no source, hence no day to fold.
-        let Some((first, others)) = views.split_first() else { return };
-        let mut count = 0usize;
-        self.cursors.clear();
-        self.cursors.resize(others.len(), 0);
-        'names: for &row in first {
-            let name = name_of(row);
-            let mut disagree = false;
-            for (view, at) in others.iter().zip(&mut self.cursors) {
-                *at += view[*at..].iter().take_while(|&&r| name_of(r) < name).count();
-                match view.get(*at) {
-                    Some(&r) if name_of(r) == name => disagree |= https_of(r) != https_of(row),
-                    _ => continue 'names,
+        let Some((first, others)) = held[..count].split_first() else { return };
+        // Every view's bit: all of them saw the record.
+        let everyone = u64::MAX >> (MAX_VIEWS - count);
+        let mut cursors = [0usize; MAX_VIEWS];
+        let (mut next, mut disagreeing) = (0, 0usize);
+        'names: while let Some(name) = first.get(next).map(name_of) {
+            let Some(row) = compared_row(first, &mut next, name) else { continue };
+            let mut present = u64::from(https_of(row));
+            for (i, (view, at)) in others.iter().zip(&mut cursors).enumerate() {
+                match compared_row(view, at, name) {
+                    Some(r) => present |= u64::from(https_of(r)) << (i + 1),
+                    None => continue 'names,
                 }
             }
-            if !disagree {
+            if present == 0 || present == everyone {
                 continue;
             }
-            // Every cursor now rests on this name's row in its view.
-            let rows = others.iter().zip(&self.cursors).map(|(view, &at)| view[at]);
-            let present = std::iter::once(row)
-                .chain(rows)
-                .enumerate()
-                .fold(0u64, |present, (i, r)| present | u64::from(https_of(r)) << i);
             let domain_id = (name >> 1) as u32;
             self.disagreements.push(VantageDisagreement {
                 day,
@@ -286,9 +353,9 @@ impl DayDiffs {
                 present,
             });
             self.disagreeing_domains.insert(domain_id);
-            count += 1;
+            disagreeing += 1;
         }
-        self.per_day.insert(day, count);
+        self.per_day.insert(day, disagreeing);
     }
 
     fn into_report(
@@ -313,48 +380,44 @@ impl DayDiffs {
     }
 }
 
-/// What the flapping figure keeps of one name's presence timeline.
+/// What the flapping figure keeps of one name's presence timeline: 8
+/// bytes, so a name's track and key take 16.
 #[derive(Clone, Copy, Default)]
 struct Track {
-    /// Rows seen so far, failed ones included.
-    rows: usize,
+    /// Rows seen so far, failed ones included (saturating: four billion
+    /// rows of one name is past any campaign).
+    rows: u32,
     /// HTTPS presence in the latest row.
     last: bool,
     /// Whether two consecutive rows ever differed.
     flapped: bool,
 }
 
-/// Per-source summary tallies, accumulated one [`day_view`] at a time.
+/// Per-source summary tallies, accumulated one [`push_day`] at a time.
 #[derive(Default)]
 struct SourceTally {
     positives: usize,
     resolution_failures: usize,
     timeouts: usize,
     /// Per name: O(names seen), whatever the number of days.
-    tracks: Tracks<Track, bool>,
+    tracks: Tracks<Track>,
 }
 
 impl SourceTally {
-    /// Fold one common day into the scalar tallies and the tracks.
-    /// Failed rows take part in the tracks (as whatever their HTTPS bit
-    /// says, i.e. absent), and a repeated name contributes every one of
-    /// its rows, in scan order.
-    fn merge_day(&mut self, obs: &[Observation]) {
-        for o in obs {
-            if !o.is_www() && o.https() {
-                self.positives += 1;
-            }
-            if o.has(scanner::flags::RESOLUTION_FAILED) {
-                self.resolution_failures += 1;
-                if o.has(scanner::flags::RESOLUTION_TIMEOUT) {
-                    self.timeouts += 1;
-                }
-            }
+    /// Fold one common day's packed rows, ascending by name, into the
+    /// scalar tallies and the tracks. Failed rows take part in the
+    /// tracks (as whatever their HTTPS bit says, i.e. absent), and a
+    /// repeated name contributes every one of its rows, in scan order.
+    fn merge_day(&mut self, rows: &[u64]) {
+        for &row in rows {
+            self.positives += usize::from(row & (WWW | 1) == 1);
+            self.resolution_failures += usize::from(row & FAILED != 0);
+            self.timeouts += usize::from(row & TIMED_OUT != 0);
         }
-        let rows = obs.iter().map(|o| (name_of(pack(o)), o.https()));
-        self.tracks.merge_day(rows, |t, https| {
+        self.tracks.merge_sorted(rows, name_of, |t, &row| {
+            let https = https_of(row);
             t.flapped |= t.rows > 0 && t.last != https;
-            t.rows += 1;
+            t.rows = t.rows.saturating_add(1);
             t.last = https;
         });
     }
@@ -364,7 +427,7 @@ impl SourceTally {
             if day_count == 0 { 0.0 } else { self.positives as f64 / day_count as f64 };
         // Flapping: domains observed every day whose presence changed
         // between consecutive sampled days.
-        let full = self.tracks.iter().filter(|(_, t)| t.rows == day_count);
+        let full = self.tracks.iter().filter(|(_, t)| t.rows as usize == day_count);
         let flapped = full.clone().filter(|(_, t)| t.flapped).count();
         let full = full.count();
         let flapping_rate = if full == 0 { 0.0 } else { flapped as f64 / full as f64 };
@@ -381,14 +444,16 @@ impl SourceTally {
 
 /// [`vantage_diff_sources`] with one reader thread per source.
 ///
-/// Each source is read on its own scoped thread, which runs the same
-/// `day_view` per common day as the sequential pass — one visit builds
-/// the day's view *and* folds the summary tallies — and sends each view
-/// through a bounded channel (at most two days in flight per source — the
-/// multi-vantage analogue of the reader's one-day residency bound). The
-/// coordinator receives one view per source per common day, in day
-/// order, and folds them through the same `DayDiffs` loop and
-/// `SourceTally` arithmetic — the report, including every
+/// Each source is read on its own scoped thread in one streaming visit
+/// over the common days' range (so a disk source reads its chunks in
+/// groups of four), skipping the days some other source lacks. Each
+/// common day's view is built by the same `push_day` as the sequential
+/// pass — which folds the summary tallies as it builds the view — and
+/// sent through a bounded channel: at most two days in flight per
+/// source, the reader's own group of four being read and checksummed
+/// ahead of them. The coordinator receives one view per source per
+/// common day, in day order, and folds them through the same `DayDiffs`
+/// loop and `SourceTally` arithmetic — the report, including every
 /// floating-point field, is byte-identical to [`vantage_diff_sources`].
 ///
 /// # Panics
@@ -408,25 +473,28 @@ pub fn vantage_diff_parallel(sources: &[&dyn ObservationSource]) -> VantageDiffR
             let days = &days;
             handles.push(scope.spawn(move || {
                 let mut tally = SourceTally::default();
-                for &day in days {
-                    let mut view = Vec::new();
-                    day_view(source, day, &mut tally, &mut view);
-                    // A full channel blocks here, bounding how far this
-                    // reader can run ahead of the coordinator. A closed
-                    // one means the coordinator is gone (it panicked).
-                    if tx.send(view).is_err() {
-                        break;
+                // Cleared once the coordinator is gone (it panicked).
+                let mut open = true;
+                visit_days(source, days, |_, obs| {
+                    if !open {
+                        return;
                     }
-                }
+                    let mut view = Vec::new();
+                    push_day(obs, &mut tally, &mut view);
+                    // A full channel blocks here, bounding how far this
+                    // reader can run ahead of the coordinator.
+                    open = tx.send(view).is_ok();
+                });
                 tally
             }));
         }
+        let mut views: Vec<Vec<u64>> = Vec::with_capacity(sources.len());
         for &day in &days {
-            let views: Vec<Vec<u64>> = receivers
-                .iter()
-                .map(|rx| rx.recv().expect("vantage reader thread died mid-scan"))
-                .collect();
-            diff.fold_day(day, &views);
+            views.clear();
+            views.extend(
+                receivers.iter().map(|rx| rx.recv().expect("vantage reader thread died mid-scan")),
+            );
+            diff.fold_day(day, views.iter().map(Vec::as_slice));
         }
         drop(receivers);
         handles.into_iter().map(|h| h.join().expect("vantage reader thread panicked")).collect()
@@ -621,29 +689,35 @@ mod tests {
         }
     }
 
-    /// One generated row: (domain id, www, https, failure shape 0..4).
+    /// One generated row: (domain id, www, https, failure shape 0..5).
     type Row = (u32, bool, bool, u8);
-    /// One generated source: two day masks (or-ed, so most of the six
-    /// candidate days are present but not all) and six days of rows, each
-    /// with a flag saying whether to put it in scan order first.
-    type Source = (u8, u8, Vec<(bool, Vec<Row>)>);
+    /// One generated source: three day masks (or-ed, so most of the ten
+    /// candidate days are present but not all) and ten days of rows, each
+    /// with a flag saying whether to put it in scan order first. Ten
+    /// days make two full four-day read blocks and a tail, and a day one
+    /// source lacks falls inside another's block.
+    type Source = ((u16, u16, u16), Vec<(bool, Vec<Row>)>);
+
+    /// The candidate days of a generated source.
+    const CANDIDATE_DAYS: usize = 10;
 
     fn row_strategy() -> impl Strategy<Value = Row> {
         // A small pool, so names repeat within a day and meet across
         // views, plus the top of the id range.
         let id = prop_oneof![0u32..6, 0u32..6, u32::MAX - 1..=u32::MAX];
-        (id, any::<bool>(), any::<bool>(), 0u8..4)
+        (id, any::<bool>(), any::<bool>(), 0u8..5)
     }
 
     fn source_strategy() -> impl Strategy<Value = Source> {
-        let day = (any::<bool>(), proptest::collection::vec(row_strategy(), 0..12));
-        (any::<u8>(), any::<u8>(), proptest::collection::vec(day, 6))
+        let day = (any::<bool>(), proptest::collection::vec(row_strategy(), 0..40));
+        let masks = (any::<u16>(), any::<u16>(), any::<u16>());
+        (masks, proptest::collection::vec(day, CANDIDATE_DAYS))
     }
 
-    fn build(index: usize, (mask_a, mask_b, days): &Source) -> SnapshotStore {
+    fn build(index: usize, ((mask_a, mask_b, mask_c), days): &Source) -> SnapshotStore {
         let mut s = SnapshotStore::with_vantage(&format!("v{index}"));
         for (day, (in_scan_order, rows)) in days.iter().enumerate() {
-            if (mask_a | mask_b) & (1 << day) == 0 {
+            if (mask_a | mask_b | mask_c) & (1 << day) == 0 {
                 continue;
             }
             let day = 3 * day as u32;
@@ -653,6 +727,9 @@ mod tests {
                     let failed = match failure {
                         2 => flags::RESOLUTION_FAILED,
                         3 => flags::RESOLUTION_FAILED | flags::RESOLUTION_TIMEOUT,
+                        // A timeout bit on a row that did not fail is no
+                        // timeout in the tallies.
+                        4 => flags::RESOLUTION_TIMEOUT,
                         _ => 0,
                     };
                     let www = if www { flags::IS_WWW } else { 0 };

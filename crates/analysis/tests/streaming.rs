@@ -41,9 +41,13 @@ fn thread_axis() -> Vec<usize> {
     axis
 }
 
+/// Nine sample days: the diff reads them as two full four-day groups and
+/// a tail.
+const SAMPLE_DAYS: [u32; 9] = [0, 2, 4, 6, 8, 10, 12, 14, 16];
+
 fn campaign() -> Campaign {
     Campaign {
-        sample_days: vec![0, 2, 4, 6],
+        sample_days: SAMPLE_DAYS.map(u64::from).to_vec(),
         scan_www: true,
         threads: 3,
         vantages: VantagePoint::presets(),
@@ -111,11 +115,11 @@ fn every_analysis_is_byte_identical_from_disk_and_memory() {
     }
 
     // Under every filter shape the analyses use, both backends visit
-    // the same days with the same rows (the campaign samples days
-    // 0, 2, 4, 6, so odd days are gaps).
+    // the same days with the same rows (the campaign samples the even
+    // days 0 to 16, so odd days are gaps).
     for (reader, store) in disk.readers.iter().zip(&stores) {
         for (shape, filter, days) in [
-            ("every day", ScanFilter::all(), vec![0, 2, 4, 6]),
+            ("every day", ScanFilter::all(), SAMPLE_DAYS.to_vec()),
             ("a present day", ScanFilter::all().days(4, 4), vec![4]),
             ("an absent day", ScanFilter::all().days(3, 3), vec![]),
             ("a range straddling gaps", ScanFilter::all().days(1, 5), vec![2, 4]),

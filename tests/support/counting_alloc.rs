@@ -15,6 +15,9 @@ thread_local! {
     /// another thread than the one that made it moves both threads'
     /// counts, so a census holds on work that stays on one thread.
     static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+    /// The most bytes `LIVE` has counted since [`peak_live_in`] last
+    /// reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -29,6 +32,7 @@ fn count(blocks: i64, bytes: i64) {
     let _ = LIVE.try_with(|live| {
         let (b, n) = live.get();
         live.set((b + blocks, n + bytes));
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(n + bytes)));
     });
 }
 
@@ -78,6 +82,18 @@ pub fn live_in<R>(f: impl FnOnce() -> R) -> ((i64, i64), R) {
     let out = f();
     let after = LIVE.with(Cell::get);
     ((after.0 - before.0, after.1 - before.1), out)
+}
+
+/// Run `f` and return the most bytes the calling thread held live at
+/// any point meanwhile, above what it held when `f` began: the
+/// high-water mark of `f`'s own heap, result included.
+#[allow(dead_code)]
+pub fn peak_live_in<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let start = LIVE.with(Cell::get).1;
+    let outer = PEAK.with(|peak| peak.replace(start));
+    let out = f();
+    let peak = PEAK.with(|peak| peak.replace(outer.max(peak.get())));
+    (peak - start, out)
 }
 
 /// Thread counts to hold a budget on: 1, 2 and 4, plus any counts named
