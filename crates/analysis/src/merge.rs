@@ -112,7 +112,9 @@ impl<'a> IdCursor<'a> {
         if self.at > 0 && self.ids[self.at - 1] >= id {
             self.at = self.ids.partition_point(|&x| x < id);
         }
-        self.at += self.ids[self.at..].iter().take_while(|&&x| x < id).count();
+        while self.at < self.ids.len() && self.ids[self.at] < id {
+            self.at += 1;
+        }
         self.ids.get(self.at) == Some(&id)
     }
 }

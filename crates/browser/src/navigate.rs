@@ -5,7 +5,8 @@
 //! event trace that the testbed asserts on.
 
 use crate::profile::{BrowserProfile, IpFallback, MalformedEchBehavior};
-use dns_wire::{DnsName, Message, RData, Record, RecordType, SvcbRdata};
+use dns_wire::svcb::key;
+use dns_wire::{DnsName, Message, MessageView, RecordType, RecordView, SvcbView};
 use netsim::Network;
 use std::net::IpAddr;
 use tlsech::{AlertCause, ClientHello, EchConfigList, EchExtension, InnerHello, ServerResponse};
@@ -178,13 +179,13 @@ impl<'a> Visit<'a> {
 
         // 1. DNS: browsers race HTTPS, A and AAAA queries for every URL
         // form (v4 preferred among the candidates, v6 appended).
-        let https_answers = if profile.queries_https_rr {
+        let https_reply = if profile.queries_https_rr {
             self.dns_query(&host_name, RecordType::Https)
         } else {
             Vec::new()
         };
         let host_ips = self.resolve_addrs(&host_name);
-        let record = select_https_record(&https_answers).filter(|rd| {
+        let record = select_https_record(&answers(&https_reply)).filter(|rd| {
             !(profile.ignores_record_without_alpn && !rd.is_alias() && rd.alpn_ids().is_none())
         });
 
@@ -217,9 +218,9 @@ impl<'a> Visit<'a> {
         }
     }
 
-    fn alias(&mut self, record: &SvcbRdata, host_ips: &[IpAddr]) -> Outcome {
-        let target_ips = if self.profile().follows_alias_target && !record.target.is_root() {
-            self.resolve_addrs(&record.target)
+    fn alias(&mut self, record: SvcbView<'_>, host_ips: &[IpAddr]) -> Outcome {
+        let target_ips = if self.profile().follows_alias_target && !record.target().is_root() {
+            self.resolve_addrs(&record.target().to_owned())
         } else {
             // Chrome/Edge/Firefox: keep trying the owner name's addresses.
             host_ips.to_vec()
@@ -231,14 +232,14 @@ impl<'a> Visit<'a> {
         self.tls_connect(ip, 443, &default_alpn(), None, &target_ips[1..])
     }
 
-    fn service(&mut self, record: &SvcbRdata, host_name: &DnsName, host_ips: &[IpAddr]) -> Outcome {
+    fn service(&mut self, record: SvcbView<'_>, host: &DnsName, host_ips: &[IpAddr]) -> Outcome {
         let profile = self.profile();
 
         // Endpoint selection (TargetName).
-        let endpoint_name = if !record.target.is_root() && profile.follows_service_target {
-            record.target.clone()
+        let endpoint_name = if !record.target().is_root() && profile.follows_service_target {
+            record.target().to_owned()
         } else {
-            host_name.clone()
+            host.clone()
         };
 
         // Address candidates: A records of the endpoint vs IP hints.
@@ -247,10 +248,8 @@ impl<'a> Visit<'a> {
         } else {
             self.resolve_addrs(&endpoint_name)
         };
-        let hint_ips: Vec<IpAddr> = record
-            .ipv4hint()
-            .map(|v| v.iter().map(|a| IpAddr::V4(*a)).collect())
-            .unwrap_or_default();
+        let hint_ips: Vec<IpAddr> =
+            record.ipv4hint().map(|v| v.map(IpAddr::V4).collect()).unwrap_or_default();
 
         let (primary, secondary) = if profile.prefers_ip_hints && !hint_ips.is_empty() {
             (hint_ips, endpoint_ips)
@@ -264,12 +263,16 @@ impl<'a> Visit<'a> {
         };
 
         // Port.
-        let port = if profile.uses_port_param { record.port().unwrap_or(443) } else { 443 };
+        let advertised = record.param(key::PORT).and_then(<[u8]>::first_chunk);
+        let port = match advertised {
+            Some(port) if profile.uses_port_param => u16::from_be_bytes(*port),
+            _ => 443,
+        };
 
         // ALPN offer: the record's protocols intersected with support.
-        let alpn: Vec<String> = match record.alpn() {
+        let alpn: Vec<String> = match record.alpn_ids() {
             Some(ids) => ids
-                .into_iter()
+                .map(String::from_utf8_lossy)
                 .filter(|p| profile.supported_alpn.contains(&p.as_ref()))
                 .map(|p| p.into_owned())
                 .collect(),
@@ -278,7 +281,7 @@ impl<'a> Visit<'a> {
 
         // ECH.
         let mut ech_config: Option<EchConfigList> = None;
-        if let Some(bytes) = record.ech() {
+        if let Some(bytes) = record.param(key::ECH) {
             if profile.supports_ech {
                 match EchConfigList::decode(bytes) {
                     Some(list) => ech_config = Some(list),
@@ -431,56 +434,60 @@ impl<'a> Visit<'a> {
     }
 
     /// Ask the resolver one question, as one query datagram to
-    /// `resolver_ip:53`, returning the reply's answer records (a CNAME
-    /// chain, then the final RRset), or none when the resolver cannot be
-    /// reached or fails the query.
-    fn dns_query(&mut self, name: &DnsName, qtype: RecordType) -> Vec<Record> {
+    /// `resolver_ip:53`, returning its reply ([`answers`] reads the
+    /// records in it: a CNAME chain, then the final RRset), or nothing
+    /// when the resolver cannot be reached.
+    fn dns_query(&mut self, name: &DnsName, qtype: RecordType) -> Vec<u8> {
         self.events.push(NavEvent::DnsQuery { name: name.key(), qtype });
         let query = Message::query(0, name.clone(), qtype).encode();
-        self.browser
-            .network
-            .send_datagram(self.browser.resolver_ip, 53, &query)
-            .ok()
-            .and_then(|reply| Message::decode(&reply).ok())
-            .map(|reply| reply.answers)
-            .unwrap_or_default()
+        self.browser.network.send_datagram(self.browser.resolver_ip, 53, &query).unwrap_or_default()
     }
 
     /// Resolve the address candidates for `name`: A records first (every
     /// simulated web endpoint is v4), then AAAA records.
     fn resolve_addrs(&mut self, name: &DnsName) -> Vec<IpAddr> {
-        let mut ips = a_ips(&self.dns_query(name, RecordType::A));
-        ips.extend(self.dns_query(name, RecordType::Aaaa).iter().filter_map(|r| match &r.rdata {
-            RData::Aaaa(a) => Some(IpAddr::V6(*a)),
-            _ => None,
-        }));
+        let mut ips = addresses(&self.dns_query(name, RecordType::A));
+        ips.extend(addresses(&self.dns_query(name, RecordType::Aaaa)));
         ips
     }
 }
 
-/// Pick the HTTPS record a client would use: lowest-priority ServiceMode
-/// record, else an AliasMode record.
-fn select_https_record(answers: &[Record]) -> Option<&SvcbRdata> {
-    let rdatas: Vec<&SvcbRdata> = answers
-        .iter()
-        .filter_map(|r| match &r.rdata {
-            RData::Https(rd) => Some(rd),
-            _ => None,
-        })
-        .collect();
-    rdatas
-        .iter()
-        .filter(|rd| !rd.is_alias())
-        .min_by_key(|rd| rd.priority)
-        .or_else(|| rdatas.iter().find(|rd| rd.is_alias()))
-        .copied()
+/// The answer records of a resolver's reply, read in place; none when
+/// the reply does not parse or holds a record whose RDATA do not check.
+fn answers(reply: &[u8]) -> Vec<RecordView<'_>> {
+    let Ok(view) = MessageView::parse(reply) else {
+        return Vec::new();
+    };
+    let mut records = view.answers().chain(view.authorities()).chain(view.additionals());
+    if records.any(|rec| rec.check_rdata().is_err()) {
+        return Vec::new();
+    }
+    view.answers().collect()
 }
 
-fn a_ips(records: &[Record]) -> Vec<IpAddr> {
-    records
+/// Pick the HTTPS record a client would use: lowest-priority ServiceMode
+/// record, else an AliasMode record.
+fn select_https_record<'a>(answers: &[RecordView<'a>]) -> Option<SvcbView<'a>> {
+    let records = answers
         .iter()
-        .filter_map(|r| match &r.rdata {
-            RData::A(a) => Some(IpAddr::V4(*a)),
+        .filter(|rec| rec.rtype() == RecordType::Https)
+        .filter_map(|rec| rec.svcb().ok());
+    records
+        .clone()
+        .filter(|rd| !rd.is_alias())
+        .min_by_key(|rd| rd.priority())
+        .or_else(|| records.clone().find(|rd| rd.is_alias()))
+}
+
+/// The addresses of the A and AAAA records among a reply's answers.
+fn addresses(reply: &[u8]) -> Vec<IpAddr> {
+    answers(reply)
+        .iter()
+        .filter_map(|rec| match rec.rtype() {
+            RecordType::A => rec.rdata_view().bytes().first_chunk::<4>().map(|a| IpAddr::from(*a)),
+            RecordType::Aaaa => {
+                rec.rdata_view().bytes().first_chunk::<16>().map(|a| IpAddr::from(*a))
+            }
             _ => None,
         })
         .collect()
@@ -489,35 +496,41 @@ fn a_ips(records: &[Record]) -> Vec<IpAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::SvcParam;
+    use dns_wire::{RData, Record, SvcParam, SvcbRdata};
 
     fn https_rec(rd: SvcbRdata) -> Record {
         Record::new(DnsName::parse("a.com").unwrap(), 60, RData::Https(rd))
     }
 
+    /// A resolver's reply answering with `records`.
+    fn reply(records: Vec<Record>) -> Vec<u8> {
+        let query = Message::query(0, DnsName::parse("a.com").unwrap(), RecordType::Https);
+        Message { answers: records, ..query.response() }.encode()
+    }
+
     #[test]
     fn record_selection_prefers_low_priority_service_mode() {
-        let answers = vec![
+        let reply = reply(vec![
             https_rec(SvcbRdata { priority: 2, target: DnsName::root(), params: vec![] }),
             https_rec(SvcbRdata { priority: 1, target: DnsName::root(), params: vec![] }),
             https_rec(SvcbRdata::alias(DnsName::parse("b.com").unwrap())),
-        ];
-        assert_eq!(select_https_record(&answers).unwrap().priority, 1);
+        ]);
+        assert_eq!(select_https_record(&answers(&reply)).unwrap().priority(), 1);
     }
 
     #[test]
     fn record_selection_falls_back_to_alias() {
-        let answers = vec![https_rec(SvcbRdata::alias(DnsName::parse("b.com").unwrap()))];
-        assert!(select_https_record(&answers).unwrap().is_alias());
+        let reply = reply(vec![https_rec(SvcbRdata::alias(DnsName::parse("b.com").unwrap()))]);
+        assert!(select_https_record(&answers(&reply)).unwrap().is_alias());
         assert!(select_https_record(&[]).is_none());
     }
 
     #[test]
     fn a_ip_extraction_ignores_other_types() {
-        let recs = vec![
+        let reply = reply(vec![
             Record::new(DnsName::parse("a.com").unwrap(), 60, RData::A("1.2.3.4".parse().unwrap())),
             https_rec(SvcbRdata::service_self(vec![SvcParam::Port(443)])),
-        ];
-        assert_eq!(a_ips(&recs), vec!["1.2.3.4".parse::<IpAddr>().unwrap()]);
+        ]);
+        assert_eq!(addresses(&reply), vec!["1.2.3.4".parse::<IpAddr>().unwrap()]);
     }
 }

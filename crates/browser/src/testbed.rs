@@ -419,10 +419,7 @@ fn setup_shared_ech(tb: &Testbed) -> Arc<WebServer> {
         vec![tb.domain.clone(), cover.clone()],
         vec!["h2", "http/1.1"],
     );
-    server.enable_ech(EchServerState {
-        manager: EchKeyManager::new(cover.clone(), "testbed-shared", 1),
-        retry_enabled: true,
-    });
+    server.enable_ech(EchServerState::new(EchKeyManager::new(cover.clone(), "testbed-shared", 1)));
     let configs = server.current_ech_configs().expect("just enabled");
     tb.set_domain_records(
         vec![ip(addr::WEB_PRIMARY)],
@@ -484,10 +481,11 @@ pub fn run_ech_mismatch(tb: &Testbed, profile: &BrowserProfile) -> (Support, boo
     // Rotate with no grace: the advertised key no longer decrypts.
     {
         // Replace state with a no-grace manager, then rotate.
-        server.enable_ech(EchServerState {
-            manager: EchKeyManager::new(name("cover.test-domain.com"), "testbed-shared", 0),
-            retry_enabled: true,
-        });
+        server.enable_ech(EchServerState::new(EchKeyManager::new(
+            name("cover.test-domain.com"),
+            "testbed-shared",
+            0,
+        )));
         // DNS still carries the config from setup_shared_ech (same seed,
         // rotation 0). Rotate the server away from it.
         server.rotate_ech_key("testbed-shared");
@@ -520,10 +518,7 @@ pub fn run_ech_split(tb: &Testbed, profile: &BrowserProfile) -> (Support, Option
     // Client-facing server with ECH for the public name, forwarding to
     // the back end.
     let front = tb.web_server(addr::WEB_FRONT, 443, vec![public.clone()], vec!["h2", "http/1.1"]);
-    front.enable_ech(EchServerState {
-        manager: EchKeyManager::new(public.clone(), "testbed-split", 1),
-        retry_enabled: true,
-    });
+    front.enable_ech(EchServerState::new(EchKeyManager::new(public.clone(), "testbed-split", 1)));
     front.add_forward(&tb.domain.key(), (ip(addr::WEB_PRIMARY), 443));
     let configs = front.current_ech_configs().expect("enabled");
 

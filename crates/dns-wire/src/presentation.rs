@@ -273,8 +273,11 @@ mod tests {
         match &r2.rdata {
             RData::Https(rd) => {
                 assert_eq!(rd.priority, 1);
-                assert_eq!(rd.alpn().unwrap(), vec!["h3"]);
-                assert_eq!(rd.ipv4hint().unwrap(), &[Ipv4Addr::new(1, 2, 3, 4)]);
+                assert_eq!(rd.params[0], crate::SvcParam::Alpn(vec![b"h3".to_vec()]));
+                assert_eq!(
+                    rd.params[1],
+                    crate::SvcParam::Ipv4Hint(vec![Ipv4Addr::new(1, 2, 3, 4)])
+                );
             }
             other => panic!("wrong rdata: {other:?}"),
         }

@@ -2,7 +2,8 @@
 
 use crate::error::WireError;
 use crate::name::DnsName;
-use crate::svcb::{SvcbRdata, SvcbView};
+use crate::svcb::{character_strings, SvcbRdata, SvcbView};
+use crate::view::RdataView;
 use crate::wire::{WireReader, WireWriter};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -113,6 +114,24 @@ impl RecordType {
             RecordType::Svcb => "SVCB".into(),
             RecordType::Https => "HTTPS".into(),
             RecordType::Unknown(code) => format!("TYPE{code}"),
+        }
+    }
+
+    /// Where the domain names lie in RDATA of this type: the octets
+    /// before the first name, and how many names follow it one after
+    /// another; `(0, 0)` for a type that holds none. These are the names
+    /// a message may compress, so a reader expands them, and the ones
+    /// canonical form lowercases (RFC 4034 §6.2; the RRSIG signer too,
+    /// RFC 6840 §5.1). An SVCB or HTTPS target is not listed: RFC 9460
+    /// §2.2 forbids compressing it, so its bytes are the name.
+    pub fn rdata_names(self) -> (usize, usize) {
+        match self {
+            RecordType::Ns | RecordType::Cname | RecordType::Ptr | RecordType::Dname => (0, 1),
+            RecordType::Mx => (2, 1),
+            RecordType::Srv => (6, 1),
+            RecordType::Soa => (0, 2),
+            RecordType::Rrsig => (18, 1),
+            _ => (0, 0),
         }
     }
 
@@ -434,152 +453,94 @@ impl RData {
     /// Decode RDATA of the given type from exactly `rdata`. Names inside
     /// compressed messages may point into `whole_message`; when decoding a
     /// standalone RDATA buffer pass the RDATA itself as the whole message.
+    /// The RDATA are checked ([`RData::check`], where every acceptance
+    /// rule lives), then built from the checked bytes.
     pub fn decode(
         rtype: RecordType,
         rdata_range: (usize, usize),
         whole_message: &[u8],
     ) -> Result<RData, WireError> {
-        let (start, end) = rdata_range;
-        if end > whole_message.len() || start > end {
-            return Err(WireError::Truncated { context: "rdata range" });
-        }
-        let rdata = &whole_message[start..end];
-        let read_name_at = |off: usize| -> Result<(DnsName, usize), WireError> {
-            DnsName::decode_at(whole_message, start + off).map(|(n, next)| (n, next - start))
-        };
-        match rtype {
-            RecordType::A => {
-                if rdata.len() != 4 {
-                    return Err(WireError::InvalidValue { context: "A rdata" });
-                }
-                Ok(RData::A(Ipv4Addr::new(rdata[0], rdata[1], rdata[2], rdata[3])))
-            }
-            RecordType::Aaaa => {
-                if rdata.len() != 16 {
-                    return Err(WireError::InvalidValue { context: "AAAA rdata" });
-                }
-                let mut o = [0u8; 16];
-                o.copy_from_slice(rdata);
-                Ok(RData::Aaaa(Ipv6Addr::from(o)))
-            }
-            RecordType::Cname | RecordType::Dname | RecordType::Ns | RecordType::Ptr => {
-                let (name, consumed) = read_name_at(0)?;
-                if consumed != rdata.len() {
-                    return Err(WireError::RdataLengthMismatch { declared: rdata.len(), consumed });
-                }
-                Ok(match rtype {
-                    RecordType::Cname => RData::Cname(name),
-                    RecordType::Dname => RData::Dname(name),
-                    RecordType::Ns => RData::Ns(name),
-                    _ => RData::Ptr(name),
-                })
-            }
-            RecordType::Mx => {
-                if rdata.len() < 3 {
-                    return Err(WireError::Truncated { context: "MX rdata" });
-                }
-                let pref = u16::from_be_bytes([rdata[0], rdata[1]]);
-                let (host, consumed) = read_name_at(2)?;
-                if consumed != rdata.len() {
-                    return Err(WireError::RdataLengthMismatch { declared: rdata.len(), consumed });
-                }
-                Ok(RData::Mx(pref, host))
-            }
-            RecordType::Txt => {
-                let mut r = WireReader::new(rdata);
-                let mut strings = Vec::new();
-                while r.remaining() > 0 {
-                    let n = r.read_u8()? as usize;
-                    strings.push(r.read_bytes(n, "TXT string")?.to_vec());
-                }
-                Ok(RData::Txt(strings))
-            }
-            RecordType::Soa => {
-                let (mname, off1) = read_name_at(0)?;
-                let (rname, off2) = read_name_at(off1)?;
-                let mut r = WireReader::new(rdata);
-                r.seek(off2)?;
-                let soa = SoaRdata {
-                    mname,
-                    rname,
-                    serial: r.read_u32()?,
-                    refresh: r.read_u32()?,
-                    retry: r.read_u32()?,
-                    expire: r.read_u32()?,
-                    minimum: r.read_u32()?,
-                };
-                if r.remaining() > 0 {
-                    return Err(WireError::TrailingBytes(r.remaining()));
-                }
-                Ok(RData::Soa(soa))
-            }
-            RecordType::Srv => {
-                let mut r = WireReader::new(rdata);
-                let priority = r.read_u16()?;
-                let weight = r.read_u16()?;
-                let port = r.read_u16()?;
-                let (target, consumed) = read_name_at(6)?;
-                if consumed != rdata.len() {
-                    return Err(WireError::RdataLengthMismatch { declared: rdata.len(), consumed });
-                }
-                Ok(RData::Srv(SrvRdata { priority, weight, port, target }))
-            }
-            RecordType::Svcb => Ok(RData::Svcb(SvcbRdata::decode(rdata)?)),
-            RecordType::Https => Ok(RData::Https(SvcbRdata::decode(rdata)?)),
-            RecordType::Rrsig => {
-                let mut r = WireReader::new(rdata);
-                let type_covered = RecordType::from_code(r.read_u16()?);
-                let algorithm = r.read_u8()?;
-                let labels = r.read_u8()?;
-                let original_ttl = r.read_u32()?;
-                let expiration = r.read_u32()?;
-                let inception = r.read_u32()?;
-                let key_tag = r.read_u16()?;
-                let (signer, next) = read_name_at(r.position())?;
-                let signature = rdata
-                    .get(next..)
-                    .ok_or(WireError::Truncated { context: "RRSIG signature" })?
-                    .to_vec();
-                Ok(RData::Rrsig(RrsigRdata {
-                    type_covered,
-                    algorithm,
-                    labels,
-                    original_ttl,
-                    expiration,
-                    inception,
-                    key_tag,
-                    signer,
-                    signature,
-                }))
-            }
-            RecordType::Dnskey => {
-                let mut r = WireReader::new(rdata);
-                let flags = r.read_u16()?;
-                let protocol = r.read_u8()?;
-                let algorithm = r.read_u8()?;
-                let public_key = r.read_bytes(r.remaining(), "DNSKEY key")?.to_vec();
-                Ok(RData::Dnskey(DnskeyRdata { flags, protocol, algorithm, public_key }))
-            }
-            RecordType::Ds => {
-                let mut r = WireReader::new(rdata);
-                let key_tag = r.read_u16()?;
-                let algorithm = r.read_u8()?;
-                let digest_type = r.read_u8()?;
-                let digest = r.read_bytes(r.remaining(), "DS digest")?.to_vec();
-                if digest.is_empty() {
-                    return Err(WireError::InvalidValue { context: "DS digest" });
-                }
-                Ok(RData::Ds(DsRdata { key_tag, algorithm, digest_type, digest }))
-            }
-            RecordType::Opt => Ok(RData::Opt(rdata.to_vec())),
-            RecordType::Unknown(_) => Ok(RData::Unknown(rdata.to_vec())),
-        }
+        RData::check(rtype, rdata_range, whole_message)?;
+        RData::from_checked(rtype, RdataView::new(whole_message, rdata_range))
+            .ok_or(WireError::Truncated { context: "rdata" })
     }
 
-    /// Whether [`RData::decode`] would accept these RDATA, answered
+    /// Build RDATA that [`RData::check`] accepted: fields are read at
+    /// their offsets and names where [`RecordType::rdata_names`] puts
+    /// them. `None` only for bytes the check refuses.
+    fn from_checked(rtype: RecordType, rdata: RdataView<'_>) -> Option<RData> {
+        let bytes = rdata.bytes();
+        let u16_at = |at: usize| bytes.get(at..)?.first_chunk().map(|b| u16::from_be_bytes(*b));
+        let u32_at = |at: usize| bytes.get(at..)?.first_chunk().map(|b| u32::from_be_bytes(*b));
+        let name_at = |at: usize| rdata.name_at(at).map(|(name, next)| (name.to_owned(), next));
+        let (before, _) = rtype.rdata_names();
+        Some(match rtype {
+            RecordType::A => RData::A(Ipv4Addr::from(*bytes.first_chunk::<4>()?)),
+            RecordType::Aaaa => RData::Aaaa(Ipv6Addr::from(*bytes.first_chunk::<16>()?)),
+            RecordType::Cname => RData::Cname(name_at(before)?.0),
+            RecordType::Dname => RData::Dname(name_at(before)?.0),
+            RecordType::Ns => RData::Ns(name_at(before)?.0),
+            RecordType::Ptr => RData::Ptr(name_at(before)?.0),
+            RecordType::Mx => RData::Mx(u16_at(0)?, name_at(before)?.0),
+            RecordType::Txt => RData::Txt(character_strings(bytes).map(<[u8]>::to_vec).collect()),
+            RecordType::Soa => {
+                let (mname, next) = name_at(before)?;
+                let (rname, fields) = name_at(next)?;
+                RData::Soa(SoaRdata {
+                    mname,
+                    rname,
+                    serial: u32_at(fields)?,
+                    refresh: u32_at(fields + 4)?,
+                    retry: u32_at(fields + 8)?,
+                    expire: u32_at(fields + 12)?,
+                    minimum: u32_at(fields + 16)?,
+                })
+            }
+            RecordType::Srv => RData::Srv(SrvRdata {
+                priority: u16_at(0)?,
+                weight: u16_at(2)?,
+                port: u16_at(4)?,
+                target: name_at(before)?.0,
+            }),
+            RecordType::Svcb => RData::Svcb(SvcbRdata::from_view(SvcbView::read(bytes)?)),
+            RecordType::Https => RData::Https(SvcbRdata::from_view(SvcbView::read(bytes)?)),
+            RecordType::Rrsig => {
+                let (signer, signature) = name_at(before)?;
+                RData::Rrsig(RrsigRdata {
+                    type_covered: RecordType::from_code(u16_at(0)?),
+                    algorithm: *bytes.get(2)?,
+                    labels: *bytes.get(3)?,
+                    original_ttl: u32_at(4)?,
+                    expiration: u32_at(8)?,
+                    inception: u32_at(12)?,
+                    key_tag: u16_at(16)?,
+                    signer,
+                    signature: bytes.get(signature..)?.to_vec(),
+                })
+            }
+            RecordType::Dnskey => RData::Dnskey(DnskeyRdata {
+                flags: u16_at(0)?,
+                protocol: *bytes.get(2)?,
+                algorithm: *bytes.get(3)?,
+                public_key: bytes.get(4..)?.to_vec(),
+            }),
+            RecordType::Ds => RData::Ds(DsRdata {
+                key_tag: u16_at(0)?,
+                algorithm: *bytes.get(2)?,
+                digest_type: *bytes.get(3)?,
+                digest: bytes.get(4..)?.to_vec(),
+            }),
+            RecordType::Opt => RData::Opt(bytes.to_vec()),
+            RecordType::Unknown(_) => RData::Unknown(bytes.to_vec()),
+        })
+    }
+
+    /// Whether these RDATA are well formed for their type, answered
     /// without building them: no name, vector or parameter list is
-    /// allocated. `Ok` exactly when `decode` is `Ok`, with the same error
-    /// otherwise (the equivalence is pinned by this crate's tests).
+    /// allocated. Every type's acceptance rules live here once;
+    /// [`RData::decode`] is this check followed by a build, and
+    /// [`RecordView::check_rdata`](crate::RecordView::check_rdata) is
+    /// how a reader of a received message asks it.
     pub fn check(
         rtype: RecordType,
         rdata_range: (usize, usize),

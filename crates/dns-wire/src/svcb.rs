@@ -176,7 +176,7 @@ impl SvcParam {
             key::MANDATORY => SvcParam::Mandatory(
                 value.chunks_exact(2).map(|c| u16::from_be_bytes([c[0], c[1]])).collect(),
             ),
-            key::ALPN => SvcParam::Alpn(alpn_ids(value).map(<[u8]>::to_vec).collect()),
+            key::ALPN => SvcParam::Alpn(character_strings(value).map(<[u8]>::to_vec).collect()),
             key::NO_DEFAULT_ALPN => SvcParam::NoDefaultAlpn,
             key::PORT => SvcParam::Port(value.first_chunk().map_or(0, |p| u16::from_be_bytes(*p))),
             key::IPV4HINT => SvcParam::Ipv4Hint(
@@ -358,9 +358,9 @@ pub fn debase64ish(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
-/// The length-prefixed identifiers of an `alpn` value, as far as they
-/// are whole.
-fn alpn_ids(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
+/// The length-prefixed strings of an `alpn` value or TXT RDATA, as far
+/// as they are whole.
+pub(crate) fn character_strings(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
     std::iter::from_fn(move || {
         let (&n, tail) = rest.split_first()?;
         let id = tail.get(..n as usize)?;
@@ -457,7 +457,7 @@ impl<'a> SvcbView<'a> {
 
     /// The ALPN identifiers, if the record advertises any.
     pub fn alpn_ids(&self) -> Option<impl Iterator<Item = &'a [u8]>> {
-        self.param(key::ALPN).map(alpn_ids)
+        self.param(key::ALPN).map(character_strings)
     }
 
     /// The IPv4 hints, if present.
@@ -500,51 +500,6 @@ impl SvcbRdata {
         self.params.iter().find(|p| p.key() == key)
     }
 
-    /// ALPN identifiers advertised, if any. Identifiers borrow from the
-    /// record when they are valid UTF-8 (the overwhelmingly common case),
-    /// so scan paths pay no per-call `String` allocations.
-    pub fn alpn(&self) -> Option<Vec<Cow<'_, str>>> {
-        match self.param(key::ALPN) {
-            Some(SvcParam::Alpn(ids)) => {
-                Some(ids.iter().map(|i| String::from_utf8_lossy(i)).collect())
-            }
-            _ => None,
-        }
-    }
-
-    /// Raw ALPN identifier bytes, if any — fully borrowed, for callers
-    /// that only test membership.
-    pub fn alpn_ids(&self) -> Option<&[Vec<u8>]> {
-        match self.param(key::ALPN) {
-            Some(SvcParam::Alpn(ids)) => Some(ids),
-            _ => None,
-        }
-    }
-
-    /// The `port` parameter, if present.
-    pub fn port(&self) -> Option<u16> {
-        match self.param(key::PORT) {
-            Some(SvcParam::Port(p)) => Some(*p),
-            _ => None,
-        }
-    }
-
-    /// IPv4 hints, if present.
-    pub fn ipv4hint(&self) -> Option<&[Ipv4Addr]> {
-        match self.param(key::IPV4HINT) {
-            Some(SvcParam::Ipv4Hint(a)) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Raw ECHConfigList bytes, if present.
-    pub fn ech(&self) -> Option<&[u8]> {
-        match self.param(key::ECH) {
-            Some(SvcParam::Ech(b)) => Some(b),
-            _ => None,
-        }
-    }
-
     /// Encode RDATA (without the RDLENGTH prefix). TargetName is written
     /// uncompressed per RFC 9460 §2.2. Parameters are sorted by key.
     pub fn encode(&self, w: &mut WireWriter) {
@@ -557,14 +512,19 @@ impl SvcbRdata {
         }
     }
 
-    /// Decode RDATA from exactly `rdata`.
+    /// Decode RDATA from exactly `rdata`: checked ([`SvcbView::parse`]),
+    /// then built.
     pub fn decode(rdata: &[u8]) -> Result<Self, WireError> {
-        let view = SvcbView::parse(rdata)?;
-        Ok(SvcbRdata {
+        SvcbView::parse(rdata).map(SvcbRdata::from_view)
+    }
+
+    /// Build the RDATA of a view of checked bytes.
+    pub(crate) fn from_view(view: SvcbView<'_>) -> SvcbRdata {
+        SvcbRdata {
             priority: view.priority(),
             target: view.target().to_owned(),
             params: view.params().map(|(k, value)| SvcParam::from_checked(k, value)).collect(),
-        })
+        }
     }
 
     /// Validate RFC 9460 semantic rules, returning human-readable issues;
@@ -733,8 +693,8 @@ mod tests {
         ]);
         let back = rt(&rd);
         assert_eq!(back, rd);
-        assert_eq!(back.alpn().unwrap(), vec!["h2", "h3"]);
-        assert_eq!(back.ipv4hint().unwrap().len(), 1);
+        assert_eq!(back.param(key::ALPN), rd.param(key::ALPN));
+        assert_eq!(back.param(key::IPV4HINT), rd.param(key::IPV4HINT));
         assert!(back.lint().is_empty());
     }
 

@@ -14,11 +14,14 @@
 //!
 //! - [`NameView`] exposes a compression-aware label iterator plus
 //!   comparison/rendering helpers that work straight off the wire;
-//! - [`RecordView::rdata`] decodes typed [`RData`] on demand from the
-//!   record's subrange; [`RecordView::check_rdata`] answers whether it
-//!   would, building nothing, and [`RecordView::svcb`] and
-//!   [`RecordView::soa_minimum`] read the fields a resolver needs in
-//!   place;
+//! - [`RecordView::check_rdata`] checks the record's RDATA against its
+//!   type's rules ([`RData::check`], the one place they live), building
+//!   nothing; [`RecordView::rdata_view`] then reads the checked bytes in
+//!   place — names where [`RecordType::rdata_names`] puts them — and
+//!   [`RecordView::svcb`] and [`RecordView::soa_minimum`] read the fields
+//!   a resolver or a browser needs. [`RecordView::rdata`] builds typed
+//!   [`RData`] (the same check, then a build from the checked bytes) for
+//!   a reader that wants owned values;
 //! - [`RecordView::at`] re-enters a record by the offset
 //!   [`RecordView::offset`] reported, reading that one record's fields
 //!   again — how a resolver keeps a reply's answers as offsets into its
@@ -30,8 +33,8 @@
 //!   same datagrams;
 //! - two ways around building a name: [`NameView::flat`] borrows a name
 //!   spelled out in place as a [`NameRef`] map key, and
-//!   [`RecordView::to_owned_for`] shares the asked name as the owner of
-//!   a record that points at the question.
+//!   [`RecordView::owner_for`] shares the asked name as the owner of a
+//!   record that points at the question.
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
@@ -445,12 +448,6 @@ impl<'a> RecordView<'a> {
     /// Materialize an owned [`Record`], decoding name and RDATA.
     pub fn to_owned(&self) -> Result<Record, WireError> {
         self.record_named(self.name().to_owned())
-    }
-
-    /// [`RecordView::to_owned`] for a record of the reply to a question
-    /// about `qname`, its owner built by [`RecordView::owner_for`].
-    pub fn to_owned_for(&self, qname: &DnsName) -> Result<Record, WireError> {
-        self.record_named(self.owner_for(qname))
     }
 
     /// The owner name of a record of the reply to a question about

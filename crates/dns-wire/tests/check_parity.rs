@@ -1,6 +1,9 @@
 //! The checks that accept or reject RDATA without building it agree with
 //! the decoders that build it: [`RecordView::check_rdata`] with
-//! [`RecordView::rdata`], [`SvcbView::parse`] with [`SvcbRdata::decode`],
+//! [`RecordView::rdata`] and with the decoder `RData::decode` replaced
+//! (kept below as [`reference_decode`], which holds its own copy of every
+//! rule) — the same values built, the same errors —
+//! [`SvcbView::parse`] with [`SvcbRdata::decode`],
 //! [`SvcParam::check`] with [`SvcParam::decode`], and
 //! [`RecordView::soa_minimum`] with the decoded SOA's `minimum`; what
 //! [`RecordView::svcb`] reads of checked RDATA is what the decoder
@@ -9,10 +12,10 @@
 //! datagrams one that decodes it does.
 
 use dns_wire::svcb::key;
-use dns_wire::wire::WireWriter;
+use dns_wire::wire::{WireReader, WireWriter};
 use dns_wire::{
     DnsName, DnskeyRdata, DsRdata, MessageView, RData, RecordType, RrsigRdata, SoaRdata, SrvRdata,
-    SvcParam, SvcbRdata, SvcbView,
+    SvcParam, SvcbRdata, SvcbView, WireError,
 };
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -143,12 +146,169 @@ fn mutate(mut rdata: Vec<u8>, (kind, at, byte): (u8, u16, u8)) -> Vec<u8> {
     rdata
 }
 
+/// The RDATA decoder that built while it checked, each type's rules
+/// written out a second time: what [`RData::decode`] (check, then build
+/// from the checked bytes) is held to.
+fn reference_decode(
+    rtype: RecordType,
+    rdata_range: (usize, usize),
+    whole_message: &[u8],
+) -> Result<RData, WireError> {
+    let (start, end) = rdata_range;
+    if end > whole_message.len() || start > end {
+        return Err(WireError::Truncated { context: "rdata range" });
+    }
+    let rdata = &whole_message[start..end];
+    let read_name_at = |off: usize| -> Result<(DnsName, usize), WireError> {
+        DnsName::decode_at(whole_message, start + off).map(|(n, next)| (n, next - start))
+    };
+    match rtype {
+        RecordType::A => {
+            if rdata.len() != 4 {
+                return Err(WireError::InvalidValue { context: "A rdata" });
+            }
+            Ok(RData::A(Ipv4Addr::new(rdata[0], rdata[1], rdata[2], rdata[3])))
+        }
+        RecordType::Aaaa => {
+            if rdata.len() != 16 {
+                return Err(WireError::InvalidValue { context: "AAAA rdata" });
+            }
+            let mut o = [0u8; 16];
+            o.copy_from_slice(rdata);
+            Ok(RData::Aaaa(Ipv6Addr::from(o)))
+        }
+        RecordType::Cname | RecordType::Dname | RecordType::Ns | RecordType::Ptr => {
+            let (name, consumed) = read_name_at(0)?;
+            if consumed != rdata.len() {
+                return Err(WireError::RdataLengthMismatch { declared: rdata.len(), consumed });
+            }
+            Ok(match rtype {
+                RecordType::Cname => RData::Cname(name),
+                RecordType::Dname => RData::Dname(name),
+                RecordType::Ns => RData::Ns(name),
+                _ => RData::Ptr(name),
+            })
+        }
+        RecordType::Mx => {
+            if rdata.len() < 3 {
+                return Err(WireError::Truncated { context: "MX rdata" });
+            }
+            let pref = u16::from_be_bytes([rdata[0], rdata[1]]);
+            let (host, consumed) = read_name_at(2)?;
+            if consumed != rdata.len() {
+                return Err(WireError::RdataLengthMismatch { declared: rdata.len(), consumed });
+            }
+            Ok(RData::Mx(pref, host))
+        }
+        RecordType::Txt => {
+            let mut r = WireReader::new(rdata);
+            let mut strings = Vec::new();
+            while r.remaining() > 0 {
+                let n = r.read_u8()? as usize;
+                strings.push(r.read_bytes(n, "TXT string")?.to_vec());
+            }
+            Ok(RData::Txt(strings))
+        }
+        RecordType::Soa => {
+            let (mname, off1) = read_name_at(0)?;
+            let (rname, off2) = read_name_at(off1)?;
+            let mut r = WireReader::new(rdata);
+            r.seek(off2)?;
+            let soa = SoaRdata {
+                mname,
+                rname,
+                serial: r.read_u32()?,
+                refresh: r.read_u32()?,
+                retry: r.read_u32()?,
+                expire: r.read_u32()?,
+                minimum: r.read_u32()?,
+            };
+            if r.remaining() > 0 {
+                return Err(WireError::TrailingBytes(r.remaining()));
+            }
+            Ok(RData::Soa(soa))
+        }
+        RecordType::Srv => {
+            let mut r = WireReader::new(rdata);
+            let priority = r.read_u16()?;
+            let weight = r.read_u16()?;
+            let port = r.read_u16()?;
+            let (target, consumed) = read_name_at(6)?;
+            if consumed != rdata.len() {
+                return Err(WireError::RdataLengthMismatch { declared: rdata.len(), consumed });
+            }
+            Ok(RData::Srv(SrvRdata { priority, weight, port, target }))
+        }
+        RecordType::Svcb => Ok(RData::Svcb(SvcbRdata::decode(rdata)?)),
+        RecordType::Https => Ok(RData::Https(SvcbRdata::decode(rdata)?)),
+        RecordType::Rrsig => {
+            let mut r = WireReader::new(rdata);
+            let type_covered = RecordType::from_code(r.read_u16()?);
+            let algorithm = r.read_u8()?;
+            let labels = r.read_u8()?;
+            let original_ttl = r.read_u32()?;
+            let expiration = r.read_u32()?;
+            let inception = r.read_u32()?;
+            let key_tag = r.read_u16()?;
+            let (signer, next) = read_name_at(r.position())?;
+            let signature = rdata
+                .get(next..)
+                .ok_or(WireError::Truncated { context: "RRSIG signature" })?
+                .to_vec();
+            Ok(RData::Rrsig(RrsigRdata {
+                type_covered,
+                algorithm,
+                labels,
+                original_ttl,
+                expiration,
+                inception,
+                key_tag,
+                signer,
+                signature,
+            }))
+        }
+        RecordType::Dnskey => {
+            let mut r = WireReader::new(rdata);
+            let flags = r.read_u16()?;
+            let protocol = r.read_u8()?;
+            let algorithm = r.read_u8()?;
+            let public_key = r.read_bytes(r.remaining(), "DNSKEY key")?.to_vec();
+            Ok(RData::Dnskey(DnskeyRdata { flags, protocol, algorithm, public_key }))
+        }
+        RecordType::Ds => {
+            let mut r = WireReader::new(rdata);
+            let key_tag = r.read_u16()?;
+            let algorithm = r.read_u8()?;
+            let digest_type = r.read_u8()?;
+            let digest = r.read_bytes(r.remaining(), "DS digest")?.to_vec();
+            if digest.is_empty() {
+                return Err(WireError::InvalidValue { context: "DS digest" });
+            }
+            Ok(RData::Ds(DsRdata { key_tag, algorithm, digest_type, digest }))
+        }
+        RecordType::Opt => Ok(RData::Opt(rdata.to_vec())),
+        RecordType::Unknown(_) => Ok(RData::Unknown(rdata.to_vec())),
+    }
+}
+
+/// The RDATA range of the one answer record of [`message_with`]'s
+/// message: after the header, the question, the owner pointer and the
+/// record's ten octets of fixed fields.
+fn rdata_range(rdata: &[u8]) -> (usize, usize) {
+    let start = 12 + QNAME.len() + 2 + 4 + 2 + 10;
+    (start, start + rdata.len())
+}
+
 /// Check one answer record against its decoders.
 fn agree(rtype: RecordType, rdata: &[u8]) {
     let buf = message_with(rtype, rdata);
     let view = MessageView::parse(&buf).expect("a well-formed message around any RDATA");
     let rec = view.answers().next().expect("one answer");
     let decoded = rec.rdata();
+    let reference = reference_decode(rtype, rdata_range(rdata), &buf);
+    assert_eq!(decoded, reference);
+    spelled_alike(decoded.as_ref().ok(), reference.as_ref().ok());
+    assert_eq!(RData::decode(rtype, rdata_range(rdata), &buf), reference);
     assert_eq!(rec.check_rdata(), decoded.as_ref().map(|_| ()).map_err(Clone::clone));
     if matches!(rtype, RecordType::Svcb | RecordType::Https) {
         let owned = SvcbRdata::decode(rdata);
@@ -168,6 +328,12 @@ fn agree(rtype: RecordType, rdata: &[u8]) {
     }
 }
 
+/// Names compare ignoring case: the two decoders must also spell every
+/// name alike, which their presentation shows.
+fn spelled_alike(one: Option<&RData>, other: Option<&RData>) {
+    assert_eq!(one.map(RData::to_presentation), other.map(RData::to_presentation));
+}
+
 /// What a reader sees through an SVCB view is what the owned RDATA says.
 fn same_reading(view: &SvcbView<'_>, owned: &SvcbRdata) {
     assert_eq!(view.priority(), owned.priority);
@@ -177,13 +343,23 @@ fn same_reading(view: &SvcbView<'_>, owned: &SvcbRdata) {
     assert_eq!(view.has_params(), !owned.params.is_empty());
     assert_eq!(view.params().count(), owned.params.len());
     let ids: Option<Vec<&[u8]>> = view.alpn_ids().map(Iterator::collect);
-    let owned_ids: Option<Vec<&[u8]>> =
-        owned.alpn_ids().map(|ids| ids.iter().map(Vec::as_slice).collect());
+    let owned_ids: Option<Vec<&[u8]>> = match owned.param(key::ALPN) {
+        Some(SvcParam::Alpn(ids)) => Some(ids.iter().map(Vec::as_slice).collect()),
+        _ => None,
+    };
     assert_eq!(ids, owned_ids);
     let hints: Option<Vec<Ipv4Addr>> = view.ipv4hint().map(Iterator::collect);
-    assert_eq!(hints.as_deref(), owned.ipv4hint());
-    assert_eq!(view.param(key::ECH), owned.ech());
-    assert_eq!(view.param(key::PORT).is_some(), owned.port().is_some());
+    let owned_hints = match owned.param(key::IPV4HINT) {
+        Some(SvcParam::Ipv4Hint(hints)) => Some(hints.clone()),
+        _ => None,
+    };
+    assert_eq!(hints, owned_hints);
+    let owned_ech = match owned.param(key::ECH) {
+        Some(SvcParam::Ech(config)) => Some(config.as_slice()),
+        _ => None,
+    };
+    assert_eq!(view.param(key::ECH), owned_ech);
+    assert_eq!(view.param(key::PORT).is_some(), owned.param(key::PORT).is_some());
     assert_eq!(view.param(key::IPV6HINT).is_some(), owned.param(key::IPV6HINT).is_some());
 }
 

@@ -174,20 +174,13 @@ fn canonical_name<'n>(
         .chain(std::iter::once(0))
 }
 
-/// Append RDATA in canonical form (RFC 4034 §6.2): the names in NS,
-/// CNAME, SOA, PTR, MX, SRV and DNAME RDATA expanded and lowercased, the
-/// rest verbatim — as is all other RDATA (HTTPS and SVCB included: RFC
-/// 9460 §2.2 forbids compressing their target) and what follows a name
-/// that does not parse.
+/// Append RDATA in canonical form (RFC 4034 §6.2): the names
+/// [`RecordType::rdata_names`] lists expanded and lowercased, the rest
+/// verbatim — as is all other RDATA (HTTPS and SVCB included: RFC 9460
+/// §2.2 forbids compressing their target) and what follows a name that
+/// does not parse.
 fn put_canonical_rdata(out: &mut Vec<u8>, rtype: RecordType, rdata: RdataView<'_>) {
-    // Octets before the names, and how many names.
-    let (before, names) = match rtype {
-        RecordType::Ns | RecordType::Cname | RecordType::Ptr | RecordType::Dname => (0, 1),
-        RecordType::Mx => (2, 1),
-        RecordType::Srv => (6, 1),
-        RecordType::Soa => (0, 2),
-        _ => (0, 0),
-    };
+    let (before, names) = rtype.rdata_names();
     let bytes = rdata.bytes();
     let mut at = before.min(bytes.len());
     out.extend_from_slice(&bytes[..at]);

@@ -239,6 +239,7 @@ pub fn synthesize_https(
 mod tests {
     use super::*;
     use crate::providers::well_known;
+    use dns_wire::svcb::key;
 
     fn state(shape: HttpsShape) -> DomainState {
         DomainState {
@@ -280,19 +281,20 @@ mod tests {
     fn cf_default_has_h3_29_before_sunset() {
         let d = state(HttpsShape::CfDefault);
         let early = synthesize_https(&d, HttpsShape::CfDefault, &ctx(5));
-        assert!(early[0].alpn().unwrap().iter().any(|p| p == "h3-29"));
+        let offers = |rd: &SvcbRdata, id: &[u8]| matches!(rd.param(key::ALPN), Some(SvcParam::Alpn(ids)) if ids.iter().any(|p| p == id));
+        assert!(offers(&early[0], b"h3-29"));
         let late = synthesize_https(&d, HttpsShape::CfDefault, &ctx(30));
-        assert!(!late[0].alpn().unwrap().iter().any(|p| p == "h3-29"));
-        assert!(late[0].alpn().unwrap().iter().any(|p| p == "h3"));
+        assert!(!offers(&late[0], b"h3-29"));
+        assert!(offers(&late[0], b"h3"));
     }
 
     #[test]
     fn cf_default_drops_ech_after_kill_switch() {
         let d = state(HttpsShape::CfDefault);
         let before = synthesize_https(&d, HttpsShape::CfDefault, &ctx(100));
-        assert!(before[0].ech().is_some());
+        assert!(before[0].param(key::ECH).is_some());
         let after = synthesize_https(&d, HttpsShape::CfDefault, &ctx(150));
-        assert!(after[0].ech().is_none());
+        assert!(after[0].param(key::ECH).is_none());
     }
 
     #[test]
@@ -302,7 +304,8 @@ mod tests {
         d.a_ip = Ipv4Addr::new(10, 1, 1, 1);
         assert!(d.hint_mismatch());
         let rds = synthesize_https(&d, HttpsShape::CfDefault, &ctx(50));
-        assert_eq!(rds[0].ipv4hint().unwrap(), &[Ipv4Addr::new(10, 9, 9, 9)]);
+        let hints = SvcParam::Ipv4Hint(vec![Ipv4Addr::new(10, 9, 9, 9)]);
+        assert_eq!(rds[0].param(key::IPV4HINT), Some(&hints));
         assert!(rds[0].param(dns_wire::svcb::key::IPV6HINT).is_some());
     }
 
@@ -313,7 +316,7 @@ mod tests {
         assert_eq!(rds.len(), 12);
         assert_eq!(rds[0].priority, 1);
         assert_eq!(rds[11].priority, 12);
-        assert_eq!(rds[3].port(), Some(4004));
+        assert_eq!(rds[3].param(key::PORT), Some(&SvcParam::Port(4004)));
     }
 
     #[test]

@@ -37,7 +37,8 @@ use tlsech::{EchKeyManager, EchServerState, HttpServer, WebServer, WebServerConf
 /// Cloudflare's shared ECH key state: one client-facing server
 /// (`cloudflare-ech.com`) whose key rotates every 1.1–1.4 h.
 pub struct CfEch {
-    manager: EchKeyManager,
+    /// The key state, shared with every ECH-enabled world web server.
+    keys: EchServerState,
     /// Simulated-seconds boundary at which the next rotation happens.
     next_boundary: u64,
     index: u64,
@@ -48,7 +49,7 @@ impl CfEch {
     fn new(mean_period: u64) -> CfEch {
         let public_name = DnsName::parse("cloudflare-ech.com").expect("static");
         let mut ech = CfEch {
-            manager: EchKeyManager::new(public_name, "cf-ech", 2),
+            keys: EchServerState::new(EchKeyManager::new(public_name, "cf-ech", 2)),
             next_boundary: 0,
             index: 0,
             mean_period,
@@ -70,7 +71,7 @@ impl CfEch {
     pub fn refresh(&mut self, now: Timestamp) -> bool {
         let mut rotated = false;
         while now.0 >= self.next_boundary {
-            self.manager.rotate("cf-ech");
+            self.keys.rotate("cf-ech");
             self.index += 1;
             self.next_boundary += self.period_of(self.index);
             rotated = true;
@@ -80,13 +81,14 @@ impl CfEch {
 
     /// Current ECHConfigList bytes to publish.
     pub fn configs(&self) -> Vec<u8> {
-        self.manager.current_config_list().encode()
+        self.keys.configs()
     }
 
-    /// Serving state for a client-facing server: a copy of the key
-    /// manager as it stands, so the server accepts what DNS advertises.
+    /// Serving state for a client-facing server: the one shared key
+    /// state, so the server opens what DNS advertises after every
+    /// rotation.
     pub fn manager_state(&self) -> EchServerState {
-        EchServerState { manager: self.manager.clone(), retry_enabled: true }
+        self.keys.clone()
     }
 }
 
@@ -1121,7 +1123,7 @@ mod tests {
                 z.get(&probe.apex, RecordType::Https)
                     .map(|rs| {
                         rs.records().any(|r| match &r.rdata {
-                            RData::Https(rd) => rd.ech().is_some(),
+                            RData::Https(rd) => rd.param(dns_wire::svcb::key::ECH).is_some(),
                             _ => false,
                         })
                     })
@@ -1138,7 +1140,7 @@ mod tests {
                 z.get(&probe.apex, RecordType::Https)
                     .map(|rs| {
                         rs.records().any(|r| match &r.rdata {
-                            RData::Https(rd) => rd.ech().is_some(),
+                            RData::Https(rd) => rd.param(dns_wire::svcb::key::ECH).is_some(),
                             _ => false,
                         })
                     })

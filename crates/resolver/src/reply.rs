@@ -37,11 +37,13 @@ const HEADER_WORDS: usize = 4;
 ///
 /// A clone is a reference count on the reply and one on the owner name;
 /// it copies nothing. Records are read through [`RrSet::records`] (a
-/// [`RecordView`] per record, RDATA decoded on demand) or built by
-/// [`RrSet::to_records`]. `==` compares the records and signatures the
-/// two sets hold, as owned [`Record`]s compare — never the reply bytes,
-/// which differ in transaction id and name compression between replies
-/// of the same answer.
+/// [`RecordView`] per record, RDATA read in place or decoded on demand).
+/// `==` compares the records and signatures the two sets hold — owner
+/// names ignoring case, then type, class, TTL and RDATA with the names
+/// [`RecordType::rdata_names`] lists compared ignoring case and
+/// compression — never the reply bytes, which differ in transaction id
+/// and name compression between replies of the same answer. `Debug`
+/// prints each record's RDATA bytes.
 #[derive(Clone)]
 pub struct RrSet {
     /// The reply's index, then its message bytes (module docs). Empty
@@ -138,23 +140,6 @@ impl RrSet {
         self.views(HEADER_WORDS + self.len(), self.rrsig_count())
     }
 
-    /// Build the records. Their RDATA were checked when the reply was
-    /// parsed, so every one decodes; each owner is spelled as in the
-    /// reply.
-    pub fn to_records(&self) -> Vec<Record> {
-        self.records().filter_map(|rec| rec.to_owned_for(&self.owner).ok()).collect()
-    }
-
-    /// Build the covering signatures' RDATA.
-    pub fn rrsig_rdatas(&self) -> Vec<RrsigRdata> {
-        self.rrsigs()
-            .filter_map(|rec| match rec.rdata() {
-                Ok(RData::Rrsig(sig)) => Some(sig),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The reply buffer the set lives in: shared by every clone, by the
     /// cache entry the set was stored in and by each other set of the
     /// same reply.
@@ -188,18 +173,44 @@ impl PartialEq for RrSet {
         same_entry
             || (self.len() == other.len()
                 && self.rrsig_count() == other.rrsig_count()
-                && self.to_records() == other.to_records()
-                && self.rrsig_rdatas() == other.rrsig_rdatas())
+                && self.records().zip(other.records()).all(same_record)
+                && self.rrsigs().zip(other.rrsigs()).all(same_record))
     }
 }
 
 impl Eq for RrSet {}
 
+/// Whether two records read in place hold the same record: owners equal
+/// ignoring case, the same type, class and TTL, and RDATA whose listed
+/// names ([`RecordType::rdata_names`]) are equal ignoring case and
+/// compression and whose other bytes are equal.
+fn same_record((a, b): (RecordView<'_>, RecordView<'_>)) -> bool {
+    let (ours, theirs) = (a.rdata_view(), b.rdata_view());
+    let (before, names) = a.rtype().rdata_names();
+    let mut at = (before, before);
+    let mut same_names = (0..names).map(|_| match (ours.name_at(at.0), theirs.name_at(at.1)) {
+        (Some((x, i)), Some((y, j))) => {
+            at = (i, j);
+            x.eq_view(&y)
+        }
+        _ => false,
+    });
+    a.name().eq_view(&b.name())
+        && (a.rtype(), a.class(), a.ttl()) == (b.rtype(), b.class(), b.ttl())
+        && ours.bytes().get(..before) == theirs.bytes().get(..before)
+        && same_names.all(|same| same)
+        && ours.bytes().get(at.0..) == theirs.bytes().get(at.1..)
+}
+
 impl fmt::Debug for RrSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let records: Vec<&[u8]> = self.records().map(|rec| rec.rdata_view().bytes()).collect();
+        let rrsigs: Vec<&[u8]> = self.rrsigs().map(|rec| rec.rdata_view().bytes()).collect();
         f.debug_struct("RrSet")
-            .field("records", &self.to_records())
-            .field("rrsigs", &self.rrsig_rdatas())
+            .field("owner", &self.owner)
+            .field("rtype", &self.rtype())
+            .field("records", &records)
+            .field("rrsigs", &rrsigs)
             .finish()
     }
 }
@@ -444,6 +455,21 @@ mod tests {
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
+    /// The set's records, built; each owner spelled as in the reply.
+    fn to_records(set: &RrSet) -> Vec<Record> {
+        set.records().map(|rec| rec.to_owned().unwrap()).collect()
+    }
+
+    /// The covering signatures' RDATA, built.
+    fn rrsig_rdatas(set: &RrSet) -> Vec<RrsigRdata> {
+        set.rrsigs()
+            .map(|rec| match rec.rdata() {
+                Ok(RData::Rrsig(sig)) => sig,
+                other => panic!("an RRSIG set member holds {other:?}"),
+            })
+            .collect()
+    }
+
     // What the grouping replaced, kept as its oracle: every set and every
     // signature list deep-copied out of the flat answer section.
 
@@ -572,8 +598,8 @@ mod tests {
             let expected = oracle(&answers);
             prop_assert_eq!(grouped.len(), expected.len());
             for (set, (records, rrsigs)) in grouped.iter().zip(&expected) {
-                prop_assert_eq!(spelled(&set.to_records()), spelled(records));
-                prop_assert_eq!(&set.rrsig_rdatas(), rrsigs);
+                prop_assert_eq!(spelled(&to_records(set)), spelled(records));
+                prop_assert_eq!(&rrsig_rdatas(set), rrsigs);
                 prop_assert_eq!(set.len(), records.len());
                 prop_assert_eq!(set.rrsig_count(), rrsigs.len());
                 prop_assert_eq!(set.rtype(), records[0].rtype);

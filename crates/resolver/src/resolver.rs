@@ -14,7 +14,11 @@ use crate::cache::{CachedAnswer, RecordCache, DEFAULT_SHARDS};
 use crate::reply::{AuthorityReply, RrSet};
 use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
-use dns_wire::{write_dnssec_query, DnsName, Message, RData, Rcode, Record, RecordType};
+use dns_wire::wire::WireWriter;
+use dns_wire::{
+    write_dnssec_query, DnsClass, DnsName, Edns, MessageView, NameView, Rcode, RecordType,
+    RecordView,
+};
 use dnssec::{ChainSource, ValidationState};
 use netsim::{DatagramService, NetError, Network, Timestamp};
 use parking_lot::Mutex;
@@ -122,15 +126,17 @@ impl std::error::Error for ResolveError {}
 
 /// The outcome of a resolution.
 ///
-/// The answer is an [`RrSet`]: offsets into the authority reply it came
-/// in, shared with the resolver's cache and with every other
-/// `Resolution` of the same answer, so cloning one copies no record.
-/// Readers decode what they need through [`RrSet::records`]; `==`
-/// compares the records and signatures, not the reply bytes.
+/// The answer and each CNAME step are [`RrSet`]s: offsets into the
+/// authority reply they came in, shared with the resolver's cache and
+/// with every other `Resolution` of the same answer, so cloning one
+/// copies no record. Readers read what they need through
+/// [`RrSet::records`]; `==` compares the records and signatures, not the
+/// reply bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resolution {
-    /// CNAME chain records traversed, in order.
-    pub chain: Vec<Record>,
+    /// The CNAME sets traversed, in order; each step follows its set's
+    /// first record.
+    pub chain: Vec<RrSet>,
     /// Final answer RRset (of the queried type) with the RRSIGs covering
     /// it (when the zone is signed); empty on NODATA/NXDOMAIN.
     pub records: RrSet,
@@ -146,7 +152,7 @@ pub struct Resolution {
 impl Resolution {
     /// A resolution without an answer RRset. The empty set allocates
     /// nothing.
-    fn negative(chain: Vec<Record>, rcode: Rcode, from_cache: bool) -> Resolution {
+    fn negative(chain: Vec<RrSet>, rcode: Rcode, from_cache: bool) -> Resolution {
         Resolution { chain, records: RrSet::default(), rcode, validation: None, from_cache }
     }
 
@@ -227,7 +233,7 @@ impl RecursiveResolver {
     /// Resolve `(name, rtype)` at the current simulated time.
     pub fn resolve(&self, name: &DnsName, rtype: RecordType) -> Result<Resolution, ResolveError> {
         let now = self.network.clock().now();
-        let mut chain: Vec<Record> = Vec::new();
+        let mut chain = Vec::new();
         let mut current = name.clone();
         let mut from_cache = true;
 
@@ -256,11 +262,11 @@ impl RecursiveResolver {
     /// lookup of `(current, rtype)`, then of `(current, CNAME)`, under
     /// one shard lock. The resolution ends on a cached answer (`Break`,
     /// taking `chain`), follows a cached CNAME to its target
-    /// (`Continue(Some)`, the record pushed on `chain`), or has to ask
-    /// an authority (`Continue(None)`).
+    /// (`Continue(Some)`, the set pushed on `chain`), or has to ask an
+    /// authority (`Continue(None)`).
     pub(crate) fn cached_step(
         &self,
-        chain: &mut Vec<Record>,
+        chain: &mut Vec<RrSet>,
         current: &DnsName,
         rtype: RecordType,
         from_cache: bool,
@@ -271,8 +277,8 @@ impl RecursiveResolver {
                 ControlFlow::Break(self.finish(std::mem::take(chain), ans, from_cache, now))
             }
             Some((_, CachedAnswer::Positive(alias))) => match cname_step(&alias) {
-                Some((rec, target)) => {
-                    chain.push(rec);
+                Some(target) => {
+                    chain.push(alias);
                     ControlFlow::Continue(Some(target))
                 }
                 None => ControlFlow::Continue(None),
@@ -290,7 +296,7 @@ impl RecursiveResolver {
     pub(crate) fn apply_reply(
         &self,
         resp: &AuthorityReply,
-        chain: &mut Vec<Record>,
+        chain: &mut Vec<RrSet>,
         current: &DnsName,
         rtype: RecordType,
         now: Timestamp,
@@ -323,8 +329,8 @@ impl RecursiveResolver {
             return ControlFlow::Break(self.finish(chain, CachedAnswer::Positive(set), false, now));
         }
         // CNAME step from the live response.
-        if let Some((rec, target)) = alias.as_ref().and_then(cname_step) {
-            chain.push(rec);
+        if let Some((target, set)) = alias.and_then(|set| Some((cname_step(&set)?, set))) {
+            chain.push(set);
             return ControlFlow::Continue(target);
         }
         // NODATA.
@@ -335,7 +341,7 @@ impl RecursiveResolver {
 
     pub(crate) fn finish(
         &self,
-        chain: Vec<Record>,
+        chain: Vec<RrSet>,
         ans: CachedAnswer,
         from_cache: bool,
         now: Timestamp,
@@ -471,17 +477,14 @@ pub(crate) fn check_reply(
     }
 }
 
-/// The first record of a CNAME set and its target: the step a
-/// resolution takes through it.
-fn cname_step(alias: &RrSet) -> Option<(Record, DnsName)> {
-    let rec = alias.records().next()?.to_owned_for(alias.owner()).ok()?;
-    match &rec.rdata {
-        RData::Cname(target) => {
-            let target = target.clone();
-            Some((rec, target))
-        }
-        _ => None,
+/// The target of a CNAME set's first record: where a resolution steps
+/// through it. The name is read where it lies in the reply.
+fn cname_step(alias: &RrSet) -> Option<DnsName> {
+    if alias.rtype() != RecordType::Cname {
+        return None;
     }
+    let (target, _) = alias.records().next()?.rdata_view().name_at(0)?;
+    Some(target.to_owned())
 }
 
 /// The validator's `ChainSource`: the resolver's chain sets, from its
@@ -502,30 +505,136 @@ impl ChainSource for ChainFetch<'_> {
 
 /// A resolver exposed as a datagram service (a "public resolver" such as
 /// 8.8.8.8 in the testbed). Sets RA and the AD bit per validation.
+///
+/// A request that does not parse, or holds a record whose RDATA do not
+/// check, is reset. The reply echoes the questions; one without a
+/// question is FORMERR, a resolution error SERVFAIL. The answer section
+/// is the first record of each CNAME set the resolution stepped
+/// through, the final RRset and, when the request set the DO bit, the
+/// set's RRSIGs, each under the set's first record's owner and TTL.
+/// Records are written from the cached reply bytes, owner names
+/// compressed and the names inside RDATA expanded.
 impl DatagramService for RecursiveResolver {
     fn handle(&self, request: &[u8], _now: Timestamp, reply: &mut Vec<u8>) -> Result<(), NetError> {
-        let Ok(query) = Message::decode(request) else {
+        let query = MessageView::parse(request).map_err(|_| NetError::Reset)?;
+        let mut records = query.answers().chain(query.authorities()).chain(query.additionals());
+        if records.any(|rec| rec.check_rdata().is_err()) {
             return Err(NetError::Reset);
-        };
+        }
+        let outcome = query.question().map(|q| self.resolve(&q.name().to_owned(), q.qtype()));
+        write_reply(reply, &query, outcome.as_ref());
+        Ok(())
+    }
+}
+
+/// Write into `reply` (cleared first) the reply to `query` given the
+/// outcome of resolving its first question, `None` when it has none.
+fn write_reply(
+    reply: &mut Vec<u8>,
+    query: &MessageView<'_>,
+    outcome: Option<&Result<Resolution, ResolveError>>,
+) {
+    let (rcode, res) = match outcome {
+        None => (Rcode::FormErr, None),
+        Some(Ok(res)) => (res.rcode, Some(res)),
+        Some(Err(_)) => (Rcode::ServFail, None),
+    };
+    let empty = RrSet::default();
+    let (chain, records) = res.map_or((&[][..], &empty), |res| (&res.chain[..], &res.records));
+    let heads = chain.iter().filter_map(|set| set.records().next());
+    let first = records.records().next();
+    let signed = if query.dnssec_ok() && first.is_some() { records.rrsig_count() } else { 0 };
+    let ancount = heads.clone().count() + records.len() + signed;
+    reply.clear();
+    let mut w = WireWriter::from_bytes(std::mem::take(reply));
+    w.put_u16(query.id());
+    w.put_u8(0x80 | (query.opcode().code() & 0x0F) << 3 | u8::from(query.flags().rd));
+    w.put_u8(0x80 | u8::from(res.is_some_and(Resolution::ad)) << 5 | (rcode.code() & 0x0F));
+    for count in [query.question_count(), ancount, 0, usize::from(query.edns().is_some())] {
+        w.put_u16(count as u16);
+    }
+    for q in query.questions() {
+        w.put_name(&q.name().to_buf().name_ref());
+        w.put_u16(q.qtype().code());
+        w.put_u16(q.qclass().code());
+    }
+    for rec in heads.chain(records.records()) {
+        put_record(&mut w, rec.name(), rec.class(), rec.ttl(), &rec);
+    }
+    if let Some(first) = first {
+        for sig in records.rrsigs().take(signed) {
+            put_record(&mut w, first.name(), DnsClass::In, first.ttl(), &sig);
+        }
+    }
+    // The OPT record of `Edns::default()`, the request's DO bit kept.
+    if let Some(edns) = query.edns() {
+        w.put_bytes(&[0, 0, 41]);
+        w.put_u16(Edns::default().udp_payload_size);
+        w.put_u32(u32::from(edns.dnssec_ok) << 15);
+        w.put_u16(0);
+    }
+    *reply = w.into_bytes();
+}
+
+/// Write `rec` under `owner` (compressed against what `w` holds) with
+/// `class` and `ttl`, its RDATA copied with the names
+/// [`RecordType::rdata_names`] lists spelled out in full.
+fn put_record(
+    w: &mut WireWriter,
+    owner: NameView<'_>,
+    class: DnsClass,
+    ttl: u32,
+    rec: &RecordView<'_>,
+) {
+    w.put_name(&owner.to_buf().name_ref());
+    w.put_u16(rec.rtype().code());
+    w.put_u16(class.code());
+    w.put_u32(ttl);
+    let rdlength_at = w.len();
+    w.put_u16(0);
+    let rdata = rec.rdata_view();
+    let bytes = rdata.bytes();
+    let (before, names) = rec.rtype().rdata_names();
+    let mut at = before.min(bytes.len());
+    w.put_bytes(&bytes[..at]);
+    for _ in 0..names {
+        let Some((name, next)) = rdata.name_at(at) else { break };
+        w.put_name_uncompressed(&name.to_buf().name_ref());
+        at = next;
+    }
+    w.put_bytes(&bytes[at..]);
+    w.patch_u16(rdlength_at, (w.len() - rdlength_at - 2) as u16);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dns_wire::record::{RrsigRdata, SoaRdata, SrvRdata};
+    use dns_wire::{Message, Question, RData, Record, SvcParam, SvcbRdata};
+    use proptest::prelude::*;
+
+    // What the stub writer replaced, kept as its oracle: the cached sets
+    // built back into owned records, each RRSIG re-issued as a record,
+    // and the reply encoded.
+    fn owned_reply(request: &[u8], outcome: Option<&Result<Resolution, ResolveError>>) -> Vec<u8> {
+        let query = Message::decode(request).unwrap();
         let mut resp = query.response();
-        let Some(q) = query.question() else {
-            resp.rcode = Rcode::FormErr;
-            *reply = resp.encode();
-            return Ok(());
+        let owned = |set: &RrSet| -> Vec<Record> {
+            set.records().map(|rec| rec.to_owned().unwrap()).collect()
         };
-        match self.resolve(&q.name, q.qtype) {
-            Ok(res) => {
+        match outcome {
+            None => resp.rcode = Rcode::FormErr,
+            Some(Err(_)) => resp.rcode = Rcode::ServFail,
+            Some(Ok(res)) => {
                 resp.rcode = res.rcode;
                 resp.flags.ad = res.ad();
-                let records = res.records.to_records();
-                // Each RRSIG is re-issued under the set's first record.
+                let records = owned(&res.records);
                 let rrsigs: Vec<Record> = match records.first() {
                     Some(first) if query.dnssec_ok() => res
                         .records
-                        .rrsig_rdatas()
-                        .into_iter()
+                        .rrsigs()
                         .map(|sig| {
-                            let rdata = RData::Rrsig(sig);
+                            let rdata = sig.rdata().unwrap();
                             Record::with_type(
                                 first.name.clone(),
                                 RecordType::Rrsig,
@@ -536,15 +645,176 @@ impl DatagramService for RecursiveResolver {
                         .collect(),
                     _ => Vec::new(),
                 };
-                resp.answers.extend(res.chain);
+                resp.answers
+                    .extend(res.chain.iter().filter_map(|set| owned(set).into_iter().next()));
                 resp.answers.extend(records);
                 resp.answers.extend(rrsigs);
             }
-            Err(_) => {
-                resp.rcode = Rcode::ServFail;
-            }
         }
-        *reply = resp.encode();
-        Ok(())
+        resp.encode()
+    }
+
+    /// `a.example` twice, differing only in case; its `www`; a stranger.
+    const OWNERS: [&str; 4] = ["a.example", "A.Example", "www.a.example", "b.example"];
+
+    fn owner(i: usize) -> DnsName {
+        DnsName::parse(OWNERS[i % OWNERS.len()]).unwrap()
+    }
+
+    const TYPES: [RecordType; 8] = [
+        RecordType::A,
+        RecordType::Cname,
+        RecordType::Mx,
+        RecordType::Soa,
+        RecordType::Srv,
+        RecordType::Txt,
+        RecordType::Https,
+        RecordType::Rrsig,
+    ];
+
+    /// A record of `TYPES[t]` at `OWNERS[o]`; an RRSIG covers
+    /// `TYPES[serial % 7]`.
+    fn record((o, t, serial): (usize, usize, u8)) -> Record {
+        let n = |i: u8| owner(usize::from(i));
+        let rdata = match TYPES[t] {
+            RecordType::A => RData::A([192, 0, 2, serial].into()),
+            RecordType::Cname => RData::Cname(n(serial)),
+            RecordType::Mx => RData::Mx(u16::from(serial), n(serial)),
+            RecordType::Soa => RData::Soa(SoaRdata {
+                mname: n(serial),
+                rname: n(serial / 3),
+                serial: u32::from(serial),
+                refresh: 1,
+                retry: 2,
+                expire: 3,
+                minimum: 4,
+            }),
+            RecordType::Srv => {
+                RData::Srv(SrvRdata { priority: 1, weight: 2, port: 443, target: n(serial) })
+            }
+            RecordType::Txt => RData::Txt(vec![vec![serial; usize::from(serial % 5)]]),
+            RecordType::Https => RData::Https(SvcbRdata {
+                priority: u16::from(serial % 3),
+                target: n(serial),
+                params: vec![SvcParam::Port(u16::from(serial))],
+            }),
+            _ => RData::Rrsig(RrsigRdata {
+                type_covered: TYPES[usize::from(serial) % 7],
+                algorithm: 13,
+                labels: 2,
+                original_ttl: 300,
+                expiration: 2_000,
+                inception: 1_000,
+                key_tag: u16::from(serial),
+                signer: n(serial),
+                signature: vec![serial; 4],
+            }),
+        };
+        Record::with_type(owner(o), TYPES[t], 60 + u32::from(serial), rdata)
+    }
+
+    /// Write `rdata` with the names `rdata_names` lists compressed
+    /// against what `w` holds, as an authority may send them.
+    fn put_compressed(w: &mut WireWriter, rdata: &RData) {
+        match rdata {
+            RData::Cname(n) => w.put_name(n),
+            RData::Mx(preference, host) => {
+                w.put_u16(*preference);
+                w.put_name(host);
+            }
+            RData::Soa(soa) => {
+                w.put_name(&soa.mname);
+                w.put_name(&soa.rname);
+                for field in [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum] {
+                    w.put_u32(field);
+                }
+            }
+            RData::Srv(srv) => {
+                for field in [srv.priority, srv.weight, srv.port] {
+                    w.put_u16(field);
+                }
+                w.put_name(&srv.target);
+            }
+            RData::Rrsig(sig) => {
+                let mut fixed = WireWriter::new();
+                RData::Rrsig(RrsigRdata { signer: DnsName::root(), ..sig.clone() })
+                    .encode(&mut fixed);
+                w.put_bytes(&fixed.as_bytes()[..18]);
+                w.put_name(&sig.signer);
+                w.put_bytes(&sig.signature);
+            }
+            other => other.encode(w),
+        }
+    }
+
+    /// The sets of an authority's reply to `(a.example, A)` answering
+    /// `answers`, RDATA names compressed or not.
+    fn sets(answers: &[Record], compress: bool) -> Vec<RrSet> {
+        let mut w = WireWriter::new();
+        for field in [7, 0x8400, 1, answers.len() as u16, 0, 0] {
+            w.put_u16(field);
+        }
+        w.put_name(&owner(0));
+        w.put_u16(RecordType::A.code());
+        w.put_u16(1);
+        for rec in answers {
+            w.put_name(&rec.name);
+            w.put_u16(rec.rtype.code());
+            w.put_u16(1);
+            w.put_u32(rec.ttl);
+            let len_at = w.len();
+            w.put_u16(0);
+            if compress {
+                put_compressed(&mut w, &rec.rdata);
+            } else {
+                rec.rdata.encode(&mut w);
+            }
+            w.patch_u16(len_at, (w.len() - len_at - 2) as u16);
+        }
+        AuthorityReply::parse(w.as_bytes(), 7, &owner(0), RecordType::A).unwrap().sets().collect()
+    }
+
+    proptest! {
+        /// Chains and answers of every type with names in their RDATA,
+        /// compressed or not, owners differing in case, RRSIGs, requests
+        /// with and without EDNS and DO, a second question, no question
+        /// and a failed resolution: the writer's reply is the encoding
+        /// of the owned records it replaced, byte for byte.
+        #[test]
+        fn stub_reply_equals_the_owned_reply_it_replaced(
+            section in proptest::collection::vec((0usize..4, 0usize..8, any::<u8>()), 1..12),
+            compress in any::<bool>(),
+            picks in proptest::collection::vec(any::<usize>(), 0..4),
+            answer in any::<usize>(),
+            request in (0usize..4, any::<u16>(), any::<bool>(), any::<bool>(), any::<bool>()),
+            outcome in (0u8..4, any::<bool>()),
+        ) {
+            let ((qname, id, dnssec_ok, edns, second), (shape, secure)) = (request, outcome);
+            let sets = sets(&section.into_iter().map(record).collect::<Vec<_>>(), compress);
+            let pick = |i: usize| sets.get(i % sets.len().max(1));
+            let mut query = Message::query(id, owner(qname), RecordType::Https);
+            query.edns = edns.then(|| if dnssec_ok { Edns::dnssec() } else { Edns::default() });
+            if second {
+                query.questions.push(Question::new(owner(qname + 1), RecordType::A));
+            }
+            let outcome = match shape {
+                0 => {
+                    query.questions.clear();
+                    None
+                }
+                1 => Some(Err(ResolveError::ChainTooLong)),
+                _ => Some(Ok(Resolution {
+                    chain: picks.iter().filter_map(|&i| pick(i)).cloned().collect(),
+                    records: pick(answer).filter(|_| shape == 3).cloned().unwrap_or_default(),
+                    rcode: if shape == 3 { Rcode::NoError } else { Rcode::NxDomain },
+                    validation: secure.then_some(ValidationState::Secure),
+                    from_cache: false,
+                })),
+            };
+            let request = query.encode();
+            let mut reply = vec![0xAB; 3];
+            write_reply(&mut reply, &MessageView::parse(&request).unwrap(), outcome.as_ref());
+            prop_assert_eq!(reply, owned_reply(&request, outcome.as_ref()));
+        }
     }
 }

@@ -456,7 +456,7 @@ fn a_reply_that_does_not_answer_the_query_falls_back_and_is_never_cached() {
         let (results, timing) = engine.resolve_batch_timed(&queries, 1);
         let res = results[0].as_ref().expect("the honest second server answers");
         assert_eq!(
-            res.records.to_records()[0].rdata,
+            res.records.records().next().unwrap().rdata().unwrap(),
             RData::A("1.2.3.4".parse().unwrap()),
             "{mismatch:?}"
         );

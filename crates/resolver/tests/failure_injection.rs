@@ -113,7 +113,7 @@ fn a_reply_that_does_not_answer_the_query_is_skipped_and_never_cached() {
         let res = r.resolve(&name("a.com"), RecordType::A).unwrap();
         assert_eq!(res.records.len(), 1, "{mismatch:?}: the honest second server answers");
         assert_eq!(
-            res.records.to_records()[0].rdata,
+            res.records.records().next().unwrap().rdata().unwrap(),
             RData::A("1.2.3.4".parse().unwrap()),
             "{mismatch:?}"
         );

@@ -2,6 +2,7 @@
 //! (root → com → a.com) on the simulated network.
 
 use authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
+use dns_wire::svcb::key;
 use dns_wire::{DnsName, Message, RData, Rcode, Record, RecordType, SvcParam, SvcbRdata};
 use dnssec::{ValidationState, ZoneKeys};
 use netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
@@ -175,16 +176,22 @@ fn cache_expires_with_virtual_time() {
     // Warm cache still serves the old record.
     let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
     assert!(res.from_cache);
-    match &res.records.to_records()[0].rdata {
-        RData::Https(rd) => assert_eq!(rd.alpn().unwrap(), vec!["h2"]),
+    let rdata = res.records.records().next().unwrap().rdata().unwrap();
+    match rdata {
+        RData::Https(rd) => {
+            assert_eq!(rd.param(key::ALPN), Some(&SvcParam::Alpn(vec![b"h2".to_vec()])))
+        }
         other => panic!("{other:?}"),
     }
     // After TTL expiry the new record is fetched.
     net.clock().advance(301);
     let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
     assert!(!res.from_cache);
-    match &res.records.to_records()[0].rdata {
-        RData::Https(rd) => assert_eq!(rd.alpn().unwrap(), vec!["h3"]),
+    let rdata = res.records.records().next().unwrap().rdata().unwrap();
+    match rdata {
+        RData::Https(rd) => {
+            assert_eq!(rd.param(key::ALPN), Some(&SvcParam::Alpn(vec![b"h3".to_vec()])))
+        }
         other => panic!("{other:?}"),
     }
 }
@@ -196,7 +203,7 @@ fn chases_cname_for_https() {
     let res = r.resolve(&name("www.a.com"), RecordType::Https).unwrap();
     assert_eq!(res.chain.len(), 1);
     assert_eq!(res.records.len(), 1);
-    assert_eq!(res.records.to_records()[0].name, name("a.com"));
+    assert!(res.records.records().next().unwrap().name().eq_name(&name("a.com")));
 }
 
 #[test]

@@ -13,13 +13,28 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::Arc;
 
-/// ECH serving state for a client-facing server.
-pub struct EchServerState {
-    /// Key manager (current + grace keys).
-    pub manager: EchKeyManager,
-    /// Whether to send retry configs on decryption failure (the spec
-    /// discourages disabling this; the knob exists for the ablation).
-    pub retry_enabled: bool,
+/// ECH serving state for client-facing servers: one key manager
+/// (current and grace keys), shared. Clones share it, so a rotation
+/// through any of them is what every server holding one opens with and
+/// sends as its retry configs.
+#[derive(Clone)]
+pub struct EchServerState(Arc<RwLock<EchKeyManager>>);
+
+impl EchServerState {
+    /// Serving state holding `manager`.
+    pub fn new(manager: EchKeyManager) -> EchServerState {
+        EchServerState(Arc::new(RwLock::new(manager)))
+    }
+
+    /// Rotate the shared key ([`EchKeyManager::rotate`]).
+    pub fn rotate(&self, label_seed: &str) {
+        self.0.write().rotate(label_seed);
+    }
+
+    /// The currently advertised config list, encoded.
+    pub fn configs(&self) -> Vec<u8> {
+        self.0.read().current_config_list().encode()
+    }
 }
 
 /// Configuration of a web server endpoint.
@@ -69,15 +84,15 @@ impl WebServer {
     /// Rotate the ECH key (no-op without ECH state). Returns the new
     /// config list bytes to publish in DNS.
     pub fn rotate_ech_key(&self, label_seed: &str) -> Option<Vec<u8>> {
-        let mut guard = self.ech.write();
-        let state = guard.as_mut()?;
-        state.manager.rotate(label_seed);
-        Some(state.manager.current_config_list().encode())
+        let guard = self.ech.read();
+        let state = guard.as_ref()?;
+        state.rotate(label_seed);
+        Some(state.configs())
     }
 
     /// Current ECH config list bytes (what DNS should advertise).
     pub fn current_ech_configs(&self) -> Option<Vec<u8>> {
-        self.ech.read().as_ref().map(|s| s.manager.current_config_list().encode())
+        self.ech.read().as_ref().map(EchServerState::configs)
     }
 
     /// Add a split-mode forwarding rule: inner SNI → back-end address.
@@ -124,7 +139,8 @@ impl WebServer {
         let ech_guard = self.ech.read();
         match (&hello.ech, ech_guard.as_ref()) {
             (Some(ext), Some(state)) => {
-                match state.manager.open(hello.sni.as_bytes(), &ext.sealed_inner) {
+                let opened = state.0.read().open(hello.sni.as_bytes(), &ext.sealed_inner);
+                match opened {
                     Some(plain) => {
                         let Some(inner) = InnerHello::decode(&plain) else {
                             return ServerResponse::Alert(AlertCause::HandshakeFailure);
@@ -161,16 +177,10 @@ impl WebServer {
                         // Shared mode: serve the inner name locally.
                         self.serve_plain(&inner.sni, &inner.alpn, true)
                     }
-                    None => {
-                        if state.retry_enabled {
-                            ServerResponse::EchRetry {
-                                cert_name: self.cert_for(&hello.sni),
-                                retry_configs: state.manager.current_config_list().encode(),
-                            }
-                        } else {
-                            ServerResponse::Alert(AlertCause::EchDecryptFailed)
-                        }
-                    }
+                    None => ServerResponse::EchRetry {
+                        cert_name: self.cert_for(&hello.sni),
+                        retry_configs: state.configs(),
+                    },
                 }
             }
             // Server without ECH support: the extension is ignored and the
@@ -295,10 +305,7 @@ mod tests {
     fn ech_shared_mode_round_trip() {
         let net = net();
         let s = basic_server(&net);
-        s.enable_ech(EchServerState {
-            manager: EchKeyManager::new(name("cover.a.com"), "k", 1),
-            retry_enabled: true,
-        });
+        s.enable_ech(EchServerState::new(EchKeyManager::new(name("cover.a.com"), "k", 1)));
         let configs = s.current_ech_configs().unwrap();
         let inner = InnerHello { sni: "a.com".into(), alpn: vec!["h2".into()] };
         let ech = seal_inner(&configs, "cover.a.com", &inner);
@@ -318,10 +325,7 @@ mod tests {
     fn stale_key_triggers_retry_with_fresh_configs() {
         let net = net();
         let s = basic_server(&net);
-        s.enable_ech(EchServerState {
-            manager: EchKeyManager::new(name("cover.a.com"), "k", 0), // no grace
-            retry_enabled: true,
-        });
+        s.enable_ech(EchServerState::new(EchKeyManager::new(name("cover.a.com"), "k", 0)));
         let stale_configs = s.current_ech_configs().unwrap();
         s.rotate_ech_key("k");
         let inner = InnerHello { sni: "a.com".into(), alpn: vec!["h2".into()] };
@@ -348,29 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn retry_disabled_alerts() {
-        let net = net();
-        let s = basic_server(&net);
-        s.enable_ech(EchServerState {
-            manager: EchKeyManager::new(name("cover.a.com"), "k", 0),
-            retry_enabled: false,
-        });
-        let stale = s.current_ech_configs().unwrap();
-        s.rotate_ech_key("k");
-        let inner = InnerHello { sni: "a.com".into(), alpn: vec![] };
-        let ech = seal_inner(&stale, "cover.a.com", &inner);
-        let hello = ClientHello { sni: "cover.a.com".into(), alpn: vec![], ech: Some(ech) };
-        assert_eq!(s.handshake(&hello), ServerResponse::Alert(AlertCause::EchDecryptFailed));
-    }
-
-    #[test]
     fn grace_window_accepts_recently_rotated_key() {
         let net = net();
         let s = basic_server(&net);
-        s.enable_ech(EchServerState {
-            manager: EchKeyManager::new(name("cover.a.com"), "k", 2),
-            retry_enabled: true,
-        });
+        s.enable_ech(EchServerState::new(EchKeyManager::new(name("cover.a.com"), "k", 2)));
         let old = s.current_ech_configs().unwrap();
         s.rotate_ech_key("k");
         let inner = InnerHello { sni: "a.com".into(), alpn: vec!["h2".into()] };
@@ -414,10 +399,7 @@ mod tests {
             net.clone(),
             WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()].into() },
         );
-        front.enable_ech(EchServerState {
-            manager: EchKeyManager::new(name("b.com"), "front", 1),
-            retry_enabled: true,
-        });
+        front.enable_ech(EchServerState::new(EchKeyManager::new(name("b.com"), "front", 1)));
         front.add_forward("a.com", ("1.1.1.1".parse().unwrap(), 443));
 
         let configs = front.current_ech_configs().unwrap();

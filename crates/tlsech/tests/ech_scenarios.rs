@@ -28,10 +28,7 @@ fn ech_server(net: &Network) -> WebServer {
             alpn: vec!["h2".into(), "http/1.1".into()].into(),
         },
     );
-    s.enable_ech(EchServerState {
-        manager: EchKeyManager::new(name("cover.a.com"), "scenario", 1),
-        retry_enabled: true,
-    });
+    s.enable_ech(EchServerState::new(EchKeyManager::new(name("cover.a.com"), "scenario", 1)));
     s
 }
 
@@ -93,10 +90,7 @@ fn split_mode_forward_to_dead_backend_fails_handshake() {
         net.clone(),
         WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()].into() },
     );
-    front.enable_ech(EchServerState {
-        manager: EchKeyManager::new(name("b.com"), "front", 1),
-        retry_enabled: true,
-    });
+    front.enable_ech(EchServerState::new(EchKeyManager::new(name("b.com"), "front", 1)));
     // Forward rule to an address with no listener.
     front.add_forward("a.com", ("10.9.9.9".parse().unwrap(), 443));
     let configs = EchConfigList::decode(&front.current_ech_configs().unwrap()).unwrap();
@@ -123,10 +117,7 @@ fn split_mode_chain_of_two_hops() {
         net.clone(),
         WebServerConfig { cert_names: vec![name("b.com")], alpn: vec!["h2".into()].into() },
     );
-    front.enable_ech(EchServerState {
-        manager: EchKeyManager::new(name("b.com"), "front2", 1),
-        retry_enabled: true,
-    });
+    front.enable_ech(EchServerState::new(EchKeyManager::new(name("b.com"), "front2", 1)));
     front.add_forward("a.com", ("10.1.1.1".parse().unwrap(), 443));
     let configs = EchConfigList::decode(&front.current_ech_configs().unwrap()).unwrap();
     let inner = InnerHello { sni: "a.com".into(), alpn: vec!["h2".into()] };
@@ -155,10 +146,11 @@ fn disable_then_reenable_ech() {
     assert!(server.rotate_ech_key("scenario").is_none());
 
     // Re-enable (Cloudflare's promised ECH return): new manager state.
-    server.enable_ech(EchServerState {
-        manager: EchKeyManager::new(name("cover.a.com"), "scenario-v2", 1),
-        retry_enabled: true,
-    });
+    server.enable_ech(EchServerState::new(EchKeyManager::new(
+        name("cover.a.com"),
+        "scenario-v2",
+        1,
+    )));
     let new_configs = server.current_ech_configs().unwrap();
     assert_ne!(old_configs, new_configs);
 }

@@ -39,10 +39,11 @@ fn main() {
             alpn: vec!["h2".into()].into(),
         },
     );
-    server.enable_ech(EchServerState {
-        manager: EchKeyManager::new(DnsName::parse("cover.a.com").expect("valid"), "demo", 0),
-        retry_enabled: true,
-    });
+    server.enable_ech(EchServerState::new(EchKeyManager::new(
+        DnsName::parse("cover.a.com").expect("valid"),
+        "demo",
+        0,
+    )));
     let cached = server.current_ech_configs().expect("ech enabled");
     server.rotate_ech_key("demo"); // DNS cache now stale
 

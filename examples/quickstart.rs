@@ -55,17 +55,16 @@ fn main() {
     let resolver = RecursiveResolver::new(network.clone(), registry, ResolverConfig::default());
     let res = resolver.resolve(&apex, RecordType::Https).expect("resolution succeeds");
     println!("HTTPS record(s) for {apex}:");
-    let records = res.records.to_records();
-    for rec in &records {
-        println!("  {rec}");
+    for rec in res.records.records() {
+        println!("  {}", rec.to_owned().expect("checked RDATA"));
     }
 
-    // 5. Use the record: pick the ALPN and hint address, then handshake.
-    let RData::Https(rd) = &records[0].rdata else {
-        panic!("expected HTTPS rdata");
-    };
-    let alpn = rd.alpn().expect("record advertises alpn");
-    let hint = rd.ipv4hint().expect("record has hints")[0];
+    // 5. Use the record, read in place: pick the ALPN and hint address,
+    //    then handshake.
+    let rd = res.records.records().find_map(|rec| rec.svcb().ok()).expect("an HTTPS record");
+    let alpn: Vec<_> =
+        rd.alpn_ids().expect("record advertises alpn").map(String::from_utf8_lossy).collect();
+    let hint = rd.ipv4hint().and_then(|mut hints| hints.next()).expect("record has hints");
     println!("connecting to {hint}:443 offering {alpn:?} …");
     let hello = ClientHello::plain("example.com", vec![alpn[0].clone().into_owned()]);
     let resp =

@@ -3,10 +3,15 @@
 
 use httpsrr::authserver::{AuthoritativeServer, DelegationRegistry, NsEndpoint, Zone, ZoneSet};
 use httpsrr::browser::{Browser, BrowserProfile, NavEvent, Outcome, UrlScheme};
-use httpsrr::dns_wire::{DnsName, RData, Record, SvcParam, SvcbRdata};
+use httpsrr::dns_wire::svcb::key;
+use httpsrr::dns_wire::{DnsName, RData, Record, RecordType, SvcParam, SvcbRdata};
+use httpsrr::ecosystem::{EcosystemConfig, World};
 use httpsrr::netsim::{DatagramService, NetError, Network, SimClock, Timestamp};
 use httpsrr::resolver::{RecursiveResolver, ResolverConfig};
-use httpsrr::tlsech::{EchKeyManager, EchServerState, WebServer, WebServerConfig};
+use httpsrr::tlsech::{
+    ClientHello, EchConfigList, EchExtension, EchKeyManager, EchServerState, InnerHello,
+    ServerResponse, WebServer, WebServerConfig,
+};
 use std::net::IpAddr;
 use std::sync::{Arc, Weak};
 
@@ -60,10 +65,7 @@ fn full_stack(with_ech: bool) -> Stack {
         },
     ));
     let ech_param = if with_ech {
-        web.enable_ech(EchServerState {
-            manager: EchKeyManager::new(cover.clone(), "e2e", 1),
-            retry_enabled: true,
-        });
+        web.enable_ech(EchServerState::new(EchKeyManager::new(cover.clone(), "e2e", 1)));
         Some(SvcParam::Ech(web.current_ech_configs().unwrap()))
     } else {
         None
@@ -194,4 +196,46 @@ fn ech_key_rotation_recovers_via_retry_end_to_end() {
         nav.events
     );
     assert!(matches!(nav.outcome, Outcome::HttpsOk { used_ech: true, .. }));
+}
+
+/// A world's ECH-enabled web server shares its provider's key state, so
+/// after the key has rotated many times it still opens a ClientHello
+/// sealed to the ECHConfig its zone advertises.
+#[test]
+fn a_world_ech_server_opens_the_config_its_zone_advertises_after_rotations() {
+    let mut world = World::build(EcosystemConfig::tiny());
+    world.step_to_day(3);
+    let resolver = RecursiveResolver::new(
+        world.network.clone(),
+        world.registry.clone(),
+        ResolverConfig::default(),
+    );
+    let mut opened = 0;
+    for d in world.domains.iter().filter(|d| d.ech_enabled) {
+        let Ok(res) = resolver.resolve(&d.apex, RecordType::Https) else { continue };
+        let advertised =
+            res.records.records().find_map(|rec| Some(rec.svcb().ok()?.param(key::ECH)?.to_vec()));
+        let Some(advertised) = advertised else { continue };
+        let list = EchConfigList::decode(&advertised).expect("a well-formed config list");
+        let config = list.preferred();
+        let inner = InnerHello { sni: d.apex.key(), alpn: vec!["h2".into()] };
+        let sealed = config.public_key.seal(config.public_name.key().as_bytes(), &inner.encode());
+        let hello = ClientHello {
+            sni: config.public_name.key(),
+            alpn: vec!["h2".into()],
+            ech: Some(EchExtension { config_id: config.config_id, sealed_inner: sealed }),
+        };
+        let reply = world.network.stream_exchange(IpAddr::V4(d.ip), 443, &hello.encode()).unwrap();
+        assert!(
+            matches!(
+                ServerResponse::decode(&reply),
+                Some(ServerResponse::Accepted { used_ech: true, .. })
+            ),
+            "{}: {:?}",
+            d.apex,
+            ServerResponse::decode(&reply)
+        );
+        opened += 1;
+    }
+    assert!(opened > 0, "the tiny world has an ECH domain");
 }
