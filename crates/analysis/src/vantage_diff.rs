@@ -448,13 +448,14 @@ impl SourceTally {
 /// over the common days' range (so a disk source reads its chunks in
 /// groups of four), skipping the days some other source lacks. Each
 /// common day's view is built by the same `push_day` as the sequential
-/// pass — which folds the summary tallies as it builds the view — and
-/// sent through a bounded channel: at most two days in flight per
-/// source, the reader's own group of four being read and checksummed
-/// ahead of them. The coordinator receives one view per source per
-/// common day, in day order, and folds them through the same `DayDiffs`
-/// loop and `SourceTally` arithmetic — the report, including every
-/// floating-point field, is byte-identical to [`vantage_diff_sources`].
+/// pass — which folds the summary tallies as it builds the view — into
+/// one of four buffers the reader reuses, sent through a bounded channel:
+/// at most two days in flight per source, the reader's own group of four
+/// being read and checksummed ahead of them. The coordinator receives one
+/// view per source per common day, in day order, folds them through the
+/// same `DayDiffs` loop and `SourceTally` arithmetic — the report,
+/// including every floating-point field, is byte-identical to
+/// [`vantage_diff_sources`] — and hands each buffer back.
 ///
 /// # Panics
 ///
@@ -465,38 +466,46 @@ pub fn vantage_diff_parallel(sources: &[&dyn ObservationSource]) -> VantageDiffR
 
     let mut diff = DayDiffs::default();
     let tallies: Vec<SourceTally> = std::thread::scope(|scope| {
-        let mut receivers = Vec::with_capacity(sources.len());
+        let mut channels = Vec::with_capacity(sources.len());
         let mut handles = Vec::with_capacity(sources.len());
         for &source in sources {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u64>>(2);
-            receivers.push(rx);
+            let (back_tx, back_rx) = std::sync::mpsc::sync_channel::<Vec<u64>>(4);
+            for _ in 0..4 {
+                let _ = back_tx.send(Vec::new());
+            }
+            channels.push((rx, back_tx));
             let days = &days;
             handles.push(scope.spawn(move || {
                 let mut tally = SourceTally::default();
                 // Cleared once the coordinator is gone (it panicked).
                 let mut open = true;
                 visit_days(source, days, |_, obs| {
-                    if !open {
-                        return;
-                    }
-                    let mut view = Vec::new();
-                    push_day(obs, &mut tally, &mut view);
-                    // A full channel blocks here, bounding how far this
-                    // reader can run ahead of the coordinator.
-                    open = tx.send(view).is_ok();
+                    // With all four buffers out, this waits for one back.
+                    open = open
+                        && back_rx.recv().is_ok_and(|mut view| {
+                            view.clear();
+                            push_day(obs, &mut tally, &mut view);
+                            tx.send(view).is_ok()
+                        });
                 });
                 tally
             }));
         }
         let mut views: Vec<Vec<u64>> = Vec::with_capacity(sources.len());
         for &day in &days {
-            views.clear();
             views.extend(
-                receivers.iter().map(|rx| rx.recv().expect("vantage reader thread died mid-scan")),
+                channels
+                    .iter()
+                    .map(|(rx, _)| rx.recv().expect("vantage reader thread died mid-scan")),
             );
             diff.fold_day(day, views.iter().map(Vec::as_slice));
+            // Never blocks: a channel holds all its reader's buffers.
+            for (view, (_, back)) in views.drain(..).zip(&channels) {
+                let _ = back.send(view);
+            }
         }
-        drop(receivers);
+        drop(channels);
         handles.into_iter().map(|h| h.join().expect("vantage reader thread panicked")).collect()
     });
     diff.into_report(vantages, days, tallies)

@@ -1,7 +1,8 @@
 //! The allocation budget of the cross-vantage diff: what the benchmark
 //! reports as `analyze_store/allocs_per_unit` on a timing host, held here
 //! as a count that no host can move — with the visits it makes to its
-//! sources and the heap it peaks at.
+//! sources, what the parallel diff's readers allocate and the heap it
+//! peaks at.
 
 #![allow(unsafe_code)]
 
@@ -11,7 +12,7 @@ mod counting_alloc;
 use analysis::{vantage_diff_parallel, vantage_diff_sources};
 use counting_alloc::{allocs_in, allocs_per_thread, peak_live_in, thread_axis};
 use scanner::{flags, Observation, ObservationSource, OrgId, ScanFilter, SnapshotStore};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 const VANTAGES: u32 = 3;
 const DAYS: u32 = 30;
@@ -33,9 +34,9 @@ const CEILING_PER_DAY: f64 = 3.1;
 /// One vantage's campaign in scan order: apex and `www` rows for `names`
 /// names a day, the odd names past the hidden ones flapping from day to
 /// day, one name failing to resolve on day 7.
-fn store(vantage: u32, names: u32) -> SnapshotStore {
+fn store(vantage: u32, names: u32, days: u32) -> SnapshotStore {
     let mut store = SnapshotStore::with_vantage(&format!("v{vantage}"));
-    for day in 0..DAYS {
+    for day in 0..days {
         let rows = (0..names)
             .flat_map(|id| [(id, 0), (id, flags::IS_WWW)])
             .map(|(id, www)| {
@@ -59,9 +60,14 @@ fn store(vantage: u32, names: u32) -> SnapshotStore {
     store
 }
 
-/// Every vantage's store, `names` names a day.
+/// Every vantage's store, `names` names a day for `days` days.
+fn campaign_of(names: u32, days: u32) -> Vec<SnapshotStore> {
+    (0..VANTAGES).map(|v| store(v, names, days)).collect()
+}
+
+/// Every vantage's store, `names` names a day for [`DAYS`] days.
 fn campaign(names: u32) -> Vec<SnapshotStore> {
-    (0..VANTAGES).map(|v| store(v, names)).collect()
+    campaign_of(names, DAYS)
 }
 
 fn sources(stores: &[SnapshotStore]) -> Vec<&dyn ObservationSource> {
@@ -94,13 +100,20 @@ fn the_diff_allocates_per_disagreement_not_per_row() {
     }
 }
 
-/// A store that counts the visits made to it.
+/// A store that counts the visits made to it, and the heap blocks the
+/// visiting thread asks for during them — its own reading and whatever
+/// the visitor does with each day.
 struct Counted<'a> {
     store: &'a SnapshotStore,
     visits: AtomicUsize,
+    allocs: AtomicU64,
 }
 
-impl Counted<'_> {
+impl<'a> Counted<'a> {
+    fn new(store: &'a SnapshotStore) -> Counted<'a> {
+        Counted { store, visits: AtomicUsize::new(0), allocs: AtomicU64::new(0) }
+    }
+
     /// The visits made since the last call.
     fn take(&self) -> usize {
         self.visits.swap(0, Ordering::Relaxed)
@@ -126,7 +139,8 @@ impl ObservationSource for Counted<'_> {
         visit: &mut dyn FnMut(u32, &[Observation]),
     ) {
         self.visits.fetch_add(1, Ordering::Relaxed);
-        self.store.for_each_day_filtered(filter, visit);
+        let (allocs, ()) = allocs_in(|| self.store.for_each_day_filtered(filter, visit));
+        self.allocs.fetch_add(allocs, Ordering::Relaxed);
     }
 }
 
@@ -137,8 +151,7 @@ impl ObservationSource for Counted<'_> {
 #[test]
 fn the_diff_visits_each_source_once_per_four_day_read_group() {
     let stores = campaign(50);
-    let counted: Vec<Counted> =
-        stores.iter().map(|store| Counted { store, visits: AtomicUsize::new(0) }).collect();
+    let counted: Vec<Counted> = stores.iter().map(Counted::new).collect();
     let sources: Vec<&dyn ObservationSource> =
         counted.iter().map(|c| c as &dyn ObservationSource).collect();
     let visits = || counted.iter().map(Counted::take).collect::<Vec<_>>();
@@ -148,6 +161,37 @@ fn the_diff_visits_each_source_once_per_four_day_read_group() {
     let parallel = vantage_diff_parallel(&sources);
     assert_eq!(visits(), [1; VANTAGES as usize]);
     assert_eq!(format!("{parallel:?}"), format!("{sequential:?}"));
+}
+
+/// Heap blocks a reader thread of the parallel diff may ask for in its
+/// one visit, at any number of common days. It asks for 8 at 12 days and
+/// at 30: its four view buffers and its flapping tracks. The ceiling
+/// leaves room for the channels' parking state, allocated the first time
+/// a reader waits. With a fresh view per day it asked for 4 plus one a
+/// day: 16 at 12 days, 34 at 30.
+const READER_ALLOCS: u64 = 12;
+
+/// The parallel diff's readers fill each day's view into one of four
+/// buffers the coordinator hands back, so the heap blocks they ask for
+/// do not grow with the number of common days.
+#[test]
+fn the_parallel_diff_reader_allocations_do_not_grow_with_the_days() {
+    for days in [12, 30] {
+        let stores = campaign_of(50, days);
+        let counted: Vec<Counted> = stores.iter().map(Counted::new).collect();
+        let sources: Vec<&dyn ObservationSource> =
+            counted.iter().map(|c| c as &dyn ObservationSource).collect();
+        let report = vantage_diff_parallel(&sources);
+        assert_eq!(report.disagreements.len(), (days * 2 * DISAGREEING) as usize);
+        for c in &counted {
+            let allocs = c.allocs.load(Ordering::Relaxed);
+            assert!(
+                allocs <= READER_ALLOCS,
+                "{} reader: {allocs} heap blocks over {days} days, ceiling {READER_ALLOCS}",
+                c.vantage()
+            );
+        }
+    }
 }
 
 /// Live heap bytes per name a day the sequential diff may peak at. It

@@ -16,8 +16,8 @@
 use crate::zone::{LookupResult, Step, Zone};
 use dns_wire::wire::WireWriter;
 use dns_wire::{
-    DnsName, Message, MessageView, NameBuf, NameBuildHasher, NameKey, NameRef, NameView, Rcode,
-    RecordType,
+    DnsName, Flags, Message, MessageView, NameBuf, NameBuildHasher, NameKey, NameRef, NameView,
+    Rcode, RecordType,
 };
 use netsim::{DatagramService, NetError, Timestamp};
 use parking_lot::RwLock;
@@ -160,11 +160,14 @@ impl AuthoritativeServer {
         out.clear();
         out.reserve(512);
         let mut w = WireWriter::from_bytes(std::mem::take(out));
-        w.put_u16(view.id());
         // QR, the request's opcode and RD; AA and the RCODE are patched in
         // once known. An authoritative server does not offer recursion.
-        w.put_u8(0x80 | ((view.opcode().code() & 0x0F) << 3) | u8::from(view.flags().rd));
-        w.put_u8(0);
+        let header = |aa, rcode| {
+            Flags { qr: true, aa, rd: view.flags().rd, ..Flags::default() }
+                .pack(view.opcode(), rcode)
+        };
+        w.put_u16(view.id());
+        w.put_bytes(&header(false, Rcode::NoError));
         w.put_u16(view.question_count() as u16);
         w.put_u32(0); // ANCOUNT and NSCOUNT, patched in below
         w.put_u16(u16::from(view.edns().is_some()));
@@ -187,16 +190,10 @@ impl AuthoritativeServer {
             Some(Some((rcode, counts))) => (true, rcode, counts),
         };
         if let Some(edns) = view.edns() {
-            // OPT: root owner, our payload size, the requester's DO bit.
-            w.put_u8(0);
-            w.put_u16(RecordType::Opt.code());
-            w.put_u16(1232);
-            w.put_u32(if edns.dnssec_ok { 0x8000 } else { 0 });
-            w.put_u16(0);
+            w.put_bytes(&edns.reply().opt_record());
         }
         *out = w.into_bytes();
-        out[2] |= u8::from(aa) << 2;
-        out[3] = rcode.code() & 0x0F;
+        out[2..4].copy_from_slice(&header(aa, rcode));
         out[6..8].copy_from_slice(&counts[0].to_be_bytes());
         out[8..10].copy_from_slice(&counts[1].to_be_bytes());
     }

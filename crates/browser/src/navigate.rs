@@ -5,8 +5,8 @@
 //! event trace that the testbed asserts on.
 
 use crate::profile::{BrowserProfile, IpFallback, MalformedEchBehavior};
-use dns_wire::svcb::key;
-use dns_wire::{DnsName, Message, MessageView, RecordType, RecordView, SvcbView};
+use dns_wire::svcb::{client_choice, key};
+use dns_wire::{write_query, DnsName, Edns, MessageView, RecordType, RecordView, SvcbView};
 use netsim::Network;
 use std::net::IpAddr;
 use tlsech::{AlertCause, ClientHello, EchConfigList, EchExtension, InnerHello, ServerResponse};
@@ -185,7 +185,7 @@ impl<'a> Visit<'a> {
             Vec::new()
         };
         let host_ips = self.resolve_addrs(&host_name);
-        let record = select_https_record(&answers(&https_reply)).filter(|rd| {
+        let record = https_record(&https_reply).filter(|rd| {
             !(profile.ignores_record_without_alpn && !rd.is_alias() && rd.alpn_ids().is_none())
         });
 
@@ -439,7 +439,8 @@ impl<'a> Visit<'a> {
     /// when the resolver cannot be reached.
     fn dns_query(&mut self, name: &DnsName, qtype: RecordType) -> Vec<u8> {
         self.events.push(NavEvent::DnsQuery { name: name.key(), qtype });
-        let query = Message::query(0, name.clone(), qtype).encode();
+        let mut query = Vec::new();
+        write_query(&mut query, 0, name, qtype, Edns::default());
         self.browser.network.send_datagram(self.browser.resolver_ip, 53, &query).unwrap_or_default()
     }
 
@@ -465,18 +466,11 @@ fn answers(reply: &[u8]) -> Vec<RecordView<'_>> {
     view.answers().collect()
 }
 
-/// Pick the HTTPS record a client would use: lowest-priority ServiceMode
-/// record, else an AliasMode record.
-fn select_https_record<'a>(answers: &[RecordView<'a>]) -> Option<SvcbView<'a>> {
-    let records = answers
-        .iter()
-        .filter(|rec| rec.rtype() == RecordType::Https)
-        .filter_map(|rec| rec.svcb().ok());
-    records
-        .clone()
-        .filter(|rd| !rd.is_alias())
-        .min_by_key(|rd| rd.priority())
-        .or_else(|| records.clone().find(|rd| rd.is_alias()))
+/// The HTTPS record a client uses among a reply's answers
+/// ([`client_choice`]), read in place.
+fn https_record(reply: &[u8]) -> Option<SvcbView<'_>> {
+    let https = answers(reply).into_iter().filter(|rec| rec.rtype() == RecordType::Https);
+    client_choice(https.filter_map(|rec| rec.svcb().ok()))
 }
 
 /// The addresses of the A and AAAA records among a reply's answers.
@@ -496,7 +490,7 @@ fn addresses(reply: &[u8]) -> Vec<IpAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_wire::{RData, Record, SvcParam, SvcbRdata};
+    use dns_wire::{Message, RData, Record, SvcParam, SvcbRdata};
 
     fn https_rec(rd: SvcbRdata) -> Record {
         Record::new(DnsName::parse("a.com").unwrap(), 60, RData::Https(rd))
@@ -515,14 +509,14 @@ mod tests {
             https_rec(SvcbRdata { priority: 1, target: DnsName::root(), params: vec![] }),
             https_rec(SvcbRdata::alias(DnsName::parse("b.com").unwrap())),
         ]);
-        assert_eq!(select_https_record(&answers(&reply)).unwrap().priority(), 1);
+        assert_eq!(https_record(&reply).unwrap().priority(), 1);
     }
 
     #[test]
     fn record_selection_falls_back_to_alias() {
         let reply = reply(vec![https_rec(SvcbRdata::alias(DnsName::parse("b.com").unwrap()))]);
-        assert!(select_https_record(&answers(&reply)).unwrap().is_alias());
-        assert!(select_https_record(&[]).is_none());
+        assert!(https_record(&reply).unwrap().is_alias());
+        assert!(https_record(&[]).is_none());
     }
 
     #[test]

@@ -18,8 +18,9 @@ pub enum WireError {
     LabelTooLong(usize),
     /// A domain name exceeded 255 octets in wire form.
     NameTooLong(usize),
-    /// A compression pointer pointed at or after its own location,
-    /// or the pointer chain exceeded the loop budget.
+    /// A compression pointer pointed at or after its own location, the
+    /// pointer chain exceeded the loop budget, or the pointer stood in a
+    /// name that is never compressed (an SVCB TargetName).
     BadCompressionPointer {
         /// Byte offset of the offending pointer.
         at: usize,

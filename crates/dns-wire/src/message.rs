@@ -1,8 +1,12 @@
 //! DNS messages: header flags, questions, sections, EDNS(0), full codec.
+//!
+//! Header octets 2–3 ([`Flags::pack`], [`Flags::unpack`]), the OPT
+//! record ([`Edns::opt_record`]) and a query ([`write_query`]) are
+//! written here once, for every sender and for [`MessageView::parse`].
 
 use crate::error::WireError;
 use crate::name::{DnsName, NameKey};
-use crate::record::{DnsClass, RData, Record, RecordType};
+use crate::record::{DnsClass, Record, RecordType};
 use crate::view::MessageView;
 use crate::wire::WireWriter;
 use std::fmt;
@@ -130,6 +134,28 @@ pub struct Flags {
     pub cd: bool,
 }
 
+impl Flags {
+    /// Header octets 2–3 (RFC 1035 §4.1.1): QR, the opcode, AA, TC and RD,
+    /// then RA, AD, CD and the RCODE's low four bits; Z is written as 0.
+    pub fn pack(self, opcode: Opcode, rcode: Rcode) -> [u8; 2] {
+        let [qr, aa, tc, rd, ra, ad, cd] =
+            [self.qr, self.aa, self.tc, self.rd, self.ra, self.ad, self.cd].map(u8::from);
+        [
+            qr << 7 | (opcode.code() & 0x0F) << 3 | aa << 2 | tc << 1 | rd,
+            ra << 7 | ad << 5 | cd << 4 | (rcode.code() & 0x0F),
+        ]
+    }
+
+    /// Read header octets 2–3 as [`Flags::pack`] writes them, Z aside;
+    /// the RCODE is the header's four bits, which EDNS may extend.
+    pub fn unpack([b2, b3]: [u8; 2]) -> (Flags, Opcode, Rcode) {
+        let [qr, aa, tc, rd] = [0x80, 0x04, 0x02, 0x01].map(|bit| b2 & bit != 0);
+        let [ra, ad, cd] = [0x80, 0x20, 0x10].map(|bit| b3 & bit != 0);
+        let flags = Flags { qr, aa, tc, rd, ra, ad, cd };
+        (flags, Opcode::from_code((b2 >> 3) & 0x0F), Rcode::from_code(b3 & 0x0F))
+    }
+}
+
 /// A question section entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
@@ -179,18 +205,26 @@ impl Edns {
         Edns { dnssec_ok: true, ..Default::default() }
     }
 
-    fn to_record(self) -> Record {
-        // OPT: name = root, class = udp size, ttl = ext-rcode/version/flags.
-        let ttl = ((self.extended_rcode as u32) << 24)
-            | ((self.version as u32) << 16)
-            | if self.dnssec_ok { 0x8000 } else { 0 };
-        Record {
-            name: DnsName::root(),
-            rtype: RecordType::Opt,
-            class: DnsClass::Unknown(self.udp_payload_size),
-            ttl,
-            rdata: RData::Opt(Vec::new()),
-        }
+    /// The EDNS a responder answers with: its own defaults, this DO bit.
+    pub fn reply(self) -> Self {
+        Edns { dnssec_ok: self.dnssec_ok, ..Default::default() }
+    }
+
+    /// The OPT pseudo-record (RFC 6891 §6.1.2): root owner, the payload
+    /// size as its class, extended RCODE, version and the DO bit as its
+    /// TTL, and no options.
+    pub fn opt_record(self) -> [u8; 11] {
+        let [t0, t1] = RecordType::Opt.code().to_be_bytes();
+        let [c0, c1] = self.udp_payload_size.to_be_bytes();
+        let flags = u8::from(self.dnssec_ok) << 7;
+        [0, t0, t1, c0, c1, self.extended_rcode, self.version, flags, 0, 0, 0]
+    }
+
+    /// The EDNS state of an OPT record with this class and TTL, read as
+    /// [`Edns::opt_record`] writes them.
+    pub(crate) fn from_opt(class: u16, ttl: u32) -> Self {
+        let [extended_rcode, version, flags, _] = ttl.to_be_bytes();
+        Edns { udp_payload_size: class, version, dnssec_ok: flags & 0x80 != 0, extended_rcode }
     }
 }
 
@@ -251,7 +285,7 @@ impl Message {
             answers: Vec::new(),
             authorities: Vec::new(),
             additionals: Vec::new(),
-            edns: self.edns.map(|e| Edns { dnssec_ok: e.dnssec_ok, ..Default::default() }),
+            edns: self.edns.map(Edns::reply),
         }
     }
 
@@ -274,33 +308,7 @@ impl Message {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_u16(self.id);
-        let mut b2: u8 = 0;
-        if self.flags.qr {
-            b2 |= 0x80;
-        }
-        b2 |= (self.opcode.code() & 0x0F) << 3;
-        if self.flags.aa {
-            b2 |= 0x04;
-        }
-        if self.flags.tc {
-            b2 |= 0x02;
-        }
-        if self.flags.rd {
-            b2 |= 0x01;
-        }
-        w.put_u8(b2);
-        let mut b3: u8 = 0;
-        if self.flags.ra {
-            b3 |= 0x80;
-        }
-        if self.flags.ad {
-            b3 |= 0x20;
-        }
-        if self.flags.cd {
-            b3 |= 0x10;
-        }
-        b3 |= self.rcode.code() & 0x0F;
-        w.put_u8(b3);
+        w.put_bytes(&self.flags.pack(self.opcode, self.rcode));
         w.put_u16(self.questions.len() as u16);
         w.put_u16(self.answers.len() as u16);
         w.put_u16(self.authorities.len() as u16);
@@ -315,7 +323,7 @@ impl Message {
             rec.encode(&mut w);
         }
         if let Some(edns) = self.edns {
-            edns.to_record().encode(&mut w);
+            w.put_bytes(&edns.opt_record());
         }
         w.into_bytes()
     }
@@ -327,37 +335,36 @@ impl Message {
     }
 }
 
-/// Write the query [`Message::query_dnssec`]`(id, name, qtype)` into
-/// `out`, which is cleared first: exactly the bytes its
+/// Write the query [`Message::query`]`(id, name, qtype)` carrying
+/// `edns` into `out`, which is cleared first: exactly the bytes its
 /// [`Message::encode`] makes, written without building the message — a
 /// sender that reuses `out` writes every query in place.
-pub fn write_dnssec_query(
+/// [`Edns::dnssec`] gives [`Message::query_dnssec`]'s bytes.
+pub fn write_query(
     out: &mut Vec<u8>,
     id: u16,
     name: &(impl NameKey + ?Sized),
     qtype: RecordType,
+    edns: Edns,
 ) {
+    let rd = Flags { rd: true, ..Flags::default() };
     out.clear();
     out.extend_from_slice(&id.to_be_bytes());
-    // RD alone; one question, no answer or authority, the OPT record.
-    out.extend_from_slice(&[0x01, 0, 0, 1, 0, 0, 0, 0, 0, 1]);
+    out.extend_from_slice(&rd.pack(Opcode::Query, Rcode::NoError));
+    // One question, no answer or authority, the OPT record.
+    out.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0, 1]);
     // The question name is the first in the message: nothing to point at.
     out.extend_from_slice(name.name_ref().flat);
     out.push(0);
     out.extend_from_slice(&qtype.code().to_be_bytes());
     out.extend_from_slice(&DnsClass::In.code().to_be_bytes());
-    // OPT: root owner, `Edns::dnssec()`'s payload size, the DO bit, no
-    // options.
-    out.push(0);
-    out.extend_from_slice(&RecordType::Opt.code().to_be_bytes());
-    out.extend_from_slice(&Edns::dnssec().udp_payload_size.to_be_bytes());
-    out.extend_from_slice(&0x8000u32.to_be_bytes());
-    out.extend_from_slice(&[0, 0]);
+    out.extend_from_slice(&edns.opt_record());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::RData;
     use std::net::Ipv4Addr;
 
     fn name(s: &str) -> DnsName {
@@ -480,5 +487,29 @@ mod tests {
         let uncompressed_estimate = resp.questions[0].name.wire_len() * 5;
         assert!(buf.len() < 12 + uncompressed_estimate + 4 * 14 + 11 + 10);
         assert_eq!(Message::decode(&buf).unwrap(), resp);
+    }
+
+    /// Every value of header octets 2–3 reads and writes back unchanged
+    /// but for Z, which the model does not keep; and what it reads packs
+    /// to the same reading.
+    #[test]
+    fn header_octets_round_trip_through_pack_and_unpack() {
+        for word in 0..=u16::MAX {
+            let octets = word.to_be_bytes();
+            let (flags, opcode, rcode) = Flags::unpack(octets);
+            let packed = flags.pack(opcode, rcode);
+            assert_eq!(packed, [octets[0], octets[1] & !0x40], "{word:#06x}");
+            assert_eq!(Flags::unpack(packed), (flags, opcode, rcode), "{word:#06x}");
+        }
+    }
+
+    #[test]
+    fn opt_record_is_the_rfc_6891_layout() {
+        let dnssec = Edns::dnssec().opt_record();
+        assert_eq!(dnssec, [0, 0, 41, 0x04, 0xD0, 0, 0, 0x80, 0, 0, 0]);
+        let edns = Edns { udp_payload_size: 4096, version: 1, dnssec_ok: false, extended_rcode: 3 };
+        assert_eq!(edns.opt_record(), [0, 0, 41, 0x10, 0, 3, 1, 0, 0, 0, 0]);
+        assert_eq!(Edns::from_opt(4096, 0x0301_0000), edns);
+        assert_eq!(Edns::from_opt(1232, 0x8000), Edns::dnssec());
     }
 }

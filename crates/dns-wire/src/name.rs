@@ -294,9 +294,17 @@ impl DnsName {
 
     /// Append [`DnsName::key`]'s rendering to `out` without allocating a
     /// fresh `String` — hot paths (e.g. batch partitioning) reuse one
-    /// cleared buffer across many names.
+    /// cleared buffer across many names. One `char` per octet.
     pub fn write_key(&self, out: &mut String) {
-        key_chars(self.labels(), |c| out.push(c));
+        for (i, label) in self.labels().enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            out.extend(label.iter().map(|b| b.to_ascii_lowercase() as char));
+        }
+        if self.is_root() {
+            out.push('.');
+        }
     }
 
     /// Feed the UTF-8 bytes of [`DnsName::key`] to `sink`, in order,
@@ -331,14 +339,20 @@ impl DnsName {
     /// The walk is [`DnsName::decode_at`]'s, so a name that passes
     /// `skip_at` decodes without error.
     pub fn skip_at(buf: &[u8], start: usize) -> Result<usize, WireError> {
-        walk_name(buf, start, |_| Ok(()))
+        walk_name(buf, start, true, |_| Ok(()))
+    }
+
+    /// [`DnsName::skip_at`] for a name never compressed (RFC 9460 §2.2's
+    /// TargetName): a pointer there is an error where it stands.
+    pub(crate) fn skip_uncompressed_at(buf: &[u8], start: usize) -> Result<usize, WireError> {
+        walk_name(buf, start, false, |_| Ok(()))
     }
 
     /// Decode a (possibly compressed) name from `buf` starting at `start`.
     /// Returns the name and the offset at which sequential reading resumes.
     pub fn decode_at(buf: &[u8], start: usize) -> Result<(DnsName, usize), WireError> {
         let mut flat = NameBuf::new();
-        let next = walk_name(buf, start, |label| flat.push_label(label))?;
+        let next = walk_name(buf, start, true, |label| flat.push_label(label))?;
         Ok((flat.freeze(), next))
     }
 }
@@ -350,9 +364,11 @@ impl DnsName {
 /// backwards (so the walk ends) within a hop budget, labels of at most
 /// 63 octets (a length octet's top bits say so), and at most 255 octets
 /// spelled out — so a label handed on never breaks [`NameBuf`]'s limits.
+/// Without `pointers` a pointer is rejected where it stands.
 fn walk_name(
     buf: &[u8],
     start: usize,
+    pointers: bool,
     mut label: impl FnMut(&[u8]) -> Result<(), WireError>,
 ) -> Result<usize, WireError> {
     let mut pos = start;
@@ -384,7 +400,7 @@ fn walk_name(
                     .ok_or(WireError::Truncated { context: "compression pointer" })?;
                 let target = (((len_byte & 0x3F) as usize) << 8) | second as usize;
                 hops += 1;
-                if target >= pos || hops > MAX_POINTER_HOPS {
+                if !pointers || target >= pos || hops > MAX_POINTER_HOPS {
                     return Err(WireError::BadCompressionPointer { at: pos });
                 }
                 resume.get_or_insert(pos + 2);
@@ -409,25 +425,6 @@ impl<'a> Iterator for Labels<'a> {
         let (label, rest) = tail.split_at_checked(len as usize)?;
         self.rest = rest;
         Some(label)
-    }
-}
-
-/// The lowercased dotted form of a label sequence, no trailing dot
-/// (no labels → `.`), one `char` per octet: what [`DnsName::key`] and
-/// [`NameView::write_key`](crate::view::NameView::write_key) render.
-pub(crate) fn key_chars<'a>(labels: impl Iterator<Item = &'a [u8]>, mut sink: impl FnMut(char)) {
-    let mut any = false;
-    for label in labels {
-        if any {
-            sink('.');
-        }
-        any = true;
-        for &b in label {
-            sink(b.to_ascii_lowercase() as char);
-        }
-    }
-    if !any {
-        sink('.');
     }
 }
 

@@ -261,7 +261,7 @@ mod tests {
         let r1 = parse_record_line("a.com. 300 IN HTTPS 0 b.com.", &origin(), 60).unwrap().unwrap();
         match &r1.rdata {
             RData::Https(rd) => {
-                assert!(rd.is_alias());
+                assert_eq!(rd.priority, 0);
                 assert_eq!(rd.target, DnsName::parse("b.com").unwrap());
             }
             other => panic!("wrong rdata: {other:?}"),

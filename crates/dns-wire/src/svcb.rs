@@ -3,6 +3,8 @@
 //! The seven registered SvcParamKeys (`mandatory`, `alpn`,
 //! `no-default-alpn`, `port`, `ipv4hint`, `ech`, `ipv6hint`) are modelled
 //! explicitly; unrecognized keys round-trip as opaque `keyNNNNN` values.
+//! The record a client uses ([`client_choice`]) and the rules a record
+//! breaks ([`SvcbView::lint`]) are decided here once, on the wire view.
 
 use crate::error::{ParseError, WireError};
 use crate::name::DnsName;
@@ -384,12 +386,13 @@ pub struct SvcbView<'a> {
 
 impl<'a> SvcbView<'a> {
     /// Check `rdata` as [`SvcbRdata::decode`] does — the target name's
-    /// structure, parameter order and every value's rules — and keep
-    /// where its parts lie.
+    /// structure, spelled out in full (RFC 9460 §2.2: a pointer is an
+    /// error located at its offset in `rdata`), parameter order and every
+    /// value's rules — and keep where its parts lie.
     pub fn parse(rdata: &'a [u8]) -> Result<SvcbView<'a>, WireError> {
         let mut r = WireReader::new(rdata);
         let priority = r.read_u16()?;
-        let params = DnsName::skip_at(rdata, r.position())?;
+        let params = DnsName::skip_uncompressed_at(rdata, r.position())?;
         r.seek(params)?;
         let mut last_key: Option<u16> = None;
         while r.remaining() > 0 {
@@ -465,6 +468,79 @@ impl<'a> SvcbView<'a> {
         let value = self.param(key::IPV4HINT)?;
         Some(value.chunks_exact(4).map(|c| Ipv4Addr::new(c[0], c[1], c[2], c[3])))
     }
+
+    /// Hand `report` each RFC 9460 rule this record breaks, in [`Lint`]'s
+    /// order, allocating nothing. The `mandatory` list is read as the
+    /// wire holds it, in ascending key order.
+    pub fn lint(&self, mut report: impl FnMut(Lint)) {
+        if self.is_alias() {
+            if self.has_params() {
+                report(Lint::AliasWithParams);
+            }
+            if self.target().is_root() {
+                report(Lint::AliasToRoot);
+            }
+        } else {
+            // Keys ascend, so a `mandatory` list is the first parameter.
+            if let Some((key::MANDATORY, keys)) = self.params().next() {
+                let keys = keys.chunks_exact(2).map(|k| u16::from_be_bytes([k[0], k[1]]));
+                keys.filter(|&k| self.param(k).is_none())
+                    .for_each(|k| report(Lint::MandatoryAbsent(k)));
+            }
+            if !self.has_params() {
+                report(Lint::EmptyServiceMode);
+            }
+        }
+        // A dotted quad as `Ipv4Addr`'s parser reads one: four labels of
+        // decimal digits, each at most 255 and without a leading zero.
+        let octet = |l: &[u8]| {
+            l.iter().all(u8::is_ascii_digit)
+                && (l == b"0" || l.first() != Some(&b'0'))
+                && std::str::from_utf8(l).is_ok_and(|digits| digits.parse::<u8>().is_ok())
+        };
+        let target = self.target();
+        if target.label_count() == 4 && target.labels().all(octet) {
+            report(Lint::Ipv4LiteralTarget);
+        }
+    }
+}
+
+/// An RFC 9460 rule a record breaks ([`SvcbView::lint`]); `Display`
+/// gives the text `httpsrr-cli zone` prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lint {
+    /// AliasMode with SvcParams (§2.4.2).
+    AliasWithParams,
+    /// AliasMode to `.` (§2.5.1).
+    AliasToRoot,
+    /// A key the `mandatory` list names is absent (§8).
+    MandatoryAbsent(u16),
+    /// ServiceMode without SvcParams.
+    EmptyServiceMode,
+    /// An IPv4-literal TargetName, a misconfiguration seen in the wild.
+    Ipv4LiteralTarget,
+}
+
+impl fmt::Display for Lint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Lint::AliasWithParams => "AliasMode record carries SvcParams",
+            Lint::AliasToRoot => "AliasMode TargetName of \".\" does not provide a true alias",
+            Lint::MandatoryAbsent(k) => {
+                return write!(f, "mandatory key {} absent", key_to_name(*k))
+            }
+            Lint::EmptyServiceMode => "ServiceMode record with empty SvcParams",
+            Lint::Ipv4LiteralTarget => "TargetName is an IPv4 address literal",
+        })
+    }
+}
+
+/// The record of an HTTPS or SVCB RRset a client uses (RFC 9460 §2.4.1,
+/// §2.4.2): the lowest-priority ServiceMode record, the first of equals,
+/// else the first AliasMode record; `None` for no record. Every record
+/// is read, in order.
+pub fn client_choice<'a>(records: impl IntoIterator<Item = SvcbView<'a>>) -> Option<SvcbView<'a>> {
+    records.into_iter().min_by_key(|rd| (rd.is_alias(), rd.priority()))
 }
 
 /// SVCB/HTTPS RDATA: priority, target, parameters.
@@ -488,11 +564,6 @@ impl SvcbRdata {
     /// ServiceMode record with priority 1 targeting the owner (`.`).
     pub fn service_self(params: Vec<SvcParam>) -> Self {
         SvcbRdata { priority: 1, target: DnsName::root(), params }
-    }
-
-    /// True when this record is in AliasMode (priority 0).
-    pub fn is_alias(&self) -> bool {
-        self.priority == 0
     }
 
     /// Find the first parameter with the given key.
@@ -527,39 +598,16 @@ impl SvcbRdata {
         }
     }
 
-    /// Validate RFC 9460 semantic rules, returning human-readable issues;
-    /// an empty vec means the record is well-formed. `httpsrr-cli zone`
-    /// prints these. The scanner does not call it: its misconfiguration
-    /// flags (`scanner::daily`'s `classify`) apply a subset straight to
-    /// the wire view — AliasMode with a `.` target, ServiceMode with no
-    /// SvcParams, an IPv4-literal target — and check neither an
-    /// AliasMode record's SvcParams nor a missing mandatory key.
+    /// The RFC 9460 rules the record breaks, as [`SvcbView::lint`] finds
+    /// them on its encoding, rendered for `httpsrr-cli zone`; empty for
+    /// a well-formed record. A `mandatory` list is read in wire order,
+    /// ascending by key.
     pub fn lint(&self) -> Vec<String> {
+        let mut w = WireWriter::new();
+        self.encode(&mut w);
         let mut issues = Vec::new();
-        if self.is_alias() {
-            if !self.params.is_empty() {
-                issues.push("AliasMode record carries SvcParams".to_string());
-            }
-            if self.target.is_root() {
-                issues.push(
-                    "AliasMode TargetName of \".\" does not provide a true alias".to_string(),
-                );
-            }
-        } else {
-            if let Some(SvcParam::Mandatory(keys)) = self.param(key::MANDATORY) {
-                for k in keys {
-                    if self.param(*k).is_none() {
-                        issues.push(format!("mandatory key {} absent", key_to_name(*k)));
-                    }
-                }
-            }
-            if self.params.is_empty() {
-                issues.push("ServiceMode record with empty SvcParams".to_string());
-            }
-        }
-        // An IP-address-shaped TargetName is a known wild misconfiguration.
-        if !self.target.is_root() && self.target.key().parse::<std::net::Ipv4Addr>().is_ok() {
-            issues.push("TargetName is an IPv4 address literal".to_string());
+        if let Some(view) = SvcbView::read(w.as_bytes()) {
+            view.lint(|lint| issues.push(lint.to_string()));
         }
         issues
     }
@@ -678,7 +726,7 @@ mod tests {
     #[test]
     fn alias_mode_round_trip() {
         let rd = SvcbRdata::alias(DnsName::parse("b.com").unwrap());
-        assert!(rd.is_alias());
+        assert_eq!(rd.priority, 0);
         assert_eq!(rt(&rd), rd);
         assert_eq!(rd.to_presentation(), "0 b.com.");
     }
@@ -750,6 +798,19 @@ mod tests {
             params: vec![SvcParam::Mandatory(vec![key::ALPN])],
         };
         assert!(rd.lint().iter().any(|i| i.contains("mandatory key alpn")));
+    }
+
+    /// RFC 9460 §2.2: the TargetName is never compressed, so a pointer in
+    /// it is rejected where it stands, even one the walk could follow.
+    #[test]
+    fn a_compressed_target_name_is_rejected_where_the_pointer_stands() {
+        let alpn = [0, 1, 0, 3, 2, b'h', b'2'];
+        for (target, at) in [(&[0xC0, 0][..], 2), (&[1, b'a', 0xC0, 0][..], 4)] {
+            let rdata = [&[0, 1][..], target, &alpn].concat();
+            let pointer = WireError::BadCompressionPointer { at };
+            assert_eq!(SvcbView::parse(&rdata).map(|_| ()), Err(pointer.clone()));
+            assert_eq!(SvcbRdata::decode(&rdata), Err(pointer));
+        }
     }
 
     #[test]

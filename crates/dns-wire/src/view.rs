@@ -8,9 +8,11 @@
 //! as an `RDLENGTH`-delimited subrange of the buffer, and all the pass
 //! keeps is where each section starts: the section iterators walk the
 //! validated bytes again, stepping over each name in place instead of
-//! validating it twice, so a view owns no heap memory. The header,
-//! section, OPT/extended-RCODE and trailing-byte rules live here and
-//! nowhere else. Callers then read what they need:
+//! validating it twice, so a view owns no heap memory. The section,
+//! extended-RCODE and trailing-byte rules live here and nowhere else;
+//! header octets 2–3 are read by [`Flags::unpack`] and an OPT record's
+//! fields by the reader beside [`Edns::opt_record`], the writers'
+//! counterparts. Callers then read what they need:
 //!
 //! - [`NameView`] exposes a compression-aware label iterator plus
 //!   comparison/rendering helpers that work straight off the wire;
@@ -38,7 +40,7 @@
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
-use crate::name::{fmt_labels, key_chars, DnsName, NameBuf, NameKey, NameRef, MAX_POINTER_HOPS};
+use crate::name::{fmt_labels, DnsName, NameBuf, NameKey, NameRef, MAX_POINTER_HOPS};
 use crate::record::{soa_minimum, DnsClass, RData, Record, RecordType};
 use crate::svcb::SvcbView;
 use std::fmt;
@@ -102,12 +104,6 @@ impl<'a> NameView<'a> {
         let mut theirs = other.labels();
         self.labels().all(|l| theirs.next().is_some_and(|t| l.eq_ignore_ascii_case(t)))
             && theirs.next().is_none()
-    }
-
-    /// Append the lowercased dotted form (no trailing dot; root → `.`)
-    /// to `out`, matching [`DnsName::key`].
-    pub fn write_key(&self, out: &mut String) {
-        key_chars(self.labels(), |c| out.push(c));
     }
 
     /// The name's flat bytes, borrowed from the message, when it is
@@ -544,19 +540,7 @@ impl<'a> MessageView<'a> {
             return Err(WireError::Truncated { context: "header" });
         }
         let id = u16::from_be_bytes([buf[0], buf[1]]);
-        let b2 = buf[2];
-        let b3 = buf[3];
-        let flags = Flags {
-            qr: b2 & 0x80 != 0,
-            aa: b2 & 0x04 != 0,
-            tc: b2 & 0x02 != 0,
-            rd: b2 & 0x01 != 0,
-            ra: b3 & 0x80 != 0,
-            ad: b3 & 0x20 != 0,
-            cd: b3 & 0x10 != 0,
-        };
-        let opcode = Opcode::from_code((b2 >> 3) & 0x0F);
-        let mut rcode = Rcode::from_code(b3 & 0x0F);
+        let (flags, opcode, mut rcode) = Flags::unpack([buf[2], buf[3]]);
         let qdcount = u16::from_be_bytes([buf[4], buf[5]]) as usize;
         let ancount = u16::from_be_bytes([buf[6], buf[7]]) as usize;
         let nscount = u16::from_be_bytes([buf[8], buf[9]]) as usize;
@@ -579,12 +563,7 @@ impl<'a> MessageView<'a> {
                 // EDNS state (last one wins; a non-zero extended RCODE
                 // merges with the header RCODE).
                 if section == 2 && meta.rtype == RecordType::Opt.code() {
-                    let e = Edns {
-                        udp_payload_size: meta.class,
-                        version: ((meta.ttl >> 16) & 0xFF) as u8,
-                        dnssec_ok: meta.ttl & 0x8000 != 0,
-                        extended_rcode: ((meta.ttl >> 24) & 0xFF) as u8,
-                    };
+                    let e = Edns::from_opt(meta.class, meta.ttl);
                     if e.extended_rcode != 0 {
                         let full = ((e.extended_rcode as u16) << 4) | (rcode.code() as u16);
                         rcode = Rcode::from_code((full & 0xFF) as u8);
@@ -841,9 +820,7 @@ mod tests {
         let buf = sample_response().encode();
         let view = MessageView::parse(&buf).unwrap();
         let qname = view.question().unwrap().name();
-        let mut key = String::new();
-        qname.write_key(&mut key);
-        assert_eq!(key, "www.example.com");
+        assert_eq!(qname.to_owned().key(), "www.example.com");
         assert_eq!(qname.to_owned(), name("www.example.com"));
         assert_eq!(qname.to_string(), "www.Example.com.");
     }
@@ -867,9 +844,7 @@ mod tests {
         let qname = view.question().unwrap().name();
         assert!(qname.is_root());
         assert_eq!(qname.label_count(), 0);
-        let mut key = String::new();
-        qname.write_key(&mut key);
-        assert_eq!(key, ".");
+        assert_eq!(qname.to_owned().key(), ".");
         assert_eq!(qname.to_string(), ".");
     }
 }

@@ -1,15 +1,21 @@
-//! The in-place query writer against the owned query it stands in for:
-//! `write_dnssec_query(out, id, name, qtype)` leaves in `out` exactly
-//! `Message::query_dnssec(id, name, qtype).encode()`, whatever `out`
-//! held before — for the root, names in mixed case and of 1 to 127
-//! labels up to the 255-octet limit, every type code and every id.
+//! The in-place query writer against the owned queries it stands in
+//! for: `write_query(out, id, name, qtype, edns)` leaves in `out`
+//! exactly `Message::query_dnssec(id, name, qtype).encode()` given
+//! `Edns::dnssec()` (the resolver's and the event loop's queries) and
+//! `Message::query(id, name, qtype).encode()` given `Edns::default()`
+//! (the browser's), whatever `out` held before — for the root, names in
+//! mixed case and of 1 to 127 labels up to the 255-octet limit, every
+//! type code and every id.
 
-use dns_wire::{write_dnssec_query, DnsName, Message, RecordType};
+use dns_wire::{write_query, DnsName, Edns, Message, RecordType};
 use proptest::prelude::*;
 
-/// The owned query's bytes.
-fn reference(id: u16, name: &DnsName, qtype: RecordType) -> Vec<u8> {
-    Message::query_dnssec(id, name.clone(), qtype).encode()
+/// The owned queries' bytes, with the EDNS each carries.
+fn references(id: u16, name: &DnsName, qtype: RecordType) -> [(Edns, Vec<u8>); 2] {
+    [
+        (Edns::dnssec(), Message::query_dnssec(id, name.clone(), qtype).encode()),
+        (Edns::default(), Message::query(id, name.clone(), qtype).encode()),
+    ]
 }
 
 /// A label of `len` octets: letters in both cases, digits and hyphens,
@@ -67,8 +73,10 @@ fn the_edges_are_written_as_the_owned_query_encodes_them() {
         for (id, qtype) in
             [(0, RecordType::Https), (0xFFFF, RecordType::A), (0x1234, RecordType::Opt)]
         {
-            write_dnssec_query(&mut out, id, name, qtype);
-            assert_eq!(out, reference(id, name, qtype), "{name} {qtype}");
+            for (edns, reference) in references(id, name, qtype) {
+                write_query(&mut out, id, name, qtype, edns);
+                assert_eq!(out, reference, "{name} {qtype} {edns:?}");
+            }
         }
     }
 }
@@ -83,7 +91,9 @@ proptest! {
     ) {
         let qtype = RecordType::from_code(code);
         let mut out = dirt;
-        write_dnssec_query(&mut out, id, &name, qtype);
-        prop_assert_eq!(out, reference(id, &name, qtype));
+        for (edns, reference) in references(id, &name, qtype) {
+            write_query(&mut out, id, &name, qtype, edns);
+            prop_assert_eq!(&out, &reference);
+        }
     }
 }

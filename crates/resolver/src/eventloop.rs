@@ -52,7 +52,7 @@ use crate::resolver::{
     check_reply, RecursiveResolver, Resolution, ResolveError, ATTEMPT_TIMEOUT_MS, MAX_CNAME_CHAIN,
     RETRANSMITS,
 };
-use dns_wire::write_dnssec_query;
+use dns_wire::{write_query, Edns};
 use netsim::{NetError, ScheduledDelivery, TimeMs};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -174,7 +174,7 @@ impl Loop<'_> {
         let order = r.selector().pick_order(&apex, &endpoints);
         let id = r.next_query_id();
         let mut wire = Vec::new();
-        write_dnssec_query(&mut wire, id, name, *rtype);
+        write_query(&mut wire, id, name, *rtype, Edns::dnssec());
         let mut last_err = ResolveError::Lame(apex.clone());
         let mut timed_out_total = 0u32;
         for (ep_index, ep) in order.enumerate() {

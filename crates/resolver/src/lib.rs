@@ -10,7 +10,7 @@
 //!
 //! An exchange with an authority on the synchronous path allocates only
 //! the reply it keeps: the query is written in place
-//! ([`dns_wire::write_dnssec_query`]) and the answer received into
+//! ([`dns_wire::write_query`]) and the answer received into
 //! per-thread buffers reused from one exchange to the next, and a reply
 //! with answers is copied once into the buffer its [`RrSet`]s share.
 

@@ -16,7 +16,7 @@ use crate::selection::{NsSelector, SelectionStrategy};
 use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::wire::WireWriter;
 use dns_wire::{
-    write_dnssec_query, DnsClass, DnsName, Edns, MessageView, NameView, Rcode, RecordType,
+    write_query, DnsClass, DnsName, Edns, Flags, MessageView, NameView, Rcode, RecordType,
     RecordView,
 };
 use dnssec::{ChainSource, ValidationState};
@@ -396,7 +396,7 @@ impl RecursiveResolver {
     ) -> Result<AuthorityReply, ResolveError> {
         let id = self.next_query_id();
         let (mut query, mut reply) = EXCHANGE.take();
-        write_dnssec_query(&mut query, id, name, rtype);
+        write_query(&mut query, id, name, rtype, Edns::dnssec());
         let mut last_err = ResolveError::Lame(zone.clone());
         let outcome = 'ask: {
             for ep in order {
@@ -547,9 +547,15 @@ fn write_reply(
     let ancount = heads.clone().count() + records.len() + signed;
     reply.clear();
     let mut w = WireWriter::from_bytes(std::mem::take(reply));
+    let flags = Flags {
+        qr: true,
+        rd: query.flags().rd,
+        ra: true,
+        ad: res.is_some_and(Resolution::ad),
+        ..Flags::default()
+    };
     w.put_u16(query.id());
-    w.put_u8(0x80 | (query.opcode().code() & 0x0F) << 3 | u8::from(query.flags().rd));
-    w.put_u8(0x80 | u8::from(res.is_some_and(Resolution::ad)) << 5 | (rcode.code() & 0x0F));
+    w.put_bytes(&flags.pack(query.opcode(), rcode));
     for count in [query.question_count(), ancount, 0, usize::from(query.edns().is_some())] {
         w.put_u16(count as u16);
     }
@@ -566,12 +572,8 @@ fn write_reply(
             put_record(&mut w, first.name(), DnsClass::In, first.ttl(), &sig);
         }
     }
-    // The OPT record of `Edns::default()`, the request's DO bit kept.
     if let Some(edns) = query.edns() {
-        w.put_bytes(&[0, 0, 41]);
-        w.put_u16(Edns::default().udp_payload_size);
-        w.put_u32(u32::from(edns.dnssec_ok) << 15);
-        w.put_u16(0);
+        w.put_bytes(&edns.reply().opt_record());
     }
     *reply = w.into_bytes();
 }

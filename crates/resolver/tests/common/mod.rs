@@ -53,10 +53,15 @@ pub enum BadRdata {
     TruncatedSvcParam,
     /// An A record of 3 octets.
     ShortA,
+    /// An HTTPS record whose TargetName ends in a compression pointer
+    /// (to its own first octet, the priority's high byte, read as the
+    /// root): RFC 9460 §2.2 never compresses it.
+    CompressedTarget,
 }
 
 /// Every kind of undecodable answer.
-pub const BAD_RDATA: [BadRdata; 2] = [BadRdata::TruncatedSvcParam, BadRdata::ShortA];
+pub const BAD_RDATA: [BadRdata; 3] =
+    [BadRdata::TruncatedSvcParam, BadRdata::ShortA, BadRdata::CompressedTarget];
 
 impl DatagramService for BadRdata {
     /// The reply to the query asked, answering it with a decodable A
@@ -74,6 +79,11 @@ impl DatagramService for BadRdata {
                 (RecordType::Https, &[0, 1, 0, 0, 1, 0, 5, 2, b'h', b'2'])
             }
             BadRdata::ShortA => (RecordType::A, &[1, 2, 3]),
+            // Priority 1, target "a" then a pointer to offset 0, then key
+            // 1 (alpn), length 3: "h2".
+            BadRdata::CompressedTarget => {
+                (RecordType::Https, &[0, 1, 1, b'a', 0xC0, 0, 0, 1, 0, 3, 2, b'h', b'2'])
+            }
         };
         bytes[7] += 1; // ANCOUNT
         bytes.extend_from_slice(&[0xC0, 12]); // owner: the question name

@@ -109,6 +109,26 @@ fn a_request_that_does_not_parse_is_reset() {
     assert_eq!(reply(&r, &bytes), Err(NetError::Reset));
 }
 
+/// RFC 9460 §2.2: a TargetName is never compressed, so a request holding
+/// an HTTPS record whose target ends in a pointer does not check.
+#[test]
+fn a_request_with_a_compressed_target_name_is_reset() {
+    let r = resolver();
+    let request = |rdata: &[u8]| {
+        let mut query = Message::query(6, name("a.com"), RecordType::Https);
+        query.edns = None;
+        let mut bytes = query.encode();
+        bytes[7] = 1;
+        bytes.extend_from_slice(&[0xC0, 12, 0, 65, 0, 1, 0, 0, 0, 60, 0, rdata.len() as u8]);
+        bytes.extend_from_slice(rdata);
+        bytes
+    };
+    // Priority 1, target "a" then a pointer to the priority's high octet.
+    assert_eq!(reply(&r, &request(&[0, 1, 1, b'a', 0xC0, 0])), Err(NetError::Reset));
+    // The target spelled out is answered.
+    assert!(reply(&r, &request(&[0, 1, 1, b'a', 0])).is_ok());
+}
+
 #[test]
 fn a_query_without_a_question_gets_formerr() {
     let r = resolver();

@@ -63,7 +63,7 @@
 use crate::observation::{flags, NsCategory, Observation};
 use crate::store::persist::{StoreMeta, StoreWriter};
 use crate::store::{OrgId, OrgInterner, SnapshotStore};
-use dns_wire::svcb::key;
+use dns_wire::svcb::{client_choice, key, Lint};
 use dns_wire::{DnsName, NameBuildHasher, NameView, RData, RecordType, SvcbView};
 use ecosystem::World;
 use resolver::{
@@ -723,22 +723,16 @@ fn a_ips(set: &RrSet) -> impl Iterator<Item = std::net::Ipv4Addr> + '_ {
 }
 
 /// One read of an HTTPS answer: its lowest SvcPriority and the
-/// record-shape flags of the record a client would use — the lowest
-/// ServiceMode priority (the first of equals), else the first alias.
-/// `None` when it holds no HTTPS RDATA. Each RDATA is read once, in
-/// place.
+/// record-shape flags of the record a client would use
+/// ([`client_choice`]). `None` when it holds no HTTPS RDATA. Each RDATA
+/// is read once, in place.
 fn read_https(set: &RrSet) -> Option<(u16, u32)> {
     let (mut min_priority, mut count) = (u16::MAX, 0usize);
-    let mut chosen: Option<SvcbView<'_>> = None;
-    for rd in https_views(set) {
+    let chosen = client_choice(https_views(set).inspect(|rd| {
         count += 1;
         min_priority = min_priority.min(rd.priority());
-        chosen = match chosen {
-            Some(c) if rd.is_alias() || (!c.is_alias() && c.priority() <= rd.priority()) => Some(c),
-            _ => Some(rd),
-        };
-    }
-    Some((min_priority, classify(&chosen?, count == 1)))
+    }))?;
+    Some((min_priority, classify(&chosen, count == 1)))
 }
 
 /// Whether an HTTPS RRset advertises IPv4 hints and every one of them
@@ -751,24 +745,22 @@ fn hints_match(https: &RrSet, a_records: &RrSet) -> bool {
 }
 
 /// Record-shape flags of the chosen HTTPS RDATA; `sole` says it is the
-/// RRset's only one. Of RFC 9460's rules it flags AliasMode (§2.4.2)
-/// with a `.` target (§2.5.1), ServiceMode without SvcParams and an
-/// IPv4-literal TargetName; it does not flag an AliasMode record that
-/// carries SvcParams (§2.4.2) or a `mandatory` key the record lacks
-/// (§8), and counts neither as a failure (`tests/scan.rs` pins it).
+/// RRset's only one. Of RFC 9460's rules ([`SvcbView::lint`]) it flags
+/// AliasMode (§2.4.2) with a `.` target (§2.5.1), ServiceMode without
+/// SvcParams and an IPv4-literal TargetName; it does not flag an
+/// AliasMode record that carries SvcParams (§2.4.2) or a `mandatory` key
+/// the record lacks (§8), and counts neither as a failure
+/// (`tests/scan.rs` pins it).
 fn classify(chosen: &SvcbView<'_>, sole: bool) -> u32 {
-    let mut f = 0u32;
-    if chosen.is_alias() {
-        f |= flags::ALIAS_MODE;
-        if chosen.target().is_root() {
-            f |= flags::TARGET_SELF_DOT;
+    let mut f = if chosen.is_alias() { flags::ALIAS_MODE } else { 0 };
+    chosen.lint(|lint| {
+        f |= match lint {
+            Lint::AliasToRoot => flags::TARGET_SELF_DOT,
+            Lint::EmptyServiceMode => flags::EMPTY_SVCPARAMS,
+            Lint::Ipv4LiteralTarget => flags::IP_LITERAL_TARGET,
+            Lint::AliasWithParams | Lint::MandatoryAbsent(_) => 0,
         }
-    } else if !chosen.has_params() {
-        f |= flags::EMPTY_SVCPARAMS;
-    }
-    if is_ipv4_literal(chosen.target()) {
-        f |= flags::IP_LITERAL_TARGET;
-    }
+    });
     if chosen.param(key::ECH).is_some() {
         f |= flags::ECH;
     }
@@ -802,20 +794,6 @@ fn classify(chosen: &SvcbView<'_>, sole: bool) -> u32 {
         f |= flags::CF_DEFAULT;
     }
     f
-}
-
-/// The lint [`dns_wire::SvcbRdata::lint`] reports as "TargetName is an
-/// IPv4 address literal": a non-root target whose dotted key parses as
-/// an IPv4 address. Only a name of four all-digit labels can, so no
-/// other name is rendered.
-fn is_ipv4_literal(target: NameView<'_>) -> bool {
-    let digits = |label: &[u8]| label.iter().all(u8::is_ascii_digit);
-    if target.label_count() != 4 || !target.labels().all(digits) {
-        return false;
-    }
-    let mut key = String::new();
-    target.write_key(&mut key);
-    key.parse::<std::net::Ipv4Addr>().is_ok()
 }
 
 /// Whether a record matches Cloudflare's auto-generated default shape:
@@ -854,4 +832,95 @@ fn categorize_orgs(orgs: &[&str], org_ids: &HashMap<String, OrgId>) -> (NsCatego
     let representative = orgs.iter().find(|o| !is_cf(o)).unwrap_or(first);
     let org_id = org_ids.get(*representative).copied().unwrap_or(OrgId::NONE);
     (category, org_id)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dns_wire::wire::WireWriter;
+    use dns_wire::{SvcParam, SvcbRdata};
+    use proptest::prelude::*;
+
+    /// The flags `classify` set by RFC 9460's rules before it read
+    /// [`SvcbView::lint`], kept as the oracle.
+    fn former_rule_flags(chosen: &SvcbView<'_>) -> u32 {
+        let mut f = 0u32;
+        if chosen.is_alias() {
+            if chosen.target().is_root() {
+                f |= flags::TARGET_SELF_DOT;
+            }
+        } else if !chosen.has_params() {
+            f |= flags::EMPTY_SVCPARAMS;
+        }
+        if former_is_ipv4_literal(chosen.target()) {
+            f |= flags::IP_LITERAL_TARGET;
+        }
+        f
+    }
+
+    fn former_is_ipv4_literal(target: NameView<'_>) -> bool {
+        let digits = |label: &[u8]| label.iter().all(u8::is_ascii_digit);
+        if target.label_count() != 4 || !target.labels().all(digits) {
+            return false;
+        }
+        target.to_owned().key().parse::<std::net::Ipv4Addr>().is_ok()
+    }
+
+    const RULE_FLAGS: u32 =
+        flags::TARGET_SELF_DOT | flags::EMPTY_SVCPARAMS | flags::IP_LITERAL_TARGET;
+
+    /// Root, IPv4-shaped and digit-only targets, and an ordinary one.
+    const TARGETS: [&str; 9] = [
+        ".",
+        "1.2.3.4",
+        "255.0.0.1",
+        "256.1.1.1",
+        "01.2.3.4",
+        "1.2.3",
+        "1.2.3.4.5",
+        "a.1.2.3",
+        "svc.example.net",
+    ];
+
+    /// A record of either mode with any of [`TARGETS`], each of a
+    /// `mandatory` list (naming `alpn` and `ipv6hint`), `alpn` and `port`
+    /// present or not.
+    fn arb_record() -> impl Strategy<Value = SvcbRdata> {
+        (0u16..3, 0..TARGETS.len(), proptest::collection::vec(any::<bool>(), 3)).prop_map(
+            |(priority, target, present)| {
+                let all = [
+                    SvcParam::Mandatory(vec![key::ALPN, key::IPV6HINT]),
+                    SvcParam::Alpn(vec![b"h2".to_vec()]),
+                    SvcParam::Port(8443),
+                ];
+                let params = all.into_iter().zip(present).filter(|(_, on)| *on).map(|(p, _)| p);
+                let target = DnsName::parse(TARGETS[target]).unwrap();
+                SvcbRdata { priority, target, params: params.collect() }
+            },
+        )
+    }
+
+    proptest! {
+        /// `classify` sets exactly the flags it set before for RFC 9460's
+        /// rules, one per finding of the shared lint it maps, and none for
+        /// AliasMode with SvcParams or an absent `mandatory` key.
+        #[test]
+        fn classify_flags_equal_the_shared_lint_and_the_former_classify(rd in arb_record()) {
+            let mut w = WireWriter::new();
+            rd.encode(&mut w);
+            let view = SvcbView::parse(w.as_bytes()).unwrap();
+            let flagged = classify(&view, false);
+            prop_assert_eq!(flagged & RULE_FLAGS, former_rule_flags(&view));
+            prop_assert_eq!(flagged & flags::ALIAS_MODE != 0, view.is_alias());
+            let mut findings = Vec::new();
+            view.lint(|lint| findings.push(lint));
+            for (flag, lint) in [
+                (flags::TARGET_SELF_DOT, Lint::AliasToRoot),
+                (flags::EMPTY_SVCPARAMS, Lint::EmptyServiceMode),
+                (flags::IP_LITERAL_TARGET, Lint::Ipv4LiteralTarget),
+            ] {
+                prop_assert_eq!(flagged & flag != 0, findings.contains(&lint), "{:?}", findings);
+            }
+        }
+    }
 }

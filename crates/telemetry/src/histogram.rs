@@ -9,10 +9,7 @@
 //! perturbing them (they are strictly observational; see the crate
 //! docs for the counter/histogram split).
 //!
-//! [`HistogramSnapshot`]s are plain data and **mergeable**: merging is
-//! associative and commutative with an all-zero identity, so per-worker
-//! or per-vantage snapshots can be combined in any order — a property
-//! pinned by this crate's property tests.
+//! [`HistogramSnapshot`]s are plain data: comparable and renderable.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,7 +88,7 @@ impl Histogram {
     }
 }
 
-/// Plain-data histogram state: mergeable, comparable, renderable.
+/// Plain-data histogram state: comparable, renderable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`bucket_lower`]/[`bucket_upper`]).
@@ -107,11 +104,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The all-zero merge identity.
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -125,16 +117,6 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / n as f64
         }
-    }
-
-    /// Merge another snapshot into this one. Associative and
-    /// commutative; [`empty`](Self::empty) is the identity.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        // Wrapping, to match the atomic accumulation in `Histogram::record`.
-        self.sum = self.sum.wrapping_add(other.sum);
     }
 
     /// Approximate quantile: the inclusive upper bound of the bucket
@@ -218,7 +200,7 @@ mod tests {
         // Median sample is the second `1`, whose bucket tops out at 1.
         assert_eq!(s.quantile(0.5), Some(1));
         assert!(s.quantile(1.0).unwrap() >= 1000);
-        assert_eq!(HistogramSnapshot::empty().quantile(0.5), None);
+        assert_eq!(HistogramSnapshot::default().quantile(0.5), None);
     }
 
     #[test]
@@ -226,20 +208,6 @@ mod tests {
         let h = Histogram::new();
         h.record_duration(Duration::from_millis(3));
         assert_eq!(h.snapshot().sum, 3_000);
-    }
-
-    #[test]
-    fn merge_identity_and_totals() {
-        let h = Histogram::new();
-        h.record(7);
-        h.record(9000);
-        let mut a = h.snapshot();
-        let before = a.clone();
-        a.merge(&HistogramSnapshot::empty());
-        assert_eq!(a, before);
-        a.merge(&before);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.sum, 2 * before.sum);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! First-class instrumentation for the resolution pipeline: lock-free
 //! atomic [`Counter`]s, fixed-bucket log-spaced [`Histogram`]s with
-//! mergeable [`HistogramSnapshot`]s, and a labelled [`MetricsRegistry`]
+//! plain-data [`HistogramSnapshot`]s, and a labelled [`MetricsRegistry`]
 //! that renders text and CSV reports.
 //!
 //! ## The determinism split
